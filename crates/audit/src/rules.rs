@@ -272,13 +272,28 @@ fn rule_uncounted_api(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------
 
 /// Catalog-mutation calls that apply state in `database.rs`.
-const STATE_MUTATORS: &[&str] = &["install_table", "add_table", "remove"];
+const STATE_MUTATORS: &[&str] = &[
+    "install_table",
+    "add_table",
+    "remove",
+    "apply_insert",
+    "mutate_bound",
+];
+
+/// True if token `i` is the WAL append: `.log(` (the database's
+/// append-and-fsync helper) or `.append(` called on a receiver named
+/// `wal`. Collections have an `.append(` too, and appending rows to a
+/// table is the state change the log must precede, not the log.
+fn is_wal_append(toks: &[Tok], i: usize) -> bool {
+    is_method_call(toks, i, "log")
+        || (is_method_call(toks, i, "append") && i >= 2 && toks[i - 2].text == "wal")
+}
 
 /// WAL ordering. Two checks:
 ///
-/// * in `db/src/database.rs`, a function that appends to the log (a
-///   `.log(…)` or `.append(…)` method call) must not apply state (an
-///   [`STATE_MUTATORS`] call) before the append;
+/// * in `db/src/database.rs`, a function that appends to the log (see
+///   [`is_wal_append`]) must not apply state (an [`STATE_MUTATORS`]
+///   call) before the append;
 /// * in any `db/src` file, a function that `try_append`s through the
 ///   fault-injectable layer must `fsync` afterwards — durability is
 ///   append **then** fsync, never append alone.
@@ -289,8 +304,7 @@ fn rule_wal_order(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
     let is_database = rel.ends_with("database.rs");
     for (_name, body) in functions(toks) {
         if is_database {
-            let log_at = (0..body.len())
-                .find(|&i| is_method_call(body, i, "log") || is_method_call(body, i, "append"));
+            let log_at = (0..body.len()).find(|&i| is_wal_append(body, i));
             if let Some(log_at) = log_at {
                 for i in 0..log_at {
                     if STATE_MUTATORS.iter().any(|m| is_call(body, i, m)) {

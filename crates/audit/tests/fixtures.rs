@@ -112,6 +112,28 @@ fn wal_order_trips_on_state_applied_before_the_append() {
 }
 
 #[test]
+fn wal_order_is_not_satisfied_by_a_collection_append() {
+    // Before the rule was narrowed to `wal.append(`, the `col.append(`
+    // on line 6 counted as the log append and hid the early apply.
+    let diags = scan_source(
+        "crates/db/src/database.rs",
+        include_str!("../fixtures/wal_order_collection_append.rs"),
+    );
+    assert_diags(&diags, &[(7, rules::WAL_ORDER)]);
+}
+
+#[test]
+fn wal_order_accepts_log_then_in_place_apply() {
+    // `mutate_bound` precedes `data.append(` in `apply_insert`; only a
+    // real WAL append makes an earlier mutator a violation.
+    let diags = scan_source(
+        "crates/db/src/database.rs",
+        include_str!("../fixtures/wal_order_apply_after_log.rs"),
+    );
+    assert_diags(&diags, &[]);
+}
+
+#[test]
 fn wal_order_trips_on_append_without_fsync() {
     let diags = scan_source(
         "crates/db/src/wal.rs",

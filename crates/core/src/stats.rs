@@ -2,9 +2,10 @@
 //! plus the per-table statistics the planner's cardinality estimates
 //! run on — a seeded HLL-style distinct-count sketch, an equi-depth
 //! key histogram, and a heavy-hitter list that together replace the
-//! uniform-key assumption on skewed data.
-
-use std::collections::HashMap;
+//! uniform-key assumption on skewed data. The statistics are *exactly
+//! mergeable*: [`TableStatistics::absorb`] folds a batch of inserted keys
+//! in and lands on the same value [`TableStatistics::build`] computes
+//! over the whole key multiset, so ingest never rebuilds a sketch.
 
 /// Number of HLL registers in a [`DistinctSketch`]: 1024 registers give
 /// a relative standard error of `1.04/√1024 ≈ 3.2%`.
@@ -82,7 +83,7 @@ impl DistinctSketch {
 }
 
 /// One bucket of an [`EquiDepthHistogram`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Bucket {
     /// Largest key in the bucket (inclusive).
     max_key: u64,
@@ -96,7 +97,7 @@ struct Bucket {
 /// equal row counts, each recording its key range, row count, and
 /// distinct count. Selectivity lookups interpolate within the
 /// straddling bucket.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct EquiDepthHistogram {
     min_key: u64,
     buckets: Vec<Bucket>,
@@ -189,6 +190,64 @@ impl EquiDepthHistogram {
     pub fn rows(&self) -> u64 {
         self.rows
     }
+
+    /// Exact number of distinct keys the histogram was built over.
+    fn distinct(&self) -> u64 {
+        self.buckets.iter().map(|b| b.distinct).sum()
+    }
+}
+
+/// The state [`TableStatistics::absorb`] merges into: the HLL registers
+/// (merging is inserting, so a merged sketch equals the one built over
+/// the union) and the key multiset in sorted order. Everything else a
+/// [`TableStatistics`] reports is a function of these two.
+#[derive(Debug)]
+struct Mergeable {
+    sketch: DistinctSketch,
+    sorted: Vec<u64>,
+}
+
+impl Mergeable {
+    fn from_keys(mut keys: Vec<u64>, seed: u64) -> Self {
+        let mut sketch = DistinctSketch::new(seed);
+        for &k in &keys {
+            sketch.insert(k);
+        }
+        keys.sort_unstable();
+        Self {
+            sketch,
+            sorted: keys,
+        }
+    }
+
+    /// Merges `batch` into the sorted multiset: only the part of it above
+    /// the batch's smallest key moves, so keys arriving in ascending
+    /// order cost O(batch).
+    fn merge(&mut self, batch: &[u64]) {
+        let mut batch = batch.to_vec();
+        batch.sort_unstable();
+        let Some(&first) = batch.first() else {
+            return;
+        };
+        for &k in &batch {
+            self.sketch.insert(k);
+        }
+        let split = self.sorted.partition_point(|&k| k <= first);
+        let tail = self.sorted.split_off(split);
+        self.sorted.reserve(tail.len() + batch.len());
+        let (mut t, mut b) = (tail.iter().peekable(), batch.iter().peekable());
+        while let (Some(&&x), Some(&&y)) = (t.peek(), b.peek()) {
+            if x <= y {
+                self.sorted.push(x);
+                t.next();
+            } else {
+                self.sorted.push(y);
+                b.next();
+            }
+        }
+        self.sorted.extend(t);
+        self.sorted.extend(b);
+    }
 }
 
 /// Per-table statistics stored in the catalog at ingest: row count, a
@@ -196,7 +255,12 @@ impl EquiDepthHistogram {
 /// exact frequencies of the heavy-hitter keys (those `≥ 2×` the mean
 /// frequency). Built deterministically from the data and the seed, so
 /// the same seed always yields the same statistics.
-#[derive(Clone, Debug)]
+///
+/// Equality and `Clone` cover the derived statistics only: the state
+/// [`TableStatistics::absorb`] merges into belongs to the one instance
+/// the ingest path mutates, so the planner's copies (and the
+/// `filtered_*` / `join` results it composes) never carry or copy it.
+#[derive(Debug)]
 pub struct TableStatistics {
     rows: f64,
     distinct: f64,
@@ -206,48 +270,99 @@ pub struct TableStatistics {
     /// `(key, estimated rows with that key)`, descending by frequency.
     heavy: Vec<(u64, f64)>,
     heavy_rows: f64,
+    /// Sketch seed, kept so the mergeable state can be materialised later.
+    seed: u64,
+    /// Present only once the table has absorbed a batch.
+    mergeable: Option<Box<Mergeable>>,
+}
+
+impl Clone for TableStatistics {
+    fn clone(&self) -> Self {
+        Self {
+            histogram: self.histogram.clone(),
+            heavy: self.heavy.clone(),
+            mergeable: None,
+            ..*self
+        }
+    }
+}
+
+impl PartialEq for TableStatistics {
+    fn eq(&self, other: &Self) -> bool {
+        self.rows == other.rows
+            && self.distinct == other.distinct
+            && self.min_key == other.min_key
+            && self.max_key == other.max_key
+            && self.histogram == other.histogram
+            && self.heavy == other.heavy
+            && self.heavy_rows == other.heavy_rows
+    }
 }
 
 impl TableStatistics {
-    /// Builds statistics from one pass over the table's keys (plus a
-    /// sort for the histogram). Deterministic in `keys` and `seed`.
+    /// Builds statistics from the table's keys: one hashing pass for the
+    /// sketch, a sort, and run-length passes over the sorted keys for
+    /// the rest. Deterministic in `keys` and `seed`.
     pub fn build(keys: &[u64], seed: u64) -> Self {
-        let mut sketch = DistinctSketch::new(seed);
-        let mut counts: HashMap<u64, u64> = HashMap::new();
-        for &k in keys {
-            sketch.insert(k);
-            *counts.entry(k).or_insert(0) += 1;
-        }
-        let mut sorted = keys.to_vec();
-        sorted.sort_unstable();
-        let histogram = EquiDepthHistogram::from_sorted(&sorted);
-        let rows = keys.len() as f64;
-        let distinct = if keys.is_empty() {
+        Self::derive(&Mergeable::from_keys(keys.to_vec(), seed))
+    }
+
+    /// Folds a batch of inserted keys in. The result equals
+    /// [`TableStatistics::build`] over the full key multiset field for
+    /// field, so estimates and plan choices cannot tell an absorbed
+    /// table from a rebuilt one.
+    ///
+    /// The mergeable state is kept only from the first call on: `prior`
+    /// is invoked when it is missing and must return the keys these
+    /// statistics were built from, in any order. Later calls merge the
+    /// batch and re-derive the rest in linear passes over the sorted
+    /// keys — no hashing of old keys, no re-sort.
+    pub fn absorb(&mut self, batch: &[u64], prior: impl FnOnce() -> Vec<u64>) {
+        let mut state = self
+            .mergeable
+            .take()
+            .unwrap_or_else(|| Box::new(Mergeable::from_keys(prior(), self.seed)));
+        state.merge(batch);
+        *self = Self::derive(&state);
+        self.mergeable = Some(state);
+    }
+
+    /// Everything the statistics report, as a function of the mergeable
+    /// state — the one implementation behind `build` and `absorb`.
+    fn derive(state: &Mergeable) -> Self {
+        let sorted = &state.sorted;
+        let histogram = EquiDepthHistogram::from_sorted(sorted);
+        let rows = sorted.len() as f64;
+        let exact_distinct = histogram.as_ref().map_or(0, EquiDepthHistogram::distinct);
+        let mean = if exact_distinct == 0 {
             0.0
         } else {
-            sketch.estimate().max(1.0)
+            rows / exact_distinct as f64
         };
-        let mean = if counts.is_empty() {
-            0.0
-        } else {
-            rows / counts.len() as f64
-        };
-        let mut heavy: Vec<(u64, f64)> = counts
-            .into_iter()
-            .filter(|&(_, c)| c as f64 >= HEAVY_FACTOR * mean && c > 1)
-            .map(|(k, c)| (k, c as f64))
+        let mut heavy: Vec<(u64, f64)> = sorted
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as f64))
+            .filter(|&(_, c)| c >= HEAVY_FACTOR * mean && c > 1.0)
             .collect();
+        // (count desc, key asc) is a total order over distinct keys, so
+        // the list does not depend on the order candidates were found in.
         heavy.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         heavy.truncate(HEAVY_HITTERS);
         let heavy_rows = heavy.iter().map(|&(_, c)| c).sum();
         Self {
             rows,
-            distinct,
+            distinct: if sorted.is_empty() {
+                0.0
+            } else {
+                state.sketch.estimate().max(1.0)
+            },
             min_key: sorted.first().copied().unwrap_or(0),
             max_key: sorted.last().copied().unwrap_or(0),
             histogram,
             heavy,
             heavy_rows,
+            seed: state.sketch.seed,
+            mergeable: None,
         }
     }
 
@@ -378,6 +493,8 @@ impl TableStatistics {
             histogram: None,
             heavy,
             heavy_rows,
+            seed: self.seed,
+            mergeable: None,
         }
     }
 
@@ -429,6 +546,8 @@ impl TableStatistics {
             histogram: None,
             heavy: out_heavy,
             heavy_rows,
+            seed: self.seed,
+            mergeable: None,
         };
         (rows, stats)
     }
@@ -541,6 +660,7 @@ mod tests {
 #[cfg(test)]
 mod table_statistics_tests {
     use super::*;
+    use std::collections::HashMap;
     use wisconsin::Record;
 
     fn zipf_keys(n: u64, domain: u64, theta: f64, seed: u64) -> Vec<u64> {
@@ -695,6 +815,81 @@ mod table_statistics_tests {
         assert_eq!(a.distinct_keys(), b.distinct_keys());
         assert_eq!(a.heavy_keys(), b.heavy_keys());
         assert_eq!(a.fraction_below(57), b.fraction_below(57));
+    }
+
+    /// Every observable of `a` equals `b`'s: the fields (through
+    /// `PartialEq`) and the estimator outputs the planner consumes.
+    fn assert_same_statistics(a: &TableStatistics, b: &TableStatistics, what: &str) {
+        assert_eq!(a, b, "{what}: fields");
+        let probe = TableStatistics::build(&zipf_keys(500, 64, 1.1, 5), 9);
+        let mut points = vec![0, 1, 7, 63, 64, 500, 1_000, 4_999, 5_000, u64::MAX];
+        points.extend(a.heavy_keys());
+        for &k in &points {
+            assert_eq!(
+                a.fraction_below(k),
+                b.fraction_below(k),
+                "{what}: below {k}"
+            );
+            assert_eq!(
+                a.distinct_below(k),
+                b.distinct_below(k),
+                "{what}: distinct {k}"
+            );
+            assert_eq!(a.frequency(k), b.frequency(k), "{what}: frequency {k}");
+        }
+        assert_eq!(a.heavy_keys(), b.heavy_keys(), "{what}: heavy keys");
+        assert_eq!(a.heavy_cover(), b.heavy_cover(), "{what}: heavy cover");
+        assert_eq!(a.join(&probe), b.join(&probe), "{what}: join as left");
+        assert_eq!(probe.join(a), probe.join(b), "{what}: join as right");
+    }
+
+    #[test]
+    fn absorbing_batches_equals_building_over_the_union() {
+        let descending: Vec<u64> = (0..3_000u64).rev().collect();
+        let interleaved: Vec<u64> = (0..3_000u64)
+            .map(|i| if i % 2 == 0 { i } else { 5_000 - i })
+            .collect();
+        let shapes: [(&str, Vec<u64>); 6] = [
+            ("uniform", (0..4_000u64).map(|i| i % 1_000).collect()),
+            ("zipf", zipf_keys(4_000, 300, 1.2, 11)),
+            ("all-duplicate", vec![42; 2_000]),
+            ("descending", descending),
+            ("interleaved", interleaved),
+            ("empty", Vec::new()),
+        ];
+        for (shape, keys) in &shapes {
+            for seed in 0..8u64 {
+                // Seeded cut points: 1..=6 batches, empty ones included.
+                let mut cuts: Vec<usize> = (0..seed % 6)
+                    .map(|i| (mix64(i, seed) % (keys.len() as u64 + 1)) as usize)
+                    .collect();
+                cuts.sort_unstable();
+                cuts.push(keys.len());
+                let what = format!("{shape}, seed {seed}, cuts {cuts:?}");
+
+                let first = &keys[..cuts[0]];
+                let mut merged = TableStatistics::build(first, seed);
+                let mut prior_asked = 0;
+                for w in cuts.windows(2) {
+                    merged.absorb(&keys[w[0]..w[1]], || {
+                        prior_asked += 1;
+                        first.to_vec()
+                    });
+                }
+                assert!(
+                    prior_asked <= 1,
+                    "{what}: state kept after the first absorb"
+                );
+                assert_same_statistics(&merged, &TableStatistics::build(keys, seed), &what);
+                // A clone drops the mergeable state and re-materialises
+                // it from the keys it is told it was built from.
+                let mut copy = merged.clone();
+                copy.absorb(&[7, 7, 7], || keys.clone());
+                let mut all = keys.clone();
+                all.extend([7, 7, 7]);
+                assert_same_statistics(&copy, &TableStatistics::build(&all, seed), &what);
+            }
+        }
     }
 
     #[test]

@@ -280,28 +280,59 @@ impl Database {
     /// WAL-logged (keys, in order) on a durable database.
     pub fn insert_keys(&self, table: &str, keys: &[u64]) -> Result<u64, DdlError> {
         let mut catalog = self.catalog.write().unwrap_or_else(|e| e.into_inner());
-        let data = match catalog.data(table) {
-            Some(d) => Arc::clone(d),
-            None => return Err(DdlError::Unknown(table.to_string())),
-        };
-        let key_domain = catalog.stats(table).map_or(0, |s| s.key_domain);
+        if catalog.data(table).is_none() {
+            return Err(DdlError::Unknown(table.to_string()));
+        }
         self.log(WalRecord::Insert {
             table: table.to_string(),
             keys: keys.to_vec(),
         })?;
-        // Collections are append-only behind shared handles, so an
-        // insert rebuilds the collection and swaps the catalog entry;
-        // snapshots and outstanding streams keep the old version.
-        let mut records = data.to_vec_uncounted();
-        records.extend(keys.iter().copied().map(WisconsinRecord::from_key));
-        let new_domain = keys
-            .iter()
-            .map(|k| k + 1)
-            .max()
-            .unwrap_or(0)
-            .max(key_domain);
-        self.install_table(&mut catalog, table, records, new_domain);
+        self.apply_insert(&mut catalog, table, keys);
         Ok(keys.len() as u64)
+    }
+
+    /// Applies an `INSERT` to the catalog — the one path the live
+    /// statement (after its WAL record is durable) and replay share.
+    /// Returns whether `table` was bound.
+    ///
+    /// The new rows are appended to the table's collection in place and
+    /// folded into its statistics by exact merge, so the work is
+    /// O(batch) plus one linear pass over the sorted keys. Both live
+    /// behind shared handles: when a catalog snapshot or an open
+    /// [`crate::ResultStream`] still holds one, that version is left to
+    /// its readers and the table continues on a private copy — the only
+    /// branch that touches every row.
+    fn apply_insert(&self, catalog: &mut Catalog, table: &str, keys: &[u64]) -> bool {
+        use wisconsin::Record as _;
+        let key_domain = keys.iter().map(|k| k.saturating_add(1)).max().unwrap_or(0);
+        let fresh = || keys.iter().copied().map(WisconsinRecord::from_key);
+        let copied = catalog.mutate_bound(table, key_domain, |data, statistics| {
+            if let Some(statistics) = statistics {
+                // Before the append, so `data` is exactly the prior rows
+                // should the mergeable state have to be materialised.
+                Arc::make_mut(statistics).absorb(keys, || {
+                    let rows = data.to_vec_uncounted();
+                    rows.iter().map(WisconsinRecord::key).collect()
+                });
+            }
+            match Arc::get_mut(data) {
+                Some(col) => {
+                    col.extend_uncounted(fresh());
+                    false
+                }
+                None => {
+                    let rows = data.to_vec_uncounted().into_iter().chain(fresh());
+                    *data = Arc::new(PCollection::from_records_uncounted(
+                        &self.dev, self.layer, table, rows,
+                    ));
+                    true
+                }
+            }
+        });
+        if let Some(copied) = copied {
+            self.metrics.note_ingest(keys.len() as u64, copied);
+        }
+        copied.is_some()
     }
 
     /// Drops a table; returns whether it existed. Outstanding streams
@@ -599,20 +630,9 @@ impl Database {
                 self.install_table(&mut catalog, name, records, *rows);
             }
             WalRecord::Insert { table, keys } => {
-                let data = match catalog.data(table) {
-                    Some(d) => Arc::clone(d),
-                    None => return Err(conflict(format!("insert into missing table \"{table}\""))),
-                };
-                let key_domain = catalog.stats(table).map_or(0, |s| s.key_domain);
-                let mut records = data.to_vec_uncounted();
-                records.extend(keys.iter().copied().map(WisconsinRecord::from_key));
-                let new_domain = keys
-                    .iter()
-                    .map(|k| k + 1)
-                    .max()
-                    .unwrap_or(0)
-                    .max(key_domain);
-                self.install_table(&mut catalog, table, records, new_domain);
+                if !self.apply_insert(&mut catalog, table, keys) {
+                    return Err(conflict(format!("insert into missing table \"{table}\"")));
+                }
             }
             WalRecord::Drop { name } => {
                 if !catalog.remove(name) {
@@ -733,6 +753,139 @@ mod tests {
         let d = std::env::temp_dir().join(format!("wl-db-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
         d
+    }
+
+    /// Drains `stream` into its `key` column.
+    fn keys_of(stream: &mut crate::ResultStream) -> Vec<u64> {
+        let mut keys = Vec::new();
+        while let Some(batch) = stream.next_batch().expect("streams") {
+            keys.extend(batch.rows.iter().map(|r| r[0]));
+        }
+        keys
+    }
+
+    #[test]
+    fn inserts_copy_on_write_under_readers_and_append_in_place_otherwise() {
+        let db = Database::builder().build();
+        db.create_wisconsin("t", 50, 1, 3).expect("fresh");
+        let session = db.session();
+        let mut stream = session
+            .query("SELECT * FROM t ORDER BY key")
+            .expect("plans");
+        let snapshot = db.catalog();
+        let old_statistics = snapshot.statistics("t").expect("attached").clone();
+
+        // The stream and the snapshot pin the 50-row version: this
+        // insert must leave it to them and continue on a copy.
+        assert_eq!(db.insert_keys("t", &[1000, 1001]).unwrap(), 2);
+        let m = db.metrics_snapshot();
+        assert_eq!((m.ingest_rows_appended, m.ingest_table_copies), (2, 1));
+        assert_eq!(keys_of(&mut stream), (0..50).collect::<Vec<u64>>());
+        assert_eq!(snapshot.stats("t").unwrap().rows, 50);
+        assert_eq!(snapshot.data("t").unwrap().len(), 50);
+        assert_eq!(snapshot.statistics("t").unwrap(), &old_statistics);
+        assert_eq!(db.catalog().stats("t").unwrap().rows, 52);
+
+        // No reader outstanding: the next insert extends the very same
+        // collection, and a stream opened afterwards sees every row.
+        drop((stream, snapshot));
+        let before = Arc::as_ptr(db.catalog().data("t").unwrap());
+        assert_eq!(db.insert_keys("t", &[2000]).unwrap(), 1);
+        let m = db.metrics_snapshot();
+        assert_eq!((m.ingest_rows_appended, m.ingest_table_copies), (3, 1));
+        assert_eq!(Arc::as_ptr(db.catalog().data("t").unwrap()), before);
+        let mut stream = session
+            .query("SELECT * FROM t ORDER BY key")
+            .expect("plans");
+        let mut expect: Vec<u64> = (0..50).collect();
+        expect.extend([1000, 1001, 2000]);
+        assert_eq!(keys_of(&mut stream), expect);
+    }
+
+    #[test]
+    fn inserted_tables_carry_the_statistics_a_rebuild_would() {
+        use wisconsin::Record as _;
+        let db = Database::builder().build();
+        db.create_wisconsin_skewed("z", 300, 4, 5, 1.1)
+            .expect("fresh");
+        for batch in [&[7u64, 7, 7, 900][..], &[], &[3, 2, 1], &[7, 5000]] {
+            db.insert_keys("z", batch).unwrap();
+        }
+        let catalog = db.catalog();
+        let rows = catalog.data("z").unwrap().to_vec_uncounted();
+        let keys: Vec<u64> = rows.iter().map(WisconsinRecord::key).collect();
+        assert_eq!(
+            **catalog.statistics("z").expect("attached"),
+            TableStatistics::build(&keys, STATS_SEED)
+        );
+        assert_eq!(catalog.stats("z").unwrap().key_domain, 5001);
+    }
+
+    #[test]
+    fn reopen_recovers_the_live_table_and_statistics() {
+        for layer in [LayerKind::BlockedMemory, LayerKind::FileBacked] {
+            let dir = tmpdir(&format!("reopen-equal-{layer:?}"));
+            let open = || Database::builder().layer(layer).open(&dir).unwrap();
+            let live = {
+                let db = open();
+                db.create_wisconsin_skewed("t", 400, 2, 11, 1.2).unwrap();
+                for i in 0..12u64 {
+                    // Ascending, descending and duplicate keys; one
+                    // checkpoint mid-way so both recovery halves run.
+                    db.insert_keys("t", &[1000 + i, 999 - i, 5, 5]).unwrap();
+                    if i == 5 {
+                        db.checkpoint().unwrap();
+                    }
+                }
+                assert_eq!(db.metrics_snapshot().ingest_table_copies, 0);
+                let cat = db.catalog();
+                (
+                    cat.data("t").unwrap().to_vec_uncounted(),
+                    *cat.stats("t").unwrap(),
+                    (**cat.statistics("t").unwrap()).clone(),
+                )
+            };
+            let db = open();
+            assert_eq!(db.recovery_report().unwrap().replayed_records, 6);
+            let m = db.metrics_snapshot();
+            assert_eq!((m.ingest_rows_appended, m.ingest_table_copies), (24, 0));
+            let cat = db.catalog();
+            assert_eq!(
+                cat.data("t").unwrap().to_vec_uncounted(),
+                live.0,
+                "{layer:?}"
+            );
+            assert_eq!(*cat.stats("t").unwrap(), live.1, "{layer:?}");
+            assert_eq!(**cat.statistics("t").unwrap(), live.2, "{layer:?}");
+            drop((cat, db));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn inserting_the_largest_key_survives_reopen() {
+        // `key + 1` used to overflow after the WAL record was durable:
+        // a panic on the statement and again on every replay of it.
+        let dir = tmpdir("max-key");
+        {
+            let db = Database::open(&dir).unwrap();
+            db.create_wisconsin("t", 10, 1, 1).unwrap();
+            let mut session = db.session();
+            session
+                .execute("INSERT INTO t VALUES (18446744073709551615), (11)")
+                .expect("acknowledged");
+            assert_eq!(db.catalog().stats("t").unwrap().key_domain, u64::MAX);
+        }
+        let db = Database::reopen(&dir).unwrap();
+        assert_eq!(db.recovery_report().unwrap().replayed_records, 2);
+        assert_eq!(db.tables(), vec![("t".to_string(), 12)]);
+        assert_eq!(db.catalog().stats("t").unwrap().key_domain, u64::MAX);
+        let mut stream = db
+            .session()
+            .query("SELECT * FROM t WHERE key >= 10 ORDER BY key")
+            .expect("plans");
+        assert_eq!(keys_of(&mut stream), [11, u64::MAX]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -28,6 +28,8 @@ pub struct EngineMetrics {
     fsyncs: AtomicU64,
     recoveries: AtomicU64,
     replayed_records: AtomicU64,
+    ingest_rows_appended: AtomicU64,
+    ingest_table_copies: AtomicU64,
 }
 
 impl EngineMetrics {
@@ -75,6 +77,15 @@ impl EngineMetrics {
         self.replayed_records.fetch_add(records, Ordering::Relaxed);
     }
 
+    /// Notes an applied `INSERT` (live or replayed) of `rows` rows;
+    /// `copied` when readers still held the table, so it was copied
+    /// before the append instead of extended in place.
+    pub fn note_ingest(&self, rows: u64, copied: bool) {
+        self.ingest_rows_appended.fetch_add(rows, Ordering::Relaxed);
+        self.ingest_table_copies
+            .fetch_add(u64::from(copied), Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -91,6 +102,8 @@ impl EngineMetrics {
             fsyncs: self.fsyncs.load(Ordering::Relaxed),
             recoveries: self.recoveries.load(Ordering::Relaxed),
             replayed_records: self.replayed_records.load(Ordering::Relaxed),
+            ingest_rows_appended: self.ingest_rows_appended.load(Ordering::Relaxed),
+            ingest_table_copies: self.ingest_table_copies.load(Ordering::Relaxed),
         }
     }
 }
@@ -124,6 +137,11 @@ pub struct MetricsSnapshot {
     pub recoveries: u64,
     /// WAL records replayed past checkpoints during recoveries.
     pub replayed_records: u64,
+    /// Rows `INSERT`s appended to tables (live statements and replay).
+    pub ingest_rows_appended: u64,
+    /// `INSERT`s that had to copy the table first because a catalog
+    /// snapshot or an open result stream still read the old version.
+    pub ingest_table_copies: u64,
 }
 
 impl MetricsSnapshot {
@@ -144,6 +162,8 @@ impl MetricsSnapshot {
             ("fsyncs", self.fsyncs),
             ("recoveries", self.recoveries),
             ("replayed_records", self.replayed_records),
+            ("ingest_rows_appended", self.ingest_rows_appended),
+            ("ingest_table_copies", self.ingest_table_copies),
         ]
     }
 }
@@ -165,6 +185,8 @@ mod tests {
         m.note_wal_append(24);
         m.note_fsync();
         m.note_recovery(7);
+        m.note_ingest(8, false);
+        m.note_ingest(3, true);
         let s = m.snapshot();
         assert_eq!(s.queries, 2);
         assert_eq!(s.result_rows, 15);
@@ -179,6 +201,8 @@ mod tests {
         assert_eq!(s.fsyncs, 1);
         assert_eq!(s.recoveries, 1);
         assert_eq!(s.replayed_records, 7);
+        assert_eq!(s.ingest_rows_appended, 11);
+        assert_eq!(s.ingest_table_copies, 1);
     }
 
     #[test]
@@ -201,6 +225,8 @@ mod tests {
                 "fsyncs",
                 "recoveries",
                 "replayed_records",
+                "ingest_rows_appended",
+                "ingest_table_copies",
             ]
         );
     }

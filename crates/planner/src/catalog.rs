@@ -126,6 +126,28 @@ impl Catalog {
         );
     }
 
+    /// Mutates a bound table in place — the ingest path's one door into
+    /// a registered entry. `f` receives the entry's shared data handle
+    /// and, when attached, its statistics handle; whether to write
+    /// through a handle or replace it with a private copy is the
+    /// caller's call (it can see the reference counts, the catalog
+    /// cannot). Afterwards the row count is re-read from the collection
+    /// and the key domain widened to cover `key_domain`. Returns `None`,
+    /// without calling `f`, when `name` is not bound to data.
+    pub fn mutate_bound<T>(
+        &mut self,
+        name: &str,
+        key_domain: u64,
+        f: impl FnOnce(&mut Arc<PCollection<WisconsinRecord>>, Option<&mut Arc<TableStatistics>>) -> T,
+    ) -> Option<T> {
+        let table = self.tables.get_mut(name)?;
+        let data = table.data.as_mut()?;
+        let out = f(data, table.statistics.as_mut());
+        table.stats.rows = data.len() as u64;
+        table.stats.key_domain = table.stats.key_domain.max(key_domain);
+        Some(out)
+    }
+
     /// Removes a table; returns whether it was registered.
     pub fn remove(&mut self, name: &str) -> bool {
         self.tables.remove(name).is_some()
@@ -219,6 +241,47 @@ mod tests {
         assert_eq!(got.rows(), 100.0);
         assert!(snapshot.statistics("S").is_none(), "stats-only entry");
         assert!(snapshot.statistics("missing").is_none());
+    }
+
+    #[test]
+    fn mutate_bound_edits_the_entry_and_leaves_snapshots_alone() {
+        let dev = PmDevice::paper_default();
+        let keys: Vec<u64> = (0..10).collect();
+        let col = Arc::new(PCollection::from_records_uncounted(
+            &dev,
+            LayerKind::BlockedMemory,
+            "T",
+            keys.iter().map(|&k| WisconsinRecord::from_key(k)),
+        ));
+        let mut cat = Catalog::new();
+        cat.add_table_with_statistics("T", col, 10, Arc::new(TableStatistics::build(&keys, 7)));
+        cat.add_stats("S", TableStats::wisconsin(10));
+        let snapshot = cat.clone();
+
+        // The snapshot pins the handle, so this writer swaps in a copy.
+        let had_statistics = cat.mutate_bound("T", 41, |data, statistics| {
+            assert!(Arc::get_mut(data).is_none(), "shared with the snapshot");
+            let mut rows = data.to_vec_uncounted();
+            rows.push(WisconsinRecord::from_key(40));
+            *data = Arc::new(PCollection::from_records_uncounted(
+                &dev,
+                LayerKind::BlockedMemory,
+                "T",
+                rows,
+            ));
+            statistics.is_some()
+        });
+        assert_eq!(had_statistics, Some(true));
+        assert_eq!(cat.stats("T").unwrap().rows, 11);
+        assert_eq!(cat.stats("T").unwrap().key_domain, 41);
+        assert_eq!(snapshot.stats("T").unwrap().rows, 10);
+        assert_eq!(snapshot.data("T").unwrap().len(), 10);
+        // A narrower domain never shrinks the entry; unbound names are
+        // reported without running the closure.
+        assert_eq!(cat.mutate_bound("T", 5, |_, _| ()), Some(()));
+        assert_eq!(cat.stats("T").unwrap().key_domain, 41);
+        assert_eq!(cat.mutate_bound("S", 1, |_, _| ()), None);
+        assert_eq!(cat.mutate_bound("missing", 1, |_, _| ()), None);
     }
 
     #[test]

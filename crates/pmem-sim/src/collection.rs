@@ -285,13 +285,21 @@ impl<R: Storable> PCollection<R> {
         records: impl IntoIterator<Item = R>,
     ) -> Self {
         let mut col = Self::new(dev, kind, name);
-        {
-            let _pause = dev.metrics().pause();
-            for r in records {
-                col.append(&r);
-            }
-        }
+        col.extend_uncounted(records);
         col
+    }
+
+    /// Appends `records` in place **without** charging writes — the
+    /// ingest path of an already-staged table: rows a statement adds are
+    /// load traffic exactly like the rows the table was created with, so
+    /// they extend the collection the way
+    /// [`PCollection::from_records_uncounted`] filled it.
+    pub fn extend_uncounted(&mut self, records: impl IntoIterator<Item = R>) {
+        let dev = self.dev.clone();
+        let _pause = dev.metrics().pause();
+        for r in records {
+            self.append(&r);
+        }
     }
 }
 
@@ -500,6 +508,26 @@ mod tests {
         let v = c.to_vec_uncounted();
         assert_eq!(v.len(), 100);
         assert_eq!(dev.snapshot(), before);
+    }
+
+    #[test]
+    fn extend_uncounted_appends_in_place_and_charges_nothing() {
+        for kind in [LayerKind::BlockedMemory, LayerKind::FileBacked] {
+            let dev = PmDevice::paper_default();
+            let mut c = PCollection::from_records_uncounted(&dev, kind, "t", 0..100u64);
+            c.extend_uncounted(100..107u64);
+            assert_eq!(dev.snapshot(), crate::IoStats::default(), "{kind:?}");
+            assert_eq!(c.to_vec_uncounted(), (0..107u64).collect::<Vec<_>>());
+            // Indistinguishable from a collection staged in one go: a
+            // counted append afterwards is charged the same on both.
+            let twin_dev = PmDevice::paper_default();
+            let mut twin = PCollection::from_records_uncounted(&twin_dev, kind, "t", 0..107u64);
+            for k in 107..140u64 {
+                c.append(&k);
+                twin.append(&k);
+            }
+            assert_eq!(dev.snapshot(), twin_dev.snapshot(), "{kind:?}");
+        }
     }
 
     #[test]
