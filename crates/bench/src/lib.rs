@@ -2,9 +2,9 @@
 //!
 //! One entry point per table/figure of the paper's evaluation (§4), each
 //! printing the rows/series the paper reports from freshly simulated
-//! runs, plus ablations for the runtime-driven knobs. Run everything via
-//! `cargo bench` (each figure is a `harness = false` bench target) or
-//! `cargo run -p wl-bench --bin repro -- --all`.
+//! runs, plus ablations for the runtime-driven knobs. The `repro` binary
+//! is the one way in: `cargo run -p wl-bench --bin repro -- --all`, or
+//! `--figure N` / `--table 1` / `--ablation` / `--plan` for one piece.
 
 #![warn(missing_docs)]
 

@@ -1,10 +1,11 @@
 //! Skew-aware planning benchmark: Zipf-skewed star joins, planned two
 //! ways over identical inputs.
 //!
-//! The *static uniform* arm is the pre-statistics engine: a catalog
-//! that only knows row counts and key domains, planned with adaptivity
-//! off — the uniform-assumption subset-DP of the paper's Eqs. 1–11.
-//! The *adaptive+guided* arm attaches the ingest-time
+//! The *static uniform* arm hands the planner uniform data: a catalog
+//! registered by row counts and key domains, whose entries therefore
+//! carry `TableStatistics::uniform`, planned with adaptivity off — the
+//! uniform-assumption subset-DP of the paper's Eqs. 1–11. The
+//! *adaptive+guided* arm hands the same planner the ingest-time
 //! `TableStatistics` sketches and leaves mid-run re-planning on, so
 //! the DP sees true per-key frequencies (surfacing the
 //! cardinality-guided join on hot-key-heavy edges) and any residual
@@ -94,8 +95,8 @@ impl StarSpec {
     }
 
     /// Builds the star's catalog on `dev`. `with_stats` attaches the
-    /// ingest-time sketches; without it the catalog knows only row
-    /// counts and key domains (the uniform assumption).
+    /// ingest-time sketches; without it the entries carry the uniform
+    /// statistics of their row counts and key domains.
     fn catalog(&self, dev: &Pm, theta: f64, with_stats: bool) -> Catalog {
         let mut cat = Catalog::new();
         let mut add = |name: &str, keys: Vec<u64>, domain: u64| {

@@ -7,6 +7,8 @@
 //!
 //! * [`sort`] — ExMS, SegS, HybS, LaS, SelS, cycle sort (§2.1)
 //! * [`join`] — NLJ, GJ, HJ, HybJ, SegJ, LaJ (§2.2)
+//! * [`context`] — the one execution context (device, layer, DRAM
+//!   budget, degree of parallelism) every operator above runs in
 //! * [`cost`] — Eqs. 1–11, Fig. 2 surface, knob selection (§2, §4.2.3),
 //!   read/write-split predictions and candidate sets for plan enumerators
 //! * [`exec`] — Volcano operators (`scan → filter → sort → join →
@@ -38,6 +40,7 @@
 
 pub mod adaptive;
 pub mod agg;
+pub mod context;
 pub mod cost;
 pub mod exec;
 pub mod join;

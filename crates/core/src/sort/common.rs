@@ -1,90 +1,16 @@
 //! Shared sorting machinery: sort context, run generation via replacement
 //! selection, and k-way merging.
 
+use crate::context::ExecContext;
 use crate::parallel;
-use pmem_sim::{
-    thread_stats, BufferPool, IoStats, LayerKind, PCollection, Pm, ReadCursor, RecordBuffer,
-};
+use pmem_sim::{thread_stats, IoStats, PCollection, ReadCursor, RecordBuffer};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use wisconsin::Record;
 
-/// Execution context shared by every sort operator: the device, the
-/// persistence layer for intermediate results and output, and the DRAM
-/// budget.
-///
-/// The context is `Sync`, so merge passes can fan their independent
-/// merge groups out across a scoped worker pool; `threads` is the degree
-/// of parallelism (default: `WL_THREADS` or serial).
-#[derive(Debug)]
-pub struct SortContext<'p> {
-    dev: Pm,
-    kind: LayerKind,
-    pool: &'p BufferPool,
-    next_id: AtomicU64,
-    threads: usize,
-}
-
-impl<'p> SortContext<'p> {
-    /// Creates a context writing intermediates/output through `kind`.
-    pub fn new(dev: &Pm, kind: LayerKind, pool: &'p BufferPool) -> Self {
-        Self {
-            dev: dev.clone(),
-            kind,
-            pool,
-            next_id: AtomicU64::new(0),
-            threads: parallel::degree_from_env(),
-        }
-    }
-
-    /// Overrides the degree of parallelism for merge fan-ins.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Degree of parallelism merge passes fan out to.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Device handle.
-    pub fn device(&self) -> &Pm {
-        &self.dev
-    }
-
-    /// Persistence layer used for intermediates and output.
-    pub fn kind(&self) -> LayerKind {
-        self.kind
-    }
-
-    /// DRAM budget.
-    pub fn pool(&self) -> &'p BufferPool {
-        self.pool
-    }
-
-    /// How many `R` records fit in the DRAM budget (the paper's `M`
-    /// expressed in records).
-    pub fn capacity_records<R: Record>(&self) -> usize {
-        (self.pool.budget() / R::SIZE).max(1)
-    }
-
-    /// Allocates a fresh unique collection name (minted on the
-    /// coordinating thread, so names stay deterministic at any degree of
-    /// parallelism).
-    pub fn fresh_name(&self, prefix: &str) -> String {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        format!("{prefix}-{id}")
-    }
-
-    /// Allocates a fresh uniquely-named collection for an intermediate
-    /// result.
-    pub fn fresh<R: Record>(&self, prefix: &str) -> PCollection<R> {
-        PCollection::new(&self.dev, self.kind, self.fresh_name(prefix))
-    }
-}
+/// The context sort operators run in — the shared [`ExecContext`] under
+/// the name their signatures use.
+pub type SortContext<'p> = ExecContext<'p>;
 
 /// A heap entry carrying the record, its key, and a tiebreak sequence so
 /// duplicate keys retain a total order inside heaps.
@@ -684,7 +610,7 @@ pub fn is_sorted_by_key<R: Record>(col: &PCollection<R>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{BufferPool, PmDevice};
+    use pmem_sim::{BufferPool, LayerKind, Pm, PmDevice};
     use wisconsin::{sort_input, KeyOrder, WisconsinRecord};
 
     fn stage(n: u64, order: KeyOrder) -> (Pm, PCollection<WisconsinRecord>) {

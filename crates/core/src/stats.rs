@@ -2,7 +2,10 @@
 //! plus the per-table statistics the planner's cardinality estimates
 //! run on — a seeded HLL-style distinct-count sketch, an equi-depth
 //! key histogram, and a heavy-hitter list that together replace the
-//! uniform-key assumption on skewed data. The statistics are *exactly
+//! uniform-key assumption on skewed data. A table known only by its
+//! counts carries [`TableStatistics::uniform`] — the same type holding
+//! nothing but the counts — so there is one estimator, not a skew-aware
+//! one beside a uniform one. The statistics are *exactly
 //! mergeable*: [`TableStatistics::absorb`] folds a batch of inserted keys
 //! in and lands on the same value [`TableStatistics::build`] computes
 //! over the whole key multiset, so ingest never rebuilds a sketch.
@@ -158,7 +161,7 @@ impl EquiDepthHistogram {
                 covered += b.rows;
             } else {
                 // Straddling bucket: interpolate over its key range.
-                let width = (b.max_key - lo + 1) as f64;
+                let width = (b.max_key - lo) as f64 + 1.0;
                 let part = bound.saturating_sub(lo) as f64 / width;
                 return ((covered as f64 + b.rows as f64 * part.clamp(0.0, 1.0))
                     / self.rows as f64)
@@ -177,7 +180,7 @@ impl EquiDepthHistogram {
             if b.max_key < bound {
                 covered += b.distinct as f64;
             } else {
-                let width = (b.max_key - lo + 1) as f64;
+                let width = (b.max_key - lo) as f64 + 1.0;
                 let part = bound.saturating_sub(lo) as f64 / width;
                 return covered + b.distinct as f64 * part.clamp(0.0, 1.0);
             }
@@ -362,6 +365,24 @@ impl TableStatistics {
             heavy,
             heavy_rows,
             seed: state.sketch.seed,
+            mergeable: None,
+        }
+    }
+
+    /// The degenerate sketch: `rows` rows spread evenly over the keys
+    /// `[0, key_domain)` — no histogram, no heavy hitters. What a table
+    /// registered by its counts alone carries; every estimator then
+    /// reduces to the classic uniform-key formulas.
+    pub fn uniform(rows: u64, key_domain: u64) -> Self {
+        Self {
+            rows: rows as f64,
+            distinct: rows.min(key_domain) as f64,
+            min_key: 0,
+            max_key: key_domain.saturating_sub(1),
+            histogram: None,
+            heavy: Vec::new(),
+            heavy_rows: 0.0,
+            seed: 0,
             mergeable: None,
         }
     }
@@ -553,9 +574,12 @@ impl TableStatistics {
     }
 }
 
-/// Uniform fallback for `fraction_below` when no histogram exists.
+/// `fraction_below` when no histogram exists: keys spread evenly over
+/// `[min_key, max_key]`. The width is taken in `f64` — the range may be
+/// all of `u64` — and an empty range (a filter past the last key leaves
+/// `min_key > max_key`) counts as one key wide.
 fn uniform_fraction_below(min_key: u64, max_key: u64, bound: u64) -> f64 {
-    let width = (max_key - min_key + 1) as f64;
+    let width = max_key.saturating_sub(min_key) as f64 + 1.0;
     (bound.saturating_sub(min_key) as f64 / width).clamp(0.0, 1.0)
 }
 
@@ -890,6 +914,71 @@ mod table_statistics_tests {
                 assert_same_statistics(&copy, &TableStatistics::build(&all, seed), &what);
             }
         }
+    }
+
+    #[test]
+    fn the_uniform_sketch_is_exactly_the_uniform_key_model() {
+        let close = |got: f64, want: f64, what: &str| {
+            assert!(
+                (got - want).abs() <= 1e-12 * want.abs().max(1.0),
+                "{what}: got {got}, closed form {want}"
+            );
+        };
+        for seed in 0..200u64 {
+            let draw = |i: u64, range: u64| 1 + mix64(i, seed) % range;
+            let (rows, domain) = (draw(0, 100_000), draw(1, 100_000));
+            let (bound, modulus) = (mix64(2, seed) % (2 * domain), draw(3, 64));
+            let what = format!("rows {rows}, domain {domain}, bound {bound}, mod {modulus}");
+            let s = TableStatistics::uniform(rows, domain);
+            assert_eq!(s.rows(), rows as f64, "{what}");
+            assert_eq!(s.distinct_keys(), rows.min(domain) as f64, "{what}");
+            assert!(s.heavy_keys().is_empty(), "{what}");
+
+            let (r, d) = (rows as f64, domain as f64);
+            let sel = bound.min(domain) as f64 / d;
+            close(s.fraction_below(bound), sel, &what);
+            close(s.fraction_at_least(bound), 1.0 - sel, &what);
+            close(s.filtered_below(bound).rows(), r * sel, &what);
+            close(s.filtered_at_least(bound).rows(), r * (1.0 - sel), &what);
+            close(s.filtered_mod(modulus, 0).rows(), r / modulus as f64, &what);
+
+            let (o_rows, o_domain) = (draw(4, 100_000), draw(5, 100_000));
+            let other = TableStatistics::uniform(o_rows, o_domain);
+            let (est, out) = s.join(&other);
+            let (d_l, d_r) = (rows.min(domain) as f64, o_rows.min(o_domain) as f64);
+            close(est, r * o_rows as f64 / d_l.max(d_r), &what);
+            assert_eq!(out.distinct_keys(), d_l.min(d_r), "{what}");
+            assert!(out.heavy_keys().is_empty(), "{what}");
+        }
+    }
+
+    #[test]
+    fn selectivities_survive_the_edges_of_the_key_space() {
+        // A range covering all of u64: its width, `max − min + 1`, is one
+        // more than a u64 holds.
+        let ends: Vec<u64> = (0..100)
+            .map(|i| if i % 2 == 0 { 0 } else { u64::MAX })
+            .collect();
+        let whole = TableStatistics::build(&ends, 3).filtered_mod(1, 0);
+        assert!((whole.fraction_below(1 << 63) - 0.5).abs() < 1e-9);
+        assert!((whole.filtered_below(1 << 63).rows() - 50.0).abs() < 1e-6);
+        // The same range inside one histogram bucket.
+        let mut keys = vec![u64::MAX; 127];
+        keys.push(0);
+        let bucketed = TableStatistics::build(&keys, 3);
+        assert!(bucketed.fraction_below(1 << 63) <= 1.0);
+        assert!(bucketed.distinct_below(1 << 63) <= 2.0);
+        // A filter past the last key leaves an empty range behind.
+        let past = TableStatistics::uniform(100, 1_000).filtered_at_least(5_000);
+        assert_eq!(past.rows(), 0.0);
+        assert_eq!(past.filtered_below(10).rows(), 0.0);
+        // An empty key domain is one key wide, not `0 − 1` wide.
+        let no_domain = TableStatistics::uniform(10, 0);
+        assert_eq!(no_domain.distinct_keys(), 0.0);
+        assert_eq!(no_domain.fraction_below(0), 0.0);
+        assert_eq!(no_domain.fraction_below(1), 1.0);
+        assert_eq!(no_domain.filtered_mod(0, 0).rows(), 10.0);
+        assert_eq!(no_domain.join(&no_domain).0, 0.0);
     }
 
     #[test]

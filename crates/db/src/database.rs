@@ -93,8 +93,6 @@ pub struct Database {
     layer: LayerKind,
     catalog: RwLock<Catalog>,
     defaults: SessionConfig,
-    /// Build per-table key-frequency sketches at table install.
-    statistics: bool,
     metrics: Arc<EngineMetrics>,
     /// WAL + directory when opened with a path; `None` = in-memory only.
     durable: Option<Mutex<DurableState>>,
@@ -223,10 +221,8 @@ impl Database {
     }
 
     /// Builds the collection and puts it in the catalog; returns rows.
-    /// When the statistics knob is on (the default), a key-frequency
-    /// sketch is built from the loaded records and attached, so the
-    /// planner sees real per-table skew instead of the uniform
-    /// assumption.
+    /// A key-frequency sketch is built from the loaded records and
+    /// attached, so the planner sees the table's real skew.
     fn install_table(
         &self,
         catalog: &mut Catalog,
@@ -235,24 +231,20 @@ impl Database {
         key_domain: u64,
     ) -> u64 {
         use wisconsin::Record as _;
-        let statistics = self.statistics.then(|| {
-            let keys: Vec<u64> = records.iter().map(WisconsinRecord::key).collect();
-            Arc::new(TableStatistics::build(&keys, STATS_SEED))
-        });
+        let keys: Vec<u64> = records.iter().map(WisconsinRecord::key).collect();
+        let statistics = Arc::new(TableStatistics::build(&keys, STATS_SEED));
         let col = Arc::new(PCollection::from_records_uncounted(
             &self.dev, self.layer, name, records,
         ));
         let rows = col.len() as u64;
-        match statistics {
-            Some(s) => catalog.add_table_with_statistics(name, col, key_domain, s),
-            None => catalog.add_table(name, col, key_domain),
-        }
+        catalog.add_table_with_statistics(name, col, key_domain, statistics);
         rows
     }
 
     /// Registers a pre-built table (staged uncounted, like experiment
-    /// inputs). `key_domain` is the size of the uniform key domain the
-    /// planner estimates selectivities against. Returns the row count.
+    /// inputs). `key_domain` is the size of the range `[0, key_domain)`
+    /// the keys are drawn from; selectivities come from the sketch built
+    /// over the records themselves. Returns the row count.
     ///
     /// Arbitrary records have no logical WAL representation, so this is
     /// **not** WAL-logged even on a durable database — it is covered by
@@ -307,14 +299,12 @@ impl Database {
         let key_domain = keys.iter().map(|k| k.saturating_add(1)).max().unwrap_or(0);
         let fresh = || keys.iter().copied().map(WisconsinRecord::from_key);
         let copied = catalog.mutate_bound(table, key_domain, |data, statistics| {
-            if let Some(statistics) = statistics {
-                // Before the append, so `data` is exactly the prior rows
-                // should the mergeable state have to be materialised.
-                Arc::make_mut(statistics).absorb(keys, || {
-                    let rows = data.to_vec_uncounted();
-                    rows.iter().map(WisconsinRecord::key).collect()
-                });
-            }
+            // Before the append, so `data` is exactly the prior rows
+            // should the mergeable state have to be materialised.
+            Arc::make_mut(statistics).absorb(keys, || {
+                let rows = data.to_vec_uncounted();
+                rows.iter().map(WisconsinRecord::key).collect()
+            });
             match Arc::get_mut(data) {
                 Some(col) => {
                     col.extend_uncounted(fresh());
@@ -425,7 +415,6 @@ pub struct DatabaseBuilder {
     config: DeviceConfig,
     layer: LayerKind,
     defaults: SessionConfig,
-    statistics: bool,
 }
 
 impl Default for DatabaseBuilder {
@@ -434,7 +423,6 @@ impl Default for DatabaseBuilder {
             config: DeviceConfig::paper_default(),
             layer: LayerKind::BlockedMemory,
             defaults: SessionConfig::default(),
-            statistics: true,
         }
     }
 }
@@ -493,16 +481,6 @@ impl DatabaseBuilder {
         self
     }
 
-    /// Whether tables get key-frequency sketches at install (on by
-    /// default). Turning this off restores the uniform-assumption
-    /// planner: no skew-aware estimates, no cardinality-guided joins,
-    /// and mid-plan re-planning only fires on the coarse row counts.
-    #[must_use]
-    pub fn statistics(mut self, on: bool) -> Self {
-        self.statistics = on;
-        self
-    }
-
     /// Builds an in-memory database (no WAL, no checkpoints).
     pub fn build(self) -> Database {
         Database {
@@ -510,7 +488,6 @@ impl DatabaseBuilder {
             layer: self.layer,
             catalog: RwLock::new(Catalog::new()),
             defaults: self.defaults,
-            statistics: self.statistics,
             metrics: Arc::new(EngineMetrics::default()),
             durable: None,
             recovery: None,
@@ -695,14 +672,6 @@ mod tests {
             .expect("sketch attached")
             .heavy_keys()
             .is_empty());
-    }
-
-    #[test]
-    fn statistics_knob_disables_sketches() {
-        let db = Database::builder().statistics(false).build();
-        db.create_wisconsin_skewed("z", 100, 2, 3, 1.5)
-            .expect("fresh");
-        assert!(db.catalog().statistics("z").is_none());
     }
 
     #[test]

@@ -456,6 +456,34 @@ mod tests {
     }
 
     #[test]
+    fn a_key_range_spanning_all_of_u64_is_sized_without_overflow() {
+        use planner::PhysicalPlan;
+        let db = Database::builder().build();
+        let mut s = db.session();
+        s.execute("CREATE TABLE m AS WISCONSIN(100)")
+            .expect("creates");
+        s.execute("INSERT INTO m VALUES (18446744073709551615)")
+            .expect("inserts");
+        // Past the modulus filter no histogram is left, so the range
+        // predicate is sized over [0, u64::MAX]: `max − min + 1` keys wide.
+        let Response::Explain(stream) = s
+            .execute("EXPLAIN SELECT * FROM m WHERE key % 2 = 0 AND key < 50")
+            .expect("plans")
+        else {
+            panic!("expected explain");
+        };
+        let PhysicalPlan::Filter { input, cost, .. } = &stream.planned().plan else {
+            panic!("expected the range filter at the root");
+        };
+        assert!(
+            cost.out_rows < input.cost().out_rows,
+            "key < 50 must cut the {} rows it is given, got {}",
+            input.cost().out_rows,
+            cost.out_rows
+        );
+    }
+
+    #[test]
     fn session_knobs_steer_planning() {
         let db = db();
         let mut s = db.session();
@@ -535,19 +563,21 @@ mod tests {
     #[test]
     fn misestimated_joins_replan_mid_run_and_the_report_says_so() {
         use wisconsin::WisconsinRecord;
-        // Sketches off and key domains registered 20× too wide: the
-        // uniform estimate of every pairwise join is an order of
-        // magnitude under the truth, so the first materialization
-        // drifts and the remaining subtree is re-enumerated.
-        let db = Database::builder()
-            .dram_records(300)
-            .statistics(false)
-            .build();
-        let rep =
-            |n: u64, k: u64| (0..n).map(move |i| WisconsinRecord::from_key(i % k).with_payload(i));
-        db.register_table("s1", rep(400, 20), 400).expect("fresh");
-        db.register_table("s2", rep(400, 20), 400).expect("fresh");
-        db.register_table("u", (0..40).map(WisconsinRecord::from_key), 40)
+        // Key ranges that only partly overlap: every sketch is exact, yet
+        // the containment assumption (the smaller key set lies inside
+        // the larger) sizes each pairwise join several times too large,
+        // so the first materialization drifts and the remaining subtree
+        // is re-enumerated.
+        let db = Database::builder().dram_records(300).build();
+        let rep = |keys: std::ops::Range<u64>| {
+            (0..20 * (keys.end - keys.start)).map(move |i| {
+                WisconsinRecord::from_key(keys.start + i % (keys.end - keys.start)).with_payload(i)
+            })
+        };
+        db.register_table("s1", rep(0..20), 20).expect("fresh");
+        db.register_table("s2", rep(15..35), 35).expect("fresh");
+        let u = [15, 16].into_iter().chain(30..68);
+        db.register_table("u", u.map(WisconsinRecord::from_key), 68)
             .expect("fresh");
         let mut s = db.session();
         let Response::ExplainAnalyze(mut stream) = s
@@ -561,14 +591,15 @@ mod tests {
         };
         stream.drain().expect("runs");
         let adapted = stream.adapted().expect("drift must fire");
-        assert!(adapted.observed_rows as f64 > 2.0 * adapted.estimated_rows);
+        assert!(adapted.estimated_rows > 2.0 * adapted.observed_rows as f64);
         let report = stream.analyze();
         assert!(report.contains("re-planned mid-run"), "{report}");
         assert!(report.contains("(re-planned)"), "{report}");
         assert!(!report.contains("~mid"), "{report}");
         assert!(!report.contains("not measured"), "{report}");
         let stats = stream.stats().expect("drained");
-        assert_eq!(stats.rows, 20 * 20 * 20, "oracle rows survive re-planning");
+        // Keys 15 and 16 are in all three: 20 × 20 × 1 rows each.
+        assert_eq!(stats.rows, 800, "oracle rows survive re-planning");
     }
 
     #[test]

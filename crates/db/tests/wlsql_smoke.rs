@@ -1,6 +1,7 @@
 //! End-to-end smoke test: pipe the scripted golden session through the
 //! `wlsql` binary and diff its stdout against the checked-in golden
-//! file — the same check CI runs as a shell step. The session pins
+//! file. CI runs this test (release profile) as its wlsql smoke, so the
+//! golden mask below exists exactly once. The session pins
 //! `SET threads` up front, so the output is identical under any
 //! `WL_THREADS` (the CI matrix runs both serial and DoP 4).
 
@@ -9,8 +10,7 @@ use std::process::{Command, Stdio};
 
 /// Masks host-dependent fields so profiled output diffs cleanly: wall
 /// times (`12.3ms wall`, `0.4ms host`) become `#ms ...`, and the
-/// `exec_wall_ns` metric line loses its value. Mirrors the sed
-/// expression CI applies before its shell-level diff.
+/// `exec_wall_ns` metric line loses its value.
 fn mask_host_time(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for line in raw.lines() {

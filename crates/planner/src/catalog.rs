@@ -1,10 +1,12 @@
 //! Table metadata the planner estimates from and the executor binds to.
 //!
-//! A [`Catalog`] names Wisconsin-style base tables and carries the two
-//! things the planner needs per table: cardinality statistics (rows,
-//! record width, key domain) and — when the catalog is built for
-//! execution rather than pure planning — a shared handle to the actual
-//! persistent collection. Bound tables are held as
+//! A [`Catalog`] names Wisconsin-style base tables and carries what the
+//! planner needs per table: the physical shape (rows, record width, key
+//! domain), the [`TableStatistics`] every cardinality estimate is
+//! computed from — a sketch of the data when the registrant has one,
+//! the uniform statistics its counts describe otherwise — and, when the
+//! catalog is built for execution rather than pure planning, a shared
+//! handle to the actual persistent collection. Bound tables are held as
 //! [`Arc<PCollection>`](std::sync::Arc), so a catalog is `Clone` and
 //! free of borrowed lifetimes: a database facade can own the base
 //! tables, hand cheap catalog snapshots to concurrent sessions, and let
@@ -16,16 +18,15 @@ use std::sync::Arc;
 use wisconsin::WisconsinRecord;
 use write_limited::stats::TableStatistics;
 
-/// Statistics of one base table.
+/// Physical shape of one base table.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TableStats {
     /// Number of records.
     pub rows: u64,
     /// Record width in bytes.
     pub record_bytes: usize,
-    /// Size of the key domain; keys are assumed uniform in
-    /// `[0, key_domain)`. For Wisconsin permutation inputs this equals
-    /// `rows` (unique keys).
+    /// Size of the key domain: keys lie in `[0, key_domain)`. For
+    /// Wisconsin permutation inputs this equals `rows` (unique keys).
     pub key_domain: u64,
 }
 
@@ -46,13 +47,13 @@ impl TableStats {
     }
 }
 
-/// One catalog entry: stats plus, optionally, the bound data and the
-/// ingest-time skew statistics (sketch, histogram, heavy hitters).
+/// One catalog entry: the physical shape, the statistics every estimate
+/// is computed from, and — when built for execution — the bound data.
 #[derive(Clone, Debug)]
 struct Table {
     stats: TableStats,
     data: Option<Arc<PCollection<WisconsinRecord>>>,
-    statistics: Option<Arc<TableStatistics>>,
+    statistics: Arc<TableStatistics>,
 }
 
 /// Named base tables with statistics and (optionally) bound collections.
@@ -67,49 +68,44 @@ impl Catalog {
         Self::default()
     }
 
-    /// Registers a table by statistics only (planning without data).
+    /// Registers a table by its counts only (planning without data). It
+    /// carries the uniform statistics those counts describe.
     pub fn add_stats(&mut self, name: impl Into<String>, stats: TableStats) {
+        let statistics = Arc::new(TableStatistics::uniform(stats.rows, stats.key_domain));
         self.tables.insert(
             name.into(),
             Table {
                 stats,
                 data: None,
-                statistics: None,
+                statistics,
             },
         );
     }
 
     /// Registers a table bound to a collection; rows and width are taken
-    /// from the collection, the key domain from `key_domain`. No skew
-    /// statistics are attached — estimates fall back to the uniform-key
-    /// assumption (see [`Catalog::add_table_with_statistics`]).
+    /// from the collection, the key domain from `key_domain`. The entry
+    /// carries the uniform statistics over that domain — a caller that
+    /// knows the key distribution hands it over with
+    /// [`Catalog::add_table_with_statistics`].
     pub fn add_table(
         &mut self,
         name: impl Into<String>,
         data: Arc<PCollection<WisconsinRecord>>,
         key_domain: u64,
     ) {
-        self.install(name, data, key_domain, None);
+        let statistics = Arc::new(TableStatistics::uniform(data.len() as u64, key_domain));
+        self.add_table_with_statistics(name, data, key_domain, statistics);
     }
 
-    /// [`Catalog::add_table`] plus ingest-time skew statistics the
-    /// planner's selectivity and join-cardinality estimates consume.
+    /// [`Catalog::add_table`] with the statistics the planner's
+    /// selectivity and join-cardinality estimates consume given, not
+    /// assumed uniform.
     pub fn add_table_with_statistics(
         &mut self,
         name: impl Into<String>,
         data: Arc<PCollection<WisconsinRecord>>,
         key_domain: u64,
         statistics: Arc<TableStatistics>,
-    ) {
-        self.install(name, data, key_domain, Some(statistics));
-    }
-
-    fn install(
-        &mut self,
-        name: impl Into<String>,
-        data: Arc<PCollection<WisconsinRecord>>,
-        key_domain: u64,
-        statistics: Option<Arc<TableStatistics>>,
     ) {
         let stats = TableStats {
             rows: data.len() as u64,
@@ -128,21 +124,21 @@ impl Catalog {
 
     /// Mutates a bound table in place — the ingest path's one door into
     /// a registered entry. `f` receives the entry's shared data handle
-    /// and, when attached, its statistics handle; whether to write
-    /// through a handle or replace it with a private copy is the
-    /// caller's call (it can see the reference counts, the catalog
-    /// cannot). Afterwards the row count is re-read from the collection
-    /// and the key domain widened to cover `key_domain`. Returns `None`,
-    /// without calling `f`, when `name` is not bound to data.
+    /// and its statistics handle; whether to write through a handle or
+    /// replace it with a private copy is the caller's call (it can see
+    /// the reference counts, the catalog cannot). Afterwards the row
+    /// count is re-read from the collection and the key domain widened
+    /// to cover `key_domain`. Returns `None`, without calling `f`, when
+    /// `name` is not bound to data.
     pub fn mutate_bound<T>(
         &mut self,
         name: &str,
         key_domain: u64,
-        f: impl FnOnce(&mut Arc<PCollection<WisconsinRecord>>, Option<&mut Arc<TableStatistics>>) -> T,
+        f: impl FnOnce(&mut Arc<PCollection<WisconsinRecord>>, &mut Arc<TableStatistics>) -> T,
     ) -> Option<T> {
         let table = self.tables.get_mut(name)?;
         let data = table.data.as_mut()?;
-        let out = f(data, table.statistics.as_mut());
+        let out = f(data, &mut table.statistics);
         table.stats.rows = data.len() as u64;
         table.stats.key_domain = table.stats.key_domain.max(key_domain);
         Some(out)
@@ -153,7 +149,7 @@ impl Catalog {
         self.tables.remove(name).is_some()
     }
 
-    /// The table's statistics, if registered.
+    /// The table's physical shape, if registered.
     pub fn stats(&self, name: &str) -> Option<&TableStats> {
         self.tables.get(name).map(|t| &t.stats)
     }
@@ -163,9 +159,10 @@ impl Catalog {
         self.tables.get(name).and_then(|t| t.data.as_ref())
     }
 
-    /// The table's ingest-time skew statistics, if any were attached.
+    /// The statistics estimates over the table are computed from, if
+    /// registered.
     pub fn statistics(&self, name: &str) -> Option<&Arc<TableStatistics>> {
-        self.tables.get(name).and_then(|t| t.statistics.as_ref())
+        self.tables.get(name).map(|t| &t.statistics)
     }
 
     /// Registered table names, sorted.
@@ -233,13 +230,20 @@ mod tests {
         ));
         let statistics = Arc::new(TableStatistics::build(&keys, 7));
         let mut cat = Catalog::new();
-        cat.add_table_with_statistics("T", col, 10, Arc::clone(&statistics));
+        cat.add_table_with_statistics("T", Arc::clone(&col), 10, Arc::clone(&statistics));
         cat.add_stats("S", TableStats::wisconsin(10));
+        cat.add_table("B", Arc::clone(&col), 10);
+        // How lowering registers an observed intermediate nothing re-plans.
+        cat.add_table("~mid-1", col, 100);
         let snapshot = cat.clone();
         let got = snapshot.statistics("T").expect("attached");
         assert!(Arc::ptr_eq(got, &statistics));
         assert_eq!(got.rows(), 100.0);
-        assert!(snapshot.statistics("S").is_none(), "stats-only entry");
+        // Entries registered by their counts carry the uniform sketch.
+        let uniform = |name: &str| (**snapshot.statistics(name).expect("registered")).clone();
+        assert_eq!(uniform("S"), TableStatistics::uniform(10, 10), "stats-only");
+        assert_eq!(uniform("B"), TableStatistics::uniform(100, 10), "bound");
+        assert_eq!(uniform("~mid-1"), TableStatistics::uniform(100, 100));
         assert!(snapshot.statistics("missing").is_none());
     }
 
@@ -259,7 +263,7 @@ mod tests {
         let snapshot = cat.clone();
 
         // The snapshot pins the handle, so this writer swaps in a copy.
-        let had_statistics = cat.mutate_bound("T", 41, |data, statistics| {
+        let statistics_rows = cat.mutate_bound("T", 41, |data, statistics| {
             assert!(Arc::get_mut(data).is_none(), "shared with the snapshot");
             let mut rows = data.to_vec_uncounted();
             rows.push(WisconsinRecord::from_key(40));
@@ -269,9 +273,9 @@ mod tests {
                 "T",
                 rows,
             ));
-            statistics.is_some()
+            statistics.rows()
         });
-        assert_eq!(had_statistics, Some(true));
+        assert_eq!(statistics_rows, Some(10.0));
         assert_eq!(cat.stats("T").unwrap().rows, 11);
         assert_eq!(cat.stats("T").unwrap().key_domain, 41);
         assert_eq!(snapshot.stats("T").unwrap().rows, 10);

@@ -231,7 +231,7 @@ impl Planner {
         catalog: &Catalog,
     ) -> Result<PlannedQuery, PlanError> {
         let mut choices = Vec::new();
-        let plan = self.plan_node(logical, catalog, &mut choices)?;
+        let (plan, _) = self.plan_node(logical, catalog, &mut choices)?;
         let predicted = plan.total_io();
         Ok(PlannedQuery {
             plan,
@@ -244,80 +244,79 @@ impl Planner {
         })
     }
 
+    /// Plans one logical node: the costed physical subtree and the
+    /// statistics of the keys it produces — the catalog's for a scan,
+    /// conditioned by filters, passed through sorts and aggregates,
+    /// composed by joins. Every estimate above the node reads the latter.
     fn plan_node(
         &self,
         logical: &LogicalPlan,
         catalog: &Catalog,
         choices: &mut Vec<NodeChoice>,
-    ) -> Result<PhysicalPlan, PlanError> {
+    ) -> Result<(PhysicalPlan, TableStatistics), PlanError> {
         match logical {
             LogicalPlan::Scan { table } => {
-                let stats = catalog
-                    .stats(table)
-                    .ok_or_else(|| PlanError::UnknownTable(table.clone()))?;
-                Ok(PhysicalPlan::Scan {
+                let (Some(shape), Some(statistics)) =
+                    (catalog.stats(table), catalog.statistics(table))
+                else {
+                    return Err(PlanError::UnknownTable(table.clone()));
+                };
+                let plan = PhysicalPlan::Scan {
                     table: table.clone(),
                     cost: NodeCost {
                         io: IoPrediction::ZERO, // charged by the consumer
-                        out_rows: stats.rows as f64,
-                        out_buffers: stats.buffers(),
-                        distinct_keys: (stats.rows.min(stats.key_domain)) as f64,
+                        out_rows: shape.rows as f64,
+                        out_buffers: shape.buffers(),
+                        distinct_keys: (shape.rows.min(shape.key_domain)) as f64,
                     },
-                })
+                };
+                Ok((plan, (**statistics).clone()))
             }
             LogicalPlan::Filter { input, predicate } => {
-                let child = self.plan_node(input, catalog, choices)?;
-                Ok(self.plan_filter(child, *predicate, input, catalog))
+                let (child, stats) = self.plan_node(input, catalog, choices)?;
+                Ok(self.plan_filter(child, *predicate, &stats))
             }
             LogicalPlan::Sort { input } => {
-                let child = self.plan_node(input, catalog, choices)?;
-                Ok(self.plan_sort(child, choices))
+                let (child, stats) = self.plan_node(input, catalog, choices)?;
+                Ok((self.plan_sort(child, choices), stats))
             }
             LogicalPlan::Join { .. } => self.plan_join_tree(logical, catalog, choices),
             LogicalPlan::Aggregate { input } => {
-                let child = self.plan_node(input, catalog, choices)?;
-                Ok(self.plan_agg(child))
+                let (child, stats) = self.plan_node(input, catalog, choices)?;
+                Ok((self.plan_agg(child), stats))
             }
         }
     }
 
     /// Filters default to materialized: read the input once, write the
     /// qualifying rows. [`Planner::plan_join`] revisits build-side
-    /// filters and may flip them to deferred views. With ingest
-    /// statistics attached, selectivity comes from the equi-depth
-    /// histogram instead of the uniform key-domain assumption.
+    /// filters and may flip them to deferred views. Selectivity is read
+    /// off the input's statistics (the equi-depth histogram where the
+    /// table has one); the filtered statistics go back up with the plan.
     fn plan_filter(
         &self,
         child: PhysicalPlan,
         predicate: Predicate,
-        logical_input: &LogicalPlan,
-        catalog: &Catalog,
-    ) -> PhysicalPlan {
+        stats: &TableStatistics,
+    ) -> (PhysicalPlan, TableStatistics) {
         let in_rows = child.cost().out_rows;
         let in_buffers = child.cost().out_buffers;
-        let (selectivity, distinct) = match stats_for(logical_input, catalog) {
-            Some(s) => {
-                let sel = match predicate {
-                    Predicate::KeyBelow(b) => s.fraction_below(b),
-                    Predicate::KeyAtLeast(b) => s.fraction_at_least(b),
-                    Predicate::KeyModEq { modulus, .. } => 1.0 / modulus.max(1) as f64,
-                };
-                let filtered = apply_predicate(&s, predicate);
-                (sel, filtered.distinct_keys().max(1.0))
-            }
-            None => {
-                let key_domain = base_key_domain(logical_input, catalog);
-                let sel = predicate.selectivity(key_domain);
-                (sel, (child.cost().distinct_keys * sel).ceil().max(1.0))
-            }
+        let (selectivity, filtered) = match predicate {
+            Predicate::KeyBelow(b) => (stats.fraction_below(b), stats.filtered_below(b)),
+            Predicate::KeyAtLeast(b) => (stats.fraction_at_least(b), stats.filtered_at_least(b)),
+            Predicate::KeyModEq { modulus, residue } => (
+                1.0 / modulus.max(1) as f64,
+                stats.filtered_mod(modulus, residue),
+            ),
         };
+        let distinct = filtered.distinct_keys().max(1.0);
         let out_rows = (in_rows * selectivity).ceil();
         let out_buffers = (in_buffers * selectivity).ceil();
         let io = self.with_overhead(IoPrediction {
             reads: in_buffers,
             writes: out_buffers,
         });
-        PhysicalPlan::Filter {
+        let plan = PhysicalPlan::Filter {
             input: Box::new(child),
             predicate,
             selectivity,
@@ -329,7 +328,8 @@ impl Planner {
                 out_buffers,
                 distinct_keys: distinct,
             },
-        }
+        };
+        (plan, filtered)
     }
 
     fn plan_sort(&self, child: PhysicalPlan, choices: &mut Vec<NodeChoice>) -> PhysicalPlan {
@@ -378,7 +378,7 @@ impl Planner {
         logical: &LogicalPlan,
         catalog: &Catalog,
         choices: &mut Vec<NodeChoice>,
-    ) -> Result<PhysicalPlan, PlanError> {
+    ) -> Result<(PhysicalPlan, TableStatistics), PlanError> {
         let mut leaves = Vec::new();
         collect_join_leaves(logical, &mut leaves);
         let n = leaves.len();
@@ -404,7 +404,7 @@ impl Planner {
         entries: &[(&LogicalPlan, Vec<usize>)],
         catalog: &Catalog,
         choices: &mut Vec<NodeChoice>,
-    ) -> Result<PhysicalPlan, PlanError> {
+    ) -> Result<(PhysicalPlan, TableStatistics), PlanError> {
         // Per-subset memo of the best physical plan found so far. All
         // relations join on the shared key, so every subset is connected
         // and every split of it is a valid (cross-product-free) join.
@@ -413,7 +413,7 @@ impl Planner {
             units: f64,
             choices: Vec<NodeChoice>,
             slots: Vec<usize>,
-            stats: Option<TableStatistics>,
+            stats: TableStatistics,
             expr: String,
         }
         let n = entries.len();
@@ -424,21 +424,19 @@ impl Planner {
         }
         let total_slots: usize = entries.iter().map(|(_, s)| s.len()).sum();
         if n == 2 && total_slots == 2 {
-            let l = self.plan_node(entries[0].0, catalog, choices)?;
-            let r = self.plan_node(entries[1].0, catalog, choices)?;
+            let (l, ls) = self.plan_node(entries[0].0, catalog, choices)?;
+            let (r, rs) = self.plan_node(entries[1].0, catalog, choices)?;
             let lu = l.total_io().cost_units(self.lambda);
             let ru = r.total_io().cost_units(self.lambda);
-            let ls = stats_for(entries[0].0, catalog);
-            let rs = stats_for(entries[1].0, catalog);
-            let planned = self.plan_join(l, r, lu, ru, None, ls.as_ref(), rs.as_ref())?;
+            let planned = self.plan_join(l, r, lu, ru, None, &ls, &rs)?;
             choices.push(planned.choice);
-            return Ok(planned.plan);
+            return Ok((planned.plan, planned.stats));
         }
 
         let mut memo: HashMap<u32, Memo> = HashMap::new();
         for (i, (leaf, slots)) in entries.iter().enumerate() {
             let mut leaf_choices = Vec::new();
-            let plan = self.plan_node(leaf, catalog, &mut leaf_choices)?;
+            let (plan, stats) = self.plan_node(leaf, catalog, &mut leaf_choices)?;
             let units = plan.total_io().cost_units(self.lambda);
             memo.insert(
                 1 << i,
@@ -447,7 +445,7 @@ impl Planner {
                     units,
                     choices: leaf_choices,
                     slots: slots.clone(),
-                    stats: stats_for(leaf, catalog),
+                    stats,
                     expr: leaf_relation_name(leaf),
                 },
             );
@@ -478,8 +476,8 @@ impl Planner {
                         ml.units,
                         mr.units,
                         Some((&ml.slots, &mr.slots)),
-                        ml.stats.as_ref(),
-                        mr.stats.as_ref(),
+                        &ml.stats,
+                        &mr.stats,
                     ) {
                         Ok(planned) => {
                             let expr = format!("({} ⋈ {})", ml.expr, mr.expr);
@@ -527,7 +525,7 @@ impl Planner {
             chosen: root.expr,
         });
         choices.extend(root.choices);
-        Ok(root.plan)
+        Ok((root.plan, root.stats))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -538,32 +536,20 @@ impl Planner {
         left_units: f64,
         right_units: f64,
         chain: Option<(&[usize], &[usize])>,
-        l_stats: Option<&TableStatistics>,
-        r_stats: Option<&TableStatistics>,
+        l_stats: &TableStatistics,
+        r_stats: &TableStatistics,
     ) -> Result<JoinPlanned, PlanError> {
         let lb = left.cost().out_buffers.max(1.0);
         let rb = right.cost().out_buffers.max(1.0);
         let l_rows = left.cost().out_rows;
         let r_rows = right.cost().out_rows;
 
-        // Equi-join cardinality. With ingest statistics on both sides,
-        // heavy-hitter frequencies multiply per hot key and the residual
-        // mass joins uniformly; otherwise fall back to the uniform-key
-        // containment formula: rows-per-key on each side times the
-        // matching key count.
-        let l_distinct = left.cost().distinct_keys.max(1.0);
-        let r_distinct = right.cost().distinct_keys.max(1.0);
-        let (out_rows, matching, out_stats) = match (l_stats, r_stats) {
-            (Some(ls), Some(rs)) => {
-                let (rows, stats) = ls.join(rs);
-                (rows, stats.distinct_keys().max(1.0), Some(stats))
-            }
-            _ => {
-                let matching = l_distinct.min(r_distinct);
-                let rows = (l_rows / l_distinct) * (r_rows / r_distinct) * matching;
-                (rows, matching, None)
-            }
-        };
+        // Equi-join cardinality: heavy-hitter frequencies multiply per
+        // hot key and the residual mass joins under the containment
+        // formula — rows-per-key on each side times the matching key
+        // count — which is all there is when neither side has hot keys.
+        let (out_rows, out_stats) = l_stats.join(r_stats);
+        let matching = out_stats.distinct_keys().max(1.0);
         let pair_buffers = (out_rows * PAIR_BYTES / CACHELINE as f64).ceil();
         // Chain joins fold the pair output into slotted 80-byte rows in
         // one extra staged pass: re-read the pairs, write the flat rows.
@@ -624,57 +610,55 @@ impl Planner {
         // offered when a hot set exists (uniform tables degrade to GJ
         // exactly, so the candidate would be pure noise).
         let mut guided_hot: Vec<u64> = Vec::new();
-        if let (Some(ls), Some(rs)) = (l_stats, r_stats) {
-            let mut hot = ls.heavy_keys();
-            hot.extend(rs.heavy_keys());
-            hot.sort_unstable();
-            hot.dedup();
-            if !hot.is_empty() {
-                let cover = |s: &TableStatistics| {
-                    if s.rows() <= 0.0 {
-                        return 0.0;
-                    }
-                    (hot.iter().map(|&k| s.frequency(k)).sum::<f64>() / s.rows()).min(1.0)
-                };
-                let (cover_l, cover_r) = (cover(ls), cover(rs));
-                let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
-                for (swapped, t, v, t_rows, hot_t, hot_v) in [
-                    (false, lb, rb, l_rows, cover_l, cover_r),
-                    (true, rb, lb, r_rows, cover_r, cover_l),
-                ] {
-                    // The resident hot build rows (hash-table blow-up
-                    // included) may claim at most half the budget — the
-                    // other half stays for the cold partition pairs.
-                    let resident = hot_t * t_rows * HASH_TABLE_FACTOR;
-                    if !self.grace_ok(t_rows) || resident > 0.5 * m_records {
-                        continue;
-                    }
-                    let (r, w) = guided_io(t, v, hot_t, hot_v);
-                    let io = self.with_overhead(
-                        IoPrediction {
-                            reads: r,
-                            writes: w,
-                        }
-                        .plus(output_writes),
-                    );
-                    let split =
-                        join_parallel_split(&JoinAlgorithm::CGJ, t, v, self.m_buffers, self.lambda);
-                    let label = if swapped {
-                        "CGJ (swapped)".to_string()
-                    } else {
-                        "CGJ".to_string()
-                    };
-                    guided_hot.clone_from(&hot);
-                    field.push((
-                        JoinAlgorithm::CGJ,
-                        swapped,
-                        Candidate {
-                            label,
-                            cost_units: self.scale_units(io.cost_units(self.lambda), split),
-                            io,
-                        },
-                    ));
+        let mut hot = l_stats.heavy_keys();
+        hot.extend(r_stats.heavy_keys());
+        hot.sort_unstable();
+        hot.dedup();
+        if !hot.is_empty() {
+            let cover = |s: &TableStatistics| {
+                if s.rows() <= 0.0 {
+                    return 0.0;
                 }
+                (hot.iter().map(|&k| s.frequency(k)).sum::<f64>() / s.rows()).min(1.0)
+            };
+            let (cover_l, cover_r) = (cover(l_stats), cover(r_stats));
+            let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
+            for (swapped, t, v, t_rows, hot_t, hot_v) in [
+                (false, lb, rb, l_rows, cover_l, cover_r),
+                (true, rb, lb, r_rows, cover_r, cover_l),
+            ] {
+                // The resident hot build rows (hash-table blow-up
+                // included) may claim at most half the budget — the
+                // other half stays for the cold partition pairs.
+                let resident = hot_t * t_rows * HASH_TABLE_FACTOR;
+                if !self.grace_ok(t_rows) || resident > 0.5 * m_records {
+                    continue;
+                }
+                let (r, w) = guided_io(t, v, hot_t, hot_v);
+                let io = self.with_overhead(
+                    IoPrediction {
+                        reads: r,
+                        writes: w,
+                    }
+                    .plus(output_writes),
+                );
+                let split =
+                    join_parallel_split(&JoinAlgorithm::CGJ, t, v, self.m_buffers, self.lambda);
+                let label = if swapped {
+                    "CGJ (swapped)".to_string()
+                } else {
+                    "CGJ".to_string()
+                };
+                guided_hot.clone_from(&hot);
+                field.push((
+                    JoinAlgorithm::CGJ,
+                    swapped,
+                    Candidate {
+                        label,
+                        cost_units: self.scale_units(io.cost_units(self.lambda), split),
+                        io,
+                    },
+                ));
             }
         }
 
@@ -925,12 +909,12 @@ impl Planner {
 
 /// One planned join edge: the composed plan, its evidence row, the
 /// ranking figure of the whole subtree (used by the join-order DP), and
-/// the composed output statistics when both inputs carried some.
+/// the statistics of the join's output keys.
 struct JoinPlanned {
     plan: PhysicalPlan,
     choice: NodeChoice,
     units: f64,
-    stats: Option<TableStatistics>,
+    stats: TableStatistics,
 }
 
 /// Flattens a maximal join subtree into its relation leaves (the
@@ -953,47 +937,6 @@ fn leaf_relation_name(leaf: &LogicalPlan) -> String {
         LogicalPlan::Filter { input, .. } => format!("σ{}", leaf_relation_name(input)),
         LogicalPlan::Sort { input } | LogicalPlan::Aggregate { input } => leaf_relation_name(input),
         LogicalPlan::Join { left, .. } => leaf_relation_name(left),
-    }
-}
-
-/// Derives the skew statistics of a logical subtree from the catalog's
-/// ingest-time per-table statistics: filters condition them, sorts pass
-/// them through, joins compose them. `None` as soon as any base table
-/// lacks statistics — estimates then fall back to the uniform-key
-/// assumption.
-pub(crate) fn stats_for(logical: &LogicalPlan, catalog: &Catalog) -> Option<TableStatistics> {
-    match logical {
-        LogicalPlan::Scan { table } => catalog.statistics(table).map(|s| (**s).clone()),
-        LogicalPlan::Filter { input, predicate } => {
-            Some(apply_predicate(&stats_for(input, catalog)?, *predicate))
-        }
-        LogicalPlan::Sort { input } | LogicalPlan::Aggregate { input } => stats_for(input, catalog),
-        LogicalPlan::Join { left, right } => {
-            let l = stats_for(left, catalog)?;
-            let r = stats_for(right, catalog)?;
-            Some(l.join(&r).1)
-        }
-    }
-}
-
-/// Conditions table statistics on a key predicate.
-fn apply_predicate(stats: &TableStatistics, predicate: Predicate) -> TableStatistics {
-    match predicate {
-        Predicate::KeyBelow(b) => stats.filtered_below(b),
-        Predicate::KeyAtLeast(b) => stats.filtered_at_least(b),
-        Predicate::KeyModEq { modulus, residue } => stats.filtered_mod(modulus, residue),
-    }
-}
-
-/// Key domain of the base table(s) under a plan, for selectivity
-/// estimation.
-fn base_key_domain(logical: &LogicalPlan, catalog: &Catalog) -> u64 {
-    match logical {
-        LogicalPlan::Scan { table } => catalog.stats(table).map_or(0, |s| s.key_domain),
-        LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Sort { input }
-        | LogicalPlan::Aggregate { input } => base_key_domain(input, catalog),
-        LogicalPlan::Join { left, .. } => base_key_domain(left, catalog),
     }
 }
 

@@ -1,14 +1,14 @@
 //! The logical-plan DSL: what to compute, with no algorithm choices.
 //!
 //! A [`LogicalPlan`] is a small relational tree over named base tables —
-//! `scan / filter / sort / join / aggregate` — annotated with enough
-//! information (predicates with derivable selectivities) for the
-//! enumerator to estimate cardinalities. Algorithms, knobs (`x`, `d`),
-//! and materialization decisions belong to the physical plan.
+//! `scan / filter / sort / join / aggregate` — whose key predicates the
+//! enumerator sizes against the catalog's table statistics. Algorithms,
+//! knobs (`x`, `d`), and materialization decisions belong to the
+//! physical plan.
 
 use wisconsin::Record;
 
-/// A key predicate with a derivable selectivity estimate.
+/// A key predicate; its selectivity is read off the input's statistics.
 ///
 /// Predicates are expressed over the record *key* so one filter applies
 /// uniformly to base records, join pairs (keyed by the join key), and
@@ -36,21 +36,6 @@ impl Predicate {
             Predicate::KeyBelow(b) => key < *b,
             Predicate::KeyAtLeast(b) => key >= *b,
             Predicate::KeyModEq { modulus, residue } => key % modulus == *residue,
-        }
-    }
-
-    /// Selectivity estimate under uniform keys in `[0, key_domain)`.
-    pub fn selectivity(&self, key_domain: u64) -> f64 {
-        if key_domain == 0 {
-            return 1.0;
-        }
-        let d = key_domain as f64;
-        match self {
-            Predicate::KeyBelow(b) => ((*b).min(key_domain) as f64 / d).clamp(0.0, 1.0),
-            Predicate::KeyAtLeast(b) => {
-                ((key_domain.saturating_sub(*b)) as f64 / d).clamp(0.0, 1.0)
-            }
-            Predicate::KeyModEq { modulus, .. } => 1.0 / (*modulus).max(1) as f64,
         }
     }
 
@@ -179,7 +164,7 @@ mod tests {
     use wisconsin::WisconsinRecord;
 
     #[test]
-    fn predicates_match_and_estimate() {
+    fn predicates_match() {
         let r = WisconsinRecord::from_key(10);
         assert!(Predicate::KeyBelow(11).matches(&r));
         assert!(!Predicate::KeyBelow(10).matches(&r));
@@ -189,22 +174,6 @@ mod tests {
             residue: 0
         }
         .matches(&r));
-
-        assert!((Predicate::KeyBelow(50).selectivity(100) - 0.5).abs() < 1e-12);
-        assert!((Predicate::KeyAtLeast(75).selectivity(100) - 0.25).abs() < 1e-12);
-        assert!(
-            (Predicate::KeyModEq {
-                modulus: 4,
-                residue: 1
-            }
-            .selectivity(100)
-                - 0.25)
-                .abs()
-                < 1e-12
-        );
-        // Out-of-domain bounds clamp.
-        assert_eq!(Predicate::KeyBelow(500).selectivity(100), 1.0);
-        assert_eq!(Predicate::KeyAtLeast(500).selectivity(100), 0.0);
     }
 
     #[test]

@@ -220,9 +220,10 @@ impl WisSource {
     }
 }
 
-/// The materialized output of one plan execution, owned (no borrows on
-/// the catalog) so it can be drained incrementally after the call that
-/// produced it returns.
+/// The materialized output of a plan — of each subtree while lowering,
+/// of the whole execution at the end — owned (no borrows on the catalog)
+/// so it can be drained incrementally after the call that produced it
+/// returns.
 #[derive(Debug)]
 pub enum ResultSet {
     /// Base records.
@@ -251,6 +252,11 @@ pub enum ResultSet {
 pub struct WisResult(WisSource);
 
 impl ResultSet {
+    /// Base records in an intermediate this run wrote.
+    fn owned(col: pmem_sim::PCollection<WisconsinRecord>) -> Self {
+        ResultSet::Wis(WisResult(WisSource::Owned(Box::new(col))))
+    }
+
     /// Number of result rows.
     pub fn len(&self) -> usize {
         match self {
@@ -365,30 +371,6 @@ pub struct Executed {
     pub secs: f64,
 }
 
-/// Result cardinality of an intermediate stream (profiling annotation).
-fn stream_len(s: &Stream) -> usize {
-    match s {
-        Stream::Wis(src) => src.as_col().len(),
-        Stream::Pairs { col, .. } => col.len(),
-        Stream::Chain { col, .. } => col.len(),
-        Stream::Groups(col) => col.len(),
-    }
-}
-
-/// Intermediate result of one plan subtree.
-enum Stream {
-    Wis(WisSource),
-    Pairs {
-        col: pmem_sim::PCollection<WisPair>,
-        swapped: bool,
-    },
-    Chain {
-        col: pmem_sim::PCollection<WisconsinRecord>,
-        tables: usize,
-    },
-    Groups(pmem_sim::PCollection<GroupAgg>),
-}
-
 /// Executes a planned query against the catalog's bound tables,
 /// measuring the traffic between entry and exit, and returns the result
 /// as an owned, batch-drainable [`ResultSet`].
@@ -471,12 +453,6 @@ fn execute_stream_inner(
         a.plan = replace_topmost_join(&planned.plan, &a.plan);
         a
     });
-    let result = match result {
-        Stream::Wis(src) => ResultSet::Wis(WisResult(src)),
-        Stream::Pairs { col, swapped } => ResultSet::Pairs { col, swapped },
-        Stream::Chain { col, tables } => ResultSet::Multi { col, tables },
-        Stream::Groups(col) => ResultSet::Groups(col),
-    };
     Ok(ExecutedStream {
         result,
         secs: stats.time_secs(&dev.config().latency),
@@ -562,14 +538,14 @@ impl<'a> Lowerer<'a> {
     /// whose plan-node spans mirror the physical plan's shape (plus
     /// operator-phase and per-task spans nested below them). Inert when
     /// no profile is armed.
-    fn eval(&mut self, plan: &PhysicalPlan) -> Result<Stream, ExecError> {
+    fn eval(&mut self, plan: &PhysicalPlan) -> Result<ResultSet, ExecError> {
         if let Some(out) = self.try_adaptive(plan)? {
             return Ok(out);
         }
         let span = pmem_sim::span::span_with(|| plan.label());
         let out = self.eval_node(plan)?;
         if span.is_active() {
-            pmem_sim::span::note_rows(stream_len(&out) as u64);
+            pmem_sim::span::note_rows(out.len() as u64);
         }
         drop(span);
         Ok(out)
@@ -584,7 +560,7 @@ impl<'a> Lowerer<'a> {
     /// is consumed exactly as the static plan would consume it), so a
     /// no-drift adaptive run is traffic-identical to a static one.
     /// Returns `None` when `plan` is not an interception point.
-    fn try_adaptive(&mut self, plan: &PhysicalPlan) -> Result<Option<Stream>, ExecError> {
+    fn try_adaptive(&mut self, plan: &PhysicalPlan) -> Result<Option<ResultSet>, ExecError> {
         let PhysicalPlan::Join {
             chain: Some(slots), ..
         } = plan
@@ -618,7 +594,7 @@ impl<'a> Lowerer<'a> {
         }
 
         self.in_join = true;
-        let Stream::Chain { col, tables: _ } = self.eval(innermost)? else {
+        let ResultSet::Multi { col, tables: _ } = self.eval(innermost)? else {
             return Err(ExecError::Plan(PlanError::Unsupported(
                 "chain join produced a non-chain stream".into(),
             )));
@@ -633,27 +609,22 @@ impl<'a> Lowerer<'a> {
 
         // Register the intermediate as a pseudo-table: the remaining
         // joins scan the very collection the first join wrote, so no
-        // extra traffic is charged relative to the static pipeline.
+        // extra traffic is charged relative to the static pipeline. Its
+        // keys are no dense range, so the domain is nominal (a bound on
+        // the distinct count); only a re-enumeration reads the entry's
+        // statistics, so only drift pays for sketching the keys.
         let pseudo = self.name("~mid");
-        let keys: Vec<u64> = col
-            .to_vec_uncounted()
-            .iter()
-            .map(wisconsin::Record::key)
-            .collect();
-        let mut domain = keys.clone();
-        domain.sort_unstable();
-        domain.dedup();
-        let stats = Arc::new(TableStatistics::observed(&keys, OBSERVED_STATS_SEED));
-        self.catalog.to_mut().add_table_with_statistics(
-            &pseudo,
-            Arc::new(col),
-            (domain.len() as u64).max(1),
-            stats,
-        );
-
+        let (col, key_domain) = (Arc::new(col), observed.max(1));
         let replanned = if ratio > DRIFT_THRESHOLD {
+            let rows = col.to_vec_uncounted();
+            let keys: Vec<u64> = rows.iter().map(Record::key).collect();
+            let stats = Arc::new(TableStatistics::observed(&keys, OBSERVED_STATS_SEED));
+            self.catalog
+                .to_mut()
+                .add_table_with_statistics(&pseudo, col, key_domain, stats);
             self.replan_remaining(&pseudo, &inner_slots, &leaves, observed, estimated)
         } else {
+            self.catalog.to_mut().add_table(&pseudo, col, key_domain);
             None
         };
         let out = match replanned {
@@ -696,7 +667,7 @@ impl<'a> Lowerer<'a> {
             entries.push((leaf, slots.clone()));
         }
         let mut choices = Vec::new();
-        let mut subtree = planner
+        let (mut subtree, _) = planner
             .plan_join_slotted(&entries, self.catalog.as_ref(), &mut choices)
             .ok()?;
         mark_replanned(&mut subtree);
@@ -709,14 +680,16 @@ impl<'a> Lowerer<'a> {
         Some(subtree)
     }
 
-    fn eval_node(&mut self, plan: &PhysicalPlan) -> Result<Stream, ExecError> {
+    fn eval_node(&mut self, plan: &PhysicalPlan) -> Result<ResultSet, ExecError> {
         match plan {
             PhysicalPlan::Scan { table, .. } => {
                 let col = self
                     .catalog
                     .data(table)
                     .ok_or_else(|| ExecError::MissingData(table.clone()))?;
-                Ok(Stream::Wis(WisSource::Shared(Arc::clone(col))))
+                Ok(ResultSet::Wis(WisResult(WisSource::Shared(Arc::clone(
+                    col,
+                )))))
             }
             PhysicalPlan::Filter {
                 input, predicate, ..
@@ -756,7 +729,11 @@ impl<'a> Lowerer<'a> {
 
     /// Lowers a filter as a Volcano `scan → filter` chain staged into a
     /// fresh persistent collection.
-    fn filter_stream(&mut self, child: Stream, predicate: Predicate) -> Result<Stream, ExecError> {
+    fn filter_stream(
+        &mut self,
+        child: ResultSet,
+        predicate: Predicate,
+    ) -> Result<ResultSet, ExecError> {
         fn run<R: Record>(
             col: &pmem_sim::PCollection<R>,
             predicate: Predicate,
@@ -769,45 +746,47 @@ impl<'a> Lowerer<'a> {
         }
         let name = self.name("filtered");
         match child {
-            Stream::Wis(src) => Ok(Stream::Wis(WisSource::Owned(Box::new(run(
+            ResultSet::Wis(WisResult(src)) => Ok(ResultSet::owned(run(
                 src.as_col(),
                 predicate,
                 self.dev,
                 self.layer,
                 &name,
-            )?)))),
-            Stream::Pairs { col, swapped } => Ok(Stream::Pairs {
+            )?)),
+            ResultSet::Pairs { col, swapped } => Ok(ResultSet::Pairs {
                 col: run(&col, predicate, self.dev, self.layer, &name)?,
                 swapped,
             }),
-            Stream::Chain { col, tables } => Ok(Stream::Chain {
+            ResultSet::Multi { col, tables } => Ok(ResultSet::Multi {
                 col: run(&col, predicate, self.dev, self.layer, &name)?,
                 tables,
             }),
-            Stream::Groups(col) => Ok(Stream::Groups(run(
+            ResultSet::Groups(col) => Ok(ResultSet::Groups(run(
                 &col, predicate, self.dev, self.layer, &name,
             )?)),
         }
     }
 
-    fn sort_stream(&mut self, child: Stream, algo: SortAlgorithm) -> Result<Stream, ExecError> {
+    fn sort_stream(
+        &mut self,
+        child: ResultSet,
+        algo: SortAlgorithm,
+    ) -> Result<ResultSet, ExecError> {
         let ctx = SortContext::new(self.dev, self.layer, self.pool).with_threads(self.threads);
         let name = self.name("sorted");
         match child {
-            Stream::Wis(src) => Ok(Stream::Wis(WisSource::Owned(Box::new(algo.run(
-                src.as_col(),
-                &ctx,
-                &name,
-            )?)))),
-            Stream::Pairs { col, swapped } => Ok(Stream::Pairs {
+            ResultSet::Wis(WisResult(src)) => {
+                Ok(ResultSet::owned(algo.run(src.as_col(), &ctx, &name)?))
+            }
+            ResultSet::Pairs { col, swapped } => Ok(ResultSet::Pairs {
                 col: algo.run(&col, &ctx, &name)?,
                 swapped,
             }),
-            Stream::Chain { col, tables } => Ok(Stream::Chain {
+            ResultSet::Multi { col, tables } => Ok(ResultSet::Multi {
                 col: algo.run(&col, &ctx, &name)?,
                 tables,
             }),
-            Stream::Groups(col) => Ok(Stream::Groups(algo.run(&col, &ctx, &name)?)),
+            ResultSet::Groups(col) => Ok(ResultSet::Groups(algo.run(&col, &ctx, &name)?)),
         }
     }
 
@@ -819,7 +798,7 @@ impl<'a> Lowerer<'a> {
         swapped: bool,
         chain: Option<&ChainSlots>,
         hot: &[u64],
-    ) -> Result<Stream, ExecError> {
+    ) -> Result<ResultSet, ExecError> {
         let ctx = JoinContext::new(self.dev, self.layer, self.pool).with_threads(self.threads);
         let name = self.name("joined");
 
@@ -838,7 +817,7 @@ impl<'a> Lowerer<'a> {
             let src = {
                 let _fspan = pmem_sim::span::span_with(|| left.label());
                 match self.eval(input)? {
-                    Stream::Wis(WisSource::Shared(col)) => col,
+                    ResultSet::Wis(WisResult(WisSource::Shared(col))) => col,
                     _ => {
                         return Err(ExecError::Plan(PlanError::Unsupported(
                             "deferred filter over a non-base input".into(),
@@ -881,9 +860,9 @@ impl<'a> Lowerer<'a> {
         out: pmem_sim::PCollection<WisPair>,
         swapped: bool,
         chain: Option<&ChainSlots>,
-    ) -> Result<Stream, ExecError> {
+    ) -> Result<ResultSet, ExecError> {
         let Some(slots) = chain else {
-            return Ok(Stream::Pairs { col: out, swapped });
+            return Ok(ResultSet::Pairs { col: out, swapped });
         };
         let name = self.name("chained");
         let (ls, rs) = (slots.left.clone(), slots.right.clone());
@@ -896,7 +875,7 @@ impl<'a> Lowerer<'a> {
             fold_pair(l, &ls, r, &rs)
         });
         let col = stage(&mut op, self.dev, self.layer, &name)?;
-        Ok(Stream::Chain {
+        Ok(ResultSet::Multi {
             col,
             tables: slots.tables(),
         })
@@ -906,22 +885,22 @@ impl<'a> Lowerer<'a> {
     /// base records or already-folded chain rows (join inputs).
     fn eval_to_wis(&mut self, plan: &PhysicalPlan) -> Result<WisSource, ExecError> {
         match self.eval(plan)? {
-            Stream::Wis(src) => Ok(src),
-            Stream::Chain { col, .. } => Ok(WisSource::Owned(Box::new(col))),
+            ResultSet::Wis(WisResult(src)) => Ok(src),
+            ResultSet::Multi { col, .. } => Ok(WisSource::Owned(Box::new(col))),
             _ => Err(ExecError::Plan(PlanError::Unsupported(
                 "join inputs must produce base records".into(),
             ))),
         }
     }
 
-    fn aggregate_stream(&mut self, child: Stream, x: f64) -> Result<Stream, ExecError> {
+    fn aggregate_stream(&mut self, child: ResultSet, x: f64) -> Result<ResultSet, ExecError> {
         let ctx = SortContext::new(self.dev, self.layer, self.pool).with_threads(self.threads);
         let name = self.name("groups");
         let out = match child {
-            Stream::Wis(src) => {
+            ResultSet::Wis(WisResult(src)) => {
                 sort_based_aggregate(src.as_col(), x, |r| r.payload(), &ctx, &name)?
             }
-            Stream::Pairs { col, swapped } => {
+            ResultSet::Pairs { col, swapped } => {
                 if swapped {
                     sort_based_aggregate(&col, x, |p| p.left.payload(), &ctx, &name)?
                 } else {
@@ -930,16 +909,16 @@ impl<'a> Lowerer<'a> {
             }
             // Chain rows aggregate the last-joined relation's payload,
             // mirroring the two-way probe-side convention.
-            Stream::Chain { col, tables } => {
+            ResultSet::Multi { col, tables } => {
                 sort_based_aggregate(&col, x, move |r| r.attrs[tables], &ctx, &name)?
             }
-            Stream::Groups(_) => {
+            ResultSet::Groups(_) => {
                 return Err(ExecError::Plan(PlanError::Unsupported(
                     "aggregate over aggregate".into(),
                 )))
             }
         };
-        Ok(Stream::Groups(out))
+        Ok(ResultSet::Groups(out))
     }
 }
 
