@@ -3,7 +3,7 @@
 
 use crate::context::ExecContext;
 use crate::parallel;
-use pmem_sim::{thread_stats, IoStats, PCollection, RecordBuffer};
+use pmem_sim::{thread_stats, IoStats, PCollection, RecordBuffer, RecordView};
 use std::collections::HashMap;
 use wisconsin::{Pair, Record};
 
@@ -26,11 +26,52 @@ pub fn partition_of(key: u64, partitions: usize) -> usize {
     (x % partitions as u64) as usize
 }
 
+/// The join key of a scanned record, read in place: the view's length
+/// is the constant `R::SIZE`, so once this inlines the decode of every
+/// attribute but the key folds away.
+#[inline]
+pub(crate) fn view_key<R: Record>(view: &RecordView<'_, R>) -> u64 {
+    R::read_from(view.bytes()).key()
+}
+
+/// End-of-chain / empty-slot marker of [`BuildTable`]'s `u32` record
+/// indices; a table therefore holds at most `u32::MAX` records.
+const NIL: u32 = u32::MAX;
+
+/// One directory slot of a [`BuildTable`]: a distinct key and the first
+/// and last record of its chain. `first == NIL` marks an empty slot.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: u64,
+    first: u32,
+    last: u32,
+}
+
+const EMPTY_SLOT: Slot = Slot {
+    key: 0,
+    first: NIL,
+    last: NIL,
+};
+
+/// Directory slots allocated by the first insert.
+const MIN_DIRECTORY: usize = 16;
+
 /// An in-DRAM build table: key → records with that key.
+///
+/// Flat: the records sit in one vector in insertion order, each with a
+/// link to the next record of the same key, and a power-of-two
+/// open-addressing directory (linear probing under a multiplicative
+/// hash, at most half full) maps a key to the first and last record of
+/// its chain. A key's matches are walked first → last, i.e. in
+/// insertion order.
 #[derive(Debug)]
 pub struct BuildTable<L: Record> {
-    map: HashMap<u64, Vec<L>>,
-    len: usize,
+    records: Vec<L>,
+    /// `next[i]`: the next record with `records[i]`'s key, or `NIL`.
+    next: Vec<u32>,
+    directory: Vec<Slot>,
+    /// Occupied directory slots (distinct keys).
+    keys: usize,
 }
 
 impl<L: Record> Default for BuildTable<L> {
@@ -43,42 +84,112 @@ impl<L: Record> BuildTable<L> {
     /// Creates an empty table.
     pub fn new() -> Self {
         Self {
-            map: HashMap::new(),
-            len: 0,
+            records: Vec::new(),
+            next: Vec::new(),
+            directory: Vec::new(),
+            keys: 0,
+        }
+    }
+
+    /// The directory slot `key` lives in, or the empty slot it would
+    /// take. The directory must not be empty.
+    #[inline]
+    fn slot_of(&self, key: u64) -> usize {
+        let mask = self.directory.len() - 1;
+        // Fibonacci hashing: the top bits of key × 2⁶⁴/φ.
+        let shift = 64 - self.directory.len().trailing_zeros();
+        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            let slot = &self.directory[i];
+            if slot.first == NIL || slot.key == key {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the directory (or allocates it) and re-seats every chain.
+    fn grow_directory(&mut self) {
+        let bigger = (self.directory.len() * 2).max(MIN_DIRECTORY);
+        let old = std::mem::replace(&mut self.directory, vec![EMPTY_SLOT; bigger]);
+        for slot in old.into_iter().filter(|s| s.first != NIL) {
+            let i = self.slot_of(slot.key);
+            self.directory[i] = slot;
         }
     }
 
     /// Inserts one build-side record.
+    ///
+    /// # Panics
+    /// Panics if the table already holds `u32::MAX` records.
     pub fn insert(&mut self, record: L) {
-        self.map.entry(record.key()).or_default().push(record);
-        self.len += 1;
+        let idx = self.records.len();
+        assert!(
+            idx < NIL as usize,
+            "BuildTable is full: record indices are u32, at most {NIL} records"
+        );
+        let idx = idx as u32;
+        if (self.keys + 1) * 2 > self.directory.len() {
+            self.grow_directory();
+        }
+        let key = record.key();
+        let i = self.slot_of(key);
+        let slot = &mut self.directory[i];
+        if slot.first == NIL {
+            *slot = Slot {
+                key,
+                first: idx,
+                last: idx,
+            };
+            self.keys += 1;
+        } else {
+            self.next[slot.last as usize] = idx;
+            slot.last = idx;
+        }
+        self.records.push(record);
+        self.next.push(NIL);
     }
 
     /// Number of records in the table.
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// True if no records were inserted.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
-    /// Clears the table, retaining allocations for reuse.
+    /// Clears the table, retaining allocations for reuse: the record and
+    /// link vectors keep their capacity and the directory its size.
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.len = 0;
+        self.records.clear();
+        self.next.clear();
+        self.directory.fill(EMPTY_SLOT);
+        self.keys = 0;
+    }
+
+    /// The records with key `key`, in insertion order.
+    #[inline]
+    pub(crate) fn matches(&self, key: u64) -> Matches<'_, L> {
+        let first = if self.directory.is_empty() {
+            NIL
+        } else {
+            self.directory[self.slot_of(key)].first
+        };
+        Matches {
+            table: self,
+            at: first,
+        }
     }
 
     /// Probes with `right`, appending one output pair per match.
     pub fn probe<R: Record>(&self, right: &R, out: &mut PCollection<Pair<L, R>>) {
-        if let Some(matches) = self.map.get(&right.key()) {
-            for l in matches {
-                out.append(&Pair {
-                    left: *l,
-                    right: *right,
-                });
-            }
+        for l in self.matches(right.key()) {
+            out.append(&Pair {
+                left: *l,
+                right: *right,
+            });
         }
     }
 
@@ -87,19 +198,55 @@ impl<L: Record> BuildTable<L> {
     /// partition's matches and the coordinator flushes the buffers into
     /// the shared output collection in partition order.
     pub fn probe_buffered<R: Record>(&self, right: &R, out: &mut RecordBuffer<Pair<L, R>>) {
-        if let Some(matches) = self.map.get(&right.key()) {
+        for l in self.matches(right.key()) {
+            out.push(&Pair {
+                left: *l,
+                right: *right,
+            });
+        }
+    }
+
+    /// [`BuildTable::probe_buffered`] with a scanned record still in its
+    /// stored form: only the key is read unless it has a match.
+    #[inline]
+    pub(crate) fn probe_view_buffered<R: Record>(
+        &self,
+        right: &RecordView<'_, R>,
+        out: &mut RecordBuffer<Pair<L, R>>,
+    ) {
+        let mut matches = self.matches(view_key(right)).peekable();
+        if matches.peek().is_some() {
+            let right = right.get();
             for l in matches {
-                out.push(&Pair {
-                    left: *l,
-                    right: *right,
-                });
+                out.push(&Pair { left: *l, right });
             }
         }
     }
 
     /// Number of matches `right` would produce, without writing output.
     pub fn match_count<R: Record>(&self, right: &R) -> usize {
-        self.map.get(&right.key()).map_or(0, |v| v.len())
+        self.matches(right.key()).count()
+    }
+}
+
+/// Iterator over one key's chain in a [`BuildTable`], first → last.
+#[derive(Debug)]
+pub(crate) struct Matches<'t, L: Record> {
+    table: &'t BuildTable<L>,
+    at: u32,
+}
+
+impl<'t, L: Record> Iterator for Matches<'t, L> {
+    type Item = &'t L;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'t L> {
+        if self.at == NIL {
+            return None;
+        }
+        let i = self.at as usize;
+        self.at = self.table.next[i];
+        Some(&self.table.records[i])
     }
 }
 
@@ -138,7 +285,7 @@ pub struct IterJoinProfile {
 pub(crate) fn build_pass_morsels<L: Record>(
     src: &PCollection<L>,
     ctx: &JoinContext<'_>,
-    classify: impl Fn(&L) -> ScanAction + Sync,
+    classify: impl Fn(u64) -> ScanAction + Sync,
     table: &mut BuildTable<L>,
     mut next: Option<&mut PCollection<L>>,
 ) -> Vec<IoStats> {
@@ -147,6 +294,9 @@ pub(crate) fn build_pass_morsels<L: Record>(
         .div_ceil(super::grace::PARTITION_MORSEL_RECORDS)
         .max(1);
     let mut stats = Vec::with_capacity(morsels);
+    // A pass that offloads may move a whole morsel; one that does not
+    // (a lazy pass, the last pass) buffers nothing.
+    let offloads = next.is_some();
     parallel::for_each_ordered(
         ctx.threads(),
         morsels,
@@ -154,14 +304,13 @@ pub(crate) fn build_pass_morsels<L: Record>(
             let start = m * super::grace::PARTITION_MORSEL_RECORDS;
             let end = (start + super::grace::PARTITION_MORSEL_RECORDS).min(src.len());
             let mut keep: Vec<L> = Vec::new();
-            let mut offload = RecordBuffer::new();
-            for l in src.range_reader(start, end) {
-                match classify(&l) {
-                    ScanAction::Keep => keep.push(l),
-                    ScanAction::Offload => offload.push(&l),
+            let mut offload = RecordBuffer::with_capacity(if offloads { end - start } else { 0 });
+            src.range_reader(start, end)
+                .for_each_view(|l| match classify(view_key(&l)) {
+                    ScanAction::Keep => keep.push(l.get()),
+                    ScanAction::Offload => offload.push_bytes(l.bytes()),
                     ScanAction::Skip => {}
-                }
-            }
+                });
             (keep, offload)
         },
         |_, task| {
@@ -188,7 +337,7 @@ pub(crate) fn build_pass_morsels<L: Record>(
 pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
     src: &PCollection<R>,
     ctx: &JoinContext<'_>,
-    classify: impl Fn(&R) -> ScanAction + Sync,
+    classify: impl Fn(u64) -> ScanAction + Sync,
     table: &BuildTable<L>,
     out: &mut PCollection<Pair<L, R>>,
     mut next: Option<&mut PCollection<R>>,
@@ -198,6 +347,7 @@ pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
         .div_ceil(super::grace::PARTITION_MORSEL_RECORDS)
         .max(1);
     let mut stats = Vec::with_capacity(morsels);
+    let offloads = next.is_some();
     parallel::for_each_ordered(
         ctx.threads(),
         morsels,
@@ -205,14 +355,13 @@ pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
             let start = m * super::grace::PARTITION_MORSEL_RECORDS;
             let end = (start + super::grace::PARTITION_MORSEL_RECORDS).min(src.len());
             let mut matches = RecordBuffer::new();
-            let mut offload = RecordBuffer::new();
-            for r in src.range_reader(start, end) {
-                match classify(&r) {
-                    ScanAction::Keep => table.probe_buffered(&r, &mut matches),
-                    ScanAction::Offload => offload.push(&r),
+            let mut offload = RecordBuffer::with_capacity(if offloads { end - start } else { 0 });
+            src.range_reader(start, end)
+                .for_each_view(|r| match classify(view_key(&r)) {
+                    ScanAction::Keep => table.probe_view_buffered(&r, &mut matches),
+                    ScanAction::Offload => offload.push_bytes(r.bytes()),
                     ScanAction::Skip => {}
-                }
-            }
+                });
             (matches, offload)
         },
         |_, task| {
@@ -286,6 +435,127 @@ mod tests {
         table.probe(&WisconsinRecord::from_key(4), &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(table.match_count(&WisconsinRecord::from_key(9)), 1);
+    }
+
+    /// Differential check of one filled table against the `HashMap<u64,
+    /// Vec<L>>` the table replaced: same length, same match counts, and
+    /// the same pairs **in the same order** from all three probe paths,
+    /// for every present key and a few absent ones.
+    fn assert_matches_model(
+        case: &str,
+        table: &BuildTable<WisconsinRecord>,
+        build: &[WisconsinRecord],
+    ) {
+        let mut model: HashMap<u64, Vec<WisconsinRecord>> = HashMap::new();
+        for l in build {
+            model.entry(l.key()).or_default().push(*l);
+        }
+        assert_eq!(table.len(), build.len(), "{case}");
+        assert_eq!(table.is_empty(), build.is_empty(), "{case}");
+
+        let mut keys: Vec<u64> = model.keys().copied().collect();
+        keys.extend([1, u64::MAX - 1, 0x0123_4567_89ab_cdef, 1 << 63]);
+        keys.sort_unstable();
+        keys.dedup();
+        let probes: Vec<WisconsinRecord> = keys
+            .iter()
+            .map(|&k| WisconsinRecord::from_key(k).with_payload(!k))
+            .collect();
+        let mut expected = Vec::new();
+        for right in &probes {
+            let matches = model.get(&right.key()).map_or(&[][..], Vec::as_slice);
+            assert_eq!(
+                table.match_count(right),
+                matches.len(),
+                "{case}: key {}",
+                right.key()
+            );
+            expected.extend(matches.iter().map(|&left| Pair {
+                left,
+                right: *right,
+            }));
+        }
+
+        let dev = PmDevice::paper_default();
+        let kind = LayerKind::BlockedMemory;
+        let mut direct = PCollection::new(&dev, kind, "probe");
+        let mut buffered = RecordBuffer::new();
+        let mut viewed = RecordBuffer::new();
+        let staged = PCollection::from_records_uncounted(&dev, kind, "V", probes.iter().copied());
+        let mut scan = staged.reader();
+        for right in &probes {
+            table.probe(right, &mut direct);
+            table.probe_buffered(right, &mut buffered);
+            let view = scan.next_view().expect("one view per probe record");
+            table.probe_view_buffered(&view, &mut viewed);
+        }
+        assert_eq!(direct.to_vec_uncounted(), expected, "{case}: probe");
+        for (path, buf) in [
+            ("probe_buffered", buffered),
+            ("probe_view_buffered", viewed),
+        ] {
+            let mut landed = PCollection::new(&dev, kind, path);
+            landed.append_buffer(&buf);
+            assert_eq!(landed.to_vec_uncounted(), expected, "{case}: {path}");
+        }
+    }
+
+    #[test]
+    fn build_table_agrees_with_the_hashmap_model_in_order() {
+        let numbered = |keys: &mut dyn Iterator<Item = u64>| -> Vec<WisconsinRecord> {
+            keys.zip(0u64..)
+                .map(|(k, i)| WisconsinRecord::from_key(k).with_payload(i))
+                .collect()
+        };
+        let cases: Vec<(&str, Vec<WisconsinRecord>)> = vec![
+            ("empty", Vec::new()),
+            // 1500 keys × 4 copies in permuted order: ten directory growths.
+            ("uniform", wisconsin::join_right_input(1500, 4, 9)),
+            ("zipf", wisconsin::skewed_input(6000, 4, 1.2, 9)),
+            ("one key", numbered(&mut std::iter::repeat_n(7, 3000))),
+            ("ascending", numbered(&mut (0..6000))),
+            (
+                "extremes",
+                numbered(&mut (0..500).map(|i| if i % 3 == 0 { 0 } else { u64::MAX })),
+            ),
+            // Multiples of 2⁴⁰: all entropy in the bits a masking hash drops.
+            (
+                "high bits",
+                numbered(&mut (0..4000).map(|i| (i % 1000) << 40)),
+            ),
+        ];
+        // Each case on a fresh table, then all of them through one table
+        // that is cleared and refilled.
+        let mut reused = BuildTable::new();
+        for (name, build) in &cases {
+            let mut fresh = BuildTable::new();
+            reused.clear();
+            for l in build {
+                fresh.insert(*l);
+                reused.insert(*l);
+            }
+            assert_matches_model(name, &fresh, build);
+            assert_matches_model(&format!("{name}, reused table"), &reused, build);
+        }
+    }
+
+    #[test]
+    fn clear_keeps_the_tables_allocations() {
+        let mut table = BuildTable::new();
+        for l in wisconsin::join_right_input(1500, 4, 3) {
+            table.insert(l);
+        }
+        let (records, next, directory) = (
+            table.records.capacity(),
+            table.next.capacity(),
+            table.directory.len(),
+        );
+        table.clear();
+        assert!(table.is_empty());
+        assert_eq!(table.match_count(&WisconsinRecord::from_key(5)), 0);
+        assert_eq!(table.records.capacity(), records);
+        assert_eq!(table.next.capacity(), next);
+        assert_eq!(table.directory.len(), directory);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! the simulated counters and the output record order are identical at
 //! any DoP — parallelism buys wall-clock time only.
 
-use super::common::{partition_of, BuildTable, JoinContext};
+use super::common::{partition_of, view_key, BuildTable, JoinContext};
 use crate::parallel;
-use pmem_sim::{IoStats, PCollection, PmError, RecordBuffer};
+use pmem_sim::{IoStats, PCollection, PmError, RecordBuffer, RecordView};
 use wisconsin::{Pair, Record};
 
 /// Records per partitioning morsel. Inputs at or below this size are
@@ -52,11 +52,14 @@ impl<R: Record> PartitionedInput<R> {
         self.parts[p].iter().map(PCollection::len).sum()
     }
 
-    /// Streams partition `p`'s records in input order, charging the same
-    /// reads a scan of a single per-partition collection would (plus at
-    /// most one boundary cacheline per morsel).
-    pub fn records(&self, p: usize) -> impl Iterator<Item = R> + '_ {
-        self.parts[p].iter().flat_map(|c| c.reader())
+    /// Scans partition `p`'s records in input order, lending each one's
+    /// stored bytes to `visit` and charging the same reads a scan of a
+    /// single per-partition collection would (plus at most one boundary
+    /// cacheline per morsel).
+    pub fn scan(&self, p: usize, mut visit: impl FnMut(RecordView<'_, R>)) {
+        for part in &self.parts[p] {
+            part.reader().for_each_view(&mut visit);
+        }
     }
 }
 
@@ -71,9 +74,9 @@ pub fn partition_input<R: Record>(
     prefix: &str,
 ) -> Vec<PCollection<R>> {
     let mut parts: Vec<PCollection<R>> = (0..k).map(|_| ctx.fresh::<R>(prefix)).collect();
-    for r in input.reader() {
-        parts[partition_of(r.key(), k)].append(&r);
-    }
+    input.reader().for_each_view(|r| {
+        parts[partition_of(view_key(&r), k)].append_bytes(r.bytes());
+    });
     parts
 }
 
@@ -128,9 +131,9 @@ pub(crate) fn partition_input_morsels_profiled<R: Record>(
                 .iter()
                 .map(|name| PCollection::new(ctx.device(), ctx.kind(), name.clone()))
                 .collect();
-            for r in input.range_reader(start, end) {
-                subs[partition_of(r.key(), k)].append(&r);
-            }
+            input.range_reader(start, end).for_each_view(|r| {
+                subs[partition_of(view_key(&r), k)].append_bytes(r.bytes());
+            });
             subs
         },
         |_, morsel| {
@@ -185,12 +188,8 @@ pub(crate) fn join_partitioned<L: Record, R: Record>(
                 return buf;
             }
             let mut table = BuildTable::new();
-            for l in left.records(p) {
-                table.insert(l);
-            }
-            for r in right.records(p) {
-                table.probe_buffered(&r, &mut buf);
-            }
+            left.scan(p, |l| table.insert(l.get()));
+            right.scan(p, |r| table.probe_view_buffered(&r, &mut buf));
             buf
         },
         |_, task| {

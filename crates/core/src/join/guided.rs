@@ -16,7 +16,7 @@
 //! order, so output order and simulated counters are identical at any
 //! degree of parallelism.
 
-use super::common::{partition_of, BuildTable, JoinContext};
+use super::common::{partition_of, view_key, BuildTable, JoinContext};
 use super::grace::{join_partitioned, PartitionedInput, PARTITION_MORSEL_RECORDS};
 use crate::parallel;
 use pmem_sim::{PCollection, PmError, RecordBuffer};
@@ -140,13 +140,14 @@ fn split_build<L: Record>(
                 .map(|name| PCollection::new(ctx.device(), ctx.kind(), name.clone()))
                 .collect();
             let mut keep: Vec<L> = Vec::new();
-            for r in input.range_reader(start, end) {
-                if hot.contains(&r.key()) {
-                    keep.push(r);
+            input.range_reader(start, end).for_each_view(|r| {
+                let key = view_key(&r);
+                if hot.contains(&key) {
+                    keep.push(r.get());
                 } else {
-                    subs[partition_of(r.key(), k)].append(&r);
+                    subs[partition_of(key, k)].append_bytes(r.bytes());
                 }
-            }
+            });
             (keep, subs)
         },
         |_, task| {
@@ -192,13 +193,14 @@ fn probe_split<L: Record, R: Record>(
                 .map(|name| PCollection::new(ctx.device(), ctx.kind(), name.clone()))
                 .collect();
             let mut matches = RecordBuffer::new();
-            for r in input.range_reader(start, end) {
-                if hot.contains(&r.key()) {
-                    resident.probe_buffered(&r, &mut matches);
+            input.range_reader(start, end).for_each_view(|r| {
+                let key = view_key(&r);
+                if hot.contains(&key) {
+                    resident.probe_view_buffered(&r, &mut matches);
                 } else {
-                    subs[partition_of(r.key(), k)].append(&r);
+                    subs[partition_of(key, k)].append_bytes(r.bytes());
                 }
-            }
+            });
             (matches, subs)
         },
         |_, task| {

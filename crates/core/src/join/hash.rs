@@ -62,8 +62,8 @@ pub fn hash_join_profiled<L: Record, R: Record>(
             let build = build_pass_morsels(
                 t_src,
                 ctx,
-                |l| {
-                    if partition_of(l.key(), k) == i {
+                |key| {
+                    if partition_of(key, k) == i {
                         ScanAction::Keep
                     } else if last {
                         ScanAction::Skip
@@ -83,8 +83,8 @@ pub fn hash_join_profiled<L: Record, R: Record>(
             let probe = probe_pass_morsels(
                 v_src,
                 ctx,
-                |r| {
-                    if partition_of(r.key(), k) == i {
+                |key| {
+                    if partition_of(key, k) == i {
                         ScanAction::Keep
                     } else if last {
                         ScanAction::Skip

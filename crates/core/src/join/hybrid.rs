@@ -19,7 +19,7 @@
 //! heatmaps that guide the choice of `(x, y)` live in
 //! [`crate::cost::join_costs`].
 
-use super::common::{partition_of, BuildTable, JoinContext};
+use super::common::{partition_of, view_key, BuildTable, JoinContext};
 use crate::parallel;
 use pmem_sim::{PCollection, PmError, RecordBuffer};
 use wisconsin::{Pair, Record};
@@ -70,13 +70,13 @@ pub fn hybrid_join<L: Record, R: Record>(
 
     // Phase 1: partition the prefixes.
     let mut t_parts: Vec<PCollection<L>> = (0..k).map(|_| ctx.fresh::<L>("hybj-t")).collect();
-    for l in left.range_reader(0, tx_end) {
-        t_parts[partition_of(l.key(), k)].append(&l);
-    }
+    left.range_reader(0, tx_end).for_each_view(|l| {
+        t_parts[partition_of(view_key(&l), k)].append_bytes(l.bytes());
+    });
     let mut v_parts: Vec<PCollection<R>> = (0..k).map(|_| ctx.fresh::<R>("hybj-v")).collect();
-    for r in right.range_reader(0, vy_end) {
-        v_parts[partition_of(r.key(), k)].append(&r);
-    }
+    right.range_reader(0, vy_end).for_each_view(|r| {
+        v_parts[partition_of(view_key(&r), k)].append_bytes(r.bytes());
+    });
 
     // Phase 2: per-partition Grace join with the V₁₋y scan piggybacked.
     // Partitions are sized for the DRAM budget under the f = 1.2
@@ -99,12 +99,12 @@ pub fn hybrid_join<L: Record, R: Record>(
             for l in tp.reader() {
                 table.insert(l);
             }
-            for r in vp.reader() {
-                table.probe_buffered(&r, &mut buf); // Tx ⋈ Vy
-            }
-            for r in right.range_reader(vy_end, v_len) {
-                table.probe_buffered(&r, &mut buf); // Tx ⋈ V₁₋y (piggyback)
-            }
+            // Tx ⋈ Vy, then Tx ⋈ V₁₋y (piggyback).
+            vp.reader()
+                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
+            right
+                .range_reader(vy_end, v_len)
+                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
             buf
         },
         |_, task| out.append_buffer(&task.value),
@@ -126,9 +126,9 @@ pub fn hybrid_join<L: Record, R: Record>(
                 table.insert(l);
             }
             let mut buf = RecordBuffer::new();
-            for r in right.reader() {
-                table.probe_buffered(&r, &mut buf);
-            }
+            right
+                .reader()
+                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
             buf
         },
         |_, task| out.append_buffer(&task.value),

@@ -94,7 +94,7 @@ pub fn lazy_hash_join_profiled<L: Record, R: Record>(
             let build = build_pass_morsels(
                 t_src,
                 ctx,
-                |l| classify(partition_of(l.key(), k)),
+                |key| classify(partition_of(key, k)),
                 &mut table,
                 t_next.as_mut(),
             );
@@ -107,7 +107,7 @@ pub fn lazy_hash_join_profiled<L: Record, R: Record>(
             let probe = probe_pass_morsels(
                 v_src,
                 ctx,
-                |r| classify(partition_of(r.key(), k)),
+                |key| classify(partition_of(key, k)),
                 &table,
                 &mut out,
                 v_next.as_mut(),

@@ -63,9 +63,9 @@ pub fn nested_loops_join_profiled<L: Record, R: Record>(
                 table.insert(l);
             }
             let mut buf = RecordBuffer::new();
-            for r in right.reader() {
-                table.probe_buffered(&r, &mut buf);
-            }
+            right
+                .reader()
+                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
             buf
         },
         |_, task| {

@@ -11,7 +11,7 @@
 //! Grace join; regardless, `x` is the knob that sets the algorithm's
 //! write intensity.
 
-use super::common::{partition_of, BuildTable, JoinContext};
+use super::common::{partition_of, view_key, BuildTable, JoinContext};
 use crate::parallel;
 use pmem_sim::{PCollection, PmError, RecordBuffer};
 use wisconsin::{Pair, Record};
@@ -56,19 +56,19 @@ pub fn segmented_grace_join<L: Record, R: Record>(
     let mut v_parts: Vec<PCollection<R>> = Vec::new();
     if x > 0 {
         t_parts = (0..x).map(|_| ctx.fresh::<L>("segj-t")).collect();
-        for l in left.reader() {
-            let p = partition_of(l.key(), k);
+        left.reader().for_each_view(|l| {
+            let p = partition_of(view_key(&l), k);
             if p < x {
-                t_parts[p].append(&l);
+                t_parts[p].append_bytes(l.bytes());
             }
-        }
+        });
         v_parts = (0..x).map(|_| ctx.fresh::<R>("segj-v")).collect();
-        for r in right.reader() {
-            let p = partition_of(r.key(), k);
+        right.reader().for_each_view(|r| {
+            let p = partition_of(view_key(&r), k);
             if p < x {
-                v_parts[p].append(&r);
+                v_parts[p].append_bytes(r.bytes());
             }
-        }
+        });
     }
 
     // Grace phase over the materialized partitions; the pairs are
@@ -87,9 +87,8 @@ pub fn segmented_grace_join<L: Record, R: Record>(
             for l in tp.reader() {
                 table.insert(l);
             }
-            for r in vp.reader() {
-                table.probe_buffered(&r, &mut buf);
-            }
+            vp.reader()
+                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
             buf
         },
         |_, task| out.append_buffer(&task.value),
@@ -105,17 +104,17 @@ pub fn segmented_grace_join<L: Record, R: Record>(
         |i| {
             let p = x + i;
             let mut table = BuildTable::new();
-            for l in left.reader() {
-                if partition_of(l.key(), k) == p {
-                    table.insert(l);
+            left.reader().for_each_view(|l| {
+                if partition_of(view_key(&l), k) == p {
+                    table.insert(l.get());
                 }
-            }
+            });
             let mut buf = RecordBuffer::new();
-            for r in right.reader() {
-                if partition_of(r.key(), k) == p {
-                    table.probe_buffered(&r, &mut buf);
+            right.reader().for_each_view(|r| {
+                if partition_of(view_key(&r), k) == p {
+                    table.probe_view_buffered(&r, &mut buf);
                 }
-            }
+            });
             buf
         },
         |_, task| out.append_buffer(&task.value),

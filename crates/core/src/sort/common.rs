@@ -351,7 +351,8 @@ pub fn merge_group_parallel<R: Record>(
         ctx.threads(),
         segments,
         |seg| {
-            let mut buf = RecordBuffer::new();
+            let len = cuts.iter().map(|c| c[seg + 1] - c[seg]).sum();
+            let mut buf = RecordBuffer::with_capacity(len);
             for rec in KWayMerge::new(segment_streams(group, &cuts, seg)) {
                 buf.push(&rec);
             }

@@ -6,10 +6,19 @@
 //! fixed-width ([`Storable`]), appended sequentially, and scanned through
 //! forward-only readers whose cacheline traffic is charged to the owning
 //! device.
+//!
+//! The unit a scan hands out is the record's *stored bytes*
+//! ([`RecordReader::next_view`]): a consumer decodes only what it keeps
+//! ([`RecordView::get`]) and moves the rest as bytes
+//! ([`PCollection::append_bytes`], [`RecordBuffer::push_bytes`]), so a
+//! record that is only moved is never decoded. Every byte handed out
+//! this way has been charged; uncharged byte access stays private to
+//! this crate.
 
 use crate::config::cachelines;
-use crate::device::Pm;
-use crate::layer::{LayerKind, ReadCursor, Storage};
+use crate::device::{Pm, PmDevice};
+use crate::layer::{LayerKind, Place, ReadCursor, Storage};
+use crate::metrics::thread_stats;
 use std::marker::PhantomData;
 
 /// A fixed-width record that can live in persistent memory.
@@ -52,6 +61,22 @@ impl Storable for (u64, u64) {
             u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
         )
     }
+}
+
+/// Runs `op`, attributing what it charges to the collection `name` when
+/// the device's per-collection breakdown is on.
+#[inline]
+fn attributed(dev: &PmDevice, name: &str, op: impl FnOnce()) {
+    if !dev.metrics().breakdown_enabled() {
+        return op();
+    }
+    // Measure through the thread ledger, not a device snapshot: the
+    // ledger only sees this thread's charges (so parallel siblings can't
+    // pollute the attribution) and costs no flush.
+    let before = thread_stats();
+    op();
+    let delta = thread_stats().since(&before);
+    dev.metrics().attribute(name, delta);
 }
 
 /// A typed persistent collection of `R` records.
@@ -124,32 +149,44 @@ impl<R: Storable> PCollection<R> {
     }
 
     /// Appends one record, charging writes to the device (attributed to
-    /// this collection's name when the breakdown is enabled).
+    /// this collection's name when the breakdown is enabled). The record
+    /// serializes straight into the tail of the storage.
     pub fn append(&mut self, record: &R) {
-        record.write_to(&mut self.scratch);
-        // scratch is sized in the constructor; split borrow via take.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        if self.dev.metrics().breakdown_enabled() {
-            // Measure through the thread ledger, not a device snapshot:
-            // the ledger only sees this thread's charges (so parallel
-            // siblings can't pollute the attribution) and costs no flush.
-            let before = crate::metrics::thread_stats();
-            self.storage.append(&scratch, &self.dev);
-            let delta = crate::metrics::thread_stats().since(&before);
-            self.dev.metrics().attribute(&self.name, delta);
-        } else {
-            self.storage.append(&scratch, &self.dev);
-        }
-        scratch.iter_mut().for_each(|b| *b = 0);
-        self.scratch = scratch;
+        attributed(&self.dev, &self.name, || {
+            self.storage
+                .append_in_place(R::SIZE, &mut self.scratch, &self.dev, |buf| {
+                    record.write_to(buf);
+                });
+        });
         self.n_records += 1;
         #[cfg(debug_assertions)]
-        self.write_audit.note(
-            &self.name,
-            self.n_records - 1,
-            self.n_records,
-            crate::span::thread_id(),
-        );
+        self.note_write(1, crate::span::thread_id());
+    }
+
+    /// Appends one record given as its stored bytes (a
+    /// [`RecordView::bytes`] of another collection of `R`), charged,
+    /// attributed and audited exactly as [`PCollection::append`] of the
+    /// decoded record would be — the way to move a record without a
+    /// decode → encode round trip.
+    ///
+    /// # Panics
+    /// Panics unless `bytes` is exactly `R::SIZE` long.
+    pub fn append_bytes(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), R::SIZE, "append_bytes takes one record");
+        attributed(&self.dev, &self.name, || {
+            self.storage.append(bytes, &self.dev);
+        });
+        self.n_records += 1;
+        #[cfg(debug_assertions)]
+        self.note_write(1, crate::span::thread_id());
+    }
+
+    /// Records the last `records` records as written by thread `owner`
+    /// in the race auditor's ledger.
+    #[cfg(debug_assertions)]
+    fn note_write(&mut self, records: usize, owner: u64) {
+        self.write_audit
+            .note(&self.name, self.n_records - records, self.n_records, owner);
     }
 
     /// Appends every record in `records`.
@@ -174,26 +211,19 @@ impl<R: Storable> PCollection<R> {
         if buf.is_empty() {
             return;
         }
-        if self.dev.metrics().breakdown_enabled() {
-            let before = crate::metrics::thread_stats();
+        attributed(&self.dev, &self.name, || {
             self.storage.append(&buf.bytes, &self.dev);
-            let delta = crate::metrics::thread_stats().since(&before);
-            self.dev.metrics().attribute(&self.name, delta);
-        } else {
-            self.storage.append(&buf.bytes, &self.dev);
-        }
+        });
+        self.n_records += buf.n_records;
         // A bulk flush is an accounting boundary: publish this thread's
         // pending shards so coordinator-side snapshots taken right after
         // landing a batch observe it.
         crate::flush_thread_accounting();
-        self.n_records += buf.n_records;
         // The flushed range belongs to the thread that *filled* the
         // buffer (a worker), not the one landing it (the coordinator).
         #[cfg(debug_assertions)]
-        self.write_audit.note(
-            &self.name,
-            self.n_records - buf.n_records,
-            self.n_records,
+        self.note_write(
+            buf.n_records,
             buf.owner.unwrap_or_else(crate::span::thread_id),
         );
     }
@@ -222,7 +252,8 @@ impl<R: Storable> PCollection<R> {
             next_record: start,
             end,
             cursor: ReadCursor::new(),
-            buf: vec![0u8; R::SIZE],
+            place: self.storage.place(start * R::SIZE),
+            scratch: Vec::new(),
         }
     }
 
@@ -243,10 +274,10 @@ impl<R: Storable> PCollection<R> {
             "record {idx} out of {}",
             self.n_records
         );
-        let mut buf = vec![0u8; R::SIZE];
-        self.storage
-            .read_at(idx * R::SIZE, &mut buf, cursor, &self.dev);
-        R::read_from(&buf)
+        let offset = idx * R::SIZE;
+        self.storage.charge_read(offset, R::SIZE, cursor, &self.dev);
+        let mut place = self.storage.place(offset);
+        R::read_from(self.storage.bytes_at(&mut place, R::SIZE, &mut Vec::new()))
     }
 
     /// Removes all records; write accounting restarts from zero.
@@ -330,8 +361,15 @@ impl<R: Storable> Default for RecordBuffer<R> {
 impl<R: Storable> RecordBuffer<R> {
     /// Creates an empty buffer.
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates an empty buffer with room for `records` records — for
+    /// callers that know a bound (a morsel's or segment's length), so the
+    /// buffer does not re-allocate its way up to it.
+    pub fn with_capacity(records: usize) -> Self {
         Self {
-            bytes: Vec::new(),
+            bytes: Vec::with_capacity(records * R::SIZE),
             n_records: 0,
             #[cfg(debug_assertions)]
             owner: None,
@@ -342,21 +380,41 @@ impl<R: Storable> RecordBuffer<R> {
     /// Serializes one record onto the end of the buffer.
     pub fn push(&mut self, record: &R) {
         #[cfg(debug_assertions)]
-        {
-            let me = crate::span::thread_id();
-            match self.owner {
-                None => self.owner = Some(me),
-                Some(owner) if owner != me => panic!(
-                    "race auditor: RecordBuffer filled by threads {owner} and {me}; \
-                     a staging buffer belongs to exactly one worker"
-                ),
-                Some(_) => {}
-            }
-        }
+        self.note_owner();
         let start = self.bytes.len();
         self.bytes.resize(start + R::SIZE, 0);
         record.write_to(&mut self.bytes[start..]);
         self.n_records += 1;
+    }
+
+    /// Copies one record given as its stored bytes (a
+    /// [`RecordView::bytes`] of a collection of `R`) onto the end of the
+    /// buffer — [`RecordBuffer::push`] without the decode → encode round
+    /// trip.
+    ///
+    /// # Panics
+    /// Panics unless `bytes` is exactly `R::SIZE` long.
+    pub fn push_bytes(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), R::SIZE, "push_bytes takes one record");
+        #[cfg(debug_assertions)]
+        self.note_owner();
+        self.bytes.extend_from_slice(bytes);
+        self.n_records += 1;
+    }
+
+    /// Claims the buffer for the calling thread, or panics if another
+    /// thread already filled it.
+    #[cfg(debug_assertions)]
+    fn note_owner(&mut self) {
+        let me = crate::span::thread_id();
+        match self.owner {
+            None => self.owner = Some(me),
+            Some(owner) if owner != me => panic!(
+                "race auditor: RecordBuffer filled by threads {owner} and {me}; \
+                 a staging buffer belongs to exactly one worker"
+            ),
+            Some(_) => {}
+        }
     }
 
     /// Number of buffered records.
@@ -370,6 +428,29 @@ impl<R: Storable> RecordBuffer<R> {
     }
 }
 
+/// One record as stored: the bytes a scan lends out
+/// ([`RecordReader::next_view`]), already charged, decoded only on
+/// request.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordView<'a, R: Storable> {
+    bytes: &'a [u8],
+    _marker: PhantomData<R>,
+}
+
+impl<'a, R: Storable> RecordView<'a, R> {
+    /// The record's `R::SIZE` stored bytes.
+    #[inline]
+    pub fn bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Decodes the record.
+    #[inline]
+    pub fn get(&self) -> R {
+        R::read_from(self.bytes)
+    }
+}
+
 /// Forward-only record iterator over a [`PCollection`].
 #[derive(Debug)]
 pub struct RecordReader<'a, R: Storable> {
@@ -377,7 +458,11 @@ pub struct RecordReader<'a, R: Storable> {
     next_record: usize,
     end: usize,
     cursor: ReadCursor,
-    buf: Vec<u8>,
+    /// Where the next record's bytes start.
+    place: Place,
+    /// Assembles the records that straddle two blocks; empty until the
+    /// first one.
+    scratch: Vec<u8>,
 }
 
 impl<'a, R: Storable> RecordReader<'a, R> {
@@ -390,29 +475,48 @@ impl<'a, R: Storable> RecordReader<'a, R> {
     pub fn remaining(&self) -> usize {
         self.end - self.next_record
     }
+
+    /// Lends the next record's stored bytes, charging the read exactly
+    /// as [`Iterator::next`] does (which is this plus a decode): a slice
+    /// straight into the storage, or the reader's own scratch for a
+    /// record that straddles two blocks.
+    #[inline]
+    pub fn next_view(&mut self) -> Option<RecordView<'_, R>> {
+        if self.next_record >= self.end {
+            return None;
+        }
+        let col = self.col;
+        attributed(&col.dev, &col.name, || {
+            let offset = self.next_record * R::SIZE;
+            col.storage
+                .charge_read(offset, R::SIZE, &mut self.cursor, &col.dev);
+        });
+        self.next_record += 1;
+        Some(RecordView {
+            bytes: col
+                .storage
+                .bytes_at(&mut self.place, R::SIZE, &mut self.scratch),
+            _marker: PhantomData,
+        })
+    }
+
+    /// Lends every remaining record to `visit`, in order — the loop over
+    /// [`RecordReader::next_view`] (views borrow the reader, so it cannot
+    /// be an [`Iterator`]).
+    #[inline]
+    pub fn for_each_view(mut self, mut visit: impl FnMut(RecordView<'_, R>)) {
+        while let Some(view) = self.next_view() {
+            visit(view);
+        }
+    }
 }
 
 impl<'a, R: Storable> Iterator for RecordReader<'a, R> {
     type Item = R;
 
+    #[inline]
     fn next(&mut self) -> Option<R> {
-        if self.next_record >= self.end {
-            return None;
-        }
-        let attributing = self.col.dev.metrics().breakdown_enabled();
-        let before = attributing.then(crate::metrics::thread_stats);
-        self.col.storage.read_at(
-            self.next_record * R::SIZE,
-            &mut self.buf,
-            &mut self.cursor,
-            &self.col.dev,
-        );
-        if let Some(before) = before {
-            let delta = crate::metrics::thread_stats().since(&before);
-            self.col.dev.metrics().attribute(&self.col.name, delta);
-        }
-        self.next_record += 1;
-        Some(R::read_from(&self.buf))
+        self.next_view().map(|v| v.get())
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -545,40 +649,126 @@ mod tests {
         assert_eq!(r.remaining(), 8);
     }
 
+    /// An 80-byte record: does not divide the 1024-byte block, the
+    /// 64-byte cacheline or the 512-byte file record, so appends keep
+    /// landing across all three boundaries.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Wide([u64; 10]);
+
+    impl Storable for Wide {
+        const SIZE: usize = 80;
+
+        fn write_to(&self, buf: &mut [u8]) {
+            for (chunk, a) in buf.chunks_exact_mut(8).zip(self.0) {
+                chunk.copy_from_slice(&a.to_le_bytes());
+            }
+        }
+
+        fn read_from(buf: &[u8]) -> Self {
+            let mut attrs = buf
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")));
+            Wide(std::array::from_fn(|_| attrs.next().expect("80 bytes")))
+        }
+    }
+
     #[test]
     fn append_buffer_charges_like_per_record_appends() {
+        let records: Vec<Wide> = (0..200u64)
+            .map(|i| Wide(std::array::from_fn(|a| i * 1000 + a as u64)))
+            .collect();
         for kind in [
             LayerKind::BlockedMemory,
             LayerKind::Pmfs,
             LayerKind::RamDisk,
+            LayerKind::DynArray,
+            LayerKind::FileBacked,
         ] {
+            // The stored bytes come from views of a staged source, on its
+            // own device so its reads stay out of the comparison.
+            let ds = PmDevice::paper_default();
+            let src = PCollection::from_records_uncounted(
+                &ds,
+                LayerKind::BlockedMemory,
+                "src",
+                records.iter().copied(),
+            );
+            let mut views = src.reader();
+            // `moved` mixes the byte-level calls into the typed ones;
+            // `typed` is the same call shape with typed calls only;
+            // `single` appends every record on its own.
             let d1 = PmDevice::paper_default();
-            let mut one = PCollection::<u64>::new(&d1, kind, "one");
+            let mut moved = PCollection::<Wide>::new(&d1, kind, "col");
             let d2 = PmDevice::paper_default();
-            let mut two = PCollection::<u64>::new(&d2, kind, "two");
+            let mut typed = PCollection::<Wide>::new(&d2, kind, "col");
+            let d3 = PmDevice::paper_default();
+            let mut single = PCollection::<Wide>::new(&d3, kind, "col");
+            for d in [&d1, &d2, &d3] {
+                d.metrics().enable_breakdown();
+            }
             // Interleave plain and buffered appends so batch boundaries
             // land mid-cacheline and mid-call-granule.
-            for round in 0..5u64 {
+            let mut rest = records.iter();
+            for _round in 0..5 {
                 for i in 0..3 {
-                    one.append(&(round * 100 + i));
+                    let view = views.next_view().expect("source record");
+                    if i % 2 == 0 {
+                        moved.append_bytes(view.bytes());
+                    } else {
+                        moved.append(&view.get());
+                    }
+                    let r = rest.next().expect("source record");
+                    typed.append(r);
+                    single.append(r);
                 }
-                let mut buf = RecordBuffer::new();
+                let mut mixed = RecordBuffer::new();
+                let mut plain = RecordBuffer::with_capacity(37);
                 for i in 0..37 {
-                    buf.push(&(round * 100 + 10 + i));
+                    let view = views.next_view().expect("source record");
+                    if i % 3 == 0 {
+                        mixed.push(&view.get());
+                    } else {
+                        mixed.push_bytes(view.bytes());
+                    }
+                    let r = rest.next().expect("source record");
+                    plain.push(r);
+                    single.append(r);
                 }
-                one.append_buffer(&buf);
-
-                for i in 0..3 {
-                    two.append(&(round * 100 + i));
-                }
-                for i in 0..37 {
-                    two.append(&(round * 100 + 10 + i));
-                }
+                assert_eq!(mixed.len(), plain.len());
+                moved.append_buffer(&mixed);
+                typed.append_buffer(&plain);
             }
-            assert_eq!(one.len(), two.len(), "{kind:?}");
-            assert_eq!(one.to_vec_uncounted(), two.to_vec_uncounted(), "{kind:?}");
+            // Byte-level and typed calls are interchangeable on every
+            // layer: same bytes, counters, attribution and host I/O.
+            assert_eq!(moved.to_vec_uncounted(), records, "{kind:?}");
+            assert_eq!(typed.to_vec_uncounted(), records, "{kind:?}");
             assert_eq!(d1.snapshot(), d2.snapshot(), "{kind:?}");
+            assert_eq!(
+                d1.metrics().breakdown(),
+                d2.metrics().breakdown(),
+                "{kind:?}"
+            );
+            assert_eq!(
+                moved.storage.file_stats(),
+                typed.storage.file_stats(),
+                "{kind:?}"
+            );
+            // A batch costs what its records cost one at a time — on the
+            // granular layers; the dynamic array reserves once per batch
+            // and the file layer issues one write per call.
+            if !matches!(kind, LayerKind::DynArray | LayerKind::FileBacked) {
+                assert_eq!(single.to_vec_uncounted(), records, "{kind:?}");
+                assert_eq!(d1.snapshot(), d3.snapshot(), "{kind:?}");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "takes one record")]
+    fn byte_level_appends_reject_a_wrong_length() {
+        let dev = PmDevice::paper_default();
+        let mut c = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "t");
+        c.append_bytes(&[0u8; 16]);
     }
 
     #[test]

@@ -134,6 +134,17 @@ impl ReadCursor {
     }
 }
 
+/// Where a stored byte lives physically: the chunk holding it (a
+/// blocked-memory block; the other layers are one contiguous chunk) and
+/// the offset inside that chunk. A scan advances its place record by
+/// record, so only seeking ([`Storage::place`]) ever divides — and the
+/// block size need not be a power of two.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Place {
+    chunk: usize,
+    off: usize,
+}
+
 /// Byte storage plus accounting for one persistent collection.
 ///
 /// Reads ([`Storage::read_at`]) take `&self` and charge the device's
@@ -283,6 +294,7 @@ impl Storage {
 
     /// Write granularity in bytes: 512-byte records for the RAM disk and
     /// the file layer, cachelines for the byte-addressable layers.
+    #[inline]
     fn granule(&self) -> usize {
         match self.kind {
             LayerKind::RamDisk => RAMDISK_RECORD,
@@ -291,7 +303,15 @@ impl Storage {
         }
     }
 
+    /// `log2` of [`Storage::granule`]: the granules are power-of-two
+    /// constants, so offsets map to granules by a shift.
+    #[inline]
+    fn granule_shift(&self) -> u32 {
+        self.granule().trailing_zeros()
+    }
+
     /// Cachelines of medium traffic per granule.
+    #[inline]
     fn cachelines_per_granule(&self) -> u64 {
         (self.granule() / CACHELINE) as u64
     }
@@ -348,7 +368,10 @@ impl Storage {
         // Physical placement.
         match self.kind {
             LayerKind::BlockedMemory => self.append_blocked(data),
-            LayerKind::DynArray => self.append_dynarray(data, dev),
+            LayerKind::DynArray => {
+                self.grow_dynarray(new_len, dev);
+                self.contiguous.extend_from_slice(data);
+            }
             LayerKind::Pmfs | LayerKind::RamDisk => self.contiguous.extend_from_slice(data),
             LayerKind::FileBacked => unreachable!("file-backed handled above"),
         }
@@ -357,13 +380,64 @@ impl Storage {
         Ok(())
     }
 
+    /// Appends one `len`-byte item that `fill` serializes — straight
+    /// into the tail block or array when it fits there, through
+    /// `scratch` (`len` bytes) when it straddles a block or must go to
+    /// the OS file first. Stores and charges exactly what
+    /// [`Storage::append`] of the same bytes would, `fill` seeing a
+    /// zeroed destination either way.
+    ///
+    /// # Panics
+    /// As [`Storage::append`].
+    pub(crate) fn append_in_place(
+        &mut self,
+        len: usize,
+        scratch: &mut [u8],
+        dev: &PmDevice,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        if len == 0 {
+            return;
+        }
+        let old_len = self.len;
+        let new_len = old_len + len;
+        let tail = match self.kind {
+            LayerKind::BlockedMemory => {
+                let bs = self.block_size;
+                if self.blocks.len() * bs == old_len {
+                    self.blocks.push(vec![0u8; bs].into_boxed_slice());
+                }
+                let used = bs - (self.blocks.len() * bs - old_len);
+                let block = self.blocks.last_mut().expect("tail block just ensured");
+                block.get_mut(used..used + len)
+            }
+            LayerKind::FileBacked => None,
+            LayerKind::DynArray | LayerKind::Pmfs | LayerKind::RamDisk => {
+                if self.kind == LayerKind::DynArray {
+                    self.grow_dynarray(new_len, dev);
+                }
+                self.contiguous.resize(new_len, 0);
+                Some(&mut self.contiguous[old_len..])
+            }
+        };
+        let Some(tail) = tail else {
+            scratch.fill(0);
+            fill(scratch);
+            return self.append(scratch, dev);
+        };
+        fill(tail);
+        self.len = new_len;
+        self.charge_append(old_len, new_len, dev);
+    }
+
     /// Medium traffic (first touch of each granule counts once —
     /// write-back buffering within a granule) plus software overhead
     /// (one layer call per call-granule first touched) for growing the
     /// storage from `old_len` to `new_len` bytes.
+    #[inline]
     fn charge_append(&mut self, old_len: usize, new_len: usize, dev: &PmDevice) {
         let granule = self.granule() as u64;
-        let total_granules = (new_len as u64).div_ceil(granule);
+        let total_granules = (new_len as u64 + granule - 1) >> self.granule_shift();
         let new_granules = total_granules - self.written_granules;
         if new_granules > 0 {
             dev.metrics()
@@ -496,23 +570,25 @@ impl Storage {
 
     fn append_blocked(&mut self, data: &[u8]) {
         let bs = self.block_size;
-        let mut pos = self.len;
+        // Free bytes in the tail block (none before the first block).
+        let mut room = self.blocks.len() * bs - self.len;
         let mut remaining = data;
         while !remaining.is_empty() {
-            let off = pos % bs;
-            if off == 0 {
+            if room == 0 {
                 self.blocks.push(vec![0u8; bs].into_boxed_slice());
+                room = bs;
             }
             let block = self.blocks.last_mut().expect("block just ensured");
-            let take = remaining.len().min(bs - off);
-            block[off..off + take].copy_from_slice(&remaining[..take]);
-            pos += take;
+            let take = remaining.len().min(room);
+            block[bs - room..bs - room + take].copy_from_slice(&remaining[..take]);
+            room -= take;
             remaining = &remaining[take..];
         }
     }
 
-    fn append_dynarray(&mut self, data: &[u8], dev: &PmDevice) {
-        let needed = self.len + data.len();
+    /// Doubles the dynamic array's capacity until `needed` bytes fit,
+    /// charging each expansion's copy of the populated prefix.
+    fn grow_dynarray(&mut self, needed: usize, dev: &PmDevice) {
         if self.capacity == 0 {
             self.capacity = DYNARRAY_INITIAL_CAPACITY;
         }
@@ -529,7 +605,6 @@ impl Storage {
         }
         self.contiguous
             .reserve(needed.saturating_sub(self.contiguous.capacity()));
-        self.contiguous.extend_from_slice(data);
     }
 
     /// Reads `buf.len()` bytes at `offset`, charging reads through the
@@ -545,33 +620,30 @@ impl Storage {
             buf.len(),
             self.len
         );
-        if buf.is_empty() {
+        self.copy_out(&mut self.place(offset), buf);
+        self.charge_read(offset, buf.len(), cursor, dev);
+    }
+
+    /// Charges a read of bytes `[offset, offset + len)` through `cursor`
+    /// — the one place read traffic is computed, shared by
+    /// [`Storage::read_at`] and the collections' in-place record views.
+    /// The caller has checked the range against [`Storage::len`].
+    #[inline]
+    pub(crate) fn charge_read(
+        &self,
+        offset: usize,
+        len: usize,
+        cursor: &mut ReadCursor,
+        dev: &PmDevice,
+    ) {
+        if len == 0 {
             return;
         }
-
-        // Physical copy.
-        match self.kind {
-            LayerKind::BlockedMemory => {
-                let bs = self.block_size;
-                let mut pos = offset;
-                let mut out = 0usize;
-                while out < buf.len() {
-                    let b = pos / bs;
-                    let o = pos % bs;
-                    let take = (buf.len() - out).min(bs - o);
-                    buf[out..out + take].copy_from_slice(&self.blocks[b][o..o + take]);
-                    pos += take;
-                    out += take;
-                }
-            }
-            _ => buf.copy_from_slice(&self.contiguous[offset..offset + buf.len()]),
-        }
-
         // Medium traffic: granules in [offset, offset+len) not yet counted
         // by this cursor.
-        let granule = self.granule() as u64;
-        let first = offset as u64 / granule;
-        let last = (offset + buf.len() - 1) as u64 / granule;
+        let shift = self.granule_shift();
+        let first = offset as u64 >> shift;
+        let last = (offset + len - 1) as u64 >> shift;
         let start = first.max(cursor.next_granule);
         if last >= start {
             let n = last - start + 1;
@@ -585,7 +657,7 @@ impl Storage {
             if call_ns > 0.0 {
                 let cg = self.call_granule() as u64;
                 let first_cg = offset as u64 / cg;
-                let last_cg = (offset + buf.len() - 1) as u64 / cg;
+                let last_cg = (offset + len - 1) as u64 / cg;
                 let start_cg = first_cg.max(cursor.next_call_granule);
                 if last_cg >= start_cg {
                     let calls = last_cg - start_cg + 1;
@@ -594,6 +666,80 @@ impl Storage {
                     cursor.next_call_granule = last_cg + 1;
                 }
             }
+        }
+    }
+
+    /// Physical position of byte `offset` — the seek of a scan or point
+    /// read, and the only positioning step that divides.
+    #[inline]
+    pub(crate) fn place(&self, offset: usize) -> Place {
+        match self.kind {
+            LayerKind::BlockedMemory => Place {
+                chunk: offset / self.block_size,
+                off: offset % self.block_size,
+            },
+            _ => Place {
+                chunk: 0,
+                off: offset,
+            },
+        }
+    }
+
+    /// The stored bytes `[place, place + len)`, **uncharged** (pair every
+    /// call with [`Storage::charge_read`]), advancing `place` past them:
+    /// lent straight from the block, array or file mirror when they are
+    /// contiguous there, assembled in `scratch` when they straddle
+    /// blocks. The caller has checked the range against
+    /// [`Storage::len`].
+    #[inline]
+    pub(crate) fn bytes_at<'s>(
+        &'s self,
+        place: &mut Place,
+        len: usize,
+        scratch: &'s mut Vec<u8>,
+    ) -> &'s [u8] {
+        let chunk: &[u8] = match self.kind {
+            LayerKind::BlockedMemory => &self.blocks[place.chunk],
+            _ => &self.contiguous,
+        };
+        let end = place.off + len;
+        if end > chunk.len() {
+            scratch.resize(len, 0);
+            self.copy_out(place, scratch);
+            return &scratch[..len];
+        }
+        let bytes = &chunk[place.off..end];
+        self.advance(place, len);
+        bytes
+    }
+
+    /// Moves `place` `by` bytes on within its chunk, stepping to the next
+    /// block when that was the block's last byte.
+    #[inline]
+    fn advance(&self, place: &mut Place, by: usize) {
+        place.off += by;
+        if self.kind == LayerKind::BlockedMemory && place.off == self.block_size {
+            *place = Place {
+                chunk: place.chunk + 1,
+                off: 0,
+            };
+        }
+    }
+
+    /// Copies the stored bytes `[place, place + buf.len())` into `buf`,
+    /// advancing `place` past them.
+    fn copy_out(&self, place: &mut Place, buf: &mut [u8]) {
+        if self.kind != LayerKind::BlockedMemory {
+            buf.copy_from_slice(&self.contiguous[place.off..place.off + buf.len()]);
+            return self.advance(place, buf.len());
+        }
+        let mut out = 0usize;
+        while out < buf.len() {
+            let take = (buf.len() - out).min(self.block_size - place.off);
+            buf[out..out + take]
+                .copy_from_slice(&self.blocks[place.chunk][place.off..place.off + take]);
+            out += take;
+            self.advance(place, take);
         }
     }
 

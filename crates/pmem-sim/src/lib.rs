@@ -47,7 +47,7 @@ pub mod pages;
 pub mod pool;
 pub mod span;
 
-pub use collection::{PCollection, RecordBuffer, RecordReader, Storable};
+pub use collection::{PCollection, RecordBuffer, RecordReader, RecordView, Storable};
 
 /// Publishes every piece of pending per-thread accounting — metrics
 /// shards ([`metrics::flush_thread_shards`]) and buffer-pool leases

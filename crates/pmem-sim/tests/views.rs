@@ -1,0 +1,187 @@
+//! The view path is the `read_at` path, byte for byte and count for
+//! count: for every layer, record size, block size and scan range, the
+//! bytes [`RecordReader::next_view`] lends, the records `next()` and
+//! [`PCollection::get_with_cursor`] decode, and everything they charge —
+//! device counters, the thread ledger, the per-collection breakdown —
+//! equal a twin scan driven record by record through
+//! [`Storage::read_at`], the way the reader worked before views.
+
+use pmem_sim::{
+    thread_stats, DeviceConfig, IoStats, LayerKind, PCollection, Pm, PmDevice, ReadCursor,
+    Storable, Storage,
+};
+
+/// An `N`-byte record of opaque bytes.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Blob<const N: usize>([u8; N]);
+
+impl<const N: usize> Storable for Blob<N> {
+    const SIZE: usize = N;
+
+    fn write_to(&self, buf: &mut [u8]) {
+        buf[..N].copy_from_slice(&self.0);
+    }
+
+    fn read_from(buf: &[u8]) -> Self {
+        Blob(buf[..N].try_into().expect("N bytes"))
+    }
+}
+
+const KINDS: [LayerKind; 5] = [
+    LayerKind::BlockedMemory,
+    LayerKind::Pmfs,
+    LayerKind::RamDisk,
+    LayerKind::DynArray,
+    LayerKind::FileBacked,
+];
+
+/// Records per collection: several blocks even at 8 bytes a record.
+const RECORDS: usize = 300;
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut x = *state;
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Everything one scan charged: device counters, this thread's ledger,
+/// and the per-collection breakdown.
+#[derive(Debug, PartialEq)]
+struct Charged {
+    device: IoStats,
+    thread: IoStats,
+    breakdown: Vec<(String, IoStats)>,
+}
+
+/// Runs `scan` against a zeroed `dev` and reports what it charged.
+fn charged(dev: &Pm, scan: impl FnOnce()) -> Charged {
+    dev.metrics().reset();
+    let before = thread_stats();
+    scan();
+    Charged {
+        thread: thread_stats().since(&before),
+        device: dev.snapshot(),
+        breakdown: dev.metrics().breakdown(),
+    }
+}
+
+/// The scan ranges of one configuration: empty, single-record, whole,
+/// one that starts and ends on a block-straddling record (where the
+/// sizes produce one), and seeded random ones.
+fn ranges(size: usize, block_size: usize, rng: &mut u64) -> Vec<(usize, usize)> {
+    let n = RECORDS;
+    let mut ranges = vec![(0, 0), (n, n), (n / 2, n / 2), (0, 1), (n - 1, n), (0, n)];
+    let straddlers: Vec<usize> = (0..n)
+        .filter(|i| i * size / block_size != ((i + 1) * size - 1) / block_size)
+        .collect();
+    if let (Some(&first), Some(&last)) = (straddlers.first(), straddlers.last()) {
+        ranges.extend([(first, first + 1), (first, last + 1)]);
+    }
+    for _ in 0..8 {
+        let a = (splitmix(rng) % (n as u64 + 1)) as usize;
+        let b = (splitmix(rng) % (n as u64 + 1)) as usize;
+        ranges.push((a.min(b), a.max(b)));
+    }
+    ranges
+}
+
+fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool) {
+    let what =
+        format!("{kind:?}, {N}-byte records, {block_size}-byte blocks, breakdown {breakdown}");
+    let mut rng = (N * block_size) as u64 + breakdown as u64;
+    let config = DeviceConfig {
+        block_size,
+        ..DeviceConfig::paper_default()
+    };
+    let records: Vec<Blob<N>> = (0..RECORDS)
+        .map(|_| Blob(std::array::from_fn(|_| splitmix(&mut rng) as u8)))
+        .collect();
+
+    let dev = PmDevice::new(config.clone());
+    let col = PCollection::from_records_uncounted(&dev, kind, "col", records.iter().copied());
+    // The twin holds the same bytes in a bare `Storage` and scans them the
+    // way the reader did before views: `read_at` into a buffer per record,
+    // attributed through the thread ledger when the breakdown is on.
+    let twin_dev = PmDevice::new(config);
+    let mut twin = Storage::new(kind, twin_dev.config());
+    {
+        let _pause = twin_dev.metrics().pause();
+        for r in &records {
+            twin.append(&r.0, &twin_dev);
+        }
+    }
+    if breakdown {
+        dev.metrics().enable_breakdown();
+        twin_dev.metrics().enable_breakdown();
+    }
+    let twin_scan = |start: usize, end: usize, attribute: bool| {
+        charged(&twin_dev, || {
+            let mut cursor = ReadCursor::new();
+            let mut buf = [0u8; N];
+            for (i, record) in records.iter().enumerate().take(end).skip(start) {
+                let before = thread_stats();
+                twin.read_at(i * N, &mut buf, &mut cursor, &twin_dev);
+                if attribute {
+                    let delta = thread_stats().since(&before);
+                    twin_dev.metrics().attribute("col", delta);
+                }
+                assert_eq!(buf, record.0, "{what}: twin record {i}");
+            }
+        })
+    };
+
+    for (start, end) in ranges(N, block_size, &mut rng) {
+        let what = format!("{what}, records {start}..{end}");
+        let expected = twin_scan(start, end, true);
+
+        let views = charged(&dev, || {
+            let mut reader = col.range_reader(start, end);
+            for (i, record) in records.iter().enumerate().take(end).skip(start) {
+                assert_eq!(reader.position(), i, "{what}");
+                let view = reader.next_view().expect("a view per record");
+                assert_eq!(view.bytes(), record.0, "{what}: view {i}");
+                assert_eq!(view.get(), *record, "{what}: view {i}");
+            }
+            assert!(reader.next_view().is_none(), "{what}");
+        });
+        assert_eq!(views, expected, "{what}: next_view");
+
+        let decoded = charged(&dev, || {
+            let got: Vec<Blob<N>> = col.range_reader(start, end).collect();
+            assert_eq!(got, records[start..end], "{what}: next");
+        });
+        assert_eq!(decoded, expected, "{what}: next");
+
+        // Point reads through one cursor charge like the scan, but were
+        // never attributed to the collection.
+        let points = charged(&dev, || {
+            let mut cursor = ReadCursor::new();
+            for (i, record) in records.iter().enumerate().take(end).skip(start) {
+                let got = col.get_with_cursor(i, &mut cursor);
+                assert_eq!(got, *record, "{what}: get {i}");
+            }
+        });
+        assert_eq!(
+            points,
+            twin_scan(start, end, false),
+            "{what}: get_with_cursor"
+        );
+    }
+}
+
+#[test]
+fn views_read_and_charge_exactly_like_read_at() {
+    for kind in KINDS {
+        // The paper's block size and one that is not a power of two.
+        for block_size in [1024, 1000] {
+            for breakdown in [false, true] {
+                check::<8>(kind, block_size, breakdown);
+                check::<16>(kind, block_size, breakdown);
+                check::<80>(kind, block_size, breakdown);
+                check::<160>(kind, block_size, breakdown);
+            }
+        }
+    }
+}
