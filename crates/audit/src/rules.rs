@@ -392,11 +392,16 @@ fn functions(toks: &[Tok]) -> Vec<(String, &[Tok])> {
 // panic-free
 // ---------------------------------------------------------------------
 
-/// Files that must never panic: WAL/checkpoint framing and recovery.
+/// Files that must never panic: WAL/checkpoint framing and recovery,
+/// and the plan enumerator — it runs on whatever statement and catalog
+/// a session hands it, and again mid-execution when a query re-plans.
 const PANIC_ZONE_FILES: &[&str] = &[
     "crates/db/src/wal.rs",
     "crates/db/src/durable.rs",
     "crates/db/src/database.rs",
+    "crates/planner/src/enumerate.rs",
+    "crates/planner/src/enumerate/edge.rs",
+    "crates/planner/src/enumerate/order.rs",
 ];
 /// Directories that must never panic: the exec hot paths.
 const PANIC_ZONE_DIRS: &[&str] = &[
@@ -405,9 +410,9 @@ const PANIC_ZONE_DIRS: &[&str] = &[
     "crates/core/src/agg/",
 ];
 
-/// Panic-free zones: recovery code runs on disk garbage and hot paths
-/// run under worker pools, so both must surface failures as typed
-/// errors, never as unwinding.
+/// Panic-free zones: recovery code runs on disk garbage, hot paths run
+/// under worker pools and the enumerator on user statements, so all
+/// must surface failures as typed errors, never as unwinding.
 fn rule_panic_free(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
     let in_zone = PANIC_ZONE_FILES.iter().any(|f| rel.ends_with(f))
         || PANIC_ZONE_DIRS.iter().any(|d| rel.contains(d));
@@ -422,7 +427,7 @@ fn rule_panic_free(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
                 rule: PANIC_FREE,
                 msg: format!(
                     "`.{}()` in a panic-free zone; convert to a typed error \
-                     (StorageError/DdlError) or restructure to be infallible",
+                     (StorageError/DdlError/PlanError) or restructure to be infallible",
                     toks[i].text
                 ),
             });

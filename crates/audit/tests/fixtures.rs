@@ -159,6 +159,33 @@ fn panic_free_trips_each_site_in_a_zone_file() {
 }
 
 #[test]
+fn panic_free_covers_the_plan_enumerator_and_its_split_out_files() {
+    for zone in [
+        "crates/planner/src/enumerate.rs",
+        "crates/planner/src/enumerate/edge.rs",
+        "crates/planner/src/enumerate/order.rs",
+    ] {
+        let diags = scan_source(zone, include_str!("../fixtures/panic_free_enumerator.rs"));
+        assert_diags(&diags, &[(4, rules::PANIC_FREE), (5, rules::PANIC_FREE)]);
+    }
+    // The rest of the planner is not (yet) a zone.
+    let diags = scan_source(
+        "crates/planner/src/lower.rs",
+        include_str!("../fixtures/panic_free_enumerator.rs"),
+    );
+    assert_diags(&diags, &[]);
+}
+
+#[test]
+fn panic_free_accepts_typed_errors_and_test_modules_in_the_enumerator() {
+    let diags = scan_source(
+        "crates/planner/src/enumerate/order.rs",
+        include_str!("../fixtures/panic_free_enumerator_typed.rs"),
+    );
+    assert_diags(&diags, &[]);
+}
+
+#[test]
 fn panic_free_is_silent_outside_the_zones() {
     let diags = scan_source(
         "crates/wisconsin/src/lib.rs",

@@ -133,7 +133,7 @@ pub fn fig2() {
             let surface = join_costs::hybrid_cost_surface(t, v, m, lambda, 20);
             println!("\n|T|/|V| = 1/{ratio}, λ = {lambda}  (x→ right, y↑ up)");
             print!("{}", render_heatmap(&surface));
-            let (bx, by) = join_costs::optimal_hybrid_xy(t, v, m, lambda, 20);
+            let (bx, by) = join_costs::optimal_hybrid_xy(t, v, m, lambda);
             println!("grid minimum at x = {bx:.2}, y = {by:.2}");
         }
     }

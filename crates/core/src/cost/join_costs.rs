@@ -37,22 +37,20 @@ pub fn hybrid_saddle(t: f64, v: f64, m: f64, lambda: f64) -> (f64, f64) {
     (x, y)
 }
 
-/// Grid-searches Eq. 6 on `[0,1]²` (inclusive endpoints, `steps+1` points
-/// per axis) and returns the minimizing `(x, y)` — the "informed"
-/// intensity choice of §2.
-pub fn optimal_hybrid_xy(t: f64, v: f64, m: f64, lambda: f64, steps: usize) -> (f64, f64) {
-    assert!(steps >= 1, "need at least one step");
+/// The `(x, y)` minimizing Eq. 6 on `[0,1]²` — the "informed" intensity
+/// choice of §2. Eq. 6 is bilinear in `(x, y)`, so its minimum over the
+/// square is attained at a corner: the four corners are evaluated in
+/// the row-major order a grid scan would visit them and the first
+/// strict minimum wins, which is what the 21 × 21 scan this replaces
+/// returned (the scan survives as the tests' oracle).
+pub fn optimal_hybrid_xy(t: f64, v: f64, m: f64, lambda: f64) -> (f64, f64) {
     let mut best = (0.0, 0.0);
     let mut best_cost = f64::INFINITY;
-    for i in 0..=steps {
-        let x = i as f64 / steps as f64;
-        for j in 0..=steps {
-            let y = j as f64 / steps as f64;
-            let c = hybrid_cost(t, v, m, lambda, x, y);
-            if c < best_cost {
-                best_cost = c;
-                best = (x, y);
-            }
+    for corner in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
+        let c = hybrid_cost(t, v, m, lambda, corner.0, corner.1);
+        if c < best_cost {
+            best_cost = c;
+            best = corner;
         }
     }
     best
@@ -190,13 +188,108 @@ mod tests {
         assert!(d_dy.abs() < 1.0, "∂J/∂y = {d_dy}");
     }
 
+    /// The 21 × 21 scan [`optimal_hybrid_xy`] used to run: the oracle its
+    /// corner form must reproduce bit for bit.
+    fn grid_optimal_hybrid_xy(t: f64, v: f64, m: f64, lambda: f64, steps: usize) -> (f64, f64) {
+        let mut best = (0.0, 0.0);
+        let mut best_cost = f64::INFINITY;
+        for i in 0..=steps {
+            let x = i as f64 / steps as f64;
+            for j in 0..=steps {
+                let y = j as f64 / steps as f64;
+                let c = hybrid_cost(t, v, m, lambda, x, y);
+                if c < best_cost {
+                    best_cost = c;
+                    best = (x, y);
+                }
+            }
+        }
+        best
+    }
+
     #[test]
     fn grid_search_beats_corners_when_interior_wins() {
-        let (x, y) = optimal_hybrid_xy(T, V, M, 5.0, 20);
+        let (x, y) = optimal_hybrid_xy(T, V, M, 5.0);
         let c = hybrid_cost(T, V, M, 5.0, x, y);
         for (cx, cy) in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)] {
             assert!(c <= hybrid_cost(T, V, M, 5.0, cx, cy) + 1e-9);
         }
+    }
+
+    #[test]
+    fn corner_form_equals_the_grid_scan_bit_for_bit() {
+        // SplitMix64, so the draws do not move with the `rand` shim.
+        let mut state = 0x5EED_0006u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        // Log-uniform over 1..=10⁷ buffers: every magnitude gets draws.
+        let size = |next: &mut dyn FnMut() -> u64| -> f64 {
+            let lo = 10u64.pow((next() % 8) as u32);
+            (lo + next() % (9 * lo)).min(10_000_000) as f64
+        };
+        // Both outcomes must be common, or the loop proves nothing.
+        let picked = std::cell::Cell::new((0u64, 0u64));
+        let check = |t: f64, v: f64, m: f64, lambda: f64| {
+            let corner = optimal_hybrid_xy(t, v, m, lambda);
+            let (none, full) = picked.get();
+            picked.set(if corner == (0.0, 0.0) {
+                (none + 1, full)
+            } else {
+                (none, full + 1)
+            });
+            let grid = grid_optimal_hybrid_xy(t, v, m, lambda, 20);
+            assert!(
+                corner.0.to_bits() == grid.0.to_bits() && corner.1.to_bits() == grid.1.to_bits(),
+                "t={t} v={v} m={m} λ={lambda}: corners {corner:?}, grid {grid:?}"
+            );
+        };
+        let mut draws = 0u64;
+        while draws < 1_000_000 {
+            let t = size(&mut next);
+            let v = if next() % 8 == 0 { t } else { size(&mut next) };
+            // m from one buffer to past t.
+            let m = (1 + next() % (2.0 * t) as u64) as f64;
+            let lambda = match next() % 3 {
+                0 => (1 + next() % 40) as f64,
+                1 => 1.0 + (next() % 3_900) as f64 / 100.0,
+                _ => 15.0,
+            };
+            check(t, v, m, lambda);
+            draws += 1;
+            // The exact-tie surface t + tv/m = (2+λ)(t+v), where (0,0)
+            // and (1,1) cost the same: solve it for m and step across.
+            if next() % 4 == 0 {
+                let tie = t * v / ((2.0 + lambda) * (t + v) - t);
+                for m in [
+                    tie,
+                    f64::from_bits(tie.to_bits() - 1),
+                    f64::from_bits(tie.to_bits() + 1),
+                    tie * (1.0 - 1e-9),
+                    tie * (1.0 + 1e-9),
+                    tie.floor().max(1.0),
+                    tie.ceil(),
+                ] {
+                    check(t, v, m, lambda);
+                    draws += 1;
+                }
+            }
+        }
+        let (none, full) = picked.get();
+        assert!(
+            none > 100_000 && full > 100_000,
+            "(0,0) {none}, (1,1) {full}"
+        );
+        // Integer ties exist and take the scan's first minimum: t = v = 6,
+        // λ = 1, m = 1.2 puts both corners at 36.
+        assert_eq!(hybrid_cost(6.0, 6.0, 1.2, 1.0, 0.0, 0.0), 36.0);
+        assert_eq!(hybrid_cost(6.0, 6.0, 1.2, 1.0, 1.0, 1.0), 36.0);
+        assert_eq!(optimal_hybrid_xy(6.0, 6.0, 1.2, 1.0), (0.0, 0.0));
+        check(6.0, 6.0, 1.2, 1.0);
     }
 
     #[test]

@@ -276,14 +276,14 @@ pub fn sort_candidates(t: f64, m: f64, lambda: f64) -> Vec<SortAlgorithm> {
 }
 
 /// The candidate set the "informed" join choice considers: baselines,
-/// the grid-optimal HybJ, SegJ at the Eq. 10 boundary and midpoint
+/// the cost-optimal HybJ, SegJ at the Eq. 10 boundary and midpoint
 /// (deduplicated when they coincide), and LaJ. SMJ is deliberately
 /// excluded: it is a library extension outside the paper's §2.2
 /// line-up, so the informed choice stays within the paper's field —
 /// callers wanting it can cost it via [`estimate_join`] /
 /// [`predict_join_io`] directly. Exposed for plan enumerators.
 pub fn join_candidates(t: f64, v: f64, m: f64, lambda: f64) -> Vec<JoinAlgorithm> {
-    let (x, y) = join_costs::optimal_hybrid_xy(t, v, m, lambda, 20);
+    let (x, y) = join_costs::optimal_hybrid_xy(t, v, m, lambda);
     let k = (t / m).ceil().max(1.0);
     let seg_frac = join_costs::segmented_beats_grace_bound(k, lambda)
         .map(|b| (b / k).clamp(0.0, 1.0))
@@ -372,7 +372,7 @@ pub fn choose_sort(t: f64, m: f64, lambda: f64) -> SortAlgorithm {
         .expect("non-empty candidate set")
 }
 
-/// Picks the cheapest join among the baselines, the grid-optimal HybJ,
+/// Picks the cheapest join among the baselines, the cost-optimal HybJ,
 /// and SegJ at the Eq. 10 boundary. LaJ is excluded for the same reason
 /// LaS is excluded from [`choose_sort`].
 pub fn choose_join(t: f64, v: f64, m: f64, lambda: f64) -> JoinAlgorithm {

@@ -5,7 +5,8 @@
 //! bytes / batches actually delivered to clients (the simulated device
 //! never sees delivery — result drains are uncounted reads — so the
 //! registry is the only place this traffic is visible), buffer-pool
-//! pressure, and host wall time spent executing. Counters are atomics;
+//! pressure, the planner's work, and host wall time spent planning and
+//! executing. Counters are atomics;
 //! [`EngineMetrics::snapshot`] takes a consistent-enough point-in-time
 //! copy for reporting.
 
@@ -30,6 +31,9 @@ pub struct EngineMetrics {
     replayed_records: AtomicU64,
     ingest_rows_appended: AtomicU64,
     ingest_table_copies: AtomicU64,
+    plans: AtomicU64,
+    plan_splits: AtomicU64,
+    plan_wall_ns: AtomicU64,
 }
 
 impl EngineMetrics {
@@ -86,6 +90,15 @@ impl EngineMetrics {
             .fetch_add(u64::from(copied), Ordering::Relaxed);
     }
 
+    /// Notes one statement planned: the join splits its order search
+    /// costed (a host-independent work count) and the host wall time the
+    /// planner took.
+    pub fn note_plan(&self, splits: u64, wall_ns: u64) {
+        self.plans.fetch_add(1, Ordering::Relaxed);
+        self.plan_splits.fetch_add(splits, Ordering::Relaxed);
+        self.plan_wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -104,6 +117,9 @@ impl EngineMetrics {
             replayed_records: self.replayed_records.load(Ordering::Relaxed),
             ingest_rows_appended: self.ingest_rows_appended.load(Ordering::Relaxed),
             ingest_table_copies: self.ingest_table_copies.load(Ordering::Relaxed),
+            plans: self.plans.load(Ordering::Relaxed),
+            plan_splits: self.plan_splits.load(Ordering::Relaxed),
+            plan_wall_ns: self.plan_wall_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -142,6 +158,12 @@ pub struct MetricsSnapshot {
     /// `INSERT`s that had to copy the table first because a catalog
     /// snapshot or an open result stream still read the old version.
     pub ingest_table_copies: u64,
+    /// Statements planned (`SELECT` and every `EXPLAIN` variant).
+    pub plans: u64,
+    /// Join splits the planner's order search costed for them.
+    pub plan_splits: u64,
+    /// Host wall time spent in the planner.
+    pub plan_wall_ns: u64,
 }
 
 impl MetricsSnapshot {
@@ -164,6 +186,9 @@ impl MetricsSnapshot {
             ("replayed_records", self.replayed_records),
             ("ingest_rows_appended", self.ingest_rows_appended),
             ("ingest_table_copies", self.ingest_table_copies),
+            ("plans", self.plans),
+            ("plan_splits", self.plan_splits),
+            ("plan_wall_ns", self.plan_wall_ns),
         ]
     }
 }
@@ -187,6 +212,8 @@ mod tests {
         m.note_recovery(7);
         m.note_ingest(8, false);
         m.note_ingest(3, true);
+        m.note_plan(3025, 1_000);
+        m.note_plan(1, 500);
         let s = m.snapshot();
         assert_eq!(s.queries, 2);
         assert_eq!(s.result_rows, 15);
@@ -203,6 +230,9 @@ mod tests {
         assert_eq!(s.replayed_records, 7);
         assert_eq!(s.ingest_rows_appended, 11);
         assert_eq!(s.ingest_table_copies, 1);
+        assert_eq!(s.plans, 2);
+        assert_eq!(s.plan_splits, 3026);
+        assert_eq!(s.plan_wall_ns, 1_500);
     }
 
     #[test]
@@ -227,6 +257,9 @@ mod tests {
                 "replayed_records",
                 "ingest_rows_appended",
                 "ingest_table_copies",
+                "plans",
+                "plan_splits",
+                "plan_wall_ns",
             ]
         );
     }

@@ -332,7 +332,12 @@ impl<'db> Session<'db> {
             dev.config(),
         )
         .with_threads(threads);
+        let started = std::time::Instant::now();
         let planned = planner.plan(&bound.logical, &catalog)?;
+        self.db.metrics().note_plan(
+            planned.splits_costed as u64,
+            started.elapsed().as_nanos() as u64,
+        );
         Ok(ResultStream::new(
             planned,
             &bound,
@@ -665,6 +670,16 @@ mod tests {
             .rows()
             .iter()
             .any(|(n, v)| *n == "result_delivery_rows" && *v == 100 + 2000));
+        // Planning is counted when it happens, executed or not: two
+        // join-free statements so far, then a three-way EXPLAIN whose
+        // order search costs six splits.
+        assert_eq!((shown.plans, shown.plan_splits), (2, 0));
+        s.execute("EXPLAIN SELECT * FROM t JOIN v ON t.key = v.key JOIN t AS u ON v.key = u.key")
+            .expect("plans");
+        let planned = db.metrics_snapshot();
+        assert_eq!((planned.plans, planned.plan_splits), (3, 6));
+        assert!(planned.plan_wall_ns > shown.plan_wall_ns);
+        assert_eq!(planned.queries, 2, "EXPLAIN plans without running");
     }
 
     #[test]

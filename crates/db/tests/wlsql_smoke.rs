@@ -10,15 +10,17 @@ use std::process::{Command, Stdio};
 
 /// Masks host-dependent fields so profiled output diffs cleanly: wall
 /// times (`12.3ms wall`, `0.4ms host`) become `#ms ...`, and the
-/// `exec_wall_ns` metric line loses its value.
+/// `exec_wall_ns` and `plan_wall_ns` metric lines lose their values.
 fn mask_host_time(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for line in raw.lines() {
-        if let Some(ns) = line.strip_prefix("exec_wall_ns  ") {
-            if !ns.is_empty() && ns.bytes().all(|b| b.is_ascii_digit()) {
-                out.push_str("exec_wall_ns  #\n");
-                continue;
-            }
+        let wall_metric = ["exec_wall_ns", "plan_wall_ns"].iter().find_map(|name| {
+            let ns = line.strip_prefix(name)?.strip_prefix("  ")?;
+            (!ns.is_empty() && ns.bytes().all(|b| b.is_ascii_digit())).then_some(name)
+        });
+        if let Some(name) = wall_metric {
+            out.push_str(&format!("{name}  #\n"));
+            continue;
         }
         let mut masked = String::with_capacity(line.len());
         let mut rest = line;
@@ -101,12 +103,16 @@ fn masking_pins_exactly_the_host_dependent_fields() {
     let raw = "  scan t  [2000 rows | 0r/0w meas | 0.0000s sim | 12.3ms wall]\n\
                -- 3 rows in 1 batches, 0.0000s simulated, 1.1ms host\n\
                exec_wall_ns  25484587\n\
+               plan_wall_ns  1158060\n\
+               plan_splits  3025\n\
                pool_peak_bytes  40000\n";
     let masked = mask_host_time(raw);
     assert!(masked.contains("| #ms wall]"), "{masked}");
     assert!(masked.contains(", #ms host"), "{masked}");
     assert!(masked.contains("exec_wall_ns  #\n"), "{masked}");
-    // Simulated fields pass through untouched.
+    assert!(masked.contains("plan_wall_ns  #\n"), "{masked}");
+    // Simulated fields and counts pass through untouched.
+    assert!(masked.contains("plan_splits  3025"));
     assert!(masked.contains("0.0000s sim"));
     assert!(masked.contains("pool_peak_bytes  40000"));
 }

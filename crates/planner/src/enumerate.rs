@@ -8,36 +8,38 @@
 //! §3.1 runtime rules ([`wl_runtime::plan_verdict`]) to gate a
 //! *deferred-view* candidate where the filter output is never written
 //! and the iterate-only join re-filters the source on every pass.
+//!
+//! This file plans the single-input nodes; joins live in two child
+//! modules along the seam between ranking and rendering: `edge` costs
+//! one `left ⋈ right` edge as plain numbers, `order` runs the subset DP
+//! over those numbers and builds plan nodes and evidence tables for the
+//! winning tree only.
+
+mod edge;
+mod order;
 
 use crate::catalog::Catalog;
 use crate::logical::{LogicalPlan, Predicate};
-use crate::lower::WisPair;
-use crate::physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
+use crate::physical::{Materialization, NodeCost, PhysicalPlan};
 use pmem_sim::{BufferPool, DeviceConfig, LayerKind, Pm, Storable, CACHELINE};
-use std::collections::HashMap;
-use wisconsin::WisconsinRecord;
-use wl_runtime::{plan_verdict, Decision};
 use write_limited::agg::GroupAgg;
-use write_limited::cost::join_costs::guided_io;
 use write_limited::cost::{
-    join_candidates, join_parallel_split, predict_join_io, predict_sort_io, sort_candidates,
-    sort_parallel_split, IoPrediction,
+    predict_sort_io, sort_candidates, sort_parallel_split, IoPrediction, ParallelSplit,
 };
-use write_limited::join::{JoinAlgorithm, HASH_TABLE_FACTOR};
 use write_limited::sort::SortAlgorithm;
 use write_limited::stats::TableStatistics;
 
-/// Base record width in bytes (what join build sides hold).
-const WIS_BYTES: f64 = WisconsinRecord::SIZE as f64;
-/// Pair record width in bytes after a Wisconsin ⋈ Wisconsin join.
-const PAIR_BYTES: f64 = WisPair::SIZE as f64;
+pub(crate) use order::collect_join_leaves;
+
 /// GroupAgg record width in bytes.
 const GROUP_BYTES: f64 = GroupAgg::SIZE as f64;
 
 /// Most base relations one join chain may combine. Chain rows carry one
 /// payload slot per relation inside an 80-byte Wisconsin record (nine
-/// slots available); eight keeps the `3^n` subset DP comfortably small
-/// while leaving the row format headroom.
+/// slots available); eight leaves the row format headroom. The subset
+/// DP costs `(3^n − 2^(n+1) + 1) / 2` splits — 3 025 at eight relations
+/// — each a few dozen Eqs. 1–11 evaluations on plain numbers (about a
+/// microsecond), and builds `n − 1` join nodes.
 pub const MAX_JOIN_RELATIONS: usize = 8;
 
 /// Planning failure.
@@ -106,6 +108,21 @@ pub struct PlannedQuery {
     /// Whether the executor may re-plan the remaining join subtree when
     /// an observed cardinality drifts from its estimate.
     pub adapt: bool,
+    /// Join splits the order search costed (3 025 for an eight-relation
+    /// chain; 1 for a two-way join). Host-independent work count.
+    pub splits_costed: usize,
+    /// Join nodes built — one per edge of the winning tree, however many
+    /// splits were costed.
+    pub nodes_built: usize,
+}
+
+/// What planning accumulates besides the plan: per-node candidate
+/// evidence in planning order, and the order search's work counts.
+#[derive(Debug, Default)]
+pub(crate) struct Evidence {
+    pub(crate) choices: Vec<NodeChoice>,
+    pub(crate) splits_costed: usize,
+    pub(crate) nodes_built: usize,
 }
 
 /// The write-aware planner: carries the device cost parameters the
@@ -196,9 +213,15 @@ impl Planner {
     /// the split's elapsed estimate at `self.threads` workers and its
     /// serial sum, applied to the overhead-inclusive figure (overhead
     /// accrues on the same traffic, so it scales with it).
-    fn scale_units(&self, units: f64, split: write_limited::cost::ParallelSplit) -> f64 {
+    /// The split is only worked out when there are workers to spread
+    /// it over.
+    fn scale_units(&self, units: f64, split: impl FnOnce() -> ParallelSplit) -> f64 {
+        if self.threads <= 1 {
+            return units;
+        }
+        let split = split();
         let serial_sum = split.critical_path_units(1);
-        if self.threads <= 1 || serial_sum <= 0.0 {
+        if serial_sum <= 0.0 {
             return units;
         }
         units * split.critical_path_units(self.threads) / serial_sum
@@ -230,17 +253,19 @@ impl Planner {
         logical: &LogicalPlan,
         catalog: &Catalog,
     ) -> Result<PlannedQuery, PlanError> {
-        let mut choices = Vec::new();
-        let (plan, _) = self.plan_node(logical, catalog, &mut choices)?;
+        let mut evidence = Evidence::default();
+        let (plan, _) = self.plan_node(logical, catalog, &mut evidence)?;
         let predicted = plan.total_io();
         Ok(PlannedQuery {
             plan,
-            choices,
+            choices: evidence.choices,
             lambda: self.lambda,
             m_buffers: self.m_buffers,
             threads: self.threads,
             predicted,
             adapt: self.adapt,
+            splits_costed: evidence.splits_costed,
+            nodes_built: evidence.nodes_built,
         })
     }
 
@@ -252,7 +277,7 @@ impl Planner {
         &self,
         logical: &LogicalPlan,
         catalog: &Catalog,
-        choices: &mut Vec<NodeChoice>,
+        evidence: &mut Evidence,
     ) -> Result<(PhysicalPlan, TableStatistics), PlanError> {
         match logical {
             LogicalPlan::Scan { table } => {
@@ -273,24 +298,24 @@ impl Planner {
                 Ok((plan, (**statistics).clone()))
             }
             LogicalPlan::Filter { input, predicate } => {
-                let (child, stats) = self.plan_node(input, catalog, choices)?;
+                let (child, stats) = self.plan_node(input, catalog, evidence)?;
                 Ok(self.plan_filter(child, *predicate, &stats))
             }
             LogicalPlan::Sort { input } => {
-                let (child, stats) = self.plan_node(input, catalog, choices)?;
-                Ok((self.plan_sort(child, choices), stats))
+                let (child, stats) = self.plan_node(input, catalog, evidence)?;
+                Ok((self.plan_sort(child, &mut evidence.choices)?, stats))
             }
-            LogicalPlan::Join { .. } => self.plan_join_tree(logical, catalog, choices),
+            LogicalPlan::Join { .. } => self.plan_join_tree(logical, catalog, evidence),
             LogicalPlan::Aggregate { input } => {
-                let (child, stats) = self.plan_node(input, catalog, choices)?;
-                Ok((self.plan_agg(child), stats))
+                let (child, stats) = self.plan_node(input, catalog, evidence)?;
+                Ok((self.plan_agg(child)?, stats))
             }
         }
     }
 
     /// Filters default to materialized: read the input once, write the
-    /// qualifying rows. [`Planner::plan_join`] revisits build-side
-    /// filters and may flip them to deferred views. Selectivity is read
+    /// qualifying rows. The join edge above a build-side filter revisits
+    /// it and may flip it to a deferred view. Selectivity is read
     /// off the input's statistics (the equi-depth histogram where the
     /// table has one); the filtered statistics go back up with the plan.
     fn plan_filter(
@@ -332,7 +357,11 @@ impl Planner {
         (plan, filtered)
     }
 
-    fn plan_sort(&self, child: PhysicalPlan, choices: &mut Vec<NodeChoice>) -> PhysicalPlan {
+    fn plan_sort(
+        &self,
+        child: PhysicalPlan,
+        choices: &mut Vec<NodeChoice>,
+    ) -> Result<PhysicalPlan, PlanError> {
         let t = child.cost().out_buffers.max(1.0);
         let out_rows = child.cost().out_rows;
         let mut candidates: Vec<(SortAlgorithm, Candidate)> =
@@ -341,24 +370,27 @@ impl Planner {
                 .map(|algo| {
                     let io =
                         self.with_overhead(predict_sort_io(&algo, t, self.m_buffers, self.lambda));
-                    let split = sort_parallel_split(&algo, t, self.m_buffers, self.lambda);
                     let cand = Candidate {
                         label: algo.label(),
-                        cost_units: self.scale_units(io.cost_units(self.lambda), split),
+                        cost_units: self.scale_units(io.cost_units(self.lambda), || {
+                            sort_parallel_split(&algo, t, self.m_buffers, self.lambda)
+                        }),
                         io,
                     };
                     (algo, cand)
                 })
                 .collect();
         candidates.sort_by(|a, b| a.1.cost_units.total_cmp(&b.1.cost_units));
-        let (algo, winner) = candidates[0].clone();
+        let Some((algo, winner)) = candidates.first().cloned() else {
+            return Err(PlanError::Unsupported("no sort algorithm to rank".into()));
+        };
         choices.push(NodeChoice {
             node: format!("sort over ~{out_rows:.0} rows ({t:.0} buffers)"),
             candidates: candidates.into_iter().map(|(_, c)| c).collect(),
-            chosen: winner.label.clone(),
+            chosen: winner.label,
         });
         let distinct = child.cost().distinct_keys;
-        PhysicalPlan::Sort {
+        Ok(PhysicalPlan::Sort {
             input: Box::new(child),
             algo,
             cost: NodeCost {
@@ -367,507 +399,31 @@ impl Planner {
                 out_buffers: t,
                 distinct_keys: distinct,
             },
-        }
-    }
-
-    /// Plans an entire join subtree. Two base relations keep the classic
-    /// single-edge enumeration (pair output); three or more go through
-    /// the Selinger-style DP join-order search over relation subsets.
-    fn plan_join_tree(
-        &self,
-        logical: &LogicalPlan,
-        catalog: &Catalog,
-        choices: &mut Vec<NodeChoice>,
-    ) -> Result<(PhysicalPlan, TableStatistics), PlanError> {
-        let mut leaves = Vec::new();
-        collect_join_leaves(logical, &mut leaves);
-        let n = leaves.len();
-        if n > MAX_JOIN_RELATIONS {
-            return Err(PlanError::Unsupported(format!(
-                "join of {n} relations exceeds the {MAX_JOIN_RELATIONS}-relation limit"
-            )));
-        }
-        let entries: Vec<(&LogicalPlan, Vec<usize>)> = leaves
-            .iter()
-            .enumerate()
-            .map(|(i, leaf)| (*leaf, vec![i]))
-            .collect();
-        self.plan_join_slotted(&entries, catalog, choices)
-    }
-
-    /// The join-order search over explicit `(relation, payload slots)`
-    /// entries. Fresh plans give every base relation its own slot;
-    /// mid-plan re-planning re-enters with an already-joined intermediate
-    /// occupying several slots plus the remaining base relations.
-    pub(crate) fn plan_join_slotted(
-        &self,
-        entries: &[(&LogicalPlan, Vec<usize>)],
-        catalog: &Catalog,
-        choices: &mut Vec<NodeChoice>,
-    ) -> Result<(PhysicalPlan, TableStatistics), PlanError> {
-        // Per-subset memo of the best physical plan found so far. All
-        // relations join on the shared key, so every subset is connected
-        // and every split of it is a valid (cross-product-free) join.
-        struct Memo {
-            plan: PhysicalPlan,
-            units: f64,
-            choices: Vec<NodeChoice>,
-            slots: Vec<usize>,
-            stats: TableStatistics,
-            expr: String,
-        }
-        let n = entries.len();
-        if n > MAX_JOIN_RELATIONS {
-            return Err(PlanError::Unsupported(format!(
-                "join of {n} relations exceeds the {MAX_JOIN_RELATIONS}-relation limit"
-            )));
-        }
-        let total_slots: usize = entries.iter().map(|(_, s)| s.len()).sum();
-        if n == 2 && total_slots == 2 {
-            let (l, ls) = self.plan_node(entries[0].0, catalog, choices)?;
-            let (r, rs) = self.plan_node(entries[1].0, catalog, choices)?;
-            let lu = l.total_io().cost_units(self.lambda);
-            let ru = r.total_io().cost_units(self.lambda);
-            let planned = self.plan_join(l, r, lu, ru, None, &ls, &rs)?;
-            choices.push(planned.choice);
-            return Ok((planned.plan, planned.stats));
-        }
-
-        let mut memo: HashMap<u32, Memo> = HashMap::new();
-        for (i, (leaf, slots)) in entries.iter().enumerate() {
-            let mut leaf_choices = Vec::new();
-            let (plan, stats) = self.plan_node(leaf, catalog, &mut leaf_choices)?;
-            let units = plan.total_io().cost_units(self.lambda);
-            memo.insert(
-                1 << i,
-                Memo {
-                    plan,
-                    units,
-                    choices: leaf_choices,
-                    slots: slots.clone(),
-                    stats,
-                    expr: leaf_relation_name(leaf),
-                },
-            );
-        }
-
-        let full: u32 = (1u32 << n) - 1;
-        let mut considered = 0usize;
-        let mut root_alternatives: Vec<Candidate> = Vec::new();
-        // Numeric order visits every proper submask before its superset.
-        for mask in 3..=full {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            let lowbit = mask & mask.wrapping_neg();
-            let mut best: Option<Memo> = None;
-            let mut split_err = None;
-            // Enumerate unordered splits by pinning the lowest relation
-            // to the left side; plan_join itself tries both build orders.
-            let mut l = (mask - 1) & mask;
-            while l > 0 {
-                if l & lowbit != 0 {
-                    let r = mask ^ l;
-                    let (ml, mr) = (&memo[&l], &memo[&r]);
-                    considered += 1;
-                    match self.plan_join(
-                        ml.plan.clone(),
-                        mr.plan.clone(),
-                        ml.units,
-                        mr.units,
-                        Some((&ml.slots, &mr.slots)),
-                        &ml.stats,
-                        &mr.stats,
-                    ) {
-                        Ok(planned) => {
-                            let expr = format!("({} ⋈ {})", ml.expr, mr.expr);
-                            if mask == full {
-                                root_alternatives.push(Candidate {
-                                    label: expr.clone(),
-                                    io: planned.plan.total_io(),
-                                    cost_units: planned.units,
-                                });
-                            }
-                            if best.as_ref().is_none_or(|b| planned.units < b.units) {
-                                let mut sub_choices = ml.choices.clone();
-                                sub_choices.extend(mr.choices.iter().cloned());
-                                sub_choices.push(planned.choice);
-                                let mut slots = ml.slots.clone();
-                                slots.extend(&mr.slots);
-                                best = Some(Memo {
-                                    plan: planned.plan,
-                                    units: planned.units,
-                                    choices: sub_choices,
-                                    slots,
-                                    stats: planned.stats,
-                                    expr,
-                                });
-                            }
-                        }
-                        Err(e) => split_err = Some(e),
-                    }
-                }
-                l = (l - 1) & mask;
-            }
-            let best = best.ok_or_else(|| {
-                split_err.unwrap_or_else(|| {
-                    PlanError::Unsupported("no joinable split for a relation subset".into())
-                })
-            })?;
-            memo.insert(mask, best);
-        }
-
-        let root = memo.remove(&full).expect("full subset planned");
-        root_alternatives.sort_by(|a, b| a.cost_units.total_cmp(&b.cost_units));
-        choices.push(NodeChoice {
-            node: format!("join order over {n} relations ({considered} subplans considered)"),
-            candidates: root_alternatives,
-            chosen: root.expr,
-        });
-        choices.extend(root.choices);
-        Ok((root.plan, root.stats))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn plan_join(
-        &self,
-        left: PhysicalPlan,
-        right: PhysicalPlan,
-        left_units: f64,
-        right_units: f64,
-        chain: Option<(&[usize], &[usize])>,
-        l_stats: &TableStatistics,
-        r_stats: &TableStatistics,
-    ) -> Result<JoinPlanned, PlanError> {
-        let lb = left.cost().out_buffers.max(1.0);
-        let rb = right.cost().out_buffers.max(1.0);
-        let l_rows = left.cost().out_rows;
-        let r_rows = right.cost().out_rows;
-
-        // Equi-join cardinality: heavy-hitter frequencies multiply per
-        // hot key and the residual mass joins under the containment
-        // formula — rows-per-key on each side times the matching key
-        // count — which is all there is when neither side has hot keys.
-        let (out_rows, out_stats) = l_stats.join(r_stats);
-        let matching = out_stats.distinct_keys().max(1.0);
-        let pair_buffers = (out_rows * PAIR_BYTES / CACHELINE as f64).ceil();
-        // Chain joins fold the pair output into slotted 80-byte rows in
-        // one extra staged pass: re-read the pairs, write the flat rows.
-        let chain_buffers = (out_rows * WIS_BYTES / CACHELINE as f64).ceil();
-        let fold_io = if chain.is_some() {
-            IoPrediction {
-                reads: pair_buffers,
-                writes: chain_buffers,
-            }
-        } else {
-            IoPrediction::ZERO
-        };
-        let out_buffers = if chain.is_some() {
-            chain_buffers
-        } else {
-            pair_buffers
-        };
-        let output_writes = IoPrediction {
-            reads: fold_io.reads,
-            writes: pair_buffers + fold_io.writes,
-        };
-
-        // Candidate field: every applicable algorithm in both build
-        // orders. The cost models assume t ≤ v, which either order may
-        // satisfy; applicability of the Grace family is checked per
-        // order against the DRAM budget.
-        let mut field: Vec<(JoinAlgorithm, bool, Candidate)> = Vec::new();
-        for (swapped, t, v, t_rows) in [(false, lb, rb, l_rows), (true, rb, lb, r_rows)] {
-            for algo in join_candidates(t, v, self.m_buffers, self.lambda) {
-                if grace_family(&algo) && !self.grace_ok(t_rows) {
-                    continue;
-                }
-                let io = self.with_overhead(
-                    predict_join_io(&algo, t, v, self.m_buffers, self.lambda).plus(output_writes),
-                );
-                let split = join_parallel_split(&algo, t, v, self.m_buffers, self.lambda);
-                let label = if swapped {
-                    format!("{} (swapped)", algo.label())
-                } else {
-                    algo.label()
-                };
-                field.push((
-                    algo,
-                    swapped,
-                    Candidate {
-                        label,
-                        cost_units: self.scale_units(io.cost_units(self.lambda), split),
-                        io,
-                    },
-                ));
-            }
-        }
-
-        // Cardinality-guided candidate: when the ingest statistics
-        // expose heavy hitters on either side, the hot keys can bypass
-        // the Grace partition round-trip — the guided join keeps their
-        // build rows resident and probes hot rows straight through. Only
-        // offered when a hot set exists (uniform tables degrade to GJ
-        // exactly, so the candidate would be pure noise).
-        let mut guided_hot: Vec<u64> = Vec::new();
-        let mut hot = l_stats.heavy_keys();
-        hot.extend(r_stats.heavy_keys());
-        hot.sort_unstable();
-        hot.dedup();
-        if !hot.is_empty() {
-            let cover = |s: &TableStatistics| {
-                if s.rows() <= 0.0 {
-                    return 0.0;
-                }
-                (hot.iter().map(|&k| s.frequency(k)).sum::<f64>() / s.rows()).min(1.0)
-            };
-            let (cover_l, cover_r) = (cover(l_stats), cover(r_stats));
-            let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
-            for (swapped, t, v, t_rows, hot_t, hot_v) in [
-                (false, lb, rb, l_rows, cover_l, cover_r),
-                (true, rb, lb, r_rows, cover_r, cover_l),
-            ] {
-                // The resident hot build rows (hash-table blow-up
-                // included) may claim at most half the budget — the
-                // other half stays for the cold partition pairs.
-                let resident = hot_t * t_rows * HASH_TABLE_FACTOR;
-                if !self.grace_ok(t_rows) || resident > 0.5 * m_records {
-                    continue;
-                }
-                let (r, w) = guided_io(t, v, hot_t, hot_v);
-                let io = self.with_overhead(
-                    IoPrediction {
-                        reads: r,
-                        writes: w,
-                    }
-                    .plus(output_writes),
-                );
-                let split =
-                    join_parallel_split(&JoinAlgorithm::CGJ, t, v, self.m_buffers, self.lambda);
-                let label = if swapped {
-                    "CGJ (swapped)".to_string()
-                } else {
-                    "CGJ".to_string()
-                };
-                guided_hot.clone_from(&hot);
-                field.push((
-                    JoinAlgorithm::CGJ,
-                    swapped,
-                    Candidate {
-                        label,
-                        cost_units: self.scale_units(io.cost_units(self.lambda), split),
-                        io,
-                    },
-                ));
-            }
-        }
-
-        // Deferred-view candidate: when the build side is a filtered
-        // base-table scan, the §3.1 rules may prefer never writing the
-        // filtered collection; the iterate-only join then re-filters the
-        // source on every pass.
-        let mut deferred_candidate = None;
-        if let PhysicalPlan::Filter {
-            cost: filter_cost,
-            input: filter_input,
-            ..
-        } = &left
-        {
-            if matches!(**filter_input, PhysicalPlan::Scan { .. })
-                && self.grace_ok(filter_input.cost().out_rows)
-            {
-                let src = filter_input.cost().out_buffers.max(1.0);
-                let filtered = filter_cost.out_buffers.max(1.0);
-                // The iterate-only join partitions by the *source*
-                // cardinality (it cannot know the filtered count up
-                // front) over the hash-table-adjusted build capacity —
-                // mirror `JoinContext::grace_partitions`.
-                let k = self.grace_partitions_est(filter_input.cost().out_rows);
-                let verdict = plan_verdict(filtered, src, k, self.lambda);
-                if verdict.decision == Decision::Defer {
-                    let io = self.with_overhead(
-                        IoPrediction {
-                            reads: k * (src + rb),
-                            writes: 0.0,
-                        }
-                        .plus(output_writes),
-                    );
-                    // The iterate-only passes fan out like SegJ at
-                    // frac = 0 (the re-filtering scans are the passes).
-                    let split = join_parallel_split(
-                        &JoinAlgorithm::SegJ { frac: 0.0 },
-                        src,
-                        rb,
-                        self.m_buffers,
-                        self.lambda,
-                    );
-                    deferred_candidate = Some((
-                        verdict,
-                        Candidate {
-                            label: "SegJ, 0% over deferred σ".into(),
-                            cost_units: self.scale_units(io.cost_units(self.lambda), split),
-                            io,
-                        },
-                    ));
-                }
-            }
-        }
-
-        if field.is_empty() && deferred_candidate.is_none() {
-            return Err(PlanError::Unsupported(
-                "no applicable join algorithm under this DRAM budget".into(),
-            ));
-        }
-
-        // Fixed candidates rely on the build filter being materialized;
-        // that cost lives in the filter node, while the deferred view
-        // zeroes it and carries re-filtering in its own figure. To keep
-        // every row of the evidence table on one basis, fold the build
-        // filter's cost into the fixed candidates whenever a deferred
-        // alternative is in play — then the cheapest row IS the winner.
-        let filter_units = left.cost().io.cost_units(self.lambda);
-        if deferred_candidate.is_some() {
-            let filter_io = left.cost().io;
-            for (_, _, cand) in &mut field {
-                cand.io = cand.io.plus(filter_io);
-                cand.cost_units += filter_units;
-            }
-        }
-
-        let mut all: Vec<Candidate> = field.iter().map(|(_, _, c)| c.clone()).collect();
-        if let Some((_, c)) = &deferred_candidate {
-            all.push(c.clone());
-        }
-        all.sort_by(|a, b| a.cost_units.total_cmp(&b.cost_units));
-
-        let best_fixed = field
-            .iter()
-            .min_by(|a, b| a.2.cost_units.total_cmp(&b.2.cost_units))
-            .cloned();
-        let deferred_wins = match (&deferred_candidate, &best_fixed) {
-            (Some((_, d)), Some((_, _, f))) => d.cost_units < f.cost_units,
-            (Some(_), None) => true,
-            _ => false,
-        };
-
-        let chain_slots = chain.map(|(l, r)| ChainSlots {
-            left: l.to_vec(),
-            right: r.to_vec(),
-        });
-        let node_label = format!("join ~{l_rows:.0} x ~{r_rows:.0} rows ({lb:.0}/{rb:.0} buffers)");
-        let (plan, chosen_label, units) = if deferred_wins {
-            let (verdict, cand) = deferred_candidate.expect("checked");
-            let mut left = left;
-            if let PhysicalPlan::Filter {
-                materialization,
-                rule,
-                cost,
-                ..
-            } = &mut left
-            {
-                *materialization = Materialization::Deferred;
-                *rule = Some(verdict.rule);
-                // The view is never written; its traffic is carried by
-                // the join's per-pass re-filtering.
-                cost.io = IoPrediction::ZERO;
-            }
-            let label = cand.label.clone();
-            // The filter's materialization units leave the left subtree;
-            // re-filtering is carried by this node's own figure.
-            let units = left_units - filter_units + right_units + cand.cost_units;
-            (
-                PhysicalPlan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    algo: JoinAlgorithm::SegJ { frac: 0.0 },
-                    swapped: false,
-                    chain: chain_slots,
-                    hot: Vec::new(),
-                    replanned: false,
-                    cost: NodeCost {
-                        io: cand.io,
-                        out_rows,
-                        out_buffers,
-                        distinct_keys: matching,
-                    },
-                },
-                label,
-                units,
-            )
-        } else {
-            let (algo, swapped, cand) = best_fixed.expect("field is non-empty");
-            let label = cand.label.clone();
-            // The node's own cost excludes the build filter's traffic
-            // (the filter node carries it); undo the table-basis fold.
-            let (node_io, node_units) = if deferred_candidate.is_some() {
-                (
-                    IoPrediction {
-                        reads: cand.io.reads - left.cost().io.reads,
-                        writes: cand.io.writes - left.cost().io.writes,
-                    },
-                    cand.cost_units - filter_units,
-                )
-            } else {
-                (cand.io, cand.cost_units)
-            };
-            let units = left_units + right_units + node_units;
-            let hot = if algo == JoinAlgorithm::CGJ {
-                guided_hot
-            } else {
-                Vec::new()
-            };
-            (
-                PhysicalPlan::Join {
-                    left: Box::new(left),
-                    right: Box::new(right),
-                    algo,
-                    swapped,
-                    chain: chain_slots,
-                    hot,
-                    replanned: false,
-                    cost: NodeCost {
-                        io: node_io,
-                        out_rows,
-                        out_buffers,
-                        distinct_keys: matching,
-                    },
-                },
-                label,
-                units,
-            )
-        };
-        Ok(JoinPlanned {
-            plan,
-            choice: NodeChoice {
-                node: node_label,
-                candidates: all,
-                chosen: chosen_label,
-            },
-            units,
-            stats: out_stats,
         })
     }
 
     /// Aggregation is lowered onto the write-limited sort-based
     /// aggregator; its dominant cost is the segment sort of the input at
     /// intensity `x`, plus writing one group row per distinct key.
-    fn plan_agg(&self, child: PhysicalPlan) -> PhysicalPlan {
+    fn plan_agg(&self, child: PhysicalPlan) -> Result<PhysicalPlan, PlanError> {
         let t = child.cost().out_buffers.max(1.0);
         // x = 0 never materializes sorted runs — the aggregator consumes
         // merge streams — so high λ favors it; at λ close to 1 run
         // generation (x = 1) reads less overall. Pick by the segment
         // cost model.
-        let (x, io) = [0.0, 0.25, 0.5, 0.75, 1.0]
+        let Some((x, io)) = [0.0, 0.25, 0.5, 0.75, 1.0]
             .into_iter()
             .map(|x| {
-                let algo = write_limited::sort::SortAlgorithm::SegS { x };
+                let algo = SortAlgorithm::SegS { x };
                 (x, predict_sort_io(&algo, t, self.m_buffers, self.lambda))
             })
             .min_by(|a, b| {
                 a.1.cost_units(self.lambda)
                     .total_cmp(&b.1.cost_units(self.lambda))
             })
-            .expect("non-empty sweep");
+        else {
+            return Err(PlanError::Unsupported("empty aggregation sweep".into()));
+        };
         // One output row per distinct key.
         let groups = child.cost().distinct_keys.max(1.0);
         let out_buffers = (groups * GROUP_BYTES / CACHELINE as f64).ceil();
@@ -879,7 +435,7 @@ impl Planner {
             writes: (io.writes - t).max(0.0) + out_buffers,
         };
         let io = self.with_overhead(io);
-        PhysicalPlan::Aggregate {
+        Ok(PhysicalPlan::Aggregate {
             input: Box::new(child),
             x,
             cost: NodeCost {
@@ -888,73 +444,15 @@ impl Planner {
                 out_buffers,
                 distinct_keys: groups,
             },
-        }
+        })
     }
-
-    /// Mirrors `JoinContext::grace_applicable` in planning units:
-    /// `M_records > √(f·|T|_records)`.
-    fn grace_ok(&self, t_rows: f64) -> bool {
-        let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
-        m_records > (HASH_TABLE_FACTOR * t_rows).sqrt()
-    }
-
-    /// Mirrors `JoinContext::grace_partitions`: `⌈f·|T| / M⌉` in
-    /// records.
-    fn grace_partitions_est(&self, t_rows: f64) -> f64 {
-        let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
-        let cap = (m_records / HASH_TABLE_FACTOR).max(1.0);
-        (t_rows / cap).ceil().max(1.0)
-    }
-}
-
-/// One planned join edge: the composed plan, its evidence row, the
-/// ranking figure of the whole subtree (used by the join-order DP), and
-/// the statistics of the join's output keys.
-struct JoinPlanned {
-    plan: PhysicalPlan,
-    choice: NodeChoice,
-    units: f64,
-    stats: TableStatistics,
-}
-
-/// Flattens a maximal join subtree into its relation leaves (the
-/// non-join subplans), in logical (SQL) order.
-pub(crate) fn collect_join_leaves<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a LogicalPlan>) {
-    match plan {
-        LogicalPlan::Join { left, right } => {
-            collect_join_leaves(left, out);
-            collect_join_leaves(right, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// Display name of a join-order leaf: the base table it scans (with a σ
-/// marker when filtered).
-fn leaf_relation_name(leaf: &LogicalPlan) -> String {
-    match leaf {
-        LogicalPlan::Scan { table } => table.clone(),
-        LogicalPlan::Filter { input, .. } => format!("σ{}", leaf_relation_name(input)),
-        LogicalPlan::Sort { input } | LogicalPlan::Aggregate { input } => leaf_relation_name(input),
-        LogicalPlan::Join { left, .. } => leaf_relation_name(left),
-    }
-}
-
-fn grace_family(algo: &JoinAlgorithm) -> bool {
-    matches!(
-        algo,
-        JoinAlgorithm::GJ
-            | JoinAlgorithm::HybJ { .. }
-            | JoinAlgorithm::SegJ { .. }
-            | JoinAlgorithm::CGJ
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::TableStats;
-    use write_limited::sort::SortAlgorithm;
+    use wisconsin::WisconsinRecord;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -1103,6 +601,40 @@ mod tests {
             matches!(err, PlanError::Unsupported(ref m) if m.contains("exceeds")),
             "{err}"
         );
+    }
+
+    /// The search's work is a count, not a timing: every split is
+    /// costed once and only the winning tree's `n − 1` edges become plan
+    /// nodes. A regression to build-per-split fails here on any host.
+    #[test]
+    fn work_counts_are_exact_for_chains_of_two_to_eight() {
+        let mut cat = Catalog::new();
+        let mut logical = LogicalPlan::scan("r0");
+        cat.add_stats("r0", TableStats::wisconsin(50_000));
+        let planner = Planner::new(15.0, 3125.0, LayerKind::BlockedMemory);
+        // (3^n − 2^(n+1) + 1) / 2 unordered splits over all subsets.
+        let splits = [1, 6, 25, 90, 301, 966, 3025];
+        for (n, want) in (2..=MAX_JOIN_RELATIONS).zip(splits) {
+            let name = format!("r{}", n - 1);
+            cat.add_stats(&name, TableStats::wisconsin(50_000));
+            logical = logical.join(LogicalPlan::scan(&name));
+            let planned = planner.plan(&logical, &cat).expect("plans");
+            assert_eq!(planned.splits_costed, want, "{n} relations");
+            assert_eq!(planned.nodes_built, n - 1, "{n} relations");
+            // Joins nested inside a blocking leaf are counted too.
+            let nested = logical
+                .clone()
+                .aggregate()
+                .join(LogicalPlan::scan("r0"))
+                .sort();
+            let planned = planner.plan(&nested, &cat).expect("plans");
+            assert_eq!(planned.splits_costed, want + 1);
+            assert_eq!(planned.nodes_built, n);
+        }
+        let unjoined = planner
+            .plan(&LogicalPlan::scan("r0").sort(), &cat)
+            .expect("plans");
+        assert_eq!((unjoined.splits_costed, unjoined.nodes_built), (0, 0));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! drains it eagerly into [`OutputRows`] for tests and harnesses.
 
 use crate::catalog::Catalog;
-use crate::enumerate::{NodeChoice, PlanError, PlannedQuery, Planner};
+use crate::enumerate::{Evidence, NodeChoice, PlanError, PlannedQuery, Planner};
 use crate::logical::{LogicalPlan, Predicate};
 use crate::physical::{ChainSlots, Materialization, PhysicalPlan};
 use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, PmError};
@@ -666,14 +666,14 @@ impl<'a> Lowerer<'a> {
         for (leaf, slots) in leaves {
             entries.push((leaf, slots.clone()));
         }
-        let mut choices = Vec::new();
+        let mut evidence = Evidence::default();
         let (mut subtree, _) = planner
-            .plan_join_slotted(&entries, self.catalog.as_ref(), &mut choices)
+            .plan_join_slotted(&entries, self.catalog.as_ref(), &mut evidence)
             .ok()?;
         mark_replanned(&mut subtree);
         self.adapted = Some(AdaptedPlan {
             plan: subtree.clone(),
-            choices,
+            choices: evidence.choices,
             observed_rows: observed,
             estimated_rows: estimated,
         });

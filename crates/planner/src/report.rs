@@ -53,15 +53,16 @@ pub fn render_concordance_stats(
 ) -> String {
     let p = planned.predicted;
     let m = measured;
-    let ratio = |pred: f64, meas: u64| {
-        if meas == 0 {
-            if pred == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
+    // One rule for all three rows: nothing predicted and nothing
+    // measured agree (1.00x); something predicted against nothing
+    // measured is unboundedly off (inf), never "1.00x".
+    let ratio = |pred: f64, meas: f64| {
+        if meas > 0.0 {
+            pred / meas
+        } else if pred == 0.0 {
+            1.0
         } else {
-            pred / meas as f64
+            f64::INFINITY
         }
     };
     let pred_units = p.cost_units(planned.lambda);
@@ -73,17 +74,13 @@ pub fn render_concordance_stats(
          \x20 cost    {:>12.0} predicted   {:>12.0} measured   ({:.2}x)  [{:.3}s simulated]\n",
         p.reads,
         m.cl_reads,
-        ratio(p.reads, m.cl_reads),
+        ratio(p.reads, m.cl_reads as f64),
         p.writes,
         m.cl_writes,
-        ratio(p.writes, m.cl_writes),
+        ratio(p.writes, m.cl_writes as f64),
         pred_units,
         meas_units,
-        if meas_units > 0.0 {
-            pred_units / meas_units
-        } else {
-            1.0
-        },
+        ratio(pred_units, meas_units),
         m.time_secs(latency),
     )
 }
@@ -244,6 +241,57 @@ mod tests {
         let plan_report = render_plan(&planned);
         assert!(plan_report.contains("sort via"));
         assert!(plan_report.contains("scan T"));
+    }
+
+    #[test]
+    fn concordance_rows_share_one_ratio_rule() {
+        // A three-way join over an empty table predicts a little traffic
+        // (sizes are floored at one buffer) and measures none: all three
+        // rows must say so the same way.
+        let dev = PmDevice::paper_default();
+        let mut cat = Catalog::new();
+        for name in ["a", "b", "c"] {
+            let data = Arc::new(pmem_sim::PCollection::from_records_uncounted(
+                &dev,
+                LayerKind::BlockedMemory,
+                name,
+                std::iter::empty::<wisconsin::WisconsinRecord>(),
+            ));
+            cat.add_table(name, data, 0);
+        }
+        let logical = LogicalPlan::scan("a")
+            .join(LogicalPlan::scan("b"))
+            .join(LogicalPlan::scan("c"));
+        let pool = BufferPool::new(200 * 80);
+        let planned = Planner::for_device(&dev, &pool, LayerKind::BlockedMemory)
+            .plan(&logical, &cat)
+            .expect("plans");
+        assert!(planned.predicted.reads > 0.0);
+        let run = crate::lower::execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool)
+            .expect("executes");
+        assert_eq!((run.stats.cl_reads, run.stats.cl_writes), (0, 0));
+        let report = render_concordance(&planned, &run, &dev.config().latency);
+        let ratios: Vec<&str> = report
+            .lines()
+            .skip(1)
+            .filter_map(|l| Some(&l[l.find('(')?..=l.find(')')?]))
+            .collect();
+        let writes = if planned.predicted.writes > 0.0 {
+            "(infx)"
+        } else {
+            "(1.00x)"
+        };
+        assert_eq!(ratios, ["(infx)", writes, "(infx)"], "{report}");
+
+        // Measured traffic puts plain quotients in every row.
+        let measured = pmem_sim::IoStats {
+            cl_reads: 2 * planned.predicted.reads as u64,
+            cl_writes: 1,
+            ..pmem_sim::IoStats::default()
+        };
+        let report = render_concordance_stats(&planned, &measured, &dev.config().latency);
+        assert!(report.contains("(0.50x)"), "{report}");
+        assert!(!report.contains("inf"), "{report}");
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn main() {
     let lambda = LatencyProfile::PCM.lambda();
 
     // Where Eq. 6's surface bottoms out (the Fig. 2 intuition).
-    let (bx, by) = join_costs::optimal_hybrid_xy(t, v, m, lambda, 20);
+    let (bx, by) = join_costs::optimal_hybrid_xy(t, v, m, lambda);
     println!("Eq. 6 grid minimum: x = {bx:.2}, y = {by:.2}");
     let (sx, sy) = join_costs::hybrid_saddle(t, v, m, lambda);
     println!("Eqs. 7–8 saddle point: x_h = {sx:.3}, y_h = {sy:.3} (a saddle, not a minimum)\n");

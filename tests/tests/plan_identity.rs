@@ -1,0 +1,360 @@
+//! Plan-identity corpus: a seeded generator of planning cases whose
+//! full output — chosen plan, predicted traffic bit for bit, every
+//! candidate row — is pinned line by line in
+//! `tests/golden/plan_corpus.out`. An enumerator refactor that claims
+//! "same plans, same evidence" must leave that file byte-identical.
+//!
+//! Two families: *planned* cases go through `Planner::plan` over 2–8
+//! relations with mixed sizes, uniform and Zipf statistics, filters,
+//! λ, DRAM budgets, DoP and layers; *re-planned* cases execute a small
+//! chain whose catalog misestimates the first join, so the executor
+//! re-enters the join-order search the way `replan_remaining` does (a
+//! multi-slot intermediate plus the remaining base relations).
+//!
+//! Regenerate with `WL_BLESS=1 cargo test -p wl-tests --test plan_identity`.
+
+use planner::{
+    execute_stream, render_choices, render_plan, Catalog, LogicalPlan, PlannedQuery, Planner,
+    Predicate, TableStats,
+};
+use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmDevice};
+use std::fmt::Write as _;
+use std::sync::Arc;
+use wisconsin::{Record, WisconsinRecord};
+use write_limited::stats::TableStatistics;
+
+const PLANNED_CASES: u64 = 320;
+const REPLANNED_CASES: u64 = 32;
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/plan_corpus.out");
+
+/// SplitMix64: the corpus must not move when the vendored `rand` does.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+
+    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+}
+
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+const SIZES: [u64; 5] = [0, 1, 100, 1_000, 50_000];
+
+/// Zipf(1.2) tables, one per size, built once and shared by every case:
+/// bound data plus the sketch the ingest path would attach.
+struct ZipfTable {
+    data: Arc<PCollection<WisconsinRecord>>,
+    statistics: Arc<TableStatistics>,
+    key_domain: u64,
+}
+
+fn zipf_tables(dev: &Pm) -> Vec<ZipfTable> {
+    SIZES
+        .iter()
+        .map(|&rows| {
+            let records = wisconsin::skewed_input(rows, 4, 1.2, 0xC0FFEE ^ rows);
+            let keys: Vec<u64> = records.iter().map(Record::key).collect();
+            ZipfTable {
+                data: Arc::new(PCollection::from_records_uncounted(
+                    dev,
+                    LayerKind::BlockedMemory,
+                    "zipf",
+                    records,
+                )),
+                statistics: Arc::new(TableStatistics::build(&keys, 42)),
+                key_domain: (rows / 4).max(1),
+            }
+        })
+        .collect()
+}
+
+fn render(planned: &PlannedQuery) -> String {
+    let text = format!("{}{}", render_plan(planned), render_choices(planned));
+    let candidates: usize = planned.choices.iter().map(|c| c.candidates.len()).sum();
+    format!(
+        "{} | reads={:016x} writes={:016x} cands={candidates} hash={:016x}",
+        planned.plan.describe().trim_end().replace('\n', " / "),
+        planned.predicted.reads.to_bits(),
+        planned.predicted.writes.to_bits(),
+        fnv1a(&text),
+    )
+}
+
+/// One `Planner::plan` case, fully drawn from `seed`.
+fn planned_case(seed: u64, zipf: &[ZipfTable]) -> String {
+    let mut rng = Rng(seed);
+    let n = 2 + rng.below(7) as usize;
+    // One case in four joins large relations only, under a budget no
+    // build side fits and a cheap-write medium: where the Grace family
+    // — and with skew the guided join — wins instead of nested loops
+    // over a tiny intermediate.
+    let large_only = rng.below(4) == 0;
+    let (sizes, lambdas, budgets): (&[usize], &[f64], &[f64]) = if large_only {
+        (&[3, 4], &[1.0, 5.0], &[200.0, 400.0, 800.0])
+    } else {
+        (
+            &[0, 1, 2, 3, 4],
+            &[1.0, 5.0, 15.0, 100.0],
+            &[2.0, 16.0, 200.0, 3_125.0, 20_000.0, 70_000.0],
+        )
+    };
+    let lambda = rng.pick(lambdas);
+    let m_buffers = rng.pick(budgets);
+    let threads = rng.pick(&[1usize, 4]);
+    let layer = rng.pick(&[LayerKind::BlockedMemory, LayerKind::RamDisk]);
+
+    let mut cat = Catalog::new();
+    let mut leaves = Vec::new();
+    for i in 0..n {
+        let name = format!("r{i}");
+        let size = rng.pick(sizes);
+        let rows = SIZES[size];
+        let key_domain = match rng.below(3) {
+            0 => {
+                let z = &zipf[size];
+                cat.add_table_with_statistics(
+                    &name,
+                    Arc::clone(&z.data),
+                    z.key_domain,
+                    Arc::clone(&z.statistics),
+                );
+                z.key_domain
+            }
+            kind => {
+                let key_domain = if kind == 1 { rows } else { (rows / 4).max(1) };
+                cat.add_stats(
+                    &name,
+                    TableStats {
+                        rows,
+                        record_bytes: 80,
+                        key_domain,
+                    },
+                );
+                key_domain
+            }
+        };
+        let mut leaf = LogicalPlan::scan(&name);
+        // The deferred-σ arm only exists for the build side of a split,
+        // which the lowest relation of a subset always is: filter r0
+        // more often than the rest.
+        let filter_odds = if i == 0 { 2 } else { 5 };
+        if rng.below(filter_odds) == 0 {
+            let d = key_domain.max(1);
+            let predicate = match rng.below(5) {
+                0 => Predicate::KeyBelow((d / 100).max(1)),
+                1 => Predicate::KeyBelow(d - d / 10),
+                2 => Predicate::KeyAtLeast(d / 2),
+                3 => Predicate::KeyAtLeast(d / 20),
+                _ => Predicate::KeyModEq {
+                    modulus: 2 + rng.below(6),
+                    residue: 1,
+                },
+            };
+            leaf = leaf.filter(predicate);
+        }
+        // Rarely a blocking leaf, so leaf evidence interleaves with the
+        // join evidence.
+        match rng.below(16) {
+            0 => leaf = leaf.sort(),
+            1 => leaf = leaf.aggregate(),
+            _ => {}
+        }
+        leaves.push(leaf);
+    }
+
+    // Left-deep, right-deep or a random bushy shape: the search must
+    // not care, the leaf order is what it sees.
+    let mut logical = match rng.below(3) {
+        0 => leaves
+            .into_iter()
+            .reduce(LogicalPlan::join)
+            .expect("at least two leaves"),
+        1 => leaves
+            .into_iter()
+            .rev()
+            .reduce(|right, left| left.join(right))
+            .expect("at least two leaves"),
+        _ => {
+            while leaves.len() > 1 {
+                let at = rng.below(leaves.len() as u64 - 1) as usize;
+                let right = leaves.remove(at + 1);
+                let left = leaves.remove(at);
+                leaves.insert(at, left.join(right));
+            }
+            leaves.pop().expect("one plan left")
+        }
+    };
+    match rng.below(6) {
+        0 => logical = logical.sort(),
+        1 => logical = logical.aggregate(),
+        _ => {}
+    }
+
+    let planner = Planner::new(lambda, m_buffers, layer).with_threads(threads);
+    let head =
+        format!("planned seed={seed:#x} n={n} λ={lambda} M={m_buffers} dop={threads} {layer:?}");
+    match planner.plan(&logical, &cat) {
+        Ok(planned) => format!("{head} | {}", render(&planned)),
+        Err(e) => format!("{head} | error: {e}"),
+    }
+}
+
+fn table_from_keys(dev: &Pm, name: &str, keys: &[u64]) -> Arc<PCollection<WisconsinRecord>> {
+    Arc::new(PCollection::from_records_uncounted(
+        dev,
+        LayerKind::BlockedMemory,
+        name,
+        keys.iter()
+            .enumerate()
+            .map(|(i, &k)| WisconsinRecord::from_key(k).with_payload(i as u64)),
+    ))
+}
+
+/// One executed case: at least two relations repeat a few keys many
+/// times under a catalog that claims every key unique, so a first join
+/// involving one of them drifts ≥ 6× and the executor re-enumerates the
+/// rest — the intermediate (two or more slots) plus 1–4 base relations.
+fn replanned_case(seed: u64) -> String {
+    let mut rng = Rng(seed);
+    let dev = PmDevice::paper_default();
+    let hot_keys = 8 + rng.below(8);
+    let extras = 1 + rng.below(4) as usize;
+    let threads = rng.pick(&[1usize, 4]);
+    let dram_records = rng.pick(&[40usize, 300, 5_000]);
+
+    let mut cat = Catalog::new();
+    let mut leaves = Vec::new();
+    for i in 0..extras + 2 {
+        let name = format!("t{i}");
+        // The first two relations always repeat their keys under a
+        // catalog entry that claims them unique; the rest do half the
+        // time, and otherwise are what the catalog says.
+        let keys: Vec<u64> = if i < 2 || rng.below(2) == 0 {
+            let copies = 6 + rng.below(6);
+            (0..hot_keys * copies).map(|k| k % hot_keys).collect()
+        } else {
+            (0..hot_keys * (1 + rng.below(3))).collect()
+        };
+        cat.add_table(
+            &name,
+            table_from_keys(&dev, &name, &keys),
+            keys.len() as u64,
+        );
+        let mut leaf = LogicalPlan::scan(&name);
+        if i >= 2 && rng.below(3) == 0 {
+            leaf = leaf.filter(Predicate::KeyBelow(hot_keys / 2 + rng.below(hot_keys)));
+        }
+        leaves.push(leaf);
+    }
+    // Rotate so the skewed pair is not always the lowest two relations.
+    let rotate = rng.below(leaves.len() as u64) as usize;
+    leaves.rotate_left(rotate);
+    let logical = leaves
+        .into_iter()
+        .reduce(LogicalPlan::join)
+        .expect("at least three leaves");
+
+    let pool = BufferPool::new(dram_records * 80);
+    let planned = Planner::for_device(&dev, &pool, LayerKind::BlockedMemory)
+        .with_threads(threads)
+        .plan(&logical, &cat)
+        .expect("plans");
+    let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let head = format!(
+        "replanned seed={seed:#x} n={} M={dram_records}rec dop={threads}",
+        extras + 2
+    );
+    match run.adapted {
+        Some(adapted) => {
+            let effective = PlannedQuery {
+                predicted: adapted.plan.total_io(),
+                plan: adapted.plan,
+                choices: adapted.choices,
+                ..planned
+            };
+            format!(
+                "{head} | est={} obs={} | {}",
+                adapted.estimated_rows,
+                adapted.observed_rows,
+                render(&effective)
+            )
+        }
+        None => format!("{head} | no drift | {}", render(&planned)),
+    }
+}
+
+fn corpus() -> String {
+    let dev = PmDevice::paper_default();
+    let zipf = zipf_tables(&dev);
+    let mut out = String::new();
+    let mut seeds = Rng(0x5EED_C0DE);
+    for _ in 0..PLANNED_CASES {
+        writeln!(out, "{}", planned_case(seeds.next(), &zipf)).expect("string write");
+    }
+    for _ in 0..REPLANNED_CASES {
+        writeln!(out, "{}", replanned_case(seeds.next())).expect("string write");
+    }
+    out
+}
+
+#[test]
+fn the_corpus_plans_exactly_as_the_golden_file_says() {
+    let got = corpus();
+    if std::env::var_os("WL_BLESS").is_some() {
+        std::fs::write(GOLDEN, &got).expect("golden file written");
+        return;
+    }
+    let want = std::fs::read_to_string(GOLDEN).expect("golden corpus present");
+    for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "first divergence at corpus line {}", i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+    assert_eq!(got, want);
+}
+
+/// The corpus is only evidence if it reaches the arms a refactor could
+/// break: keep the generator honest about what it covers.
+#[test]
+fn the_corpus_reaches_every_arm() {
+    if std::env::var_os("WL_BLESS").is_some() {
+        return; // the file is being rewritten by the test beside this one
+    }
+    let text = std::fs::read_to_string(GOLDEN).expect("golden corpus present");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len() as u64, PLANNED_CASES + REPLANNED_CASES);
+    let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
+    assert!(count("(deferred)") >= 10, "deferred-σ arm wins");
+    assert!(
+        lines
+            .iter()
+            .filter(|l| l.contains("(materialized)") && l.contains("filter ["))
+            .count()
+            >= 10,
+        "deferred-σ arm loses or does not apply"
+    );
+    assert!(count("join via CGJ") >= 5, "guided join chosen");
+    assert!(
+        count("(sides swapped)") >= 20,
+        "swapped build orders chosen"
+    );
+    assert!(count("(re-planned)") >= 16, "re-planning fired");
+    assert!(count(" n=8 ") >= 20, "eight-relation searches");
+    assert!(count("RamDisk") >= 50 && count("dop=4") >= 50);
+    assert_eq!(count("error:"), 0, "every case plans");
+}
