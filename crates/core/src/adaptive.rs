@@ -16,7 +16,7 @@
 //! between it switches mid-flight exactly when the paper's rules say the
 //! rescan penalty has been paid off.
 
-use crate::join::common::{partition_of, BuildTable, JoinContext};
+use crate::join::common::{partition_of, view_key, BuildTable, JoinContext};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::{Pair, Record};
 use wl_runtime::{CStatus, OpCtx};
@@ -83,30 +83,26 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
                     *slot = Some(ctx.fresh::<L>("adpt-t"));
                 }
             }
-            for l in left.reader() {
-                let q = partition_of(l.key(), k);
+            left.reader().for_each_view(|l| {
+                let q = partition_of(view_key(&l), k);
                 if let Some(file) = t_files.get_mut(q).and_then(|f| f.as_mut()) {
                     if q >= p {
-                        file.append(&l);
+                        file.append_bytes(l.bytes());
                     }
                 }
-            }
+            });
             rt.note_scan("T", t_buffers);
         }
         let mut table = BuildTable::new();
         match &t_files[p] {
-            Some(file) => {
-                for l in file.reader() {
-                    table.insert(l);
-                }
-            }
+            Some(file) => file.reader().for_each_view(|l| table.insert(l.get())),
             None => {
                 // Deferred: reconstruct by re-scanning the source.
-                for l in left.reader() {
-                    if partition_of(l.key(), k) == p {
-                        table.insert(l);
+                left.reader().for_each_view(|l| {
+                    if partition_of(view_key(&l), k) == p {
+                        table.insert(l.get());
                     }
-                }
+                });
                 rt.note_scan("T", t_buffers);
             }
         }
@@ -122,28 +118,26 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
                     *slot = Some(ctx.fresh::<R>("adpt-v"));
                 }
             }
-            for r in right.reader() {
-                let q = partition_of(r.key(), k);
+            right.reader().for_each_view(|r| {
+                let q = partition_of(view_key(&r), k);
                 if let Some(file) = v_files.get_mut(q).and_then(|f| f.as_mut()) {
                     if q >= p {
-                        file.append(&r);
+                        file.append_bytes(r.bytes());
                     }
                 }
-            }
+            });
             rt.note_scan("V", v_buffers);
         }
         match &v_files[p] {
-            Some(file) => {
-                for r in file.reader() {
-                    table.probe(&r, &mut out);
-                }
-            }
+            Some(file) => file
+                .reader()
+                .for_each_view(|r| table.probe_view(&r, &mut out)),
             None => {
-                for r in right.reader() {
-                    if partition_of(r.key(), k) == p {
-                        table.probe(&r, &mut out);
+                right.reader().for_each_view(|r| {
+                    if partition_of(view_key(&r), k) == p {
+                        table.probe_view(&r, &mut out);
                     }
-                }
+                });
                 rt.note_scan("V", v_buffers);
             }
         }

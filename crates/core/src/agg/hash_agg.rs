@@ -2,7 +2,7 @@
 //! Grace-style segmented otherwise.
 
 use crate::agg::GroupAgg;
-use crate::join::common::partition_of;
+use crate::join::common::{partition_of, view_key};
 use crate::sort::common::SortContext;
 use pmem_sim::{PCollection, PmError, Storable};
 use std::collections::HashMap;
@@ -24,6 +24,9 @@ pub fn hash_aggregate<R: Record>(
     let _span = pmem_sim::span::span("alg hash-agg");
     let budget_groups = (ctx.pool().budget() / GroupAgg::SIZE).max(1);
     let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
+    // Pulled record by record, not scanned a run at a time: the scan
+    // stops at the first group past the budget, and must have been
+    // charged for no more than it read.
     for record in input.reader() {
         let key = record.key();
         let value = value_of(&record);
@@ -93,12 +96,12 @@ pub fn segmented_hash_aggregate<R: Record>(
         .map(|_| ctx.fresh::<R>("agg-part"))
         .collect();
     if materialized > 0 {
-        for record in input.reader() {
-            let p = partition_of(record.key(), k);
+        input.reader().for_each_view(|record| {
+            let p = partition_of(view_key(&record), k);
             if p < materialized {
-                files[p].append(&record);
+                files[p].append_bytes(record.bytes());
             }
-        }
+        });
     }
 
     let emit = |groups: HashMap<u64, GroupAgg>, out: &mut PCollection<GroupAgg>| {
@@ -110,33 +113,30 @@ pub fn segmented_hash_aggregate<R: Record>(
     };
 
     // Aggregate materialized partitions from their files.
+    let fold = |groups: &mut HashMap<u64, GroupAgg>, key: u64, record: &R| {
+        let value = value_of(record);
+        groups
+            .entry(key)
+            .and_modify(|g| g.fold(value))
+            .or_insert_with(|| GroupAgg::seed(key, value));
+    };
     for file in &files {
         let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
-        for record in file.reader() {
-            let key = record.key();
-            let value = value_of(&record);
-            groups
-                .entry(key)
-                .and_modify(|g| g.fold(value))
-                .or_insert_with(|| GroupAgg::seed(key, value));
-        }
+        file.reader()
+            .for_each_view(|record| fold(&mut groups, view_key(&record), &record.get()));
         emit(groups, &mut out);
     }
 
-    // Iterate the input once per remaining partition.
+    // Iterate the input once per remaining partition; a record of
+    // another partition is skipped on its key, undecoded.
     for p in materialized..k {
         let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
-        for record in input.reader() {
-            if partition_of(record.key(), k) != p {
-                continue;
+        input.reader().for_each_view(|record| {
+            let key = view_key(&record);
+            if partition_of(key, k) == p {
+                fold(&mut groups, key, &record.get());
             }
-            let key = record.key();
-            let value = value_of(&record);
-            groups
-                .entry(key)
-                .and_modify(|g| g.fold(value))
-                .or_insert_with(|| GroupAgg::seed(key, value));
-        }
+        });
         emit(groups, &mut out);
     }
     Ok(out)

@@ -11,8 +11,8 @@
 use crate::agg::GroupAgg;
 use crate::parallel;
 use crate::sort::common::{
-    generate_runs_replacement_range, merge_fan_in, merge_group, run_segment_cuts, segment_streams,
-    KWayMerge, SortContext, MERGE_SEGMENT_RECORDS,
+    generate_runs_replacement_range, merge_fan_in, merge_group, run_segment_cuts, run_sources,
+    segment_sources, KWayMerge, MergeSource, SortContext, MERGE_SEGMENT_RECORDS,
 };
 use crate::sort::selection::SelectionStream;
 use pmem_sim::{PCollection, PmError, RecordBuffer};
@@ -76,16 +76,17 @@ pub fn sort_based_aggregate<R: Record>(
 
     // Merge streams straight into the aggregator: the sorted sequence is
     // consumed, never written.
-    let mut streams: Vec<Box<dyn Iterator<Item = R> + '_>> = runs
-        .iter()
-        .map(|r| Box::new(r.reader()) as Box<dyn Iterator<Item = R> + '_>)
-        .collect();
+    let mut sources = run_sources(&runs);
     if split < n {
-        streams.push(Box::new(SelectionStream::new(input, split..n, capacity)));
+        sources.push(MergeSource::stream(SelectionStream::new(
+            input,
+            split..n,
+            capacity,
+        )));
     }
 
     let mut current: Option<GroupAgg> = None;
-    for record in KWayMerge::new(streams) {
+    for record in KWayMerge::from_sources(sources) {
         fold_into(&mut current, &record, &value_of, |g| out.append(g));
     }
     if let Some(g) = current {
@@ -132,7 +133,7 @@ fn aggregate_runs_parallel<R: Record>(
         |seg| {
             let mut buf = RecordBuffer::new();
             let mut current: Option<GroupAgg> = None;
-            for record in KWayMerge::new(segment_streams(runs, &cuts, seg)) {
+            for record in KWayMerge::from_sources(segment_sources(runs, &cuts, seg)) {
                 fold_into(&mut current, &record, value_of, |g| buf.push(g));
             }
             if let Some(g) = current {

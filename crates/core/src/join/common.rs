@@ -206,21 +206,43 @@ impl<L: Record> BuildTable<L> {
         }
     }
 
+    /// One output pair per match of a scanned record still in its stored
+    /// form: only the key is read unless it has a match.
+    #[inline]
+    fn matches_of_view<R: Record>(
+        &self,
+        right: &RecordView<'_, R>,
+        mut emit: impl FnMut(&Pair<L, R>),
+    ) {
+        let mut matches = self.matches(view_key(right)).peekable();
+        if matches.peek().is_some() {
+            let right = right.get();
+            for l in matches {
+                emit(&Pair { left: *l, right });
+            }
+        }
+    }
+
+    /// [`BuildTable::probe`] with a scanned record still in its stored
+    /// form.
+    #[inline]
+    pub(crate) fn probe_view<R: Record>(
+        &self,
+        right: &RecordView<'_, R>,
+        out: &mut PCollection<Pair<L, R>>,
+    ) {
+        self.matches_of_view(right, |pair| out.append(pair));
+    }
+
     /// [`BuildTable::probe_buffered`] with a scanned record still in its
-    /// stored form: only the key is read unless it has a match.
+    /// stored form.
     #[inline]
     pub(crate) fn probe_view_buffered<R: Record>(
         &self,
         right: &RecordView<'_, R>,
         out: &mut RecordBuffer<Pair<L, R>>,
     ) {
-        let mut matches = self.matches(view_key(right)).peekable();
-        if matches.peek().is_some() {
-            let right = right.get();
-            for l in matches {
-                out.push(&Pair { left: *l, right });
-            }
-        }
+        self.matches_of_view(right, |pair| out.push(pair));
     }
 
     /// Number of matches `right` would produce, without writing output.

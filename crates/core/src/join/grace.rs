@@ -146,26 +146,6 @@ pub(crate) fn partition_input_morsels_profiled<R: Record>(
     (PartitionedInput { parts }, per_morsel)
 }
 
-/// Joins one partition pair: builds on `left_part`, probes `right_part`.
-pub fn join_partition<L: Record, R: Record>(
-    left_part: &PCollection<L>,
-    right_part: &PCollection<R>,
-    out: &mut PCollection<Pair<L, R>>,
-) {
-    if left_part.is_empty() || right_part.is_empty() {
-        // Still pay the scans? No: a real system knows partition sizes
-        // from their metadata and skips empty pairs.
-        return;
-    }
-    let mut table = BuildTable::new();
-    for l in left_part.reader() {
-        table.insert(l);
-    }
-    for r in right_part.reader() {
-        table.probe(&r, out);
-    }
-}
-
 /// Joins every partition pair across the worker pool, appending the
 /// results to `out` in partition order. Returns each partition's cost
 /// as measured by its worker's thread-local ledger (deterministic at

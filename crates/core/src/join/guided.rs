@@ -89,8 +89,8 @@ pub fn guided_join<L: Record, R: Record>(
 /// exceed twice the uniform share (sorted, so the set is deterministic).
 fn heavy_hitters<R: Record>(input: &PCollection<R>) -> Vec<u64> {
     let mut counters: HashMap<u64, u64> = HashMap::with_capacity(MG_COUNTERS + 1);
-    for r in input.reader() {
-        let key = r.key();
+    input.reader().for_each_view(|r| {
+        let key = view_key(&r);
         if let Some(c) = counters.get_mut(&key) {
             *c += 1;
         } else if counters.len() < MG_COUNTERS {
@@ -102,7 +102,7 @@ fn heavy_hitters<R: Record>(input: &PCollection<R>) -> Vec<u64> {
                 *c > 0
             });
         }
-    }
+    });
     let floor = (2 * input.len() / MG_COUNTERS).max(1) as u64;
     let mut hot: Vec<u64> = counters
         .into_iter()

@@ -96,9 +96,7 @@ pub fn hybrid_join<L: Record, R: Record>(
                 return buf;
             }
             let mut table = BuildTable::new();
-            for l in tp.reader() {
-                table.insert(l);
-            }
+            tp.reader().for_each_view(|l| table.insert(l.get()));
             // Tx ⋈ Vy, then Tx ⋈ V₁₋y (piggyback).
             vp.reader()
                 .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
@@ -122,9 +120,8 @@ pub fn hybrid_join<L: Record, R: Record>(
             let start = tx_end + c * build_cap;
             let end = (start + build_cap).min(t_len);
             let mut table = BuildTable::new();
-            for l in left.range_reader(start, end) {
-                table.insert(l);
-            }
+            left.range_reader(start, end)
+                .for_each_view(|l| table.insert(l.get()));
             let mut buf = RecordBuffer::new();
             right
                 .reader()

@@ -27,8 +27,8 @@ pub use common::{
     expected_match_count, partition_of, BuildTable, IterJoinProfile, JoinContext, HASH_TABLE_FACTOR,
 };
 pub use grace::{
-    grace_join, grace_join_profiled, join_partition, partition_input, partition_input_morsels,
-    GraceProfile, PartitionedInput, PARTITION_MORSEL_RECORDS,
+    grace_join, grace_join_profiled, partition_input, partition_input_morsels, GraceProfile,
+    PartitionedInput, PARTITION_MORSEL_RECORDS,
 };
 pub use guided::{guided_join, guided_join_with};
 pub use hash::{hash_join, hash_join_profiled};

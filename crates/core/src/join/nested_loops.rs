@@ -59,9 +59,8 @@ pub fn nested_loops_join_profiled<L: Record, R: Record>(
             let start = b * block;
             let end = (start + block).min(left.len());
             let mut table = BuildTable::new();
-            for l in left.range_reader(start, end) {
-                table.insert(l);
-            }
+            left.range_reader(start, end)
+                .for_each_view(|l| table.insert(l.get()));
             let mut buf = RecordBuffer::new();
             right
                 .reader()

@@ -84,9 +84,7 @@ pub fn segmented_grace_join<L: Record, R: Record>(
                 return buf;
             }
             let mut table = BuildTable::new();
-            for l in tp.reader() {
-                table.insert(l);
-            }
+            tp.reader().for_each_view(|l| table.insert(l.get()));
             vp.reader()
                 .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
             buf

@@ -18,7 +18,7 @@
 //! for: selective filters materialize after the first pass, while
 //! non-selective ones stay deferred as long as `k ≤ λ`.
 
-use crate::join::common::{partition_of, BuildTable, JoinContext};
+use crate::join::common::{partition_of, view_key, BuildTable, JoinContext};
 use crate::parallel;
 use pmem_sim::{PCollection, PmError, RecordBuffer};
 use wisconsin::{Pair, Record};
@@ -90,9 +90,7 @@ impl<'a, R: Record> DeferredFilter<'a, R> {
     /// source is not scanned twice), and subsequent scans read it back.
     pub fn scan(&mut self, rt: &mut OpCtx, ctx: &JoinContext<'_>, mut consume: impl FnMut(R)) {
         if let Some(m) = &self.materialized {
-            for r in m.reader() {
-                consume(r);
-            }
+            m.reader().for_each_view(|r| consume(r.get()));
             rt.note_scan(&self.name, m.buffers() as f64);
             return;
         }
@@ -100,14 +98,17 @@ impl<'a, R: Record> DeferredFilter<'a, R> {
         let materialize = verdict.is_some_and(|v| v.decision == Decision::Materialize);
         let mut file = materialize
             .then(|| PCollection::<R>::new(ctx.device(), ctx.kind(), format!("{}-mat", self.name)));
-        for r in self.source.reader() {
+        self.source.reader().for_each_view(|view| {
+            // The predicate sees a record, so every one is decoded; a
+            // survivor is materialized as the bytes it was read as.
+            let r = view.get();
             if (self.predicate)(&r) {
                 if let Some(file) = file.as_mut() {
-                    file.append(&r);
+                    file.append_bytes(view.bytes());
                 }
                 consume(r);
             }
-        }
+        });
         rt.note_scan(&self.source_name, self.source.buffers() as f64);
         if let Some(file) = file {
             rt.set_size(&self.name, file.buffers() as f64);
@@ -161,17 +162,17 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                 |i| {
                     let part = p + i;
                     let mut table = BuildTable::new();
-                    for l in m.reader() {
-                        if partition_of(l.key(), k) == part {
-                            table.insert(l);
+                    m.reader().for_each_view(|l| {
+                        if partition_of(view_key(&l), k) == part {
+                            table.insert(l.get());
                         }
-                    }
+                    });
                     let mut buf = RecordBuffer::new();
-                    for r in right.reader() {
-                        if partition_of(r.key(), k) == part {
-                            table.probe_buffered(&r, &mut buf);
+                    right.reader().for_each_view(|r| {
+                        if partition_of(view_key(&r), k) == part {
+                            table.probe_view_buffered(&r, &mut buf);
                         }
-                    }
+                    });
                     buf
                 },
                 |_, task| {
@@ -187,11 +188,11 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                 table.insert(l);
             }
         });
-        for r in right.reader() {
-            if partition_of(r.key(), k) == p {
-                table.probe(&r, &mut out);
+        right.reader().for_each_view(|r| {
+            if partition_of(view_key(&r), k) == p {
+                table.probe_view(&r, &mut out);
             }
-        }
+        });
         p += 1;
     }
     Ok(out)

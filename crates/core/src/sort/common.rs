@@ -2,8 +2,9 @@
 //! selection, and k-way merging.
 
 use crate::context::ExecContext;
+use crate::join::common::view_key;
 use crate::parallel;
-use pmem_sim::{thread_stats, IoStats, PCollection, ReadCursor, RecordBuffer};
+use pmem_sim::{thread_stats, IoStats, PCollection, ReadCursor, RecordBuffer, RecordReader};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use wisconsin::Record;
@@ -159,34 +160,39 @@ fn generate_runs_with<R: Record>(
     let mut run = next_run();
     let mut last_out: Option<u64> = None;
 
-    for (seq, record) in input.range_reader(range.start, range.end).enumerate() {
-        let e = Entry::new(record, seq as u64);
-        if current.len() + next.len() < capacity {
-            // Heap not yet at capacity: stage into the current run if the
-            // record can still extend it, otherwise into the next run.
-            match last_out {
-                Some(k) if e.key < k => next.push(e),
-                _ => current.push(Reverse(e)),
-            }
-        } else {
-            // Evict the minimum of the current run, then place the new
-            // record into current (if it can extend the run) or next.
-            if let Some(Reverse(min)) = current.pop() {
-                run.append(&min.record);
-                last_out = Some(min.key);
-            }
-            if Some(e.key) >= last_out {
-                current.push(Reverse(e));
+    let mut seq = 0u64;
+    input
+        .range_reader(range.start, range.end)
+        .for_each_view(|view| {
+            // Every record enters a heap, so every record is decoded.
+            let e = Entry::new(view.get(), seq);
+            seq += 1;
+            if current.len() + next.len() < capacity {
+                // Heap not yet at capacity: stage into the current run if the
+                // record can still extend it, otherwise into the next run.
+                match last_out {
+                    Some(k) if e.key < k => next.push(e),
+                    _ => current.push(Reverse(e)),
+                }
             } else {
-                next.push(e);
+                // Evict the minimum of the current run, then place the new
+                // record into current (if it can extend the run) or next.
+                if let Some(Reverse(min)) = current.pop() {
+                    run.append(&min.record);
+                    last_out = Some(min.key);
+                }
+                if Some(e.key) >= last_out {
+                    current.push(Reverse(e));
+                } else {
+                    next.push(e);
+                }
+                if current.is_empty() {
+                    runs.push(std::mem::replace(&mut run, next_run()));
+                    current.extend(next.drain(..).map(Reverse));
+                    last_out = None;
+                }
             }
-            if current.is_empty() {
-                runs.push(std::mem::replace(&mut run, next_run()));
-                current.extend(next.drain(..).map(Reverse));
-                last_out = None;
-            }
-        }
-    }
+        });
 
     // Drain the tail: finish the current run, then the next run.
     while let Some(Reverse(min)) = current.pop() {
@@ -299,9 +305,9 @@ pub fn merge_runs_into_profiled<R: Record>(
         // land the data in `out`, but prefer the cheap path when the
         // caller can take ownership via `merge_runs` instead.
         let before = thread_stats();
-        for r in runs[0].reader() {
-            out.append(&r);
-        }
+        runs[0]
+            .reader()
+            .for_each_view(|r| out.append_bytes(r.bytes()));
         profile.passes.push(vec![thread_stats().since(&before)]);
         return profile;
     }
@@ -312,11 +318,12 @@ pub fn merge_runs_into_profiled<R: Record>(
 /// Streams one merge group into `out` using a tournament over the run
 /// heads.
 pub fn merge_group<R: Record>(group: &[PCollection<R>], out: &mut PCollection<R>) {
-    let streams: Vec<Box<dyn Iterator<Item = R> + '_>> = group
-        .iter()
-        .map(|r| Box::new(r.reader()) as Box<dyn Iterator<Item = R> + '_>)
-        .collect();
-    merge_streams(streams, out);
+    KWayMerge::from_sources(run_sources(group)).for_each_bytes(|rec| out.append_bytes(rec));
+}
+
+/// A cursor over each of `runs`, whole, ready for a [`KWayMerge`].
+pub(crate) fn run_sources<R: Record>(runs: &[PCollection<R>]) -> Vec<MergeSource<'_, R>> {
+    runs.iter().map(|r| MergeSource::run(r.reader())).collect()
 }
 
 /// Records per key-range segment of the parallel final merge. The
@@ -353,9 +360,8 @@ pub fn merge_group_parallel<R: Record>(
         |seg| {
             let len = cuts.iter().map(|c| c[seg + 1] - c[seg]).sum();
             let mut buf = RecordBuffer::with_capacity(len);
-            for rec in KWayMerge::new(segment_streams(group, &cuts, seg)) {
-                buf.push(&rec);
-            }
+            KWayMerge::from_sources(segment_sources(group, &cuts, seg))
+                .for_each_bytes(|rec| buf.push_bytes(rec));
             buf
         },
         |_, task| {
@@ -373,19 +379,16 @@ pub fn merge_group_parallel<R: Record>(
 }
 
 /// One segment's merge inputs under a [`run_segment_cuts`] grid: run
-/// `r`'s records in `cuts[r][seg]..cuts[r][seg + 1]`, as boxed streams
-/// ready for a [`KWayMerge`].
-pub(crate) fn segment_streams<'a, R: Record>(
+/// `r`'s records in `cuts[r][seg]..cuts[r][seg + 1]`, as cursors ready
+/// for a [`KWayMerge`].
+pub(crate) fn segment_sources<'a, R: Record>(
     runs: &'a [PCollection<R>],
     cuts: &[Vec<usize>],
     seg: usize,
-) -> Vec<Box<dyn Iterator<Item = R> + 'a>> {
+) -> Vec<MergeSource<'a, R>> {
     runs.iter()
-        .enumerate()
-        .map(|(r, run)| {
-            Box::new(run.range_reader(cuts[r][seg], cuts[r][seg + 1]))
-                as Box<dyn Iterator<Item = R> + 'a>
-        })
+        .zip(cuts)
+        .map(|(run, cuts)| MergeSource::run(run.range_reader(cuts[seg], cuts[seg + 1])))
         .collect()
 }
 
@@ -462,24 +465,6 @@ pub(crate) fn key_range_cuts<R: Record>(col: &PCollection<R>, splitters: &[u64])
     }
     cuts.push(col.len());
     cuts
-}
-
-/// Merges arbitrary sorted streams (run readers, on-the-fly selection
-/// streams, …) into `out` with a loser-tree tournament over the stream
-/// heads.
-///
-/// This is what lets segment sort keep its selection-sorted segment
-/// **deferred**: the segment participates in the merge as a stream that
-/// regenerates itself by rescanning the input, so its records are
-/// written exactly once — at their final location in `out` (the paper's
-/// "minimum number of writes: as many as there are buffers in T").
-pub fn merge_streams<R: Record>(
-    streams: Vec<Box<dyn Iterator<Item = R> + '_>>,
-    out: &mut PCollection<R>,
-) {
-    for rec in KWayMerge::new(streams) {
-        out.append(&rec);
-    }
 }
 
 /// A k-way tournament (loser tree) over stream indices: `log₂ k`
@@ -562,29 +547,133 @@ impl LoserTree {
     }
 }
 
-/// Pull-based k-way merge over sorted streams (iterator flavour of
-/// [`merge_streams`], for consumers that must see records instead of a
-/// collection — the aggregation pipeline, the segment mergers). Runs on
-/// a [`LoserTree`]; equal keys come out in stream-index order.
+/// One sorted input of a [`KWayMerge`], exposing its head as *key +
+/// stored bytes*: a merge compares keys and moves bytes, so a record
+/// that is only merged is never decoded.
+pub struct MergeSource<'a, R: Record>(Source<'a, R>);
+
+enum Source<'a, R: Record> {
+    /// A sorted run, or a slice of one — an immutable batch read in
+    /// place: the head stays where the reader found it.
+    Run(RecordReader<'a, R>),
+    /// Any other sorted stream of records (a deferred selection stream,
+    /// keys in DRAM). The head arrives decoded and is serialized only if
+    /// its bytes are asked for.
+    Stream {
+        records: Box<dyn Iterator<Item = R> + 'a>,
+        head: Option<R>,
+        stored: Vec<u8>,
+    },
+}
+
+impl<'a, R: Record> MergeSource<'a, R> {
+    /// A cursor over a sorted run through `reader`. It pulls: each
+    /// record is charged as it becomes the head, exactly as iterating
+    /// the reader would — a merge interleaves its runs, so none of them
+    /// may be charged ahead.
+    pub fn run(reader: RecordReader<'a, R>) -> Self {
+        Self(Source::Run(reader))
+    }
+
+    /// An adapter over any sorted stream of records.
+    pub fn stream(records: impl Iterator<Item = R> + 'a) -> Self {
+        Self::boxed(Box::new(records))
+    }
+
+    fn boxed(records: Box<dyn Iterator<Item = R> + 'a>) -> Self {
+        Self(Source::Stream {
+            records,
+            head: None,
+            stored: vec![0; R::SIZE],
+        })
+    }
+
+    /// Moves on to the next record and returns its key; `None` once the
+    /// source is exhausted.
+    #[inline]
+    fn advance(&mut self) -> Option<u64> {
+        match &mut self.0 {
+            Source::Run(reader) => reader.next_view().map(|v| view_key(&v)),
+            Source::Stream { records, head, .. } => {
+                *head = records.next();
+                head.as_ref().map(Record::key)
+            }
+        }
+    }
+
+    /// The stored bytes of the record the last [`MergeSource::advance`]
+    /// moved to (`None` before the first).
+    #[inline]
+    fn head_bytes(&mut self) -> Option<&[u8]> {
+        match &mut self.0 {
+            Source::Run(reader) => reader.last_view().map(|v| v.bytes()),
+            Source::Stream { head, stored, .. } => {
+                (*head)?.write_to(stored);
+                Some(stored)
+            }
+        }
+    }
+
+    /// The head, decoded.
+    #[inline]
+    fn head_record(&self) -> Option<R> {
+        match &self.0 {
+            Source::Run(reader) => reader.last_view().map(|v| v.get()),
+            Source::Stream { head, .. } => *head,
+        }
+    }
+}
+
+/// K-way merge of sorted sources on a [`LoserTree`]; equal keys come out
+/// in source-index order. The one merge driver: it lands winners as
+/// stored bytes ([`KWayMerge::for_each_bytes`] — the run merges, which
+/// only move records) or hands them out decoded to consumers that must
+/// see records (the [`Iterator`] — the aggregation pipeline).
 pub struct KWayMerge<'a, R: Record> {
-    streams: Vec<Box<dyn Iterator<Item = R> + 'a>>,
-    heads: Vec<Option<R>>,
+    sources: Vec<MergeSource<'a, R>>,
     keys: Vec<Option<u64>>,
     tree: LoserTree,
 }
 
 impl<'a, R: Record> KWayMerge<'a, R> {
-    /// Primes every stream and builds the tournament.
-    pub fn new(mut streams: Vec<Box<dyn Iterator<Item = R> + 'a>>) -> Self {
-        let heads: Vec<Option<R>> = streams.iter_mut().map(Iterator::next).collect();
-        let keys: Vec<Option<u64>> = heads.iter().map(|h| h.as_ref().map(Record::key)).collect();
+    /// Merges arbitrary sorted record streams ([`MergeSource::stream`]).
+    pub fn new(streams: Vec<Box<dyn Iterator<Item = R> + 'a>>) -> Self {
+        Self::from_sources(streams.into_iter().map(MergeSource::boxed).collect())
+    }
+
+    /// Primes every source and builds the tournament.
+    pub fn from_sources(mut sources: Vec<MergeSource<'a, R>>) -> Self {
+        let keys: Vec<Option<u64>> = sources.iter_mut().map(MergeSource::advance).collect();
         let tree = LoserTree::new(&keys);
         Self {
-            streams,
-            heads,
+            sources,
             keys,
             tree,
         }
+    }
+
+    /// Lets `take` have the winning source's head, then advances that
+    /// source and replays the tournament; `None` once every source is
+    /// exhausted.
+    #[inline]
+    fn pop<T>(&mut self, take: impl FnOnce(&mut MergeSource<'a, R>) -> Option<T>) -> Option<T> {
+        let i = self.tree.winner();
+        // An exhausted winner means every source is exhausted.
+        self.keys.get(i).copied().flatten()?;
+        let source = self.sources.get_mut(i)?;
+        let taken = take(source)?;
+        self.keys[i] = source.advance();
+        self.tree.replay(&self.keys);
+        Some(taken)
+    }
+
+    /// Runs the merge to the end, lending each record's stored bytes to
+    /// `land` in merged order.
+    pub fn for_each_bytes(mut self, mut land: impl FnMut(&[u8])) {
+        while self
+            .pop(|winner| winner.head_bytes().map(&mut land))
+            .is_some()
+        {}
     }
 }
 
@@ -592,12 +681,7 @@ impl<'a, R: Record> Iterator for KWayMerge<'a, R> {
     type Item = R;
 
     fn next(&mut self) -> Option<R> {
-        let i = self.tree.winner();
-        let rec = self.heads.get_mut(i)?.take()?;
-        self.heads[i] = self.streams[i].next();
-        self.keys[i] = self.heads[i].as_ref().map(Record::key);
-        self.tree.replay(&self.keys);
-        Some(rec)
+        self.pop(|winner| winner.head_record())
     }
 }
 
@@ -790,6 +874,86 @@ mod tests {
                 (9, 1),
             ]
         );
+    }
+
+    #[test]
+    fn one_driver_merges_run_cursors_streams_and_mixtures_alike() {
+        // Both flavours of source in one merge.
+        fn mixed(runs: &[PCollection<WisconsinRecord>]) -> KWayMerge<'_, WisconsinRecord> {
+            let mut sources = run_sources(&runs[..2]);
+            sources.push(MergeSource::stream(runs[2].to_vec_uncounted().into_iter()));
+            KWayMerge::from_sources(sources)
+        }
+
+        // Three sorted runs with duplicate keys across and within runs;
+        // payloads tell the copies apart, so the expected output pins
+        // the tie-break (equal keys in source order) as well.
+        let runs_of = |dev: &Pm| -> Vec<PCollection<WisconsinRecord>> {
+            (0..3u64)
+                .map(|r| {
+                    PCollection::from_records_uncounted(
+                        dev,
+                        LayerKind::BlockedMemory,
+                        format!("r{r}"),
+                        (0..500u64).map(move |i| {
+                            WisconsinRecord::from_key((i + r) / 3).with_payload(r * 1000 + i)
+                        }),
+                    )
+                })
+                .collect()
+        };
+        let dev = PmDevice::paper_default();
+        let runs = runs_of(&dev);
+        let mut expected: Vec<WisconsinRecord> = runs
+            .iter()
+            .flat_map(PCollection::to_vec_uncounted)
+            .collect();
+        expected.sort_by_key(Record::key); // stable: run order within a key
+
+        // Run cursors, landed as bytes.
+        let before = dev.snapshot();
+        let mut landed: PCollection<WisconsinRecord> =
+            PCollection::new(&dev, LayerKind::BlockedMemory, "landed");
+        KWayMerge::from_sources(run_sources(&runs)).for_each_bytes(|rec| landed.append_bytes(rec));
+        let by_bytes = dev.snapshot().since(&before);
+        assert_eq!(landed.to_vec_uncounted(), expected);
+
+        // Boxed streams, handed out decoded — on a twin device: reading
+        // a run through a cursor charges what iterating its reader does.
+        let twin_dev = PmDevice::paper_default();
+        let twin_runs = runs_of(&twin_dev);
+        let streams: Vec<Box<dyn Iterator<Item = WisconsinRecord> + '_>> = twin_runs
+            .iter()
+            .map(|r| Box::new(r.reader()) as Box<dyn Iterator<Item = WisconsinRecord> + '_>)
+            .collect();
+        let mut typed = PCollection::new(&twin_dev, LayerKind::BlockedMemory, "landed");
+        for rec in KWayMerge::new(streams) {
+            typed.append(&rec);
+        }
+        assert_eq!(typed.to_vec_uncounted(), expected);
+        assert_eq!(twin_dev.snapshot(), by_bytes);
+
+        // A mixture, through both outlets.
+        assert_eq!(mixed(&runs).collect::<Vec<_>>(), expected);
+        let mut bytes = RecordBuffer::new();
+        mixed(&runs).for_each_bytes(|rec| bytes.push_bytes(rec));
+        let mut landed: PCollection<WisconsinRecord> =
+            PCollection::new(&dev, LayerKind::BlockedMemory, "mixed");
+        landed.append_buffer(&bytes);
+        assert_eq!(landed.to_vec_uncounted(), expected);
+
+        // No sources, and only empty ones.
+        assert_eq!(
+            KWayMerge::<WisconsinRecord>::from_sources(Vec::new()).count(),
+            0
+        );
+        let empty: PCollection<WisconsinRecord> =
+            PCollection::new(&dev, LayerKind::BlockedMemory, "empty");
+        let empties = vec![
+            MergeSource::run(empty.reader()),
+            MergeSource::stream(std::iter::empty()),
+        ];
+        KWayMerge::from_sources(empties).for_each_bytes(|_| panic!("nothing to land"));
     }
 
     #[test]

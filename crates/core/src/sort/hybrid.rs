@@ -62,14 +62,18 @@ pub fn hybrid_sort<R: Record>(
     let mut run = ctx.fresh::<R>("hyb-run");
     let mut last_out: Option<(u64, u64)> = None;
 
-    for (seq, record) in input.reader().enumerate() {
-        let mut e = Entry::new(record, seq as u64);
+    let mut seq = 0u64;
+    input.reader().for_each_view(|view| {
+        // Every record ends up in one of the heaps, so every record is
+        // decoded.
+        let mut e = Entry::new(view.get(), seq);
+        seq += 1;
 
         // Route through the selection region: keep the |Rs| smallest.
         if rs_cap > 0 {
             if rs.len() < rs_cap {
                 rs.push(e);
-                continue;
+                return;
             }
             if rs
                 .peek()
@@ -108,7 +112,7 @@ pub fn hybrid_sort<R: Record>(
             // seeding the next run rather than panicking mid-sort.
             current.push(Reverse(e));
         }
-    }
+    });
 
     // Output prefix: the selection region holds the global minimum
     // records; sort and write them once, directly to the output.

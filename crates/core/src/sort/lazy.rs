@@ -11,6 +11,7 @@
 //! algorithm reverts to being lazy.
 
 use super::common::{Entry, SortContext};
+use crate::join::common::view_key;
 use pmem_sim::PCollection;
 use std::collections::BinaryHeap;
 use wisconsin::Record;
@@ -52,32 +53,35 @@ pub fn lazy_sort<R: Record>(
         let mut heap: BinaryHeap<Entry<R>> = BinaryHeap::with_capacity(m + 1);
         let mut ti = materialize.then(|| ctx.fresh::<R>("lazy-int"));
 
-        for (pos, record) in src.reader().enumerate() {
-            let cand = (record.key(), pos as u64);
-            if let Some(b) = boundary {
-                if cand <= b {
-                    continue; // emitted in an earlier pass
+        let mut pos = 0u64;
+        src.reader().for_each_view(|view| {
+            // The key decides, read in place: a record already emitted,
+            // or one that loses to the heap's maximum, is never decoded
+            // — the loser moves to the intermediate as bytes.
+            let cand = (view_key(&view), pos);
+            pos += 1;
+            if boundary.is_some_and(|b| cand <= b) {
+                return; // emitted in an earlier pass
+            }
+            if heap.len() >= m {
+                let Some(&max) = heap.peek() else { return };
+                if cand >= (max.key, max.seq) {
+                    if let Some(ti) = ti.as_mut() {
+                        ti.append_bytes(view.bytes()); // rejected: stays unemitted
+                    }
+                    return;
+                }
+                heap.pop();
+                if let Some(ti) = ti.as_mut() {
+                    ti.append(&max.record); // displaced: stays unemitted
                 }
             }
-            let entry = Entry {
+            heap.push(Entry {
                 key: cand.0,
                 seq: cand.1,
-                record,
-            };
-            if heap.len() < m {
-                heap.push(entry);
-            } else if let Some(&max) = heap.peek() {
-                if (entry.key, entry.seq) < (max.key, max.seq) {
-                    heap.pop();
-                    heap.push(entry);
-                    if let Some(ti) = ti.as_mut() {
-                        ti.append(&max.record); // displaced: stays unemitted
-                    }
-                } else if let Some(ti) = ti.as_mut() {
-                    ti.append(&entry.record); // rejected: stays unemitted
-                }
-            }
-        }
+                record: view.get(),
+            });
+        });
 
         if heap.is_empty() {
             break; // defensive: nothing left past the boundary

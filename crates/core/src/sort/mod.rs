@@ -20,8 +20,8 @@ pub mod selection;
 pub use common::{
     generate_runs_parallel, generate_runs_parallel_profiled, generate_runs_replacement,
     generate_runs_replacement_range, is_sorted_by_key, merge_fan_in, merge_group,
-    merge_group_parallel, merge_runs, merge_runs_into, merge_runs_into_profiled, merge_streams,
-    Entry, KWayMerge, LoserTree, MergeProfile, SortContext, MERGE_SEGMENT_RECORDS,
+    merge_group_parallel, merge_runs, merge_runs_into, merge_runs_into_profiled, Entry, KWayMerge,
+    LoserTree, MergeProfile, MergeSource, SortContext, MERGE_SEGMENT_RECORDS,
 };
 pub use cycle::cycle_sort;
 pub use ext_merge::{external_merge_sort, external_merge_sort_profiled, ExmsProfile};

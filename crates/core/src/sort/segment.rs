@@ -10,7 +10,9 @@
 //! `x` is the knob: `x → 1` behaves like external mergesort, `x → 0`
 //! approaches the write-minimal `|T|` writes of pure selection sort.
 
-use super::common::{generate_runs_replacement_range, SortContext};
+use super::common::{
+    generate_runs_replacement_range, run_sources, KWayMerge, MergeSource, SortContext,
+};
 use super::selection::SelectionStream;
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
@@ -61,14 +63,15 @@ pub fn segment_sort<R: Record>(
     // of being materialized as a long run — its records are written
     // exactly once, at their final location in the output.
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut streams: Vec<Box<dyn Iterator<Item = R> + '_>> = runs
-        .iter()
-        .map(|r| Box::new(r.reader()) as Box<dyn Iterator<Item = R> + '_>)
-        .collect();
+    let mut sources = run_sources(&runs);
     if split < n {
-        streams.push(Box::new(SelectionStream::new(input, split..n, capacity)));
+        sources.push(MergeSource::stream(SelectionStream::new(
+            input,
+            split..n,
+            capacity,
+        )));
     }
-    super::common::merge_streams(streams, &mut out);
+    KWayMerge::from_sources(sources).for_each_bytes(|rec| out.append_bytes(rec));
     Ok(out)
 }
 

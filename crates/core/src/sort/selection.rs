@@ -13,6 +13,7 @@
 //! so overlapping passes never emit a record twice.
 
 use super::common::SortContext;
+use crate::join::common::view_key;
 use pmem_sim::PCollection;
 use std::collections::BinaryHeap;
 use wisconsin::Record;
@@ -72,34 +73,37 @@ impl<'a, R: Record> SelectionStream<'a, R> {
     fn refill(&mut self) {
         let mut heap: BinaryHeap<super::common::Entry<R>> =
             BinaryHeap::with_capacity(self.capacity + 1);
-        for (pos, record) in self
-            .input
+        let (boundary, capacity) = (self.boundary, self.capacity);
+        let mut pos = 0u64;
+        self.input
             .range_reader(self.range.start, self.range.end)
-            .enumerate()
-        {
-            let cand = Boundary {
-                key: record.key(),
-                pos: pos as u64,
-            };
-            if let Some(b) = self.boundary {
-                if cand <= b {
-                    continue;
+            .for_each_view(|view| {
+                // The key decides, read in place: most records of a
+                // rescan are already emitted or lose to the heap's
+                // maximum, and are never decoded.
+                let cand = Boundary {
+                    key: view_key(&view),
+                    pos,
+                };
+                pos += 1;
+                if boundary.is_some_and(|b| cand <= b) {
+                    return;
                 }
-            }
-            let entry = super::common::Entry {
-                key: cand.key,
-                seq: cand.pos,
-                record,
-            };
-            if heap.len() < self.capacity {
-                heap.push(entry);
-            } else if let Some(max) = heap.peek() {
-                if (entry.key, entry.seq) < (max.key, max.seq) {
+                if heap.len() >= capacity {
+                    let loses = heap
+                        .peek()
+                        .is_some_and(|max| (cand.key, cand.pos) >= (max.key, max.seq));
+                    if loses {
+                        return;
+                    }
                     heap.pop();
-                    heap.push(entry);
                 }
-            }
-        }
+                heap.push(super::common::Entry {
+                    key: cand.key,
+                    seq: cand.pos,
+                    record: view.get(),
+                });
+            });
         let mut batch: Vec<super::common::Entry<R>> = heap.into_vec();
         batch.sort_unstable();
         self.boundary = batch.last().map(|e| Boundary {

@@ -18,7 +18,7 @@
 use crate::config::cachelines;
 use crate::device::{Pm, PmDevice};
 use crate::layer::{LayerKind, Place, ReadCursor, Storage};
-use crate::metrics::thread_stats;
+use crate::metrics::thread_raw;
 use std::marker::PhantomData;
 
 /// A fixed-width record that can live in persistent memory.
@@ -73,10 +73,10 @@ fn attributed(dev: &PmDevice, name: &str, op: impl FnOnce()) {
     // Measure through the thread ledger, not a device snapshot: the
     // ledger only sees this thread's charges (so parallel siblings can't
     // pollute the attribution) and costs no flush.
-    let before = thread_stats();
+    let before = thread_raw();
     op();
-    let delta = thread_stats().since(&before);
-    dev.metrics().attribute(name, delta);
+    let delta = thread_raw().since(&before);
+    dev.metrics().attribute_raw(name, delta);
 }
 
 /// A typed persistent collection of `R` records.
@@ -253,6 +253,7 @@ impl<R: Storable> PCollection<R> {
             end,
             cursor: ReadCursor::new(),
             place: self.storage.place(start * R::SIZE),
+            last: None,
             scratch: Vec::new(),
         }
     }
@@ -460,6 +461,9 @@ pub struct RecordReader<'a, R: Storable> {
     cursor: ReadCursor,
     /// Where the next record's bytes start.
     place: Place,
+    /// Where the record [`RecordReader::next_view`] handed out last
+    /// starts; `None` before the first.
+    last: Option<Place>,
     /// Assembles the records that straddle two blocks; empty until the
     /// first one.
     scratch: Vec<u8>,
@@ -492,6 +496,7 @@ impl<'a, R: Storable> RecordReader<'a, R> {
                 .charge_read(offset, R::SIZE, &mut self.cursor, &col.dev);
         });
         self.next_record += 1;
+        self.last = Some(self.place);
         Some(RecordView {
             bytes: col
                 .storage
@@ -500,14 +505,76 @@ impl<'a, R: Storable> RecordReader<'a, R> {
         })
     }
 
-    /// Lends every remaining record to `visit`, in order — the loop over
-    /// [`RecordReader::next_view`] (views borrow the reader, so it cannot
-    /// be an [`Iterator`]).
+    /// Lends the record the last [`RecordReader::next_view`] handed out
+    /// once more — it was charged then and is not charged again; `None`
+    /// before the first. This is what lets a merge cursor keep a run's
+    /// head between calls without copying it out: the bytes stay where
+    /// they are (the storage, or the reader's scratch for a record that
+    /// straddles two blocks) until the reader moves on.
     #[inline]
-    pub fn for_each_view(mut self, mut visit: impl FnMut(RecordView<'_, R>)) {
-        while let Some(view) = self.next_view() {
-            visit(view);
+    pub fn last_view(&self) -> Option<RecordView<'_, R>> {
+        let last = self.last?;
+        let bytes = match self.col.storage.contiguous_at(&last, R::SIZE) {
+            Some(bytes) => bytes,
+            None => self.scratch.get(..R::SIZE)?,
+        };
+        Some(RecordView {
+            bytes,
+            _marker: PhantomData,
+        })
+    }
+
+    /// Lends the remaining records to `visit` a *run* at a time, in
+    /// order: a run is the maximal sequence of whole records contiguous
+    /// in one storage chunk (the rest of a block on blocked memory, the
+    /// rest of the range elsewhere), handed out as one slice of
+    /// `k · R::SIZE` bytes and charged and attributed in one step. A
+    /// record that straddles two blocks is a run of its own, assembled
+    /// in the reader's scratch.
+    ///
+    /// What a full scan charges this way is, counter for counter, what
+    /// it charges record by record through [`RecordReader::next_view`].
+    /// Only the order differs: a run's records are charged before the
+    /// first of them is visited. That is sound here because the scan is
+    /// consumed inside this call; a caller that may stop early, or that
+    /// holds its reader across calls, pulls with `next_view`, which
+    /// charges each record as it is handed out.
+    #[inline]
+    pub fn for_each_run(mut self, mut visit: impl FnMut(&[u8])) {
+        let col = self.col;
+        while self.next_record < self.end {
+            let whole = col.storage.chunk_room(&self.place) / R::SIZE;
+            let records = whole.clamp(1, self.end - self.next_record);
+            attributed(&col.dev, &col.name, || {
+                col.storage.charge_read_records(
+                    self.next_record * R::SIZE,
+                    R::SIZE,
+                    records,
+                    &mut self.cursor,
+                    &col.dev,
+                );
+            });
+            self.next_record += records;
+            visit(
+                col.storage
+                    .bytes_at(&mut self.place, records * R::SIZE, &mut self.scratch),
+            );
         }
+    }
+
+    /// Lends every remaining record to `visit`, in order — the records
+    /// of [`RecordReader::for_each_run`], one view each (views borrow
+    /// the scan, so this cannot be an [`Iterator`]).
+    #[inline]
+    pub fn for_each_view(self, mut visit: impl FnMut(RecordView<'_, R>)) {
+        self.for_each_run(|run| {
+            for bytes in run.chunks_exact(R::SIZE) {
+                visit(RecordView {
+                    bytes,
+                    _marker: PhantomData,
+                });
+            }
+        });
     }
 }
 
@@ -813,6 +880,66 @@ mod breakdown_tests {
         // The attributed totals reconcile with the global counters.
         let total_writes: u64 = breakdown.iter().map(|(_, s)| s.cl_writes).sum();
         assert_eq!(total_writes, dev.snapshot().cl_writes);
+    }
+
+    #[test]
+    fn breakdown_software_time_is_exact_under_any_grouping_and_merge_order() {
+        // 100 ps a call: 0.1 ns has no exact `f64`, so a breakdown summed
+        // in floats differs in its last bits between one attribution per
+        // record, one per run, and four shards merged in whatever order
+        // their threads finish — the more so as attribution differences
+        // a ledger that other work on the thread has already advanced.
+        const BLOCKS: usize = 40;
+        let config = crate::DeviceConfig {
+            pmfs_call_ns: 0.1,
+            ..crate::DeviceConfig::paper_default()
+        };
+        let per_block = config.block_size / u64::SIZE;
+        let records = BLOCKS * per_block;
+        let stage = |blocks: usize| {
+            let dev = PmDevice::new(config.clone());
+            dev.metrics().enable_breakdown();
+            let keys = 0..(blocks * per_block) as u64;
+            let col = PCollection::from_records_uncounted(&dev, LayerKind::Pmfs, "t", keys);
+            (dev, col)
+        };
+        // Earlier traffic of the scanning thread, on some other device.
+        let advance_ledger = |blocks: usize| {
+            let (_dev, col) = stage(blocks);
+            assert_eq!(col.reader().count(), col.len());
+        };
+        let scan = |how: &(dyn Fn(&PCollection<u64>) + Sync)| {
+            let (dev, col) = stage(BLOCKS);
+            how(&col);
+            dev.metrics().breakdown()
+        };
+        let by_record = scan(&|col| {
+            advance_ledger(1);
+            assert_eq!(col.reader().count(), records);
+        });
+        let by_run = scan(&|col| {
+            advance_ledger(7);
+            col.reader().for_each_view(|_| {});
+        });
+        // Quarters cut at block boundaries, so the four cursors together
+        // touch every cacheline and block exactly once.
+        let by_threads = scan(&|col| {
+            std::thread::scope(|s| {
+                for q in 0..4 {
+                    s.spawn(move || {
+                        advance_ledger(3 * q + 1);
+                        let quarter = col.range_reader(q * records / 4, (q + 1) * records / 4);
+                        assert_eq!(quarter.count(), records / 4);
+                        crate::flush_thread_shards();
+                    });
+                }
+            });
+        });
+        assert_eq!(by_record.len(), 1);
+        assert_eq!(by_record[0].1.calls, BLOCKS as u64);
+        assert_eq!(by_record[0].1.software_ns, BLOCKS as f64 * 100.0 / 1000.0);
+        assert_eq!(by_record, by_run);
+        assert_eq!(by_record, by_threads);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Selects one of the §3.2 persistence-layer implementations, or the
 /// file-backed durability layer.
@@ -79,6 +80,14 @@ impl LayerKind {
 
 /// Host-side I/O counters of a file-backed storage — the ground truth
 /// the simulated counters are sanity-checked against.
+///
+/// A named file ([`Storage::create_file`] / [`Storage::open_file`]) is
+/// written through: one `write(2)` per append, so `write_syscalls`
+/// counts appends. An ephemeral scratch file ([`Storage::new`]) stages
+/// its host writes and hands them to the OS in batches, so there
+/// `write_syscalls` ≤ appends — while `bytes_written` still equals the
+/// logical bytes whenever it is read, because [`Storage::file_stats`]
+/// flushes what is staged first.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FileStats {
     /// `write(2)` calls issued to the OS file.
@@ -89,6 +98,10 @@ pub struct FileStats {
     pub fsyncs: u64,
 }
 
+/// Staged host writes of an ephemeral file go to the OS once this many
+/// bytes are pending.
+const EPHEMERAL_FLUSH_BYTES: usize = 64 * 1024;
+
 /// The real OS file behind a [`LayerKind::FileBacked`] storage.
 #[derive(Debug)]
 struct FileBacking {
@@ -98,12 +111,92 @@ struct FileBacking {
     /// drop. Named files ([`Storage::create_file`] / [`Storage::open_file`])
     /// are left behind — durability is their point.
     ephemeral: bool,
+    /// Behind a lock because the accessors that flush take `&self`;
+    /// appends reach it through `&mut self` without locking.
+    host: Mutex<HostWrites>,
+}
+
+/// What has, and what has not yet, been handed to the OS file.
+#[derive(Debug, Default)]
+struct HostWrites {
+    /// Appended bytes of an ephemeral file not yet written to it. Nobody
+    /// reads a scratch file back (reads come from the in-memory mirror)
+    /// and its durability is nobody's concern (it is unlinked on drop),
+    /// so its appends need not each pay a `write(2)`. Grown by the
+    /// appends themselves — a collection that stays tiny stages tiny.
+    /// Always empty for a named file.
+    pending: Vec<u8>,
     stats: FileStats,
+}
+
+impl HostWrites {
+    /// Hands the staged bytes to the OS file in one write.
+    fn flush(&mut self, mut file: &fs::File) -> std::io::Result<()> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let written = file.write_all(&self.pending);
+        if written.is_ok() {
+            self.stats.write_syscalls += 1;
+            self.stats.bytes_written += self.pending.len() as u64;
+        }
+        self.pending.clear();
+        written
+    }
+}
+
+impl FileBacking {
+    fn new(path: &Path, file: fs::File, ephemeral: bool) -> Self {
+        Self {
+            path: path.to_path_buf(),
+            file,
+            ephemeral,
+            host: Mutex::new(HostWrites::default()),
+        }
+    }
+
+    fn host(&self) -> MutexGuard<'_, HostWrites> {
+        // Every update leaves the staged bytes and the counters valid,
+        // so a panic elsewhere while the lock was held poisons nothing.
+        self.host.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One append's bytes: written through on a named file, staged (and
+    /// flushed past the threshold) on an ephemeral one.
+    fn write(&mut self, data: &[u8]) -> std::io::Result<()> {
+        let Self {
+            file,
+            ephemeral,
+            host,
+            ..
+        } = self;
+        let host = host.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if *ephemeral {
+            host.pending.extend_from_slice(data);
+            if host.pending.len() < EPHEMERAL_FLUSH_BYTES {
+                return Ok(());
+            }
+            return host.flush(file);
+        }
+        file.write_all(data)?;
+        host.stats.write_syscalls += 1;
+        host.stats.bytes_written += data.len() as u64;
+        Ok(())
+    }
+
+    /// Hands everything staged to the OS file.
+    fn flush(&self) -> std::io::Result<()> {
+        self.host().flush(&self.file)
+    }
 }
 
 impl Drop for FileBacking {
     fn drop(&mut self) {
         if self.ephemeral {
+            // Every appended byte reaches the OS file, even one about to
+            // be unlinked: host I/O stays a function of the appends, not
+            // of when the storage happened to be dropped.
+            let _ = self.flush();
             let _ = fs::remove_file(&self.path);
         }
     }
@@ -179,6 +272,18 @@ impl Storage {
     /// file in the OS temp directory, removed when the storage drops;
     /// use [`Storage::create_file`] for a file that should survive.
     ///
+    /// Such an *ephemeral* file is read only through the in-memory
+    /// mirror and nobody depends on its durability, so its host writes
+    /// are staged and handed to the OS in batches — past a size
+    /// threshold, on [`Storage::fsync`], [`Storage::persist_as`],
+    /// [`Storage::file_path`], [`Storage::file_stats`] and drop, and
+    /// before an injected fault cuts or refuses an append — not one
+    /// `write(2)` per append. Nothing else differs from a named file:
+    /// the fault plan is consulted per append with that append's
+    /// length, the simulated charge is made per append, and whoever
+    /// looks at the file through those accessors finds every byte
+    /// appended so far.
+    ///
     /// # Panics
     /// Panics if the scratch file cannot be created (FileBacked only).
     pub fn new(kind: LayerKind, config: &DeviceConfig) -> Self {
@@ -233,12 +338,7 @@ impl Storage {
             capacity: 0,
             written_granules: 0,
             block_size: config.block_size,
-            file: Some(FileBacking {
-                path: path.to_path_buf(),
-                file,
-                ephemeral,
-                stats: FileStats::default(),
-            }),
+            file: Some(FileBacking::new(path, file, ephemeral)),
         })
     }
 
@@ -266,12 +366,7 @@ impl Storage {
             capacity: 0,
             written_granules: (len as u64).div_ceil(FILE_RECORD as u64),
             block_size: config.block_size,
-            file: Some(FileBacking {
-                path: path.to_path_buf(),
-                file,
-                ephemeral: false,
-                stats: FileStats::default(),
-            }),
+            file: Some(FileBacking::new(path, file, false)),
         })
     }
 
@@ -450,14 +545,19 @@ impl Storage {
             let cg = self.call_granule() as u64;
             let calls = (new_len as u64).div_ceil(cg) - (old_len as u64).div_ceil(cg);
             if calls > 0 {
-                dev.metrics().add_software_ns(call_ns * calls as f64);
-                dev.metrics().add_calls(calls);
+                dev.metrics().add_layer_calls(calls, call_ns);
             }
         }
     }
 
     fn append_file(&mut self, data: &[u8], dev: &PmDevice) -> Result<(), PmError> {
-        match dev.fault_before_write(data.len()) {
+        let verdict = dev.fault_before_write(data.len());
+        if verdict != WriteVerdict::Full {
+            // The appends before this one succeeded: whatever the fault
+            // leaves in the file comes after all of their bytes.
+            self.flush_file()?;
+        }
+        match verdict {
             WriteVerdict::Full => self.file_write(data, dev),
             WriteVerdict::Refuse(kind) => Err(self.file_error(kind.describe())),
             WriteVerdict::Partial { keep, torn } => {
@@ -474,30 +574,34 @@ impl Storage {
                         }
                     }
                     self.file_write(&kept, dev)?;
+                    self.flush_file()?;
                 }
                 Err(self.file_error(FaultKind::Crash.describe()))
             }
         }
     }
 
-    /// Writes `data` to the OS file and the mirror, then charges the
-    /// simulated counters for it.
+    /// Hands `data` to the OS file (staged, on an ephemeral one) and the
+    /// mirror, then charges the simulated counters for it.
     fn file_write(&mut self, data: &[u8], dev: &PmDevice) -> Result<(), PmError> {
         let old_len = self.len;
-        {
-            let fb = self.file.as_mut().expect("file-backed storage");
-            if let Err(e) = fb.file.write_all(data) {
-                let cause = e.to_string();
-                return Err(self.file_error(cause));
-            }
-            let fb = self.file.as_mut().expect("file-backed storage");
-            fb.stats.write_syscalls += 1;
-            fb.stats.bytes_written += data.len() as u64;
+        let fb = self.file.as_mut().expect("file-backed storage");
+        if let Err(e) = fb.write(data) {
+            return Err(self.file_error(e.to_string()));
         }
         self.contiguous.extend_from_slice(data);
         self.len = old_len + data.len();
         self.charge_append(old_len, self.len, dev);
         Ok(())
+    }
+
+    /// Hands an ephemeral file's staged bytes to the OS (a no-op on a
+    /// named file, which stages nothing, and off the file layer).
+    fn flush_file(&self) -> Result<(), PmError> {
+        match self.file.as_ref().map(FileBacking::flush) {
+            Some(Err(e)) => Err(self.file_error(e.to_string())),
+            _ => Ok(()),
+        }
     }
 
     /// [`PmError::Io`] at the current end of this storage's file.
@@ -514,12 +618,14 @@ impl Storage {
     }
 
     /// Forces written data to the OS file (file-backed only; a no-op on
-    /// the simulated layers). Charges one layer call. Fails if a fault
-    /// has tripped — data cut by a kill can never be made durable.
+    /// the simulated layers), staged bytes of an ephemeral file
+    /// included. Charges one layer call. Fails if a fault has tripped —
+    /// data cut by a kill can never be made durable.
     pub fn fsync(&mut self, dev: &PmDevice) -> Result<(), PmError> {
         if self.file.is_none() {
             return Ok(());
         }
+        self.flush_file()?;
         if let Err(kind) = dev.fault_before_sync() {
             return Err(self.file_error(kind.describe()));
         }
@@ -529,18 +635,20 @@ impl Storage {
             return Err(self.file_error(cause));
         }
         let fb = self.file.as_mut().expect("file-backed storage");
-        fb.stats.fsyncs += 1;
-        dev.metrics().add_software_ns(dev.config().file_call_ns);
-        dev.metrics().add_calls(1);
+        fb.host().stats.fsyncs += 1;
+        dev.metrics().add_layer_calls(1, dev.config().file_call_ns);
         Ok(())
     }
 
     /// Atomically renames the backing file (file-backed only); the open
     /// handle keeps writing to the same inode, so appends continue to
     /// land in the renamed file. This is the publish step of the
-    /// write-tmp-fsync-rename discipline durable code uses.
+    /// write-tmp-fsync-rename discipline durable code uses. A scratch
+    /// file published this way stops being ephemeral: what it had staged
+    /// is written out first, and later appends are written through.
     pub fn persist_as(&mut self, new_path: impl AsRef<Path>) -> Result<(), PmError> {
         let new_path = new_path.as_ref();
+        self.flush_file()?;
         let Some(fb) = self.file.as_mut() else {
             return Err(PmError::Io {
                 path: new_path.display().to_string(),
@@ -558,14 +666,23 @@ impl Storage {
         Ok(())
     }
 
-    /// Host-side I/O counters (file-backed only).
+    /// Host-side I/O counters (file-backed only), after handing any
+    /// staged bytes to the OS — so `bytes_written` covers every append
+    /// made so far.
     pub fn file_stats(&self) -> Option<FileStats> {
-        self.file.as_ref().map(|f| f.stats)
+        let fb = self.file.as_ref()?;
+        // Best effort, like `clear`: a failed write is simply not counted.
+        let _ = fb.flush();
+        Some(fb.host().stats)
     }
 
-    /// Path of the backing file (file-backed only).
+    /// Path of the backing file (file-backed only), after handing any
+    /// staged bytes to the OS — so whoever opens the path finds every
+    /// append made so far.
     pub fn file_path(&self) -> Option<&Path> {
-        self.file.as_ref().map(|f| f.path.as_path())
+        let fb = self.file.as_ref()?;
+        let _ = fb.flush();
+        Some(fb.path.as_path())
     }
 
     fn append_blocked(&mut self, data: &[u8]) {
@@ -660,12 +777,43 @@ impl Storage {
                 let last_cg = (offset + len - 1) as u64 / cg;
                 let start_cg = first_cg.max(cursor.next_call_granule);
                 if last_cg >= start_cg {
-                    let calls = last_cg - start_cg + 1;
-                    dev.metrics().add_software_ns(call_ns * calls as f64);
-                    dev.metrics().add_calls(calls);
+                    dev.metrics()
+                        .add_layer_calls(last_cg - start_cg + 1, call_ns);
                     cursor.next_call_granule = last_cg + 1;
                 }
             }
+        }
+    }
+
+    /// Charges a forward read of `count` back-to-back `size`-byte records
+    /// starting at `offset` exactly as `count` calls of
+    /// [`Storage::charge_read`], one per record, would through the same
+    /// cursor — in a single call wherever that telescopes.
+    ///
+    /// Medium traffic always does: a granule is counted at its first
+    /// touch, whatever the sizes of the reads that touch it. Layer calls
+    /// are only looked at by a read that touches a new medium granule,
+    /// so they telescope when every call-granule boundary is also a
+    /// medium-granule boundary — every layer except PMFS over a block
+    /// size that is not a multiple of the cacheline. There, a record
+    /// that ends the scan across a block boundary but inside an
+    /// already-counted cacheline is never charged its call, and only
+    /// the record-at-a-time loop reproduces that. (Software time is a
+    /// whole number of picoseconds per call, so it follows the calls.)
+    #[inline]
+    pub(crate) fn charge_read_records(
+        &self,
+        offset: usize,
+        size: usize,
+        count: usize,
+        cursor: &mut ReadCursor,
+        dev: &PmDevice,
+    ) {
+        if self.call_ns(dev) == 0.0 || self.call_granule().is_multiple_of(self.granule()) {
+            return self.charge_read(offset, size * count, cursor, dev);
+        }
+        for i in 0..count {
+            self.charge_read(offset + i * size, size, cursor, dev);
         }
     }
 
@@ -685,11 +833,35 @@ impl Storage {
         }
     }
 
+    /// Bytes from `place` to the end of the chunk holding it — how far a
+    /// scan can read on without leaving contiguous memory: the rest of
+    /// the block on blocked memory, the rest of the storage elsewhere.
+    #[inline]
+    pub(crate) fn chunk_room(&self, place: &Place) -> usize {
+        match self.kind {
+            LayerKind::BlockedMemory => self.block_size - place.off,
+            _ => self.len - place.off,
+        }
+    }
+
+    /// The stored bytes `[place, place + len)`, **uncharged**, where they
+    /// are contiguous in the block, array or file mirror holding them;
+    /// `None` where they straddle blocks (or run past the chunk).
+    #[inline]
+    pub(crate) fn contiguous_at(&self, place: &Place, len: usize) -> Option<&[u8]> {
+        let chunk: &[u8] = match self.kind {
+            LayerKind::BlockedMemory => self.blocks.get(place.chunk)?,
+            _ => &self.contiguous,
+        };
+        chunk.get(place.off..place.off + len)
+    }
+
     /// The stored bytes `[place, place + len)`, **uncharged** (pair every
-    /// call with [`Storage::charge_read`]), advancing `place` past them:
-    /// lent straight from the block, array or file mirror when they are
-    /// contiguous there, assembled in `scratch` when they straddle
-    /// blocks. The caller has checked the range against
+    /// call with [`Storage::charge_read`] or
+    /// [`Storage::charge_read_records`]), advancing `place` past them:
+    /// lent straight from the storage when they are contiguous there
+    /// ([`Storage::contiguous_at`]), assembled in `scratch` when they
+    /// straddle blocks. The caller has checked the range against
     /// [`Storage::len`].
     #[inline]
     pub(crate) fn bytes_at<'s>(
@@ -698,19 +870,13 @@ impl Storage {
         len: usize,
         scratch: &'s mut Vec<u8>,
     ) -> &'s [u8] {
-        let chunk: &[u8] = match self.kind {
-            LayerKind::BlockedMemory => &self.blocks[place.chunk],
-            _ => &self.contiguous,
-        };
-        let end = place.off + len;
-        if end > chunk.len() {
-            scratch.resize(len, 0);
-            self.copy_out(place, scratch);
-            return &scratch[..len];
+        if let Some(bytes) = self.contiguous_at(place, len) {
+            self.advance(place, len);
+            return bytes;
         }
-        let bytes = &chunk[place.off..end];
-        self.advance(place, len);
-        bytes
+        scratch.resize(len, 0);
+        self.copy_out(place, scratch);
+        &scratch[..len]
     }
 
     /// Moves `place` `by` bytes on within its chunk, stepping to the next
@@ -752,6 +918,7 @@ impl Storage {
         self.len = 0;
         self.written_granules = 0;
         if let Some(fb) = self.file.as_mut() {
+            fb.host().pending.clear();
             let _ = fb.file.set_len(0);
             let _ = fb.file.seek(SeekFrom::Start(0));
         }
@@ -907,24 +1074,120 @@ mod tests {
         assert_eq!(buf, [0u8; 80]);
     }
 
+    fn scratch_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("wl-layer-{tag}-{}.bin", std::process::id()))
+    }
+
     #[test]
     fn file_backed_simulated_counts_match_host_io() {
+        let data: Vec<u8> = (0..3000u32).map(|i| (i % 253) as u8).collect();
+        let path = scratch_path("named-twin");
+        // An ephemeral scratch file and a named twin, on a device each.
+        let (d_eph, d_named) = (dev(), dev());
+        let mut eph = Storage::new(LayerKind::FileBacked, d_eph.config());
+        let mut named = Storage::create_file(&path, d_named.config()).unwrap();
+        for chunk in data.chunks(100) {
+            eph.append(chunk, &d_eph);
+            named.append(chunk, &d_named);
+        }
+        eph.fsync(&d_eph).unwrap();
+        named.fsync(&d_named).unwrap();
+        let (eph_stats, named_stats) = (eph.file_stats().unwrap(), named.file_stats().unwrap());
+        // Named: written through, one write(2) per append. Ephemeral:
+        // staged, so fewer — here one, at the fsync.
+        assert_eq!(named_stats.write_syscalls, 30);
+        assert_eq!(eph_stats.write_syscalls, 1);
+        for stats in [eph_stats, named_stats] {
+            assert_eq!(stats.bytes_written, 3000, "host bytes == logical bytes");
+            assert_eq!(stats.fsyncs, 1);
+        }
+        // Simulated traffic is charged per append on both, identically:
+        // the same bytes at record granularity, a call per record first
+        // touched plus the fsync.
+        assert_eq!(d_eph.snapshot().cl_writes, 3000u64.div_ceil(512) * 8);
+        assert_eq!(d_eph.snapshot(), d_named.snapshot());
+        // And the files on disk really hold the bytes.
+        assert_eq!(fs::read(eph.file_path().unwrap()).unwrap(), data);
+        assert_eq!(fs::read(&path).unwrap(), data);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn ephemeral_appends_reach_the_os_in_threshold_sized_batches() {
         let d = dev();
         let mut s = Storage::new(LayerKind::FileBacked, d.config());
-        let data: Vec<u8> = (0..3000u32).map(|i| (i % 253) as u8).collect();
-        for chunk in data.chunks(100) {
-            s.append(chunk, &d);
+        let record = [7u8; 80];
+        let appends = 2560u64;
+        for _ in 0..appends {
+            s.append(&record, &d);
         }
-        s.fsync(&d).unwrap();
+        // A batch goes out with the append that fills it; the accessor
+        // flushes the remainder.
+        let per_batch = EPHEMERAL_FLUSH_BYTES.div_ceil(record.len()) as u64;
         let stats = s.file_stats().unwrap();
-        assert_eq!(stats.bytes_written, 3000, "host bytes == logical bytes");
-        assert_eq!(stats.write_syscalls, 30);
-        assert_eq!(stats.fsyncs, 1);
-        // Simulated writes cover the same bytes at record granularity.
-        assert_eq!(d.snapshot().cl_writes, 3000u64.div_ceil(512) * 8);
-        // And the file on disk really holds the bytes.
+        assert_eq!(stats.write_syscalls, appends.div_ceil(per_batch));
+        assert!(stats.write_syscalls * 100 < appends);
+        assert_eq!(stats.bytes_written, appends * 80);
         let on_disk = fs::read(s.file_path().unwrap()).unwrap();
-        assert_eq!(on_disk, data);
+        assert_eq!(on_disk.len() as u64, appends * 80);
+        // Publishing the file ends the staging: appends write through.
+        let path = scratch_path("published");
+        s.persist_as(&path).unwrap();
+        s.append(&record, &d);
+        assert_eq!(fs::read(&path).unwrap().len() as u64, (appends + 1) * 80);
+        assert_eq!(
+            s.file_stats().unwrap().write_syscalls,
+            stats.write_syscalls + 1
+        );
+        drop(s);
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn tiny_ephemeral_files_stage_tiny_buffers() {
+        // A partitioning operator opens scratch files by the thousand,
+        // most of them small: the staging buffer grows with what is
+        // appended, never to the flush threshold up front.
+        let d = dev();
+        let mut staged = 0;
+        for _ in 0..1000 {
+            let mut s = Storage::new(LayerKind::FileBacked, d.config());
+            for _ in 0..3 {
+                s.append(&[1u8; 80], &d);
+            }
+            let fb = s.file.as_ref().unwrap();
+            staged += fb.host().pending.capacity();
+        }
+        assert!(
+            staged <= 1000 * 1024,
+            "{staged} bytes staged by 1000 three-record files"
+        );
+    }
+
+    #[test]
+    fn enospc_mid_spill_refuses_the_same_append_and_keeps_the_same_bytes() {
+        // An operator spilling to a scratch file runs out of space: the
+        // append that crosses the limit is refused and everything before
+        // it is in the file — exactly as on a written-through named file.
+        let record = |i: u8| [i; 80];
+        let path = scratch_path("enospc-twin");
+        let (d_eph, d_named) = (dev(), dev());
+        let mut eph = Storage::new(LayerKind::FileBacked, d_eph.config());
+        let mut named = Storage::create_file(&path, d_named.config()).unwrap();
+        let mut refused = Vec::new();
+        for (s, d) in [(&mut eph, &d_eph), (&mut named, &d_named)] {
+            d.arm_faults(crate::fault::FaultPlan::enospc_at(1000));
+            let first_refused = (0..20u8).find(|&i| s.try_append(&record(i), d).is_err());
+            refused.push(first_refused);
+            d.disarm_faults();
+        }
+        assert_eq!(refused, [Some(12), Some(12)]);
+        let kept: Vec<u8> = (0..12u8).flat_map(record).collect();
+        assert_eq!(eph.len(), kept.len());
+        assert_eq!(fs::read(eph.file_path().unwrap()).unwrap(), kept);
+        assert_eq!(fs::read(&path).unwrap(), kept);
+        assert_eq!(d_eph.snapshot(), d_named.snapshot());
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]

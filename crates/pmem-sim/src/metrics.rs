@@ -139,27 +139,71 @@ impl IoStats {
     }
 }
 
-/// Per-thread mirror of everything the current thread has charged to any
-/// [`Metrics`] bank, in raw units (picoseconds for software time).
-#[derive(Clone, Copy, Debug, Default)]
-struct LocalLedger {
+/// Traffic in raw integer units (picoseconds for software time) — what
+/// the thread ledgers, the shards and the per-collection breakdown
+/// accumulate, so every sum is exact under any order and any grouping of
+/// the charges. Converted to an [`IoStats`] only when observed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RawStats {
     reads: u64,
     writes: u64,
     software_ps: u64,
     calls: u64,
 }
 
-thread_local! {
-    static LEDGER: Cell<LocalLedger> = const { Cell::new(LocalLedger {
+impl RawStats {
+    const ZERO: RawStats = RawStats {
         reads: 0,
         writes: 0,
         software_ps: 0,
         calls: 0,
-    }) };
+    };
+
+    fn add(&mut self, other: &RawStats) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.software_ps += other.software_ps;
+        self.calls += other.calls;
+    }
+
+    /// Traffic between `earlier` and `self`, two observations of one
+    /// monotonic ledger.
+    pub(crate) fn since(&self, earlier: &RawStats) -> RawStats {
+        RawStats {
+            reads: self.reads - earlier.reads,
+            writes: self.writes - earlier.writes,
+            software_ps: self.software_ps - earlier.software_ps,
+            calls: self.calls - earlier.calls,
+        }
+    }
+
+    fn from_io(stats: &IoStats) -> RawStats {
+        RawStats {
+            reads: stats.cl_reads,
+            writes: stats.cl_writes,
+            software_ps: (stats.software_ns * PS_PER_NS).round() as u64,
+            calls: stats.calls,
+        }
+    }
+
+    fn to_io(self) -> IoStats {
+        IoStats {
+            cl_reads: self.reads,
+            cl_writes: self.writes,
+            software_ns: self.software_ps as f64 / PS_PER_NS,
+            calls: self.calls,
+        }
+    }
+}
+
+thread_local! {
+    /// Per-thread mirror of everything the current thread has charged to
+    /// any [`Metrics`] bank.
+    static LEDGER: Cell<RawStats> = const { Cell::new(RawStats::ZERO) };
 }
 
 #[inline]
-fn ledger_update(f: impl FnOnce(&mut LocalLedger)) {
+fn ledger_update(f: impl FnOnce(&mut RawStats)) {
     let _ = LEDGER.try_with(|l| {
         let mut v = l.get();
         f(&mut v);
@@ -174,22 +218,18 @@ fn ledger_update(f: impl FnOnce(&mut LocalLedger)) {
 /// snapshot, it is unaffected by concurrent siblings, so per-partition
 /// cost deltas stay deterministic at any degree of parallelism.
 pub fn thread_stats() -> IoStats {
-    let l = LEDGER.with(Cell::get);
-    IoStats {
-        cl_reads: l.reads,
-        cl_writes: l.writes,
-        software_ns: l.software_ps as f64 / PS_PER_NS,
-        calls: l.calls,
-    }
+    thread_raw().to_io()
+}
+
+/// [`thread_stats`] in raw units — what the collections difference to
+/// attribute an operation, with no float in between.
+#[inline]
+pub(crate) fn thread_raw() -> RawStats {
+    LEDGER.with(Cell::get)
 }
 
 thread_local! {
-    static ADOPTED: Cell<LocalLedger> = const { Cell::new(LocalLedger {
-        reads: 0,
-        writes: 0,
-        software_ps: 0,
-        calls: 0,
-    }) };
+    static ADOPTED: Cell<RawStats> = const { Cell::new(RawStats::ZERO) };
 }
 
 /// Credits `stats` — traffic charged by *another* thread on this thread's
@@ -200,10 +240,7 @@ thread_local! {
 pub fn adopt(stats: &IoStats) {
     ADOPTED.with(|l| {
         let mut v = l.get();
-        v.reads += stats.cl_reads;
-        v.writes += stats.cl_writes;
-        v.software_ps += (stats.software_ns * PS_PER_NS).round() as u64;
-        v.calls += stats.calls;
+        v.add(&RawStats::from_io(stats));
         l.set(v);
     });
 }
@@ -214,14 +251,9 @@ pub fn adopt(stats: &IoStats) {
 /// region cost that region inclusive of any parallel fan-out it consumed
 /// — which is exactly the quantity profiling spans report.
 pub fn thread_flow() -> IoStats {
-    let own = LEDGER.with(Cell::get);
-    let ad = ADOPTED.with(Cell::get);
-    IoStats {
-        cl_reads: own.reads + ad.reads,
-        cl_writes: own.writes + ad.writes,
-        software_ns: (own.software_ps + ad.software_ps) as f64 / PS_PER_NS,
-        calls: own.calls + ad.calls,
-    }
+    let mut flow = thread_raw();
+    flow.add(&ADOPTED.with(Cell::get));
+    flow.to_io()
 }
 
 /// Source of unique bank identities. Weak handles alone cannot key the
@@ -239,7 +271,7 @@ struct Bank {
     cl_writes: AtomicU64,
     software_ps: AtomicU64,
     calls: AtomicU64,
-    breakdown: Mutex<HashMap<String, IoStats>>,
+    breakdown: Mutex<HashMap<String, RawStats>>,
 }
 
 impl Bank {
@@ -260,41 +292,37 @@ impl Bank {
     /// only place pending deltas enter the bank (the `ledger-only`
     /// wl-audit rule pins callers to this file).
     fn merge_shard(&self, pending: &ShardDelta) {
-        if pending.reads != 0 {
-            self.cl_reads.fetch_add(pending.reads, Ordering::Relaxed);
+        let total = &pending.total;
+        if total.reads != 0 {
+            self.cl_reads.fetch_add(total.reads, Ordering::Relaxed);
         }
-        if pending.writes != 0 {
-            self.cl_writes.fetch_add(pending.writes, Ordering::Relaxed);
+        if total.writes != 0 {
+            self.cl_writes.fetch_add(total.writes, Ordering::Relaxed);
         }
-        if pending.software_ps != 0 {
+        if total.software_ps != 0 {
             self.software_ps
-                .fetch_add(pending.software_ps, Ordering::Relaxed);
+                .fetch_add(total.software_ps, Ordering::Relaxed);
         }
-        if pending.calls != 0 {
-            self.calls.fetch_add(pending.calls, Ordering::Relaxed);
+        if total.calls != 0 {
+            self.calls.fetch_add(total.calls, Ordering::Relaxed);
         }
         if !pending.breakdown.is_empty() {
             let mut map = self.breakdown.lock().expect("breakdown lock poisoned");
             for (tag, d) in &pending.breakdown {
-                let slot = map.entry(tag.clone()).or_default();
-                slot.cl_reads += d.cl_reads;
-                slot.cl_writes += d.cl_writes;
-                slot.software_ns += d.software_ns;
-                slot.calls += d.calls;
+                map.entry(tag.clone()).or_default().add(d);
             }
         }
     }
 }
 
-/// One thread's not-yet-published deltas against one bank, in raw
-/// integer units, plus any buffered per-collection attribution.
+/// One thread's not-yet-published deltas against one bank, plus any
+/// buffered per-collection attribution — all in raw integer units, so
+/// neither the order shards merge in nor how charges were grouped can
+/// show in a total.
 #[derive(Debug, Default)]
 struct ShardDelta {
-    reads: u64,
-    writes: u64,
-    software_ps: u64,
-    calls: u64,
-    breakdown: HashMap<String, IoStats>,
+    total: RawStats,
+    breakdown: HashMap<String, RawStats>,
 }
 
 /// A thread's pending shard for one bank. The bank is held weakly so a
@@ -446,7 +474,7 @@ impl Metrics {
     pub fn add_reads(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
             ledger_update(|l| l.reads += n);
-            buffer_in_shard(&self.bank, |d| d.reads += n);
+            buffer_in_shard(&self.bank, |d| d.total.reads += n);
         }
     }
 
@@ -456,7 +484,7 @@ impl Metrics {
     pub fn add_writes(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
             ledger_update(|l| l.writes += n);
-            buffer_in_shard(&self.bank, |d| d.writes += n);
+            buffer_in_shard(&self.bank, |d| d.total.writes += n);
         }
     }
 
@@ -467,7 +495,7 @@ impl Metrics {
         if !self.paused.load(Ordering::Relaxed) {
             let ps = (ns * PS_PER_NS).round() as u64;
             ledger_update(|l| l.software_ps += ps);
-            buffer_in_shard(&self.bank, |d| d.software_ps += ps);
+            buffer_in_shard(&self.bank, |d| d.total.software_ps += ps);
         }
     }
 
@@ -477,7 +505,26 @@ impl Metrics {
     pub fn add_calls(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
             ledger_update(|l| l.calls += n);
-            buffer_in_shard(&self.bank, |d| d.calls += n);
+            buffer_in_shard(&self.bank, |d| d.total.calls += n);
+        }
+    }
+
+    /// Records `calls` persistence-layer calls of `call_ns` nanoseconds
+    /// each. A call costs a whole number of picoseconds (`call_ns`
+    /// rounded once), so the software time of `n` calls is `n` times
+    /// that however the calls are grouped into charges — a scan charged
+    /// a run at a time, a bulk append and their record-at-a-time twins
+    /// all sum to the same picosecond.
+    #[inline]
+    pub(crate) fn add_layer_calls(&self, calls: u64, call_ns: f64) {
+        if !self.paused.load(Ordering::Relaxed) {
+            let charge = RawStats {
+                software_ps: calls * (call_ns * PS_PER_NS).round() as u64,
+                calls,
+                ..RawStats::ZERO
+            };
+            ledger_update(|l| l.add(&charge));
+            buffer_in_shard(&self.bank, |d| d.total.add(&charge));
         }
     }
 
@@ -534,17 +581,22 @@ impl Metrics {
     /// Attributes `delta` to `tag` (no-op unless breakdown is enabled;
     /// paused accounting also suppresses attribution). Buffered in the
     /// calling thread's shard and merged at the same flush points as the
-    /// counters.
+    /// counters. Software time is carried in integer picoseconds from
+    /// here on, so a tag's total does not depend on the order or the
+    /// grouping of its attributions.
     pub fn attribute(&self, tag: &str, delta: IoStats) {
+        self.attribute_raw(tag, RawStats::from_io(&delta));
+    }
+
+    /// [`Metrics::attribute`] of a delta already in raw units (two
+    /// [`thread_raw`] observations differenced).
+    pub(crate) fn attribute_raw(&self, tag: &str, delta: RawStats) {
         if !self.breakdown_enabled() || self.paused.load(Ordering::Relaxed) {
             return;
         }
         buffer_in_shard(&self.bank, |d| {
             if let Some(slot) = d.breakdown.get_mut(tag) {
-                slot.cl_reads += delta.cl_reads;
-                slot.cl_writes += delta.cl_writes;
-                slot.software_ns += delta.software_ns;
-                slot.calls += delta.calls;
+                slot.add(&delta);
             } else {
                 d.breakdown.insert(tag.to_string(), delta);
             }
@@ -562,7 +614,7 @@ impl Metrics {
             .lock()
             .expect("breakdown lock poisoned")
             .iter()
-            .map(|(k, s)| (k.clone(), *s))
+            .map(|(k, s)| (k.clone(), s.to_io()))
             .collect();
         v.sort_by(|a, b| b.1.cl_writes.cmp(&a.1.cl_writes).then(a.0.cmp(&b.0)));
         v

@@ -1,10 +1,14 @@
-//! The view path is the `read_at` path, byte for byte and count for
-//! count: for every layer, record size, block size and scan range, the
-//! bytes [`RecordReader::next_view`] lends, the records `next()` and
+//! The view and run paths are the `read_at` path, byte for byte and
+//! count for count: for every layer, record size, block size and scan
+//! range, the bytes [`RecordReader::next_view`] (and `last_view` after
+//! it), `for_each_view` and `for_each_run` lend, the records `next()` and
 //! [`PCollection::get_with_cursor`] decode, and everything they charge —
 //! device counters, the thread ledger, the per-collection breakdown —
 //! equal a twin scan driven record by record through
-//! [`Storage::read_at`], the way the reader worked before views.
+//! [`Storage::read_at`], the way the reader worked before views. The
+//! pull path (`next_view`, `next()`) additionally charges nothing ahead:
+//! dropped after `n` records it has charged what the twin charged for
+//! those `n`.
 
 use pmem_sim::{
     thread_stats, DeviceConfig, IoStats, LayerKind, PCollection, Pm, PmDevice, ReadCursor,
@@ -37,6 +41,10 @@ const KINDS: [LayerKind; 5] = [
 
 /// Records per collection: several blocks even at 8 bytes a record.
 const RECORDS: usize = 300;
+
+/// Prefix lengths of the early-drop check: past the first block boundary
+/// at every record size (128 eight-byte records fill a 1024-byte block).
+const PREFIX_WINDOW: usize = 140;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -138,11 +146,20 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool) {
 
         let views = charged(&dev, || {
             let mut reader = col.range_reader(start, end);
+            assert!(
+                reader.last_view().is_none(),
+                "{what}: nothing handed out yet"
+            );
             for (i, record) in records.iter().enumerate().take(end).skip(start) {
                 assert_eq!(reader.position(), i, "{what}");
                 let view = reader.next_view().expect("a view per record");
                 assert_eq!(view.bytes(), record.0, "{what}: view {i}");
                 assert_eq!(view.get(), *record, "{what}: view {i}");
+                // Lent again, any number of times, for nothing.
+                for _ in 0..2 {
+                    let again = reader.last_view().expect("the view just handed out");
+                    assert_eq!(again.bytes(), record.0, "{what}: last view {i}");
+                }
             }
             assert!(reader.next_view().is_none(), "{what}");
         });
@@ -153,6 +170,54 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool) {
             assert_eq!(got, records[start..end], "{what}: next");
         });
         assert_eq!(decoded, expected, "{what}: next");
+
+        let viewed = charged(&dev, || {
+            let mut expect = records[start..end].iter();
+            col.range_reader(start, end).for_each_view(|view| {
+                let record = expect.next().expect("no more views than records");
+                assert_eq!(view.bytes(), record.0, "{what}: for_each_view");
+                assert_eq!(view.get(), *record, "{what}: for_each_view");
+            });
+            assert!(
+                expect.next().is_none(),
+                "{what}: for_each_view stopped early"
+            );
+        });
+        assert_eq!(viewed, expected, "{what}: for_each_view");
+
+        // Runs: the scanned bytes in order, each run a whole number of
+        // records, cut exactly where the storage stops being contiguous
+        // (a block end on blocked memory, nowhere on the other layers) —
+        // a record that straddles two blocks travels alone.
+        // The chunk holding record `i` whole; none for a straddler.
+        let home = |i: usize| {
+            if kind != LayerKind::BlockedMemory {
+                return Some(0);
+            }
+            let (first, last) = (i * N / block_size, ((i + 1) * N - 1) / block_size);
+            (first == last).then_some(first)
+        };
+        let mut expected_runs: Vec<usize> = Vec::new();
+        for i in start..end {
+            match expected_runs.last_mut() {
+                Some(run) if home(i).is_some() && home(i) == home(i - 1) => *run += 1,
+                _ => expected_runs.push(1),
+            }
+        }
+        let runs = charged(&dev, || {
+            let mut bytes = Vec::new();
+            let mut lens = Vec::new();
+            col.range_reader(start, end).for_each_run(|run| {
+                assert!(!run.is_empty(), "{what}: empty run");
+                assert_eq!(run.len() % N, 0, "{what}: a run is whole records");
+                lens.push(run.len() / N);
+                bytes.extend_from_slice(run);
+            });
+            let scanned: Vec<u8> = records[start..end].iter().flat_map(|r| r.0).collect();
+            assert_eq!(bytes, scanned, "{what}: for_each_run bytes");
+            assert_eq!(lens, expected_runs, "{what}: run boundaries");
+        });
+        assert_eq!(runs, expected, "{what}: for_each_run");
 
         // Point reads through one cursor charge like the scan, but were
         // never attributed to the collection.
@@ -168,6 +233,27 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool) {
             twin_scan(start, end, false),
             "{what}: get_with_cursor"
         );
+    }
+
+    // Early drop: the pull path charges a record when it hands it out,
+    // never ahead — whatever prefix of a scan a caller consumes before
+    // dropping the reader (a co-scan that runs out of partners, an
+    // operator closed mid-stream), it has paid for exactly that prefix.
+    // The window covers the first block boundaries, straddlers included.
+    for n in 0..=PREFIX_WINDOW {
+        let what = format!("{what}, dropped after {n} records");
+        let expected = twin_scan(0, n, true);
+        let pulled = charged(&dev, || {
+            let mut reader = col.reader();
+            for _ in 0..n {
+                reader.next_view().expect("a view per record");
+            }
+        });
+        assert_eq!(pulled, expected, "{what}: next_view");
+        let iterated = charged(&dev, || {
+            assert_eq!(col.reader().take(n).count(), n, "{what}");
+        });
+        assert_eq!(iterated, expected, "{what}: next");
     }
 }
 
