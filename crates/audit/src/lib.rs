@@ -5,8 +5,9 @@
 //! see: simulated device counters mutate only inside `pmem-sim`'s
 //! accounting files, `*_uncounted` escape hatches appear only where
 //! results leave the cost model, the WAL follows append→fsync→apply,
-//! recovery and exec hot paths never panic, and every operator module
-//! opens a profiling span. This crate enforces them with a hand-rolled
+//! recovery and exec hot paths never panic, every operator module
+//! opens a profiling span, and every record codec method stays
+//! `#[inline]`. This crate enforces them with a hand-rolled
 //! token-level scanner (no `syn`; the build is offline and
 //! dependency-free) and file:line diagnostics.
 //!

@@ -9,6 +9,7 @@
 //! | `wal-order`     | append → fsync → apply; no state mutation before the WAL append |
 //! | `panic-free`    | no `unwrap`/`expect`/`panic!`/`unreachable!` in recovery zones  |
 //! | `span-coverage` | every exec operator module opens a profiling span               |
+//! | `inline-codec`  | every `Storable` / `Record` impl method carries `#[inline]`     |
 //!
 //! Any diagnostic can be suppressed at the site with
 //! `// audit:allow(<rule>) <reason>` on the same line or the line above;
@@ -28,6 +29,8 @@ pub const WAL_ORDER: &str = "wal-order";
 pub const PANIC_FREE: &str = "panic-free";
 /// Rule id: operator span coverage.
 pub const SPAN_COVERAGE: &str = "span-coverage";
+/// Rule id: record codecs inline across crates.
+pub const INLINE_CODEC: &str = "inline-codec";
 /// Rule id: malformed allow comments.
 pub const ALLOW_REASON: &str = "allow-reason";
 
@@ -64,6 +67,7 @@ pub fn check(rel: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     rule_wal_order(rel, &toks, &mut diags);
     rule_panic_free(rel, &toks, &mut diags);
     rule_span_coverage(rel, &toks, &mut diags);
+    rule_inline_codec(rel, &toks, &mut diags);
     apply_allows(rel, &lexed.allows, diags)
 }
 
@@ -474,6 +478,85 @@ fn rule_span_coverage(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
                   (pmem_sim::span::span/span_with); its traffic is invisible to profiles"
                 .to_string(),
         });
+    }
+}
+
+// ---------------------------------------------------------------------
+// inline-codec
+// ---------------------------------------------------------------------
+
+/// The record-codec traits: their methods run once per scanned, moved
+/// or probed record in every operator.
+const CODEC_TRAITS: &[&str] = &["Storable", "Record"];
+
+/// Inline codecs: in the shipped sources (`crates/*/src/`), every `fn`
+/// of an `impl … Storable for …` or `impl … Record for …` block carries
+/// `#[inline]`. The impls are not generic, so without the attribute a
+/// caller in another crate gets an out-of-line call that decodes the
+/// whole record where its docs promise a key load (~1.5 ns on every
+/// record of every scan), and no test can see the difference.
+fn rule_inline_codec(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
+    if !(rel.starts_with("crates/") && rel.contains("/src/")) {
+        return;
+    }
+    let mut i = 0usize;
+    while i < toks.len() {
+        if toks[i].text != "impl" {
+            i += 1;
+            continue;
+        }
+        // The header runs to the block's `{`; the trait is the word
+        // before `for`.
+        let Some(open) = (i..toks.len()).find(|&j| toks[j].text == "{") else {
+            return;
+        };
+        let codec = (i + 1..open).find_map(|j| {
+            (toks[j].text == "for" && CODEC_TRAITS.contains(&toks[j - 1].text.as_str()))
+                .then(|| toks[j - 1].text.as_str())
+        });
+        let Some(codec) = codec else {
+            i = open + 1;
+            continue;
+        };
+        // Items sit at brace depth 1; `item` is where the current one
+        // (attributes included) starts.
+        let (mut depth, mut item, mut j) = (0usize, open + 1, open);
+        while j < toks.len() {
+            match toks[j].text.as_str() {
+                "{" => depth += 1,
+                "}" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        break;
+                    }
+                    if depth == 1 {
+                        item = j + 1;
+                    }
+                }
+                ";" if depth == 1 => item = j + 1,
+                "fn" if depth == 1 => {
+                    let inlined = toks[item..j]
+                        .windows(3)
+                        .any(|w| w[0].text == "#" && w[1].text == "[" && w[2].text == "inline");
+                    if !inlined {
+                        let name = toks.get(j + 1).map_or("?", |t| t.text.as_str());
+                        diags.push(Diagnostic {
+                            file: rel.to_string(),
+                            line: toks[j].line,
+                            rule: INLINE_CODEC,
+                            msg: format!(
+                                "`fn {name}` of an `impl {codec} for` block without `#[inline]`; \
+                                 a codec method is called per record from other crates and \
+                                 must be inlinable there"
+                            ),
+                        });
+                    }
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        i = j + 1;
     }
 }
 

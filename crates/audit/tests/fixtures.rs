@@ -213,6 +213,35 @@ fn span_coverage_skips_dispatch_and_helper_files() {
 }
 
 #[test]
+fn inline_codec_trips_on_each_codec_method_without_the_attribute() {
+    for shipped in [
+        "crates/wisconsin/src/record.rs",
+        "crates/core/src/agg/mod.rs",
+    ] {
+        let diags = scan_source(shipped, include_str!("../fixtures/inline_codec.rs"));
+        assert_diags(
+            &diags,
+            &[(8, rules::INLINE_CODEC), (22, rules::INLINE_CODEC)],
+        );
+    }
+    // Test-only record types (integration tests, examples) are not
+    // shipped and may stay plain.
+    for unshipped in ["crates/pmem-sim/tests/views.rs", "examples/quickstart.rs"] {
+        let diags = scan_source(unshipped, include_str!("../fixtures/inline_codec.rs"));
+        assert_diags(&diags, &[]);
+    }
+}
+
+#[test]
+fn inline_codec_accepts_inlined_codecs_and_ignores_other_impls() {
+    let diags = scan_source(
+        "crates/wisconsin/src/record.rs",
+        include_str!("../fixtures/inline_codec_clean.rs"),
+    );
+    assert_diags(&diags, &[]);
+}
+
+#[test]
 fn allow_with_reason_suppresses_the_finding() {
     let diags = scan_source(
         "crates/db/src/wal.rs",

@@ -128,16 +128,17 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
             });
             rt.note_scan("V", v_buffers);
         }
+        debug_assert!(table.holds_only(|key| partition_of(key, k) == p));
         match &v_files[p] {
             Some(file) => file
                 .reader()
-                .for_each_view(|r| table.probe_view(&r, &mut out)),
+                .for_each_run(|run| table.probe_run(run, &mut out)),
             None => {
-                right.reader().for_each_view(|r| {
-                    if partition_of(view_key(&r), k) == p {
-                        table.probe_view(&r, &mut out);
-                    }
-                });
+                // Deferred: probe with all of the source — a record of
+                // another partition cannot equal a key the table holds.
+                right
+                    .reader()
+                    .for_each_run(|run| table.probe_run(run, &mut out));
                 rt.note_scan("V", v_buffers);
             }
         }

@@ -85,6 +85,7 @@ impl GroupAgg {
 impl Storable for GroupAgg {
     const SIZE: usize = 40;
 
+    #[inline]
     fn write_to(&self, buf: &mut [u8]) {
         for (i, v) in [self.key, self.count, self.sum, self.min, self.max]
             .iter()
@@ -94,16 +95,15 @@ impl Storable for GroupAgg {
         }
     }
 
+    #[inline]
     fn read_from(buf: &[u8]) -> Self {
-        // Zero-padding copy instead of `try_into().expect(..)`: the agg
-        // operators are a panic-free zone, and `Storable` callers bound
-        // `buf` to exactly `SIZE` bytes.
-        let f = |i: usize| {
-            let mut w = [0u8; 8];
-            for (dst, src) in w.iter_mut().zip(buf.iter().skip(i * 8)) {
-                *dst = *src;
-            }
-            u64::from_le_bytes(w)
+        // `get` + `try_into().ok()` instead of `try_into().expect(..)`:
+        // the agg operators are a panic-free zone. `Storable` callers
+        // bound `buf` to exactly `SIZE` bytes, so every field is one
+        // load; a short buffer is zero-padded, never a panic.
+        let f = |i: usize| match buf.get(i * 8..i * 8 + 8).and_then(|w| w.try_into().ok()) {
+            Some(word) => u64::from_le_bytes(word),
+            None => zero_padded(buf.get(i * 8..).unwrap_or_default()),
         };
         Self {
             key: f(0),
@@ -115,7 +115,19 @@ impl Storable for GroupAgg {
     }
 }
 
+/// The little-endian value of `tail`'s (fewer than eight) bytes, the
+/// missing high bytes read as zero.
+#[cold]
+fn zero_padded(tail: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    for (dst, src) in word.iter_mut().zip(tail) {
+        *dst = *src;
+    }
+    u64::from_le_bytes(word)
+}
+
 impl wisconsin::Record for GroupAgg {
+    #[inline]
     fn key(&self) -> u64 {
         self.key
     }
@@ -161,5 +173,30 @@ mod tests {
         let mut buf = [0u8; GroupAgg::SIZE];
         g.write_to(&mut buf);
         assert_eq!(GroupAgg::read_from(&buf), g);
+    }
+
+    #[test]
+    fn short_buffers_read_as_zero_padded_never_panic() {
+        let g = GroupAgg {
+            key: 0x0807_0605_0403_0201,
+            count: 0x1817_1615_1413_1211,
+            sum: u64::MAX,
+            min: 0x3837_3635_3433_3231,
+            max: 0x4847_4645_4443_4241,
+        };
+        let mut full = [0u8; GroupAgg::SIZE];
+        g.write_to(&mut full);
+        for len in 0..=GroupAgg::SIZE {
+            // The record a full buffer with everything past `len` zeroed
+            // decodes to.
+            let mut padded = [0u8; GroupAgg::SIZE];
+            padded[..len].copy_from_slice(&full[..len]);
+            assert_eq!(
+                GroupAgg::read_from(&full[..len]),
+                GroupAgg::read_from(&padded),
+                "{len} bytes"
+            );
+        }
+        assert_eq!(GroupAgg::read_from(&full[..12]).count, 0x1413_1211);
     }
 }

@@ -33,6 +33,18 @@ pub trait PhysOperator {
     /// Produces the next record, or `None` when exhausted.
     fn next(&mut self) -> Option<Self::Item>;
 
+    /// Pushes every remaining record to `sink`, in order — what a
+    /// consumer that takes the whole output ([`stage`], a blocking
+    /// operator's `open`) calls in place of a `next` loop. Provided as that loop; streaming operators
+    /// override it to hand their child's drain through, so a scan at
+    /// the bottom is consumed inside this call and can charge a run of
+    /// records at a time instead of one per pull.
+    fn drain(&mut self, sink: &mut dyn FnMut(Self::Item)) {
+        while let Some(r) = self.next() {
+            sink(r);
+        }
+    }
+
     /// Releases operator state.
     fn close(&mut self);
 }
@@ -63,6 +75,12 @@ impl<'a, R: Record> PhysOperator for ScanOp<'a, R> {
 
     fn next(&mut self) -> Option<R> {
         self.reader.as_mut()?.next()
+    }
+
+    fn drain(&mut self, sink: &mut dyn FnMut(R)) {
+        if let Some(reader) = self.reader.take() {
+            reader.for_each_view(|r| sink(r.get()));
+        }
     }
 
     fn close(&mut self) {
@@ -99,6 +117,15 @@ impl<I: PhysOperator, P: FnMut(&I::Item) -> bool> PhysOperator for FilterOp<I, P
         }
     }
 
+    fn drain(&mut self, sink: &mut dyn FnMut(I::Item)) {
+        let predicate = &mut self.predicate;
+        self.child.drain(&mut |r| {
+            if predicate(&r) {
+                sink(r);
+            }
+        });
+    }
+
     fn close(&mut self) {
         self.child.close();
     }
@@ -128,6 +155,11 @@ impl<I: PhysOperator, O: Record, F: FnMut(&I::Item) -> O> PhysOperator for MapOp
 
     fn next(&mut self) -> Option<O> {
         self.child.next().map(|r| (self.f)(&r))
+    }
+
+    fn drain(&mut self, sink: &mut dyn FnMut(O)) {
+        let f = &mut self.f;
+        self.child.drain(&mut |r| sink(f(&r)));
     }
 
     fn close(&mut self) {
@@ -187,9 +219,7 @@ impl<'p, I: PhysOperator> PhysOperator for SortOp<'p, I> {
         let _span = pmem_sim::span::span_with(|| format!("sort-op {}", self.algo.label()));
         self.child.open()?;
         let mut staged = PCollection::new(&self.dev, self.kind, "sort-op-input");
-        while let Some(r) = self.child.next() {
-            staged.append(&r);
-        }
+        self.child.drain(&mut |r| staged.append(&r));
         self.child.close();
         let ctx = SortContext::new(&self.dev, self.kind, self.pool)
             .with_threads(crate::parallel::resolve_threads(self.threads));
@@ -341,9 +371,7 @@ impl<'p, I: PhysOperator, V: Fn(&I::Item) -> u64 + Sync> PhysOperator for AggOp<
         let _span = pmem_sim::span::span("agg-op");
         self.child.open()?;
         let mut staged = PCollection::new(&self.dev, self.kind, "agg-op-input");
-        while let Some(r) = self.child.next() {
-            staged.append(&r);
-        }
+        self.child.drain(&mut |r| staged.append(&r));
         self.child.close();
         let ctx = SortContext::new(&self.dev, self.kind, self.pool);
         self.output = Some(sort_based_aggregate(
@@ -387,6 +415,10 @@ impl<O: PhysOperator + ?Sized> PhysOperator for Box<O> {
         (**self).next()
     }
 
+    fn drain(&mut self, sink: &mut dyn FnMut(Self::Item)) {
+        (**self).drain(sink);
+    }
+
     fn close(&mut self) {
         (**self).close();
     }
@@ -410,9 +442,7 @@ pub fn stage<O: PhysOperator>(
     let _span = pmem_sim::span::span_with(|| format!("stage {name}"));
     op.open()?;
     let mut out = PCollection::new(dev, kind, name);
-    while let Some(r) = op.next() {
-        out.append(&r);
-    }
+    op.drain(&mut |r| out.append(&r));
     op.close();
     pmem_sim::flush_thread_accounting();
     Ok(out)
@@ -422,9 +452,7 @@ pub fn stage<O: PhysOperator>(
 pub fn collect<O: PhysOperator>(op: &mut O) -> Result<Vec<O::Item>, PmError> {
     op.open()?;
     let mut v = Vec::new();
-    while let Some(r) = op.next() {
-        v.push(r);
-    }
+    op.drain(&mut |r| v.push(r));
     op.close();
     Ok(v)
 }
@@ -531,6 +559,43 @@ mod tests {
             "staging writes are counted"
         );
         assert_eq!(delta.cl_reads, input.buffers(), "one scan of the input");
+    }
+
+    #[test]
+    fn drain_pushes_what_next_pulls_for_the_same_charges() {
+        let dev = PmDevice::paper_default();
+        let input = PCollection::from_records_uncounted(
+            &dev,
+            LayerKind::BlockedMemory,
+            "T",
+            sort_input(300, KeyOrder::Random, 6),
+        );
+        let plan = || {
+            MapOp::new(
+                FilterOp::new(ScanOp::new(&input), |r: &WisconsinRecord| {
+                    !r.key().is_multiple_of(3)
+                }),
+                |r: &WisconsinRecord| r.with_payload(r.key() * 2),
+            )
+        };
+        // Pulled to the end, and pulled for five records then drained.
+        let mut runs = Vec::new();
+        for pulled in [usize::MAX, 5] {
+            let mut op = plan();
+            let before = dev.snapshot();
+            op.open().expect("streaming plan cannot fail");
+            let mut rows = Vec::new();
+            while rows.len() < pulled {
+                let Some(r) = op.next() else { break };
+                rows.push(r);
+            }
+            op.drain(&mut |r| rows.push(r));
+            assert!(op.next().is_none(), "a drained operator is exhausted");
+            op.close();
+            runs.push((rows, dev.snapshot().since(&before)));
+        }
+        assert_eq!(runs[0].0.len(), 200);
+        assert_eq!(runs[0], runs[1]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::context::ExecContext;
 use crate::parallel;
-use pmem_sim::{thread_stats, IoStats, PCollection, RecordBuffer, RecordView};
+use pmem_sim::{thread_stats, IoStats, PCollection, RecordBuffer, RecordView, Storable};
 use std::collections::HashMap;
 use wisconsin::{Pair, Record};
 
@@ -26,12 +26,43 @@ pub fn partition_of(key: u64, partitions: usize) -> usize {
     (x % partitions as u64) as usize
 }
 
-/// The join key of a scanned record, read in place: the view's length
-/// is the constant `R::SIZE`, so once this inlines the decode of every
-/// attribute but the key folds away.
+/// The join key of a record still in its stored form. Every
+/// `Storable::read_from` and `Record::key` is `#[inline]` (`wl-audit`'s
+/// `inline-codec` rule holds them to it), so in an optimized build the
+/// decode of every attribute but the key folds away and this is the
+/// key's loads alone; without the attribute a codec of another crate is
+/// an out-of-line call that decodes the whole record.
+#[inline]
+pub(crate) fn key_of<R: Record>(bytes: &[u8]) -> u64 {
+    R::read_from(bytes).key()
+}
+
+/// [`key_of`] a scanned record.
 #[inline]
 pub(crate) fn view_key<R: Record>(view: &RecordView<'_, R>) -> u64 {
-    R::read_from(view.bytes()).key()
+    key_of::<R>(view.bytes())
+}
+
+/// Where a probe's output pairs go: straight into the output collection
+/// (the serial operators) or into a worker's staging buffer (the
+/// parallel ones) — the one thing the probe sites differ in.
+pub(crate) trait PairSink<P: Storable> {
+    /// Takes one output pair.
+    fn emit(&mut self, pair: &P);
+}
+
+impl<P: Storable> PairSink<P> for PCollection<P> {
+    #[inline]
+    fn emit(&mut self, pair: &P) {
+        self.append(pair);
+    }
+}
+
+impl<P: Storable> PairSink<P> for RecordBuffer<P> {
+    #[inline]
+    fn emit(&mut self, pair: &P) {
+        self.push(pair);
+    }
 }
 
 /// End-of-chain / empty-slot marker of [`BuildTable`]'s `u32` record
@@ -56,6 +87,19 @@ const EMPTY_SLOT: Slot = Slot {
 /// Directory slots allocated by the first insert.
 const MIN_DIRECTORY: usize = 16;
 
+/// log₂ of the key filter's bits per directory slot. The directory is
+/// at most half full, so 8 bits a slot are at least 16 a distinct key:
+/// a key the table does not hold passes the filter with probability
+/// 1 − e^(−1/16) ≈ 6 % at the fullest, in 1/16 of the directory's bytes.
+const FILTER_BITS_PER_SLOT_LOG2: u32 = 3;
+
+/// The multiplicative (Fibonacci) hash both the directory and the key
+/// filter index by: their positions are top bits of key × 2⁶⁴/φ.
+#[inline]
+fn fib(key: u64) -> u64 {
+    key.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 /// An in-DRAM build table: key → records with that key.
 ///
 /// Flat: the records sit in one vector in insertion order, each with a
@@ -64,6 +108,13 @@ const MIN_DIRECTORY: usize = 16;
 /// hash, at most half full) maps a key to the first and last record of
 /// its chain. A key's matches are walked first → last, i.e. in
 /// insertion order.
+///
+/// In front of the directory sits a **key filter**: one bit per held
+/// key in a bitmap of eight bits per directory slot, indexed by three
+/// more top bits of the same hash product. A rescanning join probes
+/// with every record of its probe input on every pass and almost all of
+/// them find nothing; those are turned away by one bit test in a bitmap
+/// small enough to stay cache-resident, without touching the directory.
 #[derive(Debug)]
 pub struct BuildTable<L: Record> {
     records: Vec<L>,
@@ -72,6 +123,12 @@ pub struct BuildTable<L: Record> {
     directory: Vec<Slot>,
     /// Occupied directory slots (distinct keys).
     keys: usize,
+    /// The key filter's words; bit `fib(key) >> filter_shift` is set for
+    /// every key held. Empty until the first insert, like the directory.
+    filter: Vec<u64>,
+    /// `64 − log₂(filter bits)`; the directory's shift is
+    /// `FILTER_BITS_PER_SLOT_LOG2` more.
+    filter_shift: u32,
 }
 
 impl<L: Record> Default for BuildTable<L> {
@@ -88,17 +145,17 @@ impl<L: Record> BuildTable<L> {
             next: Vec::new(),
             directory: Vec::new(),
             keys: 0,
+            filter: Vec::new(),
+            filter_shift: 0,
         }
     }
 
-    /// The directory slot `key` lives in, or the empty slot it would
-    /// take. The directory must not be empty.
+    /// The directory slot the key with hash product `h` lives in, or the
+    /// empty slot it would take. The directory must not be empty.
     #[inline]
-    fn slot_of(&self, key: u64) -> usize {
+    fn slot_of(&self, h: u64, key: u64) -> usize {
         let mask = self.directory.len() - 1;
-        // Fibonacci hashing: the top bits of key × 2⁶⁴/φ.
-        let shift = 64 - self.directory.len().trailing_zeros();
-        let mut i = (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        let mut i = (h >> (self.filter_shift + FILTER_BITS_PER_SLOT_LOG2)) as usize;
         loop {
             let slot = &self.directory[i];
             if slot.first == NIL || slot.key == key {
@@ -108,13 +165,38 @@ impl<L: Record> BuildTable<L> {
         }
     }
 
-    /// Doubles the directory (or allocates it) and re-seats every chain.
+    /// Whether the filter admits the key with hash product `h`: always
+    /// when the table holds it, rarely when not, never in an empty table
+    /// (no filter word to find).
+    #[inline]
+    fn may_hold(&self, h: u64) -> bool {
+        let bit = (h >> self.filter_shift) as usize;
+        self.filter
+            .get(bit / 64)
+            .is_some_and(|word| word >> (bit % 64) & 1 == 1)
+    }
+
+    /// Admits the key with hash product `h` to the filter, which must
+    /// have been allocated.
+    #[inline]
+    fn admit(&mut self, h: u64) {
+        let bit = (h >> self.filter_shift) as usize;
+        self.filter[bit / 64] |= 1 << (bit % 64);
+    }
+
+    /// Doubles the directory (or allocates it), re-seats every chain and
+    /// rebuilds the filter at the new size.
     fn grow_directory(&mut self) {
         let bigger = (self.directory.len() * 2).max(MIN_DIRECTORY);
         let old = std::mem::replace(&mut self.directory, vec![EMPTY_SLOT; bigger]);
+        let filter_bits_log2 = bigger.trailing_zeros() + FILTER_BITS_PER_SLOT_LOG2;
+        self.filter_shift = u64::BITS - filter_bits_log2;
+        self.filter = vec![0; (1usize << filter_bits_log2) / 64];
         for slot in old.into_iter().filter(|s| s.first != NIL) {
-            let i = self.slot_of(slot.key);
+            let h = fib(slot.key);
+            let i = self.slot_of(h, slot.key);
             self.directory[i] = slot;
+            self.admit(h);
         }
     }
 
@@ -133,7 +215,8 @@ impl<L: Record> BuildTable<L> {
             self.grow_directory();
         }
         let key = record.key();
-        let i = self.slot_of(key);
+        let h = fib(key);
+        let i = self.slot_of(h, key);
         let slot = &mut self.directory[i];
         if slot.first == NIL {
             *slot = Slot {
@@ -142,6 +225,7 @@ impl<L: Record> BuildTable<L> {
                 last: idx,
             };
             self.keys += 1;
+            self.admit(h);
         } else {
             self.next[slot.last as usize] = idx;
             slot.last = idx;
@@ -161,21 +245,32 @@ impl<L: Record> BuildTable<L> {
     }
 
     /// Clears the table, retaining allocations for reuse: the record and
-    /// link vectors keep their capacity and the directory its size.
+    /// link vectors keep their capacity, the directory and the filter
+    /// their size.
     pub fn clear(&mut self) {
         self.records.clear();
         self.next.clear();
         self.directory.fill(EMPTY_SLOT);
+        self.filter.fill(0);
         self.keys = 0;
     }
 
-    /// The records with key `key`, in insertion order.
+    /// True if every record held has a key `belongs` accepts — what an
+    /// iterating pass `debug_assert!`s before probing without a
+    /// partition test of its own.
+    pub(crate) fn holds_only(&self, belongs: impl Fn(u64) -> bool) -> bool {
+        self.records.iter().all(|l| belongs(l.key()))
+    }
+
+    /// The records with key `key`, in insertion order: the filter turns
+    /// away most keys the table does not hold, the directory the rest.
     #[inline]
     pub(crate) fn matches(&self, key: u64) -> Matches<'_, L> {
-        let first = if self.directory.is_empty() {
-            NIL
+        let h = fib(key);
+        let first = if self.may_hold(h) {
+            self.directory[self.slot_of(h, key)].first
         } else {
-            self.directory[self.slot_of(key)].first
+            NIL
         };
         Matches {
             table: self,
@@ -185,12 +280,7 @@ impl<L: Record> BuildTable<L> {
 
     /// Probes with `right`, appending one output pair per match.
     pub fn probe<R: Record>(&self, right: &R, out: &mut PCollection<Pair<L, R>>) {
-        for l in self.matches(right.key()) {
-            out.append(&Pair {
-                left: *l,
-                right: *right,
-            });
-        }
+        self.probe_with(right.key(), || *right, out);
     }
 
     /// Probes with `right`, serializing one pair per match into a DRAM
@@ -198,51 +288,50 @@ impl<L: Record> BuildTable<L> {
     /// partition's matches and the coordinator flushes the buffers into
     /// the shared output collection in partition order.
     pub fn probe_buffered<R: Record>(&self, right: &R, out: &mut RecordBuffer<Pair<L, R>>) {
-        for l in self.matches(right.key()) {
-            out.push(&Pair {
-                left: *l,
-                right: *right,
-            });
-        }
+        self.probe_with(right.key(), || *right, out);
     }
 
-    /// One output pair per match of a scanned record still in its stored
-    /// form: only the key is read unless it has a match.
+    /// One output pair per record matching `key`; the probe record is
+    /// asked for only once a match is found.
     #[inline]
-    fn matches_of_view<R: Record>(
+    fn probe_with<R: Record>(
         &self,
-        right: &RecordView<'_, R>,
-        mut emit: impl FnMut(&Pair<L, R>),
+        key: u64,
+        right: impl FnOnce() -> R,
+        sink: &mut impl PairSink<Pair<L, R>>,
     ) {
-        let mut matches = self.matches(view_key(right)).peekable();
+        let mut matches = self.matches(key).peekable();
         if matches.peek().is_some() {
-            let right = right.get();
+            let right = right();
             for l in matches {
-                emit(&Pair { left: *l, right });
+                sink.emit(&Pair { left: *l, right });
             }
         }
     }
 
-    /// [`BuildTable::probe`] with a scanned record still in its stored
-    /// form.
+    /// Probes with one record of `R` still in its stored form (`R::SIZE`
+    /// bytes a scan lent out): only the key is read unless it matches.
+    /// The per-record entry of [`BuildTable::probe_run`], for scans that
+    /// route each record before probing.
     #[inline]
-    pub(crate) fn probe_view<R: Record>(
+    pub(crate) fn probe_bytes<R: Record>(
         &self,
-        right: &RecordView<'_, R>,
-        out: &mut PCollection<Pair<L, R>>,
+        bytes: &[u8],
+        sink: &mut impl PairSink<Pair<L, R>>,
     ) {
-        self.matches_of_view(right, |pair| out.append(pair));
+        self.probe_with(key_of::<R>(bytes), || R::read_from(bytes), sink);
     }
 
-    /// [`BuildTable::probe_buffered`] with a scanned record still in its
-    /// stored form.
+    /// The probe kernel: probes with every record of `run` — whole
+    /// records of `R` back to back, as [`RecordReader::for_each_run`]
+    /// lends them — in order, emitting each one's pairs into `sink`.
+    ///
+    /// [`RecordReader::for_each_run`]: pmem_sim::RecordReader::for_each_run
     #[inline]
-    pub(crate) fn probe_view_buffered<R: Record>(
-        &self,
-        right: &RecordView<'_, R>,
-        out: &mut RecordBuffer<Pair<L, R>>,
-    ) {
-        self.matches_of_view(right, |pair| out.push(pair));
+    pub(crate) fn probe_run<R: Record>(&self, run: &[u8], sink: &mut impl PairSink<Pair<L, R>>) {
+        for bytes in run.chunks_exact(R::SIZE) {
+            self.probe_bytes(bytes, sink);
+        }
     }
 
     /// Number of matches `right` would produce, without writing output.
@@ -356,6 +445,11 @@ pub(crate) fn build_pass_morsels<L: Record>(
 /// and buffer their matches and offloads; the coordinator flushes both
 /// in morsel order, so output order, offload order, and counters are
 /// DoP-invariant.
+///
+/// `classify` must be the build scan's. A pass with nowhere to offload
+/// to (`next` is `None`: a lazy pass, the last pass) then does not
+/// consult it: a record the build scan did not keep cannot equal a key
+/// the table holds, so every run goes to the probe kernel whole.
 pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
     src: &PCollection<R>,
     ctx: &JoinContext<'_>,
@@ -370,6 +464,10 @@ pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
         .max(1);
     let mut stats = Vec::with_capacity(morsels);
     let offloads = next.is_some();
+    debug_assert!(
+        offloads || table.holds_only(|key| matches!(classify(key), ScanAction::Keep)),
+        "a pair's probe key equals a held key, and the pass keeps every held key"
+    );
     parallel::for_each_ordered(
         ctx.threads(),
         morsels,
@@ -378,12 +476,16 @@ pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
             let end = (start + super::grace::PARTITION_MORSEL_RECORDS).min(src.len());
             let mut matches = RecordBuffer::new();
             let mut offload = RecordBuffer::with_capacity(if offloads { end - start } else { 0 });
-            src.range_reader(start, end)
-                .for_each_view(|r| match classify(view_key(&r)) {
-                    ScanAction::Keep => table.probe_view_buffered(&r, &mut matches),
+            let scan = src.range_reader(start, end);
+            if offloads {
+                scan.for_each_view(|r| match classify(view_key(&r)) {
+                    ScanAction::Keep => table.probe_bytes(r.bytes(), &mut matches),
                     ScanAction::Offload => offload.push_bytes(r.bytes()),
                     ScanAction::Skip => {}
                 });
+            } else {
+                scan.for_each_run(|run| table.probe_run(run, &mut matches));
+            }
             (matches, offload)
         },
         |_, task| {
@@ -461,7 +563,7 @@ mod tests {
 
     /// Differential check of one filled table against the `HashMap<u64,
     /// Vec<L>>` the table replaced: same length, same match counts, and
-    /// the same pairs **in the same order** from all three probe paths,
+    /// the same pairs **in the same order** from all three probe entries,
     /// for every present key and a few absent ones.
     fn assert_matches_model(
         case: &str,
@@ -502,20 +604,16 @@ mod tests {
         let kind = LayerKind::BlockedMemory;
         let mut direct = PCollection::new(&dev, kind, "probe");
         let mut buffered = RecordBuffer::new();
-        let mut viewed = RecordBuffer::new();
-        let staged = PCollection::from_records_uncounted(&dev, kind, "V", probes.iter().copied());
-        let mut scan = staged.reader();
+        let mut scanned = RecordBuffer::new();
         for right in &probes {
             table.probe(right, &mut direct);
             table.probe_buffered(right, &mut buffered);
-            let view = scan.next_view().expect("one view per probe record");
-            table.probe_view_buffered(&view, &mut viewed);
         }
+        PCollection::from_records_uncounted(&dev, kind, "V", probes.iter().copied())
+            .reader()
+            .for_each_run(|run| table.probe_run(run, &mut scanned));
         assert_eq!(direct.to_vec_uncounted(), expected, "{case}: probe");
-        for (path, buf) in [
-            ("probe_buffered", buffered),
-            ("probe_view_buffered", viewed),
-        ] {
+        for (path, buf) in [("probe_buffered", buffered), ("probe_run", scanned)] {
             let mut landed = PCollection::new(&dev, kind, path);
             landed.append_buffer(&buf);
             assert_eq!(landed.to_vec_uncounted(), expected, "{case}: {path}");
@@ -561,16 +659,236 @@ mod tests {
         }
     }
 
+    /// `records` in their stored form, back to back — a run as a scan
+    /// lends it.
+    fn encode<R: Record>(records: &[R]) -> Vec<u8> {
+        let mut bytes = vec![0u8; records.len() * R::SIZE];
+        for (r, buf) in records.iter().zip(bytes.chunks_exact_mut(R::SIZE)) {
+            r.write_to(buf);
+        }
+        bytes
+    }
+
+    /// The stored bytes of `col`.
+    fn stored<P: Storable>(col: &PCollection<P>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        col.reader()
+            .for_each_run(|run| bytes.extend_from_slice(run));
+        bytes
+    }
+
+    /// Kernel ≡ oracle for one table and one probe record type: over
+    /// runs of no, one and all of `probes`, `probe_run` into a buffer
+    /// and into a collection stores byte for byte what the per-record
+    /// `probe_buffered` loop stores.
+    fn assert_kernel_matches_oracle<R: Record>(
+        case: &str,
+        table: &BuildTable<WisconsinRecord>,
+        probes: &[R],
+    ) {
+        let dev = PmDevice::paper_default();
+        let kind = LayerKind::BlockedMemory;
+        let landed = |buf: &RecordBuffer<Pair<WisconsinRecord, R>>| {
+            let mut col = PCollection::new(&dev, kind, "landed");
+            col.append_buffer(buf);
+            stored(&col)
+        };
+        for n in [0, 1, probes.len()] {
+            let probes = &probes[..n];
+            let mut oracle = RecordBuffer::new();
+            for right in probes {
+                table.probe_buffered(right, &mut oracle);
+            }
+            let run = encode(probes);
+            let mut buffered = RecordBuffer::new();
+            table.probe_run::<R>(&run, &mut buffered);
+            let mut direct = PCollection::new(&dev, kind, "direct");
+            table.probe_run::<R>(&run, &mut direct);
+            let want = landed(&oracle);
+            let what = format!("{case}, {n} probe records of {} bytes", R::SIZE);
+            assert_eq!(want.len(), oracle.len() * (80 + R::SIZE), "{what}");
+            assert!(landed(&buffered) == want, "{what}: buffer sink");
+            assert!(stored(&direct) == want, "{what}: collection sink");
+        }
+    }
+
+    #[test]
+    fn probe_kernel_emits_what_the_per_record_probe_emits() {
+        let numbered = |keys: &mut dyn Iterator<Item = u64>| -> Vec<WisconsinRecord> {
+            keys.zip(0u64..)
+                .map(|(k, i)| WisconsinRecord::from_key(k).with_payload(i))
+                .collect()
+        };
+        let filled = |build: &[WisconsinRecord]| {
+            let mut table = BuildTable::new();
+            for l in build {
+                table.insert(*l);
+            }
+            table
+        };
+        let unique = wisconsin::join_right_input(700, 1, 5);
+        let zipf = wisconsin::skewed_input(1500, 4, 1.2, 9);
+        let mut reused = filled(&zipf);
+        reused.clear();
+        for l in &unique {
+            reused.insert(*l);
+        }
+        // 40 distinct keys: allocated at 16 slots, doubled at the 9th,
+        // 17th and 33rd key.
+        let grown = filled(&numbered(&mut (0..80).map(|i| (i % 40) * 1000)));
+        assert_eq!(grown.directory.len(), MIN_DIRECTORY << 3);
+        let cases = [
+            ("unique", filled(&unique)),
+            (
+                "all-duplicate",
+                filled(&numbered(&mut std::iter::repeat_n(7, 300))),
+            ),
+            ("zipf", filled(&zipf)),
+            (
+                "keys 0 and u64::MAX",
+                filled(&numbered(&mut (0..60).map(|i| {
+                    if i % 3 == 0 {
+                        0
+                    } else {
+                        u64::MAX
+                    }
+                }))),
+            ),
+            ("empty", BuildTable::new()),
+            ("reused after clear", reused),
+            ("grown three times", grown),
+        ];
+        for (case, table) in &cases {
+            // Every held key, as many keys near them and a few at the
+            // edges, in an order that scatters hits among misses.
+            let mut keys: Vec<u64> = table.records.iter().map(Record::key).collect();
+            keys.extend([0, 1, u64::MAX - 1, u64::MAX, 1 << 63]);
+            keys.sort_unstable();
+            keys.dedup();
+            let near: Vec<u64> = keys.iter().map(|k| k.wrapping_add(1_000_003)).collect();
+            keys.extend(near);
+            keys.sort_unstable_by_key(|&k| fib(k));
+
+            let of = |f: &dyn Fn(u64) -> WisconsinRecord| keys.iter().map(|&k| f(k)).collect();
+            let wide: Vec<WisconsinRecord> = of(&|k| WisconsinRecord::from_key(k).with_payload(!k));
+            let other: Vec<WisconsinRecord> = of(&|k| WisconsinRecord::from_key(!k));
+            assert_kernel_matches_oracle::<u64>(case, table, &keys);
+            assert_kernel_matches_oracle::<(u64, u64)>(
+                case,
+                table,
+                &keys.iter().map(|&k| (k, !k)).collect::<Vec<_>>(),
+            );
+            assert_kernel_matches_oracle(case, table, &wide);
+            assert_kernel_matches_oracle(
+                case,
+                table,
+                &wide
+                    .iter()
+                    .zip(&other)
+                    .map(|(&left, &right)| Pair { left, right })
+                    .collect::<Vec<_>>(),
+            );
+        }
+    }
+
+    /// Share of `absent` the filter lets through, after checking that it
+    /// lets every key of `held` through.
+    fn false_positive_rate(table: &BuildTable<u64>, held: &[u64], absent: &[u64]) -> f64 {
+        assert!(
+            held.iter().all(|&k| table.may_hold(fib(k))),
+            "held key rejected"
+        );
+        let passed = absent.iter().filter(|&&k| table.may_hold(fib(k))).count();
+        passed as f64 / absent.len() as f64
+    }
+
+    #[test]
+    fn key_filter_admits_every_held_key_and_few_others() {
+        // 4096 distinct keys fill 8192 slots to the half `insert` allows.
+        const HELD: usize = 4096;
+        const ABSENT: usize = 1_000_000;
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut xorshift = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Keys scattered over all of u64, and keys of one dense domain —
+        // a block of a permuted table probed with the rest of it.
+        let scattered: Vec<u64> = (0..HELD + ABSENT).map(|_| xorshift()).collect();
+        let mut dense: Vec<u64> = (0..(HELD + ABSENT) as u64).collect();
+        for i in (1..dense.len()).rev() {
+            dense.swap(i, xorshift() as usize % (i + 1));
+        }
+        for (domain, keys) in [("scattered", scattered), ("dense", dense)] {
+            let (held, absent) = keys.split_at(HELD);
+            let mut table = BuildTable::new();
+            for &k in held {
+                table.insert(k);
+            }
+            assert_eq!(table.keys * 2, table.directory.len(), "{domain}: fullest");
+            let fullest = false_positive_rate(&table, held, absent);
+            assert!(fullest <= 0.08, "{domain}: {fullest} at the fullest");
+
+            // One more key doubles the directory; the rebuilt filter
+            // still admits every key and is half as dense.
+            table.insert(absent[0]);
+            assert_eq!(table.directory.len(), 4 * HELD);
+            assert!(table.may_hold(fib(absent[0])));
+            let grown = false_positive_rate(&table, held, &absent[1..]);
+            assert!(grown <= 0.05, "{domain}: {grown} after growing");
+
+            table.clear();
+            assert!(!held.iter().any(|&k| table.may_hold(fib(k))), "{domain}");
+            for &k in absent.iter().take(HELD) {
+                table.insert(k);
+            }
+            let refilled = false_positive_rate(&table, &absent[..HELD], held);
+            assert!(refilled <= 0.08, "{domain}: {refilled} after clear");
+        }
+    }
+
+    /// `read_from(write_to(r)) == r`, and `key_of` the stored bytes is
+    /// `r.key()`.
+    fn assert_codec<R: Record + PartialEq + std::fmt::Debug>(records: &[R]) {
+        for r in records {
+            let mut bytes = vec![0xa5u8; R::SIZE];
+            r.write_to(&mut bytes);
+            assert_eq!(R::read_from(&bytes), *r);
+            assert_eq!(key_of::<R>(&bytes), r.key(), "{r:?}");
+        }
+    }
+
+    #[test]
+    fn every_record_type_round_trips_and_lends_its_key() {
+        let keys = [0, 1, 0x0123_4567_89ab_cdef, 1 << 63, u64::MAX];
+        let wide = keys.map(|k| WisconsinRecord::from_key(k).with_payload(!k));
+        assert_codec::<u64>(&keys);
+        assert_codec(&keys.map(|k| (k, !k)));
+        assert_codec(&wide);
+        assert_codec(&wide.map(|left| Pair {
+            left,
+            right: WisconsinRecord::from_key(left.payload()),
+        }));
+        assert_codec(&keys.map(|k| {
+            let mut group = crate::agg::GroupAgg::seed(k, !k);
+            group.fold(k / 2);
+            group
+        }));
+    }
+
     #[test]
     fn clear_keeps_the_tables_allocations() {
         let mut table = BuildTable::new();
         for l in wisconsin::join_right_input(1500, 4, 3) {
             table.insert(l);
         }
-        let (records, next, directory) = (
+        let (records, next, directory, filter) = (
             table.records.capacity(),
             table.next.capacity(),
             table.directory.len(),
+            table.filter.len(),
         );
         table.clear();
         assert!(table.is_empty());
@@ -578,6 +896,8 @@ mod tests {
         assert_eq!(table.records.capacity(), records);
         assert_eq!(table.next.capacity(), next);
         assert_eq!(table.directory.len(), directory);
+        assert_eq!(table.filter.len(), filter);
+        assert_eq!(filter * 64, directory << FILTER_BITS_PER_SLOT_LOG2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use super::common::{partition_of, view_key, BuildTable, JoinContext};
 use crate::parallel;
-use pmem_sim::{IoStats, PCollection, PmError, RecordBuffer, RecordView};
+use pmem_sim::{IoStats, PCollection, PmError, RecordBuffer};
 use wisconsin::{Pair, Record};
 
 /// Records per partitioning morsel. Inputs at or below this size are
@@ -52,13 +52,14 @@ impl<R: Record> PartitionedInput<R> {
         self.parts[p].iter().map(PCollection::len).sum()
     }
 
-    /// Scans partition `p`'s records in input order, lending each one's
-    /// stored bytes to `visit` and charging the same reads a scan of a
-    /// single per-partition collection would (plus at most one boundary
-    /// cacheline per morsel).
-    pub fn scan(&self, p: usize, mut visit: impl FnMut(RecordView<'_, R>)) {
+    /// Scans partition `p`'s records in input order, lending their
+    /// stored bytes to `visit` a run at a time
+    /// ([`pmem_sim::RecordReader::for_each_run`]) and charging the same
+    /// reads a scan of a single per-partition collection would (plus at
+    /// most one boundary cacheline per morsel).
+    pub fn scan_runs(&self, p: usize, mut visit: impl FnMut(&[u8])) {
         for part in &self.parts[p] {
-            part.reader().for_each_view(&mut visit);
+            part.reader().for_each_run(&mut visit);
         }
     }
 }
@@ -168,8 +169,12 @@ pub(crate) fn join_partitioned<L: Record, R: Record>(
                 return buf;
             }
             let mut table = BuildTable::new();
-            left.scan(p, |l| table.insert(l.get()));
-            right.scan(p, |r| table.probe_view_buffered(&r, &mut buf));
+            left.scan_runs(p, |run| {
+                for l in run.chunks_exact(L::SIZE) {
+                    table.insert(L::read_from(l));
+                }
+            });
+            right.scan_runs(p, |run| table.probe_run(run, &mut buf));
             buf
         },
         |_, task| {

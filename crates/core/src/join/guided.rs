@@ -196,7 +196,7 @@ fn probe_split<L: Record, R: Record>(
             input.range_reader(start, end).for_each_view(|r| {
                 let key = view_key(&r);
                 if hot.contains(&key) {
-                    resident.probe_view_buffered(&r, &mut matches);
+                    resident.probe_bytes(r.bytes(), &mut matches);
                 } else {
                     subs[partition_of(key, k)].append_bytes(r.bytes());
                 }

@@ -99,10 +99,10 @@ pub fn hybrid_join<L: Record, R: Record>(
             tp.reader().for_each_view(|l| table.insert(l.get()));
             // Tx ⋈ Vy, then Tx ⋈ V₁₋y (piggyback).
             vp.reader()
-                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
+                .for_each_run(|run| table.probe_run(run, &mut buf));
             right
                 .range_reader(vy_end, v_len)
-                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
+                .for_each_run(|run| table.probe_run(run, &mut buf));
             buf
         },
         |_, task| out.append_buffer(&task.value),
@@ -125,7 +125,7 @@ pub fn hybrid_join<L: Record, R: Record>(
             let mut buf = RecordBuffer::new();
             right
                 .reader()
-                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
+                .for_each_run(|run| table.probe_run(run, &mut buf));
             buf
         },
         |_, task| out.append_buffer(&task.value),

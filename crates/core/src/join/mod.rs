@@ -137,7 +137,7 @@ impl JoinAlgorithm {
 mod tests {
     use super::*;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
-    use wisconsin::join_input;
+    use wisconsin::{join_input, WisconsinRecord};
 
     #[test]
     fn all_algorithms_agree_on_the_result_multiset() {
@@ -174,6 +174,96 @@ mod tests {
             let mut expect: Vec<(u64, u64)> = (0..2000u64).map(|i| (i % 200, i)).collect();
             expect.sort_unstable();
             assert_eq!(pairs, expect, "{}", algo.label());
+        }
+    }
+
+    /// The iterating joins' output as it was computed while every probe
+    /// scan still tested the partition: per partition, the build records
+    /// of that partition in input order, probed by the probe records of
+    /// that partition in input order.
+    fn guarded_iterate_join(
+        left: &[WisconsinRecord],
+        right: &[WisconsinRecord],
+        k: usize,
+    ) -> Vec<Pair<WisconsinRecord, WisconsinRecord>> {
+        let mut out = Vec::new();
+        for p in 0..k {
+            let mut table = BuildTable::new();
+            for l in left.iter().filter(|l| partition_of(l.key(), k) == p) {
+                table.insert(*l);
+            }
+            for r in right {
+                if partition_of(r.key(), k) == p {
+                    out.extend(table.matches(r.key()).map(|l| Pair {
+                        left: *l,
+                        right: *r,
+                    }));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn probe_scans_without_a_partition_test_emit_what_guarded_ones_did() {
+        use crate::adaptive::adaptive_grace_join;
+        use crate::pipeline::{filtered_iterate_join, DeferredFilter};
+        use pmem_sim::{DeviceConfig, LatencyProfile};
+        use wl_runtime::OpCtx;
+
+        let inputs = [
+            ("uniform", join_input(600, 4, 23)),
+            ("zipf", wisconsin::join_input_skewed(400, 3000, 1.2, 11)),
+        ];
+        // λ = 15 keeps the lazy and deferred operators lazy; at λ = 1.5
+        // they materialize midway and carry on from what they wrote.
+        for lambda in [15.0, 1.5] {
+            for (shape, w) in &inputs {
+                for threads in [1, 4] {
+                    let dev = PmDevice::new(
+                        DeviceConfig::paper_default()
+                            .with_latency(LatencyProfile::with_lambda(10.0, lambda)),
+                    );
+                    let kind = LayerKind::BlockedMemory;
+                    let left = PCollection::from_records_uncounted(&dev, kind, "T", w.left.clone());
+                    let right =
+                        PCollection::from_records_uncounted(&dev, kind, "V", w.right.clone());
+                    let pool = BufferPool::new(60 * 80);
+                    let ctx = JoinContext::new(&dev, kind, &pool).with_threads(threads);
+                    let k = ctx.grace_partitions::<WisconsinRecord>(left.len());
+                    assert!(k >= 4, "need several passes, got k={k}");
+                    let what = format!("{shape}, λ={lambda}, DoP {threads}");
+                    let want = guarded_iterate_join(&w.left, &w.right, k);
+                    assert_eq!(want.len() as u64, w.expected_matches, "{what}");
+
+                    for x in [0, k / 2] {
+                        let out = segmented_grace_join(&left, &right, x, &ctx, "o").expect("fits");
+                        assert!(out.to_vec_uncounted() == want, "SegJ x={x}: {what}");
+                    }
+                    let out = lazy_hash_join(&left, &right, &ctx, "o");
+                    assert!(out.to_vec_uncounted() == want, "LaJ: {what}");
+                    let out = hash_join(&left, &right, &ctx, "o");
+                    assert!(out.to_vec_uncounted() == want, "HJ: {what}");
+                    let out = adaptive_grace_join(&left, &right, &ctx, "o").expect("fits");
+                    assert!(out.to_vec_uncounted() == want, "adaptive Grace: {what}");
+
+                    // A selective filter is materialized after the first
+                    // pass, a permissive one stays deferred.
+                    for (modulus, selectivity) in [(20, 0.05), (1, 1.0)] {
+                        let keep = |l: &WisconsinRecord| l.key().is_multiple_of(modulus);
+                        let kept: Vec<WisconsinRecord> =
+                            w.left.iter().copied().filter(keep).collect();
+                        let mut rt = OpCtx::new(lambda);
+                        let mut filter = DeferredFilter::new(&left, keep, selectivity, &mut rt);
+                        let out = filtered_iterate_join(&mut filter, &right, &ctx, &mut rt, "o")
+                            .expect("fits");
+                        assert!(
+                            out.to_vec_uncounted() == guarded_iterate_join(&kept, &w.right, k),
+                            "deferred σ (1 in {modulus}): {what}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -64,7 +64,7 @@ pub fn nested_loops_join_profiled<L: Record, R: Record>(
             let mut buf = RecordBuffer::new();
             right
                 .reader()
-                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
+                .for_each_run(|run| table.probe_run(run, &mut buf));
             buf
         },
         |_, task| {

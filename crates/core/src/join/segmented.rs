@@ -86,7 +86,7 @@ pub fn segmented_grace_join<L: Record, R: Record>(
             let mut table = BuildTable::new();
             tp.reader().for_each_view(|l| table.insert(l.get()));
             vp.reader()
-                .for_each_view(|r| table.probe_view_buffered(&r, &mut buf));
+                .for_each_run(|run| table.probe_run(run, &mut buf));
             buf
         },
         |_, task| out.append_buffer(&task.value),
@@ -95,7 +95,9 @@ pub fn segmented_grace_join<L: Record, R: Record>(
     // Iterate phase: one pass over both originals per remaining
     // partition. Every pass re-reads the (immutable) originals through
     // its own readers, exactly as the serial loop does, so the passes
-    // parallelize without changing a single counter.
+    // parallelize without changing a single counter. Only the build
+    // scan tests the partition: a probe record of another partition
+    // cannot equal a key the table holds.
     parallel::for_each_ordered(
         ctx.threads(),
         k - x,
@@ -107,12 +109,14 @@ pub fn segmented_grace_join<L: Record, R: Record>(
                     table.insert(l.get());
                 }
             });
+            debug_assert!(
+                table.holds_only(|key| partition_of(key, k) == p),
+                "a pair's probe key equals a held key, all of partition {p}"
+            );
             let mut buf = RecordBuffer::new();
-            right.reader().for_each_view(|r| {
-                if partition_of(view_key(&r), k) == p {
-                    table.probe_view_buffered(&r, &mut buf);
-                }
-            });
+            right
+                .reader()
+                .for_each_run(|run| table.probe_run(run, &mut buf));
             buf
         },
         |_, task| out.append_buffer(&task.value),

@@ -167,12 +167,11 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                             table.insert(l.get());
                         }
                     });
+                    debug_assert!(table.holds_only(|key| partition_of(key, k) == part));
                     let mut buf = RecordBuffer::new();
-                    right.reader().for_each_view(|r| {
-                        if partition_of(view_key(&r), k) == part {
-                            table.probe_view_buffered(&r, &mut buf);
-                        }
-                    });
+                    right
+                        .reader()
+                        .for_each_run(|run| table.probe_run(run, &mut buf));
                     buf
                 },
                 |_, task| {
@@ -188,11 +187,10 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                 table.insert(l);
             }
         });
-        right.reader().for_each_view(|r| {
-            if partition_of(view_key(&r), k) == p {
-                table.probe_view(&r, &mut out);
-            }
-        });
+        debug_assert!(table.holds_only(|key| partition_of(key, k) == p));
+        right
+            .reader()
+            .for_each_run(|run| table.probe_run(run, &mut out));
         p += 1;
     }
     Ok(out)

@@ -388,12 +388,10 @@ impl Iterator for ResultStream {
     }
 }
 
-/// Expands each row into the shape's full column values, then projects.
+/// Projects each row out of the shape's full column values — one
+/// allocation per delivered row.
 fn project_rows(out: &OutputRows, projection: &[usize]) -> Vec<Vec<u64>> {
-    out.wide_rows()
-        .into_iter()
-        .map(|row| projection.iter().map(|&i| row[i]).collect())
-        .collect()
+    out.map_wide(|row| projection.iter().map(|&i| row[i]).collect())
 }
 
 // `shape` drives header rendering for empty results in clients; keep it

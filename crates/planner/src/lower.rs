@@ -162,26 +162,33 @@ impl OutputRows {
         v
     }
 
-    /// Expands each row into its full column values, in produced order —
-    /// base: `key, payload`; pairs: `key, l.payload, r.payload`; n-way:
-    /// `key, payloads…`; groups: `key, count, sum, min, max`. The one
-    /// shape-to-columns mapping that result projection and the
-    /// equivalence surfaces share.
-    pub fn wide_rows(&self) -> Vec<Vec<u64>> {
+    /// Maps each row's full column values, in produced order, through
+    /// `f` — base: `key, payload`; pairs: `key, l.payload, r.payload`;
+    /// n-way: `key, payloads…`; groups: `key, count, sum, min, max`. The
+    /// one shape-to-columns mapping that result projection and the
+    /// equivalence surfaces share; the values are lent from the stack,
+    /// so a caller that keeps only some of them allocates only those.
+    pub fn map_wide<T>(&self, mut f: impl FnMut(&[u64]) -> T) -> Vec<T> {
         match self {
-            OutputRows::Wis(rows) => rows.iter().map(|r| vec![r.key(), r.payload()]).collect(),
+            OutputRows::Wis(rows) => rows.iter().map(|r| f(&[r.key(), r.payload()])).collect(),
             OutputRows::Pairs(rows) => rows
                 .iter()
-                .map(|(l, r)| vec![l.key(), l.payload(), r.payload()])
+                .map(|(l, r)| f(&[l.key(), l.payload(), r.payload()]))
                 .collect(),
             OutputRows::Multi { rows, tables } => {
-                rows.iter().map(|r| r.attrs[..=*tables].to_vec()).collect()
+                rows.iter().map(|r| f(&r.attrs[..=*tables])).collect()
             }
             OutputRows::Groups(rows) => rows
                 .iter()
-                .map(|g| vec![g.key, g.count, g.sum, g.min, g.max])
+                .map(|g| f(&[g.key, g.count, g.sum, g.min, g.max]))
                 .collect(),
         }
+    }
+
+    /// Expands each row into its full column values
+    /// ([`OutputRows::map_wide`]), one vector per row.
+    pub fn wide_rows(&self) -> Vec<Vec<u64>> {
+        self.map_wide(<[u64]>::to_vec)
     }
 
     /// Canonical multiset form carrying every column — the n-way

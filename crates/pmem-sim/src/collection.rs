@@ -38,10 +38,12 @@ pub trait Storable: Copy {
 impl Storable for u64 {
     const SIZE: usize = 8;
 
+    #[inline]
     fn write_to(&self, buf: &mut [u8]) {
         buf[..8].copy_from_slice(&self.to_le_bytes());
     }
 
+    #[inline]
     fn read_from(buf: &[u8]) -> Self {
         u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"))
     }
@@ -50,11 +52,13 @@ impl Storable for u64 {
 impl Storable for (u64, u64) {
     const SIZE: usize = 16;
 
+    #[inline]
     fn write_to(&self, buf: &mut [u8]) {
         buf[..8].copy_from_slice(&self.0.to_le_bytes());
         buf[8..16].copy_from_slice(&self.1.to_le_bytes());
     }
 
+    #[inline]
     fn read_from(buf: &[u8]) -> Self {
         (
             u64::from_le_bytes(buf[..8].try_into().expect("8 bytes")),
@@ -290,8 +294,7 @@ impl<R: Storable> PCollection<R> {
     /// Drains the collection into a DRAM vector **without** charging reads
     /// — test/harness convenience for verifying contents out-of-band.
     pub fn to_vec_uncounted(&self) -> Vec<R> {
-        let _pause = self.dev.metrics().pause();
-        self.reader().collect()
+        self.range_to_vec_uncounted(0, self.n_records)
     }
 
     /// Reads records `[start, end)` into a DRAM vector **without**
@@ -300,7 +303,10 @@ impl<R: Storable> PCollection<R> {
     /// (the run that *produced* the collection was already counted).
     pub fn range_to_vec_uncounted(&self, start: usize, end: usize) -> Vec<R> {
         let _pause = self.dev.metrics().pause();
-        self.range_reader(start, end).collect()
+        let scan = self.range_reader(start, end);
+        let mut records = Vec::with_capacity(scan.remaining());
+        scan.for_each_view(|r| records.push(r.get()));
+        records
     }
 
     /// Builds a collection from `records` **without** charging writes.

@@ -19,12 +19,14 @@ pub trait Record: Storable + Send + Sync + 'static {
 }
 
 impl Record for u64 {
+    #[inline]
     fn key(&self) -> u64 {
         *self
     }
 }
 
 impl Record for (u64, u64) {
+    #[inline]
     fn key(&self) -> u64 {
         self.0
     }
@@ -78,12 +80,14 @@ impl WisconsinRecord {
 impl Storable for WisconsinRecord {
     const SIZE: usize = WISCONSIN_ATTRS * 8;
 
+    #[inline]
     fn write_to(&self, buf: &mut [u8]) {
         for (i, a) in self.attrs.iter().enumerate() {
             buf[i * 8..(i + 1) * 8].copy_from_slice(&a.to_le_bytes());
         }
     }
 
+    #[inline]
     fn read_from(buf: &[u8]) -> Self {
         let mut attrs = [0u64; WISCONSIN_ATTRS];
         for (i, a) in attrs.iter_mut().enumerate() {
@@ -112,11 +116,13 @@ pub struct Pair<L: Storable, R: Storable> {
 impl<L: Storable, R: Storable> Storable for Pair<L, R> {
     const SIZE: usize = L::SIZE + R::SIZE;
 
+    #[inline]
     fn write_to(&self, buf: &mut [u8]) {
         self.left.write_to(&mut buf[..L::SIZE]);
         self.right.write_to(&mut buf[L::SIZE..L::SIZE + R::SIZE]);
     }
 
+    #[inline]
     fn read_from(buf: &[u8]) -> Self {
         Self {
             left: L::read_from(&buf[..L::SIZE]),
@@ -127,6 +133,7 @@ impl<L: Storable, R: Storable> Storable for Pair<L, R> {
 
 impl<L: Record, R: Record> Record for Pair<L, R> {
     /// A joined pair is keyed by the (equal) join key.
+    #[inline]
     fn key(&self) -> u64 {
         self.left.key()
     }
