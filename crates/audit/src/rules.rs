@@ -278,6 +278,7 @@ fn rule_uncounted_api(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
 /// Catalog-mutation calls that apply state in `database.rs`.
 const STATE_MUTATORS: &[&str] = &[
     "install_table",
+    "install_records",
     "add_table",
     "remove",
     "apply_insert",

@@ -142,10 +142,10 @@ fn recovered_state(dir: &Path) -> Result<State, String> {
         .map_err(|e| e.to_string())?
         .ok_or("no checkpoint after reopen")?;
     let mut state = State::new();
-    for table in ckpt.tables {
-        let mut keys: Vec<u64> = table.records.iter().map(|r| r.attrs[0]).collect();
+    for table in ckpt.tables() {
+        let mut keys: Vec<u64> = table.keys().collect();
         keys.sort_unstable();
-        state.insert(table.name, keys);
+        state.insert(table.name.to_string(), keys);
     }
     Ok(state)
 }

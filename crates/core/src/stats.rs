@@ -6,9 +6,15 @@
 //! counts carries [`TableStatistics::uniform`] — the same type holding
 //! nothing but the counts — so there is one estimator, not a skew-aware
 //! one beside a uniform one. The statistics are *exactly
-//! mergeable*: [`TableStatistics::absorb`] folds a batch of inserted keys
-//! in and lands on the same value [`TableStatistics::build`] computes
-//! over the whole key multiset, so ingest never rebuilds a sketch.
+//! mergeable*, and freshness is paid where it is consumed:
+//! [`TableStatistics::absorb`] only merges a batch of inserted keys into
+//! the sketch registers and the sorted key multiset (O(batch) for
+//! ascending keys), and [`TableStatistics::settle`] — run once per
+//! reader, not once per writer — derives histogram and heavy hitters
+//! from that state, landing on the same value
+//! [`TableStatistics::build`] computes over the whole key multiset. So
+//! ingest never rebuilds a sketch, and a write burst nobody reads
+//! between never derives one either.
 
 /// Number of HLL registers in a [`DistinctSketch`]: 1024 registers give
 /// a relative standard error of `1.04/√1024 ≈ 3.2%`.
@@ -208,6 +214,9 @@ impl EquiDepthHistogram {
 struct Mergeable {
     sketch: DistinctSketch,
     sorted: Vec<u64>,
+    /// Keys were merged in since the owning statistics were last derived
+    /// from this state.
+    pending: bool,
 }
 
 impl Mergeable {
@@ -220,6 +229,7 @@ impl Mergeable {
         Self {
             sketch,
             sorted: keys,
+            pending: false,
         }
     }
 
@@ -232,6 +242,7 @@ impl Mergeable {
         let Some(&first) = batch.first() else {
             return;
         };
+        self.pending = true;
         for &k in &batch {
             self.sketch.insert(k);
         }
@@ -263,6 +274,12 @@ impl Mergeable {
 /// [`TableStatistics::absorb`] merges into belongs to the one instance
 /// the ingest path mutates, so the planner's copies (and the
 /// `filtered_*` / `join` results it composes) never carry or copy it.
+///
+/// Between an `absorb` and the next [`TableStatistics::settle`] that
+/// one instance is *unsettled*: its derived fields still describe the
+/// keys before the batch. Only its writer may hold it then — whoever
+/// hands statistics to a reader settles first, and copying an unsettled
+/// instance (how a stale value would escape) is a debug-build panic.
 #[derive(Debug)]
 pub struct TableStatistics {
     rows: f64,
@@ -281,6 +298,7 @@ pub struct TableStatistics {
 
 impl Clone for TableStatistics {
     fn clone(&self) -> Self {
+        debug_assert!(self.is_settled(), "unsettled statistics copied");
         Self {
             histogram: self.histogram.clone(),
             heavy: self.heavy.clone(),
@@ -310,28 +328,48 @@ impl TableStatistics {
         Self::derive(&Mergeable::from_keys(keys.to_vec(), seed))
     }
 
-    /// Folds a batch of inserted keys in. The result equals
-    /// [`TableStatistics::build`] over the full key multiset field for
-    /// field, so estimates and plan choices cannot tell an absorbed
-    /// table from a rebuilt one.
+    /// Merges a batch of inserted keys into the mergeable state —
+    /// O(batch) when the keys arrive in ascending order — and leaves the
+    /// derived fields for [`TableStatistics::settle`]: until then every
+    /// accessor still answers for the keys before the batch, so the
+    /// writer must settle before a reader sees these statistics.
     ///
-    /// The mergeable state is kept only from the first call on: `prior`
-    /// is invoked when it is missing and must return the keys these
-    /// statistics were built from, in any order. Later calls merge the
-    /// batch and re-derive the rest in linear passes over the sorted
-    /// keys — no hashing of old keys, no re-sort.
+    /// The mergeable state is kept only from the first non-empty batch
+    /// on: `prior` is invoked when it is missing and must return the keys
+    /// these statistics were built from, in any order.
     pub fn absorb(&mut self, batch: &[u64], prior: impl FnOnce() -> Vec<u64>) {
-        let mut state = self
-            .mergeable
-            .take()
-            .unwrap_or_else(|| Box::new(Mergeable::from_keys(prior(), self.seed)));
-        state.merge(batch);
+        if batch.is_empty() {
+            return;
+        }
+        self.mergeable
+            .get_or_insert_with(|| Box::new(Mergeable::from_keys(prior(), self.seed)))
+            .merge(batch);
+    }
+
+    /// Derives the statistics of everything absorbed so far, in linear
+    /// passes over the sorted keys — no hashing of old keys, no re-sort.
+    /// The result equals [`TableStatistics::build`] over the full key
+    /// multiset field for field, however many batches were absorbed
+    /// since the last call, so estimates and plan choices cannot tell a
+    /// settled table from a rebuilt one. Returns whether anything was
+    /// pending.
+    pub fn settle(&mut self) -> bool {
+        let Some(mut state) = self.mergeable.take_if(|state| state.pending) else {
+            return false;
+        };
+        state.pending = false;
         *self = Self::derive(&state);
         self.mergeable = Some(state);
+        true
+    }
+
+    /// Whether the derived fields cover every absorbed batch.
+    pub fn is_settled(&self) -> bool {
+        !self.mergeable.as_ref().is_some_and(|state| state.pending)
     }
 
     /// Everything the statistics report, as a function of the mergeable
-    /// state — the one implementation behind `build` and `absorb`.
+    /// state — the one implementation behind `build` and `settle`.
     fn derive(state: &Mergeable) -> Self {
         let sorted = &state.sorted;
         let histogram = EquiDepthHistogram::from_sorted(sorted);
@@ -892,28 +930,55 @@ mod table_statistics_tests {
                 let what = format!("{shape}, seed {seed}, cuts {cuts:?}");
 
                 let first = &keys[..cuts[0]];
-                let mut merged = TableStatistics::build(first, seed);
-                let mut prior_asked = 0;
-                for w in cuts.windows(2) {
-                    merged.absorb(&keys[w[0]..w[1]], || {
-                        prior_asked += 1;
-                        first.to_vec()
-                    });
+                let rebuilt = TableStatistics::build(keys, seed);
+                // Settled after every batch (a reader between any two
+                // writes), and once after all of them (a write burst).
+                for settle_each in [true, false] {
+                    let what = format!("{what}, settle each {settle_each}");
+                    let mut merged = TableStatistics::build(first, seed);
+                    let mut prior_asked = 0;
+                    for w in cuts.windows(2) {
+                        merged.absorb(&keys[w[0]..w[1]], || {
+                            prior_asked += 1;
+                            first.to_vec()
+                        });
+                        if settle_each {
+                            merged.settle();
+                        }
+                    }
+                    assert!(
+                        prior_asked <= 1,
+                        "{what}: state kept after the first absorb"
+                    );
+                    let pending = !settle_each && cuts[0] < keys.len();
+                    assert_eq!(merged.is_settled(), !pending, "{what}");
+                    if pending {
+                        // Unsettled, it still answers for the keys before.
+                        assert_eq!(merged, TableStatistics::build(first, seed), "{what}");
+                    }
+                    assert_eq!(merged.settle(), pending, "{what}: one settle for k batches");
+                    assert!(!merged.settle(), "{what}: nothing left to settle");
+                    assert_same_statistics(&merged, &rebuilt, &what);
+                    // A clone drops the mergeable state and re-materialises
+                    // it from the keys it is told it was built from.
+                    let mut copy = merged.clone();
+                    copy.absorb(&[7, 7, 7], || keys.clone());
+                    copy.settle();
+                    let mut all = keys.clone();
+                    all.extend([7, 7, 7]);
+                    assert_same_statistics(&copy, &TableStatistics::build(&all, seed), &what);
                 }
-                assert!(
-                    prior_asked <= 1,
-                    "{what}: state kept after the first absorb"
-                );
-                assert_same_statistics(&merged, &TableStatistics::build(keys, seed), &what);
-                // A clone drops the mergeable state and re-materialises
-                // it from the keys it is told it was built from.
-                let mut copy = merged.clone();
-                copy.absorb(&[7, 7, 7], || keys.clone());
-                let mut all = keys.clone();
-                all.extend([7, 7, 7]);
-                assert_same_statistics(&copy, &TableStatistics::build(&all, seed), &what);
             }
         }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unsettled statistics copied")]
+    fn an_unsettled_instance_cannot_be_copied() {
+        let mut stats = TableStatistics::build(&[1, 2, 3], 7);
+        stats.absorb(&[4], || vec![1, 2, 3]);
+        let _escaped = stats.clone();
     }
 
     #[test]

@@ -10,9 +10,7 @@
 //! checkpoint — recovering exactly the acknowledged statements, even
 //! after a kill mid-write.
 
-use crate::durable::{
-    read_checkpoint, write_checkpoint, CheckpointData, CheckpointTable, RecoveryReport,
-};
+use crate::durable::{read_checkpoint, stored_keys, CheckpointWriter, RecoveryReport};
 use crate::error::StorageError;
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::session::{Session, SessionConfig};
@@ -21,7 +19,8 @@ use planner::Catalog;
 use pmem_sim::{DeviceConfig, LatencyProfile, LayerKind, PCollection, Pm, PmDevice};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
-use wisconsin::WisconsinRecord;
+use std::time::Instant;
+use wisconsin::{Record as _, WisconsinRecord};
 use write_limited::stats::TableStatistics;
 
 /// Sampling seed the ingest-side statistics sketches are built with —
@@ -142,12 +141,22 @@ impl Database {
         Session::new(self, self.defaults.clone())
     }
 
-    /// A catalog snapshot (cheap: shared table handles).
+    /// A catalog snapshot (cheap: shared table handles) — the one place
+    /// readers get table statistics from, and so the place the batches
+    /// `INSERT`s merged in since the last snapshot are settled: once per
+    /// reader, under the write lock, however many statements absorbed
+    /// them. A snapshot therefore always carries what
+    /// [`TableStatistics::build`] over each table's keys computes.
     pub fn catalog(&self) -> Catalog {
-        self.catalog
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        {
+            let catalog = self.catalog.read().unwrap_or_else(|e| e.into_inner());
+            if catalog.is_settled() {
+                return catalog.clone();
+            }
+        }
+        let mut catalog = self.catalog.write().unwrap_or_else(|e| e.into_inner());
+        self.metrics.note_stats_settles(catalog.settle());
+        catalog.clone()
     }
 
     /// The engine-wide metrics registry streams fold their counters into.
@@ -204,7 +213,7 @@ impl Database {
             seed,
             skew,
         })?;
-        Ok(self.install_table(&mut catalog, name, records, rows))
+        Ok(self.install_records(&mut catalog, name, records, rows))
     }
 
     fn generate_wisconsin(rows: u64, fanout: u64, seed: u64, skew: f64) -> Vec<WisconsinRecord> {
@@ -220,24 +229,34 @@ impl Database {
         }
     }
 
-    /// Builds the collection and puts it in the catalog; returns rows.
-    /// A key-frequency sketch is built from the loaded records and
-    /// attached, so the planner sees the table's real skew.
-    fn install_table(
+    /// Stages `records` as a collection and installs it; returns rows.
+    fn install_records(
         &self,
         catalog: &mut Catalog,
         name: &str,
         records: Vec<WisconsinRecord>,
         key_domain: u64,
     ) -> u64 {
-        use wisconsin::Record as _;
         let keys: Vec<u64> = records.iter().map(WisconsinRecord::key).collect();
-        let statistics = Arc::new(TableStatistics::build(&keys, STATS_SEED));
-        let col = Arc::new(PCollection::from_records_uncounted(
-            &self.dev, self.layer, name, records,
-        ));
+        let col = PCollection::from_records_uncounted(&self.dev, self.layer, name, records);
+        self.install_table(catalog, name, col, &keys, key_domain)
+    }
+
+    /// Puts a staged collection in the catalog; returns rows. A
+    /// key-frequency sketch is built over `keys` — the collection's, in
+    /// any order — and attached, so the planner sees the table's real
+    /// skew.
+    fn install_table(
+        &self,
+        catalog: &mut Catalog,
+        name: &str,
+        col: PCollection<WisconsinRecord>,
+        keys: &[u64],
+        key_domain: u64,
+    ) -> u64 {
+        let statistics = Arc::new(TableStatistics::build(keys, STATS_SEED));
         let rows = col.len() as u64;
-        catalog.add_table_with_statistics(name, col, key_domain, statistics);
+        catalog.add_table_with_statistics(name, Arc::new(col), key_domain, statistics);
         rows
     }
 
@@ -259,7 +278,7 @@ impl Database {
         if catalog.stats(name).is_some() {
             return Err(DdlError::Duplicate(name.to_string()));
         }
-        Ok(self.install_table(
+        Ok(self.install_records(
             &mut catalog,
             name,
             records.into_iter().collect(),
@@ -288,22 +307,22 @@ impl Database {
     /// Returns whether `table` was bound.
     ///
     /// The new rows are appended to the table's collection in place and
-    /// folded into its statistics by exact merge, so the work is
-    /// O(batch) plus one linear pass over the sorted keys. Both live
-    /// behind shared handles: when a catalog snapshot or an open
-    /// [`crate::ResultStream`] still holds one, that version is left to
-    /// its readers and the table continues on a private copy — the only
-    /// branch that touches every row.
+    /// their keys merged into its statistics, so the work is O(batch);
+    /// deriving the statistics a reader sees waits for that reader
+    /// ([`Database::catalog`]). Both live behind shared handles: when a
+    /// catalog snapshot or an open [`crate::ResultStream`] still holds
+    /// one, that version is left to its readers and the table continues
+    /// on a private copy — the only branch that touches every row.
     fn apply_insert(&self, catalog: &mut Catalog, table: &str, keys: &[u64]) -> bool {
-        use wisconsin::Record as _;
         let key_domain = keys.iter().map(|k| k.saturating_add(1)).max().unwrap_or(0);
         let fresh = || keys.iter().copied().map(WisconsinRecord::from_key);
         let copied = catalog.mutate_bound(table, key_domain, |data, statistics| {
             // Before the append, so `data` is exactly the prior rows
             // should the mergeable state have to be materialised.
             Arc::make_mut(statistics).absorb(keys, || {
-                let rows = data.to_vec_uncounted();
-                rows.iter().map(WisconsinRecord::key).collect()
+                let mut prior = Vec::with_capacity(data.len());
+                data.for_each_run_uncounted(|run| prior.extend(stored_keys(run)));
+                prior
             });
             match Arc::get_mut(data) {
                 Some(col) => {
@@ -372,27 +391,37 @@ impl Database {
         // Lock order everywhere: catalog before durable.
         let catalog = self.catalog.read().unwrap_or_else(|e| e.into_inner());
         let mut state = durable.lock().unwrap_or_else(|e| e.into_inner());
-        let data = Self::snapshot_catalog(&catalog, state.wal.last_lsn());
-        let tables = data.tables.len() as u64;
-        let rows = data.total_rows();
-        let bytes = write_checkpoint(&state.dir, &self.dev, &data)?;
+        let last_lsn = state.wal.last_lsn();
+        let written = self.write_checkpoint(&catalog, &state.dir, last_lsn)?;
+        state.wal = Wal::create(&state.dir, &self.dev, last_lsn)?;
         self.metrics.note_fsync();
-        state.wal = Wal::create(&state.dir, &self.dev, data.last_lsn)?;
-        self.metrics.note_fsync();
-        Ok((tables, rows, bytes))
+        Ok(written)
     }
 
-    /// Every bound table's full contents, stamped with `last_lsn`.
-    fn snapshot_catalog(catalog: &Catalog, last_lsn: u64) -> CheckpointData {
-        let tables = catalog
-            .bound_entries()
-            .map(|(name, stats, data)| CheckpointTable {
-                name: name.to_string(),
-                key_domain: stats.key_domain,
-                records: data.to_vec_uncounted(),
-            })
-            .collect();
-        CheckpointData { last_lsn, tables }
+    /// Writes every bound table's full contents, stamped with
+    /// `last_lsn`, as the checkpoint of `dir`: each table's rows go from
+    /// its collection into the image as stored, a run at a time.
+    /// Returns `(tables, rows, checkpoint_bytes)`.
+    fn write_checkpoint(
+        &self,
+        catalog: &Catalog,
+        dir: &Path,
+        last_lsn: u64,
+    ) -> Result<(u64, u64, u64), StorageError> {
+        let started = Instant::now();
+        let tables = catalog.bound_entries().count();
+        let mut image = CheckpointWriter::new(last_lsn, tables as u32);
+        let mut rows = 0;
+        for (name, stats, data) in catalog.bound_entries() {
+            image.table(name, stats.key_domain, data.len() as u64);
+            data.for_each_run_uncounted(|run| image.rows(run));
+            rows += data.len() as u64;
+        }
+        let bytes = image.publish(dir, &self.dev)?;
+        self.metrics.note_fsync();
+        self.metrics
+            .note_checkpoint(started.elapsed().as_nanos() as u64);
+        Ok((tables as u64, rows, bytes))
     }
 
     /// Registered tables as `(name, rows)`, sorted by name.
@@ -514,6 +543,7 @@ impl DatabaseBuilder {
             .map_err(|e| StorageError::file(dir.display().to_string(), e.to_string()))?;
         let mut db = self.build();
 
+        let started = Instant::now();
         let checkpoint = read_checkpoint(&dir)?;
         let fresh = checkpoint.is_none() && !dir.join(WAL_FILE).exists();
         let mut report = RecoveryReport {
@@ -524,8 +554,11 @@ impl DatabaseBuilder {
         if let Some(ckpt) = checkpoint {
             last_lsn = ckpt.last_lsn;
             let mut catalog = db.catalog.write().unwrap_or_else(|e| e.into_inner());
-            for table in ckpt.tables {
-                db.install_table(&mut catalog, &table.name, table.records, table.key_domain);
+            for table in ckpt.tables() {
+                let keys: Vec<u64> = table.keys().collect();
+                let mut col = PCollection::new(&db.dev, db.layer, table.name);
+                col.extend_bytes_uncounted(table.rows);
+                db.install_table(&mut catalog, table.name, col, &keys, table.key_domain);
             }
         } else if !fresh {
             // A WAL without any checkpoint: initialization never
@@ -562,16 +595,13 @@ impl DatabaseBuilder {
         // and leaves the directory clean for the next open.
         {
             let catalog = db.catalog.read().unwrap_or_else(|e| e.into_inner());
-            let data = Database::snapshot_catalog(&catalog, last_lsn);
-            report.tables = data.tables.len() as u64;
-            report.rows = data.total_rows();
-            write_checkpoint(&dir, &db.dev, &data)?;
-            db.metrics.note_fsync();
+            (report.tables, report.rows, _) = db.write_checkpoint(&catalog, &dir, last_lsn)?;
         }
         let wal = Wal::create(&dir, &db.dev, last_lsn)?;
         db.metrics.note_fsync();
         if !fresh {
-            db.metrics.note_recovery(report.replayed_records);
+            db.metrics
+                .note_recovery(report.replayed_records, started.elapsed().as_nanos() as u64);
         }
         db.durable = Some(Mutex::new(DurableState { dir, wal }));
         db.recovery = Some(report);
@@ -604,7 +634,7 @@ impl Database {
                     return Err(conflict(format!("table \"{name}\" already exists")));
                 }
                 let records = Self::generate_wisconsin(*rows, *fanout, *seed, *skew);
-                self.install_table(&mut catalog, name, records, *rows);
+                self.install_records(&mut catalog, name, records, *rows);
             }
             WalRecord::Insert { table, keys } => {
                 if !self.apply_insert(&mut catalog, table, keys) {
@@ -752,8 +782,21 @@ mod tests {
         assert_eq!(keys_of(&mut stream), (0..50).collect::<Vec<u64>>());
         assert_eq!(snapshot.stats("t").unwrap().rows, 50);
         assert_eq!(snapshot.data("t").unwrap().len(), 50);
+        // Its statistics too are the old version, settled: what the
+        // insert merged went into the copy, and is derived for the next
+        // reader, not for this one.
         assert_eq!(snapshot.statistics("t").unwrap(), &old_statistics);
-        assert_eq!(db.catalog().stats("t").unwrap().rows, 52);
+        assert!(snapshot.statistics("t").unwrap().is_settled());
+        assert_eq!(*old_statistics, rebuilt_statistics(&snapshot, "t"));
+        assert_eq!(db.metrics_snapshot().stats_settles, 0);
+        let now = db.catalog();
+        assert_eq!(now.stats("t").unwrap().rows, 52);
+        assert_eq!(
+            **now.statistics("t").unwrap(),
+            rebuilt_statistics(&now, "t")
+        );
+        assert_eq!(db.metrics_snapshot().stats_settles, 1);
+        drop(now);
 
         // No reader outstanding: the next insert extends the very same
         // collection, and a stream opened afterwards sees every row.
@@ -771,9 +814,17 @@ mod tests {
         assert_eq!(keys_of(&mut stream), expect);
     }
 
+    /// What [`TableStatistics::build`] computes over the rows `catalog`
+    /// holds of `table` — what its statistics must equal whenever a
+    /// reader can see them.
+    fn rebuilt_statistics(catalog: &Catalog, table: &str) -> TableStatistics {
+        let rows = catalog.data(table).expect("bound").to_vec_uncounted();
+        let keys: Vec<u64> = rows.iter().map(WisconsinRecord::key).collect();
+        TableStatistics::build(&keys, STATS_SEED)
+    }
+
     #[test]
     fn inserted_tables_carry_the_statistics_a_rebuild_would() {
-        use wisconsin::Record as _;
         let db = Database::builder().build();
         db.create_wisconsin_skewed("z", 300, 4, 5, 1.1)
             .expect("fresh");
@@ -781,13 +832,197 @@ mod tests {
             db.insert_keys("z", batch).unwrap();
         }
         let catalog = db.catalog();
-        let rows = catalog.data("z").unwrap().to_vec_uncounted();
-        let keys: Vec<u64> = rows.iter().map(WisconsinRecord::key).collect();
         assert_eq!(
             **catalog.statistics("z").expect("attached"),
-            TableStatistics::build(&keys, STATS_SEED)
+            rebuilt_statistics(&catalog, "z")
         );
         assert_eq!(catalog.stats("z").unwrap().key_domain, 5001);
+        // Three batches that changed something, one derivation.
+        assert_eq!(db.metrics_snapshot().stats_settles, 1);
+    }
+
+    /// Renders `EXPLAIN sql` after running it, as `wlsql` prints it.
+    fn explain(db: &Database, sql: &str) -> String {
+        let crate::Response::Explain(mut stream) = db
+            .session()
+            .execute(&format!("EXPLAIN {sql}"))
+            .expect("plans")
+        else {
+            panic!("expected an EXPLAIN response");
+        };
+        stream.drain().expect("runs");
+        stream.explain()
+    }
+
+    #[test]
+    fn an_insert_burst_explains_like_a_database_rebuilt_from_its_rows() {
+        let db = Database::builder().dram_records(300).threads(1).build();
+        db.create_wisconsin_skewed("z", 300, 4, 5, 1.1)
+            .expect("fresh");
+        db.create_wisconsin("u", 500, 2, 9).expect("fresh");
+        for i in 0..60u64 {
+            // A new heavy hitter, keys below, inside and past the domain.
+            db.insert_keys("z", &[250, 250, 250, i, 1000 + i]).unwrap();
+            if i % 3 == 0 {
+                db.insert_keys("u", &[600 - i, i % 7]).unwrap();
+            }
+        }
+        assert_eq!(db.metrics_snapshot().stats_settles, 0, "nobody read yet");
+
+        let rebuilt = Database::builder().dram_records(300).threads(1).build();
+        let catalog = db.catalog();
+        for (name, stats, data) in catalog.bound_entries() {
+            rebuilt
+                .register_table(name, data.to_vec_uncounted(), stats.key_domain)
+                .expect("fresh");
+        }
+        assert_eq!(db.metrics_snapshot().stats_settles, 2, "one per table");
+        drop(catalog);
+        for sql in [
+            "SELECT * FROM z JOIN u ON z.key = u.key WHERE z.key < 260 ORDER BY key",
+            "SELECT * FROM z WHERE key >= 250 GROUP BY key ORDER BY key",
+            "SELECT * FROM u JOIN z ON u.key = z.key WHERE u.key % 7 = 3",
+        ] {
+            assert_eq!(explain(&db, sql), explain(&rebuilt, sql), "{sql}");
+        }
+        assert_eq!(
+            db.metrics_snapshot().stats_settles,
+            2,
+            "reads settle nothing"
+        );
+        assert_eq!(rebuilt.metrics_snapshot().stats_settles, 0);
+    }
+
+    #[test]
+    fn statistics_equal_a_rebuild_wherever_a_reader_can_look() {
+        // Seeded interleavings of INSERT / SELECT / EXPLAIN / CHECKPOINT
+        // / reopen over two tables: every snapshot a reader is handed
+        // carries, per table, exactly `build` over the rows it holds.
+        let check = |db: &Database, what: &str| {
+            let catalog = db.catalog();
+            for table in ["t", "z"] {
+                let statistics = catalog.statistics(table).expect("attached");
+                assert!(statistics.is_settled(), "{what}: {table}");
+                assert_eq!(
+                    **statistics,
+                    rebuilt_statistics(&catalog, table),
+                    "{what}: {table}"
+                );
+            }
+        };
+        let settles = |db: &Database| db.metrics_snapshot().stats_settles;
+        let count = |flags: [bool; 2]| flags.iter().filter(|&&f| f).count() as u64;
+        for seed in 0..6u64 {
+            let dir = tmpdir(&format!("interleave-{seed}"));
+            let mut db = Database::open(&dir).unwrap();
+            db.create_wisconsin("t", 200, 1, seed).unwrap();
+            db.create_wisconsin_skewed("z", 100, 3, seed, 1.2).unwrap();
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            // Tables inserted into since a reader last looked, and since
+            // the log was last reset.
+            let (mut unread, mut logged) = ([false; 2], [false; 2]);
+            for step in 0..120 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let what = format!("seed {seed}, step {step}");
+                let before = settles(&db);
+                match x % 16 {
+                    0..=8 => {
+                        let which = (x >> 8) as usize % 2;
+                        let keys: Vec<u64> = (0..1 + (x >> 16) % 6)
+                            .map(|i| (x >> (20 + i)) % 400)
+                            .collect();
+                        db.insert_keys(["t", "z"][which], &keys).unwrap();
+                        (unread[which], logged[which]) = (true, true);
+                        continue;
+                    }
+                    9..=10 => {
+                        let mut stream = db
+                            .session()
+                            .query("SELECT * FROM t JOIN z ON t.key = z.key WHERE z.key < 40")
+                            .expect("plans");
+                        stream.drain().expect("runs");
+                    }
+                    11 => {
+                        explain(&db, "SELECT * FROM z WHERE key >= 50 ORDER BY key");
+                    }
+                    12 => {
+                        // A checkpoint reads rows, not statistics.
+                        db.checkpoint().unwrap();
+                        assert_eq!(settles(&db), before, "{what}");
+                        logged = [false; 2];
+                        continue;
+                    }
+                    13 => {
+                        // Replay merges what the log held; the first
+                        // reader derives it, once per table.
+                        drop(db);
+                        db = Database::reopen(&dir).unwrap();
+                        assert_eq!(settles(&db), 0, "{what}");
+                        check(&db, &what);
+                        assert_eq!(settles(&db), count(logged), "{what}");
+                        (unread, logged) = ([false; 2], [false; 2]);
+                        continue;
+                    }
+                    _ => {}
+                }
+                // Whoever read first — the statement above or this
+                // check — settled each table written since, once.
+                check(&db, &what);
+                assert_eq!(settles(&db) - before, count(unread), "{what}");
+                unread = [false; 2];
+            }
+            drop(db);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn replayed_inserts_are_derived_at_most_once_per_table() {
+        let dir = tmpdir("replay-settles");
+        {
+            let db = Database::open(&dir).unwrap();
+            db.create_wisconsin("t", 100, 1, 1).unwrap();
+            db.create_wisconsin("quiet", 10, 1, 1).unwrap();
+            db.checkpoint().unwrap();
+            db.create_wisconsin("late", 50, 2, 3).unwrap();
+            for i in 0..40u64 {
+                db.insert_keys("t", &[100 + i, i]).unwrap();
+                db.insert_keys("late", &[7]).unwrap();
+            }
+        }
+        let db = Database::reopen(&dir).unwrap();
+        assert_eq!(db.recovery_report().unwrap().replayed_records, 81);
+        let m = db.metrics_snapshot();
+        assert_eq!(m.stats_settles, 0, "replay merges, it does not derive");
+        assert!(m.recovery_wall_ns > 0 && m.checkpoint_wall_ns > 0);
+        assert!(m.checkpoint_wall_ns <= m.recovery_wall_ns);
+        // The first reader pays for the two tables replay inserted into,
+        // once each; the table nothing was inserted into costs nothing.
+        let catalog = db.catalog();
+        assert_eq!(db.metrics_snapshot().stats_settles, 2);
+        for table in ["t", "late", "quiet"] {
+            assert_eq!(
+                **catalog.statistics(table).unwrap(),
+                rebuilt_statistics(&catalog, table),
+                "{table}"
+            );
+        }
+        drop(catalog);
+        db.catalog();
+        db.session().query("SELECT * FROM t").expect("plans");
+        assert_eq!(db.metrics_snapshot().stats_settles, 2);
+        // A fresh open is not a recovery.
+        let fresh = tmpdir("replay-settles-fresh");
+        let m = Database::open(&fresh).unwrap().metrics_snapshot();
+        assert_eq!((m.recoveries, m.recovery_wall_ns), (0, 0));
+        assert!(
+            m.checkpoint_wall_ns > 0,
+            "it still writes its first checkpoint"
+        );
+        std::fs::remove_dir_all(&fresh).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -34,6 +34,9 @@ pub struct EngineMetrics {
     plans: AtomicU64,
     plan_splits: AtomicU64,
     plan_wall_ns: AtomicU64,
+    stats_settles: AtomicU64,
+    checkpoint_wall_ns: AtomicU64,
+    recovery_wall_ns: AtomicU64,
 }
 
 impl EngineMetrics {
@@ -75,10 +78,28 @@ impl EngineMetrics {
     }
 
     /// Notes a completed crash recovery that replayed `records` WAL
-    /// records past the checkpoint.
-    pub fn note_recovery(&self, records: u64) {
+    /// records past the checkpoint and took `wall_ns` of host time from
+    /// reading the checkpoint to resetting the log (the fresh checkpoint
+    /// it ends with included — that share is also in
+    /// `checkpoint_wall_ns`).
+    pub fn note_recovery(&self, records: u64, wall_ns: u64) {
         self.recoveries.fetch_add(1, Ordering::Relaxed);
         self.replayed_records.fetch_add(records, Ordering::Relaxed);
+        self.recovery_wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
+    }
+
+    /// Notes one checkpoint written (a `CHECKPOINT` statement's or the
+    /// one every open ends with) and the host wall time it took to
+    /// assemble, write and fsync.
+    pub fn note_checkpoint(&self, wall_ns: u64) {
+        self.checkpoint_wall_ns
+            .fetch_add(wall_ns, Ordering::Relaxed);
+    }
+
+    /// Notes `tables` tables whose statistics a catalog snapshot had to
+    /// settle: batches merged by `INSERT`s, derived once for the reader.
+    pub fn note_stats_settles(&self, tables: u64) {
+        self.stats_settles.fetch_add(tables, Ordering::Relaxed);
     }
 
     /// Notes an applied `INSERT` (live or replayed) of `rows` rows;
@@ -120,6 +141,9 @@ impl EngineMetrics {
             plans: self.plans.load(Ordering::Relaxed),
             plan_splits: self.plan_splits.load(Ordering::Relaxed),
             plan_wall_ns: self.plan_wall_ns.load(Ordering::Relaxed),
+            stats_settles: self.stats_settles.load(Ordering::Relaxed),
+            checkpoint_wall_ns: self.checkpoint_wall_ns.load(Ordering::Relaxed),
+            recovery_wall_ns: self.recovery_wall_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -164,6 +188,17 @@ pub struct MetricsSnapshot {
     pub plan_splits: u64,
     /// Host wall time spent in the planner.
     pub plan_wall_ns: u64,
+    /// Table statistics settled for a reader: each is one derivation of
+    /// histogram and heavy hitters covering every batch `INSERT`s (live
+    /// or replayed) merged in since the previous one.
+    pub stats_settles: u64,
+    /// Host wall time spent writing checkpoints (`CHECKPOINT`
+    /// statements and the one every open ends with).
+    pub checkpoint_wall_ns: u64,
+    /// Host wall time `Database::reopen` spent recovering: checkpoint
+    /// load, WAL replay and the fresh checkpoint (whose share is also in
+    /// `checkpoint_wall_ns`).
+    pub recovery_wall_ns: u64,
 }
 
 impl MetricsSnapshot {
@@ -189,6 +224,9 @@ impl MetricsSnapshot {
             ("plans", self.plans),
             ("plan_splits", self.plan_splits),
             ("plan_wall_ns", self.plan_wall_ns),
+            ("stats_settles", self.stats_settles),
+            ("checkpoint_wall_ns", self.checkpoint_wall_ns),
+            ("recovery_wall_ns", self.recovery_wall_ns),
         ]
     }
 }
@@ -209,7 +247,11 @@ mod tests {
         m.note_wal_append(40);
         m.note_wal_append(24);
         m.note_fsync();
-        m.note_recovery(7);
+        m.note_recovery(7, 9_000);
+        m.note_checkpoint(4_000);
+        m.note_checkpoint(1_000);
+        m.note_stats_settles(2);
+        m.note_stats_settles(0);
         m.note_ingest(8, false);
         m.note_ingest(3, true);
         m.note_plan(3025, 1_000);
@@ -233,6 +275,9 @@ mod tests {
         assert_eq!(s.plans, 2);
         assert_eq!(s.plan_splits, 3026);
         assert_eq!(s.plan_wall_ns, 1_500);
+        assert_eq!(s.stats_settles, 2);
+        assert_eq!(s.checkpoint_wall_ns, 5_000);
+        assert_eq!(s.recovery_wall_ns, 9_000);
     }
 
     #[test]
@@ -260,6 +305,9 @@ mod tests {
                 "plans",
                 "plan_splits",
                 "plan_wall_ns",
+                "stats_settles",
+                "checkpoint_wall_ns",
+                "recovery_wall_ns",
             ]
         );
     }

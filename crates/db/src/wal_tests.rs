@@ -32,6 +32,111 @@ fn crc32_matches_known_vectors() {
     // IEEE CRC-32 check value for "123456789".
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     assert_eq!(crc32(b""), 0);
+    // Longer than one sixteen-byte step, so the sliced kernel runs.
+    assert_eq!(
+        crc32(b"The quick brown fox jumps over the lazy dog"),
+        0x414F_A339
+    );
+    assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+    assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+}
+
+/// The byte-at-a-time CRC-32 the sliced kernel replaced, kept as the
+/// oracle it must agree with on every input.
+fn crc32_bytewise(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    !c
+}
+
+/// Seeded bytes (xorshift64): every byte value, no period a slicing
+/// step could hide behind.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 32) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn crc32_agrees_with_the_bytewise_reference() {
+    // Every length around the kernel's step, at every start alignment.
+    let data = noise(64 + 16, 1);
+    for start in 0..16 {
+        for len in 0..=64 {
+            let piece = &data[start..start + len];
+            assert_eq!(
+                crc32(piece),
+                crc32_bytewise(piece),
+                "start {start}, len {len}"
+            );
+        }
+    }
+    // Seeded lengths up to 1 MiB (the reference costs 8 steps a byte,
+    // so the long ones are few).
+    let big = noise(1 << 20, 2);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for round in 0..12 {
+        x = x.wrapping_mul(0xD130_2B97_5C1D_3C6B).rotate_left(29) ^ round;
+        let len = (x % (big.len() as u64 >> (round % 4 * 3))) as usize;
+        let start = (x >> 40) as usize % (big.len() - len + 1);
+        let piece = &big[start..start + len];
+        assert_eq!(
+            crc32(piece),
+            crc32_bytewise(piece),
+            "start {start}, len {len}"
+        );
+    }
+    assert_eq!(crc32(&big), crc32_bytewise(&big), "1 MiB");
+}
+
+#[test]
+fn crc32_streamed_over_any_split_equals_one_shot() {
+    let data = noise(4096 + 7, 3);
+    let whole = crc32(&data);
+    // Two pieces at every cut near the step size and at seeded cuts…
+    let mut cuts: Vec<usize> = (0..=48).chain([960, 1024, 4095, data.len()]).collect();
+    cuts.extend(
+        noise(32, 4)
+            .iter()
+            .map(|&b| b as usize * 16 + b as usize % 16),
+    );
+    for cut in cuts {
+        let mut crc = Crc32::new();
+        crc.update(&data[..cut]);
+        crc.update(&data[cut..]);
+        assert_eq!(crc.finish(), whole, "cut at {cut}");
+    }
+    // …and many pieces of seeded, mostly unaligned sizes, empty ones
+    // included.
+    for seed in 5..25 {
+        let mut crc = Crc32::new();
+        let mut rest = &data[..];
+        for &b in noise(4096, seed).iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at((b as usize % 97).min(rest.len()));
+            crc.update(piece);
+            rest = tail;
+        }
+        assert_eq!(crc.finish(), whole, "seed {seed}");
+    }
+    assert_eq!(Crc32::new().finish(), crc32(b""));
 }
 
 #[test]

@@ -8,13 +8,21 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
+/// `SHOW METRICS` rows that hold host wall time.
+const WALL_METRICS: [&str; 4] = [
+    "exec_wall_ns",
+    "plan_wall_ns",
+    "checkpoint_wall_ns",
+    "recovery_wall_ns",
+];
+
 /// Masks host-dependent fields so profiled output diffs cleanly: wall
 /// times (`12.3ms wall`, `0.4ms host`) become `#ms ...`, and the
-/// `exec_wall_ns` and `plan_wall_ns` metric lines lose their values.
+/// [`WALL_METRICS`] lines lose their values.
 fn mask_host_time(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
     for line in raw.lines() {
-        let wall_metric = ["exec_wall_ns", "plan_wall_ns"].iter().find_map(|name| {
+        let wall_metric = WALL_METRICS.iter().find_map(|name| {
             let ns = line.strip_prefix(name)?.strip_prefix("  ")?;
             (!ns.is_empty() && ns.bytes().all(|b| b.is_ascii_digit())).then_some(name)
         });
@@ -104,6 +112,9 @@ fn masking_pins_exactly_the_host_dependent_fields() {
                -- 3 rows in 1 batches, 0.0000s simulated, 1.1ms host\n\
                exec_wall_ns  25484587\n\
                plan_wall_ns  1158060\n\
+               checkpoint_wall_ns  4500000\n\
+               recovery_wall_ns  0\n\
+               stats_settles  3\n\
                plan_splits  3025\n\
                pool_peak_bytes  40000\n";
     let masked = mask_host_time(raw);
@@ -111,8 +122,11 @@ fn masking_pins_exactly_the_host_dependent_fields() {
     assert!(masked.contains(", #ms host"), "{masked}");
     assert!(masked.contains("exec_wall_ns  #\n"), "{masked}");
     assert!(masked.contains("plan_wall_ns  #\n"), "{masked}");
+    assert!(masked.contains("checkpoint_wall_ns  #\n"), "{masked}");
+    assert!(masked.contains("recovery_wall_ns  #\n"), "{masked}");
     // Simulated fields and counts pass through untouched.
     assert!(masked.contains("plan_splits  3025"));
+    assert!(masked.contains("stats_settles  3"));
     assert!(masked.contains("0.0000s sim"));
     assert!(masked.contains("pool_peak_bytes  40000"));
 }

@@ -49,11 +49,29 @@ impl TableStats {
 
 /// One catalog entry: the physical shape, the statistics every estimate
 /// is computed from, and — when built for execution — the bound data.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Table {
     stats: TableStats,
     data: Option<Arc<PCollection<WisconsinRecord>>>,
     statistics: Arc<TableStatistics>,
+}
+
+/// Cloning an entry is how its statistics handle reaches a snapshot, and
+/// with it every reader: the one door, so it is where "no reader ever
+/// holds unsettled statistics" is checked. A writer that absorbed
+/// batches runs [`Catalog::settle`] before it clones.
+impl Clone for Table {
+    fn clone(&self) -> Self {
+        debug_assert!(
+            self.statistics.is_settled(),
+            "catalog snapshot taken over unsettled statistics"
+        );
+        Self {
+            stats: self.stats,
+            data: self.data.clone(),
+            statistics: Arc::clone(&self.statistics),
+        }
+    }
 }
 
 /// Named base tables with statistics and (optionally) bound collections.
@@ -128,7 +146,9 @@ impl Catalog {
     /// replace it with a private copy is the caller's call (it can see
     /// the reference counts, the catalog cannot). Afterwards the row
     /// count is re-read from the collection and the key domain widened
-    /// to cover `key_domain`. Returns `None`, without calling `f`, when
+    /// to cover `key_domain`. Statistics `f` absorbs keys into stay
+    /// unsettled until [`Catalog::settle`], which must run before the
+    /// catalog is next cloned. Returns `None`, without calling `f`, when
     /// `name` is not bound to data.
     pub fn mutate_bound<T>(
         &mut self,
@@ -142,6 +162,28 @@ impl Catalog {
         table.stats.rows = data.len() as u64;
         table.stats.key_domain = table.stats.key_domain.max(key_domain);
         Some(out)
+    }
+
+    /// Whether every table's statistics cover all the keys absorbed
+    /// into them — what a catalog must be before it is cloned for a
+    /// reader.
+    pub fn is_settled(&self) -> bool {
+        self.tables.values().all(|t| t.statistics.is_settled())
+    }
+
+    /// Settles the statistics of every table with absorbed batches
+    /// pending ([`TableStatistics::settle`]); returns how many there
+    /// were. Pending batches imply a handle no snapshot shares — they
+    /// were absorbed through it after the last settle — so nothing is
+    /// copied here.
+    pub fn settle(&mut self) -> u64 {
+        let mut settled = 0;
+        for table in self.tables.values_mut() {
+            if !table.statistics.is_settled() {
+                settled += u64::from(Arc::make_mut(&mut table.statistics).settle());
+            }
+        }
+        settled
     }
 
     /// Removes a table; returns whether it was registered.
@@ -286,6 +328,66 @@ mod tests {
         assert_eq!(cat.stats("T").unwrap().key_domain, 41);
         assert_eq!(cat.mutate_bound("S", 1, |_, _| ()), None);
         assert_eq!(cat.mutate_bound("missing", 1, |_, _| ()), None);
+    }
+
+    /// A catalog holding `T` over keys `0..10` with built statistics.
+    fn sketched_catalog() -> (Catalog, Vec<u64>) {
+        let dev = PmDevice::paper_default();
+        let keys: Vec<u64> = (0..10).collect();
+        let col = Arc::new(PCollection::from_records_uncounted(
+            &dev,
+            LayerKind::BlockedMemory,
+            "T",
+            keys.iter().map(|&k| WisconsinRecord::from_key(k)),
+        ));
+        let mut cat = Catalog::new();
+        cat.add_table_with_statistics("T", col, 10, Arc::new(TableStatistics::build(&keys, 7)));
+        (cat, keys)
+    }
+
+    fn absorb(cat: &mut Catalog, batch: &[u64], prior: &[u64]) {
+        cat.mutate_bound("T", 0, |_, statistics| {
+            Arc::make_mut(statistics).absorb(batch, || prior.to_vec());
+        })
+        .expect("bound");
+    }
+
+    #[test]
+    fn absorbed_batches_settle_once_before_the_next_snapshot() {
+        let (mut cat, keys) = sketched_catalog();
+        cat.add_stats("S", TableStats::wisconsin(10));
+        let snapshot = cat.clone();
+        assert!(cat.is_settled());
+        assert_eq!(cat.settle(), 0, "nothing absorbed yet");
+
+        absorb(&mut cat, &[3, 3, 3, 11], &keys);
+        absorb(&mut cat, &[12], &keys);
+        assert!(!cat.is_settled());
+        assert_eq!(cat.settle(), 1, "two batches, one table, one settle");
+        assert!(cat.is_settled());
+        assert_eq!(cat.settle(), 0);
+
+        let mut all = keys.clone();
+        all.extend([3, 3, 3, 11, 12]);
+        let now = cat.clone();
+        assert_eq!(
+            **now.statistics("T").unwrap(),
+            TableStatistics::build(&all, 7)
+        );
+        // The earlier snapshot's handle was left to it, as built.
+        assert_eq!(
+            **snapshot.statistics("T").unwrap(),
+            TableStatistics::build(&keys, 7)
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "catalog snapshot taken over unsettled statistics")]
+    fn an_unsettled_catalog_cannot_be_snapshotted() {
+        let (mut cat, keys) = sketched_catalog();
+        absorb(&mut cat, &[11], &keys);
+        let _reader = cat.clone();
     }
 
     #[test]

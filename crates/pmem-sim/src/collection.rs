@@ -309,6 +309,33 @@ impl<R: Storable> PCollection<R> {
         records
     }
 
+    /// Lends every record's stored bytes to `visit`, a run at a time
+    /// ([`RecordReader::for_each_run`]), **without** charging reads — how
+    /// a checkpoint copies a table out: as stored, never decoded, and
+    /// outside the cost model like the load that staged it.
+    pub fn for_each_run_uncounted(&self, visit: impl FnMut(&[u8])) {
+        let _pause = self.dev.metrics().pause();
+        self.reader().for_each_run(visit);
+    }
+
+    /// Appends whole records given as their stored bytes in one storage
+    /// append, **without** charging writes — how recovery lands a
+    /// checkpointed table. Leaves the collection exactly as
+    /// [`PCollection::extend_uncounted`] of the decoded records would.
+    ///
+    /// # Panics
+    /// Panics unless `bytes` is a whole number of records.
+    pub fn extend_bytes_uncounted(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len() % R::SIZE, 0, "whole records only");
+        let dev = self.dev.clone();
+        let _pause = dev.metrics().pause();
+        self.storage.append(bytes, &dev);
+        let records = bytes.len() / R::SIZE;
+        self.n_records += records;
+        #[cfg(debug_assertions)]
+        self.note_write(records, crate::span::thread_id());
+    }
+
     /// Builds a collection from `records` **without** charging writes.
     ///
     /// The paper factors the cost of loading input data out of its reported
@@ -743,6 +770,58 @@ mod tests {
                 .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")));
             Wide(std::array::from_fn(|_| attrs.next().expect("80 bytes")))
         }
+    }
+
+    #[test]
+    fn stored_bytes_cross_uncounted_and_land_as_the_records_would() {
+        let records: Vec<Wide> = (0..333u64)
+            .map(|i| Wide(std::array::from_fn(|a| i * 1000 + a as u64)))
+            .collect();
+        for kind in [
+            LayerKind::BlockedMemory,
+            LayerKind::Pmfs,
+            LayerKind::RamDisk,
+            LayerKind::DynArray,
+            LayerKind::FileBacked,
+        ] {
+            // Out of one collection a run at a time, as a checkpoint
+            // copies a table; into another in one piece, as recovery
+            // lands it. Neither side is charged.
+            let dev = PmDevice::paper_default();
+            let src = PCollection::from_records_uncounted(&dev, kind, "src", records.clone());
+            let mut image = Vec::new();
+            let mut runs = 0;
+            src.for_each_run_uncounted(|run| {
+                assert_eq!(run.len() % Wide::SIZE, 0, "{kind:?}: whole records");
+                image.extend_from_slice(run);
+                runs += 1;
+            });
+            assert!(runs < records.len(), "{kind:?}: runs, not records");
+            let mut landed = PCollection::<Wide>::new(&dev, kind, "dst");
+            landed.extend_bytes_uncounted(&image);
+            assert_eq!(dev.snapshot(), crate::IoStats::default(), "{kind:?}");
+            assert_eq!(landed.to_vec_uncounted(), records, "{kind:?}");
+
+            // Indistinguishable afterwards from the table staged record
+            // by record: counted appends and a scan cost the same.
+            let twin_dev = PmDevice::paper_default();
+            let mut twin =
+                PCollection::from_records_uncounted(&twin_dev, kind, "dst", records.clone());
+            for r in &records[..40] {
+                landed.append(r);
+                twin.append(r);
+            }
+            assert_eq!(landed.reader().count(), twin.reader().count());
+            assert_eq!(dev.snapshot(), twin_dev.snapshot(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "whole records only")]
+    fn extend_bytes_uncounted_rejects_a_partial_record() {
+        let dev = PmDevice::paper_default();
+        let mut c = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "t");
+        c.extend_bytes_uncounted(&[0u8; 12]);
     }
 
     #[test]

@@ -30,10 +30,10 @@ fn recovered_keys(dir: &Path) -> BTreeMap<String, Vec<u64>> {
         .expect("checkpoint readable")
         .expect("checkpoint present after reopen");
     let mut state = BTreeMap::new();
-    for table in ckpt.tables {
-        let mut keys: Vec<u64> = table.records.iter().map(|r| r.attrs[0]).collect();
+    for table in ckpt.tables() {
+        let mut keys: Vec<u64> = table.keys().collect();
         keys.sort_unstable();
-        state.insert(table.name, keys);
+        state.insert(table.name.to_string(), keys);
     }
     state
 }
