@@ -212,7 +212,9 @@ fn all_ops() -> Vec<Op> {
 
 /// The operators whose scans, merges or partitioning fan out over the
 /// 8192-record morsel and segment grids — the ones a larger input
-/// exercises differently from a small one.
+/// exercises differently from a small one — and the joins built from
+/// the same partition-scan and build–probe phases, whose whole-input
+/// scans and task counts a larger input also moves.
 fn gridded_ops() -> Vec<Op> {
     let mut ops = vec![
         Op::Sort(SortAlgorithm::ExMS),
@@ -228,10 +230,14 @@ fn gridded_ops() -> Vec<Op> {
             JoinAlgorithm::HJ,
             JoinAlgorithm::LaJ,
             JoinAlgorithm::SMJ { x: 1.0 },
+            JoinAlgorithm::NLJ,
+            JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
+            JoinAlgorithm::SegJ { frac: 0.5 },
         ]
         .into_iter()
         .map(|algo| Op::Join { algo, zipf: false }),
     );
+    ops.extend([Op::AdaptiveGrace, Op::DeferredPipeline]);
     ops
 }
 
