@@ -305,6 +305,24 @@ mod tests {
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let out = guided_join_with(&left, &right, &[], &ctx, "out").expect("applicable");
         assert_eq!(out.len(), 6000);
+
+        // With nothing hot, every record takes the partition round-trip
+        // over the same morsel grid: Grace join, counter for counter and
+        // pair for pair, on inputs spanning several morsels.
+        use crate::join::tests::{assert_same_run, device_run};
+        let w = wisconsin::join_input(PARTITION_MORSEL_RECORDS as u64 + 2000, 3, 5);
+        for kind in [LayerKind::BlockedMemory, LayerKind::Pmfs] {
+            for threads in [1, 4] {
+                let cold = device_run(&w, kind, 1500, threads, |l, r, ctx| {
+                    guided_join_with(l, r, &[], ctx, "out")
+                });
+                let gj = device_run(&w, kind, 1500, threads, |l, r, ctx| {
+                    super::super::grace_join(l, r, ctx, "out")
+                });
+                assert_eq!(cold.1.len() as u64, w.expected_matches);
+                assert_same_run(&format!("{kind:?}, DoP {threads}"), &cold, &gj);
+            }
+        }
     }
 
     #[test]

@@ -143,7 +143,6 @@ mod tests {
         stats: pmem_sim::IoStats,
         got: u64,
         want: u64,
-        out_buffers: u64,
     }
 
     fn run(x: f64, y: f64, m_records: usize) -> Run {
@@ -160,7 +159,6 @@ mod tests {
             stats: dev.snapshot().since(&before),
             got: out.len() as u64,
             want: w.expected_matches,
-            out_buffers: out.buffers(),
         }
     }
 
@@ -176,10 +174,24 @@ mod tests {
 
     #[test]
     fn zero_intensities_degenerate_to_nested_loops_writes() {
-        let r = run(0.0, 0.0, 60);
-        assert_eq!(r.got, r.want);
-        // Nothing is partitioned: writes = output only.
-        assert_eq!(r.stats.cl_writes, r.out_buffers);
+        // x = y = 0 partitions nothing and joins all of T by block nested
+        // loops over the same DRAM-sized blocks: it *is* NLJ, counter for
+        // counter and pair for pair, on every layer at any DoP.
+        use crate::join::nested_loops::nested_loops_join;
+        use crate::join::tests::{assert_same_run, device_run, LAYERS};
+        let w = join_input(300, 8, 12);
+        for kind in LAYERS {
+            for threads in [1, 4] {
+                let hyb = device_run(&w, kind, 60, threads, |l, r, ctx| {
+                    hybrid_join(l, r, 0.0, 0.0, ctx, "out")
+                });
+                let nlj = device_run(&w, kind, 60, threads, |l, r, ctx| {
+                    Ok(nested_loops_join(l, r, ctx, "out"))
+                });
+                assert_eq!(hyb.1.len() as u64, w.expected_matches);
+                assert_same_run(&format!("{kind:?}, DoP {threads}"), &hyb, &nlj);
+            }
+        }
     }
 
     #[test]

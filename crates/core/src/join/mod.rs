@@ -136,8 +136,58 @@ impl JoinAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{BufferPool, LayerKind, PmDevice};
-    use wisconsin::{join_input, WisconsinRecord};
+    use pmem_sim::{BufferPool, IoStats, LayerKind, PmDevice};
+    use wisconsin::{join_input, JoinWorkload, WisconsinRecord};
+
+    /// Wisconsin records joined with Wisconsin records.
+    pub(in crate::join) type WPair = Pair<WisconsinRecord, WisconsinRecord>;
+
+    /// Every persistence layer: the corner equivalences must hold on
+    /// the software-time and call counters too, not only on cachelines.
+    pub(in crate::join) const LAYERS: [LayerKind; 5] = [
+        LayerKind::BlockedMemory,
+        LayerKind::Pmfs,
+        LayerKind::RamDisk,
+        LayerKind::DynArray,
+        LayerKind::FileBacked,
+    ];
+
+    /// One run of `join` on a fresh device over `w`'s inputs staged on
+    /// `kind`, with `m_records` Wisconsin records of DRAM at DoP
+    /// `threads`: the device delta and the output pairs in order — the
+    /// two things a corner equivalence compares.
+    pub(in crate::join) fn device_run(
+        w: &JoinWorkload,
+        kind: LayerKind,
+        m_records: usize,
+        threads: usize,
+        join: impl FnOnce(
+            &PCollection<WisconsinRecord>,
+            &PCollection<WisconsinRecord>,
+            &JoinContext<'_>,
+        ) -> Result<PCollection<WPair>, PmError>,
+    ) -> (IoStats, Vec<WPair>) {
+        let dev = PmDevice::paper_default();
+        let left = PCollection::from_records_uncounted(&dev, kind, "T", w.left.clone());
+        let right = PCollection::from_records_uncounted(&dev, kind, "V", w.right.clone());
+        let pool = BufferPool::new(m_records * 80);
+        let ctx = JoinContext::new(&dev, kind, &pool).with_threads(threads);
+        let before = dev.snapshot();
+        let out = join(&left, &right, &ctx).expect("applicable");
+        (dev.snapshot().since(&before), out.to_vec_uncounted())
+    }
+
+    /// Asserts two [`device_run`]s are the same run: identical device
+    /// counters and identical output, pair for pair.
+    pub(in crate::join) fn assert_same_run(
+        what: &str,
+        (io, rows): &(IoStats, Vec<WPair>),
+        (want_io, want_rows): &(IoStats, Vec<WPair>),
+    ) {
+        assert_eq!(io, want_io, "{what}: device counters");
+        assert_eq!(rows.len(), want_rows.len(), "{what}: output length");
+        assert!(rows == want_rows, "{what}: output pairs");
+    }
 
     #[test]
     fn all_algorithms_agree_on_the_result_multiset() {

@@ -209,27 +209,29 @@ mod tests {
 
     #[test]
     fn full_materialization_matches_grace_cost() {
-        let (dev, left, right, want, m) = stage(60);
-        let pool = BufferPool::new(m * 80);
-        let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let k = ctx.grace_partitions::<WisconsinRecord>(left.len());
-
-        let before = dev.snapshot();
-        let seg = segmented_grace_join(&left, &right, k, &ctx, "seg").expect("ok");
-        let seg_io = dev.snapshot().since(&before);
-
-        let before = dev.snapshot();
-        let gj = super::super::grace::grace_join(&left, &right, &ctx, "gj").expect("ok");
-        let gj_io = dev.snapshot().since(&before);
-
-        assert_eq!(seg.len() as u64, want);
-        assert_eq!(gj.len() as u64, want);
-        let dr = (seg_io.cl_reads as f64 / gj_io.cl_reads as f64 - 1.0).abs();
-        let dw = (seg_io.cl_writes as f64 / gj_io.cl_writes as f64 - 1.0).abs();
-        assert!(
-            dr < 0.05 && dw < 0.05,
-            "x=k should cost like Grace (Δr {dr}, Δw {dw})"
-        );
+        // x = k materializes every partition: Grace join, counter for
+        // counter and pair for pair, on every layer at any DoP — within
+        // one partitioning morsel. Past it Grace partitions each morsel
+        // into pieces of its own and pays their boundary cachelines;
+        // SegJ's scan has no morsel grid.
+        use crate::join::grace::grace_join;
+        use crate::join::tests::{assert_same_run, device_run, LAYERS};
+        let w = join_input(300, 8, 23);
+        assert!(w.right.len() <= crate::join::PARTITION_MORSEL_RECORDS);
+        for kind in LAYERS {
+            for threads in [1, 4] {
+                let seg = device_run(&w, kind, 60, threads, |l, r, ctx| {
+                    let k = ctx.grace_partitions::<WisconsinRecord>(l.len());
+                    assert!(k >= 4, "need several partitions, got {k}");
+                    segmented_grace_join(l, r, k, ctx, "out")
+                });
+                let gj = device_run(&w, kind, 60, threads, |l, r, ctx| {
+                    grace_join(l, r, ctx, "out")
+                });
+                assert_eq!(seg.1.len() as u64, w.expected_matches);
+                assert_same_run(&format!("{kind:?}, DoP {threads}"), &seg, &gj);
+            }
+        }
     }
 
     #[test]
