@@ -459,12 +459,15 @@ fn rule_panic_free(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
 
 /// Span coverage: every exec operator module (a sort/join/agg algorithm
 /// file) must open at least one profiling span, so `EXPLAIN ANALYZE`
-/// and `repro --profile` can attribute its traffic. `mod.rs` and
-/// `common.rs` are dispatch/shared-helper files, not operators.
+/// and `repro --profile` can attribute its traffic. `mod.rs`,
+/// `common.rs` and `kernel.rs` are dispatch/shared-helper files, not
+/// operators: their traffic lands under the span of the operator that
+/// calls them.
 fn rule_span_coverage(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
     let operator_module = PANIC_ZONE_DIRS.iter().any(|d| rel.contains(d))
-        && !rel.ends_with("mod.rs")
-        && !rel.ends_with("common.rs");
+        && !["mod.rs", "common.rs", "kernel.rs"]
+            .iter()
+            .any(|helper| rel.ends_with(helper));
     if !operator_module {
         return;
     }

@@ -28,11 +28,8 @@
 use crate::Scale;
 use pmem_sim::{BufferPool, IoStats, LatencyProfile, LayerKind, PCollection, PmDevice};
 use std::time::Instant;
-use wisconsin::{join_input, sort_input, KeyOrder, WisconsinRecord};
-use write_limited::join::{
-    grace_join_profiled, hash_join_profiled, lazy_hash_join_profiled, nested_loops_join_profiled,
-    segmented_grace_join_frac, JoinContext,
-};
+use wisconsin::{join_input, sort_input, KeyOrder};
+use write_limited::join::{JoinAlgorithm, JoinContext};
 use write_limited::sort::{external_merge_sort_profiled, SortContext};
 
 /// One algorithm's measurement at one degree of parallelism.
@@ -47,9 +44,8 @@ pub struct Cell {
     pub wall_speedup: f64,
     /// Simulated cacheline traffic (must be identical at every DoP).
     pub stats: IoStats,
-    /// Ledger-derived critical-path speedup at this DoP (`None` when
-    /// the algorithm exposes no per-task profile).
-    pub cp_speedup: Option<f64>,
+    /// Ledger-derived critical-path speedup at this DoP.
+    pub cp_speedup: f64,
 }
 
 /// Makespan of scheduling `parts` (ns each) greedily onto `dop` workers.
@@ -83,22 +79,17 @@ fn cp_speedup_from_phases(total: &IoStats, phases: &[&[IoStats]], threads: usize
     total_ns / cp_ns
 }
 
-/// Shared bracketing of one join measurement: stage the inputs, run
-/// `join` under a context at `threads`, check the match count, and turn
-/// the returned phase ledgers (each phase a list of independent task
-/// costs, phases sequential) into the critical-path speedup. `None`
-/// phases mark algorithms without a per-task profile.
+/// One join measurement: stage the inputs, run `algo` under a context
+/// at `threads`, check the match count, and turn the run's phase ledger
+/// (each phase a list of independent task costs, phases sequential)
+/// into the critical-path speedup.
 fn time_join(
     algorithm: &'static str,
+    algo: JoinAlgorithm,
     t: u64,
     fanout: u64,
     m_records: usize,
     threads: usize,
-    join: impl FnOnce(
-        &PCollection<WisconsinRecord>,
-        &PCollection<WisconsinRecord>,
-        &JoinContext<'_>,
-    ) -> (u64, Option<Vec<Vec<IoStats>>>),
 ) -> Cell {
     let dev = PmDevice::paper_default();
     let w = join_input(t, fanout, 7);
@@ -108,74 +99,25 @@ fn time_join(
     let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
     let before = dev.snapshot();
     let start = Instant::now();
-    let (out_len, phases) = join(&left, &right, &ctx);
+    let (out, phases) = algo
+        .run_profiled(&left, &right, &ctx, "out")
+        .expect("applicable");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(
-        out_len, w.expected_matches,
+        out.len() as u64,
+        w.expected_matches,
         "{algorithm}: wrong join result"
     );
     let stats = dev.snapshot().since(&before);
-    let cp_speedup = phases.map(|ph| {
-        let slices: Vec<&[IoStats]> = ph.iter().map(Vec::as_slice).collect();
-        cp_speedup_from_phases(&stats, &slices, threads)
-    });
+    let phases: Vec<&[IoStats]> = phases.iter().map(Vec::as_slice).collect();
     Cell {
         algorithm,
         dop: threads,
         wall_ms,
         wall_speedup: 1.0,
         stats,
-        cp_speedup,
+        cp_speedup: cp_speedup_from_phases(&stats, &phases, threads),
     }
-}
-
-/// Build and probe scans alternate pass by pass; each scan's morsels
-/// fan out.
-fn iter_join_phases(profile: write_limited::join::IterJoinProfile) -> Vec<Vec<IoStats>> {
-    profile
-        .per_build_morsel
-        .into_iter()
-        .zip(profile.per_probe_morsel)
-        .flat_map(|(b, p)| [b, p])
-        .collect()
-}
-
-fn time_grace(t: u64, fanout: u64, m_records: usize, threads: usize) -> Cell {
-    time_join("GJ", t, fanout, m_records, threads, |l, r, ctx| {
-        let (out, p) = grace_join_profiled(l, r, ctx, "out").expect("applicable");
-        (
-            out.len() as u64,
-            Some(vec![p.per_morsel_left, p.per_morsel_right, p.per_partition]),
-        )
-    })
-}
-
-fn time_hash(t: u64, fanout: u64, m_records: usize, threads: usize) -> Cell {
-    time_join("HJ", t, fanout, m_records, threads, |l, r, ctx| {
-        let (out, p) = hash_join_profiled(l, r, ctx, "out");
-        (out.len() as u64, Some(iter_join_phases(p)))
-    })
-}
-
-fn time_lazy(t: u64, fanout: u64, m_records: usize, threads: usize) -> Cell {
-    time_join("LaJ", t, fanout, m_records, threads, |l, r, ctx| {
-        let (out, p) = lazy_hash_join_profiled(l, r, ctx, "out");
-        (out.len() as u64, Some(iter_join_phases(p)))
-    })
-}
-
-fn time_nlj(t: u64, fanout: u64, m_records: usize, threads: usize) -> Cell {
-    time_join("NLJ", t, fanout, m_records, threads, |l, r, ctx| {
-        let (out, p) = nested_loops_join_profiled(l, r, ctx, "out");
-        (out.len() as u64, Some(vec![p.per_block]))
-    })
-}
-
-fn time_segj(t: u64, fanout: u64, m_records: usize, threads: usize) -> Cell {
-    time_join("SegJ 25%", t, fanout, m_records, threads, |l, r, ctx| {
-        let out = segmented_grace_join_frac(l, r, 0.25, ctx, "out").expect("applicable");
-        (out.len() as u64, None)
-    })
 }
 
 fn time_sort(n: u64, m_records: usize, threads: usize) -> Cell {
@@ -197,14 +139,13 @@ fn time_sort(n: u64, m_records: usize, threads: usize) -> Cell {
     // Run generation, then each merge pass, end to end.
     let mut phases: Vec<&[IoStats]> = vec![&profile.run_generation];
     phases.extend(profile.merge_passes.iter().map(Vec::as_slice));
-    let cp = cp_speedup_from_phases(&stats, &phases, threads);
     Cell {
         algorithm: "ExMS",
         dop: threads,
         wall_ms,
         wall_speedup: 1.0,
         stats,
-        cp_speedup: Some(cp),
+        cp_speedup: cp_speedup_from_phases(&stats, &phases, threads),
     }
 }
 
@@ -218,18 +159,16 @@ fn report(dops: &[usize], cells: &mut [Cell]) -> (f64, f64) {
     for (dop, cell) in dops.iter().zip(cells) {
         cell.wall_speedup = base_wall / cell.wall_ms;
         if *dop == 4 {
-            at4 = (cell.wall_speedup, cell.cp_speedup.unwrap_or(1.0));
+            at4 = (cell.wall_speedup, cell.cp_speedup);
         }
         let counts_ok = cell.stats.cl_reads == base_stats.cl_reads
             && cell.stats.cl_writes == base_stats.cl_writes;
-        let cp = cell
-            .cp_speedup
-            .map_or(format!("{:>9}", "-"), |s| format!("{s:>8.2}x"));
         println!(
-            "{:<10} {dop:>4} {:>10.1} {:>8.2}x {cp} {:>12} {:>12}   {}",
+            "{:<10} {dop:>4} {:>10.1} {:>8.2}x {:>8.2}x {:>12} {:>12}   {}",
             cell.algorithm,
             cell.wall_ms,
             cell.wall_speedup,
+            cell.cp_speedup,
             cell.stats.cl_reads,
             cell.stats.cl_writes,
             if counts_ok { "identical" } else { "MISMATCH" },
@@ -286,35 +225,44 @@ pub fn parallel_speedup_cells(scale: &Scale, dops: &[usize], smoke: bool) -> Vec
     let mut all: Vec<Cell> = Vec::new();
     let mut gj: Vec<Cell> = dops
         .iter()
-        .map(|&d| time_grace(t, fanout, m_records, d))
+        .map(|&d| time_join("GJ", JoinAlgorithm::GJ, t, fanout, m_records, d))
         .collect();
     let (gj_wall, gj_cp) = report(dops, &mut gj);
     all.extend(gj);
 
     let mut hj: Vec<Cell> = dops
         .iter()
-        .map(|&d| time_hash(t, fanout, m_records, d))
+        .map(|&d| time_join("HJ", JoinAlgorithm::HJ, t, fanout, m_records, d))
         .collect();
     let (hj_wall, hj_cp) = report(dops, &mut hj);
     all.extend(hj);
 
     let mut nlj: Vec<Cell> = dops
         .iter()
-        .map(|&d| time_nlj(t, fanout, m_records, d))
+        .map(|&d| time_join("NLJ", JoinAlgorithm::NLJ, t, fanout, m_records, d))
         .collect();
     report(dops, &mut nlj);
     all.extend(nlj);
 
     let mut laj: Vec<Cell> = dops
         .iter()
-        .map(|&d| time_lazy(t, fanout, m_records, d))
+        .map(|&d| time_join("LaJ", JoinAlgorithm::LaJ, t, fanout, m_records, d))
         .collect();
     report(dops, &mut laj);
     all.extend(laj);
 
     let mut segj: Vec<Cell> = dops
         .iter()
-        .map(|&d| time_segj(t, fanout, m_records, d))
+        .map(|&d| {
+            time_join(
+                "SegJ 25%",
+                JoinAlgorithm::SegJ { frac: 0.25 },
+                t,
+                fanout,
+                m_records,
+                d,
+            )
+        })
         .collect();
     report(dops, &mut segj);
     all.extend(segj);
@@ -415,12 +363,12 @@ pub fn wall_gap_smoke(scale: &Scale) {
     );
     let mut gj: Vec<Cell> = dops
         .iter()
-        .map(|&d| time_grace(t, fanout, m_records, d))
+        .map(|&d| time_join("GJ", JoinAlgorithm::GJ, t, fanout, m_records, d))
         .collect();
     let (gj_wall, gj_cp) = report(&dops, &mut gj);
     let mut hj: Vec<Cell> = dops
         .iter()
-        .map(|&d| time_hash(t, fanout, m_records, d))
+        .map(|&d| time_join("HJ", JoinAlgorithm::HJ, t, fanout, m_records, d))
         .collect();
     let (hj_wall, hj_cp) = report(&dops, &mut hj);
     let mut exms: Vec<Cell> = dops
@@ -480,20 +428,17 @@ pub fn summary_json(cells: &[Cell], cores: usize) -> String {
     ));
     out.push_str("  \"cells\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let cp = c
-            .cp_speedup
-            .map_or("null".to_string(), |s| format!("{s:.4}"));
-        let gap = match c.cp_speedup {
-            Some(cp) if cores >= c.dop && cp > 0.0 => {
-                format!("{:.4}", c.wall_speedup / cp)
-            }
-            _ => "null".to_string(),
+        let gap = if cores >= c.dop && c.cp_speedup > 0.0 {
+            format!("{:.4}", c.wall_speedup / c.cp_speedup)
+        } else {
+            "null".to_string()
         };
         out.push_str(&format!(
-            "    {{\"algorithm\": \"{}\", \"dop\": {}, \"cp_speedup\": {cp}, \
+            "    {{\"algorithm\": \"{}\", \"dop\": {}, \"cp_speedup\": {:.4}, \
              \"wall_cp_gap\": {gap}, \"cl_reads\": {}, \"cl_writes\": {}}}{}\n",
             c.algorithm,
             c.dop,
+            c.cp_speedup,
             c.stats.cl_reads,
             c.stats.cl_writes,
             if i + 1 == cells.len() { "" } else { "," }
@@ -522,14 +467,14 @@ mod tests {
         // wall-clock involved — so it can run on any CI box.
         let exms = time_sort(60_000, 600, 4);
         assert!(
-            exms.cp_speedup.expect("profiled") >= 2.5,
-            "ExMS critical-path speedup {:?} below 2.5x",
+            exms.cp_speedup >= 2.5,
+            "ExMS critical-path speedup {} below 2.5x",
             exms.cp_speedup
         );
-        let hj = time_hash(20_000, 4, 2_000, 4);
+        let hj = time_join("HJ", JoinAlgorithm::HJ, 20_000, 4, 2_000, 4);
         assert!(
-            hj.cp_speedup.expect("profiled") >= 2.5,
-            "HJ critical-path speedup {:?} below 2.5x",
+            hj.cp_speedup >= 2.5,
+            "HJ critical-path speedup {} below 2.5x",
             hj.cp_speedup
         );
     }
@@ -543,7 +488,7 @@ mod tests {
                 wall_ms: 40.0,
                 wall_speedup: 1.0,
                 stats: IoStats::default(),
-                cp_speedup: Some(1.0),
+                cp_speedup: 1.0,
             },
             Cell {
                 algorithm: "GJ",
@@ -551,7 +496,7 @@ mod tests {
                 wall_ms: 12.5,
                 wall_speedup: 3.2,
                 stats: IoStats::default(),
-                cp_speedup: Some(3.4),
+                cp_speedup: 3.4,
             },
         ];
         // On a wide host the DoP-4 gap is recorded…

@@ -16,7 +16,8 @@
 //! between it switches mid-flight exactly when the paper's rules say the
 //! rescan penalty has been paid off.
 
-use crate::join::common::{partition_of, view_key, BuildTable, JoinContext};
+use crate::join::common::{partition_of, JoinContext};
+use crate::join::kernel::{build_table, route_scan, Route};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::{Pair, Record};
 use wl_runtime::{CStatus, OpCtx};
@@ -33,15 +34,7 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<Pair<L, R>>, PmError> {
-    if !ctx.grace_applicable::<L>(left.len()) {
-        return Err(PmError::InsufficientMemory {
-            requirement: format!(
-                "adaptive Grace join needs M > sqrt(f*|T|): M = {} records, |T| = {}",
-                ctx.capacity_records::<L>(),
-                left.len()
-            ),
-        });
-    }
+    ctx.require_grace::<L>(left.len(), "adaptive Grace join")?;
     let k = ctx.grace_partitions::<L>(left.len());
     let mut rt = OpCtx::new(ctx.device().lambda().max(1.0));
 
@@ -71,63 +64,18 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
 
     for p in 0..k {
         // ---- Build side ----
-        rt.assess(&t_names[p]);
-        if rt.status(&t_names[p]) == CStatus::Materialized && t_files[p].is_none() {
-            // Eager-partition: settle the fate of every remaining
-            // partition now, then write all materialized ones in ONE scan.
-            for name in t_names.iter().skip(p + 1) {
-                rt.assess(name);
-            }
-            for (q, slot) in t_files.iter_mut().enumerate().skip(p) {
-                if rt.status(&t_names[q]) == CStatus::Materialized {
-                    *slot = Some(ctx.fresh::<L>("adpt-t"));
-                }
-            }
-            left.reader().for_each_view(|l| {
-                let q = partition_of(view_key(&l), k);
-                if let Some(file) = t_files.get_mut(q).and_then(|f| f.as_mut()) {
-                    if q >= p {
-                        file.append_bytes(l.bytes());
-                    }
-                }
-            });
-            rt.note_scan("T", t_buffers);
-        }
-        let mut table = BuildTable::new();
-        match &t_files[p] {
-            Some(file) => file.reader().for_each_view(|l| table.insert(l.get())),
+        eager_partition(&mut rt, "T", left, &t_names, &mut t_files, p, ctx);
+        let table = match &t_files[p] {
+            Some(file) => build_table(vec![file.reader()], None),
             None => {
                 // Deferred: reconstruct by re-scanning the source.
-                left.reader().for_each_view(|l| {
-                    if partition_of(view_key(&l), k) == p {
-                        table.insert(l.get());
-                    }
-                });
                 rt.note_scan("T", t_buffers);
+                build_table(vec![left.reader()], Some((p, k)))
             }
-        }
+        };
 
         // ---- Probe side ----
-        rt.assess(&v_names[p]);
-        if rt.status(&v_names[p]) == CStatus::Materialized && v_files[p].is_none() {
-            for name in v_names.iter().skip(p + 1) {
-                rt.assess(name);
-            }
-            for (q, slot) in v_files.iter_mut().enumerate().skip(p) {
-                if rt.status(&v_names[q]) == CStatus::Materialized {
-                    *slot = Some(ctx.fresh::<R>("adpt-v"));
-                }
-            }
-            right.reader().for_each_view(|r| {
-                let q = partition_of(view_key(&r), k);
-                if let Some(file) = v_files.get_mut(q).and_then(|f| f.as_mut()) {
-                    if q >= p {
-                        file.append_bytes(r.bytes());
-                    }
-                }
-            });
-            rt.note_scan("V", v_buffers);
-        }
+        eager_partition(&mut rt, "V", right, &v_names, &mut v_files, p, ctx);
         debug_assert!(table.holds_only(|key| partition_of(key, k) == p));
         match &v_files[p] {
             Some(file) => file
@@ -144,6 +92,49 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
         }
     }
     Ok(out)
+}
+
+/// The runtime's verdict on partition `p` of the input declared as
+/// `source_name`, acted on: once `read-over-write` fires, the
+/// `eager-partition` rule settles the fate of every remaining partition
+/// and writes all materialized ones in ONE routed scan of `source`.
+fn eager_partition<R: Record>(
+    rt: &mut OpCtx,
+    source_name: &str,
+    source: &PCollection<R>,
+    names: &[String],
+    files: &mut [Option<PCollection<R>>],
+    p: usize,
+    ctx: &JoinContext<'_>,
+) {
+    rt.assess(&names[p]);
+    if rt.status(&names[p]) != CStatus::Materialized || files[p].is_some() {
+        return;
+    }
+    for name in names.iter().skip(p + 1) {
+        rt.assess(name);
+    }
+    let prefix = format!("adpt-{}", source_name.to_lowercase());
+    for (q, slot) in files.iter_mut().enumerate().skip(p) {
+        if rt.status(&names[q]) == CStatus::Materialized {
+            *slot = Some(ctx.fresh::<R>(&prefix));
+        }
+    }
+    let k = files.len();
+    route_scan(
+        source.reader(),
+        |key| match partition_of(key, k) {
+            q if q >= p => Route::Spill(q),
+            _ => Route::Skip,
+        },
+        |_| {},
+        |q, bytes| {
+            if let Some(file) = &mut files[q] {
+                file.append_bytes(bytes);
+            }
+        },
+    );
+    rt.note_scan(source_name, source.buffers() as f64);
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 
 use crate::join::HASH_TABLE_FACTOR;
 use crate::parallel;
-use pmem_sim::{BufferPool, LayerKind, PCollection, Pm};
+use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wisconsin::Record;
 
@@ -89,6 +89,24 @@ impl<'p> ExecContext<'p> {
     pub fn grace_applicable<R: Record>(&self, t_records: usize) -> bool {
         let m = self.capacity_records::<R>() as f64;
         m > (HASH_TABLE_FACTOR * t_records as f64).sqrt()
+    }
+
+    /// [`ExecContext::grace_applicable`] as the error `algorithm` refuses
+    /// a build side of `t_records` with.
+    pub(crate) fn require_grace<R: Record>(
+        &self,
+        t_records: usize,
+        algorithm: &str,
+    ) -> Result<(), PmError> {
+        if self.grace_applicable::<R>(t_records) {
+            return Ok(());
+        }
+        Err(PmError::InsufficientMemory {
+            requirement: format!(
+                "{algorithm} needs M > sqrt(f*|T|): M = {} records, |T| = {t_records}",
+                self.capacity_records::<R>()
+            ),
+        })
     }
 
     /// Allocates a fresh unique collection name. Names are handed out on

@@ -2,8 +2,7 @@
 //! build/probe tables.
 
 use crate::context::ExecContext;
-use crate::parallel;
-use pmem_sim::{thread_stats, IoStats, PCollection, RecordBuffer, RecordView, Storable};
+use pmem_sim::{PCollection, RecordBuffer, RecordView, Storable};
 use std::collections::HashMap;
 use wisconsin::{Pair, Record};
 
@@ -278,15 +277,9 @@ impl<L: Record> BuildTable<L> {
         }
     }
 
-    /// Probes with `right`, appending one output pair per match.
-    pub fn probe<R: Record>(&self, right: &R, out: &mut PCollection<Pair<L, R>>) {
-        self.probe_with(right.key(), || *right, out);
-    }
-
     /// Probes with `right`, serializing one pair per match into a DRAM
-    /// buffer — the parallel executors' probe path: workers buffer their
-    /// partition's matches and the coordinator flushes the buffers into
-    /// the shared output collection in partition order.
+    /// buffer — the probe of one decoded record, and the reference the
+    /// probe kernel [`BuildTable::probe_run`] is tested against.
     pub fn probe_buffered<R: Record>(&self, right: &R, out: &mut RecordBuffer<Pair<L, R>>) {
         self.probe_with(right.key(), || *right, out);
     }
@@ -333,11 +326,6 @@ impl<L: Record> BuildTable<L> {
             self.probe_bytes(bytes, sink);
         }
     }
-
-    /// Number of matches `right` would produce, without writing output.
-    pub fn match_count<R: Record>(&self, right: &R) -> usize {
-        self.matches(right.key()).count()
-    }
 }
 
 /// Iterator over one key's chain in a [`BuildTable`], first → last.
@@ -359,147 +347,6 @@ impl<'t, L: Record> Iterator for Matches<'t, L> {
         self.at = self.table.next[i];
         Some(&self.table.records[i])
     }
-}
-
-/// What one pass of an iterative join does with a scanned record.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum ScanAction {
-    /// The record belongs to the pass's partition: build or probe it.
-    Keep,
-    /// Offload it to the next pass's input.
-    Offload,
-    /// Neither (a dead record in a lazy pass, or the last pass).
-    Skip,
-}
-
-/// Per-pass ledger profile of an iterative (standard or lazy) hash
-/// join: for every pass, the traffic of its independent input morsels.
-/// Build and probe scans of one pass run one after the other; the
-/// morsels within each scan fan out. Every entry is identical at any
-/// degree of parallelism — the speedup harness schedules them onto DoP
-/// workers for the deterministic critical-path estimate.
-#[derive(Clone, Debug, Default)]
-pub struct IterJoinProfile {
-    /// Per pass, the build-side scan's per-morsel traffic.
-    pub per_build_morsel: Vec<Vec<IoStats>>,
-    /// Per pass, the probe-side scan's per-morsel traffic.
-    pub per_probe_morsel: Vec<Vec<IoStats>>,
-}
-
-/// Morselized build-side pass scan: fans the scan of `src` out over
-/// fixed-size morsels; kept records land in `table` and offloaded ones
-/// in `next`, both applied on the coordinating thread in morsel order —
-/// so the table's insertion order, the offload collection's record
-/// order, and every charged counter are identical to the serial scan at
-/// any DoP. Returns the per-morsel traffic (scan reads plus the
-/// morsel's share of the offload writes).
-pub(crate) fn build_pass_morsels<L: Record>(
-    src: &PCollection<L>,
-    ctx: &JoinContext<'_>,
-    classify: impl Fn(u64) -> ScanAction + Sync,
-    table: &mut BuildTable<L>,
-    mut next: Option<&mut PCollection<L>>,
-) -> Vec<IoStats> {
-    let morsels = src
-        .len()
-        .div_ceil(super::grace::PARTITION_MORSEL_RECORDS)
-        .max(1);
-    let mut stats = Vec::with_capacity(morsels);
-    // A pass that offloads may move a whole morsel; one that does not
-    // (a lazy pass, the last pass) buffers nothing.
-    let offloads = next.is_some();
-    parallel::for_each_ordered(
-        ctx.threads(),
-        morsels,
-        |m| {
-            let start = m * super::grace::PARTITION_MORSEL_RECORDS;
-            let end = (start + super::grace::PARTITION_MORSEL_RECORDS).min(src.len());
-            let mut keep: Vec<L> = Vec::new();
-            let mut offload = RecordBuffer::with_capacity(if offloads { end - start } else { 0 });
-            src.range_reader(start, end)
-                .for_each_view(|l| match classify(view_key(&l)) {
-                    ScanAction::Keep => keep.push(l.get()),
-                    ScanAction::Offload => offload.push_bytes(l.bytes()),
-                    ScanAction::Skip => {}
-                });
-            (keep, offload)
-        },
-        |_, task| {
-            let before = thread_stats();
-            let (keep, offload) = task.value;
-            for l in keep {
-                table.insert(l);
-            }
-            if let Some(next) = next.as_deref_mut() {
-                next.append_buffer(&offload);
-            }
-            let flush = thread_stats().since(&before);
-            stats.push(task.stats.plus(&flush));
-        },
-    );
-    stats
-}
-
-/// Morselized probe-side pass scan, the counterpart of
-/// [`build_pass_morsels`]: workers probe the shared (read-only) `table`
-/// and buffer their matches and offloads; the coordinator flushes both
-/// in morsel order, so output order, offload order, and counters are
-/// DoP-invariant.
-///
-/// `classify` must be the build scan's. A pass with nowhere to offload
-/// to (`next` is `None`: a lazy pass, the last pass) then does not
-/// consult it: a record the build scan did not keep cannot equal a key
-/// the table holds, so every run goes to the probe kernel whole.
-pub(crate) fn probe_pass_morsels<L: Record, R: Record>(
-    src: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    classify: impl Fn(u64) -> ScanAction + Sync,
-    table: &BuildTable<L>,
-    out: &mut PCollection<Pair<L, R>>,
-    mut next: Option<&mut PCollection<R>>,
-) -> Vec<IoStats> {
-    let morsels = src
-        .len()
-        .div_ceil(super::grace::PARTITION_MORSEL_RECORDS)
-        .max(1);
-    let mut stats = Vec::with_capacity(morsels);
-    let offloads = next.is_some();
-    debug_assert!(
-        offloads || table.holds_only(|key| matches!(classify(key), ScanAction::Keep)),
-        "a pair's probe key equals a held key, and the pass keeps every held key"
-    );
-    parallel::for_each_ordered(
-        ctx.threads(),
-        morsels,
-        |m| {
-            let start = m * super::grace::PARTITION_MORSEL_RECORDS;
-            let end = (start + super::grace::PARTITION_MORSEL_RECORDS).min(src.len());
-            let mut matches = RecordBuffer::new();
-            let mut offload = RecordBuffer::with_capacity(if offloads { end - start } else { 0 });
-            let scan = src.range_reader(start, end);
-            if offloads {
-                scan.for_each_view(|r| match classify(view_key(&r)) {
-                    ScanAction::Keep => table.probe_bytes(r.bytes(), &mut matches),
-                    ScanAction::Offload => offload.push_bytes(r.bytes()),
-                    ScanAction::Skip => {}
-                });
-            } else {
-                scan.for_each_run(|run| table.probe_run(run, &mut matches));
-            }
-            (matches, offload)
-        },
-        |_, task| {
-            let before = thread_stats();
-            let (matches, offload) = task.value;
-            out.append_buffer(&matches);
-            if let Some(next) = next.as_deref_mut() {
-                next.append_buffer(&offload);
-            }
-            let flush = thread_stats().since(&before);
-            stats.push(task.stats.plus(&flush));
-        },
-    );
-    stats
 }
 
 /// Reference in-memory join used to verify operator outputs in tests:
@@ -553,18 +400,22 @@ mod tests {
         table.insert(WisconsinRecord::from_key(5).with_payload(1));
         table.insert(WisconsinRecord::from_key(5).with_payload(2));
         table.insert(WisconsinRecord::from_key(9));
-        let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "out");
-        table.probe(&WisconsinRecord::from_key(5), &mut out);
+        let mut out = RecordBuffer::new();
+        table.probe_buffered(&WisconsinRecord::from_key(5), &mut out);
         assert_eq!(out.len(), 2);
-        table.probe(&WisconsinRecord::from_key(4), &mut out);
+        table.probe_buffered(&WisconsinRecord::from_key(4), &mut out);
         assert_eq!(out.len(), 2);
-        assert_eq!(table.match_count(&WisconsinRecord::from_key(9)), 1);
+        let mut landed = PCollection::new(&dev, LayerKind::BlockedMemory, "out");
+        landed.append_buffer(&out);
+        assert_eq!(landed.len(), 2);
+        assert_eq!(table.matches(9).count(), 1);
     }
 
     /// Differential check of one filled table against the `HashMap<u64,
     /// Vec<L>>` the table replaced: same length, same match counts, and
-    /// the same pairs **in the same order** from all three probe entries,
-    /// for every present key and a few absent ones.
+    /// the same pairs **in the same order** from the per-record probe and
+    /// from the probe kernel into either sink, for every present key and a
+    /// few absent ones.
     fn assert_matches_model(
         case: &str,
         table: &BuildTable<WisconsinRecord>,
@@ -589,7 +440,7 @@ mod tests {
         for right in &probes {
             let matches = model.get(&right.key()).map_or(&[][..], Vec::as_slice);
             assert_eq!(
-                table.match_count(right),
+                table.matches(right.key()).count(),
                 matches.len(),
                 "{case}: key {}",
                 right.key()
@@ -606,13 +457,21 @@ mod tests {
         let mut buffered = RecordBuffer::new();
         let mut scanned = RecordBuffer::new();
         for right in &probes {
-            table.probe(right, &mut direct);
             table.probe_buffered(right, &mut buffered);
         }
-        PCollection::from_records_uncounted(&dev, kind, "V", probes.iter().copied())
+        let probe_input =
+            PCollection::from_records_uncounted(&dev, kind, "V", probes.iter().copied());
+        probe_input
             .reader()
             .for_each_run(|run| table.probe_run(run, &mut scanned));
-        assert_eq!(direct.to_vec_uncounted(), expected, "{case}: probe");
+        probe_input
+            .reader()
+            .for_each_run(|run| table.probe_run(run, &mut direct));
+        assert_eq!(
+            direct.to_vec_uncounted(),
+            expected,
+            "{case}: probe_run, direct"
+        );
         for (path, buf) in [("probe_buffered", buffered), ("probe_run", scanned)] {
             let mut landed = PCollection::new(&dev, kind, path);
             landed.append_buffer(&buf);
@@ -892,7 +751,7 @@ mod tests {
         );
         table.clear();
         assert!(table.is_empty());
-        assert_eq!(table.match_count(&WisconsinRecord::from_key(5)), 0);
+        assert_eq!(table.matches(5).count(), 0);
         assert_eq!(table.records.capacity(), records);
         assert_eq!(table.next.capacity(), next);
         assert_eq!(table.directory.len(), directory);

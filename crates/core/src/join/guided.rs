@@ -12,14 +12,15 @@
 //! rows, so the partition writes — the expensive currency on a
 //! write-limited device — shrink by the hot fraction of both inputs.
 //!
-//! Both scans fan out over the fixed morsel grid and flush in morsel
-//! order, so output order and simulated counters are identical at any
-//! degree of parallelism.
+//! The schedule is Grace join's with the hot keys routed to the scans'
+//! own use (`grace::steered`), so output order and simulated
+//! counters are identical at any degree of parallelism, and with no hot
+//! key it *is* Grace join.
 
-use super::common::{partition_of, view_key, BuildTable, JoinContext};
-use super::grace::{join_partitioned, PartitionedInput, PARTITION_MORSEL_RECORDS};
-use crate::parallel;
-use pmem_sim::{PCollection, PmError, RecordBuffer};
+use super::common::{view_key, JoinContext};
+use super::grace::steered;
+use super::kernel::{measured, Phased, Phases};
+use pmem_sim::{PCollection, PmError};
 use std::collections::{HashMap, HashSet};
 use wisconsin::{Pair, Record};
 
@@ -43,51 +44,46 @@ pub fn guided_join_with<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<Pair<L, R>>, PmError> {
-    let _span = pmem_sim::span::span("alg guided");
-    if !ctx.grace_applicable::<L>(left.len()) {
-        return Err(PmError::InsufficientMemory {
-            requirement: format!(
-                "guided join needs M > sqrt(f*|T|): M = {} records, |T| = {}",
-                ctx.capacity_records::<L>(),
-                left.len()
-            ),
-        });
-    }
-    let hot: HashSet<u64> = hot_keys.iter().copied().collect();
-    let k = ctx.grace_partitions::<L>(left.len());
-    let (resident, left_cold) = split_build(left, &hot, k, ctx, "cgj-t");
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let right_cold = probe_split(right, &hot, &resident, k, ctx, &mut out, "cgj-v");
-    join_partitioned(&left_cold, &right_cold, ctx, &mut out);
-    Ok(out)
+    phased(left, right, Some(hot_keys), ctx, output_name).map(|(out, _)| out)
 }
 
-/// [`guided_join_with`] deriving the hot keys itself: bounded
-/// Misra-Gries passes over both inputs find the heavy hitters first (one
-/// extra read scan per input) — a key hot on *either* side is worth
-/// keeping resident, since its rows on both sides then skip the
+/// The guided join over `hot_keys` and its phases: the build and probe
+/// partition scans' morsels and the cold partition pairs. With `None` —
+/// [`super::JoinAlgorithm::CGJ`] run standalone — bounded Misra-Gries
+/// passes over both inputs find the heavy hitters first, a phase of
+/// their own (one extra read scan per input): a key hot on *either* side
+/// is worth keeping resident, since its rows on both sides then skip the
 /// partition write. Engine callers pass the catalog's ingest-time
 /// statistics through [`guided_join_with`] instead and skip the passes.
-///
-/// # Errors
-/// Same as [`guided_join_with`].
-pub fn guided_join<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
+    hot_keys: Option<&[u64]>,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
-    let mut hot = heavy_hitters(left);
-    hot.extend(heavy_hitters(right));
-    hot.sort_unstable();
-    hot.dedup();
-    guided_join_with(left, right, &hot, ctx, output_name)
+) -> Result<Phased<L, R>, PmError> {
+    let mut phases = Phases::new();
+    let hot: HashSet<u64> = match hot_keys {
+        Some(keys) => keys.iter().copied().collect(),
+        None => {
+            let (mut hot, left_pass) = measured(|| heavy_hitters(left));
+            let (right_hot, right_pass) = measured(|| heavy_hitters(right));
+            hot.extend(right_hot);
+            phases.push(vec![left_pass, right_pass]);
+            hot
+        }
+    };
+    let _span = pmem_sim::span::span("alg guided");
+    let names = ["guided join", "cgj-t", "cgj-v"];
+    let (out, steered) = steered(left, right, &hot, names, ctx, output_name)?;
+    phases.extend(steered);
+    Ok((out, phases))
 }
 
 /// One counted scan of `input` through a Misra-Gries summary of
 /// [`MG_COUNTERS`] counters; returns the keys whose surviving counts
-/// exceed twice the uniform share (sorted, so the set is deterministic).
-fn heavy_hitters<R: Record>(input: &PCollection<R>) -> Vec<u64> {
+/// exceed twice the uniform share.
+fn heavy_hitters<R: Record>(input: &PCollection<R>) -> HashSet<u64> {
     let mut counters: HashMap<u64, u64> = HashMap::with_capacity(MG_COUNTERS + 1);
     input.reader().for_each_view(|r| {
         let key = view_key(&r);
@@ -104,119 +100,17 @@ fn heavy_hitters<R: Record>(input: &PCollection<R>) -> Vec<u64> {
         }
     });
     let floor = (2 * input.len() / MG_COUNTERS).max(1) as u64;
-    let mut hot: Vec<u64> = counters
+    counters
         .into_iter()
         .filter(|&(_, c)| c >= floor)
         .map(|(k, _)| k)
-        .collect();
-    hot.sort_unstable();
-    hot
-}
-
-/// Build-side scan: hot records land in the resident DRAM table, cold
-/// records hash into `k` partitions over the morsel grid.
-fn split_build<L: Record>(
-    input: &PCollection<L>,
-    hot: &HashSet<u64>,
-    k: usize,
-    ctx: &JoinContext<'_>,
-    prefix: &str,
-) -> (BuildTable<L>, PartitionedInput<L>) {
-    let n = input.len();
-    let morsels = n.div_ceil(PARTITION_MORSEL_RECORDS).max(1);
-    let names: Vec<Vec<String>> = (0..morsels)
-        .map(|_| (0..k).map(|_| ctx.fresh_name(prefix)).collect())
-        .collect();
-    let mut table = BuildTable::new();
-    let mut parts: Vec<Vec<PCollection<L>>> = (0..k).map(|_| Vec::with_capacity(morsels)).collect();
-    parallel::for_each_ordered(
-        ctx.threads(),
-        morsels,
-        |m| {
-            let start = m * PARTITION_MORSEL_RECORDS;
-            let end = (start + PARTITION_MORSEL_RECORDS).min(n);
-            let mut subs: Vec<PCollection<L>> = names[m]
-                .iter()
-                .map(|name| PCollection::new(ctx.device(), ctx.kind(), name.clone()))
-                .collect();
-            let mut keep: Vec<L> = Vec::new();
-            input.range_reader(start, end).for_each_view(|r| {
-                let key = view_key(&r);
-                if hot.contains(&key) {
-                    keep.push(r.get());
-                } else {
-                    subs[partition_of(key, k)].append_bytes(r.bytes());
-                }
-            });
-            (keep, subs)
-        },
-        |_, task| {
-            let (keep, subs) = task.value;
-            for l in keep {
-                table.insert(l);
-            }
-            for (p, sub) in subs.into_iter().enumerate() {
-                parts[p].push(sub);
-            }
-        },
-    );
-    (table, PartitionedInput::from_parts(parts))
-}
-
-/// Probe-side scan: hot records probe the resident table and their
-/// matches flush straight to `out`; cold records hash into `k`
-/// partitions. Flushes happen in morsel order on the coordinator, so
-/// output order and counters are DoP-invariant.
-fn probe_split<L: Record, R: Record>(
-    input: &PCollection<R>,
-    hot: &HashSet<u64>,
-    resident: &BuildTable<L>,
-    k: usize,
-    ctx: &JoinContext<'_>,
-    out: &mut PCollection<Pair<L, R>>,
-    prefix: &str,
-) -> PartitionedInput<R> {
-    let n = input.len();
-    let morsels = n.div_ceil(PARTITION_MORSEL_RECORDS).max(1);
-    let names: Vec<Vec<String>> = (0..morsels)
-        .map(|_| (0..k).map(|_| ctx.fresh_name(prefix)).collect())
-        .collect();
-    let mut parts: Vec<Vec<PCollection<R>>> = (0..k).map(|_| Vec::with_capacity(morsels)).collect();
-    parallel::for_each_ordered(
-        ctx.threads(),
-        morsels,
-        |m| {
-            let start = m * PARTITION_MORSEL_RECORDS;
-            let end = (start + PARTITION_MORSEL_RECORDS).min(n);
-            let mut subs: Vec<PCollection<R>> = names[m]
-                .iter()
-                .map(|name| PCollection::new(ctx.device(), ctx.kind(), name.clone()))
-                .collect();
-            let mut matches = RecordBuffer::new();
-            input.range_reader(start, end).for_each_view(|r| {
-                let key = view_key(&r);
-                if hot.contains(&key) {
-                    resident.probe_bytes(r.bytes(), &mut matches);
-                } else {
-                    subs[partition_of(key, k)].append_bytes(r.bytes());
-                }
-            });
-            (matches, subs)
-        },
-        |_, task| {
-            let (matches, subs) = task.value;
-            out.append_buffer(&matches);
-            for (p, sub) in subs.into_iter().enumerate() {
-                parts[p].push(sub);
-            }
-        },
-    );
-    PartitionedInput::from_parts(parts)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::{JoinAlgorithm, PARTITION_MORSEL_RECORDS};
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{join_input_skewed, WisconsinRecord};
 
@@ -237,7 +131,9 @@ mod tests {
         let (left, right) = skewed_setup(&dev, 1.2);
         let pool = BufferPool::new(200 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let guided = guided_join(&left, &right, &ctx, "out-g").expect("applicable");
+        let guided = JoinAlgorithm::CGJ
+            .run(&left, &right, &ctx, "out-g")
+            .expect("applicable");
         let grace = super::super::grace_join(&left, &right, &ctx, "out-r").expect("applicable");
         let mut a: Vec<(u64, u64)> = guided
             .to_vec_uncounted()
@@ -299,6 +195,7 @@ mod tests {
 
     #[test]
     fn empty_hot_set_degrades_gracefully() {
+        use crate::join::tests::{assert_same_run, device_run};
         let dev = PmDevice::paper_default();
         let (left, right) = skewed_setup(&dev, 0.0);
         let pool = BufferPool::new(200 * 80);
@@ -309,7 +206,6 @@ mod tests {
         // With nothing hot, every record takes the partition round-trip
         // over the same morsel grid: Grace join, counter for counter and
         // pair for pair, on inputs spanning several morsels.
-        use crate::join::tests::{assert_same_run, device_run};
         let w = wisconsin::join_input(PARTITION_MORSEL_RECORDS as u64 + 2000, 3, 5);
         for kind in [LayerKind::BlockedMemory, LayerKind::Pmfs] {
             for threads in [1, 4] {
@@ -337,7 +233,9 @@ mod tests {
             let pool = BufferPool::new(1500 * 80);
             let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let before = dev.snapshot();
-            let out = guided_join(&left, &right, &ctx, "out").expect("applicable");
+            let out = JoinAlgorithm::CGJ
+                .run(&left, &right, &ctx, "out")
+                .expect("applicable");
             (out.to_vec_uncounted(), dev.snapshot().since(&before))
         };
         let (rows1, io1) = run(1);

@@ -7,21 +7,17 @@
 //! inputs. The repeated rewriting of the shrinking remainder is exactly
 //! the write profile of Table 1 — `(m−i)·(M+M_T)` writes in iteration
 //! `i` — and what lazy hash join eliminates.
+//!
+//! Both scans of each iteration are routed partition scans over the
+//! morsel grid (`kernel.rs`), so the offload collections, the
+//! output order and every simulated counter are identical at any degree
+//! of parallelism. The iterations themselves stay sequential — each
+//! consumes the previous one's offload — which is exactly the dependency
+//! the cost model's per-pass split captures.
 
-//! Both scans of each iteration fan out over fixed-size input morsels
-//! across the context's worker pool ([`crate::parallel`]): workers
-//! classify and buffer their morsel's records, and the coordinator
-//! applies the buffers in morsel order, so the offload collections, the
-//! output order, and every simulated counter are identical at any
-//! degree of parallelism. The iterations themselves stay sequential —
-//! each consumes the previous one's offload — which is exactly the
-//! dependency the cost model's per-pass split captures.
-
-use super::common::{
-    build_pass_morsels, partition_of, probe_pass_morsels, BuildTable, IterJoinProfile, JoinContext,
-    ScanAction,
-};
-use pmem_sim::PCollection;
+use super::common::{partition_of, BuildTable, JoinContext};
+use super::kernel::{for_each_morsel, route_scan, Phased, Phases, Route};
+use pmem_sim::{IoStats, PCollection, RecordBuffer, RecordReader};
 use wisconsin::{Pair, Record};
 
 /// Joins `left ⋈ right` with the iterative standard hash join.
@@ -31,78 +27,104 @@ pub fn hash_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> PCollection<Pair<L, R>> {
-    hash_join_profiled(left, right, ctx, output_name).0
+    phased(left, right, ctx, output_name).0
 }
 
-/// [`hash_join`] with the per-pass, per-morsel ledger profile alongside
-/// the result — what the speedup harness and critical-path analyses
-/// consume.
-pub fn hash_join_profiled<L: Record, R: Record>(
+/// [`hash_join`] and its phases: per pass, the build scan's morsels and
+/// then the probe scan's.
+pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> (PCollection<Pair<L, R>>, IterJoinProfile) {
+) -> Phased<L, R> {
     let _span = pmem_sim::span::span("alg hash-join");
     let k = ctx.grace_partitions::<L>(left.len());
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut profile = IterJoinProfile::default();
+    // Every pass but the last offloads the rest; the inputs then hold
+    // only partitions not joined yet, all of which are offloaded.
+    passes(left, right, ctx, k, ["hj-t", "hj-v"], output_name, |i| {
+        i + 1 < k
+    })
+}
 
-    // Owned shrinking copies after the first iteration.
+/// The schedule of the iterating hash joins (HJ and the lazy one): pass
+/// `i` builds a table from partition `i` of the current build input and
+/// probes it with the current probe input; when `offload(i)` says so, the
+/// pass also writes every record of a later partition to new inputs for
+/// the passes after it (named by `prefixes`), piggybacked on its scans.
+/// Every other record is skipped — the rescan penalty of later passes.
+pub(super) fn passes<L: Record, R: Record>(
+    left: &PCollection<L>,
+    right: &PCollection<R>,
+    ctx: &JoinContext<'_>,
+    k: usize,
+    prefixes: [&str; 2],
+    output_name: &str,
+    mut offload: impl FnMut(usize) -> bool,
+) -> Phased<L, R> {
+    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
+    let mut phases = Phases::with_capacity(2 * k);
+    // The current inputs: the originals, then the latest offloads.
     let mut t_cur: Option<PCollection<L>> = None;
     let mut v_cur: Option<PCollection<R>> = None;
-
     for i in 0..k {
-        let last = i + 1 == k;
+        let offloads = offload(i);
+        let route = move |key| match partition_of(key, k) {
+            p if p == i => Route::Keep,
+            p if p > i && offloads => Route::Spill(p),
+            _ => Route::Skip,
+        };
+        let mut t_next = offloads.then(|| ctx.fresh::<L>(prefixes[0]));
+        let mut v_next = offloads.then(|| ctx.fresh::<R>(prefixes[1]));
         let mut table = BuildTable::new();
-        let mut t_next = (!last).then(|| ctx.fresh::<L>("hj-t"));
-
-        {
-            let t_src: &PCollection<L> = t_cur.as_ref().unwrap_or(left);
-            let build = build_pass_morsels(
-                t_src,
-                ctx,
-                |key| {
-                    if partition_of(key, k) == i {
-                        ScanAction::Keep
-                    } else if last {
-                        ScanAction::Skip
-                    } else {
-                        ScanAction::Offload // offload: pays a write now
-                    }
-                },
-                &mut table,
-                t_next.as_mut(),
-            );
-            profile.per_build_morsel.push(build);
+        let build = |kept: &mut Vec<L>, bytes: &[u8]| kept.push(L::read_from(bytes));
+        let insert = |kept: Vec<L>| kept.into_iter().for_each(|l| table.insert(l));
+        let t_src = t_cur.as_ref().unwrap_or(left);
+        phases.push(pass_scan(t_src, ctx, route, build, t_next.as_mut(), insert));
+        // Nothing to offload, nothing to route: a probe record the build
+        // scan did not keep cannot equal a key the table holds.
+        let route = move |key| if offloads { route(key) } else { Route::Keep };
+        let probe = |matches: &mut RecordBuffer<_>, bytes: &[u8]| table.probe_bytes(bytes, matches);
+        let v_src = v_cur.as_ref().unwrap_or(right);
+        phases.push(pass_scan(v_src, ctx, route, probe, v_next.as_mut(), |m| {
+            out.append_buffer(&m);
+        }));
+        if offloads {
+            t_cur = t_next;
+            v_cur = v_next;
         }
-
-        let mut v_next = (!last).then(|| ctx.fresh::<R>("hj-v"));
-        {
-            let v_src: &PCollection<R> = v_cur.as_ref().unwrap_or(right);
-            let probe = probe_pass_morsels(
-                v_src,
-                ctx,
-                |key| {
-                    if partition_of(key, k) == i {
-                        ScanAction::Keep
-                    } else if last {
-                        ScanAction::Skip
-                    } else {
-                        ScanAction::Offload
-                    }
-                },
-                &table,
-                &mut out,
-                v_next.as_mut(),
-            );
-            profile.per_probe_morsel.push(probe);
-        }
-
-        t_cur = t_next;
-        v_cur = v_next;
     }
-    (out, profile)
+    (out, phases)
+}
+
+/// One scan of a pass over the morsel grid: kept records go through
+/// `keep` into the morsel's `K`, which `land`s in morsel order; with a
+/// `next` input, records routed to a later partition are buffered per
+/// morsel and appended to it in morsel order.
+fn pass_scan<S: Record, K: Default + Send>(
+    src: &PCollection<S>,
+    ctx: &JoinContext<'_>,
+    route: impl Fn(u64) -> Route + Sync,
+    keep: impl Fn(&mut K, &[u8]) + Sync,
+    mut next: Option<&mut PCollection<S>>,
+    mut land: impl FnMut(K),
+) -> Vec<IoStats> {
+    // A pass that offloads may move a whole morsel; one that does not
+    // buffers nothing.
+    let offloads = next.is_some();
+    let scan = |_, scan: RecordReader<'_, S>| {
+        let mut kept = K::default();
+        let mut spill = RecordBuffer::with_capacity(if offloads { scan.remaining() } else { 0 });
+        let spill_to = |_, bytes: &[u8]| spill.push_bytes(bytes);
+        route_scan(scan, &route, |bytes| keep(&mut kept, bytes), spill_to);
+        (kept, spill)
+    };
+    for_each_morsel(src, ctx, scan, |(kept, spill)| {
+        land(kept);
+        if let Some(next) = next.as_deref_mut() {
+            next.append_buffer(&spill);
+        }
+    })
 }
 
 #[cfg(test)]

@@ -15,35 +15,41 @@
 //! 3. `T₁₋x ⋈ V` — block nested loops over the unpartitioned remainder
 //!    of `T` against all of `V`.
 //!
+//! The schedule: a routed partition scan of each prefix, then one
+//! build–probe phase holding (1) + (2) as a task per partition and (3) as
+//! a task per block (`kernel.rs`). At `x = y = 0` that phase is
+//! NLJ's, task for task.
+//!
 //! Cost model: Eq. 6; the saddle-point analysis (Eqs. 7–8) and the Fig. 2
 //! heatmaps that guide the choice of `(x, y)` live in
 //! [`crate::cost::join_costs`].
 
-use super::common::{partition_of, view_key, BuildTable, JoinContext};
-use crate::parallel;
-use pmem_sim::{PCollection, PmError, RecordBuffer};
-use wisconsin::{Pair, Record};
+use super::common::{partition_of, JoinContext};
+use super::kernel::{build_probe, build_table, spill_scan, Phased};
+use pmem_sim::{PCollection, PmError};
+use wisconsin::Record;
 
 /// Joins `left ⋈ right` with write intensities `x` (left) and `y`
-/// (right).
+/// (right) — [`super::JoinAlgorithm::HybJ`] — and returns its phases: the
+/// two prefix partition scans, then the partition and block tasks.
 ///
 /// # Errors
 /// Returns [`PmError::InvalidParameter`] unless `x, y ∈ [0, 1]`, and
 /// [`PmError::InsufficientMemory`] when the partitioned prefix would not
 /// satisfy Grace's applicability condition.
-pub fn hybrid_join<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     x: f64,
     y: f64,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
+) -> Result<Phased<L, R>, PmError> {
     let _span = pmem_sim::span::span("alg hybrid-join");
     for (name, v) in [("x", x), ("y", y)] {
         if !(0.0..=1.0).contains(&v) {
             return Err(PmError::InvalidParameter {
-                name: if name == "x" { "x" } else { "y" },
+                name,
                 message: format!("write intensity must be in [0,1], got {v}"),
             });
         }
@@ -66,76 +72,45 @@ pub fn hybrid_join<L: Record, R: Record>(
         });
     }
 
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-
-    // Phase 1: partition the prefixes.
+    let route = |key| Some(partition_of(key, k));
     let mut t_parts: Vec<PCollection<L>> = (0..k).map(|_| ctx.fresh::<L>("hybj-t")).collect();
-    left.range_reader(0, tx_end).for_each_view(|l| {
-        t_parts[partition_of(view_key(&l), k)].append_bytes(l.bytes());
-    });
+    let t_scan = spill_scan(left.range_reader(0, tx_end), route, &mut t_parts);
     let mut v_parts: Vec<PCollection<R>> = (0..k).map(|_| ctx.fresh::<R>("hybj-v")).collect();
-    right.range_reader(0, vy_end).for_each_view(|r| {
-        v_parts[partition_of(view_key(&r), k)].append_bytes(r.bytes());
-    });
+    let v_scan = spill_scan(right.range_reader(0, vy_end), route, &mut v_parts);
 
-    // Phase 2: per-partition Grace join with the V₁₋y scan piggybacked.
     // Partitions are sized for the DRAM budget under the f = 1.2
     // blow-up, but hash partitioning cannot split duplicates of a single
     // key: heavily skewed build keys can overflow the budget — the
     // classic hash-join limitation (the paper's f factor covers ordinary
-    // imbalance only). The spilled partitions are independent, so they
-    // fan out across the worker pool; each pass already used its own
-    // range reader over V₁₋y serially, so the counters are unchanged.
-    parallel::for_each_ordered(
-        ctx.threads(),
-        k,
-        |p| {
-            let (tp, vp) = (&t_parts[p], &v_parts[p]);
-            let mut buf = RecordBuffer::new();
-            if tp.is_empty() {
-                return buf;
-            }
-            let mut table = BuildTable::new();
-            tp.reader().for_each_view(|l| table.insert(l.get()));
+    // imbalance only).
+    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
+    let blocks = (t_len - tx_end).div_ceil(build_cap);
+    let tasks = build_probe(
+        ctx,
+        k + blocks,
+        |task| match task.checked_sub(k) {
+            None if t_parts[task].is_empty() => (build_table(Vec::new(), None), Vec::new()),
             // Tx ⋈ Vy, then Tx ⋈ V₁₋y (piggyback).
-            vp.reader()
-                .for_each_run(|run| table.probe_run(run, &mut buf));
-            right
-                .range_reader(vy_end, v_len)
-                .for_each_run(|run| table.probe_run(run, &mut buf));
-            buf
+            None => (
+                build_table(vec![t_parts[task].reader()], None),
+                vec![v_parts[task].reader(), right.range_reader(vy_end, v_len)],
+            ),
+            // T₁₋x ⋈ V, a DRAM-sized block at a time.
+            Some(b) => {
+                let start = tx_end + b * build_cap;
+                let scan = left.range_reader(start, (start + build_cap).min(t_len));
+                (build_table(vec![scan], None), vec![right.reader()])
+            }
         },
-        |_, task| out.append_buffer(&task.value),
+        &mut out,
     );
-
-    // Phase 3: T₁₋x ⋈ V by block nested loops. The chunk grid is fixed
-    // by the DRAM budget (one build table per chunk), so the chunks are
-    // independent read-only passes over V — parallel like the spilled
-    // partitions above.
-    let nl_chunks = (t_len - tx_end).div_ceil(build_cap);
-    parallel::for_each_ordered(
-        ctx.threads(),
-        nl_chunks,
-        |c| {
-            let start = tx_end + c * build_cap;
-            let end = (start + build_cap).min(t_len);
-            let mut table = BuildTable::new();
-            left.range_reader(start, end)
-                .for_each_view(|l| table.insert(l.get()));
-            let mut buf = RecordBuffer::new();
-            right
-                .reader()
-                .for_each_run(|run| table.probe_run(run, &mut buf));
-            buf
-        },
-        |_, task| out.append_buffer(&task.value),
-    );
-    Ok(out)
+    Ok((out, vec![vec![t_scan], vec![v_scan], tasks]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::JoinAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::join_input;
 
@@ -154,7 +129,9 @@ mod tests {
         let pool = BufferPool::new(m_records * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = hybrid_join(&left, &right, x, y, &ctx, "out").expect("valid");
+        let out = JoinAlgorithm::HybJ { x, y }
+            .run(&left, &right, &ctx, "out")
+            .expect("valid");
         Run {
             stats: dev.snapshot().since(&before),
             got: out.len() as u64,
@@ -183,7 +160,7 @@ mod tests {
         for kind in LAYERS {
             for threads in [1, 4] {
                 let hyb = device_run(&w, kind, 60, threads, |l, r, ctx| {
-                    hybrid_join(l, r, 0.0, 0.0, ctx, "out")
+                    JoinAlgorithm::HybJ { x: 0.0, y: 0.0 }.run(l, r, ctx, "out")
                 });
                 let nlj = device_run(&w, kind, 60, threads, |l, r, ctx| {
                     Ok(nested_loops_join(l, r, ctx, "out"))
@@ -226,7 +203,9 @@ mod tests {
             PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
         let pool = BufferPool::new(8000);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        assert!(hybrid_join(&left, &right, 1.5, 0.5, &ctx, "o").is_err());
-        assert!(hybrid_join(&left, &right, 0.5, -0.5, &ctx, "o").is_err());
+        for (x, y) in [(1.5, 0.5), (0.5, -0.5)] {
+            let hyb = JoinAlgorithm::HybJ { x, y };
+            assert!(hyb.run(&left, &right, &ctx, "o").is_err(), "x={x}, y={y}");
+        }
     }
 }

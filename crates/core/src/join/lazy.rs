@@ -7,6 +7,8 @@
 //! reads) progress as in Table 1; once the cumulative penalty overtakes
 //! the savings the remainder is materialized — piggybacked on the scan
 //! that is already running — and the algorithm reverts to being lazy.
+//! The passes are hash join's (`hash::passes`); only the choice
+//! of which ones offload differs.
 //!
 //! ### Materialization point (Eq. 11, corrected)
 //!
@@ -15,19 +17,13 @@
 //! `n > k·λ/(λ+1)` — the same `λ/(λ+1)` factor as the lazy sort's Eq. 5.
 //! (`⌊k/(λ+1)⌋` would make a *higher* write/read ratio materialize
 //! *earlier*, i.e., write more when writes are more expensive, which
-//! contradicts the algorithm's premise.) We implement the corrected form
-//! and note the discrepancy in EXPERIMENTS.md.
+//! contradicts the algorithm's premise.) We implement the corrected form:
+//! `repro --table 1` prints it under the Table 1 progression, and the
+//! test `threshold_follows_corrected_eq11` pins it.
 
-//! Like the standard hash join, each pass's two scans fan out over
-//! fixed-size input morsels ([`crate::parallel`]); buffers are applied
-//! in morsel order on the coordinator, so the piggybacked
-//! materializations, the output order, and the counters are identical
-//! at any degree of parallelism.
-
-use super::common::{
-    build_pass_morsels, partition_of, probe_pass_morsels, BuildTable, IterJoinProfile, JoinContext,
-    ScanAction,
-};
+use super::common::JoinContext;
+use super::hash::passes;
+use super::kernel::Phased;
 use pmem_sim::PCollection;
 use wisconsin::{Pair, Record};
 
@@ -44,85 +40,34 @@ pub fn lazy_hash_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> PCollection<Pair<L, R>> {
-    lazy_hash_join_profiled(left, right, ctx, output_name).0
+    phased(left, right, ctx, output_name).0
 }
 
-/// [`lazy_hash_join`] with the per-pass, per-morsel ledger profile
-/// alongside the result.
-pub fn lazy_hash_join_profiled<L: Record, R: Record>(
+/// [`lazy_hash_join`] and its phases: per pass, the build scan's morsels
+/// and then the probe scan's.
+pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> (PCollection<Pair<L, R>>, IterJoinProfile) {
+) -> Phased<L, R> {
     let _span = pmem_sim::span::span("alg lazy-join");
     let k = ctx.grace_partitions::<L>(left.len());
     let lambda = ctx.device().lambda();
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut profile = IterJoinProfile::default();
-
-    // Current sources: the originals, then materialized remainders.
-    let mut t_cur: Option<PCollection<L>> = None;
-    let mut v_cur: Option<PCollection<R>> = None;
     let mut since_mat = 0usize; // lazy iterations since the last materialization
     let mut threshold = lazy_materialization_iterations(k, lambda).max(1);
-
-    for i in 0..k {
+    passes(left, right, ctx, k, ["laj-t", "laj-v"], output_name, |i| {
         let remaining_after = k - i - 1;
         since_mat += 1;
         // Materialize when the penalty has overtaken the savings and
         // there is still enough left to be worth writing.
         let materialize = since_mat >= threshold && remaining_after > 1;
-        let mut table = BuildTable::new();
-        let mut t_next = materialize.then(|| ctx.fresh::<L>("laj-t"));
-
-        // p == i: this pass's partition. p > i: piggybacked
-        // materialization (when one is running). p < i: dead record —
-        // the rescan penalty, no write.
-        let classify = |p: usize| {
-            if p == i {
-                ScanAction::Keep
-            } else if p > i && materialize {
-                ScanAction::Offload
-            } else {
-                ScanAction::Skip
-            }
-        };
-
-        {
-            let t_src: &PCollection<L> = t_cur.as_ref().unwrap_or(left);
-            let build = build_pass_morsels(
-                t_src,
-                ctx,
-                |key| classify(partition_of(key, k)),
-                &mut table,
-                t_next.as_mut(),
-            );
-            profile.per_build_morsel.push(build);
-        }
-
-        let mut v_next = materialize.then(|| ctx.fresh::<R>("laj-v"));
-        {
-            let v_src: &PCollection<R> = v_cur.as_ref().unwrap_or(right);
-            let probe = probe_pass_morsels(
-                v_src,
-                ctx,
-                |key| classify(partition_of(key, k)),
-                &table,
-                &mut out,
-                v_next.as_mut(),
-            );
-            profile.per_probe_morsel.push(probe);
-        }
-
         if materialize {
-            t_cur = t_next;
-            v_cur = v_next;
             since_mat = 0;
             threshold = lazy_materialization_iterations(remaining_after, lambda).max(1);
         }
-    }
-    (out, profile)
+        materialize
+    })
 }
 
 #[cfg(test)]

@@ -1,41 +1,46 @@
-//! Join algorithms for persistent memory (§2.2).
+//! Join algorithms for persistent memory (§2.2). All but SMJ are short
+//! schedules over two kernels (`kernel.rs`): the **routed partition
+//! scan** — each record, by its key, kept for the scan's own build or
+//! probe, spilled to a partition, or skipped — and the **build–probe
+//! phase** — independent tasks, each building a table and probing it. At
+//! a knob's corner the schedules coincide: HybJ(0, 0) is NLJ, SegJ(x = k)
+//! is GJ within one morsel, CGJ with nothing hot is GJ.
 //!
-//! | Paper name | Function | Character |
-//! |---|---|---|
-//! | NLJ | [`nested_loops_join`] | read-only, write-minimal reference |
-//! | GJ | [`grace_join`] | symmetric-I/O partitioned baseline |
-//! | HJ | [`hash_join`] | iterative, rewrite-heavy baseline |
-//! | HybJ | [`hybrid_join`] | intensities `x`/`y` per input (Eq. 6) |
-//! | SegJ | [`segmented_grace_join`] | materialize `x` of `k` partitions (Eq. 9) |
-//! | LaJ | [`lazy_hash_join`] | dynamic, Eq. 11 materialization |
+//! | Paper name | Function | Character | Schedule |
+//! |---|---|---|---|
+//! | NLJ | [`nested_loops_join`] | read-only, write-minimal reference | build–probe: a task per DRAM block of `T`, probed by all of `V` |
+//! | GJ | [`grace_join`] | symmetric-I/O partitioned baseline | morsel-grid partition scan of `T`, of `V`; build–probe: a task per partition pair |
+//! | HJ | [`hash_join`] | iterative, rewrite-heavy baseline | per pass `i`: morsel-grid scans of `T`, `V` keep partition `i` (build, probe), spill the rest to the next pass |
+//! | HybJ | [`JoinAlgorithm::HybJ`] | intensities `x`/`y` per input (Eq. 6) | partition scan of `Tx`, of `Vy`; build–probe: a task per partition (probed by its `Vy` piece and `V₁₋y`), a task per block of `T₁₋x` |
+//! | SegJ | [`segmented_grace_join`] | materialize `x` of `k` partitions (Eq. 9) | scans of `T`, `V` spill partitions `0..x`; build–probe: a pair task per materialized partition, a rescan task per other |
+//! | LaJ | [`lazy_hash_join`] | dynamic, Eq. 11 materialization | HJ's passes, spilling only on the passes Eq. 11 picks |
+//! | SMJ | [`sort_merge_join`] | sort-phase write intensity `x` (extension) | two segment sorts, then a merge co-scan over key-range segments (no join kernel) |
+//! | CGJ | [`guided_join_with`] | hot keys skip the partition round-trip (extension) | morsel-grid scans keep hot records (build the resident table, probe it) and spill the rest; build–probe over the cold pairs |
 //!
-//! [`guided_join`] (CGJ) is a library extension beyond the paper's
-//! line-up: catalog statistics steer hot keys around the partition
-//! round-trip entirely (see [`guided`]).
+//! SMJ and CGJ are library extensions beyond the paper's line-up (see
+//! [`guided`]); the §3.1 adaptive Grace join ([`crate::adaptive`]) and the
+//! deferred-σ join ([`crate::pipeline`]) are schedules over the same
+//! kernels with runtime decisions between phases.
 
 pub mod common;
 pub mod grace;
 pub mod guided;
 pub mod hash;
 pub mod hybrid;
+pub(crate) mod kernel;
 pub mod lazy;
 pub mod nested_loops;
 pub mod segmented;
 pub mod sort_merge;
 
-pub use common::{
-    expected_match_count, partition_of, BuildTable, IterJoinProfile, JoinContext, HASH_TABLE_FACTOR,
-};
-pub use grace::{
-    grace_join, grace_join_profiled, partition_input, partition_input_morsels, GraceProfile,
-    PartitionedInput, PARTITION_MORSEL_RECORDS,
-};
-pub use guided::{guided_join, guided_join_with};
-pub use hash::{hash_join, hash_join_profiled};
-pub use hybrid::hybrid_join;
-pub use lazy::{lazy_hash_join, lazy_hash_join_profiled, lazy_materialization_iterations};
-pub use nested_loops::{nested_loops_join, nested_loops_join_profiled, NljProfile};
-pub use segmented::{segmented_grace_join, segmented_grace_join_frac};
+pub use common::{expected_match_count, partition_of, BuildTable, JoinContext, HASH_TABLE_FACTOR};
+pub use grace::{grace_join, grace_join_profiled, GraceProfile};
+pub use guided::guided_join_with;
+pub use hash::hash_join;
+pub use kernel::PARTITION_MORSEL_RECORDS;
+pub use lazy::{lazy_hash_join, lazy_materialization_iterations};
+pub use nested_loops::nested_loops_join;
+pub use segmented::segmented_grace_join;
 pub use sort_merge::sort_merge_join;
 
 use pmem_sim::{PCollection, PmError};
@@ -107,6 +112,28 @@ impl JoinAlgorithm {
         ctx: &JoinContext<'_>,
         output_name: &str,
     ) -> Result<PCollection<Pair<L, R>>, PmError> {
+        self.run_profiled(left, right, ctx, output_name)
+            .map(|(out, _)| out)
+    }
+
+    /// [`JoinAlgorithm::run`] with the run's phase ledger beside the
+    /// result: its phases in execution order, each the traffic of its
+    /// independent tasks — a serial step (a whole-input partition scan,
+    /// CGJ's heavy-hitter passes, all of SMJ) is a phase of one task.
+    /// Together the phases account for the run's whole device delta, and
+    /// every entry is identical at any degree of parallelism: scheduling
+    /// each phase's tasks onto DoP workers gives the deterministic
+    /// critical-path estimate.
+    ///
+    /// # Errors
+    /// Same as [`JoinAlgorithm::run`].
+    pub fn run_profiled<L: Record, R: Record>(
+        &self,
+        left: &PCollection<L>,
+        right: &PCollection<R>,
+        ctx: &JoinContext<'_>,
+        output_name: &str,
+    ) -> Result<kernel::Phased<L, R>, PmError> {
         // Hold the DRAM working set (the build table: the build side if
         // it fits, the remaining budget otherwise) for the blocking
         // phase; the refused full-size attempt is the memory-pressure
@@ -119,16 +146,21 @@ impl JoinAlgorithm {
             .or_else(|_| pool.reserve(want.min(pool.available())))
             .ok();
         match self {
-            JoinAlgorithm::NLJ => Ok(nested_loops_join(left, right, ctx, output_name)),
-            JoinAlgorithm::GJ => grace_join(left, right, ctx, output_name),
-            JoinAlgorithm::HJ => Ok(hash_join(left, right, ctx, output_name)),
-            JoinAlgorithm::HybJ { x, y } => hybrid_join(left, right, *x, *y, ctx, output_name),
+            JoinAlgorithm::NLJ => Ok(nested_loops::phased(left, right, ctx, output_name)),
+            JoinAlgorithm::GJ => grace::phased(left, right, ctx, output_name)
+                .map(|(out, phases)| (out, phases.into())),
+            JoinAlgorithm::HJ => Ok(hash::phased(left, right, ctx, output_name)),
+            JoinAlgorithm::HybJ { x, y } => hybrid::phased(left, right, *x, *y, ctx, output_name),
             JoinAlgorithm::SegJ { frac } => {
-                segmented_grace_join_frac(left, right, *frac, ctx, output_name)
+                segmented::phased_frac(left, right, *frac, ctx, output_name)
             }
-            JoinAlgorithm::LaJ => Ok(lazy_hash_join(left, right, ctx, output_name)),
-            JoinAlgorithm::SMJ { x } => sort_merge_join(left, right, *x, ctx, output_name),
-            JoinAlgorithm::CGJ => guided_join(left, right, ctx, output_name),
+            JoinAlgorithm::LaJ => Ok(lazy::phased(left, right, ctx, output_name)),
+            JoinAlgorithm::SMJ { x } => {
+                let (out, io) =
+                    kernel::measured(|| sort_merge_join(left, right, *x, ctx, output_name));
+                Ok((out?, vec![vec![io]]))
+            }
+            JoinAlgorithm::CGJ => guided::phased(left, right, None, ctx, output_name),
         }
     }
 }
@@ -314,6 +346,45 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_phase_ledger_accounts_for_the_whole_run_at_any_dop() {
+        let algos = [
+            JoinAlgorithm::NLJ,
+            JoinAlgorithm::GJ,
+            JoinAlgorithm::HJ,
+            JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
+            JoinAlgorithm::SegJ { frac: 0.5 },
+            JoinAlgorithm::LaJ,
+            JoinAlgorithm::SMJ { x: 0.5 },
+            JoinAlgorithm::CGJ,
+        ];
+        let w = wisconsin::join_input_skewed(600, 3000, 1.1, 23);
+        for algo in algos {
+            let run = |threads: usize| {
+                let mut phases = Vec::new();
+                let (io, _) = device_run(&w, LayerKind::Pmfs, 60, threads, |l, r, ctx| {
+                    let (out, ledger) = algo.run_profiled(l, r, ctx, "out")?;
+                    phases = ledger;
+                    Ok(out)
+                });
+                (io, phases)
+            };
+            let (io, phases) = run(1);
+            let what = algo.label();
+            assert!(phases.iter().all(|phase| !phase.is_empty()), "{what}");
+            let sum = phases
+                .iter()
+                .flatten()
+                .fold(IoStats::default(), |acc, s| acc.plus(s));
+            assert_eq!(
+                (sum.cl_reads, sum.cl_writes, sum.calls),
+                (io.cl_reads, io.cl_writes, io.calls),
+                "{what}: the phases cover the device delta"
+            );
+            assert_eq!(run(4), (io, phases), "{what}: DoP 4");
         }
     }
 

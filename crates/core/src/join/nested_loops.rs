@@ -5,28 +5,14 @@
 //! repeat. Writes only the output — the paper uses NLJ as the minimal-
 //! write reference the write-limited joins approach (§4.1.2). Cost:
 //! `r·(|T| + ⌈|T|/M⌉·|V|)` plus output writes.
+//!
+//! The schedule: one build–probe phase with a task per outer block
+//! (`kernel.rs`) — identical output order and counters at any DoP.
 
-//! The outer blocks are independent — each builds its own DRAM table
-//! and scans the whole right input — so they fan out across the
-//! context's worker pool ([`crate::parallel`]), with each block's
-//! matches buffered and flushed in block order: identical output order
-//! and counters at any DoP. (The *simulated* DRAM budget still models
-//! one block of `M`; concurrent workers hold their blocks in harness
-//! memory, exactly as the Grace executor holds its partition tables.)
-
-use super::common::{BuildTable, JoinContext};
-use crate::parallel;
-use pmem_sim::{thread_stats, IoStats, PCollection, RecordBuffer};
+use super::common::JoinContext;
+use super::kernel::{build_probe, build_table, Phased};
+use pmem_sim::PCollection;
 use wisconsin::{Pair, Record};
-
-/// Per-block ledger profile of one block nested-loops run: each outer
-/// block's build reads, probe-scan reads, and output writes, identical
-/// at any degree of parallelism.
-#[derive(Clone, Debug, Default)]
-pub struct NljProfile {
-    /// Traffic per outer block, in block order.
-    pub per_block: Vec<IoStats>,
-}
 
 /// Joins `left ⋈ right` on key equality with block nested loops.
 pub fn nested_loops_join<L: Record, R: Record>(
@@ -35,46 +21,25 @@ pub fn nested_loops_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> PCollection<Pair<L, R>> {
-    nested_loops_join_profiled(left, right, ctx, output_name).0
+    phased(left, right, ctx, output_name).0
 }
 
-/// [`nested_loops_join`] with the per-block ledger profile alongside
-/// the result.
-pub fn nested_loops_join_profiled<L: Record, R: Record>(
+/// [`nested_loops_join`] and its one phase: the outer blocks.
+pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> (PCollection<Pair<L, R>>, NljProfile) {
+) -> Phased<L, R> {
     let _span = pmem_sim::span::span("alg nlj");
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let block = ctx.build_capacity::<L>();
-    let blocks = left.len().div_ceil(block);
-    let mut profile = NljProfile::default();
-
-    parallel::for_each_ordered(
-        ctx.threads(),
-        blocks,
-        |b| {
-            let start = b * block;
-            let end = (start + block).min(left.len());
-            let mut table = BuildTable::new();
-            left.range_reader(start, end)
-                .for_each_view(|l| table.insert(l.get()));
-            let mut buf = RecordBuffer::new();
-            right
-                .reader()
-                .for_each_run(|run| table.probe_run(run, &mut buf));
-            buf
-        },
-        |_, task| {
-            let before = thread_stats();
-            out.append_buffer(&task.value);
-            let flush = thread_stats().since(&before);
-            profile.per_block.push(task.stats.plus(&flush));
-        },
-    );
-    (out, profile)
+    let task = |b: usize| {
+        let scan = left.range_reader(b * block, ((b + 1) * block).min(left.len()));
+        (build_table(vec![scan], None), vec![right.reader()])
+    };
+    let blocks = build_probe(ctx, left.len().div_ceil(block), task, &mut out);
+    (out, vec![blocks])
 }
 
 #[cfg(test)]

@@ -6,18 +6,25 @@
 //! `k − x` partitions are processed by iterating over both *original*
 //! inputs once per partition, building the partition's table on the fly.
 //!
+//! The schedule: a routed partition scan of each input that spills
+//! partitions `0..x` (none at `x = 0`), then one build–probe phase with a
+//! task per partition — a Grace pair for a materialized one, a rescan of
+//! the originals for any other (`kernel.rs`). At `x = k` it is
+//! Grace join's schedule without the morsel grid.
+//!
 //! Cost: Eq. 9 — `r(|T|+|V|) + r·x·(1+λ)·(|T|+|V|)/k + r·(k−x)·(|T|+|V|)`
 //! (plus output). Eq. 10 gives the `x` below which SegJ beats plain
 //! Grace join; regardless, `x` is the knob that sets the algorithm's
 //! write intensity.
 
-use super::common::{partition_of, view_key, BuildTable, JoinContext};
-use crate::parallel;
-use pmem_sim::{PCollection, PmError, RecordBuffer};
+use super::common::{partition_of, JoinContext};
+use super::kernel::{build_probe, build_table, pair, spill_scan, Phased, Phases};
+use pmem_sim::{PCollection, PmError};
+use std::slice;
 use wisconsin::{Pair, Record};
 
 /// Joins `left ⋈ right`, materializing `materialized` of the `k`
-/// partitions (pass a fraction via [`segmented_grace_join_frac`]).
+/// partitions (or a fraction of them: [`super::JoinAlgorithm::SegJ`]).
 ///
 /// # Errors
 /// Returns [`PmError::InsufficientMemory`] when Grace is inapplicable,
@@ -29,16 +36,20 @@ pub fn segmented_grace_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<Pair<L, R>>, PmError> {
+    phased(left, right, materialized, ctx, output_name).map(|(out, _)| out)
+}
+
+/// [`segmented_grace_join`] and its phases: the two partition scans
+/// (when `materialized > 0`), then the partition tasks.
+fn phased<L: Record, R: Record>(
+    left: &PCollection<L>,
+    right: &PCollection<R>,
+    materialized: usize,
+    ctx: &JoinContext<'_>,
+    output_name: &str,
+) -> Result<Phased<L, R>, PmError> {
     let _span = pmem_sim::span::span("alg segmented-grace");
-    if !ctx.grace_applicable::<L>(left.len()) {
-        return Err(PmError::InsufficientMemory {
-            requirement: format!(
-                "segmented Grace join needs M > sqrt(f*|T|): M = {} records, |T| = {}",
-                ctx.capacity_records::<L>(),
-                left.len()
-            ),
-        });
-    }
+    ctx.require_grace::<L>(left.len(), "segmented Grace join")?;
     let k = ctx.grace_partitions::<L>(left.len());
     if materialized > k {
         return Err(PmError::InvalidParameter {
@@ -47,7 +58,7 @@ pub fn segmented_grace_join<L: Record, R: Record>(
         });
     }
     let x = materialized;
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
+    let mut phases = Phases::new();
 
     // Initial scan: offload partitions 0..x of both inputs. Skipped
     // entirely at x = 0 (nothing to write; the iterate-only strategy
@@ -55,87 +66,45 @@ pub fn segmented_grace_join<L: Record, R: Record>(
     let mut t_parts: Vec<PCollection<L>> = Vec::new();
     let mut v_parts: Vec<PCollection<R>> = Vec::new();
     if x > 0 {
+        let first_x = |key| Some(partition_of(key, k)).filter(|&p| p < x);
         t_parts = (0..x).map(|_| ctx.fresh::<L>("segj-t")).collect();
-        left.reader().for_each_view(|l| {
-            let p = partition_of(view_key(&l), k);
-            if p < x {
-                t_parts[p].append_bytes(l.bytes());
-            }
-        });
+        phases.push(vec![spill_scan(left.reader(), first_x, &mut t_parts)]);
         v_parts = (0..x).map(|_| ctx.fresh::<R>("segj-v")).collect();
-        right.reader().for_each_view(|r| {
-            let p = partition_of(view_key(&r), k);
-            if p < x {
-                v_parts[p].append_bytes(r.bytes());
-            }
-        });
+        phases.push(vec![spill_scan(right.reader(), first_x, &mut v_parts)]);
     }
 
-    // Grace phase over the materialized partitions; the pairs are
-    // independent, so they fan out across the worker pool with the
-    // output flushed in partition order (DoP-invariant counts + order).
-    parallel::for_each_ordered(
-        ctx.threads(),
-        x,
-        |p| {
-            let (tp, vp) = (&t_parts[p], &v_parts[p]);
-            let mut buf = RecordBuffer::new();
-            if tp.is_empty() || vp.is_empty() {
-                return buf;
-            }
-            let mut table = BuildTable::new();
-            tp.reader().for_each_view(|l| table.insert(l.get()));
-            vp.reader()
-                .for_each_run(|run| table.probe_run(run, &mut buf));
-            buf
+    // Every iterating pass re-reads the (immutable) originals through its
+    // own readers, so the passes fan out beside the Grace pairs without
+    // changing a single counter.
+    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
+    phases.push(build_probe(
+        ctx,
+        k,
+        |p| match (t_parts.get(p), v_parts.get(p)) {
+            (Some(tp), Some(vp)) => pair(slice::from_ref(tp), slice::from_ref(vp)),
+            _ => (
+                build_table(vec![left.reader()], Some((p, k))),
+                vec![right.reader()],
+            ),
         },
-        |_, task| out.append_buffer(&task.value),
-    );
-
-    // Iterate phase: one pass over both originals per remaining
-    // partition. Every pass re-reads the (immutable) originals through
-    // its own readers, exactly as the serial loop does, so the passes
-    // parallelize without changing a single counter. Only the build
-    // scan tests the partition: a probe record of another partition
-    // cannot equal a key the table holds.
-    parallel::for_each_ordered(
-        ctx.threads(),
-        k - x,
-        |i| {
-            let p = x + i;
-            let mut table = BuildTable::new();
-            left.reader().for_each_view(|l| {
-                if partition_of(view_key(&l), k) == p {
-                    table.insert(l.get());
-                }
-            });
-            debug_assert!(
-                table.holds_only(|key| partition_of(key, k) == p),
-                "a pair's probe key equals a held key, all of partition {p}"
-            );
-            let mut buf = RecordBuffer::new();
-            right
-                .reader()
-                .for_each_run(|run| table.probe_run(run, &mut buf));
-            buf
-        },
-        |_, task| out.append_buffer(&task.value),
-    );
-    Ok(out)
+        &mut out,
+    ));
+    Ok((out, phases))
 }
 
-/// Fraction-parameterized wrapper: materializes `round(frac · k)`
-/// partitions — the form the paper's write-intensity sweeps use.
+/// [`super::JoinAlgorithm::SegJ`]: materializes `round(frac · k)`
+/// partitions — the form the paper's write-intensity sweeps use — and
+/// returns the phases.
 ///
 /// # Errors
 /// Same as [`segmented_grace_join`], plus `frac ∉ [0, 1]`.
-pub fn segmented_grace_join_frac<L: Record, R: Record>(
+pub(crate) fn phased_frac<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     frac: f64,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
+) -> Result<Phased<L, R>, PmError> {
     if !(0.0..=1.0).contains(&frac) {
         return Err(PmError::InvalidParameter {
             name: "frac",
@@ -144,12 +113,13 @@ pub fn segmented_grace_join_frac<L: Record, R: Record>(
     }
     let k = ctx.grace_partitions::<L>(left.len());
     let x = ((k as f64) * frac).round() as usize;
-    segmented_grace_join(left, right, x.min(k), ctx, output_name)
+    phased(left, right, x.min(k), ctx, output_name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::JoinAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{join_input, WisconsinRecord};
 
@@ -239,7 +209,8 @@ mod tests {
         let (dev, left, right, _, m) = stage(60);
         let pool = BufferPool::new(m * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        assert!(segmented_grace_join_frac(&left, &right, 1.5, &ctx, "o").is_err());
-        assert!(segmented_grace_join_frac(&left, &right, 0.5, &ctx, "o").is_ok());
+        let segj = |frac| JoinAlgorithm::SegJ { frac }.run(&left, &right, &ctx, "o");
+        assert!(segj(1.5).is_err());
+        assert!(segj(0.5).is_ok());
     }
 }

@@ -18,9 +18,9 @@
 //! for: selective filters materialize after the first pass, while
 //! non-selective ones stay deferred as long as `k ≤ λ`.
 
-use crate::join::common::{partition_of, view_key, BuildTable, JoinContext};
-use crate::parallel;
-use pmem_sim::{PCollection, PmError, RecordBuffer};
+use crate::join::common::{partition_of, BuildTable, JoinContext};
+use crate::join::kernel::{build_probe, build_table};
+use pmem_sim::{PCollection, PmError};
 use wisconsin::{Pair, Record};
 use wl_runtime::{CStatus, Decision, OpCtx};
 
@@ -133,52 +133,27 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
     rt: &mut OpCtx,
     output_name: &str,
 ) -> Result<PCollection<Pair<L, R>>, PmError> {
-    if !ctx.grace_applicable::<L>(filter.source.len()) {
-        return Err(PmError::InsufficientMemory {
-            requirement: format!(
-                "filtered join needs M > sqrt(f*|T|): M = {} records, |T| = {}",
-                ctx.capacity_records::<L>(),
-                filter.source.len()
-            ),
-        });
-    }
+    ctx.require_grace::<L>(filter.source.len(), "filtered join")?;
     let k = ctx.grace_partitions::<L>(filter.source.len());
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut p = 0;
-    while p < k {
-        if filter.is_materialized() {
+    for p in 0..k {
+        if let Some(m) = &filter.materialized {
             // Once the runtime has materialized the view it is immutable,
-            // so the remaining passes are independent scans of it — they
-            // fan out across the worker pool, with output flushes and the
-            // runtime's scan bookkeeping serialized in partition order
-            // (identical counters and rule state at any DoP). Passes
-            // *before* this point stay serial: each may flip the
+            // so the remaining passes are independent rescans of it — one
+            // build–probe phase, with the runtime's scan bookkeeping
+            // after it (identical counters and rule state at any DoP).
+            // Passes *before* this point stay serial: each may flip the
             // materialization decision, which is order-dependent.
-            let m = filter.materialized.as_ref().expect("checked");
-            let m_buffers = m.buffers() as f64;
-            parallel::for_each_ordered(
-                ctx.threads(),
-                k - p,
-                |i| {
-                    let part = p + i;
-                    let mut table = BuildTable::new();
-                    m.reader().for_each_view(|l| {
-                        if partition_of(view_key(&l), k) == part {
-                            table.insert(l.get());
-                        }
-                    });
-                    debug_assert!(table.holds_only(|key| partition_of(key, k) == part));
-                    let mut buf = RecordBuffer::new();
-                    right
-                        .reader()
-                        .for_each_run(|run| table.probe_run(run, &mut buf));
-                    buf
-                },
-                |_, task| {
-                    out.append_buffer(&task.value);
-                    rt.note_scan(&filter.name, m_buffers);
-                },
-            );
+            let pass = |i| {
+                (
+                    build_table(vec![m.reader()], Some((p + i, k))),
+                    vec![right.reader()],
+                )
+            };
+            build_probe(ctx, k - p, pass, &mut out);
+            for _ in p..k {
+                rt.note_scan(&filter.name, m.buffers() as f64);
+            }
             break;
         }
         let mut table = BuildTable::new();
@@ -187,11 +162,9 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                 table.insert(l);
             }
         });
-        debug_assert!(table.holds_only(|key| partition_of(key, k) == p));
         right
             .reader()
             .for_each_run(|run| table.probe_run(run, &mut out));
-        p += 1;
     }
     Ok(out)
 }
