@@ -212,12 +212,20 @@ fn all_ops() -> Vec<Op> {
 
 /// The operators whose scans, merges or partitioning fan out over the
 /// 8192-record morsel and segment grids — the ones a larger input
-/// exercises differently from a small one — and the joins built from
-/// the same partition-scan and build–probe phases, whose whole-input
-/// scans and task counts a larger input also moves.
+/// exercises differently from a small one — the joins built from the
+/// same partition-scan and build–probe phases, whose whole-input scans
+/// and task counts a larger input also moves, and the sorts built from
+/// the same run generation, selection heap and merge passes, which a
+/// larger input drives past one run-generation chunk and one merge
+/// segment.
 fn gridded_ops() -> Vec<Op> {
     let mut ops = vec![
         Op::Sort(SortAlgorithm::ExMS),
+        Op::Sort(SortAlgorithm::SegS { x: 0.5 }),
+        Op::Sort(SortAlgorithm::HybS { x: 0.5 }),
+        Op::Sort(SortAlgorithm::LaS),
+        Op::Sort(SortAlgorithm::SelS),
+        Op::SortAgg { x: 0.5 },
         Op::SortAgg { x: 1.0 },
         Op::Join {
             algo: JoinAlgorithm::CGJ,
