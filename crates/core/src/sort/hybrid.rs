@@ -177,13 +177,35 @@ mod tests {
         }
     }
 
+    /// x = 1 gives the selection region nothing and routes every record
+    /// through replacement selection: ExMS, counter for counter and record
+    /// for record, on every layer at any DoP — within one `4M`
+    /// run-generation chunk and with at least two runs. Past that the two
+    /// part by a few cachelines: ExMS generates runs chunk by chunk over a
+    /// `4M`-record grid (hybrid sort over the whole input at once), and
+    /// hands a lone run back as its output without rewriting it (hybrid
+    /// sort lands it after its, here empty, selected prefix).
     #[test]
     fn full_intensity_degenerates_to_exms() {
-        // x = 1 routes everything through replacement selection, i.e.,
-        // plain external mergesort.
-        let (_, out) = sort_with_x(3000, 100, 1.0);
-        assert_eq!(out.len(), 3000);
-        assert!(is_sorted_by_key(&out));
+        use crate::sort::ext_merge::external_merge_sort;
+        use crate::sort::tests::{assert_same_run, device_run, LAYERS};
+        use pmem_sim::Storable;
+        let records = sort_input(400, KeyOrder::Random, 17);
+        let input_lines = pmem_sim::cachelines(400 * WisconsinRecord::SIZE);
+        for kind in LAYERS {
+            for threads in [1, 4] {
+                let hybs = device_run(&records, kind, 100, threads, |input, ctx| {
+                    hybrid_sort(input, 1.0, ctx, "out")
+                });
+                let exms = device_run(&records, kind, 100, threads, |input, ctx| {
+                    Ok(external_merge_sort(input, ctx, "out"))
+                });
+                // Two runs or more: the runs and the merged output are
+                // each written once.
+                assert!(exms.0.cl_writes >= 2 * input_lines, "{kind:?}: one run");
+                assert_same_run(&format!("{kind:?}, DoP {threads}"), &hybs, &exms);
+            }
+        }
     }
 
     #[test]

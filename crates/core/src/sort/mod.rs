@@ -105,8 +105,53 @@ impl SortAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{BufferPool, LayerKind, PmDevice};
-    use wisconsin::{sort_input, KeyOrder};
+    use pmem_sim::{BufferPool, IoStats, LayerKind, PmDevice};
+    use wisconsin::{sort_input, KeyOrder, WisconsinRecord};
+
+    /// Every persistence layer: the corner equivalences must hold on
+    /// the software-time and call counters too, not only on cachelines.
+    pub(in crate::sort) const LAYERS: [LayerKind; 5] = [
+        LayerKind::BlockedMemory,
+        LayerKind::Pmfs,
+        LayerKind::RamDisk,
+        LayerKind::DynArray,
+        LayerKind::FileBacked,
+    ];
+
+    /// One run of `sort` on a fresh device over `records` staged on
+    /// `kind`, with `m_records` Wisconsin records of DRAM at DoP
+    /// `threads`: the device delta and the output records in order — the
+    /// two things a corner equivalence compares.
+    pub(in crate::sort) fn device_run(
+        records: &[WisconsinRecord],
+        kind: LayerKind,
+        m_records: usize,
+        threads: usize,
+        sort: impl FnOnce(
+            &PCollection<WisconsinRecord>,
+            &SortContext<'_>,
+        ) -> Result<PCollection<WisconsinRecord>, PmError>,
+    ) -> (IoStats, Vec<WisconsinRecord>) {
+        let dev = PmDevice::paper_default();
+        let input = PCollection::from_records_uncounted(&dev, kind, "T", records.iter().copied());
+        let pool = BufferPool::new(m_records * 80);
+        let ctx = SortContext::new(&dev, kind, &pool).with_threads(threads);
+        let before = dev.snapshot();
+        let out = sort(&input, &ctx).expect("valid parameters");
+        (dev.snapshot().since(&before), out.to_vec_uncounted())
+    }
+
+    /// Asserts two [`device_run`]s are the same run: identical device
+    /// counters and identical output, record for record.
+    pub(in crate::sort) fn assert_same_run(
+        what: &str,
+        (io, rows): &(IoStats, Vec<WisconsinRecord>),
+        (want_io, want_rows): &(IoStats, Vec<WisconsinRecord>),
+    ) {
+        assert_eq!(io, want_io, "{what}: device counters");
+        assert_eq!(rows.len(), want_rows.len(), "{what}: output length");
+        assert!(rows == want_rows, "{what}: output records");
+    }
 
     #[test]
     fn every_algorithm_produces_the_same_sorted_output() {

@@ -137,6 +137,68 @@ mod tests {
     }
 
     #[test]
+    fn zero_intensity_is_selection_sort() {
+        // x = 0 generates no runs and merges the selection stream alone:
+        // it *is* SelS, counter for counter and record for record, on
+        // every layer at any DoP — at both sizes of the counter corpus,
+        // the larger past one 8192-record merge segment.
+        use crate::sort::selection::selection_sort;
+        use crate::sort::tests::{assert_same_run, device_run, LAYERS};
+        for n in [1200, 20_000] {
+            let records = sort_input(n, KeyOrder::Random, 31);
+            let m = n as usize / 20; // the corpus's 5 % budget
+            for kind in LAYERS {
+                for threads in [1, 4] {
+                    let segs = device_run(&records, kind, m, threads, |input, ctx| {
+                        segment_sort(input, 0.0, ctx, "out")
+                    });
+                    let sels = device_run(&records, kind, m, threads, |input, ctx| {
+                        Ok(selection_sort(input, ctx, "out"))
+                    });
+                    assert_eq!(segs.1.len(), n as usize);
+                    assert_same_run(&format!("{n}, {kind:?}, DoP {threads}"), &segs, &sels);
+                }
+            }
+        }
+    }
+
+    /// x = 1 run-generates the whole input and merges the runs: ExMS,
+    /// counter for counter and record for record, on every layer at any
+    /// DoP — within one `4M` run-generation chunk and with at least two
+    /// runs. Past that the schedules part by a few cachelines, for four
+    /// reasons:
+    /// * ExMS generates runs chunk by chunk over a `4M`-record grid,
+    ///   segment sort over the whole prefix at once;
+    /// * segment sort pre-merges down to fan-in − 1 runs, to leave a
+    ///   slot for its selection stream, ExMS down to the fan-in;
+    /// * ExMS hands a lone run back as its output without rewriting it,
+    ///   segment sort merges it into the output;
+    /// * ExMS range-partitions its final merge past 8192 records,
+    ///   segment sort lands it as one stream.
+    #[test]
+    fn full_intensity_is_exms_within_one_chunk() {
+        use crate::sort::ext_merge::external_merge_sort;
+        use crate::sort::tests::{assert_same_run, device_run, LAYERS};
+        use pmem_sim::Storable;
+        let records = sort_input(400, KeyOrder::Random, 17);
+        let input_lines = pmem_sim::cachelines(400 * WisconsinRecord::SIZE);
+        for kind in LAYERS {
+            for threads in [1, 4] {
+                let segs = device_run(&records, kind, 100, threads, |input, ctx| {
+                    segment_sort(input, 1.0, ctx, "out")
+                });
+                let exms = device_run(&records, kind, 100, threads, |input, ctx| {
+                    Ok(external_merge_sort(input, ctx, "out"))
+                });
+                // Two runs or more: the runs and the merged output are
+                // each written once.
+                assert!(exms.0.cl_writes >= 2 * input_lines, "{kind:?}: one run");
+                assert_same_run(&format!("{kind:?}, DoP {threads}"), &segs, &exms);
+            }
+        }
+    }
+
+    #[test]
     fn rejects_out_of_range_intensity() {
         let dev = PmDevice::paper_default();
         let input = PCollection::from_records_uncounted(
