@@ -30,7 +30,7 @@ use pmem_sim::{BufferPool, IoStats, LatencyProfile, LayerKind, PCollection, PmDe
 use std::time::Instant;
 use wisconsin::{join_input, sort_input, KeyOrder};
 use write_limited::join::{JoinAlgorithm, JoinContext};
-use write_limited::sort::{external_merge_sort_profiled, SortContext};
+use write_limited::sort::{SortAlgorithm, SortContext};
 
 /// One algorithm's measurement at one degree of parallelism.
 pub struct Cell {
@@ -132,13 +132,13 @@ fn time_sort(n: u64, m_records: usize, threads: usize) -> Cell {
     let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
     let before = dev.snapshot();
     let start = Instant::now();
-    let (out, profile) = external_merge_sort_profiled(&input, &ctx, "sorted");
+    let (out, phases) = SortAlgorithm::ExMS
+        .run_profiled(&input, &ctx, "sorted")
+        .expect("ExMS takes no parameters");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     assert_eq!(out.len() as u64, n, "wrong sort result");
     let stats = dev.snapshot().since(&before);
-    // Run generation, then each merge pass, end to end.
-    let mut phases: Vec<&[IoStats]> = vec![&profile.run_generation];
-    phases.extend(profile.merge_passes.iter().map(Vec::as_slice));
+    let phases: Vec<&[IoStats]> = phases.iter().map(Vec::as_slice).collect();
     Cell {
         algorithm: "ExMS",
         dop: threads,

@@ -2,9 +2,10 @@
 //! Grace-style segmented otherwise.
 
 use crate::agg::GroupAgg;
-use crate::join::common::{partition_of, view_key};
-use crate::sort::common::SortContext;
-use pmem_sim::{PCollection, PmError, Storable};
+use crate::join::common::partition_of;
+use crate::join::kernel::{route_scan, spill_scan, Route};
+use crate::sort::SortContext;
+use pmem_sim::{PCollection, PmError, RecordReader, Storable};
 use std::collections::HashMap;
 use wisconsin::Record;
 
@@ -45,13 +46,18 @@ pub fn hash_aggregate<R: Record>(
             }
         }
     }
+    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
+    land_sorted(groups, &mut out);
+    Ok(out)
+}
+
+/// Appends `groups` to `out` in ascending key order.
+fn land_sorted(groups: HashMap<u64, GroupAgg>, out: &mut PCollection<GroupAgg>) {
     let mut sorted: Vec<GroupAgg> = groups.into_values().collect();
     sorted.sort_unstable_by_key(|g| g.key);
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     for g in &sorted {
         out.append(g);
     }
-    Ok(out)
 }
 
 /// Segmented hash aggregation — the SegJ of aggregation. The key domain
@@ -96,48 +102,35 @@ pub fn segmented_hash_aggregate<R: Record>(
         .map(|_| ctx.fresh::<R>("agg-part"))
         .collect();
     if materialized > 0 {
-        input.reader().for_each_view(|record| {
-            let p = partition_of(view_key(&record), k);
-            if p < materialized {
-                files[p].append_bytes(record.bytes());
-            }
-        });
+        let route = |key| Some(partition_of(key, k)).filter(|&p| p < materialized);
+        spill_scan(input.reader(), route, &mut files);
     }
 
-    let emit = |groups: HashMap<u64, GroupAgg>, out: &mut PCollection<GroupAgg>| {
-        let mut sorted: Vec<GroupAgg> = groups.into_values().collect();
-        sorted.sort_unstable_by_key(|g| g.key);
-        for g in &sorted {
-            out.append(g);
-        }
-    };
-
-    // Aggregate materialized partitions from their files.
-    let fold = |groups: &mut HashMap<u64, GroupAgg>, key: u64, record: &R| {
-        let value = value_of(record);
-        groups
-            .entry(key)
-            .and_modify(|g| g.fold(value))
-            .or_insert_with(|| GroupAgg::seed(key, value));
+    // Aggregate each materialized partition from its file, then each
+    // other partition from one more input scan, a record of another
+    // partition skipped on its key, undecoded.
+    let mut aggregate = |scan: RecordReader<'_, R>, partition: Option<usize>| {
+        let route = |key| match partition {
+            Some(p) if partition_of(key, k) != p => Route::Skip,
+            _ => Route::Keep,
+        };
+        let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
+        let fold = |bytes: &[u8]| {
+            let record = R::read_from(bytes);
+            let value = value_of(&record);
+            groups
+                .entry(record.key())
+                .and_modify(|g| g.fold(value))
+                .or_insert_with(|| GroupAgg::seed(record.key(), value));
+        };
+        route_scan(scan, route, fold, |_, _| {});
+        land_sorted(groups, &mut out);
     };
     for file in &files {
-        let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
-        file.reader()
-            .for_each_view(|record| fold(&mut groups, view_key(&record), &record.get()));
-        emit(groups, &mut out);
+        aggregate(file.reader(), None);
     }
-
-    // Iterate the input once per remaining partition; a record of
-    // another partition is skipped on its key, undecoded.
     for p in materialized..k {
-        let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
-        input.reader().for_each_view(|record| {
-            let key = view_key(&record);
-            if partition_of(key, k) == p {
-                fold(&mut groups, key, &record.get());
-            }
-        });
-        emit(groups, &mut out);
+        aggregate(input.reader(), Some(p));
     }
     Ok(out)
 }

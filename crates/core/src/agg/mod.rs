@@ -10,15 +10,15 @@
 //!
 //! Strategies:
 //! * [`sort_based_aggregate`] — classic: sort, then one grouping pass.
-//!   The write-limited twist reuses segment sort's machinery and feeds
-//!   the merge **streams** straight into the aggregator, so the sorted
-//!   input is never materialized (`x` controls how much of the input is
-//!   run-generated versus rescanned).
+//!   The write-limited twist *is* segment sort's schedule with a folding
+//!   consumer in the final merge, so the sorted input is never
+//!   materialized (`x` controls how much of the input is run-generated
+//!   versus rescanned).
 //! * [`hash_aggregate`] — one-pass in-DRAM hash aggregation when the
 //!   group state fits.
 //! * [`segmented_hash_aggregate`] — Grace-style: materialize `x` of `k`
 //!   partitions, iterate over the input for the rest (the SegJ of
-//!   aggregation).
+//!   aggregation), over the joins' routed partition scan.
 
 pub mod hash_agg;
 pub mod sort_agg;

@@ -2,20 +2,17 @@
 //!
 //! The classic plan sorts the input and makes one grouping pass. On
 //! persistent memory the sorted intermediate is pure write waste — the
-//! aggregation output is tiny. This operator therefore reuses segment
-//! sort's internals but *pipes the merge into the aggregator*: the only
+//! aggregation output is tiny. This operator therefore runs segment
+//! sort's schedule with a *folding* consumer in the final merge: the only
 //! materialized collection is the per-group output. At `x = 0` writes
 //! are exactly the output; at `x = 1` the run files of a full external
 //! mergesort are written (but never the sorted result itself).
 
 use crate::agg::GroupAgg;
-use crate::parallel;
-use crate::sort::common::{
-    generate_runs_replacement_range, merge_fan_in, merge_group, run_segment_cuts, run_sources,
-    segment_sources, KWayMerge, MergeSource, SortContext, MERGE_SEGMENT_RECORDS,
-};
-use crate::sort::selection::SelectionStream;
-use pmem_sim::{PCollection, PmError, RecordBuffer};
+use crate::sort::kernel::Consume;
+use crate::sort::segment::segmented;
+use crate::sort::{KWayMerge, SortContext};
+use pmem_sim::{PCollection, PmError, Storable};
 use wisconsin::Record;
 
 /// Aggregates `input` by key, extracting the aggregated value with
@@ -38,111 +35,43 @@ pub fn sort_based_aggregate<R: Record>(
     output_name: &str,
 ) -> Result<PCollection<GroupAgg>, PmError> {
     let _span = pmem_sim::span::span("alg sort-agg");
-    if !(0.0..=1.0).contains(&x) {
-        return Err(PmError::InvalidParameter {
-            name: "x",
-            message: format!("write intensity must be in [0,1], got {x}"),
-        });
-    }
-    let n = input.len();
-    let split = ((n as f64) * x).round() as usize;
-    let capacity = ctx.capacity_records::<R>();
-
-    // Write-incurring prefix: external-mergesort runs. Pre-merge passes
-    // fan out over their independent groups (names minted up front, so
-    // naming and counters are DoP-invariant).
-    let mut runs = generate_runs_replacement_range(input, 0..split, capacity, ctx);
-    let fan_in = merge_fan_in(ctx).saturating_sub(1).max(2);
-    while runs.len() > fan_in {
-        let groups: Vec<&[PCollection<R>]> = runs.chunks(fan_in).collect();
-        let names: Vec<String> = (0..groups.len())
-            .map(|_| ctx.fresh_name("agg-merge"))
-            .collect();
-        let merged = parallel::map_ordered(ctx.threads(), groups.len(), |g| {
-            let mut next = PCollection::new(ctx.device(), ctx.kind(), names[g].clone());
-            merge_group(groups[g], &mut next);
-            next
-        });
-        drop(groups);
-        runs = merged;
-    }
-
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let segments = n.div_ceil(MERGE_SEGMENT_RECORDS).max(1);
-    if split == n && runs.len() > 1 && segments > 1 {
-        aggregate_runs_parallel(&runs, &value_of, segments, ctx, &mut out);
-        return Ok(out);
-    }
-
-    // Merge streams straight into the aggregator: the sorted sequence is
-    // consumed, never written.
-    let mut sources = run_sources(&runs);
-    if split < n {
-        sources.push(MergeSource::stream(SelectionStream::new(
-            input,
-            split..n,
-            capacity,
-        )));
-    }
-
-    let mut current: Option<GroupAgg> = None;
-    for record in KWayMerge::from_sources(sources) {
-        fold_into(&mut current, &record, &value_of, |g| out.append(g));
-    }
-    if let Some(g) = current {
-        out.append(&g);
-    }
-    Ok(out)
+    let fold = Fold(value_of);
+    segmented(input, x, ctx, "agg-merge", &fold, output_name).map(|(out, _)| out)
 }
 
-/// Folds one record into the running group, emitting the finished group
-/// when the key advances.
-fn fold_into<R: Record>(
-    current: &mut Option<GroupAgg>,
-    record: &R,
-    value_of: &impl Fn(&R) -> u64,
-    mut emit: impl FnMut(&GroupAgg),
-) {
-    let (key, value) = (record.key(), value_of(record));
-    match current.as_mut() {
-        Some(g) if g.key == key => g.fold(value),
-        Some(g) => {
-            emit(g);
-            *current = Some(GroupAgg::seed(key, value));
+/// Folds merged records into one [`GroupAgg`] per key, each landed as
+/// the key advances.
+struct Fold<F>(F);
+
+impl<R: Record, F: Fn(&R) -> u64 + Sync> Consume<R> for Fold<F> {
+    type Out = GroupAgg;
+
+    fn by_range(&self) -> bool {
+        true
+    }
+
+    fn consume(&self, merge: KWayMerge<'_, R>, mut land: impl FnMut(&[u8])) {
+        let mut stored = [0u8; GroupAgg::SIZE];
+        let mut emit = |g: &GroupAgg| {
+            g.write_to(&mut stored);
+            land(&stored);
+        };
+        let mut group: Option<GroupAgg> = None;
+        for record in merge {
+            let (key, value) = (record.key(), (self.0)(&record));
+            match group.as_mut() {
+                Some(g) if g.key == key => g.fold(value),
+                _ => {
+                    if let Some(done) = group.replace(GroupAgg::seed(key, value)) {
+                        emit(&done);
+                    }
+                }
+            }
         }
-        None => *current = Some(GroupAgg::seed(key, value)),
+        if let Some(done) = group {
+            emit(&done);
+        }
     }
-}
-
-/// Range-partitioned final merge-aggregate: splitter keys sampled from
-/// the runs carve the key space into segments; every group falls wholly
-/// inside one segment, so each worker merges and aggregates its ranges
-/// independently and the coordinator concatenates the group outputs in
-/// splitter order — identical rows and counters at any DoP.
-fn aggregate_runs_parallel<R: Record>(
-    runs: &[PCollection<R>],
-    value_of: &(impl Fn(&R) -> u64 + Sync),
-    segments: usize,
-    ctx: &SortContext<'_>,
-    out: &mut PCollection<GroupAgg>,
-) {
-    let cuts = run_segment_cuts(runs, segments);
-    parallel::for_each_ordered(
-        ctx.threads(),
-        segments,
-        |seg| {
-            let mut buf = RecordBuffer::new();
-            let mut current: Option<GroupAgg> = None;
-            for record in KWayMerge::from_sources(segment_sources(runs, &cuts, seg)) {
-                fold_into(&mut current, &record, value_of, |g| buf.push(g));
-            }
-            if let Some(g) = current {
-                buf.push(&g);
-            }
-            buf
-        },
-        |_, task| out.append_buffer(&task.value),
-    );
 }
 
 #[cfg(test)]

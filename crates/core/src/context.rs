@@ -2,7 +2,7 @@
 
 use crate::join::HASH_TABLE_FACTOR;
 use crate::parallel;
-use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmError};
+use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmError, Reservation};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wisconsin::Record;
 
@@ -107,6 +107,19 @@ impl<'p> ExecContext<'p> {
                 self.capacity_records::<R>()
             ),
         })
+    }
+
+    /// Holds an operator's DRAM working set of `bytes` for its blocking
+    /// phase: all of it if it fits, the rest of the budget otherwise
+    /// (external algorithms run at capacity — the refused full-size
+    /// attempt is the memory-pressure event `exhausted` telemetry counts).
+    /// Pure telemetry: capacity decisions read the budget, not the
+    /// reservation ledger.
+    pub(crate) fn hold_working_set(&self, bytes: usize) -> Option<Reservation<'p>> {
+        let pool = self.pool;
+        pool.reserve(bytes)
+            .or_else(|_| pool.reserve(bytes.min(pool.available())))
+            .ok()
     }
 
     /// Allocates a fresh unique collection name. Names are handed out on

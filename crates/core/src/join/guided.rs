@@ -19,7 +19,8 @@
 
 use super::common::{view_key, JoinContext};
 use super::grace::steered;
-use super::kernel::{measured, Phased, Phases};
+use super::kernel::Phased;
+use crate::parallel::{measured, Phases};
 use pmem_sim::{PCollection, PmError};
 use std::collections::{HashMap, HashSet};
 use wisconsin::{Pair, Record};

@@ -16,7 +16,8 @@
 //! the cost model's per-pass split captures.
 
 use super::common::{partition_of, BuildTable, JoinContext};
-use super::kernel::{for_each_morsel, route_scan, Phased, Phases, Route};
+use super::kernel::{for_each_morsel, route_scan, Phased, Route};
+use crate::parallel::Phases;
 use pmem_sim::{IoStats, PCollection, RecordBuffer, RecordReader};
 use wisconsin::{Pair, Record};
 

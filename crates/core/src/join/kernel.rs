@@ -9,25 +9,20 @@
 //!   each probing its [`BuildTable`] with its probe scans into a buffer,
 //!   and flushes the buffers in task order.
 //!
-//! Both fan out across the worker pool ([`crate::parallel`]) on grids
-//! and task lists that depend on the inputs only, so output order and
-//! every counter are identical at any DoP, and both return a ledger per
-//! task: a join's [`Phases`] are its kernels' ledgers in order.
+//! Both fan out across the worker pool ([`fan_out`]) on grids and task
+//! lists that depend on the inputs only, so output order and every
+//! counter are identical at any DoP, and both return a ledger per task:
+//! a join's [`Phases`] are its kernels' ledgers in order.
 
 use super::common::{partition_of, view_key, BuildTable, JoinContext};
-use crate::parallel;
-use pmem_sim::{thread_flow, thread_stats, IoStats, PCollection, RecordBuffer, RecordReader};
+use crate::parallel::{fan_out, measured, Phases};
+use pmem_sim::{IoStats, PCollection, RecordBuffer, RecordReader};
 use wisconsin::{Pair, Record};
 
 /// Records per partitioning morsel. The grid depends only on the input
 /// size — never on the degree of parallelism — which keeps the counted
 /// traffic DoP-invariant.
 pub const PARTITION_MORSEL_RECORDS: usize = 8192;
-
-/// A join's phase ledger: its phases in execution order, each the traffic
-/// of its independent tasks (a serial step is a phase of one task),
-/// together the join's whole device delta.
-pub(crate) type Phases = Vec<Vec<IoStats>>;
 
 /// A join's output beside its phase ledger (or a fixed-size form of it).
 pub(crate) type Phased<L, R, P = Phases> = (PCollection<Pair<L, R>>, P);
@@ -38,14 +33,6 @@ pub(crate) type Probe<'a, L, R> = (BuildTable<L>, Vec<RecordReader<'a, R>>);
 /// A hash-partitioned input: `parts[p]` holds partition `p`'s records as
 /// one piece per morsel, in input order.
 pub(crate) type Partitioned<R> = Vec<Vec<PCollection<R>>>;
-
-/// Runs `f` and returns the traffic it charged (fan-out it consumed
-/// included) beside its result: the ledger of a serial phase.
-pub(crate) fn measured<T>(f: impl FnOnce() -> T) -> (T, IoStats) {
-    let before = thread_flow();
-    let value = f();
-    (value, thread_flow().since(&before))
-}
 
 /// Where a routed partition scan sends one record.
 #[derive(Clone, Copy, Debug)]
@@ -84,26 +71,6 @@ pub(crate) fn spill_scan<R: Record>(
 ) -> IoStats {
     let spill = |key| route(key).map_or(Route::Skip, Route::Spill);
     measured(|| route_scan(scan, spill, |_| {}, |p, bytes| parts[p].append_bytes(bytes))).1
-}
-
-/// Runs `tasks` tasks across the worker pool and `land`s their results on
-/// the calling thread in task order. Returns each task's ledger: its own
-/// traffic plus its landing's — serialized here for count determinism,
-/// but traffic that belongs to the task (a medium serving DoP workers
-/// would land each task's output from its own worker).
-fn fan_out<T: Send>(
-    ctx: &JoinContext<'_>,
-    tasks: usize,
-    task: impl Fn(usize) -> T + Sync,
-    mut land: impl FnMut(T),
-) -> Vec<IoStats> {
-    let mut ledger = Vec::with_capacity(tasks);
-    parallel::for_each_ordered(ctx.threads(), tasks, task, |_, task| {
-        let before = thread_stats();
-        land(task.value);
-        ledger.push(task.stats.plus(&thread_stats().since(&before)));
-    });
-    ledger
 }
 
 /// Morsels of an input of `len` records: at least one.

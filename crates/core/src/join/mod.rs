@@ -14,7 +14,7 @@
 //! | HybJ | [`JoinAlgorithm::HybJ`] | intensities `x`/`y` per input (Eq. 6) | partition scan of `Tx`, of `Vy`; build–probe: a task per partition (probed by its `Vy` piece and `V₁₋y`), a task per block of `T₁₋x` |
 //! | SegJ | [`segmented_grace_join`] | materialize `x` of `k` partitions (Eq. 9) | scans of `T`, `V` spill partitions `0..x`; build–probe: a pair task per materialized partition, a rescan task per other |
 //! | LaJ | [`lazy_hash_join`] | dynamic, Eq. 11 materialization | HJ's passes, spilling only on the passes Eq. 11 picks |
-//! | SMJ | [`sort_merge_join`] | sort-phase write intensity `x` (extension) | two segment sorts, then a merge co-scan over key-range segments (no join kernel) |
+//! | SMJ | [`sort_merge_join`] | sort-phase write intensity `x` (extension) | two segment sorts (the sort kernels, [`crate::sort`]), then a merge co-scan over key-range segments |
 //! | CGJ | [`guided_join_with`] | hot keys skip the partition round-trip (extension) | morsel-grid scans keep hot records (build the resident table, probe it) and spill the rest; build–probe over the cold pairs |
 //!
 //! SMJ and CGJ are library extensions beyond the paper's line-up (see
@@ -119,7 +119,8 @@ impl JoinAlgorithm {
     /// [`JoinAlgorithm::run`] with the run's phase ledger beside the
     /// result: its phases in execution order, each the traffic of its
     /// independent tasks — a serial step (a whole-input partition scan,
-    /// CGJ's heavy-hitter passes, all of SMJ) is a phase of one task.
+    /// CGJ's heavy-hitter passes, SMJ's key-range cuts) is a phase of one
+    /// task; SMJ's phases are its two sorts' ledgers, then its co-scan's.
     /// Together the phases account for the run's whole device delta, and
     /// every entry is identical at any degree of parallelism: scheduling
     /// each phase's tasks onto DoP workers gives the deterministic
@@ -134,17 +135,8 @@ impl JoinAlgorithm {
         ctx: &JoinContext<'_>,
         output_name: &str,
     ) -> Result<kernel::Phased<L, R>, PmError> {
-        // Hold the DRAM working set (the build table: the build side if
-        // it fits, the remaining budget otherwise) for the blocking
-        // phase; the refused full-size attempt is the memory-pressure
-        // event `exhausted` telemetry counts. Pure telemetry — capacity
-        // decisions read the budget, not the reservation ledger.
-        let pool = ctx.pool();
-        let want = left.len() * L::SIZE;
-        let _working_set = pool
-            .reserve(want)
-            .or_else(|_| pool.reserve(want.min(pool.available())))
-            .ok();
+        // The working set is the build table, i.e. the build side.
+        let _working_set = ctx.hold_working_set(left.len() * L::SIZE);
         match self {
             JoinAlgorithm::NLJ => Ok(nested_loops::phased(left, right, ctx, output_name)),
             JoinAlgorithm::GJ => grace::phased(left, right, ctx, output_name)
@@ -155,11 +147,7 @@ impl JoinAlgorithm {
                 segmented::phased_frac(left, right, *frac, ctx, output_name)
             }
             JoinAlgorithm::LaJ => Ok(lazy::phased(left, right, ctx, output_name)),
-            JoinAlgorithm::SMJ { x } => {
-                let (out, io) =
-                    kernel::measured(|| sort_merge_join(left, right, *x, ctx, output_name));
-                Ok((out?, vec![vec![io]]))
-            }
+            JoinAlgorithm::SMJ { x } => sort_merge::phased(left, right, *x, ctx, output_name),
             JoinAlgorithm::CGJ => guided::phased(left, right, None, ctx, output_name),
         }
     }

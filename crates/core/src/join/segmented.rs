@@ -18,7 +18,8 @@
 //! write intensity.
 
 use super::common::{partition_of, JoinContext};
-use super::kernel::{build_probe, build_table, pair, spill_scan, Phased, Phases};
+use super::kernel::{build_probe, build_table, pair, spill_scan, Phased};
+use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
 use std::slice;
 use wisconsin::{Pair, Record};

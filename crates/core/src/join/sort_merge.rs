@@ -17,11 +17,10 @@
 //! same rows, order, and counters as the serial co-scan at any DoP.
 
 use super::common::JoinContext;
-use crate::parallel;
-use crate::sort::common::{
-    key_range_cuts, sample_keys, splitters_from_samples, MERGE_SEGMENT_RECORDS,
-};
-use crate::sort::{segment_sort, SortContext};
+use super::kernel::Phased;
+use crate::parallel::{fan_out, measured};
+use crate::sort::common::{key_range_cuts, sample_keys, splitters_from_samples};
+use crate::sort::{segment, SortContext, MERGE_SEGMENT_RECORDS};
 use pmem_sim::{PCollection, PmError, RecordBuffer};
 use wisconsin::{Pair, Record};
 
@@ -37,47 +36,63 @@ pub fn sort_merge_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<Pair<L, R>>, PmError> {
+    phased(left, right, x, ctx, output_name).map(|(out, _)| out)
+}
+
+/// SMJ's schedule: the two segment sorts' phases, then the co-scan — one
+/// serial task, or the key-range cuts (a one-task phase) and a task per
+/// segment.
+pub(crate) fn phased<L: Record, R: Record>(
+    left: &PCollection<L>,
+    right: &PCollection<R>,
+    x: f64,
+    ctx: &JoinContext<'_>,
+    output_name: &str,
+) -> Result<Phased<L, R>, PmError> {
     let _span = pmem_sim::span::span("alg smj");
     let sort_ctx =
         SortContext::new(ctx.device(), ctx.kind(), ctx.pool()).with_threads(ctx.threads());
-    let sorted_left = segment_sort(left, x, &sort_ctx, "smj-left")?;
-    let sorted_right = segment_sort(right, x, &sort_ctx, "smj-right")?;
+    let (sorted_left, mut phases) = segment::phased(left, x, &sort_ctx, "smj-left")?;
+    let (sorted_right, right_phases) = segment::phased(right, x, &sort_ctx, "smj-right")?;
+    phases.extend(right_phases);
 
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let total = sorted_left.len() + sorted_right.len();
     let segments = total.div_ceil(MERGE_SEGMENT_RECORDS).max(1);
     if segments <= 1 || sorted_left.is_empty() || sorted_right.is_empty() {
-        let mut buf = RecordBuffer::new();
-        co_scan(sorted_left.reader(), sorted_right.reader(), &mut buf);
-        out.append_buffer(&buf);
-        return Ok(out);
+        let ((), io) = measured(|| {
+            let mut buf = RecordBuffer::new();
+            co_scan(sorted_left.reader(), sorted_right.reader(), &mut buf);
+            out.append_buffer(&buf);
+        });
+        phases.push(vec![io]);
+        return Ok((out, phases));
     }
 
     // The segment grid depends only on the merged sizes — never on the
     // DoP — so the sampled splitters, boundary searches, and counters
     // are identical at any degree of parallelism.
-    let splitters = {
+    let ((cuts_l, cuts_r), grid) = measured(|| {
         let mut sample = sample_keys(&sorted_left, segments);
         sample.extend(sample_keys(&sorted_right, segments));
-        splitters_from_samples(sample, segments)
+        let splitters = splitters_from_samples(sample, segments);
+        (
+            key_range_cuts(&sorted_left, &splitters),
+            key_range_cuts(&sorted_right, &splitters),
+        )
+    });
+    let scan_segment = |seg: usize| {
+        let mut buf = RecordBuffer::new();
+        co_scan(
+            sorted_left.range_reader(cuts_l[seg], cuts_l[seg + 1]),
+            sorted_right.range_reader(cuts_r[seg], cuts_r[seg + 1]),
+            &mut buf,
+        );
+        buf
     };
-    let cuts_l = key_range_cuts(&sorted_left, &splitters);
-    let cuts_r = key_range_cuts(&sorted_right, &splitters);
-    parallel::for_each_ordered(
-        ctx.threads(),
-        segments,
-        |seg| {
-            let mut buf = RecordBuffer::new();
-            co_scan(
-                sorted_left.range_reader(cuts_l[seg], cuts_l[seg + 1]),
-                sorted_right.range_reader(cuts_r[seg], cuts_r[seg + 1]),
-                &mut buf,
-            );
-            buf
-        },
-        |_, task| out.append_buffer(&task.value),
-    );
-    Ok(out)
+    let land = |buf: RecordBuffer<Pair<L, R>>| out.append_buffer(&buf);
+    phases.extend([vec![grid], fan_out(ctx, segments, scan_segment, land)]);
+    Ok((out, phases))
 }
 
 /// The duplicate-handling co-scan of two sorted streams, buffering one

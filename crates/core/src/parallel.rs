@@ -23,9 +23,14 @@
 //! Simulated time is traffic-derived and therefore unchanged by
 //! parallelism; what the pool buys is wall-clock scaling of the harness
 //! itself.
+//!
+//! Every operator fans out through `fan_out`, which also keeps the
+//! per-task ledger its phase ledger (`Phases`) is made of; a serial
+//! step's ledger is `measured`.
 
+use crate::context::ExecContext;
 use pmem_sim::metrics::{adopt, thread_flow};
-use pmem_sim::{span, IoStats};
+use pmem_sim::{span, thread_stats, IoStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
@@ -272,22 +277,55 @@ impl Drop for ReleaseOnPanic<'_> {
     }
 }
 
-/// Convenience wrapper over [`for_each_ordered`]: collects every task's
-/// value in task-index order.
-pub fn map_ordered<T, F>(threads: usize, n_tasks: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = Vec::with_capacity(n_tasks);
-    for_each_ordered(threads, n_tasks, task, |_, r| out.push(r.value));
-    out
+/// An operator's phase ledger: its phases in execution order, each the
+/// traffic of its independent tasks (a serial step is a phase of one
+/// task), together the operator's whole device delta.
+pub(crate) type Phases = Vec<Vec<IoStats>>;
+
+/// Runs `f` and returns the traffic it charged (fan-out it consumed
+/// included) beside its result: the ledger of a serial phase.
+pub(crate) fn measured<T>(f: impl FnOnce() -> T) -> (T, IoStats) {
+    let before = thread_flow();
+    let value = f();
+    (value, thread_flow().since(&before))
+}
+
+/// The one fan-out every operator runs its parallel phases through:
+/// `tasks` tasks across the worker pool, their results `land`ed on the
+/// calling thread in task order. Returns each task's ledger: its own
+/// traffic plus its landing's — serialized here for count determinism,
+/// but traffic that belongs to the task (a medium serving DoP workers
+/// would land each task's output from its own worker).
+pub(crate) fn fan_out<T: Send>(
+    ctx: &ExecContext<'_>,
+    tasks: usize,
+    task: impl Fn(usize) -> T + Sync,
+    mut land: impl FnMut(T),
+) -> Vec<IoStats> {
+    let mut ledger = Vec::with_capacity(tasks);
+    for_each_ordered(ctx.threads(), tasks, task, |_, task| {
+        let before = thread_stats();
+        land(task.value);
+        ledger.push(task.stats.plus(&thread_stats().since(&before)));
+    });
+    ledger
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pmem_sim::{LayerKind, PCollection, PmDevice};
+
+    /// Every task's value, in task-index order.
+    fn map_ordered<T: Send>(
+        threads: usize,
+        n_tasks: usize,
+        task: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        let mut out = Vec::with_capacity(n_tasks);
+        for_each_ordered(threads, n_tasks, task, |_, r| out.push(r.value));
+        out
+    }
 
     #[test]
     fn results_arrive_in_index_order_at_any_dop() {

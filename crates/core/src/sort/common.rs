@@ -1,12 +1,9 @@
-//! Shared sorting machinery: sort context, run generation via replacement
-//! selection, and k-way merging.
+//! Shared sorting machinery: the sort context, heap entries, the k-way
+//! merge driver and the key-range grid of the parallel final passes.
 
 use crate::context::ExecContext;
 use crate::join::common::view_key;
-use crate::parallel;
-use pmem_sim::{thread_stats, IoStats, PCollection, ReadCursor, RecordBuffer, RecordReader};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use pmem_sim::{PCollection, ReadCursor, RecordReader};
 use wisconsin::Record;
 
 /// The context sort operators run in — the shared [`ExecContext`] under
@@ -16,18 +13,18 @@ pub type SortContext<'p> = ExecContext<'p>;
 /// A heap entry carrying the record, its key, and a tiebreak sequence so
 /// duplicate keys retain a total order inside heaps.
 #[derive(Clone, Copy, Debug)]
-pub struct Entry<R> {
+pub(crate) struct Entry<R> {
     /// Sort key.
-    pub key: u64,
+    pub(crate) key: u64,
     /// Tiebreaker (input position), keeps heaps totally ordered.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The record itself.
-    pub record: R,
+    pub(crate) record: R,
 }
 
 impl<R> Entry<R> {
     /// Wraps `record` with its key and a sequence number.
-    pub fn new(record: R, seq: u64) -> Self
+    pub(crate) fn new(record: R, seq: u64) -> Self
     where
         R: Record,
     {
@@ -37,11 +34,16 @@ impl<R> Entry<R> {
             record,
         }
     }
+
+    /// Where the entry sorts: `(key, seq)`.
+    pub(crate) fn at(&self) -> (u64, u64) {
+        (self.key, self.seq)
+    }
 }
 
 impl<R> PartialEq for Entry<R> {
     fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.seq == other.seq
+        self.at() == other.at()
     }
 }
 impl<R> Eq for Entry<R> {}
@@ -52,273 +54,14 @@ impl<R> PartialOrd for Entry<R> {
 }
 impl<R> Ord for Entry<R> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.key, self.seq).cmp(&(other.key, other.seq))
+        self.at().cmp(&other.at())
     }
-}
-
-/// Generates sorted runs from `input` using replacement selection with a
-/// DRAM heap of `capacity` records; runs average twice the heap size on
-/// random input (the classic result the paper's Eq. 1 uses).
-pub fn generate_runs_replacement<R: Record>(
-    input: &PCollection<R>,
-    capacity: usize,
-    ctx: &SortContext<'_>,
-) -> Vec<PCollection<R>> {
-    generate_runs_replacement_range(input, 0..input.len(), capacity, ctx)
-}
-
-/// Range variant of [`generate_runs_replacement`], used by segment sort to
-/// process only a slice of the input.
-pub fn generate_runs_replacement_range<R: Record>(
-    input: &PCollection<R>,
-    range: std::ops::Range<usize>,
-    capacity: usize,
-    ctx: &SortContext<'_>,
-) -> Vec<PCollection<R>> {
-    generate_runs_with(input, range, capacity, || ctx.fresh::<R>("run"))
-}
-
-/// Chunk width for parallel run generation, in multiples of the DRAM
-/// heap capacity `M`. Replacement selection emits runs averaging `2M` on
-/// random input, so a `4M` chunk yields ~2 runs and the expected run
-/// count (and with it the merge-pass count) matches the unchunked
-/// generator; only run *boundaries* move. The width depends on `M` and
-/// the input alone — never on the degree of parallelism — so the runs,
-/// their names, and every counter are DoP-invariant.
-const RUN_GEN_CHUNK_CAPACITIES: usize = 4;
-
-/// Parallel run generation: splits the input into fixed `4M`-record
-/// chunks and runs replacement selection on each chunk across the worker
-/// pool. Chunk boundaries are a function of the DRAM budget only, so the
-/// produced runs are identical at any degree of parallelism; inputs no
-/// larger than one chunk fall back to the serial generator unchanged.
-pub fn generate_runs_parallel<R: Record>(
-    input: &PCollection<R>,
-    capacity: usize,
-    ctx: &SortContext<'_>,
-) -> Vec<PCollection<R>> {
-    generate_runs_parallel_profiled(input, capacity, ctx).0
-}
-
-/// [`generate_runs_parallel`] plus each chunk's traffic as charged by
-/// its worker's thread-local ledger — the run-generation half of the
-/// speedup harness's critical-path profile.
-pub fn generate_runs_parallel_profiled<R: Record>(
-    input: &PCollection<R>,
-    capacity: usize,
-    ctx: &SortContext<'_>,
-) -> (Vec<PCollection<R>>, Vec<IoStats>) {
-    let chunk = capacity.saturating_mul(RUN_GEN_CHUNK_CAPACITIES).max(1);
-    if input.len() <= chunk {
-        let before = thread_stats();
-        let runs = generate_runs_replacement(input, capacity, ctx);
-        return (runs, vec![thread_stats().since(&before)]);
-    }
-    let n_chunks = input.len().div_ceil(chunk);
-    // Mint one name prefix per chunk on the coordinating thread; workers
-    // derive their run names locally, so naming stays deterministic.
-    let prefixes: Vec<String> = (0..n_chunks).map(|_| ctx.fresh_name("run")).collect();
-    let mut all: Vec<PCollection<R>> = Vec::with_capacity(n_chunks * 2);
-    let mut per_chunk = Vec::with_capacity(n_chunks);
-    parallel::for_each_ordered(
-        ctx.threads(),
-        n_chunks,
-        |c| {
-            let start = c * chunk;
-            let end = (start + chunk).min(input.len());
-            let mut local = 0u32;
-            generate_runs_with(input, start..end, capacity, || {
-                let name = format!("{}.{local}", prefixes[c]);
-                local += 1;
-                PCollection::new(ctx.device(), ctx.kind(), name)
-            })
-        },
-        |_, out| {
-            all.extend(out.value);
-            per_chunk.push(out.stats);
-        },
-    );
-    (all, per_chunk)
-}
-
-/// Replacement selection over `range` with caller-supplied run
-/// allocation — the shared core of the serial and chunk-parallel
-/// generators.
-fn generate_runs_with<R: Record>(
-    input: &PCollection<R>,
-    range: std::ops::Range<usize>,
-    capacity: usize,
-    mut next_run: impl FnMut() -> PCollection<R>,
-) -> Vec<PCollection<R>> {
-    assert!(
-        capacity > 0,
-        "replacement selection needs at least 1 record of DRAM"
-    );
-    let mut runs: Vec<PCollection<R>> = Vec::new();
-    let mut current: BinaryHeap<Reverse<Entry<R>>> = BinaryHeap::with_capacity(capacity);
-    let mut next: Vec<Entry<R>> = Vec::new();
-    let mut run = next_run();
-    let mut last_out: Option<u64> = None;
-
-    let mut seq = 0u64;
-    input
-        .range_reader(range.start, range.end)
-        .for_each_view(|view| {
-            // Every record enters a heap, so every record is decoded.
-            let e = Entry::new(view.get(), seq);
-            seq += 1;
-            if current.len() + next.len() < capacity {
-                // Heap not yet at capacity: stage into the current run if the
-                // record can still extend it, otherwise into the next run.
-                match last_out {
-                    Some(k) if e.key < k => next.push(e),
-                    _ => current.push(Reverse(e)),
-                }
-            } else {
-                // Evict the minimum of the current run, then place the new
-                // record into current (if it can extend the run) or next.
-                if let Some(Reverse(min)) = current.pop() {
-                    run.append(&min.record);
-                    last_out = Some(min.key);
-                }
-                if Some(e.key) >= last_out {
-                    current.push(Reverse(e));
-                } else {
-                    next.push(e);
-                }
-                if current.is_empty() {
-                    runs.push(std::mem::replace(&mut run, next_run()));
-                    current.extend(next.drain(..).map(Reverse));
-                    last_out = None;
-                }
-            }
-        });
-
-    // Drain the tail: finish the current run, then the next run.
-    while let Some(Reverse(min)) = current.pop() {
-        run.append(&min.record);
-    }
-    if !run.is_empty() {
-        runs.push(run);
-    }
-    if !next.is_empty() {
-        next.sort_unstable();
-        let mut tail = next_run();
-        for e in next {
-            tail.append(&e.record);
-        }
-        runs.push(tail);
-    }
-    runs
 }
 
 /// Merge fan-in afforded by the DRAM budget: one block-sized read buffer
 /// per open run (at least two-way).
-pub fn merge_fan_in(ctx: &SortContext<'_>) -> usize {
+pub(crate) fn merge_fan_in(ctx: &SortContext<'_>) -> usize {
     (ctx.pool().budget() / ctx.device().config().block_size).max(2)
-}
-
-/// Merges `runs` (each individually sorted) into a single collection,
-/// performing as many passes as the fan-in dictates — the paper's
-/// `log_M |T|` merge phase.
-pub fn merge_runs<R: Record>(
-    mut runs: Vec<PCollection<R>>,
-    ctx: &SortContext<'_>,
-    output_name: &str,
-) -> PCollection<R> {
-    if runs.len() == 1 {
-        // A single run is already the sorted output; returning it directly
-        // avoids a spurious rewrite (its name stays "run-…", which is
-        // cosmetic — cost fidelity matters more than the label).
-        if let Some(run) = runs.pop() {
-            return run;
-        }
-    }
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    merge_runs_into(runs, ctx, &mut out);
-    out
-}
-
-/// Per-pass ledger profile of a multi-pass merge: one entry per pass,
-/// each holding the traffic of that pass's independent tasks (merge
-/// groups for intermediate passes, key-range segments for the final
-/// one). The speedup harness turns these into critical-path estimates.
-#[derive(Clone, Debug, Default)]
-pub struct MergeProfile {
-    /// Per pass, the per-task traffic in execution (task-index) order.
-    pub passes: Vec<Vec<IoStats>>,
-}
-
-/// Merges `runs` and **appends** the result to `out` (which may already
-/// hold a sorted prefix smaller than every run record, as in hybrid
-/// sort). Intermediate passes reduce the run count to the fan-in; the
-/// final pass range-partitions the key space and streams each segment
-/// into `out` in splitter order.
-pub fn merge_runs_into<R: Record>(
-    runs: Vec<PCollection<R>>,
-    ctx: &SortContext<'_>,
-    out: &mut PCollection<R>,
-) {
-    let _ = merge_runs_into_profiled(runs, ctx, out);
-}
-
-/// [`merge_runs_into`] plus the per-pass, per-task ledger profile.
-pub fn merge_runs_into_profiled<R: Record>(
-    mut runs: Vec<PCollection<R>>,
-    ctx: &SortContext<'_>,
-    out: &mut PCollection<R>,
-) -> MergeProfile {
-    let mut profile = MergeProfile::default();
-    if runs.is_empty() {
-        return profile;
-    }
-    let fan_in = merge_fan_in(ctx);
-    while runs.len() > fan_in {
-        // The groups of one intermediate pass are independent merges, so
-        // they fan out across the worker pool. Target names are minted
-        // up front on this thread; each group's reads and writes touch
-        // only its own runs and target, so the counters are identical to
-        // the serial pass at any DoP.
-        let groups: Vec<&[PCollection<R>]> = runs.chunks(fan_in).collect();
-        let names: Vec<String> = (0..groups.len()).map(|_| ctx.fresh_name("merge")).collect();
-        let mut merged = Vec::with_capacity(groups.len());
-        let mut pass = Vec::with_capacity(groups.len());
-        parallel::for_each_ordered(
-            ctx.threads(),
-            groups.len(),
-            |g| {
-                let mut next = PCollection::new(ctx.device(), ctx.kind(), names[g].clone());
-                merge_group(groups[g], &mut next);
-                next
-            },
-            |_, task| {
-                merged.push(task.value);
-                pass.push(task.stats);
-            },
-        );
-        drop(groups);
-        runs = merged;
-        profile.passes.push(pass);
-    }
-    if runs.len() == 1 && out.is_empty() {
-        // Concatenation with an empty prefix: copying is unavoidable to
-        // land the data in `out`, but prefer the cheap path when the
-        // caller can take ownership via `merge_runs` instead.
-        let before = thread_stats();
-        runs[0]
-            .reader()
-            .for_each_view(|r| out.append_bytes(r.bytes()));
-        profile.passes.push(vec![thread_stats().since(&before)]);
-        return profile;
-    }
-    profile.passes.push(merge_group_parallel(&runs, ctx, out));
-    profile
-}
-
-/// Streams one merge group into `out` using a tournament over the run
-/// heads.
-pub fn merge_group<R: Record>(group: &[PCollection<R>], out: &mut PCollection<R>) {
-    KWayMerge::from_sources(run_sources(group)).for_each_bytes(|rec| out.append_bytes(rec));
 }
 
 /// A cursor over each of `runs`, whole, ready for a [`KWayMerge`].
@@ -331,83 +74,6 @@ pub(crate) fn run_sources<R: Record>(runs: &[PCollection<R>]) -> Vec<MergeSource
 /// degree of parallelism — so the splitter keys, the per-run boundary
 /// searches, and every charged counter are DoP-invariant.
 pub const MERGE_SEGMENT_RECORDS: usize = 8192;
-
-/// Final-pass merge of one group, range-partitioned across the worker
-/// pool: splitter keys are sampled from the runs, each worker merges its
-/// key range from **all** runs into an ordered segment, and the
-/// coordinator concatenates the segments in splitter order. The output
-/// is byte-identical to [`merge_group`] (equal keys tie-break by run
-/// index in both), and the counters are identical at any DoP. Returns
-/// the per-segment traffic (segment reads plus its share of the output
-/// flush).
-pub fn merge_group_parallel<R: Record>(
-    group: &[PCollection<R>],
-    ctx: &SortContext<'_>,
-    out: &mut PCollection<R>,
-) -> Vec<IoStats> {
-    let total: usize = group.iter().map(PCollection::len).sum();
-    let segments = total.div_ceil(MERGE_SEGMENT_RECORDS).max(1);
-    if group.len() <= 1 || segments <= 1 {
-        let before = thread_stats();
-        merge_group(group, out);
-        return vec![thread_stats().since(&before)];
-    }
-    let cuts = run_segment_cuts(group, segments);
-    let mut per_segment = Vec::with_capacity(segments);
-    parallel::for_each_ordered(
-        ctx.threads(),
-        segments,
-        |seg| {
-            let len = cuts.iter().map(|c| c[seg + 1] - c[seg]).sum();
-            let mut buf = RecordBuffer::with_capacity(len);
-            KWayMerge::from_sources(segment_sources(group, &cuts, seg))
-                .for_each_bytes(|rec| buf.push_bytes(rec));
-            buf
-        },
-        |_, task| {
-            // The flush is serialized here for count determinism, but the
-            // writes belong to the segment (a medium serving DoP workers
-            // would land each segment from its own worker); charge them
-            // to the segment's cost through the coordinator's ledger.
-            let before = thread_stats();
-            out.append_buffer(&task.value);
-            let flush = thread_stats().since(&before);
-            per_segment.push(task.stats.plus(&flush));
-        },
-    );
-    per_segment
-}
-
-/// One segment's merge inputs under a [`run_segment_cuts`] grid: run
-/// `r`'s records in `cuts[r][seg]..cuts[r][seg + 1]`, as cursors ready
-/// for a [`KWayMerge`].
-pub(crate) fn segment_sources<'a, R: Record>(
-    runs: &'a [PCollection<R>],
-    cuts: &[Vec<usize>],
-    seg: usize,
-) -> Vec<MergeSource<'a, R>> {
-    runs.iter()
-        .zip(cuts)
-        .map(|(run, cuts)| MergeSource::run(run.range_reader(cuts[seg], cuts[seg + 1])))
-        .collect()
-}
-
-/// The shared scaffolding of the range-partitioned passes over a set of
-/// sorted runs: pool an evenly spaced key sample from every run, reduce
-/// it to quantile splitters, and cut each run at them — `cuts[r][i]..
-/// cuts[r][i + 1]` is run `r`'s slice of segment `i`. The grid depends
-/// only on the data, so it is identical at any DoP.
-pub(crate) fn run_segment_cuts<R: Record>(
-    runs: &[PCollection<R>],
-    segments: usize,
-) -> Vec<Vec<usize>> {
-    let mut sample: Vec<u64> = Vec::with_capacity(runs.len() * segments);
-    for run in runs {
-        sample.extend(sample_keys(run, segments));
-    }
-    let splitters = splitters_from_samples(sample, segments);
-    runs.iter().map(|r| key_range_cuts(r, &splitters)).collect()
-}
 
 /// Samples up to `count` keys from a sorted collection at evenly spaced
 /// positions through one forward cursor (charged like a sparse scan).
@@ -474,7 +140,7 @@ pub(crate) fn key_range_cuts<R: Record>(col: &PCollection<R>, splitters: &[u64])
 /// stream index, which makes the merge *stable by stream* and lets the
 /// range-partitioned final merge reproduce the serial output exactly.
 #[derive(Debug)]
-pub struct LoserTree {
+pub(crate) struct LoserTree {
     /// `node[0]`: the overall winner leaf; `node[1..p]`: the loser leaf
     /// of the internal match at that slot.
     node: Vec<usize>,
@@ -500,7 +166,7 @@ fn beats(a: usize, b: usize, keys: &[Option<u64>]) -> bool {
 
 impl LoserTree {
     /// Builds the tournament over `keys.len()` streams.
-    pub fn new(keys: &[Option<u64>]) -> Self {
+    pub(crate) fn new(keys: &[Option<u64>]) -> Self {
         let p = keys.len().max(1).next_power_of_two();
         let mut tree = Self {
             node: vec![0; p],
@@ -528,13 +194,13 @@ impl LoserTree {
     }
 
     /// Index of the stream holding the smallest head.
-    pub fn winner(&self) -> usize {
+    pub(crate) fn winner(&self) -> usize {
         self.node[0]
     }
 
     /// Replays the winner's path after its stream advanced (`keys` must
     /// reflect the new head): exactly `log₂ p` matches.
-    pub fn replay(&mut self, keys: &[Option<u64>]) {
+    pub(crate) fn replay(&mut self, keys: &[Option<u64>]) {
         let mut w = self.node[0];
         let mut n = (self.p + w) >> 1;
         while n >= 1 {
@@ -550,7 +216,7 @@ impl LoserTree {
 /// One sorted input of a [`KWayMerge`], exposing its head as *key +
 /// stored bytes*: a merge compares keys and moves bytes, so a record
 /// that is only merged is never decoded.
-pub struct MergeSource<'a, R: Record>(Source<'a, R>);
+pub(crate) struct MergeSource<'a, R: Record>(Source<'a, R>);
 
 enum Source<'a, R: Record> {
     /// A sorted run, or a slice of one — an immutable batch read in
@@ -571,12 +237,12 @@ impl<'a, R: Record> MergeSource<'a, R> {
     /// record is charged as it becomes the head, exactly as iterating
     /// the reader would — a merge interleaves its runs, so none of them
     /// may be charged ahead.
-    pub fn run(reader: RecordReader<'a, R>) -> Self {
+    pub(crate) fn run(reader: RecordReader<'a, R>) -> Self {
         Self(Source::Run(reader))
     }
 
     /// An adapter over any sorted stream of records.
-    pub fn stream(records: impl Iterator<Item = R> + 'a) -> Self {
+    pub(crate) fn stream(records: impl Iterator<Item = R> + 'a) -> Self {
         Self::boxed(Box::new(records))
     }
 
@@ -624,7 +290,7 @@ impl<'a, R: Record> MergeSource<'a, R> {
     }
 }
 
-/// K-way merge of sorted sources on a [`LoserTree`]; equal keys come out
+/// K-way merge of sorted sources on a loser tree; equal keys come out
 /// in source-index order. The one merge driver: it lands winners as
 /// stored bytes ([`KWayMerge::for_each_bytes`] — the run merges, which
 /// only move records) or hands them out decoded to consumers that must
@@ -636,13 +302,13 @@ pub struct KWayMerge<'a, R: Record> {
 }
 
 impl<'a, R: Record> KWayMerge<'a, R> {
-    /// Merges arbitrary sorted record streams ([`MergeSource::stream`]).
+    /// Merges arbitrary sorted record streams.
     pub fn new(streams: Vec<Box<dyn Iterator<Item = R> + 'a>>) -> Self {
         Self::from_sources(streams.into_iter().map(MergeSource::boxed).collect())
     }
 
     /// Primes every source and builds the tournament.
-    pub fn from_sources(mut sources: Vec<MergeSource<'a, R>>) -> Self {
+    pub(crate) fn from_sources(mut sources: Vec<MergeSource<'a, R>>) -> Self {
         let keys: Vec<Option<u64>> = sources.iter_mut().map(MergeSource::advance).collect();
         let tree = LoserTree::new(&keys);
         Self {
@@ -695,7 +361,9 @@ pub fn is_sorted_by_key<R: Record>(col: &PCollection<R>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{BufferPool, LayerKind, Pm, PmDevice};
+    use crate::sort::ext_merge::chunked_runs;
+    use crate::sort::kernel::{generate_runs, merge_final, merge_into, Land};
+    use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, PmDevice, RecordBuffer};
     use wisconsin::{sort_input, KeyOrder, WisconsinRecord};
 
     fn stage(n: u64, order: KeyOrder) -> (Pm, PCollection<WisconsinRecord>) {
@@ -709,12 +377,24 @@ mod tests {
         (dev, col)
     }
 
+    // Run generation and the merge passes are `kernel.rs`'s; their tests
+    // stay beside the merge driver's.
+
+    /// Replacement selection over all of `input`, as segment sort runs it.
+    fn runs_of(
+        input: &PCollection<WisconsinRecord>,
+        capacity: usize,
+        ctx: &SortContext<'_>,
+    ) -> Vec<PCollection<WisconsinRecord>> {
+        generate_runs(input.reader(), capacity, || ctx.fresh("run"))
+    }
+
     #[test]
     fn replacement_selection_runs_are_sorted_and_complete() {
         let (dev, input) = stage(5000, KeyOrder::Random);
         let pool = BufferPool::new(100 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let runs = generate_runs_replacement(&input, 100, &ctx);
+        let runs = runs_of(&input, 100, &ctx);
         let mut total = 0;
         for run in &runs {
             assert!(is_sorted_by_key(run));
@@ -728,7 +408,7 @@ mod tests {
         let (dev, input) = stage(20_000, KeyOrder::Random);
         let pool = BufferPool::new(200 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let runs = generate_runs_replacement(&input, 200, &ctx);
+        let runs = runs_of(&input, 200, &ctx);
         let avg = 20_000.0 / runs.len() as f64;
         assert!(
             avg > 1.5 * 200.0 && avg < 2.5 * 200.0,
@@ -741,7 +421,7 @@ mod tests {
         let (dev, input) = stage(5000, KeyOrder::Sorted);
         let pool = BufferPool::new(64 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let runs = generate_runs_replacement(&input, 64, &ctx);
+        let runs = runs_of(&input, 64, &ctx);
         assert_eq!(runs.len(), 1);
     }
 
@@ -750,7 +430,7 @@ mod tests {
         let (dev, input) = stage(1000, KeyOrder::Reverse);
         let pool = BufferPool::new(100 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let runs = generate_runs_replacement(&input, 100, &ctx);
+        let runs = runs_of(&input, 100, &ctx);
         assert_eq!(runs.len(), 10); // worst case: every run exactly M
     }
 
@@ -763,7 +443,7 @@ mod tests {
             let pool = BufferPool::new(100 * 80);
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let before = dev.snapshot();
-            let runs = generate_runs_parallel(&input, 100, &ctx);
+            let (runs, chunks) = chunked_runs(&input, 100, &ctx);
             let delta = dev.snapshot().since(&before);
             let summary: Vec<(String, Vec<u64>)> = runs
                 .iter()
@@ -774,10 +454,11 @@ mod tests {
                     )
                 })
                 .collect();
-            (summary, delta)
+            (summary, delta, chunks)
         };
-        let (serial, d1) = gen_at(1);
+        let (serial, d1, chunks) = gen_at(1);
         assert!(serial.len() > 1, "input must span several chunks");
+        assert_eq!(chunks.len(), 15, "a task per 4M-record chunk");
         let mut total = 0;
         for (_, keys) in &serial {
             assert!(keys.windows(2).all(|w| w[0] <= w[1]));
@@ -785,9 +466,10 @@ mod tests {
         }
         assert_eq!(total, 6_000);
         for threads in [2, 4] {
-            let (par, dn) = gen_at(threads);
+            let (par, dn, chunks_n) = gen_at(threads);
             assert_eq!(serial, par, "runs must not depend on DoP");
             assert_eq!(d1, dn, "counters must not depend on DoP");
+            assert_eq!(chunks, chunks_n, "ledgers must not depend on DoP");
         }
     }
 
@@ -797,11 +479,13 @@ mod tests {
         let pool = BufferPool::new(100 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(4);
         // 300 <= 4·100: one chunk, byte-for-byte the serial algorithm.
-        let chunked = generate_runs_parallel(&input, 100, &ctx);
+        let (chunked, chunks) = chunked_runs(&input, 100, &ctx);
+        assert_eq!(chunks.len(), 1);
         let ctx2 = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let serial = generate_runs_replacement(&input, 100, &ctx2);
+        let serial = runs_of(&input, 100, &ctx2);
         assert_eq!(chunked.len(), serial.len());
         for (a, b) in chunked.iter().zip(&serial) {
+            assert_eq!(a.name(), b.name());
             assert_eq!(a.to_vec_uncounted(), b.to_vec_uncounted());
         }
     }
@@ -811,8 +495,14 @@ mod tests {
         let (dev, input) = stage(8000, KeyOrder::Random);
         let pool = BufferPool::new(128 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let runs = generate_runs_replacement(&input, 128, &ctx);
-        let out = merge_runs(runs, &ctx, "sorted");
+        let runs = runs_of(&input, 128, &ctx);
+        assert!(
+            runs.len() > merge_fan_in(&ctx),
+            "needs an intermediate pass"
+        );
+        let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "sorted");
+        let phases = merge_into(runs, &ctx, &mut out);
+        assert!(phases.len() >= 2, "intermediate and final passes");
         assert_eq!(out.len(), 8000);
         assert!(is_sorted_by_key(&out));
     }
@@ -822,7 +512,8 @@ mod tests {
         let dev = PmDevice::paper_default();
         let pool = BufferPool::new(8192);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = merge_runs(Vec::<PCollection<WisconsinRecord>>::new(), &ctx, "empty");
+        let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "empty");
+        merge_into(Vec::<PCollection<WisconsinRecord>>::new(), &ctx, &mut out);
         assert!(out.is_empty());
 
         let one = PCollection::from_records_uncounted(
@@ -831,7 +522,8 @@ mod tests {
             "r",
             (0..10).map(WisconsinRecord::from_key),
         );
-        let out = merge_runs(vec![one], &ctx, "single");
+        let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "single");
+        merge_into(vec![one], &ctx, &mut out);
         assert_eq!(out.len(), 10);
         assert!(is_sorted_by_key(&out));
     }
@@ -1009,7 +701,7 @@ mod tests {
             let dev = PmDevice::paper_default();
             let runs = make_runs(&dev);
             let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "serial");
-            merge_group(&runs, &mut out);
+            KWayMerge::from_sources(run_sources(&runs)).for_each_bytes(|rec| out.append_bytes(rec));
             out.to_vec_uncounted()
         };
         let mut baseline = None;
@@ -1020,15 +712,15 @@ mod tests {
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "parallel");
             let before = dev.snapshot();
-            let per_segment = merge_group_parallel(&runs, &ctx, &mut out);
+            let phases = merge_final(&runs, None, &ctx, &Land { by_range: true }, &mut out);
             let delta = dev.snapshot().since(&before);
-            assert!(per_segment.len() > 1, "spans several segments");
+            assert!(phases[1].len() > 1, "spans several segments");
             assert_eq!(out.to_vec_uncounted(), serial, "DoP {threads}");
             match &baseline {
-                None => baseline = Some((delta, per_segment)),
+                None => baseline = Some((delta, phases)),
                 Some((d, p)) => {
                     assert_eq!(*d, delta, "counters differ at DoP {threads}");
-                    assert_eq!(*p, per_segment, "ledgers differ at DoP {threads}");
+                    assert_eq!(*p, phases, "ledgers differ at DoP {threads}");
                 }
             }
         }
@@ -1036,9 +728,9 @@ mod tests {
 
     #[test]
     fn segment_ledgers_cover_the_whole_parallel_merge() {
-        // Splitter sampling and boundary probes run on the coordinator;
-        // everything else — segment reads and output writes — must land
-        // in the per-segment ledgers.
+        // Splitter sampling and boundary probes are a one-task phase of
+        // their own, the segments' reads and output writes the next: the
+        // two cover the pass's device delta exactly.
         let dev = PmDevice::paper_default();
         let runs: Vec<PCollection<WisconsinRecord>> = (0..3u64)
             .map(|r| {
@@ -1054,18 +746,18 @@ mod tests {
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(4);
         let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "out");
         let before = dev.snapshot();
-        let per_segment = merge_group_parallel(&runs, &ctx, &mut out);
+        let phases = merge_final(&runs, None, &ctx, &Land { by_range: true }, &mut out);
         let delta = dev.snapshot().since(&before);
-        let covered = per_segment
+        assert_eq!(phases.len(), 2, "the cuts, then the segments");
+        assert_eq!(phases[0].len(), 1);
+        assert!(phases[1].len() > 1);
+        let covered = phases
             .iter()
-            .fold(pmem_sim::IoStats::default(), |acc, s| acc.plus(s));
-        assert_eq!(covered.cl_writes, delta.cl_writes, "writes all attributed");
-        assert!(covered.cl_reads <= delta.cl_reads);
-        let residual = delta.cl_reads - covered.cl_reads;
-        assert!(
-            (residual as f64) < 0.05 * delta.cl_reads as f64,
-            "splitter/boundary residual {residual} of {} reads",
-            delta.cl_reads
+            .flatten()
+            .fold(IoStats::default(), |acc, s| acc.plus(s));
+        assert_eq!(
+            (covered.cl_reads, covered.cl_writes, covered.calls),
+            (delta.cl_reads, delta.cl_writes, delta.calls)
         );
     }
 }

@@ -4,75 +4,116 @@
 //! replacement selection (average length `2M` on random input), then merge
 //! with `log_M |T|` passes. Total cost `|T|·r·(1+λ)·(log_M |T| + 1)`.
 
-use super::common::{generate_runs_parallel_profiled, merge_runs_into_profiled, SortContext};
+use super::common::SortContext;
+use super::kernel::{generate_runs, merge_into};
+use crate::parallel::{fan_out, measured, Phases};
 use pmem_sim::{IoStats, PCollection};
 use wisconsin::Record;
 
-/// Per-phase ledger profile of one external-merge-sort run: what the
-/// run-generation chunks and each merge pass's independent tasks cost,
-/// measured through the per-worker ledgers. Every entry is identical at
-/// any degree of parallelism; the speedup harness schedules them onto
-/// `DoP` workers to get the deterministic critical-path estimate.
+/// Chunk width for run generation, in multiples of the DRAM heap capacity
+/// `M`. Replacement selection emits runs averaging `2M` on random input,
+/// so a `4M` chunk yields ~2 runs and the expected run count (and with it
+/// the merge-pass count) matches an unchunked generator; only run
+/// *boundaries* move. The width depends on `M` and the input alone —
+/// never on the degree of parallelism — so the runs, their names, and
+/// every counter are DoP-invariant.
+const RUN_GEN_CHUNK_CAPACITIES: usize = 4;
+
+/// [`external_merge_sort_profiled`]'s phase ledger in the fixed shape
+/// `wlbench`'s ops workload reads: run generation, then the merge
+/// passes. A projection of the ledger
+/// [`super::SortAlgorithm::run_profiled`] returns, to be deleted with
+/// its one reader (ROADMAP item 3).
 #[derive(Clone, Debug, Default)]
 pub struct ExmsProfile {
     /// Traffic per fixed `4M`-record run-generation chunk.
     pub run_generation: Vec<IoStats>,
-    /// Per merge pass, the traffic of its independent tasks: merge
-    /// groups for intermediate passes, key-range segments for the final
-    /// pass.
+    /// The merge's phases: a phase per intermediate pass (its merge
+    /// groups), then the final pass (its key-range cuts, then its
+    /// segments — or one serial merge).
     pub merge_passes: Vec<Vec<IoStats>>,
 }
 
 /// Sorts `input`, materializing the result as a new collection.
-///
-/// Run generation proceeds over fixed `4M`-record chunks fanned out
-/// across the context's worker pool (serial inputs up to one chunk are
-/// untouched); chunk boundaries depend only on the DRAM budget, so runs
-/// and counters are identical at any degree of parallelism. The merge
-/// phase fans its intermediate passes out over merge groups and the
-/// final pass over sampled key-range segments the same way.
 pub fn external_merge_sort<R: Record>(
     input: &PCollection<R>,
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> PCollection<R> {
-    external_merge_sort_profiled(input, ctx, output_name).0
+    phased(input, ctx, output_name).0
 }
 
-/// [`external_merge_sort`] with the per-phase ledger profile alongside
-/// the result — what the speedup harness consumes.
+/// [`external_merge_sort`] with its phase ledger in [`ExmsProfile`]'s
+/// shape, kept only for `wlbench`'s ops workload (ROADMAP item 3 deletes
+/// both); everything else reads [`super::SortAlgorithm::run_profiled`].
 pub fn external_merge_sort_profiled<R: Record>(
     input: &PCollection<R>,
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> (PCollection<R>, ExmsProfile) {
-    let _span = pmem_sim::span::span("alg exms");
-    let capacity = ctx.capacity_records::<R>();
-    let (mut runs, run_generation) = generate_runs_parallel_profiled(input, capacity, ctx);
-    if runs.len() == 1 {
-        // A single run is already the sorted output; returning it
-        // directly avoids a spurious rewrite (its name stays "run-…",
-        // which is cosmetic — cost fidelity matters more than the
-        // label).
-        if let Some(out) = runs.pop() {
-            return (
-                out,
-                ExmsProfile {
-                    run_generation,
-                    merge_passes: Vec::new(),
-                },
-            );
-        }
-    }
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let merge = merge_runs_into_profiled(runs, ctx, &mut out);
+    let (out, phases) = phased(input, ctx, output_name);
+    let mut phases = phases.into_iter();
+    let run_generation = phases.next().unwrap_or_default();
+    let merge_passes = phases.collect();
     (
         out,
         ExmsProfile {
             run_generation,
-            merge_passes: merge.passes,
+            merge_passes,
         },
     )
+}
+
+/// ExMS's schedule: run generation over a grid of `4M`-record chunks
+/// across the worker pool, then the merge phase — or, for a single run,
+/// that run itself, as no merge could improve on it.
+pub(crate) fn phased<R: Record>(
+    input: &PCollection<R>,
+    ctx: &SortContext<'_>,
+    output_name: &str,
+) -> (PCollection<R>, Phases) {
+    let _span = pmem_sim::span::span("alg exms");
+    let capacity = ctx.capacity_records::<R>();
+    let (mut runs, chunks) = chunked_runs(input, capacity, ctx);
+    let mut phases = vec![chunks];
+    if runs.len() == 1 {
+        if let Some(run) = runs.pop() {
+            return (run, phases);
+        }
+    }
+    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
+    phases.extend(merge_into(runs, ctx, &mut out));
+    (out, phases)
+}
+
+/// Run generation chunk by chunk, a task per chunk, with each chunk's
+/// runs named under a prefix minted here; an input of one chunk is one
+/// serial generator with plainly named runs.
+pub(crate) fn chunked_runs<R: Record>(
+    input: &PCollection<R>,
+    capacity: usize,
+    ctx: &SortContext<'_>,
+) -> (Vec<PCollection<R>>, Vec<IoStats>) {
+    let chunk = capacity.saturating_mul(RUN_GEN_CHUNK_CAPACITIES).max(1);
+    if input.len() <= chunk {
+        let (runs, io) = measured(|| generate_runs(input.reader(), capacity, || ctx.fresh("run")));
+        return (runs, vec![io]);
+    }
+    let n_chunks = input.len().div_ceil(chunk);
+    let prefixes: Vec<String> = (0..n_chunks).map(|_| ctx.fresh_name("run")).collect();
+    let generate = |c: usize| {
+        let start = c * chunk;
+        let scan = input.range_reader(start, (start + chunk).min(input.len()));
+        let mut local = 0u32;
+        generate_runs(scan, capacity, || {
+            let name = format!("{}.{local}", prefixes[c]);
+            local += 1;
+            PCollection::new(ctx.device(), ctx.kind(), name)
+        })
+    };
+    let mut all = Vec::with_capacity(n_chunks * 2);
+    let ledger = fan_out(ctx, n_chunks, generate, |runs| all.extend(runs));
+    (all, ledger)
 }
 
 #[cfg(test)]

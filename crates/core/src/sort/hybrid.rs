@@ -7,7 +7,8 @@
 //! merging entirely. Every record displaced from (or never admitted to)
 //! `Rs` flows through `Rr`, the classic two-heap replacement-selection
 //! structure (`current` run heap + `next` run staging), producing runs
-//! that are merged after the `Rs` prefix.
+//! that are merged after the `Rs` prefix. `Rs` is the selection heap and
+//! `Rr` run generation, the two run-producing sort kernels.
 //!
 //! The write intensity `x` is the fraction of DRAM given to the
 //! **write-incurring** replacement region (so `x = 1` degenerates to
@@ -20,10 +21,10 @@
 //! monotonically, so every record ever evicted to `Rr` is ≥ the final
 //! maximum of `Rs`.
 
-use super::common::{merge_runs_into, Entry, SortContext};
+use super::common::{Entry, SortContext};
+use super::kernel::{merge_into, select, Overflow, RunGen};
+use crate::parallel::{measured, Phases};
 use pmem_sim::{PCollection, PmError};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use wisconsin::Record;
 
 /// Sorts `input` with write intensity `x` (fraction of DRAM given to the
@@ -39,6 +40,18 @@ pub fn hybrid_sort<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<R>, PmError> {
+    phased(input, x, ctx, output_name).map(|(out, _)| out)
+}
+
+/// HybS's schedule: one scan through the selection heap (`Rs`, no
+/// boundary), whose overflow feeds run generation (`Rr`); the heap lands
+/// as the output prefix, and ExMS's merge phase lands the runs after it.
+pub(crate) fn phased<R: Record>(
+    input: &PCollection<R>,
+    x: f64,
+    ctx: &SortContext<'_>,
+    output_name: &str,
+) -> Result<(PCollection<R>, Phases), PmError> {
     let _span = pmem_sim::span::span("alg hybrid-sort");
     if !(0.0..=1.0).contains(&x) {
         return Err(PmError::InvalidParameter {
@@ -50,98 +63,26 @@ pub fn hybrid_sort<R: Record>(
     let rr_cap = (((capacity as f64) * x).floor() as usize)
         .max(1)
         .min(capacity);
-    let rs_cap = capacity - rr_cap;
-
-    // Selection region: max-heap of the smallest records seen so far.
-    let mut rs: BinaryHeap<Entry<R>> = BinaryHeap::with_capacity(rs_cap + 1);
-    // Replacement region: `current` run min-heap and `next` run staging.
-    let mut current: BinaryHeap<Reverse<Entry<R>>> = BinaryHeap::with_capacity(rr_cap);
-    let mut next: Vec<Entry<R>> = Vec::new();
-
-    let mut runs: Vec<PCollection<R>> = Vec::new();
-    let mut run = ctx.fresh::<R>("hyb-run");
-    let mut last_out: Option<(u64, u64)> = None;
-
-    let mut seq = 0u64;
-    input.reader().for_each_view(|view| {
-        // Every record ends up in one of the heaps, so every record is
-        // decoded.
-        let mut e = Entry::new(view.get(), seq);
-        seq += 1;
-
-        // Route through the selection region: keep the |Rs| smallest.
-        if rs_cap > 0 {
-            if rs.len() < rs_cap {
-                rs.push(e);
-                return;
-            }
-            if rs
-                .peek()
-                .is_some_and(|max| (e.key, e.seq) < (max.key, max.seq))
-            {
-                if let Some(evicted) = rs.pop() {
-                    rs.push(e);
-                    e = evicted; // the displaced max flows into Rr
-                }
-            }
-        }
-
-        // Replacement-selection region.
-        if current.len() + next.len() < rr_cap {
-            // Region not yet full: stage into the run it can extend.
-            match last_out {
-                Some(b) if (e.key, e.seq) < b => next.push(e),
-                _ => current.push(Reverse(e)),
-            }
-        } else if let Some(Reverse(min)) = current.pop() {
-            run.append(&min.record);
-            last_out = Some((min.key, min.seq));
-            if (e.key, e.seq) >= (min.key, min.seq) {
-                current.push(Reverse(e));
-            } else {
-                next.push(e);
-            }
-            if current.is_empty() {
-                runs.push(std::mem::replace(&mut run, ctx.fresh::<R>("hyb-run")));
-                current.extend(next.drain(..).map(Reverse));
-                last_out = None;
-            }
-        } else {
-            // Unreachable by the region invariant (the run switch above
-            // refills `current` the moment it empties); degrade by
-            // seeding the next run rather than panicking mid-sort.
-            current.push(Reverse(e));
-        }
-    });
-
-    // Output prefix: the selection region holds the global minimum
-    // records; sort and write them once, directly to the output.
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut prefix: Vec<Entry<R>> = rs.into_vec();
-    prefix.sort_unstable();
-    for e in &prefix {
-        out.append(&e.record);
-    }
-
-    // Drain the replacement region: finish current run, stage next run.
-    while let Some(Reverse(min)) = current.pop() {
-        run.append(&min.record);
-    }
-    if !run.is_empty() {
-        runs.push(run);
-    }
-    if !next.is_empty() {
-        next.sort_unstable();
-        let mut tail = ctx.fresh::<R>("hyb-run");
-        for e in &next {
-            tail.append(&e.record);
+    let (runs, scan) = measured(|| {
+        let mut rr = RunGen::new(rr_cap, || ctx.fresh::<R>("hyb-run"));
+        let rs = select(
+            input.reader(),
+            capacity - rr_cap,
+            None,
+            |spill| match spill {
+                Overflow::Rejected(view, pos) => rr.push(Entry::new(view.get(), pos)),
+                Overflow::Displaced(e) => rr.push(e),
+            },
+        );
+        for e in &rs {
+            out.append(&e.record);
         }
-        runs.push(tail);
-    }
-
-    // Merge the runs directly after the prefix.
-    merge_runs_into(runs, ctx, &mut out);
-    Ok(out)
+        rr.finish()
+    });
+    let mut phases = vec![vec![scan]];
+    phases.extend(merge_into(runs, ctx, &mut out));
+    Ok((out, phases))
 }
 
 #[cfg(test)]

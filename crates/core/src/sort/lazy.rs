@@ -10,10 +10,9 @@
 //! materialization, `|T|` is the (smaller) intermediate input and the
 //! algorithm reverts to being lazy.
 
-use super::common::{Entry, SortContext};
-use crate::join::common::view_key;
+use super::common::SortContext;
+use super::selection::selection_passes;
 use pmem_sim::PCollection;
-use std::collections::BinaryHeap;
 use wisconsin::Record;
 
 /// The Eq. 5 materialization pass threshold for an input of `t_records`
@@ -23,7 +22,9 @@ pub fn materialization_pass(t_records: usize, m_records: usize, lambda: f64) -> 
 }
 
 /// Sorts `input` lazily, materializing shrunken intermediate inputs only
-/// when Eq. 5 says the rescan penalty has overtaken the write savings.
+/// when Eq. 5 says the rescan penalty has overtaken the write savings:
+/// selection sort's passes, with a `lazy-int` intermediate as the sink of
+/// each pass Eq. 5 picks.
 pub fn lazy_sort<R: Record>(
     input: &PCollection<R>,
     ctx: &SortContext<'_>,
@@ -32,85 +33,14 @@ pub fn lazy_sort<R: Record>(
     let _span = pmem_sim::span::span("alg lazy-sort");
     let m = ctx.capacity_records::<R>();
     let lambda = ctx.device().lambda();
-    let total = input.len();
+    // Materialize only when the pass will not already finish the job.
+    let eq5 = |pass, source_len, left| {
+        (pass >= materialization_pass(source_len, m, lambda).max(1) && left > m)
+            .then(|| ctx.fresh::<R>("lazy-int"))
+    };
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-
-    // Current source: the original input, or the latest materialized
-    // intermediate. Emission state is relative to the current source.
-    let mut intermediate: Option<PCollection<R>> = None;
-    let mut boundary: Option<(u64, u64)> = None;
-    let mut emitted_in_source = 0usize;
-    let mut n_pass = 1u64;
-
-    while out.len() < total {
-        let src: &PCollection<R> = intermediate.as_ref().unwrap_or(input);
-        let src_len = src.len();
-        let remaining = src_len - emitted_in_source;
-        let threshold = materialization_pass(src_len, m, lambda).max(1);
-        // Materialize only when the pass will not already finish the job.
-        let materialize = n_pass >= threshold && remaining > m;
-
-        let mut heap: BinaryHeap<Entry<R>> = BinaryHeap::with_capacity(m + 1);
-        let mut ti = materialize.then(|| ctx.fresh::<R>("lazy-int"));
-
-        let mut pos = 0u64;
-        src.reader().for_each_view(|view| {
-            // The key decides, read in place: a record already emitted,
-            // or one that loses to the heap's maximum, is never decoded
-            // — the loser moves to the intermediate as bytes.
-            let cand = (view_key(&view), pos);
-            pos += 1;
-            if boundary.is_some_and(|b| cand <= b) {
-                return; // emitted in an earlier pass
-            }
-            if heap.len() >= m {
-                let Some(&max) = heap.peek() else { return };
-                if cand >= (max.key, max.seq) {
-                    if let Some(ti) = ti.as_mut() {
-                        ti.append_bytes(view.bytes()); // rejected: stays unemitted
-                    }
-                    return;
-                }
-                heap.pop();
-                if let Some(ti) = ti.as_mut() {
-                    ti.append(&max.record); // displaced: stays unemitted
-                }
-            }
-            heap.push(Entry {
-                key: cand.0,
-                seq: cand.1,
-                record: view.get(),
-            });
-        });
-
-        if heap.is_empty() {
-            break; // defensive: nothing left past the boundary
-        }
-
-        // Emit this pass's minima in ascending order.
-        let mut batch: Vec<Entry<R>> = heap.into_vec();
-        batch.sort_unstable();
-        boundary = batch.last().map(|e| (e.key, e.seq));
-        emitted_in_source += batch.len();
-        for e in &batch {
-            out.append(&e.record);
-        }
-
-        if let Some(ti) = ti {
-            // Progressive restart on the shrunken input (paper: T = Ti,
-            // n = 0 and the loop's n++ brings it to 1).
-            debug_assert_eq!(
-                ti.len() + out.len(),
-                total,
-                "Ti must hold exactly the unemitted records"
-            );
-            intermediate = Some(ti);
-            boundary = None;
-            emitted_in_source = 0;
-            n_pass = 1;
-        } else {
-            n_pass += 1;
-        }
+    for record in selection_passes(input, 0..input.len(), m, eq5) {
+        out.append(&record);
     }
     out
 }

@@ -1,37 +1,42 @@
-//! Sorting algorithms for persistent memory (§2.1).
+//! Sorting algorithms for persistent memory (§2.1). Every sort is a short
+//! schedule over the kernels in `kernel.rs`: **run generation**
+//! (replacement selection), the **selection heap** (the `M` smallest
+//! records past a boundary, with an overflow sink), and the merge passes
+//! (the **intermediate pass** down to a fan-in, the **range-partitioned
+//! final pass**). At a knob's corner the schedules coincide: SegS(x = 0)
+//! is SelS, and HybS(x = 1) and SegS(x = 1) are ExMS within one `4M`
+//! run-generation chunk (past it, see the tests beside each).
 //!
-//! | Paper name | Function | Character |
-//! |---|---|---|
-//! | ExMS | [`external_merge_sort`] | symmetric-I/O baseline |
-//! | SegS  | [`segment_sort`] | write intensity `x` over the **input** |
-//! | HybS  | [`hybrid_sort`] | write intensity `x` over **DRAM** |
-//! | LaS   | [`lazy_sort`] | dynamic, Eq. 5 materialization |
-//! | (SelS) | [`selection_sort`] | write-minimal multi-pass building block |
-//! | cycle sort | [`cycle_sort`] | in-memory write-optimal reference |
+//! | Paper name | Function | Character | Schedule |
+//! |---|---|---|---|
+//! | ExMS | [`external_merge_sort`] | symmetric-I/O baseline | run generation over a grid of `4M`-record chunks; intermediate passes; range-partitioned final pass |
+//! | SegS  | [`segment_sort`] | write intensity `x` over the **input** | run generation over the first `x·|T|`; intermediate passes to fan-in − 1; final pass of the runs and a selection stream over the rest (dropping sink) |
+//! | HybS  | [`hybrid_sort`] | write intensity `x` over **DRAM** | one scan through the selection heap (no boundary) whose sink is run generation; the heap lands as the prefix, then ExMS's merge passes |
+//! | LaS   | [`lazy_sort`] | dynamic, Eq. 5 materialization | selection-heap passes; a pass Eq. 5 picks sinks its overflow into the `lazy-int` intermediate, the next source |
+//! | (SelS) | [`selection_sort`] | write-minimal multi-pass building block | selection-heap passes past the last record emitted (dropping sink) |
+//! | cycle sort | [`cycle_sort`] | in-memory write-optimal reference | — |
+//!
+//! Sort-based aggregation ([`crate::agg::sort_based_aggregate`]) is
+//! SegS's schedule with a folding consumer in the final pass.
 
 pub mod common;
 pub mod cycle;
 pub mod ext_merge;
 pub mod hybrid;
+pub(crate) mod kernel;
 pub mod lazy;
 pub mod segment;
 pub mod selection;
 
-pub use common::{
-    generate_runs_parallel, generate_runs_parallel_profiled, generate_runs_replacement,
-    generate_runs_replacement_range, is_sorted_by_key, merge_fan_in, merge_group,
-    merge_group_parallel, merge_runs, merge_runs_into, merge_runs_into_profiled, Entry, KWayMerge,
-    LoserTree, MergeProfile, MergeSource, SortContext, MERGE_SEGMENT_RECORDS,
-};
+pub use common::{is_sorted_by_key, KWayMerge, SortContext, MERGE_SEGMENT_RECORDS};
 pub use cycle::cycle_sort;
 pub use ext_merge::{external_merge_sort, external_merge_sort_profiled, ExmsProfile};
 pub use hybrid::hybrid_sort;
 pub use lazy::{lazy_sort, materialization_pass};
 pub use segment::segment_sort;
-pub use selection::{
-    selection_sort, selection_sort_into, selection_sort_range_into, SelectionStream,
-};
+pub use selection::selection_sort;
 
+use crate::parallel::{measured, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
@@ -80,24 +85,35 @@ impl SortAlgorithm {
         ctx: &SortContext<'_>,
         output_name: &str,
     ) -> Result<PCollection<R>, PmError> {
-        // Hold the DRAM working set for the blocking phase: the whole
-        // input if it fits, the remaining budget otherwise (external
-        // algorithms run at capacity — the refused full-size attempt is
-        // the memory-pressure event `exhausted` telemetry counts). Pure
-        // telemetry — capacity decisions read the budget, not the
-        // reservation ledger.
-        let pool = ctx.pool();
-        let want = input.len() * R::SIZE;
-        let _working_set = pool
-            .reserve(want)
-            .or_else(|_| pool.reserve(want.min(pool.available())))
-            .ok();
+        self.run_profiled(input, ctx, output_name)
+            .map(|(out, _)| out)
+    }
+
+    /// [`SortAlgorithm::run`] with the run's phase ledger beside the
+    /// result: its phases in execution order, each the traffic of its
+    /// independent tasks — a serial step (a selection pass, a merge landed
+    /// as one stream, the final pass's splitter sampling and boundary
+    /// probes) is a phase of one task. Together the phases account for
+    /// the run's whole device delta, and every entry is identical at any
+    /// degree of parallelism: scheduling each phase's tasks onto DoP
+    /// workers gives the deterministic critical-path estimate.
+    ///
+    /// # Errors
+    /// Same as [`SortAlgorithm::run`].
+    pub fn run_profiled<R: Record>(
+        &self,
+        input: &PCollection<R>,
+        ctx: &SortContext<'_>,
+        output_name: &str,
+    ) -> Result<(PCollection<R>, Phases), PmError> {
+        let _working_set = ctx.hold_working_set(input.len() * R::SIZE);
+        let serial = |(out, io): (PCollection<R>, _)| (out, vec![vec![io]]);
         match self {
-            SortAlgorithm::ExMS => Ok(external_merge_sort(input, ctx, output_name)),
-            SortAlgorithm::SegS { x } => segment_sort(input, *x, ctx, output_name),
-            SortAlgorithm::HybS { x } => hybrid_sort(input, *x, ctx, output_name),
-            SortAlgorithm::LaS => Ok(lazy_sort(input, ctx, output_name)),
-            SortAlgorithm::SelS => Ok(selection_sort(input, ctx, output_name)),
+            SortAlgorithm::ExMS => Ok(ext_merge::phased(input, ctx, output_name)),
+            SortAlgorithm::SegS { x } => segment::phased(input, *x, ctx, output_name),
+            SortAlgorithm::HybS { x } => hybrid::phased(input, *x, ctx, output_name),
+            SortAlgorithm::LaS => Ok(serial(measured(|| lazy_sort(input, ctx, output_name)))),
+            SortAlgorithm::SelS => Ok(serial(measured(|| selection_sort(input, ctx, output_name)))),
         }
     }
 }
@@ -180,6 +196,44 @@ mod tests {
                 .map(wisconsin::Record::key)
                 .collect();
             assert_eq!(keys, expect, "{}", algo.label());
+        }
+    }
+
+    #[test]
+    fn every_phase_ledger_accounts_for_the_whole_run_at_any_dop() {
+        let algos = [
+            SortAlgorithm::ExMS,
+            SortAlgorithm::SegS { x: 0.5 },
+            SortAlgorithm::HybS { x: 0.5 },
+            SortAlgorithm::LaS,
+            SortAlgorithm::SelS,
+        ];
+        // Past one 8192-record merge segment, several run-generation
+        // chunks and, for HybS, an intermediate merge pass.
+        let records = sort_input(20_000, KeyOrder::Random, 23);
+        for algo in algos {
+            let run = |threads: usize| {
+                let mut phases = Vec::new();
+                let (io, _) = device_run(&records, LayerKind::Pmfs, 600, threads, |input, ctx| {
+                    let (out, ledger) = algo.run_profiled(input, ctx, "out")?;
+                    phases = ledger;
+                    Ok(out)
+                });
+                (io, phases)
+            };
+            let (io, phases) = run(1);
+            let what = algo.label();
+            assert!(phases.iter().all(|phase| !phase.is_empty()), "{what}");
+            let sum = phases
+                .iter()
+                .flatten()
+                .fold(IoStats::default(), |acc, s| acc.plus(s));
+            assert_eq!(
+                (sum.cl_reads, sum.cl_writes, sum.calls),
+                (io.cl_reads, io.cl_writes, io.calls),
+                "{what}: the phases cover the device delta"
+            );
+            assert_eq!(run(4), (io, phases), "{what}: DoP 4");
         }
     }
 

@@ -10,10 +10,10 @@
 //! `x` is the knob: `x → 1` behaves like external mergesort, `x → 0`
 //! approaches the write-minimal `|T|` writes of pure selection sort.
 
-use super::common::{
-    generate_runs_replacement_range, run_sources, KWayMerge, MergeSource, SortContext,
-};
-use super::selection::SelectionStream;
+use super::common::{merge_fan_in, MergeSource, SortContext};
+use super::kernel::{generate_runs, merge_down, merge_final, Consume, Land};
+use super::selection::selection_passes;
+use crate::parallel::{measured, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
@@ -30,7 +30,41 @@ pub fn segment_sort<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<R>, PmError> {
+    phased(input, x, ctx, output_name).map(|(out, _)| out)
+}
+
+/// SegS's schedule ([`segmented`]), its final merge landed as one stream
+/// — over runs alone too, at `x = 1`, which is where it parts from ExMS
+/// past one merge segment.
+pub(crate) fn phased<R: Record>(
+    input: &PCollection<R>,
+    x: f64,
+    ctx: &SortContext<'_>,
+    output_name: &str,
+) -> Result<(PCollection<R>, Phases), PmError> {
     let _span = pmem_sim::span::span("alg segment-sort");
+    let land = Land { by_range: false };
+    segmented(input, x, ctx, "seg-merge", &land, output_name)
+}
+
+/// The schedule segment sort and sort-based aggregation share: run
+/// generation over the write-incurring prefix `[0, x·|T|)`, its runs
+/// pre-merged under `prefix` down to the fan-in less the one slot the
+/// selection stream takes, then one final merge of the runs and the
+/// *deferred* selection-sorted suffix into `consume` — the suffix
+/// regenerates itself by rescanning instead of being materialized as a
+/// long run, so its records are written only as `consume` lands them.
+///
+/// # Errors
+/// Returns [`PmError::InvalidParameter`] unless `0 ≤ x ≤ 1`.
+pub(crate) fn segmented<R: Record, C: Consume<R>>(
+    input: &PCollection<R>,
+    x: f64,
+    ctx: &SortContext<'_>,
+    prefix: &str,
+    consume: &C,
+    output_name: &str,
+) -> Result<(PCollection<C::Out>, Phases), PmError> {
     if !(0.0..=1.0).contains(&x) {
         return Err(PmError::InvalidParameter {
             name: "x",
@@ -40,39 +74,17 @@ pub fn segment_sort<R: Record>(
     let n = input.len();
     let split = ((n as f64) * x).round() as usize;
     let capacity = ctx.capacity_records::<R>();
-
-    // Write-incurring segment: external-mergesort run generation over the
-    // prefix [0, split).
-    let mut runs = generate_runs_replacement_range(input, 0..split, capacity, ctx);
-
-    // Pre-merge the runs down to the fan-in, reserving one slot for the
-    // deferred selection stream.
-    let fan_in = super::common::merge_fan_in(ctx).saturating_sub(1).max(2);
-    while runs.len() > fan_in {
-        let mut merged: Vec<PCollection<R>> = Vec::new();
-        for group in runs.chunks(fan_in) {
-            let mut next = ctx.fresh::<R>("seg-merge");
-            super::common::merge_group(group, &mut next);
-            merged.push(next);
-        }
-        runs = merged;
-    }
-
-    // Final merge: mergesort runs plus the *deferred* selection-sorted
-    // suffix [split, n), which regenerates itself by rescanning instead
-    // of being materialized as a long run — its records are written
-    // exactly once, at their final location in the output.
+    let prefix_scan = input.range_reader(0, split);
+    let (runs, generation) = measured(|| generate_runs(prefix_scan, capacity, || ctx.fresh("run")));
+    let fan_in = merge_fan_in(ctx).saturating_sub(1).max(2);
+    let (runs, merges) = merge_down(runs, fan_in, prefix, ctx);
+    let suffix = (split < n)
+        .then(|| MergeSource::stream(selection_passes(input, split..n, capacity, |_, _, _| None)));
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut sources = run_sources(&runs);
-    if split < n {
-        sources.push(MergeSource::stream(SelectionStream::new(
-            input,
-            split..n,
-            capacity,
-        )));
-    }
-    KWayMerge::from_sources(sources).for_each_bytes(|rec| out.append_bytes(rec));
-    Ok(out)
+    let mut phases = vec![vec![generation]];
+    phases.extend(merges);
+    phases.extend(merge_final(&runs, suffix, ctx, consume, &mut out));
+    Ok((out, phases))
 }
 
 #[cfg(test)]

@@ -13,17 +13,10 @@
 //! so overlapping passes never emit a record twice.
 
 use super::common::SortContext;
-use crate::join::common::view_key;
+use super::kernel::{select, Overflow};
 use pmem_sim::PCollection;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 use wisconsin::Record;
-
-/// One output boundary: the largest `(key, position)` emitted so far.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
-struct Boundary {
-    key: u64,
-    pos: u64,
-}
 
 /// Sorts `input` by repeated selection scans, writing each record once.
 pub fn selection_sort<R: Record>(
@@ -32,129 +25,58 @@ pub fn selection_sort<R: Record>(
     output_name: &str,
 ) -> PCollection<R> {
     let _span = pmem_sim::span::span("alg selection-sort");
+    let capacity = ctx.capacity_records::<R>();
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    selection_sort_into(input, ctx, &mut out);
+    for record in selection_passes(input, 0..input.len(), capacity, |_, _, _| None) {
+        out.append(&record);
+    }
     out
 }
 
-/// A *deferred* selection sort: an iterator that yields the records of
-/// `input[range]` in ascending key order without materializing anything.
-/// Each exhausted DRAM batch triggers a rescan of the slice for the next
-/// `capacity` minima — the stream trades reads for the writes a
-/// materialized run would cost, which is exactly how segment sort keeps
-/// its write count at `x·|T|` + output.
-pub struct SelectionStream<'a, R: Record> {
+/// Selection passes over `input[range]` with a heap of `capacity`
+/// records: the records in ascending key order, a DRAM batch per pass,
+/// each batch the selection heap past the last record emitted. Nothing
+/// is materialized — a pass trades a rescan for the writes a run would
+/// cost, which is how segment sort keeps its write count at `x·|T|` +
+/// output — unless `materialize`, asked before each pass with the pass
+/// number, the source's length and how many records are still to come,
+/// returns an intermediate: that pass's overflow, exactly the records it
+/// leaves unemitted, lands there, and the passes go on over it, numbered
+/// from 1 again (lazy sort).
+pub(crate) fn selection_passes<'a, R: Record>(
     input: &'a PCollection<R>,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     capacity: usize,
-    boundary: Option<Boundary>,
-    batch: std::vec::IntoIter<super::common::Entry<R>>,
-    emitted: usize,
-}
-
-impl<'a, R: Record> SelectionStream<'a, R> {
-    /// Creates the stream over `input[range]` with a DRAM heap of
-    /// `capacity` records.
-    pub fn new(input: &'a PCollection<R>, range: std::ops::Range<usize>, capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "selection stream needs at least 1 record of DRAM"
-        );
-        Self {
-            input,
-            range,
-            capacity,
-            boundary: None,
-            batch: Vec::new().into_iter(),
-            emitted: 0,
-        }
-    }
-
-    fn refill(&mut self) {
-        let mut heap: BinaryHeap<super::common::Entry<R>> =
-            BinaryHeap::with_capacity(self.capacity + 1);
-        let (boundary, capacity) = (self.boundary, self.capacity);
-        let mut pos = 0u64;
-        self.input
-            .range_reader(self.range.start, self.range.end)
-            .for_each_view(|view| {
-                // The key decides, read in place: most records of a
-                // rescan are already emitted or lose to the heap's
-                // maximum, and are never decoded.
-                let cand = Boundary {
-                    key: view_key(&view),
-                    pos,
-                };
-                pos += 1;
-                if boundary.is_some_and(|b| cand <= b) {
-                    return;
-                }
-                if heap.len() >= capacity {
-                    let loses = heap
-                        .peek()
-                        .is_some_and(|max| (cand.key, cand.pos) >= (max.key, max.seq));
-                    if loses {
-                        return;
-                    }
-                    heap.pop();
-                }
-                heap.push(super::common::Entry {
-                    key: cand.key,
-                    seq: cand.pos,
-                    record: view.get(),
-                });
-            });
-        let mut batch: Vec<super::common::Entry<R>> = heap.into_vec();
-        batch.sort_unstable();
-        self.boundary = batch.last().map(|e| Boundary {
-            key: e.key,
-            pos: e.seq,
-        });
-        self.emitted += batch.len();
-        self.batch = batch.into_iter();
-    }
-}
-
-impl<'a, R: Record> Iterator for SelectionStream<'a, R> {
-    type Item = R;
-
-    fn next(&mut self) -> Option<R> {
-        if let Some(e) = self.batch.next() {
-            return Some(e.record);
-        }
-        if self.emitted >= self.range.len() {
+    mut materialize: impl FnMut(u64, usize, usize) -> Option<PCollection<R>> + 'a,
+) -> impl Iterator<Item = R> + 'a {
+    let mut source: Option<PCollection<R>> = None;
+    let (mut boundary, mut left, mut pass) = (None, range.len(), 0);
+    std::iter::from_fn(move || {
+        if left == 0 {
             return None;
         }
-        self.refill();
-        self.batch.next().map(|e| e.record)
-    }
-}
-
-/// Like [`selection_sort`] but appends to an existing collection — used by
-/// segment sort, whose long run is a selection-sorted suffix.
-pub fn selection_sort_into<R: Record>(
-    input: &PCollection<R>,
-    ctx: &SortContext<'_>,
-    out: &mut PCollection<R>,
-) {
-    selection_sort_range_into(input, 0..input.len(), ctx, out);
-}
-
-/// Range variant of [`selection_sort_into`]: sorts only records
-/// `[range.start, range.end)` of `input`, rescanning just that slice.
-/// The condition from the paper — value ≥ previous pass's max AND
-/// position after the previous max's position — is enforced by the
-/// underlying [`SelectionStream`] via a strict `(key, pos)` boundary.
-pub fn selection_sort_range_into<R: Record>(
-    input: &PCollection<R>,
-    range: std::ops::Range<usize>,
-    ctx: &SortContext<'_>,
-    out: &mut PCollection<R>,
-) {
-    let capacity = ctx.capacity_records::<R>();
-    for record in SelectionStream::new(input, range, capacity) {
-        out.append(&record);
-    }
+        pass += 1;
+        let scan = match &source {
+            Some(intermediate) => intermediate.reader(),
+            None => input.range_reader(range.start, range.end),
+        };
+        let mut sink = materialize(pass, scan.remaining(), left);
+        // A rejected record moves to the intermediate as bytes, undecoded.
+        let batch = select(scan, capacity, boundary, |spill| match (&mut sink, spill) {
+            (Some(to), Overflow::Rejected(view, _)) => to.append_bytes(view.bytes()),
+            (Some(to), Overflow::Displaced(e)) => to.append(&e.record),
+            (None, _) => {}
+        });
+        boundary = Some(batch.last()?.at());
+        left -= batch.len();
+        if let Some(intermediate) = sink {
+            debug_assert_eq!(intermediate.len(), left, "the unemitted records");
+            (source, boundary, pass) = (Some(intermediate), None, 0);
+        }
+        Some(batch)
+    })
+    .flatten()
+    .map(|e| e.record)
 }
 
 #[cfg(test)]

@@ -267,8 +267,6 @@ fn empty_inputs_are_dop_invariant_for_every_parallel_join() {
 
 #[test]
 fn parallel_final_merge_is_dop_invariant_across_input_shapes() {
-    use write_limited::sort::external_merge_sort_profiled;
-
     // Random keys (many runs, several key segments), all-one-key skew
     // (range partitioning degenerates to one segment), and sorted input
     // (a single run — the merge is skipped entirely).
@@ -289,23 +287,25 @@ fn parallel_final_merge_is_dop_invariant_across_input_shapes() {
             let pool = BufferPool::new(600 * 80);
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let before = dev.snapshot();
-            let (out, profile) = external_merge_sort_profiled(&input, &ctx, "sorted");
+            let (out, phases) = SortAlgorithm::ExMS
+                .run_profiled(&input, &ctx, "sorted")
+                .expect("ExMS takes no parameters");
             let stats = dev.snapshot().since(&before);
             let rows: Vec<(u64, u64)> = out
                 .to_vec_uncounted()
                 .iter()
                 .map(|r| (r.key(), r.payload()))
                 .collect();
-            (rows, stats, profile.merge_passes.len())
+            (rows, stats, phases)
         };
-        let (rows1, io1, passes1) = run(1);
+        let (rows1, io1, phases1) = run(1);
         assert!(rows1.windows(2).all(|w| w[0] <= w[1]), "{label}: sorted");
         assert_eq!(rows1.len(), 30_000, "{label}");
         for threads in [2, 4] {
-            let (rows, io, passes) = run(threads);
+            let (rows, io, phases) = run(threads);
             assert_eq!(rows, rows1, "{label}: rows differ at DoP {threads}");
             assert_eq!(io, io1, "{label}: traffic differs at DoP {threads}");
-            assert_eq!(passes, passes1, "{label}: pass structure differs");
+            assert_eq!(phases, phases1, "{label}: phase ledger differs");
         }
     }
 }
