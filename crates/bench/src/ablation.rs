@@ -1,69 +1,46 @@
 //! Ablations beyond the paper's figures: the runtime-driven adaptive
-//! join versus fixed knobs, and cost-model-driven algorithm selection
-//! versus an oracle.
+//! join versus fixed knobs, cost-model-driven algorithm selection versus
+//! an oracle, energy and wear, aggregation, index leaves and input order.
 
-use crate::measure::{run_join, run_sort, Measurement};
+use crate::measure::{measure, Operator, Setting};
 use crate::scale::Scale;
-use crate::table::{fmt3, fmt_millions, print_table};
-use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, PmDevice};
-use wisconsin::{join_input, WisconsinRecord};
-use write_limited::adaptive::adaptive_grace_join;
+use crate::table::{fmt3, fmt_millions, table};
+use pmem_sim::{BufferPool, LatencyProfile, PCollection, PmDevice};
+use wisconsin::WisconsinRecord;
 use write_limited::cost::{choose_join, choose_sort};
-use write_limited::join::{JoinAlgorithm, JoinContext};
+use write_limited::join::JoinAlgorithm;
 use write_limited::sort::SortAlgorithm;
 
-/// Runs the adaptive join once at the given λ and returns its traffic.
-fn run_adaptive(scale: &Scale, lambda: f64, mem_fraction: f64) -> Measurement {
-    let latency = LatencyProfile::with_lambda(10.0, lambda);
-    let dev = PmDevice::new(DeviceConfig::paper_default().with_latency(latency));
-    let w = join_input(scale.join_t, scale.join_fanout, 42);
-    let left: PCollection<WisconsinRecord> =
-        PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", w.left);
-    let right: PCollection<WisconsinRecord> =
-        PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
-    let pool = BufferPool::fraction_of(left.bytes(), mem_fraction);
-    let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-    let before = dev.snapshot();
-    let out = adaptive_grace_join(&left, &right, &ctx, "out").expect("applicable");
-    let stats = dev.snapshot().since(&before);
-    Measurement {
-        secs: stats.time_secs(&latency),
-        reads: stats.cl_reads,
-        writes: stats.cl_writes,
-        output_records: out.len() as u64,
-    }
+/// Ablations A–F at `scale`, their operators fanning out to `threads`
+/// workers.
+pub fn ablations(scale: &Scale, threads: usize) -> String {
+    let at = Setting::new(scale, threads);
+    adaptive_vs_fixed(at)
+        + &auto_selection(at)
+        + &energy_and_wear(at)
+        + &aggregation(at)
+        + &index_leaf_policies(scale)
+        + &input_order(at)
 }
 
 /// Adaptive (§3.1 rules) vs fixed-knob SegJ and GJ across λ.
-pub fn adaptive_vs_fixed(scale: &Scale) {
-    let mem = scale.mem_fractions[scale.mem_fractions.len() / 2];
+fn adaptive_vs_fixed(at: Setting<'_>) -> String {
     let mut rows = Vec::new();
     for lambda in [2.0, 8.0, 15.0] {
-        let latency = LatencyProfile::with_lambda(10.0, lambda);
-        let adaptive = run_adaptive(scale, lambda, mem);
-        rows.push(vec![
-            format!("adaptive (λ={lambda})"),
-            fmt3(adaptive.secs),
-            fmt_millions(adaptive.writes),
-            fmt_millions(adaptive.reads),
-        ]);
-        for algo in [
-            JoinAlgorithm::SegJ { frac: 0.0 },
-            JoinAlgorithm::SegJ { frac: 0.5 },
-            JoinAlgorithm::SegJ { frac: 1.0 },
-            JoinAlgorithm::GJ,
+        let at = Setting {
+            latency: LatencyProfile::with_lambda(10.0, lambda),
+            ..at
+        };
+        for op in [
+            Operator::AdaptiveJoin,
+            Operator::Join(JoinAlgorithm::SegJ { frac: 0.0 }),
+            Operator::Join(JoinAlgorithm::SegJ { frac: 0.5 }),
+            Operator::Join(JoinAlgorithm::SegJ { frac: 1.0 }),
+            Operator::Join(JoinAlgorithm::GJ),
         ] {
-            if let Some(m) = run_join(
-                algo,
-                LayerKind::BlockedMemory,
-                scale.join_t,
-                scale.join_fanout,
-                mem,
-                latency,
-                42,
-            ) {
+            if let Some(m) = measure(op, at) {
                 rows.push(vec![
-                    format!("{} (λ={lambda})", algo.label()),
+                    format!("{} (λ={lambda})", op.label()),
                     fmt3(m.secs),
                     fmt_millions(m.writes),
                     fmt_millions(m.reads),
@@ -71,127 +48,98 @@ pub fn adaptive_vs_fixed(scale: &Scale) {
             }
         }
     }
-    print_table(
+    table(
         "Ablation A: runtime-driven adaptive join vs fixed knobs",
-        &[
-            "configuration".into(),
-            "time (s)".into(),
-            "writes (M)".into(),
-            "reads (M)".into(),
-        ],
+        &["configuration", "time (s)", "writes (M)", "reads (M)"],
         &rows,
-    );
+    )
 }
 
-/// Cost-model-driven algorithm choice vs the measured oracle.
-pub fn auto_selection(scale: &Scale) {
-    let lambda = LatencyProfile::PCM.lambda();
+/// Cost-model-driven algorithm choice vs the measured oracle: per
+/// memory size, the cost model's sort and join against the fastest
+/// measured of a line-up that includes them.
+fn auto_selection(at: Setting<'_>) -> String {
+    let scale = at.scale;
+    let lambda = at.latency.lambda();
     let sort_buffers = (scale.sort_n * 80).div_ceil(64) as f64;
     let t_buf = (scale.join_t * 80).div_ceil(64) as f64;
     let v_buf = t_buf * scale.join_fanout as f64;
+    let sorts = [
+        SortAlgorithm::ExMS,
+        SortAlgorithm::SegS { x: 0.2 },
+        SortAlgorithm::SegS { x: 0.5 },
+        SortAlgorithm::SegS { x: 0.8 },
+        SortAlgorithm::HybS { x: 0.5 },
+        SortAlgorithm::SelS,
+    ]
+    .map(Operator::Sort);
+    let joins = [
+        JoinAlgorithm::NLJ,
+        JoinAlgorithm::GJ,
+        JoinAlgorithm::HJ,
+        JoinAlgorithm::SegJ { frac: 0.5 },
+        JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
+    ]
+    .map(Operator::Join);
 
     let mut rows = Vec::new();
-    for &f in &scale.mem_fractions {
-        // ---- Sorts ----
-        let chosen = choose_sort(sort_buffers, sort_buffers * f, lambda);
-        let candidates = [
-            SortAlgorithm::ExMS,
-            SortAlgorithm::SegS { x: 0.2 },
-            SortAlgorithm::SegS { x: 0.5 },
-            SortAlgorithm::SegS { x: 0.8 },
-            SortAlgorithm::HybS { x: 0.5 },
-            SortAlgorithm::SelS,
-            chosen,
+    for &mem in &scale.mem_fractions {
+        let at = Setting { mem, ..at };
+        let choices = [
+            (
+                "sort",
+                Operator::Sort(choose_sort(sort_buffers, sort_buffers * mem, lambda)),
+                &sorts[..],
+            ),
+            (
+                "join",
+                Operator::Join(choose_join(t_buf, v_buf, t_buf * mem, lambda)),
+                &joins[..],
+            ),
         ];
-        let mut best: Option<(SortAlgorithm, f64)> = None;
-        let mut chosen_secs = f64::NAN;
-        for algo in candidates {
-            if let Some(m) = run_sort(
-                algo,
-                LayerKind::BlockedMemory,
-                scale.sort_n,
-                f,
-                LatencyProfile::PCM,
-                42,
-            ) {
-                if best.as_ref().is_none_or(|(_, s)| m.secs < *s) {
-                    best = Some((algo, m.secs));
-                }
-                if algo == chosen {
-                    chosen_secs = m.secs;
+        for (kind, chosen, lineup) in choices {
+            let mut best: Option<(Operator, f64)> = None;
+            let mut chosen_secs = f64::NAN;
+            for &op in lineup.iter().chain([&chosen]) {
+                if let Some(m) = measure(op, at) {
+                    if best.as_ref().is_none_or(|(_, s)| m.secs < *s) {
+                        best = Some((op, m.secs));
+                    }
+                    if op == chosen {
+                        chosen_secs = m.secs;
+                    }
                 }
             }
-        }
-        let (oracle, oracle_secs) = best.expect("at least ExMS ran");
-        rows.push(vec![
-            format!("sort, M={:.1}%", f * 100.0),
-            chosen.label(),
-            fmt3(chosen_secs),
-            oracle.label(),
-            fmt3(oracle_secs),
-            fmt3(chosen_secs / oracle_secs),
-        ]);
-
-        // ---- Joins ----
-        let chosen = choose_join(t_buf, v_buf, t_buf * f, lambda);
-        let candidates = [
-            JoinAlgorithm::NLJ,
-            JoinAlgorithm::GJ,
-            JoinAlgorithm::HJ,
-            JoinAlgorithm::SegJ { frac: 0.5 },
-            JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
-            chosen,
-        ];
-        let mut best: Option<(JoinAlgorithm, f64)> = None;
-        let mut chosen_secs = f64::NAN;
-        for algo in candidates {
-            if let Some(m) = run_join(
-                algo,
-                LayerKind::BlockedMemory,
-                scale.join_t,
-                scale.join_fanout,
-                f,
-                LatencyProfile::PCM,
-                42,
-            ) {
-                if best.as_ref().is_none_or(|(_, s)| m.secs < *s) {
-                    best = Some((algo, m.secs));
-                }
-                if algo == chosen {
-                    chosen_secs = m.secs;
-                }
+            if let Some((oracle, oracle_secs)) = best {
+                rows.push(vec![
+                    format!("{kind}, M={:.1}%", mem * 100.0),
+                    chosen.label(),
+                    fmt3(chosen_secs),
+                    oracle.label(),
+                    fmt3(oracle_secs),
+                    fmt3(chosen_secs / oracle_secs),
+                ]);
             }
-        }
-        if let Some((oracle, oracle_secs)) = best {
-            rows.push(vec![
-                format!("join, M={:.1}%", f * 100.0),
-                chosen.label(),
-                fmt3(chosen_secs),
-                oracle.label(),
-                fmt3(oracle_secs),
-                fmt3(chosen_secs / oracle_secs),
-            ]);
         }
     }
-    print_table(
+    table(
         "Ablation B: cost-model-driven choice vs measured oracle",
         &[
-            "setting".into(),
-            "chosen".into(),
-            "chosen (s)".into(),
-            "oracle".into(),
-            "oracle (s)".into(),
-            "ratio".into(),
+            "setting",
+            "chosen",
+            "chosen (s)",
+            "oracle",
+            "oracle (s)",
+            "ratio",
         ],
         &rows,
-    );
+    )
 }
 
 /// Energy and endurance view of the sort line-up (§4.3: "asymmetry also
 /// manifests in terms of power consumption; or device degradation").
-pub fn energy_and_wear(scale: &Scale) {
+fn energy_and_wear(at: Setting<'_>) -> String {
     use pmem_sim::{EnergyModel, IoStats, WearModel};
-    let mem = scale.mem_fractions[scale.mem_fractions.len() / 2];
     let energy = EnergyModel::PCM;
     let wear = WearModel::pcm_16gib();
     let mut rows = Vec::new();
@@ -202,14 +150,7 @@ pub fn energy_and_wear(scale: &Scale) {
         SortAlgorithm::LaS,
         SortAlgorithm::SelS,
     ] {
-        if let Some(m) = run_sort(
-            algo,
-            LayerKind::BlockedMemory,
-            scale.sort_n,
-            mem,
-            LatencyProfile::PCM,
-            42,
-        ) {
+        if let Some(m) = measure(Operator::Sort(algo), at) {
             let stats = IoStats {
                 cl_reads: m.reads,
                 cl_writes: m.writes,
@@ -223,112 +164,86 @@ pub fn energy_and_wear(scale: &Scale) {
             ]);
         }
     }
-    print_table(
+    table(
         &format!(
             "Ablation C: energy and endurance (energy asymmetry {}, M = {:.1}%)",
             energy.asymmetry(),
-            mem * 100.0
+            at.mem * 100.0
         ),
         &[
-            "algorithm".into(),
-            "time (s)".into(),
-            "energy (mJ)".into(),
-            "reps to wearout (M)".into(),
+            "algorithm",
+            "time (s)",
+            "energy (mJ)",
+            "reps to wearout (M)",
         ],
         &rows,
-    );
+    )
 }
 
 /// Write-limited aggregation (the paper's §6 extension): sort-based at
 /// several intensities vs one-pass hash vs segmented hash.
-pub fn aggregation(scale: &Scale) {
-    use pmem_sim::BufferPool;
+fn aggregation(at: Setting<'_>) -> String {
     use wisconsin::{sort_input, KeyOrder};
     use write_limited::agg::{hash_aggregate, segmented_hash_aggregate, sort_based_aggregate};
     use write_limited::sort::SortContext;
 
-    let n = scale.sort_n / 2;
+    type Input = PCollection<WisconsinRecord>;
+    let n = at.scale.sort_n / 2;
     let distinct = (n / 20).max(1);
-    let mem = scale.mem_fractions[scale.mem_fractions.len() / 2];
     let mut rows = Vec::new();
-
-    let stage = || {
+    // Runs one strategy on a fresh device; it returns its group count,
+    // or `None` when it does not apply.
+    let mut run = |label: String, agg: &dyn Fn(&Input, &SortContext) -> Option<usize>| {
         let dev = PmDevice::paper_default();
         let input = PCollection::from_records_uncounted(
             &dev,
-            LayerKind::BlockedMemory,
+            at.layer,
             "T",
-            sort_input(n, KeyOrder::FewDistinct { distinct }, 42),
+            sort_input(n, KeyOrder::FewDistinct { distinct }, at.seed),
         );
-        (dev, input)
-    };
-
-    for x in [0.0, 0.5, 1.0] {
-        let (dev, input) = stage();
-        let pool = BufferPool::fraction_of(input.bytes(), mem);
-        let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
+        let pool = BufferPool::fraction_of(input.bytes(), at.mem);
+        let ctx = SortContext::new(&dev, at.layer, &pool).with_threads(at.threads);
         let before = dev.snapshot();
-        let out = sort_based_aggregate(&input, x, |r| r.payload(), &ctx, "agg").expect("valid");
-        let s = dev.snapshot().since(&before);
-        rows.push(vec![
-            format!("sort-based, x={:.0}%", x * 100.0),
-            out.len().to_string(),
-            fmt3(s.time_secs(&LatencyProfile::PCM)),
-            fmt_millions(s.cl_writes),
-            fmt_millions(s.cl_reads),
-        ]);
-    }
-    {
-        let (dev, input) = stage();
-        let pool = BufferPool::fraction_of(input.bytes(), mem);
-        let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let before = dev.snapshot();
-        if let Ok(out) = hash_aggregate(&input, |r| r.payload(), &ctx, "agg") {
+        if let Some(groups) = agg(&input, &ctx) {
             let s = dev.snapshot().since(&before);
             rows.push(vec![
-                "hash (one pass)".into(),
-                out.len().to_string(),
-                fmt3(s.time_secs(&LatencyProfile::PCM)),
+                label,
+                groups.to_string(),
+                fmt3(s.time_secs(&at.latency)),
                 fmt_millions(s.cl_writes),
                 fmt_millions(s.cl_reads),
             ]);
         }
+    };
+
+    for x in [0.0, 0.5, 1.0] {
+        run(format!("sort-based, x={:.0}%", x * 100.0), &|input, ctx| {
+            let out = sort_based_aggregate(input, x, |r| r.payload(), ctx, "agg");
+            Some(out.expect("valid").len())
+        });
     }
-    for materialized_frac in [0.0, 1.0] {
-        let (dev, input) = stage();
-        let pool = BufferPool::fraction_of(input.bytes(), mem);
-        let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let k = 4usize;
-        let mat = ((k as f64) * materialized_frac) as usize;
-        let before = dev.snapshot();
-        let out =
-            segmented_hash_aggregate(&input, k, mat, |r| r.payload(), &ctx, "agg").expect("valid");
-        let s = dev.snapshot().since(&before);
-        rows.push(vec![
-            format!("segmented hash, {mat}/{k} mat."),
-            out.len().to_string(),
-            fmt3(s.time_secs(&LatencyProfile::PCM)),
-            fmt_millions(s.cl_writes),
-            fmt_millions(s.cl_reads),
-        ]);
+    run("hash (one pass)".into(), &|input, ctx| {
+        let out = hash_aggregate(input, |r| r.payload(), ctx, "agg");
+        out.ok().map(|out| out.len())
+    });
+    let k = 4usize;
+    for mat in [0, k] {
+        run(format!("segmented hash, {mat}/{k} mat."), &|input, ctx| {
+            let out = segmented_hash_aggregate(input, k, mat, |r| r.payload(), ctx, "agg");
+            Some(out.expect("valid").len())
+        });
     }
-    print_table(
+    table(
         &format!("Ablation D: write-limited aggregation ({n} records, {distinct} groups)"),
-        &[
-            "strategy".into(),
-            "groups".into(),
-            "time (s)".into(),
-            "writes (M)".into(),
-            "reads (M)".into(),
-        ],
+        &["strategy", "groups", "time (s)", "writes (M)", "reads (M)"],
         &rows,
-    );
+    )
 }
 
 /// Write-limited index leaves (the paper's §6 "data structures"
 /// extension): sorted vs append-order B⁺-tree leaves under a random
 /// insert workload with point and range lookups.
-pub fn index_leaf_policies(scale: &Scale) {
+fn index_leaf_policies(scale: &Scale) -> String {
     use wl_index::{BPlusTree, LeafPolicy};
     let n = scale.sort_n.min(200_000);
     let mut rows = Vec::new();
@@ -365,30 +280,29 @@ pub fn index_leaf_policies(scale: &Scale) {
             tree.height().to_string(),
         ]);
     }
-    print_table(
+    table(
         &format!("Ablation E: B+-tree leaf policies ({n} random inserts)"),
         &[
-            "leaf policy".into(),
-            "insert (s)".into(),
-            "insert writes (M)".into(),
-            "lookups (s)".into(),
-            "range (s)".into(),
-            "pages".into(),
-            "height".into(),
+            "leaf policy",
+            "insert (s)",
+            "insert writes (M)",
+            "lookups (s)",
+            "range (s)",
+            "pages",
+            "height",
         ],
         &rows,
-    );
+    )
 }
 
 /// Input-order sensitivity: replacement selection produces one long run
 /// on presorted input (write-limited for free), while reverse order is
 /// its worst case — context for the paper's random-permutation default.
-pub fn input_order(scale: &Scale) {
+fn input_order(at: Setting<'_>) -> String {
     use wisconsin::{sort_input, KeyOrder};
     use write_limited::sort::SortContext;
 
-    let n = scale.sort_n / 2;
-    let mem = scale.mem_fractions[scale.mem_fractions.len() / 2];
+    let n = at.scale.sort_n / 2;
     let orders: [(&str, KeyOrder); 4] = [
         ("random", KeyOrder::Random),
         ("sorted", KeyOrder::Sorted),
@@ -404,35 +318,30 @@ pub fn input_order(scale: &Scale) {
             let dev = PmDevice::paper_default();
             let input = PCollection::from_records_uncounted(
                 &dev,
-                LayerKind::BlockedMemory,
+                at.layer,
                 "T",
-                sort_input(n, order, 42),
+                sort_input(n, order, at.seed),
             );
-            let pool = BufferPool::fraction_of(input.bytes(), mem);
-            let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
+            let pool = BufferPool::fraction_of(input.bytes(), at.mem);
+            let ctx = SortContext::new(&dev, at.layer, &pool).with_threads(at.threads);
             let before = dev.snapshot();
             let out = algo.run(&input, &ctx, "sorted").expect("valid");
             let s = dev.snapshot().since(&before);
             assert_eq!(out.len() as u64, n);
             rows.push(vec![
                 format!("{} / {}", algo.label(), label),
-                fmt3(s.time_secs(&LatencyProfile::PCM)),
+                fmt3(s.time_secs(&at.latency)),
                 fmt_millions(s.cl_writes),
                 fmt_millions(s.cl_reads),
             ]);
         }
     }
-    print_table(
+    table(
         &format!(
             "Ablation F: input-order sensitivity ({n} records, M = {:.1}%)",
-            mem * 100.0
+            at.mem * 100.0
         ),
-        &[
-            "algorithm / order".into(),
-            "time (s)".into(),
-            "writes (M)".into(),
-            "reads (M)".into(),
-        ],
+        &["algorithm / order", "time (s)", "writes (M)", "reads (M)"],
         &rows,
-    );
+    )
 }

@@ -2,27 +2,26 @@
 //! paper's evaluation.
 //!
 //! ```text
-//! repro --all             # everything
-//! repro --figure 5        # one figure (2, 5, 6, 7, 8, 9, 10, 11, 12)
+//! repro --all             # config, Table 1, figures, ablations, plan sweep, speedup matrix
+//! repro --figure 5        # one figure (2, 5, 6, 7, 8, 9, 10, 11, 12) and its winner map
 //! repro --table 1         # Table 1
-//! repro --ablation        # adaptive-join + auto-selection ablations
+//! repro --ablation        # ablations A–F
 //! repro --config          # print the simulator configuration (Table 2 stand-in)
 //! repro --breakdown       # per-collection write/read attribution for one SegS run
-//! repro --plan            # plan-level concordance sweep (planner over Fig. 12)
+//! repro --plan            # plan-level concordance sweep (planner over Fig. 12), DoP 1
 //! repro --parallel        # speedup matrix; writes the BENCH_parallel.json summary
-//! repro --parallel-smoke  # CI-sized DoP 1 vs 4 matrix, counters must be identical
 //! repro --wall-gap-smoke  # GJ/HJ/ExMS wall-vs-critical-path gap (host-tolerant floor)
 //! repro --profile         # span-tree profile (DoP 1 vs 4); writes BENCH_profile.json
-//! repro --profile-smoke   # CI-sized structural check of the span profile
-//! repro --crash           # 120-seed kill/reopen/verify loop; writes BENCH_crash.json
-//! repro --crash-smoke     # CI-sized crash loop (12 seeds, no baseline file)
-//! repro --skew            # Zipf-star adaptive-vs-static sweep; writes BENCH_skew.json
-//! repro --skew-smoke      # CI-sized stars: guided <= static traffic, oracle rows
+//! repro --skew            # Zipf-star adaptive-vs-static sweep (counters, cut, τ)
 //! repro --threads 4 ...   # degree of parallelism for every scenario (= WL_THREADS)
-//! WL_SCALE=quick repro --all
+//! WL_SCALE=quick repro --all   # WL_SCALE: quick, default (unset) or paper
 //! ```
+//!
+//! Table 1, the figures, the ablations, the plan sweep and the skew
+//! stars are rendered as text by the library, and
+//! `tests/golden/paper_figures.out` pins that text.
 
-use wl_bench::{ablation, figures, Scale};
+use wl_bench::{ablation, figures, parallel, plan, profile, skew, Scale};
 
 fn print_config() {
     let cfg = pmem_sim::DeviceConfig::paper_default();
@@ -79,82 +78,42 @@ fn main() {
         args.drain(i..i + 2);
     }
     let scale = Scale::from_env();
+    let threads = write_limited::parallel::degree_from_env();
     eprintln!(
-        "scale: sort_n={}, join |T|={}, fanout={}, threads={}",
-        scale.sort_n,
-        scale.join_t,
-        scale.join_fanout,
-        write_limited::parallel::degree_from_env()
+        "scale: sort_n={}, join |T|={}, fanout={}, threads={threads}",
+        scale.sort_n, scale.join_t, scale.join_fanout,
     );
-
-    let run_fig = |n: u32| match n {
-        2 => figures::fig2(),
-        5 => figures::fig5(&scale),
-        6 => figures::fig6(&scale),
-        7 => figures::fig7(&scale),
-        8 => figures::fig8(&scale),
-        9 => figures::fig9(&scale),
-        10 => figures::fig10(&scale),
-        11 => figures::fig11(&scale),
-        12 => figures::fig12(&scale),
-        other => eprintln!("no figure {other} in the paper's evaluation"),
-    };
 
     match args.first().map(String::as_str) {
         Some("--all") | None => {
             print_config();
-            figures::table1(&scale);
-            for f in [2, 5, 6, 7, 8, 9, 10, 11, 12] {
-                run_fig(f);
-            }
-            ablation::adaptive_vs_fixed(&scale);
-            ablation::auto_selection(&scale);
-            ablation::energy_and_wear(&scale);
-            ablation::aggregation(&scale);
-            ablation::index_leaf_policies(&scale);
-            ablation::input_order(&scale);
-            wl_bench::plan_concordance(&scale);
-            wl_bench::parallel_speedup(&scale, &[1, 2, 4, 8]);
+            print!("{}", wl_bench::evaluation(&scale, threads));
+            parallel::parallel_speedup_cells(&scale, &[1, 2, 4, 8]);
         }
         Some("--figure") => {
             let n: u32 = args
                 .get(1)
                 .and_then(|s| s.parse().ok())
                 .expect("usage: repro --figure <n>");
-            run_fig(n);
+            match figures::figure(n, &scale, threads) {
+                Some(text) => print!("{text}"),
+                None => eprintln!("no figure {n} in the paper's evaluation"),
+            }
         }
-        Some("--table") => figures::table1(&scale),
-        Some("--ablation") => {
-            ablation::adaptive_vs_fixed(&scale);
-            ablation::auto_selection(&scale);
-            ablation::energy_and_wear(&scale);
-            ablation::aggregation(&scale);
-            ablation::index_leaf_policies(&scale);
-            ablation::input_order(&scale);
-        }
-        Some("--plan") => wl_bench::plan_concordance(&scale),
-        Some("--parallel") => wl_bench::parallel_speedup(&scale, &[1, 2, 4, 8]),
-        Some("--parallel-smoke") => {
-            // CI bench smoke: the matrix itself asserts the counters are
-            // identical across DoPs, so completing the run is the check.
-            wl_bench::parallel_speedup_cells(&scale, &[1, 4], true);
-        }
-        Some("--wall-gap-smoke") => wl_bench::wall_gap_smoke(&scale),
-        Some("--profile") => wl_bench::profile_to_file(&scale),
-        Some("--profile-smoke") => wl_bench::profile_smoke(&scale),
-        Some("--skew") => wl_bench::skew_bench(&scale),
-        Some("--skew-smoke") => wl_bench::skew_smoke(&scale),
-        Some("--crash") => wl_bench::crash_harness(),
-        Some("--crash-smoke") => wl_bench::crash_smoke(),
+        Some("--table") => print!("{}", figures::table1(&scale, threads)),
+        Some("--ablation") => print!("{}", ablation::ablations(&scale, threads)),
+        Some("--plan") => print!("{}", plan::plan_concordance(&scale)),
+        Some("--parallel") => parallel::parallel_speedup(&scale, &[1, 2, 4, 8]),
+        Some("--wall-gap-smoke") => parallel::wall_gap_smoke(&scale),
+        Some("--profile") => profile::profile_to_file(&scale),
+        Some("--skew") => print!("{}", skew::skew(&scale)),
         Some("--config") => print_config(),
         Some("--breakdown") => breakdown_demo(&scale),
         Some(other) => {
             eprintln!(
                 "unknown flag {other}; see \
                  --all/--figure/--table/--ablation/--plan/--parallel/\
-                 --parallel-smoke/--wall-gap-smoke/--profile/\
-                 --profile-smoke/--crash/--crash-smoke/--skew/\
-                 --skew-smoke/--config"
+                 --wall-gap-smoke/--profile/--skew/--config/--breakdown"
             );
         }
     }

@@ -1,18 +1,43 @@
-//! One function per table/figure of the paper's evaluation. Each prints
-//! the same rows/series the paper reports, from freshly simulated runs.
+//! One function per table/figure of the paper's evaluation. Each renders
+//! the rows/series the paper reports, from freshly simulated runs, as
+//! text. Figs. 5–11 end with their winner map: per line-up, layer and
+//! swept setting, the algorithm with the least *unrounded* simulated
+//! time, exact ties joined by ` = ` — one `winner | …` line each, so a
+//! flipped winner is a one-line diff.
 
-use crate::measure::{run_join, run_sort, Measurement};
+use crate::measure::{measure, Measurement, Operator, Setting};
 use crate::scale::Scale;
-use crate::table::{fmt3, fmt_millions, print_table, render_heatmap};
+use crate::table::{fmt3, fmt_millions, render_heatmap, table};
 use pmem_sim::{LatencyProfile, LayerKind};
 use write_limited::cost::{estimate_join, estimate_sort, join_costs};
 use write_limited::join::JoinAlgorithm;
 use write_limited::sort::SortAlgorithm;
 use write_limited::stats::kendall_tau;
 
+/// The figures `repro --figure N` renders, in the paper's order.
+pub const FIGURES: [u32; 9] = [2, 5, 6, 7, 8, 9, 10, 11, 12];
+
+/// Renders Fig. `n` at `scale`, its operators fanning out to `threads`
+/// workers; `None` if the paper's evaluation has no such figure.
+pub fn figure(n: u32, scale: &Scale, threads: usize) -> Option<String> {
+    let at = Setting::new(scale, threads);
+    Some(match n {
+        2 => fig2(),
+        5 => fig5(at),
+        6 => across_layers("Fig. 6", &sort_lineup(), at),
+        7 => fig7(at),
+        8 => across_layers("Fig. 8", &join_lineup(), at),
+        9 => fig9(at),
+        10 => fig10(at),
+        11 => fig11(at),
+        12 => fig12(at),
+        _ => return None,
+    })
+}
+
 /// The sort line-up of Fig. 5/6.
-fn sort_lineup() -> Vec<SortAlgorithm> {
-    vec![
+fn sort_lineup() -> Vec<Operator> {
+    [
         SortAlgorithm::ExMS,
         SortAlgorithm::LaS,
         SortAlgorithm::HybS { x: 0.2 },
@@ -20,11 +45,13 @@ fn sort_lineup() -> Vec<SortAlgorithm> {
         SortAlgorithm::SegS { x: 0.2 },
         SortAlgorithm::SegS { x: 0.8 },
     ]
+    .map(Operator::Sort)
+    .into()
 }
 
 /// The join line-up of Fig. 7(a)/8.
-fn join_lineup() -> Vec<JoinAlgorithm> {
-    vec![
+fn join_lineup() -> Vec<Operator> {
+    [
         JoinAlgorithm::NLJ,
         JoinAlgorithm::HJ,
         JoinAlgorithm::GJ,
@@ -32,98 +59,182 @@ fn join_lineup() -> Vec<JoinAlgorithm> {
         JoinAlgorithm::SegJ { frac: 0.5 },
         JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
     ]
+    .map(Operator::Join)
+    .into()
 }
 
-fn mem_header(scale: &Scale) -> Vec<String> {
-    std::iter::once("algorithm".to_string())
+/// One row of a figure: a label and its cells, one per swept setting.
+struct Row {
+    label: String,
+    cells: Vec<Option<Measurement>>,
+}
+
+/// Measures a row, one cell per (operator, setting).
+fn row<'s>(label: String, cells: impl IntoIterator<Item = (Operator, Setting<'s>)>) -> Row {
+    Row {
+        label,
+        cells: cells.into_iter().map(|(op, at)| measure(op, at)).collect(),
+    }
+}
+
+/// `op` across the memory sweep of `at`'s scale.
+fn mem_row(op: Operator, at: Setting<'_>) -> Row {
+    row(
+        op.label(),
+        at.scale
+            .mem_fractions
+            .iter()
+            .map(|&mem| (op, Setting { mem, ..at })),
+    )
+}
+
+fn mem_settings(scale: &Scale) -> Vec<String> {
+    scale
+        .mem_fractions
+        .iter()
+        .map(|f| format!("M={:.1}%", f * 100.0))
+        .collect()
+}
+
+fn header(first: &str, settings: &[String]) -> Vec<String> {
+    std::iter::once(first.to_string())
+        .chain(settings.iter().cloned())
+        .collect()
+}
+
+/// A row's table line under `label`: its times in seconds.
+fn times(label: String, row: &Row) -> Vec<String> {
+    std::iter::once(label)
         .chain(
-            scale
-                .mem_fractions
+            row.cells
                 .iter()
-                .map(|f| format!("M={:.1}%", f * 100.0)),
+                .map(|m| m.map_or_else(|| "n/a".into(), |m| fmt3(m.secs))),
         )
         .collect()
 }
 
-fn cell(m: Option<Measurement>) -> String {
-    m.map(|m| fmt3(m.secs)).unwrap_or_else(|| "n/a".into())
+fn time_table(title: &str, settings: &[String], rows: &[Row]) -> String {
+    let lines: Vec<Vec<String>> = rows.iter().map(|r| times(r.label.clone(), r)).collect();
+    table(title, &header("algorithm", settings), &lines)
+}
+
+/// The min/max writes (reads) table: each row's cells with the fewest
+/// and the most writes (first of equals).
+fn extremes<'r>(title: &str, rows: impl IntoIterator<Item = &'r Row>) -> String {
+    let cell = |m: &Measurement| format!("{} ({})", fmt_millions(m.writes), fmt_millions(m.reads));
+    let lines: Vec<Vec<String>> = rows
+        .into_iter()
+        .filter_map(|r| {
+            let measured = || r.cells.iter().flatten();
+            let min = measured().reduce(|b, m| if m.writes < b.writes { m } else { b })?;
+            let max = measured().reduce(|w, m| if m.writes > w.writes { m } else { w })?;
+            Some(vec![r.label.clone(), cell(min), cell(max)])
+        })
+        .collect();
+    table(
+        title,
+        &["algorithm", "min writes (reads)", "max writes (reads)"],
+        &lines,
+    )
+}
+
+/// The winner map of one line-up on one layer: after a blank line, a
+/// line per swept setting naming the rows with the least unrounded
+/// simulated time.
+fn winners(figure: &str, layer: LayerKind, settings: &[String], rows: &[Row]) -> String {
+    let mut out = String::from("\n");
+    for (i, setting) in settings.iter().enumerate() {
+        let best = rows
+            .iter()
+            .filter_map(|r| r.cells[i])
+            .map(|m| m.secs)
+            .min_by(f64::total_cmp);
+        let names: Vec<&str> = rows
+            .iter()
+            .filter(|r| r.cells[i].is_some_and(|m| Some(m.secs) == best))
+            .map(|r| r.label.as_str())
+            .collect();
+        let names = if names.is_empty() {
+            "n/a".to_string()
+        } else {
+            names.join(" = ")
+        };
+        out += &format!(
+            "winner | {figure} | {} | {setting} | {names}\n",
+            layer.label()
+        );
+    }
+    out
 }
 
 /// Table 1: the analytic progression of standard vs. lazy hash join —
 /// reads/writes per iteration and the lazy savings/penalty — followed by
 /// measured end-to-end counters for both algorithms.
-pub fn table1(scale: &Scale) {
-    let lambda = LatencyProfile::PCM.lambda();
-    let m = 8.0f64; // illustrative iteration count, as in the paper's table
-    let unit = 1.0; // (M + M_T) normalized
-    let mut rows = Vec::new();
-    for i in 1..=m as u64 {
-        let i_f = i as f64;
-        rows.push(vec![
-            i.to_string(),
-            format!("{:.0}·(M+Mt)", (m - i_f + 1.0) * unit),
-            format!("{:.0}·(M+Mt)", (m - i_f) * unit),
-            format!("{:.0}·(M+Mt)", m * unit),
-            "0".to_string(),
-            format!("{:.0}λr", (m - i_f) * unit),
-            format!("{:.0}r", (i_f - 1.0) * unit),
-        ]);
-    }
-    print_table(
+pub fn table1(scale: &Scale, threads: usize) -> String {
+    // m = 8 iterations, each row in units of (M + M_T).
+    let rows: Vec<Vec<String>> = (1..=8u64)
+        .map(|i| {
+            vec![
+                i.to_string(),
+                format!("{}·(M+Mt)", 9 - i),
+                format!("{}·(M+Mt)", 8 - i),
+                "8·(M+Mt)".into(),
+                "0".into(),
+                format!("{}λr", 8 - i),
+                format!("{}r", i - 1),
+            ]
+        })
+        .collect();
+    let mut out = table(
         "Table 1: standard vs lazy hash join progression (m = 8)",
         &[
-            "iter".into(),
-            "std reads".into(),
-            "std writes".into(),
-            "lazy reads".into(),
-            "lazy writes".into(),
-            "savings".into(),
-            "penalty".into(),
+            "iter",
+            "std reads",
+            "std writes",
+            "lazy reads",
+            "lazy writes",
+            "savings",
+            "penalty",
         ],
         &rows,
     );
-    println!(
-        "(corrected Eq. 11 materialization point at λ = {lambda}: iteration ⌊k·λ/(λ+1)⌋ = {})",
-        ((m * lambda) / (lambda + 1.0)).floor()
+    let lambda = LatencyProfile::PCM.lambda();
+    out += &format!(
+        "(corrected Eq. 11 materialization point at λ = {lambda}: iteration ⌊k·λ/(λ+1)⌋ = {})\n",
+        ((8.0 * lambda) / (lambda + 1.0)).floor()
     );
 
     // Measured confirmation at harness scale.
-    let mut rows = Vec::new();
-    for algo in [JoinAlgorithm::HJ, JoinAlgorithm::LaJ] {
-        if let Some(meas) = run_join(
-            algo,
-            LayerKind::BlockedMemory,
-            scale.join_t,
-            scale.join_fanout,
-            0.05,
-            LatencyProfile::PCM,
-            7,
-        ) {
-            rows.push(vec![
+    let at = Setting {
+        mem: 0.05,
+        seed: 7,
+        ..Setting::new(scale, threads)
+    };
+    let rows: Vec<Vec<String>> = [JoinAlgorithm::HJ, JoinAlgorithm::LaJ]
+        .into_iter()
+        .filter_map(|algo| {
+            let meas = measure(Operator::Join(algo), at)?;
+            Some(vec![
                 algo.label(),
                 fmt_millions(meas.writes),
                 fmt_millions(meas.reads),
                 fmt3(meas.secs),
-            ]);
-        }
-    }
-    print_table(
+            ])
+        })
+        .collect();
+    out += &table(
         "Table 1 (measured, M = 5% of left input)",
-        &[
-            "algorithm".into(),
-            "writes (M)".into(),
-            "reads (M)".into(),
-            "time (s)".into(),
-        ],
+        &["algorithm", "writes (M)", "reads (M)", "time (s)"],
         &rows,
     );
+    out
 }
 
 /// Fig. 2: heatmaps of the hybrid-join cost function Jh(x, y) for
 /// |T|/|V| ∈ {1, 10, 100} × λ ∈ {2, 5, 8}.
-pub fn fig2() {
-    println!(
-        "\n=== Fig. 2: hybrid Grace/NL join cost surface (light ' ' = cheap, '@' = costly) ==="
+fn fig2() -> String {
+    let mut out = String::from(
+        "\n=== Fig. 2: hybrid Grace/NL join cost surface (light ' ' = cheap, '@' = costly) ===\n",
     );
     let v = 100_000.0;
     let m = 2_000.0;
@@ -131,411 +242,288 @@ pub fn fig2() {
         for ratio in [1.0, 10.0, 100.0] {
             let t = v / ratio;
             let surface = join_costs::hybrid_cost_surface(t, v, m, lambda, 20);
-            println!("\n|T|/|V| = 1/{ratio}, λ = {lambda}  (x→ right, y↑ up)");
-            print!("{}", render_heatmap(&surface));
+            out += &format!("\n|T|/|V| = 1/{ratio}, λ = {lambda}  (x→ right, y↑ up)\n");
+            out += &render_heatmap(&surface);
             let (bx, by) = join_costs::optimal_hybrid_xy(t, v, m, lambda);
-            println!("grid minimum at x = {bx:.2}, y = {by:.2}");
+            out += &format!("grid minimum at x = {bx:.2}, y = {by:.2}\n");
         }
     }
+    out
 }
 
 /// Fig. 5: sorting response time vs memory size (blocked memory) plus
 /// the min/max writes(reads) table.
-pub fn fig5(scale: &Scale) {
-    let mut rows = Vec::new();
-    let mut extremes: Vec<(String, Measurement, Measurement)> = Vec::new();
-    for algo in sort_lineup() {
-        let mut row = vec![algo.label()];
-        let mut best: Option<Measurement> = None;
-        let mut worst: Option<Measurement> = None;
-        for &f in &scale.mem_fractions {
-            let m = run_sort(
-                algo,
-                LayerKind::BlockedMemory,
-                scale.sort_n,
-                f,
-                LatencyProfile::PCM,
-                42,
-            );
-            if let Some(m) = m {
-                let bw = best.map_or(u64::MAX, |b| b.writes);
-                if m.writes < bw {
-                    best = Some(m);
-                }
-                let ww = worst.map_or(0, |w| w.writes);
-                if m.writes > ww {
-                    worst = Some(m);
-                }
-            }
-            row.push(cell(m));
-        }
-        rows.push(row);
-        if let (Some(b), Some(w)) = (best, worst) {
-            extremes.push((algo.label(), b, w));
-        }
-    }
-    print_table(
+fn fig5(at: Setting<'_>) -> String {
+    let settings = mem_settings(at.scale);
+    let rows: Vec<Row> = sort_lineup()
+        .into_iter()
+        .map(|op| mem_row(op, at))
+        .collect();
+    let mut out = time_table(
         &format!(
             "Fig. 5: sort response time (s) vs memory, {} records, blocked memory",
-            scale.sort_n
+            at.scale.sort_n
         ),
-        &mem_header(scale),
+        &settings,
         &rows,
     );
-
-    let rows: Vec<Vec<String>> = extremes
-        .iter()
-        .map(|(label, min, max)| {
-            vec![
-                label.clone(),
-                format!("{} ({})", fmt_millions(min.writes), fmt_millions(min.reads)),
-                format!("{} ({})", fmt_millions(max.writes), fmt_millions(max.reads)),
-            ]
-        })
-        .collect();
-    print_table(
+    out += &extremes(
         "Fig. 5 (bottom): min/max writes (reads), millions of cachelines",
-        &[
-            "algorithm".into(),
-            "min writes (reads)".into(),
-            "max writes (reads)".into(),
-        ],
         &rows,
     );
+    out += &winners("Fig. 5", at.layer, &settings, &rows);
+    out
 }
 
-/// Fig. 6: sorting under the four §3.2 persistence layers.
-pub fn fig6(scale: &Scale) {
-    for algo in sort_lineup() {
-        let mut rows = Vec::new();
-        for layer in LayerKind::ALL {
-            let mut row = vec![layer.label().to_string()];
-            for &f in &scale.mem_fractions {
-                row.push(cell(run_sort(
-                    algo,
-                    layer,
-                    scale.sort_n,
-                    f,
-                    LatencyProfile::PCM,
-                    42,
-                )));
-            }
-            rows.push(row);
-        }
-        let mut header = mem_header(scale);
-        header[0] = "implementation".into();
-        print_table(
-            &format!("Fig. 6: {} across persistence layers (s)", algo.label()),
-            &header,
-            &rows,
+/// Figs. 6 and 8: a line-up under the four §3.2 persistence layers, a
+/// table per algorithm.
+fn across_layers(figure: &str, lineup: &[Operator], at: Setting<'_>) -> String {
+    let settings = mem_settings(at.scale);
+    let by_layer: Vec<(LayerKind, Vec<Row>)> = LayerKind::ALL
+        .into_iter()
+        .map(|layer| {
+            let rows = lineup
+                .iter()
+                .map(|&op| mem_row(op, Setting { layer, ..at }))
+                .collect();
+            (layer, rows)
+        })
+        .collect();
+    let mut out = String::new();
+    for (i, op) in lineup.iter().enumerate() {
+        let lines: Vec<Vec<String>> = by_layer
+            .iter()
+            .map(|(layer, rows)| times(layer.label().to_string(), &rows[i]))
+            .collect();
+        out += &table(
+            &format!("{figure}: {} across persistence layers (s)", op.label()),
+            &header("implementation", &settings),
+            &lines,
         );
     }
+    for (layer, rows) in &by_layer {
+        out += &winners(figure, *layer, &settings, rows);
+    }
+    out
 }
 
 /// Fig. 7: join response time vs memory (panels a–d) plus the min/max
 /// writes(reads) table.
-pub fn fig7(scale: &Scale) {
-    let panels: Vec<(&str, Vec<JoinAlgorithm>)> = vec![
+fn fig7(at: Setting<'_>) -> String {
+    let join = |algos: &[JoinAlgorithm]| -> Vec<Operator> {
+        algos.iter().copied().map(Operator::Join).collect()
+    };
+    let panels: Vec<(&str, Vec<Operator>)> = vec![
         ("(a) overall", join_lineup()),
         (
             "(b) HybJ vs GJ",
-            vec![
+            join(&[
                 JoinAlgorithm::GJ,
                 JoinAlgorithm::HybJ { x: 0.2, y: 0.8 },
                 JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
                 JoinAlgorithm::HybJ { x: 0.8, y: 0.2 },
-            ],
+            ]),
         ),
         (
             "(c) SegJ vs GJ",
-            vec![
+            join(&[
                 JoinAlgorithm::GJ,
                 JoinAlgorithm::SegJ { frac: 0.2 },
                 JoinAlgorithm::SegJ { frac: 0.5 },
                 JoinAlgorithm::SegJ { frac: 0.8 },
-            ],
+            ]),
         ),
         (
             "(d) LaJ vs HJ, GJ",
-            vec![JoinAlgorithm::HJ, JoinAlgorithm::GJ, JoinAlgorithm::LaJ],
+            join(&[JoinAlgorithm::HJ, JoinAlgorithm::GJ, JoinAlgorithm::LaJ]),
         ),
     ];
-    let mut extreme_rows = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    for (panel, algos) in panels {
-        let mut rows = Vec::new();
-        for algo in &algos {
-            let mut row = vec![algo.label()];
-            let mut best: Option<Measurement> = None;
-            let mut worst: Option<Measurement> = None;
-            for &f in &scale.mem_fractions {
-                let m = run_join(
-                    *algo,
-                    LayerKind::BlockedMemory,
-                    scale.join_t,
-                    scale.join_fanout,
-                    f,
-                    LatencyProfile::PCM,
-                    42,
-                );
-                if let Some(m) = m {
-                    if best.is_none_or(|b| m.writes < b.writes) {
-                        best = Some(m);
-                    }
-                    if worst.is_none_or(|w| m.writes > w.writes) {
-                        worst = Some(m);
-                    }
-                }
-                row.push(cell(m));
-            }
-            rows.push(row);
-            if seen.insert(algo.label()) {
-                if let (Some(b), Some(w)) = (best, worst) {
-                    extreme_rows.push(vec![
-                        algo.label(),
-                        format!("{} ({})", fmt_millions(b.writes), fmt_millions(b.reads)),
-                        format!("{} ({})", fmt_millions(w.writes), fmt_millions(w.reads)),
-                    ]);
-                }
-            }
-        }
-        print_table(
+    let settings = mem_settings(at.scale);
+    let panels: Vec<(String, Vec<Row>)> = panels
+        .into_iter()
+        .map(|(panel, lineup)| {
+            let rows = lineup.into_iter().map(|op| mem_row(op, at)).collect();
+            (format!("Fig. 7 {panel}"), rows)
+        })
+        .collect();
+    let mut out = String::new();
+    for (figure, rows) in &panels {
+        out += &time_table(
             &format!(
-                "Fig. 7 {panel}: join time (s) vs memory, |T| = {}, |V| = {}",
-                scale.join_t,
-                scale.join_t * scale.join_fanout
+                "{figure}: join time (s) vs memory, |T| = {}, |V| = {}",
+                at.scale.join_t,
+                at.scale.join_t * at.scale.join_fanout
             ),
-            &mem_header(scale),
-            &rows,
+            &settings,
+            rows,
         );
     }
-    print_table(
+    let mut seen = std::collections::HashSet::new();
+    out += &extremes(
         "Fig. 7 (bottom): min/max writes (reads), millions of cachelines",
-        &[
-            "algorithm".into(),
-            "min writes (reads)".into(),
-            "max writes (reads)".into(),
-        ],
-        &extreme_rows,
+        panels
+            .iter()
+            .flat_map(|(_, rows)| rows)
+            .filter(|r| seen.insert(r.label.clone())),
     );
+    for (figure, rows) in &panels {
+        out += &winners(figure, at.layer, &settings, rows);
+    }
+    out
 }
 
-/// Fig. 8: joins under the four §3.2 persistence layers.
-pub fn fig8(scale: &Scale) {
-    for algo in join_lineup() {
-        let mut rows = Vec::new();
-        for layer in LayerKind::ALL {
-            let mut row = vec![layer.label().to_string()];
-            for &f in &scale.mem_fractions {
-                row.push(cell(run_join(
-                    algo,
-                    layer,
-                    scale.join_t,
-                    scale.join_fanout,
-                    f,
-                    LatencyProfile::PCM,
-                    42,
-                )));
-            }
-            rows.push(row);
-        }
-        let mut header = mem_header(scale);
-        header[0] = "implementation".into();
-        print_table(
-            &format!("Fig. 8: {} across persistence layers (s)", algo.label()),
-            &header,
-            &rows,
-        );
-    }
+fn intensity_settings(scale: &Scale) -> Vec<String> {
+    scale
+        .intensities
+        .iter()
+        .map(|x| format!("{:.0}%", x * 100.0))
+        .collect()
 }
 
 /// Fig. 9: impact of write intensity on SegS and HybS, all four layers,
 /// at a fixed mid-sweep memory size.
-pub fn fig9(scale: &Scale) {
+fn fig9(at: Setting<'_>) -> String {
     type Maker = fn(f64) -> SortAlgorithm;
-    let mem = scale.mem_fractions[scale.mem_fractions.len() / 2];
-    let mut rows = Vec::new();
     let makers: [(&str, Maker); 2] = [
         ("HybS", |x| SortAlgorithm::HybS { x }),
         ("SegS", |x| SortAlgorithm::SegS { x }),
     ];
-    for layer in LayerKind::ALL {
-        for (name, make) in makers {
-            let mut row = vec![format!("{name}, {}", layer.label())];
-            for &x in &scale.intensities {
-                row.push(cell(run_sort(
-                    make(x),
-                    layer,
-                    scale.sort_n,
-                    mem,
-                    LatencyProfile::PCM,
-                    42,
-                )));
-            }
-            rows.push(row);
-        }
-    }
-    let header: Vec<String> = std::iter::once("algorithm, layer".to_string())
-        .chain(
-            scale
-                .intensities
+    let by_layer: Vec<(LayerKind, Vec<Row>)> = LayerKind::ALL
+        .into_iter()
+        .map(|layer| {
+            let rows = makers
                 .iter()
-                .map(|x| format!("{:.0}%", x * 100.0)),
-        )
+                .map(|(name, make)| {
+                    row(
+                        (*name).to_string(),
+                        at.scale
+                            .intensities
+                            .iter()
+                            .map(|&x| (Operator::Sort(make(x)), Setting { layer, ..at })),
+                    )
+                })
+                .collect();
+            (layer, rows)
+        })
         .collect();
-    print_table(
+    let settings = intensity_settings(at.scale);
+    let lines: Vec<Vec<String>> = by_layer
+        .iter()
+        .flat_map(|(layer, rows)| {
+            rows.iter()
+                .map(|r| times(format!("{}, {}", r.label, layer.label()), r))
+        })
+        .collect();
+    let mut out = table(
         &format!(
             "Fig. 9: sort write-intensity sweep (s), M = {:.1}% of input",
-            mem * 100.0
+            at.mem * 100.0
         ),
-        &header,
-        &rows,
+        &header("algorithm, layer", &settings),
+        &lines,
     );
+    for (layer, rows) in &by_layer {
+        out += &winners("Fig. 9", *layer, &settings, rows);
+    }
+    out
 }
 
 /// Fig. 10: impact of write intensity on SegJ and HybJ (blocked memory).
-pub fn fig10(scale: &Scale) {
-    let mem = scale.mem_fractions[scale.mem_fractions.len() / 2];
-    let mut rows = Vec::new();
-
-    let mut seg_row = vec!["SegJ".to_string()];
-    for &x in &scale.intensities {
-        seg_row.push(cell(run_join(
-            JoinAlgorithm::SegJ { frac: x },
-            LayerKind::BlockedMemory,
-            scale.join_t,
-            scale.join_fanout,
-            mem,
-            LatencyProfile::PCM,
-            42,
-        )));
-    }
-    rows.push(seg_row);
-
-    for &fixed in &[0.2, 0.5, 0.8] {
-        let mut row = vec![format!("HybJ, x - {:.0}%", fixed * 100.0)];
-        for &x in &scale.intensities {
-            row.push(cell(run_join(
-                JoinAlgorithm::HybJ { x, y: fixed },
-                LayerKind::BlockedMemory,
-                scale.join_t,
-                scale.join_fanout,
-                mem,
-                LatencyProfile::PCM,
-                42,
-            )));
-        }
-        rows.push(row);
-        let mut row = vec![format!("HybJ, {:.0}% - x", fixed * 100.0)];
-        for &y in &scale.intensities {
-            row.push(cell(run_join(
-                JoinAlgorithm::HybJ { x: fixed, y },
-                LayerKind::BlockedMemory,
-                scale.join_t,
-                scale.join_fanout,
-                mem,
-                LatencyProfile::PCM,
-                42,
-            )));
-        }
-        rows.push(row);
-    }
-    let header: Vec<String> = std::iter::once("algorithm".to_string())
-        .chain(
-            scale
+fn fig10(at: Setting<'_>) -> String {
+    let sweep = |label: String, make: &dyn Fn(f64) -> JoinAlgorithm| {
+        row(
+            label,
+            at.scale
                 .intensities
                 .iter()
-                .map(|x| format!("{:.0}%", x * 100.0)),
+                .map(|&x| (Operator::Join(make(x)), at)),
         )
-        .collect();
-    print_table(
+    };
+    let mut rows = vec![sweep("SegJ".into(), &|frac| JoinAlgorithm::SegJ { frac })];
+    for fixed in [0.2, 0.5, 0.8] {
+        let pct = fixed * 100.0;
+        rows.push(sweep(format!("HybJ, x - {pct:.0}%"), &|x| {
+            JoinAlgorithm::HybJ { x, y: fixed }
+        }));
+        rows.push(sweep(format!("HybJ, {pct:.0}% - x"), &|y| {
+            JoinAlgorithm::HybJ { x: fixed, y }
+        }));
+    }
+    let settings = intensity_settings(at.scale);
+    let mut out = time_table(
         &format!(
             "Fig. 10: join write-intensity sweep (s), M = {:.1}% of left",
-            mem * 100.0
+            at.mem * 100.0
         ),
-        &header,
+        &settings,
         &rows,
     );
+    out += &winners("Fig. 10", at.layer, &settings, &rows);
+    out
 }
 
 /// Fig. 11: write-latency sensitivity of selected sort and join
 /// algorithms (blocked memory, ≤50% intensity).
-pub fn fig11(scale: &Scale) {
-    let mem = scale.mem_fractions[scale.mem_fractions.len() / 2];
-    let sorts = [
+fn fig11(at: Setting<'_>) -> String {
+    let latency_row = |op: Operator| {
+        row(
+            op.label(),
+            at.scale.write_latencies.iter().map(|&write_ns| {
+                let latency = LatencyProfile {
+                    read_ns: 10.0,
+                    write_ns,
+                };
+                (op, Setting { latency, ..at })
+            }),
+        )
+    };
+    let sorts: Vec<Row> = [
         SortAlgorithm::LaS,
         SortAlgorithm::HybS { x: 0.2 },
         SortAlgorithm::HybS { x: 0.5 },
         SortAlgorithm::SegS { x: 0.2 },
         SortAlgorithm::SegS { x: 0.5 },
-    ];
-    let mut rows = Vec::new();
-    for algo in sorts {
-        let mut row = vec![algo.label()];
-        for &w in &scale.write_latencies {
-            let latency = LatencyProfile {
-                read_ns: 10.0,
-                write_ns: w,
-            };
-            row.push(cell(run_sort(
-                algo,
-                LayerKind::BlockedMemory,
-                scale.sort_n,
-                mem,
-                latency,
-                42,
-            )));
-        }
-        rows.push(row);
-    }
-    let header: Vec<String> = std::iter::once("algorithm".to_string())
-        .chain(scale.write_latencies.iter().map(|w| format!("{w:.0}ns")))
-        .collect();
-    print_table(
-        "Fig. 11 (left): sort time (s) vs write latency",
-        &header,
-        &rows,
-    );
-
-    let joins = [
+    ]
+    .into_iter()
+    .map(|algo| latency_row(Operator::Sort(algo)))
+    .collect();
+    let joins: Vec<Row> = [
         JoinAlgorithm::HybJ { x: 0.5, y: 0.2 },
         JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
         JoinAlgorithm::SegJ { frac: 0.2 },
         JoinAlgorithm::SegJ { frac: 0.5 },
         JoinAlgorithm::LaJ,
-    ];
-    let mut rows = Vec::new();
-    for algo in joins {
-        let mut row = vec![algo.label()];
-        for &w in &scale.write_latencies {
-            let latency = LatencyProfile {
-                read_ns: 10.0,
-                write_ns: w,
-            };
-            row.push(cell(run_join(
-                algo,
-                LayerKind::BlockedMemory,
-                scale.join_t,
-                scale.join_fanout,
-                mem,
-                latency,
-                42,
-            )));
-        }
-        rows.push(row);
-    }
-    print_table(
-        "Fig. 11 (right): join time (s) vs write latency",
-        &header,
-        &rows,
+    ]
+    .into_iter()
+    .map(|algo| latency_row(Operator::Join(algo)))
+    .collect();
+    let settings: Vec<String> = at
+        .scale
+        .write_latencies
+        .iter()
+        .map(|w| format!("{w:.0}ns"))
+        .collect();
+    let mut out = time_table(
+        "Fig. 11 (left): sort time (s) vs write latency",
+        &settings,
+        &sorts,
     );
+    out += &time_table(
+        "Fig. 11 (right): join time (s) vs write latency",
+        &settings,
+        &joins,
+    );
+    out += &winners("Fig. 11 (left)", at.layer, &settings, &sorts);
+    out += &winners("Fig. 11 (right)", at.layer, &settings, &joins);
+    out
 }
 
 /// Fig. 12: Kendall's-τ concordance between estimated and measured
 /// rankings, for all algorithms and for the write-limited subset.
-pub fn fig12(scale: &Scale) {
-    let lambda = LatencyProfile::PCM.lambda();
-    let sort_all: Vec<SortAlgorithm> = vec![
+fn fig12(at: Setting<'_>) -> String {
+    let scale = at.scale;
+    let lambda = at.latency.lambda();
+    let sorts = [
         SortAlgorithm::ExMS,
         SortAlgorithm::SegS { x: 0.2 },
         SortAlgorithm::SegS { x: 0.5 },
@@ -543,8 +531,9 @@ pub fn fig12(scale: &Scale) {
         SortAlgorithm::HybS { x: 0.2 },
         SortAlgorithm::HybS { x: 0.5 },
         SortAlgorithm::HybS { x: 0.8 },
-    ];
-    let join_all: Vec<JoinAlgorithm> = vec![
+    ]
+    .map(Operator::Sort);
+    let joins = [
         JoinAlgorithm::GJ,
         JoinAlgorithm::HJ,
         JoinAlgorithm::NLJ,
@@ -553,85 +542,60 @@ pub fn fig12(scale: &Scale) {
         JoinAlgorithm::SegJ { frac: 0.2 },
         JoinAlgorithm::SegJ { frac: 0.5 },
         JoinAlgorithm::SegJ { frac: 0.8 },
-    ];
+    ]
+    .map(Operator::Join);
+    let write_limited = |op: &Operator| {
+        matches!(
+            op,
+            Operator::Sort(SortAlgorithm::SegS { .. } | SortAlgorithm::HybS { .. })
+                | Operator::Join(JoinAlgorithm::HybJ { .. } | JoinAlgorithm::SegJ { .. })
+        )
+    };
+    let tau = |pairs: &[(f64, f64)]| {
+        let (est, meas): (Vec<f64>, Vec<f64>) = pairs.iter().copied().unzip();
+        kendall_tau(&est, &meas)
+            .map(fmt3)
+            .unwrap_or_else(|| "n/a".into())
+    };
 
     let sort_buffers = (scale.sort_n * 80).div_ceil(64) as f64;
     let t_buf = (scale.join_t * 80).div_ceil(64) as f64;
     let v_buf = t_buf * scale.join_fanout as f64;
-
     let mut rows = Vec::new();
-    for &f in &scale.mem_fractions {
-        let m_sort = sort_buffers * f;
-        let m_join = t_buf * f;
-
-        let tau = |est: &[f64], meas: &[f64]| {
-            kendall_tau(est, meas)
-                .map(fmt3)
-                .unwrap_or_else(|| "n/a".into())
+    for &mem in &scale.mem_fractions {
+        let at = Setting { mem, ..at };
+        let estimate = |op: &Operator| match op {
+            Operator::Sort(algo) => estimate_sort(algo, sort_buffers, sort_buffers * mem, lambda),
+            Operator::Join(algo) => estimate_join(algo, t_buf, v_buf, t_buf * mem, lambda),
+            Operator::AdaptiveJoin => unreachable!("not in Fig. 12's line-up"),
         };
-
-        // Sorting: estimated vs measured, all and write-limited-only.
-        let mut est = Vec::new();
-        let mut meas = Vec::new();
-        for algo in &sort_all {
-            if let Some(m) = run_sort(
-                *algo,
-                LayerKind::BlockedMemory,
-                scale.sort_n,
-                f,
-                LatencyProfile::PCM,
-                42,
-            ) {
-                est.push(estimate_sort(algo, sort_buffers, m_sort, lambda));
-                meas.push(m.secs);
-            }
-        }
-        let sort_all_tau = tau(&est, &meas);
-        let sort_wl_tau = tau(&est[1..], &meas[1..]); // drop ExMS
-
-        let mut est = Vec::new();
-        let mut meas = Vec::new();
-        let mut wl_est = Vec::new();
-        let mut wl_meas = Vec::new();
-        for algo in &join_all {
-            if let Some(m) = run_join(
-                *algo,
-                LayerKind::BlockedMemory,
-                scale.join_t,
-                scale.join_fanout,
-                f,
-                LatencyProfile::PCM,
-                42,
-            ) {
-                let e = estimate_join(algo, t_buf, v_buf, m_join, lambda);
-                est.push(e);
-                meas.push(m.secs);
-                if matches!(
-                    algo,
-                    JoinAlgorithm::HybJ { .. } | JoinAlgorithm::SegJ { .. }
-                ) {
-                    wl_est.push(e);
-                    wl_meas.push(m.secs);
+        let mut row = vec![format!("{:.1}%", mem * 100.0)];
+        for lineup in [&sorts[..], &joins[..]] {
+            // (estimated, measured) of every algorithm that ran, and of
+            // the write-limited ones among them.
+            let mut all = Vec::new();
+            let mut wl = Vec::new();
+            for op in lineup {
+                if let Some(m) = measure(*op, at) {
+                    all.push((estimate(op), m.secs));
+                    if write_limited(op) {
+                        wl.push((estimate(op), m.secs));
+                    }
                 }
             }
+            row.extend([tau(&all), tau(&wl)]);
         }
-        rows.push(vec![
-            format!("{:.1}%", f * 100.0),
-            sort_all_tau,
-            sort_wl_tau,
-            tau(&est, &meas),
-            tau(&wl_est, &wl_meas),
-        ]);
+        rows.push(row);
     }
-    print_table(
+    table(
         "Fig. 12: Kendall's τ, estimated vs measured ranking",
         &[
-            "memory".into(),
-            "sort (all)".into(),
-            "sort (WL)".into(),
-            "join (all)".into(),
-            "join (WL)".into(),
+            "memory",
+            "sort (all)",
+            "sort (WL)",
+            "join (all)",
+            "join (WL)",
         ],
         &rows,
-    );
+    )
 }

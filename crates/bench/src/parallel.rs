@@ -22,15 +22,16 @@
 //! recording host had fewer cores than the DoP, so the file diffs
 //! cleanly across machines. With sharded accounting (metrics shards +
 //! pool leases merging at barriers) the wall-clock is expected to track
-//! the critical path: the non-smoke run asserts the DoP-4 gap for
-//! GJ/HJ/ExMS on hosts with enough cores.
+//! the critical path: the run asserts the DoP-4 gap for GJ/HJ/ExMS on
+//! hosts with enough cores.
 
+use crate::measure::{run, stage, Operator};
 use crate::Scale;
-use pmem_sim::{BufferPool, IoStats, LatencyProfile, LayerKind, PCollection, PmDevice};
+use pmem_sim::{BufferPool, IoStats, LatencyProfile, LayerKind, PmDevice};
 use std::time::Instant;
-use wisconsin::{join_input, sort_input, KeyOrder};
-use write_limited::join::{JoinAlgorithm, JoinContext};
-use write_limited::sort::{SortAlgorithm, SortContext};
+use write_limited::context::ExecContext;
+use write_limited::join::JoinAlgorithm;
+use write_limited::sort::SortAlgorithm;
 
 /// One algorithm's measurement at one degree of parallelism.
 pub struct Cell {
@@ -65,7 +66,7 @@ fn makespan(parts: &[f64], dop: usize) -> f64 {
 /// phases of independent per-task ledgers: the uncovered residual stays
 /// serial; each phase contributes the makespan of its tasks over
 /// `threads` workers.
-fn cp_speedup_from_phases(total: &IoStats, phases: &[&[IoStats]], threads: usize) -> f64 {
+fn cp_speedup_from_phases(total: &IoStats, phases: &[Vec<IoStats>], threads: usize) -> f64 {
     let lat = &LatencyProfile::PCM;
     let total_ns = total.time_ns(lat);
     let mut covered = 0.0;
@@ -79,37 +80,60 @@ fn cp_speedup_from_phases(total: &IoStats, phases: &[&[IoStats]], threads: usize
     total_ns / cp_ns
 }
 
-/// One join measurement: stage the inputs, run `algo` under a context
-/// at `threads`, check the match count, and turn the run's phase ledger
-/// (each phase a list of independent task costs, phases sequential)
-/// into the critical-path speedup.
-fn time_join(
-    algorithm: &'static str,
-    algo: JoinAlgorithm,
-    t: u64,
-    fanout: u64,
-    m_records: usize,
-    threads: usize,
-) -> Cell {
+/// The speedup matrix's line-up (also the span profile's), labelled as
+/// `BENCH_parallel.json` names it.
+pub(crate) const LINEUP: [(&str, Operator); 6] = [
+    ("GJ", Operator::Join(JoinAlgorithm::GJ)),
+    ("HJ", Operator::Join(JoinAlgorithm::HJ)),
+    ("NLJ", Operator::Join(JoinAlgorithm::NLJ)),
+    ("LaJ", Operator::Join(JoinAlgorithm::LaJ)),
+    (
+        "SegJ 25%",
+        Operator::Join(JoinAlgorithm::SegJ { frac: 0.25 }),
+    ),
+    ("ExMS", Operator::Sort(SortAlgorithm::ExMS)),
+];
+
+/// The algorithms whose DoP-4 wall clock must track the critical path.
+const GAPPED: [&str; 3] = ["GJ", "HJ", "ExMS"];
+
+/// `scale` with its sizes raised to a floor: wall-clock scaling needs
+/// enough work per partition to amortize thread spawns.
+fn at_least(scale: &Scale, join_t: u64, join_fanout: u64, sort_n: u64) -> Scale {
+    Scale {
+        join_t: scale.join_t.max(join_t),
+        join_fanout: scale.join_fanout.max(join_fanout),
+        sort_n: scale.sort_n.max(sort_n),
+        ..scale.clone()
+    }
+}
+
+/// The DRAM budget of `op` in the speedup matrix and the span profile:
+/// a tenth of a join's left input, a hundredth of a sort's input.
+pub(crate) fn budget(op: Operator, scale: &Scale) -> BufferPool {
+    let records = match op {
+        Operator::Sort(_) => scale.sort_n / 100,
+        Operator::Join(_) | Operator::AdaptiveJoin => scale.join_t / 10,
+    };
+    BufferPool::new(records.max(16) as usize * 80)
+}
+
+/// One measurement: stage `op`'s input at `scale`, run it at `threads`,
+/// check its output count, and turn the run's phase ledger (each phase a
+/// list of independent task costs, phases sequential) into the
+/// critical-path speedup.
+fn time_cell(algorithm: &'static str, op: Operator, scale: &Scale, threads: usize) -> Cell {
     let dev = PmDevice::paper_default();
-    let w = join_input(t, fanout, 7);
-    let left = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", w.left);
-    let right = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
-    let pool = BufferPool::new(m_records * 80);
-    let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
+    let layer = LayerKind::BlockedMemory;
+    let (inputs, expected) = stage(op, &dev, layer, scale, 7);
+    let pool = budget(op, scale);
+    let ctx = ExecContext::new(&dev, layer, &pool).with_threads(threads);
     let before = dev.snapshot();
     let start = Instant::now();
-    let (out, phases) = algo
-        .run_profiled(&left, &right, &ctx, "out")
-        .expect("applicable");
+    let (out, phases) = run(op, &inputs, &ctx).expect("applicable");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        out.len() as u64,
-        w.expected_matches,
-        "{algorithm}: wrong join result"
-    );
     let stats = dev.snapshot().since(&before);
-    let phases: Vec<&[IoStats]> = phases.iter().map(Vec::as_slice).collect();
+    assert_eq!(out, expected, "{algorithm}: wrong result");
     Cell {
         algorithm,
         dop: threads,
@@ -120,217 +144,124 @@ fn time_join(
     }
 }
 
-fn time_sort(n: u64, m_records: usize, threads: usize) -> Cell {
-    let dev = PmDevice::paper_default();
-    let input = PCollection::from_records_uncounted(
-        &dev,
-        LayerKind::BlockedMemory,
-        "S",
-        sort_input(n, KeyOrder::Random, 7),
-    );
-    let pool = BufferPool::new(m_records * 80);
-    let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
-    let before = dev.snapshot();
-    let start = Instant::now();
-    let (out, phases) = SortAlgorithm::ExMS
-        .run_profiled(&input, &ctx, "sorted")
-        .expect("ExMS takes no parameters");
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(out.len() as u64, n, "wrong sort result");
-    let stats = dev.snapshot().since(&before);
-    let phases: Vec<&[IoStats]> = phases.iter().map(Vec::as_slice).collect();
-    Cell {
-        algorithm: "ExMS",
-        dop: threads,
-        wall_ms,
-        wall_speedup: 1.0,
-        stats,
-        cp_speedup: cp_speedup_from_phases(&stats, &phases, threads),
-    }
-}
-
-/// Prints one algorithm's rows, fills in the wall-clock speedups, and
-/// panics if any degree's counters diverge from the serial run. Returns
-/// (wall, critical-path) speedup at DoP 4 (1.0 when not measured).
-fn report(dops: &[usize], cells: &mut [Cell]) -> (f64, f64) {
-    let base_wall = cells[0].wall_ms;
-    let base_stats = cells[0].stats;
-    let mut at4 = (1.0, 1.0);
-    for (dop, cell) in dops.iter().zip(cells) {
-        cell.wall_speedup = base_wall / cell.wall_ms;
-        if *dop == 4 {
-            at4 = (cell.wall_speedup, cell.cp_speedup);
-        }
-        let counts_ok = cell.stats.cl_reads == base_stats.cl_reads
-            && cell.stats.cl_writes == base_stats.cl_writes;
-        println!(
-            "{:<10} {dop:>4} {:>10.1} {:>8.2}x {:>8.2}x {:>12} {:>12}   {}",
-            cell.algorithm,
-            cell.wall_ms,
-            cell.wall_speedup,
-            cell.cp_speedup,
-            cell.stats.cl_reads,
-            cell.stats.cl_writes,
-            if counts_ok { "identical" } else { "MISMATCH" },
-        );
-        assert!(
-            counts_ok,
-            "{}: simulated counts diverged at DoP {dop} \
-             ({:?} vs serial {:?})",
-            cell.algorithm, cell.stats, base_stats
-        );
-    }
-    at4
-}
-
-/// Runs the parallel algorithms at each degree in `dops` and prints the
-/// wall-clock scaling table; returns every measured cell for the JSON
-/// baseline. Panics if any degree's simulated cacheline counts diverge
-/// from the serial run. With `smoke`, sizes come straight from `scale`
-/// (no wall-clock floors) and the wall-clock targets are not evaluated —
-/// the CI-friendly counters-and-critical-path check.
-pub fn parallel_speedup_cells(scale: &Scale, dops: &[usize], smoke: bool) -> Vec<Cell> {
-    // Wall-clock scaling needs enough work per partition to amortize
-    // thread spawns; floor the sizes at a few hundred ms of serial work.
-    let t = if smoke {
-        scale.join_t
-    } else {
-        scale.join_t.max(30_000)
-    };
-    let fanout = if smoke {
-        scale.join_fanout
-    } else {
-        scale.join_fanout.max(8)
-    };
-    let sort_n = if smoke {
-        scale.sort_n
-    } else {
-        scale.sort_n.max(200_000)
-    };
-    let m_records = (t / 10).max(16) as usize;
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-
-    println!("=== Parallel execution: wall-clock and critical-path speedup ===");
+/// Runs every algorithm of `lineup` at each degree in `dops` on inputs
+/// of `scale`'s sizes, prints the table, fills in the wall-clock
+/// speedups, and panics if any degree's counters diverge from the serial
+/// run.
+fn matrix(
+    title: &str,
+    lineup: &[(&'static str, Operator)],
+    scale: &Scale,
+    dops: &[usize],
+) -> Vec<Cell> {
+    let (t, sort_n) = (scale.join_t, scale.sort_n);
+    println!("=== {title} ===");
     println!(
-        "joins: |T| = {t}, |V| = {}, M = {m_records} records; \
-         sort: {sort_n} records, M = {} records; host cores: {cores}",
-        t * fanout,
+        "joins: |T| = {t}, |V| = {}, M = {} records; sort: {sort_n} records, \
+         M = {} records; host cores: {}",
+        t * scale.join_fanout,
+        (t / 10).max(16),
         (sort_n / 100).max(16),
+        host_cores(),
     );
     println!(
         "{:<10} {:>4} {:>10} {:>9} {:>9} {:>12} {:>12}   counts",
         "algorithm", "DoP", "wall ms", "wall spd", "crit spd", "cl reads", "cl writes"
     );
-
-    let mut all: Vec<Cell> = Vec::new();
-    let mut gj: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_join("GJ", JoinAlgorithm::GJ, t, fanout, m_records, d))
-        .collect();
-    let (gj_wall, gj_cp) = report(dops, &mut gj);
-    all.extend(gj);
-
-    let mut hj: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_join("HJ", JoinAlgorithm::HJ, t, fanout, m_records, d))
-        .collect();
-    let (hj_wall, hj_cp) = report(dops, &mut hj);
-    all.extend(hj);
-
-    let mut nlj: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_join("NLJ", JoinAlgorithm::NLJ, t, fanout, m_records, d))
-        .collect();
-    report(dops, &mut nlj);
-    all.extend(nlj);
-
-    let mut laj: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_join("LaJ", JoinAlgorithm::LaJ, t, fanout, m_records, d))
-        .collect();
-    report(dops, &mut laj);
-    all.extend(laj);
-
-    let mut segj: Vec<Cell> = dops
-        .iter()
-        .map(|&d| {
-            time_join(
-                "SegJ 25%",
-                JoinAlgorithm::SegJ { frac: 0.25 },
-                t,
-                fanout,
-                m_records,
-                d,
-            )
-        })
-        .collect();
-    report(dops, &mut segj);
-    all.extend(segj);
-
-    let mut exms: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_sort(sort_n, (sort_n / 100).max(16) as usize, d))
-        .collect();
-    let (exms_wall, exms_cp) = report(dops, &mut exms);
-    all.extend(exms);
-
-    if smoke {
-        println!("smoke mode: counters identical at every DoP — PASS");
-        return all;
-    }
-
-    // The acceptance bar: once accounting is sharded (no shared RMW per
-    // counted access), wall-clock catches the ledger-derived critical
-    // path — DoP-4 wall within ~25% of the cp speedup and >= 2x
-    // absolute. Host-gated: a box with fewer than 4 cores cannot scale
-    // wall-clock, so there the run reports cp only.
-    let wall_floor = 2.0;
-    let gap_floor = 0.75;
-    let cp_target = 2.5;
-    for (name, wall, cp) in [
-        ("GJ", gj_wall, gj_cp),
-        ("HJ", hj_wall, hj_cp),
-        ("ExMS", exms_wall, exms_cp),
-    ] {
-        println!(
-            "{name} critical-path speedup at DoP 4 (per-worker ledgers, \
-             host-independent): {cp:.2}x (target >= {cp_target}x) — {}",
-            if cp >= cp_target { "PASS" } else { "FAIL" }
-        );
-        if cores >= 4 {
-            let gap = wall / cp;
+    let mut all = Vec::new();
+    for &(algorithm, op) in lineup {
+        let mut cells: Vec<Cell> = dops
+            .iter()
+            .map(|&dop| time_cell(algorithm, op, scale, dop))
+            .collect();
+        let (base_wall, base_stats) = (cells[0].wall_ms, cells[0].stats);
+        for cell in &mut cells {
+            cell.wall_speedup = base_wall / cell.wall_ms;
+            let counts_ok = cell.stats.cl_reads == base_stats.cl_reads
+                && cell.stats.cl_writes == base_stats.cl_writes;
             println!(
-                "{name} wall-clock speedup at DoP 4: {wall:.2}x, wall/cp \
-                 gap {gap:.2} (targets >= {wall_floor}x and >= {gap_floor}) — {}",
-                if wall >= wall_floor && gap >= gap_floor {
-                    "PASS"
-                } else {
-                    "FAIL"
-                }
+                "{:<10} {:>4} {:>10.1} {:>8.2}x {:>8.2}x {:>12} {:>12}   {}",
+                cell.algorithm,
+                cell.dop,
+                cell.wall_ms,
+                cell.wall_speedup,
+                cell.cp_speedup,
+                cell.stats.cl_reads,
+                cell.stats.cl_writes,
+                if counts_ok { "identical" } else { "MISMATCH" },
             );
             assert!(
-                wall >= wall_floor && gap >= gap_floor,
-                "{name}: DoP-4 wall-clock speedup {wall:.2}x (wall/cp gap \
-                 {gap:.2}) below the acceptance bar (>= {wall_floor}x and \
-                 gap >= {gap_floor})"
-            );
-        } else {
-            println!(
-                "{name} wall-clock speedup at DoP 4: {wall:.2}x — host has \
-                 {cores} core(s), wall cannot scale here; gap assertion skipped"
+                counts_ok,
+                "{algorithm}: simulated counts diverged at DoP {} ({:?} vs serial {:?})",
+                cell.dop, cell.stats, base_stats
             );
         }
+        all.extend(cells);
     }
     all
+}
+
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, usize::from)
+}
+
+/// Asserts, for each of [`GAPPED`], that the DoP-4 wall speedup reaches
+/// `wall_floor` and stays within `gap_floor` of the critical-path
+/// speedup. A host with fewer than 4 cores cannot scale wall-clock, so
+/// there the check is skipped.
+fn check_wall_gap(cells: &[Cell], wall_floor: f64, gap_floor: f64) {
+    let cores = host_cores();
+    for cell in cells
+        .iter()
+        .filter(|c| c.dop == 4 && GAPPED.contains(&c.algorithm))
+    {
+        let (name, wall, cp) = (cell.algorithm, cell.wall_speedup, cell.cp_speedup);
+        if cores < 4 {
+            println!(
+                "{name}: wall {wall:.2}x, cp {cp:.2}x at DoP 4 — host has \
+                 {cores} core(s), wall cannot scale here; gap assertion skipped"
+            );
+            continue;
+        }
+        let gap = wall / cp;
+        let pass = wall >= wall_floor && gap >= gap_floor;
+        println!(
+            "{name}: wall {wall:.2}x, cp {cp:.2}x, wall/cp gap {gap:.2} \
+             (floors >= {wall_floor}x and >= {gap_floor}) — {}",
+            if pass { "PASS" } else { "FAIL" }
+        );
+        assert!(
+            pass,
+            "{name}: DoP-4 wall-clock speedup {wall:.2}x (wall/cp gap \
+             {gap:.2}) below the floors (>= {wall_floor}x and gap >= {gap_floor})"
+        );
+    }
+}
+
+/// Runs the parallel algorithms at each degree in `dops` and prints the
+/// wall-clock scaling table; returns every measured cell for the JSON
+/// baseline. Panics if any degree's simulated cacheline counts diverge
+/// from the serial run, or, on a host with 4 cores, if GJ, HJ or ExMS
+/// miss the acceptance bar: once accounting is sharded (no shared RMW per
+/// counted access), DoP-4 wall-clock reaches >= 2x absolute and stays
+/// within ~25% of the ledger-derived critical-path speedup.
+pub fn parallel_speedup_cells(scale: &Scale, dops: &[usize]) -> Vec<Cell> {
+    let cells = matrix(
+        "Parallel execution: wall-clock and critical-path speedup",
+        &LINEUP,
+        &at_least(scale, 30_000, 8, 200_000),
+        dops,
+    );
+    check_wall_gap(&cells, 2.0, 0.75);
+    cells
 }
 
 /// Runs the speedup matrix and writes the committed host-independent
 /// summary to `BENCH_parallel.json` in the working directory.
 pub fn parallel_speedup(scale: &Scale, dops: &[usize]) {
-    let cells = parallel_speedup_cells(scale, dops, false);
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let cells = parallel_speedup_cells(scale, dops);
     let path = "BENCH_parallel.json";
-    match std::fs::write(path, summary_json(&cells, cores)) {
+    match std::fs::write(path, summary_json(&cells, host_cores())) {
         Ok(()) => println!("speedup summary written to {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
@@ -338,76 +269,23 @@ pub fn parallel_speedup(scale: &Scale, dops: &[usize]) {
 
 /// The wall-gap CI smoke: GJ, HJ, and ExMS at DoP 1 and 4 with inputs
 /// just big enough to amortize thread spawns. Counter identity is
-/// asserted unconditionally (inside `report`); the wall/cp gap gets a
-/// host-tolerant floor — half the full-run bar, evaluated only when the
-/// host actually has 4 cores — so the smoke passes on small CI boxes
-/// while still catching an accounting-contention regression on real
-/// ones.
+/// asserted unconditionally; the wall/cp gap gets a host-tolerant floor
+/// — half the full-run bar, evaluated only when the host actually has 4
+/// cores — so the smoke passes on small CI boxes while still catching an
+/// accounting-contention regression on real ones.
 pub fn wall_gap_smoke(scale: &Scale) {
-    let t = scale.join_t.max(12_000);
-    let fanout = scale.join_fanout.max(4);
-    let sort_n = scale.sort_n.max(120_000);
-    let m_records = (t / 10).max(16) as usize;
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let dops = [1usize, 4];
-
-    println!("=== Wall-vs-critical-path gap smoke ===");
-    println!(
-        "joins: |T| = {t}, |V| = {}, M = {m_records} records; \
-         sort: {sort_n} records; host cores: {cores}",
-        t * fanout,
+    let lineup: Vec<(&str, Operator)> = LINEUP
+        .into_iter()
+        .filter(|(name, _)| GAPPED.contains(name))
+        .collect();
+    let cells = matrix(
+        "Wall-vs-critical-path gap smoke",
+        &lineup,
+        &at_least(scale, 12_000, 4, 120_000),
+        &[1, 4],
     );
-    println!(
-        "{:<10} {:>4} {:>10} {:>9} {:>9} {:>12} {:>12}   counts",
-        "algorithm", "DoP", "wall ms", "wall spd", "crit spd", "cl reads", "cl writes"
-    );
-    let mut gj: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_join("GJ", JoinAlgorithm::GJ, t, fanout, m_records, d))
-        .collect();
-    let (gj_wall, gj_cp) = report(&dops, &mut gj);
-    let mut hj: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_join("HJ", JoinAlgorithm::HJ, t, fanout, m_records, d))
-        .collect();
-    let (hj_wall, hj_cp) = report(&dops, &mut hj);
-    let mut exms: Vec<Cell> = dops
-        .iter()
-        .map(|&d| time_sort(sort_n, (sort_n / 100).max(16) as usize, d))
-        .collect();
-    let (exms_wall, exms_cp) = report(&dops, &mut exms);
-
-    if cores < 4 {
-        println!(
-            "host has {cores} core(s): wall-clock cannot scale; counters \
-             checked, gap floor skipped"
-        );
-        return;
-    }
-    let wall_floor = 1.5;
-    let gap_floor = 0.5;
-    for (name, wall, cp) in [
-        ("GJ", gj_wall, gj_cp),
-        ("HJ", hj_wall, hj_cp),
-        ("ExMS", exms_wall, exms_cp),
-    ] {
-        let gap = wall / cp;
-        println!(
-            "{name}: wall {wall:.2}x, cp {cp:.2}x, wall/cp gap {gap:.2} \
-             (smoke floors >= {wall_floor}x and >= {gap_floor}) — {}",
-            if wall >= wall_floor && gap >= gap_floor {
-                "PASS"
-            } else {
-                "FAIL"
-            }
-        );
-        assert!(
-            wall >= wall_floor && gap >= gap_floor,
-            "{name}: smoke wall-clock speedup {wall:.2}x (gap {gap:.2}) \
-             below the host-tolerant floor"
-        );
-    }
-    println!("wall-gap smoke PASS");
+    check_wall_gap(&cells, 1.5, 0.5);
+    println!("wall-gap smoke done");
 }
 
 /// Serializes the measured cells as the committed host-independent
@@ -465,13 +343,19 @@ mod tests {
         // least 2.5x at DoP 4 for ExMS end-to-end (including the final
         // merge) and for the standard hash join. Deterministic — no
         // wall-clock involved — so it can run on any CI box.
-        let exms = time_sort(60_000, 600, 4);
+        let scale = Scale {
+            sort_n: 60_000,
+            join_t: 20_000,
+            join_fanout: 4,
+            ..Scale::quick()
+        };
+        let exms = time_cell("ExMS", Operator::Sort(SortAlgorithm::ExMS), &scale, 4);
         assert!(
             exms.cp_speedup >= 2.5,
             "ExMS critical-path speedup {} below 2.5x",
             exms.cp_speedup
         );
-        let hj = time_join("HJ", JoinAlgorithm::HJ, 20_000, 4, 2_000, 4);
+        let hj = time_cell("HJ", Operator::Join(JoinAlgorithm::HJ), &scale, 4);
         assert!(
             hj.cp_speedup >= 2.5,
             "HJ critical-path speedup {} below 2.5x",
@@ -511,20 +395,5 @@ mod tests {
         assert!(narrow.contains("\"wall_cp_gap\": null"));
         // DoP 1 always has a gap (any host has >= 1 core).
         assert!(narrow.contains("\"wall_cp_gap\": 1.0000"));
-    }
-
-    #[test]
-    fn smoke_matrix_keeps_counters_identical() {
-        // The CI smoke path: a small matrix at DoP 1 vs 4; `report`
-        // inside asserts counter identity, so reaching the end is the
-        // check.
-        let scale = Scale {
-            sort_n: 20_000,
-            join_t: 3_000,
-            join_fanout: 3,
-            ..Scale::quick()
-        };
-        let cells = parallel_speedup_cells(&scale, &[1, 4], true);
-        assert_eq!(cells.len(), 12, "six algorithms at two DoPs");
     }
 }

@@ -10,6 +10,10 @@
 //! units. The report prints each cell's ratio plus Kendall's τ between
 //! the predicted and measured cost across all cells — high τ means the
 //! planner's cross-setting ranking is sound.
+//!
+//! Every cell plans and runs at DoP 1: the planner costs partitioned
+//! joins for the degree it will fan out to, so at another degree some
+//! cells choose a different join.
 
 use crate::scale::Scale;
 use wisconsin::join_input;
@@ -31,8 +35,7 @@ pub struct PlanCell {
     pub measured_units: f64,
 }
 
-/// Runs the sweep and returns the cells (library entry point; the bench
-/// target prints them).
+/// Runs the sweep and returns the cells.
 pub fn run_plan_concordance(scale: &Scale) -> Vec<PlanCell> {
     let t = scale.join_t.min(20_000); // planning sweep stays snappy
     let fanout = scale.join_fanout;
@@ -43,6 +46,7 @@ pub fn run_plan_concordance(scale: &Scale) -> Vec<PlanCell> {
         for &lambda in &lambdas {
             let db = Database::builder()
                 .lambda(lambda)
+                .threads(1)
                 .dram_budget((t as f64 * 80.0 * mem_fraction) as usize)
                 .build();
             let w = join_input(t, fanout, 42);
@@ -81,17 +85,17 @@ pub fn run_plan_concordance(scale: &Scale) -> Vec<PlanCell> {
     cells
 }
 
-/// Prints the sweep as the bench target's report.
-pub fn plan_concordance(scale: &Scale) {
-    println!("=== Plan-level concordance (Fig. 12 extension): σ(T) ⋈ V → γ ===");
-    println!(
-        "{:>6} {:>6}  {:<28} {:>14} {:>14} {:>7}",
+/// Renders the sweep: a line per cell, then Kendall τ across cells.
+pub fn plan_concordance(scale: &Scale) -> String {
+    let mut out = format!(
+        "=== Plan-level concordance (Fig. 12 extension): σ(T) ⋈ V → γ ===\n\
+         {:>6} {:>6}  {:<28} {:>14} {:>14} {:>7}\n",
         "λ", "M/|T|", "chosen join", "predicted", "measured", "ratio"
     );
     let cells = run_plan_concordance(scale);
     for c in &cells {
-        println!(
-            "{:>6} {:>6.3}  {:<28} {:>14.0} {:>14.0} {:>7.2}",
+        out += &format!(
+            "{:>6} {:>6.3}  {:<28} {:>14.0} {:>14.0} {:>7.2}\n",
             c.lambda,
             c.mem_fraction,
             c.chosen_join,
@@ -102,10 +106,11 @@ pub fn plan_concordance(scale: &Scale) {
     }
     let predicted: Vec<f64> = cells.iter().map(|c| c.predicted_units).collect();
     let measured: Vec<f64> = cells.iter().map(|c| c.measured_units).collect();
-    match kendall_tau(&predicted, &measured) {
-        Some(tau) => println!("\nKendall τ (predicted vs measured across cells): {tau:.3}"),
-        None => println!("\nKendall τ undefined (too few cells)"),
-    }
+    out += &match kendall_tau(&predicted, &measured) {
+        Some(tau) => format!("\nKendall τ (predicted vs measured across cells): {tau:.3}\n"),
+        None => "\nKendall τ undefined (too few cells)\n".to_string(),
+    };
+    out
 }
 
 #[cfg(test)]

@@ -12,16 +12,15 @@
 //! ones (allocator, memory bandwidth); phases whose makespan dominates
 //! are the imbalanced ones. `repro --profile` writes the full span
 //! trees to `BENCH_profile.json` (hand-rolled JSON — the offline
-//! environment has no serde); `repro --profile-smoke` validates the
-//! structure at CI scale.
+//! environment has no serde).
 
+use crate::measure::{run, stage, Operator};
+use crate::parallel::{budget, LINEUP};
 use crate::Scale;
 use pmem_sim::span::{begin_profile, end_profile};
-use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice, SpanNode};
+use pmem_sim::{IoStats, LayerKind, PmDevice, SpanNode};
 use std::time::Instant;
-use wisconsin::{join_input, sort_input, KeyOrder};
-use write_limited::join::{grace_join, hash_join, lazy_hash_join, nested_loops_join, JoinContext};
-use write_limited::sort::{external_merge_sort, SortContext};
+use write_limited::context::ExecContext;
 
 /// One algorithm's profiled run at one degree of parallelism.
 pub struct ProfiledRun {
@@ -79,102 +78,51 @@ fn collect_phases(node: &SpanNode, out: &mut Vec<PhaseBreakdown>) {
     }
 }
 
-fn profiled<F: FnOnce()>(
-    algorithm: &'static str,
-    dop: usize,
-    dev: &PmDevice,
-    work: F,
-) -> ProfiledRun {
+/// Runs `op` on the speedup matrix's inputs and budget at `scale` under
+/// a span profile rooted at `algorithm`.
+fn profile_run(algorithm: &'static str, op: Operator, scale: &Scale, dop: usize) -> ProfiledRun {
+    let dev = PmDevice::paper_default();
+    let layer = LayerKind::BlockedMemory;
+    let (inputs, expected) = stage(op, &dev, layer, scale, 7);
+    let pool = budget(op, scale);
+    let ctx = ExecContext::new(&dev, layer, &pool).with_threads(dop);
     let before = dev.snapshot();
     begin_profile(algorithm);
     let start = Instant::now();
-    work();
+    let (out, _) = run(op, &inputs, &ctx).expect("applicable");
+    assert_eq!(out, expected, "{algorithm}: wrong result");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let tree = end_profile().expect("profile was active");
-    let stats = dev.snapshot().since(&before);
     ProfiledRun {
         algorithm,
         dop,
         wall_ms,
-        stats,
+        stats: dev.snapshot().since(&before),
         tree,
     }
 }
 
-fn profile_sort(n: u64, m_records: usize, dop: usize) -> ProfiledRun {
-    let dev = PmDevice::paper_default();
-    let input = PCollection::from_records_uncounted(
-        &dev,
-        LayerKind::BlockedMemory,
-        "S",
-        sort_input(n, KeyOrder::Random, 7),
-    );
-    let pool = BufferPool::new(m_records * 80);
-    let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(dop);
-    profiled("ExMS", dop, &dev, || {
-        let out = external_merge_sort(&input, &ctx, "sorted");
-        assert_eq!(out.len() as u64, n, "wrong sort result");
-    })
-}
-
-fn profile_join(
-    algorithm: &'static str,
-    t: u64,
-    fanout: u64,
-    m_records: usize,
-    dop: usize,
-) -> ProfiledRun {
-    let dev = PmDevice::paper_default();
-    let w = join_input(t, fanout, 7);
-    let left = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", w.left);
-    let right = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
-    let pool = BufferPool::new(m_records * 80);
-    let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(dop);
-    profiled(algorithm, dop, &dev, || {
-        let len = match algorithm {
-            "GJ" => grace_join(&left, &right, &ctx, "out")
-                .expect("applicable")
-                .len(),
-            "HJ" => hash_join(&left, &right, &ctx, "out").len(),
-            "NLJ" => nested_loops_join(&left, &right, &ctx, "out").len(),
-            "LaJ" => lazy_hash_join(&left, &right, &ctx, "out").len(),
-            other => unreachable!("unprofiled algorithm {other}"),
-        };
-        assert_eq!(
-            len as u64, w.expected_matches,
-            "{algorithm}: wrong join result"
-        );
-    })
-}
-
-/// Runs every parallel algorithm at each degree in `dops` under a span
-/// profile and prints the per-phase wall breakdown, comparing each
-/// phase's task-seconds against the DoP-1 run to localize contention.
+/// Runs every algorithm of the speedup matrix at each degree in `dops`
+/// under a span profile and prints the per-phase wall breakdown,
+/// comparing each phase's task-seconds against the DoP-1 run to
+/// localize contention.
 /// Panics if any run's simulated counters diverge across DoPs (the
 /// profile must observe, never perturb).
 pub fn profile_runs(scale: &Scale, dops: &[usize]) -> Vec<ProfiledRun> {
     let t = scale.join_t;
-    let fanout = scale.join_fanout;
-    let sort_n = scale.sort_n;
-    let m_records = (t / 10).max(16) as usize;
     println!("=== Span-tree profile: per-task wall breakdown by DoP ===");
     println!(
-        "joins: |T| = {t}, |V| = {}, M = {m_records} records; sort: {sort_n} records",
-        t * fanout
+        "joins: |T| = {t}, |V| = {}, M = {} records; sort: {} records",
+        t * scale.join_fanout,
+        (t / 10).max(16),
+        scale.sort_n
     );
 
     let mut runs: Vec<ProfiledRun> = Vec::new();
-    let jobs: [&'static str; 5] = ["ExMS", "GJ", "HJ", "NLJ", "LaJ"];
-    for algorithm in jobs {
+    for (algorithm, op) in LINEUP {
         let mut per_dop: Vec<ProfiledRun> = dops
             .iter()
-            .map(|&d| {
-                if algorithm == "ExMS" {
-                    profile_sort(sort_n, (sort_n / 100).max(16) as usize, d)
-                } else {
-                    profile_join(algorithm, t, fanout, m_records, d)
-                }
-            })
+            .map(|&dop| profile_run(algorithm, op, scale, dop))
             .collect();
         report_algorithm(&per_dop);
         runs.append(&mut per_dop);
@@ -309,38 +257,27 @@ pub fn profile_to_file(scale: &Scale) {
     }
 }
 
-/// `repro --profile-smoke`: the CI-sized structural check. Runs the
-/// matrix, validates every tree, checks that DoP-4 runs actually fanned
-/// out, and that the JSON document is balanced and complete.
-pub fn profile_smoke(scale: &Scale) {
-    let runs = profile_runs(scale, &[1, 4]);
-    assert_eq!(runs.len(), 10, "five algorithms at two DoPs");
-    for r in &runs {
-        assert!(r.tree.task_count() > 0, "{}: no task leaves", r.algorithm);
-        assert!(
-            !phase_breakdown(&r.tree).is_empty(),
-            "{}: no pool phases",
-            r.algorithm
-        );
-    }
-    let json = profile_json(&runs);
-    assert!(json.starts_with("[\n") && json.ends_with("]\n"));
-    assert_eq!(
-        json.matches('{').count(),
-        json.matches('}').count(),
-        "unbalanced JSON"
-    );
-    assert_eq!(json.matches("\"span_tree\"").count(), 10);
-    println!("profile smoke: 10 runs, all trees valid, JSON well-formed — PASS");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use write_limited::join::JoinAlgorithm;
+    use write_limited::sort::SortAlgorithm;
+
+    fn join_scale(join_t: u64, join_fanout: u64) -> Scale {
+        Scale {
+            join_t,
+            join_fanout,
+            ..Scale::quick()
+        }
+    }
 
     #[test]
     fn profiled_sort_produces_a_valid_tree_with_task_leaves() {
-        let run = profile_sort(4_000, 40, 4);
+        let scale = Scale {
+            sort_n: 4_000,
+            ..Scale::quick()
+        };
+        let run = profile_run("ExMS", Operator::Sort(SortAlgorithm::ExMS), &scale, 4);
         run.tree.validate().expect("span sums hold");
         assert_eq!(run.tree.label, "ExMS");
         assert!(run.tree.task_count() > 0, "worker tasks recorded");
@@ -353,7 +290,12 @@ mod tests {
 
     #[test]
     fn profile_json_is_balanced_and_carries_trees() {
-        let run = profile_join("HJ", 500, 2, 100, 2);
+        let run = profile_run(
+            "HJ",
+            Operator::Join(JoinAlgorithm::HJ),
+            &join_scale(500, 2),
+            2,
+        );
         let json = profile_json(&[run]);
         assert!(json.contains("\"algorithm\": \"HJ\""));
         assert!(json.contains("\"span_tree\": {"));
@@ -363,8 +305,18 @@ mod tests {
 
     #[test]
     fn counters_are_identical_across_dops_under_profiling() {
-        let a = profile_join("GJ", 800, 2, 80, 1);
-        let b = profile_join("GJ", 800, 2, 80, 4);
+        let a = profile_run(
+            "GJ",
+            Operator::Join(JoinAlgorithm::GJ),
+            &join_scale(800, 2),
+            1,
+        );
+        let b = profile_run(
+            "GJ",
+            Operator::Join(JoinAlgorithm::GJ),
+            &join_scale(800, 2),
+            4,
+        );
         assert_eq!(a.stats.cl_reads, b.stats.cl_reads);
         assert_eq!(a.stats.cl_writes, b.stats.cl_writes);
         assert!(b.tree.task_count() >= a.tree.task_count());

@@ -5,8 +5,7 @@
 //! structure is scale-invariant in the memory *fraction*, so the default
 //! harness scale keeps wall-clock time laptop-friendly; set
 //! `WL_SCALE=paper` for the full sizes or `WL_SCALE=quick` for smoke
-//! runs (`WL_SORT_N`, `WL_JOIN_T`, `WL_JOIN_FANOUT` override
-//! individually).
+//! runs.
 
 /// Sizes and sweep points for the reproduction experiments.
 #[derive(Clone, Debug)]
@@ -60,24 +59,20 @@ impl Scale {
         }
     }
 
-    /// Reads the scale from the environment (`WL_SCALE`, `WL_SORT_N`,
-    /// `WL_JOIN_T`, `WL_JOIN_FANOUT`).
+    /// Reads the scale from `WL_SCALE` (`quick`, `default` or `paper`;
+    /// unset means `default`). Any other value is a usage error: the
+    /// process exits with status 2.
     pub fn from_env() -> Self {
-        let mut scale = match std::env::var("WL_SCALE").as_deref() {
+        match std::env::var("WL_SCALE").as_deref() {
+            Err(std::env::VarError::NotPresent) | Ok("default") => Self::default_scale(),
             Ok("quick") => Self::quick(),
             Ok("paper") => Self::paper(),
-            _ => Self::default_scale(),
-        };
-        if let Ok(n) = std::env::var("WL_SORT_N").map(|v| v.parse::<u64>()) {
-            scale.sort_n = n.expect("WL_SORT_N must be an integer");
+            _ => {
+                let got = std::env::var_os("WL_SCALE").unwrap_or_default();
+                eprintln!("usage: WL_SCALE=quick|default|paper, got {got:?}");
+                std::process::exit(2)
+            }
         }
-        if let Ok(n) = std::env::var("WL_JOIN_T").map(|v| v.parse::<u64>()) {
-            scale.join_t = n.expect("WL_JOIN_T must be an integer");
-        }
-        if let Ok(n) = std::env::var("WL_JOIN_FANOUT").map(|v| v.parse::<u64>()) {
-            scale.join_fanout = n.expect("WL_JOIN_FANOUT must be an integer");
-        }
-        scale
     }
 }
 

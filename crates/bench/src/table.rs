@@ -1,9 +1,9 @@
-//! Plain-text table/series printing in the style of the paper's figures.
+//! Plain-text table/series rendering in the style of the paper's figures.
 
-/// Prints a titled, column-aligned table.
-pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
-    println!("\n=== {title} ===");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+/// Renders a titled, column-aligned table.
+pub fn table<S: AsRef<str>>(title: &str, header: &[S], rows: &[Vec<String>]) -> String {
+    let header: Vec<String> = header.iter().map(|h| h.as_ref().to_string()).collect();
+    let mut widths: Vec<usize> = header.iter().map(String::len).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
@@ -22,11 +22,16 @@ pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
         }
         s
     };
-    println!("{}", line(header));
-    println!("{}", "-".repeat(widths.iter().map(|w| w + 2).sum()));
+    let mut out = format!(
+        "\n=== {title} ===\n{}\n{}\n",
+        line(&header),
+        "-".repeat(widths.iter().map(|w| w + 2).sum())
+    );
     for row in rows {
-        println!("{}", line(row));
+        out += &line(row);
+        out.push('\n');
     }
+    out
 }
 
 /// Formats a float with three significant decimals.

@@ -1,13 +1,14 @@
 //! Crash-recovery integration tests: the durable database reopened
 //! after kills, torn tails, and deliberate corruption.
 //!
-//! The randomized loop mirrors `repro --crash` at test scale: a
-//! fault-free oracle measures the workload's durable byte budget, then
-//! every seed arms a kill at a random offset inside it, runs until the
-//! simulated process dies, reopens, and asserts the recovered state is
-//! exactly the committed statement prefix (the in-flight statement may
-//! land fully or not at all — nothing else). Runs unchanged at DoP 1
-//! and under `WL_THREADS=4`: recovery is deterministic either way.
+//! The randomized loop: a fault-free oracle measures the workload's
+//! durable byte budget (and must end in the model's tables and row
+//! counts), then every seed arms a kill at a random offset inside it,
+//! runs until the simulated process dies, reopens, and asserts the
+//! recovered state is exactly the committed statement prefix (the
+//! in-flight statement may land fully or not at all — nothing else).
+//! Runs unchanged at DoP 1 and under `WL_THREADS=4`: recovery is
+//! deterministic either way.
 
 use pmem_sim::FaultPlan;
 use rand::rngs::StdRng;
@@ -78,63 +79,113 @@ fn sql_session_state_survives_a_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The scripted workload for the kill loop, mirrored by a logical
-/// model. Small tables keep 100+ seeded trials cheap.
-fn ops() -> Vec<(&'static str, u64)> {
-    // (op-code, arg): c = create (arg = rows), i = insert (arg = key
-    // count), k = checkpoint, d = drop. Encoded flat so the model and
-    // the executor cannot drift apart.
+/// Seeded kills per run of the suite; CI runs it twice (DoP 1 and
+/// `WL_THREADS=4`), so 120 trials in all.
+const KILL_SEEDS: u64 = 60;
+
+/// One statement of the kill loop's script, mirrored by a logical model
+/// so the expected post-crash state is computable without a live
+/// database.
+enum Op {
+    /// `CREATE TABLE name AS WISCONSIN(rows, fanout, seed)`.
+    Create {
+        name: &'static str,
+        rows: u64,
+        fanout: u64,
+        seed: u64,
+    },
+    /// `INSERT INTO name VALUES …`.
+    Insert { name: &'static str, keys: Vec<u64> },
+    /// `DROP TABLE name`.
+    Drop { name: &'static str },
+    /// `CHECKPOINT` (no logical effect; moves bytes and the WAL base).
+    Checkpoint,
+}
+
+/// The scripted workload: a drop and re-create, fanout-2 creates and
+/// two checkpoints, so kills land in WAL appends, checkpoint images and
+/// WAL resets alike. Small tables keep the seeded trials cheap.
+fn script() -> Vec<Op> {
     vec![
-        ("c:t", 150),
-        ("i:t", 3),
-        ("k", 0),
-        ("c:v", 60),
-        ("d:v", 0),
-        ("c:v", 40),
-        ("i:v", 2),
-        ("c:w", 30),
+        Op::Create {
+            name: "t",
+            rows: 300,
+            fanout: 1,
+            seed: 3,
+        },
+        Op::Insert {
+            name: "t",
+            keys: vec![300, 301, 302, 303],
+        },
+        Op::Checkpoint,
+        Op::Create {
+            name: "v",
+            rows: 120,
+            fanout: 2,
+            seed: 7,
+        },
+        Op::Insert {
+            name: "v",
+            keys: vec![120, 121],
+        },
+        Op::Drop { name: "v" },
+        Op::Create {
+            name: "w",
+            rows: 80,
+            fanout: 1,
+            seed: 1,
+        },
+        Op::Insert {
+            name: "t",
+            keys: vec![304, 305, 306],
+        },
+        Op::Checkpoint,
+        Op::Create {
+            name: "v",
+            rows: 60,
+            fanout: 1,
+            seed: 9,
+        },
     ]
 }
 
-fn apply_op(db: &Database, op: &(&str, u64)) -> Result<(), wl_db::DdlError> {
-    let (code, arg) = *op;
-    match code {
-        "k" => db.checkpoint().map(|_| ()),
-        _ => {
-            let (kind, name) = code.split_once(':').expect("op code");
-            match kind {
-                "c" => db.create_wisconsin(name, arg, 1, 7).map(|_| ()),
-                "i" => {
-                    let base = 10_000;
-                    let keys: Vec<u64> = (base..base + arg).collect();
-                    db.insert_keys(name, &keys).map(|_| ())
-                }
-                "d" => db.drop_table(name).map(|_| ()),
-                other => unreachable!("op kind {other}"),
-            }
-        }
+fn apply(db: &Database, op: &Op) -> Result<(), wl_db::DdlError> {
+    match op {
+        Op::Create {
+            name,
+            rows,
+            fanout,
+            seed,
+        } => db.create_wisconsin(name, *rows, *fanout, *seed).map(|_| ()),
+        Op::Insert { name, keys } => db.insert_keys(name, keys).map(|_| ()),
+        Op::Drop { name } => db.drop_table(name).map(|_| ()),
+        Op::Checkpoint => db.checkpoint().map(|_| ()),
     }
 }
 
 /// `states[i]` = expected sorted key multisets after `i` committed ops.
-fn model() -> Vec<BTreeMap<String, Vec<u64>>> {
+fn model(ops: &[Op]) -> Vec<BTreeMap<String, Vec<u64>>> {
     let mut states = vec![BTreeMap::new()];
     let mut cur: BTreeMap<String, Vec<u64>> = BTreeMap::new();
-    for (code, arg) in ops() {
-        match code.split_once(':') {
-            None => {} // checkpoint
-            Some(("c", name)) => {
-                cur.insert(name.into(), (0..arg).collect());
+    for op in ops {
+        match op {
+            Op::Create {
+                name, rows, fanout, ..
+            } => {
+                let keys = (0..*rows)
+                    .flat_map(|k| std::iter::repeat_n(k, *fanout as usize))
+                    .collect();
+                cur.insert((*name).into(), keys);
             }
-            Some(("i", name)) => {
-                let t = cur.get_mut(name).expect("live table");
-                t.extend(10_000..10_000 + arg);
+            Op::Insert { name, keys } => {
+                let t = cur.get_mut(*name).expect("live table");
+                t.extend(keys);
                 t.sort_unstable();
             }
-            Some(("d", name)) => {
-                cur.remove(name);
+            Op::Drop { name } => {
+                cur.remove(*name);
             }
-            Some((other, _)) => unreachable!("op kind {other}"),
+            Op::Checkpoint => {}
         }
         states.push(cur.clone());
     }
@@ -142,31 +193,48 @@ fn model() -> Vec<BTreeMap<String, Vec<u64>>> {
 }
 
 #[test]
-fn randomized_kills_recover_the_committed_prefix() {
-    let script = ops();
-    let states = model();
+fn model_tracks_the_script() {
+    let states = model(&script());
+    assert_eq!(states.len(), script().len() + 1);
+    assert!(states[0].is_empty());
+    // After op 1 (create t) and op 2 (insert 4 keys): 304 rows.
+    assert_eq!(states[2]["t"].len(), 304);
+    // v is created (240 rows), then dropped, then recreated at 60.
+    assert_eq!(states[4]["v"].len(), 240);
+    assert!(!states[6].contains_key("v"));
+    assert_eq!(states[10]["v"].len(), 60);
+    assert_eq!(states[10]["t"].len(), 307);
+    assert_eq!(states[10]["w"].len(), 80);
+}
 
-    // Oracle: durable bytes of the fault-free run.
+#[test]
+fn randomized_kills_recover_the_committed_prefix() {
+    let script = script();
+    let states = model(&script);
+
+    // Oracle: durable bytes of the fault-free run, which must end in the
+    // model's tables and row counts.
     let dir = tmpdir("oracle");
-    let total = {
+    let (total, tables) = {
         let db = Database::open(&dir).expect("oracle opens");
         db.device().arm_faults(FaultPlan::observe());
         for op in &script {
-            apply_op(&db, op).expect("oracle is fault-free");
+            apply(&db, op).expect("oracle is fault-free");
         }
-        db.device().fault_bytes_written()
+        (db.device().fault_bytes_written(), db.tables())
     };
     let _ = std::fs::remove_dir_all(&dir);
     assert!(total > 0);
+    let last = states.last().expect("non-empty model");
+    let modelled: Vec<(String, u64)> = last
+        .iter()
+        .map(|(name, keys)| (name.clone(), keys.len() as u64))
+        .collect();
+    let mut tables = tables;
+    tables.sort();
+    assert_eq!(tables, modelled, "oracle tables disagree with the model");
 
-    // CI runs the whole suite twice (DoP 1 and WL_THREADS=4); the full
-    // 100+-seed bar is split across the two runs and also enforced by
-    // `repro --crash` (120 seeds).
-    let seeds: u64 = match std::env::var("WL_CRASH_SEEDS") {
-        Ok(v) => v.parse().expect("WL_CRASH_SEEDS must be an integer"),
-        Err(_) => 60,
-    };
-    for seed in 0..seeds {
+    for seed in 0..KILL_SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         let offset = rng.gen_range(1..total + 1);
         let plan = match seed % 4 {
@@ -180,7 +248,7 @@ fn randomized_kills_recover_the_committed_prefix() {
             let db = Database::open(&dir).expect("trial opens before arming");
             db.device().arm_faults(plan);
             for op in &script {
-                match apply_op(&db, op) {
+                match apply(&db, op) {
                     Ok(()) => acked += 1,
                     Err(e) => {
                         // Typed failure, never a panic; the message
