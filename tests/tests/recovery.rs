@@ -207,18 +207,14 @@ fn model_tracks_the_script() {
     assert_eq!(states[10]["w"].len(), 80);
 }
 
-#[test]
-fn randomized_kills_recover_the_committed_prefix() {
-    let script = script();
-    let states = model(&script);
-
-    // Oracle: durable bytes of the fault-free run, which must end in the
-    // model's tables and row counts.
-    let dir = tmpdir("oracle");
+/// Oracle: durable bytes of the fault-free run, which must end in the
+/// model's tables and row counts.
+fn oracle_bytes(tag: &str, script: &[Op], states: &[BTreeMap<String, Vec<u64>>]) -> u64 {
+    let dir = tmpdir(&format!("oracle-{tag}"));
     let (total, tables) = {
         let db = Database::open(&dir).expect("oracle opens");
         db.device().arm_faults(FaultPlan::observe());
-        for op in &script {
+        for op in script {
             apply(&db, op).expect("oracle is fault-free");
         }
         (db.device().fault_bytes_written(), db.tables())
@@ -233,48 +229,74 @@ fn randomized_kills_recover_the_committed_prefix() {
     let mut tables = tables;
     tables.sort();
     assert_eq!(tables, modelled, "oracle tables disagree with the model");
+    total
+}
 
-    for seed in 0..KILL_SEEDS {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let offset = rng.gen_range(1..total + 1);
-        let plan = match seed % 4 {
-            0 => FaultPlan::kill_at(offset, true, seed),
-            3 => FaultPlan::enospc_at(offset),
-            _ => FaultPlan::kill_at(offset, false, seed),
-        };
-        let dir = tmpdir(&format!("kill-{seed}"));
-        let mut acked = 0;
-        {
-            let db = Database::open(&dir).expect("trial opens before arming");
-            db.device().arm_faults(plan);
-            for op in &script {
-                match apply(&db, op) {
-                    Ok(()) => acked += 1,
-                    Err(e) => {
-                        // Typed failure, never a panic; the message
-                        // carries the path of the file that died.
-                        assert!(
-                            format!("{e}").contains(dir.to_str().unwrap()),
-                            "seed {seed}: error lost the path: {e}"
-                        );
-                        break;
-                    }
+/// One seeded trial: arm a kill (torn or short) or ENOSPC at a random
+/// offset inside the oracle's `total` bytes, run the script until the
+/// simulated process dies, reopen, and assert the committed prefix.
+fn kill_trial(script: &[Op], states: &[BTreeMap<String, Vec<u64>>], total: u64, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let offset = rng.gen_range(1..total + 1);
+    let plan = match seed % 4 {
+        0 => FaultPlan::kill_at(offset, true, seed),
+        3 => FaultPlan::enospc_at(offset),
+        _ => FaultPlan::kill_at(offset, false, seed),
+    };
+    let dir = tmpdir(&format!("kill-{seed}"));
+    let mut acked = 0;
+    {
+        let db = Database::open(&dir).expect("trial opens before arming");
+        db.device().arm_faults(plan);
+        for op in script {
+            match apply(&db, op) {
+                Ok(()) => acked += 1,
+                Err(e) => {
+                    // Typed failure, never a panic; the message
+                    // carries the path of the file that died.
+                    assert!(
+                        format!("{e}").contains(dir.to_str().unwrap()),
+                        "seed {seed}: error lost the path: {e}"
+                    );
+                    break;
                 }
             }
         }
-        let db = Database::reopen(&dir)
-            .unwrap_or_else(|e| panic!("seed {seed} (offset {offset}): reopen failed: {e}"));
-        drop(db);
-        let got = recovered_keys(&dir);
-        let exact = got == states[acked];
-        let plus_one = acked < script.len() && got == states[acked + 1];
-        assert!(
-            exact || plus_one,
-            "seed {seed} (offset {offset}): recovered state matches neither \
-             prefix {acked} nor {}",
-            acked + 1
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+    }
+    let db = Database::reopen(&dir)
+        .unwrap_or_else(|e| panic!("seed {seed} (offset {offset}): reopen failed: {e}"));
+    drop(db);
+    let got = recovered_keys(&dir);
+    let exact = got == states[acked];
+    let plus_one = acked < script.len() && got == states[acked + 1];
+    assert!(
+        exact || plus_one,
+        "seed {seed} (offset {offset}): recovered state matches neither \
+         prefix {acked} nor {}",
+        acked + 1
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn randomized_kills_recover_the_committed_prefix() {
+    let script = script();
+    let states = model(&script);
+    let total = oracle_bytes("randomized", &script, &states);
+    for seed in 0..KILL_SEEDS {
+        kill_trial(&script, &states, total, seed);
+    }
+}
+
+/// A pinned handful of seeds outside the randomized loop's range, so
+/// these trials stay the same whatever `KILL_SEEDS` is.
+#[test]
+fn a_handful_of_crash_trials_recover_the_committed_prefix() {
+    let script = script();
+    let states = model(&script);
+    let total = oracle_bytes("handful", &script, &states);
+    for seed in 100..106 {
+        kill_trial(&script, &states, total, seed);
     }
 }
 
