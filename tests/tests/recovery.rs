@@ -102,9 +102,12 @@ enum Op {
     Checkpoint,
 }
 
-/// The scripted workload: a drop and re-create, fanout-2 creates and
-/// two checkpoints, so kills land in WAL appends, checkpoint images and
-/// WAL resets alike. Small tables keep the seeded trials cheap.
+/// The scripted workload: fanout-2 creates and two checkpoints, so kills
+/// land in WAL appends, checkpoint images and WAL resets alike. `v` is
+/// dropped, re-created and inserted into inside one WAL segment (replay
+/// runs DROP, CREATE, INSERT of one name), then dropped again after the
+/// second checkpoint and re-created (replay drops a checkpointed table).
+/// Small tables keep the seeded trials cheap.
 fn script() -> Vec<Op> {
     vec![
         Op::Create {
@@ -130,6 +133,16 @@ fn script() -> Vec<Op> {
         },
         Op::Drop { name: "v" },
         Op::Create {
+            name: "v",
+            rows: 40,
+            fanout: 1,
+            seed: 5,
+        },
+        Op::Insert {
+            name: "v",
+            keys: vec![40, 41],
+        },
+        Op::Create {
             name: "w",
             rows: 80,
             fanout: 1,
@@ -140,6 +153,7 @@ fn script() -> Vec<Op> {
             keys: vec![304, 305, 306],
         },
         Op::Checkpoint,
+        Op::Drop { name: "v" },
         Op::Create {
             name: "v",
             rows: 60,
@@ -199,12 +213,17 @@ fn model_tracks_the_script() {
     assert!(states[0].is_empty());
     // After op 1 (create t) and op 2 (insert 4 keys): 304 rows.
     assert_eq!(states[2]["t"].len(), 304);
-    // v is created (240 rows), then dropped, then recreated at 60.
+    // v is created (240 rows), dropped, re-created at 40 and given 2
+    // keys in the same WAL segment, then dropped and re-created at 60
+    // after the second checkpoint.
     assert_eq!(states[4]["v"].len(), 240);
     assert!(!states[6].contains_key("v"));
-    assert_eq!(states[10]["v"].len(), 60);
-    assert_eq!(states[10]["t"].len(), 307);
-    assert_eq!(states[10]["w"].len(), 80);
+    assert_eq!(states[8]["v"].len(), 42);
+    assert_eq!(states[11]["v"].len(), 42);
+    assert!(!states[12].contains_key("v"));
+    assert_eq!(states[13]["v"].len(), 60);
+    assert_eq!(states[13]["t"].len(), 307);
+    assert_eq!(states[13]["w"].len(), 80);
 }
 
 /// Oracle: durable bytes of the fault-free run, which must end in the
