@@ -497,8 +497,8 @@ pub struct RecordReader<'a, R: Storable> {
     /// Where the record [`RecordReader::next_view`] handed out last
     /// starts; `None` before the first.
     last: Option<Place>,
-    /// Assembles the records that straddle two blocks; empty until the
-    /// first one.
+    /// Assembles the records that straddle two storage chunks; empty
+    /// until the first one.
     scratch: Vec<u8>,
 }
 
@@ -516,7 +516,7 @@ impl<'a, R: Storable> RecordReader<'a, R> {
     /// Lends the next record's stored bytes, charging the read exactly
     /// as [`Iterator::next`] does (which is this plus a decode): a slice
     /// straight into the storage, or the reader's own scratch for a
-    /// record that straddles two blocks.
+    /// record that straddles two storage chunks.
     #[inline]
     pub fn next_view(&mut self) -> Option<RecordView<'_, R>> {
         if self.next_record >= self.end {
@@ -543,7 +543,7 @@ impl<'a, R: Storable> RecordReader<'a, R> {
     /// before the first. This is what lets a merge cursor keep a run's
     /// head between calls without copying it out: the bytes stay where
     /// they are (the storage, or the reader's scratch for a record that
-    /// straddles two blocks) until the reader moves on.
+    /// straddles two storage chunks) until the reader moves on.
     #[inline]
     pub fn last_view(&self) -> Option<RecordView<'_, R>> {
         let last = self.last?;
@@ -559,11 +559,11 @@ impl<'a, R: Storable> RecordReader<'a, R> {
 
     /// Lends the remaining records to `visit` a *run* at a time, in
     /// order: a run is the maximal sequence of whole records contiguous
-    /// in one storage chunk (the rest of a block on blocked memory, the
-    /// rest of the range elsewhere), handed out as one slice of
-    /// `k · R::SIZE` bytes and charged and attributed in one step. A
-    /// record that straddles two blocks is a run of its own, assembled
-    /// in the reader's scratch.
+    /// in one storage chunk (the rest of a chunk of up to 64 blocks on
+    /// blocked memory, the rest of the range elsewhere), handed out as
+    /// one slice of `k · R::SIZE` bytes and charged and attributed in one
+    /// step. A record that straddles two chunks is a run of its own,
+    /// assembled in the reader's scratch.
     ///
     /// What a full scan charges this way is, counter for counter, what
     /// it charges record by record through [`RecordReader::next_view`].

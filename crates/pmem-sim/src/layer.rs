@@ -6,9 +6,11 @@
 //! interface; they differ in *how much I/O and software overhead* the same
 //! logical traffic costs:
 //!
-//! * [`LayerKind::BlockedMemory`] — linked blocks, byte-addressable, zero
-//!   software overhead; the reference point ("shows the true potential of
-//!   the hardware", §4.3).
+//! * [`LayerKind::BlockedMemory`] — fixed-size blocks, byte-addressable,
+//!   zero software overhead; the reference point ("shows the true
+//!   potential of the hardware", §4.3). The paper's linked list of blocks
+//!   is held in chunks of up to 64 blocks, so scans and appends move a
+//!   chunk at a time; the block stays the unit of the cost model.
 //! * [`LayerKind::Pmfs`] — byte-addressable filesystem; cacheline-granular
 //!   I/O plus a small per-call cost.
 //! * [`LayerKind::RamDisk`] — memory-mounted block filesystem; I/O rounded
@@ -227,15 +229,109 @@ impl ReadCursor {
     }
 }
 
-/// Where a stored byte lives physically: the chunk holding it (a
-/// blocked-memory block; the other layers are one contiguous chunk) and
-/// the offset inside that chunk. A scan advances its place record by
-/// record, so only seeking ([`Storage::place`]) ever divides — and the
-/// block size need not be a power of two.
+/// Where a stored byte lives physically: the chunk holding it (see
+/// [`chunk_blocks`]; the other layers are one contiguous chunk) and the
+/// offset inside that chunk. A scan advances its place record by record,
+/// so only seeking ([`Storage::place`]) ever divides — and the block size
+/// need not be a power of two.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Place {
     chunk: usize,
     off: usize,
+}
+
+/// `log2` of the most blocks a blocked-memory chunk holds (64).
+const MAX_CHUNK_SHIFT: usize = 6;
+
+/// Chunks whose length doubles (1, 2, …, 64 blocks) before it stays put.
+const DOUBLING_CHUNKS: usize = MAX_CHUNK_SHIFT + 1;
+
+/// Blocks in the doubling chunks (127).
+const DOUBLING_BLOCKS: usize = (1 << DOUBLING_CHUNKS) - 1;
+
+/// Blocks in blocked-memory chunk `chunk`: 2^min(chunk, 6). A collection
+/// of a few records holds one block, as the paper's linked list would; a
+/// large one holds 64-block chunks, so a scan or an append crosses a
+/// chunk end once per 64 blocks, and the allocator sees one allocation
+/// for them instead of 64. The block stays the unit of everything
+/// charged: cachelines, PMFS calls and the cost model never see chunks.
+#[inline]
+fn chunk_blocks(chunk: usize) -> usize {
+    1 << chunk.min(MAX_CHUNK_SHIFT)
+}
+
+/// Blocks in the chunks before `chunk`: the index of its first block.
+#[inline]
+fn blocks_before(chunk: usize) -> usize {
+    if chunk <= DOUBLING_CHUNKS {
+        (1 << chunk) - 1
+    } else {
+        DOUBLING_BLOCKS + ((chunk - DOUBLING_CHUNKS) << MAX_CHUNK_SHIFT)
+    }
+}
+
+/// The chunk holding block `block`.
+#[inline]
+fn chunk_of(block: usize) -> usize {
+    if block < DOUBLING_BLOCKS {
+        (block + 1).ilog2() as usize
+    } else {
+        DOUBLING_CHUNKS + ((block - DOUBLING_BLOCKS) >> MAX_CHUNK_SHIFT)
+    }
+}
+
+/// Released chunks the cache keeps.
+const CACHED_CHUNKS: usize = 8;
+
+/// The blocked-memory chunks released most recently, by any storage in
+/// the process, oldest first: at most [`CACHED_CHUNKS`] of them, so at
+/// most 8 × 64 blocks. Handing freed 64-block chunks straight back to the
+/// allocator lets it return their memory to the OS, and the next storage
+/// to grow (the next set-up staging its inputs) faults the same amount
+/// back in; the newest few chunks kept here hold that memory in the
+/// process. A bounded handful is enough for that, and nothing more is
+/// held than they are.
+#[derive(Debug)]
+struct ChunkCache(Vec<Box<[u8]>>);
+
+impl ChunkCache {
+    /// The newest cached chunk of `len` bytes, if there is one, as it was
+    /// released (its bytes are not cleared).
+    fn take(&mut self, len: usize) -> Option<Box<[u8]>> {
+        let newest = self.0.iter().rposition(|chunk| chunk.len() == len)?;
+        Some(self.0.remove(newest))
+    }
+
+    /// Keeps the chunks of `released`, the last one newest, and frees the
+    /// oldest chunks past [`CACHED_CHUNKS`]. Leaves `released` empty.
+    fn release(&mut self, released: &mut Vec<Box<[u8]>>) {
+        // Only the newest `CACHED_CHUNKS` could stay: free the rest now.
+        released.drain(..released.len().saturating_sub(CACHED_CHUNKS));
+        let evicted = (self.0.len() + released.len()).saturating_sub(CACHED_CHUNKS);
+        self.0.drain(..evicted);
+        self.0.append(released);
+    }
+}
+
+static CHUNK_CACHE: Mutex<ChunkCache> = Mutex::new(ChunkCache(Vec::new()));
+
+fn chunk_cache() -> MutexGuard<'static, ChunkCache> {
+    // Every update leaves the cache a valid list of chunks, so a panic
+    // elsewhere while the lock was held poisons nothing.
+    CHUNK_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A zeroed chunk of `len` bytes: a released one from the cache when it
+/// holds one of that length, a fresh allocation otherwise.
+fn take_chunk(len: usize) -> Box<[u8]> {
+    let cached = chunk_cache().take(len);
+    match cached {
+        Some(mut chunk) => {
+            chunk.fill(0);
+            chunk
+        }
+        None => vec![0u8; len].into_boxed_slice(),
+    }
 }
 
 /// Byte storage plus accounting for one persistent collection.
@@ -246,9 +342,10 @@ pub(crate) struct Place {
 #[derive(Debug)]
 pub struct Storage {
     kind: LayerKind,
-    /// Payload bytes. Blocked memory keeps a chain of boxed blocks; the
-    /// other three backends are contiguous (file / array semantics).
-    blocks: Vec<Box<[u8]>>,
+    /// Payload bytes. Blocked memory keeps its blocks in chunks of
+    /// [`chunk_blocks`] blocks each, zeroed past the logical length; the
+    /// other backends are contiguous (file / array semantics).
+    chunks: Vec<Box<[u8]>>,
     contiguous: Vec<u8>,
     /// Logical length in bytes.
     len: usize,
@@ -299,7 +396,7 @@ impl Storage {
         }
         Self {
             kind,
-            blocks: Vec::new(),
+            chunks: Vec::new(),
             contiguous: Vec::new(),
             len: 0,
             capacity: 0,
@@ -332,7 +429,7 @@ impl Storage {
             })?;
         Ok(Self {
             kind: LayerKind::FileBacked,
-            blocks: Vec::new(),
+            chunks: Vec::new(),
             contiguous: Vec::new(),
             len: 0,
             capacity: 0,
@@ -360,7 +457,7 @@ impl Storage {
         let len = contents.len();
         Ok(Self {
             kind: LayerKind::FileBacked,
-            blocks: Vec::new(),
+            chunks: Vec::new(),
             contiguous: contents,
             len,
             capacity: 0,
@@ -476,8 +573,8 @@ impl Storage {
     }
 
     /// Appends one `len`-byte item that `fill` serializes — straight
-    /// into the tail block or array when it fits there, through
-    /// `scratch` (`len` bytes) when it straddles a block or must go to
+    /// into the tail chunk or array when it fits there, through
+    /// `scratch` (`len` bytes) when it straddles two chunks or must go to
     /// the OS file first. Stores and charges exactly what
     /// [`Storage::append`] of the same bytes would, `fill` seeing a
     /// zeroed destination either way.
@@ -498,13 +595,13 @@ impl Storage {
         let new_len = old_len + len;
         let tail = match self.kind {
             LayerKind::BlockedMemory => {
-                let bs = self.block_size;
-                if self.blocks.len() * bs == old_len {
-                    self.blocks.push(vec![0u8; bs].into_boxed_slice());
+                if self.reserved() == old_len {
+                    self.push_chunk();
                 }
-                let used = bs - (self.blocks.len() * bs - old_len);
-                let block = self.blocks.last_mut().expect("tail block just ensured");
-                block.get_mut(used..used + len)
+                let room = self.reserved() - old_len;
+                let chunk = self.chunks.last_mut().expect("tail chunk just ensured");
+                let used = chunk.len() - room;
+                chunk.get_mut(used..used + len)
             }
             LayerKind::FileBacked => None,
             LayerKind::DynArray | LayerKind::Pmfs | LayerKind::RamDisk => {
@@ -685,19 +782,37 @@ impl Storage {
         Some(fb.path.as_path())
     }
 
+    /// Bytes in the blocked-memory chunks allocated so far.
+    #[inline]
+    fn reserved(&self) -> usize {
+        blocks_before(self.chunks.len()) * self.block_size
+    }
+
+    /// Bytes in blocked-memory chunk `chunk`.
+    #[inline]
+    fn chunk_bytes(&self, chunk: usize) -> usize {
+        chunk_blocks(chunk) * self.block_size
+    }
+
+    /// Allocates the next blocked-memory chunk, zeroed.
+    fn push_chunk(&mut self) {
+        let chunk = take_chunk(self.chunk_bytes(self.chunks.len()));
+        self.chunks.push(chunk);
+    }
+
     fn append_blocked(&mut self, data: &[u8]) {
-        let bs = self.block_size;
-        // Free bytes in the tail block (none before the first block).
-        let mut room = self.blocks.len() * bs - self.len;
+        // Free bytes in the tail chunk (none before the first chunk).
+        let mut room = self.reserved() - self.len;
         let mut remaining = data;
         while !remaining.is_empty() {
             if room == 0 {
-                self.blocks.push(vec![0u8; bs].into_boxed_slice());
-                room = bs;
+                self.push_chunk();
+                room = self.chunk_bytes(self.chunks.len() - 1);
             }
-            let block = self.blocks.last_mut().expect("block just ensured");
+            let chunk = self.chunks.last_mut().expect("chunk just ensured");
+            let at = chunk.len() - room;
             let take = remaining.len().min(room);
-            block[bs - room..bs - room + take].copy_from_slice(&remaining[..take]);
+            chunk[at..at + take].copy_from_slice(&remaining[..take]);
             room -= take;
             remaining = &remaining[take..];
         }
@@ -822,10 +937,14 @@ impl Storage {
     #[inline]
     pub(crate) fn place(&self, offset: usize) -> Place {
         match self.kind {
-            LayerKind::BlockedMemory => Place {
-                chunk: offset / self.block_size,
-                off: offset % self.block_size,
-            },
+            LayerKind::BlockedMemory => {
+                let (block, within) = (offset / self.block_size, offset % self.block_size);
+                let chunk = chunk_of(block);
+                Place {
+                    chunk,
+                    off: (block - blocks_before(chunk)) * self.block_size + within,
+                }
+            }
             _ => Place {
                 chunk: 0,
                 off: offset,
@@ -835,22 +954,22 @@ impl Storage {
 
     /// Bytes from `place` to the end of the chunk holding it — how far a
     /// scan can read on without leaving contiguous memory: the rest of
-    /// the block on blocked memory, the rest of the storage elsewhere.
+    /// the chunk on blocked memory, the rest of the storage elsewhere.
     #[inline]
     pub(crate) fn chunk_room(&self, place: &Place) -> usize {
         match self.kind {
-            LayerKind::BlockedMemory => self.block_size - place.off,
+            LayerKind::BlockedMemory => self.chunk_bytes(place.chunk) - place.off,
             _ => self.len - place.off,
         }
     }
 
     /// The stored bytes `[place, place + len)`, **uncharged**, where they
-    /// are contiguous in the block, array or file mirror holding them;
-    /// `None` where they straddle blocks (or run past the chunk).
+    /// are contiguous in the chunk, array or file mirror holding them;
+    /// `None` where they straddle two chunks (or run past the chunk).
     #[inline]
     pub(crate) fn contiguous_at(&self, place: &Place, len: usize) -> Option<&[u8]> {
         let chunk: &[u8] = match self.kind {
-            LayerKind::BlockedMemory => self.blocks.get(place.chunk)?,
+            LayerKind::BlockedMemory => self.chunks.get(place.chunk)?,
             _ => &self.contiguous,
         };
         chunk.get(place.off..place.off + len)
@@ -861,7 +980,7 @@ impl Storage {
     /// [`Storage::charge_read_records`]), advancing `place` past them:
     /// lent straight from the storage when they are contiguous there
     /// ([`Storage::contiguous_at`]), assembled in `scratch` when they
-    /// straddle blocks. The caller has checked the range against
+    /// straddle two chunks. The caller has checked the range against
     /// [`Storage::len`].
     #[inline]
     pub(crate) fn bytes_at<'s>(
@@ -880,11 +999,11 @@ impl Storage {
     }
 
     /// Moves `place` `by` bytes on within its chunk, stepping to the next
-    /// block when that was the block's last byte.
+    /// chunk when that was the chunk's last byte.
     #[inline]
     fn advance(&self, place: &mut Place, by: usize) {
         place.off += by;
-        if self.kind == LayerKind::BlockedMemory && place.off == self.block_size {
+        if self.kind == LayerKind::BlockedMemory && place.off == self.chunk_bytes(place.chunk) {
             *place = Place {
                 chunk: place.chunk + 1,
                 off: 0,
@@ -901,19 +1020,20 @@ impl Storage {
         }
         let mut out = 0usize;
         while out < buf.len() {
-            let take = (buf.len() - out).min(self.block_size - place.off);
+            let take = (buf.len() - out).min(self.chunk_room(place));
             buf[out..out + take]
-                .copy_from_slice(&self.blocks[place.chunk][place.off..place.off + take]);
+                .copy_from_slice(&self.chunks[place.chunk][place.off..place.off + take]);
             out += take;
             self.advance(place, take);
         }
     }
 
     /// Truncates to zero length. Dynamic arrays keep their capacity (as
-    /// C++ `vector::clear` does); blocked memory releases its blocks;
-    /// file-backed storage truncates the OS file (best-effort).
+    /// C++ `vector::clear` does); blocked memory releases its chunks to
+    /// the cache of released chunks; file-backed storage truncates the
+    /// OS file (best-effort).
     pub fn clear(&mut self) {
-        self.blocks.clear();
+        self.release_chunks();
         self.contiguous.clear();
         self.len = 0;
         self.written_granules = 0;
@@ -922,6 +1042,20 @@ impl Storage {
             let _ = fb.file.set_len(0);
             let _ = fb.file.seek(SeekFrom::Start(0));
         }
+    }
+
+    /// Hands the blocked-memory chunks to the cache of released chunks,
+    /// the tail chunk newest.
+    fn release_chunks(&mut self) {
+        if !self.chunks.is_empty() {
+            chunk_cache().release(&mut self.chunks);
+        }
+    }
+}
+
+impl Drop for Storage {
+    fn drop(&mut self) {
+        self.release_chunks();
     }
 }
 
@@ -1270,8 +1404,85 @@ mod tests {
     }
 
     #[test]
+    fn place_walks_the_chunk_lengths() {
+        // 1, 2, 4, …, 64 blocks, then 64 blocks a chunk.
+        let chunk_blocks = |chunk: usize| [1, 2, 4, 8, 16, 32].get(chunk).copied().unwrap_or(64);
+        for block_size in [1024, 1000, 80, 64] {
+            let config = DeviceConfig {
+                block_size,
+                ..DeviceConfig::paper_default()
+            };
+            let s = Storage::new(LayerKind::BlockedMemory, &config);
+            let (mut chunk, mut off) = (0, 0);
+            for offset in 0..300 * block_size {
+                let place = s.place(offset);
+                let bytes = chunk_blocks(chunk) * block_size;
+                assert_eq!(
+                    (place.chunk, place.off, s.chunk_room(&place)),
+                    (chunk, off, bytes - off),
+                    "{block_size}-byte blocks, offset {offset}"
+                );
+                off += 1;
+                if off == bytes {
+                    (chunk, off) = (chunk + 1, 0);
+                }
+            }
+            // Block 127 opens the first chunk past the doubling ones.
+            assert_eq!(s.place(127 * block_size - 1).chunk, 6);
+            assert_eq!(s.place(127 * block_size).chunk, 7);
+            assert_eq!(s.place(191 * block_size).chunk, 8);
+        }
+    }
+
+    #[test]
+    fn recycled_chunks_reach_fill_zeroed() {
+        // A block size no other test uses, so the chunks this test
+        // releases are the cached ones of their lengths.
+        let config = DeviceConfig {
+            block_size: 72,
+            ..DeviceConfig::paper_default()
+        };
+        let d = PmDevice::new(config.clone());
+        let record = 24;
+        let records = 200 * 72 / record;
+        let mut dirty = Storage::new(LayerKind::BlockedMemory, &config);
+        for _ in 0..records {
+            dirty.append(&[0xA5; 24], &d);
+        }
+        drop(dirty);
+        let mut s = Storage::new(LayerKind::BlockedMemory, &config);
+        let mut scratch = vec![0u8; record];
+        for i in 0..records {
+            s.append_in_place(record, &mut scratch, &d, |buf| {
+                assert!(buf.iter().all(|&b| b == 0), "record {i} sees stale bytes");
+                buf.fill(0xA5);
+            });
+        }
+        let mut back = vec![0u8; records * record];
+        s.read_at(0, &mut back, &mut ReadCursor::new(), &d);
+        assert!(back.iter().all(|&b| b == 0xA5));
+    }
+
+    #[test]
+    fn the_cache_hands_out_the_newest_chunk_and_keeps_eight() {
+        let chunk = |len: usize, tag: u8| vec![tag; len].into_boxed_slice();
+        let mut cache = ChunkCache(Vec::new());
+        cache.release(&mut vec![chunk(10, 1), chunk(20, 2), chunk(10, 3)]);
+        assert_eq!(cache.take(10).as_deref(), Some(&[3u8; 10][..]));
+        assert_eq!(cache.take(30), None);
+        // Twelve more: only the newest eight stay, the oldest go first.
+        let mut released: Vec<Box<[u8]>> = (4..16).map(|tag| chunk(10, tag)).collect();
+        cache.release(&mut released);
+        assert!(released.is_empty());
+        let tags: Vec<u8> = cache.0.iter().map(|c| c[0]).collect();
+        assert_eq!(tags, (8..16).collect::<Vec<u8>>());
+        assert_eq!(cache.take(20), None);
+    }
+
+    #[test]
     fn all_kinds_store_identical_bytes() {
-        let data: Vec<u8> = (0..10_000u32).map(|i| (i * 37 % 256) as u8).collect();
+        // Past block 127, where blocked memory's chunks stop doubling.
+        let data: Vec<u8> = (0..140_000u32).map(|i| (i * 37 % 256) as u8).collect();
         for kind in LayerKind::ALL {
             let d = dev();
             let mut s = Storage::new(kind, d.config());

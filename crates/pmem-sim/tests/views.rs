@@ -42,6 +42,21 @@ const KINDS: [LayerKind; 5] = [
 /// Records per collection: several blocks even at 8 bytes a record.
 const RECORDS: usize = 300;
 
+/// Blocks a deep collection reaches: past block 127, where blocked
+/// memory's chunks stop doubling.
+const DEEP_BLOCKS: usize = 200;
+
+/// The blocked-memory chunk holding block `block`, by walking the chunk
+/// lengths: 1, 2, 4, …, 64 blocks, then 64 blocks a chunk.
+fn chunk_of(block: usize) -> usize {
+    let (mut chunk, mut end) = (0, 1);
+    while end <= block {
+        chunk += 1;
+        end += 1 << chunk.min(6);
+    }
+    chunk
+}
+
 /// Prefix lengths of the early-drop check: past the first block boundary
 /// at every record size (128 eight-byte records fill a 1024-byte block).
 const PREFIX_WINDOW: usize = 140;
@@ -75,17 +90,21 @@ fn charged(dev: &Pm, scan: impl FnOnce()) -> Charged {
     }
 }
 
-/// The scan ranges of one configuration: empty, single-record, whole,
-/// one that starts and ends on a block-straddling record (where the
-/// sizes produce one), and seeded random ones.
-fn ranges(size: usize, block_size: usize, rng: &mut u64) -> Vec<(usize, usize)> {
-    let n = RECORDS;
+/// The scan ranges of one configuration of `n` records: empty,
+/// single-record, whole, one that starts and ends on a block-straddling
+/// record (where the sizes produce one), one across the start of block
+/// 127 (where the collection reaches it), and seeded random ones.
+fn ranges(n: usize, size: usize, block_size: usize, rng: &mut u64) -> Vec<(usize, usize)> {
     let mut ranges = vec![(0, 0), (n, n), (n / 2, n / 2), (0, 1), (n - 1, n), (0, n)];
     let straddlers: Vec<usize> = (0..n)
         .filter(|i| i * size / block_size != ((i + 1) * size - 1) / block_size)
         .collect();
     if let (Some(&first), Some(&last)) = (straddlers.first(), straddlers.last()) {
         ranges.extend([(first, first + 1), (first, last + 1)]);
+    }
+    let block_127 = 127 * block_size / size;
+    if block_127 + 3 <= n {
+        ranges.push((block_127 - 3, block_127 + 3));
     }
     for _ in 0..8 {
         let a = (splitmix(rng) % (n as u64 + 1)) as usize;
@@ -95,15 +114,15 @@ fn ranges(size: usize, block_size: usize, rng: &mut u64) -> Vec<(usize, usize)> 
     ranges
 }
 
-fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool) {
+fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n: usize) {
     let what =
-        format!("{kind:?}, {N}-byte records, {block_size}-byte blocks, breakdown {breakdown}");
+        format!("{kind:?}, {n} {N}-byte records, {block_size}-byte blocks, breakdown {breakdown}");
     let mut rng = (N * block_size) as u64 + breakdown as u64;
     let config = DeviceConfig {
         block_size,
         ..DeviceConfig::paper_default()
     };
-    let records: Vec<Blob<N>> = (0..RECORDS)
+    let records: Vec<Blob<N>> = (0..n)
         .map(|_| Blob(std::array::from_fn(|_| splitmix(&mut rng) as u8)))
         .collect();
 
@@ -140,7 +159,7 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool) {
         })
     };
 
-    for (start, end) in ranges(N, block_size, &mut rng) {
+    for (start, end) in ranges(n, N, block_size, &mut rng) {
         let what = format!("{what}, records {start}..{end}");
         let expected = twin_scan(start, end, true);
 
@@ -187,14 +206,15 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool) {
 
         // Runs: the scanned bytes in order, each run a whole number of
         // records, cut exactly where the storage stops being contiguous
-        // (a block end on blocked memory, nowhere on the other layers) —
-        // a record that straddles two blocks travels alone.
+        // (a chunk end on blocked memory, nowhere on the other layers) —
+        // a record that straddles two chunks travels alone.
         // The chunk holding record `i` whole; none for a straddler.
         let home = |i: usize| {
             if kind != LayerKind::BlockedMemory {
                 return Some(0);
             }
-            let (first, last) = (i * N / block_size, ((i + 1) * N - 1) / block_size);
+            let first = chunk_of(i * N / block_size);
+            let last = chunk_of(((i + 1) * N - 1) / block_size);
             (first == last).then_some(first)
         };
         let mut expected_runs: Vec<usize> = Vec::new();
@@ -263,11 +283,15 @@ fn views_read_and_charge_exactly_like_read_at() {
         // The paper's block size and one that is not a power of two.
         for block_size in [1024, 1000] {
             for breakdown in [false, true] {
-                check::<8>(kind, block_size, breakdown);
-                check::<16>(kind, block_size, breakdown);
-                check::<80>(kind, block_size, breakdown);
-                check::<160>(kind, block_size, breakdown);
+                check::<8>(kind, block_size, breakdown, RECORDS);
+                check::<16>(kind, block_size, breakdown, RECORDS);
+                check::<80>(kind, block_size, breakdown, RECORDS);
+                check::<160>(kind, block_size, breakdown, RECORDS);
             }
+            // Deep enough to leave the doubling chunks behind.
+            let deep = |size: usize| (DEEP_BLOCKS * block_size).div_ceil(size);
+            check::<80>(kind, block_size, true, deep(80));
+            check::<160>(kind, block_size, false, deep(160));
         }
     }
 }
