@@ -2,12 +2,20 @@
 
 use rand::Rng;
 
-/// A Zipf(θ) sampler over `[0, n)` using a precomputed CDF and binary
-/// search. θ = 0 degenerates to uniform; θ around 1 is the classic
-/// heavy-skew setting used in database microbenchmarks.
+/// A Zipf(θ) sampler over `[0, n)` using a precomputed CDF. θ = 0
+/// degenerates to uniform; θ around 1 is the classic heavy-skew setting
+/// used in database microbenchmarks.
+///
+/// A draw `u` maps to the first index whose CDF value is at least `u`,
+/// clamped to `n − 1` against rounding at the top. A guide table finds
+/// it without a binary search: `guide[j]` is that index for
+/// `u = j / g`, with `g` the power of two at or above `n`, so a draw
+/// starts at `guide[⌊u·g⌋]` and steps forward past the entries still
+/// below `u` — fewer than two steps on average.
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -28,7 +36,18 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Self { cdf }
+        // A power of two, so `j / g` and `u · g` are exact.
+        let g = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(g);
+        let mut i = 0;
+        for j in 0..g {
+            let u = j as f64 / g as f64;
+            while i + 1 < n && cdf[i] < u {
+                i += 1;
+            }
+            guide.push(i);
+        }
+        Self { cdf, guide }
     }
 
     /// Number of distinct values.
@@ -43,14 +62,20 @@ impl Zipf {
 
     /// Draws one value in `[0, n)`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|c| c.partial_cmp(&u).expect("CDF is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.index(rng.gen())
+    }
+
+    /// The first index whose CDF value is at least `u ∈ [0, 1)`, clamped
+    /// to `n − 1`. Every index before `guide[⌊u·g⌋]` has a CDF value below
+    /// `⌊u·g⌋ / g ≤ u`, so the walk starts at or before the answer.
+    fn index(&self, u: f64) -> usize {
+        let g = self.guide.len();
+        let last = self.cdf.len() - 1;
+        let mut i = self.guide[((u * g as f64) as usize).min(g - 1)];
+        while i < last && self.cdf[i] < u {
+            i += 1;
         }
+        i
     }
 }
 
@@ -86,5 +111,42 @@ mod tests {
         let z = Zipf::new(7, 0.8);
         let mut rng = StdRng::seed_from_u64(3);
         assert!((0..1_000).all(|_| z.sample(&mut rng) < 7));
+    }
+
+    /// The binary search `sample` ran before the guide table.
+    fn searched(cdf: &[f64], u: f64) -> usize {
+        match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("CDF is finite")) {
+            Ok(i) => i,
+            Err(i) => i.min(cdf.len() - 1),
+        }
+    }
+
+    #[test]
+    fn the_guide_table_draws_what_the_binary_search_drew() {
+        let cases = [
+            (1, 0.0),
+            (1, 1.2),
+            (2, 0.5),
+            (7, 0.8),
+            (10, 0.0),
+            (100, 1.2),
+            (1_000, 0.99),
+            (5_000, 3.0),
+            (25_000, 0.0),
+            (25_000, 1.2),
+        ];
+        for (n, theta) in cases {
+            let z = Zipf::new(n, theta);
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            for _ in 0..1_000_000 {
+                let u: f64 = rng.gen();
+                assert_eq!(z.index(u), searched(&z.cdf, u), "n {n}, θ {theta}, u {u}");
+            }
+            // The CDF's own values (exact hits), and both ends of [0, 1).
+            let edges = [0.0, 1.0 - f64::EPSILON / 2.0];
+            for &u in z.cdf.iter().chain(&edges).filter(|&&u| u < 1.0) {
+                assert_eq!(z.index(u), searched(&z.cdf, u), "n {n}, θ {theta}, u {u}");
+            }
+        }
     }
 }
