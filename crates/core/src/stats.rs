@@ -16,6 +16,9 @@
 //! ingest never rebuilds a sketch, and a write burst nobody reads
 //! between never derives one either.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 /// Number of HLL registers in a [`DistinctSketch`]: 1024 registers give
 /// a relative standard error of `1.04/√1024 ≈ 3.2%`.
 const SKETCH_REGISTERS: usize = 1024;
@@ -114,17 +117,22 @@ pub struct EquiDepthHistogram {
 }
 
 impl EquiDepthHistogram {
-    /// Builds the histogram from a sorted key slice. Returns `None` for
-    /// an empty input.
-    fn from_sorted(keys: &[u64]) -> Option<Self> {
+    /// Builds the histogram from a sorted key slice, handing every run of
+    /// equal keys to `run` as `(key, length)` on the way, in key order.
+    /// Returns `None` for an empty input.
+    fn from_sorted(keys: &[u64], mut run: impl FnMut(u64, u64)) -> Option<Self> {
         let (&first, &last) = (keys.first()?, keys.last()?);
         debug_assert!(first <= last, "keys must be sorted");
         let depth = (keys.len() / HISTOGRAM_BUCKETS).max(1);
         let mut buckets = Vec::new();
-        let (mut rows, mut distinct) = (0u64, 0u64);
+        let (mut rows, mut distinct, mut run_len) = (0u64, 0u64, 0u64);
         let mut prev: Option<u64> = None;
         for (i, &k) in keys.iter().enumerate() {
             if prev != Some(k) {
+                if let Some(p) = prev {
+                    run(p, run_len);
+                }
+                run_len = 0;
                 // Equal keys never straddle a bucket boundary, so a
                 // point lookup of a frequent key stays exact.
                 if rows as usize >= depth {
@@ -139,6 +147,7 @@ impl EquiDepthHistogram {
                 distinct += 1;
             }
             rows += 1;
+            run_len += 1;
             prev = Some(k);
             if i + 1 == keys.len() {
                 buckets.push(Bucket {
@@ -148,6 +157,7 @@ impl EquiDepthHistogram {
                 });
             }
         }
+        run(last, run_len);
         Some(Self {
             min_key: first,
             buckets,
@@ -369,10 +379,31 @@ impl TableStatistics {
     }
 
     /// Everything the statistics report, as a function of the mergeable
-    /// state — the one implementation behind `build` and `settle`.
+    /// state — the one implementation behind `build` and `settle`, in one
+    /// pass over the sorted keys.
     fn derive(state: &Mergeable) -> Self {
         let sorted = &state.sorted;
-        let histogram = EquiDepthHistogram::from_sorted(sorted);
+        // The heavy hitters are the longest runs, (length desc, key asc),
+        // that reach the mean frequency's threshold — known only once the
+        // pass has counted the distinct keys. The threshold is a length,
+        // so every run it keeps is among the `HEAVY_HITTERS` longest:
+        // the pass keeps those alone (the worst on top of a min-heap;
+        // keys arrive ascending, so an equal length never displaces),
+        // and the threshold filters them afterwards.
+        let mut longest = BinaryHeap::with_capacity(HEAVY_HITTERS);
+        let histogram = EquiDepthHistogram::from_sorted(sorted, |key, len| {
+            if len < 2 {
+                return;
+            }
+            let entry = Reverse((len, Reverse(key)));
+            if longest.len() < HEAVY_HITTERS {
+                longest.push(entry);
+            } else if let Some(mut worst) = longest.peek_mut() {
+                if entry < *worst {
+                    *worst = entry;
+                }
+            }
+        });
         let rows = sorted.len() as f64;
         let exact_distinct = histogram.as_ref().map_or(0, EquiDepthHistogram::distinct);
         let mean = if exact_distinct == 0 {
@@ -380,15 +411,14 @@ impl TableStatistics {
         } else {
             rows / exact_distinct as f64
         };
-        let mut heavy: Vec<(u64, f64)> = sorted
-            .chunk_by(|a, b| a == b)
-            .map(|run| (run[0], run.len() as f64))
-            .filter(|&(_, c)| c >= HEAVY_FACTOR * mean && c > 1.0)
+        let mut heavy: Vec<(u64, f64)> = longest
+            .into_iter()
+            .map(|Reverse((len, Reverse(key)))| (key, len as f64))
+            .filter(|&(_, c)| c >= HEAVY_FACTOR * mean)
             .collect();
         // (count desc, key asc) is a total order over distinct keys, so
         // the list does not depend on the order candidates were found in.
         heavy.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        heavy.truncate(HEAVY_HITTERS);
         let heavy_rows = heavy.iter().map(|&(_, c)| c).sum();
         Self {
             rows,
@@ -877,6 +907,44 @@ mod table_statistics_tests {
         assert_eq!(a.distinct_keys(), b.distinct_keys());
         assert_eq!(a.heavy_keys(), b.heavy_keys());
         assert_eq!(a.fraction_below(57), b.fraction_below(57));
+    }
+
+    #[test]
+    fn heavy_hitters_are_the_longest_qualifying_runs_of_all() {
+        // The reference: every run of the sorted keys, filtered by the
+        // mean frequency, then ordered and cut to the list length.
+        let reference = |keys: &[u64]| {
+            let mut sorted = keys.to_vec();
+            sorted.sort_unstable();
+            let runs: Vec<(u64, f64)> = sorted
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as f64))
+                .collect();
+            let mean = sorted.len() as f64 / runs.len().max(1) as f64;
+            let mut heavy: Vec<(u64, f64)> = runs
+                .into_iter()
+                .filter(|&(_, c)| c >= HEAVY_FACTOR * mean && c > 1.0)
+                .collect();
+            heavy.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            heavy.truncate(HEAVY_HITTERS);
+            heavy
+        };
+        // 100 keys five times each among 2 000 singletons: more qualifying
+        // runs than the list holds, all of one length.
+        let mut tied: Vec<u64> = (0..2_000u64).map(|k| k * 7 + 3).collect();
+        tied.extend((0..500u64).map(|i| (i % 100) * 13));
+        let shapes: [(&str, Vec<u64>); 5] = [
+            ("zipf", zipf_keys(8_000, 1_000, 1.2, 3)),
+            ("tied", tied),
+            ("uniform", (0..4_000u64).map(|i| i % 1_000).collect()),
+            ("all-duplicate", vec![42; 2_000]),
+            ("empty", Vec::new()),
+        ];
+        for (shape, keys) in &shapes {
+            let stats = TableStatistics::build(keys, 1);
+            assert_eq!(stats.heavy, reference(keys), "{shape}");
+        }
+        assert_eq!(reference(&shapes[1].1).len(), HEAVY_HITTERS);
     }
 
     /// Every observable of `a` equals `b`'s: the fields (through
