@@ -285,12 +285,11 @@ const CACHED_CHUNKS: usize = 8;
 
 /// The blocked-memory chunks released most recently, by any storage in
 /// the process, oldest first: at most [`CACHED_CHUNKS`] of them, so at
-/// most 8 × 64 blocks. Handing freed 64-block chunks straight back to the
-/// allocator lets it return their memory to the OS, and the next storage
-/// to grow (the next set-up staging its inputs) faults the same amount
-/// back in; the newest few chunks kept here hold that memory in the
-/// process. A bounded handful is enough for that, and nothing more is
-/// held than they are.
+/// most 8 × 64 blocks. Handing every freed 64-block chunk straight back
+/// to the allocator lets it return their memory to the OS, and the next
+/// storage to grow (the next set-up staging its inputs) faults the same
+/// amount back in; keeping the newest few keeps that memory in the
+/// process. Keeping all of them would hold every collection's peak.
 #[derive(Debug)]
 struct ChunkCache(Vec<Box<[u8]>>);
 
