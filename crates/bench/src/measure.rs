@@ -106,8 +106,8 @@ pub(crate) fn stage(
 }
 
 /// Runs `op` over its staged `inputs` under `ctx`: the output count and
-/// the phase ledger (none for the adaptive join), or `None` when the
-/// algorithm's preconditions reject the setting.
+/// the phase ledger, or `None` when the algorithm's preconditions reject
+/// the setting.
 pub(crate) fn run(
     op: Operator,
     inputs: &[PCollection<WisconsinRecord>],
@@ -125,8 +125,8 @@ pub(crate) fn run(
             (out.len(), phases)
         }
         Operator::AdaptiveJoin => {
-            let out = adaptive_grace_join(&inputs[0], &inputs[1], ctx, "joined").ok()?;
-            (out.len(), Vec::new())
+            let (out, phases) = adaptive_grace_join(&inputs[0], &inputs[1], ctx, "joined").ok()?;
+            (out.len(), phases)
         }
     };
     Some((out as u64, phases))

@@ -15,15 +15,25 @@
 //! at low λ it converges to Grace join after the first access; in
 //! between it switches mid-flight exactly when the paper's rules say the
 //! rescan penalty has been paid off.
+//!
+//! The rules read only the declared sizes, the statuses and the
+//! operator's own scan counts, so the schedule is decided before any
+//! I/O: the runtime is stepped through the accesses the passes make,
+//! and then a routed partition scan per input whose rule fired spills
+//! its remaining partitions, and one build–probe phase runs every pass —
+//! from the spilled partitions where they exist, rescanning the
+//! originals where not (`join/kernel.rs`).
 
 use crate::join::common::{partition_of, JoinContext};
-use crate::join::kernel::{build_table, route_scan, Route};
+use crate::join::kernel::{build_probe, build_table, spill_scan, EachRecord, Phased};
+use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 use wl_runtime::{CStatus, OpCtx};
 
 /// Joins `left ⋈ right`, letting the §3.1 runtime decide partition
-/// materialization adaptively.
+/// materialization adaptively; returns the output beside its phases: a
+/// partition scan per input the runtime materializes, then the passes.
 ///
 /// # Errors
 /// Returns [`PmError::InsufficientMemory`] when Grace's applicability
@@ -33,108 +43,88 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
     right: &PCollection<R>,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
+) -> Result<Phased<L, R>, PmError> {
     ctx.require_grace::<L>(left.len(), "adaptive Grace join")?;
     let k = ctx.grace_partitions::<L>(left.len());
-    let mut rt = OpCtx::new(ctx.device().lambda().max(1.0));
+    let [t_from, v_from] = materialized_from(ctx, k, [left.buffers(), right.buffers()]);
 
-    // Record the Fig. 4 blueprint with actual input sizes.
-    let t_buffers = left.buffers() as f64;
-    let v_buffers = right.buffers() as f64;
-    rt.declare("T", CStatus::Materialized, t_buffers);
-    rt.declare("V", CStatus::Materialized, v_buffers);
-    let t_names: Vec<String> = (0..k).map(|i| format!("T{i}")).collect();
-    let v_names: Vec<String> = (0..k).map(|i| format!("V{i}")).collect();
-    for n in &t_names {
-        rt.declare(n, CStatus::Deferred, t_buffers / k as f64);
-    }
-    for n in &v_names {
-        rt.declare(n, CStatus::Deferred, v_buffers / k as f64);
-    }
-    {
-        let refs: Vec<&str> = t_names.iter().map(String::as_str).collect();
-        rt.partition("T", k, &refs);
-        let refs: Vec<&str> = v_names.iter().map(String::as_str).collect();
-        rt.partition("V", k, &refs);
-    }
+    // The spills, in the order the rules fire (`T` first at a tie).
+    let mut phases = Phases::new();
+    let (t_parts, v_parts) = if v_from < t_from {
+        let v_parts = spill(right, v_from, k, "adpt-v", ctx, &mut phases);
+        (spill(left, t_from, k, "adpt-t", ctx, &mut phases), v_parts)
+    } else {
+        let t_parts = spill(left, t_from, k, "adpt-t", ctx, &mut phases);
+        (t_parts, spill(right, v_from, k, "adpt-v", ctx, &mut phases))
+    };
 
-    let mut t_files: Vec<Option<PCollection<L>>> = (0..k).map(|_| None).collect();
-    let mut v_files: Vec<Option<PCollection<R>>> = (0..k).map(|_| None).collect();
+    // Every pass builds from its spilled partition or a rescan of the
+    // original, and probes with its spilled partition or all of the
+    // other input: a record of another partition cannot equal a key the
+    // table holds. The passes land record by record, as the serial
+    // passes that probed straight into the output did.
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-
-    for p in 0..k {
-        // ---- Build side ----
-        eager_partition(&mut rt, "T", left, &t_names, &mut t_files, p, ctx);
-        let table = match &t_files[p] {
-            Some(file) => build_table(vec![file.reader()], None),
-            None => {
-                // Deferred: reconstruct by re-scanning the source.
-                rt.note_scan("T", t_buffers);
-                build_table(vec![left.reader()], Some((p, k)))
-            }
+    let pass = |p: usize| {
+        let table = match p.checked_sub(t_from) {
+            Some(i) => build_table(vec![t_parts[i].reader()], None),
+            None => build_table(vec![left.reader()], Some((p, k))),
         };
-
-        // ---- Probe side ----
-        eager_partition(&mut rt, "V", right, &v_names, &mut v_files, p, ctx);
-        debug_assert!(table.holds_only(|key| partition_of(key, k) == p));
-        match &v_files[p] {
-            Some(file) => file
-                .reader()
-                .for_each_run(|run| table.probe_run(run, &mut out)),
-            None => {
-                // Deferred: probe with all of the source — a record of
-                // another partition cannot equal a key the table holds.
-                right
-                    .reader()
-                    .for_each_run(|run| table.probe_run(run, &mut out));
-                rt.note_scan("V", v_buffers);
-            }
-        }
-    }
-    Ok(out)
+        let probe = match p.checked_sub(v_from) {
+            Some(i) => v_parts[i].reader(),
+            None => right.reader(),
+        };
+        (table, vec![probe])
+    };
+    phases.push(build_probe(ctx, k, pass, &mut EachRecord(&mut out)));
+    Ok((out, phases))
 }
 
-/// The runtime's verdict on partition `p` of the input declared as
-/// `source_name`, acted on: once `read-over-write` fires, the
-/// `eager-partition` rule settles the fate of every remaining partition
-/// and writes all materialized ones in ONE routed scan of `source`.
-fn eager_partition<R: Record>(
-    rt: &mut OpCtx,
-    source_name: &str,
+/// Partitions `from..k` of `source`, spilled by one routed scan whose
+/// ledger joins `phases` (none when `from = k`).
+fn spill<R: Record>(
     source: &PCollection<R>,
-    names: &[String],
-    files: &mut [Option<PCollection<R>>],
-    p: usize,
+    from: usize,
+    k: usize,
+    prefix: &str,
     ctx: &JoinContext<'_>,
-) {
-    rt.assess(&names[p]);
-    if rt.status(&names[p]) != CStatus::Materialized || files[p].is_some() {
-        return;
+    phases: &mut Phases,
+) -> Vec<PCollection<R>> {
+    let mut parts: Vec<PCollection<R>> = (from..k).map(|_| ctx.fresh(prefix)).collect();
+    if from < k {
+        let route = |key| partition_of(key, k).checked_sub(from);
+        phases.push(vec![spill_scan(source.reader(), route, &mut parts)]);
     }
-    for name in names.iter().skip(p + 1) {
-        rt.assess(name);
-    }
-    let prefix = format!("adpt-{}", source_name.to_lowercase());
-    for (q, slot) in files.iter_mut().enumerate().skip(p) {
-        if rt.status(&names[q]) == CStatus::Materialized {
-            *slot = Some(ctx.fresh::<R>(&prefix));
+    parts
+}
+
+/// The first partition of each input (`T`, then `V`) that the runtime
+/// materializes, or `k` for none: the Fig. 4 graph declared with the
+/// inputs' sizes in buffers, and its deferred partitions assessed pass
+/// by pass — each pass scans an input once, to rebuild its partition
+/// while deferred and to spill the rest once a rule fires.
+fn materialized_from(ctx: &JoinContext<'_>, k: usize, [t, v]: [u64; 2]) -> [usize; 2] {
+    let mut rt = OpCtx::new(ctx.device().lambda().max(1.0));
+    let mut first = |source: &str, buffers: u64| {
+        let buffers = buffers as f64;
+        let parts: Vec<String> = (0..k).map(|i| format!("{source}{i}")).collect();
+        rt.declare(source, CStatus::Materialized, buffers);
+        for part in &parts {
+            rt.declare(part, CStatus::Deferred, buffers / k as f64);
         }
-    }
-    let k = files.len();
-    route_scan(
-        source.reader(),
-        |key| match partition_of(key, k) {
-            q if q >= p => Route::Spill(q),
-            _ => Route::Skip,
-        },
-        |_| {},
-        |q, bytes| {
-            if let Some(file) = &mut files[q] {
-                file.append_bytes(bytes);
-            }
-        },
-    );
-    rt.note_scan(source_name, source.buffers() as f64);
+        let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
+        rt.partition(source, k, &refs);
+        let fired = (0..k).find(|&p| {
+            rt.assess(&parts[p]);
+            rt.note_scan(source, buffers);
+            rt.status(&parts[p]) == CStatus::Materialized
+        });
+        // The eager-partition rule materializes every later partition.
+        for part in &parts[fired.map_or(k, |p| p + 1)..] {
+            rt.assess(part);
+        }
+        fired.unwrap_or(k)
+    };
+    [first("T", t), first("V", v)]
 }
 
 #[cfg(test)]
@@ -155,7 +145,7 @@ mod tests {
         let pool = BufferPool::new(60 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = adaptive_grace_join(&left, &right, &ctx, "out").expect("applicable");
+        let (out, _) = adaptive_grace_join(&left, &right, &ctx, "out").expect("applicable");
         (
             dev.snapshot().since(&before),
             out.len() as u64,

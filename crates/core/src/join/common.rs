@@ -254,13 +254,6 @@ impl<L: Record> BuildTable<L> {
         self.keys = 0;
     }
 
-    /// True if every record held has a key `belongs` accepts — what an
-    /// iterating pass `debug_assert!`s before probing without a
-    /// partition test of its own.
-    pub(crate) fn holds_only(&self, belongs: impl Fn(u64) -> bool) -> bool {
-        self.records.iter().all(|l| belongs(l.key()))
-    }
-
     /// The records with key `key`, in insertion order: the filter turns
     /// away most keys the table does not hold, the directory the rest.
     #[inline]

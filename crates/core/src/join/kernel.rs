@@ -16,7 +16,7 @@
 
 use super::common::{partition_of, view_key, BuildTable, JoinContext};
 use crate::parallel::{fan_out, measured, Phases};
-use pmem_sim::{IoStats, PCollection, RecordBuffer, RecordReader};
+use pmem_sim::{IoStats, PCollection, RecordBuffer, RecordReader, Storable};
 use wisconsin::{Pair, Record};
 
 /// Records per partitioning morsel. The grid depends only on the input
@@ -175,15 +175,42 @@ pub(crate) fn pair<'a, L: Record, R: Record>(
     )
 }
 
+/// Where a build–probe phase lands each task's matches: an output
+/// collection takes them in one bulk append, an [`EachRecord`] output
+/// one record at a time.
+pub(crate) trait Land<P: Storable> {
+    /// Lands one task's matches.
+    fn land(&mut self, matches: &RecordBuffer<P>);
+}
+
+impl<P: Storable> Land<P> for PCollection<P> {
+    fn land(&mut self, matches: &RecordBuffer<P>) {
+        self.append_buffer(matches);
+    }
+}
+
+/// An output that takes a build–probe phase's matches one record at a
+/// time, as a pass probing straight into it would: the dynamic-array
+/// layer charges its doubling per append, so there (and only there) the
+/// charges depend on the granularity.
+pub(crate) struct EachRecord<'o, P: Storable>(pub(crate) &'o mut PCollection<P>);
+
+impl<P: Storable> Land<P> for EachRecord<'_, P> {
+    fn land(&mut self, matches: &RecordBuffer<P>) {
+        for record in matches.records() {
+            self.0.append_bytes(record);
+        }
+    }
+}
+
 /// The build–probe phase: `tasks` independent tasks, each building its
 /// table and probing it with its scans into a buffer on a worker; the
-/// buffers are flushed into `out` in task order. Returns the per-task
-/// ledger.
+/// buffers land in `out` in task order. Returns the per-task ledger.
 pub(crate) fn build_probe<'a, L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     tasks: usize,
     task: impl Fn(usize) -> Probe<'a, L, R> + Sync,
-    out: &mut PCollection<Pair<L, R>>,
+    out: &mut impl Land<Pair<L, R>>,
 ) -> Vec<IoStats> {
     let probe = |i| {
         let (table, scans) = task(i);
@@ -193,5 +220,5 @@ pub(crate) fn build_probe<'a, L: Record, R: Record>(
         }
         matches
     };
-    fan_out(ctx, tasks, probe, |matches| out.append_buffer(&matches))
+    fan_out(ctx, tasks, probe, |matches| out.land(&matches))
 }

@@ -16,11 +16,14 @@
 //! | LaJ | [`lazy_hash_join`] | dynamic, Eq. 11 materialization | HJ's passes, spilling only on the passes Eq. 11 picks |
 //! | SMJ | [`sort_merge_join`] | sort-phase write intensity `x` (extension) | two segment sorts (the sort kernels, [`crate::sort`]), then a merge co-scan over key-range segments |
 //! | CGJ | [`guided_join_with`] | hot keys skip the partition round-trip (extension) | morsel-grid scans keep hot records (build the resident table, probe it) and spill the rest; build–probe over the cold pairs |
+//! | (adaptive GJ) | [`crate::adaptive::adaptive_grace_join`] | §3.1 rules pick the partitions to materialize | per input whose rule fires, a scan spilling partitions `a..k`; build–probe: a task per partition, from its spill or a rescan of the original |
+//! | (deferred σ) | [`crate::pipeline::filtered_iterate_join`] | §3.1 rules pick when to write `σ(T)` | build–probe: a re-filtering task per pass before the view materializes; the pass that writes it as it scans; build–probe: a task per later pass over the view |
 //!
 //! SMJ and CGJ are library extensions beyond the paper's line-up (see
-//! [`guided`]); the §3.1 adaptive Grace join ([`crate::adaptive`]) and the
-//! deferred-σ join ([`crate::pipeline`]) are schedules over the same
-//! kernels with runtime decisions between phases.
+//! [`guided`]). The two §3.1 joins decide their schedule before any I/O:
+//! their rules read only declared sizes, statuses and the join's own
+//! scan counts, so each steps a private `wl_runtime::OpCtx` through the
+//! accesses its passes make, then runs the schedule the verdicts imply.
 
 pub mod common;
 pub mod grace;
@@ -277,9 +280,8 @@ mod tests {
     #[test]
     fn probe_scans_without_a_partition_test_emit_what_guarded_ones_did() {
         use crate::adaptive::adaptive_grace_join;
-        use crate::pipeline::{filtered_iterate_join, DeferredFilter};
+        use crate::pipeline::filtered_iterate_join;
         use pmem_sim::{DeviceConfig, LatencyProfile};
-        use wl_runtime::OpCtx;
 
         let inputs = [
             ("uniform", join_input(600, 4, 23)),
@@ -314,7 +316,7 @@ mod tests {
                     assert!(out.to_vec_uncounted() == want, "LaJ: {what}");
                     let out = hash_join(&left, &right, &ctx, "o");
                     assert!(out.to_vec_uncounted() == want, "HJ: {what}");
-                    let out = adaptive_grace_join(&left, &right, &ctx, "o").expect("fits");
+                    let (out, _) = adaptive_grace_join(&left, &right, &ctx, "o").expect("fits");
                     assert!(out.to_vec_uncounted() == want, "adaptive Grace: {what}");
 
                     // A selective filter is materialized after the first
@@ -323,10 +325,9 @@ mod tests {
                         let keep = |l: &WisconsinRecord| l.key().is_multiple_of(modulus);
                         let kept: Vec<WisconsinRecord> =
                             w.left.iter().copied().filter(keep).collect();
-                        let mut rt = OpCtx::new(lambda);
-                        let mut filter = DeferredFilter::new(&left, keep, selectivity, &mut rt);
-                        let out = filtered_iterate_join(&mut filter, &right, &ctx, &mut rt, "o")
-                            .expect("fits");
+                        let (out, _) =
+                            filtered_iterate_join(&left, keep, selectivity, &right, &ctx, "o")
+                                .expect("fits");
                         assert!(
                             out.to_vec_uncounted() == guarded_iterate_join(&kept, &w.right, k),
                             "deferred σ (1 in {modulus}): {what}"
@@ -339,29 +340,37 @@ mod tests {
 
     #[test]
     fn every_phase_ledger_accounts_for_the_whole_run_at_any_dop() {
-        let algos = [
-            JoinAlgorithm::NLJ,
-            JoinAlgorithm::GJ,
-            JoinAlgorithm::HJ,
-            JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
-            JoinAlgorithm::SegJ { frac: 0.5 },
-            JoinAlgorithm::LaJ,
-            JoinAlgorithm::SMJ { x: 0.5 },
-            JoinAlgorithm::CGJ,
-        ];
+        use crate::adaptive::adaptive_grace_join;
+        use crate::parallel::Phases;
+        use crate::pipeline::filtered_iterate_join;
+        use pmem_sim::{DeviceConfig, LatencyProfile};
+
+        type Profiled<'f> = dyn Fn(
+                &PCollection<WisconsinRecord>,
+                &PCollection<WisconsinRecord>,
+                &JoinContext<'_>,
+            ) -> Result<kernel::Phased<WisconsinRecord, WisconsinRecord>, PmError>
+            + 'f;
         let w = wisconsin::join_input_skewed(600, 3000, 1.1, 23);
-        for algo in algos {
+        // `join` with `m` records of DRAM on a medium of write/read ratio
+        // `lambda`: its phases cover its device delta, and DoP 4 repeats
+        // both exactly. Returns the phases.
+        let check = |what: &str, lambda: f64, m: usize, join: &Profiled<'_>| -> Phases {
             let run = |threads: usize| {
-                let mut phases = Vec::new();
-                let (io, _) = device_run(&w, LayerKind::Pmfs, 60, threads, |l, r, ctx| {
-                    let (out, ledger) = algo.run_profiled(l, r, ctx, "out")?;
-                    phases = ledger;
-                    Ok(out)
-                });
-                (io, phases)
+                let dev = PmDevice::new(
+                    DeviceConfig::paper_default()
+                        .with_latency(LatencyProfile::with_lambda(10.0, lambda)),
+                );
+                let kind = LayerKind::Pmfs;
+                let left = PCollection::from_records_uncounted(&dev, kind, "T", w.left.clone());
+                let right = PCollection::from_records_uncounted(&dev, kind, "V", w.right.clone());
+                let pool = BufferPool::new(m * 80);
+                let ctx = JoinContext::new(&dev, kind, &pool).with_threads(threads);
+                let before = dev.snapshot();
+                let (_, phases) = join(&left, &right, &ctx).expect("applicable");
+                (dev.snapshot().since(&before), phases)
             };
             let (io, phases) = run(1);
-            let what = algo.label();
             assert!(phases.iter().all(|phase| !phase.is_empty()), "{what}");
             let sum = phases
                 .iter()
@@ -372,7 +381,41 @@ mod tests {
                 (io.cl_reads, io.cl_writes, io.calls),
                 "{what}: the phases cover the device delta"
             );
-            assert_eq!(run(4), (io, phases), "{what}: DoP 4");
+            assert_eq!(run(4), (io, phases.clone()), "{what}: DoP 4");
+            phases
+        };
+
+        let algos = [
+            JoinAlgorithm::NLJ,
+            JoinAlgorithm::GJ,
+            JoinAlgorithm::HJ,
+            JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
+            JoinAlgorithm::SegJ { frac: 0.5 },
+            JoinAlgorithm::LaJ,
+            JoinAlgorithm::SMJ { x: 0.5 },
+            JoinAlgorithm::CGJ,
+        ];
+        for algo in algos {
+            check(&algo.label(), 15.0, 60, &|l, r, ctx| {
+                algo.run_profiled(l, r, ctx, "out")
+            });
+        }
+
+        // The §3.1 joins over k = 3 partitions: at λ = 1.5 their rules
+        // fire (adaptive Grace spills both inputs on the first pass, the
+        // unselective view materializes on the second), at λ = 15 they
+        // defer throughout and the passes are the only phase.
+        for (lambda, phases) in [(1.5, 3), (15.0, 1)] {
+            let what = format!("adaptive Grace, λ = {lambda}");
+            let ledger = check(&what, lambda, 250, &|l, r, ctx| {
+                adaptive_grace_join(l, r, ctx, "out")
+            });
+            assert_eq!(ledger.len(), phases, "{what}");
+            let what = format!("deferred σ, λ = {lambda}");
+            let ledger = check(&what, lambda, 250, &|l, r, ctx| {
+                filtered_iterate_join(l, |_| true, 1.0, r, ctx, "out")
+            });
+            assert_eq!(ledger.len(), phases, "{what}");
         }
     }
 

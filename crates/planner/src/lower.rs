@@ -6,8 +6,8 @@
 //! nodes (sort, join, aggregate) then invoke the chosen algorithm on the
 //! staged collections, so every cacheline the plan touches flows through
 //! the counted device. Deferred filters are lowered onto the §3.1
-//! runtime ([`DeferredFilter`] + [`filtered_iterate_join`]), which
-//! re-filters the source per pass instead of writing the view.
+//! runtime's [`filtered_iterate_join`], which re-filters the source per
+//! pass instead of writing the view until its rules say otherwise.
 //!
 //! Two entry points share the machinery: [`execute_stream`] runs the
 //! plan and hands back an owned [`ResultSet`] that clients drain in
@@ -22,11 +22,10 @@ use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, PmError};
 use std::borrow::Cow;
 use std::sync::Arc;
 use wisconsin::{Pair, Record, WisconsinRecord};
-use wl_runtime::OpCtx;
 use write_limited::agg::{sort_based_aggregate, GroupAgg};
 use write_limited::exec::{stage, FilterOp, MapOp, ScanOp};
 use write_limited::join::{guided_join_with, JoinAlgorithm, JoinContext};
-use write_limited::pipeline::{filtered_iterate_join, DeferredFilter};
+use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 use write_limited::stats::TableStatistics;
 
@@ -833,11 +832,10 @@ impl<'a> Lowerer<'a> {
                 }
             };
             let probe = self.eval_to_wis(right)?;
-            let mut rt = OpCtx::new(self.dev.lambda());
             let p = *predicate;
-            let mut filter =
-                DeferredFilter::new(&src, move |r| p.matches(r), *selectivity, &mut rt);
-            let out = filtered_iterate_join(&mut filter, probe.as_col(), &ctx, &mut rt, &name)?;
+            let keep = move |r: &WisconsinRecord| p.matches(r);
+            let (out, _) =
+                filtered_iterate_join(&src, keep, *selectivity, probe.as_col(), &ctx, &name)?;
             return self.finish_join(out, false, chain);
         }
 

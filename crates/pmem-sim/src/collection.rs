@@ -451,6 +451,11 @@ impl<R: Storable> RecordBuffer<R> {
         }
     }
 
+    /// The buffered records' stored bytes, one record at a time.
+    pub fn records(&self) -> std::slice::ChunksExact<'_, u8> {
+        self.bytes.chunks_exact(R::SIZE)
+    }
+
     /// Number of buffered records.
     pub fn len(&self) -> usize {
         self.n_records

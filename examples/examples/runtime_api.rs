@@ -45,7 +45,7 @@ fn main() {
         let pool = BufferPool::fraction_of(left.bytes(), 0.1);
         let jctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = adaptive_grace_join(&left, &right, &jctx, "out").expect("applicable");
+        let (out, _) = adaptive_grace_join(&left, &right, &jctx, "out").expect("applicable");
         let stats = dev.snapshot().since(&before);
         assert_eq!(out.len() as u64, w.expected_matches);
         println!(

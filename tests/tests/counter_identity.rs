@@ -19,11 +19,10 @@
 use pmem_sim::{BufferPool, DeviceConfig, LayerKind, PCollection, Pm, PmDevice, PmError, Storable};
 use std::fmt::Write as _;
 use wisconsin::{Record, WisconsinRecord};
-use wl_runtime::OpCtx;
 use write_limited::adaptive::adaptive_grace_join;
 use write_limited::agg::{hash_aggregate, segmented_hash_aggregate, sort_based_aggregate};
 use write_limited::join::{JoinAlgorithm, JoinContext};
-use write_limited::pipeline::{filtered_iterate_join, DeferredFilter};
+use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/op_counters.out");
@@ -332,12 +331,12 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
             let ctx = JoinContext::new(&dev, s.kind, &pool).with_threads(s.threads);
             match op {
                 Op::Join { algo, .. } => algo.run(&left, &right, &ctx, "out"),
-                Op::AdaptiveGrace => adaptive_grace_join(&left, &right, &ctx, "out"),
+                Op::AdaptiveGrace => {
+                    adaptive_grace_join(&left, &right, &ctx, "out").map(|(out, _)| out)
+                }
                 Op::DeferredPipeline => {
-                    let mut rt = OpCtx::new(dev.lambda());
-                    let mut filter =
-                        DeferredFilter::new(&left, |r: &R| r.key().is_multiple_of(5), 0.2, &mut rt);
-                    filtered_iterate_join(&mut filter, &right, &ctx, &mut rt, "out")
+                    let keep = |r: &R| r.key().is_multiple_of(5);
+                    filtered_iterate_join(&left, keep, 0.2, &right, &ctx, "out").map(|(out, _)| out)
                 }
                 _ => unreachable!("join arm"),
             }

@@ -7,12 +7,11 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use wisconsin::{Record as _, WisconsinRecord};
 use wl_index::{BPlusTree, LeafPolicy};
-use wl_runtime::OpCtx;
 use write_limited::agg::{
     hash_aggregate, segmented_hash_aggregate, sort_based_aggregate, GroupAgg,
 };
 use write_limited::join::JoinContext;
-use write_limited::pipeline::{filtered_iterate_join, DeferredFilter};
+use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::SortContext;
 
 fn reference_agg(keys: &[(u64, u64)]) -> BTreeMap<u64, GroupAgg> {
@@ -145,9 +144,8 @@ fn pipeline_filter_join_respects_selectivity() {
     let right = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
     let pool = BufferPool::new(50 * 80);
     let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-    let mut rt = OpCtx::new(dev.lambda());
-    let mut filter = DeferredFilter::new(&left, |r| r.key() < 100, 0.2, &mut rt);
-    let out = filtered_iterate_join(&mut filter, &right, &ctx, &mut rt, "out").expect("applicable");
+    let (out, _) = filtered_iterate_join(&left, |r| r.key() < 100, 0.2, &right, &ctx, "out")
+        .expect("applicable");
     assert_eq!(out.len(), 400); // 100 surviving keys × fanout 4
     assert!(out.to_vec_uncounted().iter().all(|p| p.left.key() < 100));
 }

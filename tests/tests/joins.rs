@@ -131,7 +131,7 @@ fn adaptive_join_agrees_with_fixed_algorithms() {
     let right = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
     let pool = BufferPool::new(60 * 80);
     let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-    let adaptive = adaptive_grace_join(&left, &right, &ctx, "a").expect("applicable");
+    let (adaptive, _) = adaptive_grace_join(&left, &right, &ctx, "a").expect("applicable");
     let grace = JoinAlgorithm::GJ
         .run(&left, &right, &ctx, "g")
         .expect("applicable");

@@ -8,9 +8,8 @@
 
 use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice};
 use wisconsin::{join_input, sort_input, KeyOrder, Record, WisconsinRecord};
-use wl_runtime::OpCtx;
 use write_limited::join::{JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS};
-use write_limited::pipeline::{filtered_iterate_join, DeferredFilter};
+use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 
 const DOPS: [usize; 3] = [2, 3, 8];
@@ -388,15 +387,14 @@ fn deferred_pipeline_join_is_dop_invariant() {
             PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
         let pool = BufferPool::new(40 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
-        let mut rt = OpCtx::new(dev.lambda());
-        // Selective filter: materializes after the first pass, so the
-        // remaining passes run through the parallel tail.
-        let mut filter = DeferredFilter::new(&left, |r| r.key() % 20 == 0, 0.05, &mut rt);
+        // Selective filter: materializes on the first pass (a phase of
+        // its own), so the remaining passes run as one parallel phase.
+        let keep = |r: &WisconsinRecord| r.key().is_multiple_of(20);
         let before = dev.snapshot();
-        let out =
-            filtered_iterate_join(&mut filter, &right, &ctx, &mut rt, "out").expect("applicable");
+        let (out, phases) =
+            filtered_iterate_join(&left, keep, 0.05, &right, &ctx, "out").expect("applicable");
         let stats = dev.snapshot().since(&before);
-        assert!(filter.is_materialized());
+        assert_eq!(phases.len(), 2, "materialized on the first pass");
         let rows: Vec<(u64, u64)> = out
             .to_vec_uncounted()
             .iter()

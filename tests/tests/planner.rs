@@ -182,7 +182,7 @@ fn filter_deferral_tracks_lambda() {
 
 /// The deferred-view lowering path end-to-end: force a setting where
 /// the planner defers the build filter, execute through the §3.1
-/// runtime (`DeferredFilter` + iterate-only join), and check the rows
+/// runtime (`filtered_iterate_join`), and check the rows
 /// against the naive executor.
 #[test]
 fn deferred_filter_plans_execute_correctly() {

@@ -7,14 +7,17 @@
 //! construction (the failing iteration index pins the input).
 
 use pmem_sim::{
-    BufferPool, IoStats, LayerKind, PCollection, PmDevice, PmError, ReadCursor, Storable, Storage,
+    BufferPool, DeviceConfig, IoStats, LatencyProfile, LayerKind, PCollection, PmDevice, PmError,
+    ReadCursor, Storable, Storage,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wisconsin::{Pair, Permutation, Record, WisconsinRecord, Zipf};
+use write_limited::adaptive::adaptive_grace_join;
 use write_limited::join::{
     expected_match_count, guided_join_with, JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS,
 };
+use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{cycle_sort, SortAlgorithm, SortContext};
 use write_limited::stats::kendall_tau;
 
@@ -268,12 +271,15 @@ fn records(keys: &[u64]) -> Vec<WisconsinRecord> {
         .collect()
 }
 
-/// A drawn knob-free join setting: inputs, DRAM budget in records, layer.
+/// A drawn knob-free join setting: inputs, DRAM budget in records,
+/// layer, and the medium's write/read ratio (the paper default's, 15,
+/// unless set).
 struct JoinDraw {
     left: Vec<WisconsinRecord>,
     right: Vec<WisconsinRecord>,
     m: usize,
     kind: LayerKind,
+    lambda: f64,
     what: String,
 }
 
@@ -306,11 +312,12 @@ impl JoinDraw {
             right: records(&right_keys),
             m,
             kind,
+            lambda: 15.0,
         }
     }
 
     /// The naive oracle: every matching pair, as sorted row tuples.
-    fn oracle(&self) -> Vec<(u64, u64, u64, u64)> {
+    fn oracle(&self) -> Vec<Row> {
         let mut rows = Vec::new();
         for r in &self.right {
             for l in self.left.iter().filter(|l| l.key() == r.key()) {
@@ -324,7 +331,8 @@ impl JoinDraw {
     /// One run of `join` on a fresh device at DoP `threads`: the device
     /// delta, the output pairs in order, and the ledger if it has one.
     fn run(&self, threads: usize, join: &Join) -> (IoStats, Vec<WPair>, Option<Ledger>) {
-        let dev = PmDevice::paper_default();
+        let latency = LatencyProfile::with_lambda(10.0, self.lambda);
+        let dev = PmDevice::new(DeviceConfig::paper_default().with_latency(latency));
         let left = PCollection::from_records_uncounted(&dev, self.kind, "T", self.left.clone());
         let right = PCollection::from_records_uncounted(&dev, self.kind, "V", self.right.clone());
         let pool = BufferPool::new(self.m * WisconsinRecord::SIZE);
@@ -339,14 +347,14 @@ impl JoinDraw {
     }
 
     /// Runs `join` at DoP 1 and 4 and checks the knob-space laws: the
-    /// rows are the oracle's, the ledger covers the device delta, and
-    /// DoP 4 repeats DoP 1 exactly — counters, row order and ledger.
-    fn check(&self, algo: &str, join: &Join) {
-        let what = format!("{}, {algo}", self.what);
+    /// rows are `want`, the ledger covers the device delta, and DoP 4
+    /// repeats DoP 1 exactly — counters, row order and ledger.
+    fn check(&self, algo: &str, want: &[Row], join: &Join) {
+        let what = format!("{}, λ = {}, {algo}", self.what, self.lambda);
         let serial = self.run(1, join);
         let mut rows: Vec<_> = serial.1.iter().map(|p| row(&p.left, &p.right)).collect();
         rows.sort_unstable();
-        assert!(rows == self.oracle(), "{what}: rows");
+        assert!(rows == want, "{what}: rows");
         if let Some(ledger) = &serial.2 {
             assert_ledger_covers(&what, ledger, &serial.0);
         }
@@ -354,8 +362,12 @@ impl JoinDraw {
     }
 }
 
-/// A joined row as the oracle compares it.
-fn row(l: &WisconsinRecord, r: &WisconsinRecord) -> (u64, u64, u64, u64) {
+/// A joined row as the oracle compares it: left key and payload, right
+/// key and payload.
+type Row = (u64, u64, u64, u64);
+
+/// `l` and `r` joined, as the oracle compares them.
+fn row(l: &WisconsinRecord, r: &WisconsinRecord) -> Row {
     (l.key(), l.payload(), r.key(), r.payload())
 }
 
@@ -393,14 +405,17 @@ fn join_knobs_match_the_oracle_at_any_dop() {
     let mut rng = StdRng::seed_from_u64(0x7AB1E);
     for case in 0..KNOB_CASES {
         let draw = JoinDraw::draw(&mut rng, case);
+        let want = draw.oracle();
         let (x, y) = (knob(&mut rng), knob(&mut rng));
         draw.check(
             &format!("HybJ({x}, {y})"),
+            &want,
             &profiled(JoinAlgorithm::HybJ { x, y }),
         );
         let frac = knob(&mut rng);
         draw.check(
             &format!("SegJ {frac}"),
+            &want,
             &profiled(JoinAlgorithm::SegJ { frac }),
         );
 
@@ -413,8 +428,41 @@ fn join_knobs_match_the_oracle_at_any_dop() {
         let guided = |l: &PCollection<_>, r: &PCollection<_>, ctx: &JoinContext<'_>| {
             Ok((guided_join_with(l, r, &hot, ctx, "out")?, None))
         };
-        draw.check(&format!("CGJ {hot:?}"), &guided);
-        draw.check("CGJ", &profiled(JoinAlgorithm::CGJ));
+        draw.check(&format!("CGJ {hot:?}"), &want, &guided);
+        draw.check("CGJ", &want, &profiled(JoinAlgorithm::CGJ));
+    }
+}
+
+/// Adaptive Grace and the deferred-σ join, at a λ where their rules
+/// fire early (1.5) and one where they fire late or never (15), match
+/// the oracle, cover their device deltas and are DoP-invariant.
+#[test]
+fn runtime_joins_match_the_oracle_at_any_dop() {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for case in 0..KNOB_CASES {
+        let mut draw = JoinDraw::draw(&mut rng, case);
+        let want = draw.oracle();
+        let modulus = rng.gen_range(1u64..5);
+        let kept: Vec<Row> = (want.iter().filter(|row| row.0.is_multiple_of(modulus)))
+            .copied()
+            .collect();
+        let selectivity = knob(&mut rng);
+        for lambda in [1.5, 15.0] {
+            draw.lambda = lambda;
+            draw.check("adaptive Grace", &want, &|l, r, ctx| {
+                let (out, ledger) = adaptive_grace_join(l, r, ctx, "out")?;
+                Ok((out, Some(ledger)))
+            });
+            let keep = |r: &WisconsinRecord| r.key().is_multiple_of(modulus);
+            draw.check(
+                &format!("σ(1 in {modulus}), f = {selectivity}"),
+                &kept,
+                &|l, r, ctx| {
+                    let (out, ledger) = filtered_iterate_join(l, keep, selectivity, r, ctx, "out")?;
+                    Ok((out, Some(ledger)))
+                },
+            );
+        }
     }
 }
 
