@@ -1,21 +1,18 @@
-//! Volcano-style physical operators.
+//! Volcano-style streaming operators and the staging step.
 //!
 //! §3.1 describes each algorithm as "a physical operator … \[that
-//! provides\] a standard iterator interface, as well as an `evaluate()`
-//! method that records the control flow graph". This module supplies
-//! that interface: [`PhysOperator`] is the open/next/close contract, and
-//! the provided operators wrap the crate's algorithms so plans compose
-//! (`scan → filter → sort → join → aggregate`) while all persistent-
-//! memory traffic keeps flowing through the same counted collections.
-//!
-//! Blocking operators (sort, join, aggregate) materialize their result
-//! on `open()` — that cost is real and counted — and then stream it.
+//! provides\] a standard iterator interface". This module supplies the
+//! streaming half of that interface: [`PhysOperator`] is the
+//! open/next/close contract, [`ScanOp`], [`FilterOp`] and [`MapOp`]
+//! compose a plan's streaming segments (`scan → filter → map`), and
+//! [`stage`] materializes a segment as a persistent collection at a
+//! blocking boundary. Blocking work — sorts, joins, aggregations — runs
+//! as the crate's algorithms over staged collections, so all
+//! persistent-memory traffic keeps flowing through the same counted
+//! collections.
 
-use crate::agg::{sort_based_aggregate, GroupAgg};
-use crate::join::{JoinAlgorithm, JoinContext};
-use crate::sort::{SortAlgorithm, SortContext};
-use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmError, ReadCursor, RecordReader};
-use wisconsin::{Pair, Record};
+use pmem_sim::{LayerKind, PCollection, Pm, PmError, RecordReader};
+use wisconsin::Record;
 
 /// The Volcano contract: `open` prepares (and for blocking operators,
 /// runs) the computation; `next` streams records; `close` releases
@@ -167,240 +164,6 @@ impl<I: PhysOperator, O: Record, F: FnMut(&I::Item) -> O> PhysOperator for MapOp
     }
 }
 
-/// Blocking sort: consumes its child into a collection on `open()`,
-/// sorts it with the configured algorithm, then streams the result.
-pub struct SortOp<'p, I: PhysOperator> {
-    child: I,
-    algo: SortAlgorithm,
-    dev: Pm,
-    kind: LayerKind,
-    pool: &'p BufferPool,
-    threads: Option<usize>,
-    output: Option<PCollection<I::Item>>,
-    cursor: usize,
-    read_cursor: ReadCursor,
-}
-
-impl<'p, I: PhysOperator> SortOp<'p, I> {
-    /// Sorts `child`'s output with `algo` under the given budget.
-    pub fn new(
-        child: I,
-        algo: SortAlgorithm,
-        dev: &Pm,
-        kind: LayerKind,
-        pool: &'p BufferPool,
-    ) -> Self {
-        Self {
-            child,
-            algo,
-            dev: dev.clone(),
-            kind,
-            pool,
-            threads: None,
-            output: None,
-            cursor: 0,
-            read_cursor: ReadCursor::new(),
-        }
-    }
-
-    /// Overrides the degree of parallelism for the underlying sort
-    /// (default: the `WL_THREADS` environment knob).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-}
-
-impl<'p, I: PhysOperator> PhysOperator for SortOp<'p, I> {
-    type Item = I::Item;
-
-    fn open(&mut self) -> Result<(), PmError> {
-        let _span = pmem_sim::span::span_with(|| format!("sort-op {}", self.algo.label()));
-        self.child.open()?;
-        let mut staged = PCollection::new(&self.dev, self.kind, "sort-op-input");
-        self.child.drain(&mut |r| staged.append(&r));
-        self.child.close();
-        let ctx = SortContext::new(&self.dev, self.kind, self.pool)
-            .with_threads(crate::parallel::resolve_threads(self.threads));
-        self.output = Some(self.algo.run(&staged, &ctx, "sort-op-output")?);
-        self.cursor = 0;
-        self.read_cursor = ReadCursor::new();
-        // Operator span boundary = accounting flush point: device
-        // snapshots taken between operators observe everything this
-        // operator charged.
-        pmem_sim::flush_thread_accounting();
-        Ok(())
-    }
-
-    fn next(&mut self) -> Option<I::Item> {
-        let out = self.output.as_ref()?;
-        if self.cursor >= out.len() {
-            return None;
-        }
-        let r = out.get_with_cursor(self.cursor, &mut self.read_cursor);
-        self.cursor += 1;
-        Some(r)
-    }
-
-    fn close(&mut self) {
-        self.output = None;
-    }
-}
-
-/// Blocking equi-join over two persistent inputs.
-pub struct JoinOp<'a, 'p, L: Record, R: Record> {
-    left: &'a PCollection<L>,
-    right: &'a PCollection<R>,
-    algo: JoinAlgorithm,
-    dev: Pm,
-    kind: LayerKind,
-    pool: &'p BufferPool,
-    threads: Option<usize>,
-    output: Option<PCollection<Pair<L, R>>>,
-    cursor: usize,
-    read_cursor: ReadCursor,
-}
-
-impl<'a, 'p, L: Record, R: Record> JoinOp<'a, 'p, L, R> {
-    /// Joins `left ⋈ right` with `algo` under the given budget.
-    pub fn new(
-        left: &'a PCollection<L>,
-        right: &'a PCollection<R>,
-        algo: JoinAlgorithm,
-        dev: &Pm,
-        kind: LayerKind,
-        pool: &'p BufferPool,
-    ) -> Self {
-        Self {
-            left,
-            right,
-            algo,
-            dev: dev.clone(),
-            kind,
-            pool,
-            threads: None,
-            output: None,
-            cursor: 0,
-            read_cursor: ReadCursor::new(),
-        }
-    }
-
-    /// Overrides the degree of parallelism for the underlying join
-    /// (default: the `WL_THREADS` environment knob).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-}
-
-impl<'a, 'p, L: Record, R: Record> PhysOperator for JoinOp<'a, 'p, L, R> {
-    type Item = Pair<L, R>;
-
-    fn open(&mut self) -> Result<(), PmError> {
-        let _span = pmem_sim::span::span_with(|| format!("join-op {}", self.algo.label()));
-        let ctx = JoinContext::new(&self.dev, self.kind, self.pool)
-            .with_threads(crate::parallel::resolve_threads(self.threads));
-        self.output = Some(
-            self.algo
-                .run(self.left, self.right, &ctx, "join-op-output")?,
-        );
-        self.cursor = 0;
-        self.read_cursor = ReadCursor::new();
-        pmem_sim::flush_thread_accounting();
-        Ok(())
-    }
-
-    fn next(&mut self) -> Option<Pair<L, R>> {
-        let out = self.output.as_ref()?;
-        if self.cursor >= out.len() {
-            return None;
-        }
-        let r = out.get_with_cursor(self.cursor, &mut self.read_cursor);
-        self.cursor += 1;
-        Some(r)
-    }
-
-    fn close(&mut self) {
-        self.output = None;
-    }
-}
-
-/// Blocking grouped aggregation (sort-based, write intensity `x`).
-pub struct AggOp<'p, I: PhysOperator, V> {
-    child: I,
-    value_of: V,
-    x: f64,
-    dev: Pm,
-    kind: LayerKind,
-    pool: &'p BufferPool,
-    output: Option<PCollection<GroupAgg>>,
-    cursor: usize,
-    read_cursor: ReadCursor,
-}
-
-impl<'p, I: PhysOperator, V: Fn(&I::Item) -> u64> AggOp<'p, I, V> {
-    /// Aggregates `child`'s output by key with values from `value_of`.
-    pub fn new(
-        child: I,
-        value_of: V,
-        x: f64,
-        dev: &Pm,
-        kind: LayerKind,
-        pool: &'p BufferPool,
-    ) -> Self {
-        Self {
-            child,
-            value_of,
-            x,
-            dev: dev.clone(),
-            kind,
-            pool,
-            output: None,
-            cursor: 0,
-            read_cursor: ReadCursor::new(),
-        }
-    }
-}
-
-impl<'p, I: PhysOperator, V: Fn(&I::Item) -> u64 + Sync> PhysOperator for AggOp<'p, I, V> {
-    type Item = GroupAgg;
-
-    fn open(&mut self) -> Result<(), PmError> {
-        let _span = pmem_sim::span::span("agg-op");
-        self.child.open()?;
-        let mut staged = PCollection::new(&self.dev, self.kind, "agg-op-input");
-        self.child.drain(&mut |r| staged.append(&r));
-        self.child.close();
-        let ctx = SortContext::new(&self.dev, self.kind, self.pool);
-        self.output = Some(sort_based_aggregate(
-            &staged,
-            self.x,
-            &self.value_of,
-            &ctx,
-            "agg-op-output",
-        )?);
-        self.cursor = 0;
-        pmem_sim::flush_thread_accounting();
-        Ok(())
-    }
-
-    fn next(&mut self) -> Option<GroupAgg> {
-        let out = self.output.as_ref()?;
-        if self.cursor >= out.len() {
-            return None;
-        }
-        let g = out.get_with_cursor(self.cursor, &mut self.read_cursor);
-        self.cursor += 1;
-        Some(g)
-    }
-
-    fn close(&mut self) {
-        self.output = None;
-    }
-}
-
 /// Boxed operators delegate, so plan trees whose shape is only known at
 /// run time (e.g. those the planner lowers) can compose heterogeneous
 /// operator chains behind one item type.
@@ -460,8 +223,11 @@ pub fn collect<O: PhysOperator>(op: &mut O) -> Result<Vec<O::Item>, PmError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::PmDevice;
-    use wisconsin::{join_input, sort_input, KeyOrder, WisconsinRecord};
+    use crate::agg::sort_based_aggregate;
+    use crate::join::{JoinAlgorithm, JoinContext};
+    use crate::sort::{SortAlgorithm, SortContext};
+    use pmem_sim::{BufferPool, PmDevice};
+    use wisconsin::{join_input, sort_input, KeyOrder, Pair, WisconsinRecord};
 
     #[test]
     fn scan_filter_pipeline_streams() {
@@ -480,25 +246,26 @@ mod tests {
 
     #[test]
     fn sort_operator_orders_filtered_rows() {
+        // A sort over a filter, lowered as the planner lowers it: the
+        // streaming segment staged, the sort run over the staged rows.
         let dev = PmDevice::paper_default();
+        let kind = LayerKind::BlockedMemory;
         let input = PCollection::from_records_uncounted(
             &dev,
-            LayerKind::BlockedMemory,
+            kind,
             "T",
             sort_input(500, KeyOrder::Random, 2),
         );
         let pool = BufferPool::new(64 * 80);
-        let plan = FilterOp::new(ScanOp::new(&input), |r: &WisconsinRecord| {
+        let mut plan = FilterOp::new(ScanOp::new(&input), |r: &WisconsinRecord| {
             r.key().is_multiple_of(2)
         });
-        let mut plan = SortOp::new(
-            plan,
-            SortAlgorithm::SegS { x: 0.5 },
-            &dev,
-            LayerKind::BlockedMemory,
-            &pool,
-        );
-        let rows = collect(&mut plan).expect("valid plan");
+        let staged = stage(&mut plan, &dev, kind, "filtered").expect("streaming plan");
+        let ctx = SortContext::new(&dev, kind, &pool);
+        let sorted = SortAlgorithm::SegS { x: 0.5 }
+            .run(&staged, &ctx, "sorted")
+            .expect("valid knob");
+        let rows = collect(&mut ScanOp::new(&sorted)).expect("streaming plan");
         assert_eq!(rows.len(), 250);
         assert!(rows.windows(2).all(|w| w[0].key() <= w[1].key()));
     }
@@ -507,28 +274,19 @@ mod tests {
     fn join_then_aggregate_composes() {
         // SELECT l.key, count(*), sum(r.payload) FROM T JOIN V GROUP BY key
         let dev = PmDevice::paper_default();
+        let kind = LayerKind::BlockedMemory;
         let w = join_input(50, 4, 3);
-        let left = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", w.left);
-        let right =
-            PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
+        let left = PCollection::from_records_uncounted(&dev, kind, "T", w.left);
+        let right = PCollection::from_records_uncounted(&dev, kind, "V", w.right);
         let pool = BufferPool::new(100 * 160);
-        let join = JoinOp::new(
-            &left,
-            &right,
-            JoinAlgorithm::GJ,
-            &dev,
-            LayerKind::BlockedMemory,
-            &pool,
-        );
-        let mut plan = AggOp::new(
-            join,
-            |p: &Pair<WisconsinRecord, WisconsinRecord>| p.right.payload(),
-            0.0,
-            &dev,
-            LayerKind::BlockedMemory,
-            &pool,
-        );
-        let groups = collect(&mut plan).expect("valid plan");
+        let ctx = JoinContext::new(&dev, kind, &pool);
+        let joined = JoinAlgorithm::GJ
+            .run(&left, &right, &ctx, "joined")
+            .expect("applicable");
+        let payload = |p: &Pair<WisconsinRecord, WisconsinRecord>| p.right.payload();
+        let groups =
+            sort_based_aggregate(&joined, 0.0, payload, &ctx, "groups").expect("valid knob");
+        let groups = collect(&mut ScanOp::new(&groups)).expect("streaming plan");
         assert_eq!(groups.len(), 50);
         assert!(groups.iter().all(|g| g.count == 4));
         let total: u64 = groups.iter().map(|g| g.sum).sum();

@@ -288,7 +288,8 @@ fn sequential_point_reads_with_cursor_cost_like_a_scan() {
 
 #[test]
 fn exec_operators_propagate_algorithm_errors() {
-    use write_limited::exec::{PhysOperator, ScanOp, SortOp};
+    // An invalid knob is an error, not a panic: what the planner's
+    // lowering propagates out of a blocking node.
     let dev = PmDevice::paper_default();
     let input = PCollection::from_records_uncounted(
         &dev,
@@ -297,14 +298,9 @@ fn exec_operators_propagate_algorithm_errors() {
         (0..10).map(WisconsinRecord::from_key),
     );
     let pool = BufferPool::new(8000);
-    let mut op = SortOp::new(
-        ScanOp::new(&input),
-        SortAlgorithm::SegS { x: 2.0 }, // invalid knob
-        &dev,
-        LayerKind::BlockedMemory,
-        &pool,
-    );
-    assert!(op.open().is_err());
+    let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
+    let invalid = SortAlgorithm::SegS { x: 2.0 };
+    assert!(invalid.run(&input, &ctx, "sorted").is_err());
 }
 
 #[test]
