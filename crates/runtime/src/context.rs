@@ -1,13 +1,16 @@
 //! The operator context (`OpCtx`): the blueprint-recording and
 //! decision-making half of §3.1's API.
 //!
-//! Each physical operator is assigned an operator context. During
-//! `evaluate()` the operator *records* its computation through the four
-//! API calls; during execution it *consults* the context on every
-//! collection access: `assess()` decides whether a deferred collection
-//! should be materialized (flipping its status), and
-//! `reconstruction_plan()` (the paper's `produce()`) yields the chain of
-//! calls that rebuilds it from materialized ancestors.
+//! An operator *records* its computation in its context — the
+//! collections it declares and the `partition()`/`filter()` calls that
+//! connect them — and then *consults* the context on every collection
+//! access: `note_scan()` accumulates the reads the rules weigh, and
+//! `assess()` decides whether a deferred collection should be
+//! materialized (flipping its status). The rules read only declared
+//! sizes, statuses and the operator's own scans, so an operator can step
+//! its context through its accesses before any I/O and run the schedule
+//! the verdicts imply (the adaptive Grace join and the deferred-σ join
+//! of the `write-limited` crate do).
 
 use crate::graph::{ApiCall, CStatus, CallId, Graph};
 use crate::rules::{assess, Decision, Verdict};
@@ -31,11 +34,6 @@ impl OpCtx {
         }
     }
 
-    /// The medium's write/read ratio.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
     /// Generates a unique collection identifier (Listing 2's
     /// `create_name()`).
     pub fn create_name(&mut self, prefix: &str) -> String {
@@ -48,12 +46,6 @@ impl OpCtx {
     /// the call sites; pass explicitly here).
     pub fn declare(&mut self, name: &str, status: CStatus, size_buffers: f64) {
         self.graph.declare(name, status, size_buffers);
-    }
-
-    /// Records `split(T, n, Tl, Th)`.
-    pub fn split(&mut self, input: &str, at: u64, lo: &str, hi: &str) -> CallId {
-        self.graph
-            .record_call(ApiCall::Split { at }, &[input], &[lo, hi])
     }
 
     /// Records `partition(T, h(), k, ⟨Ti⟩)`.
@@ -72,28 +64,12 @@ impl OpCtx {
             .record_call(ApiCall::Filter { selectivity }, &[input], &[output])
     }
 
-    /// Records `merge(Tl, Tr, m(), T)`.
-    pub fn merge(&mut self, left: &str, right: &str, output: &str) -> CallId {
-        self.graph
-            .record_call(ApiCall::Merge, &[left, right], &[output])
-    }
-
-    /// Marks a collection as feeding an immediate append (rule (c)).
-    pub fn mark_append_only(&mut self, name: &str) {
-        self.graph.collection_mut(name).append_only = true;
-    }
-
     /// Notes that `name` was fully processed (scanned), accumulating the
     /// running read sum the rules consult.
     pub fn note_scan(&mut self, name: &str, buffers: f64) {
         let node = self.graph.collection_mut(name);
         node.times_processed += 1;
         node.accumulated_reads += buffers;
-    }
-
-    /// Updates a collection's size estimate with its actual size.
-    pub fn set_size(&mut self, name: &str, buffers: f64) {
-        self.graph.collection_mut(name).size_buffers = buffers;
     }
 
     /// Current status of a collection.
@@ -113,22 +89,6 @@ impl OpCtx {
             self.graph.collection_mut(name).status = CStatus::Materialized;
         }
         Some(verdict)
-    }
-
-    /// Records that a collection has been physically produced.
-    pub fn mark_materialized(&mut self, name: &str) {
-        self.graph.collection_mut(name).status = CStatus::Materialized;
-    }
-
-    /// The paper's `produce()` planning step: the call chain that
-    /// rebuilds `name` from materialized ancestors.
-    pub fn reconstruction_plan(&self, name: &str) -> Vec<CallId> {
-        self.graph.reconstruction_plan(name)
-    }
-
-    /// Read-only access to the recorded control-flow graph.
-    pub fn graph(&self) -> &Graph {
-        &self.graph
     }
 }
 
@@ -195,17 +155,5 @@ mod tests {
             ctx.assess("T2").expect("deferred").decision,
             Decision::Materialize
         );
-    }
-
-    #[test]
-    fn split_and_merge_record_in_graph() {
-        let mut ctx = OpCtx::new(15.0);
-        ctx.declare("T", CStatus::Materialized, 100.0);
-        ctx.declare("A", CStatus::Deferred, 50.0);
-        ctx.declare("B", CStatus::Deferred, 50.0);
-        ctx.declare("S", CStatus::Materialized, 100.0);
-        ctx.split("T", 50, "A", "B");
-        ctx.merge("A", "B", "S");
-        assert_eq!(ctx.reconstruction_plan("B").len(), 1);
     }
 }

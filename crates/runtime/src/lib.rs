@@ -2,11 +2,11 @@
 //!
 //! The paper's library support for write-limited algorithms: named
 //! collections with `Memory`/`Materialized`/`Deferred` status, a
-//! control-flow graph recorded through a four-call API
+//! control-flow graph of the four API calls
 //! (`split`/`partition`/`filter`/`merge`), and the optimization rules
-//! that decide — at run time, from tracked sizes and accumulated reads —
-//! whether a deferred collection should be materialized or reconstructed
-//! from its ancestors.
+//! that decide — from tracked sizes and accumulated reads — whether a
+//! deferred collection should be materialized or reconstructed from its
+//! ancestors.
 //!
 //! ```
 //! use wl_runtime::{CStatus, Decision, OpCtx};
@@ -25,10 +25,8 @@
 
 pub mod context;
 pub mod graph;
-pub mod operator;
 pub mod rules;
 
 pub use context::OpCtx;
 pub use graph::{ApiCall, CStatus, CallId, CollectionId, Graph};
-pub use operator::{Operator, SgjBlueprint};
 pub use rules::{plan_verdict, Decision, Rule, Verdict};
