@@ -185,6 +185,33 @@ impl<R: Storable> PCollection<R> {
         self.note_write(1, crate::span::thread_id());
     }
 
+    /// Appends one record given as its stored bytes in two parts, `head`
+    /// then `tail` (a join pair as its left record's bytes and its right
+    /// record's), charged, attributed and audited exactly as
+    /// [`PCollection::append`] of the whole record would be: the parts
+    /// are copied straight into the tail of the storage.
+    ///
+    /// # Panics
+    /// Panics unless the parts are `R::SIZE` bytes together.
+    pub fn append_parts(&mut self, head: &[u8], tail: &[u8]) {
+        assert_eq!(
+            head.len() + tail.len(),
+            R::SIZE,
+            "append_parts takes one record"
+        );
+        attributed(&self.dev, &self.name, || {
+            self.storage
+                .append_in_place(R::SIZE, &mut self.scratch, &self.dev, |buf| {
+                    let (front, back) = buf.split_at_mut(head.len());
+                    front.copy_from_slice(head);
+                    back.copy_from_slice(tail);
+                });
+        });
+        self.n_records += 1;
+        #[cfg(debug_assertions)]
+        self.note_write(1, crate::span::thread_id());
+    }
+
     /// Records the last `records` records as written by thread `owner`
     /// in the race auditor's ledger.
     #[cfg(debug_assertions)]
@@ -433,6 +460,25 @@ impl<R: Storable> RecordBuffer<R> {
         #[cfg(debug_assertions)]
         self.note_owner();
         self.bytes.extend_from_slice(bytes);
+        self.n_records += 1;
+    }
+
+    /// Copies one record given as its stored bytes in two parts, `head`
+    /// then `tail`, onto the end of the buffer — how a join lands a pair
+    /// as its two records' bytes, neither decoded.
+    ///
+    /// # Panics
+    /// Panics unless the parts are `R::SIZE` bytes together.
+    pub fn push_parts(&mut self, head: &[u8], tail: &[u8]) {
+        assert_eq!(
+            head.len() + tail.len(),
+            R::SIZE,
+            "push_parts takes one record"
+        );
+        #[cfg(debug_assertions)]
+        self.note_owner();
+        self.bytes.extend_from_slice(head);
+        self.bytes.extend_from_slice(tail);
         self.n_records += 1;
     }
 
@@ -851,7 +897,8 @@ mod tests {
                 records.iter().copied(),
             );
             let mut views = src.reader();
-            // `moved` mixes the byte-level calls into the typed ones;
+            // `moved` mixes the byte-level calls (whole records and records
+            // in two parts) into the typed ones;
             // `typed` is the same call shape with typed calls only;
             // `single` appends every record on its own.
             let d1 = PmDevice::paper_default();
@@ -866,13 +913,16 @@ mod tests {
             // Interleave plain and buffered appends so batch boundaries
             // land mid-cacheline and mid-call-granule.
             let mut rest = records.iter();
-            for _round in 0..5 {
+            for round in 0..5 {
                 for i in 0..3 {
                     let view = views.next_view().expect("source record");
-                    if i % 2 == 0 {
-                        moved.append_bytes(view.bytes());
-                    } else {
-                        moved.append(&view.get());
+                    match i {
+                        0 => moved.append_bytes(view.bytes()),
+                        1 => moved.append(&view.get()),
+                        _ => {
+                            let (head, tail) = view.bytes().split_at(8 * (1 + round));
+                            moved.append_parts(head, tail);
+                        }
                     }
                     let r = rest.next().expect("source record");
                     typed.append(r);
@@ -882,10 +932,13 @@ mod tests {
                 let mut plain = RecordBuffer::with_capacity(37);
                 for i in 0..37 {
                     let view = views.next_view().expect("source record");
-                    if i % 3 == 0 {
-                        mixed.push(&view.get());
-                    } else {
-                        mixed.push_bytes(view.bytes());
+                    match i % 3 {
+                        0 => mixed.push(&view.get()),
+                        1 => mixed.push_bytes(view.bytes()),
+                        _ => {
+                            let (head, tail) = view.bytes().split_at(i % Wide::SIZE);
+                            mixed.push_parts(head, tail);
+                        }
                     }
                     let r = rest.next().expect("source record");
                     plain.push(r);
@@ -918,6 +971,14 @@ mod tests {
                 assert_eq!(d1.snapshot(), d3.snapshot(), "{kind:?}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "takes one record")]
+    fn two_part_appends_reject_a_wrong_length() {
+        let dev = PmDevice::paper_default();
+        let mut c = PCollection::<(u64, u64)>::new(&dev, LayerKind::BlockedMemory, "t");
+        c.append_parts(&[0u8; 8], &[0u8; 16]);
     }
 
     #[test]

@@ -291,19 +291,22 @@ const CACHED_CHUNKS: usize = 8;
 /// amount back in; keeping the newest few keeps that memory in the
 /// process. Keeping all of them would hold every collection's peak.
 #[derive(Debug)]
-struct ChunkCache(Vec<Box<[u8]>>);
+struct ChunkCache(Vec<Vec<u8>>);
 
 impl ChunkCache {
-    /// The newest cached chunk of `len` bytes, if there is one, as it was
-    /// released (its bytes are not cleared).
-    fn take(&mut self, len: usize) -> Option<Box<[u8]>> {
-        let newest = self.0.iter().rposition(|chunk| chunk.len() == len)?;
+    /// The newest cached chunk with room for `capacity` bytes, if there
+    /// is one, as it was released (its bytes are not cleared).
+    fn take(&mut self, capacity: usize) -> Option<Vec<u8>> {
+        let newest = self
+            .0
+            .iter()
+            .rposition(|chunk| chunk.capacity() == capacity)?;
         Some(self.0.remove(newest))
     }
 
     /// Keeps the chunks of `released`, the last one newest, and frees the
     /// oldest chunks past [`CACHED_CHUNKS`]. Leaves `released` empty.
-    fn release(&mut self, released: &mut Vec<Box<[u8]>>) {
+    fn release(&mut self, released: &mut Vec<Vec<u8>>) {
         // Only the newest `CACHED_CHUNKS` could stay: free the rest now.
         released.drain(..released.len().saturating_sub(CACHED_CHUNKS));
         let evicted = (self.0.len() + released.len()).saturating_sub(CACHED_CHUNKS);
@@ -320,16 +323,18 @@ fn chunk_cache() -> MutexGuard<'static, ChunkCache> {
     CHUNK_CACHE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A zeroed chunk of `len` bytes: a released one from the cache when it
-/// holds one of that length, a fresh allocation otherwise.
-fn take_chunk(len: usize) -> Box<[u8]> {
-    let cached = chunk_cache().take(len);
+/// An empty chunk with room for `capacity` bytes: a released one from
+/// the cache when it holds one of that capacity, emptied but not
+/// re-zeroed, a fresh allocation otherwise. Appends fill it without ever
+/// growing it, so its bytes never move.
+fn take_chunk(capacity: usize) -> Vec<u8> {
+    let cached = chunk_cache().take(capacity);
     match cached {
         Some(mut chunk) => {
-            chunk.fill(0);
+            chunk.clear();
             chunk
         }
-        None => vec![0u8; len].into_boxed_slice(),
+        None => Vec::with_capacity(capacity),
     }
 }
 
@@ -342,9 +347,11 @@ fn take_chunk(len: usize) -> Box<[u8]> {
 pub struct Storage {
     kind: LayerKind,
     /// Payload bytes. Blocked memory keeps its blocks in chunks of
-    /// [`chunk_blocks`] blocks each, zeroed past the logical length; the
+    /// [`chunk_blocks`] blocks each: a chunk is created with that many
+    /// blocks' capacity and holds exactly the bytes appended to it, so
+    /// every chunk but the tail is full and none ever reallocates. The
     /// other backends are contiguous (file / array semantics).
-    chunks: Vec<Box<[u8]>>,
+    chunks: Vec<Vec<u8>>,
     contiguous: Vec<u8>,
     /// Logical length in bytes.
     len: usize,
@@ -599,8 +606,13 @@ impl Storage {
                 }
                 let room = self.reserved() - old_len;
                 let chunk = self.chunks.last_mut().expect("tail chunk just ensured");
-                let used = chunk.len() - room;
-                chunk.get_mut(used..used + len)
+                if len <= room {
+                    let used = chunk.len();
+                    chunk.resize(used + len, 0);
+                    Some(&mut chunk[used..])
+                } else {
+                    None
+                }
             }
             LayerKind::FileBacked => None,
             LayerKind::DynArray | LayerKind::Pmfs | LayerKind::RamDisk => {
@@ -793,7 +805,7 @@ impl Storage {
         chunk_blocks(chunk) * self.block_size
     }
 
-    /// Allocates the next blocked-memory chunk, zeroed.
+    /// Allocates the next blocked-memory chunk, empty.
     fn push_chunk(&mut self) {
         let chunk = take_chunk(self.chunk_bytes(self.chunks.len()));
         self.chunks.push(chunk);
@@ -809,9 +821,8 @@ impl Storage {
                 room = self.chunk_bytes(self.chunks.len() - 1);
             }
             let chunk = self.chunks.last_mut().expect("chunk just ensured");
-            let at = chunk.len() - room;
             let take = remaining.len().min(room);
-            chunk[at..at + take].copy_from_slice(&remaining[..take]);
+            chunk.extend_from_slice(&remaining[..take]);
             room -= take;
             remaining = &remaining[take..];
         }
@@ -1464,18 +1475,78 @@ mod tests {
 
     #[test]
     fn the_cache_hands_out_the_newest_chunk_and_keeps_eight() {
-        let chunk = |len: usize, tag: u8| vec![tag; len].into_boxed_slice();
+        // A chunk of `capacity` bytes whose first byte is `tag`.
+        let chunk = |capacity: usize, tag: u8| {
+            let mut chunk = Vec::with_capacity(capacity);
+            chunk.push(tag);
+            chunk
+        };
         let mut cache = ChunkCache(Vec::new());
         cache.release(&mut vec![chunk(10, 1), chunk(20, 2), chunk(10, 3)]);
-        assert_eq!(cache.take(10).as_deref(), Some(&[3u8; 10][..]));
+        let newest = cache.take(10).expect("two chunks of capacity 10");
+        assert_eq!((newest.capacity(), newest[0]), (10, 3));
         assert_eq!(cache.take(30), None);
         // Twelve more: only the newest eight stay, the oldest go first.
-        let mut released: Vec<Box<[u8]>> = (4..16).map(|tag| chunk(10, tag)).collect();
+        let mut released: Vec<Vec<u8>> = (4..16).map(|tag| chunk(10, tag)).collect();
         cache.release(&mut released);
         assert!(released.is_empty());
         let tags: Vec<u8> = cache.0.iter().map(|c| c[0]).collect();
         assert_eq!(tags, (8..16).collect::<Vec<u8>>());
         assert_eq!(cache.take(20), None);
+    }
+
+    #[test]
+    fn appends_never_reallocate_a_chunk() {
+        // A chunk that grew past its capacity would move: a record lent
+        // out of it would dangle in the borrow checker's stead, and the
+        // cache would key it wrongly. Block sizes a record divides and
+        // ones it does not, so records straddle chunk ends.
+        for block_size in [1024, 1000, 72] {
+            let config = DeviceConfig {
+                block_size,
+                ..DeviceConfig::paper_default()
+            };
+            let d = PmDevice::new(config.clone());
+            let mut s = Storage::new(LayerKind::BlockedMemory, &config);
+            let mut model = Vec::new();
+            let mut seen: Vec<*const u8> = Vec::new();
+            let mut scratch = vec![0u8; 80];
+            for i in 0..6000u32 {
+                let byte = (i % 251) as u8;
+                match i % 3 {
+                    // In place, one record.
+                    0 => {
+                        s.append_in_place(80, &mut scratch, &d, |buf| buf.fill(byte));
+                        model.extend([byte; 80]);
+                    }
+                    // A bulk append of an odd length.
+                    1 => {
+                        s.append(&[byte; 173], &d);
+                        model.extend([byte; 173]);
+                    }
+                    // A bulk append spanning whole chunks.
+                    _ if i % 300 == 2 => {
+                        let big = vec![byte; 70 * block_size];
+                        s.append(&big, &d);
+                        model.extend(big);
+                    }
+                    _ => {}
+                }
+                let last = s.chunks.len() - 1;
+                for (c, chunk) in s.chunks.iter().enumerate() {
+                    let what = format!("{block_size}-byte blocks, append {i}, chunk {c}");
+                    assert_eq!(chunk.capacity(), s.chunk_bytes(c), "{what}");
+                    assert!(c == last || chunk.len() == chunk.capacity(), "{what}");
+                    match seen.get(c) {
+                        Some(&at) => assert_eq!(chunk.as_ptr(), at, "{what} moved"),
+                        None => seen.push(chunk.as_ptr()),
+                    }
+                }
+            }
+            let mut back = vec![0u8; model.len()];
+            s.read_at(0, &mut back, &mut ReadCursor::new(), &d);
+            assert!(back == model, "{block_size}-byte blocks");
+        }
     }
 
     #[test]
