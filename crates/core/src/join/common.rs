@@ -4,6 +4,7 @@
 use crate::context::ExecContext;
 use pmem_sim::{PCollection, RecordBuffer, RecordView, Storable};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use wisconsin::{Pair, Record};
 
 /// Hash-table blow-up factor `f`: "a hash table for a partition is 20%
@@ -44,23 +45,25 @@ pub(crate) fn view_key<R: Record>(view: &RecordView<'_, R>) -> u64 {
 
 /// Where a probe's output pairs go: straight into the output collection
 /// (the serial operators) or into a worker's staging buffer (the
-/// parallel ones) — the one thing the probe sites differ in.
+/// parallel ones) — the one thing the probe sites differ in. A pair
+/// arrives as its two records' stored bytes, left then right, which is
+/// how a [`Pair`] is stored.
 pub(crate) trait PairSink<P: Storable> {
     /// Takes one output pair.
-    fn emit(&mut self, pair: &P);
+    fn emit(&mut self, left: &[u8], right: &[u8]);
 }
 
 impl<P: Storable> PairSink<P> for PCollection<P> {
     #[inline]
-    fn emit(&mut self, pair: &P) {
-        self.append(pair);
+    fn emit(&mut self, left: &[u8], right: &[u8]) {
+        self.append_parts(left, right);
     }
 }
 
 impl<P: Storable> PairSink<P> for RecordBuffer<P> {
     #[inline]
-    fn emit(&mut self, pair: &P) {
-        self.push(pair);
+    fn emit(&mut self, left: &[u8], right: &[u8]) {
+        self.push_parts(left, right);
     }
 }
 
@@ -101,8 +104,10 @@ fn fib(key: u64) -> u64 {
 
 /// An in-DRAM build table: key → records with that key.
 ///
-/// Flat: the records sit in one vector in insertion order, each with a
-/// link to the next record of the same key, and a power-of-two
+/// Flat: the records sit in one byte vector in insertion order, as they
+/// were stored (a build scan copies them in and a probe copies them out,
+/// neither decoding them), each with a link to the next record of the
+/// same key, and a power-of-two
 /// open-addressing directory (linear probing under a multiplicative
 /// hash, at most half full) maps a key to the first and last record of
 /// its chain. A key's matches are walked first → last, i.e. in
@@ -116,8 +121,9 @@ fn fib(key: u64) -> u64 {
 /// small enough to stay cache-resident, without touching the directory.
 #[derive(Debug)]
 pub struct BuildTable<L: Record> {
-    records: Vec<L>,
-    /// `next[i]`: the next record with `records[i]`'s key, or `NIL`.
+    /// The records' stored bytes, `L::SIZE` each, in insertion order.
+    records: Vec<u8>,
+    /// `next[i]`: the next record with record `i`'s key, or `NIL`.
     next: Vec<u32>,
     directory: Vec<Slot>,
     /// Occupied directory slots (distinct keys).
@@ -128,6 +134,7 @@ pub struct BuildTable<L: Record> {
     /// `64 − log₂(filter bits)`; the directory's shift is
     /// `FILTER_BITS_PER_SLOT_LOG2` more.
     filter_shift: u32,
+    _marker: PhantomData<L>,
 }
 
 impl<L: Record> Default for BuildTable<L> {
@@ -146,6 +153,7 @@ impl<L: Record> BuildTable<L> {
             keys: 0,
             filter: Vec::new(),
             filter_shift: 0,
+            _marker: PhantomData,
         }
     }
 
@@ -199,12 +207,35 @@ impl<L: Record> BuildTable<L> {
         }
     }
 
-    /// Inserts one build-side record.
+    /// Inserts one build-side record given as its stored bytes (`L::SIZE`
+    /// bytes a scan lent out): only its key is read.
+    ///
+    /// # Panics
+    /// Panics if the table already holds `u32::MAX` records, or unless
+    /// `bytes` is one record.
+    #[inline]
+    pub fn insert_bytes(&mut self, bytes: &[u8]) {
+        assert_eq!(bytes.len(), L::SIZE, "insert_bytes takes one record");
+        self.link(key_of::<L>(bytes));
+        self.records.extend_from_slice(bytes);
+    }
+
+    /// Inserts one build-side record, stored as [`BuildTable::insert_bytes`]
+    /// stores its bytes.
     ///
     /// # Panics
     /// Panics if the table already holds `u32::MAX` records.
     pub fn insert(&mut self, record: L) {
-        let idx = self.records.len();
+        self.link(record.key());
+        let start = self.records.len();
+        self.records.resize(start + L::SIZE, 0);
+        record.write_to(&mut self.records[start..]);
+    }
+
+    /// Chains the record about to be inserted under `key`.
+    #[inline]
+    fn link(&mut self, key: u64) {
+        let idx = self.next.len();
         assert!(
             idx < NIL as usize,
             "BuildTable is full: record indices are u32, at most {NIL} records"
@@ -213,7 +244,6 @@ impl<L: Record> BuildTable<L> {
         if (self.keys + 1) * 2 > self.directory.len() {
             self.grow_directory();
         }
-        let key = record.key();
         let h = fib(key);
         let i = self.slot_of(h, key);
         let slot = &mut self.directory[i];
@@ -229,18 +259,17 @@ impl<L: Record> BuildTable<L> {
             self.next[slot.last as usize] = idx;
             slot.last = idx;
         }
-        self.records.push(record);
         self.next.push(NIL);
     }
 
     /// Number of records in the table.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.next.len()
     }
 
     /// True if no records were inserted.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.next.is_empty()
     }
 
     /// Clears the table, retaining allocations for reuse: the record and
@@ -254,8 +283,9 @@ impl<L: Record> BuildTable<L> {
         self.keys = 0;
     }
 
-    /// The records with key `key`, in insertion order: the filter turns
-    /// away most keys the table does not hold, the directory the rest.
+    /// The stored bytes of the records with key `key`, in insertion
+    /// order: the filter turns away most keys the table does not hold,
+    /// the directory the rest.
     #[inline]
     pub(crate) fn matches(&self, key: u64) -> Matches<'_, L> {
         let h = fib(key);
@@ -274,38 +304,30 @@ impl<L: Record> BuildTable<L> {
     /// buffer — the probe of one decoded record, and the reference the
     /// probe kernel [`BuildTable::probe_run`] is tested against.
     pub fn probe_buffered<R: Record>(&self, right: &R, out: &mut RecordBuffer<Pair<L, R>>) {
-        self.probe_with(right.key(), || *right, out);
-    }
-
-    /// One output pair per record matching `key`; the probe record is
-    /// asked for only once a match is found.
-    #[inline]
-    fn probe_with<R: Record>(
-        &self,
-        key: u64,
-        right: impl FnOnce() -> R,
-        sink: &mut impl PairSink<Pair<L, R>>,
-    ) {
-        let mut matches = self.matches(key).peekable();
+        let mut matches = self.matches(right.key()).peekable();
         if matches.peek().is_some() {
-            let right = right();
-            for l in matches {
-                sink.emit(&Pair { left: *l, right });
+            let mut stored = vec![0; R::SIZE];
+            right.write_to(&mut stored);
+            for left in matches {
+                out.emit(left, &stored);
             }
         }
     }
 
     /// Probes with one record of `R` still in its stored form (`R::SIZE`
-    /// bytes a scan lent out): only the key is read unless it matches.
-    /// The per-record entry of [`BuildTable::probe_run`], for scans that
-    /// route each record before probing.
+    /// bytes a scan lent out): only the key is read, and each match
+    /// lands as the two records' bytes. The per-record entry of
+    /// [`BuildTable::probe_run`], for scans that route each record
+    /// before probing.
     #[inline]
     pub(crate) fn probe_bytes<R: Record>(
         &self,
         bytes: &[u8],
         sink: &mut impl PairSink<Pair<L, R>>,
     ) {
-        self.probe_with(key_of::<R>(bytes), || R::read_from(bytes), sink);
+        for left in self.matches(key_of::<R>(bytes)) {
+            sink.emit(left, bytes);
+        }
     }
 
     /// The probe kernel: probes with every record of `run` — whole
@@ -321,7 +343,8 @@ impl<L: Record> BuildTable<L> {
     }
 }
 
-/// Iterator over one key's chain in a [`BuildTable`], first → last.
+/// Iterator over one key's chain in a [`BuildTable`], first → last: each
+/// record's stored bytes.
 #[derive(Debug)]
 pub(crate) struct Matches<'t, L: Record> {
     table: &'t BuildTable<L>,
@@ -329,16 +352,16 @@ pub(crate) struct Matches<'t, L: Record> {
 }
 
 impl<'t, L: Record> Iterator for Matches<'t, L> {
-    type Item = &'t L;
+    type Item = &'t [u8];
 
     #[inline]
-    fn next(&mut self) -> Option<&'t L> {
+    fn next(&mut self) -> Option<&'t [u8]> {
         if self.at == NIL {
             return None;
         }
         let i = self.at as usize;
         self.at = self.table.next[i];
-        Some(&self.table.records[i])
+        Some(&self.table.records[i * L::SIZE..(i + 1) * L::SIZE])
     }
 }
 
@@ -432,12 +455,11 @@ mod tests {
         let mut expected = Vec::new();
         for right in &probes {
             let matches = model.get(&right.key()).map_or(&[][..], Vec::as_slice);
-            assert_eq!(
-                table.matches(right.key()).count(),
-                matches.len(),
-                "{case}: key {}",
-                right.key()
-            );
+            let held: Vec<WisconsinRecord> = table
+                .matches(right.key())
+                .map(WisconsinRecord::read_from)
+                .collect();
+            assert_eq!(held, matches, "{case}: key {}", right.key());
             expected.extend(matches.iter().map(|&left| Pair {
                 left,
                 right: *right,
@@ -497,14 +519,16 @@ mod tests {
             ),
         ];
         // Each case on a fresh table, then all of them through one table
-        // that is cleared and refilled.
+        // that is cleared and refilled with the records' stored bytes.
         let mut reused = BuildTable::new();
         for (name, build) in &cases {
             let mut fresh = BuildTable::new();
             reused.clear();
             for l in build {
                 fresh.insert(*l);
-                reused.insert(*l);
+            }
+            for bytes in encode(build).chunks_exact(WisconsinRecord::SIZE) {
+                reused.insert_bytes(bytes);
             }
             assert_matches_model(name, &fresh, build);
             assert_matches_model(&format!("{name}, reused table"), &reused, build);
@@ -613,7 +637,8 @@ mod tests {
         for (case, table) in &cases {
             // Every held key, as many keys near them and a few at the
             // edges, in an order that scatters hits among misses.
-            let mut keys: Vec<u64> = table.records.iter().map(Record::key).collect();
+            let held = table.records.chunks_exact(WisconsinRecord::SIZE);
+            let mut keys: Vec<u64> = held.map(key_of::<WisconsinRecord>).collect();
             keys.extend([0, 1, u64::MAX - 1, u64::MAX, 1 << 63]);
             keys.sort_unstable();
             keys.dedup();

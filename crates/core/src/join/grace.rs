@@ -120,10 +120,10 @@ pub(crate) fn steered<L: Record, R: Record>(
         }
     };
     let mut resident = BuildTable::new();
-    let keep = |kept: &mut Vec<L>, bytes: &[u8]| kept.push(L::read_from(bytes));
+    let keep = |kept: &mut RecordBuffer<L>, bytes: &[u8]| kept.push_bytes(bytes);
     let (left_parts, build) = partition_morsels(left, k, ctx, left_prefix, route, keep, |kept| {
-        for l in kept {
-            resident.insert(l);
+        for l in kept.records() {
+            resident.insert_bytes(l);
         }
     });
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);

@@ -78,8 +78,8 @@ pub(super) fn passes<L: Record, R: Record>(
         let mut t_next = offloads.then(|| ctx.fresh::<L>(prefixes[0]));
         let mut v_next = offloads.then(|| ctx.fresh::<R>(prefixes[1]));
         let mut table = BuildTable::new();
-        let build = |kept: &mut Vec<L>, bytes: &[u8]| kept.push(L::read_from(bytes));
-        let insert = |kept: Vec<L>| kept.into_iter().for_each(|l| table.insert(l));
+        let build = |kept: &mut RecordBuffer<L>, bytes: &[u8]| kept.push_bytes(bytes);
+        let insert = |kept: RecordBuffer<L>| kept.records().for_each(|l| table.insert_bytes(l));
         let t_src = t_cur.as_ref().unwrap_or(left);
         phases.push(pass_scan(t_src, ctx, route, build, t_next.as_mut(), insert));
         // Nothing to offload, nothing to route: a probe record the build

@@ -149,12 +149,7 @@ pub(crate) fn build_table<L: Record>(
     };
     let mut table = BuildTable::new();
     for scan in scans {
-        route_scan(
-            scan,
-            route,
-            |bytes| table.insert(L::read_from(bytes)),
-            |_, _| {},
-        );
+        route_scan(scan, route, |bytes| table.insert_bytes(bytes), |_, _| {});
     }
     table
 }

@@ -159,7 +159,7 @@ impl JoinAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{BufferPool, IoStats, LayerKind, PmDevice};
+    use pmem_sim::{BufferPool, IoStats, LayerKind, PmDevice, Storable};
     use wisconsin::{join_input, JoinWorkload, WisconsinRecord};
 
     /// Wisconsin records joined with Wisconsin records.
@@ -268,7 +268,7 @@ mod tests {
             for r in right {
                 if partition_of(r.key(), k) == p {
                     out.extend(table.matches(r.key()).map(|l| Pair {
-                        left: *l,
+                        left: WisconsinRecord::read_from(l),
                         right: *r,
                     }));
                 }

@@ -16,12 +16,12 @@
 //! coordinator concatenates the match buffers in splitter order — the
 //! same rows, order, and counters as the serial co-scan at any DoP.
 
-use super::common::JoinContext;
+use super::common::{view_key, JoinContext};
 use super::kernel::Phased;
 use crate::parallel::{fan_out, measured};
 use crate::sort::common::{key_range_cuts, sample_keys, splitters_from_samples};
 use crate::sort::{segment, SortContext, MERGE_SEGMENT_RECORDS};
-use pmem_sim::{PCollection, PmError, RecordBuffer};
+use pmem_sim::{PCollection, PmError, RecordBuffer, RecordReader};
 use wisconsin::{Pair, Record};
 
 /// Joins `left ⋈ right` by sorting both inputs at write intensity `x`
@@ -95,48 +95,39 @@ pub(crate) fn phased<L: Record, R: Record>(
     Ok((out, phases))
 }
 
-/// The duplicate-handling co-scan of two sorted streams, buffering one
-/// left key group in DRAM for the cross products.
+/// The duplicate-handling co-scan of two sorted runs, buffering one
+/// left key group in DRAM for the cross products. Records move as their
+/// stored bytes: the scans lend them, the group keeps them, and each
+/// pair lands as its left and right record's bytes.
 fn co_scan<L: Record, R: Record>(
-    mut li: impl Iterator<Item = L>,
-    mut ri: impl Iterator<Item = R>,
+    mut li: RecordReader<'_, L>,
+    mut ri: RecordReader<'_, R>,
     out: &mut RecordBuffer<Pair<L, R>>,
 ) {
-    let mut l = li.next();
-    let mut r = ri.next();
-    let mut group: Vec<L> = Vec::new();
+    let mut l = li.next_view().map(|v| view_key(&v));
+    let mut group: Vec<u8> = Vec::new();
     let mut group_key: Option<u64> = None;
 
-    while let Some(rv) = r {
-        let rk = rv.key();
+    while let Some(right) = ri.next_view() {
+        let rk = view_key(&right);
         // Advance the left side until its head is ≥ the right key,
         // buffering the group equal to it.
         if group_key != Some(rk) {
-            while let Some(lv) = l {
-                if lv.key() < rk {
-                    l = li.next();
-                } else {
-                    break;
-                }
+            while l.is_some_and(|lk| lk < rk) {
+                l = li.next_view().map(|v| view_key(&v));
             }
             group.clear();
             group_key = Some(rk);
-            while let Some(lv) = l {
-                if lv.key() == rk {
-                    group.push(lv);
-                    l = li.next();
-                } else {
-                    break;
+            while l == Some(rk) {
+                if let Some(head) = li.last_view() {
+                    group.extend_from_slice(head.bytes());
                 }
+                l = li.next_view().map(|v| view_key(&v));
             }
         }
-        for lv in &group {
-            out.push(&Pair {
-                left: *lv,
-                right: rv,
-            });
+        for left in group.chunks_exact(L::SIZE) {
+            out.push_parts(left, right.bytes());
         }
-        r = ri.next();
     }
 }
 

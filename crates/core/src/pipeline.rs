@@ -59,7 +59,7 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
 
     // A pass re-filters the source: the predicate sees a record, so
     // every one is decoded; a survivor is materialized, if `view` is
-    // given, as the bytes it was read as.
+    // given, and built into the table as the bytes it was read as.
     let refilter = |p: usize, mut view: Option<&mut PCollection<L>>| {
         let mut table = BuildTable::new();
         left.reader().for_each_view(|record| {
@@ -69,7 +69,7 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                     view.append_bytes(record.bytes());
                 }
                 if partition_of(l.key(), k) == p {
-                    table.insert(l);
+                    table.insert_bytes(record.bytes());
                 }
             }
         });
