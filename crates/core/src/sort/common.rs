@@ -2,7 +2,7 @@
 //! merge driver and the key-range grid of the parallel final passes.
 
 use crate::context::ExecContext;
-use crate::join::common::view_key;
+use crate::join::common::{key_of, view_key};
 use pmem_sim::{PCollection, ReadCursor, RecordReader};
 use wisconsin::Record;
 
@@ -10,49 +10,48 @@ use wisconsin::Record;
 /// the name their signatures use.
 pub type SortContext<'p> = ExecContext<'p>;
 
-/// A heap entry carrying the record, its key, and a tiebreak sequence so
-/// duplicate keys retain a total order inside heaps.
+/// A heap entry: where a record sorts — its key and a tiebreak sequence,
+/// so duplicate keys retain a total order inside heaps — and the slot of
+/// the record's stored bytes in the heap's slab. It orders by `(key,
+/// seq)` alone, so a heap of entries makes exactly the moves a heap of
+/// the records themselves would.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Entry<R> {
+pub(crate) struct Entry {
     /// Sort key.
-    pub(crate) key: u64,
+    key: u64,
     /// Tiebreaker (input position), keeps heaps totally ordered.
-    pub(crate) seq: u64,
-    /// The record itself.
-    pub(crate) record: R,
+    seq: u64,
+    /// Where the record's bytes sit in the slab.
+    pub(crate) slot: u32,
 }
 
-impl<R> Entry<R> {
-    /// Wraps `record` with its key and a sequence number.
-    pub(crate) fn new(record: R, seq: u64) -> Self
-    where
-        R: Record,
-    {
-        Self {
-            key: record.key(),
-            seq,
-            record,
-        }
+impl Entry {
+    /// The entry of the record sorting at `(key, seq)` in slot `slot`.
+    #[inline]
+    pub(crate) fn new((key, seq): (u64, u64), slot: u32) -> Self {
+        Self { key, seq, slot }
     }
 
     /// Where the entry sorts: `(key, seq)`.
+    #[inline]
     pub(crate) fn at(&self) -> (u64, u64) {
         (self.key, self.seq)
     }
 }
 
-impl<R> PartialEq for Entry<R> {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.at() == other.at()
     }
 }
-impl<R> Eq for Entry<R> {}
-impl<R> PartialOrd for Entry<R> {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<R> Ord for Entry<R> {
+impl Ord for Entry {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.at().cmp(&other.at())
     }
@@ -222,9 +221,16 @@ enum Source<'a, R: Record> {
     /// A sorted run, or a slice of one — an immutable batch read in
     /// place: the head stays where the reader found it.
     Run(RecordReader<'a, R>),
-    /// Any other sorted stream of records (a deferred selection stream,
-    /// keys in DRAM). The head arrives decoded and is serialized only if
-    /// its bytes are asked for.
+    /// A sorted stream of DRAM batches of stored records, one batch after
+    /// another (a deferred selection stream, a batch per pass): the head
+    /// is the record ending at `end` in the current batch.
+    Batches {
+        batches: Box<dyn Iterator<Item = Vec<u8>> + 'a>,
+        batch: Vec<u8>,
+        end: usize,
+    },
+    /// Any other sorted stream of records (keys in DRAM). The head
+    /// arrives decoded and is serialized only if its bytes are asked for.
     Stream {
         records: Box<dyn Iterator<Item = R> + 'a>,
         head: Option<R>,
@@ -241,9 +247,15 @@ impl<'a, R: Record> MergeSource<'a, R> {
         Self(Source::Run(reader))
     }
 
-    /// An adapter over any sorted stream of records.
-    pub(crate) fn stream(records: impl Iterator<Item = R> + 'a) -> Self {
-        Self::boxed(Box::new(records))
+    /// A cursor over sorted batches of stored records, each batch's
+    /// records back to back, every record of a batch sorting at or after
+    /// the last of the batch before.
+    pub(crate) fn batches(batches: impl Iterator<Item = Vec<u8>> + 'a) -> Self {
+        Self(Source::Batches {
+            batches: Box::new(batches),
+            batch: Vec::new(),
+            end: 0,
+        })
     }
 
     fn boxed(records: Box<dyn Iterator<Item = R> + 'a>) -> Self {
@@ -260,6 +272,18 @@ impl<'a, R: Record> MergeSource<'a, R> {
     fn advance(&mut self) -> Option<u64> {
         match &mut self.0 {
             Source::Run(reader) => reader.next_view().map(|v| view_key(&v)),
+            Source::Batches {
+                batches,
+                batch,
+                end,
+            } => {
+                if *end == batch.len() {
+                    *batch = batches.find(|b| !b.is_empty())?;
+                    *end = 0;
+                }
+                *end += R::SIZE;
+                Some(key_of::<R>(&batch[*end - R::SIZE..*end]))
+            }
             Source::Stream { records, head, .. } => {
                 *head = records.next();
                 head.as_ref().map(Record::key)
@@ -273,6 +297,7 @@ impl<'a, R: Record> MergeSource<'a, R> {
     fn head_bytes(&mut self) -> Option<&[u8]> {
         match &mut self.0 {
             Source::Run(reader) => reader.last_view().map(|v| v.bytes()),
+            Source::Batches { batch, end, .. } => batch.get(end.checked_sub(R::SIZE)?..*end),
             Source::Stream { head, stored, .. } => {
                 (*head)?.write_to(stored);
                 Some(stored)
@@ -285,6 +310,9 @@ impl<'a, R: Record> MergeSource<'a, R> {
     fn head_record(&self) -> Option<R> {
         match &self.0 {
             Source::Run(reader) => reader.last_view().map(|v| v.get()),
+            Source::Batches { batch, end, .. } => batch
+                .get(end.checked_sub(R::SIZE)?..*end)
+                .map(R::read_from),
             Source::Stream { head, .. } => *head,
         }
     }
@@ -363,7 +391,7 @@ mod tests {
     use super::*;
     use crate::sort::ext_merge::chunked_runs;
     use crate::sort::kernel::{generate_runs, merge_final, merge_into, Land};
-    use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, PmDevice, RecordBuffer};
+    use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, PmDevice, RecordBuffer, Storable};
     use wisconsin::{sort_input, KeyOrder, WisconsinRecord};
 
     fn stage(n: u64, order: KeyOrder) -> (Pm, PCollection<WisconsinRecord>) {
@@ -530,9 +558,11 @@ mod tests {
 
     #[test]
     fn entry_ordering_breaks_ties_by_seq() {
-        let a = Entry::new(WisconsinRecord::from_key(5), 0);
-        let b = Entry::new(WisconsinRecord::from_key(5), 1);
+        let a = Entry::new((5, 0), 1);
+        let b = Entry::new((5, 1), 0);
         assert!(a < b);
+        // The slot plays no part.
+        assert_eq!(Entry::new((5, 1), 7), b);
     }
 
     #[test]
@@ -570,10 +600,23 @@ mod tests {
 
     #[test]
     fn one_driver_merges_run_cursors_streams_and_mixtures_alike() {
-        // Both flavours of source in one merge.
+        // Every flavour of source in one merge: a run cursor, batches of
+        // stored records (uneven, one of them empty) and a decoded stream.
         fn mixed(runs: &[PCollection<WisconsinRecord>]) -> KWayMerge<'_, WisconsinRecord> {
-            let mut sources = run_sources(&runs[..2]);
-            sources.push(MergeSource::stream(runs[2].to_vec_uncounted().into_iter()));
+            let mut stored = Vec::new();
+            runs[1].for_each_run_uncounted(|run| stored.extend_from_slice(run));
+            let mut batches = Vec::new();
+            for records in [7, 0, 100, 1] {
+                let rest = stored.split_off(records * WisconsinRecord::SIZE);
+                batches.push(std::mem::replace(&mut stored, rest));
+            }
+            batches.push(stored);
+            let decoded = runs[2].to_vec_uncounted().into_iter();
+            let sources = vec![
+                MergeSource::run(runs[0].reader()),
+                MergeSource::batches(batches.into_iter()),
+                MergeSource::boxed(Box::new(decoded)),
+            ];
             KWayMerge::from_sources(sources)
         }
 
@@ -643,7 +686,8 @@ mod tests {
             PCollection::new(&dev, LayerKind::BlockedMemory, "empty");
         let empties = vec![
             MergeSource::run(empty.reader()),
-            MergeSource::stream(std::iter::empty()),
+            MergeSource::batches(vec![Vec::new()].into_iter()),
+            MergeSource::boxed(Box::new(std::iter::empty())),
         ];
         KWayMerge::from_sources(empties).for_each_bytes(|_| panic!("nothing to land"));
     }

@@ -21,8 +21,8 @@
 //! monotonically, so every record ever evicted to `Rr` is ≥ the final
 //! maximum of `Rs`.
 
-use super::common::{Entry, SortContext};
-use super::kernel::{merge_into, select, Overflow, RunGen};
+use super::common::SortContext;
+use super::kernel::{merge_into, select, RunGen};
 use crate::parallel::{measured, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
@@ -66,17 +66,12 @@ pub(crate) fn phased<R: Record>(
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let (runs, scan) = measured(|| {
         let mut rr = RunGen::new(rr_cap, || ctx.fresh::<R>("hyb-run"));
-        let rs = select(
-            input.reader(),
-            capacity - rr_cap,
-            None,
-            |spill| match spill {
-                Overflow::Rejected(view, pos) => rr.push(Entry::new(view.get(), pos)),
-                Overflow::Displaced(e) => rr.push(e),
-            },
-        );
-        for e in &rs {
-            out.append(&e.record);
+        let rs = select(input.reader(), capacity - rr_cap, None, |spill| {
+            let (at, bytes) = spill.record();
+            rr.push(at, bytes);
+        });
+        for record in rs.bytes.chunks_exact(R::SIZE) {
+            out.append_bytes(record);
         }
         rr.finish()
     });

@@ -20,22 +20,63 @@ use super::common::{
 };
 use crate::join::common::view_key;
 use crate::parallel::{fan_out, measured, Phases};
-use pmem_sim::{PCollection, RecordBuffer, RecordReader, RecordView};
+use pmem_sim::{PCollection, RecordBuffer, RecordReader};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use wisconsin::Record;
+
+/// The stored bytes of the records a heap holds, one `R::SIZE`-byte slot
+/// each: the heap itself sifts [`Entry`]s (key, sequence, slot), and a
+/// record's bytes are copied in once when it arrives and out once when
+/// it leaves, never decoded.
+struct Slab<R> {
+    bytes: Vec<u8>,
+    _marker: PhantomData<R>,
+}
+
+impl<R: Record> Slab<R> {
+    /// An empty slab with room for `records` slots.
+    fn with_capacity(records: usize) -> Self {
+        Self {
+            bytes: Vec::with_capacity(records.saturating_mul(R::SIZE)),
+            _marker: PhantomData,
+        }
+    }
+
+    /// The record in `slot`.
+    #[inline]
+    fn get(&self, slot: u32) -> &[u8] {
+        let at = slot as usize * R::SIZE;
+        &self.bytes[at..at + R::SIZE]
+    }
+
+    /// Stores `bytes` in `slot`: an occupied one, or the first past the
+    /// last occupied one.
+    #[inline]
+    fn put(&mut self, slot: u32, bytes: &[u8]) {
+        let at = slot as usize * R::SIZE;
+        if at == self.bytes.len() {
+            self.bytes.extend_from_slice(bytes);
+        } else {
+            self.bytes[at..at + R::SIZE].copy_from_slice(bytes);
+        }
+    }
+}
 
 /// Replacement selection with `capacity` records of DRAM: `current` is
 /// the run being written, as a min-heap, and `next` holds what arrived too
-/// small to extend it. An entry extends the run unless it sorts before the
-/// last record written, by `(key, seq)` — which hybrid sort's displaced
-/// entries need, and which for a scan's records (each newer than
-/// everything written) is the classic key-only test. Runs average `2M` on
-/// random input, the paper's Eq. 1.
+/// small to extend it; the records themselves sit in the slab. An entry
+/// extends the run unless it sorts before the last record written, by
+/// `(key, seq)` — which hybrid sort's displaced entries need, and which
+/// for a scan's records (each newer than everything written) is the
+/// classic key-only test. Runs average `2M` on random input, the paper's
+/// Eq. 1.
 pub(crate) struct RunGen<R: Record, F> {
     capacity: usize,
-    current: BinaryHeap<Reverse<Entry<R>>>,
-    next: Vec<Entry<R>>,
+    current: BinaryHeap<Reverse<Entry>>,
+    next: Vec<Entry>,
+    slab: Slab<R>,
     last: Option<(u64, u64)>,
     run: PCollection<R>,
     runs: Vec<PCollection<R>>,
@@ -53,6 +94,7 @@ impl<R: Record, F: FnMut() -> PCollection<R>> RunGen<R, F> {
             capacity,
             current: BinaryHeap::with_capacity(capacity),
             next: Vec::new(),
+            slab: Slab::with_capacity(capacity),
             last: None,
             run: next_run(),
             runs: Vec::new(),
@@ -60,18 +102,26 @@ impl<R: Record, F: FnMut() -> PCollection<R>> RunGen<R, F> {
         }
     }
 
-    /// Admits `e`, first writing the current run's minimum once DRAM is
-    /// full; a run ends when nothing left in DRAM can extend it.
+    /// Admits the record stored as `bytes` that sorts at `at`, first
+    /// writing the current run's minimum once DRAM is full (the record
+    /// takes its slot); a run ends when nothing left in DRAM can extend
+    /// it.
     #[inline]
-    pub(crate) fn push(&mut self, e: Entry<R>) {
-        let full = self.current.len() + self.next.len() >= self.capacity;
+    pub(crate) fn push(&mut self, at: (u64, u64), bytes: &[u8]) {
+        let held = self.current.len() + self.next.len();
+        let full = held >= self.capacity;
+        // Until DRAM first fills, no record leaves: slots fill in order.
+        let mut slot = held as u32;
         if full {
             if let Some(Reverse(min)) = self.current.pop() {
-                self.run.append(&min.record);
+                self.run.append_bytes(self.slab.get(min.slot));
                 self.last = Some(min.at());
+                slot = min.slot;
             }
         }
-        if self.last.is_some_and(|last| e.at() < last) {
+        self.slab.put(slot, bytes);
+        let e = Entry::new(at, slot);
+        if self.last.is_some_and(|last| at < last) {
             self.next.push(e);
         } else {
             self.current.push(Reverse(e));
@@ -87,7 +137,7 @@ impl<R: Record, F: FnMut() -> PCollection<R>> RunGen<R, F> {
     /// Drains DRAM — the current run, then the next — and returns the runs.
     pub(crate) fn finish(mut self) -> Vec<PCollection<R>> {
         while let Some(Reverse(min)) = self.current.pop() {
-            self.run.append(&min.record);
+            self.run.append_bytes(self.slab.get(min.slot));
         }
         if !self.run.is_empty() {
             self.runs.push(self.run);
@@ -96,7 +146,7 @@ impl<R: Record, F: FnMut() -> PCollection<R>> RunGen<R, F> {
             self.next.sort_unstable();
             let mut tail = (self.next_run)();
             for e in &self.next {
-                tail.append(&e.record);
+                tail.append_bytes(self.slab.get(e.slot));
             }
             self.runs.push(tail);
         }
@@ -114,33 +164,53 @@ pub(crate) fn generate_runs<R: Record>(
     let mut generator = RunGen::new(capacity, next_run);
     let mut seq = 0;
     scan.for_each_view(|view| {
-        generator.push(Entry::new(view.get(), seq));
+        generator.push((view_key(&view), seq), view.bytes());
         seq += 1;
     });
     generator.finish()
 }
 
-/// What the selection heap passes on during its scan.
-pub(crate) enum Overflow<'v, R: Record> {
-    /// A record that lost to the full heap's maximum, as stored, with its
-    /// position in the scan.
-    Rejected(RecordView<'v, R>, u64),
+/// What the selection heap passes on during its scan: a record as
+/// stored, with where it sorts (its key and position in the scan).
+pub(crate) enum Overflow<'v> {
+    /// A record that lost to the full heap's maximum.
+    Rejected((u64, u64), &'v [u8]),
     /// The heap's maximum, displaced by a smaller record.
-    Displaced(Entry<R>),
+    Displaced((u64, u64), &'v [u8]),
+}
+
+impl<'v> Overflow<'v> {
+    /// Where the record sorts, and its stored bytes.
+    #[inline]
+    pub(crate) fn record(&self) -> ((u64, u64), &'v [u8]) {
+        match *self {
+            Overflow::Rejected(at, bytes) | Overflow::Displaced(at, bytes) => (at, bytes),
+        }
+    }
+}
+
+/// What a selection pass keeps: its records' stored bytes back to back
+/// in ascending `(key, position)` order, and where the last of them
+/// sorts.
+pub(crate) struct Batch {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) last: Option<(u64, u64)>,
 }
 
 /// The selection heap: one scan keeping the `capacity` smallest records
 /// whose `(key, position)` is strictly past `boundary` — the last record
 /// an earlier pass emitted — returned in ascending order. Every other
 /// record past the boundary overflows to `overflow`. The key decides,
-/// read in place, so a record the scan skips or rejects is never decoded.
+/// read in place, and records move as their stored bytes, so no record
+/// is decoded.
 pub(crate) fn select<R: Record>(
     scan: RecordReader<'_, R>,
     capacity: usize,
     boundary: Option<(u64, u64)>,
-    mut overflow: impl FnMut(Overflow<'_, R>),
-) -> Vec<Entry<R>> {
-    let mut heap: BinaryHeap<Entry<R>> = BinaryHeap::with_capacity(capacity + 1);
+    mut overflow: impl FnMut(Overflow<'_>),
+) -> Batch {
+    let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(capacity + 1);
+    let mut slab = Slab::<R>::with_capacity(capacity);
     let mut pos = 0;
     scan.for_each_view(|view| {
         let at = (view_key(&view), pos);
@@ -148,25 +218,32 @@ pub(crate) fn select<R: Record>(
         if boundary.is_some_and(|b| at <= b) {
             return;
         }
+        // Until the heap first fills, no record leaves: slots fill in order.
+        let mut slot = heap.len() as u32;
         if heap.len() >= capacity {
             match heap.peek() {
                 Some(max) if at < max.at() => {
                     if let Some(max) = heap.pop() {
-                        overflow(Overflow::Displaced(max));
+                        overflow(Overflow::Displaced(max.at(), slab.get(max.slot)));
+                        slot = max.slot;
                     }
                 }
-                _ => return overflow(Overflow::Rejected(view, at.1)),
+                _ => return overflow(Overflow::Rejected(at, view.bytes())),
             }
         }
-        heap.push(Entry {
-            key: at.0,
-            seq: at.1,
-            record: view.get(),
-        });
+        slab.put(slot, view.bytes());
+        heap.push(Entry::new(at, slot));
     });
-    let mut batch = heap.into_vec();
-    batch.sort_unstable();
-    batch
+    let mut sorted = heap.into_vec();
+    sorted.sort_unstable();
+    let mut bytes = Vec::with_capacity(sorted.len() * R::SIZE);
+    for e in &sorted {
+        bytes.extend_from_slice(slab.get(e.slot));
+    }
+    Batch {
+        bytes,
+        last: sorted.last().map(Entry::at),
+    }
 }
 
 /// The intermediate merge pass, repeated until at most `fan_in` runs

@@ -39,8 +39,10 @@ pub fn lazy_sort<R: Record>(
             .then(|| ctx.fresh::<R>("lazy-int"))
     };
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    for record in selection_passes(input, 0..input.len(), m, eq5) {
-        out.append(&record);
+    for batch in selection_passes(input, 0..input.len(), m, eq5) {
+        for record in batch.chunks_exact(R::SIZE) {
+            out.append_bytes(record);
+        }
     }
     out
 }

@@ -79,7 +79,7 @@ pub(crate) fn segmented<R: Record, C: Consume<R>>(
     let fan_in = merge_fan_in(ctx).saturating_sub(1).max(2);
     let (runs, merges) = merge_down(runs, fan_in, prefix, ctx);
     let suffix = (split < n)
-        .then(|| MergeSource::stream(selection_passes(input, split..n, capacity, |_, _, _| None)));
+        .then(|| MergeSource::batches(selection_passes(input, split..n, capacity, |_, _, _| None)));
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let mut phases = vec![vec![generation]];
     phases.extend(merges);

@@ -13,7 +13,7 @@
 //! so overlapping passes never emit a record twice.
 
 use super::common::SortContext;
-use super::kernel::{select, Overflow};
+use super::kernel::select;
 use pmem_sim::PCollection;
 use std::ops::Range;
 use wisconsin::Record;
@@ -27,15 +27,18 @@ pub fn selection_sort<R: Record>(
     let _span = pmem_sim::span::span("alg selection-sort");
     let capacity = ctx.capacity_records::<R>();
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    for record in selection_passes(input, 0..input.len(), capacity, |_, _, _| None) {
-        out.append(&record);
+    for batch in selection_passes(input, 0..input.len(), capacity, |_, _, _| None) {
+        for record in batch.chunks_exact(R::SIZE) {
+            out.append_bytes(record);
+        }
     }
     out
 }
 
 /// Selection passes over `input[range]` with a heap of `capacity`
-/// records: the records in ascending key order, a DRAM batch per pass,
-/// each batch the selection heap past the last record emitted. Nothing
+/// records: the records in ascending key order, as stored, a DRAM batch
+/// per pass, each batch the selection heap past the last record emitted
+/// ([`select`]'s, its records back to back). Nothing
 /// is materialized — a pass trades a rescan for the writes a run would
 /// cost, which is how segment sort keeps its write count at `x·|T|` +
 /// output — unless `materialize`, asked before each pass with the pass
@@ -48,7 +51,7 @@ pub(crate) fn selection_passes<'a, R: Record>(
     range: Range<usize>,
     capacity: usize,
     mut materialize: impl FnMut(u64, usize, usize) -> Option<PCollection<R>> + 'a,
-) -> impl Iterator<Item = R> + 'a {
+) -> impl Iterator<Item = Vec<u8>> + 'a {
     let mut source: Option<PCollection<R>> = None;
     let (mut boundary, mut left, mut pass) = (None, range.len(), 0);
     std::iter::from_fn(move || {
@@ -61,22 +64,21 @@ pub(crate) fn selection_passes<'a, R: Record>(
             None => input.range_reader(range.start, range.end),
         };
         let mut sink = materialize(pass, scan.remaining(), left);
-        // A rejected record moves to the intermediate as bytes, undecoded.
-        let batch = select(scan, capacity, boundary, |spill| match (&mut sink, spill) {
-            (Some(to), Overflow::Rejected(view, _)) => to.append_bytes(view.bytes()),
-            (Some(to), Overflow::Displaced(e)) => to.append(&e.record),
-            (None, _) => {}
+        // What the pass leaves unemitted moves to the intermediate as
+        // bytes, undecoded.
+        let batch = select(scan, capacity, boundary, |spill| {
+            if let Some(to) = &mut sink {
+                to.append_bytes(spill.record().1);
+            }
         });
-        boundary = Some(batch.last()?.at());
-        left -= batch.len();
+        boundary = Some(batch.last?);
+        left -= batch.bytes.len() / R::SIZE;
         if let Some(intermediate) = sink {
             debug_assert_eq!(intermediate.len(), left, "the unemitted records");
             (source, boundary, pass) = (Some(intermediate), None, 0);
         }
-        Some(batch)
+        Some(batch.bytes)
     })
-    .flatten()
-    .map(|e| e.record)
 }
 
 #[cfg(test)]
