@@ -10,6 +10,7 @@
 //! | `panic-free`    | no `unwrap`/`expect`/`panic!`/`unreachable!` in recovery zones  |
 //! | `span-coverage` | every exec operator module opens a profiling span               |
 //! | `inline-codec`  | every `Storable` / `Record` impl method carries `#[inline]`     |
+//! | `decode`        | no record decode on the join and sort-kernel byte paths         |
 //!
 //! Any diagnostic can be suppressed at the site with
 //! `// audit:allow(<rule>) <reason>` on the same line or the line above;
@@ -31,6 +32,8 @@ pub const PANIC_FREE: &str = "panic-free";
 pub const SPAN_COVERAGE: &str = "span-coverage";
 /// Rule id: record codecs inline across crates.
 pub const INLINE_CODEC: &str = "inline-codec";
+/// Rule id: record decodes on the operators' byte paths.
+pub const DECODE: &str = "decode";
 /// Rule id: malformed allow comments.
 pub const ALLOW_REASON: &str = "allow-reason";
 
@@ -68,6 +71,7 @@ pub fn check(rel: &str, lexed: &Lexed) -> Vec<Diagnostic> {
     rule_panic_free(rel, &toks, &mut diags);
     rule_span_coverage(rel, &toks, &mut diags);
     rule_inline_codec(rel, &toks, &mut diags);
+    rule_decode(rel, &toks, &mut diags);
     apply_allows(rel, &lexed.allows, diags)
 }
 
@@ -561,6 +565,43 @@ fn rule_inline_codec(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
             j += 1;
         }
         i = j + 1;
+    }
+}
+
+// ---------------------------------------------------------------------
+// decode
+// ---------------------------------------------------------------------
+
+/// Files whose records move as stored bytes: the join family and the
+/// sort kernels.
+const BYTE_PATHS: &[&str] = &["crates/core/src/join/", "crates/core/src/sort/kernel.rs"];
+
+/// Byte paths: in the join family and the sort kernels, a record a scan
+/// lends out is built into tables, heaped, spilled and paired as its
+/// stored bytes, so a `read_from` there — called, or named as a function
+/// value — is a whole-record decode on a hot path that no counter shows.
+/// A site that needs a value (the key peek) says why with an allow.
+fn rule_decode(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
+    if !BYTE_PATHS.iter().any(|p| rel.contains(p)) {
+        return;
+    }
+    for i in 0..toks.len() {
+        if toks[i].kind != TokKind::Ident || toks[i].text != "read_from" {
+            continue;
+        }
+        let called = toks.get(i + 1).is_some_and(|t| t.text == "(");
+        let named = i > 0 && toks[i - 1].text == ":";
+        let defined = i > 0 && toks[i - 1].text == "fn";
+        if (called || named) && !defined {
+            diags.push(Diagnostic {
+                file: rel.to_string(),
+                line: toks[i].line,
+                rule: DECODE,
+                msg: "`read_from` on a byte path decodes a whole record; move its stored \
+                      bytes instead, or peek the key with `key_of`"
+                    .to_string(),
+            });
+        }
     }
 }
 

@@ -242,6 +242,29 @@ fn inline_codec_accepts_inlined_codecs_and_ignores_other_impls() {
 }
 
 #[test]
+fn decode_trips_at_each_decode_on_the_byte_paths() {
+    // Line 3 calls the decoder, line 7 names it as a function value;
+    // the key peek carries an allow, the codec's own definition and the
+    // test module are not byte-path code.
+    for byte_path in [
+        "crates/core/src/join/kernel.rs",
+        "crates/core/src/sort/kernel.rs",
+    ] {
+        let diags = scan_source(byte_path, include_str!("../fixtures/decode.rs"));
+        assert_diags(&diags, &[(3, rules::DECODE), (7, rules::DECODE)]);
+    }
+    // Elsewhere a decode is the point: the merge's decoded iterator,
+    // the aggregations' values.
+    for elsewhere in [
+        "crates/core/src/sort/common.rs",
+        "crates/core/src/agg/mod.rs",
+    ] {
+        let diags = scan_source(elsewhere, include_str!("../fixtures/decode.rs"));
+        assert_diags(&diags, &[]);
+    }
+}
+
+#[test]
 fn allow_with_reason_suppresses_the_finding() {
     let diags = scan_source(
         "crates/db/src/wal.rs",

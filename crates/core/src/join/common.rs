@@ -34,6 +34,7 @@ pub fn partition_of(key: u64, partitions: usize) -> usize {
 /// an out-of-line call that decodes the whole record.
 #[inline]
 pub(crate) fn key_of<R: Record>(bytes: &[u8]) -> u64 {
+    // audit:allow(decode) the key peek: inlined, only the key's loads remain
     R::read_from(bytes).key()
 }
 
@@ -301,17 +302,13 @@ impl<L: Record> BuildTable<L> {
     }
 
     /// Probes with `right`, serializing one pair per match into a DRAM
-    /// buffer — the probe of one decoded record, and the reference the
+    /// buffer — the probe of one decoded record (encoded once, then
+    /// [`BuildTable::probe_bytes`]), and the per-record reference the
     /// probe kernel [`BuildTable::probe_run`] is tested against.
     pub fn probe_buffered<R: Record>(&self, right: &R, out: &mut RecordBuffer<Pair<L, R>>) {
-        let mut matches = self.matches(right.key()).peekable();
-        if matches.peek().is_some() {
-            let mut stored = vec![0; R::SIZE];
-            right.write_to(&mut stored);
-            for left in matches {
-                out.emit(left, &stored);
-            }
-        }
+        let mut stored = vec![0; R::SIZE];
+        right.write_to(&mut stored);
+        self.probe_bytes(&stored, out);
     }
 
     /// Probes with one record of `R` still in its stored form (`R::SIZE`

@@ -310,9 +310,9 @@ impl<'a, R: Record> MergeSource<'a, R> {
     fn head_record(&self) -> Option<R> {
         match &self.0 {
             Source::Run(reader) => reader.last_view().map(|v| v.get()),
-            Source::Batches { batch, end, .. } => batch
-                .get(end.checked_sub(R::SIZE)?..*end)
-                .map(R::read_from),
+            Source::Batches { batch, end, .. } => {
+                batch.get(end.checked_sub(R::SIZE)?..*end).map(R::read_from)
+            }
             Source::Stream { head, .. } => *head,
         }
     }

@@ -9,6 +9,15 @@
 //!   **range-partitioned final pass** ([`merge_final`]), which hands the
 //!   merged records to a [`Consume`]r: [`Land`] them, or fold them.
 //!
+//! Records move through all of them as their stored bytes. The two heaps
+//! sift thin [`Entry`]s — key, sequence number and the slot of a byte
+//! slab holding the record — so a sift moves 24 bytes whatever the
+//! record's width; a record is copied into the slab once when it arrives
+//! and out once when it lands (`append_bytes`) or overflows, and a
+//! selection pass hands out its batch as the sorted records' bytes
+//! ([`Batch`]). Only the key is ever read (`key_of`), and `wl-audit`'s
+//! `decode` rule keeps this file free of whole-record decodes.
+//!
 //! The merge passes fan out over groups and key ranges that depend on the
 //! data only, so output order and every counter are identical at any DoP,
 //! and every kernel returns its ledger: a sort's [`Phases`] are its
@@ -367,4 +376,292 @@ pub(crate) fn merge_into<R: Record>(
     let (runs, mut phases) = merge_down(runs, merge_fan_in(ctx), "merge", ctx);
     phases.extend(merge_final(&runs, None, ctx, &Land { by_range: true }, out));
     phases
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmem_sim::{LayerKind, PmDevice, Storable};
+    use wisconsin::{sort_input, KeyOrder, WisconsinRecord};
+
+    /// A fat heap entry — the record itself beside where it sorts — as
+    /// the kernels kept them before the slab: the reference the thin
+    /// kernels are held to.
+    #[derive(Clone, Copy, Debug)]
+    struct Fat {
+        key: u64,
+        seq: u64,
+        record: WisconsinRecord,
+    }
+
+    impl Fat {
+        fn new(record: WisconsinRecord, seq: u64) -> Self {
+            Self {
+                key: record.key(),
+                seq,
+                record,
+            }
+        }
+
+        fn at(&self) -> (u64, u64) {
+            (self.key, self.seq)
+        }
+    }
+
+    impl PartialEq for Fat {
+        fn eq(&self, other: &Self) -> bool {
+            self.at() == other.at()
+        }
+    }
+    impl Eq for Fat {}
+    impl PartialOrd for Fat {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Fat {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.at().cmp(&other.at())
+        }
+    }
+
+    /// Reference two-heap replacement selection over fat entries, its
+    /// runs as records.
+    struct FatRunGen {
+        capacity: usize,
+        current: BinaryHeap<Reverse<Fat>>,
+        next: Vec<Fat>,
+        last: Option<(u64, u64)>,
+        run: Vec<WisconsinRecord>,
+        runs: Vec<Vec<WisconsinRecord>>,
+    }
+
+    impl FatRunGen {
+        fn new(capacity: usize) -> Self {
+            Self {
+                capacity,
+                current: BinaryHeap::new(),
+                next: Vec::new(),
+                last: None,
+                run: Vec::new(),
+                runs: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, e: Fat) {
+            let full = self.current.len() + self.next.len() >= self.capacity;
+            if full {
+                if let Some(Reverse(min)) = self.current.pop() {
+                    self.run.push(min.record);
+                    self.last = Some(min.at());
+                }
+            }
+            if self.last.is_some_and(|last| e.at() < last) {
+                self.next.push(e);
+            } else {
+                self.current.push(Reverse(e));
+            }
+            if full && self.current.is_empty() {
+                self.runs.push(std::mem::take(&mut self.run));
+                self.current.extend(self.next.drain(..).map(Reverse));
+                self.last = None;
+            }
+        }
+
+        fn finish(mut self) -> Vec<Vec<WisconsinRecord>> {
+            while let Some(Reverse(min)) = self.current.pop() {
+                self.run.push(min.record);
+            }
+            if !self.run.is_empty() {
+                self.runs.push(self.run);
+            }
+            if !self.next.is_empty() {
+                self.next.sort_unstable();
+                self.runs.push(self.next.iter().map(|e| e.record).collect());
+            }
+            self.runs
+        }
+    }
+
+    /// What a selection heap passed on, in order: whether it was
+    /// displaced (or rejected), where it sorts, and its stored bytes.
+    type Spills = Vec<(bool, (u64, u64), Vec<u8>)>;
+
+    /// Reference selection heap over fat entries: the ascending batch,
+    /// and every overflow in order.
+    fn fat_select(
+        input: &[WisconsinRecord],
+        capacity: usize,
+        boundary: Option<(u64, u64)>,
+        mut overflow: impl FnMut(bool, Fat),
+    ) -> Vec<Fat> {
+        let mut heap: BinaryHeap<Fat> = BinaryHeap::new();
+        for (pos, record) in (0u64..).zip(input) {
+            let e = Fat::new(*record, pos);
+            if boundary.is_some_and(|b| e.at() <= b) {
+                continue;
+            }
+            if heap.len() >= capacity {
+                match heap.peek() {
+                    Some(max) if e.at() < max.at() => {
+                        if let Some(max) = heap.pop() {
+                            overflow(true, max);
+                        }
+                    }
+                    _ => {
+                        overflow(false, e);
+                        continue;
+                    }
+                }
+            }
+            heap.push(e);
+        }
+        let mut batch = heap.into_vec();
+        batch.sort_unstable();
+        batch
+    }
+
+    fn encode(records: impl IntoIterator<Item = WisconsinRecord>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for r in records {
+            let at = bytes.len();
+            bytes.resize(at + WisconsinRecord::SIZE, 0);
+            r.write_to(&mut bytes[at..]);
+        }
+        bytes
+    }
+
+    fn stored(col: &PCollection<WisconsinRecord>) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        col.for_each_run_uncounted(|run| bytes.extend_from_slice(run));
+        bytes
+    }
+
+    /// Random, one-key, descending and Zipf inputs of `n` records; the
+    /// payloads tell equal keys apart.
+    fn inputs(n: u64) -> Vec<(&'static str, Vec<WisconsinRecord>)> {
+        let one_key = (0..n).map(|i| WisconsinRecord::from_key(7).with_payload(i));
+        vec![
+            ("random", sort_input(n, KeyOrder::Random, 3)),
+            ("one key", one_key.collect()),
+            ("descending", sort_input(n, KeyOrder::Reverse, 3)),
+            ("zipf", wisconsin::skewed_input(n, 4, 1.2, 3)),
+        ]
+    }
+
+    const CAPACITIES: [usize; 3] = [1, 2, 4096];
+
+    #[test]
+    fn run_generation_matches_the_fat_entry_reference() {
+        let dev = PmDevice::paper_default();
+        for (name, input) in inputs(9000) {
+            let staged = PCollection::from_records_uncounted(
+                &dev,
+                LayerKind::BlockedMemory,
+                "input",
+                input.iter().copied(),
+            );
+            for capacity in CAPACITIES {
+                let runs = generate_runs(staged.reader(), capacity, || {
+                    PCollection::new(&dev, LayerKind::BlockedMemory, "run")
+                });
+                let mut reference = FatRunGen::new(capacity);
+                for (seq, r) in (0u64..).zip(&input) {
+                    reference.push(Fat::new(*r, seq));
+                }
+                let reference = reference.finish();
+                let case = format!("{name}, M = {capacity}");
+                assert_eq!(runs.len(), reference.len(), "{case}: runs");
+                for (i, (run, want)) in runs.iter().zip(reference).enumerate() {
+                    assert!(stored(run) == encode(want), "{case}: run {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn selection_heap_matches_the_fat_entry_reference() {
+        let dev = PmDevice::paper_default();
+        for (name, input) in inputs(9000) {
+            let staged = PCollection::from_records_uncounted(
+                &dev,
+                LayerKind::BlockedMemory,
+                "input",
+                input.iter().copied(),
+            );
+            for capacity in CAPACITIES {
+                // Up to three passes, each past the last batch's end, as
+                // selection sort runs them.
+                let mut boundary = None;
+                for pass in 0..3 {
+                    let case = format!("{name}, M = {capacity}, pass {pass}");
+                    let mut spills: Spills = Vec::new();
+                    let batch = select(staged.reader(), capacity, boundary, |spill| {
+                        let displaced = matches!(spill, Overflow::Displaced(..));
+                        let (at, bytes) = spill.record();
+                        spills.push((displaced, at, bytes.to_vec()));
+                    });
+                    let mut want_spills: Spills = Vec::new();
+                    let want = fat_select(&input, capacity, boundary, |displaced, e| {
+                        want_spills.push((displaced, e.at(), encode([e.record])));
+                    });
+                    assert!(spills == want_spills, "{case}: overflow");
+                    assert!(
+                        batch.bytes == encode(want.iter().map(|e| e.record)),
+                        "{case}"
+                    );
+                    assert_eq!(batch.last, want.last().map(Fat::at), "{case}: last");
+                    let Some(last) = batch.last else { break };
+                    boundary = Some(last);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hybrid_feed_matches_the_fat_entry_reference() {
+        // HybS: the selection heap's rejected and displaced records, in
+        // the order it passes them on, feed run generation.
+        let dev = PmDevice::paper_default();
+        for (name, input) in inputs(9000) {
+            let staged = PCollection::from_records_uncounted(
+                &dev,
+                LayerKind::BlockedMemory,
+                "input",
+                input.iter().copied(),
+            );
+            for (rs, rr) in [(1, 1), (2, 4096), (4096, 2), (4096, 4096), (0, 2)] {
+                let case = format!("{name}, |Rs| = {rs}, |Rr| = {rr}");
+                let mut generator = RunGen::new(rr, || {
+                    PCollection::new(&dev, LayerKind::BlockedMemory, "run")
+                });
+                let (mut displaced, mut rejected) = (0, 0);
+                let batch = select(staged.reader(), rs, None, |spill| {
+                    match spill {
+                        Overflow::Displaced(..) => displaced += 1,
+                        Overflow::Rejected(..) => rejected += 1,
+                    }
+                    let (at, bytes) = spill.record();
+                    generator.push(at, bytes);
+                });
+                let runs = generator.finish();
+                let mut reference = FatRunGen::new(rr);
+                let want = fat_select(&input, rs, None, |_, e| reference.push(e));
+                let reference = reference.finish();
+                assert!(
+                    batch.bytes == encode(want.iter().map(|e| e.record)),
+                    "{case}"
+                );
+                assert_eq!(runs.len(), reference.len(), "{case}: runs");
+                for (i, (run, want)) in runs.iter().zip(reference).enumerate() {
+                    assert!(stored(run) == encode(want), "{case}: run {i}");
+                }
+                // One key and descending input only ever reject or only
+                // ever displace.
+                if rs > 0 && matches!(name, "random" | "zipf") {
+                    assert!(displaced > 0 && rejected > 0, "{case}: a mixed feed");
+                }
+            }
+        }
+    }
 }
