@@ -22,13 +22,13 @@ pub(crate) struct Entry {
     /// Tiebreaker (input position), keeps heaps totally ordered.
     seq: u64,
     /// Where the record's bytes sit in the slab.
-    pub(crate) slot: u32,
+    pub(crate) slot: usize,
 }
 
 impl Entry {
     /// The entry of the record sorting at `(key, seq)` in slot `slot`.
     #[inline]
-    pub(crate) fn new((key, seq): (u64, u64), slot: u32) -> Self {
+    pub(crate) fn new((key, seq): (u64, u64), slot: usize) -> Self {
         Self { key, seq, slot }
     }
 

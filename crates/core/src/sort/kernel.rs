@@ -55,16 +55,16 @@ impl<R: Record> Slab<R> {
 
     /// The record in `slot`.
     #[inline]
-    fn get(&self, slot: u32) -> &[u8] {
-        let at = slot as usize * R::SIZE;
+    fn get(&self, slot: usize) -> &[u8] {
+        let at = slot * R::SIZE;
         &self.bytes[at..at + R::SIZE]
     }
 
     /// Stores `bytes` in `slot`: an occupied one, or the first past the
     /// last occupied one.
     #[inline]
-    fn put(&mut self, slot: u32, bytes: &[u8]) {
-        let at = slot as usize * R::SIZE;
+    fn put(&mut self, slot: usize, bytes: &[u8]) {
+        let at = slot * R::SIZE;
         if at == self.bytes.len() {
             self.bytes.extend_from_slice(bytes);
         } else {
@@ -120,7 +120,7 @@ impl<R: Record, F: FnMut() -> PCollection<R>> RunGen<R, F> {
         let held = self.current.len() + self.next.len();
         let full = held >= self.capacity;
         // Until DRAM first fills, no record leaves: slots fill in order.
-        let mut slot = held as u32;
+        let mut slot = held;
         if full {
             if let Some(Reverse(min)) = self.current.pop() {
                 self.run.append_bytes(self.slab.get(min.slot));
@@ -228,7 +228,7 @@ pub(crate) fn select<R: Record>(
             return;
         }
         // Until the heap first fills, no record leaves: slots fill in order.
-        let mut slot = heap.len() as u32;
+        let mut slot = heap.len();
         if heap.len() >= capacity {
             match heap.peek() {
                 Some(max) if at < max.at() => {
@@ -384,9 +384,8 @@ mod tests {
     use pmem_sim::{LayerKind, PmDevice, Storable};
     use wisconsin::{sort_input, KeyOrder, WisconsinRecord};
 
-    /// A fat heap entry — the record itself beside where it sorts — as
-    /// the kernels kept them before the slab: the reference the thin
-    /// kernels are held to.
+    /// A fat heap entry — the record itself beside where it sorts: the
+    /// reference the thin kernels are held to.
     #[derive(Clone, Copy, Debug)]
     struct Fat {
         key: u64,
