@@ -154,6 +154,50 @@ mod tests {
         )
     }
 
+    /// `materialized_from` on a device of write/read ratio `lambda`.
+    fn first_spills(lambda: f64, k: usize, buffers: [u64; 2]) -> [usize; 2] {
+        let dev = PmDevice::new(DeviceConfig::paper_default().with_latency(LatencyProfile {
+            read_ns: 1.0,
+            write_ns: lambda,
+        }));
+        let pool = BufferPool::new(80);
+        materialized_from(
+            &JoinContext::new(&dev, LayerKind::BlockedMemory, &pool),
+            k,
+            buffers,
+        )
+    }
+
+    #[test]
+    fn materialized_from_boundary_table() {
+        // Each input's first pass p with λ·(B/k) ≤ (p+1)·B, or k for
+        // none; λ below 1 counts as 1. Worked by hand from the inequality.
+        // (λ, k, [T, V] buffers, [T, V] expected)
+        let table: [(f64, usize, [u64; 2], [usize; 2]); 14] = [
+            (6.0, 3, [300, 600], [1, 1]),   // λ = k·(p+1), p = 1
+            (5.99, 3, [300, 600], [1, 1]),  // just below
+            (6.01, 3, [300, 600], [2, 2]),  // just above
+            (9.0, 3, [300, 600], [2, 2]),   // λ = k·k: the last pass
+            (9.01, 3, [300, 600], [3, 3]),  // past it: never
+            (3.0, 3, [300, 600], [0, 0]),   // λ = k: the first pass
+            (15.0, 5, [500, 1000], [2, 2]), // λ = k·3
+            (15.5, 5, [500, 1000], [3, 3]),
+            (0.5, 3, [300, 600], [0, 0]), // λ < 1 is clamped to 1
+            (1.0, 3, [300, 600], [0, 0]),
+            (15.0, 3, [0, 600], [0, 3]), // an empty input: 0 ≤ 0
+            (15.0, 3, [0, 0], [0, 0]),
+            (1.0, 1, [300, 600], [0, 0]), // k = 1: λ ≤ 1 or never
+            (1.5, 1, [300, 600], [1, 1]),
+        ];
+        for (lambda, k, buffers, want) in table {
+            assert_eq!(
+                first_spills(lambda, k, buffers),
+                want,
+                "λ={lambda} k={k} buffers={buffers:?}"
+            );
+        }
+    }
+
     #[test]
     fn joins_correctly_at_high_and_low_lambda() {
         for lambda in [15.0, 1.5] {

@@ -183,6 +183,42 @@ mod tests {
     }
 
     #[test]
+    fn materialized_at_boundary_table() {
+        // The first pass p with λ·(B·f) ≤ (p+1)·B, or k for none; λ
+        // below 1 counts as 1. Worked by hand from the inequality.
+        // (λ, k, source buffers B, selectivity f, expected pass)
+        let table: [(f64, usize, u64, f64, usize); 15] = [
+            (6.0, 8, 600, 0.5, 2),  // λ·f = p+1, p = 2
+            (5.99, 8, 600, 0.5, 2), // just below
+            (6.01, 8, 600, 0.5, 3), // just above
+            (3.0, 4, 600, 1.0, 2),  // f = 1: λ = p+1
+            (3.01, 4, 600, 1.0, 3),
+            (4.0, 4, 600, 1.0, 3),  // the last pass
+            (4.01, 4, 600, 1.0, 4), // past it: never
+            (15.0, 4, 600, 1.0, 4),
+            (1e6, 4, 600, 0.0, 0), // f = 0: an empty view costs nothing
+            (0.5, 4, 600, 1.0, 0), // λ < 1 is clamped to 1
+            (1.0, 4, 600, 1.0, 0),
+            (15.0, 4, 0, 0.5, 0),  // an empty source: 0 ≤ 0
+            (1.0, 1, 600, 1.0, 0), // k = 1: λ·f ≤ 1 or never
+            (2.0, 1, 600, 1.0, 1),
+            (15.0, 1, 600, 0.05, 0),
+        ];
+        for (lambda, k, buffers, f, want) in table {
+            let dev = PmDevice::new(DeviceConfig::paper_default().with_latency(LatencyProfile {
+                read_ns: 1.0,
+                write_ns: lambda,
+            }));
+            let pool = BufferPool::new(80);
+            let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
+            let (at, view) = materialized_at(&ctx, k, buffers, f);
+            assert_eq!(at, want, "λ={lambda} k={k} B={buffers} f={f}");
+            // The materialized view's name is pinned by the counter corpus.
+            assert_eq!(view, "filtered#1");
+        }
+    }
+
+    #[test]
     fn filtered_join_matches_reference() {
         // Keep even keys: half the matches survive.
         let (out, _, _) = join(&stage(400, 5, 15.0), 40, |r| r.key() % 2 == 0, 0.5);
