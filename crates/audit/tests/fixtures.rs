@@ -13,7 +13,7 @@ fn assert_diags(diags: &[Diagnostic], expect: &[(u32, &str)]) {
 #[test]
 fn counted_io_outside_sim_trips_at_the_fetch_add() {
     let diags = scan_source(
-        "crates/runtime/src/exec.rs",
+        "crates/core/src/exec.rs",
         include_str!("../fixtures/counted_io.rs"),
     );
     assert_diags(&diags, &[(10, rules::COUNTED_IO)]);
@@ -40,7 +40,7 @@ fn counted_io_is_silent_in_the_accounting_files() {
 #[test]
 fn ledger_only_trips_charges_and_merges_outside_the_simulator() {
     let diags = scan_source(
-        "crates/runtime/src/exec.rs",
+        "crates/core/src/exec.rs",
         include_str!("../fixtures/ledger_only.rs"),
     );
     assert_diags(&diags, &[(5, rules::LEDGER_ONLY), (9, rules::LEDGER_ONLY)]);
@@ -87,7 +87,7 @@ fn ledger_only_is_silent_in_the_shard_merge_internals() {
 #[test]
 fn uncounted_api_trips_outside_the_whitelist() {
     let diags = scan_source(
-        "crates/runtime/src/exec.rs",
+        "crates/core/src/exec.rs",
         include_str!("../fixtures/uncounted_api.rs"),
     );
     assert_diags(&diags, &[(5, rules::UNCOUNTED_API)]);

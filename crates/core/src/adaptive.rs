@@ -1,39 +1,36 @@
-//! Runtime-driven **adaptive** segmented Grace join — the executable
+//! Rule-driven **adaptive** segmented Grace join — the executable
 //! version of the paper's §3.1 worked example.
 //!
 //! Unlike [`crate::join::segmented_grace_join`], which takes the number
 //! of materialized partitions as a compile-time knob, this operator
-//! defers *every* partition and lets the runtime decide at each access:
-//! the `read-over-write` rule compares the materialization cost
+//! defers *every* partition and lets the §3.1 rules ([`crate::deferral`])
+//! decide: the `read-over-write` rule compares the materialization cost
 //! `λ·|partition|` against the source's accumulated read cost plus one
 //! reconstruction scan, and once it fires the `eager-partition` rule
-//! materializes all remaining partitions in a single source scan (the
-//! runtime "enforces the constraint that no input is fully scanned twice
-//! to materialize its outputs", §3.1).
+//! materializes all remaining partitions in a single source scan (no
+//! input is "fully scanned twice to materialize its outputs", §3.1).
 //!
 //! At high λ the operator behaves like SegJ with `x = 0` (iterate-only);
 //! at low λ it converges to Grace join after the first access; in
 //! between it switches mid-flight exactly when the paper's rules say the
 //! rescan penalty has been paid off.
 //!
-//! The rules read only the declared sizes, the statuses and the
-//! operator's own scan counts, so the schedule is decided before any
-//! I/O: the runtime is stepped through the accesses the passes make,
-//! and then a routed partition scan per input whose rule fired spills
-//! its remaining partitions, and one build–probe phase runs every pass —
-//! from the spilled partitions where they exist, rescanning the
-//! originals where not (`join/kernel.rs`).
+//! The rules read only the inputs' sizes and the passes' own scans, so
+//! the schedule is decided before any I/O: a routed partition scan per
+//! input whose rule fires spills its remaining partitions, and one
+//! build–probe phase runs every pass — from the spilled partitions where
+//! they exist, rescanning the originals where not (`join/kernel.rs`).
 
+use crate::deferral::first_materialized_pass;
 use crate::join::common::{partition_of, JoinContext};
 use crate::join::kernel::{build_probe, build_table, spill_scan, EachRecord, Phased};
 use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
-use wl_runtime::{CStatus, OpCtx};
 
-/// Joins `left ⋈ right`, letting the §3.1 runtime decide partition
+/// Joins `left ⋈ right`, letting the §3.1 rules decide partition
 /// materialization adaptively; returns the output beside its phases: a
-/// partition scan per input the runtime materializes, then the passes.
+/// partition scan per input the rules materialize, then the passes.
 ///
 /// # Errors
 /// Returns [`PmError::InsufficientMemory`] when Grace's applicability
@@ -97,34 +94,16 @@ fn spill<R: Record>(
     parts
 }
 
-/// The first partition of each input (`T`, then `V`) that the runtime
-/// materializes, or `k` for none: the Fig. 4 graph declared with the
-/// inputs' sizes in buffers, and its deferred partitions assessed pass
-/// by pass — each pass scans an input once, to rebuild its partition
-/// while deferred and to spill the rest once a rule fires.
-fn materialized_from(ctx: &JoinContext<'_>, k: usize, [t, v]: [u64; 2]) -> [usize; 2] {
-    let mut rt = OpCtx::new(ctx.device().lambda().max(1.0));
-    let mut first = |source: &str, buffers: u64| {
-        let buffers = buffers as f64;
-        let parts: Vec<String> = (0..k).map(|i| format!("{source}{i}")).collect();
-        rt.declare(source, CStatus::Materialized, buffers);
-        for part in &parts {
-            rt.declare(part, CStatus::Deferred, buffers / k as f64);
-        }
-        let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-        rt.partition(source, k, &refs);
-        let fired = (0..k).find(|&p| {
-            rt.assess(&parts[p]);
-            rt.note_scan(source, buffers);
-            rt.status(&parts[p]) == CStatus::Materialized
-        });
-        // The eager-partition rule materializes every later partition.
-        for part in &parts[fired.map_or(k, |p| p + 1)..] {
-            rt.assess(part);
-        }
-        fired.unwrap_or(k)
-    };
-    [first("T", t), first("V", v)]
+/// The first partition of each input (`T`, then `V`) that the rules
+/// materialize, or `k` for none: each pass scans an input once — to
+/// rebuild its partition of `B/k` buffers while deferred, and to spill
+/// the rest once read-over-write holds.
+fn materialized_from(ctx: &JoinContext<'_>, k: usize, buffers: [u64; 2]) -> [usize; 2] {
+    let lambda = ctx.device().lambda();
+    buffers.map(|b| {
+        let b = b as f64;
+        first_materialized_pass(lambda, b / k as f64, b, k)
+    })
 }
 
 #[cfg(test)]

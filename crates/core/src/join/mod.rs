@@ -21,9 +21,10 @@
 //!
 //! SMJ and CGJ are library extensions beyond the paper's line-up (see
 //! [`guided`]). The two §3.1 joins decide their schedule before any I/O:
-//! their rules read only declared sizes, statuses and the join's own
-//! scan counts, so each steps a private `wl_runtime::OpCtx` through the
-//! accesses its passes make, then runs the schedule the verdicts imply.
+//! their rule reads only the inputs' sizes and the passes' own scans, so
+//! each computes the pass read-over-write first holds on
+//! ([`crate::deferral::first_materialized_pass`]), then runs the
+//! schedule it implies.
 
 pub mod common;
 pub mod grace;

@@ -11,6 +11,9 @@
 //!   budget, degree of parallelism) every operator above runs in
 //! * [`cost`] — Eqs. 1–11, Fig. 2 surface, knob selection (§2, §4.2.3),
 //!   read/write-split predictions and candidate sets for plan enumerators
+//! * [`deferral`] — the §3.1 rules for when a deferred collection is
+//!   written, in closed form: the pass read-over-write first holds on
+//!   ([`adaptive`], [`pipeline`]) and the planner's verdict
 //! * [`exec`] — Volcano operators (`scan → filter → sort → join →
 //!   aggregate`), boxed-operator composition, and counted staging
 //! * [`parallel`] — scoped-thread worker pool that fans partition work
@@ -42,6 +45,7 @@ pub mod adaptive;
 pub mod agg;
 pub mod context;
 pub mod cost;
+pub mod deferral;
 pub mod exec;
 pub mod join;
 pub mod parallel;

@@ -9,28 +9,28 @@
 //! passes over the filtered left input are exactly the
 //! repeated-processing pattern the rules exist for. Each pass re-filters
 //! the source while the view stays deferred; once the `read-over-write`
-//! (or `multi-process`) rule fires, that pass **piggybacks**
+//! rule ([`crate::deferral`]) fires, that pass **piggybacks**
 //! materialization — writing the filtered rows while producing them —
 //! and later passes read the materialized view. Selective filters
 //! materialize after the first pass, while non-selective ones stay
 //! deferred as long as `k ≤ λ`.
 //!
-//! The rules read only the declared sizes and the operator's own scan
-//! counts, so the pass that materializes is decided before any I/O. The
+//! The rule reads only the view's estimated size and the passes' own
+//! source scans, so the pass that materializes is decided before any I/O. The
 //! schedule (`join/kernel.rs`): a build–probe phase of the re-filtering
 //! passes before it, the materializing pass, and a build–probe phase of
 //! the passes over the view after it.
 
+use crate::deferral::first_materialized_pass;
 use crate::join::common::{partition_of, BuildTable, JoinContext};
 use crate::join::kernel::{build_probe, build_table, EachRecord, Phased};
 use crate::parallel::{measured, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
-use wl_runtime::{CStatus, Decision, OpCtx};
 
 /// `σ(left) ⋈ right` with the filter output deferred, joined by the
 /// iterate-only segmented Grace join: one pass over the view and the
-/// right input per partition, the runtime deciding when the view stops
+/// right input per partition, the §3.1 rules deciding when the view stops
 /// being re-filtered and gets materialized. `selectivity` is the
 /// filter's expected output fraction, the estimate the rules weigh.
 /// Returns the output beside its phases.
@@ -107,29 +107,20 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
     Ok((out, phases))
 }
 
-/// The pass at which the runtime materializes the view, or `k` for
-/// none, and the view's name: `filter(src, f, view)` declared with the
-/// source's size in buffers and the view's estimate, and the view
-/// assessed pass by pass — each deferred pass scans the source once.
+/// The pass at which the rules materialize the view, or `k` for none,
+/// and the view's name: each deferred pass scans the source once to
+/// rebuild the view of `B·f` buffers. The name is fixed because the
+/// counter corpus hashes collection names.
 fn materialized_at(
     ctx: &JoinContext<'_>,
     k: usize,
     source_buffers: u64,
     selectivity: f64,
-) -> (usize, String) {
-    let mut rt = OpCtx::new(ctx.device().lambda().max(1.0));
-    let source = rt.create_name("src");
-    let view = rt.create_name("filtered");
+) -> (usize, &'static str) {
     let buffers = source_buffers as f64;
-    rt.declare(&source, CStatus::Materialized, buffers);
-    rt.declare(&view, CStatus::Deferred, buffers * selectivity);
-    rt.filter(&source, selectivity, &view);
-    let at = (0..k).find(|_| {
-        let verdict = rt.assess(&view);
-        rt.note_scan(&source, buffers);
-        verdict.is_some_and(|v| v.decision == Decision::Materialize)
-    });
-    (at.unwrap_or(k), view)
+    let lambda = ctx.device().lambda();
+    let at = first_materialized_pass(lambda, buffers * selectivity, buffers, k);
+    (at, "filtered#1")
 }
 
 #[cfg(test)]

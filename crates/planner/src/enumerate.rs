@@ -5,7 +5,7 @@
 //! candidate field — ExMS/SegS/HybS/LaS/SelS for sorts, NLJ/GJ/HJ/HybJ/
 //! SegJ/LaJ (both build orders) for joins — and keeps the cheapest. For
 //! filters feeding a join's build side it additionally consults the
-//! §3.1 runtime rules ([`wl_runtime::plan_verdict`]) to gate a
+//! §3.1 rules ([`write_limited::deferral::plan_verdict`]) to gate a
 //! *deferred-view* candidate where the filter output is never written
 //! and the iterate-only join re-filters the source on every pass.
 //!
@@ -346,7 +346,6 @@ impl Planner {
             predicate,
             selectivity,
             materialization: Materialization::Materialized,
-            rule: None,
             cost: NodeCost {
                 io,
                 out_rows,

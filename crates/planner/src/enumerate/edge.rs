@@ -13,9 +13,9 @@ use crate::lower::WisPair;
 use crate::physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
 use pmem_sim::{Storable, CACHELINE};
 use wisconsin::WisconsinRecord;
-use wl_runtime::{plan_verdict, Decision, Rule};
 use write_limited::cost::join_costs::guided_io;
 use write_limited::cost::{join_candidates, join_parallel_split, predict_join_io, IoPrediction};
+use write_limited::deferral::{plan_verdict, Decision};
 use write_limited::join::{JoinAlgorithm, HASH_TABLE_FACTOR};
 use write_limited::stats::TableStatistics;
 
@@ -46,10 +46,9 @@ pub(super) struct JoinSide<'a> {
 struct Arm {
     algo: JoinAlgorithm,
     swapped: bool,
-    /// `Some` for the deferred-view arm — the build filter stays a view
-    /// the iterate-only join re-filters per pass — with the §3.1 rule
-    /// that offered it.
-    deferred: Option<Rule>,
+    /// True for the deferred-view arm: the build filter stays a view
+    /// the iterate-only join re-filters per pass.
+    deferred: bool,
     io: IoPrediction,
     cost_units: f64,
 }
@@ -58,9 +57,9 @@ impl Arm {
     fn label(&self) -> String {
         let algo = self.algo.label();
         match (self.deferred, self.swapped) {
-            (Some(_), _) => format!("{algo} over deferred σ"),
-            (None, true) => format!("{algo} (swapped)"),
-            (None, false) => algo,
+            (true, _) => format!("{algo} over deferred σ"),
+            (false, true) => format!("{algo} (swapped)"),
+            (false, false) => algo,
         }
     }
 }
@@ -147,7 +146,7 @@ impl Planner {
             Arm {
                 algo,
                 swapped,
-                deferred: None,
+                deferred: false,
                 io,
                 cost_units,
             }
@@ -217,8 +216,7 @@ impl Planner {
             // over the hash-table-adjusted build capacity — mirror
             // `JoinContext::grace_partitions`.
             let k = self.grace_partitions_est(scan.out_rows);
-            let verdict = plan_verdict(filtered, src, k, self.lambda);
-            if verdict.decision == Decision::Defer {
+            if plan_verdict(filtered, src, k, self.lambda) == Decision::Defer {
                 let io = IoPrediction {
                     reads: k * (src + rb),
                     writes: 0.0,
@@ -226,7 +224,7 @@ impl Planner {
                 // The iterate-only passes fan out like SegJ at frac = 0
                 // (the re-filtering scans are the passes).
                 view = Some(Arm {
-                    deferred: Some(verdict.rule),
+                    deferred: true,
                     ..arm(JoinAlgorithm::SegJ { frac: 0.0 }, false, io, src, rb)
                 });
             }
@@ -258,7 +256,7 @@ impl Planner {
             ));
         };
 
-        let (node_io, units, left_total) = if winner.deferred.is_some() {
+        let (node_io, units, left_total) = if winner.deferred {
             // The view is never written: the filter's materialization
             // units and traffic leave the left subtree; re-filtering is
             // carried by this node's own figure.
@@ -351,19 +349,22 @@ impl EdgeCost {
         right: PhysicalPlan,
         chain: Option<ChainSlots>,
     ) -> (PhysicalPlan, TableStatistics) {
-        let Arm { algo, swapped, .. } = self.winner;
+        let Arm {
+            algo,
+            swapped,
+            deferred,
+            ..
+        } = self.winner;
         if let (
-            Some(verdict_rule),
+            true,
             PhysicalPlan::Filter {
                 materialization,
-                rule,
                 cost,
                 ..
             },
-        ) = (self.winner.deferred, &mut left)
+        ) = (deferred, &mut left)
         {
             *materialization = Materialization::Deferred;
-            *rule = Some(verdict_rule);
             // The view is never written; its traffic is carried by the
             // join's per-pass re-filtering.
             cost.io = IoPrediction::ZERO;

@@ -9,8 +9,8 @@
 //! LaJ in both build orders — costs each candidate with the Eqs. 1–11
 //! models (`write_limited::cost`) under the target medium's λ, DRAM
 //! budget, and persistence layer, decides deferred-vs-materialized for
-//! build-side filters with the §3.1 runtime rules
-//! ([`wl_runtime::plan_verdict`]), and returns the cheapest
+//! build-side filters with the §3.1 rules
+//! ([`write_limited::deferral::plan_verdict`]), and returns the cheapest
 //! [`PhysicalPlan`] plus the whole candidate table as evidence.
 //!
 //! [`execute`] lowers the winning plan onto the Volcano operators of

@@ -808,7 +808,7 @@ impl<'a> Lowerer<'a> {
         let ctx = JoinContext::new(self.dev, self.layer, self.pool).with_threads(self.threads);
         let name = self.name("joined");
 
-        // Deferred-view build side: §3.1 runtime path.
+        // Deferred-view build side: the §3.1 deferred-σ join.
         if let PhysicalPlan::Filter {
             input,
             predicate,

@@ -1,7 +1,6 @@
 //! Costed physical plans: the enumerator's output, the executor's input.
 
 use crate::logical::Predicate;
-use wl_runtime::Rule;
 use write_limited::cost::IoPrediction;
 use write_limited::join::JoinAlgorithm;
 use write_limited::sort::SortAlgorithm;
@@ -73,10 +72,6 @@ pub enum PhysicalPlan {
         selectivity: f64,
         /// Materialize or defer the filtered collection.
         materialization: Materialization,
-        /// The §3.1 rule that produced the decision, or `None` when the
-        /// position in the plan structurally requires materialization
-        /// (no deferred-view lowering exists for it).
-        rule: Option<Rule>,
         /// Cost annotation.
         cost: NodeCost,
     },

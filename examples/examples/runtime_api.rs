@@ -1,6 +1,5 @@
-//! The §3.1 deferred-materialization runtime: recording a control-flow
-//! graph, watching the rules fire, and running the adaptive join that is
-//! driven by them.
+//! The §3.1 deferral rules: the paper's worked example in closed form,
+//! and the adaptive join they drive.
 //!
 //! ```text
 //! cargo run -p wl-examples --example runtime_api
@@ -8,27 +7,21 @@
 
 use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, PmDevice};
 use wisconsin::join_input;
-use wl_runtime::{CStatus, Decision, OpCtx};
 use write_limited::adaptive::adaptive_grace_join;
+use write_limited::deferral::first_materialized_pass;
 use write_limited::join::JoinContext;
 
 fn main() {
     // ---- The paper's worked example, by hand ----
     // T of 300 buffers partitioned three ways; deferring T0 saves
-    // |T|/3 writes at the cost of |T| reads.
+    // |T|/3 writes at the cost of |T| reads on each of the three passes.
     for lambda in [15.0, 2.0] {
-        let mut ctx = OpCtx::new(lambda);
-        ctx.declare("T", CStatus::Materialized, 300.0);
-        for i in 0..3 {
-            ctx.declare(&format!("T{i}"), CStatus::Deferred, 100.0);
-        }
-        ctx.partition("T", 3, &["T0", "T1", "T2"]);
-        let v = ctx.assess("T0").expect("deferred");
-        println!("λ = {lambda:>4}: T0 → {:?} (rule {:?})", v.decision, v.rule);
-        if v.decision == Decision::Materialize {
-            // Eager-partition cascades to the siblings.
-            let v1 = ctx.assess("T1").expect("deferred");
-            println!("          T1 → {:?} (rule {:?})", v1.decision, v1.rule);
+        if first_materialized_pass(lambda, 100.0, 300.0, 3) == 0 {
+            println!("λ = {lambda:>4}: T0 → Materialize (rule read-over-write)");
+            // The scan that writes T0 spills its siblings too.
+            println!("          T1 → Materialize (rule eager-partition)");
+        } else {
+            println!("λ = {lambda:>4}: T0 → Defer (rule none fires on the first pass)");
         }
     }
 

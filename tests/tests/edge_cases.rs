@@ -302,20 +302,3 @@ fn exec_operators_propagate_algorithm_errors() {
     let invalid = SortAlgorithm::SegS { x: 2.0 };
     assert!(invalid.run(&input, &ctx, "sorted").is_err());
 }
-
-#[test]
-fn runtime_reconstruction_covers_merge_chains() {
-    use wl_runtime::{ApiCall, CStatus, Graph};
-    // T --split--> A, B (deferred); A, B --merge--> S (deferred):
-    // reconstructing S replays split then merge, reading T once.
-    let mut g = Graph::new();
-    g.declare("T", CStatus::Materialized, 100.0);
-    g.declare("A", CStatus::Deferred, 50.0);
-    g.declare("B", CStatus::Deferred, 50.0);
-    g.declare("S", CStatus::Deferred, 100.0);
-    g.record_call(ApiCall::Split { at: 50 }, &["T"], &["A", "B"]);
-    g.record_call(ApiCall::Merge, &["A", "B"], &["S"]);
-    let plan = g.reconstruction_plan("S");
-    assert_eq!(plan.len(), 3); // merge + split reached via both inputs
-    assert_eq!(g.reconstruction_read_cost("S"), 200.0); // A + B scans + T once... T deduped
-}
