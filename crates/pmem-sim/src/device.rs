@@ -96,12 +96,6 @@ impl PmDevice {
         self.fault.lock().expect("fault state").disarm();
     }
 
-    /// The fault that has tripped, if any (once tripped, every
-    /// file-backed write and fsync fails until disarmed).
-    pub fn fault_tripped(&self) -> Option<FaultKind> {
-        self.fault.lock().expect("fault state").tripped()
-    }
-
     /// File-backed bytes durably written since the plan was armed —
     /// harnesses measure a fault-free run with [`FaultPlan::observe`]
     /// to place kill points on later runs.

@@ -128,10 +128,6 @@ impl FaultState {
         self.tripped = None;
     }
 
-    pub(crate) fn tripped(&self) -> Option<FaultKind> {
-        self.tripped
-    }
-
     pub(crate) fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
@@ -190,7 +186,7 @@ mod tests {
         let mut s = FaultState::default();
         assert_eq!(s.before_write(1000), WriteVerdict::Full);
         assert!(s.before_sync().is_ok());
-        assert_eq!(s.tripped(), None);
+        assert_eq!(s.tripped, None);
     }
 
     #[test]
@@ -215,7 +211,7 @@ mod tests {
                 torn: true
             }
         );
-        assert_eq!(s.tripped(), Some(FaultKind::Crash));
+        assert_eq!(s.tripped, Some(FaultKind::Crash));
         assert_eq!(
             s.before_write(10),
             WriteVerdict::Refuse(FaultKind::Crash),
@@ -245,7 +241,7 @@ mod tests {
         s.arm(FaultPlan::enospc_at(64));
         assert_eq!(s.before_write(64), WriteVerdict::Full);
         assert_eq!(s.before_write(1), WriteVerdict::Refuse(FaultKind::NoSpace));
-        assert_eq!(s.tripped(), Some(FaultKind::NoSpace));
+        assert_eq!(s.tripped, Some(FaultKind::NoSpace));
     }
 
     #[test]

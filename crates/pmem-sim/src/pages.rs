@@ -82,11 +82,6 @@ impl PageStore {
         &self.pages[id as usize]
     }
 
-    /// Reads a whole page without charging (test/debug introspection).
-    pub fn read_uncounted(&self, id: PageId) -> &[u8] {
-        &self.pages[id as usize]
-    }
-
     /// Writes `data` at `offset` within the page, charging only the
     /// cachelines the span `[offset, offset + data.len())` touches.
     ///

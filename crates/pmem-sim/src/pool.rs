@@ -312,13 +312,6 @@ impl BufferPool {
         })
     }
 
-    /// Reserves everything still available.
-    pub fn reserve_all(&self) -> Reservation<'_> {
-        let bytes = self.available();
-        self.reserve(bytes)
-            .expect("reserving available bytes cannot fail")
-    }
-
     /// Returns `bytes` from a release to the calling thread's lease
     /// (parked as slack for reuse), or straight to the core if the
     /// thread-local registry is gone.

@@ -65,11 +65,6 @@ impl SpanNode {
         }
     }
 
-    /// Simulated time of the inclusive delta in nanoseconds.
-    pub fn simulated_ns(&self, latency: &crate::LatencyProfile) -> f64 {
-        self.io.time_ns(latency)
-    }
-
     /// Checks the tree invariant: at every node, the children's deltas
     /// sum to at most the parent's (per counter; software time gets a
     /// nanosecond of float tolerance). Returns the offending label on
