@@ -16,10 +16,10 @@
 //! deferred as long as `k ≤ λ`.
 //!
 //! The rule reads only the view's estimated size and the passes' own
-//! source scans, so the pass that materializes is decided before any I/O. The
-//! schedule (`join/kernel.rs`): a build–probe phase of the re-filtering
-//! passes before it, the materializing pass, and a build–probe phase of
-//! the passes over the view after it.
+//! source scans, so the pass that materializes is decided before any
+//! I/O. The schedule (`join/kernel.rs`): a build–probe phase of the
+//! re-filtering passes before it, the materializing pass, and a
+//! build–probe phase of the passes over the view after it.
 
 use crate::deferral::first_materialized_pass;
 use crate::join::common::{partition_of, BuildTable, JoinContext};

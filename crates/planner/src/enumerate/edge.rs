@@ -349,12 +349,7 @@ impl EdgeCost {
         right: PhysicalPlan,
         chain: Option<ChainSlots>,
     ) -> (PhysicalPlan, TableStatistics) {
-        let Arm {
-            algo,
-            swapped,
-            deferred,
-            ..
-        } = self.winner;
+        let Arm { algo, swapped, .. } = self.winner;
         if let (
             true,
             PhysicalPlan::Filter {
@@ -362,7 +357,7 @@ impl EdgeCost {
                 cost,
                 ..
             },
-        ) = (deferred, &mut left)
+        ) = (self.winner.deferred, &mut left)
         {
             *materialization = Materialization::Deferred;
             // The view is never written; its traffic is carried by the
