@@ -128,3 +128,93 @@ fn eq4_optimal_x_is_not_beaten_badly_by_the_sweep() {
         "x* = {x_star:.2} gives {at_star:.4}s vs best swept {best_swept:.4}s"
     );
 }
+
+/// FNV-1a over bytes, folded into a running 64-bit hash.
+fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// The model's decisions over a grid of settings, pinned as one hash:
+/// the informed sort and join choices, the Eq. 6 corner, and the
+/// cheapest sort and join candidate by critical path at DoP 1 and 4.
+/// Only winners are pinned: non-winners may swap places at exact model
+/// ties whenever the cost arithmetic is reassociated.
+#[test]
+fn cost_model_winners_are_pinned() {
+    use write_limited::cost::{
+        choose_join, choose_sort, join_candidates, join_costs, join_parallel_split,
+        sort_candidates, sort_parallel_split,
+    };
+
+    let cheapest = |costs: Vec<(String, f64)>| {
+        costs
+            .into_iter()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("non-empty candidate set")
+            .0
+    };
+    let decisions = |t: f64, v: f64, m: f64, lambda: f64| {
+        let mut line = format!(
+            "{t} {v} {m} {lambda}: {:?} {:?} {:?}",
+            choose_sort(t, m, lambda),
+            choose_join(t, v, m, lambda),
+            join_costs::optimal_hybrid_xy(t, v, m, lambda),
+        );
+        for dop in [1, 4] {
+            let sort = cheapest(
+                sort_candidates(t, m, lambda)
+                    .into_iter()
+                    .map(|a| {
+                        let units = sort_parallel_split(&a, t, m, lambda).critical_path_units(dop);
+                        (format!("{a:?}"), units)
+                    })
+                    .collect(),
+            );
+            let join = cheapest(
+                join_candidates(t, v, m, lambda)
+                    .into_iter()
+                    .map(|a| {
+                        let units =
+                            join_parallel_split(&a, t, v, m, lambda).critical_path_units(dop);
+                        (format!("{a:?}"), units)
+                    })
+                    .collect(),
+            );
+            line.push_str(&format!(" dop{dop} {sort} {join}"));
+        }
+        line
+    };
+
+    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    let mut settings = 0usize;
+    // |T| over 1..=10⁷ buffers in half-decade steps.
+    let sizes = (0..=14).map(|i| (10f64.powf(i as f64 / 2.0)).round());
+    for t in sizes {
+        for ratio in [1.0, 4.0, 10.0] {
+            for frac in [
+                0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0,
+            ] {
+                let m = t * frac;
+                // The sort models need M > 1 buffer.
+                if m <= 1.0 {
+                    continue;
+                }
+                for lambda in [1.0, 2.0, 3.0, 5.0, 8.0, 15.0, 25.0, 40.0] {
+                    hash = fnv1a(hash, decisions(t, t * ratio, m, lambda).as_bytes());
+                    settings += 1;
+                }
+            }
+        }
+    }
+    // The exact Eq. 6 tie: both corners cost 36, the first one wins.
+    hash = fnv1a(hash, decisions(6.0, 6.0, 1.2, 1.0).as_bytes());
+    settings += 1;
+
+    assert!(settings >= 1_900, "only {settings} settings");
+    assert_eq!(
+        hash, 0x5492_8A42_2983_B7F9,
+        "winners moved over {settings} settings: {hash:#018x}"
+    );
+}
