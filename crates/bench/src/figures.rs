@@ -9,7 +9,7 @@ use crate::measure::{measure, Measurement, Operator, Setting};
 use crate::scale::Scale;
 use crate::table::{fmt3, fmt_millions, render_heatmap, table};
 use pmem_sim::{LatencyProfile, LayerKind};
-use write_limited::cost::{estimate_join, estimate_sort, join_costs};
+use write_limited::cost::{join_costs, predict_join_io, predict_sort_io};
 use write_limited::join::JoinAlgorithm;
 use write_limited::sort::SortAlgorithm;
 use write_limited::stats::kendall_tau;
@@ -565,8 +565,12 @@ fn fig12(at: Setting<'_>) -> String {
     for &mem in &scale.mem_fractions {
         let at = Setting { mem, ..at };
         let estimate = |op: &Operator| match op {
-            Operator::Sort(algo) => estimate_sort(algo, sort_buffers, sort_buffers * mem, lambda),
-            Operator::Join(algo) => estimate_join(algo, t_buf, v_buf, t_buf * mem, lambda),
+            Operator::Sort(algo) => {
+                predict_sort_io(algo, sort_buffers, sort_buffers * mem, lambda).cost_units(lambda)
+            }
+            Operator::Join(algo) => {
+                predict_join_io(algo, t_buf, v_buf, t_buf * mem).cost_units(lambda)
+            }
             Operator::AdaptiveJoin => unreachable!("not in Fig. 12's line-up"),
         };
         let mut row = vec![format!("{:.1}%", mem * 100.0)];

@@ -1,31 +1,56 @@
-//! Join cost models (§2.2), in multiples of the read cost `r`.
+//! Join cost models (§2.2) as cacheline read/write splits.
 //!
 //! `t`/`v` are `|T|`/`|V|` in buffer units (`t ≤ v`), `m` is the DRAM
-//! budget, `lambda` the write/read ratio. Output cost is a shared
-//! constant and omitted (as the paper's expressions do).
+//! budget, `lambda` the write/read ratio. Each function returns
+//! `(reads, writes)`; the paper's scalar cost in multiples of the read
+//! cost `r` is `reads + λ·writes` ([`super::IoPrediction::cost_units`]).
+//! Output cost is a shared constant and omitted (as the paper's
+//! expressions do).
 
-/// Grace join: `(λ+2)·(|T|+|V|)` — both inputs read twice, written once.
-pub fn grace_cost(t: f64, v: f64, lambda: f64) -> f64 {
-    (lambda + 2.0) * (t + v)
+/// Grace join (§2.2): `(λ+2)·(|T|+|V|)` — both inputs read twice,
+/// written once.
+pub fn grace_io(t: f64, v: f64) -> (f64, f64) {
+    (2.0 * (t + v), t + v)
 }
 
-/// Block nested loops: `|T| + ⌈|T|/M⌉·|V|` reads, no writes.
-pub fn nlj_cost(t: f64, v: f64, m: f64) -> f64 {
-    t + (t / m).ceil().max(1.0) * v
+/// Cardinality-guided join (library extension): the hot fractions
+/// `hot_t`/`hot_v` of the two inputs skip the Grace partition round-trip
+/// — they are scanned once and never written — so only the cold
+/// remainders pay the second read and the partition write. At
+/// `hot_t = hot_v = 0` this is exactly [`grace_io`].
+pub fn guided_io(t: f64, v: f64, hot_t: f64, hot_v: f64) -> (f64, f64) {
+    let cold_t = (1.0 - hot_t.clamp(0.0, 1.0)) * t;
+    let cold_v = (1.0 - hot_v.clamp(0.0, 1.0)) * v;
+    (t + v + cold_t + cold_v, cold_t + cold_v)
 }
 
-/// Standard hash join over `k = ⌈|T|/M⌉` iterations, each reading the
-/// remainder and rewriting everything but the active partition
-/// (Table 1): `(|T|+|V|)·[(k+1)/2 + λ·(k−1)/2]`.
-pub fn hash_join_cost(t: f64, v: f64, m: f64, lambda: f64) -> f64 {
+/// Block nested loops (§2.2): `|T| + ⌈|T|/M⌉·|V|` reads, no writes.
+pub fn nlj_io(t: f64, v: f64, m: f64) -> (f64, f64) {
+    (t + (t / m).ceil().max(1.0) * v, 0.0)
+}
+
+/// Standard hash join (Table 1) over `k = ⌈|T|/M⌉` iterations, each
+/// reading the remainder and rewriting everything but the active
+/// partition: `(|T|+|V|)·[(k+1)/2 + λ·(k−1)/2]` — `(k+1)/2` average read
+/// passes, `(k−1)/2` average rewrite passes.
+pub fn hash_join_io(t: f64, v: f64, m: f64) -> (f64, f64) {
     let k = (t / m).ceil().max(1.0);
-    (t + v) * ((k + 1.0) / 2.0 + lambda * (k - 1.0) / 2.0)
+    ((t + v) * (k + 1.0) / 2.0, (t + v) * (k - 1.0) / 2.0)
 }
 
 /// Hybrid Grace/nested-loops join (Eq. 6):
-/// `(2+λ)(x|T| + y|V|) + (1−x)|T| + |T||V|/M·(1−xy)`.
-pub fn hybrid_cost(t: f64, v: f64, m: f64, lambda: f64, x: f64, y: f64) -> f64 {
-    (2.0 + lambda) * (x * t + y * v) + (1.0 - x) * t + (t * v / m) * (1.0 - x * y)
+/// `(2+λ)(x|T| + y|V|) + (1−x)|T| + |T||V|/M·(1−xy)` — the materialized
+/// fractions are written once and read twice; the rest is iterated.
+pub fn hybrid_io(t: f64, v: f64, m: f64, x: f64, y: f64) -> (f64, f64) {
+    let writes = x * t + y * v;
+    let reads = 2.0 * (x * t + y * v) + (1.0 - x) * t + (t * v / m) * (1.0 - x * y);
+    (reads, writes)
+}
+
+/// The scalar cost of a split at write/read ratio `lambda`:
+/// `reads + λ·writes`.
+fn units((reads, writes): (f64, f64), lambda: f64) -> f64 {
+    reads + lambda * writes
 }
 
 /// The saddle point of Eq. 6 (Eqs. 7–8): `y_h = M(λ+1)/|V|`,
@@ -47,7 +72,7 @@ pub fn optimal_hybrid_xy(t: f64, v: f64, m: f64, lambda: f64) -> (f64, f64) {
     let mut best = (0.0, 0.0);
     let mut best_cost = f64::INFINITY;
     for corner in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
-        let c = hybrid_cost(t, v, m, lambda, corner.0, corner.1);
+        let c = units(hybrid_io(t, v, m, corner.0, corner.1), lambda);
         if c < best_cost {
             best_cost = c;
             best = corner;
@@ -67,7 +92,7 @@ pub fn hybrid_cost_surface(t: f64, v: f64, m: f64, lambda: f64, steps: usize) ->
             (0..=steps)
                 .map(|i| {
                     let x = i as f64 / steps as f64;
-                    hybrid_cost(t, v, m, lambda, x, y)
+                    units(hybrid_io(t, v, m, x, y), lambda)
                 })
                 .collect()
         })
@@ -78,15 +103,14 @@ pub fn hybrid_cost_surface(t: f64, v: f64, m: f64, lambda: f64, steps: usize) ->
 /// `(|T|+|V|)·(1 + (λ+1)·x/k + (k−x))`, with the initial offload scan
 /// elided at `x = 0` (matching the implementation, which has nothing to
 /// offload then).
-pub fn segmented_cost(t: f64, v: f64, m: f64, lambda: f64, x: usize) -> f64 {
+pub fn segmented_io(t: f64, v: f64, m: f64, x: usize) -> (f64, f64) {
     let k = (t / m).ceil().max(1.0);
     let x = (x as f64).min(k);
-    let scan = if x > 0.0 {
-        1.0 + (lambda + 1.0) * x / k
+    if x > 0.0 {
+        ((t + v) * (1.0 + x / k + (k - x)), (t + v) * x / k)
     } else {
-        0.0
-    };
-    (t + v) * (scan + (k - x))
+        ((t + v) * k, 0.0)
+    }
 }
 
 /// Eq. 10: the materialization count below which SegJ beats plain Grace
@@ -102,54 +126,6 @@ pub fn segmented_beats_grace_bound(k: f64, lambda: f64) -> Option<f64> {
     (bound > 0.0).then_some(bound)
 }
 
-/// Read/write split of [`grace_cost`]: both inputs read twice, written
-/// once.
-pub fn grace_io(t: f64, v: f64) -> (f64, f64) {
-    (2.0 * (t + v), t + v)
-}
-
-/// Read/write split of the cardinality-guided join (library extension):
-/// the hot fractions `hot_t`/`hot_v` of the two inputs skip the Grace
-/// partition round-trip — they are scanned once and never written — so
-/// only the cold remainders pay the second read and the partition write.
-/// At `hot_t = hot_v = 0` this is exactly [`grace_io`].
-pub fn guided_io(t: f64, v: f64, hot_t: f64, hot_v: f64) -> (f64, f64) {
-    let cold_t = (1.0 - hot_t.clamp(0.0, 1.0)) * t;
-    let cold_v = (1.0 - hot_v.clamp(0.0, 1.0)) * v;
-    (t + v + cold_t + cold_v, cold_t + cold_v)
-}
-
-/// Read/write split of [`nlj_cost`]: reads only.
-pub fn nlj_io(t: f64, v: f64, m: f64) -> (f64, f64) {
-    (t + (t / m).ceil().max(1.0) * v, 0.0)
-}
-
-/// Read/write split of [`hash_join_cost`]: `(k+1)/2` average read
-/// passes, `(k−1)/2` average rewrite passes.
-pub fn hash_join_io(t: f64, v: f64, m: f64) -> (f64, f64) {
-    let k = (t / m).ceil().max(1.0);
-    ((t + v) * (k + 1.0) / 2.0, (t + v) * (k - 1.0) / 2.0)
-}
-
-/// Read/write split of [`hybrid_cost`] (Eq. 6): the materialized
-/// fractions are written once and read twice; the rest is iterated.
-pub fn hybrid_io(t: f64, v: f64, m: f64, x: f64, y: f64) -> (f64, f64) {
-    let writes = x * t + y * v;
-    let reads = 2.0 * (x * t + y * v) + (1.0 - x) * t + (t * v / m) * (1.0 - x * y);
-    (reads, writes)
-}
-
-/// Read/write split of [`segmented_cost`] (Eq. 9).
-pub fn segmented_io(t: f64, v: f64, m: f64, x: usize) -> (f64, f64) {
-    let k = (t / m).ceil().max(1.0);
-    let x = (x as f64).min(k);
-    if x > 0.0 {
-        ((t + v) * (1.0 + x / k + (k - x)), (t + v) * x / k)
-    } else {
-        ((t + v) * k, 0.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,19 +136,17 @@ mod tests {
 
     #[test]
     fn grace_beats_hash_join_beyond_one_iteration() {
-        assert!(grace_cost(T, V, 15.0) < hash_join_cost(T, V, M, 15.0));
+        assert!(units(grace_io(T, V), 15.0) < units(hash_join_io(T, V, M), 15.0));
         // k = 1: hash join is a single in-memory pass and wins.
-        assert!(hash_join_cost(T, V, T * 2.0, 15.0) < grace_cost(T, V, 15.0));
+        assert!(units(hash_join_io(T, V, T * 2.0), 15.0) < units(grace_io(T, V), 15.0));
     }
 
     #[test]
     fn hybrid_extremes_recover_baselines() {
-        // x = y = 1 → pure Grace: (2+λ)(t+v).
-        let full = hybrid_cost(T, V, M, 15.0, 1.0, 1.0);
-        assert!((full - grace_cost(T, V, 15.0)).abs() < 1e-6);
-        // x = y = 0 → pure NLJ: t + tv/m.
-        let none = hybrid_cost(T, V, M, 15.0, 0.0, 0.0);
-        assert!((none - (T + T * V / M)).abs() < 1e-6);
+        // x = y = 1 → pure Grace: both inputs read twice, written once.
+        assert_eq!(hybrid_io(T, V, M, 1.0, 1.0), grace_io(T, V));
+        // x = y = 0 → pure NLJ: t + tv/m reads, no writes.
+        assert_eq!(hybrid_io(T, V, M, 0.0, 0.0), (T + T * V / M, 0.0));
     }
 
     #[test]
@@ -180,9 +154,11 @@ mod tests {
         let (x, y) = hybrid_saddle(T, V, M, 5.0);
         // ∂J/∂x = 0 at y_h; ∂J/∂y = 0 at x_h (checked via finite diff).
         let eps = 1e-4;
-        let d_dx = (hybrid_cost(T, V, M, 5.0, x + eps, y) - hybrid_cost(T, V, M, 5.0, x - eps, y))
+        let d_dx = (units(hybrid_io(T, V, M, x + eps, y), 5.0)
+            - units(hybrid_io(T, V, M, x - eps, y), 5.0))
             / (2.0 * eps);
-        let d_dy = (hybrid_cost(T, V, M, 5.0, x, y + eps) - hybrid_cost(T, V, M, 5.0, x, y - eps))
+        let d_dy = (units(hybrid_io(T, V, M, x, y + eps), 5.0)
+            - units(hybrid_io(T, V, M, x, y - eps), 5.0))
             / (2.0 * eps);
         assert!(d_dx.abs() < 1.0, "∂J/∂x = {d_dx}");
         assert!(d_dy.abs() < 1.0, "∂J/∂y = {d_dy}");
@@ -197,7 +173,7 @@ mod tests {
             let x = i as f64 / steps as f64;
             for j in 0..=steps {
                 let y = j as f64 / steps as f64;
-                let c = hybrid_cost(t, v, m, lambda, x, y);
+                let c = units(hybrid_io(t, v, m, x, y), lambda);
                 if c < best_cost {
                     best_cost = c;
                     best = (x, y);
@@ -210,9 +186,9 @@ mod tests {
     #[test]
     fn grid_search_beats_corners_when_interior_wins() {
         let (x, y) = optimal_hybrid_xy(T, V, M, 5.0);
-        let c = hybrid_cost(T, V, M, 5.0, x, y);
+        let c = units(hybrid_io(T, V, M, x, y), 5.0);
         for (cx, cy) in [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (1.0, 0.0)] {
-            assert!(c <= hybrid_cost(T, V, M, 5.0, cx, cy) + 1e-9);
+            assert!(c <= units(hybrid_io(T, V, M, cx, cy), 5.0) + 1e-9);
         }
     }
 
@@ -286,8 +262,8 @@ mod tests {
         );
         // Integer ties exist and take the scan's first minimum: t = v = 6,
         // λ = 1, m = 1.2 puts both corners at 36.
-        assert_eq!(hybrid_cost(6.0, 6.0, 1.2, 1.0, 0.0, 0.0), 36.0);
-        assert_eq!(hybrid_cost(6.0, 6.0, 1.2, 1.0, 1.0, 1.0), 36.0);
+        assert_eq!(units(hybrid_io(6.0, 6.0, 1.2, 0.0, 0.0), 1.0), 36.0);
+        assert_eq!(units(hybrid_io(6.0, 6.0, 1.2, 1.0, 1.0), 1.0), 36.0);
         assert_eq!(optimal_hybrid_xy(6.0, 6.0, 1.2, 1.0), (0.0, 0.0));
         check(6.0, 6.0, 1.2, 1.0);
     }
@@ -305,50 +281,27 @@ mod tests {
     #[test]
     fn segmented_full_materialization_tracks_grace() {
         let k = (T / M).ceil() as usize;
-        let seg = segmented_cost(T, V, M, 15.0, k);
         // Eq. 9 at x = k: (t+v)(1 + (λ+1)) = (λ+2)(t+v) = Grace.
-        assert!((seg - grace_cost(T, V, 15.0)).abs() < 1e-6);
+        let (seg, grace) = (segmented_io(T, V, M, k), grace_io(T, V));
+        assert!((seg.0 - grace.0).abs() < 1e-6 && (seg.1 - grace.1).abs() < 1e-6);
     }
 
     #[test]
     fn segmented_zero_materialization_is_iterate_only() {
-        let seg = segmented_cost(T, V, M, 15.0, 0);
         let k = (T / M).ceil();
-        assert!((seg - (T + V) * k).abs() < 1e-6);
-    }
-
-    #[test]
-    fn io_splits_reconstruct_the_scalar_costs() {
-        for lambda in [1.0, 2.0, 8.0, 15.0] {
-            let (r, w) = grace_io(T, V);
-            assert!((r + lambda * w - grace_cost(T, V, lambda)).abs() < 1e-6);
-            let (r, w) = nlj_io(T, V, M);
-            assert!((r + lambda * w - nlj_cost(T, V, M)).abs() < 1e-6);
-            let (r, w) = hash_join_io(T, V, M);
-            assert!((r + lambda * w - hash_join_cost(T, V, M, lambda)).abs() < 1e-6);
-            for (x, y) in [(0.0, 0.0), (0.5, 0.5), (1.0, 0.2), (0.3, 1.0)] {
-                let (r, w) = hybrid_io(T, V, M, x, y);
-                assert!(
-                    (r + lambda * w - hybrid_cost(T, V, M, lambda, x, y)).abs() < 1e-6,
-                    "hybrid λ={lambda} x={x} y={y}"
-                );
-            }
-            for x in [0usize, 3, 7, 10] {
-                let (r, w) = segmented_io(T, V, M, x);
-                assert!(
-                    (r + lambda * w - segmented_cost(T, V, M, lambda, x)).abs() < 1e-6,
-                    "segmented λ={lambda} x={x}"
-                );
-            }
-        }
+        assert_eq!(segmented_io(T, V, M, 0), ((T + V) * k, 0.0));
     }
 
     #[test]
     fn eq10_bound_behaves() {
-        // λ large relative to k: every partition materialization pays off
-        // only below the bound; bound positive and below k.
-        if let Some(b) = segmented_beats_grace_bound(4.0, 20.0) {
-            assert!(b > 0.0);
+        // λ large relative to k = 4: below the bound, materializing fewer
+        // than all k partitions undercuts Grace.
+        let (t, lambda) = (4.0 * M, 20.0);
+        let b = segmented_beats_grace_bound(4.0, lambda).expect("positive bound");
+        let grace = units(grace_io(t, V), lambda);
+        for x in (0..4usize).filter(|&x| (x as f64) < b) {
+            let seg = units(segmented_io(t, V, M, x), lambda);
+            assert!(seg < grace, "x={x}: SegJ {seg} vs GJ {grace}");
         }
         // Degenerate denominator.
         assert!(segmented_beats_grace_bound(4.0, 15.0).is_none());

@@ -2,9 +2,13 @@
 //!
 //! The paper's premise is that the write-limited algorithms are only
 //! useful together with cost expressions an optimizer can rank (§4.2.3).
-//! [`sort_costs`] and [`join_costs`] implement the expressions; the
-//! functions here use them to *choose* algorithms and intensities — the
-//! "informed" portion allocation of §2.
+//! Every one of those expressions has the form `reads + λ·writes`, so the
+//! model is the read/write split: [`sort_costs`] and [`join_costs`] give
+//! one `*_io` function per algorithm, each documented with its equation,
+//! and [`predict_sort_io`] / [`predict_join_io`] dispatch to them as an
+//! [`IoPrediction`]. The scalar cost is derived, never written twice:
+//! [`IoPrediction::cost_units`]. The functions here use it to *choose*
+//! algorithms and intensities — the "informed" portion allocation of §2.
 
 pub mod join_costs;
 pub mod sort_costs;
@@ -13,9 +17,10 @@ use crate::join::JoinAlgorithm;
 use crate::sort::SortAlgorithm;
 
 /// A cost prediction split into its cacheline read and write sides, in
-/// cachelines (the paper's buffer units). `reads + λ·writes` recovers
-/// the scalar Eqs. 1–11 costs; the split is what a plan-level
-/// predicted-vs-measured comparison (Fig. 12 at plan granularity) needs.
+/// cachelines (the paper's buffer units). `reads + λ·writes`
+/// ([`IoPrediction::cost_units`]) is the scalar Eqs. 1–11 cost; the
+/// split is also what a plan-level predicted-vs-measured comparison
+/// (Fig. 12 at plan granularity) needs.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IoPrediction {
     /// Predicted cacheline reads.
@@ -46,13 +51,13 @@ impl IoPrediction {
     }
 }
 
-/// Predicts the cacheline read/write traffic of a sort algorithm.
-/// Decomposes [`estimate_sort`] exactly: `reads + λ·writes` equals it.
+/// Predicts the cacheline read/write traffic of a sort algorithm. Sizes
+/// in buffers; `lambda` only steers LaS's Eq. 5 trigger.
 pub fn predict_sort_io(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) -> IoPrediction {
     let (reads, writes) = match algo {
-        SortAlgorithm::ExMS => sort_costs::exms_io(t, m, lambda),
-        SortAlgorithm::SegS { x } => sort_costs::segment_io(t, m, lambda, *x),
-        SortAlgorithm::HybS { x } => sort_costs::hybrid_io(t, m, lambda, *x),
+        SortAlgorithm::ExMS => sort_costs::exms_io(t, m),
+        SortAlgorithm::SegS { x } => sort_costs::segment_io(t, m, *x),
+        SortAlgorithm::HybS { x } => sort_costs::hybrid_io(t, m, *x),
         SortAlgorithm::LaS => sort_costs::lazy_sort_io(t, m, lambda),
         SortAlgorithm::SelS => sort_costs::selection_io(t, m),
     };
@@ -61,8 +66,8 @@ pub fn predict_sort_io(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) -> IoP
 
 /// Predicts the cacheline read/write traffic of a join algorithm
 /// (excluding the shared output-materialization constant, as the paper's
-/// expressions do). Decomposes [`estimate_join`] exactly.
-pub fn predict_join_io(algo: &JoinAlgorithm, t: f64, v: f64, m: f64, lambda: f64) -> IoPrediction {
+/// expressions do). Sizes in buffers, `t ≤ v`.
+pub fn predict_join_io(algo: &JoinAlgorithm, t: f64, v: f64, m: f64) -> IoPrediction {
     let (reads, writes) = match algo {
         JoinAlgorithm::NLJ => join_costs::nlj_io(t, v, m),
         JoinAlgorithm::GJ => join_costs::grace_io(t, v),
@@ -73,12 +78,15 @@ pub fn predict_join_io(algo: &JoinAlgorithm, t: f64, v: f64, m: f64, lambda: f64
             join_costs::segmented_io(t, v, m, ((k * frac).round()) as usize)
         }
         JoinAlgorithm::LaJ => {
+            // Structural estimate: k lazy iterations over the full
+            // inputs; Eq. 11 materializations are rare at high λ.
             let k = (t / m).ceil().max(1.0);
             ((t + v) * k, 0.0)
         }
         JoinAlgorithm::SMJ { x } => {
-            let (lr, lw) = sort_costs::segment_io(t, m, lambda, *x);
-            let (rr, rw) = sort_costs::segment_io(v, m, lambda, *x);
+            // Two segment sorts plus one co-scan of the sorted inputs.
+            let (lr, lw) = sort_costs::segment_io(t, m, *x);
+            let (rr, rw) = sort_costs::segment_io(v, m, *x);
             (lr + rr + t + v, lw + rw)
         }
         // Without catalog statistics the hot fractions are unknown; the
@@ -168,7 +176,7 @@ pub fn join_parallel_split(
     m: f64,
     lambda: f64,
 ) -> ParallelSplit {
-    let total = estimate_join(algo, t, v, m, lambda);
+    let total = predict_join_io(algo, t, v, m).cost_units(lambda);
     let k = (t / m).ceil().max(1.0);
     match algo {
         // CGJ's two scans and partition-pair joins overlap exactly like
@@ -218,8 +226,9 @@ pub fn join_parallel_split(
             partitions: k,
         },
         JoinAlgorithm::SMJ { x } => {
-            let sorts = sort_costs::segment_cost(t, m, lambda, *x)
-                + sort_costs::segment_cost(v, m, lambda, *x);
+            let (lr, lw) = sort_costs::segment_io(t, m, *x);
+            let (rr, rw) = sort_costs::segment_io(v, m, *x);
+            let sorts = lr + rr + lambda * (lw + rw);
             ParallelSplit {
                 serial: sorts.min(total),
                 parallel: (total - sorts).max(0.0),
@@ -236,7 +245,7 @@ pub fn join_parallel_split(
 /// algorithms' deferred selection streams regenerate by rescanning the
 /// input, so they stay serial.
 pub fn sort_parallel_split(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) -> ParallelSplit {
-    let total = estimate_sort(algo, t, m, lambda);
+    let total = predict_sort_io(algo, t, m, lambda).cost_units(lambda);
     match algo {
         SortAlgorithm::ExMS => {
             // Run generation: one task per 4M-record chunk. Merge
@@ -280,8 +289,8 @@ pub fn sort_candidates(t: f64, m: f64, lambda: f64) -> Vec<SortAlgorithm> {
 /// (deduplicated when they coincide), and LaJ. SMJ is deliberately
 /// excluded: it is a library extension outside the paper's §2.2
 /// line-up, so the informed choice stays within the paper's field —
-/// callers wanting it can cost it via [`estimate_join`] /
-/// [`predict_join_io`] directly. Exposed for plan enumerators.
+/// callers wanting it can cost it via [`predict_join_io`] directly.
+/// Exposed for plan enumerators.
 pub fn join_candidates(t: f64, v: f64, m: f64, lambda: f64) -> Vec<JoinAlgorithm> {
     let (x, y) = join_costs::optimal_hybrid_xy(t, v, m, lambda);
     let k = (t / m).ceil().max(1.0);
@@ -311,63 +320,18 @@ fn dedup_in_order<T: PartialEq>(items: Vec<T>) -> Vec<T> {
     out
 }
 
-/// Estimates the cost of a sort algorithm in read units (`r = 1`).
-/// Sizes in buffers. Lazy algorithms get a structural estimate; the
-/// paper's Fig. 12 excludes them from ranking because their decisions
-/// are dynamic.
-pub fn estimate_sort(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) -> f64 {
-    match algo {
-        SortAlgorithm::ExMS => sort_costs::exms_cost(t, m, lambda),
-        SortAlgorithm::SegS { x } => sort_costs::segment_cost(t, m, lambda, *x),
-        SortAlgorithm::HybS { x } => sort_costs::hybrid_cost(t, m, lambda, *x),
-        SortAlgorithm::LaS => sort_costs::lazy_sort_cost(t, m, lambda),
-        SortAlgorithm::SelS => sort_costs::selection_cost(t, m, lambda),
-    }
-}
-
-/// Estimates the cost of a join algorithm in read units. Sizes in
-/// buffers, `t ≤ v`.
-pub fn estimate_join(algo: &JoinAlgorithm, t: f64, v: f64, m: f64, lambda: f64) -> f64 {
-    match algo {
-        JoinAlgorithm::NLJ => join_costs::nlj_cost(t, v, m),
-        JoinAlgorithm::GJ => join_costs::grace_cost(t, v, lambda),
-        JoinAlgorithm::HJ => join_costs::hash_join_cost(t, v, m, lambda),
-        JoinAlgorithm::HybJ { x, y } => join_costs::hybrid_cost(t, v, m, lambda, *x, *y),
-        JoinAlgorithm::SegJ { frac } => {
-            let k = (t / m).ceil().max(1.0);
-            join_costs::segmented_cost(t, v, m, lambda, ((k * frac).round()) as usize)
-        }
-        JoinAlgorithm::LaJ => {
-            // Structural estimate: k lazy iterations over the full inputs,
-            // Eq. 11 materializations are rare at high λ.
-            let k = (t / m).ceil().max(1.0);
-            (t + v) * k
-        }
-        JoinAlgorithm::SMJ { x } => {
-            // Two segment sorts plus one co-scan of the sorted inputs.
-            sort_costs::segment_cost(t, m, lambda, *x)
-                + sort_costs::segment_cost(v, m, lambda, *x)
-                + (t + v)
-        }
-        JoinAlgorithm::CGJ => {
-            let (reads, writes) = join_costs::guided_io(t, v, 0.0, 0.0);
-            reads + lambda * writes
-        }
-    }
-}
-
 /// Picks the cheapest sort among ExMS, cost-optimal SegS, HybS sweeps,
-/// and SelS — the system-driven "informed" choice. LaS is excluded, as
-/// in the paper's Fig. 12 ranking: its decisions are dynamic, so the
-/// structural estimate is not comparable.
+/// and SelS — the system-driven "informed" choice, by
+/// `reads + λ·writes`. LaS is excluded, as in the paper's Fig. 12
+/// ranking: its decisions are dynamic, so the structural estimate is not
+/// comparable.
 pub fn choose_sort(t: f64, m: f64, lambda: f64) -> SortAlgorithm {
     sort_candidates(t, m, lambda)
         .into_iter()
         .filter(|a| !matches!(a, SortAlgorithm::LaS))
         .min_by(|a, b| {
-            estimate_sort(a, t, m, lambda)
-                .partial_cmp(&estimate_sort(b, t, m, lambda))
-                .expect("finite costs")
+            let units = |algo| predict_sort_io(algo, t, m, lambda).cost_units(lambda);
+            units(a).partial_cmp(&units(b)).expect("finite costs")
         })
         .expect("non-empty candidate set")
 }
@@ -380,9 +344,8 @@ pub fn choose_join(t: f64, v: f64, m: f64, lambda: f64) -> JoinAlgorithm {
         .into_iter()
         .filter(|a| !matches!(a, JoinAlgorithm::LaJ))
         .min_by(|a, b| {
-            estimate_join(a, t, v, m, lambda)
-                .partial_cmp(&estimate_join(b, t, v, m, lambda))
-                .expect("finite costs")
+            let units = |algo| predict_join_io(algo, t, v, m).cost_units(lambda);
+            units(a).partial_cmp(&units(b)).expect("finite costs")
         })
         .expect("non-empty candidate set")
 }
@@ -422,48 +385,21 @@ mod tests {
 
     #[test]
     fn estimates_are_positive_and_finite() {
-        for algo in [
-            JoinAlgorithm::NLJ,
-            JoinAlgorithm::GJ,
-            JoinAlgorithm::HJ,
-            JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
-            JoinAlgorithm::SegJ { frac: 0.5 },
-            JoinAlgorithm::LaJ,
-        ] {
-            let c = estimate_join(&algo, 10_000.0, 100_000.0, 1_000.0, 15.0);
-            assert!(c.is_finite() && c > 0.0, "{algo:?}: {c}");
-        }
-    }
-
-    #[test]
-    fn io_predictions_decompose_the_estimates() {
         let (t, v, m) = (10_000.0, 100_000.0, 1_000.0);
         for lambda in [1.0, 8.0, 15.0] {
-            for algo in sort_candidates(t, m, lambda) {
-                let p = predict_sort_io(&algo, t, m, lambda);
-                let e = estimate_sort(&algo, t, m, lambda);
-                assert!(
-                    (p.cost_units(lambda) - e).abs() < 1e-6,
-                    "{}: {} vs {e}",
-                    algo.label(),
-                    p.cost_units(lambda)
-                );
-                assert!(p.reads >= 0.0 && p.writes >= 0.0);
-            }
-            // SMJ is not in join_candidates (outside the paper's §2.2
-            // line-up) but its split must still decompose the estimate.
-            let with_smj = join_candidates(t, v, m, lambda)
+            let sorts = sort_candidates(t, m, lambda)
                 .into_iter()
-                .chain([JoinAlgorithm::SMJ { x: 0.5 }, JoinAlgorithm::SMJ { x: 0.2 }]);
-            for algo in with_smj {
-                let p = predict_join_io(&algo, t, v, m, lambda);
-                let e = estimate_join(&algo, t, v, m, lambda);
-                assert!(
-                    (p.cost_units(lambda) - e).abs() < 1e-6,
-                    "{}: {} vs {e}",
-                    algo.label(),
-                    p.cost_units(lambda)
-                );
+                .map(|algo| (algo.label(), predict_sort_io(&algo, t, m, lambda)));
+            // SMJ is not in join_candidates (outside the paper's §2.2
+            // line-up) but the planner may still cost it.
+            let joins = join_candidates(t, v, m, lambda)
+                .into_iter()
+                .chain([JoinAlgorithm::SMJ { x: 0.5 }, JoinAlgorithm::SMJ { x: 0.2 }])
+                .map(|algo| (algo.label(), predict_join_io(&algo, t, v, m)));
+            for (label, p) in sorts.chain(joins) {
+                assert!(p.reads >= 0.0 && p.writes >= 0.0, "{label}: {p:?}");
+                let c = p.cost_units(lambda);
+                assert!(c.is_finite() && c > 0.0, "{label}: {c}");
             }
         }
     }
@@ -526,7 +462,7 @@ mod tests {
         let (t, v, m, lambda) = (10_000.0, 100_000.0, 1_000.0, 15.0);
         for algo in join_candidates(t, v, m, lambda) {
             let split = join_parallel_split(&algo, t, v, m, lambda);
-            let total = estimate_join(&algo, t, v, m, lambda);
+            let total = predict_join_io(&algo, t, v, m).cost_units(lambda);
             assert!(
                 (split.critical_path_units(1) - total).abs() < 1e-6,
                 "{}: {} vs {total}",
@@ -536,7 +472,7 @@ mod tests {
         }
         for algo in sort_candidates(t, m, lambda) {
             let split = sort_parallel_split(&algo, t, m, lambda);
-            let total = estimate_sort(&algo, t, m, lambda);
+            let total = predict_sort_io(&algo, t, m, lambda).cost_units(lambda);
             assert!((split.critical_path_units(1) - total).abs() < 1e-6);
         }
     }

@@ -162,7 +162,7 @@ impl Planner {
                 if grace_family(&algo) && !self.grace_ok(t_rows) {
                     continue;
                 }
-                let io = predict_join_io(&algo, t, v, self.m_buffers, self.lambda);
+                let io = predict_join_io(&algo, t, v, self.m_buffers);
                 field.push(arm(algo, swapped, io, t, v));
             }
         }

@@ -7,7 +7,7 @@
 
 use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};
 use wisconsin::{sort_input, KeyOrder};
-use write_limited::cost::sort_costs::{optimal_segment_x, segment_cost};
+use write_limited::cost::sort_costs::{optimal_segment_x, segment_io};
 use write_limited::sort::{segment_sort, SortContext};
 
 fn main() {
@@ -50,10 +50,13 @@ fn main() {
     let m = t * mem_fraction;
     let lambda = pmem_sim::LatencyProfile::PCM.lambda();
     match optimal_segment_x(t, m, lambda) {
-        Some(x) => println!(
-            "\nEq. 4 optimal x = {x:.2} (estimated cost {:.0} read units)",
-            segment_cost(t, m, lambda, x)
-        ),
+        Some(x) => {
+            let (reads, writes) = segment_io(t, m, x);
+            println!(
+                "\nEq. 4 optimal x = {x:.2} (estimated cost {:.0} read units)",
+                reads + lambda * writes
+            );
+        }
         None => println!(
             "\nEq. 4 has no interior optimum here (λ = {lambda} too high for |T|/M = {:.0}) — \
              pure selection sort (x = 0) minimizes writes",

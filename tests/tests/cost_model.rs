@@ -3,7 +3,7 @@
 
 use pmem_sim::{BufferPool, LatencyProfile, LayerKind, PCollection, PmDevice};
 use wisconsin::{join_input, sort_input, KeyOrder};
-use write_limited::cost::{estimate_join, estimate_sort};
+use write_limited::cost::{predict_join_io, predict_sort_io};
 use write_limited::join::{JoinAlgorithm, JoinContext};
 use write_limited::sort::{SortAlgorithm, SortContext};
 use write_limited::stats::kendall_tau;
@@ -38,7 +38,7 @@ fn sort_cost_model_concordance_is_high() {
             let before = dev.snapshot();
             algo.run(&input, &ctx, "s").expect("valid");
             let stats = dev.snapshot().since(&before);
-            est.push(estimate_sort(algo, t, t * frac, lambda));
+            est.push(predict_sort_io(algo, t, t * frac, lambda).cost_units(lambda));
             meas.push(stats.time_secs(&LatencyProfile::PCM));
         }
         let tau = kendall_tau(&est, &meas).expect("defined");
@@ -79,7 +79,7 @@ fn join_cost_model_concordance_is_high() {
                 continue;
             }
             let stats = dev.snapshot().since(&before);
-            est.push(estimate_join(algo, t, v, t * frac, lambda));
+            est.push(predict_join_io(algo, t, v, t * frac).cost_units(lambda));
             meas.push(stats.time_secs(&LatencyProfile::PCM));
         }
         let tau = kendall_tau(&est, &meas).expect("defined");
