@@ -1,7 +1,7 @@
 //! The one measured cell: stage a workload on a fresh device, run one
 //! operator of a figure's line-up, and report simulated time plus
 //! cacheline traffic. The speedup matrix and the span profile stage and
-//! run their operators through the same [`stage`] and [`run`].
+//! run their operators through the same `stage` and `run`.
 
 use crate::scale::Scale;
 use pmem_sim::{

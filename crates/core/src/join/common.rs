@@ -303,8 +303,8 @@ impl<L: Record> BuildTable<L> {
 
     /// Probes with `right`, serializing one pair per match into a DRAM
     /// buffer — the probe of one decoded record (encoded once, then
-    /// [`BuildTable::probe_bytes`]), and the per-record reference the
-    /// probe kernel [`BuildTable::probe_run`] is tested against.
+    /// `BuildTable::probe_bytes`), and the per-record reference the
+    /// probe kernel `BuildTable::probe_run` is tested against.
     pub fn probe_buffered<R: Record>(&self, right: &R, out: &mut RecordBuffer<Pair<L, R>>) {
         let mut stored = vec![0; R::SIZE];
         right.write_to(&mut stored);

@@ -44,7 +44,7 @@ fn mix64(key: u64, seed: u64) -> u64 {
 }
 
 /// Seeded HLL-style distinct-count sketch: each key hashes into one of
-/// [`SKETCH_REGISTERS`] registers, which retains the maximum
+/// `SKETCH_REGISTERS` registers, which retains the maximum
 /// leading-zero rank observed. O(1) insert, O(registers) estimate.
 #[derive(Clone, Debug)]
 pub struct DistinctSketch {
@@ -105,7 +105,7 @@ struct Bucket {
     distinct: u64,
 }
 
-/// Equi-depth key histogram: ~[`HISTOGRAM_BUCKETS`] buckets of roughly
+/// Equi-depth key histogram: ~`HISTOGRAM_BUCKETS` buckets of roughly
 /// equal row counts, each recording its key range, row count, and
 /// distinct count. Selectivity lookups interpolate within the
 /// straddling bucket.
