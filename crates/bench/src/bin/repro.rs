@@ -13,8 +13,8 @@
 //! repro --wall-gap-smoke  # GJ/HJ/ExMS wall-vs-critical-path gap (host-tolerant floor)
 //! repro --profile         # span-tree profile (DoP 1 vs 4); writes BENCH_profile.json
 //! repro --skew            # Zipf-star adaptive-vs-static sweep (counters, cut, τ)
-//! repro --threads 4 ...   # degree of parallelism for every scenario (= WL_THREADS)
 //! WL_SCALE=quick repro --all   # WL_SCALE: quick, default (unset) or paper
+//! WL_THREADS=4 repro ...       # degree of parallelism for every scenario
 //! ```
 //!
 //! Table 1, the figures, the ablations, the plan sweep and the skew
@@ -64,21 +64,9 @@ fn breakdown_demo(scale: &wl_bench::Scale) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--threads N` sets the default degree of parallelism for every
-    // scenario. The flag is explicit, so it outranks the `WL_THREADS`
-    // environment variable via the shared resolver.
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        let n: usize = args
-            .get(i + 1)
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .expect("usage: repro --threads <N> (positive integer)");
-        write_limited::parallel::set_default_threads(n);
-        args.drain(i..i + 2);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let scale = Scale::from_env();
-    let threads = write_limited::parallel::degree_from_env();
+    let threads = write_limited::parallel::resolve_threads(None);
     eprintln!(
         "scale: sort_n={}, join |T|={}, fanout={}, threads={threads}",
         scale.sort_n, scale.join_t, scale.join_fanout,

@@ -31,7 +31,7 @@ impl<'p> ExecContext<'p> {
             kind,
             pool,
             next_id: AtomicU64::new(0),
-            threads: parallel::degree_from_env(),
+            threads: parallel::resolve_threads(None),
         }
     }
 

@@ -38,31 +38,19 @@ use std::time::Instant;
 /// Environment variable holding the default degree of parallelism.
 pub const THREADS_ENV: &str = "WL_THREADS";
 
-/// Process-wide explicit degree of parallelism (0 = unset). Set by CLI
-/// flags like `repro --threads N`; outranks the environment variable.
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Installs a process-wide explicit degree of parallelism, as a CLI
-/// `--threads` flag does. Outranks `WL_THREADS` in [`resolve_threads`];
-/// pass 0 to clear it.
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads, Ordering::Relaxed);
-}
-
 /// The one knob-precedence rule for the degree of parallelism, shared by
 /// every context, operator, and binary:
 ///
-/// 1. an explicit per-call setting (`with_threads`, a session knob),
-/// 2. a process-wide explicit setting ([`set_default_threads`], i.e. a
-///    `--threads` CLI flag),
-/// 3. the `WL_THREADS` environment variable,
-/// 4. serial (1), matching the paper's single-threaded implementation.
+/// 1. an explicit setting (`with_threads`, the database builder's
+///    `threads`, a session's `SET threads`, `wlsql --threads`),
+/// 2. the `WL_THREADS` environment variable,
+/// 3. serial (1), matching the paper's single-threaded implementation.
 ///
 /// Zero and unparsable values are treated as unset at every level.
+/// `resolve_threads(None)` is the default every context starts from.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
     explicit
         .filter(|&n| n > 0)
-        .or_else(|| Some(DEFAULT_THREADS.load(Ordering::Relaxed)).filter(|&n| n > 0))
         .or_else(|| {
             std::env::var(THREADS_ENV)
                 .ok()
@@ -70,12 +58,6 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
                 .filter(|&n| n > 0)
         })
         .unwrap_or(1)
-}
-
-/// The default degree of parallelism when nothing explicit was given:
-/// [`resolve_threads`] with no per-call override.
-pub fn degree_from_env() -> usize {
-    resolve_threads(None)
 }
 
 /// One task's result plus the traffic its worker charged while running
@@ -392,15 +374,15 @@ mod tests {
     fn degree_from_env_defaults_to_serial() {
         // The variable is unset in the test environment unless the CI
         // matrix sets it; accept either but require a positive degree.
-        assert!(degree_from_env() >= 1);
+        assert!(resolve_threads(None) >= 1);
     }
 
     #[test]
     fn explicit_threads_outrank_every_default() {
-        // Per-call explicit beats everything, including the process-wide
-        // CLI default and whatever WL_THREADS the test run was given.
+        // Per-call explicit beats everything, including whatever
+        // WL_THREADS the test run was given.
         assert_eq!(resolve_threads(Some(3)), 3);
-        assert_eq!(resolve_threads(Some(0)), degree_from_env());
+        assert_eq!(resolve_threads(Some(0)), resolve_threads(None));
     }
 
     #[test]
