@@ -68,12 +68,6 @@ impl PmDevice {
         self.metrics.snapshot()
     }
 
-    /// Simulated time elapsed since the device was created (or last reset),
-    /// in seconds.
-    pub fn now_secs(&self) -> f64 {
-        self.snapshot().time_secs(&self.config.latency)
-    }
-
     /// The medium's write/read cost ratio λ.
     pub fn lambda(&self) -> f64 {
         self.config.latency.lambda()
@@ -145,8 +139,8 @@ mod tests {
     fn reset_clears_clock() {
         let dev = PmDevice::paper_default();
         dev.metrics().add_writes(1000);
-        assert!(dev.now_secs() > 0.0);
+        assert!(dev.snapshot().time_secs(&dev.config().latency) > 0.0);
         dev.reset_metrics();
-        assert_eq!(dev.now_secs(), 0.0);
+        assert_eq!(dev.snapshot(), IoStats::default());
     }
 }

@@ -271,11 +271,6 @@ impl BufferPool {
         self.core.draws.load(Ordering::Relaxed)
     }
 
-    /// How many fixed-size records fit in the *remaining* budget.
-    pub fn records_available(&self, record_size: usize) -> usize {
-        self.available() / record_size
-    }
-
     /// Reserves `bytes`, failing if the budget would be exceeded.
     ///
     /// Covered from the calling thread's lease slack when possible (no
@@ -448,14 +443,6 @@ mod tests {
     fn fraction_of_computes_budget() {
         let pool = BufferPool::fraction_of(1_000_000, 0.05);
         assert_eq!(pool.budget(), 50_000);
-    }
-
-    #[test]
-    fn records_available_uses_record_size() {
-        let pool = BufferPool::new(800);
-        assert_eq!(pool.records_available(80), 10);
-        let _r = pool.reserve(400).expect("fits");
-        assert_eq!(pool.records_available(80), 5);
     }
 
     #[test]

@@ -53,18 +53,6 @@ impl SpanNode {
             .fold(IoStats::default(), |acc, c| acc.plus(&c.io))
     }
 
-    /// This node's own delta: inclusive minus children (saturating, to
-    /// stay robust against sub-nanosecond float residue in software time).
-    pub fn self_io(&self) -> IoStats {
-        let kids = self.children_io();
-        IoStats {
-            cl_reads: self.io.cl_reads.saturating_sub(kids.cl_reads),
-            cl_writes: self.io.cl_writes.saturating_sub(kids.cl_writes),
-            software_ns: (self.io.software_ns - kids.software_ns).max(0.0),
-            calls: self.io.calls.saturating_sub(kids.calls),
-        }
-    }
-
     /// Checks the tree invariant: at every node, the children's deltas
     /// sum to at most the parent's (per counter; software time gets a
     /// nanosecond of float tolerance). Returns the offending label on
@@ -357,7 +345,7 @@ mod tests {
         assert_eq!(b.io.cl_writes, 4);
         assert_eq!(b.io.cl_reads, 0);
         root.validate().expect("children sum within parents");
-        assert_eq!(root.self_io().cl_reads, 1);
+        assert_eq!(root.io.cl_reads - root.children_io().cl_reads, 1);
     }
 
     #[test]
@@ -382,7 +370,7 @@ mod tests {
         assert_eq!(root.task_count(), 2);
         let pool = root.find("tasks[2]").expect("pool span");
         assert_eq!(pool.io.cl_reads, 10);
-        assert_eq!(pool.self_io().cl_reads, 3);
+        assert_eq!(pool.io.cl_reads - pool.children_io().cl_reads, 3);
     }
 
     #[test]
