@@ -58,6 +58,7 @@ pub fn segment_io(t: f64, m: f64, x: f64) -> (f64, f64) {
     if rest > 0.0 {
         reads += rest * (rest / m).ceil().max(1.0); // selection stream
     }
+    // Pre-merge passes beyond the first level (rare at realistic fan-in).
     let runs = (xt / (2.0 * m)).max(if xt > 0.0 { 1.0 } else { 0.0 });
     let extra_passes = (merge_passes(runs, m) - 1.0).max(0.0);
     reads += extra_passes * xt;
