@@ -4,18 +4,21 @@
 //! `tests/golden/plan_corpus.out`. An enumerator refactor that claims
 //! "same plans, same evidence" must leave that file byte-identical.
 //!
-//! Two families: *planned* cases go through `Planner::plan` over 2–8
+//! Three families: *planned* cases go through `Planner::plan` over 2–8
 //! relations with mixed sizes, uniform and Zipf statistics, filters,
 //! λ, DRAM budgets, DoP and layers; *re-planned* cases execute a small
 //! chain whose catalog misestimates the first join, so the executor
 //! re-enters the join-order search the way `replan_remaining` does (a
-//! multi-slot intermediate plus the remaining base relations).
+//! multi-slot intermediate plus the remaining base relations);
+//! *executed* cases run small plans over real data on three layers at
+//! DoP 1 and 4 and pin what the lowering charges — measured reads,
+//! writes, software time and calls — beside the rows it produced.
 //!
 //! Regenerate with `WL_BLESS=1 cargo test -p wl-tests --test plan_identity`.
 
 use planner::{
-    execute_stream, render_choices, render_plan, Catalog, LogicalPlan, PlannedQuery, Planner,
-    Predicate, TableStats,
+    execute_stream, render_choices, render_plan, Catalog, LogicalPlan, Materialization,
+    PhysicalPlan, PlannedQuery, Planner, Predicate, TableStats,
 };
 use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmDevice};
 use std::fmt::Write as _;
@@ -25,6 +28,14 @@ use write_limited::stats::TableStatistics;
 
 const PLANNED_CASES: u64 = 320;
 const REPLANNED_CASES: u64 = 32;
+/// Executed plan shapes; each runs on every [`EXECUTED_LAYERS`] × DoP.
+const EXECUTED_CASES: u64 = 24;
+const EXECUTED_LAYERS: [LayerKind; 3] = [
+    LayerKind::BlockedMemory,
+    LayerKind::RamDisk,
+    LayerKind::DynArray,
+];
+const EXECUTED_DOPS: [usize; 2] = [1, 4];
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/plan_corpus.out");
 
 /// SplitMix64: the corpus must not move when the vendored `rand` does.
@@ -215,10 +226,15 @@ fn planned_case(seed: u64, zipf: &[ZipfTable]) -> String {
     }
 }
 
-fn table_from_keys(dev: &Pm, name: &str, keys: &[u64]) -> Arc<PCollection<WisconsinRecord>> {
+fn table_from_keys(
+    dev: &Pm,
+    layer: LayerKind,
+    name: &str,
+    keys: &[u64],
+) -> Arc<PCollection<WisconsinRecord>> {
     Arc::new(PCollection::from_records_uncounted(
         dev,
-        LayerKind::BlockedMemory,
+        layer,
         name,
         keys.iter()
             .enumerate()
@@ -253,7 +269,7 @@ fn replanned_case(seed: u64) -> String {
         };
         cat.add_table(
             &name,
-            table_from_keys(&dev, &name, &keys),
+            table_from_keys(&dev, LayerKind::BlockedMemory, &name, &keys),
             keys.len() as u64,
         );
         let mut leaf = LogicalPlan::scan(&name);
@@ -299,6 +315,214 @@ fn replanned_case(seed: u64) -> String {
     }
 }
 
+/// Keys of one executed-case table: `rows` records over a domain of
+/// `rows / copies` keys, in a seeded order.
+fn drawn_keys(rng: &mut Rng, rows: u64, copies: u64) -> Vec<u64> {
+    let domain = (rows / copies).max(1);
+    let mut keys: Vec<u64> = (0..rows).map(|i| i % domain).collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    keys
+}
+
+fn drawn_predicate(rng: &mut Rng, domain: u64) -> Predicate {
+    let d = domain.max(1);
+    match rng.below(4) {
+        0 => Predicate::KeyBelow(d / 4 + rng.below(d)),
+        1 => Predicate::KeyAtLeast(rng.below(d / 2 + 1)),
+        2 => Predicate::KeyBelow(d - d / 10),
+        _ => Predicate::KeyModEq {
+            modulus: 2 + rng.below(5),
+            residue: rng.below(2),
+        },
+    }
+}
+
+/// What a plan's output rows are: the arm of the lowering's filter
+/// that would stage them.
+fn shape(plan: &PhysicalPlan) -> &'static str {
+    match plan {
+        PhysicalPlan::Scan { .. } => "rows",
+        PhysicalPlan::Filter { input, .. } | PhysicalPlan::Sort { input, .. } => shape(input),
+        PhysicalPlan::Join { chain: None, .. } => "pairs",
+        PhysicalPlan::Join { chain: Some(_), .. } => "chain",
+        PhysicalPlan::Aggregate { .. } => "groups",
+    }
+}
+
+/// The staged passes a plan's lowering runs, in pre-order: a filter
+/// over each shape, a deferred σ, and chain folds with and without
+/// swapped sides (a deferred σ's join never swaps).
+fn arms(plan: &PhysicalPlan, out: &mut Vec<String>) {
+    match plan {
+        PhysicalPlan::Scan { .. } => {}
+        PhysicalPlan::Filter { input, .. } => {
+            out.push(format!("σ{}", shape(input)));
+            arms(input, out);
+        }
+        PhysicalPlan::Sort { input, .. } | PhysicalPlan::Aggregate { input, .. } => {
+            arms(input, out);
+        }
+        PhysicalPlan::Join {
+            left,
+            right,
+            swapped,
+            chain,
+            ..
+        } => {
+            let deferred = match &**left {
+                PhysicalPlan::Filter {
+                    input,
+                    materialization: Materialization::Deferred,
+                    ..
+                } => {
+                    out.push("σdeferred".into());
+                    arms(input, out);
+                    true
+                }
+                _ => {
+                    arms(left, out);
+                    false
+                }
+            };
+            arms(right, out);
+            if chain.is_some() {
+                let swapped = *swapped && !deferred;
+                out.push(if swapped { "fold-swapped" } else { "fold" }.into());
+            }
+        }
+    }
+}
+
+/// Hash of a result's canonical rows, every column.
+fn rows_hash(rows: &[Vec<u64>]) -> u64 {
+    rows.iter()
+        .flat_map(|row| std::iter::once(row.len() as u64).chain(row.iter().copied()))
+        .flat_map(u64::to_le_bytes)
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// One executed plan shape drawn from `seed`, the `case`-th of the
+/// family (which picks the shape, so every arm is reached), run on each
+/// layer at each DoP: one line per run.
+fn executed_case(case: u64, seed: u64) -> Vec<String> {
+    let mut rng = Rng(seed);
+    let n = match case % 6 {
+        0 | 3 => 1 + rng.below(2),
+        1 => 2,
+        _ => 3 + rng.below(2),
+    } as usize;
+    // Now and then an empty table, whose joins produce nothing.
+    let sizes: Vec<u64> = (0..n)
+        .map(|_| match rng.below(12) {
+            0 => 0,
+            _ => rng.pick(&[1u64, 60, 400, 1_200, 2_000]),
+        })
+        .collect();
+    let copies: Vec<u64> = (0..n).map(|_| rng.pick(&[1u64, 1, 2, 4])).collect();
+    let keys: Vec<Vec<u64>> = (0..n)
+        .map(|i| drawn_keys(&mut rng, sizes[i], copies[i]))
+        .collect();
+    let domain = |i: usize| (sizes[i] / copies[i]).max(1);
+    let lambda = rng.pick(&[1.0, 15.0, 40.0]);
+    let dram_records = rng.pick(&[40usize, 300, 5_000]);
+
+    let mut leaves: Vec<LogicalPlan> = (0..n).map(|i| LogicalPlan::scan(format!("r{i}"))).collect();
+    // A filtered build side is where the deferred-σ arm lives; the
+    // deferred shapes filter it to most of the table.
+    let build_filter = match case % 6 {
+        0 => Some(drawn_predicate(&mut rng, domain(0))),
+        4 => Some(Predicate::KeyBelow(domain(0) - domain(0) / 10)),
+        _ if rng.below(3) == 0 => Some(drawn_predicate(&mut rng, domain(0))),
+        _ => None,
+    };
+    if let Some(p) = build_filter {
+        leaves[0] = leaves[0].clone().filter(p);
+    }
+    let mut logical = leaves
+        .into_iter()
+        .reduce(LogicalPlan::join)
+        .expect("at least one leaf");
+    let top = drawn_predicate(&mut rng, domain(0));
+    logical = match case % 6 {
+        // σ over base rows, then maybe a blocking consumer.
+        0 => match rng.below(3) {
+            0 => logical.sort(),
+            1 => logical.aggregate(),
+            _ => logical,
+        },
+        // σ over pairs or over chain rows.
+        1 | 2 => logical.filter(top),
+        // σ over groups.
+        3 => logical.aggregate().filter(top),
+        // Deferred σ and chain folds, sometimes consumed by a blocking
+        // operator.
+        _ => match rng.below(3) {
+            0 => logical.sort(),
+            1 => logical.aggregate(),
+            _ => logical,
+        },
+    };
+
+    let mut lines = Vec::new();
+    for layer in EXECUTED_LAYERS {
+        for dop in EXECUTED_DOPS {
+            let dev = PmDevice::paper_default();
+            let mut cat = Catalog::new();
+            for (i, k) in keys.iter().enumerate() {
+                let name = format!("r{i}");
+                cat.add_table(&name, table_from_keys(&dev, layer, &name, k), domain(i));
+            }
+            let pool = BufferPool::new(dram_records * 80);
+            let head = format!(
+                "executed seed={seed:#x} n={n} λ={lambda} M={dram_records}rec dop={dop} {layer:?}"
+            );
+            let planned = match Planner::with_config(
+                lambda,
+                pool.budget_buffers() as f64,
+                layer,
+                dev.config(),
+            )
+            .with_threads(dop)
+            .plan(&logical, &cat)
+            {
+                Ok(planned) => planned,
+                Err(e) => {
+                    lines.push(format!("{head} | error: {e}"));
+                    continue;
+                }
+            };
+            let run = match execute_stream(&planned, &cat, &dev, layer, &pool) {
+                Ok(run) => run,
+                Err(e) => {
+                    lines.push(format!("{head} | error: {e}"));
+                    continue;
+                }
+            };
+            let plan = run.adapted.as_ref().map_or(&planned.plan, |a| &a.plan);
+            let mut staged = Vec::new();
+            arms(plan, &mut staged);
+            let rows = run.result.all_rows();
+            let s = run.stats;
+            lines.push(format!(
+                "{head} | {} | arms={} | rows={} out={:016x} reads={} writes={} ps={} calls={}",
+                plan.describe().trim_end().replace('\n', " / "),
+                staged.join(","),
+                rows.len(),
+                rows_hash(&rows.canonical_wide()),
+                s.cl_reads,
+                s.cl_writes,
+                (s.software_ns * 1000.0).round() as u64,
+                s.calls,
+            ));
+        }
+    }
+    lines
+}
+
 fn corpus() -> String {
     let dev = PmDevice::paper_default();
     let zipf = zipf_tables(&dev);
@@ -309,6 +533,11 @@ fn corpus() -> String {
     }
     for _ in 0..REPLANNED_CASES {
         writeln!(out, "{}", replanned_case(seeds.next())).expect("string write");
+    }
+    for case in 0..EXECUTED_CASES {
+        for line in executed_case(case, seeds.next()) {
+            writeln!(out, "{line}").expect("string write");
+        }
     }
     out
 }
@@ -337,7 +566,11 @@ fn the_corpus_reaches_every_arm() {
     }
     let text = std::fs::read_to_string(GOLDEN).expect("golden corpus present");
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len() as u64, PLANNED_CASES + REPLANNED_CASES);
+    let runs = (EXECUTED_LAYERS.len() * EXECUTED_DOPS.len()) as u64;
+    assert_eq!(
+        lines.len() as u64,
+        PLANNED_CASES + REPLANNED_CASES + EXECUTED_CASES * runs
+    );
     let count = |needle: &str| lines.iter().filter(|l| l.contains(needle)).count();
     assert!(count("(deferred)") >= 10, "deferred-σ arm wins");
     assert!(
@@ -357,4 +590,43 @@ fn the_corpus_reaches_every_arm() {
     assert!(count(" n=8 ") >= 20, "eight-relation searches");
     assert!(count("RamDisk") >= 50 && count("dop=4") >= 50);
     assert_eq!(count("error:"), 0, "every case plans");
+
+    // The executed family stages through every arm of the lowering.
+    let executed: Vec<&str> = lines
+        .iter()
+        .copied()
+        .filter(|l| l.starts_with("executed "))
+        .collect();
+    let arm = |name: &str| {
+        executed
+            .iter()
+            .filter(|l| {
+                let arms = l.split(" | arms=").nth(1).expect("arms field");
+                let arms = arms.split(" | ").next().expect("arms list");
+                arms.split(',').any(|a| a == name)
+            })
+            .count()
+    };
+    for (name, at_least) in [
+        ("σrows", 12),
+        ("σpairs", 12),
+        ("σchain", 12),
+        ("σgroups", 12),
+        ("σdeferred", 6),
+        ("fold", 12),
+        ("fold-swapped", 6),
+    ] {
+        assert!(arm(name) >= at_least, "{name} reached {} times", arm(name));
+    }
+    for layer in EXECUTED_LAYERS {
+        for dop in EXECUTED_DOPS {
+            let tag = format!("dop={dop} {layer:?} ");
+            let runs = executed.iter().filter(|l| l.contains(&tag)).count();
+            assert_eq!(runs as u64, EXECUTED_CASES, "{tag}");
+        }
+    }
+    assert!(
+        executed.iter().filter(|l| l.contains(" rows=0 ")).count() * 4 < executed.len(),
+        "most executed cases produce rows"
+    );
 }
