@@ -1,223 +1,37 @@
-//! Volcano-style streaming operators and the staging step.
+//! Counted staging: the one step between a plan's streaming segments
+//! and its blocking operators.
 //!
 //! §3.1 describes each algorithm as "a physical operator … \[that
-//! provides\] a standard iterator interface". This module supplies the
-//! streaming half of that interface: [`PhysOperator`] is the
-//! open/next/close contract, [`ScanOp`], [`FilterOp`] and [`MapOp`]
-//! compose a plan's streaming segments (`scan → filter → map`), and
-//! [`stage`] materializes a segment as a persistent collection at a
-//! blocking boundary. Blocking work — sorts, joins, aggregations — runs
-//! as the crate's algorithms over staged collections, so all
-//! persistent-memory traffic keeps flowing through the same counted
-//! collections.
+//! provides\] a standard iterator interface". Here every blocking
+//! algorithm — sort, join, aggregation — is a function over persistent
+//! collections, and [`pmem_sim::RecordReader`] is the iterator. What
+//! remains between them is [`stage`]: one counted scan that filters or
+//! reshapes a collection into a new one, so all persistent-memory
+//! traffic keeps flowing through the same counted collections.
 
-use pmem_sim::{LayerKind, PCollection, Pm, PmError, RecordReader};
+use pmem_sim::{LayerKind, PCollection, Pm};
 use wisconsin::Record;
 
-/// The Volcano contract: `open` prepares (and for blocking operators,
-/// runs) the computation; `next` streams records; `close` releases
-/// state.
-pub trait PhysOperator {
-    /// Record type produced.
-    type Item: Record;
-
-    /// Prepares the operator (blocking operators do their work here).
-    ///
-    /// # Errors
-    /// Propagates algorithm applicability/parameter errors.
-    fn open(&mut self) -> Result<(), PmError>;
-
-    /// Produces the next record, or `None` when exhausted.
-    fn next(&mut self) -> Option<Self::Item>;
-
-    /// Pushes every remaining record to `sink`, in order — what a
-    /// consumer that takes the whole output ([`stage`], a blocking
-    /// operator's `open`) calls in place of a `next` loop. Provided as that loop; streaming operators
-    /// override it to hand their child's drain through, so a scan at
-    /// the bottom is consumed inside this call and can charge a run of
-    /// records at a time instead of one per pull.
-    fn drain(&mut self, sink: &mut dyn FnMut(Self::Item)) {
-        while let Some(r) = self.next() {
-            sink(r);
-        }
-    }
-
-    /// Releases operator state.
-    fn close(&mut self);
-}
-
-/// Leaf operator: scans a persistent collection.
-pub struct ScanOp<'a, R: Record> {
-    input: &'a PCollection<R>,
-    reader: Option<RecordReader<'a, R>>,
-}
-
-impl<'a, R: Record> ScanOp<'a, R> {
-    /// Creates a scan over `input`.
-    pub fn new(input: &'a PCollection<R>) -> Self {
-        Self {
-            input,
-            reader: None,
-        }
-    }
-}
-
-impl<'a, R: Record> PhysOperator for ScanOp<'a, R> {
-    type Item = R;
-
-    fn open(&mut self) -> Result<(), PmError> {
-        self.reader = Some(self.input.reader());
-        Ok(())
-    }
-
-    fn next(&mut self) -> Option<R> {
-        self.reader.as_mut()?.next()
-    }
-
-    fn drain(&mut self, sink: &mut dyn FnMut(R)) {
-        if let Some(reader) = self.reader.take() {
-            reader.for_each_view(|r| sink(r.get()));
-        }
-    }
-
-    fn close(&mut self) {
-        self.reader = None;
-    }
-}
-
-/// Streaming filter.
-pub struct FilterOp<I: PhysOperator, P> {
-    child: I,
-    predicate: P,
-}
-
-impl<I: PhysOperator, P: FnMut(&I::Item) -> bool> FilterOp<I, P> {
-    /// Filters `child` with `predicate`.
-    pub fn new(child: I, predicate: P) -> Self {
-        Self { child, predicate }
-    }
-}
-
-impl<I: PhysOperator, P: FnMut(&I::Item) -> bool> PhysOperator for FilterOp<I, P> {
-    type Item = I::Item;
-
-    fn open(&mut self) -> Result<(), PmError> {
-        self.child.open()
-    }
-
-    fn next(&mut self) -> Option<I::Item> {
-        loop {
-            let r = self.child.next()?;
-            if (self.predicate)(&r) {
-                return Some(r);
-            }
-        }
-    }
-
-    fn drain(&mut self, sink: &mut dyn FnMut(I::Item)) {
-        let predicate = &mut self.predicate;
-        self.child.drain(&mut |r| {
-            if predicate(&r) {
-                sink(r);
-            }
-        });
-    }
-
-    fn close(&mut self) {
-        self.child.close();
-    }
-}
-
-/// Streaming record-to-record map: reshapes each child record (the
-/// planner's chain-join lowering folds joined pairs into flat n-way
-/// rows with it).
-pub struct MapOp<I: PhysOperator, F> {
-    child: I,
-    f: F,
-}
-
-impl<I: PhysOperator, F> MapOp<I, F> {
-    /// Maps `child`'s records through `f`.
-    pub fn new(child: I, f: F) -> Self {
-        Self { child, f }
-    }
-}
-
-impl<I: PhysOperator, O: Record, F: FnMut(&I::Item) -> O> PhysOperator for MapOp<I, F> {
-    type Item = O;
-
-    fn open(&mut self) -> Result<(), PmError> {
-        self.child.open()
-    }
-
-    fn next(&mut self) -> Option<O> {
-        self.child.next().map(|r| (self.f)(&r))
-    }
-
-    fn drain(&mut self, sink: &mut dyn FnMut(O)) {
-        let f = &mut self.f;
-        self.child.drain(&mut |r| sink(f(&r)));
-    }
-
-    fn close(&mut self) {
-        self.child.close();
-    }
-}
-
-/// Boxed operators delegate, so plan trees whose shape is only known at
-/// run time (e.g. those the planner lowers) can compose heterogeneous
-/// operator chains behind one item type.
-impl<O: PhysOperator + ?Sized> PhysOperator for Box<O> {
-    type Item = O::Item;
-
-    fn open(&mut self) -> Result<(), PmError> {
-        (**self).open()
-    }
-
-    fn next(&mut self) -> Option<Self::Item> {
-        (**self).next()
-    }
-
-    fn drain(&mut self, sink: &mut dyn FnMut(Self::Item)) {
-        (**self).drain(sink);
-    }
-
-    fn close(&mut self) {
-        (**self).close();
-    }
-}
-
-/// A type-erased operator over records of type `R`.
-pub type DynOp<'a, R> = Box<dyn PhysOperator<Item = R> + 'a>;
-
-/// Runs `op` and materializes its output as a persistent collection
-/// named `name` — the staging step blocking consumers (joins, sorts
-/// over arbitrary children) use. The writes are real and counted.
-///
-/// # Errors
-/// Propagates the operator's `open()` error.
-pub fn stage<O: PhysOperator>(
-    op: &mut O,
+/// Scans `input` once and materializes, as a persistent collection
+/// named `name`, every record `f` maps to `Some` — a filter, a reshape,
+/// or both. The reads and writes are real and counted.
+pub fn stage<R: Record, O: Record>(
+    input: &PCollection<R>,
+    mut f: impl FnMut(R) -> Option<O>,
     dev: &Pm,
     kind: LayerKind,
     name: &str,
-) -> Result<PCollection<O::Item>, PmError> {
+) -> PCollection<O> {
     let _span = pmem_sim::span::span_with(|| format!("stage {name}"));
-    op.open()?;
+    let reader = input.reader();
     let mut out = PCollection::new(dev, kind, name);
-    op.drain(&mut |r| out.append(&r));
-    op.close();
+    reader.for_each_view(|r| {
+        if let Some(o) = f(r.get()) {
+            out.append(&o);
+        }
+    });
     pmem_sim::flush_thread_accounting();
-    Ok(out)
-}
-
-/// Drains an opened operator into a DRAM vector (test/driver helper).
-pub fn collect<O: PhysOperator>(op: &mut O) -> Result<Vec<O::Item>, PmError> {
-    op.open()?;
-    let mut v = Vec::new();
-    op.drain(&mut |r| v.push(r));
-    op.close();
-    Ok(v)
+    out
 }
 
 #[cfg(test)]
@@ -232,14 +46,21 @@ mod tests {
     #[test]
     fn scan_filter_pipeline_streams() {
         let dev = PmDevice::paper_default();
+        let kind = LayerKind::BlockedMemory;
         let input = PCollection::from_records_uncounted(
             &dev,
-            LayerKind::BlockedMemory,
+            kind,
             "T",
             sort_input(100, KeyOrder::Random, 1),
         );
-        let mut plan = FilterOp::new(ScanOp::new(&input), |r: &WisconsinRecord| r.key() < 10);
-        let rows = collect(&mut plan).expect("streaming plan cannot fail");
+        let staged = stage(
+            &input,
+            |r| (r.key() < 10).then_some(r),
+            &dev,
+            kind,
+            "filtered",
+        );
+        let rows = staged.to_vec_uncounted();
         assert_eq!(rows.len(), 10);
         assert!(rows.iter().all(|r| r.key() < 10));
     }
@@ -257,15 +78,13 @@ mod tests {
             sort_input(500, KeyOrder::Random, 2),
         );
         let pool = BufferPool::new(64 * 80);
-        let mut plan = FilterOp::new(ScanOp::new(&input), |r: &WisconsinRecord| {
-            r.key().is_multiple_of(2)
-        });
-        let staged = stage(&mut plan, &dev, kind, "filtered").expect("streaming plan");
+        let even = |r: WisconsinRecord| r.key().is_multiple_of(2).then_some(r);
+        let staged = stage(&input, even, &dev, kind, "filtered");
         let ctx = SortContext::new(&dev, kind, &pool);
         let sorted = SortAlgorithm::SegS { x: 0.5 }
             .run(&staged, &ctx, "sorted")
             .expect("valid knob");
-        let rows = collect(&mut ScanOp::new(&sorted)).expect("streaming plan");
+        let rows = sorted.to_vec_uncounted();
         assert_eq!(rows.len(), 250);
         assert!(rows.windows(2).all(|w| w[0].key() <= w[1].key()));
     }
@@ -286,7 +105,7 @@ mod tests {
         let payload = |p: &Pair<WisconsinRecord, WisconsinRecord>| p.right.payload();
         let groups =
             sort_based_aggregate(&joined, 0.0, payload, &ctx, "groups").expect("valid knob");
-        let groups = collect(&mut ScanOp::new(&groups)).expect("streaming plan");
+        let groups = groups.to_vec_uncounted();
         assert_eq!(groups.len(), 50);
         assert!(groups.iter().all(|g| g.count == 4));
         let total: u64 = groups.iter().map(|g| g.sum).sum();
@@ -294,79 +113,41 @@ mod tests {
     }
 
     #[test]
-    fn boxed_operators_compose_and_stage_counts_writes() {
+    fn stage_reads_its_input_once_and_counts_its_writes() {
         let dev = PmDevice::paper_default();
+        let kind = LayerKind::BlockedMemory;
         let input = PCollection::from_records_uncounted(
             &dev,
-            LayerKind::BlockedMemory,
+            kind,
             "T",
             sort_input(200, KeyOrder::Random, 8),
         );
-        // Type-erased chain, as the planner's lowering builds them.
-        let mut op: DynOp<'_, WisconsinRecord> =
-            Box::new(FilterOp::new(ScanOp::new(&input), |r: &WisconsinRecord| {
-                r.key() < 50
-            }));
-        let before = dev.snapshot();
-        let staged = stage(&mut op, &dev, LayerKind::BlockedMemory, "staged").expect("stages");
-        let delta = dev.snapshot().since(&before);
-        assert_eq!(staged.len(), 50);
-        assert_eq!(
-            delta.cl_writes,
-            staged.buffers(),
-            "staging writes are counted"
-        );
-        assert_eq!(delta.cl_reads, input.buffers(), "one scan of the input");
-    }
-
-    #[test]
-    fn drain_pushes_what_next_pulls_for_the_same_charges() {
-        let dev = PmDevice::paper_default();
-        let input = PCollection::from_records_uncounted(
-            &dev,
-            LayerKind::BlockedMemory,
-            "T",
-            sort_input(300, KeyOrder::Random, 6),
-        );
-        let plan = || {
-            MapOp::new(
-                FilterOp::new(ScanOp::new(&input), |r: &WisconsinRecord| {
-                    !r.key().is_multiple_of(3)
-                }),
-                |r: &WisconsinRecord| r.with_payload(r.key() * 2),
-            )
-        };
-        // Pulled to the end, and pulled for five records then drained.
-        let mut runs = Vec::new();
-        for pulled in [usize::MAX, 5] {
-            let mut op = plan();
+        let filter = |r: WisconsinRecord| (r.key() < 50).then_some(r);
+        let map = |r: WisconsinRecord| Some(r.with_payload(r.key() * 2));
+        let counted = |run: &dyn Fn() -> PCollection<WisconsinRecord>| {
             let before = dev.snapshot();
-            op.open().expect("streaming plan cannot fail");
-            let mut rows = Vec::new();
-            while rows.len() < pulled {
-                let Some(r) = op.next() else { break };
-                rows.push(r);
-            }
-            op.drain(&mut |r| rows.push(r));
-            assert!(op.next().is_none(), "a drained operator is exhausted");
-            op.close();
-            runs.push((rows, dev.snapshot().since(&before)));
+            let out = run();
+            (out, dev.snapshot().since(&before))
+        };
+        for (what, (out, delta), rows) in [
+            (
+                "filter",
+                counted(&|| stage(&input, filter, &dev, kind, "filtered")),
+                50,
+            ),
+            (
+                "map",
+                counted(&|| stage(&input, map, &dev, kind, "mapped")),
+                200,
+            ),
+        ] {
+            assert_eq!(out.len(), rows, "{what}");
+            assert_eq!(delta.cl_writes, out.buffers(), "{what}: writes are counted");
+            assert_eq!(
+                delta.cl_reads,
+                input.buffers(),
+                "{what}: one scan of the input"
+            );
         }
-        assert_eq!(runs[0].0.len(), 200);
-        assert_eq!(runs[0], runs[1]);
-    }
-
-    #[test]
-    fn operators_are_reopenable() {
-        let dev = PmDevice::paper_default();
-        let input = PCollection::from_records_uncounted(
-            &dev,
-            LayerKind::BlockedMemory,
-            "T",
-            sort_input(20, KeyOrder::Random, 4),
-        );
-        let mut scan = ScanOp::new(&input);
-        assert_eq!(collect(&mut scan).expect("ok").len(), 20);
-        assert_eq!(collect(&mut scan).expect("ok").len(), 20);
     }
 }

@@ -14,15 +14,16 @@
 //! * [`deferral`] — the §3.1 rules for when a deferred collection is
 //!   written, in closed form: the pass read-over-write first holds on
 //!   ([`adaptive`], [`pipeline`]) and the planner's verdict
-//! * [`exec`] — Volcano operators (`scan → filter → sort → join →
-//!   aggregate`), boxed-operator composition, and counted staging
+//! * [`exec`] — counted staging: one scan that filters or reshapes a
+//!   collection into a new one between blocking operators
 //! * [`parallel`] — scoped-thread worker pool that fans partition work
 //!   out across cores (wall-clock scaling; simulated counts unchanged)
 //! * [`stats`] — Kendall's τ for the Fig. 12 concordance experiment
 //!
 //! Plan-level algorithm selection lives in the `wl-planner` crate
 //! (`crates/planner`), which consumes [`cost`]'s candidate sets and
-//! predictions and lowers winning plans onto [`exec`].
+//! predictions and lowers winning plans onto the operators above and
+//! [`exec::stage`].
 //!
 //! ```
 //! use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};

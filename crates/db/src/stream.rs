@@ -13,9 +13,8 @@ use crate::error::DbError;
 use crate::metrics::EngineMetrics;
 use crate::sql::{BoundQuery, RowShape};
 use planner::{
-    execute_stream, execute_stream_profiled, render_analyze, render_analyze_plan, render_choices,
-    render_concordance_stats, render_plan, AdaptedPlan, Catalog, ExecutedStream, OutputRows,
-    PlannedQuery,
+    execute_stream, execute_stream_profiled, render_analyze, render_choices, render_concordance,
+    render_plan, AdaptedPlan, Catalog, ExecutedStream, OutputRows, PlannedQuery,
 };
 use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, SpanNode};
 use std::sync::{Arc, Mutex};
@@ -341,7 +340,7 @@ impl ResultStream {
         out.push_str(&render_choices(&self.planned));
         out.push_str(&render_plan(&self.planned));
         if let State::Done { io, ran: true, .. } = &self.state {
-            out.push_str(&render_concordance_stats(
+            out.push_str(&render_concordance(
                 &self.planned,
                 io,
                 &self.dev.config().latency,
@@ -363,18 +362,15 @@ impl ResultStream {
                 a.observed_rows, a.estimated_rows
             ));
         }
-        match (&self.profile, &self.adapted) {
-            (Some(p), Some(a)) => {
-                out.push_str(&render_analyze_plan(&a.plan, p, &self.dev.config().latency));
+        match &self.profile {
+            Some(p) => {
+                let plan = self
+                    .adapted
+                    .as_ref()
+                    .map_or(&self.planned.plan, |a| &a.plan);
+                out.push_str(&render_analyze(plan, p, &self.dev.config().latency));
             }
-            (Some(p), None) => {
-                out.push_str(&render_analyze(
-                    &self.planned,
-                    p,
-                    &self.dev.config().latency,
-                ));
-            }
-            (None, _) => out.push_str("no profile recorded (SET profile = on to enable)\n"),
+            None => out.push_str("no profile recorded (SET profile = on to enable)\n"),
         }
         out
     }

@@ -13,9 +13,10 @@
 //! ([`write_limited::deferral::plan_verdict`]), and returns the cheapest
 //! [`PhysicalPlan`] plus the whole candidate table as evidence.
 //!
-//! [`execute`] lowers the winning plan onto the Volcano operators of
-//! `write_limited::exec` and runs it against `pmem_sim`, so predicted
-//! cacheline reads/writes can be compared against measured ones — a
+//! [`execute_stream`] runs the winning plan against `pmem_sim` — the
+//! chosen algorithms over counted collections, with filters and chain
+//! folds staged by `write_limited::exec::stage` — so predicted
+//! cacheline reads/writes can be compared against measured ones, a
 //! plan-level extension of the paper's Fig. 12 concordance experiment.
 //! [`execute_naive`] is the DRAM reference oracle lowered plans must
 //! agree with.
@@ -43,11 +44,12 @@
 //! let planner = Planner::for_device(&dev, &pool, LayerKind::BlockedMemory);
 //! let planned = planner.plan(&query, &catalog).unwrap();
 //!
-//! let run = planner::execute(&planned, &catalog, &dev,
+//! let run = planner::execute_stream(&planned, &catalog, &dev,
 //!     LayerKind::BlockedMemory, &pool).unwrap();
-//! assert_eq!(run.output.len(), 1_000); // 1000 surviving keys × 1 group
+//! let rows = run.result.all_rows();
+//! assert_eq!(rows.len(), 1_000); // 1000 surviving keys × 1 group
 //! let reference = planner::execute_naive(&query, &catalog).unwrap();
-//! assert_eq!(run.output.canonical(), reference.canonical());
+//! assert_eq!(rows.canonical(), reference.canonical());
 //! ```
 
 #![warn(missing_docs)]
@@ -64,12 +66,9 @@ pub use catalog::{Catalog, TableStats};
 pub use enumerate::{Candidate, NodeChoice, PlanError, PlannedQuery, Planner, MAX_JOIN_RELATIONS};
 pub use logical::{LogicalPlan, Predicate};
 pub use lower::{
-    execute, execute_stream, execute_stream_profiled, AdaptedPlan, ExecError, Executed,
-    ExecutedStream, OutputRows, ResultSet, WisPair,
+    execute_stream, execute_stream_profiled, AdaptedPlan, ExecError, ExecutedStream, OutputRows,
+    ResultSet, WisPair,
 };
 pub use naive::execute_naive;
 pub use physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
-pub use report::{
-    render_analyze, render_analyze_plan, render_choices, render_concordance,
-    render_concordance_stats, render_plan,
-};
+pub use report::{render_analyze, render_choices, render_concordance, render_plan};

@@ -1,18 +1,18 @@
-//! Lowering: physical plan → executable operator tree → measured run.
+//! Lowering: physical plan → measured run.
 //!
-//! Streaming segments (scan → filter) lower onto the Volcano operators
-//! in `write_limited::exec` and are staged into persistent collections
-//! at blocking boundaries with [`write_limited::exec::stage`]; blocking
-//! nodes (sort, join, aggregate) then invoke the chosen algorithm on the
-//! staged collections, so every cacheline the plan touches flows through
-//! the counted device. Deferred filters are lowered onto the §3.1
-//! runtime's [`filtered_iterate_join`], which re-filters the source per
-//! pass instead of writing the view until its rules say otherwise.
+//! Each node runs once its inputs exist. A filter, and a chain join's
+//! fold of pairs into flat rows, is one counted scan into a new
+//! persistent collection ([`write_limited::exec::stage`]); blocking
+//! nodes (sort, join, aggregate) invoke the chosen algorithm on the
+//! collections below them, so every cacheline the plan touches flows
+//! through the counted device. Deferred filters are lowered onto the
+//! §3.1 [`filtered_iterate_join`], which re-filters the source per pass
+//! instead of writing the view until its rules say otherwise.
 //!
-//! Two entry points share the machinery: [`execute_stream`] runs the
-//! plan and hands back an owned [`ResultSet`] that clients drain in
-//! batches (the `wl-db` facade's streaming path), while [`execute`]
-//! drains it eagerly into [`OutputRows`] for tests and harnesses.
+//! [`execute_stream`] runs the plan and hands back an owned
+//! [`ResultSet`] that clients drain in batches, or at once with
+//! [`ResultSet::all_rows`]; [`execute_stream_profiled`] is the same run
+//! with a span tree recorded.
 
 use crate::catalog::Catalog;
 use crate::enumerate::{Evidence, NodeChoice, PlanError, PlannedQuery, Planner};
@@ -23,7 +23,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 use wisconsin::{Pair, Record, WisconsinRecord};
 use write_limited::agg::{sort_based_aggregate, GroupAgg};
-use write_limited::exec::{stage, FilterOp, MapOp, ScanOp};
+use write_limited::exec::stage;
 use write_limited::join::{guided_join_with, JoinAlgorithm, JoinContext};
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
@@ -366,17 +366,6 @@ pub struct ExecutedStream {
     pub adapted: Option<AdaptedPlan>,
 }
 
-/// One measured plan execution, eagerly drained.
-#[derive(Clone, Debug)]
-pub struct Executed {
-    /// The produced rows (drained uncounted).
-    pub output: OutputRows,
-    /// Cacheline traffic the run charged to the device.
-    pub stats: IoStats,
-    /// Simulated wall-clock seconds of the run.
-    pub secs: f64,
-}
-
 /// Executes a planned query against the catalog's bound tables,
 /// measuring the traffic between entry and exit, and returns the result
 /// as an owned, batch-drainable [`ResultSet`].
@@ -489,27 +478,6 @@ fn replace_topmost_join(plan: &PhysicalPlan, subtree: &PhysicalPlan) -> Physical
         }
         PhysicalPlan::Scan { .. } => plan.clone(),
     }
-}
-
-/// Executes a planned query and drains every row — [`execute_stream`]
-/// plus an eager drain, for tests and harnesses.
-///
-/// # Errors
-/// Returns [`ExecError`] when a table has no data bound or an algorithm
-/// rejects its inputs.
-pub fn execute(
-    planned: &PlannedQuery,
-    catalog: &Catalog,
-    dev: &Pm,
-    layer: LayerKind,
-    pool: &BufferPool,
-) -> Result<Executed, ExecError> {
-    let run = execute_stream(planned, catalog, dev, layer, pool)?;
-    Ok(Executed {
-        output: run.result.all_rows(),
-        stats: run.stats,
-        secs: run.secs,
-    })
 }
 
 struct Lowerer<'a> {
@@ -705,7 +673,7 @@ impl<'a> Lowerer<'a> {
                 // to a single materializing pass, which is identical
                 // traffic-wise.
                 let child = self.eval(input)?;
-                self.filter_stream(child, *predicate)
+                Ok(self.filter_stream(child, *predicate))
             }
             PhysicalPlan::Sort { input, algo, .. } => {
                 let child = self.eval(input)?;
@@ -733,43 +701,39 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    /// Lowers a filter as a Volcano `scan → filter` chain staged into a
-    /// fresh persistent collection.
-    fn filter_stream(
-        &mut self,
-        child: ResultSet,
-        predicate: Predicate,
-    ) -> Result<ResultSet, ExecError> {
+    /// Lowers a filter as one counted scan into a fresh persistent
+    /// collection.
+    fn filter_stream(&mut self, child: ResultSet, predicate: Predicate) -> ResultSet {
         fn run<R: Record>(
             col: &pmem_sim::PCollection<R>,
             predicate: Predicate,
             dev: &Pm,
             layer: LayerKind,
             name: &str,
-        ) -> Result<pmem_sim::PCollection<R>, PmError> {
-            let mut op = FilterOp::new(ScanOp::new(col), move |r: &R| predicate.matches(r));
-            stage(&mut op, dev, layer, name)
+        ) -> pmem_sim::PCollection<R> {
+            stage(
+                col,
+                |r| predicate.matches(&r).then_some(r),
+                dev,
+                layer,
+                name,
+            )
         }
         let name = self.name("filtered");
+        let (dev, layer) = (self.dev, self.layer);
         match child {
-            ResultSet::Wis(WisResult(src)) => Ok(ResultSet::owned(run(
-                src.as_col(),
-                predicate,
-                self.dev,
-                self.layer,
-                &name,
-            )?)),
-            ResultSet::Pairs { col, swapped } => Ok(ResultSet::Pairs {
-                col: run(&col, predicate, self.dev, self.layer, &name)?,
+            ResultSet::Wis(WisResult(src)) => {
+                ResultSet::owned(run(src.as_col(), predicate, dev, layer, &name))
+            }
+            ResultSet::Pairs { col, swapped } => ResultSet::Pairs {
+                col: run(&col, predicate, dev, layer, &name),
                 swapped,
-            }),
-            ResultSet::Multi { col, tables } => Ok(ResultSet::Multi {
-                col: run(&col, predicate, self.dev, self.layer, &name)?,
+            },
+            ResultSet::Multi { col, tables } => ResultSet::Multi {
+                col: run(&col, predicate, dev, layer, &name),
                 tables,
-            }),
-            ResultSet::Groups(col) => Ok(ResultSet::Groups(run(
-                &col, predicate, self.dev, self.layer, &name,
-            )?)),
+            },
+            ResultSet::Groups(col) => ResultSet::Groups(run(&col, predicate, dev, layer, &name)),
         }
     }
 
@@ -836,7 +800,7 @@ impl<'a> Lowerer<'a> {
             let keep = move |r: &WisconsinRecord| p.matches(r);
             let (out, _) =
                 filtered_iterate_join(&src, keep, *selectivity, probe.as_col(), &ctx, &name)?;
-            return self.finish_join(out, false, chain);
+            return Ok(self.finish_join(out, false, chain));
         }
 
         let build = self.eval_to_wis(left)?;
@@ -853,7 +817,7 @@ impl<'a> Lowerer<'a> {
         } else {
             algo.run(b, p, &ctx, &name)?
         };
-        self.finish_join(out, swapped, chain)
+        Ok(self.finish_join(out, swapped, chain))
     }
 
     /// Delivers a join's pair output: two-way joins stream the pairs,
@@ -865,25 +829,23 @@ impl<'a> Lowerer<'a> {
         out: pmem_sim::PCollection<WisPair>,
         swapped: bool,
         chain: Option<&ChainSlots>,
-    ) -> Result<ResultSet, ExecError> {
+    ) -> ResultSet {
         let Some(slots) = chain else {
-            return Ok(ResultSet::Pairs { col: out, swapped });
+            return ResultSet::Pairs { col: out, swapped };
         };
         let name = self.name("chained");
-        let (ls, rs) = (slots.left.clone(), slots.right.clone());
-        let mut op = MapOp::new(ScanOp::new(&out), move |p: &WisPair| {
+        let fold = |p: WisPair| {
             let (l, r) = if swapped {
                 (&p.right, &p.left)
             } else {
                 (&p.left, &p.right)
             };
-            fold_pair(l, &ls, r, &rs)
-        });
-        let col = stage(&mut op, self.dev, self.layer, &name)?;
-        Ok(ResultSet::Multi {
-            col,
+            Some(fold_pair(l, &slots.left, r, &slots.right))
+        };
+        ResultSet::Multi {
+            col: stage(&out, fold, self.dev, self.layer, &name),
             tables: slots.tables(),
-        })
+        }
     }
 
     /// Evaluates a subtree that must produce flat Wisconsin records —

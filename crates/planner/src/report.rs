@@ -1,8 +1,8 @@
 //! Human-readable planning and concordance reports.
 
 use crate::enumerate::PlannedQuery;
-use crate::lower::Executed;
-use pmem_sim::LatencyProfile;
+use crate::physical::PhysicalPlan;
+use pmem_sim::{IoStats, LatencyProfile, SpanNode};
 
 /// Renders the per-node candidate tables: every alternative the
 /// enumerator costed, cheapest first, with the winner marked.
@@ -34,21 +34,11 @@ pub fn render_plan(planned: &PlannedQuery) -> String {
     format!("chosen plan:\n{}", indent(&planned.plan.describe(), 2))
 }
 
-/// Renders predicted vs measured cacheline traffic for one execution —
-/// the plan-level Fig. 12 concordance row.
+/// Renders predicted vs `measured` cacheline traffic for one execution
+/// — the plan-level Fig. 12 concordance row.
 pub fn render_concordance(
     planned: &PlannedQuery,
-    executed: &Executed,
-    latency: &LatencyProfile,
-) -> String {
-    render_concordance_stats(planned, &executed.stats, latency)
-}
-
-/// [`render_concordance`] from raw measured traffic — the form streaming
-/// consumers (which never materialize an [`Executed`]) use.
-pub fn render_concordance_stats(
-    planned: &PlannedQuery,
-    measured: &pmem_sim::IoStats,
+    measured: &IoStats,
     latency: &LatencyProfile,
 ) -> String {
     let p = planned.predicted;
@@ -85,31 +75,18 @@ pub fn render_concordance_stats(
     )
 }
 
-/// Renders the physical plan annotated per node with measured rows,
+/// Renders the plan that ran annotated per node with measured rows,
 /// measured-vs-predicted cacheline traffic, simulated time, and host
-/// wall time — the `EXPLAIN ANALYZE` body. `profile` is the span tree a
-/// profiled execution recorded ([`crate::lower::execute_stream_profiled`]);
-/// its plan-node spans carry the same labels as the plan, so the two
-/// trees are walked in lock-step. Per-node traffic and simulated time
-/// are *exclusive* of plan children (matching the per-node predictions,
-/// which exclude inputs) but inclusive of the node's own operator
-/// phases and worker tasks; wall time is inclusive.
-pub fn render_analyze(
-    planned: &PlannedQuery,
-    profile: &pmem_sim::SpanNode,
-    latency: &LatencyProfile,
-) -> String {
-    render_analyze_plan(&planned.plan, profile, latency)
-}
-
-/// [`render_analyze`] over an explicit plan tree — the form adaptive
-/// executions use, where the plan that ran (re-planned subtree spliced
-/// in) differs from the plan the enumerator chose up front.
-pub fn render_analyze_plan(
-    plan: &crate::physical::PhysicalPlan,
-    profile: &pmem_sim::SpanNode,
-    latency: &LatencyProfile,
-) -> String {
+/// wall time — the `EXPLAIN ANALYZE` body. `plan` is the chosen plan,
+/// or an adaptive run's plan with the re-planned subtree spliced in.
+/// `profile` is the span tree a profiled execution recorded
+/// ([`crate::lower::execute_stream_profiled`]); its plan-node spans
+/// carry the same labels as the plan, so the two trees are walked in
+/// lock-step. Per-node traffic and simulated time are *exclusive* of
+/// plan children (matching the per-node predictions, which exclude
+/// inputs) but inclusive of the node's own operator phases and worker
+/// tasks; wall time is inclusive.
+pub fn render_analyze(plan: &PhysicalPlan, profile: &SpanNode, latency: &LatencyProfile) -> String {
     let mut out =
         String::from("analyzed plan (node traffic excludes inputs; wall is inclusive):\n");
     // The profile root is the "query" frame wrapping the plan-root span.
@@ -120,8 +97,8 @@ pub fn render_analyze_plan(
     out
 }
 
-fn io_minus(a: pmem_sim::IoStats, b: &pmem_sim::IoStats) -> pmem_sim::IoStats {
-    pmem_sim::IoStats {
+fn io_minus(a: IoStats, b: &IoStats) -> IoStats {
+    IoStats {
         cl_reads: a.cl_reads.saturating_sub(b.cl_reads),
         cl_writes: a.cl_writes.saturating_sub(b.cl_writes),
         software_ns: (a.software_ns - b.software_ns).max(0.0),
@@ -130,9 +107,9 @@ fn io_minus(a: pmem_sim::IoStats, b: &pmem_sim::IoStats) -> pmem_sim::IoStats {
 }
 
 fn analyze_into(
-    plan: &crate::physical::PhysicalPlan,
-    span: &pmem_sim::SpanNode,
-    profile: &pmem_sim::SpanNode,
+    plan: &PhysicalPlan,
+    span: &SpanNode,
+    profile: &SpanNode,
     latency: &LatencyProfile,
     depth: usize,
     out: &mut String,
@@ -145,7 +122,7 @@ fn analyze_into(
     // subtracted from this node's own delta (their traffic was never
     // part of it).
     let children = plan.children();
-    let mut matched: Vec<(Option<&pmem_sim::SpanNode>, bool)> = Vec::with_capacity(children.len());
+    let mut matched: Vec<(Option<&SpanNode>, bool)> = Vec::with_capacity(children.len());
     let mut cursor = 0usize;
     for child in &children {
         let label = child.label();
@@ -205,7 +182,7 @@ fn analyze_into(
 
 /// Fallback rendering for a plan subtree the profile carries no span
 /// for (should not happen; kept so a report never panics).
-fn analyze_missing(plan: &crate::physical::PhysicalPlan, depth: usize, out: &mut String) {
+fn analyze_missing(plan: &PhysicalPlan, depth: usize, out: &mut String) {
     let pad = "  ".repeat(depth);
     out.push_str(&format!("{pad}{}  [not measured]\n", plan.label()));
     for child in plan.children() {
@@ -224,7 +201,7 @@ mod tests {
     use crate::catalog::{Catalog, TableStats};
     use crate::enumerate::Planner;
     use crate::logical::LogicalPlan;
-    use crate::lower::execute_stream_profiled;
+    use crate::lower::{execute_stream, execute_stream_profiled};
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use std::sync::Arc;
 
@@ -267,10 +244,10 @@ mod tests {
             .plan(&logical, &cat)
             .expect("plans");
         assert!(planned.predicted.reads > 0.0);
-        let run = crate::lower::execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool)
+        let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool)
             .expect("executes");
         assert_eq!((run.stats.cl_reads, run.stats.cl_writes), (0, 0));
-        let report = render_concordance(&planned, &run, &dev.config().latency);
+        let report = render_concordance(&planned, &run.stats, &dev.config().latency);
         let ratios: Vec<&str> = report
             .lines()
             .skip(1)
@@ -289,7 +266,7 @@ mod tests {
             cl_writes: 1,
             ..pmem_sim::IoStats::default()
         };
-        let report = render_concordance_stats(&planned, &measured, &dev.config().latency);
+        let report = render_concordance(&planned, &measured, &dev.config().latency);
         assert!(report.contains("(0.50x)"), "{report}");
         assert!(!report.contains("inf"), "{report}");
     }
@@ -326,7 +303,7 @@ mod tests {
         // The profile covers exactly the measured device delta.
         assert_eq!(profile.io.cl_reads, run.stats.cl_reads);
         assert_eq!(profile.io.cl_writes, run.stats.cl_writes);
-        let report = render_analyze(&planned, &profile, &dev.config().latency);
+        let report = render_analyze(&planned.plan, &profile, &dev.config().latency);
         assert!(report.contains("sort via"));
         assert!(report.contains("scan T"));
         assert!(report.contains("obs 1000 rows"));

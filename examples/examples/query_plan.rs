@@ -10,7 +10,7 @@
 //!
 //! The session parses the SQL, the planner enumerates every applicable
 //! sort/join algorithm and knob, costs them with the paper's Eqs. 1–11
-//! under the device's λ, lowers the winner onto the Volcano operators,
+//! under the device's λ, runs the winner over counted collections,
 //! and the result streams back with predicted vs measured cacheline
 //! traffic. Running the same query on a device with symmetric write
 //! latency changes the chosen plan — the paper's core claim, at plan

@@ -3,8 +3,8 @@
 //! rows the n-way naive oracle produces, at any degree of parallelism.
 
 use planner::{
-    execute, execute_naive, Catalog, LogicalPlan, PhysicalPlan, PlannedQuery, Planner, Predicate,
-    TableStats,
+    execute_naive, execute_stream, Catalog, LogicalPlan, PhysicalPlan, PlannedQuery, Planner,
+    Predicate, TableStats,
 };
 use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, Pm, PmDevice};
 use rand::rngs::StdRng;
@@ -62,10 +62,11 @@ fn three_way_chain_matches_the_naive_oracle() {
     };
     assert_eq!(slots.tables(), 3);
 
-    let run = execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let output = run.result.all_rows();
     let reference = execute_naive(&logical, &cat).expect("naive evaluates");
-    assert_eq!(run.output.len(), 500 * 3 * 2, "fanout product");
-    assert_eq!(run.output.canonical_wide(), reference.canonical_wide());
+    assert_eq!(output.len(), 500 * 3 * 2, "fanout product");
+    assert_eq!(output.canonical_wide(), reference.canonical_wide());
 }
 
 #[test]
@@ -87,20 +88,22 @@ fn filters_sorts_and_aggregates_compose_over_chains() {
         })
         .sort();
     let planned = planner.plan(&filtered, &cat).expect("plans");
-    let run = execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let output = run.result.all_rows();
     let reference = execute_naive(&filtered, &cat).expect("naive evaluates");
-    assert_eq!(run.output.canonical_wide(), reference.canonical_wide());
-    let keys = run.output.keys();
+    assert_eq!(output.canonical_wide(), reference.canonical_wide());
+    let keys = output.keys();
     assert!(keys.windows(2).all(|w| w[0] <= w[1]), "sorted output");
 
     // Aggregation over the chain groups by key and folds the last
     // relation's payload, exactly as the oracle does.
     let agged = left_deep(&names).aggregate().sort();
     let planned = planner.plan(&agged, &cat).expect("plans");
-    let run = execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let output = run.result.all_rows();
     let reference = execute_naive(&agged, &cat).expect("naive evaluates");
-    assert_eq!(run.output.canonical_wide(), reference.canonical_wide());
-    assert_eq!(run.output.len(), 400);
+    assert_eq!(output.canonical_wide(), reference.canonical_wide());
+    assert_eq!(output.len(), 400);
 }
 
 /// Property loop: randomized 3–5 relation chains across λ, DRAM budget,
@@ -135,11 +138,11 @@ fn random_chains_agree_with_naive_at_any_dop() {
             Ok(p) => p,
             Err(e) => panic!("case {case} (n={n}, keys={keys}, M={m_records}): {e}"),
         };
-        let run = execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool)
+        let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool)
             .unwrap_or_else(|e| panic!("case {case}: {e}"));
         let reference = execute_naive(&logical, &cat).expect("naive evaluates");
         assert_eq!(
-            run.output.canonical_wide(),
+            run.result.all_rows().canonical_wide(),
             reference.canonical_wide(),
             "case {case} diverges from the oracle"
         );
@@ -154,11 +157,11 @@ fn random_chains_agree_with_naive_at_any_dop() {
             threads: 4,
             ..planned.clone()
         };
-        let run4 = execute(&planned4, &cat4, &dev4, LayerKind::BlockedMemory, &pool)
+        let run4 = execute_stream(&planned4, &cat4, &dev4, LayerKind::BlockedMemory, &pool)
             .unwrap_or_else(|e| panic!("case {case} at DoP 4: {e}"));
         assert_eq!(
-            run4.output.canonical_wide(),
-            run.output.canonical_wide(),
+            run4.result.all_rows().canonical_wide(),
+            run.result.all_rows().canonical_wide(),
             "case {case}: rows changed with DoP"
         );
         assert_eq!(

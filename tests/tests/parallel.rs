@@ -412,7 +412,7 @@ fn deferred_pipeline_join_is_dop_invariant() {
 
 #[test]
 fn planned_query_execution_is_dop_invariant() {
-    use planner::{execute, Catalog, LogicalPlan, Planner, Predicate};
+    use planner::{execute_stream, Catalog, LogicalPlan, Planner, Predicate};
 
     let dev = PmDevice::paper_default();
     let w = join_input(800, 4, 5);
@@ -447,9 +447,9 @@ fn planned_query_execution_is_dop_invariant() {
         let mut planned = planned.clone();
         planned.threads = threads;
         dev.reset_metrics();
-        let executed =
-            execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("executes");
-        runs.push((executed.output.canonical(), executed.stats));
+        let executed = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool)
+            .expect("executes");
+        runs.push((executed.result.all_rows().canonical(), executed.stats));
     }
     assert_eq!(runs[0].0, runs[1].0, "rows differ across DoP");
     assert_eq!(runs[0].1, runs[1].1, "traffic differs across DoP");

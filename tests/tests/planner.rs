@@ -3,7 +3,7 @@
 //! equivalence against the naive DRAM executor.
 
 use planner::{
-    execute, execute_naive, Catalog, LogicalPlan, Materialization, PhysicalPlan, Planner,
+    execute_naive, execute_stream, Catalog, LogicalPlan, Materialization, PhysicalPlan, Planner,
     Predicate, TableStats,
 };
 use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, PmDevice};
@@ -238,10 +238,11 @@ fn deferred_filter_plans_execute_correctly() {
         .expect("join enumerated");
     assert_eq!(join_choice.chosen, join_choice.candidates[0].label);
 
-    let run = execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let output = run.result.all_rows();
     let reference = execute_naive(&logical, &cat).expect("naive evaluates");
-    assert_eq!(run.output.len(), 3_800 * 4);
-    assert_eq!(run.output.canonical(), reference.canonical());
+    assert_eq!(output.len(), 3_800 * 4);
+    assert_eq!(output.canonical(), reference.canonical());
 }
 
 /// Property test: lowering any enumerated plan executes and returns the
@@ -307,7 +308,7 @@ fn lowered_plans_agree_with_naive_execution() {
             Ok(p) => p,
             Err(e) => panic!("case {case}: planning failed: {e}"),
         };
-        let run = match execute(&planned, &cat, &dev, layer, &pool) {
+        let run = match execute_stream(&planned, &cat, &dev, layer, &pool) {
             Ok(r) => r,
             Err(e) => panic!(
                 "case {case}: execution failed: {e} (plan: {})",
@@ -316,7 +317,7 @@ fn lowered_plans_agree_with_naive_execution() {
         };
         let reference = execute_naive(logical, &cat).expect("naive evaluates");
         assert_eq!(
-            run.output.canonical(),
+            run.result.all_rows().canonical(),
             reference.canonical(),
             "case {case}: λ={lambda} layer={} plan:\n{}",
             layer.label(),
@@ -324,7 +325,7 @@ fn lowered_plans_agree_with_naive_execution() {
         );
         // Sort-rooted plans must actually produce ordered keys.
         if matches!(logical, LogicalPlan::Sort { .. }) {
-            let keys = run.output.keys();
+            let keys = run.result.all_rows().keys();
             assert!(
                 keys.windows(2).all(|w| w[0] <= w[1]),
                 "case {case}: unsorted"
@@ -366,7 +367,7 @@ fn predictions_track_measurements_for_the_canonical_query() {
     let pool = BufferPool::new(400 * 80);
     let planner = Planner::for_device(&dev, &pool, LayerKind::BlockedMemory);
     let planned = planner.plan(&logical, &cat).expect("plans");
-    let run = execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+    let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
 
     let pr = planned.predicted.reads;
     let pw = planned.predicted.writes;
@@ -409,7 +410,8 @@ fn predicate_lowering_matches_manual_filtering() {
     ] {
         let logical = LogicalPlan::scan("T").filter(predicate).sort();
         let planned = planner.plan(&logical, &cat).expect("plans");
-        let run = execute(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
+        let run =
+            execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
         let expect: Vec<WisconsinRecord> = {
             let mut v: Vec<WisconsinRecord> = input
                 .to_vec_uncounted()
@@ -419,7 +421,7 @@ fn predicate_lowering_matches_manual_filtering() {
             v.sort_by_key(wisconsin::Record::key);
             v
         };
-        let planner::OutputRows::Wis(got) = run.output else {
+        let planner::OutputRows::Wis(got) = run.result.all_rows() else {
             panic!("expected base rows")
         };
         assert_eq!(got, expect, "{}", predicate.describe());

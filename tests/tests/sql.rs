@@ -279,10 +279,11 @@ fn random_multiway_sql_agrees_with_naive_at_any_dop() {
             ..stream.planned().clone()
         };
         let pool = pmem_sim::BufferPool::new(250 * 80);
-        let run4 = planner::execute(&planned4, &db.catalog(), db.device(), db.layer(), &pool)
-            .expect("runs at DoP 4");
+        let run4 =
+            planner::execute_stream(&planned4, &db.catalog(), db.device(), db.layer(), &pool)
+                .expect("runs at DoP 4");
         assert_eq!(
-            run4.output.canonical_wide(),
+            run4.result.all_rows().canonical_wide(),
             got,
             "case {case}: rows changed with DoP"
         );
