@@ -246,8 +246,8 @@ impl Planner {
     /// together with the candidate evidence.
     ///
     /// # Errors
-    /// Returns [`PlanError`] for unknown tables or plan shapes the
-    /// executor cannot lower.
+    /// Returns [`PlanError`] for unknown tables, a `key % 0` filter, or
+    /// plan shapes the executor cannot lower.
     pub fn plan(
         &self,
         logical: &LogicalPlan,
@@ -298,6 +298,7 @@ impl Planner {
                 Ok((plan, (**statistics).clone()))
             }
             LogicalPlan::Filter { input, predicate } => {
+                predicate.check()?;
                 let (child, stats) = self.plan_node(input, catalog, evidence)?;
                 Ok(self.plan_filter(child, *predicate, &stats))
             }
@@ -329,10 +330,9 @@ impl Planner {
         let (selectivity, filtered) = match predicate {
             Predicate::KeyBelow(b) => (stats.fraction_below(b), stats.filtered_below(b)),
             Predicate::KeyAtLeast(b) => (stats.fraction_at_least(b), stats.filtered_at_least(b)),
-            Predicate::KeyModEq { modulus, residue } => (
-                1.0 / modulus.max(1) as f64,
-                stats.filtered_mod(modulus, residue),
-            ),
+            Predicate::KeyModEq { modulus, residue } => {
+                (1.0 / modulus as f64, stats.filtered_mod(modulus, residue))
+            }
         };
         let distinct = filtered.distinct_keys().max(1.0);
         let out_rows = (in_rows * selectivity).ceil();

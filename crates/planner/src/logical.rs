@@ -6,6 +6,7 @@
 //! knobs (`x`, `d`), and materialization decisions belong to the
 //! physical plan.
 
+use crate::enumerate::PlanError;
 use wisconsin::Record;
 
 /// A key predicate; its selectivity is read off the input's statistics.
@@ -36,6 +37,19 @@ impl Predicate {
             Predicate::KeyBelow(b) => key < *b,
             Predicate::KeyAtLeast(b) => key >= *b,
             Predicate::KeyModEq { modulus, residue } => key % modulus == *residue,
+        }
+    }
+
+    /// Rejects the one predicate no key can be tested against,
+    /// `key % 0 == r`, before a plan or an oracle run would divide by
+    /// zero.
+    pub(crate) fn check(&self) -> Result<(), PlanError> {
+        match self {
+            Predicate::KeyModEq { modulus: 0, .. } => Err(PlanError::Unsupported(format!(
+                "filter [{}]: the modulus must be positive",
+                self.describe()
+            ))),
+            _ => Ok(()),
         }
     }
 

@@ -13,9 +13,9 @@ use write_limited::agg::GroupAgg;
 /// Evaluates `logical` over the catalog's bound tables in DRAM.
 ///
 /// # Errors
-/// Returns [`ExecError`] for unknown/unbound tables or shapes outside
-/// the supported algebra (joins over non-base inputs, nested
-/// aggregates).
+/// Returns [`ExecError`] for unknown/unbound tables, a `key % 0`
+/// filter, or shapes outside the supported algebra (joins over non-base
+/// inputs, nested aggregates).
 pub fn execute_naive(logical: &LogicalPlan, catalog: &Catalog) -> Result<OutputRows, ExecError> {
     eval(logical, catalog)
 }
@@ -29,6 +29,7 @@ fn eval(logical: &LogicalPlan, catalog: &Catalog) -> Result<OutputRows, ExecErro
             Ok(OutputRows::Wis(col.to_vec_uncounted()))
         }
         LogicalPlan::Filter { input, predicate } => {
+            predicate.check().map_err(ExecError::Plan)?;
             let rows = eval(input, catalog)?;
             Ok(match rows {
                 OutputRows::Wis(v) => {

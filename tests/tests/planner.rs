@@ -3,8 +3,8 @@
 //! equivalence against the naive DRAM executor.
 
 use planner::{
-    execute_naive, execute_stream, Catalog, LogicalPlan, Materialization, PhysicalPlan, Planner,
-    Predicate, TableStats,
+    execute_naive, execute_stream, Catalog, ExecError, LogicalPlan, Materialization, PhysicalPlan,
+    PlanError, Planner, Predicate, TableStats,
 };
 use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, PmDevice};
 use rand::rngs::StdRng;
@@ -425,5 +425,50 @@ fn predicate_lowering_matches_manual_filtering() {
             panic!("expected base rows")
         };
         assert_eq!(got, expect, "{}", predicate.describe());
+    }
+}
+
+/// `key % 0` plans nothing and evaluates nothing: the planner and the
+/// oracle both return a typed error, wherever the filter sits — on a
+/// base scan, on a join's build side, on one leaf of a chain, above a
+/// join — and whether or not the table holds rows.
+#[test]
+fn a_zero_modulus_is_a_typed_error_not_a_panic() {
+    let dev = PmDevice::paper_default();
+    let mut cat = Catalog::new();
+    for (name, rows) in [("T", 300), ("V", 300), ("E", 0)] {
+        let data = PCollection::from_records_uncounted(
+            &dev,
+            LayerKind::BlockedMemory,
+            name,
+            (0..rows).map(WisconsinRecord::from_key),
+        );
+        cat.add_table(name, Arc::new(data), rows);
+    }
+    let pool = BufferPool::new(60 * 80);
+    let planner = Planner::for_device(&dev, &pool, LayerKind::BlockedMemory);
+    let zero = Predicate::KeyModEq {
+        modulus: 0,
+        residue: 1,
+    };
+    let scan = LogicalPlan::scan;
+    for logical in [
+        scan("T").filter(zero),
+        scan("E").filter(zero).sort(),
+        scan("T").filter(zero).join(scan("V")),
+        scan("T").join(scan("V").filter(zero)).join(scan("E")),
+        scan("T").join(scan("V")).filter(zero).aggregate(),
+    ] {
+        let what = logical.describe();
+        let err = planner.plan(&logical, &cat).expect_err(&what);
+        assert!(
+            matches!(&err, PlanError::Unsupported(m) if m.contains("key % 0 == 1")),
+            "{what}: {err}"
+        );
+        let err = execute_naive(&logical, &cat).expect_err(&what);
+        assert!(
+            matches!(&err, ExecError::Plan(PlanError::Unsupported(_))),
+            "{what}: {err}"
+        );
     }
 }
