@@ -75,11 +75,6 @@ impl GroupAgg {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// The group mean (floor division; groups are never empty).
-    pub fn avg(&self) -> u64 {
-        self.sum / self.count
-    }
 }
 
 impl Storable for GroupAgg {
@@ -146,7 +141,6 @@ mod tests {
         assert_eq!(g.sum, 30);
         assert_eq!(g.min, 4);
         assert_eq!(g.max, 16);
-        assert_eq!(g.avg(), 10);
     }
 
     #[test]

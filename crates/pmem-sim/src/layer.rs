@@ -24,9 +24,9 @@
 //! * [`LayerKind::FileBacked`] — writes a **real file** through the OS,
 //!   so the simulated counts can be sanity-checked against actual I/O
 //!   ([`Storage::file_stats`]), appends can fail ([`Storage::try_append`]
-//!   under an armed [`crate::fault::FaultPlan`]), and contents survive
-//!   the process ([`Storage::open_file`]). The WAL and checkpoint files
-//!   of the database live on this layer.
+//!   under an armed [`crate::fault::FaultPlan`]), and a named file
+//!   ([`Storage::create_file`]) survives the process. The WAL and
+//!   checkpoint files of the database live on this layer.
 
 use crate::config::{cachelines, DeviceConfig, CACHELINE, FILE_RECORD, RAMDISK_RECORD};
 use crate::device::PmDevice;
@@ -83,13 +83,13 @@ impl LayerKind {
 /// Host-side I/O counters of a file-backed storage — the ground truth
 /// the simulated counters are sanity-checked against.
 ///
-/// A named file ([`Storage::create_file`] / [`Storage::open_file`]) is
-/// written through: one `write(2)` per append, so `write_syscalls`
-/// counts appends. An ephemeral scratch file ([`Storage::new`]) stages
-/// its host writes and hands them to the OS in batches, so there
-/// `write_syscalls` ≤ appends — while `bytes_written` still equals the
-/// logical bytes whenever it is read, because [`Storage::file_stats`]
-/// flushes what is staged first.
+/// A named file ([`Storage::create_file`]) is written through: one
+/// `write(2)` per append, so `write_syscalls` counts appends. An
+/// ephemeral scratch file ([`Storage::new`]) stages its host writes and
+/// hands them to the OS in batches, so there `write_syscalls` ≤ appends
+/// — while `bytes_written` still equals the logical bytes whenever it
+/// is read, because [`Storage::file_stats`] flushes what is staged
+/// first.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FileStats {
     /// `write(2)` calls issued to the OS file.
@@ -110,8 +110,8 @@ struct FileBacking {
     path: PathBuf,
     file: fs::File,
     /// Anonymous scratch file (created by [`Storage::new`]); removed on
-    /// drop. Named files ([`Storage::create_file`] / [`Storage::open_file`])
-    /// are left behind — durability is their point.
+    /// drop. Named files ([`Storage::create_file`]) are left behind —
+    /// durability is their point.
     ephemeral: bool,
     /// Behind a lock because the accessors that flush take `&self`;
     /// appends reach it through `&mut self` without locking.
@@ -442,34 +442,6 @@ impl Storage {
             written_granules: 0,
             block_size: config.block_size,
             file: Some(FileBacking::new(path, file, ephemeral)),
-        })
-    }
-
-    /// Opens an existing file-backed storage at `path`, loading its
-    /// contents into the in-memory mirror. Appends continue at the end;
-    /// no write traffic is charged for the preexisting bytes.
-    pub fn open_file(path: impl AsRef<Path>, config: &DeviceConfig) -> Result<Self, PmError> {
-        let path = path.as_ref();
-        let io_err = |cause: String| PmError::Io {
-            path: path.display().to_string(),
-            offset: 0,
-            cause,
-        };
-        let contents = fs::read(path).map_err(|e| io_err(e.to_string()))?;
-        let file = fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| io_err(e.to_string()))?;
-        let len = contents.len();
-        Ok(Self {
-            kind: LayerKind::FileBacked,
-            chunks: Vec::new(),
-            contiguous: contents,
-            len,
-            capacity: 0,
-            written_granules: (len as u64).div_ceil(FILE_RECORD as u64),
-            block_size: config.block_size,
-            file: Some(FileBacking::new(path, file, false)),
         })
     }
 
@@ -1355,15 +1327,7 @@ mod tests {
             s.append(b"hello, durable world", &d);
             s.fsync(&d).unwrap();
         }
-        let mut s = Storage::open_file(&path, d.config()).unwrap();
-        assert_eq!(s.len(), 20);
-        let mut buf = [0u8; 20];
-        s.read_at(0, &mut buf, &mut ReadCursor::new(), &d);
-        assert_eq!(&buf, b"hello, durable world");
-        // Appends continue at the end.
-        s.append(b"!", &d);
-        s.fsync(&d).unwrap();
-        assert_eq!(fs::read(&path).unwrap(), b"hello, durable world!");
+        assert_eq!(fs::read(&path).unwrap(), b"hello, durable world");
         fs::remove_file(&path).unwrap();
     }
 
