@@ -4,7 +4,9 @@
 //! block sizes and two degrees of parallelism with the per-collection
 //! breakdown on — one line per case in `tests/golden/op_counters.out`:
 //! cacheline reads and writes, software **picoseconds**, layer calls,
-//! and hashes of the output bytes and of the breakdown map.
+//! and hashes of the output bytes and of the breakdown map; for every
+//! sort and join, also its phase ledger's phase count and a hash of each
+//! phase's task count and summed traffic.
 //!
 //! `wlbench` pins the simulated counters on `BlockedMemory` only (call
 //! cost zero); this is the net under PMFS / RAM-disk / file-backed
@@ -16,7 +18,9 @@
 //! counter_identity` — at the *parent* commit, never to make a diff go
 //! away.
 
-use pmem_sim::{BufferPool, DeviceConfig, LayerKind, PCollection, Pm, PmDevice, PmError, Storable};
+use pmem_sim::{
+    BufferPool, DeviceConfig, IoStats, LayerKind, PCollection, Pm, PmDevice, PmError, Storable,
+};
 use std::fmt::Write as _;
 use wisconsin::{Record, WisconsinRecord};
 use write_limited::adaptive::adaptive_grace_join;
@@ -291,16 +295,43 @@ fn output_hash<T: Storable>(out: &PCollection<T>) -> (usize, u64) {
     (rows.len(), h.0)
 }
 
+/// A run's phase ledger: its phases in order, each its tasks' traffic.
+type Ledger = Vec<Vec<IoStats>>;
+
+/// The ledger field of a corpus line: the phase count, and a hash of
+/// each phase's task count and summed reads, writes, picoseconds and
+/// calls.
+fn ledger_field(ledger: &Ledger) -> String {
+    let mut h = Fnv::new();
+    for phase in ledger {
+        let sum = phase.iter().fold(IoStats::default(), |acc, s| acc.plus(s));
+        h.eat(
+            format!(
+                "{}:{}:{}:{}:{};",
+                phase.len(),
+                sum.cl_reads,
+                sum.cl_writes,
+                picoseconds(sum.software_ns),
+                sum.calls
+            )
+            .as_bytes(),
+        );
+    }
+    format!(" phases={} ledger={:016x}", ledger.len(), h.0)
+}
+
 /// Runs one operator under one setting and renders its corpus line.
 fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
     let dev = s.device();
     let pool_for = |input_bytes: usize| BufferPool::new(s.dram.budget(input_bytes, s.block_size));
-    let result: Result<(usize, u64), PmError> = match op {
+    let hashed = |(out, ledger)| (output_hash(&out), Some(ledger));
+    let result: Result<((usize, u64), Option<Ledger>), PmError> = match op {
         Op::Sort(algo) => {
             let input = s.stage::<R>(&dev, "T", &inputs.sort);
             let pool = pool_for(input.bytes());
             let ctx = SortContext::new(&dev, s.kind, &pool).with_threads(s.threads);
-            algo.run(&input, &ctx, "out").map(|o| output_hash(&o))
+            algo.run_profiled(&input, &ctx, "out")
+                .map(|(out, ledger)| (output_hash(&out), Some(ledger)))
         }
         Op::HashAgg | Op::SegmentedHashAgg | Op::SortAgg { .. } => {
             let input = s.stage::<R>(&dev, "T", &inputs.groups);
@@ -313,7 +344,7 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
                 Op::SortAgg { x } => sort_based_aggregate(&input, x, value, &ctx, "out"),
                 _ => unreachable!("aggregation arm"),
             }
-            .map(|o| output_hash(&o))
+            .map(|o| (output_hash(&o), None))
         }
         Op::Join { .. } | Op::AdaptiveGrace | Op::DeferredPipeline => {
             let zipf = matches!(op, Op::Join { zipf: true, .. });
@@ -330,17 +361,15 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
             let pool = pool_for(left.bytes() + right.bytes());
             let ctx = JoinContext::new(&dev, s.kind, &pool).with_threads(s.threads);
             match op {
-                Op::Join { algo, .. } => algo.run(&left, &right, &ctx, "out"),
-                Op::AdaptiveGrace => {
-                    adaptive_grace_join(&left, &right, &ctx, "out").map(|(out, _)| out)
-                }
+                Op::Join { algo, .. } => algo.run_profiled(&left, &right, &ctx, "out"),
+                Op::AdaptiveGrace => adaptive_grace_join(&left, &right, &ctx, "out"),
                 Op::DeferredPipeline => {
                     let keep = |r: &R| r.key().is_multiple_of(5);
-                    filtered_iterate_join(&left, keep, 0.2, &right, &ctx, "out").map(|(out, _)| out)
+                    filtered_iterate_join(&left, keep, 0.2, &right, &ctx, "out")
                 }
                 _ => unreachable!("join arm"),
             }
-            .map(|o| output_hash(&o))
+            .map(hashed)
         }
     };
 
@@ -370,11 +399,16 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
         s.dram.tag(),
         op.label()
     );
-    match result {
-        Ok((rows, hash)) => write!(line, "rows={rows} out={hash:016x} "),
-        Err(e) => write!(line, "error: {e} "),
-    }
-    .expect("writing to a String");
+    let ledger = match &result {
+        Ok(((rows, hash), ledger)) => {
+            write!(line, "rows={rows} out={hash:016x} ").expect("writing to a String");
+            ledger.as_ref().map(ledger_field)
+        }
+        Err(e) => {
+            write!(line, "error: {e} ").expect("writing to a String");
+            None
+        }
+    };
     write!(
         line,
         "reads={} writes={} ps={} calls={} collections={} breakdown={:016x}",
@@ -386,6 +420,7 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
         breakdown.0
     )
     .expect("writing to a String");
+    line.push_str(&ledger.unwrap_or_default());
     line
 }
 
