@@ -7,7 +7,6 @@
 //! repro --table 1         # Table 1
 //! repro --ablation        # ablations A–F
 //! repro --config          # print the simulator configuration (Table 2 stand-in)
-//! repro --breakdown       # per-collection write/read attribution for one SegS run
 //! repro --plan            # plan-level concordance sweep (planner over Fig. 12), DoP 1
 //! repro --parallel        # speedup matrix; writes the BENCH_parallel.json summary
 //! repro --wall-gap-smoke  # GJ/HJ/ExMS wall-vs-critical-path gap (host-tolerant floor)
@@ -36,31 +35,6 @@ fn print_config() {
     println!("collection block  {} bytes", cfg.block_size);
     println!("PMFS call cost    {} ns", cfg.pmfs_call_ns);
     println!("RAM-disk call cost {} ns", cfg.ramdisk_call_ns);
-}
-
-fn breakdown_demo(scale: &wl_bench::Scale) {
-    use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};
-    use write_limited::sort::{segment_sort, SortContext};
-
-    let dev = PmDevice::paper_default();
-    dev.metrics().enable_breakdown();
-    let input = PCollection::from_records_uncounted(
-        &dev,
-        LayerKind::BlockedMemory,
-        "input",
-        wisconsin::sort_input(scale.sort_n / 2, wisconsin::KeyOrder::Random, 42),
-    );
-    let pool = BufferPool::fraction_of(input.bytes(), 0.05);
-    let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-    let out = segment_sort(&input, 0.5, &ctx, "sorted-output").expect("valid");
-    println!(
-        "=== Per-collection I/O of SegS 50% on {} records (cachelines) ===",
-        out.len()
-    );
-    println!("{:<20} {:>12} {:>12}", "collection", "writes", "reads");
-    for (name, stats) in dev.metrics().breakdown() {
-        println!("{name:<20} {:>12} {:>12}", stats.cl_writes, stats.cl_reads);
-    }
 }
 
 fn main() {
@@ -96,12 +70,11 @@ fn main() {
         Some("--profile") => profile::profile_to_file(&scale),
         Some("--skew") => print!("{}", skew::skew(&scale)),
         Some("--config") => print_config(),
-        Some("--breakdown") => breakdown_demo(&scale),
         Some(other) => {
             eprintln!(
                 "unknown flag {other}; see \
                  --all/--figure/--table/--ablation/--plan/--parallel/\
-                 --wall-gap-smoke/--profile/--skew/--config/--breakdown"
+                 --wall-gap-smoke/--profile/--skew/--config"
             );
         }
     }

@@ -262,7 +262,7 @@ impl Drop for ReleaseOnPanic<'_> {
 /// An operator's phase ledger: its phases in execution order, each the
 /// traffic of its independent tasks (a serial step is a phase of one
 /// task), together the operator's whole device delta.
-pub(crate) type Phases = Vec<Vec<IoStats>>;
+pub type Phases = Vec<Vec<IoStats>>;
 
 /// Runs `f` and returns the traffic it charged (fan-out it consumed
 /// included) beside its result: the ledger of a serial phase.

@@ -16,9 +16,8 @@
 //! this crate.
 
 use crate::config::cachelines;
-use crate::device::{Pm, PmDevice};
+use crate::device::Pm;
 use crate::layer::{LayerKind, Place, ReadCursor, Storage};
-use crate::metrics::thread_raw;
 use std::marker::PhantomData;
 
 /// A fixed-width record that can live in persistent memory.
@@ -65,22 +64,6 @@ impl Storable for (u64, u64) {
             u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
         )
     }
-}
-
-/// Runs `op`, attributing what it charges to the collection `name` when
-/// the device's per-collection breakdown is on.
-#[inline]
-fn attributed(dev: &PmDevice, name: &str, op: impl FnOnce()) {
-    if !dev.metrics().breakdown_enabled() {
-        return op();
-    }
-    // Measure through the thread ledger, not a device snapshot: the
-    // ledger only sees this thread's charges (so parallel siblings can't
-    // pollute the attribution) and costs no flush.
-    let before = thread_raw();
-    op();
-    let delta = thread_raw().since(&before);
-    dev.metrics().attribute_raw(name, delta);
 }
 
 /// A typed persistent collection of `R` records.
@@ -152,24 +135,21 @@ impl<R: Storable> PCollection<R> {
         cachelines(self.storage.len())
     }
 
-    /// Appends one record, charging writes to the device (attributed to
-    /// this collection's name when the breakdown is enabled). The record
+    /// Appends one record, charging writes to the device. The record
     /// serializes straight into the tail of the storage.
     pub fn append(&mut self, record: &R) {
-        attributed(&self.dev, &self.name, || {
-            self.storage
-                .append_in_place(R::SIZE, &mut self.scratch, &self.dev, |buf| {
-                    record.write_to(buf);
-                });
-        });
+        self.storage
+            .append_in_place(R::SIZE, &mut self.scratch, &self.dev, |buf| {
+                record.write_to(buf);
+            });
         self.n_records += 1;
         #[cfg(debug_assertions)]
         self.note_write(1, crate::span::thread_id());
     }
 
     /// Appends one record given as its stored bytes (a
-    /// [`RecordView::bytes`] of another collection of `R`), charged,
-    /// attributed and audited exactly as [`PCollection::append`] of the
+    /// [`RecordView::bytes`] of another collection of `R`), charged and
+    /// audited exactly as [`PCollection::append`] of the
     /// decoded record would be — the way to move a record without a
     /// decode → encode round trip.
     ///
@@ -177,9 +157,7 @@ impl<R: Storable> PCollection<R> {
     /// Panics unless `bytes` is exactly `R::SIZE` long.
     pub fn append_bytes(&mut self, bytes: &[u8]) {
         assert_eq!(bytes.len(), R::SIZE, "append_bytes takes one record");
-        attributed(&self.dev, &self.name, || {
-            self.storage.append(bytes, &self.dev);
-        });
+        self.storage.append(bytes, &self.dev);
         self.n_records += 1;
         #[cfg(debug_assertions)]
         self.note_write(1, crate::span::thread_id());
@@ -187,7 +165,7 @@ impl<R: Storable> PCollection<R> {
 
     /// Appends one record given as its stored bytes in two parts, `head`
     /// then `tail` (a join pair as its left record's bytes and its right
-    /// record's), charged, attributed and audited exactly as
+    /// record's), charged and audited exactly as
     /// [`PCollection::append`] of the whole record would be: the parts
     /// are copied straight into the tail of the storage.
     ///
@@ -199,14 +177,12 @@ impl<R: Storable> PCollection<R> {
             R::SIZE,
             "append_parts takes one record"
         );
-        attributed(&self.dev, &self.name, || {
-            self.storage
-                .append_in_place(R::SIZE, &mut self.scratch, &self.dev, |buf| {
-                    let (front, back) = buf.split_at_mut(head.len());
-                    front.copy_from_slice(head);
-                    back.copy_from_slice(tail);
-                });
-        });
+        self.storage
+            .append_in_place(R::SIZE, &mut self.scratch, &self.dev, |buf| {
+                let (front, back) = buf.split_at_mut(head.len());
+                front.copy_from_slice(head);
+                back.copy_from_slice(tail);
+            });
         self.n_records += 1;
         #[cfg(debug_assertions)]
         self.note_write(1, crate::span::thread_id());
@@ -242,9 +218,7 @@ impl<R: Storable> PCollection<R> {
         if buf.is_empty() {
             return;
         }
-        attributed(&self.dev, &self.name, || {
-            self.storage.append(&buf.bytes, &self.dev);
-        });
+        self.storage.append(&buf.bytes, &self.dev);
         self.n_records += buf.n_records;
         // A bulk flush is an accounting boundary: publish this thread's
         // pending shards so coordinator-side snapshots taken right after
@@ -574,11 +548,9 @@ impl<'a, R: Storable> RecordReader<'a, R> {
             return None;
         }
         let col = self.col;
-        attributed(&col.dev, &col.name, || {
-            let offset = self.next_record * R::SIZE;
-            col.storage
-                .charge_read(offset, R::SIZE, &mut self.cursor, &col.dev);
-        });
+        let offset = self.next_record * R::SIZE;
+        col.storage
+            .charge_read(offset, R::SIZE, &mut self.cursor, &col.dev);
         self.next_record += 1;
         self.last = Some(self.place);
         Some(RecordView {
@@ -612,8 +584,7 @@ impl<'a, R: Storable> RecordReader<'a, R> {
     /// order: a run is the maximal sequence of whole records contiguous
     /// in one storage chunk (the rest of a chunk of up to 64 blocks on
     /// blocked memory, the rest of the range elsewhere), handed out as
-    /// one slice of `k · R::SIZE` bytes and charged and attributed in one
-    /// step. A record that straddles two chunks is a run of its own,
+    /// one slice of `k · R::SIZE` bytes and charged in one step. A record that straddles two chunks is a run of its own,
     /// assembled in the reader's scratch.
     ///
     /// What a full scan charges this way is, counter for counter, what
@@ -629,15 +600,13 @@ impl<'a, R: Storable> RecordReader<'a, R> {
         while self.next_record < self.end {
             let whole = col.storage.chunk_room(&self.place) / R::SIZE;
             let records = whole.clamp(1, self.end - self.next_record);
-            attributed(&col.dev, &col.name, || {
-                col.storage.charge_read_records(
-                    self.next_record * R::SIZE,
-                    R::SIZE,
-                    records,
-                    &mut self.cursor,
-                    &col.dev,
-                );
-            });
+            col.storage.charge_read_records(
+                self.next_record * R::SIZE,
+                R::SIZE,
+                records,
+                &mut self.cursor,
+                &col.dev,
+            );
             self.next_record += records;
             visit(
                 col.storage
@@ -907,9 +876,6 @@ mod tests {
             let mut typed = PCollection::<Wide>::new(&d2, kind, "col");
             let d3 = PmDevice::paper_default();
             let mut single = PCollection::<Wide>::new(&d3, kind, "col");
-            for d in [&d1, &d2, &d3] {
-                d.metrics().enable_breakdown();
-            }
             // Interleave plain and buffered appends so batch boundaries
             // land mid-cacheline and mid-call-granule.
             let mut rest = records.iter();
@@ -949,15 +915,10 @@ mod tests {
                 typed.append_buffer(&plain);
             }
             // Byte-level and typed calls are interchangeable on every
-            // layer: same bytes, counters, attribution and host I/O.
+            // layer: same bytes, counters and host I/O.
             assert_eq!(moved.to_vec_uncounted(), records, "{kind:?}");
             assert_eq!(typed.to_vec_uncounted(), records, "{kind:?}");
             assert_eq!(d1.snapshot(), d2.snapshot(), "{kind:?}");
-            assert_eq!(
-                d1.metrics().breakdown(),
-                d2.metrics().breakdown(),
-                "{kind:?}"
-            );
             assert_eq!(
                 moved.storage.file_stats(),
                 typed.storage.file_stats(),
@@ -1006,40 +967,14 @@ mod breakdown_tests {
     use crate::device::PmDevice;
     use crate::layer::LayerKind;
 
-    #[test]
-    fn breakdown_attributes_io_per_collection() {
-        let dev = PmDevice::paper_default();
-        dev.metrics().enable_breakdown();
-        let mut a = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "runs");
-        let mut b = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "output");
-        for i in 0..100u64 {
-            a.append(&i);
-        }
-        for i in 0..200u64 {
-            b.append(&i);
-        }
-        let _: Vec<u64> = a.reader().collect();
-
-        let breakdown = dev.metrics().breakdown();
-        assert_eq!(breakdown.len(), 2);
-        // Sorted by writes descending: output first.
-        assert_eq!(breakdown[0].0, "output");
-        assert_eq!(breakdown[0].1.cl_writes, b.buffers());
-        assert_eq!(breakdown[1].0, "runs");
-        assert_eq!(breakdown[1].1.cl_writes, a.buffers());
-        assert_eq!(breakdown[1].1.cl_reads, a.buffers());
-        // The attributed totals reconcile with the global counters.
-        let total_writes: u64 = breakdown.iter().map(|(_, s)| s.cl_writes).sum();
-        assert_eq!(total_writes, dev.snapshot().cl_writes);
-    }
-
+    /// Software time on the device counters is exact however the charges
+    /// are grouped and whatever order the shards merge in.
     #[test]
     fn breakdown_software_time_is_exact_under_any_grouping_and_merge_order() {
-        // 100 ps a call: 0.1 ns has no exact `f64`, so a breakdown summed
-        // in floats differs in its last bits between one attribution per
-        // record, one per run, and four shards merged in whatever order
-        // their threads finish — the more so as attribution differences
-        // a ledger that other work on the thread has already advanced.
+        // 100 ps a call: 0.1 ns has no exact `f64`, so software time
+        // summed in floats differs in its last bits between one charge
+        // per record, one per run, and four shards merged in whatever
+        // order their threads finish.
         const BLOCKS: usize = 40;
         let config = crate::DeviceConfig {
             pmfs_call_ns: 0.1,
@@ -1049,7 +984,6 @@ mod breakdown_tests {
         let records = BLOCKS * per_block;
         let stage = |blocks: usize| {
             let dev = PmDevice::new(config.clone());
-            dev.metrics().enable_breakdown();
             let keys = 0..(blocks * per_block) as u64;
             let col = PCollection::from_records_uncounted(&dev, LayerKind::Pmfs, "t", keys);
             (dev, col)
@@ -1062,7 +996,7 @@ mod breakdown_tests {
         let scan = |how: &(dyn Fn(&PCollection<u64>) + Sync)| {
             let (dev, col) = stage(BLOCKS);
             how(&col);
-            dev.metrics().breakdown()
+            dev.snapshot()
         };
         let by_record = scan(&|col| {
             advance_ledger(1);
@@ -1086,30 +1020,9 @@ mod breakdown_tests {
                 }
             });
         });
-        assert_eq!(by_record.len(), 1);
-        assert_eq!(by_record[0].1.calls, BLOCKS as u64);
-        assert_eq!(by_record[0].1.software_ns, BLOCKS as f64 * 100.0 / 1000.0);
+        assert_eq!(by_record.calls, BLOCKS as u64);
+        assert_eq!(by_record.software_ns, BLOCKS as f64 * 100.0 / 1000.0);
         assert_eq!(by_record, by_run);
         assert_eq!(by_record, by_threads);
-    }
-
-    #[test]
-    fn breakdown_is_free_when_disabled() {
-        let dev = PmDevice::paper_default();
-        let mut a = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "a");
-        a.append(&1);
-        assert!(dev.metrics().breakdown().is_empty());
-    }
-
-    #[test]
-    fn pause_suppresses_attribution() {
-        let dev = PmDevice::paper_default();
-        dev.metrics().enable_breakdown();
-        let mut a = PCollection::<u64>::new(&dev, LayerKind::BlockedMemory, "a");
-        {
-            let _p = dev.metrics().pause();
-            a.append(&1);
-        }
-        assert!(dev.metrics().breakdown().is_empty());
     }
 }

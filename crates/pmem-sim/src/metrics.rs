@@ -17,9 +17,8 @@
 //! * every charge lands in the calling thread's cumulative ledger
 //!   ([`thread_stats`]) — how the worker pool attributes per-partition
 //!   costs without perturbing, or being perturbed by, its siblings — and
-//! * in a per-thread, per-bank *shard* of pending deltas (including any
-//!   per-collection breakdown attribution), which is bulk-published into
-//!   the shared [`Metrics`] bank by `Bank::merge_shard` at flush points:
+//! * in a per-thread, per-bank *shard* of pending deltas, which is
+//!   bulk-published into the shared [`Metrics`] bank by `Bank::merge_shard` at flush points:
 //!   [`flush_thread_shards`] calls at worker-pool task ends and barrier
 //!   joins, bulk `append_buffer` flushes, operator span boundaries — and
 //!   implicitly whenever the owning thread reads the bank
@@ -39,9 +38,8 @@
 
 use crate::config::LatencyProfile;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 /// Internal software-time resolution: picoseconds per nanosecond. Storing
 /// integer picoseconds makes concurrent accumulation exact (u64 addition
@@ -140,11 +138,11 @@ impl IoStats {
 }
 
 /// Traffic in raw integer units (picoseconds for software time) — what
-/// the thread ledgers, the shards and the per-collection breakdown
-/// accumulate, so every sum is exact under any order and any grouping of
-/// the charges. Converted to an [`IoStats`] only when observed.
+/// the thread ledgers and the shards accumulate, so every sum is exact
+/// under any order and any grouping of the charges. Converted to an
+/// [`IoStats`] only when observed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct RawStats {
+struct RawStats {
     reads: u64,
     writes: u64,
     software_ps: u64,
@@ -164,17 +162,6 @@ impl RawStats {
         self.writes += other.writes;
         self.software_ps += other.software_ps;
         self.calls += other.calls;
-    }
-
-    /// Traffic between `earlier` and `self`, two observations of one
-    /// monotonic ledger.
-    pub(crate) fn since(&self, earlier: &RawStats) -> RawStats {
-        RawStats {
-            reads: self.reads - earlier.reads,
-            writes: self.writes - earlier.writes,
-            software_ps: self.software_ps - earlier.software_ps,
-            calls: self.calls - earlier.calls,
-        }
     }
 
     fn from_io(stats: &IoStats) -> RawStats {
@@ -221,10 +208,9 @@ pub fn thread_stats() -> IoStats {
     thread_raw().to_io()
 }
 
-/// [`thread_stats`] in raw units — what the collections difference to
-/// attribute an operation, with no float in between.
+/// [`thread_stats`] in raw units.
 #[inline]
-pub(crate) fn thread_raw() -> RawStats {
+fn thread_raw() -> RawStats {
     LEDGER.with(Cell::get)
 }
 
@@ -271,7 +257,6 @@ struct Bank {
     cl_writes: AtomicU64,
     software_ps: AtomicU64,
     calls: AtomicU64,
-    breakdown: Mutex<HashMap<String, RawStats>>,
 }
 
 impl Bank {
@@ -282,17 +267,15 @@ impl Bank {
             cl_writes: AtomicU64::new(0),
             software_ps: AtomicU64::new(0),
             calls: AtomicU64::new(0),
-            breakdown: Mutex::new(HashMap::new()),
         }
     }
 
     /// Bulk-publishes one thread shard into the shared counters: a
-    /// handful of `fetch_add`s and at most one breakdown lock per flush,
-    /// regardless of how many accesses the shard buffered. This is the
-    /// only place pending deltas enter the bank (the `ledger-only`
-    /// wl-audit rule pins callers to this file).
-    fn merge_shard(&self, pending: &ShardDelta) {
-        let total = &pending.total;
+    /// handful of `fetch_add`s per flush, regardless of how many accesses
+    /// the shard buffered. This is the only place pending deltas enter
+    /// the bank (the `ledger-only` wl-audit rule pins callers to this
+    /// file).
+    fn merge_shard(&self, total: &RawStats) {
         if total.reads != 0 {
             self.cl_reads.fetch_add(total.reads, Ordering::Relaxed);
         }
@@ -306,33 +289,19 @@ impl Bank {
         if total.calls != 0 {
             self.calls.fetch_add(total.calls, Ordering::Relaxed);
         }
-        if !pending.breakdown.is_empty() {
-            let mut map = self.breakdown.lock().expect("breakdown lock poisoned");
-            for (tag, d) in &pending.breakdown {
-                map.entry(tag.clone()).or_default().add(d);
-            }
-        }
     }
 }
 
-/// One thread's not-yet-published deltas against one bank, plus any
-/// buffered per-collection attribution — all in raw integer units, so
-/// neither the order shards merge in nor how charges were grouped can
-/// show in a total.
-#[derive(Debug, Default)]
-struct ShardDelta {
-    total: RawStats,
-    breakdown: HashMap<String, RawStats>,
-}
-
-/// A thread's pending shard for one bank. The bank is held weakly so a
-/// dropped device never keeps thread state alive (and a dead bank's
+/// A thread's pending shard for one bank: its not-yet-published deltas,
+/// in raw integer units, so neither the order shards merge in nor how
+/// charges were grouped can show in a total. The bank is held weakly so
+/// a dropped device never keeps thread state alive (and a dead bank's
 /// pending deltas are discarded at the next flush).
 #[derive(Debug)]
 struct Shard {
     bank_id: u64,
     bank: Weak<Bank>,
-    delta: ShardDelta,
+    delta: RawStats,
 }
 
 /// Every shard the current thread has pending. Dropping the registry —
@@ -371,7 +340,7 @@ thread_local! {
 /// another thread-local's destructor), publishes directly — correctness
 /// over buffering on that cold path.
 #[inline]
-fn buffer_in_shard(bank: &Arc<Bank>, f: impl FnOnce(&mut ShardDelta)) {
+fn buffer_in_shard(bank: &Arc<Bank>, f: impl FnOnce(&mut RawStats)) {
     let mut f = Some(f);
     let buffered = SHARDS.try_with(|reg| {
         let reg = &mut *reg.borrow_mut();
@@ -382,7 +351,7 @@ fn buffer_in_shard(bank: &Arc<Bank>, f: impl FnOnce(&mut ShardDelta)) {
                 reg.shards.push(Shard {
                     bank_id: bank.id,
                     bank: Arc::downgrade(bank),
-                    delta: ShardDelta::default(),
+                    delta: RawStats::ZERO,
                 });
                 reg.shards.last_mut().expect("just pushed")
             }
@@ -391,7 +360,7 @@ fn buffer_in_shard(bank: &Arc<Bank>, f: impl FnOnce(&mut ShardDelta)) {
     });
     if buffered.is_err() {
         if let Some(f) = f.take() {
-            let mut delta = ShardDelta::default();
+            let mut delta = RawStats::ZERO;
             f(&mut delta);
             bank.merge_shard(&delta);
         }
@@ -418,7 +387,6 @@ pub fn flush_thread_shards() {
 pub struct Metrics {
     bank: Arc<Bank>,
     paused: AtomicBool,
-    breakdown_enabled: AtomicBool,
 }
 
 impl Default for Metrics {
@@ -451,7 +419,6 @@ impl Metrics {
         Metrics {
             bank: Arc::new(Bank::new()),
             paused: AtomicBool::new(false),
-            breakdown_enabled: AtomicBool::new(false),
         }
     }
 
@@ -474,7 +441,7 @@ impl Metrics {
     pub fn add_reads(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
             ledger_update(|l| l.reads += n);
-            buffer_in_shard(&self.bank, |d| d.total.reads += n);
+            buffer_in_shard(&self.bank, |d| d.reads += n);
         }
     }
 
@@ -484,7 +451,7 @@ impl Metrics {
     pub fn add_writes(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
             ledger_update(|l| l.writes += n);
-            buffer_in_shard(&self.bank, |d| d.total.writes += n);
+            buffer_in_shard(&self.bank, |d| d.writes += n);
         }
     }
 
@@ -495,7 +462,7 @@ impl Metrics {
         if !self.paused.load(Ordering::Relaxed) {
             let ps = (ns * PS_PER_NS).round() as u64;
             ledger_update(|l| l.software_ps += ps);
-            buffer_in_shard(&self.bank, |d| d.total.software_ps += ps);
+            buffer_in_shard(&self.bank, |d| d.software_ps += ps);
         }
     }
 
@@ -505,7 +472,7 @@ impl Metrics {
     pub fn add_calls(&self, n: u64) {
         if !self.paused.load(Ordering::Relaxed) {
             ledger_update(|l| l.calls += n);
-            buffer_in_shard(&self.bank, |d| d.total.calls += n);
+            buffer_in_shard(&self.bank, |d| d.calls += n);
         }
     }
 
@@ -524,7 +491,7 @@ impl Metrics {
                 ..RawStats::ZERO
             };
             ledger_update(|l| l.add(&charge));
-            buffer_in_shard(&self.bank, |d| d.total.add(&charge));
+            buffer_in_shard(&self.bank, |d| d.add(&charge));
         }
     }
 
@@ -541,11 +508,10 @@ impl Metrics {
         }
     }
 
-    /// Resets every counter to zero (including any per-collection
-    /// breakdown), discarding the calling thread's pending shard for
-    /// this bank. Thread-local ledgers are cumulative and unaffected.
-    /// Like snapshots, resets belong on the coordinating thread outside
-    /// parallel sections.
+    /// Resets every counter to zero, discarding the calling thread's
+    /// pending shard for this bank. Thread-local ledgers are cumulative
+    /// and unaffected. Like snapshots, resets belong on the coordinating
+    /// thread outside parallel sections.
     pub fn reset(&self) {
         let _ = SHARDS.try_with(|reg| {
             reg.borrow_mut()
@@ -556,68 +522,6 @@ impl Metrics {
         self.bank.cl_writes.store(0, Ordering::Relaxed);
         self.bank.software_ps.store(0, Ordering::Relaxed);
         self.bank.calls.store(0, Ordering::Relaxed);
-        self.bank
-            .breakdown
-            .lock()
-            .expect("breakdown lock poisoned")
-            .clear();
-    }
-
-    /// Enables per-collection I/O attribution. Off by default — when
-    /// enabled, collections measure their storage operations through the
-    /// thread ledger and attribute the deltas by name, buffered in the
-    /// thread shard (a local hash update per operation; the shared map
-    /// is only locked once per flush).
-    pub fn enable_breakdown(&self) {
-        self.breakdown_enabled.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether per-collection attribution is on.
-    #[inline]
-    pub fn breakdown_enabled(&self) -> bool {
-        self.breakdown_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Attributes `delta` to `tag` (no-op unless breakdown is enabled;
-    /// paused accounting also suppresses attribution). Buffered in the
-    /// calling thread's shard and merged at the same flush points as the
-    /// counters. Software time is carried in integer picoseconds from
-    /// here on, so a tag's total does not depend on the order or the
-    /// grouping of its attributions.
-    pub fn attribute(&self, tag: &str, delta: IoStats) {
-        self.attribute_raw(tag, RawStats::from_io(&delta));
-    }
-
-    /// [`Metrics::attribute`] of a delta already in raw units (two
-    /// [`thread_raw`] observations differenced).
-    pub(crate) fn attribute_raw(&self, tag: &str, delta: RawStats) {
-        if !self.breakdown_enabled() || self.paused.load(Ordering::Relaxed) {
-            return;
-        }
-        buffer_in_shard(&self.bank, |d| {
-            if let Some(slot) = d.breakdown.get_mut(tag) {
-                slot.add(&delta);
-            } else {
-                d.breakdown.insert(tag.to_string(), delta);
-            }
-        });
-    }
-
-    /// The per-collection breakdown, sorted by writes descending.
-    /// Empty unless [`Metrics::enable_breakdown`] was called. Flushes
-    /// the calling thread's pending shards first.
-    pub fn breakdown(&self) -> Vec<(String, IoStats)> {
-        flush_thread_shards();
-        let mut v: Vec<(String, IoStats)> = self
-            .bank
-            .breakdown
-            .lock()
-            .expect("breakdown lock poisoned")
-            .iter()
-            .map(|(k, s)| (k.clone(), s.to_io()))
-            .collect();
-        v.sort_by(|a, b| b.1.cl_writes.cmp(&a.1.cl_writes).then(a.0.cmp(&b.0)));
-        v
     }
 }
 
@@ -835,32 +739,6 @@ mod tests {
         assert_eq!(flow.cl_writes, 4);
         assert_eq!(flow.calls, 3);
         assert!((flow.software_ns - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn attribution_buffers_in_the_shard_until_flush() {
-        let m = Metrics::new();
-        m.enable_breakdown();
-        m.attribute(
-            "runs",
-            IoStats {
-                cl_writes: 5,
-                ..Default::default()
-            },
-        );
-        m.attribute(
-            "runs",
-            IoStats {
-                cl_writes: 2,
-                cl_reads: 1,
-                ..Default::default()
-            },
-        );
-        let b = m.breakdown(); // flush-on-read
-        assert_eq!(b.len(), 1);
-        assert_eq!(b[0].0, "runs");
-        assert_eq!(b[0].1.cl_writes, 7);
-        assert_eq!(b[0].1.cl_reads, 1);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! range, the bytes [`RecordReader::next_view`] (and `last_view` after
 //! it), `for_each_view` and `for_each_run` lend, the records `next()` and
 //! [`PCollection::get_with_cursor`] decode, and everything they charge —
-//! device counters, the thread ledger, the per-collection breakdown —
-//! equal a twin scan driven record by record through
+//! device counters and the thread ledger — equal a twin scan driven record by record through
 //! [`Storage::read_at`], the way the reader worked before views. The
 //! pull path (`next_view`, `next()`) additionally charges nothing ahead:
 //! dropped after `n` records it has charged what the twin charged for
@@ -69,13 +68,12 @@ fn splitmix(state: &mut u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Everything one scan charged: device counters, this thread's ledger,
-/// and the per-collection breakdown.
+/// Everything one scan charged: device counters and this thread's
+/// ledger.
 #[derive(Debug, PartialEq)]
 struct Charged {
     device: IoStats,
     thread: IoStats,
-    breakdown: Vec<(String, IoStats)>,
 }
 
 /// Runs `scan` against a zeroed `dev` and reports what it charged.
@@ -86,7 +84,6 @@ fn charged(dev: &Pm, scan: impl FnOnce()) -> Charged {
     Charged {
         thread: thread_stats().since(&before),
         device: dev.snapshot(),
-        breakdown: dev.metrics().breakdown(),
     }
 }
 
@@ -114,10 +111,9 @@ fn ranges(n: usize, size: usize, block_size: usize, rng: &mut u64) -> Vec<(usize
     ranges
 }
 
-fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n: usize) {
-    let what =
-        format!("{kind:?}, {n} {N}-byte records, {block_size}-byte blocks, breakdown {breakdown}");
-    let mut rng = (N * block_size) as u64 + breakdown as u64;
+fn check<const N: usize>(kind: LayerKind, block_size: usize, n: usize) {
+    let what = format!("{kind:?}, {n} {N}-byte records, {block_size}-byte blocks");
+    let mut rng = (N * block_size) as u64;
     let config = DeviceConfig {
         block_size,
         ..DeviceConfig::paper_default()
@@ -129,8 +125,7 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n:
     let dev = PmDevice::new(config.clone());
     let col = PCollection::from_records_uncounted(&dev, kind, "col", records.iter().copied());
     // The twin holds the same bytes in a bare `Storage` and scans them the
-    // way the reader did before views: `read_at` into a buffer per record,
-    // attributed through the thread ledger when the breakdown is on.
+    // way the reader did before views: `read_at` into a buffer per record.
     let twin_dev = PmDevice::new(config);
     let mut twin = Storage::new(kind, twin_dev.config());
     {
@@ -139,21 +134,12 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n:
             twin.append(&r.0, &twin_dev);
         }
     }
-    if breakdown {
-        dev.metrics().enable_breakdown();
-        twin_dev.metrics().enable_breakdown();
-    }
-    let twin_scan = |start: usize, end: usize, attribute: bool| {
+    let twin_scan = |start: usize, end: usize| {
         charged(&twin_dev, || {
             let mut cursor = ReadCursor::new();
             let mut buf = [0u8; N];
             for (i, record) in records.iter().enumerate().take(end).skip(start) {
-                let before = thread_stats();
                 twin.read_at(i * N, &mut buf, &mut cursor, &twin_dev);
-                if attribute {
-                    let delta = thread_stats().since(&before);
-                    twin_dev.metrics().attribute("col", delta);
-                }
                 assert_eq!(buf, record.0, "{what}: twin record {i}");
             }
         })
@@ -161,7 +147,7 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n:
 
     for (start, end) in ranges(n, N, block_size, &mut rng) {
         let what = format!("{what}, records {start}..{end}");
-        let expected = twin_scan(start, end, true);
+        let expected = twin_scan(start, end);
 
         let views = charged(&dev, || {
             let mut reader = col.range_reader(start, end);
@@ -239,8 +225,7 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n:
         });
         assert_eq!(runs, expected, "{what}: for_each_run");
 
-        // Point reads through one cursor charge like the scan, but were
-        // never attributed to the collection.
+        // Point reads through one cursor charge like the scan.
         let points = charged(&dev, || {
             let mut cursor = ReadCursor::new();
             for (i, record) in records.iter().enumerate().take(end).skip(start) {
@@ -248,11 +233,7 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n:
                 assert_eq!(got, *record, "{what}: get {i}");
             }
         });
-        assert_eq!(
-            points,
-            twin_scan(start, end, false),
-            "{what}: get_with_cursor"
-        );
+        assert_eq!(points, expected, "{what}: get_with_cursor");
     }
 
     // Early drop: the pull path charges a record when it hands it out,
@@ -262,7 +243,7 @@ fn check<const N: usize>(kind: LayerKind, block_size: usize, breakdown: bool, n:
     // The window covers the first block boundaries, straddlers included.
     for n in 0..=PREFIX_WINDOW {
         let what = format!("{what}, dropped after {n} records");
-        let expected = twin_scan(0, n, true);
+        let expected = twin_scan(0, n);
         let pulled = charged(&dev, || {
             let mut reader = col.reader();
             for _ in 0..n {
@@ -282,16 +263,14 @@ fn views_read_and_charge_exactly_like_read_at() {
     for kind in KINDS {
         // The paper's block size and one that is not a power of two.
         for block_size in [1024, 1000] {
-            for breakdown in [false, true] {
-                check::<8>(kind, block_size, breakdown, RECORDS);
-                check::<16>(kind, block_size, breakdown, RECORDS);
-                check::<80>(kind, block_size, breakdown, RECORDS);
-                check::<160>(kind, block_size, breakdown, RECORDS);
-            }
+            check::<8>(kind, block_size, RECORDS);
+            check::<16>(kind, block_size, RECORDS);
+            check::<80>(kind, block_size, RECORDS);
+            check::<160>(kind, block_size, RECORDS);
             // Deep enough to leave the doubling chunks behind.
             let deep = |size: usize| (DEEP_BLOCKS * block_size).div_ceil(size);
-            check::<80>(kind, block_size, true, deep(80));
-            check::<160>(kind, block_size, false, deep(160));
+            check::<80>(kind, block_size, deep(80));
+            check::<160>(kind, block_size, deep(160));
         }
     }
 }

@@ -1,16 +1,15 @@
 //! Operator counter corpus: every sort, join and aggregation operator,
 //! the adaptive Grace join and the deferred pipeline, executed on all
 //! five persistence layers, two record widths, three DRAM budgets, two
-//! block sizes and two degrees of parallelism with the per-collection
-//! breakdown on — one line per case in `tests/golden/op_counters.out`:
-//! cacheline reads and writes, software **picoseconds**, layer calls,
-//! and hashes of the output bytes and of the breakdown map; for every
+//! block sizes and two degrees of parallelism — one line per case in
+//! `tests/golden/op_counters.out`: cacheline reads and writes, software
+//! **picoseconds**, layer calls and a hash of the output bytes; for every
 //! sort and join, also its phase ledger's phase count and a hash of each
 //! phase's task count and summed traffic.
 //!
 //! `wlbench` pins the simulated counters on `BlockedMemory` only (call
 //! cost zero); this is the net under PMFS / RAM-disk / file-backed
-//! software time and under attribution. A change to how scans, merges or
+//! software time and under each phase ledger. A change to how scans, merges or
 //! spills move and charge records that claims "same counters" must leave
 //! the file byte-identical.
 //!
@@ -131,12 +130,10 @@ struct Setting {
 
 impl Setting {
     fn device(&self) -> Pm {
-        let dev = PmDevice::new(DeviceConfig {
+        PmDevice::new(DeviceConfig {
             block_size: self.block_size,
             ..DeviceConfig::paper_default()
-        });
-        dev.metrics().enable_breakdown();
-        dev
+        })
     }
 
     fn stage<R: Shape>(&self, dev: &Pm, name: &str, records: &[WisconsinRecord]) -> PCollection<R> {
@@ -374,21 +371,6 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
     };
 
     let stats = dev.snapshot();
-    let mut breakdown = Fnv::new();
-    let mut entries = dev.metrics().breakdown();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    for (name, io) in &entries {
-        breakdown.eat(
-            format!(
-                "{name}:{}:{}:{}:{};",
-                io.cl_reads,
-                io.cl_writes,
-                picoseconds(io.software_ns),
-                io.calls
-            )
-            .as_bytes(),
-        );
-    }
     let mut line = format!(
         "{} {} {:?} bs={} dop={} dram={} | {} | ",
         inputs.tag,
@@ -411,13 +393,11 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
     };
     write!(
         line,
-        "reads={} writes={} ps={} calls={} collections={} breakdown={:016x}",
+        "reads={} writes={} ps={} calls={}",
         stats.cl_reads,
         stats.cl_writes,
         picoseconds(stats.software_ns),
         stats.calls,
-        entries.len(),
-        breakdown.0
     )
     .expect("writing to a String");
     line.push_str(&ledger.unwrap_or_default());
@@ -518,7 +498,7 @@ fn the_corpus_reaches_every_operator_and_layer() {
     for kind in ["BlockedMemory", "DynArray"] {
         assert_eq!(
             count(&[kind]),
-            count(&[kind, " ps=0 calls=0 "]),
+            count(&[kind, " ps=0 calls=0"]),
             "{kind} is free"
         );
     }

@@ -6,9 +6,11 @@
 //! simulated traffic as the serial run. These property-style tests sweep
 //! the full algorithm line-up at several DoPs against the DoP-1 run.
 
+use pmem_sim::span::{begin_profile, end_profile};
 use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice};
 use wisconsin::{join_input, sort_input, KeyOrder, Record, WisconsinRecord};
 use write_limited::join::{JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS};
+use write_limited::parallel::Phases;
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 
@@ -455,45 +457,49 @@ fn planned_query_execution_is_dop_invariant() {
     assert_eq!(runs[0].1, runs[1].1, "traffic differs across DoP");
 }
 
+/// `algo` over `left ⋈ right` at `threads`, under a span profile or
+/// not: the device delta and the phase ledger.
+fn profiled_join(
+    algo: JoinAlgorithm,
+    left: &[WisconsinRecord],
+    right: &[WisconsinRecord],
+    m_records: usize,
+    profiled: bool,
+    threads: usize,
+) -> (IoStats, Phases) {
+    let dev = PmDevice::paper_default();
+    let kind = LayerKind::BlockedMemory;
+    let left = PCollection::from_records_uncounted(&dev, kind, "T", left.iter().copied());
+    let right = PCollection::from_records_uncounted(&dev, kind, "V", right.iter().copied());
+    let pool = BufferPool::new(m_records * 80);
+    let ctx = JoinContext::new(&dev, kind, &pool).with_threads(threads);
+    let before = dev.snapshot();
+    if profiled {
+        begin_profile("join");
+    }
+    let (_, ledger) = algo
+        .run_profiled(&left, &right, &ctx, "out")
+        .expect("applicable");
+    if profiled {
+        end_profile().expect("profile recorded");
+    }
+    (dev.snapshot().since(&before), ledger)
+}
+
 #[test]
 fn counters_are_bit_identical_across_dops_with_profiling_on_and_off() {
     // The sharded hot-path accounting must publish exactly the serial
-    // totals no matter how tasks were divided across workers, and
-    // per-collection attribution (profiling) must neither perturb the
-    // counters nor itself vary by DoP.
-    let run = |algo: JoinAlgorithm, profiled: bool, threads: usize| {
-        let dev = PmDevice::paper_default();
-        if profiled {
-            dev.metrics().enable_breakdown();
-        }
-        let w = join_input(900, 6, 41);
-        let left = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", w.left);
-        let right =
-            PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
-        let pool = BufferPool::new(70 * 80);
-        let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
-        let before = dev.snapshot();
-        algo.run(&left, &right, &ctx, "out").expect("applicable");
-        // breakdown() is deterministically ordered (writes desc, name),
-        // so it is directly comparable across runs.
-        (dev.snapshot().since(&before), dev.metrics().breakdown())
-    };
-    for profiled in [false, true] {
-        for algo in [JoinAlgorithm::GJ, JoinAlgorithm::HJ] {
-            let (io1, attr1) = run(algo, profiled, 1);
-            assert_eq!(attr1.is_empty(), !profiled, "{}", algo.label());
-            for threads in [4, 8] {
-                let (io, attr) = run(algo, profiled, threads);
+    // totals no matter how tasks were divided across workers, and a span
+    // profile must perturb neither the counters nor the phase ledger.
+    let w = join_input(900, 6, 41);
+    for algo in [JoinAlgorithm::GJ, JoinAlgorithm::HJ] {
+        let serial = profiled_join(algo, &w.left, &w.right, 70, false, 1);
+        for profiled in [false, true] {
+            for threads in [1, 4, 8] {
                 assert_eq!(
-                    io,
-                    io1,
-                    "{} (profiled={profiled}): traffic differs at DoP {threads}",
-                    algo.label()
-                );
-                assert_eq!(
-                    attr,
-                    attr1,
-                    "{} (profiled={profiled}): attribution differs at DoP {threads}",
+                    profiled_join(algo, &w.left, &w.right, 70, profiled, threads),
+                    serial,
+                    "{} (profiled={profiled}): counters or ledger differ at DoP {threads}",
                     algo.label()
                 );
             }
@@ -506,36 +512,20 @@ fn skewed_one_key_counters_are_bit_identical_across_dops_while_profiling() {
     // All-one-key skew funnels every row through one partition, so one
     // worker's shard carries almost all of the traffic while its
     // siblings stay near-idle — the stress case for merge-at-barrier
-    // bookkeeping. Attribution is on throughout.
-    let run = |algo: JoinAlgorithm, threads: usize| {
-        let dev = PmDevice::paper_default();
-        dev.metrics().enable_breakdown();
-        let one_key = |n: u64| (0..n).map(|i| WisconsinRecord::from_key(7).with_payload(i));
-        let left =
-            PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "T", one_key(90));
-        let right =
-            PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", one_key(110));
-        let pool = BufferPool::new(100 * 80);
-        let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
-        let before = dev.snapshot();
-        algo.run(&left, &right, &ctx, "out").expect("applicable");
-        (dev.snapshot().since(&before), dev.metrics().breakdown())
+    // bookkeeping. A span profile is armed throughout.
+    let one_key = |n: u64| -> Vec<WisconsinRecord> {
+        (0..n)
+            .map(|i| WisconsinRecord::from_key(7).with_payload(i))
+            .collect()
     };
+    let (left, right) = (one_key(90), one_key(110));
     for algo in [JoinAlgorithm::HJ, JoinAlgorithm::SMJ { x: 0.5 }] {
-        let (io1, attr1) = run(algo, 1);
-        assert!(!attr1.is_empty(), "{}", algo.label());
+        let serial = profiled_join(algo, &left, &right, 100, true, 1);
         for threads in [4, 8] {
-            let (io, attr) = run(algo, threads);
             assert_eq!(
-                io,
-                io1,
-                "{}: traffic differs at DoP {threads}",
-                algo.label()
-            );
-            assert_eq!(
-                attr,
-                attr1,
-                "{}: attribution differs at DoP {threads}",
+                profiled_join(algo, &left, &right, 100, true, threads),
+                serial,
+                "{}: counters or ledger differ at DoP {threads}",
                 algo.label()
             );
         }
