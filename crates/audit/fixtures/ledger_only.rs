@@ -5,6 +5,6 @@ pub fn charge_directly(m: &Metrics) {
     m.add_reads(1);
 }
 
-pub fn publish_directly(bank: &Bank, delta: &ShardDelta) {
+pub fn publish_directly(bank: &Bank, delta: &RawStats) {
     bank.merge_shard(delta);
 }

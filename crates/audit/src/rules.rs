@@ -176,7 +176,7 @@ fn rule_counted_io(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
 // ---------------------------------------------------------------------
 
 /// The counter-charging entry points of the sharded accounting spine.
-const LEDGER_ENTRY_POINTS: &[&str] = &["add_reads", "add_writes", "add_software_ns", "add_calls"];
+const LEDGER_ENTRY_POINTS: &[&str] = &["add_reads", "add_writes", "add_layer_calls"];
 
 /// The simulator files that legitimately charge the device: the ledger
 /// itself and the two persistence layers that move cachelines. Anything

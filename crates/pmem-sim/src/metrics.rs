@@ -455,27 +455,6 @@ impl Metrics {
         }
     }
 
-    /// Records `ns` nanoseconds of software overhead (rounded to the
-    /// picosecond internally, so concurrent accumulation stays exact).
-    #[inline]
-    pub fn add_software_ns(&self, ns: f64) {
-        if !self.paused.load(Ordering::Relaxed) {
-            let ps = (ns * PS_PER_NS).round() as u64;
-            ledger_update(|l| l.software_ps += ps);
-            buffer_in_shard(&self.bank, |d| d.software_ps += ps);
-        }
-    }
-
-    /// Records `n` persistence-layer calls (thread-locally; published at
-    /// the next flush point).
-    #[inline]
-    pub fn add_calls(&self, n: u64) {
-        if !self.paused.load(Ordering::Relaxed) {
-            ledger_update(|l| l.calls += n);
-            buffer_in_shard(&self.bank, |d| d.calls += n);
-        }
-    }
-
     /// Records `calls` persistence-layer calls of `call_ns` nanoseconds
     /// each. A call costs a whole number of picoseconds (`call_ns`
     /// rounded once), so the software time of `n` calls is `n` times
@@ -534,8 +513,7 @@ mod tests {
         let m = Metrics::new();
         m.add_reads(3);
         m.add_writes(2);
-        m.add_software_ns(5.0);
-        m.add_calls(1);
+        m.add_layer_calls(1, 5.0);
         let s = m.snapshot();
         assert_eq!(s.cl_reads, 3);
         assert_eq!(s.cl_writes, 2);
@@ -616,8 +594,7 @@ mod tests {
                     for _ in 0..10_000 {
                         m.add_reads(1);
                         m.add_writes(2);
-                        m.add_software_ns(0.5);
-                        m.add_calls(1);
+                        m.add_layer_calls(1, 0.5);
                     }
                 })
             })

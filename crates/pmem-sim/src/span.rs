@@ -83,15 +83,6 @@ impl SpanNode {
         self.children.iter().find_map(|c| c.find(label))
     }
 
-    /// Number of nodes in the subtree.
-    pub fn node_count(&self) -> usize {
-        1 + self
-            .children
-            .iter()
-            .map(SpanNode::node_count)
-            .sum::<usize>()
-    }
-
     /// Number of worker-task leaves (labels starting with `task-`) in the
     /// subtree.
     pub fn task_count(&self) -> usize {
@@ -101,33 +92,6 @@ impl SpanNode {
             .iter()
             .map(SpanNode::task_count)
             .sum::<usize>()
-    }
-
-    /// Plain indented rendering of the tree (labels plus counters), for
-    /// diagnostics and tests.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
-    }
-
-    fn render_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
-        let rows = match self.rows {
-            Some(n) => format!(", {n} rows"),
-            None => String::new(),
-        };
-        out.push_str(&format!(
-            "{pad}{}  [{}r/{}w{rows}, thread {}, {:.1}us wall]\n",
-            self.label,
-            self.io.cl_reads,
-            self.io.cl_writes,
-            self.thread,
-            self.wall_ns as f64 / 1e3,
-        ));
-        for child in &self.children {
-            child.render_into(out, depth + 1);
-        }
     }
 }
 
