@@ -4,13 +4,12 @@
 //! run their operators through the same `stage` and `run`.
 
 use crate::scale::Scale;
-use pmem_sim::{
-    BufferPool, DeviceConfig, IoStats, LatencyProfile, LayerKind, PCollection, Pm, PmDevice,
-};
+use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, Pm, PmDevice};
 use wisconsin::{join_input, sort_input, KeyOrder, WisconsinRecord};
 use write_limited::adaptive::adaptive_grace_join;
 use write_limited::context::ExecContext;
 use write_limited::join::JoinAlgorithm;
+use write_limited::parallel::Phases;
 use write_limited::sort::SortAlgorithm;
 
 /// One experiment's result.
@@ -112,7 +111,7 @@ pub(crate) fn run(
     op: Operator,
     inputs: &[PCollection<WisconsinRecord>],
     ctx: &ExecContext<'_>,
-) -> Option<(u64, Vec<Vec<IoStats>>)> {
+) -> Option<(u64, Phases)> {
     let (out, phases) = match op {
         Operator::Sort(algo) => {
             let (out, phases) = algo.run_profiled(&inputs[0], ctx, "sorted").ok()?;

@@ -31,6 +31,7 @@ use pmem_sim::{BufferPool, IoStats, LatencyProfile, LayerKind, PmDevice};
 use std::time::Instant;
 use write_limited::context::ExecContext;
 use write_limited::join::JoinAlgorithm;
+use write_limited::parallel::Phase;
 use write_limited::sort::SortAlgorithm;
 
 /// One algorithm's measurement at one degree of parallelism.
@@ -66,13 +67,13 @@ fn makespan(parts: &[f64], dop: usize) -> f64 {
 /// phases of independent per-task ledgers: the uncovered residual stays
 /// serial; each phase contributes the makespan of its tasks over
 /// `threads` workers.
-fn cp_speedup_from_phases(total: &IoStats, phases: &[Vec<IoStats>], threads: usize) -> f64 {
+fn cp_speedup_from_phases(total: &IoStats, phases: &[Phase], threads: usize) -> f64 {
     let lat = &LatencyProfile::PCM;
     let total_ns = total.time_ns(lat);
     let mut covered = 0.0;
     let mut cp_ns = 0.0;
     for phase in phases {
-        let ns: Vec<f64> = phase.iter().map(|s| s.time_ns(lat)).collect();
+        let ns: Vec<f64> = phase.tasks.iter().map(|s| s.time_ns(lat)).collect();
         covered += ns.iter().sum::<f64>();
         cp_ns += makespan(&ns, threads);
     }

@@ -36,10 +36,11 @@ pub struct ProfiledRun {
     pub tree: SpanNode,
 }
 
-/// Per-phase wall breakdown extracted from a run's `tasks[n]` spans.
+/// Per-phase wall breakdown extracted from a run's worker-pool phase
+/// spans.
 pub struct PhaseBreakdown {
-    /// The pool-phase label (`tasks[n]`), qualified by occurrence index
-    /// so repeated phases (merge passes) stay distinguishable.
+    /// The phase's label (`partition`, `merge 1`, …), qualified by
+    /// occurrence index so repeated phases stay distinguishable.
     pub label: String,
     /// Number of task leaves under the phase.
     pub tasks: usize,
@@ -49,8 +50,9 @@ pub struct PhaseBreakdown {
     pub task_wall_max_ms: f64,
 }
 
-/// Collects the worker-pool phases (`tasks[n]` spans) of a tree in
-/// pre-order, with their per-task wall totals.
+/// Collects the worker-pool phases of a tree — the labelled phase spans
+/// that carry `task-i` leaves — in pre-order, with their per-task wall
+/// totals.
 pub fn phase_breakdown(tree: &SpanNode) -> Vec<PhaseBreakdown> {
     let mut out = Vec::new();
     collect_phases(tree, &mut out);
@@ -58,12 +60,10 @@ pub fn phase_breakdown(tree: &SpanNode) -> Vec<PhaseBreakdown> {
 }
 
 fn collect_phases(node: &SpanNode, out: &mut Vec<PhaseBreakdown>) {
-    if node.label.starts_with("tasks[") {
-        let leaves: Vec<&SpanNode> = node
-            .children
-            .iter()
-            .filter(|c| c.label.starts_with("task-"))
-            .collect();
+    let leaves: Vec<&SpanNode> = (node.children.iter())
+        .filter(|c| c.label.starts_with("task-"))
+        .collect();
+    if !leaves.is_empty() {
         let sum: u64 = leaves.iter().map(|t| t.wall_ns).sum();
         let max = leaves.iter().map(|t| t.wall_ns).max().unwrap_or(0);
         out.push(PhaseBreakdown {

@@ -89,7 +89,7 @@ fn spill<R: Record>(
     let mut parts: Vec<PCollection<R>> = (from..k).map(|_| ctx.fresh(prefix)).collect();
     if from < k {
         let route = |key| partition_of(key, k).checked_sub(from);
-        phases.push(vec![spill_scan(source.reader(), route, &mut parts)]);
+        phases.push(spill_scan(source.reader(), route, &mut parts));
     }
     parts
 }

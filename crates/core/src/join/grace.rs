@@ -13,6 +13,7 @@
 
 use super::common::{partition_of, BuildTable, JoinContext};
 use super::kernel::{build_probe, pair, partition_morsels, Phased, Route};
+use crate::parallel::Phase;
 use pmem_sim::{IoStats, PCollection, PmError, RecordBuffer};
 use std::collections::HashSet;
 use wisconsin::{Pair, Record};
@@ -66,19 +67,17 @@ pub fn grace_join_profiled<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<(PCollection<Pair<L, R>>, GraceProfile), PmError> {
-    let (out, [per_morsel_left, per_morsel_right, per_partition]) =
-        phased(left, right, ctx, output_name)?;
-    let partition_phase = per_morsel_left
-        .iter()
-        .chain(&per_morsel_right)
+    let (out, [left_scan, right_scan, pairs]) = phased(left, right, ctx, output_name)?;
+    let partition_phase = (left_scan.tasks.iter())
+        .chain(&right_scan.tasks)
         .fold(IoStats::default(), |acc, s| acc.plus(s));
     Ok((
         out,
         GraceProfile {
             partition_phase,
-            per_morsel_left,
-            per_morsel_right,
-            per_partition,
+            per_morsel_left: left_scan.tasks,
+            per_morsel_right: right_scan.tasks,
+            per_partition: pairs.tasks,
         },
     ))
 }
@@ -90,7 +89,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     right: &PCollection<R>,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R, [Vec<IoStats>; 3]>, PmError> {
+) -> Result<Phased<L, R, [Phase; 3]>, PmError> {
     let _span = pmem_sim::span::span("alg grace");
     let names = ["Grace join", "gj-t", "gj-v"];
     steered(left, right, &HashSet::new(), names, ctx, output_name)
@@ -109,7 +108,7 @@ pub(crate) fn steered<L: Record, R: Record>(
     [algorithm, left_prefix, right_prefix]: [&str; 3],
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R, [Vec<IoStats>; 3]>, PmError> {
+) -> Result<Phased<L, R, [Phase; 3]>, PmError> {
     ctx.require_grace::<L>(left.len(), algorithm)?;
     let k = ctx.grace_partitions::<L>(left.len());
     let route = |key| {

@@ -20,7 +20,7 @@
 use super::common::{view_key, JoinContext};
 use super::grace::steered;
 use super::kernel::Phased;
-use crate::parallel::{measured, Phases};
+use crate::parallel::{fan_out, Label, Phases};
 use pmem_sim::{PCollection, PmError};
 use std::collections::{HashMap, HashSet};
 use wisconsin::{Pair, Record};
@@ -52,9 +52,9 @@ pub fn guided_join_with<L: Record, R: Record>(
 /// partition scans' morsels and the cold partition pairs. With `None` —
 /// [`super::JoinAlgorithm::CGJ`] run standalone — bounded Misra-Gries
 /// passes over both inputs find the heavy hitters first, a phase of
-/// their own (one extra read scan per input): a key hot on *either* side
-/// is worth keeping resident, since its rows on both sides then skip the
-/// partition write. Engine callers pass the catalog's ingest-time
+/// their own with one task per input (one extra read scan each): a key
+/// hot on *either* side is worth keeping resident, since its rows on
+/// both sides then skip the partition write. Engine callers pass the catalog's ingest-time
 /// statistics through [`guided_join_with`] instead and skip the passes.
 pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
@@ -63,18 +63,22 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
+    let _span = pmem_sim::span::span("alg guided");
     let mut phases = Phases::new();
     let hot: HashSet<u64> = match hot_keys {
         Some(keys) => keys.iter().copied().collect(),
         None => {
-            let (mut hot, left_pass) = measured(|| heavy_hitters(left));
-            let (right_hot, right_pass) = measured(|| heavy_hitters(right));
-            hot.extend(right_hot);
-            phases.push(vec![left_pass, right_pass]);
+            // The two inputs' scans are independent: one task each.
+            let scan = |i: usize| match i {
+                0 => heavy_hitters(left),
+                _ => heavy_hitters(right),
+            };
+            let mut hot = HashSet::new();
+            let found = |keys| hot.extend(keys);
+            phases.push(fan_out(ctx, Label::HeavyHitters, 2, scan, found));
             hot
         }
     };
-    let _span = pmem_sim::span::span("alg guided");
     let names = ["guided join", "cgj-t", "cgj-v"];
     let (out, steered) = steered(left, right, &hot, names, ctx, output_name)?;
     phases.extend(steered);

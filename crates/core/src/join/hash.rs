@@ -17,8 +17,8 @@
 
 use super::common::{partition_of, BuildTable, JoinContext};
 use super::kernel::{for_each_morsel, route_scan, Phased, Route};
-use crate::parallel::Phases;
-use pmem_sim::{IoStats, PCollection, RecordBuffer, RecordReader};
+use crate::parallel::{Label, Phase, Phases};
+use pmem_sim::{PCollection, RecordBuffer, RecordReader};
 use wisconsin::{Pair, Record};
 
 /// Joins `left ⋈ right` with the iterative standard hash join.
@@ -81,15 +81,32 @@ pub(super) fn passes<L: Record, R: Record>(
         let build = |kept: &mut RecordBuffer<L>, bytes: &[u8]| kept.push_bytes(bytes);
         let insert = |kept: RecordBuffer<L>| kept.records().for_each(|l| table.insert_bytes(l));
         let t_src = t_cur.as_ref().unwrap_or(left);
-        phases.push(pass_scan(t_src, ctx, route, build, t_next.as_mut(), insert));
+        let label = Label::Pass(i);
+        phases.push(pass_scan(
+            t_src,
+            ctx,
+            label,
+            route,
+            build,
+            t_next.as_mut(),
+            insert,
+        ));
         // Nothing to offload, nothing to route: a probe record the build
         // scan did not keep cannot equal a key the table holds.
         let route = move |key| if offloads { route(key) } else { Route::Keep };
         let probe = |matches: &mut RecordBuffer<_>, bytes: &[u8]| table.probe_bytes(bytes, matches);
         let v_src = v_cur.as_ref().unwrap_or(right);
-        phases.push(pass_scan(v_src, ctx, route, probe, v_next.as_mut(), |m| {
-            out.append_buffer(&m);
-        }));
+        phases.push(pass_scan(
+            v_src,
+            ctx,
+            label,
+            route,
+            probe,
+            v_next.as_mut(),
+            |m| {
+                out.append_buffer(&m);
+            },
+        ));
         if offloads {
             t_cur = t_next;
             v_cur = v_next;
@@ -105,11 +122,12 @@ pub(super) fn passes<L: Record, R: Record>(
 fn pass_scan<S: Record, K: Default + Send>(
     src: &PCollection<S>,
     ctx: &JoinContext<'_>,
+    label: Label,
     route: impl Fn(u64) -> Route + Sync,
     keep: impl Fn(&mut K, &[u8]) + Sync,
     mut next: Option<&mut PCollection<S>>,
     mut land: impl FnMut(K),
-) -> Vec<IoStats> {
+) -> Phase {
     // A pass that offloads may move a whole morsel; one that does not
     // buffers nothing.
     let offloads = next.is_some();
@@ -120,7 +138,7 @@ fn pass_scan<S: Record, K: Default + Send>(
         route_scan(scan, &route, |bytes| keep(&mut kept, bytes), spill_to);
         (kept, spill)
     };
-    for_each_morsel(src, ctx, scan, |(kept, spill)| {
+    for_each_morsel(src, ctx, label, scan, |(kept, spill)| {
         land(kept);
         if let Some(next) = next.as_deref_mut() {
             next.append_buffer(&spill);

@@ -104,7 +104,7 @@ pub(crate) fn phased<L: Record, R: Record>(
         },
         &mut out,
     );
-    Ok((out, vec![vec![t_scan], vec![v_scan], tasks]))
+    Ok((out, vec![t_scan, v_scan, tasks]))
 }
 
 #[cfg(test)]

@@ -11,12 +11,12 @@
 //!
 //! Both fan out across the worker pool ([`fan_out`]) on grids and task
 //! lists that depend on the inputs only, so output order and every
-//! counter are identical at any DoP, and both return a ledger per task:
-//! a join's [`Phases`] are its kernels' ledgers in order.
+//! counter are identical at any DoP, and both return a labelled
+//! [`Phase`]: a join's [`Phases`] are its kernels' phases in order.
 
 use super::common::{partition_of, view_key, BuildTable, JoinContext};
-use crate::parallel::{fan_out, measured, Phases};
-use pmem_sim::{IoStats, PCollection, RecordBuffer, RecordReader, Storable};
+use crate::parallel::{fan_out, measured, Label, Phase, Phases};
+use pmem_sim::{PCollection, RecordBuffer, RecordReader, Storable};
 use wisconsin::{Pair, Record};
 
 /// Records per partitioning morsel. The grid depends only on the input
@@ -63,14 +63,15 @@ pub(crate) fn route_scan<R: Record>(
 }
 
 /// A serial routed scan spilling each record straight into the partition
-/// of `parts` that `route` names, if any; returns its ledger.
+/// of `parts` that `route` names, if any: a [`Label::Partition`] phase.
 pub(crate) fn spill_scan<R: Record>(
     scan: RecordReader<'_, R>,
     route: impl Fn(u64) -> Option<usize>,
     parts: &mut [PCollection<R>],
-) -> IoStats {
+) -> Phase {
     let spill = |key| route(key).map_or(Route::Skip, Route::Spill);
-    measured(|| route_scan(scan, spill, |_| {}, |p, bytes| parts[p].append_bytes(bytes))).1
+    let append = |p: usize, bytes: &[u8]| parts[p].append_bytes(bytes);
+    measured(Label::Partition, || route_scan(scan, spill, |_| {}, append)).1
 }
 
 /// Morsels of an input of `len` records: at least one.
@@ -79,14 +80,15 @@ fn morsels(len: usize) -> usize {
 }
 
 /// The morsel-grid driver: `scan`s each morsel of `input` (its index and
-/// a reader of its records) across the worker pool and `land`s the
-/// results in morsel order; returns the per-morsel ledger.
+/// a reader of its records) across the worker pool as the phase `label`
+/// and `land`s the results in morsel order.
 pub(crate) fn for_each_morsel<R: Record, T: Send>(
     input: &PCollection<R>,
     ctx: &JoinContext<'_>,
+    label: Label,
     scan: impl Fn(usize, RecordReader<'_, R>) -> T + Sync,
     land: impl FnMut(T),
-) -> Vec<IoStats> {
+) -> Phase {
     let n = input.len();
     let morsel = |m: usize| {
         let start = m * PARTITION_MORSEL_RECORDS;
@@ -95,14 +97,14 @@ pub(crate) fn for_each_morsel<R: Record, T: Send>(
             input.range_reader(start, (start + PARTITION_MORSEL_RECORDS).min(n)),
         )
     };
-    fan_out(ctx, morsels(n), morsel, land)
+    fan_out(ctx, label, morsels(n), morsel, land)
 }
 
 /// The routed partition scan over the morsel grid, spilling into one
 /// piece per partition and morsel (named morsel-major on the calling
 /// thread, so the names are DoP-invariant too); kept records go through
 /// `keep` into the morsel's `K`, which `land`s in morsel order. Returns
-/// the partitioned input and the per-morsel ledger.
+/// the partitioned input and the [`Label::Partition`] phase.
 pub(crate) fn partition_morsels<R: Record, K: Default + Send>(
     input: &PCollection<R>,
     k: usize,
@@ -111,7 +113,7 @@ pub(crate) fn partition_morsels<R: Record, K: Default + Send>(
     route: impl Fn(u64) -> Route + Sync,
     keep: impl Fn(&mut K, &[u8]) + Sync,
     mut land: impl FnMut(K),
-) -> (Partitioned<R>, Vec<IoStats>) {
+) -> (Partitioned<R>, Phase) {
     let names: Vec<Vec<String>> = (0..morsels(input.len()))
         .map(|_| (0..k).map(|_| ctx.fresh_name(prefix)).collect())
         .collect();
@@ -126,7 +128,7 @@ pub(crate) fn partition_morsels<R: Record, K: Default + Send>(
         route_scan(scan, &route, |bytes| keep(&mut kept, bytes), spill);
         (kept, pieces)
     };
-    let ledger = for_each_morsel(input, ctx, scan, |(kept, pieces)| {
+    let ledger = for_each_morsel(input, ctx, Label::Partition, scan, |(kept, pieces)| {
         land(kept);
         for (p, piece) in pieces.into_iter().enumerate() {
             parts[p].push(piece);
@@ -200,13 +202,13 @@ impl<P: Storable> Land<P> for EachRecord<'_, P> {
 
 /// The build–probe phase: `tasks` independent tasks, each building its
 /// table and probing it with its scans into a buffer on a worker; the
-/// buffers land in `out` in task order. Returns the per-task ledger.
+/// buffers land in `out` in task order.
 pub(crate) fn build_probe<'a, L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     tasks: usize,
     task: impl Fn(usize) -> Probe<'a, L, R> + Sync,
     out: &mut impl Land<Pair<L, R>>,
-) -> Vec<IoStats> {
+) -> Phase {
     let probe = |i| {
         let (table, scans) = task(i);
         let mut matches = RecordBuffer::new();
@@ -215,5 +217,6 @@ pub(crate) fn build_probe<'a, L: Record, R: Record>(
         }
         matches
     };
-    fan_out(ctx, tasks, probe, |matches| out.land(&matches))
+    let land = |matches: RecordBuffer<Pair<L, R>>| out.land(&matches);
+    fan_out(ctx, Label::BuildProbe, tasks, probe, land)
 }

@@ -121,14 +121,28 @@ impl JoinAlgorithm {
     }
 
     /// [`JoinAlgorithm::run`] with the run's phase ledger beside the
-    /// result: its phases in execution order, each the traffic of its
-    /// independent tasks — a serial step (a whole-input partition scan,
-    /// CGJ's heavy-hitter passes, SMJ's key-range cuts) is a phase of one
-    /// task; SMJ's phases are its two sorts' ledgers, then its co-scan's.
+    /// result: its phases in execution order, each labelled and carrying
+    /// the traffic of its independent tasks. The labels
+    /// ([`crate::parallel::Label`]):
+    /// * `partition` — a routed partition scan of one input: over the
+    ///   morsel grid (GJ, CGJ), or serial, a phase of one task (HybJ,
+    ///   SegJ, adaptive Grace);
+    /// * `build-probe` — a task per table built and probed (partition
+    ///   pair, DRAM block of `T`, or pass);
+    /// * `pass p` — HJ's and LaJ's morsel-grid scans of pass `p`, the
+    ///   build side's then the probe side's;
+    /// * `heavy-hitters` — standalone CGJ's frequency scans, a task per
+    ///   input;
+    /// * `materialize` — the deferred-σ pass that writes the view;
+    /// * SMJ's two sorts' phases (see [`crate::sort::SortAlgorithm::run_profiled`]),
+    ///   then `co-scan`, after a one-task `cuts` phase when it splits into
+    ///   key ranges.
+    ///
     /// Together the phases account for the run's whole device delta, and
     /// every entry is identical at any degree of parallelism: scheduling
     /// each phase's tasks onto DoP workers gives the deterministic
-    /// critical-path estimate.
+    /// critical-path estimate. Under an armed profile each phase is one
+    /// span of its label.
     ///
     /// # Errors
     /// Same as [`JoinAlgorithm::run`].
@@ -372,10 +386,10 @@ mod tests {
                 (dev.snapshot().since(&before), phases)
             };
             let (io, phases) = run(1);
-            assert!(phases.iter().all(|phase| !phase.is_empty()), "{what}");
+            assert!(phases.iter().all(|phase| !phase.tasks.is_empty()), "{what}");
             let sum = phases
                 .iter()
-                .flatten()
+                .flat_map(|phase| &phase.tasks)
                 .fold(IoStats::default(), |acc, s| acc.plus(s));
             assert_eq!(
                 (sum.cl_reads, sum.cl_writes, sum.calls),

@@ -69,9 +69,9 @@ fn phased<L: Record, R: Record>(
     if x > 0 {
         let first_x = |key| Some(partition_of(key, k)).filter(|&p| p < x);
         t_parts = (0..x).map(|_| ctx.fresh::<L>("segj-t")).collect();
-        phases.push(vec![spill_scan(left.reader(), first_x, &mut t_parts)]);
+        phases.push(spill_scan(left.reader(), first_x, &mut t_parts));
         v_parts = (0..x).map(|_| ctx.fresh::<R>("segj-v")).collect();
-        phases.push(vec![spill_scan(right.reader(), first_x, &mut v_parts)]);
+        phases.push(spill_scan(right.reader(), first_x, &mut v_parts));
     }
 
     // Every iterating pass re-reads the (immutable) originals through its

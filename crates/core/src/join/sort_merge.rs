@@ -18,7 +18,7 @@
 
 use super::common::{view_key, JoinContext};
 use super::kernel::Phased;
-use crate::parallel::{fan_out, measured};
+use crate::parallel::{fan_out, measured, Label};
 use crate::sort::common::{key_range_cuts, sample_keys, splitters_from_samples};
 use crate::sort::{segment, SortContext, MERGE_SEGMENT_RECORDS};
 use pmem_sim::{PCollection, PmError, RecordBuffer, RecordReader};
@@ -60,19 +60,19 @@ pub(crate) fn phased<L: Record, R: Record>(
     let total = sorted_left.len() + sorted_right.len();
     let segments = total.div_ceil(MERGE_SEGMENT_RECORDS).max(1);
     if segments <= 1 || sorted_left.is_empty() || sorted_right.is_empty() {
-        let ((), io) = measured(|| {
+        let ((), phase) = measured(Label::CoScan, || {
             let mut buf = RecordBuffer::new();
             co_scan(sorted_left.reader(), sorted_right.reader(), &mut buf);
             out.append_buffer(&buf);
         });
-        phases.push(vec![io]);
+        phases.push(phase);
         return Ok((out, phases));
     }
 
     // The segment grid depends only on the merged sizes — never on the
     // DoP — so the sampled splitters, boundary searches, and counters
     // are identical at any degree of parallelism.
-    let ((cuts_l, cuts_r), grid) = measured(|| {
+    let ((cuts_l, cuts_r), grid) = measured(Label::Cuts, || {
         let mut sample = sample_keys(&sorted_left, segments);
         sample.extend(sample_keys(&sorted_right, segments));
         let splitters = splitters_from_samples(sample, segments);
@@ -91,7 +91,10 @@ pub(crate) fn phased<L: Record, R: Record>(
         buf
     };
     let land = |buf: RecordBuffer<Pair<L, R>>| out.append_buffer(&buf);
-    phases.extend([vec![grid], fan_out(ctx, segments, scan_segment, land)]);
+    phases.extend([
+        grid,
+        fan_out(ctx, Label::CoScan, segments, scan_segment, land),
+    ]);
     Ok((out, phases))
 }
 

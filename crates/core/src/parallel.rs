@@ -24,13 +24,16 @@
 //! parallelism; what the pool buys is wall-clock scaling of the harness
 //! itself.
 //!
-//! Every operator fans out through `fan_out`, which also keeps the
-//! per-task ledger its phase ledger (`Phases`) is made of; a serial
-//! step's ledger is `measured`.
+//! One call records a phase: every operator fans out through `fan_out`
+//! and runs a serial step through `measured`, each under a [`Label`].
+//! Both return the [`Phase`] an operator's ledger ([`Phases`]) is made
+//! of, and under an armed profile both open the span of that label —
+//! `fan_out`'s with a `task-i` leaf per task, `measured`'s with none.
 
 use crate::context::ExecContext;
 use pmem_sim::metrics::{adopt, thread_flow};
 use pmem_sim::{span, thread_stats, IoStats};
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Instant;
@@ -65,15 +68,15 @@ pub fn resolve_threads(explicit: Option<usize>) -> usize {
 /// siblings cannot perturb it and nested fan-out the task consumed is
 /// included).
 #[derive(Debug)]
-pub struct TaskOutput<T> {
+struct TaskOutput<T> {
     /// The task's return value.
-    pub value: T,
+    value: T,
     /// Cacheline traffic the task charged to the device.
-    pub stats: IoStats,
+    stats: IoStats,
     /// Host wall-clock duration of the task in nanoseconds.
-    pub wall_ns: u64,
+    wall_ns: u64,
     /// Profiler id of the thread that ran the task.
-    pub thread: u64,
+    thread: u64,
 }
 
 /// How many tasks may be in flight (running or completed but not yet
@@ -93,8 +96,9 @@ const BACKPRESSURE_WINDOW_PER_WORKER: usize = 2;
 /// in order even though tasks complete out of order. Workers stay within
 /// a bounded window ahead of the consumption point, so unconsumed
 /// outputs cannot pile up behind one slow task. Worker panics propagate
-/// to the caller when the scope joins.
-pub fn for_each_ordered<T, F, C>(threads: usize, n_tasks: usize, task: F, mut consume: C)
+/// to the caller when the scope joins. Under an armed profile each task
+/// attaches a `task-i` leaf to the innermost open span.
+fn for_each_ordered<T, F, C>(threads: usize, n_tasks: usize, task: F, mut consume: C)
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -103,11 +107,6 @@ where
     if n_tasks == 0 {
         return;
     }
-    // Phase span covering the whole fan-out; per-task leaves attach under
-    // it at consumption time, so a profile records the pool's shape (task
-    // counts, which threads ran what, per-task wall) at any DoP. All of
-    // this is inert unless a profile is armed on the coordinator.
-    let _pool_span = span::span_with(|| format!("tasks[{n_tasks}]"));
     let workers = threads.min(n_tasks);
     if workers <= 1 {
         for i in 0..n_tasks {
@@ -259,44 +258,105 @@ impl Drop for ReleaseOnPanic<'_> {
     }
 }
 
-/// An operator's phase ledger: its phases in execution order, each the
-/// traffic of its independent tasks (a serial step is a phase of one
-/// task), together the operator's whole device delta.
-pub type Phases = Vec<Vec<IoStats>>;
+/// What a phase of a sort or join does: the closed set of names its
+/// ledger and its profile spans carry, with a pass index as data.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Label {
+    /// Run generation: replacement selection into sorted runs.
+    RunGen,
+    /// Selection passes that emit the sorted output (SelS, LaS).
+    Select,
+    /// Merge pass `k`, counted from 0; the last is the final pass.
+    Merge(usize),
+    /// The key-range cuts a range-partitioned pass splits at.
+    Cuts,
+    /// CGJ's frequency scans of both inputs.
+    HeavyHitters,
+    /// A routed partition scan of one input.
+    Partition,
+    /// Independent tasks, each building a table and probing it.
+    BuildProbe,
+    /// One input's scan in pass `p` of an iterative hash join.
+    Pass(usize),
+    /// The deferred-σ pass that writes the view as it scans.
+    Materialize,
+    /// SMJ's merge co-scan of its two sorted inputs.
+    CoScan,
+}
 
-/// Runs `f` and returns the traffic it charged (fan-out it consumed
-/// included) beside its result: the ledger of a serial phase.
-pub(crate) fn measured<T>(f: impl FnOnce() -> T) -> (T, IoStats) {
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::RunGen => f.write_str("run-gen"),
+            Label::Select => f.write_str("select"),
+            Label::Merge(k) => write!(f, "merge {k}"),
+            Label::Cuts => f.write_str("cuts"),
+            Label::HeavyHitters => f.write_str("heavy-hitters"),
+            Label::Partition => f.write_str("partition"),
+            Label::BuildProbe => f.write_str("build-probe"),
+            Label::Pass(p) => write!(f, "pass {p}"),
+            Label::Materialize => f.write_str("materialize"),
+            Label::CoScan => f.write_str("co-scan"),
+        }
+    }
+}
+
+/// One phase of an operator: what it does and the traffic of each of its
+/// independent tasks (a serial step is a phase of one task).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Phase {
+    /// What the phase does.
+    pub label: Label,
+    /// Each task's traffic, in task order.
+    pub tasks: Vec<IoStats>,
+}
+
+/// An operator's phase ledger: its phases in execution order, together
+/// the operator's whole device delta.
+pub type Phases = Vec<Phase>;
+
+/// Runs `f` as the serial phase `label` and returns its result beside
+/// the phase: one task, the traffic `f` charged (fan-out it consumed
+/// included).
+pub(crate) fn measured<T>(label: Label, f: impl FnOnce() -> T) -> (T, Phase) {
+    let _span = span::span_with(|| label.to_string());
     let before = thread_flow();
     let value = f();
-    (value, thread_flow().since(&before))
+    let tasks = vec![thread_flow().since(&before)];
+    (value, Phase { label, tasks })
 }
 
 /// The one fan-out every operator runs its parallel phases through:
-/// `tasks` tasks across the worker pool, their results `land`ed on the
-/// calling thread in task order. Returns each task's ledger: its own
-/// traffic plus its landing's — serialized here for count determinism,
-/// but traffic that belongs to the task (a medium serving DoP workers
-/// would land each task's output from its own worker).
+/// `tasks` tasks across the worker pool as the phase `label`, their
+/// results `land`ed on the calling thread in task order. Each task's
+/// ledger is its own traffic plus its landing's — serialized here for
+/// count determinism, but traffic that belongs to the task (a medium
+/// serving DoP workers would land each task's output from its own
+/// worker).
 pub(crate) fn fan_out<T: Send>(
     ctx: &ExecContext<'_>,
+    label: Label,
     tasks: usize,
     task: impl Fn(usize) -> T + Sync,
     mut land: impl FnMut(T),
-) -> Vec<IoStats> {
+) -> Phase {
+    let _span = span::span_with(|| label.to_string());
     let mut ledger = Vec::with_capacity(tasks);
     for_each_ordered(ctx.threads(), tasks, task, |_, task| {
         let before = thread_stats();
         land(task.value);
         ledger.push(task.stats.plus(&thread_stats().since(&before)));
     });
-    ledger
+    Phase {
+        label,
+        tasks: ledger,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{LayerKind, PCollection, PmDevice};
+    use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};
 
     /// Every task's value, in task-index order.
     fn map_ordered<T: Send>(
@@ -442,22 +502,92 @@ mod tests {
                     )
                 })
                 .collect();
+            let pool = BufferPool::new(1 << 16);
+            let ctx = ExecContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             pmem_sim::span::begin_profile("pool");
-            let _ = map_ordered(threads, cols.len(), |i| cols[i].reader().sum::<u64>());
-            pmem_sim::span::end_profile().expect("profile recorded")
+            let scan = |i: usize| cols[i].reader().sum::<u64>();
+            let phase = fan_out(&ctx, Label::Partition, cols.len(), scan, |_| {});
+            let tree = pmem_sim::span::end_profile().expect("profile recorded");
+            (tree, phase)
         };
-        let p1 = profile(1);
-        let p4 = profile(4);
+        let (p1, phase1) = profile(1);
+        let (p4, phase4) = profile(4);
         p1.validate().expect("serial tree sums");
         p4.validate().expect("parallel tree sums");
-        assert_eq!(p1.task_count(), 5);
-        assert_eq!(p4.task_count(), 5);
-        assert_eq!(p1.io.cl_reads, p4.io.cl_reads);
-        assert_eq!(p1.io.cl_writes, p4.io.cl_writes);
-        assert_eq!(p1.io.calls, p4.io.calls);
-        let pool1 = p1.find("tasks[5]").expect("phase span");
-        let pool4 = p4.find("tasks[5]").expect("phase span");
-        assert_eq!(pool1.children_io().cl_reads, pool4.children_io().cl_reads);
+        assert_eq!(phase1, phase4);
+        for p in [&p1, &p4] {
+            assert_eq!(p.task_count(), 5);
+            let span = p.find("partition").expect("phase span");
+            assert_eq!(span.children.len(), 5, "a leaf per task");
+            assert_eq!(
+                (span.io.cl_reads, span.io.cl_writes, span.io.calls),
+                (p1.io.cl_reads, p1.io.cl_writes, p1.io.calls),
+            );
+        }
+    }
+
+    #[test]
+    fn serial_phases_open_a_span_without_task_leaves() {
+        let dev = PmDevice::paper_default();
+        let col =
+            PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "c", 0..300u64);
+        pmem_sim::span::begin_profile("serial");
+        let (_, phase) = measured(Label::Merge(2), || col.reader().sum::<u64>());
+        let tree = pmem_sim::span::end_profile().expect("profile recorded");
+        let span = tree.find("merge 2").expect("phase span");
+        assert!(span.children.is_empty());
+        assert_eq!(phase.tasks, vec![span.io]);
+    }
+
+    #[test]
+    fn mid_task_panic_publishes_partial_accounting_exactly_once() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use wisconsin::Record;
+
+        let dev = PmDevice::paper_default();
+        let coll = PCollection::from_records_uncounted(
+            &dev,
+            LayerKind::BlockedMemory,
+            "P",
+            (0..64).map(wisconsin::WisconsinRecord::from_key),
+        );
+        let scan = || coll.reader().map(|r| r.key()).sum::<u64>();
+
+        // The cost of one full counted scan, measured serially.
+        let before = dev.snapshot();
+        scan();
+        let one = dev.snapshot().since(&before);
+        assert!(one.cl_reads > 0, "the scan is counted");
+
+        // Two tasks across two workers; the second panics after charging a
+        // full scan. Workers pull task indices unconditionally, so both
+        // tasks always execute and the surviving total is deterministic:
+        // exactly two scans — the panicking task's partial ledger included
+        // (published by the worker's unwind), never lost or double-merged.
+        let before = dev.snapshot();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for_each_ordered(
+                2,
+                2,
+                |i| {
+                    scan();
+                    if i == 1 {
+                        panic!("injected mid-task failure");
+                    }
+                    i
+                },
+                |_, _| {},
+            );
+        }));
+        assert!(caught.is_err(), "the worker panic propagates at the join");
+        let after = dev.snapshot().since(&before);
+        assert_eq!(
+            after,
+            one.plus(&one),
+            "partial ledger published exactly once"
+        );
+        // Re-reading the bank must not merge anything a second time.
+        assert_eq!(dev.snapshot().since(&before), after);
     }
 
     #[test]

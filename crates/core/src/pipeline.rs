@@ -24,7 +24,7 @@
 use crate::deferral::first_materialized_pass;
 use crate::join::common::{partition_of, BuildTable, JoinContext};
 use crate::join::kernel::{build_probe, build_table, EachRecord, Phased};
-use crate::parallel::{measured, Phases};
+use crate::parallel::{measured, Label, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
@@ -85,7 +85,7 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
     }
     if at < k {
         // The pass the rule fires on writes the view as it scans.
-        let (view, io) = measured(|| {
+        let (view, materialize) = measured(Label::Materialize, || {
             let mut view = PCollection::new(ctx.device(), ctx.kind(), format!("{view}-mat"));
             let table = refilter(at, Some(&mut view));
             right
@@ -93,7 +93,7 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                 .for_each_run(|run| table.probe_run(run, &mut out));
             view
         });
-        phases.push(vec![io]);
+        phases.push(materialize);
         // The materialized view is immutable: the later passes are
         // independent rescans of it.
         if at + 1 < k {
@@ -109,8 +109,7 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
 
 /// The pass at which the rules materialize the view, or `k` for none,
 /// and the view's name: each deferred pass scans the source once to
-/// rebuild the view of `B·f` buffers. The name is fixed because the
-/// counter corpus hashes collection names.
+/// rebuild the view of `B·f` buffers.
 fn materialized_at(
     ctx: &JoinContext<'_>,
     k: usize,

@@ -486,7 +486,7 @@ mod tests {
         };
         let (serial, d1, chunks) = gen_at(1);
         assert!(serial.len() > 1, "input must span several chunks");
-        assert_eq!(chunks.len(), 15, "a task per 4M-record chunk");
+        assert_eq!(chunks.tasks.len(), 15, "a task per 4M-record chunk");
         let mut total = 0;
         for (_, keys) in &serial {
             assert!(keys.windows(2).all(|w| w[0] <= w[1]));
@@ -508,7 +508,7 @@ mod tests {
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(4);
         // 300 <= 4·100: one chunk, byte-for-byte the serial algorithm.
         let (chunked, chunks) = chunked_runs(&input, 100, &ctx);
-        assert_eq!(chunks.len(), 1);
+        assert_eq!(chunks.tasks.len(), 1);
         let ctx2 = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let serial = runs_of(&input, 100, &ctx2);
         assert_eq!(chunked.len(), serial.len());
@@ -756,9 +756,9 @@ mod tests {
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "parallel");
             let before = dev.snapshot();
-            let phases = merge_final(&runs, None, &ctx, &Land { by_range: true }, &mut out);
+            let phases = merge_final(&runs, None, 0, &ctx, &Land { by_range: true }, &mut out);
             let delta = dev.snapshot().since(&before);
-            assert!(phases[1].len() > 1, "spans several segments");
+            assert!(phases[1].tasks.len() > 1, "spans several segments");
             assert_eq!(out.to_vec_uncounted(), serial, "DoP {threads}");
             match &baseline {
                 None => baseline = Some((delta, phases)),
@@ -790,14 +790,14 @@ mod tests {
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(4);
         let mut out = PCollection::new(&dev, LayerKind::BlockedMemory, "out");
         let before = dev.snapshot();
-        let phases = merge_final(&runs, None, &ctx, &Land { by_range: true }, &mut out);
+        let phases = merge_final(&runs, None, 0, &ctx, &Land { by_range: true }, &mut out);
         let delta = dev.snapshot().since(&before);
         assert_eq!(phases.len(), 2, "the cuts, then the segments");
-        assert_eq!(phases[0].len(), 1);
-        assert!(phases[1].len() > 1);
+        assert_eq!(phases[0].tasks.len(), 1);
+        assert!(phases[1].tasks.len() > 1);
         let covered = phases
             .iter()
-            .flatten()
+            .flat_map(|phase| &phase.tasks)
             .fold(IoStats::default(), |acc, s| acc.plus(s));
         assert_eq!(
             (covered.cl_reads, covered.cl_writes, covered.calls),

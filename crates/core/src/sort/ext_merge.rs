@@ -6,7 +6,7 @@
 
 use super::common::SortContext;
 use super::kernel::{generate_runs, merge_into};
-use crate::parallel::{fan_out, measured, Phases};
+use crate::parallel::{fan_out, measured, Label, Phase, Phases};
 use pmem_sim::{IoStats, PCollection};
 use wisconsin::Record;
 
@@ -52,7 +52,7 @@ pub fn external_merge_sort_profiled<R: Record>(
     output_name: &str,
 ) -> (PCollection<R>, ExmsProfile) {
     let (out, phases) = phased(input, ctx, output_name);
-    let mut phases = phases.into_iter();
+    let mut phases = phases.into_iter().map(|phase| phase.tasks);
     let run_generation = phases.next().unwrap_or_default();
     let merge_passes = phases.collect();
     (
@@ -93,11 +93,11 @@ pub(crate) fn chunked_runs<R: Record>(
     input: &PCollection<R>,
     capacity: usize,
     ctx: &SortContext<'_>,
-) -> (Vec<PCollection<R>>, Vec<IoStats>) {
+) -> (Vec<PCollection<R>>, Phase) {
     let chunk = capacity.saturating_mul(RUN_GEN_CHUNK_CAPACITIES).max(1);
     if input.len() <= chunk {
-        let (runs, io) = measured(|| generate_runs(input.reader(), capacity, || ctx.fresh("run")));
-        return (runs, vec![io]);
+        let runs = || generate_runs(input.reader(), capacity, || ctx.fresh("run"));
+        return measured(Label::RunGen, runs);
     }
     let n_chunks = input.len().div_ceil(chunk);
     let prefixes: Vec<String> = (0..n_chunks).map(|_| ctx.fresh_name("run")).collect();
@@ -112,8 +112,9 @@ pub(crate) fn chunked_runs<R: Record>(
         })
     };
     let mut all = Vec::with_capacity(n_chunks * 2);
-    let ledger = fan_out(ctx, n_chunks, generate, |runs| all.extend(runs));
-    (all, ledger)
+    let land = |runs: Vec<PCollection<R>>| all.extend(runs);
+    let phase = fan_out(ctx, Label::RunGen, n_chunks, generate, land);
+    (all, phase)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 
 use super::common::SortContext;
 use super::kernel::{merge_into, select, RunGen};
-use crate::parallel::{measured, Phases};
+use crate::parallel::{measured, Label, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
@@ -64,7 +64,7 @@ pub(crate) fn phased<R: Record>(
         .max(1)
         .min(capacity);
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let (runs, scan) = measured(|| {
+    let (runs, scan) = measured(Label::RunGen, || {
         let mut rr = RunGen::new(rr_cap, || ctx.fresh::<R>("hyb-run"));
         let rs = select(input.reader(), capacity - rr_cap, None, |spill| {
             let (at, bytes) = spill.record();
@@ -75,7 +75,7 @@ pub(crate) fn phased<R: Record>(
         }
         rr.finish()
     });
-    let mut phases = vec![vec![scan]];
+    let mut phases = vec![scan];
     phases.extend(merge_into(runs, ctx, &mut out));
     Ok((out, phases))
 }

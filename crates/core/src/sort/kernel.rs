@@ -20,15 +20,15 @@
 //!
 //! The merge passes fan out over groups and key ranges that depend on the
 //! data only, so output order and every counter are identical at any DoP,
-//! and every kernel returns its ledger: a sort's [`Phases`] are its
-//! kernels' ledgers in order.
+//! and every kernel returns its labelled phases: a sort's [`Phases`] are
+//! its kernels' phases in order.
 
 use super::common::{
     key_range_cuts, merge_fan_in, run_sources, sample_keys, splitters_from_samples, Entry,
     KWayMerge, MergeSource, SortContext, MERGE_SEGMENT_RECORDS,
 };
 use crate::join::common::view_key;
-use crate::parallel::{fan_out, measured, Phases};
+use crate::parallel::{fan_out, measured, Label, Phases};
 use pmem_sim::{PCollection, RecordBuffer, RecordReader};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -258,8 +258,8 @@ pub(crate) fn select<R: Record>(
 /// The intermediate merge pass, repeated until at most `fan_in` runs
 /// remain: each pass merges groups of `fan_in` consecutive runs, across
 /// the worker pool, into runs named under `prefix` (minted here first, so
-/// names and counters are DoP-invariant). Returns the runs and a phase
-/// per pass.
+/// names and counters are DoP-invariant). Returns the runs and a
+/// [`Label::Merge`] phase per pass, counted from 0.
 pub(crate) fn merge_down<R: Record>(
     mut runs: Vec<PCollection<R>>,
     fan_in: usize,
@@ -277,7 +277,8 @@ pub(crate) fn merge_down<R: Record>(
             run
         };
         let mut merged = Vec::with_capacity(groups.len());
-        phases.push(fan_out(ctx, groups.len(), merge, |run| merged.push(run)));
+        let (label, land) = (Label::Merge(phases.len()), |run| merged.push(run));
+        phases.push(fan_out(ctx, label, groups.len(), merge, land));
         drop(groups);
         runs = merged;
     }
@@ -325,10 +326,12 @@ impl<R: Record> Consume<R> for Land {
 /// on a worker into a buffer that lands in splitter order — the output
 /// and counters of the serial pass at any DoP, as equal keys tie-break by
 /// run index in both. A stream cannot be cut, so a pass with one is
-/// serial.
+/// serial. `pass` is the pass's index among the merge passes, its label
+/// [`Label::Merge`]`(pass)`.
 pub(crate) fn merge_final<R: Record, C: Consume<R>>(
     runs: &[PCollection<R>],
     stream: Option<MergeSource<'_, R>>,
+    pass: usize,
     ctx: &SortContext<'_>,
     consume: &C,
     out: &mut PCollection<C::Out>,
@@ -338,13 +341,13 @@ pub(crate) fn merge_final<R: Record, C: Consume<R>>(
     if stream.is_some() || runs.len() < 2 || segments < 2 || !consume.by_range() {
         let mut sources = run_sources(runs);
         sources.extend(stream);
-        let ((), io) = measured(|| {
+        let ((), merge) = measured(Label::Merge(pass), || {
             let merge = KWayMerge::from_sources(sources);
             consume.consume(merge, |rec| out.append_bytes(rec));
         });
-        return vec![vec![io]];
+        return vec![merge];
     }
-    let (cuts, grid) = measured(|| {
+    let (cuts, grid) = measured(Label::Cuts, || {
         let sample = runs.iter().flat_map(|r| sample_keys(r, segments)).collect();
         let splitters = splitters_from_samples(sample, segments);
         runs.iter()
@@ -361,8 +364,11 @@ pub(crate) fn merge_final<R: Record, C: Consume<R>>(
         consume.consume(KWayMerge::from_sources(sources), |rec| buf.push_bytes(rec));
         buf
     };
-    let segments = fan_out(ctx, segments, segment, |buf| out.append_buffer(&buf));
-    vec![vec![grid], segments]
+    let land = |buf: RecordBuffer<C::Out>| out.append_buffer(&buf);
+    vec![
+        grid,
+        fan_out(ctx, Label::Merge(pass), segments, segment, land),
+    ]
 }
 
 /// External mergesort's merge phase, as hybrid sort shares it: `runs`
@@ -374,7 +380,8 @@ pub(crate) fn merge_into<R: Record>(
     out: &mut PCollection<R>,
 ) -> Phases {
     let (runs, mut phases) = merge_down(runs, merge_fan_in(ctx), "merge", ctx);
-    phases.extend(merge_final(&runs, None, ctx, &Land { by_range: true }, out));
+    let land = Land { by_range: true };
+    phases.extend(merge_final(&runs, None, phases.len(), ctx, &land, out));
     phases
 }
 

@@ -11,7 +11,8 @@
 //! algorithm reverts to being lazy.
 
 use super::common::SortContext;
-use super::selection::selection_passes;
+use super::selection::select_into;
+use crate::parallel::Phases;
 use pmem_sim::PCollection;
 use wisconsin::Record;
 
@@ -30,6 +31,15 @@ pub fn lazy_sort<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> PCollection<R> {
+    phased(input, ctx, output_name).0
+}
+
+/// [`lazy_sort`] and its phases.
+pub(crate) fn phased<R: Record>(
+    input: &PCollection<R>,
+    ctx: &SortContext<'_>,
+    output_name: &str,
+) -> (PCollection<R>, Phases) {
     let _span = pmem_sim::span::span("alg lazy-sort");
     let m = ctx.capacity_records::<R>();
     let lambda = ctx.device().lambda();
@@ -38,13 +48,7 @@ pub fn lazy_sort<R: Record>(
         (pass >= materialization_pass(source_len, m, lambda).max(1) && left > m)
             .then(|| ctx.fresh::<R>("lazy-int"))
     };
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    for batch in selection_passes(input, 0..input.len(), m, eq5) {
-        for record in batch.chunks_exact(R::SIZE) {
-            out.append_bytes(record);
-        }
-    }
-    out
+    select_into(input, m, eq5, ctx, output_name)
 }
 
 #[cfg(test)]

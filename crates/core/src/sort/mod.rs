@@ -36,7 +36,7 @@ pub use lazy::{lazy_sort, materialization_pass};
 pub use segment::segment_sort;
 pub use selection::selection_sort;
 
-use crate::parallel::{measured, Phases};
+use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
@@ -90,13 +90,21 @@ impl SortAlgorithm {
     }
 
     /// [`SortAlgorithm::run`] with the run's phase ledger beside the
-    /// result: its phases in execution order, each the traffic of its
-    /// independent tasks — a serial step (a selection pass, a merge landed
-    /// as one stream, the final pass's splitter sampling and boundary
-    /// probes) is a phase of one task. Together the phases account for
-    /// the run's whole device delta, and every entry is identical at any
-    /// degree of parallelism: scheduling each phase's tasks onto DoP
-    /// workers gives the deterministic critical-path estimate.
+    /// result: its phases in execution order, each labelled and carrying
+    /// the traffic of its independent tasks. The labels
+    /// ([`crate::parallel::Label`]):
+    /// * `run-gen` — run generation: a task per `4M`-record chunk (ExMS),
+    ///   or one serial scan (SegS's prefix, HybS's heaps);
+    /// * `merge k` — merge pass `k`, counted from 0: a task per merge
+    ///   group, and the final pass a task per key range after a one-task
+    ///   `cuts` phase, or one serial merge;
+    /// * `select` — LaS's and SelS's selection passes, one serial phase.
+    ///
+    /// Together the phases account for the run's whole device delta, and
+    /// every entry is identical at any degree of parallelism: scheduling
+    /// each phase's tasks onto DoP workers gives the deterministic
+    /// critical-path estimate. Under an armed profile each phase is one
+    /// span of its label.
     ///
     /// # Errors
     /// Same as [`SortAlgorithm::run`].
@@ -107,13 +115,12 @@ impl SortAlgorithm {
         output_name: &str,
     ) -> Result<(PCollection<R>, Phases), PmError> {
         let _working_set = ctx.hold_working_set(input.len() * R::SIZE);
-        let serial = |(out, io): (PCollection<R>, _)| (out, vec![vec![io]]);
         match self {
             SortAlgorithm::ExMS => Ok(ext_merge::phased(input, ctx, output_name)),
             SortAlgorithm::SegS { x } => segment::phased(input, *x, ctx, output_name),
             SortAlgorithm::HybS { x } => hybrid::phased(input, *x, ctx, output_name),
-            SortAlgorithm::LaS => Ok(serial(measured(|| lazy_sort(input, ctx, output_name)))),
-            SortAlgorithm::SelS => Ok(serial(measured(|| selection_sort(input, ctx, output_name)))),
+            SortAlgorithm::LaS => Ok(lazy::phased(input, ctx, output_name)),
+            SortAlgorithm::SelS => Ok(selection::phased(input, ctx, output_name)),
         }
     }
 }
@@ -223,10 +230,10 @@ mod tests {
             };
             let (io, phases) = run(1);
             let what = algo.label();
-            assert!(phases.iter().all(|phase| !phase.is_empty()), "{what}");
+            assert!(phases.iter().all(|phase| !phase.tasks.is_empty()), "{what}");
             let sum = phases
                 .iter()
-                .flatten()
+                .flat_map(|phase| &phase.tasks)
                 .fold(IoStats::default(), |acc, s| acc.plus(s));
             assert_eq!(
                 (sum.cl_reads, sum.cl_writes, sum.calls),

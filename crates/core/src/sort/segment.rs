@@ -13,7 +13,7 @@
 use super::common::{merge_fan_in, MergeSource, SortContext};
 use super::kernel::{generate_runs, merge_down, merge_final, Consume, Land};
 use super::selection::selection_passes;
-use crate::parallel::{measured, Phases};
+use crate::parallel::{measured, Label, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
@@ -75,15 +75,17 @@ pub(crate) fn segmented<R: Record, C: Consume<R>>(
     let split = ((n as f64) * x).round() as usize;
     let capacity = ctx.capacity_records::<R>();
     let prefix_scan = input.range_reader(0, split);
-    let (runs, generation) = measured(|| generate_runs(prefix_scan, capacity, || ctx.fresh("run")));
+    let generate = || generate_runs(prefix_scan, capacity, || ctx.fresh("run"));
+    let (runs, generation) = measured(Label::RunGen, generate);
     let fan_in = merge_fan_in(ctx).saturating_sub(1).max(2);
     let (runs, merges) = merge_down(runs, fan_in, prefix, ctx);
     let suffix = (split < n)
         .then(|| MergeSource::batches(selection_passes(input, split..n, capacity, |_, _, _| None)));
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let mut phases = vec![vec![generation]];
+    let pass = merges.len();
+    let mut phases = vec![generation];
     phases.extend(merges);
-    phases.extend(merge_final(&runs, suffix, ctx, consume, &mut out));
+    phases.extend(merge_final(&runs, suffix, pass, ctx, consume, &mut out));
     Ok((out, phases))
 }
 

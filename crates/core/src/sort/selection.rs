@@ -14,6 +14,7 @@
 
 use super::common::SortContext;
 use super::kernel::select;
+use crate::parallel::{measured, Label, Phases};
 use pmem_sim::PCollection;
 use std::ops::Range;
 use wisconsin::Record;
@@ -24,15 +25,39 @@ pub fn selection_sort<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> PCollection<R> {
+    phased(input, ctx, output_name).0
+}
+
+/// [`selection_sort`] and its phases.
+pub(crate) fn phased<R: Record>(
+    input: &PCollection<R>,
+    ctx: &SortContext<'_>,
+    output_name: &str,
+) -> (PCollection<R>, Phases) {
     let _span = pmem_sim::span::span("alg selection-sort");
     let capacity = ctx.capacity_records::<R>();
-    let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    for batch in selection_passes(input, 0..input.len(), capacity, |_, _, _| None) {
-        for record in batch.chunks_exact(R::SIZE) {
-            out.append_bytes(record);
+    select_into(input, capacity, |_, _, _| None, ctx, output_name)
+}
+
+/// The whole of `input` through [`selection_passes`] into a new output:
+/// a sort that is one [`Label::Select`] phase.
+pub(crate) fn select_into<R: Record>(
+    input: &PCollection<R>,
+    capacity: usize,
+    materialize: impl FnMut(u64, usize, usize) -> Option<PCollection<R>>,
+    ctx: &SortContext<'_>,
+    output_name: &str,
+) -> (PCollection<R>, Phases) {
+    let (out, phase) = measured(Label::Select, || {
+        let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
+        for batch in selection_passes(input, 0..input.len(), capacity, materialize) {
+            for record in batch.chunks_exact(R::SIZE) {
+                out.append_bytes(record);
+            }
         }
-    }
-    out
+        out
+    });
+    (out, vec![phase])
 }
 
 /// Selection passes over `input[range]` with a heap of `capacity`

@@ -15,15 +15,16 @@
 //! thread-local:
 //!
 //! * every charge lands in the calling thread's cumulative ledger
-//!   ([`thread_stats`]) — how the worker pool attributes per-partition
-//!   costs without perturbing, or being perturbed by, its siblings — and
+//!   ([`thread_stats`]) — what an operator's phase ledger and its
+//!   profile spans both difference, so per-task costs are neither
+//!   perturbed by siblings nor perturb them — and
 //! * in a per-thread, per-bank *shard* of pending deltas, which is
-//!   bulk-published into the shared [`Metrics`] bank by `Bank::merge_shard` at flush points:
-//!   [`flush_thread_shards`] calls at worker-pool task ends and barrier
-//!   joins, bulk `append_buffer` flushes, operator span boundaries — and
-//!   implicitly whenever the owning thread reads the bank
-//!   ([`Metrics::snapshot`] and friends flush the caller's own shard
-//!   first, so single-threaded observations are always exact).
+//!   bulk-published into the shared [`Metrics`] bank by
+//!   `Bank::merge_shard` at flush points: [`flush_thread_shards`] calls
+//!   at worker-pool task ends and barrier joins and bulk
+//!   `append_buffer` flushes — and implicitly whenever the owning thread
+//!   reads the bank ([`Metrics::snapshot`] flushes the caller's own
+//!   shard first, so single-threaded observations are always exact).
 //!
 //! A thread's shard also flushes when the thread exits (a thread-local
 //! destructor), so raw `thread::scope` users and mid-task panics never

@@ -317,7 +317,7 @@ mod tests {
         let m = Metrics::new();
         begin_profile("root");
         {
-            let _p = span("tasks[2]");
+            let _p = span("partition");
             m.add_reads(3); // coordinator's own share
             let worker = IoStats {
                 cl_reads: 7,
@@ -332,7 +332,7 @@ mod tests {
         let root = end_profile().expect("profile recorded");
         root.validate().expect("adopted leaves covered by parent");
         assert_eq!(root.task_count(), 2);
-        let pool = root.find("tasks[2]").expect("pool span");
+        let pool = root.find("partition").expect("pool span");
         assert_eq!(pool.io.cl_reads, 10);
         assert_eq!(pool.io.cl_reads - pool.children_io().cl_reads, 3);
     }

@@ -4,8 +4,8 @@
 //! block sizes and two degrees of parallelism — one line per case in
 //! `tests/golden/op_counters.out`: cacheline reads and writes, software
 //! **picoseconds**, layer calls and a hash of the output bytes; for every
-//! sort and join, also its phase ledger's phase count and a hash of each
-//! phase's task count and summed traffic.
+//! sort and join, also its phase ledger's phase count, a hash of each
+//! phase's task count and summed traffic, and the phases' labels.
 //!
 //! `wlbench` pins the simulated counters on `BlockedMemory` only (call
 //! cost zero); this is the net under PMFS / RAM-disk / file-backed
@@ -25,6 +25,7 @@ use wisconsin::{Record, WisconsinRecord};
 use write_limited::adaptive::adaptive_grace_join;
 use write_limited::agg::{hash_aggregate, segmented_hash_aggregate, sort_based_aggregate};
 use write_limited::join::{JoinAlgorithm, JoinContext};
+use write_limited::parallel::Phases;
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 
@@ -292,20 +293,17 @@ fn output_hash<T: Storable>(out: &PCollection<T>) -> (usize, u64) {
     (rows.len(), h.0)
 }
 
-/// A run's phase ledger: its phases in order, each its tasks' traffic.
-type Ledger = Vec<Vec<IoStats>>;
-
-/// The ledger field of a corpus line: the phase count, and a hash of
-/// each phase's task count and summed reads, writes, picoseconds and
-/// calls.
-fn ledger_field(ledger: &Ledger) -> String {
+/// The ledger fields of a corpus line: the phase count, a hash of each
+/// phase's task count and summed reads, writes, picoseconds and calls,
+/// and the phases' labels in order.
+fn ledger_field(ledger: &Phases) -> String {
     let mut h = Fnv::new();
     for phase in ledger {
-        let sum = phase.iter().fold(IoStats::default(), |acc, s| acc.plus(s));
+        let sum = (phase.tasks.iter()).fold(IoStats::default(), |acc, s| acc.plus(s));
         h.eat(
             format!(
                 "{}:{}:{}:{}:{};",
-                phase.len(),
+                phase.tasks.len(),
                 sum.cl_reads,
                 sum.cl_writes,
                 picoseconds(sum.software_ns),
@@ -314,7 +312,13 @@ fn ledger_field(ledger: &Ledger) -> String {
             .as_bytes(),
         );
     }
-    format!(" phases={} ledger={:016x}", ledger.len(), h.0)
+    let labels: Vec<String> = ledger.iter().map(|p| p.label.to_string()).collect();
+    format!(
+        " phases={} ledger={:016x} labels={}",
+        ledger.len(),
+        h.0,
+        labels.join(",")
+    )
 }
 
 /// Runs one operator under one setting and renders its corpus line.
@@ -322,7 +326,7 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
     let dev = s.device();
     let pool_for = |input_bytes: usize| BufferPool::new(s.dram.budget(input_bytes, s.block_size));
     let hashed = |(out, ledger)| (output_hash(&out), Some(ledger));
-    let result: Result<((usize, u64), Option<Ledger>), PmError> = match op {
+    let result: Result<((usize, u64), Option<Phases>), PmError> = match op {
         Op::Sort(algo) => {
             let input = s.stage::<R>(&dev, "T", &inputs.sort);
             let pool = pool_for(input.bytes());

@@ -1,7 +1,7 @@
 //! Observability invariants: the span profile must be an accounting
 //! identity over the simulated counters, and it must never perturb them.
 //!
-//! Three properties hold for every algorithm at every degree of
+//! Four properties hold for every algorithm at every degree of
 //! parallelism:
 //!
 //! 1. **Hierarchy**: in every recorded tree, each node's children sum to
@@ -10,11 +10,18 @@
 //!    metrics delta of the run — nothing escapes the profile.
 //! 3. **Transparency**: running with profiling on charges bit-identical
 //!    simulated traffic to running with it off, at any DoP.
+//! 4. **One record**: each phase of the run's ledger has exactly one span
+//!    of its label, in order, whose traffic is the phase's.
 
 use pmem_sim::span::{begin_profile, end_profile};
-use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice, SpanNode};
-use wisconsin::{join_input, sort_input, KeyOrder};
+use pmem_sim::{
+    BufferPool, DeviceConfig, IoStats, LatencyProfile, LayerKind, PCollection, PmDevice, SpanNode,
+};
+use wisconsin::{join_input, sort_input, KeyOrder, Record, WisconsinRecord};
+use write_limited::adaptive::adaptive_grace_join;
 use write_limited::join::{JoinAlgorithm, JoinContext};
+use write_limited::parallel::{Label, Phases};
+use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 
 /// Runs `algo` over a fresh device, profiled or not, and returns the
@@ -228,4 +235,177 @@ fn session_profile_reconciles_with_query_stats() {
     drop(stream);
     let kept = s.last_profile().expect("session keeps the profile");
     assert_eq!(kept.io.cl_reads, profile.io.cl_reads);
+}
+
+/// The phase spans of a profile in pre-order: every node below the root
+/// that is neither an algorithm's span nor a task leaf.
+fn phase_spans<'t>(node: &'t SpanNode, out: &mut Vec<&'t SpanNode>) {
+    for child in &node.children {
+        if !child.label.starts_with("alg ") && !child.label.starts_with("task-") {
+            out.push(child);
+        }
+        phase_spans(child, out);
+    }
+}
+
+fn picoseconds(ns: f64) -> u64 {
+    (ns * 1000.0).round() as u64
+}
+
+/// Each phase of `ledger` has exactly one span of its label in `tree`,
+/// in order; the span's traffic is the phase's summed task ledgers,
+/// exactly (software time to the picosecond); and a fan-out's span has
+/// a leaf per task, a serial phase's none.
+fn assert_ledger_is_the_profile(what: &str, ledger: &Phases, tree: &SpanNode) {
+    let mut spans = Vec::new();
+    phase_spans(tree, &mut spans);
+    let labels: Vec<String> = ledger.iter().map(|p| p.label.to_string()).collect();
+    let span_labels: Vec<&str> = spans.iter().map(|s| s.label.as_str()).collect();
+    assert_eq!(span_labels, labels, "{what}: a span per phase, in order");
+    for (phase, span) in ledger.iter().zip(spans) {
+        let sum = (phase.tasks.iter()).fold(IoStats::default(), |acc, s| acc.plus(s));
+        let what = format!("{what}, {}", span.label);
+        assert_eq!(
+            (span.io.cl_reads, span.io.cl_writes, span.io.calls),
+            (sum.cl_reads, sum.cl_writes, sum.calls),
+            "{what}: span traffic"
+        );
+        assert_eq!(
+            picoseconds(span.io.software_ns),
+            picoseconds(sum.software_ns),
+            "{what}: span software time"
+        );
+        let leaves = span.task_count();
+        assert!(
+            leaves == 0 || leaves == phase.tasks.len(),
+            "{what}: {leaves} leaves for {} tasks",
+            phase.tasks.len()
+        );
+    }
+}
+
+/// Runs `run` under a span profile on a fresh PMFS device (a software
+/// time per call) at λ = 1.5, where adaptive Grace spills and the
+/// deferred view materializes, with 120 records of DRAM at DoP `threads`;
+/// checks the ledger it returns against the profile and returns it.
+fn profiled_ledger(
+    what: &str,
+    threads: usize,
+    run: impl FnOnce(&JoinContext<'_>) -> Phases,
+) -> Phases {
+    let dev = PmDevice::new(
+        DeviceConfig::paper_default().with_latency(LatencyProfile::with_lambda(10.0, 1.5)),
+    );
+    let pool = BufferPool::new(120 * 80);
+    let ctx = JoinContext::new(&dev, LayerKind::Pmfs, &pool).with_threads(threads);
+    begin_profile("run");
+    let ledger = run(&ctx);
+    let tree = end_profile().expect("profile recorded");
+    assert_ledger_is_the_profile(&format!("{what} at DoP {threads}"), &ledger, &tree);
+    ledger
+}
+
+#[test]
+fn every_ledger_phase_is_one_span_of_its_label_and_traffic() {
+    let w = join_input(2000, 5, 13);
+    let records = sort_input(10_000, KeyOrder::Random, 29);
+    let stage = |ctx: &JoinContext<'_>, name: &str, records: &[WisconsinRecord]| {
+        PCollection::from_records_uncounted(ctx.device(), ctx.kind(), name, records.to_vec())
+    };
+    let mut labels: Vec<Label> = Vec::new();
+    for threads in [1, 4] {
+        let mut check = |what: &str, run: &dyn Fn(&JoinContext<'_>) -> Phases| {
+            let ledger = profiled_ledger(what, threads, run);
+            labels.extend(ledger.iter().map(|phase| phase.label));
+        };
+        for algo in [
+            SortAlgorithm::ExMS,
+            SortAlgorithm::SegS { x: 0.5 },
+            SortAlgorithm::HybS { x: 0.5 },
+            SortAlgorithm::LaS,
+            SortAlgorithm::SelS,
+        ] {
+            check(&algo.label(), &|ctx| {
+                let input = stage(ctx, "S", &records);
+                algo.run_profiled(&input, ctx, "out").expect("valid").1
+            });
+        }
+        for algo in [
+            JoinAlgorithm::NLJ,
+            JoinAlgorithm::GJ,
+            JoinAlgorithm::HJ,
+            JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
+            JoinAlgorithm::SegJ { frac: 0.5 },
+            JoinAlgorithm::LaJ,
+            JoinAlgorithm::SMJ { x: 0.5 },
+            JoinAlgorithm::CGJ,
+        ] {
+            check(&algo.label(), &|ctx| {
+                let (left, right) = (stage(ctx, "T", &w.left), stage(ctx, "V", &w.right));
+                let run = algo.run_profiled(&left, &right, ctx, "out");
+                run.expect("applicable").1
+            });
+        }
+        check("adaptive Grace", &|ctx| {
+            let (left, right) = (stage(ctx, "T", &w.left), stage(ctx, "V", &w.right));
+            adaptive_grace_join(&left, &right, ctx, "out")
+                .expect("applicable")
+                .1
+        });
+        check("deferred σ", &|ctx| {
+            let (left, right) = (stage(ctx, "T", &w.left), stage(ctx, "V", &w.right));
+            let keep = |r: &WisconsinRecord| r.key().is_multiple_of(4);
+            filtered_iterate_join(&left, keep, 0.25, &right, ctx, "out")
+                .expect("applicable")
+                .1
+        });
+    }
+    // The run reached every label.
+    for label in [
+        Label::RunGen,
+        Label::Select,
+        Label::Merge(1),
+        Label::Cuts,
+        Label::HeavyHitters,
+        Label::Partition,
+        Label::BuildProbe,
+        Label::Pass(1),
+        Label::Materialize,
+        Label::CoScan,
+    ] {
+        assert!(labels.contains(&label), "no {label} phase ran");
+    }
+}
+
+#[test]
+fn cgj_heavy_hitter_scans_are_one_two_task_phase() {
+    // Standalone CGJ scans both inputs for heavy hitters, independently:
+    // one phase of a task per input, a leaf each in the profile, with
+    // the rows and counters of the serial run.
+    let w = wisconsin::join_input_skewed(600, 3000, 1.2, 11);
+    let run = |threads: usize| {
+        let dev = PmDevice::paper_default();
+        let kind = LayerKind::BlockedMemory;
+        let left = PCollection::from_records_uncounted(&dev, kind, "T", w.left.clone());
+        let right = PCollection::from_records_uncounted(&dev, kind, "V", w.right.clone());
+        let pool = BufferPool::new(120 * 80);
+        let ctx = JoinContext::new(&dev, kind, &pool).with_threads(threads);
+        let before = dev.snapshot();
+        begin_profile("cgj");
+        let (out, ledger) = JoinAlgorithm::CGJ
+            .run_profiled(&left, &right, &ctx, "out")
+            .expect("applicable");
+        let tree = end_profile().expect("profile recorded");
+        let delta = dev.snapshot().since(&before);
+        let scans = tree.find("heavy-hitters").expect("a heavy-hitters span");
+        assert_eq!(scans.task_count(), 2, "DoP {threads}: a leaf per input");
+        assert_eq!(ledger[0].label, Label::HeavyHitters);
+        assert_eq!(ledger[0].tasks.len(), 2);
+        let guided = tree.find("alg guided").expect("the algorithm's span");
+        assert!(guided.find("heavy-hitters").is_some(), "scans under CGJ");
+        (out.to_vec_uncounted(), delta, ledger)
+    };
+    let (rows, io, ledger) = run(1);
+    assert_eq!(rows.len() as u64, w.expected_matches);
+    assert!(run(4) == (rows, io, ledger), "DoP 4 repeats DoP 1");
 }

@@ -533,57 +533,6 @@ fn skewed_one_key_counters_are_bit_identical_across_dops_while_profiling() {
 }
 
 #[test]
-fn mid_task_panic_publishes_partial_accounting_exactly_once() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use write_limited::parallel::for_each_ordered;
-
-    let dev = PmDevice::paper_default();
-    let coll = PCollection::from_records_uncounted(
-        &dev,
-        LayerKind::BlockedMemory,
-        "P",
-        (0..64).map(WisconsinRecord::from_key),
-    );
-    let scan = || coll.reader().map(|r| r.key()).sum::<u64>();
-
-    // The cost of one full counted scan, measured serially.
-    let before = dev.snapshot();
-    scan();
-    let one = dev.snapshot().since(&before);
-    assert!(one.cl_reads > 0, "the scan is counted");
-
-    // Two tasks across two workers; the second panics after charging a
-    // full scan. Workers pull task indices unconditionally, so both
-    // tasks always execute and the surviving total is deterministic:
-    // exactly two scans — the panicking task's partial ledger included
-    // (published by the worker's unwind), never lost or double-merged.
-    let before = dev.snapshot();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        for_each_ordered(
-            2,
-            2,
-            |i| {
-                scan();
-                if i == 1 {
-                    panic!("injected mid-task failure");
-                }
-                i
-            },
-            |_, _| {},
-        );
-    }));
-    assert!(caught.is_err(), "the worker panic propagates at the join");
-    let after = dev.snapshot().since(&before);
-    assert_eq!(
-        after,
-        one.plus(&one),
-        "partial ledger published exactly once"
-    );
-    // Re-reading the bank must not merge anything a second time.
-    assert_eq!(dev.snapshot().since(&before), after);
-}
-
-#[test]
 fn grace_profile_ledgers_reconcile_with_device_totals() {
     use write_limited::join::grace_join_profiled;
 

@@ -17,6 +17,7 @@ use write_limited::adaptive::adaptive_grace_join;
 use write_limited::join::{
     expected_match_count, guided_join_with, JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS,
 };
+use write_limited::parallel::Phases;
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{cycle_sort, SortAlgorithm, SortContext};
 use write_limited::stats::kendall_tau;
@@ -226,15 +227,12 @@ const KNOB_CASES: usize = 24;
 /// Joined Wisconsin records.
 type WPair = Pair<WisconsinRecord, WisconsinRecord>;
 
-/// A run's phase ledger: its phases in order, each its tasks' traffic.
-type Ledger = Vec<Vec<IoStats>>;
-
 /// A join under test: its output, and its ledger if it has one.
 type Join<'f> = dyn Fn(
         &PCollection<WisconsinRecord>,
         &PCollection<WisconsinRecord>,
         &JoinContext<'_>,
-    ) -> Result<(PCollection<WPair>, Option<Ledger>), PmError>
+    ) -> Result<(PCollection<WPair>, Option<Phases>), PmError>
     + 'f;
 
 /// The key distributions the knob-space properties draw from.
@@ -330,7 +328,7 @@ impl JoinDraw {
 
     /// One run of `join` on a fresh device at DoP `threads`: the device
     /// delta, the output pairs in order, and the ledger if it has one.
-    fn run(&self, threads: usize, join: &Join) -> (IoStats, Vec<WPair>, Option<Ledger>) {
+    fn run(&self, threads: usize, join: &Join) -> (IoStats, Vec<WPair>, Option<Phases>) {
         let latency = LatencyProfile::with_lambda(10.0, self.lambda);
         let dev = PmDevice::new(DeviceConfig::paper_default().with_latency(latency));
         let left = PCollection::from_records_uncounted(&dev, self.kind, "T", self.left.clone());
@@ -372,12 +370,13 @@ fn row(l: &WisconsinRecord, r: &WisconsinRecord) -> Row {
 }
 
 /// A phase ledger accounts for its run's whole device delta.
-fn assert_ledger_covers(what: &str, ledger: &Ledger, io: &IoStats) {
+fn assert_ledger_covers(what: &str, ledger: &Phases, io: &IoStats) {
     assert!(
-        ledger.iter().all(|phase| !phase.is_empty()),
+        ledger.iter().all(|phase| !phase.tasks.is_empty()),
         "{what}: empty phase"
     );
-    let sum = (ledger.iter().flatten()).fold(IoStats::default(), |acc, s| acc.plus(s));
+    let sum = (ledger.iter().flat_map(|phase| &phase.tasks))
+        .fold(IoStats::default(), |acc, s| acc.plus(s));
     assert_eq!(
         (sum.cl_reads, sum.cl_writes, sum.calls),
         (io.cl_reads, io.cl_writes, io.calls),
@@ -530,7 +529,7 @@ impl SortDraw {
 
     /// One run of `algo` on a fresh device at DoP `threads`: the device
     /// delta, the output in order and the ledger.
-    fn run(&self, threads: usize, algo: SortAlgorithm) -> (IoStats, Vec<WisconsinRecord>, Ledger) {
+    fn run(&self, threads: usize, algo: SortAlgorithm) -> (IoStats, Vec<WisconsinRecord>, Phases) {
         let dev = PmDevice::paper_default();
         let input = PCollection::from_records_uncounted(&dev, self.kind, "T", self.input.clone());
         let pool = BufferPool::new(self.m * WisconsinRecord::SIZE);
