@@ -81,32 +81,15 @@ pub(super) fn passes<L: Record, R: Record>(
         let build = |kept: &mut RecordBuffer<L>, bytes: &[u8]| kept.push_bytes(bytes);
         let insert = |kept: RecordBuffer<L>| kept.records().for_each(|l| table.insert_bytes(l));
         let t_src = t_cur.as_ref().unwrap_or(left);
-        let label = Label::Pass(i);
-        phases.push(pass_scan(
-            t_src,
-            ctx,
-            label,
-            route,
-            build,
-            t_next.as_mut(),
-            insert,
-        ));
+        let t_scan = pass_scan(t_src, ctx, i, route, build, t_next.as_mut(), insert);
         // Nothing to offload, nothing to route: a probe record the build
         // scan did not keep cannot equal a key the table holds.
         let route = move |key| if offloads { route(key) } else { Route::Keep };
         let probe = |matches: &mut RecordBuffer<_>, bytes: &[u8]| table.probe_bytes(bytes, matches);
         let v_src = v_cur.as_ref().unwrap_or(right);
-        phases.push(pass_scan(
-            v_src,
-            ctx,
-            label,
-            route,
-            probe,
-            v_next.as_mut(),
-            |m| {
-                out.append_buffer(&m);
-            },
-        ));
+        let land = |m: RecordBuffer<_>| out.append_buffer(&m);
+        let v_scan = pass_scan(v_src, ctx, i, route, probe, v_next.as_mut(), land);
+        phases.extend([t_scan, v_scan]);
         if offloads {
             t_cur = t_next;
             v_cur = v_next;
@@ -115,14 +98,15 @@ pub(super) fn passes<L: Record, R: Record>(
     (out, phases)
 }
 
-/// One scan of a pass over the morsel grid: kept records go through
-/// `keep` into the morsel's `K`, which `land`s in morsel order; with a
-/// `next` input, records routed to a later partition are buffered per
-/// morsel and appended to it in morsel order.
+/// One scan of pass `pass` over the morsel grid, a [`Label::Pass`]
+/// phase: kept records go through `keep` into the morsel's `K`, which
+/// `land`s in morsel order; with a `next` input, records routed to a
+/// later partition are buffered per morsel and appended to it in morsel
+/// order.
 fn pass_scan<S: Record, K: Default + Send>(
     src: &PCollection<S>,
     ctx: &JoinContext<'_>,
-    label: Label,
+    pass: usize,
     route: impl Fn(u64) -> Route + Sync,
     keep: impl Fn(&mut K, &[u8]) + Sync,
     mut next: Option<&mut PCollection<S>>,
@@ -138,7 +122,7 @@ fn pass_scan<S: Record, K: Default + Send>(
         route_scan(scan, &route, |bytes| keep(&mut kept, bytes), spill_to);
         (kept, spill)
     };
-    for_each_morsel(src, ctx, label, scan, |(kept, spill)| {
+    for_each_morsel(src, ctx, Label::Pass(pass), scan, |(kept, spill)| {
         land(kept);
         if let Some(next) = next.as_deref_mut() {
             next.append_buffer(&spill);

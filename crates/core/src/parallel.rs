@@ -79,6 +79,29 @@ struct TaskOutput<T> {
     thread: u64,
 }
 
+impl<T> TaskOutput<T> {
+    /// Runs task `i` on the calling thread and measures it.
+    fn run(task: &impl Fn(usize) -> T, i: usize) -> Self {
+        let before = thread_flow();
+        let t0 = Instant::now();
+        let value = task(i);
+        TaskOutput {
+            value,
+            stats: thread_flow().since(&before),
+            wall_ns: t0.elapsed().as_nanos() as u64,
+            thread: span::thread_id(),
+        }
+    }
+
+    /// Attaches task `i`'s leaf to the innermost open span (a no-op
+    /// unless a profile is armed).
+    fn attach(&self, i: usize) {
+        if span::profiling() {
+            span::attach_task(format!("task-{i}"), self.thread, self.wall_ns, self.stats);
+        }
+    }
+}
+
 /// How many tasks may be in flight (running or completed but not yet
 /// consumed) beyond the next index the coordinator is waiting for, per
 /// worker. Bounds the DRAM held in unconsumed task outputs when one
@@ -102,7 +125,7 @@ fn for_each_ordered<T, F, C>(threads: usize, n_tasks: usize, task: F, mut consum
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
-    C: FnMut(usize, TaskOutput<T>),
+    C: FnMut(TaskOutput<T>),
 {
     if n_tasks == 0 {
         return;
@@ -110,21 +133,11 @@ where
     let workers = threads.min(n_tasks);
     if workers <= 1 {
         for i in 0..n_tasks {
-            let before = thread_flow();
-            let t0 = Instant::now();
-            let value = task(i);
-            let out = TaskOutput {
-                value,
-                stats: thread_flow().since(&before),
-                wall_ns: t0.elapsed().as_nanos() as u64,
-                thread: span::thread_id(),
-            };
+            let out = TaskOutput::run(&task, i);
             // Inline tasks ran on the coordinator, so their traffic is
             // already in its ledger — attach the leaf, adopt nothing.
-            if span::profiling() {
-                span::attach_task(format!("task-{i}"), out.thread, out.wall_ns, out.stats);
-            }
-            consume(i, out);
+            out.attach(i);
+            consume(out);
         }
         pmem_sim::flush_thread_accounting();
         pmem_sim::audit::flush_barrier();
@@ -162,15 +175,7 @@ where
                     }
                 }
                 let release = ReleaseOnPanic { progress, aborted };
-                let before = thread_flow();
-                let t0 = Instant::now();
-                let value = task(i);
-                let out = TaskOutput {
-                    value,
-                    stats: thread_flow().since(&before),
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                    thread: span::thread_id(),
-                };
+                let out = TaskOutput::run(task, i);
                 std::mem::forget(release);
                 // Publish this task's pending accounting before the
                 // result ships: the channel send orders the merge before
@@ -200,15 +205,8 @@ where
                                 // pools run from within a task) account
                                 // for the delegated work.
                                 adopt(&out.stats);
-                                if span::profiling() {
-                                    span::attach_task(
-                                        format!("task-{next_out}"),
-                                        out.thread,
-                                        out.wall_ns,
-                                        out.stats,
-                                    );
-                                }
-                                consume(next_out, out);
+                                out.attach(next_out);
+                                consume(out);
                                 next_out += 1;
                             }
                             None => break,
@@ -342,7 +340,7 @@ pub(crate) fn fan_out<T: Send>(
 ) -> Phase {
     let _span = span::span_with(|| label.to_string());
     let mut ledger = Vec::with_capacity(tasks);
-    for_each_ordered(ctx.threads(), tasks, task, |_, task| {
+    for_each_ordered(ctx.threads(), tasks, task, |task| {
         let before = thread_stats();
         land(task.value);
         ledger.push(task.stats.plus(&thread_stats().since(&before)));
@@ -365,7 +363,7 @@ mod tests {
         task: impl Fn(usize) -> T + Sync,
     ) -> Vec<T> {
         let mut out = Vec::with_capacity(n_tasks);
-        for_each_ordered(threads, n_tasks, task, |_, r| out.push(r.value));
+        for_each_ordered(threads, n_tasks, task, |r| out.push(r.value));
         out
     }
 
@@ -396,7 +394,7 @@ mod tests {
             4,
             cols.len(),
             |i| cols[i].reader().sum::<u64>(),
-            |_, out| ledgers.push(out.stats),
+            |out| ledgers.push(out.stats),
         );
         let delta = dev.snapshot().since(&before);
         let total = ledgers
@@ -453,7 +451,7 @@ mod tests {
                 threads,
                 6,
                 |i| i,
-                |_, out| {
+                |out| {
                     threads_seen.insert(out.thread);
                 },
             );
@@ -576,7 +574,7 @@ mod tests {
                     }
                     i
                 },
-                |_, _| {},
+                |_| {},
             );
         }));
         assert!(caught.is_err(), "the worker panic propagates at the join");
@@ -602,7 +600,7 @@ mod tests {
                     }
                     i
                 },
-                |_, _| {},
+                |_| {},
             );
         });
         assert!(result.is_err());

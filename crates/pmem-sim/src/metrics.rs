@@ -206,13 +206,7 @@ fn ledger_update(f: impl FnOnce(&mut RawStats)) {
 /// snapshot, it is unaffected by concurrent siblings, so per-partition
 /// cost deltas stay deterministic at any degree of parallelism.
 pub fn thread_stats() -> IoStats {
-    thread_raw().to_io()
-}
-
-/// [`thread_stats`] in raw units.
-#[inline]
-fn thread_raw() -> RawStats {
-    LEDGER.with(Cell::get)
+    LEDGER.with(Cell::get).to_io()
 }
 
 thread_local! {
@@ -238,7 +232,7 @@ pub fn adopt(stats: &IoStats) {
 /// region cost that region inclusive of any parallel fan-out it consumed
 /// — which is exactly the quantity profiling spans report.
 pub fn thread_flow() -> IoStats {
-    let mut flow = thread_raw();
+    let mut flow = LEDGER.with(Cell::get);
     flow.add(&ADOPTED.with(Cell::get));
     flow.to_io()
 }
