@@ -54,8 +54,9 @@ pub fn guided_join_with<L: Record, R: Record>(
 /// passes over both inputs find the heavy hitters first, a phase of
 /// their own with one task per input (one extra read scan each): a key
 /// hot on *either* side is worth keeping resident, since its rows on
-/// both sides then skip the partition write. Engine callers pass the catalog's ingest-time
-/// statistics through [`guided_join_with`] instead and skip the passes.
+/// both sides then skip the partition write. Engine callers pass the
+/// catalog's ingest-time statistics through [`guided_join_with`] instead
+/// and skip the passes.
 pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,

@@ -128,13 +128,13 @@ pub(crate) fn partition_morsels<R: Record, K: Default + Send>(
         route_scan(scan, &route, |bytes| keep(&mut kept, bytes), spill);
         (kept, pieces)
     };
-    let ledger = for_each_morsel(input, ctx, Label::Partition, scan, |(kept, pieces)| {
+    let phase = for_each_morsel(input, ctx, Label::Partition, scan, |(kept, pieces)| {
         land(kept);
         for (p, piece) in pieces.into_iter().enumerate() {
             parts[p].push(piece);
         }
     });
-    (parts, ledger)
+    (parts, phase)
 }
 
 /// A table of the records of `scans` in scan order: all of them, or with

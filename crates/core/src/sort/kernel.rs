@@ -277,7 +277,8 @@ pub(crate) fn merge_down<R: Record>(
             run
         };
         let mut merged = Vec::with_capacity(groups.len());
-        let (label, land) = (Label::Merge(phases.len()), |run| merged.push(run));
+        let label = Label::Merge(phases.len());
+        let land = |run| merged.push(run);
         phases.push(fan_out(ctx, label, groups.len(), merge, land));
         drop(groups);
         runs = merged;
