@@ -1,2 +1,27 @@
 //! Cross-crate integration and property tests live in `tests/`; this
-//! library target is intentionally empty.
+//! library target holds what several of them share.
+
+/// SplitMix64: the seeded generators of the corpora and of the SQL
+/// statements must not move when the vendored `rand` does.
+pub struct SplitMix(pub u64);
+
+impl SplitMix {
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `0..n`.
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
+
+    /// One of `xs`.
+    pub fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+        xs[self.below(xs.len() as u64) as usize]
+    }
+}

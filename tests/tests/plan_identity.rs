@@ -24,6 +24,7 @@ use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmDevice};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use wisconsin::{Record, WisconsinRecord};
+use wl_tests::SplitMix as Rng;
 use write_limited::stats::TableStatistics;
 
 const PLANNED_CASES: u64 = 320;
@@ -37,27 +38,6 @@ const EXECUTED_LAYERS: [LayerKind; 3] = [
 ];
 const EXECUTED_DOPS: [usize; 2] = [1, 4];
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/plan_corpus.out");
-
-/// SplitMix64: the corpus must not move when the vendored `rand` does.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
-        xs[self.below(xs.len() as u64) as usize]
-    }
-}
 
 fn fnv1a(text: &str) -> u64 {
     text.bytes().fold(0xCBF2_9CE4_8422_2325, |h, b| {
@@ -529,13 +509,13 @@ fn corpus() -> String {
     let mut out = String::new();
     let mut seeds = Rng(0x5EED_C0DE);
     for _ in 0..PLANNED_CASES {
-        writeln!(out, "{}", planned_case(seeds.next(), &zipf)).expect("string write");
+        writeln!(out, "{}", planned_case(seeds.next_u64(), &zipf)).expect("string write");
     }
     for _ in 0..REPLANNED_CASES {
-        writeln!(out, "{}", replanned_case(seeds.next())).expect("string write");
+        writeln!(out, "{}", replanned_case(seeds.next_u64())).expect("string write");
     }
     for case in 0..EXECUTED_CASES {
-        for line in executed_case(case, seeds.next()) {
+        for line in executed_case(case, seeds.next_u64()) {
             writeln!(out, "{line}").expect("string write");
         }
     }

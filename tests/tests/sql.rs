@@ -221,83 +221,6 @@ fn explain_reports_the_chosen_join_order() {
     assert!(report.contains("predicted vs measured"), "{report}");
 }
 
-/// Property-style loop: randomized 3–4 table chain and star queries,
-/// checked against the n-way naive oracle, re-executed at DoP 4 — rows
-/// and simulated counters must both be independent of the parallelism.
-#[test]
-fn random_multiway_sql_agrees_with_naive_at_any_dop() {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(0x3B17);
-    for case in 0..6 {
-        let n = rng.gen_range(3usize..5);
-        let keys = rng.gen_range(80u64..250);
-        let db = Database::builder().dram_records(250).batch_rows(37).build();
-        let names = ["a", "b", "c", "d"];
-        for name in &names[..n] {
-            let fanout = rng.gen_range(1u64..3);
-            db.create_wisconsin(name, keys, fanout, case as u64 + 1)
-                .expect("fresh");
-        }
-
-        // Chain: each ON joins the previous table; star: all to `a`.
-        let star = case % 2 == 1;
-        let mut sql = String::from("SELECT * FROM a");
-        for i in 1..n {
-            let anchor = if star { "a" } else { names[i - 1] };
-            sql.push_str(&format!(
-                " JOIN {} ON {anchor}.key = {}.key",
-                names[i], names[i]
-            ));
-        }
-        if case % 3 == 0 {
-            sql.push_str(&format!(" WHERE a.key < {}", keys / 2));
-        }
-
-        let mut session = db.session();
-        session.execute("SET threads = 1").expect("sets");
-        let mut stream = session.query(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let mut got = drain_rows(&mut stream);
-        got.sort_unstable();
-        let stats1 = stream.stats().expect("drained");
-
-        let Statement::Select(select) = parse(&sql).expect("parses") else {
-            panic!("expected select")
-        };
-        let bound = bind(&select, &db.catalog()).expect("binds");
-        let reference = execute_naive(&bound.logical, &db.catalog()).expect("naive evaluates");
-        assert_eq!(
-            got,
-            reference.canonical_wide(),
-            "case {case} ({sql}) diverges from the oracle"
-        );
-
-        // Re-execute the same plan at DoP 4: identical rows, identical
-        // counters (parallelism buys wall-clock only).
-        let planned4 = planner::PlannedQuery {
-            threads: 4,
-            ..stream.planned().clone()
-        };
-        let pool = pmem_sim::BufferPool::new(250 * 80);
-        let run4 =
-            planner::execute_stream(&planned4, &db.catalog(), db.device(), db.layer(), &pool)
-                .expect("runs at DoP 4");
-        assert_eq!(
-            run4.result.all_rows().canonical_wide(),
-            got,
-            "case {case}: rows changed with DoP"
-        );
-        assert_eq!(
-            run4.stats.cl_reads, stats1.io.cl_reads,
-            "case {case}: reads changed with DoP"
-        );
-        assert_eq!(
-            run4.stats.cl_writes, stats1.io.cl_writes,
-            "case {case}: writes changed with DoP"
-        );
-    }
-}
-
 // ---------- self-joins and aliases ----------
 
 #[test]
