@@ -17,24 +17,38 @@ use crate::join::JoinAlgorithm;
 use crate::sort::SortAlgorithm;
 
 /// A cost prediction split into its cacheline read and write sides, in
-/// cachelines (the paper's buffer units). `reads + λ·writes`
+/// cachelines (the paper's buffer units), beside the persistence-layer
+/// calls that traffic makes and their software time. `reads + λ·writes`
 /// ([`IoPrediction::cost_units`]) is the scalar Eqs. 1–11 cost; the
 /// split is also what a plan-level predicted-vs-measured comparison
-/// (Fig. 12 at plan granularity) needs.
+/// (Fig. 12 at plan granularity) needs. The Eqs. 1–11 models predict
+/// traffic only; a planner prices the calls with the target layer's
+/// `pmem_sim::ChargeRule`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IoPrediction {
     /// Predicted cacheline reads.
     pub reads: f64,
     /// Predicted cacheline writes.
     pub writes: f64,
+    /// Predicted persistence-layer calls.
+    pub calls: f64,
+    /// Predicted software time of those calls, in nanoseconds.
+    pub software_ns: f64,
 }
 
 impl IoPrediction {
     /// A zero prediction (identity for [`IoPrediction::plus`]).
-    pub const ZERO: Self = Self {
-        reads: 0.0,
-        writes: 0.0,
-    };
+    pub const ZERO: Self = Self::traffic(0.0, 0.0);
+
+    /// Cacheline traffic alone, no layer calls.
+    pub const fn traffic(reads: f64, writes: f64) -> Self {
+        Self {
+            reads,
+            writes,
+            calls: 0.0,
+            software_ns: 0.0,
+        }
+    }
 
     /// Scalar cost in read units under write/read ratio `lambda`.
     pub fn cost_units(&self, lambda: f64) -> f64 {
@@ -47,6 +61,8 @@ impl IoPrediction {
         IoPrediction {
             reads: self.reads + other.reads,
             writes: self.writes + other.writes,
+            calls: self.calls + other.calls,
+            software_ns: self.software_ns + other.software_ns,
         }
     }
 }
@@ -61,7 +77,7 @@ pub fn predict_sort_io(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) -> IoP
         SortAlgorithm::LaS => sort_costs::lazy_sort_io(t, m, lambda),
         SortAlgorithm::SelS => sort_costs::selection_io(t, m),
     };
-    IoPrediction { reads, writes }
+    IoPrediction::traffic(reads, writes)
 }
 
 /// Predicts the cacheline read/write traffic of a join algorithm
@@ -93,7 +109,7 @@ pub fn predict_join_io(algo: &JoinAlgorithm, t: f64, v: f64, m: f64) -> IoPredic
         // planner applies the skew discount via `join_costs::guided_io`.
         JoinAlgorithm::CGJ => join_costs::guided_io(t, v, 0.0, 0.0),
     };
-    IoPrediction { reads, writes }
+    IoPrediction::traffic(reads, writes)
 }
 
 /// How a plan node's predicted traffic divides between work the
@@ -525,10 +541,7 @@ mod tests {
 
     #[test]
     fn io_prediction_arithmetic() {
-        let a = IoPrediction {
-            reads: 10.0,
-            writes: 5.0,
-        };
+        let a = IoPrediction::traffic(10.0, 5.0);
         let b = a.plus(IoPrediction::ZERO);
         assert_eq!(a, b);
         assert_eq!(a.plus(a).reads, 20.0);

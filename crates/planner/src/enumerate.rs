@@ -21,7 +21,7 @@ mod order;
 use crate::catalog::Catalog;
 use crate::logical::{LogicalPlan, Predicate};
 use crate::physical::{Materialization, NodeCost, PhysicalPlan};
-use pmem_sim::{BufferPool, DeviceConfig, LayerKind, Pm, Storable, CACHELINE};
+use pmem_sim::{BufferPool, ChargeRule, DeviceConfig, LayerKind, Pm, Storable, CACHELINE};
 use write_limited::agg::GroupAgg;
 use write_limited::cost::{
     predict_sort_io, sort_candidates, sort_parallel_split, IoPrediction, ParallelSplit,
@@ -146,10 +146,12 @@ pub struct Planner {
     /// On by default; turned off for static-uniform baselines and for
     /// adaptivity-invariance experiments.
     pub adapt: bool,
-    /// Per-storage-call software overhead expressed in read units.
-    call_overhead_units: f64,
-    /// Cachelines per collection block (call granularity).
-    block_cachelines: f64,
+    /// The simulator's charge rule of `layer`: what the predicted
+    /// traffic of each node costs in layer calls.
+    rule: ChargeRule,
+    /// Medium read latency in nanoseconds: the read unit call time is
+    /// ranked in.
+    read_ns: f64,
 }
 
 impl Planner {
@@ -175,20 +177,14 @@ impl Planner {
     pub fn with_config(lambda: f64, m_buffers: f64, layer: LayerKind, cfg: &DeviceConfig) -> Self {
         assert!(lambda >= 1.0, "write/read ratio must be >= 1");
         assert!(m_buffers >= 1.0, "need at least one buffer of DRAM");
-        let call_ns = match layer {
-            LayerKind::Pmfs => cfg.pmfs_call_ns,
-            LayerKind::RamDisk => cfg.ramdisk_call_ns,
-            LayerKind::FileBacked => cfg.file_call_ns,
-            LayerKind::BlockedMemory | LayerKind::DynArray => 0.0,
-        };
         Self {
             lambda,
             m_buffers,
             layer,
             threads: 1,
             adapt: true,
-            call_overhead_units: call_ns / cfg.latency.read_ns,
-            block_cachelines: cfg.cachelines_per_block() as f64,
+            rule: ChargeRule::new(layer, cfg),
+            read_ns: cfg.latency.read_ns,
         }
     }
 
@@ -211,8 +207,8 @@ impl Planner {
 
     /// Critical-path scaling of a costed candidate: the ratio between
     /// the split's elapsed estimate at `self.threads` workers and its
-    /// serial sum, applied to the overhead-inclusive figure (overhead
-    /// accrues on the same traffic, so it scales with it).
+    /// serial sum, applied to the call-inclusive figure (calls accrue
+    /// on the same traffic, so they scale with it).
     /// The split is only worked out when there are workers to spread
     /// it over.
     fn scale_units(&self, units: f64, split: impl FnOnce() -> ParallelSplit) -> f64 {
@@ -227,19 +223,23 @@ impl Planner {
         units * split.critical_path_units(self.threads) / serial_sum
     }
 
-    /// Software-overhead surcharge for `traffic` buffers of layer I/O,
-    /// in read units: one storage call per block touched. Zero for the
-    /// load/store layers, significant for the RAM disk — this is what
-    /// makes the planner layer-aware beyond pure cacheline counts.
-    fn layer_overhead(&self, traffic_buffers: f64) -> f64 {
-        self.call_overhead_units * (traffic_buffers / self.block_cachelines).ceil()
+    /// `io` priced in the layer calls its traffic makes under the
+    /// target layer's charge rule: none on the load/store layers, one
+    /// per 512-byte record on the RAM disk, one per block on PMFS.
+    fn with_calls(&self, io: IoPrediction) -> IoPrediction {
+        let calls = self.rule.calls(io.reads + io.writes);
+        IoPrediction {
+            calls,
+            software_ns: self.rule.call_ns(calls),
+            ..io
+        }
     }
 
-    fn with_overhead(&self, io: IoPrediction) -> IoPrediction {
-        IoPrediction {
-            reads: io.reads + self.layer_overhead(io.reads + io.writes),
-            writes: io.writes,
-        }
+    /// The figure candidates rank by, in read units: `reads + λ·writes`
+    /// plus the calls' software time — what makes the planner
+    /// layer-aware beyond cacheline counts.
+    fn units(&self, io: &IoPrediction) -> f64 {
+        io.cost_units(self.lambda) + io.software_ns / self.read_ns
     }
 
     /// Enumerates physical plans for `logical` and returns the cheapest
@@ -337,10 +337,7 @@ impl Planner {
         let distinct = filtered.distinct_keys().max(1.0);
         let out_rows = (in_rows * selectivity).ceil();
         let out_buffers = (in_buffers * selectivity).ceil();
-        let io = self.with_overhead(IoPrediction {
-            reads: in_buffers,
-            writes: out_buffers,
-        });
+        let io = self.with_calls(IoPrediction::traffic(in_buffers, out_buffers));
         let plan = PhysicalPlan::Filter {
             input: Box::new(child),
             predicate,
@@ -368,10 +365,10 @@ impl Planner {
                 .into_iter()
                 .map(|algo| {
                     let io =
-                        self.with_overhead(predict_sort_io(&algo, t, self.m_buffers, self.lambda));
+                        self.with_calls(predict_sort_io(&algo, t, self.m_buffers, self.lambda));
                     let cand = Candidate {
                         label: algo.label(),
-                        cost_units: self.scale_units(io.cost_units(self.lambda), || {
+                        cost_units: self.scale_units(self.units(&io), || {
                             sort_parallel_split(&algo, t, self.m_buffers, self.lambda)
                         }),
                         io,
@@ -429,11 +426,10 @@ impl Planner {
         // The segment cost model already charges λ·t for writing the
         // sorted output; the aggregator instead writes only group rows.
         // Correct the write side accordingly.
-        let io = IoPrediction {
-            reads: io.reads,
-            writes: (io.writes - t).max(0.0) + out_buffers,
-        };
-        let io = self.with_overhead(io);
+        let io = self.with_calls(IoPrediction::traffic(
+            io.reads,
+            (io.writes - t).max(0.0) + out_buffers,
+        ));
         Ok(PhysicalPlan::Aggregate {
             input: Box::new(child),
             x,
@@ -845,17 +841,40 @@ mod tests {
 
     #[test]
     fn layer_overhead_raises_ramdisk_costs() {
+        // The same sort on both layers predicts the same cachelines; the
+        // RAM disk adds the layer calls the simulator charges for them —
+        // one per 512-byte record of traffic — and ranks with their time.
         let cat = catalog();
         let logical = LogicalPlan::scan("T").sort();
-        let cheap = Planner::new(15.0, 625.0, LayerKind::BlockedMemory)
-            .plan(&logical, &cat)
-            .expect("plans");
-        let pricey = Planner::new(15.0, 625.0, LayerKind::RamDisk)
-            .plan(&logical, &cat)
-            .expect("plans");
-        assert!(
-            pricey.predicted.reads > cheap.predicted.reads,
-            "RAM-disk call overhead must surface in predictions"
+        let plan = |layer| {
+            Planner::new(15.0, 625.0, layer)
+                .plan(&logical, &cat)
+                .expect("plans")
+        };
+        let (cheap, pricey) = (plan(LayerKind::BlockedMemory), plan(LayerKind::RamDisk));
+        let field = |p: &PlannedQuery| p.choices[0].candidates.clone();
+        assert_eq!(
+            (cheap.predicted.calls, cheap.predicted.software_ns),
+            (0.0, 0.0)
         );
+        for c in field(&cheap) {
+            // No calls: the ranking figure is the Eqs. 1–11 cost, bit for bit.
+            assert_eq!(c.cost_units.to_bits(), c.io.cost_units(15.0).to_bits());
+            let on_disk = field(&pricey)
+                .into_iter()
+                .find(|d| d.label == c.label)
+                .expect("same candidate field");
+            assert_eq!(
+                (on_disk.io.reads, on_disk.io.writes),
+                (c.io.reads, c.io.writes)
+            );
+            assert_eq!(on_disk.io.calls, ((c.io.reads + c.io.writes) / 8.0).ceil());
+            assert_eq!(on_disk.io.software_ns, 220.0 * on_disk.io.calls);
+            assert!(
+                on_disk.cost_units > c.cost_units,
+                "{}: RAM-disk calls must raise the ranking cost",
+                c.label
+            );
+        }
     }
 }

@@ -126,21 +126,17 @@ impl Planner {
         // one extra staged pass: re-read the pairs, write the flat rows.
         let chain_buffers = (out_rows * WIS_BYTES / CACHELINE as f64).ceil();
         let (fold_io, out_buffers) = if chain {
-            let fold = IoPrediction {
-                reads: pair_buffers,
-                writes: chain_buffers,
-            };
-            (fold, chain_buffers)
+            (
+                IoPrediction::traffic(pair_buffers, chain_buffers),
+                chain_buffers,
+            )
         } else {
             (IoPrediction::ZERO, pair_buffers)
         };
-        let output_writes = IoPrediction {
-            reads: fold_io.reads,
-            writes: pair_buffers + fold_io.writes,
-        };
+        let output_writes = IoPrediction::traffic(fold_io.reads, pair_buffers + fold_io.writes);
         let arm = |algo: JoinAlgorithm, swapped: bool, io: IoPrediction, t: f64, v: f64| {
-            let io = self.with_overhead(io.plus(output_writes));
-            let cost_units = self.scale_units(io.cost_units(self.lambda), || {
+            let io = self.with_calls(io.plus(output_writes));
+            let cost_units = self.scale_units(self.units(&io), || {
                 join_parallel_split(&algo, t, v, self.m_buffers, self.lambda)
             });
             Arm {
@@ -198,7 +194,7 @@ impl Planner {
                     continue;
                 }
                 let (reads, writes) = guided_io(t, v, hot_t, hot_v);
-                let io = IoPrediction { reads, writes };
+                let io = IoPrediction::traffic(reads, writes);
                 field.push(arm(JoinAlgorithm::CGJ, swapped, io, t, v));
             }
         }
@@ -217,10 +213,7 @@ impl Planner {
             // `JoinContext::grace_partitions`.
             let k = self.grace_partitions_est(scan.out_rows);
             if plan_verdict(filtered, src, k, self.lambda) == Decision::Defer {
-                let io = IoPrediction {
-                    reads: k * (src + rb),
-                    writes: 0.0,
-                };
+                let io = IoPrediction::traffic(k * (src + rb), 0.0);
                 // The iterate-only passes fan out like SegJ at frac = 0
                 // (the re-filtering scans are the passes).
                 view = Some(Arm {
@@ -238,7 +231,7 @@ impl Planner {
         // alternative is in play — then the cheapest row IS the winner
         // (the view, listed last, only on a strictly lower figure).
         let filter_io = l.cost.io;
-        let filter_units = filter_io.cost_units(self.lambda);
+        let filter_units = self.units(&filter_io);
         if let Some(view) = view {
             for cand in &mut field {
                 cand.io = cand.io.plus(filter_io);
@@ -270,6 +263,8 @@ impl Planner {
                 let io = IoPrediction {
                     reads: winner.io.reads - filter_io.reads,
                     writes: winner.io.writes - filter_io.writes,
+                    calls: winner.io.calls - filter_io.calls,
+                    software_ns: winner.io.software_ns - filter_io.software_ns,
                 };
                 (io, winner.cost_units - filter_units)
             } else {

@@ -154,7 +154,7 @@ impl Planner {
             table[1 << i] = Some(Subset::Leaf {
                 logical: leaf,
                 slots,
-                units: total_io.cost_units(self.lambda),
+                units: self.units(&total_io),
                 total_io,
                 plan,
                 stats,

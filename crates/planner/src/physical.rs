@@ -240,7 +240,7 @@ mod tests {
         PhysicalPlan::Scan {
             table: "T".into(),
             cost: NodeCost {
-                io: IoPrediction { reads, writes: 0.0 },
+                io: IoPrediction::traffic(reads, 0.0),
                 out_rows: 10.0,
                 out_buffers: 13.0,
                 distinct_keys: 10.0,
@@ -259,10 +259,7 @@ mod tests {
             hot: Vec::new(),
             replanned: false,
             cost: NodeCost {
-                io: IoPrediction {
-                    reads: 600.0,
-                    writes: 300.0,
-                },
+                io: IoPrediction::traffic(600.0, 300.0),
                 out_rows: 100.0,
                 out_buffers: 250.0,
                 distinct_keys: 10.0,

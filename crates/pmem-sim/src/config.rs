@@ -105,11 +105,6 @@ impl DeviceConfig {
         self.latency = latency;
         self
     }
-
-    /// Number of cachelines per collection block.
-    pub fn cachelines_per_block(&self) -> usize {
-        self.block_size / CACHELINE
-    }
 }
 
 impl Default for DeviceConfig {
@@ -154,10 +149,5 @@ mod tests {
         assert_eq!(cachelines(65), 2);
         assert_eq!(cachelines(80), 2);
         assert_eq!(cachelines(1024), 16);
-    }
-
-    #[test]
-    fn default_config_block_is_sixteen_cachelines() {
-        assert_eq!(DeviceConfig::default().cachelines_per_block(), 16);
     }
 }

@@ -28,7 +28,8 @@
 //!   ([`Storage::create_file`]) survives the process. The WAL and
 //!   checkpoint files of the database live on this layer.
 
-use crate::config::{cachelines, DeviceConfig, CACHELINE, FILE_RECORD, RAMDISK_RECORD};
+use crate::charge::ChargeRule;
+use crate::config::{DeviceConfig, CACHELINE};
 use crate::device::PmDevice;
 use crate::error::PmError;
 use crate::fault::{FaultKind, WriteVerdict};
@@ -216,10 +217,10 @@ static EPHEMERAL_FILE_ID: AtomicU64 = AtomicU64::new(0);
 /// algorithms pay for, so they must be visible in the counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReadCursor {
-    next_granule: u64,
+    pub(crate) next_granule: u64,
     /// Next call-granule not yet charged a layer call (sequential reads
     /// within one filesystem block/record share a single call).
-    next_call_granule: u64,
+    pub(crate) next_call_granule: u64,
 }
 
 impl ReadCursor {
@@ -360,6 +361,8 @@ pub struct Storage {
     /// Granules already charged as written (ceil-delta accounting).
     written_granules: u64,
     block_size: usize,
+    /// What every append, read, growth copy and fsync charges.
+    rule: ChargeRule,
     /// Real OS file (FileBacked only). `contiguous` doubles as an
     /// in-memory mirror so reads never touch the OS.
     file: Option<FileBacking>,
@@ -408,6 +411,7 @@ impl Storage {
             capacity: 0,
             written_granules: 0,
             block_size: config.block_size,
+            rule: ChargeRule::new(kind, config),
             file: None,
         }
     }
@@ -441,6 +445,7 @@ impl Storage {
             capacity: 0,
             written_granules: 0,
             block_size: config.block_size,
+            rule: ChargeRule::new(LayerKind::FileBacked, config),
             file: Some(FileBacking::new(path, file, ephemeral)),
         })
     }
@@ -460,50 +465,6 @@ impl Storage {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Write granularity in bytes: 512-byte records for the RAM disk and
-    /// the file layer, cachelines for the byte-addressable layers.
-    #[inline]
-    fn granule(&self) -> usize {
-        match self.kind {
-            LayerKind::RamDisk => RAMDISK_RECORD,
-            LayerKind::FileBacked => FILE_RECORD,
-            _ => CACHELINE,
-        }
-    }
-
-    /// `log2` of [`Storage::granule`]: the granules are power-of-two
-    /// constants, so offsets map to granules by a shift.
-    #[inline]
-    fn granule_shift(&self) -> u32 {
-        self.granule().trailing_zeros()
-    }
-
-    /// Cachelines of medium traffic per granule.
-    #[inline]
-    fn cachelines_per_granule(&self) -> u64 {
-        (self.granule() / CACHELINE) as u64
-    }
-
-    /// Software cost per layer call in nanoseconds.
-    fn call_ns(&self, dev: &PmDevice) -> f64 {
-        match self.kind {
-            LayerKind::BlockedMemory | LayerKind::DynArray => 0.0,
-            LayerKind::Pmfs => dev.config().pmfs_call_ns,
-            LayerKind::RamDisk => dev.config().ramdisk_call_ns,
-            LayerKind::FileBacked => dev.config().file_call_ns,
-        }
-    }
-
-    /// Bytes served per layer call: one filesystem record for the RAM
-    /// disk and the file layer, one collection block for PMFS.
-    fn call_granule(&self) -> usize {
-        match self.kind {
-            LayerKind::RamDisk => RAMDISK_RECORD,
-            LayerKind::FileBacked => FILE_RECORD,
-            _ => self.block_size,
-        }
     }
 
     /// Appends `data`, charging writes under this layer's model.
@@ -605,29 +566,13 @@ impl Storage {
         self.charge_append(old_len, new_len, dev);
     }
 
-    /// Medium traffic (first touch of each granule counts once —
-    /// write-back buffering within a granule) plus software overhead
-    /// (one layer call per call-granule first touched) for growing the
-    /// storage from `old_len` to `new_len` bytes.
+    /// Charges growing the storage from `old_len` to `new_len` bytes.
     #[inline]
     fn charge_append(&mut self, old_len: usize, new_len: usize, dev: &PmDevice) {
-        let granule = self.granule() as u64;
-        let total_granules = (new_len as u64 + granule - 1) >> self.granule_shift();
-        let new_granules = total_granules - self.written_granules;
-        if new_granules > 0 {
-            dev.metrics()
-                .add_writes(new_granules * self.cachelines_per_granule());
-            self.written_granules = total_granules;
-        }
-
-        let call_ns = self.call_ns(dev);
-        if call_ns > 0.0 {
-            let cg = self.call_granule() as u64;
-            let calls = (new_len as u64).div_ceil(cg) - (old_len as u64).div_ceil(cg);
-            if calls > 0 {
-                dev.metrics().add_layer_calls(calls, call_ns);
-            }
-        }
+        let charge = self
+            .rule
+            .append(old_len, new_len, &mut self.written_granules);
+        dev.metrics().add_charge(charge);
     }
 
     fn append_file(&mut self, data: &[u8], dev: &PmDevice) -> Result<(), PmError> {
@@ -716,7 +661,7 @@ impl Storage {
         }
         let fb = self.file.as_mut().expect("file-backed storage");
         fb.host().stats.fsyncs += 1;
-        dev.metrics().add_layer_calls(1, dev.config().file_call_ns);
+        dev.metrics().add_charge(self.rule.fsync());
         Ok(())
     }
 
@@ -811,10 +756,7 @@ impl Storage {
             // prefix over — the copy is real persistent-memory traffic
             // (reads of the old region, writes of the new one), which is
             // exactly the §3.2 criticism of dynamic arrays.
-            let copied = self.len;
-            let cls = cachelines(copied);
-            dev.metrics().add_reads(cls);
-            dev.metrics().add_writes(cls);
+            dev.metrics().add_charge(self.rule.growth_copy(self.len));
             self.capacity *= 2;
         }
         self.contiguous
@@ -839,8 +781,8 @@ impl Storage {
     }
 
     /// Charges a read of bytes `[offset, offset + len)` through `cursor`
-    /// — the one place read traffic is computed, shared by
-    /// [`Storage::read_at`] and the collections' in-place record views.
+    /// ([`ChargeRule::read`]) — shared by [`Storage::read_at`] and the
+    /// collections' in-place record views.
     /// The caller has checked the range against [`Storage::len`].
     #[inline]
     pub(crate) fn charge_read(
@@ -850,53 +792,14 @@ impl Storage {
         cursor: &mut ReadCursor,
         dev: &PmDevice,
     ) {
-        if len == 0 {
-            return;
-        }
-        // Medium traffic: granules in [offset, offset+len) not yet counted
-        // by this cursor.
-        let shift = self.granule_shift();
-        let first = offset as u64 >> shift;
-        let last = (offset + len - 1) as u64 >> shift;
-        let start = first.max(cursor.next_granule);
-        if last >= start {
-            let n = last - start + 1;
-            dev.metrics().add_reads(n * self.cachelines_per_granule());
-            cursor.next_granule = last + 1;
-
-            // Software overhead: one layer call per call-granule first
-            // fetched (a sequential scan issues one call per block or
-            // record, not one per record read).
-            let call_ns = self.call_ns(dev);
-            if call_ns > 0.0 {
-                let cg = self.call_granule() as u64;
-                let first_cg = offset as u64 / cg;
-                let last_cg = (offset + len - 1) as u64 / cg;
-                let start_cg = first_cg.max(cursor.next_call_granule);
-                if last_cg >= start_cg {
-                    dev.metrics()
-                        .add_layer_calls(last_cg - start_cg + 1, call_ns);
-                    cursor.next_call_granule = last_cg + 1;
-                }
-            }
-        }
+        dev.metrics()
+            .add_charge(self.rule.read(offset, len, cursor));
     }
 
     /// Charges a forward read of `count` back-to-back `size`-byte records
     /// starting at `offset` exactly as `count` calls of
     /// [`Storage::charge_read`], one per record, would through the same
-    /// cursor — in a single call wherever that telescopes.
-    ///
-    /// Medium traffic always does: a granule is counted at its first
-    /// touch, whatever the sizes of the reads that touch it. Layer calls
-    /// are only looked at by a read that touches a new medium granule,
-    /// so they telescope when every call-granule boundary is also a
-    /// medium-granule boundary — every layer except PMFS over a block
-    /// size that is not a multiple of the cacheline. There, a record
-    /// that ends the scan across a block boundary but inside an
-    /// already-counted cacheline is never charged its call, and only
-    /// the record-at-a-time loop reproduces that. (Software time is a
-    /// whole number of picoseconds per call, so it follows the calls.)
+    /// cursor ([`ChargeRule::read_records`]).
     #[inline]
     pub(crate) fn charge_read_records(
         &self,
@@ -906,12 +809,8 @@ impl Storage {
         cursor: &mut ReadCursor,
         dev: &PmDevice,
     ) {
-        if self.call_ns(dev) == 0.0 || self.call_granule().is_multiple_of(self.granule()) {
-            return self.charge_read(offset, size * count, cursor, dev);
-        }
-        for i in 0..count {
-            self.charge_read(offset + i * size, size, cursor, dev);
-        }
+        let charge = self.rule.read_records(offset, size, count, cursor);
+        dev.metrics().add_charge(charge);
     }
 
     /// Physical position of byte `offset` — the seek of a scan or point

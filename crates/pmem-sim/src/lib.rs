@@ -35,6 +35,7 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+pub mod charge;
 pub mod collection;
 pub mod config;
 pub mod device;
@@ -59,7 +60,8 @@ pub fn flush_thread_accounting() {
     metrics::flush_thread_shards();
     pool::flush_thread_leases();
 }
-pub use config::{cachelines, DeviceConfig, LatencyProfile, CACHELINE, DEFAULT_BLOCK, FILE_RECORD};
+pub use charge::ChargeRule;
+pub use config::{cachelines, DeviceConfig, LatencyProfile, CACHELINE};
 pub use device::{Pm, PmDevice};
 pub use energy::{EnergyModel, WearModel};
 pub use error::PmError;

@@ -45,7 +45,7 @@ use std::sync::{Arc, Weak};
 /// Internal software-time resolution: picoseconds per nanosecond. Storing
 /// integer picoseconds makes concurrent accumulation exact (u64 addition
 /// commutes; f64 addition does not).
-const PS_PER_NS: f64 = 1000.0;
+pub(crate) const PS_PER_NS: f64 = 1000.0;
 
 /// A point-in-time snapshot of device counters.
 ///
@@ -143,22 +143,22 @@ impl IoStats {
 /// under any order and any grouping of the charges. Converted to an
 /// [`IoStats`] only when observed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct RawStats {
-    reads: u64,
-    writes: u64,
-    software_ps: u64,
-    calls: u64,
+pub(crate) struct RawStats {
+    pub(crate) reads: u64,
+    pub(crate) writes: u64,
+    pub(crate) software_ps: u64,
+    pub(crate) calls: u64,
 }
 
 impl RawStats {
-    const ZERO: RawStats = RawStats {
+    pub(crate) const ZERO: RawStats = RawStats {
         reads: 0,
         writes: 0,
         software_ps: 0,
         calls: 0,
     };
 
-    fn add(&mut self, other: &RawStats) {
+    pub(crate) fn add(&mut self, other: &RawStats) {
         self.reads += other.reads;
         self.writes += other.writes;
         self.software_ps += other.software_ps;
@@ -450,20 +450,16 @@ impl Metrics {
         }
     }
 
-    /// Records `calls` persistence-layer calls of `call_ns` nanoseconds
-    /// each. A call costs a whole number of picoseconds (`call_ns`
-    /// rounded once), so the software time of `n` calls is `n` times
-    /// that however the calls are grouped into charges — a scan charged
+    /// Records one charge a persistence layer computed with its
+    /// [`crate::charge::ChargeRule`]: traffic, layer calls and their
+    /// software time, in the bank's integer units. A call costs a whole
+    /// number of picoseconds, so the software time of `n` calls is the
+    /// same however the calls are grouped into charges — a scan charged
     /// a run at a time, a bulk append and their record-at-a-time twins
-    /// all sum to the same picosecond.
+    /// all sum to the same picosecond. A zero charge touches nothing.
     #[inline]
-    pub(crate) fn add_layer_calls(&self, calls: u64, call_ns: f64) {
-        if !self.paused.load(Ordering::Relaxed) {
-            let charge = RawStats {
-                software_ps: calls * (call_ns * PS_PER_NS).round() as u64,
-                calls,
-                ..RawStats::ZERO
-            };
+    pub(crate) fn add_charge(&self, charge: RawStats) {
+        if charge != RawStats::ZERO && !self.paused.load(Ordering::Relaxed) {
             ledger_update(|l| l.add(&charge));
             buffer_in_shard(&self.bank, |d| d.add(&charge));
         }
@@ -508,7 +504,11 @@ mod tests {
         let m = Metrics::new();
         m.add_reads(3);
         m.add_writes(2);
-        m.add_layer_calls(1, 5.0);
+        m.add_charge(RawStats {
+            calls: 1,
+            software_ps: 5_000,
+            ..RawStats::ZERO
+        });
         let s = m.snapshot();
         assert_eq!(s.cl_reads, 3);
         assert_eq!(s.cl_writes, 2);
@@ -589,7 +589,11 @@ mod tests {
                     for _ in 0..10_000 {
                         m.add_reads(1);
                         m.add_writes(2);
-                        m.add_layer_calls(1, 0.5);
+                        m.add_charge(RawStats {
+                            calls: 1,
+                            software_ps: 500,
+                            ..RawStats::ZERO
+                        });
                     }
                 })
             })
