@@ -20,11 +20,12 @@ use planner::{
     execute_stream, render_choices, render_plan, Catalog, LogicalPlan, Materialization,
     PhysicalPlan, PlannedQuery, Planner, Predicate, TableStats,
 };
-use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmDevice};
+use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, Pm, PmDevice};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use wisconsin::{Record, WisconsinRecord};
 use wl_tests::SplitMix as Rng;
+use write_limited::cost::IoPrediction;
 use write_limited::stats::TableStatistics;
 
 const PLANNED_CASES: u64 = 320;
@@ -385,10 +386,22 @@ fn rows_hash(rows: &[Vec<u64>]) -> u64 {
         })
 }
 
+/// One executed run: its corpus line and, for a run that completed, its
+/// layer, the plan that ran and what it measured.
+struct Run {
+    line: String,
+    ran: Option<(LayerKind, PhysicalPlan, IoStats)>,
+}
+
+/// Nodes in `plan`.
+fn nodes(plan: &PhysicalPlan) -> usize {
+    1 + plan.children().into_iter().map(nodes).sum::<usize>()
+}
+
 /// One executed plan shape drawn from `seed`, the `case`-th of the
 /// family (which picks the shape, so every arm is reached), run on each
 /// layer at each DoP: one line per run.
-fn executed_case(case: u64, seed: u64) -> Vec<String> {
+fn executed_case(case: u64, seed: u64) -> Vec<Run> {
     let mut rng = Rng(seed);
     let n = match case % 6 {
         0 | 3 => 1 + rng.below(2),
@@ -471,14 +484,20 @@ fn executed_case(case: u64, seed: u64) -> Vec<String> {
             {
                 Ok(planned) => planned,
                 Err(e) => {
-                    lines.push(format!("{head} | error: {e}"));
+                    lines.push(Run {
+                        line: format!("{head} | error: {e}"),
+                        ran: None,
+                    });
                     continue;
                 }
             };
             let run = match execute_stream(&planned, &cat, &dev, layer, &pool) {
                 Ok(run) => run,
                 Err(e) => {
-                    lines.push(format!("{head} | error: {e}"));
+                    lines.push(Run {
+                        line: format!("{head} | error: {e}"),
+                        ran: None,
+                    });
                     continue;
                 }
             };
@@ -487,8 +506,9 @@ fn executed_case(case: u64, seed: u64) -> Vec<String> {
             arms(plan, &mut staged);
             let rows = run.result.all_rows();
             let s = run.stats;
-            lines.push(format!(
-                "{head} | {} | arms={} | rows={} out={:016x} reads={} writes={} ps={} calls={}",
+            let line = format!(
+                "{head} | {} | arms={} | rows={} out={:016x} reads={} writes={} ps={} calls={} \
+                 pred_calls={:.0}",
                 plan.describe().trim_end().replace('\n', " / "),
                 staged.join(","),
                 rows.len(),
@@ -497,7 +517,12 @@ fn executed_case(case: u64, seed: u64) -> Vec<String> {
                 s.cl_writes,
                 (s.software_ns * 1000.0).round() as u64,
                 s.calls,
-            ));
+                plan.total_io().calls,
+            );
+            lines.push(Run {
+                line,
+                ran: Some((layer, plan.clone(), s)),
+            });
         }
     }
     lines
@@ -515,8 +540,8 @@ fn corpus() -> String {
         writeln!(out, "{}", replanned_case(seeds.next_u64())).expect("string write");
     }
     for case in 0..EXECUTED_CASES {
-        for line in executed_case(case, seeds.next_u64()) {
-            writeln!(out, "{line}").expect("string write");
+        for run in executed_case(case, seeds.next_u64()) {
+            writeln!(out, "{}", run.line).expect("string write");
         }
     }
     out
@@ -609,4 +634,53 @@ fn the_corpus_reaches_every_arm() {
         executed.iter().filter(|l| l.contains(" rows=0 ")).count() * 4 < executed.len(),
         "most executed cases produce rows"
     );
+}
+
+/// Two interpreters of one charge rule. On the RAM disk the simulator
+/// charges a call per 512-byte record of traffic at 220 ns, and the
+/// planner prices each node's predicted traffic in calls by the same
+/// rule. So every executed RAM-disk run measures calls = traffic / 8
+/// and 220 000 ps a call, and its plan's predicted calls divided by the
+/// measured ones lie within the per-node ceiling slack of its predicted
+/// traffic divided by the measured traffic: each node rounds its own
+/// calls up, by less than one call.
+#[test]
+fn ramdisk_runs_predict_and_measure_calls_by_one_rule() {
+    let mut seeds = Rng(0x5EED_C0DE);
+    for _ in 0..PLANNED_CASES + REPLANNED_CASES {
+        seeds.next_u64();
+    }
+    let mut checked = 0;
+    for case in 0..EXECUTED_CASES {
+        for run in executed_case(case, seeds.next_u64()) {
+            let Some((LayerKind::RamDisk, plan, measured)) = run.ran else {
+                continue;
+            };
+            let line = &run.line;
+            let traffic = measured.cl_reads + measured.cl_writes;
+            assert_eq!(measured.calls * 8, traffic, "{line}");
+            let ps = (measured.software_ns * 1000.0).round() as u64;
+            assert_eq!(ps, 220_000 * measured.calls, "{line}");
+
+            let predicted: IoPrediction = plan.total_io();
+            let exact = (predicted.reads + predicted.writes) / 8.0;
+            let slack = nodes(&plan) as f64;
+            assert!(
+                exact - 1e-6 <= predicted.calls && predicted.calls < exact + slack,
+                "{line}: {} predicted calls for {exact} calls of predicted traffic",
+                predicted.calls
+            );
+            assert_eq!(predicted.software_ns, 220.0 * predicted.calls, "{line}");
+            if measured.calls > 0 {
+                let calls = measured.calls as f64;
+                let (ratio, floor) = (predicted.calls / calls, exact / calls);
+                assert!(
+                    floor - 1e-9 <= ratio && ratio < floor + slack / calls,
+                    "{line}: predicted ÷ measured calls {ratio} against traffic {floor}"
+                );
+            }
+            checked += 1;
+        }
+    }
+    assert_eq!(checked as u64, EXECUTED_CASES * EXECUTED_DOPS.len() as u64);
 }
