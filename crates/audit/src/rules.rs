@@ -4,7 +4,7 @@
 //! | rule id         | discipline                                                      |
 //! |-----------------|-----------------------------------------------------------------|
 //! | `counted-io`    | device counters mutate only in `pmem-sim`'s accounting files    |
-//! | `ledger-only`   | `Metrics::add_*` charges only in metrics.rs/layer.rs/pages.rs; shard merges only in `metrics.rs` |
+//! | `ledger-only`   | `Metrics::add_*` charges only in metrics.rs/layer.rs/pages.rs (never in the charge rule); shard merges only in `metrics.rs` |
 //! | `uncounted-api` | `*_uncounted` escape hatches only at delivery/checkpoint sites  |
 //! | `wal-order`     | append → fsync → apply; no state mutation before the WAL append |
 //! | `panic-free`    | no `unwrap`/`expect`/`panic!`/`unreachable!` in recovery zones  |
@@ -175,12 +175,17 @@ fn rule_counted_io(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
 // ledger-only
 // ---------------------------------------------------------------------
 
-/// The counter-charging entry points of the sharded accounting spine.
-const LEDGER_ENTRY_POINTS: &[&str] = &["add_reads", "add_writes", "add_layer_calls"];
+/// The counter-charging entry points of the sharded accounting spine:
+/// `add_charge`, through which a `Storage` adds every charge its layer's
+/// `ChargeRule` computed, and `add_reads` / `add_writes`, through which
+/// the page store charges.
+const LEDGER_ENTRY_POINTS: &[&str] = &["add_reads", "add_writes", "add_charge"];
 
 /// The simulator files that legitimately charge the device: the ledger
 /// itself and the two persistence layers that move cachelines. Anything
-/// else in pmem-sim (spans, devices, pools) observes, never charges.
+/// else in pmem-sim (spans, devices, pools) observes, never charges —
+/// and neither does the charge rule (`charge.rs`), which only computes
+/// what a storage charges.
 const LEDGER_CHARGE_FILES: &[&str] = &[
     "crates/pmem-sim/src/metrics.rs",
     "crates/pmem-sim/src/layer.rs",

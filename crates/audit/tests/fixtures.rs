@@ -68,16 +68,19 @@ fn ledger_only_trips_charges_in_sim_files_outside_the_charge_list() {
 
 #[test]
 fn ledger_only_trips_layer_call_charges_outside_the_charge_files() {
-    for observer in ["crates/pmem-sim/src/span.rs", "crates/pmem-sim/src/pool.rs"] {
-        let diags = scan_source(
-            observer,
-            include_str!("../fixtures/ledger_only_layer_calls.rs"),
-        );
-        assert_diags(&diags, &[(5, rules::LEDGER_ONLY)]);
+    // The charge rule computes charges and never makes them: a charge
+    // from charge.rs trips the rule like one from an observer.
+    for observer in [
+        "crates/pmem-sim/src/span.rs",
+        "crates/pmem-sim/src/pool.rs",
+        "crates/pmem-sim/src/charge.rs",
+    ] {
+        let diags = scan_source(observer, include_str!("../fixtures/ledger_only_charges.rs"));
+        assert_diags(&diags, &[(5, rules::LEDGER_ONLY), (9, rules::LEDGER_ONLY)]);
     }
     let diags = scan_source(
         "crates/pmem-sim/src/layer.rs",
-        include_str!("../fixtures/ledger_only_layer_calls.rs"),
+        include_str!("../fixtures/ledger_only_charges.rs"),
     );
     assert_diags(&diags, &[]);
 }
