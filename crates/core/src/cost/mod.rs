@@ -131,15 +131,6 @@ pub struct ParallelSplit {
 }
 
 impl ParallelSplit {
-    /// A fully serial split of `units` cost units.
-    pub fn all_serial(units: f64) -> Self {
-        Self {
-            serial: units,
-            parallel: 0.0,
-            partitions: 1.0,
-        }
-    }
-
     /// Critical-path estimate in cost units at degree of parallelism
     /// `dop`: the serial share plus the parallel share divided by the
     /// effective worker count. At `dop = 1` this is exactly the Eqs.
@@ -275,7 +266,11 @@ pub fn sort_parallel_split(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) ->
                 partitions: chunks.min(segments).max(1.0),
             }
         }
-        _ => ParallelSplit::all_serial(total),
+        _ => ParallelSplit {
+            serial: total,
+            parallel: 0.0,
+            partitions: 1.0,
+        },
     }
 }
 

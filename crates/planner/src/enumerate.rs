@@ -227,10 +227,10 @@ impl Planner {
     /// target layer's charge rule: none on the load/store layers, one
     /// per 512-byte record on the RAM disk, one per block on PMFS.
     fn with_calls(&self, io: IoPrediction) -> IoPrediction {
-        let calls = self.rule.calls(io.reads + io.writes);
+        let (calls, software_ns) = self.rule.calls(io.reads + io.writes);
         IoPrediction {
             calls,
-            software_ns: self.rule.call_ns(calls),
+            software_ns,
             ..io
         }
     }

@@ -125,15 +125,12 @@ impl Planner {
         // Chain joins fold the pair output into slotted 80-byte rows in
         // one extra staged pass: re-read the pairs, write the flat rows.
         let chain_buffers = (out_rows * WIS_BYTES / CACHELINE as f64).ceil();
-        let (fold_io, out_buffers) = if chain {
-            (
-                IoPrediction::traffic(pair_buffers, chain_buffers),
-                chain_buffers,
-            )
+        let (output_writes, out_buffers) = if chain {
+            let io = IoPrediction::traffic(pair_buffers, pair_buffers + chain_buffers);
+            (io, chain_buffers)
         } else {
-            (IoPrediction::ZERO, pair_buffers)
+            (IoPrediction::traffic(0.0, pair_buffers), pair_buffers)
         };
-        let output_writes = IoPrediction::traffic(fold_io.reads, pair_buffers + fold_io.writes);
         let arm = |algo: JoinAlgorithm, swapped: bool, io: IoPrediction, t: f64, v: f64| {
             let io = self.with_calls(io.plus(output_writes));
             let cost_units = self.scale_units(self.units(&io), || {

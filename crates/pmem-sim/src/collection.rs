@@ -281,7 +281,8 @@ impl<R: Storable> PCollection<R> {
             self.n_records
         );
         let offset = idx * R::SIZE;
-        self.storage.charge_read(offset, R::SIZE, cursor, &self.dev);
+        self.storage
+            .charge_read(offset, R::SIZE, 1, cursor, &self.dev);
         let mut place = self.storage.place(offset);
         R::read_from(self.storage.bytes_at(&mut place, R::SIZE, &mut Vec::new()))
     }
@@ -550,7 +551,7 @@ impl<'a, R: Storable> RecordReader<'a, R> {
         let col = self.col;
         let offset = self.next_record * R::SIZE;
         col.storage
-            .charge_read(offset, R::SIZE, &mut self.cursor, &col.dev);
+            .charge_read(offset, R::SIZE, 1, &mut self.cursor, &col.dev);
         self.next_record += 1;
         self.last = Some(self.place);
         Some(RecordView {
@@ -600,7 +601,7 @@ impl<'a, R: Storable> RecordReader<'a, R> {
         while self.next_record < self.end {
             let whole = col.storage.chunk_room(&self.place) / R::SIZE;
             let records = whole.clamp(1, self.end - self.next_record);
-            col.storage.charge_read_records(
+            col.storage.charge_read(
                 self.next_record * R::SIZE,
                 R::SIZE,
                 records,

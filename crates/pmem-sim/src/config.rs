@@ -15,13 +15,9 @@ pub const CACHELINE: usize = 64;
 pub const DEFAULT_BLOCK: usize = 1024;
 
 /// RAM-disk record size in bytes (§3.2: "files are organized in 512-byte
-/// records").
+/// records"). The file layer goes through a real block filesystem, so
+/// its I/O rounds to the same records.
 pub const RAMDISK_RECORD: usize = 512;
-
-/// File-backed record size in bytes: the file layer goes through a real
-/// block filesystem, so its I/O rounds to the same 512-byte records the
-/// RAM disk models.
-pub const FILE_RECORD: usize = 512;
 
 /// Per-cacheline read/write latencies of the simulated medium.
 #[derive(Clone, Copy, Debug, PartialEq)]

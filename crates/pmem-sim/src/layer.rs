@@ -359,7 +359,7 @@ pub struct Storage {
     /// Dynamic-array capacity in bytes (DynArray only).
     capacity: usize,
     /// Granules already charged as written (ceil-delta accounting).
-    written_granules: u64,
+    written: u64,
     block_size: usize,
     /// What every append, read, growth copy and fsync charges.
     rule: ChargeRule,
@@ -409,7 +409,7 @@ impl Storage {
             contiguous: Vec::new(),
             len: 0,
             capacity: 0,
-            written_granules: 0,
+            written: 0,
             block_size: config.block_size,
             rule: ChargeRule::new(kind, config),
             file: None,
@@ -443,7 +443,7 @@ impl Storage {
             contiguous: Vec::new(),
             len: 0,
             capacity: 0,
-            written_granules: 0,
+            written: 0,
             block_size: config.block_size,
             rule: ChargeRule::new(LayerKind::FileBacked, config),
             file: Some(FileBacking::new(path, file, ephemeral)),
@@ -507,7 +507,8 @@ impl Storage {
             LayerKind::FileBacked => unreachable!("file-backed handled above"),
         }
         self.len = new_len;
-        self.charge_append(old_len, new_len, dev);
+        let charge = self.rule.append(old_len, new_len, &mut self.written);
+        dev.metrics().add_charge(charge);
         Ok(())
     }
 
@@ -563,15 +564,7 @@ impl Storage {
         };
         fill(tail);
         self.len = new_len;
-        self.charge_append(old_len, new_len, dev);
-    }
-
-    /// Charges growing the storage from `old_len` to `new_len` bytes.
-    #[inline]
-    fn charge_append(&mut self, old_len: usize, new_len: usize, dev: &PmDevice) {
-        let charge = self
-            .rule
-            .append(old_len, new_len, &mut self.written_granules);
+        let charge = self.rule.append(old_len, new_len, &mut self.written);
         dev.metrics().add_charge(charge);
     }
 
@@ -616,7 +609,8 @@ impl Storage {
         }
         self.contiguous.extend_from_slice(data);
         self.len = old_len + data.len();
-        self.charge_append(old_len, self.len, dev);
+        let charge = self.rule.append(old_len, self.len, &mut self.written);
+        dev.metrics().add_charge(charge);
         Ok(())
     }
 
@@ -777,31 +771,16 @@ impl Storage {
             self.len
         );
         self.copy_out(&mut self.place(offset), buf);
-        self.charge_read(offset, buf.len(), cursor, dev);
+        self.charge_read(offset, buf.len(), 1, cursor, dev);
     }
 
-    /// Charges a read of bytes `[offset, offset + len)` through `cursor`
-    /// ([`ChargeRule::read`]) — shared by [`Storage::read_at`] and the
-    /// collections' in-place record views.
-    /// The caller has checked the range against [`Storage::len`].
+    /// Charges a forward read of `count` back-to-back `size`-byte
+    /// records from `offset` through `cursor` ([`ChargeRule::read`]) —
+    /// shared by [`Storage::read_at`] and the collections' in-place
+    /// record views. The caller has checked the range against
+    /// [`Storage::len`].
     #[inline]
     pub(crate) fn charge_read(
-        &self,
-        offset: usize,
-        len: usize,
-        cursor: &mut ReadCursor,
-        dev: &PmDevice,
-    ) {
-        dev.metrics()
-            .add_charge(self.rule.read(offset, len, cursor));
-    }
-
-    /// Charges a forward read of `count` back-to-back `size`-byte records
-    /// starting at `offset` exactly as `count` calls of
-    /// [`Storage::charge_read`], one per record, would through the same
-    /// cursor ([`ChargeRule::read_records`]).
-    #[inline]
-    pub(crate) fn charge_read_records(
         &self,
         offset: usize,
         size: usize,
@@ -809,8 +788,8 @@ impl Storage {
         cursor: &mut ReadCursor,
         dev: &PmDevice,
     ) {
-        let charge = self.rule.read_records(offset, size, count, cursor);
-        dev.metrics().add_charge(charge);
+        dev.metrics()
+            .add_charge(self.rule.read(offset, size, count, cursor));
     }
 
     /// Physical position of byte `offset` — the seek of a scan or point
@@ -857,8 +836,7 @@ impl Storage {
     }
 
     /// The stored bytes `[place, place + len)`, **uncharged** (pair every
-    /// call with [`Storage::charge_read`] or
-    /// [`Storage::charge_read_records`]), advancing `place` past them:
+    /// call with [`Storage::charge_read`]), advancing `place` past them:
     /// lent straight from the storage when they are contiguous there
     /// ([`Storage::contiguous_at`]), assembled in `scratch` when they
     /// straddle two chunks. The caller has checked the range against
@@ -917,7 +895,7 @@ impl Storage {
         self.release_chunks();
         self.contiguous.clear();
         self.len = 0;
-        self.written_granules = 0;
+        self.written = 0;
         if let Some(fb) = self.file.as_mut() {
             fb.host().pending.clear();
             let _ = fb.file.set_len(0);
