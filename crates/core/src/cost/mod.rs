@@ -51,11 +51,13 @@ impl IoPrediction {
     }
 
     /// Scalar cost in read units under write/read ratio `lambda`.
+    #[inline]
     pub fn cost_units(&self, lambda: f64) -> f64 {
         self.reads + lambda * self.writes
     }
 
     /// Component-wise sum.
+    #[inline]
     #[must_use]
     pub fn plus(&self, other: IoPrediction) -> IoPrediction {
         IoPrediction {
@@ -83,6 +85,7 @@ pub fn predict_sort_io(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) -> IoP
 /// Predicts the cacheline read/write traffic of a join algorithm
 /// (excluding the shared output-materialization constant, as the paper's
 /// expressions do). Sizes in buffers, `t ≤ v`.
+#[inline]
 pub fn predict_join_io(algo: &JoinAlgorithm, t: f64, v: f64, m: f64) -> IoPrediction {
     let (reads, writes) = match algo {
         JoinAlgorithm::NLJ => join_costs::nlj_io(t, v, m),

@@ -52,10 +52,12 @@ impl ChargeRule {
     /// granule the bytes span, rounded up; none on a layer that makes
     /// none — and their software time in nanoseconds: the planner's
     /// price for a node's predicted traffic.
+    #[inline]
     pub fn calls(&self, cachelines: f64) -> (f64, f64) {
-        let calls = (cachelines * CACHELINE as f64 / self.call_granule as f64).ceil();
-        self.call_ps
-            .map_or((0.0, 0.0), |ps| (calls, calls * ps as f64 / PS_PER_NS))
+        self.call_ps.map_or((0.0, 0.0), |ps| {
+            let calls = (cachelines * CACHELINE as f64 / self.call_granule as f64).ceil();
+            (calls, calls * ps as f64 / PS_PER_NS)
+        })
     }
 
     /// `reads` and `writes` cachelines and `calls` layer calls.
@@ -109,7 +111,7 @@ impl ChargeRule {
         count: usize,
         cursor: &mut ReadCursor,
     ) -> RawStats {
-        if self.call_ps.is_none() || self.call_granule.is_multiple_of(self.granule) {
+        if count <= 1 || self.call_ps.is_none() || self.call_granule.is_multiple_of(self.granule) {
             return self.read_bytes(offset, size * count, cursor);
         }
         let mut charge = RawStats::ZERO;

@@ -403,6 +403,11 @@ impl Storage {
             return Self::create_file_at(&path, true, config)
                 .expect("create ephemeral file-backed storage");
         }
+        Self::empty(kind, config, None)
+    }
+
+    /// An empty storage of `kind`; `file` backs the file layer.
+    fn empty(kind: LayerKind, config: &DeviceConfig, file: Option<FileBacking>) -> Self {
         Self {
             kind,
             chunks: Vec::new(),
@@ -412,7 +417,7 @@ impl Storage {
             written: 0,
             block_size: config.block_size,
             rule: ChargeRule::new(kind, config),
-            file: None,
+            file,
         }
     }
 
@@ -437,17 +442,8 @@ impl Storage {
                 offset: 0,
                 cause: e.to_string(),
             })?;
-        Ok(Self {
-            kind: LayerKind::FileBacked,
-            chunks: Vec::new(),
-            contiguous: Vec::new(),
-            len: 0,
-            capacity: 0,
-            written: 0,
-            block_size: config.block_size,
-            rule: ChargeRule::new(LayerKind::FileBacked, config),
-            file: Some(FileBacking::new(path, file, ephemeral)),
-        })
+        let file = FileBacking::new(path, file, ephemeral);
+        Ok(Self::empty(LayerKind::FileBacked, config, Some(file)))
     }
 
     /// Which §3.2 alternative this storage implements.
