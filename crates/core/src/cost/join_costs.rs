@@ -24,17 +24,25 @@ pub fn guided_io(t: f64, v: f64, hot_t: f64, hot_v: f64) -> (f64, f64) {
     (t + v + cold_t + cold_v, cold_t + cold_v)
 }
 
-/// Block nested loops (§2.2): `|T| + ⌈|T|/M⌉·|V|` reads, no writes.
-pub fn nlj_io(t: f64, v: f64, m: f64) -> (f64, f64) {
-    (t + (t / m).ceil().max(1.0) * v, 0.0)
+/// `k = ⌈|T|/M⌉`, at least one: the block, iteration or partition
+/// count the iterating expressions below take as their `k`.
+#[inline]
+pub fn iterations(t: f64, m: f64) -> f64 {
+    (t / m).ceil().max(1.0)
 }
 
-/// Standard hash join (Table 1) over `k = ⌈|T|/M⌉` iterations, each
-/// reading the remainder and rewriting everything but the active
-/// partition: `(|T|+|V|)·[(k+1)/2 + λ·(k−1)/2]` — `(k+1)/2` average read
-/// passes, `(k−1)/2` average rewrite passes.
-pub fn hash_join_io(t: f64, v: f64, m: f64) -> (f64, f64) {
-    let k = (t / m).ceil().max(1.0);
+/// Block nested loops (§2.2): `|T| + ⌈|T|/M⌉·|V|` reads, no writes;
+/// `k` is [`iterations`]`(t, m)`.
+pub fn nlj_io(t: f64, v: f64, k: f64) -> (f64, f64) {
+    (t + k * v, 0.0)
+}
+
+/// Standard hash join (Table 1) over `k = ⌈|T|/M⌉` iterations
+/// ([`iterations`]), each reading the remainder and rewriting
+/// everything but the active partition: `(|T|+|V|)·[(k+1)/2 +
+/// λ·(k−1)/2]` — `(k+1)/2` average read passes, `(k−1)/2` average
+/// rewrite passes.
+pub fn hash_join_io(t: f64, v: f64, k: f64) -> (f64, f64) {
     ((t + v) * (k + 1.0) / 2.0, (t + v) * (k - 1.0) / 2.0)
 }
 
@@ -99,12 +107,11 @@ pub fn hybrid_cost_surface(t: f64, v: f64, m: f64, lambda: f64, steps: usize) ->
         .collect()
 }
 
-/// Segmented Grace join (Eq. 9) with `x` of `k` partitions materialized:
-/// `(|T|+|V|)·(1 + (λ+1)·x/k + (k−x))`, with the initial offload scan
-/// elided at `x = 0` (matching the implementation, which has nothing to
-/// offload then).
-pub fn segmented_io(t: f64, v: f64, m: f64, x: usize) -> (f64, f64) {
-    let k = (t / m).ceil().max(1.0);
+/// Segmented Grace join (Eq. 9) with `x` of `k = ⌈|T|/M⌉` partitions
+/// ([`iterations`]) materialized: `(|T|+|V|)·(1 + (λ+1)·x/k + (k−x))`,
+/// with the initial offload scan elided at `x = 0` (matching the
+/// implementation, which has nothing to offload then).
+pub fn segmented_io(t: f64, v: f64, k: f64, x: usize) -> (f64, f64) {
     let x = (x as f64).min(k);
     if x > 0.0 {
         ((t + v) * (1.0 + x / k + (k - x)), (t + v) * x / k)
@@ -136,9 +143,11 @@ mod tests {
 
     #[test]
     fn grace_beats_hash_join_beyond_one_iteration() {
-        assert!(units(grace_io(T, V), 15.0) < units(hash_join_io(T, V, M), 15.0));
+        assert!(units(grace_io(T, V), 15.0) < units(hash_join_io(T, V, iterations(T, M)), 15.0));
         // k = 1: hash join is a single in-memory pass and wins.
-        assert!(units(hash_join_io(T, V, T * 2.0), 15.0) < units(grace_io(T, V), 15.0));
+        assert!(
+            units(hash_join_io(T, V, iterations(T, T * 2.0)), 15.0) < units(grace_io(T, V), 15.0)
+        );
     }
 
     #[test]
@@ -282,14 +291,14 @@ mod tests {
     fn segmented_full_materialization_tracks_grace() {
         let k = (T / M).ceil() as usize;
         // Eq. 9 at x = k: (t+v)(1 + (λ+1)) = (λ+2)(t+v) = Grace.
-        let (seg, grace) = (segmented_io(T, V, M, k), grace_io(T, V));
+        let (seg, grace) = (segmented_io(T, V, iterations(T, M), k), grace_io(T, V));
         assert!((seg.0 - grace.0).abs() < 1e-6 && (seg.1 - grace.1).abs() < 1e-6);
     }
 
     #[test]
     fn segmented_zero_materialization_is_iterate_only() {
         let k = (T / M).ceil();
-        assert_eq!(segmented_io(T, V, M, 0), ((T + V) * k, 0.0));
+        assert_eq!(segmented_io(T, V, k, 0), ((T + V) * k, 0.0));
     }
 
     #[test]
@@ -300,7 +309,7 @@ mod tests {
         let b = segmented_beats_grace_bound(4.0, lambda).expect("positive bound");
         let grace = units(grace_io(t, V), lambda);
         for x in (0..4usize).filter(|&x| (x as f64) < b) {
-            let seg = units(segmented_io(t, V, M, x), lambda);
+            let seg = units(segmented_io(t, V, iterations(t, M), x), lambda);
             assert!(seg < grace, "x={x}: SegJ {seg} vs GJ {grace}");
         }
         // Degenerate denominator.

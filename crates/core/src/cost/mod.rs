@@ -87,32 +87,156 @@ pub fn predict_sort_io(algo: &SortAlgorithm, t: f64, m: f64, lambda: f64) -> IoP
 /// expressions do). Sizes in buffers, `t ≤ v`.
 #[inline]
 pub fn predict_join_io(algo: &JoinAlgorithm, t: f64, v: f64, m: f64) -> IoPrediction {
-    let (reads, writes) = match algo {
-        JoinAlgorithm::NLJ => join_costs::nlj_io(t, v, m),
-        JoinAlgorithm::GJ => join_costs::grace_io(t, v),
-        JoinAlgorithm::HJ => join_costs::hash_join_io(t, v, m),
-        JoinAlgorithm::HybJ { x, y } => join_costs::hybrid_io(t, v, m, *x, *y),
-        JoinAlgorithm::SegJ { frac } => {
-            let k = (t / m).ceil().max(1.0);
-            join_costs::segmented_io(t, v, m, ((k * frac).round()) as usize)
+    JoinShape::new(t, v, m).io(algo)
+}
+
+/// One build order of a join edge — `t`/`v` in buffers (`t` the build
+/// side), the DRAM budget `m` — and `k = ⌈t/M⌉`, which every iterating
+/// expression of the candidate field shares. A planner costing a whole
+/// field through one shape works `k` out once per build order, not once
+/// per expression; [`predict_join_io`], [`join_parallel_split`] and
+/// [`join_candidates`] are the one-off forms.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct JoinShape {
+    /// Build side, in buffers.
+    pub t: f64,
+    /// Probe side, in buffers.
+    pub v: f64,
+    /// DRAM budget, in buffers.
+    pub m: f64,
+    /// `⌈t/M⌉`, at least one ([`join_costs::iterations`]).
+    pub k: f64,
+}
+
+impl JoinShape {
+    /// The shape of `t ⋈ v` under a budget of `m` buffers.
+    #[inline]
+    pub fn new(t: f64, v: f64, m: f64) -> Self {
+        Self {
+            t,
+            v,
+            m,
+            k: join_costs::iterations(t, m),
         }
-        JoinAlgorithm::LaJ => {
+    }
+
+    /// [`predict_join_io`] of `algo` on this shape.
+    #[inline]
+    pub fn io(&self, algo: &JoinAlgorithm) -> IoPrediction {
+        let Self { t, v, m, k } = *self;
+        let (reads, writes) = match algo {
+            JoinAlgorithm::NLJ => join_costs::nlj_io(t, v, k),
+            JoinAlgorithm::GJ => join_costs::grace_io(t, v),
+            JoinAlgorithm::HJ => join_costs::hash_join_io(t, v, k),
+            JoinAlgorithm::HybJ { x, y } => join_costs::hybrid_io(t, v, m, *x, *y),
+            JoinAlgorithm::SegJ { frac } => {
+                join_costs::segmented_io(t, v, k, ((k * frac).round()) as usize)
+            }
             // Structural estimate: k lazy iterations over the full
             // inputs; Eq. 11 materializations are rare at high λ.
-            let k = (t / m).ceil().max(1.0);
-            ((t + v) * k, 0.0)
+            JoinAlgorithm::LaJ => ((t + v) * k, 0.0),
+            JoinAlgorithm::SMJ { x } => {
+                // Two segment sorts plus one co-scan of the sorted inputs.
+                let (lr, lw) = sort_costs::segment_io(t, m, *x);
+                let (rr, rw) = sort_costs::segment_io(v, m, *x);
+                (lr + rr + t + v, lw + rw)
+            }
+            // Without catalog statistics the hot fractions are unknown;
+            // the planner applies the skew discount via
+            // `join_costs::guided_io`.
+            JoinAlgorithm::CGJ => join_costs::guided_io(t, v, 0.0, 0.0),
+        };
+        IoPrediction::traffic(reads, writes)
+    }
+
+    /// The informed candidate set of [`join_candidates`], yielded in the
+    /// same order and deduplicated the same way, without collecting it.
+    #[inline]
+    pub fn candidates(&self, lambda: f64) -> impl Iterator<Item = JoinAlgorithm> {
+        let (x, y) = join_costs::optimal_hybrid_xy(self.t, self.v, self.m, lambda);
+        let k = self.k;
+        let seg_frac = join_costs::segmented_beats_grace_bound(k, lambda)
+            .map(|b| (b / k).clamp(0.0, 1.0))
+            .unwrap_or(0.5);
+        // Only the two SegJ fractions can coincide; the set lists the
+        // fraction once, where it first occurs.
+        let midpoint = (seg_frac != 0.5).then_some(JoinAlgorithm::SegJ { frac: 0.5 });
+        [
+            JoinAlgorithm::NLJ,
+            JoinAlgorithm::GJ,
+            JoinAlgorithm::HJ,
+            JoinAlgorithm::HybJ { x, y },
+            JoinAlgorithm::SegJ { frac: seg_frac },
+        ]
+        .into_iter()
+        .chain(midpoint)
+        .chain([JoinAlgorithm::LaJ])
+    }
+
+    /// [`join_parallel_split`] of `algo` on this shape.
+    pub fn parallel_split(&self, algo: &JoinAlgorithm, lambda: f64) -> ParallelSplit {
+        let Self { t, v, m, k } = *self;
+        let total = self.io(algo).cost_units(lambda);
+        match algo {
+            // CGJ's two scans and partition-pair joins overlap exactly
+            // like Grace's (the hot probes ride the scan morsels).
+            JoinAlgorithm::GJ | JoinAlgorithm::CGJ => ParallelSplit {
+                // Phase 1 fans out over the input morsels, phase 2 over
+                // the k partition pairs; the phases run in sequence, so
+                // the smaller task count bounds the speedup.
+                serial: 0.0,
+                parallel: total,
+                partitions: k.min(scan_morsels(t + v)),
+            },
+            JoinAlgorithm::SegJ { frac } => {
+                let x = (k * frac).round().min(k);
+                // Materialized-partition joins + iterate passes fan out.
+                let parallel = x / k * (t + v) + (k - x) * (t + v);
+                ParallelSplit {
+                    serial: (total - parallel).max(0.0),
+                    parallel: parallel.min(total),
+                    partitions: k,
+                }
+            }
+            JoinAlgorithm::HybJ { x, y } => {
+                // Serial share: partitioning the prefixes (read once,
+                // write once); everything else — partition probes,
+                // piggybacked scans, and the nested-loop chunks (each
+                // chunk's T₁₋ₓ build reads included, since the chunks
+                // are independent parallel tasks) — fans out.
+                let serial = (x * t + y * v) * (1.0 + lambda);
+                let chunks = ((1.0 - x) * t / m).ceil() + (x * t / m).ceil();
+                ParallelSplit {
+                    serial: serial.min(total),
+                    parallel: (total - serial).max(0.0),
+                    partitions: chunks.max(1.0),
+                }
+            }
+            JoinAlgorithm::HJ | JoinAlgorithm::LaJ => ParallelSplit {
+                // Every pass scans at most the full inputs; the morsel
+                // count of the first (largest) pass bounds the useful
+                // workers.
+                serial: 0.0,
+                parallel: total,
+                partitions: scan_morsels(t + v),
+            },
+            JoinAlgorithm::NLJ => ParallelSplit {
+                serial: 0.0,
+                parallel: total,
+                partitions: k,
+            },
+            JoinAlgorithm::SMJ { x } => {
+                let (lr, lw) = sort_costs::segment_io(t, m, *x);
+                let (rr, rw) = sort_costs::segment_io(v, m, *x);
+                let sorts = lr + rr + lambda * (lw + rw);
+                ParallelSplit {
+                    serial: sorts.min(total),
+                    parallel: (total - sorts).max(0.0),
+                    partitions: scan_morsels(t + v),
+                }
+            }
         }
-        JoinAlgorithm::SMJ { x } => {
-            // Two segment sorts plus one co-scan of the sorted inputs.
-            let (lr, lw) = sort_costs::segment_io(t, m, *x);
-            let (rr, rw) = sort_costs::segment_io(v, m, *x);
-            (lr + rr + t + v, lw + rw)
-        }
-        // Without catalog statistics the hot fractions are unknown; the
-        // planner applies the skew discount via `join_costs::guided_io`.
-        JoinAlgorithm::CGJ => join_costs::guided_io(t, v, 0.0, 0.0),
-    };
-    IoPrediction::traffic(reads, writes)
+    }
 }
 
 /// How a plan node's predicted traffic divides between work the
@@ -186,66 +310,7 @@ pub fn join_parallel_split(
     m: f64,
     lambda: f64,
 ) -> ParallelSplit {
-    let total = predict_join_io(algo, t, v, m).cost_units(lambda);
-    let k = (t / m).ceil().max(1.0);
-    match algo {
-        // CGJ's two scans and partition-pair joins overlap exactly like
-        // Grace's (the hot probes ride the scan morsels).
-        JoinAlgorithm::GJ | JoinAlgorithm::CGJ => ParallelSplit {
-            // Phase 1 fans out over the input morsels, phase 2 over the
-            // k partition pairs; the phases run in sequence, so the
-            // smaller task count bounds the speedup.
-            serial: 0.0,
-            parallel: total,
-            partitions: k.min(scan_morsels(t + v)),
-        },
-        JoinAlgorithm::SegJ { frac } => {
-            let x = (k * frac).round().min(k);
-            // Materialized-partition joins + iterate passes fan out.
-            let parallel = x / k * (t + v) + (k - x) * (t + v);
-            ParallelSplit {
-                serial: (total - parallel).max(0.0),
-                parallel: parallel.min(total),
-                partitions: k,
-            }
-        }
-        JoinAlgorithm::HybJ { x, y } => {
-            // Serial share: partitioning the prefixes (read once, write
-            // once); everything else — partition probes, piggybacked
-            // scans, and the nested-loop chunks (each chunk's T₁₋ₓ build
-            // reads included, since the chunks are independent parallel
-            // tasks) — fans out.
-            let serial = (x * t + y * v) * (1.0 + lambda);
-            let chunks = ((1.0 - x) * t / m).ceil() + (x * t / m).ceil();
-            ParallelSplit {
-                serial: serial.min(total),
-                parallel: (total - serial).max(0.0),
-                partitions: chunks.max(1.0),
-            }
-        }
-        JoinAlgorithm::HJ | JoinAlgorithm::LaJ => ParallelSplit {
-            // Every pass scans at most the full inputs; the morsel count
-            // of the first (largest) pass bounds the useful workers.
-            serial: 0.0,
-            parallel: total,
-            partitions: scan_morsels(t + v),
-        },
-        JoinAlgorithm::NLJ => ParallelSplit {
-            serial: 0.0,
-            parallel: total,
-            partitions: k,
-        },
-        JoinAlgorithm::SMJ { x } => {
-            let (lr, lw) = sort_costs::segment_io(t, m, *x);
-            let (rr, rw) = sort_costs::segment_io(v, m, *x);
-            let sorts = lr + rr + lambda * (lw + rw);
-            ParallelSplit {
-                serial: sorts.min(total),
-                parallel: (total - sorts).max(0.0),
-                partitions: scan_morsels(t + v),
-            }
-        }
-    }
+    JoinShape::new(t, v, m).parallel_split(algo, lambda)
 }
 
 /// Splits a sort's predicted cost into serial and parallel shares. ExMS
@@ -306,20 +371,7 @@ pub fn sort_candidates(t: f64, m: f64, lambda: f64) -> Vec<SortAlgorithm> {
 /// callers wanting it can cost it via [`predict_join_io`] directly.
 /// Exposed for plan enumerators.
 pub fn join_candidates(t: f64, v: f64, m: f64, lambda: f64) -> Vec<JoinAlgorithm> {
-    let (x, y) = join_costs::optimal_hybrid_xy(t, v, m, lambda);
-    let k = (t / m).ceil().max(1.0);
-    let seg_frac = join_costs::segmented_beats_grace_bound(k, lambda)
-        .map(|b| (b / k).clamp(0.0, 1.0))
-        .unwrap_or(0.5);
-    dedup_in_order(vec![
-        JoinAlgorithm::NLJ,
-        JoinAlgorithm::GJ,
-        JoinAlgorithm::HJ,
-        JoinAlgorithm::HybJ { x, y },
-        JoinAlgorithm::SegJ { frac: seg_frac },
-        JoinAlgorithm::SegJ { frac: 0.5 },
-        JoinAlgorithm::LaJ,
-    ])
+    JoinShape::new(t, v, m).candidates(lambda).collect()
 }
 
 /// Drops exact repeats while preserving first-occurrence order (the
@@ -439,6 +491,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn yielded_join_candidates_equal_the_deduplicated_list() {
+        // The list the set was built from before it was yielded,
+        // deduplicated after the fact: the oracle for order and repeats.
+        let mut repeats = 0;
+        for (t, m) in [
+            (1.0, 1.0),
+            (7.0, 2.0),
+            (4_000.0, 1_000.0),
+            (10_000.0, 900.0),
+        ] {
+            for lambda in [1.0, 2.0, 8.0, 15.0, 40.0] {
+                for v in [t, 10.0 * t] {
+                    let (x, y) = join_costs::optimal_hybrid_xy(t, v, m, lambda);
+                    let k = (t / m).ceil().max(1.0);
+                    let seg_frac = join_costs::segmented_beats_grace_bound(k, lambda)
+                        .map(|b| (b / k).clamp(0.0, 1.0))
+                        .unwrap_or(0.5);
+                    let listed = vec![
+                        JoinAlgorithm::NLJ,
+                        JoinAlgorithm::GJ,
+                        JoinAlgorithm::HJ,
+                        JoinAlgorithm::HybJ { x, y },
+                        JoinAlgorithm::SegJ { frac: seg_frac },
+                        JoinAlgorithm::SegJ { frac: 0.5 },
+                        JoinAlgorithm::LaJ,
+                    ];
+                    let want = dedup_in_order(listed);
+                    repeats += usize::from(want.len() < 7);
+                    assert_eq!(
+                        join_candidates(t, v, m, lambda),
+                        want,
+                        "t={t} m={m} λ={lambda}"
+                    );
+                }
+            }
+        }
+        // λ = 15 at k = 4 leaves Eq. 10 degenerate: the fractions meet.
+        assert!(repeats > 0, "no case where the two SegJ fractions coincide");
     }
 
     #[test]

@@ -87,21 +87,30 @@ pub enum JoinAlgorithm {
     CGJ,
 }
 
-impl JoinAlgorithm {
-    /// Paper-style label, e.g. `HybJ, 50% - 80%`.
-    pub fn label(&self) -> String {
+impl std::fmt::Display for JoinAlgorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JoinAlgorithm::NLJ => "NLJ".into(),
-            JoinAlgorithm::GJ => "GJ".into(),
-            JoinAlgorithm::HJ => "HJ".into(),
+            JoinAlgorithm::NLJ => f.write_str("NLJ"),
+            JoinAlgorithm::GJ => f.write_str("GJ"),
+            JoinAlgorithm::HJ => f.write_str("HJ"),
             JoinAlgorithm::HybJ { x, y } => {
-                format!("HybJ, {:.0}% - {:.0}%", x * 100.0, y * 100.0)
+                write!(f, "HybJ, {:.0}% - {:.0}%", x * 100.0, y * 100.0)
             }
-            JoinAlgorithm::SegJ { frac } => format!("SegJ, {:.0}%", frac * 100.0),
-            JoinAlgorithm::LaJ => "LaJ".into(),
-            JoinAlgorithm::SMJ { x } => format!("SMJ, {:.0}%", x * 100.0),
-            JoinAlgorithm::CGJ => "CGJ".into(),
+            JoinAlgorithm::SegJ { frac } => write!(f, "SegJ, {:.0}%", frac * 100.0),
+            JoinAlgorithm::LaJ => f.write_str("LaJ"),
+            JoinAlgorithm::SMJ { x } => write!(f, "SMJ, {:.0}%", x * 100.0),
+            JoinAlgorithm::CGJ => f.write_str("CGJ"),
         }
+    }
+}
+
+impl JoinAlgorithm {
+    /// Paper-style label, e.g. `HybJ, 50% - 80%` (the [`Display`]
+    /// form).
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn label(&self) -> String {
+        self.to_string()
     }
 
     /// Runs the algorithm on `left ⋈ right` under `ctx`.

@@ -62,16 +62,24 @@ pub enum SortAlgorithm {
     SelS,
 }
 
-impl SortAlgorithm {
-    /// Paper-style label, e.g. `SegS, 20%`.
-    pub fn label(&self) -> String {
+impl std::fmt::Display for SortAlgorithm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SortAlgorithm::ExMS => "ExMS".into(),
-            SortAlgorithm::SegS { x } => format!("SegS, {:.0}%", x * 100.0),
-            SortAlgorithm::HybS { x } => format!("HybS, {:.0}%", x * 100.0),
-            SortAlgorithm::LaS => "LaS".into(),
-            SortAlgorithm::SelS => "SelS".into(),
+            SortAlgorithm::ExMS => f.write_str("ExMS"),
+            SortAlgorithm::SegS { x } => write!(f, "SegS, {:.0}%", x * 100.0),
+            SortAlgorithm::HybS { x } => write!(f, "HybS, {:.0}%", x * 100.0),
+            SortAlgorithm::LaS => f.write_str("LaS"),
+            SortAlgorithm::SelS => f.write_str("SelS"),
         }
+    }
+}
+
+impl SortAlgorithm {
+    /// Paper-style label, e.g. `SegS, 20%` (the [`Display`] form).
+    ///
+    /// [`Display`]: std::fmt::Display
+    pub fn label(&self) -> String {
+        self.to_string()
     }
 
     /// Runs the algorithm on `input` under `ctx`.

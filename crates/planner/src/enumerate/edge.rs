@@ -4,9 +4,11 @@
 //! orders — plus the cardinality-guided and deferred-σ arms — for one
 //! `left ⋈ right` edge from the two sides' cost annotations, ranking
 //! units and statistics alone. The join-order search calls it once per
-//! split and keeps only the returned figures; plan nodes, labels and
-//! the sorted evidence table are rendered from an [`EdgeCost`] later,
-//! and only for the edges that made it into the winning plan.
+//! split with one [`Scratch`] it reuses for every split, so costing a
+//! split allocates nothing, and keeps only the returned figures; plan
+//! nodes, labels and the sorted evidence table are rendered from an
+//! [`EdgeCost`] later, and only for the edges that made it into the
+//! winning plan.
 
 use super::{Candidate, NodeChoice, PlanError, Planner};
 use crate::lower::WisPair;
@@ -14,7 +16,7 @@ use crate::physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
 use pmem_sim::{Storable, CACHELINE};
 use wisconsin::WisconsinRecord;
 use write_limited::cost::join_costs::guided_io;
-use write_limited::cost::{join_candidates, join_parallel_split, predict_join_io, IoPrediction};
+use write_limited::cost::{IoPrediction, JoinShape};
 use write_limited::deferral::{plan_verdict, Decision};
 use write_limited::join::{JoinAlgorithm, HASH_TABLE_FACTOR};
 use write_limited::stats::TableStatistics;
@@ -43,7 +45,7 @@ pub(super) struct JoinSide<'a> {
 
 /// One costed alternative of an edge, before anyone needs its label.
 #[derive(Clone, Copy, Debug)]
-struct Arm {
+pub(super) struct Arm {
     algo: JoinAlgorithm,
     swapped: bool,
     /// True for the deferred-view arm: the build filter stays a view
@@ -55,28 +57,33 @@ struct Arm {
 
 impl Arm {
     fn label(&self) -> String {
-        let algo = self.algo.label();
+        let algo = self.algo;
         match (self.deferred, self.swapped) {
             (true, _) => format!("{algo} over deferred σ"),
             (false, true) => format!("{algo} (swapped)"),
-            (false, false) => algo,
+            (false, false) => algo.to_string(),
         }
     }
 }
 
-/// A costed join edge: the label-free candidate field and the figures
-/// of the subtree its winner roots.
-#[derive(Debug)]
-pub(super) struct EdgeCost {
+/// The buffers costing a split fills besides its figures. The search
+/// owns one and hands it to every split; after [`Planner::cost_join`]
+/// it holds the last costed split's field.
+#[derive(Debug, Default)]
+pub(super) struct Scratch {
     /// Every candidate in enumeration order — the deferred view last —
     /// on the evidence table's one basis (see [`Planner::cost_join`]).
     field: Vec<Arm>,
-    /// The cheapest of them (the first, on ties).
+    /// The heavy hitters of both sides, ascending: the keys a winning
+    /// cardinality-guided join keeps resident.
+    pub(super) hot: Vec<u64>,
+}
+
+/// A costed join edge: the figures of the subtree its winner roots.
+#[derive(Debug)]
+pub(super) struct EdgeCost {
+    /// The cheapest candidate (the first, on ties).
     winner: Arm,
-    /// Hot keys a winning cardinality-guided join keeps resident: the
-    /// heavy hitters of both sides, ascending. Empty for every other
-    /// winner.
-    hot: Vec<u64>,
     /// Ranking figure of the whole subtree under the winner.
     pub units: f64,
     /// The winning join node's cost annotation.
@@ -99,7 +106,9 @@ fn grace_family(algo: &JoinAlgorithm) -> bool {
 
 impl Planner {
     /// Costs the edge `l ⋈ r`; `chain` when the join is part of an n-way
-    /// chain and folds its pair output into slotted flat rows.
+    /// chain and folds its pair output into slotted flat rows. The
+    /// candidate field and the hot keys land in `scratch`, overwriting
+    /// the previous split's.
     ///
     /// # Errors
     /// Returns [`PlanError::Unsupported`] when no algorithm applies
@@ -109,6 +118,7 @@ impl Planner {
         l: &JoinSide<'_>,
         r: &JoinSide<'_>,
         chain: bool,
+        scratch: &mut Scratch,
     ) -> Result<EdgeCost, PlanError> {
         let lb = l.cost.out_buffers.max(1.0);
         let rb = r.cost.out_buffers.max(1.0);
@@ -131,11 +141,10 @@ impl Planner {
         } else {
             (IoPrediction::traffic(0.0, pair_buffers), pair_buffers)
         };
-        let arm = |algo: JoinAlgorithm, swapped: bool, io: IoPrediction, t: f64, v: f64| {
+        let arm = |algo: JoinAlgorithm, swapped: bool, io: IoPrediction, shape: &JoinShape| {
             let io = self.with_calls(io.plus(output_writes));
-            let cost_units = self.scale_units(self.units(&io), || {
-                join_parallel_split(&algo, t, v, self.m_buffers, self.lambda)
-            });
+            let cost_units =
+                self.scale_units(self.units(&io), || shape.parallel_split(&algo, self.lambda));
             Arm {
                 algo,
                 swapped,
@@ -147,16 +156,28 @@ impl Planner {
 
         // Candidate field: every applicable algorithm in both build
         // orders. The cost models assume t ≤ v, which either order may
-        // satisfy; applicability of the Grace family is checked per
+        // satisfy; applicability of the Grace family is checked once per
         // order against the DRAM budget.
-        let mut field: Vec<Arm> = Vec::with_capacity(16);
-        for (swapped, t, v, t_rows) in [(false, lb, rb, l_rows), (true, rb, lb, r_rows)] {
-            for algo in join_candidates(t, v, self.m_buffers, self.lambda) {
-                if grace_family(&algo) && !self.grace_ok(t_rows) {
+        let Scratch { field, hot } = scratch;
+        field.clear();
+        let orders = [
+            (
+                false,
+                JoinShape::new(lb, rb, self.m_buffers),
+                self.grace_ok(l_rows),
+            ),
+            (
+                true,
+                JoinShape::new(rb, lb, self.m_buffers),
+                self.grace_ok(r_rows),
+            ),
+        ];
+        for (swapped, shape, grace) in &orders {
+            for algo in shape.candidates(self.lambda) {
+                if grace_family(&algo) && !grace {
                     continue;
                 }
-                let io = predict_join_io(&algo, t, v, self.m_buffers);
-                field.push(arm(algo, swapped, io, t, v));
+                field.push(arm(algo, *swapped, shape.io(&algo), shape));
             }
         }
 
@@ -166,7 +187,8 @@ impl Planner {
         // build rows resident and probes hot rows straight through. Only
         // offered when a hot set exists (uniform tables degrade to GJ
         // exactly, so the candidate would be pure noise).
-        let mut hot = l.stats.heavy_keys();
+        hot.clear();
+        hot.extend(l.stats.heavy_keys());
         hot.extend(r.stats.heavy_keys());
         hot.sort_unstable();
         hot.dedup();
@@ -179,20 +201,20 @@ impl Planner {
             };
             let (cover_l, cover_r) = (cover(l.stats), cover(r.stats));
             let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
-            for (swapped, t, v, t_rows, hot_t, hot_v) in [
-                (false, lb, rb, l_rows, cover_l, cover_r),
-                (true, rb, lb, r_rows, cover_r, cover_l),
+            for ((swapped, shape, grace), t_rows, hot_t, hot_v) in [
+                (&orders[0], l_rows, cover_l, cover_r),
+                (&orders[1], r_rows, cover_r, cover_l),
             ] {
                 // The resident hot build rows (hash-table blow-up
                 // included) may claim at most half the budget — the
                 // other half stays for the cold partition pairs.
                 let resident = hot_t * t_rows * HASH_TABLE_FACTOR;
-                if !self.grace_ok(t_rows) || resident > 0.5 * m_records {
+                if !grace || resident > 0.5 * m_records {
                     continue;
                 }
-                let (reads, writes) = guided_io(t, v, hot_t, hot_v);
+                let (reads, writes) = guided_io(shape.t, shape.v, hot_t, hot_v);
                 let io = IoPrediction::traffic(reads, writes);
-                field.push(arm(JoinAlgorithm::CGJ, swapped, io, t, v));
+                field.push(arm(JoinAlgorithm::CGJ, *swapped, io, shape));
             }
         }
 
@@ -213,9 +235,10 @@ impl Planner {
                 let io = IoPrediction::traffic(k * (src + rb), 0.0);
                 // The iterate-only passes fan out like SegJ at frac = 0
                 // (the re-filtering scans are the passes).
+                let shape = JoinShape::new(src, rb, self.m_buffers);
                 view = Some(Arm {
                     deferred: true,
-                    ..arm(JoinAlgorithm::SegJ { frac: 0.0 }, false, io, src, rb)
+                    ..arm(JoinAlgorithm::SegJ { frac: 0.0 }, false, io, &shape)
                 });
             }
         }
@@ -230,7 +253,7 @@ impl Planner {
         let filter_io = l.cost.io;
         let filter_units = self.units(&filter_io);
         if let Some(view) = view {
-            for cand in &mut field {
+            for cand in field.iter_mut() {
                 cand.io = cand.io.plus(filter_io);
                 cand.cost_units += filter_units;
             }
@@ -269,13 +292,8 @@ impl Planner {
             };
             (node_io, l.units + r.units + node_units, l.total_io)
         };
-        if winner.algo != JoinAlgorithm::CGJ {
-            hot.clear();
-        }
         Ok(EdgeCost {
-            field,
             winner,
-            hot,
             units,
             cost: NodeCost {
                 io: node_io,
@@ -306,10 +324,16 @@ impl Planner {
 
 impl EdgeCost {
     /// The edge's evidence table: every candidate labelled, cheapest
-    /// first, the winner named. `left`/`right` are the input subtrees'
-    /// root annotations.
-    pub(super) fn choice(&self, left: &NodeCost, right: &NodeCost) -> NodeChoice {
-        let mut candidates: Vec<Candidate> = self
+    /// first, the winner named. `scratch` holds this edge's field (the
+    /// split was the last one costed); `left`/`right` are the input
+    /// subtrees' root annotations.
+    pub(super) fn choice(
+        &self,
+        scratch: &Scratch,
+        left: &NodeCost,
+        right: &NodeCost,
+    ) -> NodeChoice {
+        let mut candidates: Vec<Candidate> = scratch
             .field
             .iter()
             .map(|arm| Candidate {
@@ -333,10 +357,13 @@ impl EdgeCost {
     }
 
     /// Builds the winning join node over the already-built inputs and
-    /// hands back the output statistics. A deferred-view winner flips
-    /// the left input — a materialized filter over a scan — to a view.
+    /// hands back the output statistics; `hot` is the edge's
+    /// `Scratch::hot`, kept only under a cardinality-guided winner. A
+    /// deferred-view winner flips the left input — a materialized filter
+    /// over a scan — to a view.
     pub(super) fn into_node(
         self,
+        hot: Vec<u64>,
         mut left: PhysicalPlan,
         right: PhysicalPlan,
         chain: Option<ChainSlots>,
@@ -362,7 +389,11 @@ impl EdgeCost {
             algo,
             swapped,
             chain,
-            hot: self.hot,
+            hot: if algo == JoinAlgorithm::CGJ {
+                hot
+            } else {
+                Vec::new()
+            },
             replanned: false,
             cost: self.cost,
         };

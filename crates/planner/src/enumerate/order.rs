@@ -1,13 +1,16 @@
 //! The join-order search: a Selinger-style DP over relation subsets
 //! that ranks splits on numbers alone, then builds the one winning tree.
 //!
-//! Costing a split ([`Planner::cost_join`]) touches no plan node and
-//! formats no label; per subset the table keeps the best split and its
-//! costed edge. Plan nodes, chain slots, per-edge evidence tables and
-//! the root's "join order" summary are rendered once, top-down from
-//! those back-pointers.
+//! Costing a split ([`Planner::cost_join`]) touches no plan node,
+//! formats no label and allocates nothing: every split writes its
+//! candidate field into the one [`Scratch`] the search owns. Per subset
+//! the table keeps the best split and its costed edge, not its field.
+//! Plan nodes, chain slots, per-edge evidence tables and the root's
+//! "join order" summary are rendered once, top-down from those
+//! back-pointers; the `n − 1` winning edges are costed once more there
+//! to refill their fields.
 
-use super::edge::{EdgeCost, JoinSide};
+use super::edge::{EdgeCost, JoinSide, Scratch};
 use super::{Candidate, Evidence, NodeChoice, PlanError, Planner, MAX_JOIN_RELATIONS};
 use crate::catalog::Catalog;
 use crate::logical::LogicalPlan;
@@ -84,21 +87,22 @@ fn unplanned() -> PlanError {
     PlanError::Unsupported("join-order search left a relation subset unplanned".into())
 }
 
-/// Display form of a subset's winning join order, e.g. `((a ⋈ c) ⋈ σb)`.
-fn order_expr(table: &[Option<Subset<'_>>], mask: usize) -> String {
+/// Display form of a subset's winning join order, e.g. `((a ⋈ c) ⋈ σb)`,
+/// appended to `out`.
+fn order_expr(out: &mut String, table: &[Option<Subset<'_>>], mask: usize) {
     match table.get(mask) {
-        Some(Some(Subset::Leaf { logical, .. })) => leaf_relation_name(logical),
-        Some(Some(Subset::Join { left, right, .. })) => split_expr(table, *left, *right),
-        _ => "?".into(),
+        Some(Some(Subset::Leaf { logical, .. })) => leaf_relation_name(out, logical),
+        Some(Some(Subset::Join { left, right, .. })) => split_expr(out, table, *left, *right),
+        _ => out.push('?'),
     }
 }
 
-fn split_expr(table: &[Option<Subset<'_>>], left: usize, right: usize) -> String {
-    format!(
-        "({} ⋈ {})",
-        order_expr(table, left),
-        order_expr(table, right)
-    )
+fn split_expr(out: &mut String, table: &[Option<Subset<'_>>], left: usize, right: usize) {
+    out.push('(');
+    order_expr(out, table, left);
+    out.push_str(" ⋈ ");
+    order_expr(out, table, right);
+    out.push(')');
 }
 
 impl Planner {
@@ -165,7 +169,9 @@ impl Planner {
         let mut considered = 0usize;
         // Every split of the full set, in enumeration order: the root's
         // "join order" alternatives, as numbers.
-        let mut root_splits: Vec<(usize, usize, IoPrediction, f64)> = Vec::new();
+        let mut root_splits: Vec<(usize, usize, IoPrediction, f64)> =
+            Vec::with_capacity(1 << (n - 1));
+        let mut scratch = Scratch::default();
         // Numeric order visits every proper submask before its superset.
         for mask in 3..=full {
             if mask.count_ones() < 2 {
@@ -183,7 +189,7 @@ impl Planner {
                         return Err(unplanned());
                     };
                     considered += 1;
-                    let edge = self.cost_join(&ml.side(), &mr.side(), chain)?;
+                    let edge = self.cost_join(&ml.side(), &mr.side(), chain, &mut scratch)?;
                     if mask == full {
                         root_splits.push((l, r, edge.total_io, edge.units));
                     }
@@ -199,34 +205,57 @@ impl Planner {
         evidence.splits_costed += considered;
 
         if chain {
+            let mut chosen = String::new();
+            order_expr(&mut chosen, &table, full);
+            // Every root order names each relation once, with the same
+            // operators and parentheses: all labels are as long.
             let mut candidates: Vec<Candidate> = root_splits
                 .into_iter()
-                .map(|(l, r, io, cost_units)| Candidate {
-                    label: split_expr(&table, l, r),
-                    io,
-                    cost_units,
+                .map(|(l, r, io, cost_units)| {
+                    let mut label = String::with_capacity(chosen.len());
+                    split_expr(&mut label, &table, l, r);
+                    Candidate {
+                        label,
+                        io,
+                        cost_units,
+                    }
                 })
                 .collect();
             candidates.sort_by(|a, b| a.cost_units.total_cmp(&b.cost_units));
             evidence.choices.push(NodeChoice {
                 node: format!("join order over {n} relations ({considered} subplans considered)"),
                 candidates,
-                chosen: order_expr(&table, full),
+                chosen,
             });
         }
-        let root = self.build(&mut table, full, chain, evidence)?;
+        let root = self.build(&mut table, full, chain, &mut scratch, evidence)?;
         Ok((root.plan, root.stats))
     }
 
     /// Builds the winning subtree of `mask` from the back-pointers,
     /// appending evidence in plan order: left input, right input, edge.
+    /// A join edge's field is not kept by the search: the winning split
+    /// is costed again into `scratch`, before its inputs leave the table.
     fn build(
         &self,
         table: &mut [Option<Subset<'_>>],
         mask: usize,
         chain: bool,
+        scratch: &mut Scratch,
         evidence: &mut Evidence,
     ) -> Result<Built, PlanError> {
+        let mut recosted = None;
+        if let Some(Some(Subset::Join { left, right, .. })) = table.get(mask) {
+            let (Some(Some(ml)), Some(Some(mr))) = (table.get(*left), table.get(*right)) else {
+                return Err(unplanned());
+            };
+            let (l, r) = (ml.side(), mr.side());
+            let edge = self.cost_join(&l, &r, chain, scratch)?;
+            recosted = Some((
+                edge.choice(scratch, l.cost, r.cost),
+                std::mem::take(&mut scratch.hot),
+            ));
+        }
         match table.get_mut(mask).and_then(Option::take) {
             Some(Subset::Leaf {
                 plan,
@@ -243,11 +272,10 @@ impl Planner {
                 })
             }
             Some(Subset::Join { left, right, edge }) => {
-                let l = self.build(table, left, chain, evidence)?;
-                let r = self.build(table, right, chain, evidence)?;
-                evidence
-                    .choices
-                    .push(edge.choice(l.plan.cost(), r.plan.cost()));
+                let (choice, hot) = recosted.ok_or_else(unplanned)?;
+                let l = self.build(table, left, chain, scratch, evidence)?;
+                let r = self.build(table, right, chain, scratch, evidence)?;
+                evidence.choices.push(choice);
                 evidence.nodes_built += 1;
                 let mut slots = l.slots.clone();
                 slots.extend(&r.slots);
@@ -255,7 +283,7 @@ impl Planner {
                     left: l.slots,
                     right: r.slots,
                 });
-                let (plan, stats) = edge.into_node(l.plan, r.plan, chain_slots);
+                let (plan, stats) = edge.into_node(hot, l.plan, r.plan, chain_slots);
                 Ok(Built { plan, stats, slots })
             }
             None => Err(unplanned()),
@@ -275,13 +303,18 @@ pub(crate) fn collect_join_leaves<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a L
     }
 }
 
-/// Display name of a join-order leaf: the base table it scans (with a σ
-/// marker when filtered).
-fn leaf_relation_name(leaf: &LogicalPlan) -> String {
+/// Display name of a join-order leaf, appended to `out`: the base table
+/// it scans (with a σ marker when filtered).
+fn leaf_relation_name(out: &mut String, leaf: &LogicalPlan) {
     match leaf {
-        LogicalPlan::Scan { table } => table.clone(),
-        LogicalPlan::Filter { input, .. } => format!("σ{}", leaf_relation_name(input)),
-        LogicalPlan::Sort { input } | LogicalPlan::Aggregate { input } => leaf_relation_name(input),
-        LogicalPlan::Join { left, .. } => leaf_relation_name(left),
+        LogicalPlan::Scan { table } => out.push_str(table),
+        LogicalPlan::Filter { input, .. } => {
+            out.push('σ');
+            leaf_relation_name(out, input);
+        }
+        LogicalPlan::Sort { input } | LogicalPlan::Aggregate { input } => {
+            leaf_relation_name(out, input);
+        }
+        LogicalPlan::Join { left, .. } => leaf_relation_name(out, left),
     }
 }

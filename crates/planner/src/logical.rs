@@ -53,12 +53,20 @@ impl Predicate {
         }
     }
 
-    /// Short display form, e.g. `key < 5000`.
+    /// Short display form, e.g. `key < 5000` (the [`Display`] form).
+    ///
+    /// [`Display`]: std::fmt::Display
     pub fn describe(&self) -> String {
+        self.to_string()
+    }
+}
+
+impl std::fmt::Display for Predicate {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Predicate::KeyBelow(b) => format!("key < {b}"),
-            Predicate::KeyAtLeast(b) => format!("key >= {b}"),
-            Predicate::KeyModEq { modulus, residue } => format!("key % {modulus} == {residue}"),
+            Predicate::KeyBelow(b) => write!(f, "key < {b}"),
+            Predicate::KeyAtLeast(b) => write!(f, "key >= {b}"),
+            Predicate::KeyModEq { modulus, residue } => write!(f, "key % {modulus} == {residue}"),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Costed physical plans: the enumerator's output, the executor's input.
 
 use crate::logical::Predicate;
+use std::fmt::{self, Write};
 use write_limited::cost::IoPrediction;
 use write_limited::join::JoinAlgorithm;
 use write_limited::sort::SortAlgorithm;
@@ -161,8 +162,16 @@ impl PhysicalPlan {
 
     /// One-line label of this node's operation and choice.
     pub fn label(&self) -> String {
+        let mut out = String::new();
+        // A `String` sink never fails.
+        let _ = self.write_label(&mut out);
+        out
+    }
+
+    /// [`PhysicalPlan::label`], written to `out`.
+    fn write_label(&self, out: &mut impl Write) -> fmt::Result {
         match self {
-            PhysicalPlan::Scan { table, .. } => format!("scan {table}"),
+            PhysicalPlan::Scan { table, .. } => write!(out, "scan {table}"),
             PhysicalPlan::Filter {
                 predicate,
                 materialization,
@@ -172,9 +181,9 @@ impl PhysicalPlan {
                     Materialization::Materialized => "materialized",
                     Materialization::Deferred => "deferred",
                 };
-                format!("filter [{}] ({m})", predicate.describe())
+                write!(out, "filter [{predicate}] ({m})")
             }
-            PhysicalPlan::Sort { algo, .. } => format!("sort via {}", algo.label()),
+            PhysicalPlan::Sort { algo, .. } => write!(out, "sort via {algo}"),
             PhysicalPlan::Join {
                 algo,
                 swapped,
@@ -182,51 +191,54 @@ impl PhysicalPlan {
                 replanned,
                 ..
             } => {
-                let mut out = format!("join via {}", algo.label());
+                write!(out, "join via {algo}")?;
                 if *swapped {
-                    out.push_str(" (sides swapped)");
+                    out.write_str(" (sides swapped)")?;
                 }
                 if let Some(slots) = chain {
-                    out.push_str(&format!(
+                    write!(
+                        out,
                         " (fold {:?} + {:?})",
                         slots.left.as_slice(),
                         slots.right.as_slice()
-                    ));
+                    )?;
                 }
                 if *replanned {
-                    out.push_str(" (re-planned)");
+                    out.write_str(" (re-planned)")?;
                 }
-                out
+                Ok(())
             }
-            PhysicalPlan::Aggregate { x, .. } => format!("aggregate (x = {x:.2})"),
+            PhysicalPlan::Aggregate { x, .. } => write!(out, "aggregate (x = {x:.2})"),
         }
     }
 
     /// Indented tree rendering with per-node predicted traffic.
     pub fn describe(&self) -> String {
         let mut out = String::new();
-        self.describe_into(&mut out, 0);
+        // A `String` sink never fails.
+        let _ = self.describe_into(&mut out, 0);
         out
     }
 
-    fn describe_into(&self, out: &mut String, depth: usize) {
-        let pad = "  ".repeat(depth);
+    /// [`PhysicalPlan::describe`] written to `out`, every line indented
+    /// by `depth` levels of two spaces.
+    pub(crate) fn describe_into(&self, out: &mut impl Write, depth: usize) -> fmt::Result {
         let c = self.cost();
-        out.push_str(&format!(
-            "{pad}{}  [~{:.0} rows, {:.0}r/{:.0}w buffers]\n",
-            self.label(),
-            c.out_rows,
-            c.io.reads,
-            c.io.writes,
-        ));
+        write!(out, "{:1$}", "", 2 * depth)?;
+        self.write_label(out)?;
+        writeln!(
+            out,
+            "  [~{:.0} rows, {:.0}r/{:.0}w buffers]",
+            c.out_rows, c.io.reads, c.io.writes
+        )?;
         match self {
-            PhysicalPlan::Scan { .. } => {}
+            PhysicalPlan::Scan { .. } => Ok(()),
             PhysicalPlan::Filter { input, .. }
             | PhysicalPlan::Sort { input, .. }
             | PhysicalPlan::Aggregate { input, .. } => input.describe_into(out, depth + 1),
             PhysicalPlan::Join { left, right, .. } => {
-                left.describe_into(out, depth + 1);
-                right.describe_into(out, depth + 1);
+                left.describe_into(out, depth + 1)?;
+                right.describe_into(out, depth + 1)
             }
         }
     }

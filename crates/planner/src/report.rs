@@ -3,35 +3,60 @@
 use crate::enumerate::PlannedQuery;
 use crate::physical::PhysicalPlan;
 use pmem_sim::{IoStats, LatencyProfile, SpanNode};
+use std::fmt::{self, Write};
 
 /// Renders the per-node candidate tables: every alternative the
 /// enumerator costed, cheapest first, with the winner marked.
 pub fn render_choices(planned: &PlannedQuery) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "candidates at λ = {}, M = {:.0} buffers:\n",
+    // A `String` sink never fails.
+    let _ = write_choices(&mut out, planned);
+    out
+}
+
+/// [`render_choices`], written to `out` line by line.
+///
+/// # Errors
+/// Only what `out` returns.
+pub fn write_choices(out: &mut impl Write, planned: &PlannedQuery) -> fmt::Result {
+    writeln!(
+        out,
+        "candidates at λ = {}, M = {:.0} buffers:",
         planned.lambda, planned.m_buffers
-    ));
+    )?;
     for choice in &planned.choices {
-        out.push_str(&format!("  {}\n", choice.node));
+        writeln!(out, "  {}", choice.node)?;
         for cand in &choice.candidates {
             let marker = if cand.label == choice.chosen {
                 "→"
             } else {
                 " "
             };
-            out.push_str(&format!(
-                "   {marker} {:<28} {:>14.0} units  ({:.0}r / {:.0}w)\n",
+            writeln!(
+                out,
+                "   {marker} {:<28} {:>14.0} units  ({:.0}r / {:.0}w)",
                 cand.label, cand.cost_units, cand.io.reads, cand.io.writes
-            ));
+            )?;
         }
     }
-    out
+    Ok(())
 }
 
 /// Renders the chosen physical plan tree.
 pub fn render_plan(planned: &PlannedQuery) -> String {
-    format!("chosen plan:\n{}", indent(&planned.plan.describe(), 2))
+    let mut out = String::new();
+    // A `String` sink never fails.
+    let _ = write_plan(&mut out, planned);
+    out
+}
+
+/// [`render_plan`], written to `out`.
+///
+/// # Errors
+/// Only what `out` returns.
+pub fn write_plan(out: &mut impl Write, planned: &PlannedQuery) -> fmt::Result {
+    out.write_str("chosen plan:\n")?;
+    planned.plan.describe_into(out, 1)
 }
 
 /// Renders predicted vs `measured` cacheline traffic for one execution
@@ -188,11 +213,6 @@ fn analyze_missing(plan: &PhysicalPlan, depth: usize, out: &mut String) {
     for child in plan.children() {
         analyze_missing(child, depth + 1, out);
     }
-}
-
-fn indent(s: &str, by: usize) -> String {
-    let pad = " ".repeat(by);
-    s.lines().map(|l| format!("{pad}{l}\n")).collect::<String>()
 }
 
 #[cfg(test)]
