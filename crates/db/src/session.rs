@@ -331,6 +331,7 @@ impl<'db> Session<'db> {
             self.db.layer(),
             dev.config(),
         )
+        .with_dram_bytes(pool.budget())
         .with_threads(threads);
         let started = std::time::Instant::now();
         let planned = planner.plan(&bound.logical, &catalog)?;

@@ -133,6 +133,10 @@ pub struct Planner {
     pub lambda: f64,
     /// DRAM budget in buffers (cachelines).
     pub m_buffers: f64,
+    /// The DRAM budget in bytes that `m_buffers` rounds up to whole
+    /// cachelines: what the engine floors its record capacities from
+    /// (see [`Planner::with_dram_bytes`]).
+    dram_bytes: f64,
     /// Persistence layer targeted by intermediates.
     pub layer: LayerKind,
     /// Degree of parallelism the partitioned operators will run at;
@@ -171,6 +175,7 @@ impl Planner {
             layer,
             dev.config(),
         )
+        .with_dram_bytes(pool.budget())
     }
 
     /// Explicit-configuration constructor.
@@ -180,12 +185,26 @@ impl Planner {
         Self {
             lambda,
             m_buffers,
+            dram_bytes: m_buffers * CACHELINE as f64,
             layer,
             threads: 1,
             adapt: true,
             rule: ChargeRule::new(layer, cfg),
             read_ns: cfg.latency.read_ns,
         }
+    }
+
+    /// Sets the DRAM budget in bytes the engine will run the plan under
+    /// ([`BufferPool::budget`]); `m_buffers` stays the buffers it rounds
+    /// up to. The engine sizes what fits in DRAM in whole records of the
+    /// byte budget, floored, so a planner that tests the Grace bound or
+    /// counts partitions on the rounded-up buffers may plan a join the
+    /// engine refuses. Without this the budget is `m_buffers` whole
+    /// cachelines.
+    #[must_use]
+    pub fn with_dram_bytes(mut self, bytes: usize) -> Self {
+        self.dram_bytes = bytes as f64;
+        self
     }
 
     /// Sets the degree of parallelism the plan is costed for. The

@@ -200,7 +200,7 @@ impl Planner {
                 (hot.iter().map(|&k| s.frequency(k)).sum::<f64>() / s.rows()).min(1.0)
             };
             let (cover_l, cover_r) = (cover(l.stats), cover(r.stats));
-            let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
+            let m_records = self.capacity_records();
             for ((swapped, shape, grace), t_rows, hot_t, hot_v) in [
                 (&orders[0], l_rows, cover_l, cover_r),
                 (&orders[1], r_rows, cover_r, cover_l),
@@ -306,18 +306,25 @@ impl Planner {
         })
     }
 
+    /// Mirrors `ExecContext::capacity_records`: the whole build
+    /// records the byte budget holds, at least one.
+    fn capacity_records(&self) -> f64 {
+        (self.dram_bytes / WIS_BYTES).floor().max(1.0)
+    }
+
     /// Mirrors `JoinContext::grace_applicable` in planning units:
     /// `M_records > √(f·|T|_records)`.
     fn grace_ok(&self, t_rows: f64) -> bool {
-        let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
-        m_records > (HASH_TABLE_FACTOR * t_rows).sqrt()
+        self.capacity_records() > (HASH_TABLE_FACTOR * t_rows).sqrt()
     }
 
-    /// Mirrors `JoinContext::grace_partitions`: `⌈f·|T| / M⌉` in
-    /// records.
+    /// Mirrors `JoinContext::grace_partitions`: `⌈|T| / cap⌉`, where
+    /// `cap` is `ExecContext::build_capacity`, the whole build records
+    /// the budget holds once the `f` hash-table blow-up is paid.
     fn grace_partitions_est(&self, t_rows: f64) -> f64 {
-        let m_records = self.m_buffers * CACHELINE as f64 / WIS_BYTES;
-        let cap = (m_records / HASH_TABLE_FACTOR).max(1.0);
+        let cap = ((self.dram_bytes / HASH_TABLE_FACTOR).floor() / WIS_BYTES)
+            .floor()
+            .max(1.0);
         (t_rows / cap).ceil().max(1.0)
     }
 }

@@ -417,6 +417,7 @@ fn execute_stream_inner(
     // original plan was costed under.
     let planner = planned.adapt.then(|| {
         Planner::with_config(planned.lambda, planned.m_buffers, layer, dev.config())
+            .with_dram_bytes(pool.budget())
             .with_threads(planned.threads)
     });
     let mut lowerer = Lowerer {

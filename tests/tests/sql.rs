@@ -195,6 +195,46 @@ fn three_table_chain_query_matches_the_naive_oracle() {
     assert_eq!(got, reference.canonical_wide());
 }
 
+/// The planner sizes its DRAM tests by the records the engine's floored
+/// budget holds. A budget of 3 records is 240 bytes, four cachelines:
+/// the planner used to take M as 4 · 64 / 80 = 3.2 records, plan the
+/// deferred-σ join (3.2 > √(1.2 · 8) = 3.098), and the engine, holding
+/// M = 3 records, refused to run it. Two records under 4-row tables
+/// failed the same way.
+#[test]
+fn filtered_joins_plan_within_the_records_the_engine_holds() {
+    for (records, rows) in [(3, 8), (2, 4)] {
+        let db = Database::builder().dram_records(records).build();
+        let mut session = db.session();
+        for name in ["a", "b"] {
+            session
+                .execute(&format!("CREATE TABLE {name} AS WISCONSIN({rows})"))
+                .expect("creates");
+        }
+        let sql = "SELECT * FROM a JOIN b ON a.key = b.key WHERE a.key < 5";
+        let mut stream = session.query(sql).expect("plans");
+        let mut got = Vec::new();
+        loop {
+            match stream.next_batch() {
+                Ok(Some(batch)) => got.extend(batch.rows),
+                Ok(None) => break,
+                Err(e) => panic!("{records} records, {rows} rows: planned, then {e}"),
+            }
+        }
+        got.sort_unstable();
+        let Statement::Select(select) = parse(sql).expect("parses") else {
+            panic!("expected select")
+        };
+        let bound = bind(&select, &db.catalog()).expect("binds");
+        let reference = execute_naive(&bound.logical, &db.catalog()).expect("naive evaluates");
+        assert_eq!(
+            got,
+            reference.canonical_wide(),
+            "{records} records, {rows} rows"
+        );
+    }
+}
+
 #[test]
 fn explain_reports_the_chosen_join_order() {
     let db = Database::builder().dram_records(400).build();

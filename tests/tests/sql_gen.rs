@@ -6,31 +6,38 @@
 //! filters with `<`, `>=` and `%`, empty and inverted ranges, literals
 //! at `0` and `u64::MAX`, self-joins through `AS`, 2–8-way chains and
 //! stars, `GROUP BY`, `ORDER BY`, `LIMIT`, and `SET memory` down to a
-//! few blocks. Every statement is checked three ways:
+//! few blocks. A second family draws filtered joins over tables of 2–10
+//! rows at budgets of 2–4 records, where the planner's and the engine's
+//! DRAM capacities are a fraction of a record apart. Every statement is
+//! checked three ways:
 //!
 //! - its rows equal `execute_naive` over the bound plan (under `LIMIT`,
 //!   a sub-multiset of the right size, and the smallest keys when
 //!   ordered);
 //! - the plan it ran charges identical counters at DoP 1 and 4 and with
 //!   profiling on and off, and every run yields the oracle's rows;
-//! - whatever fails, fails as a typed error — never a panic.
+//! - whatever fails, fails as a typed error — never a panic — and a
+//!   statement the planner accepted never fails for want of memory: a
+//!   plan the engine refuses with `InsufficientMemory` is a divergence
+//!   between the two, not a refusal.
 //!
 //! A failing statement is shrunk before it is reported — drop a
 //! relation, drop a predicate, halve a table, move a literal toward 0
 //! until it sits at the edge it fails at — so the report is a statement
 //! small enough to become a regression test.
 
-use planner::{execute_naive, execute_stream, execute_stream_profiled, PlannedQuery};
-use pmem_sim::{BufferPool, LayerKind, Storable};
+use planner::{execute_naive, execute_stream, execute_stream_profiled, ExecError, PlannedQuery};
+use pmem_sim::{BufferPool, LayerKind, PmError, Storable};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use wisconsin::{Record, WisconsinRecord};
-use wl_db::{bind, parse, Database, Response, Statement};
+use wl_db::{bind, parse, Database, DbError, Response, Statement};
 use wl_tests::SplitMix;
 
 /// Statements one run of [`generated_statements_agree_with_the_oracle`]
-/// draws.
+/// draws from [`draw`], and from [`draw_tight`].
 const STATEMENTS: u64 = 150;
+const TIGHT_STATEMENTS: u64 = 60;
 const LAYERS: [LayerKind; 3] = [
     LayerKind::BlockedMemory,
     LayerKind::RamDisk,
@@ -302,6 +309,52 @@ fn draw(seed: u64) -> Case {
     case
 }
 
+/// A filtered join over two or three tables of 2–10 rows at a budget of
+/// 2–4 records. A budget of `r` records is `80·r` bytes, which rounds up
+/// to whole cachelines; the engine floors it back to `r` records. Grace
+/// applicability `M > √(1.2·|T|)` and the §3.1 partition count change
+/// within that fraction of a record exactly at these sizes.
+fn draw_tight(seed: u64) -> Case {
+    let mut rng = SplitMix(seed);
+    let layer = rng.pick(&LAYERS);
+    let memory = 2 + rng.below(3);
+    let tables: Vec<Table> = (0..2)
+        .map(|_| {
+            let rows = 2 + rng.below(9);
+            let copies = rng.pick(&[1, 1, 2]);
+            let domain = (rows / copies).max(1);
+            let mut keys: Vec<u64> = (0..rows).map(|i| i % domain).collect();
+            for i in (1..keys.len()).rev() {
+                keys.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            Table { keys, domain }
+        })
+        .collect();
+    let n = 2 + rng.below(2) as usize;
+    let rels: Vec<usize> = (0..n)
+        .map(|i| if i < 2 { i } else { rng.below(2) as usize })
+        .collect();
+    let on = rng.below(n as u64) as usize;
+    let d = tables[rels[on]].domain;
+    let form = match rng.below(3) {
+        0 => Form::Below(1 + rng.below(d.max(1))),
+        1 => Form::AtLeast(rng.below(d.max(1))),
+        _ => Form::ModEq(2, rng.below(2)),
+    };
+    Case {
+        layer,
+        memory,
+        tables,
+        rels,
+        star: rng.below(2) == 0,
+        preds: vec![Pred { on: Some(on), form }],
+        group: false,
+        order: false,
+        limit: None,
+        explain: rng.below(5) == 0,
+    }
+}
+
 /// How a statement that passed its checks ended.
 #[derive(Debug, PartialEq)]
 enum Outcome {
@@ -323,6 +376,18 @@ fn check(case: &Case) -> Result<Outcome, String> {
                 .unwrap_or_default();
             Err(format!("panicked: {what}"))
         }
+    }
+}
+
+/// How a statement that failed after it was planned ended: a typed
+/// refusal, unless the engine refused for want of memory a plan the
+/// planner costed under the same budget.
+fn refused_in_execution(e: &DbError) -> Result<Outcome, String> {
+    match e {
+        DbError::Exec(ExecError::Pm(PmError::InsufficientMemory { .. })) => {
+            Err(format!("planned, then refused in execution: {e}"))
+        }
+        _ => Ok(Outcome::Refused),
     }
 }
 
@@ -348,8 +413,8 @@ fn run(case: &Case) -> Result<Outcome, String> {
     if case.explain {
         match session.execute(&format!("EXPLAIN {sql}")) {
             Ok(Response::Explain(mut stream)) => {
-                if stream.drain().is_err() {
-                    return Ok(Outcome::Refused);
+                if let Err(e) = stream.drain() {
+                    return refused_in_execution(&e);
                 }
                 let report = stream.explain();
                 if !report.contains("chosen plan") {
@@ -368,7 +433,7 @@ fn run(case: &Case) -> Result<Outcome, String> {
         match stream.next_batch() {
             Ok(Some(batch)) => got.extend(batch.rows),
             Ok(None) => break,
-            Err(_) => return Ok(Outcome::Refused),
+            Err(e) => return refused_in_execution(&e),
         }
     }
 
@@ -549,9 +614,13 @@ fn shrink(mut case: Case, fails: impl Fn(&Case) -> bool) -> Case {
 fn generated_statements_agree_with_the_oracle() {
     let mut seeds = SplitMix(0x5E1E_C7ED);
     let mut refused = 0;
-    for i in 0..STATEMENTS {
+    for i in 0..STATEMENTS + TIGHT_STATEMENTS {
         let seed = seeds.next_u64();
-        let case = draw(seed);
+        let case = if i < STATEMENTS {
+            draw(seed)
+        } else {
+            draw_tight(seed)
+        };
         match check(&case) {
             Ok(Outcome::Ran) => {}
             Ok(Outcome::Refused) => refused += 1,
@@ -568,9 +637,10 @@ fn generated_statements_agree_with_the_oracle() {
             }
         }
     }
+    let all = STATEMENTS + TIGHT_STATEMENTS;
     assert!(
-        refused * 5 < STATEMENTS,
-        "{refused} of {STATEMENTS} statements refused: the generator mostly draws errors"
+        refused * 5 < all,
+        "{refused} of {all} statements refused: the generator mostly draws errors"
     );
 }
 
@@ -578,8 +648,17 @@ fn generated_statements_agree_with_the_oracle() {
 #[test]
 fn the_generator_reaches_every_shape() {
     let mut seeds = SplitMix(0x5E1E_C7ED);
-    let cases: Vec<Case> = (0..STATEMENTS).map(|_| draw(seeds.next_u64())).collect();
+    let mut cases: Vec<Case> = (0..STATEMENTS).map(|_| draw(seeds.next_u64())).collect();
+    cases.extend((0..TIGHT_STATEMENTS).map(|_| draw_tight(seeds.next_u64())));
     let count = |f: &dyn Fn(&Case) -> bool| cases.iter().filter(|c| f(c)).count();
+    let tight_filtered_join = |c: &Case| {
+        c.rels.len() >= 2
+            && (2..=4).contains(&c.memory)
+            && !c.preds.is_empty()
+            && c.rels
+                .iter()
+                .all(|&t| (2..=10).contains(&c.tables[t].keys.len()))
+    };
     let self_join = |c: &Case| (1..c.rels.len()).any(|i| c.rels[..i].contains(&c.rels[i]));
     let literal = |c: &Case, v: u64| {
         c.preds
@@ -623,6 +702,11 @@ fn the_generator_reaches_every_shape() {
         ("LIMIT", count(&|c| c.limit.is_some()), 10),
         ("EXPLAIN", count(&|c| c.explain), 10),
         ("a budget of a few blocks", count(&|c| c.memory <= 40), 30),
+        (
+            "filtered joins of 2-10 rows at 2-4 records",
+            count(&tight_filtered_join),
+            40,
+        ),
     ] {
         assert!(
             n >= at_least,
