@@ -6,6 +6,34 @@
 //! cost `r` is `reads + λ·writes` ([`super::IoPrediction::cost_units`]).
 //! Output cost is a shared constant and omitted (as the paper's
 //! expressions do).
+//!
+//! ## Where the engine and the model differ
+//!
+//! These expressions are the paper's, and the planner's fast path; the
+//! operators in `crate::join` run schedules that differ from them in
+//! known ways. Each entry says what the engine does instead and what it
+//! does to a prediction.
+//!
+//! 1. **Eq. 11, corrected.** LaJ materializes after `⌊k·λ/(λ+1)⌋` lazy
+//!    iterations, not the paper's `⌊k/(λ+1)⌋` (`crate::join::lazy`
+//!    derives it). The planner's structural LaJ estimate
+//!    ([`super::predict_join_io`]) charges `k` full scans and no
+//!    writes, so neither threshold enters it.
+//! 2. **Blocks and partitions per build capacity, not per `M`.** The
+//!    engine sizes what it holds in DRAM after the `f = 1.2` hash-table
+//!    blow-up: NLJ and HybJ(0, 0) run one outer block per
+//!    `build_capacity = ⌊M/f⌋` records, so they rescan `V` `⌈f·|T|/M⌉`
+//!    times, while [`nlj_io`] and [`hybrid_io`] charge `⌈|T|/M⌉` and
+//!    `|T|/M` rescans. HJ and LaJ take their `k` from the same capacity
+//!    (`JoinContext::grace_partitions`), [`hash_join_io`] takes
+//!    [`iterations`]. On the benchmark's `sql_analytic` this is the
+//!    read gap behind `planner.pred_over_meas_reads` ≈ 0.82: `join2`
+//!    (50 000 ⋈ 200 000 rows at M = 2 500 records) runs 25 blocks, not
+//!    20, and measures 62 500 + 25 × 250 000 + 18 = 6 312 518 reads
+//!    against 5 062 500 predicted. The test
+//!    `nested_loops_rescans_v_per_build_capacity_block_not_per_m` pins
+//!    both sides at test scale. The model is left as the paper states
+//!    it: charging `f·|T|` would re-rank plans.
 
 /// Grace join (§2.2): `(λ+2)·(|T|+|V|)` — both inputs read twice,
 /// written once.

@@ -87,6 +87,65 @@ fn join_cost_model_concordance_is_high() {
     }
 }
 
+/// One engine-versus-model difference, pinned from both sides: the
+/// block count behind `planner.pred_over_meas_reads` ≈ 0.82 on the
+/// benchmark's `sql_analytic` (see the `join_costs` module docs). NLJ
+/// and HybJ(0, 0) run one outer block per `build_capacity` records, the
+/// budget left after the `f = 1.2` hash-table blow-up, so the engine
+/// rescans `V` ⌈f·|T|/M⌉ times; Eqs. 1–11 charge ⌈|T|/M⌉ rescans. HJ and
+/// LaJ take the engine's `k` from the same capacity.
+#[test]
+fn nested_loops_rescans_v_per_build_capacity_block_not_per_m() {
+    use wisconsin::WisconsinRecord;
+    use write_limited::cost::join_costs::iterations;
+
+    // |T| = 1 000 rows (1 250 buffers), |V| = 4 000 rows (5 000
+    // buffers), M = 100 records (125 buffers).
+    let w = join_input(1_000, 4, 7);
+    let pool = BufferPool::new(100 * 80);
+    let (t, v, m) = (1_250.0, 5_000.0, 125.0);
+    // The model: ⌈1 250 / 125⌉ = 10 rescans of V.
+    let model_k = iterations(t, m);
+    assert_eq!(model_k, 10.0);
+    for algo in [JoinAlgorithm::NLJ, JoinAlgorithm::HybJ { x: 0.0, y: 0.0 }] {
+        let dev = PmDevice::paper_default();
+        let left = PCollection::from_records_uncounted(
+            &dev,
+            LayerKind::BlockedMemory,
+            "T",
+            w.left.clone(),
+        );
+        let right = PCollection::from_records_uncounted(
+            &dev,
+            LayerKind::BlockedMemory,
+            "V",
+            w.right.clone(),
+        );
+        assert_eq!((left.buffers(), right.buffers()), (1_250, 5_000));
+        let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
+        // The engine: blocks of ⌊⌊8 000 B / 1.2⌋ / 80 B⌋ = 83 records,
+        // ⌈1 000 / 83⌉ = 13 of them — ⌈f·|T|/M⌉, not ⌈|T|/M⌉.
+        assert_eq!(ctx.build_capacity::<WisconsinRecord>(), 83);
+        let blocks = 1_000usize.div_ceil(83) as u64;
+        assert_eq!(blocks, 13);
+        assert_eq!(ctx.grace_partitions::<WisconsinRecord>(1_000), 13);
+        let before = dev.snapshot();
+        algo.run(&left, &right, &ctx, "out").expect("applicable");
+        let reads = dev.snapshot().since(&before).cl_reads;
+        // T once, V once per block, and once more each line of T a
+        // block boundary splits: 83 records end 48 bytes into a
+        // cacheline, so 9 of the 12 boundaries do.
+        let split = (1..blocks).filter(|b| b * 83 * 80 % 64 != 0).count() as u64;
+        assert_eq!(split, 9);
+        assert_eq!(reads, 1_250 + blocks * 5_000 + split, "{}", algo.label());
+        let predicted = predict_join_io(&algo, t, v, m).reads;
+        assert_eq!(predicted, t + model_k * v, "{}", algo.label());
+        assert_eq!(predicted, 51_250.0);
+        // 51 250 / 66 259 = 0.77: the ratio the benchmark reports is
+        // this gap, diluted by the plans' other nodes.
+    }
+}
+
 #[test]
 fn eq4_optimal_x_is_not_beaten_badly_by_the_sweep() {
     // The closed-form x* should be within 25% of the best measured x on
