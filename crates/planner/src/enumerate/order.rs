@@ -3,9 +3,10 @@
 //!
 //! Costing a split ([`Planner::cost_join`]) touches no plan node,
 //! formats no label and allocates nothing: every split writes its
-//! candidate field into the one [`Scratch`] the search owns. Per subset
-//! the table keeps the best split and its costed edge, not its field.
-//! Plan nodes, chain slots, per-edge evidence tables and the root's
+//! candidate field into the one [`Scratch`] the search owns, and reads
+//! only the output cardinality of the two sides' statistics. Per subset
+//! the table keeps the best split and its costed edge, not its field,
+//! and the output statistics of that split alone. Plan nodes, chain slots, per-edge evidence tables and the root's
 //! "join order" summary are rendered once, top-down from those
 //! back-pointers; the `n − 1` winning edges are costed once more there
 //! to refill their fields.
@@ -34,11 +35,13 @@ enum Subset<'a> {
         choices: Vec<NodeChoice>,
     },
     /// The cheapest way found to join the subset: its two halves (table
-    /// indices) and the costed edge between them.
+    /// indices), the costed edge between them and the statistics of its
+    /// output keys.
     Join {
         left: usize,
         right: usize,
         edge: EdgeCost,
+        stats: TableStatistics,
     },
 }
 
@@ -64,11 +67,11 @@ impl Subset<'_> {
                     _ => None,
                 },
             },
-            Subset::Join { edge, .. } => JoinSide {
+            Subset::Join { edge, stats, .. } => JoinSide {
                 cost: &edge.cost,
                 units: edge.units,
                 total_io: edge.total_io,
-                stats: &edge.stats,
+                stats,
                 filtered_scan: None,
             },
         }
@@ -200,7 +203,16 @@ impl Planner {
                 l = (l - 1) & mask;
             }
             let (left, right, edge) = best.ok_or_else(unplanned)?;
-            table[mask] = Some(Subset::Join { left, right, edge });
+            let (Some(Some(ml)), Some(Some(mr))) = (table.get(left), table.get(right)) else {
+                return Err(unplanned());
+            };
+            let (_, stats) = ml.side().stats.join(mr.side().stats);
+            table[mask] = Some(Subset::Join {
+                left,
+                right,
+                edge,
+                stats,
+            });
         }
         evidence.splits_costed += considered;
 
@@ -271,7 +283,12 @@ impl Planner {
                     slots: slots.to_vec(),
                 })
             }
-            Some(Subset::Join { left, right, edge }) => {
+            Some(Subset::Join {
+                left,
+                right,
+                edge,
+                stats,
+            }) => {
                 let (choice, hot) = recosted.ok_or_else(unplanned)?;
                 let l = self.build(table, left, chain, scratch, evidence)?;
                 let r = self.build(table, right, chain, scratch, evidence)?;
@@ -283,7 +300,7 @@ impl Planner {
                     left: l.slots,
                     right: r.slots,
                 });
-                let (plan, stats) = edge.into_node(hot, l.plan, r.plan, chain_slots);
+                let plan = edge.into_node(hot, l.plan, r.plan, chain_slots);
                 Ok(Built { plan, stats, slots })
             }
             None => Err(unplanned()),
