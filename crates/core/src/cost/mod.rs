@@ -99,13 +99,13 @@ pub fn predict_join_io(algo: &JoinAlgorithm, t: f64, v: f64, m: f64) -> IoPredic
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JoinShape {
     /// Build side, in buffers.
-    pub t: f64,
+    t: f64,
     /// Probe side, in buffers.
-    pub v: f64,
+    v: f64,
     /// DRAM budget, in buffers.
-    pub m: f64,
+    m: f64,
     /// `⌈t/M⌉`, at least one ([`join_costs::iterations`]).
-    pub k: f64,
+    k: f64,
 }
 
 impl JoinShape {
@@ -143,9 +143,18 @@ impl JoinShape {
             }
             // Without catalog statistics the hot fractions are unknown;
             // the planner applies the skew discount via
-            // `join_costs::guided_io`.
+            // `JoinShape::guided_io`.
             JoinAlgorithm::CGJ => join_costs::guided_io(t, v, 0.0, 0.0),
         };
+        IoPrediction::traffic(reads, writes)
+    }
+
+    /// The cardinality-guided join's traffic on this shape when the hot
+    /// keys cover the fractions `hot_t` and `hot_v` of the two sides
+    /// ([`join_costs::guided_io`]).
+    #[inline]
+    pub fn guided_io(&self, hot_t: f64, hot_v: f64) -> IoPrediction {
+        let (reads, writes) = join_costs::guided_io(self.t, self.v, hot_t, hot_v);
         IoPrediction::traffic(reads, writes)
     }
 

@@ -15,7 +15,6 @@ use crate::lower::WisPair;
 use crate::physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
 use pmem_sim::{Storable, CACHELINE};
 use wisconsin::WisconsinRecord;
-use write_limited::cost::join_costs::guided_io;
 use write_limited::cost::{IoPrediction, JoinShape};
 use write_limited::deferral::{plan_verdict, Decision};
 use write_limited::join::{JoinAlgorithm, HASH_TABLE_FACTOR};
@@ -211,8 +210,7 @@ impl Planner {
                 if !grace || resident > 0.5 * m_records {
                     continue;
                 }
-                let (reads, writes) = guided_io(shape.t, shape.v, hot_t, hot_v);
-                let io = IoPrediction::traffic(reads, writes);
+                let io = shape.guided_io(hot_t, hot_v);
                 field.push(arm(JoinAlgorithm::CGJ, *swapped, io, shape));
             }
         }
