@@ -471,9 +471,9 @@ impl TableStatistics {
         self.distinct
     }
 
-    /// Heavy-hitter keys, most frequent first (none on uniform data).
-    pub fn heavy_keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.heavy.iter().map(|&(k, _)| k)
+    /// Heavy-hitter keys, most frequent first (empty on uniform data).
+    pub fn heavy_keys(&self) -> Vec<u64> {
+        self.heavy.iter().map(|&(k, _)| k).collect()
     }
 
     /// O(1)-style frequency lookup: exact for a heavy hitter, the mean
@@ -583,13 +583,38 @@ impl TableStatistics {
     /// per key (`Σ f_l(k)·f_r(k)`), the residual masses join under the
     /// classic uniform `r_l·r_r / max(d_l, d_r)` estimate.
     pub fn join(&self, other: &Self) -> (f64, Self) {
-        let rows = self.join_rows(other);
-        let mut out_heavy = Vec::with_capacity(self.heavy.len() + other.heavy.len());
-        out_heavy.extend(self.joined_heavy(other));
+        let mut keys: Vec<u64> = self.heavy.iter().map(|&(k, _)| k).collect();
+        for &(k, _) in &other.heavy {
+            if !keys.contains(&k) {
+                keys.push(k);
+            }
+        }
+        let mut out_heavy: Vec<(u64, f64)> = Vec::new();
+        let mut hot = 0.0;
+        for k in keys {
+            if k < self.min_key.max(other.min_key) || k > self.max_key.min(other.max_key) {
+                continue;
+            }
+            let f = self.frequency(k) * other.frequency(k);
+            if f > 0.0 {
+                hot += f;
+                out_heavy.push((k, f));
+            }
+        }
+        let rd_l = (self.distinct - self.heavy.len() as f64).max(0.0);
+        let rd_r = (other.distinct - other.heavy.len() as f64).max(0.0);
+        let rr_l = (self.rows - self.heavy_rows).max(0.0);
+        let rr_r = (other.rows - other.heavy_rows).max(0.0);
+        let cold = if rd_l > 0.0 && rd_r > 0.0 {
+            rr_l * rr_r / rd_l.max(rd_r)
+        } else {
+            0.0
+        };
+        let rows = hot + cold;
         out_heavy.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         out_heavy.truncate(HEAVY_HITTERS);
         // Keys below twice the output's mean frequency are not heavy.
-        let out_distinct = self.join_distinct(other);
+        let out_distinct = self.distinct.min(other.distinct).max(1.0);
         let mean = rows / out_distinct;
         out_heavy.retain(|&(_, f)| f >= HEAVY_FACTOR * mean);
         let heavy_rows = out_heavy.iter().map(|&(_, f)| f).sum();
@@ -605,44 +630,6 @@ impl TableStatistics {
             mergeable: None,
         };
         (rows, stats)
-    }
-
-    /// The output cardinality [`TableStatistics::join`] estimates, without
-    /// building the output statistics: no allocation, so a join-order
-    /// search can cost every split with it.
-    pub fn join_rows(&self, other: &Self) -> f64 {
-        let hot = self.joined_heavy(other).fold(0.0, |sum, (_, f)| sum + f);
-        let rd_l = (self.distinct - self.heavy.len() as f64).max(0.0);
-        let rd_r = (other.distinct - other.heavy.len() as f64).max(0.0);
-        let rr_l = (self.rows - self.heavy_rows).max(0.0);
-        let rr_r = (other.rows - other.heavy_rows).max(0.0);
-        let cold = if rd_l > 0.0 && rd_r > 0.0 {
-            rr_l * rr_r / rd_l.max(rd_r)
-        } else {
-            0.0
-        };
-        hot + cold
-    }
-
-    /// The distinct keys [`TableStatistics::join`]'s output has.
-    pub fn join_distinct(&self, other: &Self) -> f64 {
-        self.distinct.min(other.distinct).max(1.0)
-    }
-
-    /// Every heavy key of either side once, `self`'s first, that both
-    /// key ranges hold and that joins rows (`f_l(k)·f_r(k) > 0`), with
-    /// that product.
-    fn joined_heavy<'a>(&'a self, other: &'a Self) -> impl Iterator<Item = (u64, f64)> + 'a {
-        let lo = self.min_key.max(other.min_key);
-        let hi = self.max_key.min(other.max_key);
-        let theirs = other
-            .heavy_keys()
-            .filter(|&k| self.heavy.iter().all(|&(own, _)| own != k));
-        self.heavy_keys()
-            .chain(theirs)
-            .filter(move |&k| lo <= k && k <= hi)
-            .map(|k| (k, self.frequency(k) * other.frequency(k)))
-            .filter(|&(_, f)| f > 0.0)
     }
 }
 
@@ -814,13 +801,13 @@ mod table_statistics_tests {
         let uniform: Vec<u64> = (0..4000u64).map(|i| i % 1000).collect();
         let stats = TableStatistics::build(&uniform, 7);
         assert!(
-            stats.heavy_keys().next().is_none(),
+            stats.heavy_keys().is_empty(),
             "uniform data must not report heavy hitters"
         );
 
         let zipf = zipf_keys(8000, 1000, 1.2, 3);
         let stats = TableStatistics::build(&zipf, 7);
-        let heavy: Vec<u64> = stats.heavy_keys().collect();
+        let heavy = stats.heavy_keys();
         assert!(!heavy.is_empty(), "Zipf(1.2) has heavy hitters");
         // The reported frequency of each heavy hitter is exact.
         for &k in &heavy {
@@ -876,7 +863,7 @@ mod table_statistics_tests {
             (est - 5000.0).abs() / 5000.0 < 0.15,
             "join estimate {est} far from 5000"
         );
-        assert!(out.heavy_keys().next().is_none(), "uniform join output");
+        assert!(out.heavy_keys().is_empty(), "uniform join output");
     }
 
     #[test]
@@ -890,9 +877,9 @@ mod table_statistics_tests {
             "rows {} vs {truth}",
             below.rows()
         );
-        assert!(below.heavy_keys().all(|k| k < 100));
+        assert!(below.heavy_keys().iter().all(|&k| k < 100));
         let modded = stats.filtered_mod(4, 1);
-        assert!(modded.heavy_keys().all(|k| k % 4 == 1));
+        assert!(modded.heavy_keys().iter().all(|&k| k % 4 == 1));
         assert!(modded.rows() <= stats.rows() / 2.0);
         let ge = stats.filtered_at_least(500);
         let truth_ge = zipf.iter().filter(|&&k| k >= 500).count() as f64;
@@ -910,7 +897,7 @@ mod table_statistics_tests {
         let b = TableStatistics::build(&zipf, 5);
         assert_eq!(a.rows(), b.rows());
         assert_eq!(a.distinct_keys(), b.distinct_keys());
-        assert!(a.heavy_keys().eq(b.heavy_keys()));
+        assert_eq!(a.heavy_keys(), b.heavy_keys());
         assert_eq!(a.fraction_below(57), b.fraction_below(57));
     }
 
@@ -972,7 +959,7 @@ mod table_statistics_tests {
             );
             assert_eq!(a.frequency(k), b.frequency(k), "{what}: frequency {k}");
         }
-        assert!(a.heavy_keys().eq(b.heavy_keys()), "{what}: heavy keys");
+        assert_eq!(a.heavy_keys(), b.heavy_keys(), "{what}: heavy keys");
         assert_eq!(a.rows(), b.rows(), "{what}: rows");
         assert_eq!(a.join(&probe), b.join(&probe), "{what}: join as left");
         assert_eq!(probe.join(a), probe.join(b), "{what}: join as right");
@@ -1070,7 +1057,7 @@ mod table_statistics_tests {
             let s = TableStatistics::uniform(rows, domain);
             assert_eq!(s.rows(), rows as f64, "{what}");
             assert_eq!(s.distinct_keys(), rows.min(domain) as f64, "{what}");
-            assert!(s.heavy_keys().next().is_none(), "{what}");
+            assert!(s.heavy_keys().is_empty(), "{what}");
 
             let (r, d) = (rows as f64, domain as f64);
             let sel = bound.min(domain) as f64 / d;
@@ -1086,7 +1073,7 @@ mod table_statistics_tests {
             let (d_l, d_r) = (rows.min(domain) as f64, o_rows.min(o_domain) as f64);
             close(est, r * o_rows as f64 / d_l.max(d_r), &what);
             assert_eq!(out.distinct_keys(), d_l.min(d_r), "{what}");
-            assert!(out.heavy_keys().next().is_none(), "{what}");
+            assert!(out.heavy_keys().is_empty(), "{what}");
         }
     }
 
@@ -1124,7 +1111,7 @@ mod table_statistics_tests {
         let stats = TableStatistics::build(&[], 3);
         assert_eq!(stats.rows(), 0.0);
         assert_eq!(stats.distinct_keys(), 0.0);
-        assert!(stats.heavy_keys().next().is_none());
+        assert!(stats.heavy_keys().is_empty());
         assert_eq!(stats.fraction_below(10), 0.0);
         let (rows, _) = stats.join(&stats);
         assert_eq!(rows, 0.0);

@@ -89,6 +89,8 @@ pub(super) struct EdgeCost {
     pub cost: NodeCost,
     /// Predicted traffic of the whole subtree under the winner.
     pub total_io: IoPrediction,
+    /// Statistics of the join's output keys.
+    pub stats: TableStatistics,
 }
 
 fn grace_family(algo: &JoinAlgorithm) -> bool {
@@ -126,10 +128,8 @@ impl Planner {
         // hot key and the residual mass joins under the containment
         // formula — rows-per-key on each side times the matching key
         // count — which is all there is when neither side has hot keys.
-        // Only the cardinality: the output statistics are built once per
-        // subset, for its winning split (`TableStatistics::join`).
-        let out_rows = l.stats.join_rows(r.stats);
-        let matching = l.stats.join_distinct(r.stats);
+        let (out_rows, stats) = l.stats.join(r.stats);
+        let matching = stats.distinct_keys().max(1.0);
         let pair_buffers = (out_rows * PAIR_BYTES / CACHELINE as f64).ceil();
         // Chain joins fold the pair output into slotted 80-byte rows in
         // one extra staged pass: re-read the pairs, write the flat rows.
@@ -187,7 +187,8 @@ impl Planner {
         // offered when a hot set exists (uniform tables degrade to GJ
         // exactly, so the candidate would be pure noise).
         hot.clear();
-        hot.extend(l.stats.heavy_keys().chain(r.stats.heavy_keys()));
+        hot.extend(l.stats.heavy_keys());
+        hot.extend(r.stats.heavy_keys());
         hot.sort_unstable();
         hot.dedup();
         if !hot.is_empty() {
@@ -299,6 +300,7 @@ impl Planner {
                 distinct_keys: matching,
             },
             total_io: node_io.plus(left_total).plus(r.total_io),
+            stats,
         })
     }
 
@@ -359,8 +361,8 @@ impl EdgeCost {
         }
     }
 
-    /// Builds the winning join node over the already-built inputs; `hot`
-    /// is the edge's
+    /// Builds the winning join node over the already-built inputs and
+    /// hands back the output statistics; `hot` is the edge's
     /// `Scratch::hot`, kept only under a cardinality-guided winner. A
     /// deferred-view winner flips the left input — a materialized filter
     /// over a scan — to a view.
@@ -370,7 +372,7 @@ impl EdgeCost {
         mut left: PhysicalPlan,
         right: PhysicalPlan,
         chain: Option<ChainSlots>,
-    ) -> PhysicalPlan {
+    ) -> (PhysicalPlan, TableStatistics) {
         let Arm { algo, swapped, .. } = self.winner;
         if let (
             true,
@@ -386,7 +388,7 @@ impl EdgeCost {
             // join's per-pass re-filtering.
             cost.io = IoPrediction::ZERO;
         }
-        PhysicalPlan::Join {
+        let node = PhysicalPlan::Join {
             left: Box::new(left),
             right: Box::new(right),
             algo,
@@ -399,6 +401,7 @@ impl EdgeCost {
             },
             replanned: false,
             cost: self.cost,
-        }
+        };
+        (node, self.stats)
     }
 }

@@ -3,10 +3,9 @@
 //!
 //! Costing a split ([`Planner::cost_join`]) touches no plan node,
 //! formats no label and allocates nothing: every split writes its
-//! candidate field into the one [`Scratch`] the search owns, and reads
-//! only the output cardinality of the two sides' statistics. Per subset
-//! the table keeps the best split and its costed edge, not its field,
-//! and the output statistics of that split alone. Plan nodes, chain slots, per-edge evidence tables and the root's
+//! candidate field into the one [`Scratch`] the search owns. Per subset
+//! the table keeps the best split and its costed edge, not its field.
+//! Plan nodes, chain slots, per-edge evidence tables and the root's
 //! "join order" summary are rendered once, top-down from those
 //! back-pointers; the `n − 1` winning edges are costed once more there
 //! to refill their fields.
@@ -35,13 +34,11 @@ enum Subset<'a> {
         choices: Vec<NodeChoice>,
     },
     /// The cheapest way found to join the subset: its two halves (table
-    /// indices), the costed edge between them and the statistics of its
-    /// output keys.
+    /// indices) and the costed edge between them.
     Join {
         left: usize,
         right: usize,
         edge: EdgeCost,
-        stats: TableStatistics,
     },
 }
 
@@ -67,11 +64,11 @@ impl Subset<'_> {
                     _ => None,
                 },
             },
-            Subset::Join { edge, stats, .. } => JoinSide {
+            Subset::Join { edge, .. } => JoinSide {
                 cost: &edge.cost,
                 units: edge.units,
                 total_io: edge.total_io,
-                stats,
+                stats: &edge.stats,
                 filtered_scan: None,
             },
         }
@@ -203,16 +200,7 @@ impl Planner {
                 l = (l - 1) & mask;
             }
             let (left, right, edge) = best.ok_or_else(unplanned)?;
-            let (Some(Some(ml)), Some(Some(mr))) = (table.get(left), table.get(right)) else {
-                return Err(unplanned());
-            };
-            let (_, stats) = ml.side().stats.join(mr.side().stats);
-            table[mask] = Some(Subset::Join {
-                left,
-                right,
-                edge,
-                stats,
-            });
+            table[mask] = Some(Subset::Join { left, right, edge });
         }
         evidence.splits_costed += considered;
 
@@ -283,12 +271,7 @@ impl Planner {
                     slots: slots.to_vec(),
                 })
             }
-            Some(Subset::Join {
-                left,
-                right,
-                edge,
-                stats,
-            }) => {
+            Some(Subset::Join { left, right, edge }) => {
                 let (choice, hot) = recosted.ok_or_else(unplanned)?;
                 let l = self.build(table, left, chain, scratch, evidence)?;
                 let r = self.build(table, right, chain, scratch, evidence)?;
@@ -300,7 +283,7 @@ impl Planner {
                     left: l.slots,
                     right: r.slots,
                 });
-                let plan = edge.into_node(hot, l.plan, r.plan, chain_slots);
+                let (plan, stats) = edge.into_node(hot, l.plan, r.plan, chain_slots);
                 Ok(Built { plan, stats, slots })
             }
             None => Err(unplanned()),

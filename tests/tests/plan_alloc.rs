@@ -15,12 +15,9 @@
 //! threads do not count.
 
 use planner::{Catalog, LogicalPlan, Planner, TableStats, MAX_JOIN_RELATIONS};
-use pmem_sim::{LayerKind, PCollection, PmDevice};
+use pmem_sim::LayerKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
-use wisconsin::{Record, WisconsinRecord};
-use write_limited::stats::TableStatistics;
 
 /// The system allocator, counting allocations and reallocations made
 /// by the current thread.
@@ -75,32 +72,32 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 
 /// Allocations one plan may make per relation subset of two or more
 /// relations, and per relation. What the search itself keeps is one
-/// table entry per subset and the output statistics of its winning
-/// split (their heavy hitters, on skewed tables); the rest is the plan
-/// and its evidence: one label per root order (about half a subset
-/// each), one candidate table per winning edge, one leaf plan per
-/// relation.
-const PER_SUBSET: u64 = 2;
+/// table entry per subset; the rest is the plan and its evidence: one
+/// label per root order (about half a subset each), one candidate table
+/// per winning edge, one leaf plan per relation.
+const PER_SUBSET: u64 = 1;
 const PER_RELATION: u64 = 40;
 
-/// Plans chains of 2–8 of the catalog's tables `r0, r1, …` and holds
-/// each plan to the budget.
-fn check_chains(cat: &Catalog, what: &str) {
-    let planner = Planner::new(15.0, 3125.0, LayerKind::BlockedMemory);
+#[test]
+fn planning_allocates_per_subset_not_per_split() {
+    let mut cat = Catalog::new();
+    cat.add_stats("r0", TableStats::wisconsin(50_000));
     let mut logical = LogicalPlan::scan("r0");
+    let planner = Planner::new(15.0, 3125.0, LayerKind::BlockedMemory);
     let mut report = Vec::new();
     for n in 2..=MAX_JOIN_RELATIONS {
-        logical = logical.join(LogicalPlan::scan(format!("r{}", n - 1)));
+        let name = format!("r{}", n - 1);
+        cat.add_stats(&name, TableStats::wisconsin(50_000));
+        logical = logical.join(LogicalPlan::scan(&name));
         // Once to settle anything a first call initialises.
-        planner.plan(&logical, cat).expect("plans");
-        let (allocs, planned) = allocations(|| planner.plan(&logical, cat).expect("plans"));
+        planner.plan(&logical, &cat).expect("plans");
+        let (allocs, planned) = allocations(|| planner.plan(&logical, &cat).expect("plans"));
         let n64 = n as u64;
         let subsets = (1u64 << n) - 1 - n64;
         let splits = planned.splits_costed as u64;
         let budget = PER_SUBSET * subsets + PER_RELATION * n64;
         report.push(format!(
-            "{what}, n = {n}: {allocs} allocations, {subsets} subsets, {splits} splits, \
-             budget {budget}"
+            "n = {n}: {allocs} allocations, {subsets} subsets, {splits} splits, budget {budget}"
         ));
         // Where the splits outnumber the subsets most, one allocation
         // per split must not fit.
@@ -112,44 +109,10 @@ fn check_chains(cat: &Catalog, what: &str) {
         }
         assert!(
             allocs <= budget,
-            "{what}, {n} relations: {allocs} allocations for {subsets} subsets and {splits} \
-             splits exceed {budget}:\n{}",
+            "{n} relations: {allocs} allocations for {subsets} subsets and {splits} splits \
+             exceed {budget}:\n{}",
             report.join("\n")
         );
     }
     println!("{}", report.join("\n"));
-}
-
-#[test]
-fn planning_allocates_per_subset_not_per_split() {
-    let mut cat = Catalog::new();
-    for i in 0..MAX_JOIN_RELATIONS {
-        cat.add_stats(format!("r{i}"), TableStats::wisconsin(50_000));
-    }
-    check_chains(&cat, "uniform");
-}
-
-/// Heavy hitters make a split's cardinality a sum over hot keys and
-/// offer the cardinality-guided candidate; neither may allocate.
-#[test]
-fn skewed_statistics_allocate_per_subset_too() {
-    let dev = PmDevice::paper_default();
-    let mut cat = Catalog::new();
-    for i in 0..MAX_JOIN_RELATIONS {
-        let keys: Vec<u64> = wisconsin::skewed_input(8_000, 4, 1.2, i as u64 + 1)
-            .iter()
-            .map(Record::key)
-            .collect();
-        let name = format!("r{i}");
-        let data = PCollection::from_records_uncounted(
-            &dev,
-            LayerKind::BlockedMemory,
-            &name,
-            keys.iter().map(|&k| WisconsinRecord::from_key(k)),
-        );
-        let stats = TableStatistics::build(&keys, 42);
-        assert!(stats.heavy_keys().next().is_some(), "{name} is skewed");
-        cat.add_table_with_statistics(&name, Arc::new(data), 2_000, Arc::new(stats));
-    }
-    check_chains(&cat, "Zipf");
 }
