@@ -325,14 +325,8 @@ impl<'db> Session<'db> {
         let dev = self.db.device();
         let lambda = self.config.lambda.unwrap_or_else(|| dev.lambda());
         let threads = resolve_threads(self.config.threads);
-        let planner = planner::Planner::with_config(
-            lambda,
-            pool.budget_buffers() as f64,
-            self.db.layer(),
-            dev.config(),
-        )
-        .with_dram_bytes(pool.budget())
-        .with_threads(threads);
+        let planner = planner::Planner::for_pool(lambda, &pool, self.db.layer(), dev.config())
+            .with_threads(threads);
         let started = std::time::Instant::now();
         let planned = planner.plan(&bound.logical, &catalog)?;
         self.db.metrics().note_plan(

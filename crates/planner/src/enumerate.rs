@@ -136,7 +136,7 @@ pub struct Planner {
     pub m_buffers: f64,
     /// The DRAM budget in bytes that `m_buffers` rounds up to whole
     /// cachelines: what the engine floors its record capacities from
-    /// (see [`Planner::with_dram_bytes`]).
+    /// (see [`Planner::for_pool`]).
     dram_bytes: f64,
     /// Persistence layer targeted by intermediates.
     pub layer: LayerKind,
@@ -170,13 +170,21 @@ impl Planner {
     /// Builds a planner matching a live device and buffer pool — the
     /// form used right before execution.
     pub fn for_device(dev: &Pm, pool: &BufferPool, layer: LayerKind) -> Self {
-        Self::with_config(
-            dev.lambda(),
-            pool.budget_buffers() as f64,
-            layer,
-            dev.config(),
-        )
-        .with_dram_bytes(pool.budget())
+        Self::for_pool(dev.lambda(), pool, layer, dev.config())
+    }
+
+    /// Builds a planner for the DRAM budget of `pool`: `m_buffers` is
+    /// its budget in whole cachelines, rounded up, and the record
+    /// capacities the Grace bound and the partition counts read are
+    /// floored from its bytes, as the engine sizes them. A planner built
+    /// by [`Planner::with_config`] from the rounded-up buffers alone
+    /// takes the budget as `m_buffers` whole cachelines, and may plan a
+    /// join the engine then refuses.
+    pub fn for_pool(lambda: f64, pool: &BufferPool, layer: LayerKind, cfg: &DeviceConfig) -> Self {
+        Self {
+            dram_bytes: pool.budget() as f64,
+            ..Self::with_config(lambda, pool.budget_buffers() as f64, layer, cfg)
+        }
     }
 
     /// Explicit-configuration constructor.
@@ -193,19 +201,6 @@ impl Planner {
             rule: ChargeRule::new(layer, cfg),
             read_ns: cfg.latency.read_ns,
         }
-    }
-
-    /// Sets the DRAM budget in bytes the engine will run the plan under
-    /// ([`BufferPool::budget`]); `m_buffers` stays the buffers it rounds
-    /// up to. The engine sizes what fits in DRAM in whole records of the
-    /// byte budget, floored, so a planner that tests the Grace bound or
-    /// counts partitions on the rounded-up buffers may plan a join the
-    /// engine refuses. Without this the budget is `m_buffers` whole
-    /// cachelines.
-    #[must_use]
-    pub fn with_dram_bytes(mut self, bytes: usize) -> Self {
-        self.dram_bytes = bytes as f64;
-        self
     }
 
     /// Sets the degree of parallelism the plan is costed for. The
@@ -387,7 +382,7 @@ impl Planner {
                     let io =
                         self.with_calls(predict_sort_io(&algo, t, self.m_buffers, self.lambda));
                     let cand = Candidate {
-                        label: algo.label(),
+                        label: algo.to_string(),
                         cost_units: self.scale_units(self.units(&io), || {
                             sort_parallel_split(&algo, t, self.m_buffers, self.lambda)
                         }),

@@ -413,12 +413,11 @@ fn execute_stream_inner(
     pool: &BufferPool,
     profile: bool,
 ) -> Result<ExecutedStream, ExecError> {
-    // Re-planning re-enters the enumerator with the same knobs the
-    // original plan was costed under.
+    // Re-planning re-enters the enumerator with the λ and DoP the
+    // original plan was costed under, for the DRAM budget the rest of
+    // the plan runs under.
     let planner = planned.adapt.then(|| {
-        Planner::with_config(planned.lambda, planned.m_buffers, layer, dev.config())
-            .with_dram_bytes(pool.budget())
-            .with_threads(planned.threads)
+        Planner::for_pool(planned.lambda, pool, layer, dev.config()).with_threads(planned.threads)
     });
     let mut lowerer = Lowerer {
         catalog: Cow::Borrowed(catalog),
