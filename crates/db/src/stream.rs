@@ -13,8 +13,8 @@ use crate::error::DbError;
 use crate::metrics::EngineMetrics;
 use crate::sql::{BoundQuery, RowShape};
 use planner::{
-    execute_stream, execute_stream_profiled, render_analyze, render_concordance, write_choices,
-    write_plan, AdaptedPlan, Catalog, ExecutedStream, OutputRows, PlannedQuery,
+    execute_stream, execute_stream_profiled, render_analyze, render_choices, render_concordance,
+    render_plan, AdaptedPlan, Catalog, ExecutedStream, OutputRows, PlannedQuery,
 };
 use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, SpanNode};
 use std::sync::{Arc, Mutex};
@@ -337,9 +337,8 @@ impl ResultStream {
             self.planned.threads,
             self.layer.label(),
         );
-        // One buffer for the whole report; a `String` sink never fails.
-        let _ = write_choices(&mut out, &self.planned);
-        let _ = write_plan(&mut out, &self.planned);
+        out.push_str(&render_choices(&self.planned));
+        out.push_str(&render_plan(&self.planned));
         if let State::Done { io, ran: true, .. } = &self.state {
             out.push_str(&render_concordance(
                 &self.planned,

@@ -71,6 +71,4 @@ pub use lower::{
 };
 pub use naive::execute_naive;
 pub use physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
-pub use report::{
-    render_analyze, render_choices, render_concordance, render_plan, write_choices, write_plan,
-};
+pub use report::{render_analyze, render_choices, render_concordance, render_plan};

@@ -14,11 +14,7 @@ pub fn render_choices(planned: &PlannedQuery) -> String {
     out
 }
 
-/// [`render_choices`], written to `out` line by line.
-///
-/// # Errors
-/// Only what `out` returns.
-pub fn write_choices(out: &mut impl Write, planned: &PlannedQuery) -> fmt::Result {
+fn write_choices(out: &mut String, planned: &PlannedQuery) -> fmt::Result {
     writeln!(
         out,
         "candidates at λ = {}, M = {:.0} buffers:",
@@ -44,19 +40,10 @@ pub fn write_choices(out: &mut impl Write, planned: &PlannedQuery) -> fmt::Resul
 
 /// Renders the chosen physical plan tree.
 pub fn render_plan(planned: &PlannedQuery) -> String {
-    let mut out = String::new();
+    let mut out = String::from("chosen plan:\n");
     // A `String` sink never fails.
-    let _ = write_plan(&mut out, planned);
+    let _ = planned.plan.describe_into(&mut out, 1);
     out
-}
-
-/// [`render_plan`], written to `out`.
-///
-/// # Errors
-/// Only what `out` returns.
-pub fn write_plan(out: &mut impl Write, planned: &PlannedQuery) -> fmt::Result {
-    out.write_str("chosen plan:\n")?;
-    planned.plan.describe_into(out, 1)
 }
 
 /// Renders predicted vs `measured` cacheline traffic for one execution
