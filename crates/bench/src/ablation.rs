@@ -157,7 +157,7 @@ fn energy_and_wear(at: Setting<'_>) -> String {
                 ..Default::default()
             };
             rows.push(vec![
-                algo.label(),
+                algo.to_string(),
                 fmt3(m.secs),
                 format!("{:.1}", energy.energy_uj(&stats) / 1000.0),
                 format!("{:.1}", wear.repetitions_to_wearout(&stats) / 1e6),
@@ -329,7 +329,7 @@ fn input_order(at: Setting<'_>) -> String {
             let s = dev.snapshot().since(&before);
             assert_eq!(out.len() as u64, n);
             rows.push(vec![
-                format!("{} / {}", algo.label(), label),
+                format!("{algo} / {label}"),
                 fmt3(s.time_secs(&at.latency)),
                 fmt_millions(s.cl_writes),
                 fmt_millions(s.cl_reads),

@@ -215,7 +215,7 @@ pub fn table1(scale: &Scale, threads: usize) -> String {
         .filter_map(|algo| {
             let meas = measure(Operator::Join(algo), at)?;
             Some(vec![
-                algo.label(),
+                algo.to_string(),
                 fmt_millions(meas.writes),
                 fmt_millions(meas.reads),
                 fmt3(meas.secs),

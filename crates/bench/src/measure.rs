@@ -39,8 +39,8 @@ impl Operator {
     /// The algorithm's paper-style label.
     pub fn label(&self) -> String {
         match self {
-            Operator::Sort(algo) => algo.label(),
-            Operator::Join(algo) => algo.label(),
+            Operator::Sort(algo) => algo.to_string(),
+            Operator::Join(algo) => algo.to_string(),
             Operator::AdaptiveJoin => "adaptive".into(),
         }
     }

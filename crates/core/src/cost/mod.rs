@@ -464,13 +464,13 @@ mod tests {
         for lambda in [1.0, 8.0, 15.0] {
             let sorts = sort_candidates(t, m, lambda)
                 .into_iter()
-                .map(|algo| (algo.label(), predict_sort_io(&algo, t, m, lambda)));
+                .map(|algo| (algo.to_string(), predict_sort_io(&algo, t, m, lambda)));
             // SMJ is not in join_candidates (outside the paper's §2.2
             // line-up) but the planner may still cost it.
             let joins = join_candidates(t, v, m, lambda)
                 .into_iter()
                 .chain([JoinAlgorithm::SMJ { x: 0.5 }, JoinAlgorithm::SMJ { x: 0.2 }])
-                .map(|algo| (algo.label(), predict_join_io(&algo, t, v, m)));
+                .map(|algo| (algo.to_string(), predict_join_io(&algo, t, v, m)));
             for (label, p) in sorts.chain(joins) {
                 assert!(p.reads >= 0.0 && p.writes >= 0.0, "{label}: {p:?}");
                 let c = p.cost_units(lambda);
@@ -582,7 +582,7 @@ mod tests {
             assert!(
                 (split.critical_path_units(1) - total).abs() < 1e-6,
                 "{}: {} vs {total}",
-                algo.label(),
+                algo,
                 split.critical_path_units(1)
             );
         }

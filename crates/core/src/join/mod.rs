@@ -87,6 +87,7 @@ pub enum JoinAlgorithm {
     CGJ,
 }
 
+/// Paper-style label, e.g. `HybJ, 50% - 80%`.
 impl std::fmt::Display for JoinAlgorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -105,14 +106,6 @@ impl std::fmt::Display for JoinAlgorithm {
 }
 
 impl JoinAlgorithm {
-    /// Paper-style label, e.g. `HybJ, 50% - 80%` (the [`Display`]
-    /// form).
-    ///
-    /// [`Display`]: std::fmt::Display
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
     /// Runs the algorithm on `left ⋈ right` under `ctx`.
     ///
     /// # Errors
@@ -258,7 +251,7 @@ mod tests {
             let pool = BufferPool::new(50 * 80);
             let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
             let out = algo.run(&left, &right, &ctx, "out").expect("applicable");
-            assert_eq!(out.len() as u64, w.expected_matches, "{}", algo.label());
+            assert_eq!(out.len() as u64, w.expected_matches, "{algo}");
 
             // Pair-level verification: sorted (left key, right payload)
             // multisets must be identical across algorithms.
@@ -270,7 +263,7 @@ mod tests {
             pairs.sort_unstable();
             let mut expect: Vec<(u64, u64)> = (0..2000u64).map(|i| (i % 200, i)).collect();
             expect.sort_unstable();
-            assert_eq!(pairs, expect, "{}", algo.label());
+            assert_eq!(pairs, expect, "{algo}");
         }
     }
 
@@ -420,7 +413,7 @@ mod tests {
             JoinAlgorithm::CGJ,
         ];
         for algo in algos {
-            check(&algo.label(), 15.0, 60, &|l, r, ctx| {
+            check(&algo.to_string(), 15.0, 60, &|l, r, ctx| {
                 algo.run_profiled(l, r, ctx, "out")
             });
         }
@@ -446,9 +439,9 @@ mod tests {
     #[test]
     fn labels_match_paper_style() {
         assert_eq!(
-            JoinAlgorithm::HybJ { x: 0.5, y: 0.8 }.label(),
+            JoinAlgorithm::HybJ { x: 0.5, y: 0.8 }.to_string(),
             "HybJ, 50% - 80%"
         );
-        assert_eq!(JoinAlgorithm::SegJ { frac: 0.2 }.label(), "SegJ, 20%");
+        assert_eq!(JoinAlgorithm::SegJ { frac: 0.2 }.to_string(), "SegJ, 20%");
     }
 }

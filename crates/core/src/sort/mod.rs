@@ -62,6 +62,7 @@ pub enum SortAlgorithm {
     SelS,
 }
 
+/// Paper-style label, e.g. `SegS, 20%`.
 impl std::fmt::Display for SortAlgorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -75,13 +76,6 @@ impl std::fmt::Display for SortAlgorithm {
 }
 
 impl SortAlgorithm {
-    /// Paper-style label, e.g. `SegS, 20%` (the [`Display`] form).
-    ///
-    /// [`Display`]: std::fmt::Display
-    pub fn label(&self) -> String {
-        self.to_string()
-    }
-
     /// Runs the algorithm on `input` under `ctx`.
     ///
     /// # Errors
@@ -210,7 +204,7 @@ mod tests {
                 .iter()
                 .map(wisconsin::Record::key)
                 .collect();
-            assert_eq!(keys, expect, "{}", algo.label());
+            assert_eq!(keys, expect, "{algo}");
         }
     }
 
@@ -237,7 +231,7 @@ mod tests {
                 (io, phases)
             };
             let (io, phases) = run(1);
-            let what = algo.label();
+            let what = algo.to_string();
             assert!(phases.iter().all(|phase| !phase.tasks.is_empty()), "{what}");
             let sum = phases
                 .iter()
@@ -254,8 +248,8 @@ mod tests {
 
     #[test]
     fn labels_match_paper_style() {
-        assert_eq!(SortAlgorithm::ExMS.label(), "ExMS");
-        assert_eq!(SortAlgorithm::SegS { x: 0.2 }.label(), "SegS, 20%");
-        assert_eq!(SortAlgorithm::HybS { x: 0.8 }.label(), "HybS, 80%");
+        assert_eq!(SortAlgorithm::ExMS.to_string(), "ExMS");
+        assert_eq!(SortAlgorithm::SegS { x: 0.2 }.to_string(), "SegS, 20%");
+        assert_eq!(SortAlgorithm::HybS { x: 0.8 }.to_string(), "HybS, 80%");
     }
 }

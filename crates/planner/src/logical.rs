@@ -46,21 +46,14 @@ impl Predicate {
     pub(crate) fn check(&self) -> Result<(), PlanError> {
         match self {
             Predicate::KeyModEq { modulus: 0, .. } => Err(PlanError::Unsupported(format!(
-                "filter [{}]: the modulus must be positive",
-                self.describe()
+                "filter [{self}]: the modulus must be positive"
             ))),
             _ => Ok(()),
         }
     }
-
-    /// Short display form, e.g. `key < 5000` (the [`Display`] form).
-    ///
-    /// [`Display`]: std::fmt::Display
-    pub fn describe(&self) -> String {
-        self.to_string()
-    }
 }
 
+/// Short display form, e.g. `key < 5000`.
 impl std::fmt::Display for Predicate {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -160,7 +153,7 @@ impl LogicalPlan {
         match self {
             LogicalPlan::Scan { table } => out.push_str(&format!("{pad}scan {table}\n")),
             LogicalPlan::Filter { input, predicate } => {
-                out.push_str(&format!("{pad}filter [{}]\n", predicate.describe()));
+                out.push_str(&format!("{pad}filter [{predicate}]\n"));
                 input.describe_into(out, depth + 1);
             }
             LogicalPlan::Sort { input } => {

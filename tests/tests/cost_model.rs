@@ -137,9 +137,9 @@ fn nested_loops_rescans_v_per_build_capacity_block_not_per_m() {
         // cacheline, so 9 of the 12 boundaries do.
         let split = (1..blocks).filter(|b| b * 83 * 80 % 64 != 0).count() as u64;
         assert_eq!(split, 9);
-        assert_eq!(reads, 1_250 + blocks * 5_000 + split, "{}", algo.label());
+        assert_eq!(reads, 1_250 + blocks * 5_000 + split, "{algo}");
         let predicted = predict_join_io(&algo, t, v, m).reads;
-        assert_eq!(predicted, t + model_k * v, "{}", algo.label());
+        assert_eq!(predicted, t + model_k * v, "{algo}");
         assert_eq!(predicted, 51_250.0);
         // 51 250 / 66 259 = 0.77: the ratio the benchmark reports is
         // this gap, diluted by the plans' other nodes.

@@ -158,9 +158,9 @@ enum Op {
 impl Op {
     fn label(&self) -> String {
         match self {
-            Op::Sort(a) => format!("sort {}", a.label()),
+            Op::Sort(a) => format!("sort {a}"),
             Op::Join { algo, zipf } => {
-                format!("join {}{}", algo.label(), if *zipf { " zipf" } else { "" })
+                format!("join {}{}", algo, if *zipf { " zipf" } else { "" })
             }
             Op::AdaptiveGrace => "join adaptive-grace".into(),
             Op::HashAgg => "agg hash".into(),

@@ -94,8 +94,8 @@ fn empty_inputs_yield_empty_results_for_every_algorithm() {
         ] {
             let out = algo
                 .run(l, r, &jctx, "j")
-                .unwrap_or_else(|e| panic!("{} over {name}: {e:?}", algo.label()));
-            assert!(out.is_empty(), "{} over {name} produced rows", algo.label());
+                .unwrap_or_else(|e| panic!("{algo} over {name}: {e:?}"));
+            assert!(out.is_empty(), "{algo} over {name} produced rows");
         }
     }
 
@@ -109,8 +109,8 @@ fn empty_inputs_yield_empty_results_for_every_algorithm() {
     for algo in sorts {
         let out = algo
             .run(&empty, &sctx, "s")
-            .unwrap_or_else(|e| panic!("{} over empty: {e:?}", algo.label()));
-        assert!(out.is_empty(), "{} over empty produced rows", algo.label());
+            .unwrap_or_else(|e| panic!("{algo} over empty: {e:?}"));
+        assert!(out.is_empty(), "{algo} over empty produced rows");
     }
 
     for x in [0.0, 0.5, 1.0] {
@@ -149,7 +149,7 @@ fn extreme_keys_sort_correctly() {
         let got: Vec<u64> = out.to_vec_uncounted().iter().map(|r| r.key()).collect();
         let mut expect = keys.to_vec();
         expect.sort_unstable();
-        assert_eq!(got, expect, "{}", algo.label());
+        assert_eq!(got, expect, "{algo}");
     }
 }
 
@@ -173,11 +173,11 @@ fn all_equal_keys_are_stable_under_every_sort() {
         let pool = BufferPool::new(40 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let out = algo.run(&input, &ctx, "sorted").expect("valid");
-        assert_eq!(out.len(), 500, "{}", algo.label());
+        assert_eq!(out.len(), 500, "{algo}");
         // Every payload must survive exactly once.
         let mut payloads: Vec<u64> = out.to_vec_uncounted().iter().map(|r| r.payload()).collect();
         payloads.sort_unstable();
-        assert_eq!(payloads, (0..500).collect::<Vec<_>>(), "{}", algo.label());
+        assert_eq!(payloads, (0..500).collect::<Vec<_>>(), "{algo}");
     }
 }
 

@@ -47,13 +47,7 @@ fn all_algorithms_all_layers_agree() {
             let pool = BufferPool::new(60 * 80);
             let ctx = JoinContext::new(&dev, layer, &pool);
             let out = algo.run(&left, &right, &ctx, "out").expect("applicable");
-            assert_eq!(
-                pair_set(&out),
-                reference,
-                "{} on {}",
-                algo.label(),
-                layer.label()
-            );
+            assert_eq!(pair_set(&out), reference, "{} on {}", algo, layer.label());
         }
     }
 }
@@ -74,7 +68,7 @@ fn skewed_workloads_join_correctly() {
         let pool = BufferPool::new(50 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let out = algo.run(&left, &right, &ctx, "out").expect("applicable");
-        assert_eq!(pair_set(&out), reference, "{}", algo.label());
+        assert_eq!(pair_set(&out), reference, "{algo}");
     }
 }
 
@@ -98,7 +92,7 @@ fn duplicate_build_keys_produce_cross_products() {
         let pool = BufferPool::new(40 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let out = algo.run(&left, &right, &ctx, "out").expect("applicable");
-        assert_eq!(out.len(), 300, "{}", algo.label());
+        assert_eq!(out.len(), 300, "{algo}");
     }
 }
 
@@ -117,9 +111,9 @@ fn empty_inputs_yield_empty_output() {
         let pool = BufferPool::new(100 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let out = algo.run(&empty, &some, &ctx, "o").expect("applicable");
-        assert!(out.is_empty(), "{} (empty left)", algo.label());
+        assert!(out.is_empty(), "{algo} (empty left)");
         let out = algo.run(&some, &empty, &ctx, "o2").expect("applicable");
-        assert!(out.is_empty(), "{} (empty right)", algo.label());
+        assert!(out.is_empty(), "{algo} (empty right)");
     }
 }
 

@@ -43,7 +43,7 @@ fn run_join_observed(
     }
     let out = algo.run(&left, &right, &ctx, "out").expect("applicable");
     let tree = if profiled { end_profile() } else { None };
-    assert_eq!(out.len() as u64, w.expected_matches, "{}", algo.label());
+    assert_eq!(out.len() as u64, w.expected_matches, "{algo}");
     (dev.snapshot().since(&before), tree)
 }
 
@@ -67,7 +67,7 @@ fn run_sort_observed(
     }
     let out = algo.run(&input, &ctx, "sorted").expect("valid");
     let tree = if profiled { end_profile() } else { None };
-    assert_eq!(out.len(), 5000, "{}", algo.label());
+    assert_eq!(out.len(), 5000, "{algo}");
     (dev.snapshot().since(&before), tree)
 }
 
@@ -92,18 +92,14 @@ fn every_span_tree_sums_children_into_parents() {
             let (_, tree) = run_join_observed(algo, threads, true);
             let tree = tree.expect("profile recorded");
             tree.validate()
-                .unwrap_or_else(|e| panic!("{} at DoP {threads}: {e}", algo.label()));
-            assert!(
-                !tree.children.is_empty(),
-                "{}: tree has structure",
-                algo.label()
-            );
+                .unwrap_or_else(|e| panic!("{algo} at DoP {threads}: {e}"));
+            assert!(!tree.children.is_empty(), "{algo}: tree has structure");
         }
         for algo in SORTS {
             let (_, tree) = run_sort_observed(algo, threads, true);
             let tree = tree.expect("profile recorded");
             tree.validate()
-                .unwrap_or_else(|e| panic!("{} at DoP {threads}: {e}", algo.label()));
+                .unwrap_or_else(|e| panic!("{algo} at DoP {threads}: {e}"));
         }
     }
 }
@@ -120,8 +116,7 @@ fn root_span_covers_the_whole_device_delta() {
             assert_eq!(
                 (tree.io.cl_reads, tree.io.cl_writes),
                 (delta.cl_reads, delta.cl_writes),
-                "{} at DoP {threads}: profile does not cover the run",
-                algo.label()
+                "{algo} at DoP {threads}: profile does not cover the run"
             );
         }
         for algo in SORTS {
@@ -130,8 +125,7 @@ fn root_span_covers_the_whole_device_delta() {
             assert_eq!(
                 (tree.io.cl_reads, tree.io.cl_writes),
                 (delta.cl_reads, delta.cl_writes),
-                "{} at DoP {threads}: profile does not cover the run",
-                algo.label()
+                "{algo} at DoP {threads}: profile does not cover the run"
             );
         }
     }
@@ -173,20 +167,16 @@ fn profiling_is_invisible_in_the_simulated_counters() {
             let (off, _) = run_join_observed(algo, threads, false);
             let (on, _) = run_join_observed(algo, threads, true);
             assert_eq!(
-                off,
-                on,
-                "{} at DoP {threads}: profiling perturbed the counters",
-                algo.label()
+                off, on,
+                "{algo} at DoP {threads}: profiling perturbed the counters"
             );
         }
         for algo in SORTS {
             let (off, _) = run_sort_observed(algo, threads, false);
             let (on, _) = run_sort_observed(algo, threads, true);
             assert_eq!(
-                off,
-                on,
-                "{} at DoP {threads}: profiling perturbed the counters",
-                algo.label()
+                off, on,
+                "{algo} at DoP {threads}: profiling perturbed the counters"
             );
         }
     }
@@ -199,12 +189,12 @@ fn profiled_counters_are_dop_invariant() {
     for algo in JOINS {
         let (d1, _) = run_join_observed(algo, 1, true);
         let (d4, _) = run_join_observed(algo, 4, true);
-        assert_eq!(d1, d4, "{}: profiled traffic differs by DoP", algo.label());
+        assert_eq!(d1, d4, "{algo}: profiled traffic differs by DoP");
     }
     for algo in SORTS {
         let (d1, _) = run_sort_observed(algo, 1, true);
         let (d4, _) = run_sort_observed(algo, 4, true);
-        assert_eq!(d1, d4, "{}: profiled traffic differs by DoP", algo.label());
+        assert_eq!(d1, d4, "{algo}: profiled traffic differs by DoP");
     }
 }
 
@@ -325,7 +315,7 @@ fn every_ledger_phase_is_one_span_of_its_label_and_traffic() {
             SortAlgorithm::LaS,
             SortAlgorithm::SelS,
         ] {
-            check(&algo.label(), &|ctx| {
+            check(&algo.to_string(), &|ctx| {
                 let input = stage(ctx, "S", &records);
                 algo.run_profiled(&input, ctx, "out").expect("valid").1
             });
@@ -340,7 +330,7 @@ fn every_ledger_phase_is_one_span_of_its_label_and_traffic() {
             JoinAlgorithm::SMJ { x: 0.5 },
             JoinAlgorithm::CGJ,
         ] {
-            check(&algo.label(), &|ctx| {
+            check(&algo.to_string(), &|ctx| {
                 let (left, right) = (stage(ctx, "T", &w.left), stage(ctx, "V", &w.right));
                 let run = algo.run_profiled(&left, &right, ctx, "out");
                 run.expect("applicable").1

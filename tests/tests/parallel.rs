@@ -71,18 +71,8 @@ fn every_join_algorithm_is_dop_invariant() {
         let (rows1, io1) = run_join(algo, 900, 6, 70, 1);
         for threads in DOPS {
             let (rows, io) = run_join(algo, 900, 6, 70, threads);
-            assert_eq!(
-                rows,
-                rows1,
-                "{}: rows differ at DoP {threads}",
-                algo.label()
-            );
-            assert_eq!(
-                io,
-                io1,
-                "{}: traffic differs at DoP {threads}",
-                algo.label()
-            );
+            assert_eq!(rows, rows1, "{algo}: rows differ at DoP {threads}");
+            assert_eq!(io, io1, "{algo}: traffic differs at DoP {threads}");
         }
     }
 }
@@ -133,21 +123,15 @@ fn every_sort_algorithm_is_dop_invariant() {
         // M = 64 records forces a small merge fan-in, so ExMS needs
         // several (parallelizable) intermediate merge passes.
         let (keys1, io1) = run_sort(algo, 6000, 64, 1);
-        assert!(keys1.windows(2).all(|w| w[0] <= w[1]), "{}", algo.label());
+        assert!(
+            keys1.windows(2).all(|w| w[0] <= w[1]),
+            "{}",
+            algo.to_string()
+        );
         for threads in DOPS {
             let (keys, io) = run_sort(algo, 6000, 64, threads);
-            assert_eq!(
-                keys,
-                keys1,
-                "{}: keys differ at DoP {threads}",
-                algo.label()
-            );
-            assert_eq!(
-                io,
-                io1,
-                "{}: traffic differs at DoP {threads}",
-                algo.label()
-            );
+            assert_eq!(keys, keys1, "{algo}: keys differ at DoP {threads}");
+            assert_eq!(io, io1, "{algo}: traffic differs at DoP {threads}");
         }
     }
 }
@@ -162,18 +146,8 @@ fn morsel_spanning_iterative_joins_are_dop_invariant() {
         let (rows1, io1) = run_join(algo, t, 2, 3000, 1);
         for threads in [2, 4] {
             let (rows, io) = run_join(algo, t, 2, 3000, threads);
-            assert_eq!(
-                rows,
-                rows1,
-                "{}: rows differ at DoP {threads}",
-                algo.label()
-            );
-            assert_eq!(
-                io,
-                io1,
-                "{}: traffic differs at DoP {threads}",
-                algo.label()
-            );
+            assert_eq!(rows, rows1, "{algo}: rows differ at DoP {threads}");
+            assert_eq!(io, io1, "{algo}: traffic differs at DoP {threads}");
         }
     }
 }
@@ -209,21 +183,11 @@ fn skewed_all_one_key_inputs_are_dop_invariant() {
         JoinAlgorithm::SMJ { x: 0.5 },
     ] {
         let (rows1, io1) = run(algo, 1);
-        assert_eq!(rows1.len(), 90 * 110, "{}", algo.label());
+        assert_eq!(rows1.len(), 90 * 110, "{algo}");
         for threads in [2, 4] {
             let (rows, io) = run(algo, threads);
-            assert_eq!(
-                rows,
-                rows1,
-                "{}: rows differ at DoP {threads}",
-                algo.label()
-            );
-            assert_eq!(
-                io,
-                io1,
-                "{}: traffic differs at DoP {threads}",
-                algo.label()
-            );
+            assert_eq!(rows, rows1, "{algo}: rows differ at DoP {threads}");
+            assert_eq!(io, io1, "{algo}: traffic differs at DoP {threads}");
         }
     }
 }
@@ -252,15 +216,13 @@ fn empty_inputs_are_dop_invariant_for_every_parallel_join() {
                 algo.run(&empty, &some, &ctx, "o1")
                     .expect("runs")
                     .is_empty(),
-                "{} empty left at DoP {threads}",
-                algo.label()
+                "{algo} empty left at DoP {threads}"
             );
             assert!(
                 algo.run(&some, &empty, &ctx, "o2")
                     .expect("runs")
                     .is_empty(),
-                "{} empty right at DoP {threads}",
-                algo.label()
+                "{algo} empty right at DoP {threads}"
             );
         }
     }
@@ -499,8 +461,7 @@ fn counters_are_bit_identical_across_dops_with_profiling_on_and_off() {
                 assert_eq!(
                     profiled_join(algo, &w.left, &w.right, 70, profiled, threads),
                     serial,
-                    "{} (profiled={profiled}): counters or ledger differ at DoP {threads}",
-                    algo.label()
+                    "{algo} (profiled={profiled}): counters or ledger differ at DoP {threads}"
                 );
             }
         }
@@ -525,8 +486,7 @@ fn skewed_one_key_counters_are_bit_identical_across_dops_while_profiling() {
             assert_eq!(
                 profiled_join(algo, &left, &right, 100, true, threads),
                 serial,
-                "{}: counters or ledger differ at DoP {threads}",
-                algo.label()
+                "{algo}: counters or ledger differ at DoP {threads}"
             );
         }
     }

@@ -424,7 +424,7 @@ fn predicate_lowering_matches_manual_filtering() {
         let planner::OutputRows::Wis(got) = run.result.all_rows() else {
             panic!("expected base rows")
         };
-        assert_eq!(got, expect, "{}", predicate.describe());
+        assert_eq!(got, expect, "{predicate}");
     }
 }
 

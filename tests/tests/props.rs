@@ -57,12 +57,7 @@ fn sorts_are_permutation_preserving() {
         let mut expect = keys.clone();
         expect.sort_unstable();
         let got: Vec<u64> = out.to_vec_uncounted().iter().map(|r| r.key()).collect();
-        assert_eq!(
-            got,
-            expect,
-            "case {case}: {} n={n} M={m_records}",
-            algo.label()
-        );
+        assert_eq!(got, expect, "case {case}: {algo} n={n} M={m_records}");
     }
 }
 
@@ -103,14 +98,13 @@ fn joins_match_reference_count() {
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let want = expected_match_count(&left, &right);
         match algo.run(&left, &right, &ctx, "out") {
-            Ok(out) => assert_eq!(out.len() as u64, want, "case {case}: {}", algo.label()),
+            Ok(out) => assert_eq!(out.len() as u64, want, "case {case}: {algo}"),
             Err(_) => {
                 // Only the Grace-family may reject, and only when the
                 // applicability condition genuinely fails.
                 assert!(
                     !ctx.grace_applicable::<WisconsinRecord>(left.len()),
-                    "case {case}: {} rejected an applicable setting",
-                    algo.label()
+                    "case {case}: {algo} rejected an applicable setting"
                 );
             }
         }
@@ -565,7 +559,7 @@ fn sort_knobs_match_the_oracle_at_any_dop() {
         want.sort_unstable();
         let x = knob(&mut rng);
         for algo in [SortAlgorithm::SegS { x }, SortAlgorithm::HybS { x }] {
-            let what = format!("{}, {}", draw.what, algo.label());
+            let what = format!("{}, {}", draw.what, algo);
             let serial = draw.run(1, algo);
             assert!(
                 serial.1.windows(2).all(|w| w[0].key() <= w[1].key()),

@@ -39,7 +39,7 @@ fn all_algorithms_all_layers_sort_random_input() {
                 keys_of(&out),
                 (0..3000).collect::<Vec<u64>>(),
                 "{} on {}",
-                algo.label(),
+                algo,
                 layer.label()
             );
         }
@@ -65,7 +65,7 @@ fn all_algorithms_handle_adversarial_orders() {
             let pool = BufferPool::new(100 * 80);
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
             let out = algo.run(&input, &ctx, "sorted").expect("valid params");
-            assert_eq!(keys_of(&out), expect, "{} on {order:?}", algo.label());
+            assert_eq!(keys_of(&out), expect, "{algo} on {order:?}");
         }
     }
 }
@@ -108,12 +108,7 @@ fn tiny_memory_budgets_still_sort() {
         let pool = BufferPool::new(80); // exactly one record
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let out = algo.run(&input, &ctx, "sorted").expect("valid");
-        assert_eq!(
-            keys_of(&out),
-            (0..200).collect::<Vec<u64>>(),
-            "{}",
-            algo.label()
-        );
+        assert_eq!(keys_of(&out), (0..200).collect::<Vec<u64>>(), "{algo}");
     }
 }
 
