@@ -39,8 +39,8 @@ const GROUP_BYTES: f64 = GroupAgg::SIZE as f64;
 /// slots available); eight leaves the row format headroom. The subset
 /// DP costs `(3^n − 2^(n+1) + 1) / 2` splits — 3 025 at eight relations
 /// — each a few dozen Eqs. 1–11 evaluations on plain numbers, with no
-/// allocation (under half a microsecond) — and builds `n − 1` join
-/// nodes.
+/// allocation over uniform statistics (under half a microsecond) — and
+/// builds `n − 1` join nodes.
 pub const MAX_JOIN_RELATIONS: usize = 8;
 
 /// Planning failure.

@@ -5,7 +5,9 @@
 //! `left ⋈ right` edge from the two sides' cost annotations, ranking
 //! units and statistics alone. The join-order search calls it once per
 //! split with one [`Scratch`] it reuses for every split, so costing a
-//! split allocates nothing, and keeps only the returned figures; plan
+//! split over uniform statistics allocates nothing (heavy hitters
+//! allocate the output statistics `TableStatistics::join` builds), and
+//! keeps only the returned figures; plan
 //! nodes, labels and the sorted evidence table are rendered from an
 //! [`EdgeCost`] later, and only for the edges that made it into the
 //! winning plan.

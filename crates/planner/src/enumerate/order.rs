@@ -2,8 +2,9 @@
 //! that ranks splits on numbers alone, then builds the one winning tree.
 //!
 //! Costing a split ([`Planner::cost_join`]) touches no plan node,
-//! formats no label and allocates nothing: every split writes its
-//! candidate field into the one [`Scratch`] the search owns. Per subset
+//! formats no label and, over uniform statistics, allocates nothing:
+//! every split writes its candidate field into the one [`Scratch`] the
+//! search owns. Per subset
 //! the table keeps the best split and its costed edge, not its field.
 //! Plan nodes, chain slots, per-edge evidence tables and the root's
 //! "join order" summary are rendered once, top-down from those
