@@ -34,6 +34,14 @@
 //!    `nested_loops_rescans_v_per_build_capacity_block_not_per_m` pins
 //!    both sides at test scale. The model is left as the paper states
 //!    it: charging `f·|T|` would re-rank plans.
+//! 3. **HybJ applicability, planner against engine.** The planner drops
+//!    every HybJ arm, HybJ(0, 0) included, when `M > √(f·|T|)` fails
+//!    on the whole build side. The engine refuses HybJ(x, y) only when
+//!    the test fails on its partitioned prefix `x·|T|` and that prefix
+//!    needs more than one partition. The planner is the stricter side,
+//!    so it never plans a HybJ the engine refuses; the planner's DRAM
+//!    boundary table (`enumerate::edge::capacity_table`) pins the rows
+//!    where the two differ.
 
 /// Grace join (§2.2): `(λ+2)·(|T|+|V|)` — both inputs read twice,
 /// written once.

@@ -382,7 +382,7 @@ pub fn expected_match_count<L: Record, R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{BufferPool, LayerKind, PmDevice};
+    use pmem_sim::{LayerKind, PmDevice};
     use wisconsin::WisconsinRecord;
 
     #[test]
@@ -772,29 +772,5 @@ mod tests {
         assert_eq!(table.directory.len(), directory);
         assert_eq!(table.filter.len(), filter);
         assert_eq!(filter * 64, directory << FILTER_BITS_PER_SLOT_LOG2);
-    }
-
-    #[test]
-    fn grace_partition_count_scales_inversely_with_memory() {
-        let dev = PmDevice::paper_default();
-        let small = BufferPool::new(100 * 80);
-        let big = BufferPool::new(1000 * 80);
-        let ctx_small = JoinContext::new(&dev, LayerKind::BlockedMemory, &small);
-        let ctx_big = JoinContext::new(&dev, LayerKind::BlockedMemory, &big);
-        let ks = ctx_small.grace_partitions::<WisconsinRecord>(10_000);
-        let kb = ctx_big.grace_partitions::<WisconsinRecord>(10_000);
-        assert!(ks > kb);
-        assert!(kb >= 1);
-    }
-
-    #[test]
-    fn grace_applicability_bound() {
-        let dev = PmDevice::paper_default();
-        let pool = BufferPool::new(100 * 80); // M = 100 records
-        let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        // √(1.2·8000) ≈ 98 < 100 → applicable.
-        assert!(ctx.grace_applicable::<WisconsinRecord>(8000));
-        // √(1.2·9000) ≈ 104 > 100 → not applicable.
-        assert!(!ctx.grace_applicable::<WisconsinRecord>(9000));
     }
 }

@@ -407,3 +407,6 @@ impl EdgeCost {
         (node, self.stats)
     }
 }
+
+#[cfg(test)]
+mod capacity_table;
