@@ -41,8 +41,9 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
-    ctx.require_grace::<L>(left.len(), "adaptive Grace join")?;
-    let k = ctx.grace_partitions::<L>(left.len());
+    let k = ctx
+        .capacity::<L>()
+        .grace_partitions(left.len(), "adaptive Grace join")?;
     let [t_from, v_from] = materialized_from(ctx, k, [left.buffers(), right.buffers()]);
 
     // The spills, in the order the rules fire (`T` first at a tie).

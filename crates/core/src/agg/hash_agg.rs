@@ -5,7 +5,7 @@ use crate::agg::GroupAgg;
 use crate::join::common::partition_of;
 use crate::join::kernel::{route_scan, spill_scan, Route};
 use crate::sort::SortContext;
-use pmem_sim::{PCollection, PmError, RecordReader, Storable};
+use pmem_sim::{PCollection, PmError, RecordReader};
 use std::collections::HashMap;
 use wisconsin::Record;
 
@@ -23,7 +23,7 @@ pub fn hash_aggregate<R: Record>(
     output_name: &str,
 ) -> Result<PCollection<GroupAgg>, PmError> {
     let _span = pmem_sim::span::span("alg hash-agg");
-    let budget_groups = (ctx.pool().budget() / GroupAgg::SIZE).max(1);
+    let budget_groups = ctx.capacity::<GroupAgg>().records();
     let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
     // Pulled record by record, not scanned a run at a time: the scan
     // stops at the first group past the budget, and must have been

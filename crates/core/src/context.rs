@@ -2,7 +2,7 @@
 
 use crate::join::HASH_TABLE_FACTOR;
 use crate::parallel;
-use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmError, Reservation};
+use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmError, Reservation, Storable};
 use std::sync::atomic::{AtomicU64, Ordering};
 use wisconsin::Record;
 
@@ -60,53 +60,13 @@ impl<'p> ExecContext<'p> {
     }
 
     /// DRAM budget.
-    pub fn pool(&self) -> &'p BufferPool {
+    pub(crate) fn pool(&self) -> &'p BufferPool {
         self.pool
     }
 
-    /// How many `R` records fit in the DRAM budget (the paper's `M`
-    /// expressed in records).
-    pub fn capacity_records<R: Record>(&self) -> usize {
-        (self.pool.budget() / R::SIZE).max(1)
-    }
-
-    /// Build-side records that fit in DRAM once the `f = 1.2` hash-table
-    /// blow-up is paid.
-    pub fn build_capacity<R: Record>(&self) -> usize {
-        ((self.pool.budget() as f64 / HASH_TABLE_FACTOR) as usize / R::SIZE).max(1)
-    }
-
-    /// Grace-join partition count for a build side of `t_records`:
-    /// `k = ⌈f·|T| / M⌉`, at least one.
-    pub fn grace_partitions<R: Record>(&self, t_records: usize) -> usize {
-        let cap = self.build_capacity::<R>();
-        t_records.div_ceil(cap).max(1)
-    }
-
-    /// Whether Grace join is applicable: `M > √(f·|T|)` in buffer units
-    /// (§2.2.1) — equivalently, the partition count must not exceed the
-    /// fan-out the budget can drive.
-    pub fn grace_applicable<R: Record>(&self, t_records: usize) -> bool {
-        let m = self.capacity_records::<R>() as f64;
-        m > (HASH_TABLE_FACTOR * t_records as f64).sqrt()
-    }
-
-    /// [`ExecContext::grace_applicable`] as the error `algorithm` refuses
-    /// a build side of `t_records` with.
-    pub(crate) fn require_grace<R: Record>(
-        &self,
-        t_records: usize,
-        algorithm: &str,
-    ) -> Result<(), PmError> {
-        if self.grace_applicable::<R>(t_records) {
-            return Ok(());
-        }
-        Err(PmError::InsufficientMemory {
-            requirement: format!(
-                "{algorithm} needs M > sqrt(f*|T|): M = {} records, |T| = {t_records}",
-                self.capacity_records::<R>()
-            ),
-        })
+    /// What the DRAM budget holds of `R` records.
+    pub(crate) fn capacity<R: Storable>(&self) -> Capacity {
+        Capacity::new(self.pool.budget(), R::SIZE)
     }
 
     /// Holds an operator's DRAM working set of `bytes` for its blocking
@@ -134,5 +94,80 @@ impl<'p> ExecContext<'p> {
     /// result.
     pub fn fresh<R: Record>(&self, prefix: &str) -> PCollection<R> {
         PCollection::new(&self.dev, self.kind, self.fresh_name(prefix))
+    }
+}
+
+/// What a DRAM budget holds: the one capacity rule the operators size
+/// by and the planner costs with, `f` being [`HASH_TABLE_FACTOR`]. Row
+/// counts are `f64`: the planner passes its estimates as they are, the
+/// engine its whole counts (exact below 2⁵³).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Capacity {
+    bytes: usize,
+    records: usize,
+    build_records: usize,
+}
+
+impl Capacity {
+    /// A budget of `bytes`, held in records of `record_size` bytes.
+    #[inline]
+    pub fn new(bytes: usize, record_size: usize) -> Self {
+        Self {
+            bytes,
+            records: (bytes / record_size).max(1),
+            build_records: ((bytes as f64 / HASH_TABLE_FACTOR) as usize / record_size).max(1),
+        }
+    }
+
+    /// The budget in bytes.
+    #[inline]
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// `⌊B/size⌋` records, at least one: the paper's `M` in records.
+    #[inline]
+    pub fn records(&self) -> usize {
+        self.records
+    }
+
+    /// `⌊⌊B/f⌋/size⌋` records, at least one: what a build table holds
+    /// once its blow-up is paid — one nested-loops block, at most one
+    /// Grace partition.
+    #[inline]
+    pub fn build_records(&self) -> usize {
+        self.build_records
+    }
+
+    /// The Grace partition (or block) count of a build side of `t_rows`:
+    /// `k = ⌈f·|T|/M⌉`, at least one.
+    #[inline]
+    pub fn partitions(&self, t_rows: f64) -> f64 {
+        (t_rows / self.build_records as f64).ceil().max(1.0)
+    }
+
+    /// The §2.2.1 Grace test `M > √(f·|T|)` in records: the partition
+    /// count must not exceed the fan-out the budget can drive.
+    #[inline]
+    pub fn grace_applicable(&self, t_rows: f64) -> bool {
+        self.records as f64 > (HASH_TABLE_FACTOR * t_rows).sqrt()
+    }
+
+    /// [`Capacity::partitions`] of a Grace-family join over `t_records`,
+    /// or the error `algorithm` refuses it with when the Grace test fails.
+    pub(crate) fn grace_partitions(
+        &self,
+        t_records: usize,
+        algorithm: &str,
+    ) -> Result<usize, PmError> {
+        if !self.grace_applicable(t_records as f64) {
+            return Err(PmError::InsufficientMemory {
+                requirement: format!(
+                    "{algorithm} needs M > sqrt(f*|T|): M = {} records, |T| = {t_records}",
+                    self.records
+                ),
+            });
+        }
+        Ok(self.partitions(t_records as f64) as usize)
     }
 }

@@ -22,10 +22,10 @@
 //! 2. **Blocks and partitions per build capacity, not per `M`.** The
 //!    engine sizes what it holds in DRAM after the `f = 1.2` hash-table
 //!    blow-up: NLJ and HybJ(0, 0) run one outer block per
-//!    `build_capacity = ⌊M/f⌋` records, so they rescan `V` `⌈f·|T|/M⌉`
-//!    times, while [`nlj_io`] and [`hybrid_io`] charge `⌈|T|/M⌉` and
-//!    `|T|/M` rescans. HJ and LaJ take their `k` from the same capacity
-//!    (`JoinContext::grace_partitions`), [`hash_join_io`] takes
+//!    [`Capacity::build_records`] (`⌊M/f⌋` records), so they rescan `V`
+//!    `⌈f·|T|/M⌉` times, while [`nlj_io`] and [`hybrid_io`] charge
+//!    `⌈|T|/M⌉` and `|T|/M` rescans. HJ and LaJ take their `k` from
+//!    [`Capacity::partitions`], [`hash_join_io`] takes
 //!    [`iterations`]. On the benchmark's `sql_analytic` this is the
 //!    read gap behind `planner.pred_over_meas_reads` ≈ 0.82: `join2`
 //!    (50 000 ⋈ 200 000 rows at M = 2 500 records) runs 25 blocks, not
@@ -42,6 +42,9 @@
 //!    so it never plans a HybJ the engine refuses; the planner's DRAM
 //!    boundary table (`enumerate::edge::capacity_table`) pins the rows
 //!    where the two differ.
+//!
+//! [`Capacity::build_records`]: crate::context::Capacity::build_records
+//! [`Capacity::partitions`]: crate::context::Capacity::partitions
 
 /// Grace join (§2.2): `(λ+2)·(|T|+|V|)` — both inputs read twice,
 /// written once.

@@ -109,8 +109,9 @@ pub(crate) fn steered<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R, [Phase; 3]>, PmError> {
-    ctx.require_grace::<L>(left.len(), algorithm)?;
-    let k = ctx.grace_partitions::<L>(left.len());
+    let k = ctx
+        .capacity::<L>()
+        .grace_partitions(left.len(), algorithm)?;
     let route = |key| {
         if hot.contains(&key) {
             Route::Keep
@@ -179,7 +180,10 @@ mod tests {
         );
         // Writes: both inputs once (partitions) + output.
         let expect_writes = input_buffers + out.buffers();
-        let slack = 2 * ctx.grace_partitions::<WisconsinRecord>(left.len()) as u64 + 2;
+        let slack = 2 * ctx
+            .capacity::<WisconsinRecord>()
+            .partitions(left.len() as f64) as u64
+            + 2;
         assert!(
             d.cl_writes >= expect_writes && d.cl_writes <= expect_writes + slack,
             "writes {} vs {expect_writes}+{slack}",

@@ -40,7 +40,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     output_name: &str,
 ) -> Phased<L, R> {
     let _span = pmem_sim::span::span("alg hash-join");
-    let k = ctx.grace_partitions::<L>(left.len());
+    let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
     // Every pass but the last offloads the rest; the inputs then hold
     // only partitions not joined yet, all of which are offloaded.
     passes(left, right, ctx, k, ["hj-t", "hj-v"], output_name, |i| {
@@ -159,7 +159,9 @@ mod tests {
         let inputs = (left.buffers() + right.buffers()) as f64;
         let pool = BufferPool::new(100 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let k = ctx.grace_partitions::<WisconsinRecord>(left.len()) as f64;
+        let k = ctx
+            .capacity::<WisconsinRecord>()
+            .partitions(left.len() as f64);
         assert!(k >= 4.0, "want several iterations, got k={k}");
 
         let before = dev.snapshot();

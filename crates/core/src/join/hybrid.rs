@@ -61,15 +61,11 @@ pub(crate) fn phased<L: Record, R: Record>(
 
     // Partition count sized so each Tx partition fits a DRAM build table
     // ("each partition has size approximately equal to M", §2.2.1).
-    let build_cap = ctx.build_capacity::<L>();
-    let k = tx_end.div_ceil(build_cap).max(1);
-    if tx_end > 0 && !ctx.grace_applicable::<L>(tx_end) && k > 1 {
-        return Err(PmError::InsufficientMemory {
-            requirement: format!(
-                "hybrid join's Grace phase needs M > sqrt(f*x*|T|): M = {} records, x|T| = {tx_end}",
-                ctx.capacity_records::<L>(),
-            ),
-        });
+    let capacity = ctx.capacity::<L>();
+    let build_cap = capacity.build_records();
+    let k = capacity.partitions(tx_end as f64) as usize;
+    if tx_end > 0 && k > 1 {
+        capacity.grace_partitions(tx_end, "hybrid join's Grace phase over x|T|")?;
     }
 
     let route = |key| Some(partition_of(key, k));

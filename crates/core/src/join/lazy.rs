@@ -52,7 +52,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     output_name: &str,
 ) -> Phased<L, R> {
     let _span = pmem_sim::span::span("alg lazy-join");
-    let k = ctx.grace_partitions::<L>(left.len());
+    let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
     let lambda = ctx.device().lambda();
     let mut since_mat = 0usize; // lazy iterations since the last materialization
     let mut threshold = lazy_materialization_iterations(k, lambda).max(1);

@@ -319,7 +319,9 @@ mod tests {
                         PCollection::from_records_uncounted(&dev, kind, "V", w.right.clone());
                     let pool = BufferPool::new(60 * 80);
                     let ctx = JoinContext::new(&dev, kind, &pool).with_threads(threads);
-                    let k = ctx.grace_partitions::<WisconsinRecord>(left.len());
+                    let k = ctx
+                        .capacity::<WisconsinRecord>()
+                        .partitions(left.len() as f64) as usize;
                     assert!(k >= 4, "need several passes, got k={k}");
                     let what = format!("{shape}, λ={lambda}, DoP {threads}");
                     let want = guarded_iterate_join(&w.left, &w.right, k);

@@ -33,7 +33,7 @@ pub(crate) fn phased<L: Record, R: Record>(
 ) -> Phased<L, R> {
     let _span = pmem_sim::span::span("alg nlj");
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let block = ctx.build_capacity::<L>();
+    let block = ctx.capacity::<L>().build_records();
     let task = |b: usize| {
         let scan = left.range_reader(b * block, ((b + 1) * block).min(left.len()));
         (build_table(vec![scan], None), vec![right.reader()])
@@ -95,7 +95,7 @@ mod tests {
         let before = dev.snapshot();
         let _ = nested_loops_join(&left, &right, &ctx, "out");
         let d = dev.snapshot().since(&before);
-        let blocks = 100usize.div_ceil(ctx.build_capacity::<WisconsinRecord>()) as u64;
+        let blocks = 100usize.div_ceil(ctx.capacity::<WisconsinRecord>().build_records()) as u64;
         let expected = left.buffers() + blocks * right.buffers();
         // Block boundaries may split cachelines, allow ±blocks slack.
         assert!(

@@ -50,8 +50,9 @@ fn phased<L: Record, R: Record>(
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
     let _span = pmem_sim::span::span("alg segmented-grace");
-    ctx.require_grace::<L>(left.len(), "segmented Grace join")?;
-    let k = ctx.grace_partitions::<L>(left.len());
+    let k = ctx
+        .capacity::<L>()
+        .grace_partitions(left.len(), "segmented Grace join")?;
     if materialized > k {
         return Err(PmError::InvalidParameter {
             name: "materialized",
@@ -112,7 +113,7 @@ pub(crate) fn phased_frac<L: Record, R: Record>(
             message: format!("write intensity must be in [0,1], got {frac}"),
         });
     }
-    let k = ctx.grace_partitions::<L>(left.len());
+    let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
     let x = ((k as f64) * frac).round() as usize;
     phased(left, right, x.min(k), ctx, output_name)
 }
@@ -146,7 +147,9 @@ mod tests {
         let (dev, left, right, want, m) = stage(60);
         let pool = BufferPool::new(m * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let k = ctx.grace_partitions::<WisconsinRecord>(left.len());
+        let k = ctx
+            .capacity::<WisconsinRecord>()
+            .partitions(left.len() as f64) as usize;
         for x in [0, 1, k / 2, k] {
             let out = segmented_grace_join(&left, &right, x, &ctx, "out").expect("applicable");
             assert_eq!(out.len() as u64, want, "x={x} of k={k}");
@@ -158,7 +161,9 @@ mod tests {
         let (dev, left, right, _, m) = stage(60);
         let pool = BufferPool::new(m * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let k = ctx.grace_partitions::<WisconsinRecord>(left.len());
+        let k = ctx
+            .capacity::<WisconsinRecord>()
+            .partitions(left.len() as f64) as usize;
         assert!(k >= 4, "need several partitions, got {k}");
 
         let before = dev.snapshot();
@@ -192,7 +197,7 @@ mod tests {
         for kind in LAYERS {
             for threads in [1, 4] {
                 let seg = device_run(&w, kind, 60, threads, |l, r, ctx| {
-                    let k = ctx.grace_partitions::<WisconsinRecord>(l.len());
+                    let k = ctx.capacity::<WisconsinRecord>().partitions(l.len() as f64) as usize;
                     assert!(k >= 4, "need several partitions, got {k}");
                     segmented_grace_join(l, r, k, ctx, "out")
                 });

@@ -8,7 +8,8 @@
 //! * [`sort`] — ExMS, SegS, HybS, LaS, SelS, cycle sort (§2.1)
 //! * [`join`] — NLJ, GJ, HJ, HybJ, SegJ, LaJ (§2.2)
 //! * [`context`] — the one execution context (device, layer, DRAM
-//!   budget, degree of parallelism) every operator above runs in
+//!   budget, degree of parallelism) every operator above runs in, and
+//!   [`context::Capacity`], what the budget holds
 //! * [`cost`] — Eqs. 1–11, Fig. 2 surface, knob selection (§2, §4.2.3),
 //!   read/write-split predictions and candidate sets for plan enumerators
 //! * [`deferral`] — the §3.1 rules for when a deferred collection is

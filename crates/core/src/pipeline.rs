@@ -53,8 +53,9 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
         (0.0..=1.0).contains(&selectivity),
         "selectivity must be in [0,1]"
     );
-    ctx.require_grace::<L>(left.len(), "filtered join")?;
-    let k = ctx.grace_partitions::<L>(left.len());
+    let k = ctx
+        .capacity::<L>()
+        .grace_partitions(left.len(), "filtered join")?;
     let (at, view) = materialized_at(ctx, k, left.buffers(), selectivity);
 
     // A pass re-filters the source: the predicate sees a record, so
@@ -165,7 +166,9 @@ mod tests {
     ) {
         let pool = BufferPool::new(m_records * 80);
         let ctx = JoinContext::new(dev, LayerKind::BlockedMemory, &pool);
-        let k = ctx.grace_partitions::<WisconsinRecord>(left.len());
+        let k = ctx
+            .capacity::<WisconsinRecord>()
+            .partitions(left.len() as f64) as usize;
         let (at, _) = materialized_at(&ctx, k, left.buffers(), selectivity);
         let (out, _) =
             filtered_iterate_join(left, keep, selectivity, right, &ctx, "out").expect("applicable");

@@ -73,7 +73,7 @@ pub(crate) fn phased<R: Record>(
     output_name: &str,
 ) -> (PCollection<R>, Phases) {
     let _span = pmem_sim::span::span("alg exms");
-    let capacity = ctx.capacity_records::<R>();
+    let capacity = ctx.capacity::<R>().records();
     let (mut runs, chunks) = chunked_runs(input, capacity, ctx);
     let mut phases = vec![chunks];
     if runs.len() == 1 {

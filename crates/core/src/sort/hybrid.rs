@@ -59,7 +59,7 @@ pub(crate) fn phased<R: Record>(
             message: format!("write intensity must be in [0,1], got {x}"),
         });
     }
-    let capacity = ctx.capacity_records::<R>();
+    let capacity = ctx.capacity::<R>().records();
     let rr_cap = (((capacity as f64) * x).floor() as usize)
         .max(1)
         .min(capacity);

@@ -41,7 +41,7 @@ pub(crate) fn phased<R: Record>(
     output_name: &str,
 ) -> (PCollection<R>, Phases) {
     let _span = pmem_sim::span::span("alg lazy-sort");
-    let m = ctx.capacity_records::<R>();
+    let m = ctx.capacity::<R>().records();
     let lambda = ctx.device().lambda();
     // Materialize only when the pass will not already finish the job.
     let eq5 = |pass, source_len, left| {

@@ -73,7 +73,7 @@ pub(crate) fn segmented<R: Record, C: Consume<R>>(
     }
     let n = input.len();
     let split = ((n as f64) * x).round() as usize;
-    let capacity = ctx.capacity_records::<R>();
+    let capacity = ctx.capacity::<R>().records();
     let prefix_scan = input.range_reader(0, split);
     let generate = || generate_runs(prefix_scan, capacity, || ctx.fresh("run"));
     let (runs, generation) = measured(Label::RunGen, generate);

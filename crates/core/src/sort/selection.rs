@@ -35,7 +35,7 @@ pub(crate) fn phased<R: Record>(
     output_name: &str,
 ) -> (PCollection<R>, Phases) {
     let _span = pmem_sim::span::span("alg selection-sort");
-    let capacity = ctx.capacity_records::<R>();
+    let capacity = ctx.capacity::<R>().records();
     select_into(input, capacity, |_, _, _| None, ctx, output_name)
 }
 

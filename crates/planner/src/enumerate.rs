@@ -22,7 +22,9 @@ use crate::catalog::Catalog;
 use crate::logical::{LogicalPlan, Predicate};
 use crate::physical::{Materialization, NodeCost, PhysicalPlan};
 use pmem_sim::{BufferPool, ChargeRule, DeviceConfig, LayerKind, Pm, Storable, CACHELINE};
+use wisconsin::WisconsinRecord;
 use write_limited::agg::GroupAgg;
+use write_limited::context::Capacity;
 use write_limited::cost::{
     predict_sort_io, sort_candidates, sort_parallel_split, IoPrediction, ParallelSplit,
 };
@@ -132,12 +134,8 @@ pub(crate) struct Evidence {
 pub struct Planner {
     /// Write/read cost ratio λ of the target medium.
     pub lambda: f64,
-    /// DRAM budget in buffers (cachelines).
-    pub m_buffers: f64,
-    /// The DRAM budget in bytes that `m_buffers` rounds up to whole
-    /// cachelines: what the engine floors its record capacities from
-    /// (see [`Planner::for_pool`]).
-    dram_bytes: f64,
+    /// The DRAM budget, read as the engine reads it, in base records.
+    budget: Capacity,
     /// Persistence layer targeted by intermediates.
     pub layer: LayerKind,
     /// Degree of parallelism the partitioned operators will run at;
@@ -173,28 +171,25 @@ impl Planner {
         Self::for_pool(dev.lambda(), pool, layer, dev.config())
     }
 
-    /// Builds a planner for the DRAM budget of `pool`: `m_buffers` is
-    /// its budget in whole cachelines, rounded up, and the record
-    /// capacities the Grace bound and the partition counts read are
-    /// floored from its bytes, as the engine sizes them. A planner built
-    /// by [`Planner::with_config`] from the rounded-up buffers alone
-    /// takes the budget as `m_buffers` whole cachelines, and may plan a
-    /// join the engine then refuses.
+    /// Builds a planner for the DRAM budget of `pool`, which it reads
+    /// as the engine does: the same bytes, the same record capacities.
     pub fn for_pool(lambda: f64, pool: &BufferPool, layer: LayerKind, cfg: &DeviceConfig) -> Self {
-        Self {
-            dram_bytes: pool.budget() as f64,
-            ..Self::with_config(lambda, pool.budget_buffers() as f64, layer, cfg)
-        }
+        Self::with_budget(lambda, pool.budget(), layer, cfg)
     }
 
-    /// Explicit-configuration constructor.
+    /// Explicit-configuration constructor: a DRAM budget of `m_buffers`
+    /// whole cachelines, `m_buffers · 64` bytes.
     pub fn with_config(lambda: f64, m_buffers: f64, layer: LayerKind, cfg: &DeviceConfig) -> Self {
-        assert!(lambda >= 1.0, "write/read ratio must be >= 1");
         assert!(m_buffers >= 1.0, "need at least one buffer of DRAM");
+        Self::with_budget(lambda, (m_buffers * CACHELINE as f64) as usize, layer, cfg)
+    }
+
+    fn with_budget(lambda: f64, bytes: usize, layer: LayerKind, cfg: &DeviceConfig) -> Self {
+        assert!(lambda >= 1.0, "write/read ratio must be >= 1");
+        assert!(bytes > 0, "need at least one byte of DRAM");
         Self {
             lambda,
-            m_buffers,
-            dram_bytes: m_buffers * CACHELINE as f64,
+            budget: Capacity::new(bytes, WisconsinRecord::SIZE),
             layer,
             threads: 1,
             adapt: true,
@@ -218,6 +213,13 @@ impl Planner {
     pub fn with_adaptivity(mut self, adapt: bool) -> Self {
         self.adapt = adapt;
         self
+    }
+
+    /// The DRAM budget in buffers, the cost model's `M`: whole
+    /// cachelines, rounded up.
+    #[inline]
+    fn m_buffers(&self) -> f64 {
+        self.budget.bytes().div_ceil(CACHELINE) as f64
     }
 
     /// Critical-path scaling of a costed candidate: the ratio between
@@ -275,7 +277,7 @@ impl Planner {
             plan,
             choices: evidence.choices,
             lambda: self.lambda,
-            m_buffers: self.m_buffers,
+            m_buffers: self.m_buffers(),
             threads: self.threads,
             predicted,
             adapt: self.adapt,
@@ -373,24 +375,22 @@ impl Planner {
         child: PhysicalPlan,
         choices: &mut Vec<NodeChoice>,
     ) -> Result<PhysicalPlan, PlanError> {
-        let t = child.cost().out_buffers.max(1.0);
+        let (t, m) = (child.cost().out_buffers.max(1.0), self.m_buffers());
         let out_rows = child.cost().out_rows;
-        let mut candidates: Vec<(SortAlgorithm, Candidate)> =
-            sort_candidates(t, self.m_buffers, self.lambda)
-                .into_iter()
-                .map(|algo| {
-                    let io =
-                        self.with_calls(predict_sort_io(&algo, t, self.m_buffers, self.lambda));
-                    let cand = Candidate {
-                        label: algo.to_string(),
-                        cost_units: self.scale_units(self.units(&io), || {
-                            sort_parallel_split(&algo, t, self.m_buffers, self.lambda)
-                        }),
-                        io,
-                    };
-                    (algo, cand)
-                })
-                .collect();
+        let mut candidates: Vec<(SortAlgorithm, Candidate)> = sort_candidates(t, m, self.lambda)
+            .into_iter()
+            .map(|algo| {
+                let io = self.with_calls(predict_sort_io(&algo, t, m, self.lambda));
+                let cand = Candidate {
+                    label: algo.to_string(),
+                    cost_units: self.scale_units(self.units(&io), || {
+                        sort_parallel_split(&algo, t, m, self.lambda)
+                    }),
+                    io,
+                };
+                (algo, cand)
+            })
+            .collect();
         candidates.sort_by(|a, b| a.1.cost_units.total_cmp(&b.1.cost_units));
         let Some((algo, winner)) = candidates.first().cloned() else {
             return Err(PlanError::Unsupported("no sort algorithm to rank".into()));
@@ -417,7 +417,7 @@ impl Planner {
     /// aggregator; its dominant cost is the segment sort of the input at
     /// intensity `x`, plus writing one group row per distinct key.
     fn plan_agg(&self, child: PhysicalPlan) -> Result<PhysicalPlan, PlanError> {
-        let t = child.cost().out_buffers.max(1.0);
+        let (t, m) = (child.cost().out_buffers.max(1.0), self.m_buffers());
         // x = 0 never materializes sorted runs — the aggregator consumes
         // merge streams — so high λ favors it; at λ close to 1 run
         // generation (x = 1) reads less overall. Pick by the segment
@@ -426,7 +426,7 @@ impl Planner {
             .into_iter()
             .map(|x| {
                 let algo = SortAlgorithm::SegS { x };
-                (x, predict_sort_io(&algo, t, self.m_buffers, self.lambda))
+                (x, predict_sort_io(&algo, t, m, self.lambda))
             })
             .min_by(|a, b| {
                 a.1.cost_units(self.lambda)

@@ -161,16 +161,17 @@ impl Planner {
         // order against the DRAM budget.
         let Scratch { field, hot } = scratch;
         field.clear();
+        let m = self.m_buffers();
         let orders = [
             (
                 false,
-                JoinShape::new(lb, rb, self.m_buffers),
-                self.grace_ok(l_rows),
+                JoinShape::new(lb, rb, m),
+                self.budget.grace_applicable(l_rows),
             ),
             (
                 true,
-                JoinShape::new(rb, lb, self.m_buffers),
-                self.grace_ok(r_rows),
+                JoinShape::new(rb, lb, m),
+                self.budget.grace_applicable(r_rows),
             ),
         ];
         for (swapped, shape, grace) in &orders {
@@ -201,7 +202,7 @@ impl Planner {
                 (hot.iter().map(|&k| s.frequency(k)).sum::<f64>() / s.rows()).min(1.0)
             };
             let (cover_l, cover_r) = (cover(l.stats), cover(r.stats));
-            let m_records = self.capacity_records();
+            let m_records = self.budget.records() as f64;
             for ((swapped, shape, grace), t_rows, hot_t, hot_v) in [
                 (&orders[0], l_rows, cover_l, cover_r),
                 (&orders[1], r_rows, cover_r, cover_l),
@@ -223,19 +224,20 @@ impl Planner {
         // filtered collection; the iterate-only join then re-filters the
         // source on every pass.
         let mut view = None;
-        if let Some(scan) = l.filtered_scan.filter(|scan| self.grace_ok(scan.out_rows)) {
+        let scan = l
+            .filtered_scan
+            .filter(|s| self.budget.grace_applicable(s.out_rows));
+        if let Some(scan) = scan {
             let src = scan.out_buffers.max(1.0);
             let filtered = l.cost.out_buffers.max(1.0);
             // The iterate-only join partitions by the *source*
-            // cardinality (it cannot know the filtered count up front)
-            // over the hash-table-adjusted build capacity — mirror
-            // `JoinContext::grace_partitions`.
-            let k = self.grace_partitions_est(scan.out_rows);
+            // cardinality: it cannot know the filtered count up front.
+            let k = self.budget.partitions(scan.out_rows);
             if plan_verdict(filtered, src, k, self.lambda) == Decision::Defer {
                 let io = IoPrediction::traffic(k * (src + rb), 0.0);
                 // The iterate-only passes fan out like SegJ at frac = 0
                 // (the re-filtering scans are the passes).
-                let shape = JoinShape::new(src, rb, self.m_buffers);
+                let shape = JoinShape::new(src, rb, m);
                 view = Some(Arm {
                     deferred: true,
                     ..arm(JoinAlgorithm::SegJ { frac: 0.0 }, false, io, &shape)
@@ -304,28 +306,6 @@ impl Planner {
             total_io: node_io.plus(left_total).plus(r.total_io),
             stats,
         })
-    }
-
-    /// Mirrors `ExecContext::capacity_records`: the whole build
-    /// records the byte budget holds, at least one.
-    fn capacity_records(&self) -> f64 {
-        (self.dram_bytes / WIS_BYTES).floor().max(1.0)
-    }
-
-    /// Mirrors `JoinContext::grace_applicable` in planning units:
-    /// `M_records > √(f·|T|_records)`.
-    fn grace_ok(&self, t_rows: f64) -> bool {
-        self.capacity_records() > (HASH_TABLE_FACTOR * t_rows).sqrt()
-    }
-
-    /// Mirrors `JoinContext::grace_partitions`: `⌈|T| / cap⌉`, where
-    /// `cap` is `ExecContext::build_capacity`, the whole build records
-    /// the budget holds once the `f` hash-table blow-up is paid.
-    fn grace_partitions_est(&self, t_rows: f64) -> f64 {
-        let cap = ((self.dram_bytes / HASH_TABLE_FACTOR).floor() / WIS_BYTES)
-            .floor()
-            .max(1.0);
-        (t_rows / cap).ceil().max(1.0)
     }
 }
 

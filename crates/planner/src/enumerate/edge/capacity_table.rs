@@ -3,12 +3,13 @@
 //! record edge) × build sides of 0–10 000 rows. Each row pins what the
 //! engine holds — records, build records, the partition count and the
 //! §2.2.1 Grace test — against integer arithmetic worked out here with
-//! `f = 6/5`, and holds the planner to the same figures: its Grace
-//! family is offered exactly where the engine would run it.
+//! `f = 6/5` ([`Capacity`] is what the engine sizes by), and holds the
+//! planner to the same figures: its Grace family is offered exactly
+//! where the engine would run it.
 
 use super::*;
 use pmem_sim::{BufferPool, DeviceConfig, LayerKind, PCollection, PmDevice};
-use write_limited::context::ExecContext;
+use write_limited::context::{Capacity, ExecContext};
 
 /// Record width of every row of the table.
 const W: usize = WisconsinRecord::SIZE;
@@ -87,31 +88,27 @@ const PINNED: &[(usize, usize, usize, usize, usize, bool)] = &[
 
 #[test]
 fn engine_and_planner_capacity_agree_at_every_boundary() {
-    let dev = PmDevice::paper_default();
     let cfg = DeviceConfig::paper_default();
     let check = |bytes: usize, rows: &mut dyn Iterator<Item = usize>| {
+        let capacity = Capacity::new(bytes, W);
         let pool = BufferPool::new(bytes);
-        let ctx = ExecContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let planner = Planner::for_pool(15.0, &pool, LayerKind::BlockedMemory, &cfg);
+        assert_eq!(planner.budget, capacity, "{bytes} B");
+        assert_eq!(planner.m_buffers(), pool.budget_buffers() as f64);
+        if bytes.is_multiple_of(CACHELINE) {
+            // `with_config`'s budget of whole cachelines is these bytes.
+            let m_buffers = (bytes / CACHELINE) as f64;
+            let buffers = Planner::with_config(15.0, m_buffers, LayerKind::BlockedMemory, &cfg);
+            assert_eq!(buffers.budget, capacity, "{bytes} B");
+        }
         let want = Reference::new(bytes);
-        assert_eq!(
-            ctx.capacity_records::<WisconsinRecord>(),
-            want.records,
-            "{bytes} B"
-        );
-        assert_eq!(
-            ctx.build_capacity::<WisconsinRecord>(),
-            want.build_records,
-            "{bytes} B"
-        );
-        assert_eq!(planner.capacity_records(), want.records as f64, "{bytes} B");
+        assert_eq!(capacity.records(), want.records, "{bytes} B");
+        assert_eq!(capacity.build_records(), want.build_records, "{bytes} B");
         for t in rows {
-            let k = ctx.grace_partitions::<WisconsinRecord>(t);
-            let grace = ctx.grace_applicable::<WisconsinRecord>(t);
-            assert_eq!(k, want.partitions(t), "{bytes} B, |T| = {t}");
+            let k = capacity.partitions(t as f64);
+            assert_eq!(k, want.partitions(t) as f64, "{bytes} B, |T| = {t}");
+            let grace = capacity.grace_applicable(t as f64);
             assert_eq!(grace, want.grace(t), "{bytes} B, |T| = {t}");
-            assert_eq!(planner.grace_partitions_est(t as f64), k as f64);
-            assert_eq!(planner.grace_ok(t as f64), grace, "{bytes} B, |T| = {t}");
         }
     };
     let budgets = budgets();

@@ -90,13 +90,15 @@ fn join_cost_model_concordance_is_high() {
 /// One engine-versus-model difference, pinned from both sides: the
 /// block count behind `planner.pred_over_meas_reads` ≈ 0.82 on the
 /// benchmark's `sql_analytic` (see the `join_costs` module docs). NLJ
-/// and HybJ(0, 0) run one outer block per `build_capacity` records, the
+/// and HybJ(0, 0) run one outer block per `Capacity::build_records`, the
 /// budget left after the `f = 1.2` hash-table blow-up, so the engine
 /// rescans `V` ⌈f·|T|/M⌉ times; Eqs. 1–11 charge ⌈|T|/M⌉ rescans. HJ and
 /// LaJ take the engine's `k` from the same capacity.
 #[test]
 fn nested_loops_rescans_v_per_build_capacity_block_not_per_m() {
+    use pmem_sim::Storable;
     use wisconsin::WisconsinRecord;
+    use write_limited::context::Capacity;
     use write_limited::cost::join_costs::iterations;
 
     // |T| = 1 000 rows (1 250 buffers), |V| = 4 000 rows (5 000
@@ -125,10 +127,11 @@ fn nested_loops_rescans_v_per_build_capacity_block_not_per_m() {
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         // The engine: blocks of ⌊⌊8 000 B / 1.2⌋ / 80 B⌋ = 83 records,
         // ⌈1 000 / 83⌉ = 13 of them — ⌈f·|T|/M⌉, not ⌈|T|/M⌉.
-        assert_eq!(ctx.build_capacity::<WisconsinRecord>(), 83);
+        let capacity = Capacity::new(pool.budget(), WisconsinRecord::SIZE);
+        assert_eq!(capacity.build_records(), 83);
         let blocks = 1_000usize.div_ceil(83) as u64;
         assert_eq!(blocks, 13);
-        assert_eq!(ctx.grace_partitions::<WisconsinRecord>(1_000), 13);
+        assert_eq!(capacity.partitions(1_000.0), 13.0);
         let before = dev.snapshot();
         algo.run(&left, &right, &ctx, "out").expect("applicable");
         let reads = dev.snapshot().since(&before).cl_reads;

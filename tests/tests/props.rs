@@ -14,6 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wisconsin::{Pair, Permutation, Record, WisconsinRecord, Zipf};
 use write_limited::adaptive::adaptive_grace_join;
+use write_limited::context::Capacity;
 use write_limited::join::{
     expected_match_count, guided_join_with, JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS,
 };
@@ -103,7 +104,8 @@ fn joins_match_reference_count() {
                 // Only the Grace-family may reject, and only when the
                 // applicability condition genuinely fails.
                 assert!(
-                    !ctx.grace_applicable::<WisconsinRecord>(left.len()),
+                    !Capacity::new(pool.budget(), WisconsinRecord::SIZE)
+                        .grace_applicable(left.len() as f64),
                     "case {case}: {algo} rejected an applicable setting"
                 );
             }
