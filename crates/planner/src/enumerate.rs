@@ -86,10 +86,8 @@ pub struct Candidate {
 pub struct NodeChoice {
     /// Which node this is, e.g. `sort over ~5000 rows`.
     pub node: String,
-    /// All alternatives, sorted cheapest first.
+    /// All alternatives, sorted cheapest first: the winner is the first.
     pub candidates: Vec<Candidate>,
-    /// Label of the winner.
-    pub chosen: String,
 }
 
 /// A planned query: the winning physical plan plus the evidence.
@@ -392,20 +390,19 @@ impl Planner {
             })
             .collect();
         candidates.sort_by(|a, b| a.1.cost_units.total_cmp(&b.1.cost_units));
-        let Some((algo, winner)) = candidates.first().cloned() else {
+        let Some(&(algo, Candidate { io, .. })) = candidates.first() else {
             return Err(PlanError::Unsupported("no sort algorithm to rank".into()));
         };
         choices.push(NodeChoice {
             node: format!("sort over ~{out_rows:.0} rows ({t:.0} buffers)"),
             candidates: candidates.into_iter().map(|(_, c)| c).collect(),
-            chosen: winner.label,
         });
         let distinct = child.cost().distinct_keys;
         Ok(PhysicalPlan::Sort {
             input: Box::new(child),
             algo,
             cost: NodeCost {
-                io: winner.io,
+                io,
                 out_rows,
                 out_buffers: t,
                 distinct_keys: distinct,
@@ -529,7 +526,16 @@ mod tests {
             .candidates
             .windows(2)
             .all(|w| w[0].cost_units <= w[1].cost_units));
-        assert_eq!(join_choice.chosen, join_choice.candidates[0].label);
+        // The first row is the join the plan runs.
+        let PhysicalPlan::Join { algo, swapped, .. } = &planned.plan else {
+            panic!("expected a join root, got {}", planned.plan.label());
+        };
+        let planned_label = if *swapped {
+            format!("{algo} (swapped)")
+        } else {
+            algo.to_string()
+        };
+        assert_eq!(join_choice.candidates[0].label, planned_label);
     }
 
     #[test]
@@ -549,7 +555,6 @@ mod tests {
             .expect("order search summary");
         assert!(order.node.contains("3 relations"), "{}", order.node);
         assert_eq!(order.candidates.len(), 3, "three root splits");
-        assert_eq!(order.chosen, order.candidates[0].label);
         // Two per-edge evidence tables follow the summary.
         let edges = planned
             .choices
@@ -570,10 +575,10 @@ mod tests {
         assert_eq!(all, vec![0, 1, 2]);
         // The cheapest root split should put the two small relations
         // (T: 10k, W: 1k) together before touching the 100k-row V.
+        let chosen = &order.candidates[0].label;
         assert!(
-            order.chosen.contains("(T ⋈ W)") || order.chosen.contains("(W ⋈ T)"),
-            "expected the small relations joined first, got {}",
-            order.chosen
+            chosen.contains("(T ⋈ W)") || chosen.contains("(W ⋈ T)"),
+            "expected the small relations joined first, got {chosen}"
         );
     }
 
@@ -713,21 +718,21 @@ mod tests {
                 .clone()
         };
         let (serial_join, par_join) = (join_choice(&serial), join_choice(&par));
-        assert_eq!(
-            serial_join.chosen, "NLJ",
-            "serial baseline should win at λ=1"
+        let (serial_chosen, par_chosen) = (
+            &serial_join.candidates[0].label,
+            &par_join.candidates[0].label,
         );
+        assert_eq!(serial_chosen, "NLJ", "serial baseline should win at λ=1");
         // The flip the critical path buys now happens *within* the NLJ
         // family: swapping the build side makes more (smaller) outer
         // blocks, which serially costs extra block reads but at DoP 8
         // fans out wider — the swapped variant overtakes.
         assert!(
-            par_join.chosen.starts_with("NLJ"),
-            "block-parallel NLJ keeps its lead under workers, got {}",
-            par_join.chosen
+            par_chosen.starts_with("NLJ"),
+            "block-parallel NLJ keeps its lead under workers, got {par_chosen}"
         );
         assert_ne!(
-            par_join.chosen, serial_join.chosen,
+            par_chosen, serial_chosen,
             "the wider-fan-out build order should win under workers"
         );
         assert!(
@@ -795,10 +800,10 @@ mod tests {
             .iter()
             .find(|c| c.node.starts_with("join order"))
             .expect("order search");
+        let chosen = &order.candidates[0].label;
         assert!(
-            !order.chosen.starts_with("((D1 ⋈ D2)"),
-            "skewed dimensions must not join first: {}",
-            order.chosen
+            !chosen.starts_with("((D1 ⋈ D2)"),
+            "skewed dimensions must not join first: {chosen}"
         );
         // And at least one join edge offers the guided candidate.
         let has_cgj = planned

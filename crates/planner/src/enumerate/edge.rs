@@ -311,9 +311,9 @@ impl Planner {
 
 impl EdgeCost {
     /// The edge's evidence table: every candidate labelled, cheapest
-    /// first, the winner named. `scratch` holds this edge's field (the
-    /// split was the last one costed); `left`/`right` are the input
-    /// subtrees' root annotations.
+    /// first, which puts the winner first. `scratch` holds this edge's
+    /// field (the split was the last one costed); `left`/`right` are the
+    /// input subtrees' root annotations.
     pub(super) fn choice(
         &self,
         scratch: &Scratch,
@@ -339,7 +339,6 @@ impl EdgeCost {
                 right.out_buffers.max(1.0)
             ),
             candidates,
-            chosen: self.winner.label(),
         }
     }
 

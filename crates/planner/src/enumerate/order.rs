@@ -206,15 +206,16 @@ impl Planner {
         evidence.splits_costed += considered;
 
         if chain {
-            let mut chosen = String::new();
-            order_expr(&mut chosen, &table, full);
             // Every root order names each relation once, with the same
-            // operators and parentheses: all labels are as long.
+            // operators and parentheses: all labels are as long as the
+            // first.
+            let mut len = 0;
             let mut candidates: Vec<Candidate> = root_splits
                 .into_iter()
                 .map(|(l, r, io, cost_units)| {
-                    let mut label = String::with_capacity(chosen.len());
+                    let mut label = String::with_capacity(len);
                     split_expr(&mut label, &table, l, r);
+                    len = label.len();
                     Candidate {
                         label,
                         io,
@@ -226,7 +227,6 @@ impl Planner {
             evidence.choices.push(NodeChoice {
                 node: format!("join order over {n} relations ({considered} subplans considered)"),
                 candidates,
-                chosen,
             });
         }
         let root = self.build(&mut table, full, chain, &mut scratch, evidence)?;

@@ -22,12 +22,8 @@ fn write_choices(out: &mut String, planned: &PlannedQuery) -> fmt::Result {
     )?;
     for choice in &planned.choices {
         writeln!(out, "  {}", choice.node)?;
-        for cand in &choice.candidates {
-            let marker = if cand.label == choice.chosen {
-                "→"
-            } else {
-                " "
-            };
+        for (i, cand) in choice.candidates.iter().enumerate() {
+            let marker = if i == 0 { "→" } else { " " };
             writeln!(
                 out,
                 "   {marker} {:<28} {:>14.0} units  ({:.0}r / {:.0}w)",

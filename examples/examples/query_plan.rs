@@ -57,7 +57,7 @@ fn plan_and_run(lambda: f64) -> String {
         .choices
         .iter()
         .find(|c| c.node.starts_with("join"))
-        .map(|c| c.chosen.clone())
+        .map(|c| c.candidates[0].label.clone())
         .unwrap_or_default()
 }
 

@@ -193,7 +193,7 @@ fn order_search_exploits_selective_relations() {
         .find(|c| c.node.starts_with("join order"))
         .expect("order summary");
     assert_ne!(
-        order.chosen, "((big1 ⋈ big2) ⋈ small)",
+        order.candidates[0].label, "((big1 ⋈ big2) ⋈ small)",
         "the naive SQL order must lose to a small-first order"
     );
 }
