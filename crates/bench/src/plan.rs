@@ -69,7 +69,8 @@ pub fn run_plan_concordance(scale: &Scale) -> Vec<PlanCell> {
                 .choices
                 .iter()
                 .find(|c| c.node.starts_with("join"))
-                .map(|c| c.candidates[0].label.clone())
+                .and_then(|c| c.candidates.first())
+                .map(|c| c.label.clone())
                 .unwrap_or_default();
             let predicted_units = planned.predicted.cost_units(lambda);
             let stats = stream.stats().expect("drained");

@@ -125,13 +125,13 @@ impl Capacity {
         self.bytes
     }
 
-    /// `⌊B/size⌋` records, at least one: the paper's `M` in records.
+    /// `⌊bytes/size⌋` records, at least one: the paper's `M` in records.
     #[inline]
     pub fn records(&self) -> usize {
         self.records
     }
 
-    /// `⌊⌊B/f⌋/size⌋` records, at least one: what a build table holds
+    /// `⌊⌊bytes/f⌋/size⌋` records, at least one: what a build table holds
     /// once its blow-up is paid — one nested-loops block, at most one
     /// Grace partition.
     #[inline]

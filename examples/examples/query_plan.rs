@@ -57,7 +57,8 @@ fn plan_and_run(lambda: f64) -> String {
         .choices
         .iter()
         .find(|c| c.node.starts_with("join"))
-        .map(|c| c.candidates[0].label.clone())
+        .and_then(|c| c.candidates.first())
+        .map(|c| c.label.clone())
         .unwrap_or_default()
 }
 
