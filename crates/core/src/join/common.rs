@@ -382,7 +382,7 @@ pub fn expected_match_count<L: Record, R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmem_sim::{LayerKind, PmDevice};
+    use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::WisconsinRecord;
 
     #[test]
@@ -772,5 +772,31 @@ mod tests {
         assert_eq!(table.directory.len(), directory);
         assert_eq!(table.filter.len(), filter);
         assert_eq!(filter * 64, directory << FILTER_BITS_PER_SLOT_LOG2);
+    }
+
+    #[test]
+    fn grace_partition_count_scales_inversely_with_memory() {
+        let dev = PmDevice::paper_default();
+        let small = BufferPool::new(100 * 80);
+        let big = BufferPool::new(1000 * 80);
+        let ctx_small = JoinContext::new(&dev, LayerKind::BlockedMemory, &small);
+        let ctx_big = JoinContext::new(&dev, LayerKind::BlockedMemory, &big);
+        let ks = ctx_small.capacity::<WisconsinRecord>().partitions(10_000.0);
+        let kb = ctx_big.capacity::<WisconsinRecord>().partitions(10_000.0);
+        assert!(ks > kb);
+        assert!(kb >= 1.0);
+        assert_eq!((ks, kb), (121.0, 13.0));
+    }
+
+    #[test]
+    fn grace_applicability_bound() {
+        let dev = PmDevice::paper_default();
+        let pool = BufferPool::new(100 * 80); // M = 100 records
+        let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
+        let capacity = ctx.capacity::<WisconsinRecord>();
+        // √(1.2·8000) ≈ 98 < 100 → applicable.
+        assert!(capacity.grace_applicable(8000.0));
+        // √(1.2·9000) ≈ 104 > 100 → not applicable.
+        assert!(!capacity.grace_applicable(9000.0));
     }
 }
