@@ -16,6 +16,7 @@
 //! cells choose a different join.
 
 use crate::scale::Scale;
+use planner::{render_label, Node};
 use wisconsin::join_input;
 use wl_db::Database;
 use write_limited::stats::kendall_tau;
@@ -68,9 +69,8 @@ pub fn run_plan_concordance(scale: &Scale) -> Vec<PlanCell> {
             let chosen_join = planned
                 .choices
                 .iter()
-                .find(|c| c.node.starts_with("join"))
-                .and_then(|c| c.candidates.first())
-                .map(|c| c.label.clone())
+                .find(|c| matches!(c.node, Node::Join { .. }))
+                .and_then(|c| Some(render_label(&c.node, &c.candidates.first()?.what)))
                 .unwrap_or_default();
             let predicted_units = planned.predicted.cost_units(lambda);
             let stats = stream.stats().expect("drained");

@@ -10,10 +10,11 @@
 //! and the iterate-only join re-filters the source on every pass.
 //!
 //! This file plans the single-input nodes; joins live in two child
-//! modules along the seam between ranking and rendering: `edge` costs
-//! one `left ⋈ right` edge as plain numbers, `order` runs the subset DP
-//! over those numbers and builds plan nodes and evidence tables for the
-//! winning tree only.
+//! modules: `edge` costs one `left ⋈ right` edge as plain numbers,
+//! `order` runs the subset DP over those numbers and builds plan nodes
+//! and evidence tables for the winning tree only. Evidence is filled as
+//! values — a [`Node`] and one [`Candidate`] per alternative — and
+//! formatted only by [`crate::report`], when a report asks for it.
 
 mod edge;
 mod order;
@@ -28,6 +29,7 @@ use write_limited::context::Capacity;
 use write_limited::cost::{
     predict_sort_io, sort_candidates, sort_parallel_split, IoPrediction, ParallelSplit,
 };
+use write_limited::join::JoinAlgorithm;
 use write_limited::sort::SortAlgorithm;
 use write_limited::stats::TableStatistics;
 
@@ -65,11 +67,39 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
+/// What a candidate is, as values: [`crate::report`] renders its label,
+/// e.g. `SegS, 32%`, `GJ (swapped)` or `((T ⋈ W) ⋈ V)`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Alternative {
+    /// A sort algorithm with its knob.
+    Sort(SortAlgorithm),
+    /// A join algorithm in one build order.
+    Join {
+        /// The algorithm with its knobs.
+        algo: JoinAlgorithm,
+        /// Whether the right input is the build side.
+        swapped: bool,
+        /// Whether the build filter stays a view the join re-filters (§3.1).
+        deferred: bool,
+    },
+    /// A root split of the join-order search, as two relation bitmasks
+    /// (bit `i` is relation `i` of [`Node::Order`]).
+    Order {
+        /// The half holding the lowest relation.
+        left: u8,
+        /// The other half.
+        right: u8,
+    },
+}
+
+// An `Alternative::Order` half has one bit per relation.
+const _: () = assert!(MAX_JOIN_RELATIONS <= u8::BITS as usize);
+
 /// One costed alternative the enumerator considered for a node.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Candidate {
-    /// Display label, e.g. `SegS, 32%` or `GJ (swapped)`.
-    pub label: String,
+    /// The alternative this row costs.
+    pub what: Alternative,
     /// Predicted traffic of the node under this alternative.
     pub io: IoPrediction,
     /// The figure the planner ranks by, in read units. At degree of
@@ -81,11 +111,45 @@ pub struct Candidate {
     pub cost_units: f64,
 }
 
+/// Which node a candidate field belongs to, as the figures its heading
+/// is rendered from. Buffers are as costed: at least one.
+#[derive(Clone, Debug)]
+pub enum Node {
+    /// A sort.
+    Sort {
+        /// Estimated input rows.
+        rows: f64,
+        /// Input buffers.
+        buffers: f64,
+    },
+    /// One join edge of the winning tree.
+    Join {
+        /// Estimated rows of the left input.
+        left_rows: f64,
+        /// Estimated rows of the right input.
+        right_rows: f64,
+        /// Buffers of the left input.
+        left_buffers: f64,
+        /// Buffers of the right input.
+        right_buffers: f64,
+    },
+    /// The join-order search; its candidates are the root splits.
+    Order {
+        /// Splits the search costed over all subsets.
+        considered: usize,
+        /// The relations' names (`σ`-marked when filtered), in bit order.
+        relations: Vec<String>,
+        /// Each subset's winning left half, indexed by the subset's
+        /// bitmask (0 for one relation).
+        best_left: Vec<u8>,
+    },
+}
+
 /// The full candidate field of one enumerated node.
 #[derive(Clone, Debug)]
 pub struct NodeChoice {
-    /// Which node this is, e.g. `sort over ~5000 rows`.
-    pub node: String,
+    /// Which node this is.
+    pub node: Node,
     /// All alternatives, sorted cheapest first: the winner is the first.
     pub candidates: Vec<Candidate>,
 }
@@ -112,9 +176,6 @@ pub struct PlannedQuery {
     /// Join splits the order search costed (3 025 for an eight-relation
     /// chain; 1 for a two-way join). Host-independent work count.
     pub splits_costed: usize,
-    /// Join nodes built — one per edge of the winning tree, however many
-    /// splits were costed.
-    pub nodes_built: usize,
 }
 
 /// What planning accumulates besides the plan: per-node candidate
@@ -123,7 +184,6 @@ pub struct PlannedQuery {
 pub(crate) struct Evidence {
     pub(crate) choices: Vec<NodeChoice>,
     pub(crate) splits_costed: usize,
-    pub(crate) nodes_built: usize,
 }
 
 /// The write-aware planner: carries the device cost parameters the
@@ -280,7 +340,6 @@ impl Planner {
             predicted,
             adapt: self.adapt,
             splits_costed: evidence.splits_costed,
-            nodes_built: evidence.nodes_built,
         })
     }
 
@@ -374,28 +433,32 @@ impl Planner {
         choices: &mut Vec<NodeChoice>,
     ) -> Result<PhysicalPlan, PlanError> {
         let (t, m) = (child.cost().out_buffers.max(1.0), self.m_buffers());
-        let out_rows = child.cost().out_rows;
-        let mut candidates: Vec<(SortAlgorithm, Candidate)> = sort_candidates(t, m, self.lambda)
+        let rows = child.cost().out_rows;
+        let mut candidates: Vec<Candidate> = sort_candidates(t, m, self.lambda)
             .into_iter()
             .map(|algo| {
                 let io = self.with_calls(predict_sort_io(&algo, t, m, self.lambda));
-                let cand = Candidate {
-                    label: algo.to_string(),
+                Candidate {
+                    what: Alternative::Sort(algo),
                     cost_units: self.scale_units(self.units(&io), || {
                         sort_parallel_split(&algo, t, m, self.lambda)
                     }),
                     io,
-                };
-                (algo, cand)
+                }
             })
             .collect();
-        candidates.sort_by(|a, b| a.1.cost_units.total_cmp(&b.1.cost_units));
-        let Some(&(algo, Candidate { io, .. })) = candidates.first() else {
+        candidates.sort_by(|a, b| a.cost_units.total_cmp(&b.cost_units));
+        let Some(&Candidate {
+            what: Alternative::Sort(algo),
+            io,
+            ..
+        }) = candidates.first()
+        else {
             return Err(PlanError::Unsupported("no sort algorithm to rank".into()));
         };
         choices.push(NodeChoice {
-            node: format!("sort over ~{out_rows:.0} rows ({t:.0} buffers)"),
-            candidates: candidates.into_iter().map(|(_, c)| c).collect(),
+            node: Node::Sort { rows, buffers: t },
+            candidates,
         });
         let distinct = child.cost().distinct_keys;
         Ok(PhysicalPlan::Sort {
@@ -403,7 +466,7 @@ impl Planner {
             algo,
             cost: NodeCost {
                 io,
-                out_rows,
+                out_rows: rows,
                 out_buffers: t,
                 distinct_keys: distinct,
             },
@@ -514,12 +577,12 @@ mod tests {
         let join_choice = planned
             .choices
             .iter()
-            .find(|c| c.node.starts_with("join"))
+            .find(|c| matches!(c.node, Node::Join { .. }))
             .expect("join node enumerated");
         assert!(join_choice
             .candidates
             .iter()
-            .any(|c| c.label.contains("swapped")));
+            .any(|c| matches!(c.what, Alternative::Join { swapped: true, .. })));
         assert!(join_choice.candidates.len() >= 8);
         // Candidates are sorted cheapest-first and the winner is first.
         assert!(join_choice
@@ -530,12 +593,14 @@ mod tests {
         let PhysicalPlan::Join { algo, swapped, .. } = &planned.plan else {
             panic!("expected a join root, got {}", planned.plan.label());
         };
-        let planned_label = if *swapped {
-            format!("{algo} (swapped)")
-        } else {
-            algo.to_string()
-        };
-        assert_eq!(join_choice.candidates[0].label, planned_label);
+        assert_eq!(
+            join_choice.candidates[0].what,
+            Alternative::Join {
+                algo: *algo,
+                swapped: *swapped,
+                deferred: false
+            }
+        );
     }
 
     #[test]
@@ -551,15 +616,23 @@ mod tests {
         let order = planned
             .choices
             .iter()
-            .find(|c| c.node.starts_with("join order"))
+            .find(|c| matches!(c.node, Node::Order { .. }))
             .expect("order search summary");
-        assert!(order.node.contains("3 relations"), "{}", order.node);
+        let Node::Order {
+            considered,
+            relations,
+            ..
+        } = &order.node
+        else {
+            panic!("expected an order node");
+        };
+        assert_eq!((relations.len(), *considered), (3, 6), "{:?}", order.node);
         assert_eq!(order.candidates.len(), 3, "three root splits");
         // Two per-edge evidence tables follow the summary.
         let edges = planned
             .choices
             .iter()
-            .filter(|c| c.node.starts_with("join ~"))
+            .filter(|c| matches!(c.node, Node::Join { .. }))
             .count();
         assert_eq!(edges, 2);
         // The root is a chain join covering all three relations.
@@ -574,11 +647,17 @@ mod tests {
         all.sort_unstable();
         assert_eq!(all, vec![0, 1, 2]);
         // The cheapest root split should put the two small relations
-        // (T: 10k, W: 1k) together before touching the 100k-row V.
-        let chosen = &order.candidates[0].label;
-        assert!(
-            chosen.contains("(T ⋈ W)") || chosen.contains("(W ⋈ T)"),
-            "expected the small relations joined first, got {chosen}"
+        // (T: 10k, W: 1k; bits 0 and 2) together before touching the
+        // 100k-row V (bit 1).
+        let chosen = order.candidates[0].what;
+        assert_eq!(
+            chosen,
+            Alternative::Order {
+                left: 0b101,
+                right: 0b010
+            },
+            "expected the small relations joined first, got {}",
+            crate::report::render_label(&order.node, &chosen)
         );
     }
 
@@ -619,8 +698,9 @@ mod tests {
     }
 
     /// The search's work is a count, not a timing: every split is
-    /// costed once and only the winning tree's `n − 1` edges become plan
-    /// nodes. A regression to build-per-split fails here on any host.
+    /// costed once. That only the winning tree's `n − 1` edges become
+    /// plan nodes is held by `tests/tests/plan_alloc.rs`, whose
+    /// allocation budget at eight relations is below one per split.
     #[test]
     fn work_counts_are_exact_for_chains_of_two_to_eight() {
         let mut cat = Catalog::new();
@@ -635,7 +715,6 @@ mod tests {
             logical = logical.join(LogicalPlan::scan(&name));
             let planned = planner.plan(&logical, &cat).expect("plans");
             assert_eq!(planned.splits_costed, want, "{n} relations");
-            assert_eq!(planned.nodes_built, n - 1, "{n} relations");
             // Joins nested inside a blocking leaf are counted too.
             let nested = logical
                 .clone()
@@ -644,12 +723,11 @@ mod tests {
                 .sort();
             let planned = planner.plan(&nested, &cat).expect("plans");
             assert_eq!(planned.splits_costed, want + 1);
-            assert_eq!(planned.nodes_built, n);
         }
         let unjoined = planner
             .plan(&LogicalPlan::scan("r0").sort(), &cat)
             .expect("plans");
-        assert_eq!((unjoined.splits_costed, unjoined.nodes_built), (0, 0));
+        assert_eq!(unjoined.splits_costed, 0);
     }
 
     #[test]
@@ -713,23 +791,35 @@ mod tests {
         let join_choice = |p: &PlannedQuery| {
             p.choices
                 .iter()
-                .find(|c| c.node.starts_with("join"))
+                .find(|c| matches!(c.node, Node::Join { .. }))
                 .expect("join enumerated")
                 .clone()
         };
         let (serial_join, par_join) = (join_choice(&serial), join_choice(&par));
-        let (serial_chosen, par_chosen) = (
-            &serial_join.candidates[0].label,
-            &par_join.candidates[0].label,
+        let (serial_chosen, par_chosen) =
+            (serial_join.candidates[0].what, par_join.candidates[0].what);
+        assert_eq!(
+            serial_chosen,
+            Alternative::Join {
+                algo: JoinAlgorithm::NLJ,
+                swapped: false,
+                deferred: false
+            },
+            "serial baseline should win at λ=1"
         );
-        assert_eq!(serial_chosen, "NLJ", "serial baseline should win at λ=1");
         // The flip the critical path buys now happens *within* the NLJ
         // family: swapping the build side makes more (smaller) outer
         // blocks, which serially costs extra block reads but at DoP 8
         // fans out wider — the swapped variant overtakes.
         assert!(
-            par_chosen.starts_with("NLJ"),
-            "block-parallel NLJ keeps its lead under workers, got {par_chosen}"
+            matches!(
+                par_chosen,
+                Alternative::Join {
+                    algo: JoinAlgorithm::NLJ,
+                    ..
+                }
+            ),
+            "block-parallel NLJ keeps its lead under workers, got {par_chosen:?}"
         );
         assert_ne!(
             par_chosen, serial_chosen,
@@ -744,13 +834,13 @@ mod tests {
             let serial_units = serial_join
                 .candidates
                 .iter()
-                .find(|s| s.label == c.label)
+                .find(|s| s.what == c.what)
                 .expect("same candidate field")
                 .cost_units;
             assert!(
                 c.cost_units < serial_units,
-                "{}: {} !< {serial_units}",
-                c.label,
+                "{:?}: {} !< {serial_units}",
+                c.what,
                 c.cost_units
             );
         }
@@ -798,19 +888,36 @@ mod tests {
         let order = planned
             .choices
             .iter()
-            .find(|c| c.node.starts_with("join order"))
+            .find(|c| matches!(c.node, Node::Order { .. }))
             .expect("order search");
-        let chosen = &order.candidates[0].label;
-        assert!(
-            !chosen.starts_with("((D1 ⋈ D2)"),
-            "skewed dimensions must not join first: {chosen}"
+        // C, D1 and D2 are relations 0, 1 and 2; the lowest relation is
+        // always in the left half, so (D1 ⋈ D2) first is the split C | D1 D2.
+        let chosen = order.candidates[0].what;
+        assert_ne!(
+            chosen,
+            Alternative::Order {
+                left: 0b001,
+                right: 0b110
+            },
+            "skewed dimensions must not join first: {}",
+            crate::report::render_label(&order.node, &chosen)
         );
         // And at least one join edge offers the guided candidate.
         let has_cgj = planned
             .choices
             .iter()
-            .filter(|c| c.node.starts_with("join ~"))
-            .any(|c| c.candidates.iter().any(|cand| cand.label.contains("CGJ")));
+            .filter(|c| matches!(c.node, Node::Join { .. }))
+            .any(|c| {
+                c.candidates.iter().any(|cand| {
+                    matches!(
+                        cand.what,
+                        Alternative::Join {
+                            algo: JoinAlgorithm::CGJ,
+                            ..
+                        }
+                    )
+                })
+            });
         assert!(has_cgj, "guided join must be in the candidate field");
 
         // With adaptivity off the flag propagates.
@@ -882,7 +989,7 @@ mod tests {
             assert_eq!(c.cost_units.to_bits(), c.io.cost_units(15.0).to_bits());
             let on_disk = field(&pricey)
                 .into_iter()
-                .find(|d| d.label == c.label)
+                .find(|d| d.what == c.what)
                 .expect("same candidate field");
             assert_eq!(
                 (on_disk.io.reads, on_disk.io.writes),
@@ -892,8 +999,8 @@ mod tests {
             assert_eq!(on_disk.io.software_ns, 220.0 * on_disk.io.calls);
             assert!(
                 on_disk.cost_units > c.cost_units,
-                "{}: RAM-disk calls must raise the ranking cost",
-                c.label
+                "{:?}: RAM-disk calls must raise the ranking cost",
+                c.what
             );
         }
     }

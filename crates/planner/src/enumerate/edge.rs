@@ -7,12 +7,12 @@
 //! split with one [`Scratch`] it reuses for every split, so costing a
 //! split over uniform statistics allocates nothing (heavy hitters
 //! allocate the output statistics `TableStatistics::join` builds), and
-//! keeps only the returned figures; plan
-//! nodes, labels and the sorted evidence table are rendered from an
-//! [`EdgeCost`] later, and only for the edges that made it into the
-//! winning plan.
+//! keeps only the returned figures. The field is made of
+//! [`Candidate`]s — values, no text — and only the edges that made it
+//! into the winning plan get a plan node and a sorted copy of their
+//! field as evidence; `crate::report` formats it, if anyone asks.
 
-use super::{Candidate, NodeChoice, PlanError, Planner};
+use super::{Alternative, Candidate, Node, NodeChoice, PlanError, Planner};
 use crate::lower::WisPair;
 use crate::physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
 use pmem_sim::{Storable, CACHELINE};
@@ -44,29 +44,6 @@ pub(super) struct JoinSide<'a> {
     pub filtered_scan: Option<&'a NodeCost>,
 }
 
-/// One costed alternative of an edge, before anyone needs its label.
-#[derive(Clone, Copy, Debug)]
-pub(super) struct Arm {
-    algo: JoinAlgorithm,
-    swapped: bool,
-    /// True for the deferred-view arm: the build filter stays a view
-    /// the iterate-only join re-filters per pass.
-    deferred: bool,
-    io: IoPrediction,
-    cost_units: f64,
-}
-
-impl Arm {
-    fn label(&self) -> String {
-        let algo = self.algo;
-        match (self.deferred, self.swapped) {
-            (true, _) => format!("{algo} over deferred σ"),
-            (false, true) => format!("{algo} (swapped)"),
-            (false, false) => algo.to_string(),
-        }
-    }
-}
-
 /// The buffers costing a split fills besides its figures. The search
 /// owns one and hands it to every split; after [`Planner::cost_join`]
 /// it holds the last costed split's field.
@@ -74,7 +51,7 @@ impl Arm {
 pub(super) struct Scratch {
     /// Every candidate in enumeration order — the deferred view last —
     /// on the evidence table's one basis (see [`Planner::cost_join`]).
-    field: Vec<Arm>,
+    field: Vec<Candidate>,
     /// The heavy hitters of both sides, ascending: the keys a winning
     /// cardinality-guided join keeps resident.
     pub(super) hot: Vec<u64>,
@@ -83,8 +60,12 @@ pub(super) struct Scratch {
 /// A costed join edge: the figures of the subtree its winner roots.
 #[derive(Debug)]
 pub(super) struct EdgeCost {
-    /// The cheapest candidate (the first, on ties).
-    winner: Arm,
+    /// The cheapest candidate's algorithm (the first, on ties).
+    algo: JoinAlgorithm,
+    /// Whether it builds on the right input.
+    swapped: bool,
+    /// Whether it is the deferred-view arm.
+    deferred: bool,
     /// Ranking figure of the whole subtree under the winner.
     pub units: f64,
     /// The winning join node's cost annotation.
@@ -142,18 +123,21 @@ impl Planner {
         } else {
             (IoPrediction::traffic(0.0, pair_buffers), pair_buffers)
         };
-        let arm = |algo: JoinAlgorithm, swapped: bool, io: IoPrediction, shape: &JoinShape| {
-            let io = self.with_calls(io.plus(output_writes));
-            let cost_units =
-                self.scale_units(self.units(&io), || shape.parallel_split(&algo, self.lambda));
-            Arm {
-                algo,
-                swapped,
-                deferred: false,
-                io,
-                cost_units,
-            }
-        };
+        let candidate =
+            |algo: JoinAlgorithm, swapped: bool, io: IoPrediction, shape: &JoinShape| {
+                let io = self.with_calls(io.plus(output_writes));
+                let cost_units =
+                    self.scale_units(self.units(&io), || shape.parallel_split(&algo, self.lambda));
+                Candidate {
+                    what: Alternative::Join {
+                        algo,
+                        swapped,
+                        deferred: false,
+                    },
+                    io,
+                    cost_units,
+                }
+            };
 
         // Candidate field: every applicable algorithm in both build
         // orders. The cost models assume t ≤ v, which either order may
@@ -179,7 +163,7 @@ impl Planner {
                 if grace_family(&algo) && !grace {
                     continue;
                 }
-                field.push(arm(algo, *swapped, shape.io(&algo), shape));
+                field.push(candidate(algo, *swapped, shape.io(&algo), shape));
             }
         }
 
@@ -215,7 +199,7 @@ impl Planner {
                     continue;
                 }
                 let io = shape.guided_io(hot_t, hot_v);
-                field.push(arm(JoinAlgorithm::CGJ, *swapped, io, shape));
+                field.push(candidate(JoinAlgorithm::CGJ, *swapped, io, shape));
             }
         }
 
@@ -238,9 +222,14 @@ impl Planner {
                 // The iterate-only passes fan out like SegJ at frac = 0
                 // (the re-filtering scans are the passes).
                 let shape = JoinShape::new(src, rb, m);
-                view = Some(Arm {
-                    deferred: true,
-                    ..arm(JoinAlgorithm::SegJ { frac: 0.0 }, false, io, &shape)
+                let algo = JoinAlgorithm::SegJ { frac: 0.0 };
+                view = Some(Candidate {
+                    what: Alternative::Join {
+                        algo,
+                        swapped: false,
+                        deferred: true,
+                    },
+                    ..candidate(algo, false, io, &shape)
                 });
             }
         }
@@ -261,17 +250,26 @@ impl Planner {
             }
             field.push(view);
         }
-        let Some(winner) = field
+        let Some(
+            &winner @ Candidate {
+                what:
+                    Alternative::Join {
+                        algo,
+                        swapped,
+                        deferred,
+                    },
+                ..
+            },
+        ) = field
             .iter()
             .min_by(|a, b| a.cost_units.total_cmp(&b.cost_units))
-            .copied()
         else {
             return Err(PlanError::Unsupported(
                 "no applicable join algorithm under this DRAM budget".into(),
             ));
         };
 
-        let (node_io, units, left_total) = if winner.deferred {
+        let (node_io, units, left_total) = if deferred {
             // The view is never written: the filter's materialization
             // units and traffic leave the left subtree; re-filtering is
             // carried by this node's own figure.
@@ -295,7 +293,9 @@ impl Planner {
             (node_io, l.units + r.units + node_units, l.total_io)
         };
         Ok(EdgeCost {
-            winner,
+            algo,
+            swapped,
+            deferred,
             units,
             cost: NodeCost {
                 io: node_io,
@@ -310,34 +310,25 @@ impl Planner {
 }
 
 impl EdgeCost {
-    /// The edge's evidence table: every candidate labelled, cheapest
-    /// first, which puts the winner first. `scratch` holds this edge's
-    /// field (the split was the last one costed); `left`/`right` are the
-    /// input subtrees' root annotations.
+    /// The edge's evidence table: a copy of the field, cheapest first,
+    /// which puts the winner first. `scratch` holds this edge's field
+    /// (the split was the last one costed); `left`/`right` are the input
+    /// subtrees' root annotations.
     pub(super) fn choice(
         &self,
         scratch: &Scratch,
         left: &NodeCost,
         right: &NodeCost,
     ) -> NodeChoice {
-        let mut candidates: Vec<Candidate> = scratch
-            .field
-            .iter()
-            .map(|arm| Candidate {
-                label: arm.label(),
-                io: arm.io,
-                cost_units: arm.cost_units,
-            })
-            .collect();
+        let mut candidates = scratch.field.clone();
         candidates.sort_by(|a, b| a.cost_units.total_cmp(&b.cost_units));
         NodeChoice {
-            node: format!(
-                "join ~{:.0} x ~{:.0} rows ({:.0}/{:.0} buffers)",
-                left.out_rows,
-                right.out_rows,
-                left.out_buffers.max(1.0),
-                right.out_buffers.max(1.0)
-            ),
+            node: Node::Join {
+                left_rows: left.out_rows,
+                right_rows: right.out_rows,
+                left_buffers: left.out_buffers.max(1.0),
+                right_buffers: right.out_buffers.max(1.0),
+            },
             candidates,
         }
     }
@@ -354,7 +345,6 @@ impl EdgeCost {
         right: PhysicalPlan,
         chain: Option<ChainSlots>,
     ) -> (PhysicalPlan, TableStatistics) {
-        let Arm { algo, swapped, .. } = self.winner;
         if let (
             true,
             PhysicalPlan::Filter {
@@ -362,7 +352,7 @@ impl EdgeCost {
                 cost,
                 ..
             },
-        ) = (self.winner.deferred, &mut left)
+        ) = (self.deferred, &mut left)
         {
             *materialization = Materialization::Deferred;
             // The view is never written; its traffic is carried by the
@@ -372,10 +362,10 @@ impl EdgeCost {
         let node = PhysicalPlan::Join {
             left: Box::new(left),
             right: Box::new(right),
-            algo,
-            swapped,
+            algo: self.algo,
+            swapped: self.swapped,
             chain,
-            hot: if algo == JoinAlgorithm::CGJ {
+            hot: if self.algo == JoinAlgorithm::CGJ {
                 hot
             } else {
                 Vec::new()

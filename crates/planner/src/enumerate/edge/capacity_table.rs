@@ -198,10 +198,12 @@ fn grace_family_arms_are_offered_exactly_where_the_engine_runs_them() {
                 .expect("NLJ is always applicable");
             for (swapped, build) in [(false, t), (true, v)] {
                 let offered = |family: fn(&JoinAlgorithm) -> bool| {
-                    scratch
-                        .field
-                        .iter()
-                        .any(|arm| arm.swapped == swapped && family(&arm.algo))
+                    scratch.field.iter().any(|c| match c.what {
+                        Alternative::Join {
+                            algo, swapped: s, ..
+                        } => s == swapped && family(&algo),
+                        _ => false,
+                    })
                 };
                 let grace = want.grace(build);
                 let at = format!("{bytes} B, build side {build} rows");
@@ -257,10 +259,15 @@ fn hybrid_join_is_refused_by_the_planner_wherever_the_engine_refuses_it() {
             planner
                 .cost_join(&side, &side, false, &mut scratch)
                 .expect("NLJ is always applicable");
-            let planned = scratch
-                .field
-                .iter()
-                .any(|arm| matches!(arm.algo, JoinAlgorithm::HybJ { .. }));
+            let planned = scratch.field.iter().any(|c| {
+                matches!(
+                    c.what,
+                    Alternative::Join {
+                        algo: JoinAlgorithm::HybJ { .. },
+                        ..
+                    }
+                )
+            });
             assert_eq!(planned, want.grace(t), "{bytes} B, |T| = {t}");
             for (x, differ) in xs.iter().zip(&mut differ) {
                 let runs = engine_runs_hybrid(want, t, *x);

@@ -1,18 +1,21 @@
 //! The join-order search: a Selinger-style DP over relation subsets
 //! that ranks splits on numbers alone, then builds the one winning tree.
 //!
-//! Costing a split ([`Planner::cost_join`]) touches no plan node,
-//! formats no label and, over uniform statistics, allocates nothing:
-//! every split writes its candidate field into the one [`Scratch`] the
-//! search owns. Per subset
+//! Costing a split ([`Planner::cost_join`]) touches no plan node and,
+//! over uniform statistics, allocates nothing: every split writes its
+//! candidate field into the one [`Scratch`] the search owns. Per subset
 //! the table keeps the best split and its costed edge, not its field.
-//! Plan nodes, chain slots, per-edge evidence tables and the root's
-//! "join order" summary are rendered once, top-down from those
-//! back-pointers; the `n − 1` winning edges are costed once more there
-//! to refill their fields.
+//! Plan nodes, chain slots and per-edge evidence tables are built once,
+//! top-down from those back-pointers; the `n − 1` winning edges are
+//! costed once more there to refill their fields. The root's join-order
+//! evidence is values too: every root split as two relation bitmasks,
+//! each subset's winning left half and the relations' names, from
+//! which `crate::report` renders an order such as `((a ⋈ c) ⋈ σb)`.
 
 use super::edge::{EdgeCost, JoinSide, Scratch};
-use super::{Candidate, Evidence, NodeChoice, PlanError, Planner, MAX_JOIN_RELATIONS};
+use super::{
+    Alternative, Candidate, Evidence, Node, NodeChoice, PlanError, Planner, MAX_JOIN_RELATIONS,
+};
 use crate::catalog::Catalog;
 use crate::logical::LogicalPlan;
 use crate::physical::{ChainSlots, PhysicalPlan};
@@ -25,7 +28,6 @@ use write_limited::stats::TableStatistics;
 enum Subset<'a> {
     /// A single entry of the search: a planned non-join subtree.
     Leaf {
-        logical: &'a LogicalPlan,
         slots: &'a [usize],
         plan: PhysicalPlan,
         stats: TableStatistics,
@@ -88,24 +90,6 @@ fn unplanned() -> PlanError {
     PlanError::Unsupported("join-order search left a relation subset unplanned".into())
 }
 
-/// Display form of a subset's winning join order, e.g. `((a ⋈ c) ⋈ σb)`,
-/// appended to `out`.
-fn order_expr(out: &mut String, table: &[Option<Subset<'_>>], mask: usize) {
-    match table.get(mask) {
-        Some(Some(Subset::Leaf { logical, .. })) => leaf_relation_name(out, logical),
-        Some(Some(Subset::Join { left, right, .. })) => split_expr(out, table, *left, *right),
-        _ => out.push('?'),
-    }
-}
-
-fn split_expr(out: &mut String, table: &[Option<Subset<'_>>], left: usize, right: usize) {
-    out.push('(');
-    order_expr(out, table, left);
-    out.push_str(" ⋈ ");
-    order_expr(out, table, right);
-    out.push(')');
-}
-
 impl Planner {
     /// Plans an entire join subtree: every base relation gets its own
     /// payload slot and the entries go through the join-order search.
@@ -154,10 +138,8 @@ impl Planner {
             let mut inner = Evidence::default();
             let (plan, stats) = self.plan_node(leaf, catalog, &mut inner)?;
             evidence.splits_costed += inner.splits_costed;
-            evidence.nodes_built += inner.nodes_built;
             let total_io = plan.total_io();
             table[1 << i] = Some(Subset::Leaf {
-                logical: leaf,
                 slots,
                 units: self.units(&total_io),
                 total_io,
@@ -168,10 +150,8 @@ impl Planner {
         }
 
         let mut considered = 0usize;
-        // Every split of the full set, in enumeration order: the root's
-        // "join order" alternatives, as numbers.
-        let mut root_splits: Vec<(usize, usize, IoPrediction, f64)> =
-            Vec::with_capacity(1 << (n - 1));
+        // A chain's root alternatives: every split of the full set.
+        let mut orders = Vec::with_capacity(if chain { 1 << (n - 1) } else { 0 });
         let mut scratch = Scratch::default();
         // Numeric order visits every proper submask before its superset.
         for mask in 3..=full {
@@ -191,8 +171,15 @@ impl Planner {
                     };
                     considered += 1;
                     let edge = self.cost_join(&ml.side(), &mr.side(), chain, &mut scratch)?;
-                    if mask == full {
-                        root_splits.push((l, r, edge.total_io, edge.units));
+                    if chain && mask == full {
+                        orders.push(Candidate {
+                            what: Alternative::Order {
+                                left: l as u8,
+                                right: r as u8,
+                            },
+                            io: edge.total_io,
+                            cost_units: edge.units,
+                        });
                     }
                     if best.as_ref().is_none_or(|(_, _, b)| edge.units < b.units) {
                         best = Some((l, r, edge));
@@ -206,27 +193,25 @@ impl Planner {
         evidence.splits_costed += considered;
 
         if chain {
-            // Every root order names each relation once, with the same
-            // operators and parentheses: all labels are as long as the
-            // first.
-            let mut len = 0;
-            let mut candidates: Vec<Candidate> = root_splits
-                .into_iter()
-                .map(|(l, r, io, cost_units)| {
-                    let mut label = String::with_capacity(len);
-                    split_expr(&mut label, &table, l, r);
-                    len = label.len();
-                    Candidate {
-                        label,
-                        io,
-                        cost_units,
-                    }
+            orders.sort_by(|a, b| a.cost_units.total_cmp(&b.cost_units));
+            let best_left = table
+                .iter()
+                .map(|subset| match subset {
+                    Some(Subset::Join { left, .. }) => *left as u8,
+                    _ => 0,
                 })
                 .collect();
-            candidates.sort_by(|a, b| a.cost_units.total_cmp(&b.cost_units));
+            let relations = entries
+                .iter()
+                .map(|(leaf, _)| relation_name(leaf))
+                .collect();
             evidence.choices.push(NodeChoice {
-                node: format!("join order over {n} relations ({considered} subplans considered)"),
-                candidates,
+                node: Node::Order {
+                    considered,
+                    relations,
+                    best_left,
+                },
+                candidates: orders,
             });
         }
         let root = self.build(&mut table, full, chain, &mut scratch, evidence)?;
@@ -277,7 +262,6 @@ impl Planner {
                 let l = self.build(table, left, chain, scratch, evidence)?;
                 let r = self.build(table, right, chain, scratch, evidence)?;
                 evidence.choices.push(choice);
-                evidence.nodes_built += 1;
                 let mut slots = l.slots.clone();
                 slots.extend(&r.slots);
                 let chain_slots = chain.then_some(ChainSlots {
@@ -304,18 +288,13 @@ pub(crate) fn collect_join_leaves<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a L
     }
 }
 
-/// Display name of a join-order leaf, appended to `out`: the base table
-/// it scans (with a σ marker when filtered).
-fn leaf_relation_name(out: &mut String, leaf: &LogicalPlan) {
+/// Name of a join-order leaf: the base table it scans, `σ`-marked when
+/// filtered.
+fn relation_name(leaf: &LogicalPlan) -> String {
     match leaf {
-        LogicalPlan::Scan { table } => out.push_str(table),
-        LogicalPlan::Filter { input, .. } => {
-            out.push('σ');
-            leaf_relation_name(out, input);
-        }
-        LogicalPlan::Sort { input } | LogicalPlan::Aggregate { input } => {
-            leaf_relation_name(out, input);
-        }
-        LogicalPlan::Join { left, .. } => leaf_relation_name(out, left),
+        LogicalPlan::Scan { table } => table.clone(),
+        LogicalPlan::Filter { input, .. } => format!("σ{}", relation_name(input)),
+        LogicalPlan::Sort { input } | LogicalPlan::Aggregate { input } => relation_name(input),
+        LogicalPlan::Join { left, .. } => relation_name(left),
     }
 }

@@ -63,7 +63,9 @@ pub mod physical;
 pub mod report;
 
 pub use catalog::{Catalog, TableStats};
-pub use enumerate::{Candidate, NodeChoice, PlanError, PlannedQuery, Planner, MAX_JOIN_RELATIONS};
+pub use enumerate::{
+    Alternative, Candidate, Node, NodeChoice, PlanError, PlannedQuery, Planner, MAX_JOIN_RELATIONS,
+};
 pub use logical::{LogicalPlan, Predicate};
 pub use lower::{
     execute_stream, execute_stream_profiled, AdaptedPlan, ExecError, ExecutedStream, OutputRows,
@@ -71,4 +73,4 @@ pub use lower::{
 };
 pub use naive::execute_naive;
 pub use physical::{ChainSlots, Materialization, NodeCost, PhysicalPlan};
-pub use report::{render_analyze, render_choices, render_concordance, render_plan};
+pub use report::{render_analyze, render_choices, render_concordance, render_label, render_plan};

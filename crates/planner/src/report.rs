@@ -1,6 +1,8 @@
-//! Human-readable planning and concordance reports.
+//! Human-readable planning and concordance reports. The planner's
+//! evidence ([`crate::NodeChoice`]) is values; this is where it becomes
+//! text.
 
-use crate::enumerate::PlannedQuery;
+use crate::enumerate::{Alternative, Node, PlannedQuery};
 use crate::physical::PhysicalPlan;
 use pmem_sim::{IoStats, LatencyProfile, SpanNode};
 use std::fmt::{self, Write};
@@ -14,24 +16,111 @@ pub fn render_choices(planned: &PlannedQuery) -> String {
     out
 }
 
+/// The label of candidate `what` of `node`, e.g. `SegS, 32%`,
+/// `GJ (swapped)`, `NLJ over deferred σ` or `((T ⋈ W) ⋈ V)`.
+pub fn render_label(node: &Node, what: &Alternative) -> String {
+    let mut out = String::new();
+    // A `String` sink never fails.
+    let _ = write_label(&mut out, node, what);
+    out
+}
+
 fn write_choices(out: &mut String, planned: &PlannedQuery) -> fmt::Result {
-    writeln!(
-        out,
-        "candidates at λ = {}, M = {:.0} buffers:",
-        planned.lambda, planned.m_buffers
-    )?;
+    let (lambda, m) = (planned.lambda, planned.m_buffers);
+    writeln!(out, "candidates at λ = {lambda}, M = {m:.0} buffers:")?;
+    // One buffer for every label, padded as a `str`: by chars, `σ` and
+    // `⋈` included.
+    let mut label = String::new();
     for choice in &planned.choices {
-        writeln!(out, "  {}", choice.node)?;
+        match &choice.node {
+            Node::Sort { rows, buffers } => {
+                writeln!(out, "  sort over ~{rows:.0} rows ({buffers:.0} buffers)")
+            }
+            Node::Join {
+                left_rows: l,
+                right_rows: r,
+                left_buffers: lb,
+                right_buffers: rb,
+            } => writeln!(
+                out,
+                "  join ~{l:.0} x ~{r:.0} rows ({lb:.0}/{rb:.0} buffers)"
+            ),
+            Node::Order {
+                considered: c,
+                relations,
+                ..
+            } => {
+                let n = relations.len();
+                writeln!(
+                    out,
+                    "  join order over {n} relations ({c} subplans considered)"
+                )
+            }
+        }?;
         for (i, cand) in choice.candidates.iter().enumerate() {
+            label.clear();
+            write_label(&mut label, &choice.node, &cand.what)?;
             let marker = if i == 0 { "→" } else { " " };
             writeln!(
                 out,
-                "   {marker} {:<28} {:>14.0} units  ({:.0}r / {:.0}w)",
-                cand.label, cand.cost_units, cand.io.reads, cand.io.writes
+                "   {marker} {label:<28} {:>14.0} units  ({:.0}r / {:.0}w)",
+                cand.cost_units, cand.io.reads, cand.io.writes
             )?;
         }
     }
     Ok(())
+}
+
+fn write_label(out: &mut String, node: &Node, what: &Alternative) -> fmt::Result {
+    match (*what, node) {
+        (Alternative::Sort(algo), _) => write!(out, "{algo}"),
+        (
+            Alternative::Join {
+                algo,
+                swapped,
+                deferred,
+            },
+            _,
+        ) => {
+            let arm = match (deferred, swapped) {
+                (true, _) => " over deferred σ",
+                (false, true) => " (swapped)",
+                (false, false) => "",
+            };
+            write!(out, "{algo}{arm}")
+        }
+        (
+            Alternative::Order { left, right },
+            Node::Order {
+                relations,
+                best_left,
+                ..
+            },
+        ) => {
+            write_order(out, relations, best_left, left.into(), right.into());
+            Ok(())
+        }
+        (Alternative::Order { .. }, _) => out.write_str("?"),
+    }
+}
+
+/// Appends the join order `(left ⋈ right)` of two relation bitmasks,
+/// every half of several relations split again at its winning left
+/// half: e.g. `((a ⋈ c) ⋈ σb)`.
+fn write_order(out: &mut String, names: &[String], best_left: &[u8], left: usize, right: usize) {
+    out.push('(');
+    for (i, half) in [left, right].into_iter().enumerate() {
+        out.push_str(if i == 0 { "" } else { " ⋈ " });
+        match best_left.get(half).map(|&l| usize::from(l)) {
+            Some(l) if l != 0 => write_order(out, names, best_left, l, half ^ l),
+            _ => out.push_str(
+                names
+                    .get(half.trailing_zeros() as usize)
+                    .map_or("?", String::as_str),
+            ),
+        }
+    }
+    out.push(')');
 }
 
 /// Renders the chosen physical plan tree.

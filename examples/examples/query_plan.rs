@@ -20,6 +20,7 @@
 //! cargo run -p wl-examples --example query_plan
 //! ```
 
+use planner::{render_label, Node};
 use wl_db::Database;
 
 fn plan_and_run(lambda: f64) -> String {
@@ -56,9 +57,8 @@ fn plan_and_run(lambda: f64) -> String {
         .planned()
         .choices
         .iter()
-        .find(|c| c.node.starts_with("join"))
-        .and_then(|c| c.candidates.first())
-        .map(|c| c.label.clone())
+        .find(|c| matches!(c.node, Node::Join { .. }))
+        .and_then(|c| Some(render_label(&c.node, &c.candidates.first()?.what)))
         .unwrap_or_default()
 }
 

@@ -3,8 +3,8 @@
 //! equivalence against the naive DRAM executor.
 
 use planner::{
-    execute_naive, execute_stream, Catalog, ExecError, LogicalPlan, Materialization, PhysicalPlan,
-    PlanError, Planner, Predicate, TableStats,
+    execute_naive, execute_stream, Alternative, Catalog, ExecError, LogicalPlan, Materialization,
+    Node, PhysicalPlan, PlanError, Planner, Predicate, TableStats,
 };
 use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, PmDevice};
 use rand::rngs::StdRng;
@@ -234,12 +234,15 @@ fn deferred_filter_plans_execute_correctly() {
     let join_choice = planned
         .choices
         .iter()
-        .find(|c| c.node.starts_with("join"))
+        .find(|c| matches!(c.node, Node::Join { .. }))
         .expect("join enumerated");
     assert!(
-        join_choice.candidates[0].label.ends_with("over deferred σ"),
-        "{}",
-        join_choice.candidates[0].label
+        matches!(
+            join_choice.candidates[0].what,
+            Alternative::Join { deferred: true, .. }
+        ),
+        "{:?}",
+        join_choice.candidates[0].what
     );
 
     let run = execute_stream(&planned, &cat, &dev, LayerKind::BlockedMemory, &pool).expect("runs");
