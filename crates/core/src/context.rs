@@ -171,3 +171,79 @@ impl Capacity {
         Ok(self.partitions(t_records as f64) as usize)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::join::{JoinAlgorithm, JoinContext};
+    use crate::sort::{SortAlgorithm, SortContext};
+    use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice, Storable};
+    use wisconsin::{join_input, sort_input, KeyOrder, WisconsinRecord};
+
+    /// DRAM budget of the runs below, in Wisconsin records.
+    const M: usize = 100;
+
+    /// The pool telemetry one run leaves on a fresh pool of `M` records:
+    /// `(reservations, exhausted, high_water)`.
+    fn telemetry(run: impl FnOnce(&BufferPool)) -> (u64, u64, usize) {
+        let pool = BufferPool::new(M * WisconsinRecord::SIZE);
+        run(&pool);
+        (pool.reservations(), pool.exhausted(), pool.high_water())
+    }
+
+    /// Every run through the handle holds its working set once: the whole
+    /// input (a sort's) or build side (a join's) when it fits the budget,
+    /// otherwise one refused full-size attempt and then the whole budget.
+    #[test]
+    fn every_run_holds_its_working_set_once() {
+        let budget = M * WisconsinRecord::SIZE;
+        let sorts = [
+            SortAlgorithm::ExMS,
+            SortAlgorithm::SegS { x: 0.0 },
+            SortAlgorithm::SegS { x: 1.0 },
+            SortAlgorithm::HybS { x: 0.0 },
+            SortAlgorithm::HybS { x: 1.0 },
+            SortAlgorithm::LaS,
+            SortAlgorithm::SelS,
+        ];
+        let joins = [
+            JoinAlgorithm::NLJ,
+            JoinAlgorithm::GJ,
+            JoinAlgorithm::HJ,
+            JoinAlgorithm::HybJ { x: 0.0, y: 0.0 },
+            JoinAlgorithm::HybJ { x: 0.0, y: 1.0 },
+            JoinAlgorithm::HybJ { x: 1.0, y: 0.0 },
+            JoinAlgorithm::HybJ { x: 1.0, y: 1.0 },
+            JoinAlgorithm::SegJ { frac: 0.0 },
+            JoinAlgorithm::SegJ { frac: 1.0 },
+            JoinAlgorithm::LaJ,
+            JoinAlgorithm::SMJ { x: 0.0 },
+            JoinAlgorithm::SMJ { x: 1.0 },
+            JoinAlgorithm::CGJ,
+        ];
+        let kind = LayerKind::BlockedMemory;
+        // 3M records overflow the budget, M/2 fit it.
+        for (rows, want) in [(3 * M, (1, 1, budget)), (M / 2, (1, 0, budget / 2))] {
+            for algo in sorts {
+                let got = telemetry(|pool| {
+                    let dev = PmDevice::paper_default();
+                    let records = sort_input(rows as u64, KeyOrder::Random, 5);
+                    let input = PCollection::from_records_uncounted(&dev, kind, "T", records);
+                    let ctx = SortContext::new(&dev, kind, pool);
+                    algo.run(&input, &ctx, "out").expect("valid");
+                });
+                assert_eq!(got, want, "{algo}, {rows} records");
+            }
+            for algo in joins {
+                let got = telemetry(|pool| {
+                    let dev = PmDevice::paper_default();
+                    let w = join_input(rows as u64, 2, 5);
+                    let left = PCollection::from_records_uncounted(&dev, kind, "T", w.left);
+                    let right = PCollection::from_records_uncounted(&dev, kind, "V", w.right);
+                    let ctx = JoinContext::new(&dev, kind, pool);
+                    algo.run(&left, &right, &ctx, "out").expect("applicable");
+                });
+                assert_eq!(got, want, "{algo}, {rows} build records");
+            }
+        }
+    }
+}
