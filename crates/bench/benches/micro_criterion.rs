@@ -9,8 +9,8 @@
 use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};
 use std::time::Instant;
 use wisconsin::{join_input, sort_input, KeyOrder};
-use write_limited::join::{grace_join, lazy_hash_join, JoinContext};
-use write_limited::sort::{cycle_sort, external_merge_sort, segment_sort, SortContext};
+use write_limited::join::{JoinAlgorithm, JoinContext};
+use write_limited::sort::{cycle_sort, SortAlgorithm, SortContext};
 
 const ITERS: usize = 5;
 
@@ -40,7 +40,10 @@ fn bench_sorts() {
             );
             let pool = BufferPool::fraction_of(input.bytes(), 0.05);
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-            external_merge_sort(&input, &ctx, "sorted").len()
+            SortAlgorithm::ExMS
+                .run(&input, &ctx, "sorted")
+                .expect("sorts")
+                .len()
         });
         time(&format!("sort/segs50/{n}"), || {
             let dev = PmDevice::paper_default();
@@ -52,7 +55,8 @@ fn bench_sorts() {
             );
             let pool = BufferPool::fraction_of(input.bytes(), 0.05);
             let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-            segment_sort(&input, 0.5, &ctx, "sorted")
+            SortAlgorithm::SegS { x: 0.5 }
+                .run(&input, &ctx, "sorted")
                 .expect("valid")
                 .len()
         });
@@ -70,7 +74,8 @@ fn bench_joins() {
                 PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
             let pool = BufferPool::fraction_of(left.bytes(), 0.1);
             let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-            grace_join(&left, &right, &ctx, "out")
+            JoinAlgorithm::GJ
+                .run(&left, &right, &ctx, "out")
                 .expect("applicable")
                 .len()
         });
@@ -83,7 +88,10 @@ fn bench_joins() {
             PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
         let pool = BufferPool::fraction_of(left.bytes(), 0.1);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        lazy_hash_join(&left, &right, &ctx, "out").len()
+        JoinAlgorithm::LaJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins")
+            .len()
     });
 }
 

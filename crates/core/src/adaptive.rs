@@ -1,8 +1,8 @@
 //! Rule-driven **adaptive** segmented Grace join — the executable
 //! version of the paper's §3.1 worked example.
 //!
-//! Unlike [`crate::join::segmented_grace_join`], which takes the number
-//! of materialized partitions as a compile-time knob, this operator
+//! Unlike [`crate::join::JoinAlgorithm::SegJ`], which takes the share
+//! of materialized partitions as a fixed knob, this operator
 //! defers *every* partition and lets the §3.1 rules ([`crate::deferral`])
 //! decide: the `read-over-write` rule compares the materialization cost
 //! `λ·|partition|` against the source's accumulated read cost plus one
@@ -216,7 +216,9 @@ mod tests {
         let adaptive = dev.snapshot().since(&before);
 
         let before = dev.snapshot();
-        let _ = crate::join::grace_join(&left, &right, &ctx, "g").expect("ok");
+        let _ = crate::join::JoinAlgorithm::GJ
+            .run(&left, &right, &ctx, "g")
+            .expect("ok");
         let grace = dev.snapshot().since(&before);
 
         assert!(

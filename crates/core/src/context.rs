@@ -85,7 +85,7 @@ impl<'p> ExecContext<'p> {
     /// Allocates a fresh unique collection name. Names are handed out on
     /// the coordinating thread before workers spawn, so they stay
     /// deterministic at any degree of parallelism.
-    pub fn fresh_name(&self, prefix: &str) -> String {
+    pub(crate) fn fresh_name(&self, prefix: &str) -> String {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         format!("{prefix}-{id}")
     }

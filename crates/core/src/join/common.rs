@@ -18,7 +18,7 @@ pub type JoinContext<'p> = ExecContext<'p>;
 /// Partition hash: a strong 64-bit mix so modulo assignment is balanced
 /// even on sequential keys.
 #[inline]
-pub fn partition_of(key: u64, partitions: usize) -> usize {
+pub(crate) fn partition_of(key: u64, partitions: usize) -> usize {
     let mut x = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -215,14 +215,14 @@ impl<L: Record> BuildTable<L> {
     /// Panics if the table already holds `u32::MAX` records, or unless
     /// `bytes` is one record.
     #[inline]
-    pub fn insert_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn insert_bytes(&mut self, bytes: &[u8]) {
         assert_eq!(bytes.len(), L::SIZE, "insert_bytes takes one record");
         self.link(key_of::<L>(bytes));
         self.records.extend_from_slice(bytes);
     }
 
-    /// Inserts one build-side record, stored as [`BuildTable::insert_bytes`]
-    /// stores its bytes.
+    /// Inserts one build-side record, stored as `insert_bytes` stores its
+    /// bytes.
     ///
     /// # Panics
     /// Panics if the table already holds `u32::MAX` records.

@@ -43,24 +43,12 @@ pub struct GraceProfile {
     pub per_partition: Vec<IoStats>,
 }
 
-/// Joins `left ⋈ right` with Grace join.
+/// [`super::JoinAlgorithm::GJ`] with the per-phase cost profile
+/// alongside the result.
 ///
 /// # Errors
 /// Returns [`PmError::InsufficientMemory`] when `M ≤ √(f·|T|)` — the
 /// paper's applicability condition (partitions would not fit in DRAM).
-pub fn grace_join<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
-    phased(left, right, ctx, output_name).map(|(out, _)| out)
-}
-
-/// [`grace_join`] with the per-phase cost profile alongside the result.
-///
-/// # Errors
-/// Same as [`grace_join`].
 pub fn grace_join_profiled<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
@@ -82,7 +70,7 @@ pub fn grace_join_profiled<L: Record, R: Record>(
     ))
 }
 
-/// [`grace_join`] and its three phases: the left input's partitioning
+/// GJ's schedule and its three phases: the left input's partitioning
 /// morsels, the right input's, and the partition pairs.
 pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
@@ -140,7 +128,7 @@ pub(crate) fn steered<L: Record, R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::PARTITION_MORSEL_RECORDS;
+    use crate::join::{JoinAlgorithm, PARTITION_MORSEL_RECORDS};
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{join_input, WisconsinRecord};
 
@@ -153,7 +141,9 @@ mod tests {
             PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
         let pool = BufferPool::new(60 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = grace_join(&left, &right, &ctx, "out").expect("applicable");
+        let out = JoinAlgorithm::GJ
+            .run(&left, &right, &ctx, "out")
+            .expect("applicable");
         assert_eq!(out.len() as u64, w.expected_matches);
     }
 
@@ -168,7 +158,9 @@ mod tests {
         let pool = BufferPool::new(100 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = grace_join(&left, &right, &ctx, "out").expect("applicable");
+        let out = JoinAlgorithm::GJ
+            .run(&left, &right, &ctx, "out")
+            .expect("applicable");
         let d = dev.snapshot().since(&before);
         // Reads: both inputs twice (partitioning + joining); partition
         // boundaries add at most one cacheline per partition per side.
@@ -200,7 +192,7 @@ mod tests {
             PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
         let pool = BufferPool::new(50 * 80); // √(1.2·10000) ≈ 110 > 50
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        assert!(grace_join(&left, &right, &ctx, "out").is_err());
+        assert!(JoinAlgorithm::GJ.run(&left, &right, &ctx, "out").is_err());
     }
 
     #[test]
@@ -220,7 +212,9 @@ mod tests {
         );
         let pool = BufferPool::new(100 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = grace_join(&left, &right, &ctx, "out").expect("applicable");
+        let out = JoinAlgorithm::GJ
+            .run(&left, &right, &ctx, "out")
+            .expect("applicable");
         assert_eq!(out.len(), 20); // 4 copies of each of 5 keys
     }
 
@@ -237,7 +231,9 @@ mod tests {
             let pool = BufferPool::new(1500 * 80);
             let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
             let before = dev.snapshot();
-            let out = grace_join(&left, &right, &ctx, "out").expect("applicable");
+            let out = JoinAlgorithm::GJ
+                .run(&left, &right, &ctx, "out")
+                .expect("applicable");
             (out.to_vec_uncounted(), dev.snapshot().since(&before))
         };
         let (rows1, io1) = run(1);

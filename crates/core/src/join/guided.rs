@@ -140,7 +140,9 @@ mod tests {
         let guided = JoinAlgorithm::CGJ
             .run(&left, &right, &ctx, "out-g")
             .expect("applicable");
-        let grace = super::super::grace_join(&left, &right, &ctx, "out-r").expect("applicable");
+        let grace = JoinAlgorithm::GJ
+            .run(&left, &right, &ctx, "out-r")
+            .expect("applicable");
         let mut a: Vec<(u64, u64)> = guided
             .to_vec_uncounted()
             .iter()
@@ -178,7 +180,9 @@ mod tests {
         guided_join_with(&left, &right, &hot, &ctx, "out-g").expect("applicable");
         let guided_io = dev.snapshot().since(&before);
         let before = dev.snapshot();
-        super::super::grace_join(&left, &right, &ctx, "out-r").expect("applicable");
+        JoinAlgorithm::GJ
+            .run(&left, &right, &ctx, "out-r")
+            .expect("applicable");
         let grace_io = dev.snapshot().since(&before);
         // Both runs write the same output; the partition writes are what
         // the hot keys bypass. Grace partition-writes both inputs in
@@ -219,7 +223,7 @@ mod tests {
                     guided_join_with(l, r, &[], ctx, "out")
                 });
                 let gj = device_run(&w, kind, 1500, threads, |l, r, ctx| {
-                    super::super::grace_join(l, r, ctx, "out")
+                    JoinAlgorithm::GJ.run(l, r, ctx, "out")
                 });
                 assert_eq!(cold.1.len() as u64, w.expected_matches);
                 assert_same_run(&format!("{kind:?}, DoP {threads}"), &cold, &gj);

@@ -19,19 +19,9 @@ use super::common::{partition_of, BuildTable, JoinContext};
 use super::kernel::{for_each_morsel, route_scan, Phased, Route};
 use crate::parallel::{Label, Phase, Phases};
 use pmem_sim::{PCollection, RecordBuffer, RecordReader};
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 
-/// Joins `left ⋈ right` with the iterative standard hash join.
-pub fn hash_join<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> PCollection<Pair<L, R>> {
-    phased(left, right, ctx, output_name).0
-}
-
-/// [`hash_join`] and its phases: per pass, the build scan's morsels and
+/// HJ's schedule and its phases: per pass, the build scan's morsels and
 /// then the probe scan's.
 pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
@@ -133,6 +123,7 @@ fn pass_scan<S: Record, K: Default + Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::JoinAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{join_input, WisconsinRecord};
 
@@ -145,7 +136,9 @@ mod tests {
             PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
         let pool = BufferPool::new(60 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = hash_join(&left, &right, &ctx, "out");
+        let out = JoinAlgorithm::HJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         assert_eq!(out.len() as u64, w.expected_matches);
     }
 
@@ -165,7 +158,9 @@ mod tests {
         assert!(k >= 4.0, "want several iterations, got k={k}");
 
         let before = dev.snapshot();
-        let out = hash_join(&left, &right, &ctx, "out");
+        let out = JoinAlgorithm::HJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         let d = dev.snapshot().since(&before);
 
         // Table 1: total writes ≈ Σ_{i=1..k-1} (k−i)/k ·(|T|+|V|)
@@ -189,7 +184,9 @@ mod tests {
         let pool = BufferPool::new(100 * 80); // all of T fits
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = hash_join(&left, &right, &ctx, "out");
+        let out = JoinAlgorithm::HJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         let d = dev.snapshot().since(&before);
         assert_eq!(out.len(), 150);
         // No offloading: writes are exactly the output.

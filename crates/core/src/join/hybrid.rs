@@ -150,7 +150,6 @@ mod tests {
         // x = y = 0 partitions nothing and joins all of T by block nested
         // loops over the same DRAM-sized blocks: it *is* NLJ, counter for
         // counter and pair for pair, on every layer at any DoP.
-        use crate::join::nested_loops::nested_loops_join;
         use crate::join::tests::{assert_same_run, device_run, LAYERS};
         let w = join_input(300, 8, 12);
         for kind in LAYERS {
@@ -159,7 +158,7 @@ mod tests {
                     JoinAlgorithm::HybJ { x: 0.0, y: 0.0 }.run(l, r, ctx, "out")
                 });
                 let nlj = device_run(&w, kind, 60, threads, |l, r, ctx| {
-                    Ok(nested_loops_join(l, r, ctx, "out"))
+                    JoinAlgorithm::NLJ.run(l, r, ctx, "out")
                 });
                 assert_eq!(hyb.1.len() as u64, w.expected_matches);
                 assert_same_run(&format!("{kind:?}, DoP {threads}"), &hyb, &nlj);

@@ -1,6 +1,6 @@
 //! LaJ — lazy hash join (§2.2.3).
 //!
-//! The lazy variant of [`super::hash::hash_join`]: when a scanned record
+//! The lazy variant of [`super::JoinAlgorithm::HJ`]: when a scanned record
 //! does not belong to the partition being processed it is **not** written
 //! back; the algorithm pays the penalty of rescanning dead records in
 //! later iterations instead. Savings (writes avoided) and penalty (extra
@@ -25,25 +25,15 @@ use super::common::JoinContext;
 use super::hash::passes;
 use super::kernel::Phased;
 use pmem_sim::PCollection;
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 
 /// The corrected Eq. 11 threshold: lazy iterations tolerated before the
 /// remaining `k` partitions are worth materializing.
-pub fn lazy_materialization_iterations(k_remaining: usize, lambda: f64) -> usize {
+pub(crate) fn lazy_materialization_iterations(k_remaining: usize, lambda: f64) -> usize {
     ((k_remaining as f64) * lambda / (lambda + 1.0)).floor() as usize
 }
 
-/// Joins `left ⋈ right` with the lazy hash join.
-pub fn lazy_hash_join<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> PCollection<Pair<L, R>> {
-    phased(left, right, ctx, output_name).0
-}
-
-/// [`lazy_hash_join`] and its phases: per pass, the build scan's morsels
+/// LaJ's schedule and its phases: per pass, the build scan's morsels
 /// and then the probe scan's.
 pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
@@ -73,6 +63,7 @@ pub(crate) fn phased<L: Record, R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::JoinAlgorithm;
     use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PmDevice};
     use wisconsin::join_input;
 
@@ -87,7 +78,9 @@ mod tests {
         let pool = BufferPool::new(m_records * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = lazy_hash_join(&left, &right, &ctx, "out");
+        let out = JoinAlgorithm::LaJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         (dev.snapshot().since(&before), out.len(), w.expected_matches)
     }
 
@@ -108,11 +101,11 @@ mod tests {
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
 
         let before = dev.snapshot();
-        let _ = lazy_hash_join(&left, &right, &ctx, "lazy-out");
+        let _ = JoinAlgorithm::LaJ.run(&left, &right, &ctx, "lazy-out");
         let lazy = dev.snapshot().since(&before);
 
         let before = dev.snapshot();
-        let _ = super::super::hash::hash_join(&left, &right, &ctx, "hj-out");
+        let _ = JoinAlgorithm::HJ.run(&left, &right, &ctx, "hj-out");
         let standard = dev.snapshot().since(&before);
 
         assert!(

@@ -8,14 +8,14 @@
 //!
 //! | Paper name | Function | Character | Schedule |
 //! |---|---|---|---|
-//! | NLJ | [`nested_loops_join`] | read-only, write-minimal reference | build–probe: a task per DRAM block of `T`, probed by all of `V` |
-//! | GJ | [`grace_join`] | symmetric-I/O partitioned baseline | morsel-grid partition scan of `T`, of `V`; build–probe: a task per partition pair |
-//! | HJ | [`hash_join`] | iterative, rewrite-heavy baseline | per pass `i`: morsel-grid scans of `T`, `V` keep partition `i` (build, probe), spill the rest to the next pass |
+//! | NLJ | [`JoinAlgorithm::NLJ`] | read-only, write-minimal reference | build–probe: a task per DRAM block of `T`, probed by all of `V` |
+//! | GJ | [`JoinAlgorithm::GJ`] | symmetric-I/O partitioned baseline | morsel-grid partition scan of `T`, of `V`; build–probe: a task per partition pair |
+//! | HJ | [`JoinAlgorithm::HJ`] | iterative, rewrite-heavy baseline | per pass `i`: morsel-grid scans of `T`, `V` keep partition `i` (build, probe), spill the rest to the next pass |
 //! | HybJ | [`JoinAlgorithm::HybJ`] | intensities `x`/`y` per input (Eq. 6) | partition scan of `Tx`, of `Vy`; build–probe: a task per partition (probed by its `Vy` piece and `V₁₋y`), a task per block of `T₁₋x` |
-//! | SegJ | [`segmented_grace_join`] | materialize `x` of `k` partitions (Eq. 9) | scans of `T`, `V` spill partitions `0..x`; build–probe: a pair task per materialized partition, a rescan task per other |
-//! | LaJ | [`lazy_hash_join`] | dynamic, Eq. 11 materialization | HJ's passes, spilling only on the passes Eq. 11 picks |
-//! | SMJ | [`sort_merge_join`] | sort-phase write intensity `x` (extension) | two segment sorts (the sort kernels, [`crate::sort`]), then a merge co-scan over key-range segments |
-//! | CGJ | [`guided_join_with`] | hot keys skip the partition round-trip (extension) | morsel-grid scans keep hot records (build the resident table, probe it) and spill the rest; build–probe over the cold pairs |
+//! | SegJ | [`JoinAlgorithm::SegJ`] | materialize `x = round(frac·k)` of `k` partitions (Eq. 9) | scans of `T`, `V` spill partitions `0..x`; build–probe: a pair task per materialized partition, a rescan task per other |
+//! | LaJ | [`JoinAlgorithm::LaJ`] | dynamic, Eq. 11 materialization | HJ's passes, spilling only on the passes Eq. 11 picks |
+//! | SMJ | [`JoinAlgorithm::SMJ`] | sort-phase write intensity `x` (extension) | two segment sorts (the sort kernels, [`crate::sort`]), then a merge co-scan over key-range segments |
+//! | CGJ | [`JoinAlgorithm::CGJ`], [`guided_join_with`] | hot keys skip the partition round-trip (extension) | morsel-grid scans keep hot records (build the resident table, probe it) and spill the rest; build–probe over the cold pairs |
 //! | (adaptive GJ) | [`crate::adaptive::adaptive_grace_join`] | §3.1 rules pick the partitions to materialize | per input whose rule fires, a scan spilling partitions `a..k`; build–probe: a task per partition, from its spill or a rescan of the original |
 //! | (deferred σ) | [`crate::pipeline::filtered_iterate_join`] | §3.1 rules pick when to write `σ(T)` | build–probe: a re-filtering task per pass before the view materializes; the pass that writes it as it scans; build–probe: a task per later pass over the view |
 //!
@@ -37,15 +37,10 @@ pub mod nested_loops;
 pub mod segmented;
 pub mod sort_merge;
 
-pub use common::{expected_match_count, partition_of, BuildTable, JoinContext, HASH_TABLE_FACTOR};
-pub use grace::{grace_join, grace_join_profiled, GraceProfile};
+pub use common::{expected_match_count, BuildTable, JoinContext, HASH_TABLE_FACTOR};
+pub use grace::{grace_join_profiled, GraceProfile};
 pub use guided::guided_join_with;
-pub use hash::hash_join;
 pub use kernel::PARTITION_MORSEL_RECORDS;
-pub use lazy::{lazy_hash_join, lazy_materialization_iterations};
-pub use nested_loops::nested_loops_join;
-pub use segmented::segmented_grace_join;
-pub use sort_merge::sort_merge_join;
 
 use pmem_sim::{PCollection, PmError};
 use wisconsin::{Pair, Record};
@@ -163,9 +158,7 @@ impl JoinAlgorithm {
                 .map(|(out, phases)| (out, phases.into())),
             JoinAlgorithm::HJ => Ok(hash::phased(left, right, ctx, output_name)),
             JoinAlgorithm::HybJ { x, y } => hybrid::phased(left, right, *x, *y, ctx, output_name),
-            JoinAlgorithm::SegJ { frac } => {
-                segmented::phased_frac(left, right, *frac, ctx, output_name)
-            }
+            JoinAlgorithm::SegJ { frac } => segmented::phased(left, right, *frac, ctx, output_name),
             JoinAlgorithm::LaJ => Ok(lazy::phased(left, right, ctx, output_name)),
             JoinAlgorithm::SMJ { x } => sort_merge::phased(left, right, *x, ctx, output_name),
             JoinAlgorithm::CGJ => guided::phased(left, right, None, ctx, output_name),
@@ -176,6 +169,7 @@ impl JoinAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::common::partition_of;
     use pmem_sim::{BufferPool, IoStats, LayerKind, PmDevice, Storable};
     use wisconsin::{join_input, JoinWorkload, WisconsinRecord};
 
@@ -328,13 +322,16 @@ mod tests {
                     assert_eq!(want.len() as u64, w.expected_matches, "{what}");
 
                     for x in [0, k / 2] {
-                        let out = segmented_grace_join(&left, &right, x, &ctx, "o").expect("fits");
+                        let segj = JoinAlgorithm::SegJ {
+                            frac: x as f64 / k as f64,
+                        };
+                        let out = segj.run(&left, &right, &ctx, "o").expect("fits");
                         assert!(out.to_vec_uncounted() == want, "SegJ x={x}: {what}");
                     }
-                    let out = lazy_hash_join(&left, &right, &ctx, "o");
-                    assert!(out.to_vec_uncounted() == want, "LaJ: {what}");
-                    let out = hash_join(&left, &right, &ctx, "o");
-                    assert!(out.to_vec_uncounted() == want, "HJ: {what}");
+                    for algo in [JoinAlgorithm::LaJ, JoinAlgorithm::HJ] {
+                        let out = algo.run(&left, &right, &ctx, "o").expect("fits");
+                        assert!(out.to_vec_uncounted() == want, "{algo}: {what}");
+                    }
                     let (out, _) = adaptive_grace_join(&left, &right, &ctx, "o").expect("fits");
                     assert!(out.to_vec_uncounted() == want, "adaptive Grace: {what}");
 

@@ -12,19 +12,9 @@
 use super::common::JoinContext;
 use super::kernel::{build_probe, build_table, Phased};
 use pmem_sim::PCollection;
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 
-/// Joins `left ⋈ right` on key equality with block nested loops.
-pub fn nested_loops_join<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> PCollection<Pair<L, R>> {
-    phased(left, right, ctx, output_name).0
-}
-
-/// [`nested_loops_join`] and its one phase: the outer blocks.
+/// NLJ's schedule and its one phase: the outer blocks.
 pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
@@ -45,6 +35,7 @@ pub(crate) fn phased<L: Record, R: Record>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::JoinAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{join_input, WisconsinRecord};
 
@@ -71,7 +62,9 @@ mod tests {
         let (dev, left, right, m) = stage(200, 10, 50);
         let pool = BufferPool::new(m * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = nested_loops_join(&left, &right, &ctx, "out");
+        let out = JoinAlgorithm::NLJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         assert_eq!(out.len(), 2000);
     }
 
@@ -81,7 +74,9 @@ mod tests {
         let pool = BufferPool::new(m * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = nested_loops_join(&left, &right, &ctx, "out");
+        let out = JoinAlgorithm::NLJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         let d = dev.snapshot().since(&before);
         assert_eq!(d.cl_writes, out.buffers());
     }
@@ -93,7 +88,9 @@ mod tests {
         let pool = BufferPool::new(25 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let _ = nested_loops_join(&left, &right, &ctx, "out");
+        let _ = JoinAlgorithm::NLJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         let d = dev.snapshot().since(&before);
         let blocks = 100usize.div_ceil(ctx.capacity::<WisconsinRecord>().build_records()) as u64;
         let expected = left.buffers() + blocks * right.buffers();
@@ -122,7 +119,9 @@ mod tests {
         );
         let pool = BufferPool::new(20 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = nested_loops_join(&left, &right, &ctx, "out");
+        let out = JoinAlgorithm::NLJ
+            .run(&left, &right, &ctx, "out")
+            .expect("joins");
         assert!(out.is_empty());
     }
 
@@ -139,7 +138,8 @@ mod tests {
         );
         let pool = BufferPool::new(8000);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        assert!(nested_loops_join(&empty, &some, &ctx, "o1").is_empty());
-        assert!(nested_loops_join(&some, &empty, &ctx, "o2").is_empty());
+        let nlj = |l, r, name| JoinAlgorithm::NLJ.run(l, r, &ctx, name).expect("joins");
+        assert!(nlj(&empty, &some, "o1").is_empty());
+        assert!(nlj(&some, &empty, "o2").is_empty());
     }
 }

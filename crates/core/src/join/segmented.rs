@@ -22,44 +22,33 @@ use super::kernel::{build_probe, build_table, pair, spill_scan, Phased};
 use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
 use std::slice;
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 
-/// Joins `left ⋈ right`, materializing `materialized` of the `k`
-/// partitions (or a fraction of them: [`super::JoinAlgorithm::SegJ`]).
+/// SegJ's schedule ([`super::JoinAlgorithm::SegJ`]), materializing
+/// `x = round(frac · k)` of the `k` partitions: the two partition scans
+/// (when `x > 0`), then the partition tasks.
 ///
 /// # Errors
-/// Returns [`PmError::InsufficientMemory`] when Grace is inapplicable,
-/// or [`PmError::InvalidParameter`] when `materialized > k`.
-pub fn segmented_grace_join<L: Record, R: Record>(
+/// Returns [`PmError::InvalidParameter`] unless `0 ≤ frac ≤ 1`, and
+/// [`PmError::InsufficientMemory`] when Grace is inapplicable.
+pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
-    materialized: usize,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
-    phased(left, right, materialized, ctx, output_name).map(|(out, _)| out)
-}
-
-/// [`segmented_grace_join`] and its phases: the two partition scans
-/// (when `materialized > 0`), then the partition tasks.
-fn phased<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    materialized: usize,
+    frac: f64,
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
+    if !(0.0..=1.0).contains(&frac) {
+        return Err(PmError::InvalidParameter {
+            name: "frac",
+            message: format!("write intensity must be in [0,1], got {frac}"),
+        });
+    }
     let _span = pmem_sim::span::span("alg segmented-grace");
     let k = ctx
         .capacity::<L>()
         .grace_partitions(left.len(), "segmented Grace join")?;
-    if materialized > k {
-        return Err(PmError::InvalidParameter {
-            name: "materialized",
-            message: format!("cannot materialize {materialized} of {k} partitions"),
-        });
-    }
-    let x = materialized;
+    let x = ((k as f64) * frac).round() as usize;
     let mut phases = Phases::new();
 
     // Initial scan: offload partitions 0..x of both inputs. Skipped
@@ -92,30 +81,6 @@ fn phased<L: Record, R: Record>(
         &mut out,
     ));
     Ok((out, phases))
-}
-
-/// [`super::JoinAlgorithm::SegJ`]: materializes `round(frac · k)`
-/// partitions — the form the paper's write-intensity sweeps use — and
-/// returns the phases.
-///
-/// # Errors
-/// Same as [`segmented_grace_join`], plus `frac ∉ [0, 1]`.
-pub(crate) fn phased_frac<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    frac: f64,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> Result<Phased<L, R>, PmError> {
-    if !(0.0..=1.0).contains(&frac) {
-        return Err(PmError::InvalidParameter {
-            name: "frac",
-            message: format!("write intensity must be in [0,1], got {frac}"),
-        });
-    }
-    let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
-    let x = ((k as f64) * frac).round() as usize;
-    phased(left, right, x.min(k), ctx, output_name)
 }
 
 #[cfg(test)]
@@ -151,7 +116,10 @@ mod tests {
             .capacity::<WisconsinRecord>()
             .partitions(left.len() as f64) as usize;
         for x in [0, 1, k / 2, k] {
-            let out = segmented_grace_join(&left, &right, x, &ctx, "out").expect("applicable");
+            let segj = JoinAlgorithm::SegJ {
+                frac: x as f64 / k as f64,
+            };
+            let out = segj.run(&left, &right, &ctx, "out").expect("applicable");
             assert_eq!(out.len() as u64, want, "x={x} of k={k}");
         }
     }
@@ -167,11 +135,14 @@ mod tests {
         assert!(k >= 4, "need several partitions, got {k}");
 
         let before = dev.snapshot();
-        let _ = segmented_grace_join(&left, &right, 1, &ctx, "lo").expect("ok");
+        let frac = 1.0 / k as f64;
+        let segj = JoinAlgorithm::SegJ { frac };
+        segj.run(&left, &right, &ctx, "lo").expect("ok");
         let lo = dev.snapshot().since(&before);
 
         let before = dev.snapshot();
-        let _ = segmented_grace_join(&left, &right, k, &ctx, "hi").expect("ok");
+        let segj = JoinAlgorithm::SegJ { frac: 1.0 };
+        segj.run(&left, &right, &ctx, "hi").expect("ok");
         let hi = dev.snapshot().since(&before);
 
         assert!(
@@ -190,7 +161,6 @@ mod tests {
         // one partitioning morsel. Past it Grace partitions each morsel
         // into pieces of its own and pays their boundary cachelines;
         // SegJ's scan has no morsel grid.
-        use crate::join::grace::grace_join;
         use crate::join::tests::{assert_same_run, device_run, LAYERS};
         let w = join_input(300, 8, 23);
         assert!(w.right.len() <= crate::join::PARTITION_MORSEL_RECORDS);
@@ -199,10 +169,10 @@ mod tests {
                 let seg = device_run(&w, kind, 60, threads, |l, r, ctx| {
                     let k = ctx.capacity::<WisconsinRecord>().partitions(l.len() as f64) as usize;
                     assert!(k >= 4, "need several partitions, got {k}");
-                    segmented_grace_join(l, r, k, ctx, "out")
+                    JoinAlgorithm::SegJ { frac: 1.0 }.run(l, r, ctx, "out")
                 });
                 let gj = device_run(&w, kind, 60, threads, |l, r, ctx| {
-                    grace_join(l, r, ctx, "out")
+                    JoinAlgorithm::GJ.run(l, r, ctx, "out")
                 });
                 assert_eq!(seg.1.len() as u64, w.expected_matches);
                 assert_same_run(&format!("{kind:?}, DoP {threads}"), &seg, &gj);

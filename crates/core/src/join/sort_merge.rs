@@ -1,7 +1,7 @@
 //! SMJ — sort-merge join, with the sort phase's write intensity exposed.
 //!
 //! Not part of the paper's §2.2 line-up, but the natural companion: both
-//! inputs are sorted with [`crate::sort::segment_sort`] at intensity
+//! inputs are sorted with [`crate::sort::SortAlgorithm::SegS`] at intensity
 //! `x`, then merge-joined in one co-scan. Because segment sort's
 //! selection stream defers materialization, `x = 0` yields a join whose
 //! only writes are the two sorted outputs — and when callers can consume
@@ -19,29 +19,19 @@
 use super::common::{view_key, JoinContext};
 use super::kernel::Phased;
 use crate::parallel::{fan_out, measured, Label};
-use crate::sort::common::{key_range_cuts, sample_keys, splitters_from_samples};
-use crate::sort::{segment, SortContext, MERGE_SEGMENT_RECORDS};
+use crate::sort::common::{
+    key_range_cuts, sample_keys, splitters_from_samples, MERGE_SEGMENT_RECORDS,
+};
+use crate::sort::segment;
 use pmem_sim::{PCollection, PmError, RecordBuffer, RecordReader};
 use wisconsin::{Pair, Record};
 
-/// Joins `left ⋈ right` by sorting both inputs at write intensity `x`
-/// and merge-joining the results.
+/// SMJ's schedule: the two segment sorts' phases, at write intensity
+/// `x`, then the co-scan — one serial task, or the key-range cuts (a
+/// one-task phase) and a task per segment.
 ///
 /// # Errors
 /// Returns [`PmError::InvalidParameter`] unless `0 ≤ x ≤ 1`.
-pub fn sort_merge_join<L: Record, R: Record>(
-    left: &PCollection<L>,
-    right: &PCollection<R>,
-    x: f64,
-    ctx: &JoinContext<'_>,
-    output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
-    phased(left, right, x, ctx, output_name).map(|(out, _)| out)
-}
-
-/// SMJ's schedule: the two segment sorts' phases, then the co-scan — one
-/// serial task, or the key-range cuts (a one-task phase) and a task per
-/// segment.
 pub(crate) fn phased<L: Record, R: Record>(
     left: &PCollection<L>,
     right: &PCollection<R>,
@@ -50,10 +40,8 @@ pub(crate) fn phased<L: Record, R: Record>(
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
     let _span = pmem_sim::span::span("alg smj");
-    let sort_ctx =
-        SortContext::new(ctx.device(), ctx.kind(), ctx.pool()).with_threads(ctx.threads());
-    let (sorted_left, mut phases) = segment::phased(left, x, &sort_ctx, "smj-left")?;
-    let (sorted_right, right_phases) = segment::phased(right, x, &sort_ctx, "smj-right")?;
+    let (sorted_left, mut phases) = segment::phased(left, x, ctx, "smj-left")?;
+    let (sorted_right, right_phases) = segment::phased(right, x, ctx, "smj-right")?;
     phases.extend(right_phases);
 
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
@@ -138,6 +126,7 @@ fn co_scan<L: Record, R: Record>(
 mod tests {
     use super::*;
     use crate::join::common::expected_match_count;
+    use crate::join::JoinAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{join_input, WisconsinRecord};
 
@@ -150,7 +139,9 @@ mod tests {
         let pool = BufferPool::new(60 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = sort_merge_join(&left, &right, x, &ctx, "out").expect("valid x");
+        let out = JoinAlgorithm::SMJ { x }
+            .run(&left, &right, &ctx, "out")
+            .expect("valid x");
         (
             dev.snapshot().since(&before),
             out.len() as u64,
@@ -192,7 +183,8 @@ mod tests {
         let pool = BufferPool::new(40 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let want = expected_match_count(&left, &right);
-        let out = sort_merge_join(&left, &right, 0.5, &ctx, "out").expect("valid");
+        let smj = JoinAlgorithm::SMJ { x: 0.5 };
+        let out = smj.run(&left, &right, &ctx, "out").expect("valid");
         assert_eq!(out.len() as u64, want); // 3 keys × 3 left × 2 right = 18
         assert_eq!(out.len(), 18);
     }
@@ -216,14 +208,13 @@ mod tests {
             PCollection::new(&dev, LayerKind::BlockedMemory, "E");
         let pool = BufferPool::new(8000);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        assert!(sort_merge_join(&a, &b, 0.5, &ctx, "o1")
-            .expect("ok")
-            .is_empty());
-        assert!(sort_merge_join(&empty, &a, 0.5, &ctx, "o2")
-            .expect("ok")
-            .is_empty());
-        assert!(sort_merge_join(&a, &empty, 0.5, &ctx, "o3")
-            .expect("ok")
-            .is_empty());
+        let smj = |l, r, name| {
+            JoinAlgorithm::SMJ { x: 0.5 }
+                .run(l, r, &ctx, name)
+                .expect("ok")
+        };
+        assert!(smj(&a, &b, "o1").is_empty());
+        assert!(smj(&empty, &a, "o2").is_empty());
+        assert!(smj(&a, &empty, "o3").is_empty());
     }
 }

@@ -29,7 +29,7 @@
 //! ```
 //! use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};
 //! use wisconsin::{sort_input, KeyOrder};
-//! use write_limited::sort::{segment_sort, SortContext};
+//! use write_limited::sort::{SortAlgorithm, SortContext};
 //!
 //! let dev = PmDevice::paper_default();
 //! let input = PCollection::from_records_uncounted(
@@ -37,7 +37,7 @@
 //!     sort_input(10_000, KeyOrder::Random, 42));
 //! let pool = BufferPool::new(500 * 80); // M = 500 records of DRAM
 //! let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-//! let sorted = segment_sort(&input, 0.5, &ctx, "sorted").unwrap();
+//! let sorted = SortAlgorithm::SegS { x: 0.5 }.run(&input, &ctx, "sorted").unwrap();
 //! assert_eq!(sorted.len(), 10_000);
 //! ```
 

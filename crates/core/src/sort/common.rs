@@ -72,7 +72,7 @@ pub(crate) fn run_sources<R: Record>(runs: &[PCollection<R>]) -> Vec<MergeSource
 /// segment grid depends only on the merged record count — never on the
 /// degree of parallelism — so the splitter keys, the per-run boundary
 /// searches, and every charged counter are DoP-invariant.
-pub const MERGE_SEGMENT_RECORDS: usize = 8192;
+pub(crate) const MERGE_SEGMENT_RECORDS: usize = 8192;
 
 /// Samples up to `count` keys from a sorted collection at evenly spaced
 /// positions through one forward cursor (charged like a sparse scan).
@@ -320,7 +320,7 @@ impl<'a, R: Record> MergeSource<'a, R> {
 
 /// K-way merge of sorted sources on a loser tree; equal keys come out
 /// in source-index order. The one merge driver: it lands winners as
-/// stored bytes ([`KWayMerge::for_each_bytes`] — the run merges, which
+/// stored bytes (`for_each_bytes` — the run merges, which
 /// only move records) or hands them out decoded to consumers that must
 /// see records (the [`Iterator`] — the aggregation pipeline).
 pub struct KWayMerge<'a, R: Record> {
@@ -363,7 +363,7 @@ impl<'a, R: Record> KWayMerge<'a, R> {
 
     /// Runs the merge to the end, lending each record's stored bytes to
     /// `land` in merged order.
-    pub fn for_each_bytes(mut self, mut land: impl FnMut(&[u8])) {
+    pub(crate) fn for_each_bytes(mut self, mut land: impl FnMut(&[u8])) {
         while self
             .pop(|winner| winner.head_bytes().map(&mut land))
             .is_some()

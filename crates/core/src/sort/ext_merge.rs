@@ -34,18 +34,10 @@ pub struct ExmsProfile {
     pub merge_passes: Vec<Vec<IoStats>>,
 }
 
-/// Sorts `input`, materializing the result as a new collection.
-pub fn external_merge_sort<R: Record>(
-    input: &PCollection<R>,
-    ctx: &SortContext<'_>,
-    output_name: &str,
-) -> PCollection<R> {
-    phased(input, ctx, output_name).0
-}
-
-/// [`external_merge_sort`] with its phase ledger in [`ExmsProfile`]'s
-/// shape, kept only for `wlbench`'s ops workload (ROADMAP item 3 deletes
-/// both); everything else reads [`super::SortAlgorithm::run_profiled`].
+/// [`super::SortAlgorithm::ExMS`] with its phase ledger in
+/// [`ExmsProfile`]'s shape, kept only for `wlbench`'s ops workload
+/// (ROADMAP item 3 deletes both); everything else reads
+/// [`super::SortAlgorithm::run_profiled`].
 pub fn external_merge_sort_profiled<R: Record>(
     input: &PCollection<R>,
     ctx: &SortContext<'_>,
@@ -121,6 +113,7 @@ pub(crate) fn chunked_runs<R: Record>(
 mod tests {
     use super::*;
     use crate::sort::common::is_sorted_by_key;
+    use crate::sort::SortAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{sort_input, KeyOrder, Record, WisconsinRecord};
 
@@ -135,7 +128,9 @@ mod tests {
         );
         let pool = BufferPool::new(500 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = external_merge_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::ExMS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         assert_eq!(out.len(), 10_000);
         assert!(is_sorted_by_key(&out));
         let keys: Vec<u64> = out.to_vec_uncounted().iter().map(|r| r.key()).collect();
@@ -158,7 +153,9 @@ mod tests {
         let pool = BufferPool::new(2000 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let _out = external_merge_sort(&input, &ctx, "sorted");
+        let _out = SortAlgorithm::ExMS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         let d = dev.snapshot().since(&before);
         let reads = d.cl_reads as f64;
         let writes = d.cl_writes as f64;
@@ -185,7 +182,9 @@ mod tests {
         );
         let pool = BufferPool::new(200 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = external_merge_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::ExMS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         assert_eq!(out.len(), 5000);
         assert!(is_sorted_by_key(&out));
     }
@@ -197,7 +196,9 @@ mod tests {
             PCollection::new(&dev, LayerKind::BlockedMemory, "t");
         let pool = BufferPool::new(8192);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = external_merge_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::ExMS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         assert!(out.is_empty());
     }
 
@@ -212,7 +213,9 @@ mod tests {
         );
         let pool = BufferPool::new(8192);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = external_merge_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::ExMS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         assert_eq!(out.to_vec_uncounted()[0].key(), 9);
     }
 }

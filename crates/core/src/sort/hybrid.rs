@@ -27,25 +27,11 @@ use crate::parallel::{measured, Label, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
-/// Sorts `input` with write intensity `x` (fraction of DRAM given to the
-/// replacement-selection region; the selection region gets the rest).
-///
-/// # Errors
-/// Returns [`PmError::InvalidParameter`] unless `0 ≤ x ≤ 1`. At `x = 0`
-/// the replacement region is clamped to one record so the algorithm can
-/// still make progress on inputs larger than DRAM.
-pub fn hybrid_sort<R: Record>(
-    input: &PCollection<R>,
-    x: f64,
-    ctx: &SortContext<'_>,
-    output_name: &str,
-) -> Result<PCollection<R>, PmError> {
-    phased(input, x, ctx, output_name).map(|(out, _)| out)
-}
-
 /// HybS's schedule: one scan through the selection heap (`Rs`, no
 /// boundary), whose overflow feeds run generation (`Rr`); the heap lands
 /// as the output prefix, and ExMS's merge phase lands the runs after it.
+/// At `x = 0`, `Rr` is clamped to one record so that inputs larger than
+/// DRAM still make progress.
 pub(crate) fn phased<R: Record>(
     input: &PCollection<R>,
     x: f64,
@@ -84,6 +70,7 @@ pub(crate) fn phased<R: Record>(
 mod tests {
     use super::*;
     use crate::sort::common::is_sorted_by_key;
+    use crate::sort::SortAlgorithm;
     use pmem_sim::{BufferPool, IoStats, LayerKind, PmDevice};
     use wisconsin::{sort_input, KeyOrder, Record, WisconsinRecord};
 
@@ -98,7 +85,9 @@ mod tests {
         let pool = BufferPool::new(m_records * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = hybrid_sort(&input, x, &ctx, "sorted").expect("valid x");
+        let out = SortAlgorithm::HybS { x }
+            .run(&input, &ctx, "sorted")
+            .expect("valid x");
         (dev.snapshot().since(&before), out)
     }
 
@@ -123,7 +112,6 @@ mod tests {
     /// sort lands it after its, here empty, selected prefix).
     #[test]
     fn full_intensity_degenerates_to_exms() {
-        use crate::sort::ext_merge::external_merge_sort;
         use crate::sort::tests::{assert_same_run, device_run, LAYERS};
         use pmem_sim::Storable;
         let records = sort_input(400, KeyOrder::Random, 17);
@@ -131,10 +119,10 @@ mod tests {
         for kind in LAYERS {
             for threads in [1, 4] {
                 let hybs = device_run(&records, kind, 100, threads, |input, ctx| {
-                    hybrid_sort(input, 1.0, ctx, "out")
+                    SortAlgorithm::HybS { x: 1.0 }.run(input, ctx, "out")
                 });
                 let exms = device_run(&records, kind, 100, threads, |input, ctx| {
-                    Ok(external_merge_sort(input, ctx, "out"))
+                    SortAlgorithm::ExMS.run(input, ctx, "out")
                 });
                 // Two runs or more: the runs and the merged output are
                 // each written once.
@@ -170,8 +158,9 @@ mod tests {
         );
         let pool = BufferPool::new(8000);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        assert!(hybrid_sort(&input, 1.2, &ctx, "s").is_err());
-        assert!(hybrid_sort(&input, -0.2, &ctx, "s").is_err());
+        for x in [1.2, -0.2] {
+            assert!(SortAlgorithm::HybS { x }.run(&input, &ctx, "s").is_err());
+        }
     }
 
     #[test]
@@ -185,7 +174,9 @@ mod tests {
         );
         let pool = BufferPool::new(64 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = hybrid_sort(&input, 0.5, &ctx, "sorted").expect("valid");
+        let out = SortAlgorithm::HybS { x: 0.5 }
+            .run(&input, &ctx, "sorted")
+            .expect("valid");
         assert_eq!(out.len(), 2000);
         assert!(is_sorted_by_key(&out));
     }

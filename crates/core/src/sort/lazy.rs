@@ -18,23 +18,14 @@ use wisconsin::Record;
 
 /// The Eq. 5 materialization pass threshold for an input of `t_records`
 /// and a heap of `m_records` under write/read ratio `lambda`.
-pub fn materialization_pass(t_records: usize, m_records: usize, lambda: f64) -> u64 {
+pub(crate) fn materialization_pass(t_records: usize, m_records: usize, lambda: f64) -> u64 {
     ((t_records as f64) * lambda / ((m_records as f64) * (lambda + 1.0))).floor() as u64
 }
 
-/// Sorts `input` lazily, materializing shrunken intermediate inputs only
-/// when Eq. 5 says the rescan penalty has overtaken the write savings:
-/// selection sort's passes, with a `lazy-int` intermediate as the sink of
-/// each pass Eq. 5 picks.
-pub fn lazy_sort<R: Record>(
-    input: &PCollection<R>,
-    ctx: &SortContext<'_>,
-    output_name: &str,
-) -> PCollection<R> {
-    phased(input, ctx, output_name).0
-}
-
-/// [`lazy_sort`] and its phases.
+/// LaS's schedule: selection sort's passes, with a `lazy-int`
+/// intermediate as the sink of each pass Eq. 5 picks — shrunken
+/// intermediate inputs are materialized only once the rescan penalty
+/// has overtaken the write savings.
 pub(crate) fn phased<R: Record>(
     input: &PCollection<R>,
     ctx: &SortContext<'_>,
@@ -55,6 +46,7 @@ pub(crate) fn phased<R: Record>(
 mod tests {
     use super::*;
     use crate::sort::common::is_sorted_by_key;
+    use crate::sort::SortAlgorithm;
     use pmem_sim::{BufferPool, IoStats, LayerKind, PmDevice};
     use wisconsin::{sort_input, KeyOrder, Record, WisconsinRecord};
 
@@ -73,7 +65,9 @@ mod tests {
         let pool = BufferPool::new(m_records * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = lazy_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::LaS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         (dev.snapshot().since(&before), out, buffers)
     }
 
@@ -140,7 +134,9 @@ mod tests {
         );
         let pool = BufferPool::new(50 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = lazy_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::LaS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         assert_eq!(out.len(), 1000);
         assert!(is_sorted_by_key(&out));
     }

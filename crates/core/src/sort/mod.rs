@@ -9,11 +9,11 @@
 //!
 //! | Paper name | Function | Character | Schedule |
 //! |---|---|---|---|
-//! | ExMS | [`external_merge_sort`] | symmetric-I/O baseline | run generation over a grid of `4M`-record chunks; intermediate passes; range-partitioned final pass |
-//! | SegS  | [`segment_sort`] | write intensity `x` over the **input** | run generation over the first `x·|T|`; intermediate passes to fan-in − 1; final pass of the runs and a selection stream over the rest (dropping sink) |
-//! | HybS  | [`hybrid_sort`] | write intensity `x` over **DRAM** | one scan through the selection heap (no boundary) whose sink is run generation; the heap lands as the prefix, then ExMS's merge passes |
-//! | LaS   | [`lazy_sort`] | dynamic, Eq. 5 materialization | selection-heap passes; a pass Eq. 5 picks sinks its overflow into the `lazy-int` intermediate, the next source |
-//! | (SelS) | [`selection_sort`] | write-minimal multi-pass building block | selection-heap passes past the last record emitted (dropping sink) |
+//! | ExMS | [`SortAlgorithm::ExMS`] | symmetric-I/O baseline | run generation over a grid of `4M`-record chunks; intermediate passes; range-partitioned final pass |
+//! | SegS | [`SortAlgorithm::SegS`] | write intensity `x` over the **input** | run generation over the first `x·|T|`; intermediate passes to fan-in − 1; final pass of the runs and a selection stream over the rest (dropping sink) |
+//! | HybS | [`SortAlgorithm::HybS`] | write intensity `x` over **DRAM** | one scan through the selection heap (no boundary) whose sink is run generation; the heap lands as the prefix, then ExMS's merge passes |
+//! | LaS | [`SortAlgorithm::LaS`] | dynamic, Eq. 5 materialization | selection-heap passes; a pass Eq. 5 picks sinks its overflow into the `lazy-int` intermediate, the next source |
+//! | (SelS) | [`SortAlgorithm::SelS`] | write-minimal multi-pass building block | selection-heap passes past the last record emitted (dropping sink) |
 //! | cycle sort | [`cycle_sort`] | in-memory write-optimal reference | — |
 //!
 //! Sort-based aggregation ([`crate::agg::sort_based_aggregate`]) is
@@ -28,13 +28,9 @@ pub mod lazy;
 pub mod segment;
 pub mod selection;
 
-pub use common::{is_sorted_by_key, KWayMerge, SortContext, MERGE_SEGMENT_RECORDS};
+pub use common::{is_sorted_by_key, KWayMerge, SortContext};
 pub use cycle::cycle_sort;
-pub use ext_merge::{external_merge_sort, external_merge_sort_profiled, ExmsProfile};
-pub use hybrid::hybrid_sort;
-pub use lazy::{lazy_sort, materialization_pass};
-pub use segment::segment_sort;
-pub use selection::selection_sort;
+pub use ext_merge::{external_merge_sort_profiled, ExmsProfile};
 
 use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
@@ -51,9 +47,10 @@ pub enum SortAlgorithm {
         /// Fraction of the input handled by external mergesort.
         x: f64,
     },
-    /// Hybrid sort with the given selection-region fraction of DRAM.
+    /// Hybrid sort at the given write intensity over DRAM.
     HybS {
-        /// Fraction of DRAM allocated to the selection region.
+        /// Fraction of DRAM given to the replacement-selection region
+        /// (the selection region gets the rest).
         x: f64,
     },
     /// Lazy sort.

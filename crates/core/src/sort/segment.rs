@@ -17,22 +17,6 @@ use crate::parallel::{measured, Label, Phases};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
-/// Sorts `input` with write intensity `x` (fraction handled by external
-/// mergesort).
-///
-/// # Errors
-/// Returns [`PmError::InvalidParameter`] unless `0 ≤ x ≤ 1` (the
-/// boundary values degrade gracefully to pure selection sort / pure
-/// external mergesort).
-pub fn segment_sort<R: Record>(
-    input: &PCollection<R>,
-    x: f64,
-    ctx: &SortContext<'_>,
-    output_name: &str,
-) -> Result<PCollection<R>, PmError> {
-    phased(input, x, ctx, output_name).map(|(out, _)| out)
-}
-
 /// SegS's schedule ([`segmented`]), its final merge landed as one stream
 /// — over runs alone too, at `x = 1`, which is where it parts from ExMS
 /// past one merge segment.
@@ -93,6 +77,7 @@ pub(crate) fn segmented<R: Record, C: Consume<R>>(
 mod tests {
     use super::*;
     use crate::sort::common::is_sorted_by_key;
+    use crate::sort::SortAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{sort_input, KeyOrder, Record, WisconsinRecord};
 
@@ -111,7 +96,9 @@ mod tests {
         let pool = BufferPool::new(m_records * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = segment_sort(&input, x, &ctx, "sorted").expect("valid x");
+        let out = SortAlgorithm::SegS { x }
+            .run(&input, &ctx, "sorted")
+            .expect("valid x");
         (dev.snapshot().since(&before), out)
     }
 
@@ -156,7 +143,6 @@ mod tests {
         // it *is* SelS, counter for counter and record for record, on
         // every layer at any DoP — at both sizes of the counter corpus,
         // the larger past one 8192-record merge segment.
-        use crate::sort::selection::selection_sort;
         use crate::sort::tests::{assert_same_run, device_run, LAYERS};
         for n in [1200, 20_000] {
             let records = sort_input(n, KeyOrder::Random, 31);
@@ -164,10 +150,10 @@ mod tests {
             for kind in LAYERS {
                 for threads in [1, 4] {
                     let segs = device_run(&records, kind, m, threads, |input, ctx| {
-                        segment_sort(input, 0.0, ctx, "out")
+                        SortAlgorithm::SegS { x: 0.0 }.run(input, ctx, "out")
                     });
                     let sels = device_run(&records, kind, m, threads, |input, ctx| {
-                        Ok(selection_sort(input, ctx, "out"))
+                        SortAlgorithm::SelS.run(input, ctx, "out")
                     });
                     assert_eq!(segs.1.len(), n as usize);
                     assert_same_run(&format!("{n}, {kind:?}, DoP {threads}"), &segs, &sels);
@@ -191,7 +177,6 @@ mod tests {
     ///   segment sort lands it as one stream.
     #[test]
     fn full_intensity_is_exms_within_one_chunk() {
-        use crate::sort::ext_merge::external_merge_sort;
         use crate::sort::tests::{assert_same_run, device_run, LAYERS};
         use pmem_sim::Storable;
         let records = sort_input(400, KeyOrder::Random, 17);
@@ -199,10 +184,10 @@ mod tests {
         for kind in LAYERS {
             for threads in [1, 4] {
                 let segs = device_run(&records, kind, 100, threads, |input, ctx| {
-                    segment_sort(input, 1.0, ctx, "out")
+                    SortAlgorithm::SegS { x: 1.0 }.run(input, ctx, "out")
                 });
                 let exms = device_run(&records, kind, 100, threads, |input, ctx| {
-                    Ok(external_merge_sort(input, ctx, "out"))
+                    SortAlgorithm::ExMS.run(input, ctx, "out")
                 });
                 // Two runs or more: the runs and the merged output are
                 // each written once.
@@ -223,7 +208,8 @@ mod tests {
         );
         let pool = BufferPool::new(8000);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        assert!(segment_sort(&input, 1.5, &ctx, "s").is_err());
-        assert!(segment_sort(&input, -0.1, &ctx, "s").is_err());
+        for x in [1.5, -0.1] {
+            assert!(SortAlgorithm::SegS { x }.run(&input, &ctx, "s").is_err());
+        }
     }
 }

@@ -19,16 +19,7 @@ use pmem_sim::PCollection;
 use std::ops::Range;
 use wisconsin::Record;
 
-/// Sorts `input` by repeated selection scans, writing each record once.
-pub fn selection_sort<R: Record>(
-    input: &PCollection<R>,
-    ctx: &SortContext<'_>,
-    output_name: &str,
-) -> PCollection<R> {
-    phased(input, ctx, output_name).0
-}
-
-/// [`selection_sort`] and its phases.
+/// SelS's schedule: repeated selection scans, writing each record once.
 pub(crate) fn phased<R: Record>(
     input: &PCollection<R>,
     ctx: &SortContext<'_>,
@@ -110,6 +101,7 @@ pub(crate) fn selection_passes<'a, R: Record>(
 mod tests {
     use super::*;
     use crate::sort::common::is_sorted_by_key;
+    use crate::sort::SortAlgorithm;
     use pmem_sim::{BufferPool, LayerKind, Pm, PmDevice};
     use wisconsin::{sort_input, KeyOrder, WisconsinRecord};
 
@@ -123,7 +115,9 @@ mod tests {
         );
         let pool = BufferPool::new(mem_records * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = selection_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::SelS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         (dev, out)
     }
 
@@ -146,7 +140,9 @@ mod tests {
         let pool = BufferPool::new(100 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = selection_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::SelS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         let d = dev.snapshot().since(&before);
         // Write-minimal: exactly the output's buffers, nothing more.
         assert_eq!(d.cl_writes, out.buffers());
@@ -166,7 +162,9 @@ mod tests {
         let pool = BufferPool::new(m * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let _ = selection_sort(&input, &ctx, "sorted");
+        let _ = SortAlgorithm::SelS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         let d = dev.snapshot().since(&before);
         let passes = d.cl_reads as f64 / input.buffers() as f64;
         assert!((passes - 10.0).abs() < 0.5, "read passes: {passes}");

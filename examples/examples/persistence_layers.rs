@@ -7,7 +7,7 @@
 
 use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};
 use wisconsin::{sort_input, KeyOrder};
-use write_limited::sort::{external_merge_sort, SortContext};
+use write_limited::sort::{SortAlgorithm, SortContext};
 
 fn main() {
     let n = 40_000u64;
@@ -29,7 +29,9 @@ fn main() {
         let pool = BufferPool::fraction_of(input.bytes(), 0.05);
         let ctx = SortContext::new(&dev, layer, &pool);
         let before = dev.snapshot();
-        let out = external_merge_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::ExMS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         let stats = dev.snapshot().since(&before);
         assert_eq!(out.len() as u64, n);
         let secs = stats.time_secs(&dev.config().latency);

@@ -8,7 +8,7 @@
 use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice};
 use wisconsin::{sort_input, KeyOrder};
 use write_limited::cost::sort_costs::{optimal_segment_x, segment_io};
-use write_limited::sort::{segment_sort, SortContext};
+use write_limited::sort::{SortAlgorithm, SortContext};
 
 fn main() {
     let n = 60_000u64;
@@ -34,7 +34,9 @@ fn main() {
         let pool = BufferPool::fraction_of(input.bytes(), mem_fraction);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        let out = segment_sort(&input, x, &ctx, "sorted").expect("valid x");
+        let out = SortAlgorithm::SegS { x }
+            .run(&input, &ctx, "sorted")
+            .expect("valid x");
         let stats = dev.snapshot().since(&before);
         assert_eq!(out.len() as u64, n);
         println!(

@@ -174,7 +174,9 @@ fn eq4_optimal_x_is_not_beaten_badly_by_the_sweep() {
         let pool = BufferPool::fraction_of(input.bytes(), frac);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
         let before = dev.snapshot();
-        write_limited::sort::segment_sort(&input, x, &ctx, "s").expect("valid");
+        SortAlgorithm::SegS { x }
+            .run(&input, &ctx, "s")
+            .expect("valid");
         dev.snapshot()
             .since(&before)
             .time_secs(&LatencyProfile::PCM)

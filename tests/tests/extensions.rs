@@ -12,7 +12,7 @@ use write_limited::agg::{
 };
 use write_limited::join::JoinContext;
 use write_limited::pipeline::filtered_iterate_join;
-use write_limited::sort::SortContext;
+use write_limited::sort::{SortAlgorithm, SortContext};
 
 fn reference_agg(keys: &[(u64, u64)]) -> BTreeMap<u64, GroupAgg> {
     let mut map = BTreeMap::new();
@@ -164,7 +164,9 @@ fn group_agg_is_a_valid_record_for_downstream_operators() {
     let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
     let groups = hash_aggregate(&input, |r| r.payload(), &ctx, "g").expect("fits");
     let agg_ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool);
-    let sorted = write_limited::sort::external_merge_sort(&groups, &agg_ctx, "sorted-groups");
+    let sorted = SortAlgorithm::ExMS
+        .run(&groups, &agg_ctx, "sorted-groups")
+        .expect("sorts");
     assert_eq!(sorted.len(), 37);
     assert!(write_limited::sort::is_sorted_by_key(&sorted));
 }

@@ -281,7 +281,9 @@ fn empty_sort_input_is_dop_invariant() {
             PCollection::new(&dev, LayerKind::BlockedMemory, "S");
         let pool = BufferPool::new(100 * 80);
         let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, &pool).with_threads(threads);
-        let out = write_limited::sort::external_merge_sort(&input, &ctx, "sorted");
+        let out = SortAlgorithm::ExMS
+            .run(&input, &ctx, "sorted")
+            .expect("sorts");
         assert!(out.is_empty(), "DoP {threads}");
     }
 }
