@@ -101,11 +101,15 @@ mod tests {
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
 
         let before = dev.snapshot();
-        let _ = JoinAlgorithm::LaJ.run(&left, &right, &ctx, "lazy-out");
+        JoinAlgorithm::LaJ
+            .run(&left, &right, &ctx, "lazy-out")
+            .expect("joins");
         let lazy = dev.snapshot().since(&before);
 
         let before = dev.snapshot();
-        let _ = JoinAlgorithm::HJ.run(&left, &right, &ctx, "hj-out");
+        JoinAlgorithm::HJ
+            .run(&left, &right, &ctx, "hj-out")
+            .expect("joins");
         let standard = dev.snapshot().since(&before);
 
         assert!(

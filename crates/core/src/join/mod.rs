@@ -64,7 +64,7 @@ pub enum JoinAlgorithm {
     },
     /// Segmented Grace join materializing a fraction of the partitions.
     SegJ {
-        /// Fraction of partitions materialized.
+        /// Fraction of partitions materialized, `round(frac·k)` of `k`.
         frac: f64,
     },
     /// Lazy hash join.
