@@ -174,10 +174,13 @@ impl Capacity {
 
 #[cfg(test)]
 mod tests {
-    use crate::join::{JoinAlgorithm, JoinContext};
-    use crate::sort::{SortAlgorithm, SortContext};
-    use pmem_sim::{BufferPool, LayerKind, PCollection, PmDevice, Storable};
-    use wisconsin::{join_input, sort_input, KeyOrder, WisconsinRecord};
+    use crate::adaptive::adaptive_grace_join;
+    use crate::agg::{hash_aggregate, segmented_hash_aggregate, sort_based_aggregate};
+    use crate::join::{grace_join_profiled, guided_join_with, JoinAlgorithm, JoinContext};
+    use crate::pipeline::filtered_iterate_join;
+    use crate::sort::{external_merge_sort_profiled, SortAlgorithm, SortContext};
+    use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmDevice, Storable};
+    use wisconsin::{join_input, sort_input, KeyOrder, Record, WisconsinRecord};
 
     /// DRAM budget of the runs below, in Wisconsin records.
     const M: usize = 100;
@@ -244,6 +247,111 @@ mod tests {
                 });
                 assert_eq!(got, want, "{algo}, {rows} build records");
             }
+            for (entry, run) in ENTRIES {
+                let got = telemetry(|pool| run(pool, rows));
+                let want = if KNOWN_GAP.contains(&entry) {
+                    (0, 0, 0)
+                } else {
+                    want
+                };
+                assert_eq!(got, want, "{entry}, {rows} input records");
+            }
         }
     }
+
+    /// The entries that hold no working set yet.
+    const KNOWN_GAP: [&str; 9] = [
+        "guided_join_with",
+        "filtered_iterate_join",
+        "adaptive_grace_join",
+        "sort_based_aggregate x = 0",
+        "sort_based_aggregate x = 1",
+        "hash_aggregate",
+        "segmented_hash_aggregate",
+        "external_merge_sort_profiled",
+        "grace_join_profiled",
+    ];
+
+    /// Staged on blocked memory, uncounted.
+    fn stage(dev: &Pm, name: &str, records: Vec<WisconsinRecord>) -> PCollection<WisconsinRecord> {
+        PCollection::from_records_uncounted(dev, LayerKind::BlockedMemory, name, records)
+    }
+
+    /// A sort's or aggregation's input, on a fresh device.
+    fn sort_run(records: Vec<WisconsinRecord>) -> (Pm, PCollection<WisconsinRecord>) {
+        let dev = PmDevice::paper_default();
+        let input = stage(&dev, "T", records);
+        (dev, input)
+    }
+
+    /// A join's build side of `rows` records and its probe side, on a
+    /// fresh device.
+    fn join_run(
+        rows: usize,
+    ) -> (
+        Pm,
+        PCollection<WisconsinRecord>,
+        PCollection<WisconsinRecord>,
+    ) {
+        let dev = PmDevice::paper_default();
+        let w = join_input(rows as u64, 2, 5);
+        let (left, right) = (stage(&dev, "T", w.left), stage(&dev, "V", w.right));
+        (dev, left, right)
+    }
+
+    /// An operator entry: its name, and a run on `(pool, rows)`.
+    type Entry = (&'static str, fn(&BufferPool, usize));
+
+    /// Every public operator entry outside the two handles, each run on
+    /// a sort's or aggregation's input, or a join's build side, of the
+    /// given number of records.
+    const ENTRIES: [Entry; 9] = [
+        ("guided_join_with", |pool, rows| {
+            let (dev, left, right) = join_run(rows);
+            let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, pool);
+            guided_join_with(&left, &right, &[0, 1, 2], &ctx, "out").expect("applicable");
+        }),
+        ("filtered_iterate_join", |pool, rows| {
+            let (dev, left, right) = join_run(rows);
+            let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, pool);
+            let even = |r: &WisconsinRecord| r.key().is_multiple_of(2);
+            filtered_iterate_join(&left, even, 0.5, &right, &ctx, "out").expect("applicable");
+        }),
+        ("adaptive_grace_join", |pool, rows| {
+            let (dev, left, right) = join_run(rows);
+            let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, pool);
+            adaptive_grace_join(&left, &right, &ctx, "out").expect("applicable");
+        }),
+        ("sort_based_aggregate x = 0", |pool, rows| {
+            let (dev, input) = sort_run(sort_input(rows as u64, KeyOrder::Random, 5));
+            let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, pool);
+            sort_based_aggregate(&input, 0.0, |r| r.payload(), &ctx, "out").expect("valid");
+        }),
+        ("sort_based_aggregate x = 1", |pool, rows| {
+            let (dev, input) = sort_run(sort_input(rows as u64, KeyOrder::Random, 5));
+            let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, pool);
+            sort_based_aggregate(&input, 1.0, |r| r.payload(), &ctx, "out").expect("valid");
+        }),
+        ("hash_aggregate", |pool, rows| {
+            // Ten distinct keys: the groups fit the budget at any size.
+            let (dev, input) = sort_run(join_input(10, rows as u64 / 10, 5).right);
+            let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, pool);
+            hash_aggregate(&input, |r| r.payload(), &ctx, "out").expect("groups fit");
+        }),
+        ("segmented_hash_aggregate", |pool, rows| {
+            let (dev, input) = sort_run(sort_input(rows as u64, KeyOrder::Random, 5));
+            let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, pool);
+            segmented_hash_aggregate(&input, 4, 2, |r| r.payload(), &ctx, "out").expect("valid");
+        }),
+        ("external_merge_sort_profiled", |pool, rows| {
+            let (dev, input) = sort_run(sort_input(rows as u64, KeyOrder::Random, 5));
+            let ctx = SortContext::new(&dev, LayerKind::BlockedMemory, pool);
+            external_merge_sort_profiled(&input, &ctx, "out");
+        }),
+        ("grace_join_profiled", |pool, rows| {
+            let (dev, left, right) = join_run(rows);
+            let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, pool);
+            grace_join_profiled(&left, &right, &ctx, "out").expect("applicable");
+        }),
+    ];
 }
