@@ -6,9 +6,9 @@
 //! accounting files, `*_uncounted` escape hatches appear only where
 //! results leave the cost model, the WAL follows append→fsync→apply,
 //! recovery and exec hot paths never panic, every operator module
-//! opens a profiling span, every record codec method stays
-//! `#[inline]`, and the join and sort-kernel byte paths never decode a
-//! record they only move. This crate enforces them with a hand-rolled
+//! opens its span and DRAM hold through one guard, every record codec
+//! method stays `#[inline]`, and the join and sort-kernel byte paths
+//! never decode a record they only move. This crate enforces them with a hand-rolled
 //! token-level scanner (no `syn`; the build is offline and
 //! dependency-free) and file:line diagnostics.
 //!

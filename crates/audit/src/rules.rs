@@ -8,7 +8,7 @@
 //! | `uncounted-api` | `*_uncounted` escape hatches only at delivery/checkpoint sites  |
 //! | `wal-order`     | append → fsync → apply; no state mutation before the WAL append |
 //! | `panic-free`    | no `unwrap`/`expect`/`panic!`/`unreachable!` in recovery zones  |
-//! | `span-coverage` | every exec operator module opens a profiling span               |
+//! | `span-coverage` | every exec operator module opens `ExecContext::operator`, no bare span |
 //! | `inline-codec`  | every `Storable` / `Record` impl method carries `#[inline]`     |
 //! | `decode`        | no record decode on the join and sort-kernel byte paths         |
 //!
@@ -466,29 +466,51 @@ fn rule_panic_free(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
 // span-coverage
 // ---------------------------------------------------------------------
 
+/// The §3.1 operator modules outside the sort/join/agg directories.
+const OPERATOR_FILES: &[&str] = &["crates/core/src/pipeline.rs", "crates/core/src/adaptive.rs"];
+
 /// Span coverage: every exec operator module (a sort/join/agg algorithm
-/// file) must open at least one profiling span, so `EXPLAIN ANALYZE`
-/// and `repro --profile` can attribute its traffic. `mod.rs`,
-/// `common.rs` and `kernel.rs` are dispatch/shared-helper files, not
-/// operators: their traffic lands under the span of the operator that
-/// calls them.
+/// file, or a §3.1 operator file) opens its operators through
+/// `ExecContext::operator`, the one guard that opens the `alg …` span
+/// *and* holds the DRAM working set, so `EXPLAIN ANALYZE` and
+/// `repro --profile` attribute its traffic and the pool figures count
+/// its memory. A bare `span(` / `span_with(` trips at its line (its
+/// operator would hold nothing); a module with neither trips at line 1.
+/// `mod.rs`, `common.rs` and `kernel.rs` are dispatch/shared-helper
+/// files, not operators: their traffic lands under the span of the
+/// operator that calls them.
 fn rule_span_coverage(rel: &str, toks: &[Tok], diags: &mut Vec<Diagnostic>) {
-    let operator_module = PANIC_ZONE_DIRS.iter().any(|d| rel.contains(d))
-        && !["mod.rs", "common.rs", "kernel.rs"]
-            .iter()
-            .any(|helper| rel.ends_with(helper));
+    let operator_module = OPERATOR_FILES.iter().any(|f| rel.ends_with(f))
+        || (PANIC_ZONE_DIRS.iter().any(|d| rel.contains(d))
+            && !["mod.rs", "common.rs", "kernel.rs"]
+                .iter()
+                .any(|helper| rel.ends_with(helper)));
     if !operator_module {
         return;
     }
-    let opens_span =
-        (0..toks.len()).any(|i| is_call(toks, i, "span") || is_call(toks, i, "span_with"));
-    if !opens_span {
+    let mut bare = false;
+    let mut guarded = false;
+    for i in 0..toks.len() {
+        if is_call(toks, i, "span") || is_call(toks, i, "span_with") {
+            bare = true;
+            diags.push(Diagnostic {
+                file: rel.to_string(),
+                line: toks[i].line,
+                rule: SPAN_COVERAGE,
+                msg: "operator opens a bare profiling span; open `ctx.operator(name, bytes)` \
+                      instead so its DRAM working set is held too"
+                    .to_string(),
+            });
+        }
+        guarded |= is_method_call(toks, i, "operator");
+    }
+    if !bare && !guarded {
         diags.push(Diagnostic {
             file: rel.to_string(),
             line: 1,
             rule: SPAN_COVERAGE,
-            msg: "operator module never opens a profiling span \
-                  (pmem_sim::span::span/span_with); its traffic is invisible to profiles"
+            msg: "operator module never opens `ctx.operator(name, bytes)`; its traffic is \
+                  invisible to profiles and its working set to the pool"
                 .to_string(),
         });
     }

@@ -223,6 +223,37 @@ fn span_coverage_trips_on_spanless_operator_modules() {
 }
 
 #[test]
+fn span_coverage_covers_the_section_3_1_operator_files() {
+    for operator in ["crates/core/src/pipeline.rs", "crates/core/src/adaptive.rs"] {
+        let diags = scan_source(operator, include_str!("../fixtures/span_coverage.rs"));
+        assert_diags(&diags, &[(1, rules::SPAN_COVERAGE)]);
+    }
+}
+
+#[test]
+fn span_coverage_trips_on_each_bare_span_unless_allowed() {
+    let diags = scan_source(
+        "crates/core/src/join/bogus.rs",
+        include_str!("../fixtures/span_coverage_bare.rs"),
+    );
+    assert_diags(&diags, &[(4, rules::SPAN_COVERAGE)]);
+}
+
+#[test]
+fn span_coverage_accepts_the_operator_guard() {
+    for operator in [
+        "crates/core/src/agg/bogus.rs",
+        "crates/core/src/pipeline.rs",
+    ] {
+        let diags = scan_source(
+            operator,
+            include_str!("../fixtures/span_coverage_operator.rs"),
+        );
+        assert_diags(&diags, &[]);
+    }
+}
+
+#[test]
 fn span_coverage_skips_dispatch_and_helper_files() {
     let diags = scan_source(
         "crates/core/src/sort/mod.rs",

@@ -41,6 +41,7 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
+    let _op = ctx.operator("adaptive-grace", left.len() * L::SIZE);
     let k = ctx
         .capacity::<L>()
         .grace_partitions(left.len(), "adaptive Grace join")?;

@@ -22,7 +22,7 @@ pub fn hash_aggregate<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<GroupAgg>, PmError> {
-    let _span = pmem_sim::span::span("alg hash-agg");
+    let _op = ctx.operator("hash-agg", input.len() * R::SIZE);
     let budget_groups = ctx.capacity::<GroupAgg>().records();
     let mut groups: HashMap<u64, GroupAgg> = HashMap::new();
     // Pulled record by record, not scanned a run at a time: the scan
@@ -82,6 +82,7 @@ pub fn segmented_hash_aggregate<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<GroupAgg>, PmError> {
+    let _op = ctx.operator("segmented-hash-agg", input.len() * R::SIZE);
     if k == 0 {
         return Err(PmError::InvalidParameter {
             name: "k",

@@ -34,7 +34,7 @@ pub fn sort_based_aggregate<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> Result<PCollection<GroupAgg>, PmError> {
-    let _span = pmem_sim::span::span("alg sort-agg");
+    let _op = ctx.operator("sort-agg", input.len() * R::SIZE);
     let fold = Fold(value_of);
     segmented(input, x, ctx, "agg-merge", &fold, output_name).map(|(out, _)| out)
 }

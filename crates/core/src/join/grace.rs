@@ -78,7 +78,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R, [Phase; 3]>, PmError> {
-    let _span = pmem_sim::span::span("alg grace");
+    let _op = ctx.operator("grace", left.len() * L::SIZE);
     let names = ["Grace join", "gj-t", "gj-v"];
     steered(left, right, &HashSet::new(), names, ctx, output_name)
 }

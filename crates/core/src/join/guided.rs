@@ -64,7 +64,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
-    let _span = pmem_sim::span::span("alg guided");
+    let _op = ctx.operator("guided", left.len() * L::SIZE);
     let mut phases = Phases::new();
     let hot: HashSet<u64> = match hot_keys {
         Some(keys) => keys.iter().copied().collect(),

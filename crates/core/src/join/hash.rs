@@ -29,7 +29,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Phased<L, R> {
-    let _span = pmem_sim::span::span("alg hash-join");
+    let _op = ctx.operator("hash-join", left.len() * L::SIZE);
     let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
     // Every pass but the last offloads the rest; the inputs then hold
     // only partitions not joined yet, all of which are offloaded.

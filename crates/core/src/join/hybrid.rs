@@ -45,7 +45,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
-    let _span = pmem_sim::span::span("alg hybrid-join");
+    let _op = ctx.operator("hybrid-join", left.len() * L::SIZE);
     for (name, v) in [("x", x), ("y", y)] {
         if !(0.0..=1.0).contains(&v) {
             return Err(PmError::InvalidParameter {

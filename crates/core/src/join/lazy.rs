@@ -41,7 +41,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Phased<L, R> {
-    let _span = pmem_sim::span::span("alg lazy-join");
+    let _op = ctx.operator("lazy-join", left.len() * L::SIZE);
     let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
     let lambda = ctx.device().lambda();
     let mut since_mat = 0usize; // lazy iterations since the last materialization

@@ -45,8 +45,10 @@ pub use kernel::PARTITION_MORSEL_RECORDS;
 use pmem_sim::{PCollection, PmError};
 use wisconsin::{Pair, Record};
 
-/// Uniform handle over the paper's join algorithms, used by the benchmark
-/// harness and the Fig. 12 concordance experiment.
+/// Uniform handle over the paper's join algorithms, which the planner
+/// ranks and lowers to (CGJ over catalog hot keys via [`guided_join_with`];
+/// so do the benchmark harness and Fig. 12's concordance). It only
+/// dispatches: each schedule opens its own guard.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JoinAlgorithm {
     /// Block nested-loops join.
@@ -150,8 +152,6 @@ impl JoinAlgorithm {
         ctx: &JoinContext<'_>,
         output_name: &str,
     ) -> Result<kernel::Phased<L, R>, PmError> {
-        // The working set is the build table, i.e. the build side.
-        let _working_set = ctx.hold_working_set(left.len() * L::SIZE);
         match self {
             JoinAlgorithm::NLJ => Ok(nested_loops::phased(left, right, ctx, output_name)),
             JoinAlgorithm::GJ => grace::phased(left, right, ctx, output_name)

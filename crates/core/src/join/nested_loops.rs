@@ -21,7 +21,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Phased<L, R> {
-    let _span = pmem_sim::span::span("alg nlj");
+    let _op = ctx.operator("nlj", left.len() * L::SIZE);
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let block = ctx.capacity::<L>().build_records();
     let task = |b: usize| {

@@ -38,13 +38,13 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
+    let _op = ctx.operator("segmented-grace", left.len() * L::SIZE);
     if !(0.0..=1.0).contains(&frac) {
         return Err(PmError::InvalidParameter {
             name: "frac",
             message: format!("write intensity must be in [0,1], got {frac}"),
         });
     }
-    let _span = pmem_sim::span::span("alg segmented-grace");
     let k = ctx
         .capacity::<L>()
         .grace_partitions(left.len(), "segmented Grace join")?;

@@ -22,7 +22,7 @@ use crate::parallel::{fan_out, measured, Label};
 use crate::sort::common::{
     key_range_cuts, sample_keys, splitters_from_samples, MERGE_SEGMENT_RECORDS,
 };
-use crate::sort::segment;
+use crate::sort::{kernel::Land, segment::segmented};
 use pmem_sim::{PCollection, PmError, RecordBuffer, RecordReader};
 use wisconsin::{Pair, Record};
 
@@ -39,9 +39,11 @@ pub(crate) fn phased<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
-    let _span = pmem_sim::span::span("alg smj");
-    let (sorted_left, mut phases) = segment::phased(left, x, ctx, "smj-left")?;
-    let (sorted_right, right_phases) = segment::phased(right, x, ctx, "smj-right")?;
+    let _op = ctx.operator("smj", left.len() * L::SIZE);
+    // Segment sort's schedule, not its entry: the join holds once.
+    let land = Land { by_range: false };
+    let (sorted_left, mut phases) = segmented(left, x, ctx, "seg-merge", &land, "smj-left")?;
+    let (sorted_right, right_phases) = segmented(right, x, ctx, "seg-merge", &land, "smj-right")?;
     phases.extend(right_phases);
 
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);

@@ -36,11 +36,9 @@ use wisconsin::Record;
 /// Returns the output beside its phases.
 ///
 /// # Errors
-/// Returns [`PmError::InsufficientMemory`] when Grace's applicability
+/// Returns [`PmError::InvalidParameter`] unless `0 ≤ selectivity ≤ 1`,
+/// and [`PmError::InsufficientMemory`] when Grace's applicability
 /// condition fails for the (unfiltered) left side.
-///
-/// # Panics
-/// Panics if `selectivity` is outside `[0, 1]`.
 pub fn filtered_iterate_join<L: Record, R: Record>(
     left: &PCollection<L>,
     predicate: impl Fn(&L) -> bool + Sync,
@@ -49,10 +47,13 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<Phased<L, R>, PmError> {
-    assert!(
-        (0.0..=1.0).contains(&selectivity),
-        "selectivity must be in [0,1]"
-    );
+    let _op = ctx.operator("deferred-join", left.len() * L::SIZE);
+    if !(0.0..=1.0).contains(&selectivity) {
+        return Err(PmError::InvalidParameter {
+            name: "selectivity",
+            message: format!("filter selectivity must be in [0,1], got {selectivity}"),
+        });
+    }
     let k = ctx
         .capacity::<L>()
         .grace_partitions(left.len(), "filtered join")?;
@@ -253,5 +254,28 @@ mod tests {
         assert!(materialized && !stayed);
         assert!(adaptive.cl_reads < always_defer.cl_reads);
         assert!(adaptive.cl_writes > always_defer.cl_writes);
+    }
+
+    #[test]
+    fn a_selectivity_outside_the_unit_interval_is_a_typed_error() {
+        let staged = stage(40, 2, 15.0);
+        let (dev, left, right) = &staged;
+        for selectivity in [1.5, -0.1, f64::NAN] {
+            let pool = BufferPool::new(20 * 80);
+            let ctx = JoinContext::new(dev, LayerKind::BlockedMemory, &pool);
+            let got = filtered_iterate_join(left, |_| true, selectivity, right, &ctx, "out");
+            assert!(
+                matches!(
+                    got,
+                    Err(PmError::InvalidParameter {
+                        name: "selectivity",
+                        ..
+                    })
+                ),
+                "{selectivity}"
+            );
+            // Held and counted once, like any refused call.
+            assert_eq!(pool.reservations(), 1, "{selectivity}");
+        }
     }
 }

@@ -8,6 +8,7 @@
 /// Sorts `v` in place with at most one write per element; returns the
 /// number of element writes performed (0 for an already-sorted slice).
 pub fn cycle_sort<T: Ord + Copy>(v: &mut [T]) -> usize {
+    // audit:allow(span-coverage) in-memory reference sort: no context, no DRAM budget to hold
     let _span = pmem_sim::span::span("alg cycle-sort");
     let n = v.len();
     let mut writes = 0;

@@ -64,7 +64,7 @@ pub(crate) fn phased<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> (PCollection<R>, Phases) {
-    let _span = pmem_sim::span::span("alg exms");
+    let _op = ctx.operator("exms", input.len() * R::SIZE);
     let capacity = ctx.capacity::<R>().records();
     let (mut runs, chunks) = chunked_runs(input, capacity, ctx);
     let mut phases = vec![chunks];

@@ -38,7 +38,7 @@ pub(crate) fn phased<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> Result<(PCollection<R>, Phases), PmError> {
-    let _span = pmem_sim::span::span("alg hybrid-sort");
+    let _op = ctx.operator("hybrid-sort", input.len() * R::SIZE);
     if !(0.0..=1.0).contains(&x) {
         return Err(PmError::InvalidParameter {
             name: "x",

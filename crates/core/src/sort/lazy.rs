@@ -31,7 +31,7 @@ pub(crate) fn phased<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> (PCollection<R>, Phases) {
-    let _span = pmem_sim::span::span("alg lazy-sort");
+    let _op = ctx.operator("lazy-sort", input.len() * R::SIZE);
     let m = ctx.capacity::<R>().records();
     let lambda = ctx.device().lambda();
     // Materialize only when the pass will not already finish the job.

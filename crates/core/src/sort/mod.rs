@@ -36,8 +36,9 @@ use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
-/// Uniform handle over the paper's sort algorithms, used by the benchmark
-/// harness and the cost-model concordance experiment (Fig. 12).
+/// Uniform handle over the paper's sort algorithms, which the planner
+/// ranks and lowers to (as do the benchmark harness and Fig. 12's
+/// concordance). It only dispatches: each schedule opens its own guard.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SortAlgorithm {
     /// External mergesort with replacement selection.
@@ -113,7 +114,6 @@ impl SortAlgorithm {
         ctx: &SortContext<'_>,
         output_name: &str,
     ) -> Result<(PCollection<R>, Phases), PmError> {
-        let _working_set = ctx.hold_working_set(input.len() * R::SIZE);
         match self {
             SortAlgorithm::ExMS => Ok(ext_merge::phased(input, ctx, output_name)),
             SortAlgorithm::SegS { x } => segment::phased(input, *x, ctx, output_name),

@@ -26,7 +26,7 @@ pub(crate) fn phased<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> Result<(PCollection<R>, Phases), PmError> {
-    let _span = pmem_sim::span::span("alg segment-sort");
+    let _op = ctx.operator("segment-sort", input.len() * R::SIZE);
     let land = Land { by_range: false };
     segmented(input, x, ctx, "seg-merge", &land, output_name)
 }

@@ -25,7 +25,7 @@ pub(crate) fn phased<R: Record>(
     ctx: &SortContext<'_>,
     output_name: &str,
 ) -> (PCollection<R>, Phases) {
-    let _span = pmem_sim::span::span("alg selection-sort");
+    let _op = ctx.operator("selection-sort", input.len() * R::SIZE);
     let capacity = ctx.capacity::<R>().records();
     select_into(input, capacity, |_, _, _| None, ctx, output_name)
 }

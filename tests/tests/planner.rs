@@ -481,9 +481,6 @@ fn a_zero_modulus_is_a_typed_error_not_a_panic() {
     }
 }
 
-/// Lowered operators whose DRAM working set the pool does not see yet.
-const KNOWN_GAP: [&str; 4] = ["CGJ", "deferred σ", "aggregate x = 0", "aggregate x = 1"];
-
 /// Every operator the lowering runs holds its working set once on the
 /// pool the statement executes under: the build side, the deferred-σ
 /// join's unfiltered source or the aggregation input when it fits the
@@ -555,11 +552,6 @@ fn every_lowered_operator_holds_its_working_set_once() {
                 "{what}"
             );
             let got = (pool.reservations(), pool.exhausted(), pool.high_water());
-            let want = if KNOWN_GAP.contains(&what) {
-                (0, 0, 0)
-            } else {
-                want
-            };
             assert_eq!(got, want, "{what}, {rows} build records");
         }
     }
@@ -568,7 +560,7 @@ fn every_lowered_operator_holds_its_working_set_once() {
 /// Rewrites a planned statement's root to the operator under test.
 type Force = fn(&mut PhysicalPlan);
 
-/// Forces a join root to `algo` over `hot` keys, its build side as
+/// Forces a join root to `to` over the hot `keys`, its build side as
 /// written.
 fn force_join(plan: &mut PhysicalPlan, to: JoinAlgorithm, keys: &[u64]) {
     let PhysicalPlan::Join {
