@@ -46,9 +46,9 @@ use pmem_sim::{PCollection, PmError};
 use wisconsin::{Pair, Record};
 
 /// Uniform handle over the paper's join algorithms, which the planner
-/// ranks and lowers to (CGJ over catalog hot keys via [`guided_join_with`];
-/// so do the benchmark harness and Fig. 12's concordance). It only
-/// dispatches: each schedule opens its own guard.
+/// ranks and the lowering runs (CGJ over catalog hot keys through
+/// [`guided_join_with`]), as do the benchmark harness and Fig. 12. It
+/// only dispatches: each schedule opens its own `ExecContext::operator`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum JoinAlgorithm {
     /// Block nested-loops join.

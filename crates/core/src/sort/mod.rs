@@ -37,8 +37,8 @@ use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
 
 /// Uniform handle over the paper's sort algorithms, which the planner
-/// ranks and lowers to (as do the benchmark harness and Fig. 12's
-/// concordance). It only dispatches: each schedule opens its own guard.
+/// ranks and the lowering runs, as do the benchmark harness and Fig. 12.
+/// It only dispatches: each schedule opens its own `ExecContext::operator`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SortAlgorithm {
     /// External mergesort with replacement selection.
