@@ -3,14 +3,17 @@
 //! equivalence against the naive DRAM executor.
 
 use planner::{
-    execute_naive, execute_stream, Alternative, Catalog, ExecError, LogicalPlan, Materialization,
-    Node, PhysicalPlan, PlanError, Planner, Predicate, TableStats,
+    execute_naive, execute_stream, execute_stream_profiled, Alternative, Catalog, ChainSlots,
+    ExecError, LogicalPlan, Materialization, Node, NodeCost, PhysicalPlan, PlanError, PlannedQuery,
+    Planner, Predicate, TableStats,
 };
+use pmem_sim::span::SpanNode;
 use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, PCollection, PmDevice};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wisconsin::{join_input, sort_input, KeyOrder, WisconsinRecord};
+use write_limited::cost::IoPrediction;
 use write_limited::join::JoinAlgorithm;
 use write_limited::sort::SortAlgorithm;
 
@@ -578,4 +581,273 @@ fn force_aggregate(plan: &mut PhysicalPlan, to: f64) {
         panic!("expected aggregate root");
     };
     *x = to;
+}
+
+/// A hand-built plan node's cost annotation: the lowering reads none of
+/// it with re-planning off.
+const NO_COST: NodeCost = NodeCost {
+    io: IoPrediction::ZERO,
+    out_rows: 0.0,
+    out_buffers: 0.0,
+    distinct_keys: 0.0,
+};
+
+fn scan_node(table: &str) -> PhysicalPlan {
+    PhysicalPlan::Scan {
+        table: table.into(),
+        cost: NO_COST,
+    }
+}
+
+fn filter_node(input: PhysicalPlan, predicate: Predicate, deferred: bool) -> PhysicalPlan {
+    PhysicalPlan::Filter {
+        input: Box::new(input),
+        predicate,
+        selectivity: 0.5,
+        materialization: if deferred {
+            Materialization::Deferred
+        } else {
+            Materialization::Materialized
+        },
+        cost: NO_COST,
+    }
+}
+
+/// A chain join by NLJ — which writes nothing but its output — over
+/// `left` and `right` carrying payload slots `l` and `r`.
+fn chain_node(
+    left: PhysicalPlan,
+    l: &[usize],
+    right: PhysicalPlan,
+    r: &[usize],
+    swapped: bool,
+) -> PhysicalPlan {
+    PhysicalPlan::Join {
+        left: Box::new(left),
+        right: Box::new(right),
+        algo: JoinAlgorithm::NLJ,
+        swapped,
+        chain: Some(ChainSlots {
+            left: l.to_vec(),
+            right: r.to_vec(),
+        }),
+        hot: Vec::new(),
+        replanned: false,
+        cost: NO_COST,
+    }
+}
+
+/// Calls `visit` with every plan node and the profile span it ran
+/// under: a node's children run under child spans of its labels.
+fn node_spans<'t>(
+    plan: &PhysicalPlan,
+    span: &'t SpanNode,
+    visit: &mut impl FnMut(&PhysicalPlan, &'t SpanNode),
+) {
+    visit(plan, span);
+    let inputs: Vec<&PhysicalPlan> = match plan {
+        PhysicalPlan::Scan { .. } => Vec::new(),
+        PhysicalPlan::Filter { input, .. }
+        | PhysicalPlan::Sort { input, .. }
+        | PhysicalPlan::Aggregate { input, .. } => vec![input],
+        PhysicalPlan::Join { left, right, .. } => vec![left, right],
+    };
+    for input in inputs {
+        let label = input.label();
+        let child = span.children.iter().find(|c| c.label == label);
+        node_spans(input, child.expect("a span per input"), visit);
+    }
+}
+
+/// Order-sensitive FNV-1a hash of every column of every row.
+fn hash_rows(rows: &[Vec<u64>]) -> u64 {
+    rows.iter()
+        .flatten()
+        .flat_map(|v| v.to_le_bytes())
+        .fold(0xCBF2_9CE4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+}
+
+/// What a chain join writes and what its rows are, pinned over
+/// hand-built 3- and 5-way chains and a filtered star (a deferred σ, a
+/// materialized one), with swapped and unswapped folds, on three layers
+/// at DoP 1 and 4. Each chain join writes its output as 160-byte pairs
+/// and a `stage chained-*` pass re-reads exactly those cachelines to
+/// write the 80-byte slotted rows; the rows, in the order they are
+/// produced, hash to the same value everywhere and equal the naive
+/// oracle's.
+#[test]
+fn chain_join_rows_round_trip_through_every_layer() {
+    let lines = |bytes: u64| bytes.div_ceil(64);
+    let scan = LogicalPlan::scan;
+    let left_deep = |names: &[&str]| {
+        let mut plan = LogicalPlan::scan(names[0]);
+        for &name in &names[1..] {
+            plan = plan.join(LogicalPlan::scan(name));
+        }
+        plan
+    };
+    let (keep_star, keep_odd) = (
+        Predicate::KeyBelow(303),
+        Predicate::KeyModEq {
+            modulus: 2,
+            residue: 1,
+        },
+    );
+    let star = scan("d0")
+        .filter(keep_star)
+        .join(scan("f"))
+        .join(scan("d1").filter(keep_odd))
+        .join(scan("d2"));
+    let cases: [(&str, PhysicalPlan, LogicalPlan, usize, u64); 3] = [
+        (
+            "3-way chain",
+            chain_node(
+                chain_node(scan_node("t0"), &[0], scan_node("t1"), &[1], false),
+                &[0, 1],
+                scan_node("t2"),
+                &[2],
+                true,
+            ),
+            left_deep(&["t0", "t1", "t2"]),
+            2,
+            0xdddf_709b_477f_42bd,
+        ),
+        (
+            "5-way chain",
+            chain_node(
+                chain_node(scan_node("t0"), &[0], scan_node("t1"), &[1], true),
+                &[0, 1],
+                chain_node(
+                    chain_node(scan_node("t2"), &[2], scan_node("t3"), &[3], false),
+                    &[2, 3],
+                    scan_node("t4"),
+                    &[4],
+                    true,
+                ),
+                &[2, 3, 4],
+                false,
+            ),
+            left_deep(&["t0", "t1", "t2", "t3", "t4"]),
+            4,
+            0x1f9d_bfae_d203_ef95,
+        ),
+        (
+            "filtered star",
+            chain_node(
+                chain_node(
+                    chain_node(
+                        filter_node(scan_node("d0"), keep_star, true),
+                        &[0],
+                        scan_node("f"),
+                        &[1],
+                        false,
+                    ),
+                    &[0, 1],
+                    filter_node(scan_node("d1"), keep_odd, false),
+                    &[2],
+                    true,
+                ),
+                &[0, 1, 2],
+                scan_node("d2"),
+                &[3],
+                false,
+            ),
+            star,
+            3,
+            0xfaf8_95ac_e5af_ffdf,
+        ),
+    ];
+    // (name, keys, fanout): unique-key tables, 2–4 rows a key, ≤ 2 000
+    // rows; payloads distinct per table so a misplaced slot shows.
+    let tables: [(&str, u64, u64); 9] = [
+        ("t0", 400, 1),
+        ("t1", 400, 2),
+        ("t2", 400, 3),
+        ("t3", 400, 1),
+        ("t4", 400, 2),
+        ("f", 500, 3),
+        ("d0", 500, 1),
+        ("d1", 500, 1),
+        ("d2", 500, 1),
+    ];
+    const M: usize = 1000;
+    for layer in [
+        LayerKind::BlockedMemory,
+        LayerKind::RamDisk,
+        LayerKind::DynArray,
+    ] {
+        let dev = PmDevice::paper_default();
+        let mut cat = Catalog::new();
+        for (i, (name, keys, fanout)) in tables.iter().enumerate() {
+            let records: Vec<WisconsinRecord> = wisconsin::join_right_input(*keys, *fanout, 3)
+                .into_iter()
+                .zip(0u64..)
+                .map(|(r, row)| r.with_payload(((i as u64 + 1) << 32) | row))
+                .collect();
+            let data = PCollection::from_records_uncounted(&dev, layer, *name, records);
+            cat.add_table(*name, Arc::new(data), *keys);
+        }
+        for (what, plan, logical, joins, want_hash) in &cases {
+            let reference = execute_naive(logical, &cat).expect("naive evaluates");
+            for threads in [1, 4] {
+                let what = format!("{what}, {layer:?}, DoP {threads}");
+                let planned = PlannedQuery {
+                    plan: plan.clone(),
+                    choices: Vec::new(),
+                    lambda: dev.lambda(),
+                    m_buffers: (M * 80 / 64) as f64,
+                    threads,
+                    predicted: IoPrediction::ZERO,
+                    adapt: false,
+                    splits_costed: 0,
+                };
+                let pool = BufferPool::new(M * 80);
+                let run = execute_stream_profiled(&planned, &cat, &dev, layer, &pool).expect(&what);
+                let rows = run.result.all_rows();
+                assert_eq!(rows.canonical_wide(), reference.canonical_wide(), "{what}");
+                assert_eq!(
+                    hash_rows(&rows.wide_rows()),
+                    *want_hash,
+                    "{what}: rows hash"
+                );
+
+                let tree = run.profile.expect("profiled");
+                let root = tree.find(&plan.label()).expect("a span for the root");
+                let mut chain_joins = 0;
+                node_spans(plan, root, &mut |node, span| {
+                    let PhysicalPlan::Join { left, right, .. } = node else {
+                        return;
+                    };
+                    chain_joins += 1;
+                    let (left, right) = (left.label(), right.label());
+                    let stage = span
+                        .children
+                        .iter()
+                        .find(|c| c.label.starts_with("stage chained-"));
+                    let stage = stage.expect("a staged fold per chain join");
+                    let own = span.children.iter().fold(span.io, |io, c| {
+                        if [&left, &right].contains(&&c.label) || std::ptr::eq(c, stage) {
+                            io.since(&c.io)
+                        } else {
+                            io
+                        }
+                    });
+                    let out = span.rows.expect("rows noted");
+                    if layer == LayerKind::BlockedMemory {
+                        let (pairs, flat) = (lines(160 * out), lines(80 * out));
+                        assert_eq!(own.cl_writes, pairs, "{what}: {}", span.label);
+                        assert_eq!(
+                            (stage.io.cl_reads, stage.io.cl_writes),
+                            (pairs, flat),
+                            "{what}: {}",
+                            stage.label
+                        );
+                    }
+                });
+                assert_eq!(chain_joins, *joins, "{what}");
+            }
+        }
+    }
 }
