@@ -22,11 +22,11 @@
 //! they exist, rescanning the originals where not (`join/kernel.rs`).
 
 use crate::deferral::first_materialized_pass;
-use crate::join::common::{partition_of, JoinContext};
+use crate::join::common::{partition_of, JoinContext, Pairs};
 use crate::join::kernel::{build_probe, build_table, spill_scan, EachRecord, Phased};
 use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
-use wisconsin::Record;
+use wisconsin::{Pair, Record};
 
 /// Joins `left ⋈ right`, letting the §3.1 rules decide partition
 /// materialization adaptively; returns the output beside its phases: a
@@ -40,7 +40,7 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
     right: &PCollection<R>,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R>, PmError> {
+) -> Result<Phased<Pair<L, R>>, PmError> {
     let _op = ctx.operator("adaptive-grace", left.len() * L::SIZE);
     let k = ctx
         .capacity::<L>()
@@ -74,7 +74,7 @@ pub fn adaptive_grace_join<L: Record, R: Record>(
         };
         (table, vec![probe])
     };
-    phases.push(build_probe(ctx, k, pass, &mut EachRecord(&mut out)));
+    phases.push(build_probe(ctx, k, pass, &Pairs, &mut EachRecord(&mut out)));
     Ok((out, phases))
 }
 

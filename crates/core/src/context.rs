@@ -184,7 +184,7 @@ impl Capacity {
 mod tests {
     use crate::adaptive::adaptive_grace_join;
     use crate::agg::{hash_aggregate, segmented_hash_aggregate, sort_based_aggregate};
-    use crate::join::{grace_join_profiled, guided_join_with, JoinAlgorithm, JoinContext};
+    use crate::join::{grace_join_profiled, guided_join_with, JoinAlgorithm, JoinContext, Pairs};
     use crate::pipeline::filtered_iterate_join;
     use crate::sort::{external_merge_sort_profiled, SortAlgorithm, SortContext};
     use pmem_sim::{BufferPool, LayerKind, PCollection, Pm, PmDevice, Storable};
@@ -300,13 +300,14 @@ mod tests {
         ("guided_join_with", |pool, rows| {
             let (dev, left, right) = join_run(rows);
             let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, pool);
-            guided_join_with(&left, &right, &[0, 1, 2], &ctx, "out").expect("applicable");
+            guided_join_with(&left, &right, &[0, 1, 2], &Pairs, &ctx, "out").expect("applicable");
         }),
         ("filtered_iterate_join", |pool, rows| {
             let (dev, left, right) = join_run(rows);
             let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, pool);
             let even = |r: &WisconsinRecord| r.key().is_multiple_of(2);
-            filtered_iterate_join(&left, even, 0.5, &right, &ctx, "out").expect("applicable");
+            filtered_iterate_join(&left, even, 0.5, &right, &Pairs, &ctx, "out")
+                .expect("applicable");
         }),
         ("adaptive_grace_join", |pool, rows| {
             let (dev, left, right) = join_run(rows);

@@ -44,27 +44,64 @@ pub(crate) fn view_key<R: Record>(view: &RecordView<'_, R>) -> u64 {
     key_of::<R>(view.bytes())
 }
 
-/// Where a probe's output pairs go: straight into the output collection
+/// Where a join's output rows go: straight into the output collection
 /// (the serial operators) or into a worker's staging buffer (the
-/// parallel ones) — the one thing the probe sites differ in. A pair
-/// arrives as its two records' stored bytes, left then right, which is
-/// how a [`Pair`] is stored.
-pub(crate) trait PairSink<P: Storable> {
-    /// Takes one output pair.
-    fn emit(&mut self, left: &[u8], right: &[u8]);
+/// parallel ones) — the one thing the probe sites differ in.
+pub trait RowSink<P: Storable> {
+    /// Takes one row as its stored bytes.
+    fn put(&mut self, row: &[u8]);
+    /// Takes one row as its stored bytes in two parts, `head` then
+    /// `tail` — how a pair arrives, as its left and right record.
+    fn put_parts(&mut self, head: &[u8], tail: &[u8]);
 }
 
-impl<P: Storable> PairSink<P> for PCollection<P> {
+impl<P: Storable> RowSink<P> for PCollection<P> {
     #[inline]
-    fn emit(&mut self, left: &[u8], right: &[u8]) {
-        self.append_parts(left, right);
+    fn put(&mut self, row: &[u8]) {
+        self.append_bytes(row);
+    }
+
+    #[inline]
+    fn put_parts(&mut self, head: &[u8], tail: &[u8]) {
+        self.append_parts(head, tail);
     }
 }
 
-impl<P: Storable> PairSink<P> for RecordBuffer<P> {
+impl<P: Storable> RowSink<P> for RecordBuffer<P> {
     #[inline]
-    fn emit(&mut self, left: &[u8], right: &[u8]) {
-        self.push_parts(left, right);
+    fn put(&mut self, row: &[u8]) {
+        self.push_bytes(row);
+    }
+
+    #[inline]
+    fn put_parts(&mut self, head: &[u8], tail: &[u8]) {
+        self.push_parts(head, tail);
+    }
+}
+
+/// What a join lands for each match, where the match is found: every
+/// schedule hands each matching build and probe record, as their stored
+/// bytes, to its shape's [`OutputShape::emit`], so a shape that lands a
+/// narrower row than the pair never writes the pair at all.
+pub trait OutputShape<L: Record, R: Record>: Sync {
+    /// The output record.
+    type Out: Record;
+    /// Lands the match of the stored build record `left` and probe
+    /// record `right` in `sink`.
+    fn emit(&self, left: &[u8], right: &[u8], sink: &mut impl RowSink<Self::Out>);
+}
+
+/// The identity shape: each match lands as the [`Pair`] of its two
+/// records, their bytes copied as they were stored.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Pairs;
+
+impl<L: Record, R: Record> OutputShape<L, R> for Pairs {
+    type Out = Pair<L, R>;
+
+    #[inline]
+    fn emit(&self, left: &[u8], right: &[u8], sink: &mut impl RowSink<Pair<L, R>>) {
+        sink.put_parts(left, right);
     }
 }
 
@@ -308,34 +345,40 @@ impl<L: Record> BuildTable<L> {
     pub fn probe_buffered<R: Record>(&self, right: &R, out: &mut RecordBuffer<Pair<L, R>>) {
         let mut stored = vec![0; R::SIZE];
         right.write_to(&mut stored);
-        self.probe_bytes(&stored, out);
+        self.probe_bytes(&stored, &Pairs, out);
     }
 
     /// Probes with one record of `R` still in its stored form (`R::SIZE`
     /// bytes a scan lent out): only the key is read, and each match
-    /// lands as the two records' bytes. The per-record entry of
-    /// [`BuildTable::probe_run`], for scans that route each record
-    /// before probing.
+    /// lands in `sink` as `shape` emits it from the two records' bytes.
+    /// The per-record entry of [`BuildTable::probe_run`], for scans that
+    /// route each record before probing.
     #[inline]
-    pub(crate) fn probe_bytes<R: Record>(
+    pub(crate) fn probe_bytes<R: Record, S: OutputShape<L, R>>(
         &self,
         bytes: &[u8],
-        sink: &mut impl PairSink<Pair<L, R>>,
+        shape: &S,
+        sink: &mut impl RowSink<S::Out>,
     ) {
         for left in self.matches(key_of::<R>(bytes)) {
-            sink.emit(left, bytes);
+            shape.emit(left, bytes, sink);
         }
     }
 
     /// The probe kernel: probes with every record of `run` — whole
     /// records of `R` back to back, as [`RecordReader::for_each_run`]
-    /// lends them — in order, emitting each one's pairs into `sink`.
+    /// lends them — in order, emitting each one's matches into `sink`.
     ///
     /// [`RecordReader::for_each_run`]: pmem_sim::RecordReader::for_each_run
     #[inline]
-    pub(crate) fn probe_run<R: Record>(&self, run: &[u8], sink: &mut impl PairSink<Pair<L, R>>) {
+    pub(crate) fn probe_run<R: Record, S: OutputShape<L, R>>(
+        &self,
+        run: &[u8],
+        shape: &S,
+        sink: &mut impl RowSink<S::Out>,
+    ) {
         for bytes in run.chunks_exact(R::SIZE) {
-            self.probe_bytes(bytes, sink);
+            self.probe_bytes(bytes, shape, sink);
         }
     }
 }
@@ -475,10 +518,10 @@ mod tests {
             PCollection::from_records_uncounted(&dev, kind, "V", probes.iter().copied());
         probe_input
             .reader()
-            .for_each_run(|run| table.probe_run(run, &mut scanned));
+            .for_each_run(|run| table.probe_run(run, &Pairs, &mut scanned));
         probe_input
             .reader()
-            .for_each_run(|run| table.probe_run(run, &mut direct));
+            .for_each_run(|run| table.probe_run(run, &Pairs, &mut direct));
         assert_eq!(
             direct.to_vec_uncounted(),
             expected,
@@ -574,9 +617,9 @@ mod tests {
             }
             let run = encode(probes);
             let mut buffered = RecordBuffer::new();
-            table.probe_run::<R>(&run, &mut buffered);
+            table.probe_run::<R, _>(&run, &Pairs, &mut buffered);
             let mut direct = PCollection::new(&dev, kind, "direct");
-            table.probe_run::<R>(&run, &mut direct);
+            table.probe_run::<R, _>(&run, &Pairs, &mut direct);
             let want = landed(&oracle);
             let what = format!("{case}, {n} probe records of {} bytes", R::SIZE);
             assert_eq!(want.len(), oracle.len() * (80 + R::SIZE), "{what}");

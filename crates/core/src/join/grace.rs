@@ -11,7 +11,7 @@
 //! order are identical at any DoP. The guided join runs the same
 //! schedule with its hot keys routed around the partitions (`steered`).
 
-use super::common::{partition_of, BuildTable, JoinContext};
+use super::common::{partition_of, BuildTable, JoinContext, OutputShape, Pairs};
 use super::kernel::{build_probe, pair, partition_morsels, Phased, Route};
 use crate::parallel::Phase;
 use pmem_sim::{IoStats, PCollection, PmError, RecordBuffer};
@@ -55,7 +55,7 @@ pub fn grace_join_profiled<L: Record, R: Record>(
     ctx: &JoinContext<'_>,
     output_name: &str,
 ) -> Result<(PCollection<Pair<L, R>>, GraceProfile), PmError> {
-    let (out, [left_scan, right_scan, pairs]) = phased(left, right, ctx, output_name)?;
+    let (out, [left_scan, right_scan, pairs]) = phased(left, right, &Pairs, ctx, output_name)?;
     let partition_phase = (left_scan.tasks.iter())
         .chain(&right_scan.tasks)
         .fold(IoStats::default(), |acc, s| acc.plus(s));
@@ -72,15 +72,16 @@ pub fn grace_join_profiled<L: Record, R: Record>(
 
 /// GJ's schedule and its three phases: the left input's partitioning
 /// morsels, the right input's, and the partition pairs.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R, [Phase; 3]>, PmError> {
+) -> Result<Phased<S::Out, [Phase; 3]>, PmError> {
     let _op = ctx.operator("grace", left.len() * L::SIZE);
     let names = ["Grace join", "gj-t", "gj-v"];
-    steered(left, right, &HashSet::new(), names, ctx, output_name)
+    steered(left, right, &HashSet::new(), names, shape, ctx, output_name)
 }
 
 /// Grace join's schedule with the records whose keys are `hot` kept out
@@ -89,14 +90,15 @@ pub(crate) fn phased<L: Record, R: Record>(
 /// partitioned and joined pair by pair. `names` are the algorithm's name
 /// for its refusal and its two inputs' partition prefixes. Returns the
 /// three phases: the build scan's morsels, the probe scan's, the pairs.
-pub(crate) fn steered<L: Record, R: Record>(
+pub(crate) fn steered<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     hot: &HashSet<u64>,
     [algorithm, left_prefix, right_prefix]: [&str; 3],
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R, [Phase; 3]>, PmError> {
+) -> Result<Phased<S::Out, [Phase; 3]>, PmError> {
     let k = ctx
         .capacity::<L>()
         .grace_partitions(left.len(), algorithm)?;
@@ -115,13 +117,14 @@ pub(crate) fn steered<L: Record, R: Record>(
         }
     });
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
-    let probe = |matches: &mut RecordBuffer<Pair<L, R>>, bytes: &[u8]| {
-        resident.probe_bytes(bytes, matches);
+    let probe = |matches: &mut RecordBuffer<S::Out>, bytes: &[u8]| {
+        resident.probe_bytes(bytes, shape, matches);
     };
     let (right_parts, probed) = partition_morsels(right, k, ctx, right_prefix, route, probe, |m| {
         out.append_buffer(&m);
     });
-    let pairs = build_probe(ctx, k, |p| pair(&left_parts[p], &right_parts[p]), &mut out);
+    let task = |p: usize| pair(&left_parts[p], &right_parts[p]);
+    let pairs = build_probe(ctx, k, task, shape, &mut out);
     Ok((out, [build, probed, pairs]))
 }
 

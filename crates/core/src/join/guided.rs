@@ -17,13 +17,13 @@
 //! counters are identical at any degree of parallelism, and with no hot
 //! key it *is* Grace join.
 
-use super::common::{view_key, JoinContext};
+use super::common::{view_key, JoinContext, OutputShape};
 use super::grace::steered;
 use super::kernel::Phased;
 use crate::parallel::{fan_out, Label, Phases};
 use pmem_sim::{PCollection, PmError};
 use std::collections::{HashMap, HashSet};
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 
 /// Counters the fallback Misra-Gries frequency summary keeps — O(1)
 /// space regardless of the input's distinct count.
@@ -32,20 +32,22 @@ const MG_COUNTERS: usize = 64;
 /// Joins `left ⋈ right`, steering records by the given hot-key set:
 /// hot build rows stay resident, hot probe rows join immediately, and
 /// only cold rows are partitioned. An empty hot set degrades to a
-/// Grace join.
+/// Grace join. Each match lands as `shape` emits it
+/// ([`super::Pairs`] for the pairs).
 ///
 /// # Errors
 /// Returns [`PmError::InsufficientMemory`] when the Grace applicability
 /// bound `M > √(f·|T|)` fails (the resident table plus a cold partition
 /// must fit in DRAM).
-pub fn guided_join_with<L: Record, R: Record>(
+pub fn guided_join_with<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     hot_keys: &[u64],
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<PCollection<Pair<L, R>>, PmError> {
-    phased(left, right, Some(hot_keys), ctx, output_name).map(|(out, _)| out)
+) -> Result<PCollection<S::Out>, PmError> {
+    phased(left, right, Some(hot_keys), shape, ctx, output_name).map(|(out, _)| out)
 }
 
 /// The guided join over `hot_keys` and its phases: the build and probe
@@ -57,13 +59,14 @@ pub fn guided_join_with<L: Record, R: Record>(
 /// both sides then skip the partition write. Engine callers pass the
 /// catalog's ingest-time statistics through [`guided_join_with`] instead
 /// and skip the passes.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     hot_keys: Option<&[u64]>,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R>, PmError> {
+) -> Result<Phased<S::Out>, PmError> {
     let _op = ctx.operator("guided", left.len() * L::SIZE);
     let mut phases = Phases::new();
     let hot: HashSet<u64> = match hot_keys {
@@ -81,7 +84,7 @@ pub(crate) fn phased<L: Record, R: Record>(
         }
     };
     let names = ["guided join", "cgj-t", "cgj-v"];
-    let (out, steered) = steered(left, right, &hot, names, ctx, output_name)?;
+    let (out, steered) = steered(left, right, &hot, names, shape, ctx, output_name)?;
     phases.extend(steered);
     Ok((out, phases))
 }
@@ -116,7 +119,7 @@ fn heavy_hitters<R: Record>(input: &PCollection<R>) -> HashSet<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::{JoinAlgorithm, PARTITION_MORSEL_RECORDS};
+    use crate::join::{JoinAlgorithm, Pairs, PARTITION_MORSEL_RECORDS};
     use pmem_sim::{BufferPool, LayerKind, PmDevice};
     use wisconsin::{join_input_skewed, WisconsinRecord};
 
@@ -177,7 +180,7 @@ mod tests {
             .map(|(&k, _)| k)
             .collect();
         let before = dev.snapshot();
-        guided_join_with(&left, &right, &hot, &ctx, "out-g").expect("applicable");
+        guided_join_with(&left, &right, &hot, &Pairs, &ctx, "out-g").expect("applicable");
         let guided_io = dev.snapshot().since(&before);
         let before = dev.snapshot();
         JoinAlgorithm::GJ
@@ -210,7 +213,7 @@ mod tests {
         let (left, right) = skewed_setup(&dev, 0.0);
         let pool = BufferPool::new(200 * 80);
         let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-        let out = guided_join_with(&left, &right, &[], &ctx, "out").expect("applicable");
+        let out = guided_join_with(&left, &right, &[], &Pairs, &ctx, "out").expect("applicable");
         assert_eq!(out.len(), 6000);
 
         // With nothing hot, every record takes the partition round-trip
@@ -220,7 +223,7 @@ mod tests {
         for kind in [LayerKind::BlockedMemory, LayerKind::Pmfs] {
             for threads in [1, 4] {
                 let cold = device_run(&w, kind, 1500, threads, |l, r, ctx| {
-                    guided_join_with(l, r, &[], ctx, "out")
+                    guided_join_with(l, r, &[], &Pairs, ctx, "out")
                 });
                 let gj = device_run(&w, kind, 1500, threads, |l, r, ctx| {
                     JoinAlgorithm::GJ.run(l, r, ctx, "out")

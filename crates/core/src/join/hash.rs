@@ -15,7 +15,7 @@
 //! consumes the previous one's offload — which is exactly the dependency
 //! the cost model's per-pass split captures.
 
-use super::common::{partition_of, BuildTable, JoinContext};
+use super::common::{partition_of, BuildTable, JoinContext, OutputShape};
 use super::kernel::{for_each_morsel, route_scan, Phased, Route};
 use crate::parallel::{Label, Phase, Phases};
 use pmem_sim::{PCollection, RecordBuffer, RecordReader};
@@ -23,36 +23,37 @@ use wisconsin::Record;
 
 /// HJ's schedule and its phases: per pass, the build scan's morsels and
 /// then the probe scan's.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Phased<L, R> {
+) -> Phased<S::Out> {
     let _op = ctx.operator("hash-join", left.len() * L::SIZE);
     let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
     // Every pass but the last offloads the rest; the inputs then hold
     // only partitions not joined yet, all of which are offloaded.
-    passes(left, right, ctx, k, ["hj-t", "hj-v"], output_name, |i| {
-        i + 1 < k
-    })
+    let names = ["hj-t", "hj-v", output_name];
+    passes(left, right, shape, ctx, k, names, |i| i + 1 < k)
 }
 
 /// The schedule of the iterating hash joins (HJ and the lazy one): pass
 /// `i` builds a table from partition `i` of the current build input and
 /// probes it with the current probe input; when `offload(i)` says so, the
 /// pass also writes every record of a later partition to new inputs for
-/// the passes after it (named by `prefixes`), piggybacked on its scans.
+/// the passes after it (named by the first two `names`; the last names
+/// the output), piggybacked on its scans.
 /// Every other record is skipped — the rescan penalty of later passes.
-pub(super) fn passes<L: Record, R: Record>(
+pub(super) fn passes<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
+    shape: &S,
     ctx: &JoinContext<'_>,
     k: usize,
-    prefixes: [&str; 2],
-    output_name: &str,
+    [t_prefix, v_prefix, output_name]: [&str; 3],
     mut offload: impl FnMut(usize) -> bool,
-) -> Phased<L, R> {
+) -> Phased<S::Out> {
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let mut phases = Phases::with_capacity(2 * k);
     // The current inputs: the originals, then the latest offloads.
@@ -65,8 +66,8 @@ pub(super) fn passes<L: Record, R: Record>(
             p if p > i && offloads => Route::Spill(p),
             _ => Route::Skip,
         };
-        let mut t_next = offloads.then(|| ctx.fresh::<L>(prefixes[0]));
-        let mut v_next = offloads.then(|| ctx.fresh::<R>(prefixes[1]));
+        let mut t_next = offloads.then(|| ctx.fresh::<L>(t_prefix));
+        let mut v_next = offloads.then(|| ctx.fresh::<R>(v_prefix));
         let mut table = BuildTable::new();
         let build = |kept: &mut RecordBuffer<L>, bytes: &[u8]| kept.push_bytes(bytes);
         let insert = |kept: RecordBuffer<L>| kept.records().for_each(|l| table.insert_bytes(l));
@@ -75,7 +76,9 @@ pub(super) fn passes<L: Record, R: Record>(
         // Nothing to offload, nothing to route: a probe record the build
         // scan did not keep cannot equal a key the table holds.
         let route = move |key| if offloads { route(key) } else { Route::Keep };
-        let probe = |matches: &mut RecordBuffer<_>, bytes: &[u8]| table.probe_bytes(bytes, matches);
+        let probe = |matches: &mut RecordBuffer<_>, bytes: &[u8]| {
+            table.probe_bytes(bytes, shape, matches);
+        };
         let v_src = v_cur.as_ref().unwrap_or(right);
         let land = |m: RecordBuffer<_>| out.append_buffer(&m);
         let v_scan = pass_scan(v_src, ctx, i, route, probe, v_next.as_mut(), land);

@@ -24,7 +24,7 @@
 //! heatmaps that guide the choice of `(x, y)` live in
 //! [`crate::cost::join_costs`].
 
-use super::common::{partition_of, JoinContext};
+use super::common::{partition_of, JoinContext, OutputShape};
 use super::kernel::{build_probe, build_table, spill_scan, Phased};
 use pmem_sim::{PCollection, PmError};
 use wisconsin::Record;
@@ -37,14 +37,15 @@ use wisconsin::Record;
 /// Returns [`PmError::InvalidParameter`] unless `x, y ∈ [0, 1]`, and
 /// [`PmError::InsufficientMemory`] when the partitioned prefix would not
 /// satisfy Grace's applicability condition.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     x: f64,
     y: f64,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R>, PmError> {
+) -> Result<Phased<S::Out>, PmError> {
     let _op = ctx.operator("hybrid-join", left.len() * L::SIZE);
     for (name, v) in [("x", x), ("y", y)] {
         if !(0.0..=1.0).contains(&v) {
@@ -98,6 +99,7 @@ pub(crate) fn phased<L: Record, R: Record>(
                 (build_table(vec![scan], None), vec![right.reader()])
             }
         },
+        shape,
         &mut out,
     );
     Ok((out, vec![t_scan, v_scan, tasks]))

@@ -14,18 +14,19 @@
 //! counter are identical at any DoP, and both return a labelled
 //! [`Phase`]: a join's [`Phases`] are its kernels' phases in order.
 
-use super::common::{partition_of, view_key, BuildTable, JoinContext};
+use super::common::{partition_of, view_key, BuildTable, JoinContext, OutputShape};
 use crate::parallel::{fan_out, measured, Label, Phase, Phases};
 use pmem_sim::{PCollection, RecordBuffer, RecordReader, Storable};
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 
 /// Records per partitioning morsel. The grid depends only on the input
 /// size — never on the degree of parallelism — which keeps the counted
 /// traffic DoP-invariant.
 pub const PARTITION_MORSEL_RECORDS: usize = 8192;
 
-/// A join's output beside its phase ledger (or a fixed-size form of it).
-pub(crate) type Phased<L, R, P = Phases> = (PCollection<Pair<L, R>>, P);
+/// A join's output of `O` rows beside its phase ledger (or a
+/// fixed-size form of it).
+pub(crate) type Phased<O, P = Phases> = (PCollection<O>, P);
 
 /// A build–probe task: its table and the scans that probe it.
 pub(crate) type Probe<'a, L, R> = (BuildTable<L>, Vec<RecordReader<'a, R>>);
@@ -201,22 +202,23 @@ impl<P: Storable> Land<P> for EachRecord<'_, P> {
 }
 
 /// The build–probe phase: `tasks` independent tasks, each building its
-/// table and probing it with its scans into a buffer on a worker; the
-/// buffers land in `out` in task order.
-pub(crate) fn build_probe<'a, L: Record, R: Record>(
+/// table and probing it with its scans into a buffer of `shape`'s rows
+/// on a worker; the buffers land in `out` in task order.
+pub(crate) fn build_probe<'a, L: Record, R: Record, S: OutputShape<L, R>>(
     ctx: &JoinContext<'_>,
     tasks: usize,
     task: impl Fn(usize) -> Probe<'a, L, R> + Sync,
-    out: &mut impl Land<Pair<L, R>>,
+    shape: &S,
+    out: &mut impl Land<S::Out>,
 ) -> Phase {
     let probe = |i| {
         let (table, scans) = task(i);
         let mut matches = RecordBuffer::new();
         for scan in scans {
-            scan.for_each_run(|run| table.probe_run(run, &mut matches));
+            scan.for_each_run(|run| table.probe_run(run, shape, &mut matches));
         }
         matches
     };
-    let land = |matches: RecordBuffer<Pair<L, R>>| out.land(&matches);
+    let land = |matches: RecordBuffer<S::Out>| out.land(&matches);
     fan_out(ctx, Label::BuildProbe, tasks, probe, land)
 }

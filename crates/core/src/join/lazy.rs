@@ -21,7 +21,7 @@
 //! `repro --table 1` prints it under the Table 1 progression, and the
 //! test `threshold_follows_corrected_eq11` pins it.
 
-use super::common::JoinContext;
+use super::common::{JoinContext, OutputShape};
 use super::hash::passes;
 use super::kernel::Phased;
 use pmem_sim::PCollection;
@@ -35,18 +35,20 @@ pub(crate) fn lazy_materialization_iterations(k_remaining: usize, lambda: f64) -
 
 /// LaJ's schedule and its phases: per pass, the build scan's morsels
 /// and then the probe scan's.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Phased<L, R> {
+) -> Phased<S::Out> {
     let _op = ctx.operator("lazy-join", left.len() * L::SIZE);
     let k = ctx.capacity::<L>().partitions(left.len() as f64) as usize;
     let lambda = ctx.device().lambda();
     let mut since_mat = 0usize; // lazy iterations since the last materialization
     let mut threshold = lazy_materialization_iterations(k, lambda).max(1);
-    passes(left, right, ctx, k, ["laj-t", "laj-v"], output_name, |i| {
+    let names = ["laj-t", "laj-v", output_name];
+    passes(left, right, shape, ctx, k, names, |i| {
         let remaining_after = k - i - 1;
         since_mat += 1;
         // Materialize when the penalty has overtaken the savings and

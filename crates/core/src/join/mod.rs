@@ -37,7 +37,9 @@ pub mod nested_loops;
 pub mod segmented;
 pub mod sort_merge;
 
-pub use common::{expected_match_count, BuildTable, JoinContext, HASH_TABLE_FACTOR};
+pub use common::{
+    expected_match_count, BuildTable, JoinContext, OutputShape, Pairs, RowSink, HASH_TABLE_FACTOR,
+};
 pub use grace::{grace_join_profiled, GraceProfile};
 pub use guided::guided_join_with;
 pub use kernel::PARTITION_MORSEL_RECORDS;
@@ -151,17 +153,36 @@ impl JoinAlgorithm {
         right: &PCollection<R>,
         ctx: &JoinContext<'_>,
         output_name: &str,
-    ) -> Result<kernel::Phased<L, R>, PmError> {
+    ) -> Result<kernel::Phased<Pair<L, R>>, PmError> {
+        self.run_shaped(left, right, &Pairs, ctx, output_name)
+    }
+
+    /// [`JoinAlgorithm::run_profiled`] landing each match as `shape`
+    /// emits it, where the schedule finds it: the same schedule, phases
+    /// and input traffic, with only the output rows' bytes differing.
+    ///
+    /// # Errors
+    /// Same as [`JoinAlgorithm::run`].
+    pub fn run_shaped<L: Record, R: Record, S: OutputShape<L, R>>(
+        &self,
+        left: &PCollection<L>,
+        right: &PCollection<R>,
+        shape: &S,
+        ctx: &JoinContext<'_>,
+        output_name: &str,
+    ) -> Result<kernel::Phased<S::Out>, PmError> {
+        let (l, r, name) = (left, right, output_name);
         match self {
-            JoinAlgorithm::NLJ => Ok(nested_loops::phased(left, right, ctx, output_name)),
-            JoinAlgorithm::GJ => grace::phased(left, right, ctx, output_name)
-                .map(|(out, phases)| (out, phases.into())),
-            JoinAlgorithm::HJ => Ok(hash::phased(left, right, ctx, output_name)),
-            JoinAlgorithm::HybJ { x, y } => hybrid::phased(left, right, *x, *y, ctx, output_name),
-            JoinAlgorithm::SegJ { frac } => segmented::phased(left, right, *frac, ctx, output_name),
-            JoinAlgorithm::LaJ => Ok(lazy::phased(left, right, ctx, output_name)),
-            JoinAlgorithm::SMJ { x } => sort_merge::phased(left, right, *x, ctx, output_name),
-            JoinAlgorithm::CGJ => guided::phased(left, right, None, ctx, output_name),
+            JoinAlgorithm::NLJ => Ok(nested_loops::phased(l, r, shape, ctx, name)),
+            JoinAlgorithm::GJ => {
+                grace::phased(l, r, shape, ctx, name).map(|(out, phases)| (out, phases.into()))
+            }
+            JoinAlgorithm::HJ => Ok(hash::phased(l, r, shape, ctx, name)),
+            JoinAlgorithm::HybJ { x, y } => hybrid::phased(l, r, *x, *y, shape, ctx, name),
+            JoinAlgorithm::SegJ { frac } => segmented::phased(l, r, *frac, shape, ctx, name),
+            JoinAlgorithm::LaJ => Ok(lazy::phased(l, r, shape, ctx, name)),
+            JoinAlgorithm::SMJ { x } => sort_merge::phased(l, r, *x, shape, ctx, name),
+            JoinAlgorithm::CGJ => guided::phased(l, r, None, shape, ctx, name),
         }
     }
 }
@@ -341,9 +362,16 @@ mod tests {
                         let keep = |l: &WisconsinRecord| l.key().is_multiple_of(modulus);
                         let kept: Vec<WisconsinRecord> =
                             w.left.iter().copied().filter(keep).collect();
-                        let (out, _) =
-                            filtered_iterate_join(&left, keep, selectivity, &right, &ctx, "o")
-                                .expect("fits");
+                        let (out, _) = filtered_iterate_join(
+                            &left,
+                            keep,
+                            selectivity,
+                            &right,
+                            &Pairs,
+                            &ctx,
+                            "o",
+                        )
+                        .expect("fits");
                         assert!(
                             out.to_vec_uncounted() == guarded_iterate_join(&kept, &w.right, k),
                             "deferred σ (1 in {modulus}): {what}"
@@ -365,7 +393,7 @@ mod tests {
                 &PCollection<WisconsinRecord>,
                 &PCollection<WisconsinRecord>,
                 &JoinContext<'_>,
-            ) -> Result<kernel::Phased<WisconsinRecord, WisconsinRecord>, PmError>
+            ) -> Result<kernel::Phased<WPair>, PmError>
             + 'f;
         let w = wisconsin::join_input_skewed(600, 3000, 1.1, 23);
         // `join` with `m` records of DRAM on a medium of write/read ratio
@@ -429,7 +457,7 @@ mod tests {
             assert_eq!(ledger.len(), phases, "{what}");
             let what = format!("deferred σ, λ = {lambda}");
             let ledger = check(&what, lambda, 250, &|l, r, ctx| {
-                filtered_iterate_join(l, |_| true, 1.0, r, ctx, "out")
+                filtered_iterate_join(l, |_| true, 1.0, r, &Pairs, ctx, "out")
             });
             assert_eq!(ledger.len(), phases, "{what}");
         }

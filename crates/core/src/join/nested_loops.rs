@@ -9,18 +9,19 @@
 //! The schedule: one build–probe phase with a task per outer block
 //! (`kernel.rs`) — identical output order and counters at any DoP.
 
-use super::common::JoinContext;
+use super::common::{JoinContext, OutputShape};
 use super::kernel::{build_probe, build_table, Phased};
 use pmem_sim::PCollection;
 use wisconsin::Record;
 
 /// NLJ's schedule and its one phase: the outer blocks.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Phased<L, R> {
+) -> Phased<S::Out> {
     let _op = ctx.operator("nlj", left.len() * L::SIZE);
     let mut out = PCollection::new(ctx.device(), ctx.kind(), output_name);
     let block = ctx.capacity::<L>().build_records();
@@ -28,7 +29,7 @@ pub(crate) fn phased<L: Record, R: Record>(
         let scan = left.range_reader(b * block, ((b + 1) * block).min(left.len()));
         (build_table(vec![scan], None), vec![right.reader()])
     };
-    let blocks = build_probe(ctx, left.len().div_ceil(block), task, &mut out);
+    let blocks = build_probe(ctx, left.len().div_ceil(block), task, shape, &mut out);
     (out, vec![blocks])
 }
 

@@ -17,7 +17,7 @@
 //! Grace join; regardless, `x` is the knob that sets the algorithm's
 //! write intensity.
 
-use super::common::{partition_of, JoinContext};
+use super::common::{partition_of, JoinContext, OutputShape};
 use super::kernel::{build_probe, build_table, pair, spill_scan, Phased};
 use crate::parallel::Phases;
 use pmem_sim::{PCollection, PmError};
@@ -31,13 +31,14 @@ use wisconsin::Record;
 /// # Errors
 /// Returns [`PmError::InvalidParameter`] unless `0 ≤ frac ≤ 1`, and
 /// [`PmError::InsufficientMemory`] when Grace is inapplicable.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     frac: f64,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R>, PmError> {
+) -> Result<Phased<S::Out>, PmError> {
     let _op = ctx.operator("segmented-grace", left.len() * L::SIZE);
     if !(0.0..=1.0).contains(&frac) {
         return Err(PmError::InvalidParameter {
@@ -78,6 +79,7 @@ pub(crate) fn phased<L: Record, R: Record>(
                 vec![right.reader()],
             ),
         },
+        shape,
         &mut out,
     ));
     Ok((out, phases))

@@ -16,7 +16,7 @@
 //! coordinator concatenates the match buffers in splitter order — the
 //! same rows, order, and counters as the serial co-scan at any DoP.
 
-use super::common::{view_key, JoinContext};
+use super::common::{view_key, JoinContext, OutputShape};
 use super::kernel::Phased;
 use crate::parallel::{fan_out, measured, Label};
 use crate::sort::common::{
@@ -24,7 +24,7 @@ use crate::sort::common::{
 };
 use crate::sort::{kernel::Land, segment::segmented};
 use pmem_sim::{PCollection, PmError, RecordBuffer, RecordReader};
-use wisconsin::{Pair, Record};
+use wisconsin::Record;
 
 /// SMJ's schedule: the two segment sorts' phases, at write intensity
 /// `x`, then the co-scan — one serial task, or the key-range cuts (a
@@ -32,13 +32,14 @@ use wisconsin::{Pair, Record};
 ///
 /// # Errors
 /// Returns [`PmError::InvalidParameter`] unless `0 ≤ x ≤ 1`.
-pub(crate) fn phased<L: Record, R: Record>(
+pub(crate) fn phased<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     right: &PCollection<R>,
     x: f64,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R>, PmError> {
+) -> Result<Phased<S::Out>, PmError> {
     let _op = ctx.operator("smj", left.len() * L::SIZE);
     // Segment sort's schedule, not its entry: the join holds once.
     let land = Land { by_range: false };
@@ -52,7 +53,7 @@ pub(crate) fn phased<L: Record, R: Record>(
     if segments <= 1 || sorted_left.is_empty() || sorted_right.is_empty() {
         let ((), phase) = measured(Label::CoScan, || {
             let mut buf = RecordBuffer::new();
-            co_scan(sorted_left.reader(), sorted_right.reader(), &mut buf);
+            co_scan(sorted_left.reader(), sorted_right.reader(), shape, &mut buf);
             out.append_buffer(&buf);
         });
         phases.push(phase);
@@ -76,11 +77,12 @@ pub(crate) fn phased<L: Record, R: Record>(
         co_scan(
             sorted_left.range_reader(cuts_l[seg], cuts_l[seg + 1]),
             sorted_right.range_reader(cuts_r[seg], cuts_r[seg + 1]),
+            shape,
             &mut buf,
         );
         buf
     };
-    let land = |buf: RecordBuffer<Pair<L, R>>| out.append_buffer(&buf);
+    let land = |buf: RecordBuffer<S::Out>| out.append_buffer(&buf);
     phases.extend([
         grid,
         fan_out(ctx, Label::CoScan, segments, scan_segment, land),
@@ -91,11 +93,13 @@ pub(crate) fn phased<L: Record, R: Record>(
 /// The duplicate-handling co-scan of two sorted runs, buffering one
 /// left key group in DRAM for the cross products. Records move as their
 /// stored bytes: the scans lend them, the group keeps them, and each
-/// pair lands as its left and right record's bytes.
-fn co_scan<L: Record, R: Record>(
+/// match lands as `shape` emits it from its left and right record's
+/// bytes.
+fn co_scan<L: Record, R: Record, S: OutputShape<L, R>>(
     mut li: RecordReader<'_, L>,
     mut ri: RecordReader<'_, R>,
-    out: &mut RecordBuffer<Pair<L, R>>,
+    shape: &S,
+    out: &mut RecordBuffer<S::Out>,
 ) {
     let mut l = li.next_view().map(|v| view_key(&v));
     let mut group: Vec<u8> = Vec::new();
@@ -119,7 +123,7 @@ fn co_scan<L: Record, R: Record>(
             }
         }
         for left in group.chunks_exact(L::SIZE) {
-            out.push_parts(left, right.bytes());
+            shape.emit(left, right.bytes(), out);
         }
     }
 }

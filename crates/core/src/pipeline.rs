@@ -22,7 +22,7 @@
 //! build–probe phase of the passes over the view after it.
 
 use crate::deferral::first_materialized_pass;
-use crate::join::common::{partition_of, BuildTable, JoinContext};
+use crate::join::common::{partition_of, BuildTable, JoinContext, OutputShape};
 use crate::join::kernel::{build_probe, build_table, EachRecord, Phased};
 use crate::parallel::{measured, Label, Phases};
 use pmem_sim::{PCollection, PmError};
@@ -33,20 +33,22 @@ use wisconsin::Record;
 /// right input per partition, the §3.1 rules deciding when the view stops
 /// being re-filtered and gets materialized. `selectivity` is the
 /// filter's expected output fraction, the estimate the rules weigh.
-/// Returns the output beside its phases.
+/// Each match lands as `shape` emits it ([`crate::join::Pairs`] for the
+/// pairs). Returns the output beside its phases.
 ///
 /// # Errors
 /// Returns [`PmError::InvalidParameter`] unless `0 ≤ selectivity ≤ 1`,
 /// and [`PmError::InsufficientMemory`] when Grace's applicability
 /// condition fails for the (unfiltered) left side.
-pub fn filtered_iterate_join<L: Record, R: Record>(
+pub fn filtered_iterate_join<L: Record, R: Record, S: OutputShape<L, R>>(
     left: &PCollection<L>,
     predicate: impl Fn(&L) -> bool + Sync,
     selectivity: f64,
     right: &PCollection<R>,
+    shape: &S,
     ctx: &JoinContext<'_>,
     output_name: &str,
-) -> Result<Phased<L, R>, PmError> {
+) -> Result<Phased<S::Out>, PmError> {
     let _op = ctx.operator("deferred-join", left.len() * L::SIZE);
     if !(0.0..=1.0).contains(&selectivity) {
         return Err(PmError::InvalidParameter {
@@ -83,7 +85,8 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
         // The passes before the rule fires, landing record by record as
         // the serial passes that probed straight into the output did.
         let deferred = |p| (refilter(p, None), vec![right.reader()]);
-        phases.push(build_probe(ctx, at, deferred, &mut EachRecord(&mut out)));
+        let out = &mut EachRecord(&mut out);
+        phases.push(build_probe(ctx, at, deferred, shape, out));
     }
     if at < k {
         // The pass the rule fires on writes the view as it scans.
@@ -92,7 +95,7 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
             let table = refilter(at, Some(&mut view));
             right
                 .reader()
-                .for_each_run(|run| table.probe_run(run, &mut out));
+                .for_each_run(|run| table.probe_run(run, shape, &mut out));
             view
         });
         phases.push(materialize);
@@ -103,7 +106,7 @@ pub fn filtered_iterate_join<L: Record, R: Record>(
                 let table = build_table(vec![view.reader()], Some((at + 1 + i, k)));
                 (table, vec![right.reader()])
             };
-            phases.push(build_probe(ctx, k - at - 1, from_view, &mut out));
+            phases.push(build_probe(ctx, k - at - 1, from_view, shape, &mut out));
         }
     }
     Ok((out, phases))
@@ -127,6 +130,7 @@ fn materialized_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::Pairs;
     use pmem_sim::{BufferPool, DeviceConfig, LatencyProfile, LayerKind, Pm, PmDevice};
     use wisconsin::{join_input, Pair, WisconsinRecord};
 
@@ -171,8 +175,8 @@ mod tests {
             .capacity::<WisconsinRecord>()
             .partitions(left.len() as f64) as usize;
         let (at, _) = materialized_at(&ctx, k, left.buffers(), selectivity);
-        let (out, _) =
-            filtered_iterate_join(left, keep, selectivity, right, &ctx, "out").expect("applicable");
+        let (out, _) = filtered_iterate_join(left, keep, selectivity, right, &Pairs, &ctx, "out")
+            .expect("applicable");
         (out, at, k)
     }
 
@@ -263,7 +267,8 @@ mod tests {
         for selectivity in [1.5, -0.1, f64::NAN] {
             let pool = BufferPool::new(20 * 80);
             let ctx = JoinContext::new(dev, LayerKind::BlockedMemory, &pool);
-            let got = filtered_iterate_join(left, |_| true, selectivity, right, &ctx, "out");
+            let got =
+                filtered_iterate_join(left, |_| true, selectivity, right, &Pairs, &ctx, "out");
             assert!(
                 matches!(
                     got,

@@ -1,13 +1,15 @@
 //! Lowering: physical plan → measured run.
 //!
-//! Each node runs once its inputs exist. A filter, and a chain join's
-//! fold of pairs into flat rows, is one counted scan into a new
-//! persistent collection ([`write_limited::exec::stage`]); blocking
-//! nodes (sort, join, aggregate) invoke the chosen algorithm on the
-//! collections below them, so every cacheline the plan touches flows
-//! through the counted device. Deferred filters are lowered onto the
-//! §3.1 [`filtered_iterate_join`], which re-filters the source per pass
-//! instead of writing the view until its rules say otherwise.
+//! Each node runs once its inputs exist. A filter is one counted scan
+//! into a new persistent collection ([`write_limited::exec::stage`]);
+//! blocking nodes (sort, join, aggregate) invoke the chosen algorithm on
+//! the collections below them, so every cacheline the plan touches flows
+//! through the counted device. A chain join lands each match as its
+//! folded flat row ([`ChainFold`]) where the schedule finds it, so its
+//! output is written once, as the rows the next join reads. Deferred
+//! filters are lowered onto the §3.1 [`filtered_iterate_join`], which
+//! re-filters the source per pass instead of writing the view until its
+//! rules say otherwise.
 //!
 //! [`execute_stream`] runs the plan and hands back an owned
 //! [`ResultSet`] that clients drain in batches, or at once with
@@ -18,13 +20,15 @@ use crate::catalog::Catalog;
 use crate::enumerate::{Evidence, NodeChoice, PlanError, PlannedQuery, Planner};
 use crate::logical::{LogicalPlan, Predicate};
 use crate::physical::{ChainSlots, Materialization, PhysicalPlan};
-use pmem_sim::{BufferPool, IoStats, LayerKind, Pm, PmError};
+use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, Pm, PmError, Storable};
 use std::borrow::Cow;
 use std::sync::Arc;
 use wisconsin::{Pair, Record, WisconsinRecord};
 use write_limited::agg::{sort_based_aggregate, GroupAgg};
 use write_limited::exec::stage;
-use write_limited::join::{guided_join_with, JoinAlgorithm, JoinContext};
+use write_limited::join::{
+    guided_join_with, JoinAlgorithm, JoinContext, OutputShape, Pairs, RowSink,
+};
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 use write_limited::stats::TableStatistics;
@@ -70,6 +74,57 @@ fn copy_slots(out: &mut WisconsinRecord, rec: &WisconsinRecord, slots: &[usize])
                 out.attrs[1 + s] = rec.attrs[1 + s];
             }
         }
+    }
+}
+
+/// Bytes of one stored attribute.
+const WORD: usize = 8;
+
+/// A chain join's output shape: each match lands as the row
+/// [`fold_pair`] builds from it, assembled from the two records' stored
+/// bytes — the key's word and the payload words the slots name, nothing
+/// decoded — with a swapped build side undone.
+#[derive(Clone, Debug)]
+struct ChainFold {
+    /// `(from, to)` word moves out of the physical build record.
+    build: Vec<(usize, usize)>,
+    /// `(from, to)` word moves out of the physical probe record.
+    probe: Vec<(usize, usize)>,
+}
+
+impl ChainFold {
+    /// The fold of a join with `slots`, its build side the logical right
+    /// when `swapped`.
+    fn new(slots: &ChainSlots, swapped: bool) -> Self {
+        let moves = |slots: &[usize]| match slots {
+            [slot] => vec![(1, 1 + slot)],
+            _ => slots.iter().map(|&s| (1 + s, 1 + s)).collect(),
+        };
+        let (left, right) = (moves(&slots.left), moves(&slots.right));
+        let (build, probe) = if swapped {
+            (right, left)
+        } else {
+            (left, right)
+        };
+        Self { build, probe }
+    }
+}
+
+impl OutputShape<WisconsinRecord, WisconsinRecord> for ChainFold {
+    type Out = WisconsinRecord;
+
+    #[inline]
+    fn emit(&self, left: &[u8], right: &[u8], sink: &mut impl RowSink<WisconsinRecord>) {
+        let mut row = [0; WisconsinRecord::SIZE];
+        // Both sides hold the join key; the logical left's is the row's.
+        row[..WORD].copy_from_slice(&left[..WORD]);
+        for (bytes, moves) in [(left, &self.build), (right, &self.probe)] {
+            for &(from, to) in moves {
+                row[to * WORD..(to + 1) * WORD]
+                    .copy_from_slice(&bytes[from * WORD..(from + 1) * WORD]);
+            }
+        }
+        sink.put(&row);
     }
 }
 
@@ -760,6 +815,9 @@ impl<'a> Lowerer<'a> {
         }
     }
 
+    /// Runs a join node: a two-way join lands its pairs, a chain join
+    /// its folded rows (normalized to logical order, so chain streams
+    /// never carry a swap flag). A deferred σ's join never swaps.
     fn join(
         &mut self,
         left: &PhysicalPlan,
@@ -769,6 +827,44 @@ impl<'a> Lowerer<'a> {
         chain: Option<&ChainSlots>,
         hot: &[u64],
     ) -> Result<ResultSet, ExecError> {
+        let deferred = matches!(
+            left,
+            PhysicalPlan::Filter {
+                materialization: Materialization::Deferred,
+                ..
+            }
+        );
+        let swapped = swapped && !deferred;
+        Ok(match chain {
+            None => ResultSet::Pairs {
+                col: self.run_join(left, right, algo, swapped, hot, &Pairs)?,
+                swapped,
+            },
+            Some(slots) => ResultSet::Multi {
+                col: self.run_join(
+                    left,
+                    right,
+                    algo,
+                    swapped,
+                    hot,
+                    &ChainFold::new(slots, swapped),
+                )?,
+                tables: slots.tables(),
+            },
+        })
+    }
+
+    /// Evaluates a join node's inputs and runs its schedule, landing each
+    /// match as `shape` emits it.
+    fn run_join<S: OutputShape<WisconsinRecord, WisconsinRecord>>(
+        &mut self,
+        left: &PhysicalPlan,
+        right: &PhysicalPlan,
+        algo: JoinAlgorithm,
+        swapped: bool,
+        hot: &[u64],
+        shape: &S,
+    ) -> Result<PCollection<S::Out>, ExecError> {
         let ctx = JoinContext::new(self.dev, self.layer, self.pool).with_threads(self.threads);
         let name = self.name("joined");
 
@@ -798,9 +894,16 @@ impl<'a> Lowerer<'a> {
             let probe = self.eval_to_wis(right)?;
             let p = *predicate;
             let keep = move |r: &WisconsinRecord| p.matches(r);
-            let (out, _) =
-                filtered_iterate_join(&src, keep, *selectivity, probe.as_col(), &ctx, &name)?;
-            return Ok(self.finish_join(out, false, chain));
+            let (out, _) = filtered_iterate_join(
+                &src,
+                keep,
+                *selectivity,
+                probe.as_col(),
+                shape,
+                &ctx,
+                &name,
+            )?;
+            return Ok(out);
         }
 
         let build = self.eval_to_wis(left)?;
@@ -812,40 +915,11 @@ impl<'a> Lowerer<'a> {
         };
         // The cardinality-guided join takes the planner's hot-key set
         // (from the catalog statistics) instead of re-scanning inputs.
-        let out = if algo == JoinAlgorithm::CGJ {
-            guided_join_with(b, p, hot, &ctx, &name)?
+        Ok(if algo == JoinAlgorithm::CGJ {
+            guided_join_with(b, p, hot, shape, &ctx, &name)?
         } else {
-            algo.run(b, p, &ctx, &name)?
-        };
-        Ok(self.finish_join(out, swapped, chain))
-    }
-
-    /// Delivers a join's pair output: two-way joins stream the pairs,
-    /// chain joins fold them into slotted flat rows in one staged pass
-    /// (the fold normalizes swapped sides back to logical order, so
-    /// chain streams never carry a swap flag).
-    fn finish_join(
-        &mut self,
-        out: pmem_sim::PCollection<WisPair>,
-        swapped: bool,
-        chain: Option<&ChainSlots>,
-    ) -> ResultSet {
-        let Some(slots) = chain else {
-            return ResultSet::Pairs { col: out, swapped };
-        };
-        let name = self.name("chained");
-        let fold = |p: WisPair| {
-            let (l, r) = if swapped {
-                (&p.right, &p.left)
-            } else {
-                (&p.left, &p.right)
-            };
-            Some(fold_pair(l, &slots.left, r, &slots.right))
-        };
-        ResultSet::Multi {
-            col: stage(&out, fold, self.dev, self.layer, &name),
-            tables: slots.tables(),
-        }
+            algo.run_shaped(b, p, shape, &ctx, &name)?.0
+        })
     }
 
     /// Evaluates a subtree that must produce flat Wisconsin records —
@@ -1002,5 +1076,179 @@ fn mark_replanned(node: &mut PhysicalPlan) {
         *replanned = true;
         mark_replanned(left);
         mark_replanned(right);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pmem_sim::{DeviceConfig, LatencyProfile, PmDevice, RecordBuffer};
+
+    /// Records with every attribute drawn, keys from `0..keys`.
+    fn drawn(n: usize, keys: u64, seed: u64) -> Vec<WisconsinRecord> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        (0..n)
+            .map(|_| {
+                let mut attrs = [0; wisconsin::WISCONSIN_ATTRS];
+                attrs.iter_mut().for_each(|a| *a = next());
+                attrs[0] %= keys;
+                WisconsinRecord { attrs }
+            })
+            .collect()
+    }
+
+    fn stored(r: &WisconsinRecord) -> Vec<u8> {
+        let mut bytes = vec![0; WisconsinRecord::SIZE];
+        r.write_to(&mut bytes);
+        bytes
+    }
+
+    /// The rows [`fold_pair`] builds from a join's pairs, its build side
+    /// the logical right when `swapped`.
+    fn folded(pairs: &[WisPair], slots: &ChainSlots, swapped: bool) -> Vec<WisconsinRecord> {
+        pairs
+            .iter()
+            .map(|p| {
+                let (l, r) = if swapped {
+                    (&p.right, &p.left)
+                } else {
+                    (&p.left, &p.right)
+                };
+                fold_pair(l, &slots.left, r, &slots.right)
+            })
+            .collect()
+    }
+
+    const SLOTS: [(&[usize], &[usize]); 6] = [
+        (&[0], &[1]),
+        (&[0, 1], &[2]),
+        (&[2], &[0, 1]),
+        (&[0, 2], &[1, 3, 4]),
+        (&[1, 2, 3, 4, 5, 6, 7, 8], &[0]),
+        (&[8], &[0, 1, 2, 3, 4, 5, 6, 7]),
+    ];
+
+    #[test]
+    fn the_fold_lands_the_row_fold_pair_builds() {
+        let (lefts, mut rights) = (drawn(50, 1 << 40, 7), drawn(50, 1, 9));
+        for (l, r) in lefts.iter().zip(&mut rights) {
+            r.attrs[0] = l.attrs[0];
+        }
+        for (left, right) in SLOTS {
+            let slots = ChainSlots {
+                left: left.to_vec(),
+                right: right.to_vec(),
+            };
+            for swapped in [false, true] {
+                let fold = ChainFold::new(&slots, swapped);
+                let mut rows = RecordBuffer::new();
+                for (l, r) in lefts.iter().zip(&rights) {
+                    let (build, probe) = if swapped { (r, l) } else { (l, r) };
+                    fold.emit(&stored(build), &stored(probe), &mut rows);
+                }
+                let got: Vec<WisconsinRecord> =
+                    rows.records().map(WisconsinRecord::read_from).collect();
+                let want: Vec<WisconsinRecord> = (lefts.iter().zip(&rights))
+                    .map(|(l, r)| fold_pair(l, left, r, right))
+                    .collect();
+                assert_eq!(got, want, "{slots:?}, swapped {swapped}");
+            }
+        }
+    }
+
+    /// The schedules the lowering reaches: each algorithm, the guided
+    /// join over given hot keys, the deferred σ.
+    const SCHEDULES: [&str; 10] = [
+        "NLJ",
+        "GJ",
+        "HJ",
+        "HybJ",
+        "SegJ",
+        "LaJ",
+        "SMJ",
+        "CGJ",
+        "guided",
+        "deferred σ",
+    ];
+
+    /// Runs schedule `which` of [`SCHEDULES`], landing its matches as
+    /// `shape` emits them.
+    fn schedule<S: OutputShape<WisconsinRecord, WisconsinRecord>>(
+        which: usize,
+        (l, r): (&PCollection<WisconsinRecord>, &PCollection<WisconsinRecord>),
+        shape: &S,
+        ctx: &JoinContext<'_>,
+    ) -> Result<PCollection<S::Out>, PmError> {
+        let algo = match which {
+            0 => JoinAlgorithm::NLJ,
+            1 => JoinAlgorithm::GJ,
+            2 => JoinAlgorithm::HJ,
+            3 => JoinAlgorithm::HybJ { x: 0.5, y: 0.5 },
+            4 => JoinAlgorithm::SegJ { frac: 0.5 },
+            5 => JoinAlgorithm::LaJ,
+            6 => JoinAlgorithm::SMJ { x: 0.5 },
+            7 => JoinAlgorithm::CGJ,
+            8 => return guided_join_with(l, r, &[0, 1, 2, 3], shape, ctx, "o"),
+            _ => {
+                let keep = |rec: &WisconsinRecord| rec.key() % 3 != 0;
+                return Ok(filtered_iterate_join(l, keep, 0.67, r, shape, ctx, "o")?.0);
+            }
+        };
+        Ok(algo.run_shaped(l, r, shape, ctx, "o")?.0)
+    }
+
+    /// Every schedule lands the folded rows in the order it lands the
+    /// pairs, reads what it reads for the pairs, and writes the rows
+    /// instead of the pairs.
+    #[test]
+    fn every_schedule_lands_folded_rows_where_it_landed_pairs() {
+        let lines = |bytes: usize| bytes.div_ceil(pmem_sim::CACHELINE) as u64;
+        let (build, probe) = (drawn(300, 200, 3), drawn(900, 200, 5));
+        let slots = ChainSlots {
+            left: vec![0, 2],
+            right: vec![1],
+        };
+        // λ = 1.5 makes the lazy and deferred schedules materialize
+        // midway and carry on from what they wrote.
+        for (which, name) in SCHEDULES.iter().enumerate() {
+            for (threads, lambda) in [(1, 15.0), (4, 15.0), (1, 1.5)] {
+                let dev = PmDevice::new(
+                    DeviceConfig::paper_default()
+                        .with_latency(LatencyProfile::with_lambda(10.0, lambda)),
+                );
+                let kind = LayerKind::BlockedMemory;
+                let l = PCollection::from_records_uncounted(&dev, kind, "T", build.clone());
+                let r = PCollection::from_records_uncounted(&dev, kind, "V", probe.clone());
+                let pool = BufferPool::new(60 * 80);
+                let ctx = JoinContext::new(&dev, kind, &pool).with_threads(threads);
+                let before = dev.snapshot();
+                let pairs = schedule(which, (&l, &r), &Pairs, &ctx).expect("applicable");
+                let pair_io = dev.snapshot().since(&before);
+                let pairs = pairs.to_vec_uncounted();
+                assert!(pairs.len() > 500, "{name}: {} matches", pairs.len());
+                for swapped in [false, true] {
+                    let what = format!("{name}, DoP {threads}, λ {lambda}, swapped {swapped}");
+                    let fold = ChainFold::new(&slots, swapped);
+                    let before = dev.snapshot();
+                    let rows = schedule(which, (&l, &r), &fold, &ctx).expect("applicable");
+                    let row_io = dev.snapshot().since(&before);
+                    let want = folded(&pairs, &slots, swapped);
+                    assert!(rows.to_vec_uncounted() == want, "{what}: rows");
+                    assert_eq!(row_io.cl_reads, pair_io.cl_reads, "{what}: reads");
+                    let n = pairs.len();
+                    assert_eq!(
+                        row_io.cl_writes + lines(n * WisPair::SIZE),
+                        pair_io.cl_writes + lines(n * WisconsinRecord::SIZE),
+                        "{what}: writes"
+                    );
+                }
+            }
+        }
     }
 }

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use wisconsin::{Record, WisconsinRecord};
 use write_limited::adaptive::adaptive_grace_join;
 use write_limited::agg::{hash_aggregate, segmented_hash_aggregate, sort_based_aggregate};
-use write_limited::join::{JoinAlgorithm, JoinContext};
+use write_limited::join::{JoinAlgorithm, JoinContext, Pairs};
 use write_limited::parallel::Phases;
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
@@ -366,7 +366,7 @@ fn run_case<R: Shape>(inputs: &Inputs, op: Op, s: Setting) -> String {
                 Op::AdaptiveGrace => adaptive_grace_join(&left, &right, &ctx, "out"),
                 Op::DeferredPipeline => {
                     let keep = |r: &R| r.key().is_multiple_of(5);
-                    filtered_iterate_join(&left, keep, 0.2, &right, &ctx, "out")
+                    filtered_iterate_join(&left, keep, 0.2, &right, &Pairs, &ctx, "out")
                 }
                 _ => unreachable!("join arm"),
             }

@@ -10,7 +10,7 @@ use wl_index::{BPlusTree, LeafPolicy};
 use write_limited::agg::{
     hash_aggregate, segmented_hash_aggregate, sort_based_aggregate, GroupAgg,
 };
-use write_limited::join::JoinContext;
+use write_limited::join::{JoinContext, Pairs};
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
 
@@ -144,8 +144,9 @@ fn pipeline_filter_join_respects_selectivity() {
     let right = PCollection::from_records_uncounted(&dev, LayerKind::BlockedMemory, "V", w.right);
     let pool = BufferPool::new(50 * 80);
     let ctx = JoinContext::new(&dev, LayerKind::BlockedMemory, &pool);
-    let (out, _) = filtered_iterate_join(&left, |r| r.key() < 100, 0.2, &right, &ctx, "out")
-        .expect("applicable");
+    let (out, _) =
+        filtered_iterate_join(&left, |r| r.key() < 100, 0.2, &right, &Pairs, &ctx, "out")
+            .expect("applicable");
     assert_eq!(out.len(), 400); // 100 surviving keys × fanout 4
     assert!(out.to_vec_uncounted().iter().all(|p| p.left.key() < 100));
 }

@@ -19,7 +19,7 @@ use pmem_sim::{
 };
 use wisconsin::{join_input, sort_input, KeyOrder, Record, WisconsinRecord};
 use write_limited::adaptive::adaptive_grace_join;
-use write_limited::join::{JoinAlgorithm, JoinContext};
+use write_limited::join::{JoinAlgorithm, JoinContext, Pairs};
 use write_limited::parallel::{Label, Phases};
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
@@ -345,7 +345,7 @@ fn every_ledger_phase_is_one_span_of_its_label_and_traffic() {
         check("deferred σ", &|ctx| {
             let (left, right) = (stage(ctx, "T", &w.left), stage(ctx, "V", &w.right));
             let keep = |r: &WisconsinRecord| r.key().is_multiple_of(4);
-            filtered_iterate_join(&left, keep, 0.25, &right, ctx, "out")
+            filtered_iterate_join(&left, keep, 0.25, &right, &Pairs, ctx, "out")
                 .expect("applicable")
                 .1
         });

@@ -9,7 +9,7 @@
 use pmem_sim::span::{begin_profile, end_profile};
 use pmem_sim::{BufferPool, IoStats, LayerKind, PCollection, PmDevice};
 use wisconsin::{join_input, sort_input, KeyOrder, Record, WisconsinRecord};
-use write_limited::join::{JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS};
+use write_limited::join::{JoinAlgorithm, JoinContext, Pairs, PARTITION_MORSEL_RECORDS};
 use write_limited::parallel::Phases;
 use write_limited::pipeline::filtered_iterate_join;
 use write_limited::sort::{SortAlgorithm, SortContext};
@@ -357,8 +357,8 @@ fn deferred_pipeline_join_is_dop_invariant() {
         // its own), so the remaining passes run as one parallel phase.
         let keep = |r: &WisconsinRecord| r.key().is_multiple_of(20);
         let before = dev.snapshot();
-        let (out, phases) =
-            filtered_iterate_join(&left, keep, 0.05, &right, &ctx, "out").expect("applicable");
+        let (out, phases) = filtered_iterate_join(&left, keep, 0.05, &right, &Pairs, &ctx, "out")
+            .expect("applicable");
         let stats = dev.snapshot().since(&before);
         assert_eq!(phases.len(), 2, "materialized on the first pass");
         let rows: Vec<(u64, u64)> = out

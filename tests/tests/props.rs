@@ -16,7 +16,8 @@ use wisconsin::{Pair, Permutation, Record, WisconsinRecord, Zipf};
 use write_limited::adaptive::adaptive_grace_join;
 use write_limited::context::Capacity;
 use write_limited::join::{
-    expected_match_count, guided_join_with, JoinAlgorithm, JoinContext, PARTITION_MORSEL_RECORDS,
+    expected_match_count, guided_join_with, JoinAlgorithm, JoinContext, Pairs,
+    PARTITION_MORSEL_RECORDS,
 };
 use write_limited::parallel::Phases;
 use write_limited::pipeline::filtered_iterate_join;
@@ -421,7 +422,7 @@ fn join_knobs_match_the_oracle_at_any_dop() {
             .collect();
         hot.push(rng.gen_range(0u64..1000));
         let guided = |l: &PCollection<_>, r: &PCollection<_>, ctx: &JoinContext<'_>| {
-            Ok((guided_join_with(l, r, &hot, ctx, "out")?, None))
+            Ok((guided_join_with(l, r, &hot, &Pairs, ctx, "out")?, None))
         };
         draw.check(&format!("CGJ {hot:?}"), &want, &guided);
         draw.check("CGJ", &want, &profiled(JoinAlgorithm::CGJ));
@@ -453,7 +454,8 @@ fn runtime_joins_match_the_oracle_at_any_dop() {
                 &format!("σ(1 in {modulus}), f = {selectivity}"),
                 &kept,
                 &|l, r, ctx| {
-                    let (out, ledger) = filtered_iterate_join(l, keep, selectivity, r, ctx, "out")?;
+                    let (out, ledger) =
+                        filtered_iterate_join(l, keep, selectivity, r, &Pairs, ctx, "out")?;
                     Ok((out, Some(ledger)))
                 },
             );
@@ -482,7 +484,7 @@ fn join_knob_corners_are_laws() {
             "{what}: HybJ(0, 0) ≡ NLJ"
         );
         let cold = draw.run(threads, &|l, r, ctx| {
-            Ok((guided_join_with(l, r, &[], ctx, "out")?, None))
+            Ok((guided_join_with(l, r, &[], &Pairs, ctx, "out")?, None))
         });
         assert!((cold.0, cold.1) == gj, "{what}: CGJ(∅) ≡ GJ");
         if draw.right.len().max(draw.left.len()) <= PARTITION_MORSEL_RECORDS {
