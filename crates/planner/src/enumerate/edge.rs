@@ -88,7 +88,7 @@ fn grace_family(algo: &JoinAlgorithm) -> bool {
 
 impl Planner {
     /// Costs the edge `l ⋈ r`; `chain` when the join is part of an n-way
-    /// chain and folds its pair output into slotted flat rows. The
+    /// chain and lands its matches as slotted flat rows. The
     /// candidate field and the hot keys land in `scratch`, overwriting
     /// the previous split's.
     ///
@@ -113,16 +113,12 @@ impl Planner {
         // count — which is all there is when neither side has hot keys.
         let (out_rows, stats) = l.stats.join(r.stats);
         let matching = stats.distinct_keys().max(1.0);
-        let pair_buffers = (out_rows * PAIR_BYTES / CACHELINE as f64).ceil();
-        // Chain joins fold the pair output into slotted 80-byte rows in
-        // one extra staged pass: re-read the pairs, write the flat rows.
-        let chain_buffers = (out_rows * WIS_BYTES / CACHELINE as f64).ceil();
-        let (output_writes, out_buffers) = if chain {
-            let io = IoPrediction::traffic(pair_buffers, pair_buffers + chain_buffers);
-            (io, chain_buffers)
-        } else {
-            (IoPrediction::traffic(0.0, pair_buffers), pair_buffers)
-        };
+        // A two-way join writes its pairs; a chain join lands each match
+        // as its slotted 80-byte row where it finds it, so it writes the
+        // flat rows once and never the pairs.
+        let row_bytes = if chain { WIS_BYTES } else { PAIR_BYTES };
+        let out_buffers = (out_rows * row_bytes / CACHELINE as f64).ceil();
+        let output_writes = IoPrediction::traffic(0.0, out_buffers);
         let candidate =
             |algo: JoinAlgorithm, swapped: bool, io: IoPrediction, shape: &JoinShape| {
                 let io = self.with_calls(io.plus(output_writes));

@@ -843,3 +843,57 @@ fn chain_join_rows_round_trip_through_every_layer() {
         }
     }
 }
+
+/// The model prices a chain join's output as the one write of its folded
+/// rows: an NLJ chain node on BlockedMemory writes nothing but its
+/// output, so its predicted writes are its measured writes, exactly.
+/// With everything in one outer block the planner picks HybJ(0, 0),
+/// which is NLJ's schedule.
+#[test]
+fn a_chain_nlj_node_writes_what_the_model_predicts() {
+    let dev = PmDevice::paper_default();
+    let layer = LayerKind::BlockedMemory;
+    let mut cat = Catalog::new();
+    for (i, (name, fanout)) in [("a", 1), ("b", 2), ("c", 3)].into_iter().enumerate() {
+        let records = wisconsin::join_right_input(300, fanout, i as u64);
+        let data = PCollection::from_records_uncounted(&dev, layer, name, records);
+        cat.add_table(name, Arc::new(data), 300);
+    }
+    let logical = LogicalPlan::scan("a")
+        .join(LogicalPlan::scan("b"))
+        .join(LogicalPlan::scan("c"));
+    let pool = BufferPool::new(2_000 * 80);
+    let mut planned = Planner::for_device(&dev, &pool, layer)
+        .plan(&logical, &cat)
+        .expect("plans");
+    planned.adapt = false;
+    let run = execute_stream_profiled(&planned, &cat, &dev, layer, &pool).expect("runs");
+    let tree = run.profile.expect("profiled");
+    let root = tree
+        .find(&planned.plan.label())
+        .expect("a span for the root");
+    let mut nlj = 0;
+    node_spans(&planned.plan, root, &mut |node, span| {
+        let PhysicalPlan::Join {
+            left,
+            right,
+            algo: JoinAlgorithm::NLJ | JoinAlgorithm::HybJ { x: 0.0, y: 0.0 },
+            chain: Some(_),
+            cost,
+            ..
+        } = node
+        else {
+            return;
+        };
+        nlj += 1;
+        let (left, right) = (left.label(), right.label());
+        let inputs = span
+            .children
+            .iter()
+            .filter(|c| [&left, &right].contains(&&c.label));
+        let own = inputs.fold(span.io, |io, c| io.since(&c.io));
+        assert_eq!(cost.io.writes, own.cl_writes as f64, "{}", span.label);
+        assert_eq!(cost.out_rows, span.rows.expect("rows noted") as f64);
+    });
+    assert_eq!(nlj, 2, "{}", planned.plan.describe());
+}
