@@ -378,6 +378,11 @@ impl Planner {
             }
             LogicalPlan::Sort { input } => {
                 let (child, stats) = self.plan_node(input, catalog, evidence)?;
+                // Sort-based aggregation already emits its groups in
+                // ascending key order, at every intensity and DoP.
+                if matches!(child, PhysicalPlan::Aggregate { .. }) {
+                    return Ok((child, stats));
+                }
                 Ok((self.plan_sort(child, &mut evidence.choices)?, stats))
             }
             LogicalPlan::Join { .. } => self.plan_join_tree(logical, catalog, evidence),

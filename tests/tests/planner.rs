@@ -897,3 +897,41 @@ fn a_chain_nlj_node_writes_what_the_model_predicts() {
     });
     assert_eq!(nlj, 2, "{}", planned.plan.describe());
 }
+
+/// `ORDER BY key` over `GROUP BY key` plans no sort: sort-based
+/// aggregation lands its groups in ascending key order at every write
+/// intensity and DoP, so the rows arrive ordered and equal the naive
+/// oracle's in order.
+#[test]
+fn an_aggregate_needs_no_sort_above_it() {
+    let dev = PmDevice::paper_default();
+    let layer = LayerKind::BlockedMemory;
+    let w = join_input(2_000, 3, 9);
+    let mut cat = Catalog::new();
+    for (name, records) in [("T", w.left), ("V", w.right)] {
+        let data = PCollection::from_records_uncounted(&dev, layer, name, records);
+        cat.add_table(name, Arc::new(data), 2_000);
+    }
+    let logical = LogicalPlan::scan("T")
+        .join(LogicalPlan::scan("V"))
+        .aggregate()
+        .sort();
+    let reference = execute_naive(&logical, &cat).expect("naive evaluates");
+    for threads in [1, 4] {
+        let pool = BufferPool::new(300 * 80);
+        let planner = Planner::for_device(&dev, &pool, layer).with_threads(threads);
+        let mut planned = planner.plan(&logical, &cat).expect("plans");
+        assert!(
+            !planned.plan.describe().contains("sort via"),
+            "{}",
+            planned.plan.describe()
+        );
+        for x in [0.0, 0.5, 1.0] {
+            force_aggregate(&mut planned.plan, x);
+            let run = execute_stream(&planned, &cat, &dev, layer, &pool).expect("runs");
+            let rows = run.result.all_rows();
+            assert!(rows.keys().is_sorted(), "x = {x}, DoP {threads}");
+            assert_eq!(rows, reference, "x = {x}, DoP {threads}");
+        }
+    }
+}

@@ -502,6 +502,37 @@ fn explicit_session_threads_outrank_the_environment() {
 // ---------- EXPLAIN through the statement interface ----------
 
 #[test]
+fn an_order_by_over_its_group_by_plans_no_sort() {
+    let db = Database::builder().dram_records(300).build();
+    db.create_wisconsin("t", 1_000, 1, 3).expect("fresh");
+    db.create_wisconsin("v", 1_000, 4, 3).expect("fresh");
+    let sql = "SELECT * FROM t JOIN v ON t.key = v.key GROUP BY key ORDER BY key";
+    let logical = LogicalPlan::scan("t")
+        .join(LogicalPlan::scan("v"))
+        .aggregate()
+        .sort();
+    let want = execute_naive(&logical, &db.catalog())
+        .expect("naive evaluates")
+        .wide_rows();
+    for threads in [1, 4] {
+        let mut session = db.session();
+        session.set_threads(threads);
+        let Response::Explain(mut stream) = session
+            .execute(&format!("EXPLAIN {sql}"))
+            .expect("executes")
+        else {
+            panic!("expected explain response");
+        };
+        stream.drain().expect("runs");
+        let report = stream.explain();
+        assert!(report.contains("aggregate (x ="), "{report}");
+        assert!(!report.contains("sort via"), "{report}");
+        let mut stream = session.query(sql).expect("runs");
+        assert_eq!(drain_rows(&mut stream), want, "DoP {threads}");
+    }
+}
+
+#[test]
 fn explain_streams_no_rows_but_reports_the_plan() {
     let db = Database::builder().build();
     db.create_wisconsin("t", 400, 1, 5).expect("fresh");
