@@ -5,8 +5,9 @@
 //! blocking nodes (sort, join, aggregate) invoke the chosen algorithm on
 //! the collections below them, so every cacheline the plan touches flows
 //! through the counted device. A chain join lands each match as its
-//! folded flat row ([`ChainFold`]) where the schedule finds it, so its
-//! output is written once, as the rows the next join reads. Deferred
+//! folded flat row where the schedule finds it (an
+//! [`OutputShape`] of the join), so its output is written once, as the
+//! rows the next join reads. Deferred
 //! filters are lowered onto the §3.1 [`filtered_iterate_join`], which
 //! re-filters the source per pass instead of writing the view until its
 //! rules say otherwise.
@@ -840,17 +841,13 @@ impl<'a> Lowerer<'a> {
                 col: self.run_join(left, right, algo, swapped, hot, &Pairs)?,
                 swapped,
             },
-            Some(slots) => ResultSet::Multi {
-                col: self.run_join(
-                    left,
-                    right,
-                    algo,
-                    swapped,
-                    hot,
-                    &ChainFold::new(slots, swapped),
-                )?,
-                tables: slots.tables(),
-            },
+            Some(slots) => {
+                let fold = ChainFold::new(slots, swapped);
+                ResultSet::Multi {
+                    col: self.run_join(left, right, algo, swapped, hot, &fold)?,
+                    tables: slots.tables(),
+                }
+            }
         })
     }
 
@@ -1196,7 +1193,7 @@ mod tests {
             7 => JoinAlgorithm::CGJ,
             8 => return guided_join_with(l, r, &[0, 1, 2, 3], shape, ctx, "o"),
             _ => {
-                let keep = |rec: &WisconsinRecord| rec.key() % 3 != 0;
+                let keep = |rec: &WisconsinRecord| !rec.key().is_multiple_of(3);
                 return Ok(filtered_iterate_join(l, keep, 0.67, r, shape, ctx, "o")?.0);
             }
         };

@@ -332,9 +332,9 @@ fn shape(plan: &PhysicalPlan) -> &'static str {
     }
 }
 
-/// The staged passes a plan's lowering runs, in pre-order: a filter
-/// over each shape, a deferred σ, and chain folds with and without
-/// swapped sides (a deferred σ's join never swaps).
+/// The landings a plan's lowering runs, in pre-order: a filter over
+/// each shape, a deferred σ, and chain folds with and without swapped
+/// sides (a deferred σ's join never swaps).
 fn arms(plan: &PhysicalPlan, out: &mut Vec<String>) {
     match plan {
         PhysicalPlan::Scan { .. } => {}

@@ -678,6 +678,7 @@ fn hash_rows(rows: &[Vec<u64>]) -> u64 {
 /// everywhere and equal the naive oracle's.
 #[test]
 fn chain_join_rows_round_trip_through_every_layer() {
+    const M: usize = 1000;
     let lines = |bytes: u64| bytes.div_ceil(64);
     let scan = LogicalPlan::scan;
     let left_deep = |names: &[&str]| {
@@ -771,7 +772,6 @@ fn chain_join_rows_round_trip_through_every_layer() {
         ("d1", 500, 1),
         ("d2", 500, 1),
     ];
-    const M: usize = 1000;
     for layer in [
         LayerKind::BlockedMemory,
         LayerKind::RamDisk,
