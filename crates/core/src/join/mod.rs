@@ -19,6 +19,11 @@
 //! | (adaptive GJ) | [`crate::adaptive::adaptive_grace_join`] | §3.1 rules pick the partitions to materialize | per input whose rule fires, a scan spilling partitions `a..k`; build–probe: a task per partition, from its spill or a rescan of the original |
 //! | (deferred σ) | [`crate::pipeline::filtered_iterate_join`] | §3.1 rules pick when to write `σ(T)` | build–probe: a re-filtering task per pass before the view materializes; the pass that writes it as it scans; build–probe: a task per later pass over the view |
 //!
+//! Every schedule lands each match where it finds it, through an
+//! [`OutputShape`]: [`Pairs`] lands the pair ([`JoinAlgorithm::run`]),
+//! and [`JoinAlgorithm::run_shaped`] takes any other, such as the
+//! planner's chain fold, which writes an 80-byte row instead.
+//!
 //! SMJ and CGJ are library extensions beyond the paper's line-up (see
 //! [`guided`]). The two §3.1 joins decide their schedule before any I/O:
 //! their rule reads only the inputs' sizes and the passes' own scans, so

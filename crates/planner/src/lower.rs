@@ -117,7 +117,7 @@ impl OutputShape<WisconsinRecord, WisconsinRecord> for ChainFold {
     #[inline]
     fn emit(&self, left: &[u8], right: &[u8], sink: &mut impl RowSink<WisconsinRecord>) {
         let mut row = [0; WisconsinRecord::SIZE];
-        // Both sides hold the join key; the logical left's is the row's.
+        // Both records hold the join key; the row takes the build side's.
         row[..WORD].copy_from_slice(&left[..WORD]);
         for (bytes, moves) in [(left, &self.build), (right, &self.probe)] {
             for &(from, to) in moves {
